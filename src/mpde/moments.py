@@ -219,21 +219,20 @@ def eval_at(m: MomentFunction, u) -> float:
     return scaled_eval(m, as_fraction(u)).to_float()
 
 
-def log_eval(m: MomentFunction, u) -> float:
-    return scaled_eval(m, as_fraction(u)).log
-
-
 def eval_fraction(m: MomentFunction, u) -> Fraction:
     """m(u) as an exact Fraction (exact Gamma values where possible,
     otherwise the dyadic rational of the scaled double evaluation)."""
     return scaled_eval(m, as_fraction(u)).to_fraction()
 
 
-def eval_ratio(m: MomentFunction, u_num, u_den) -> float:
-    """m(u_num) / m(u_den) without overflow."""
-    a = scaled_eval(m, as_fraction(u_num))
-    b = scaled_eval(m, as_fraction(u_den))
-    return math.exp(a.log - b.log)
+def fraction_table(m: MomentFunction, kappa: int, n: int) -> list:
+    """Exact values ``m(j/kappa)`` for j = 0..n (see :func:`eval_fraction`)."""
+    return [scaled_eval(m, Fraction(j, kappa)).rational for j in range(n + 1)]
+
+
+def log_table(m: MomentFunction, kappa: int, n: int) -> list:
+    """Natural logs of ``m(j/kappa)`` for j = 0..n."""
+    return [scaled_eval(m, Fraction(j, kappa)).log for j in range(n + 1)]
 
 
 # -- kernel and Mittag-Leffler style functions ------------------------------

@@ -12,7 +12,8 @@ A problem file is a JSON object with the fields
 * ``mode``       - ``"direct"`` or ``"pseudo"``
 * ``arithmetic`` - ``"float"`` or ``"exact"``
 
-Unknown keys are rejected.  Coefficient payloads are lists of
+Unknown keys are rejected, and so are JSON booleans where a truncation or a
+direction is expected.  Coefficient payloads are lists of
 ``[j, i, re, im]`` quadruples; re/im may be JSON numbers or rational
 strings such as ``"1/2"``.
 """
@@ -24,10 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from . import newton
-from .charroots import branches_at_infinity, validate_numeric
+from . import kernel, newton
+from .charroots import branches_at_infinity
 from .errors import ParseError, PreconditionError
-from .exact import RationalComplex, as_fraction, fmt_fraction
+from .exact import QC_ZERO, RationalComplex, as_fraction, fmt_fraction
 from .parsing import parse_moment, parse_operator
 from .series import Series2, gevrey_fit
 from .solver import (CauchyProblem, formal_solve, residual,
@@ -92,11 +93,13 @@ def load_problem(source) -> ProblemFile:
         raise ParseError(f"bad rhs_gevrey: {exc}")
     trunc = data.get("truncation", [20, 40])
     if (not isinstance(trunc, (list, tuple)) or len(trunc) != 2
-            or not all(isinstance(v, int) and v >= 0 for v in trunc)):
+            or not all(isinstance(v, int) and not isinstance(v, bool)
+                       and v >= 0 for v in trunc)):
         raise ParseError("truncation must be a pair of non-negative integers")
     dirs = data.get("directions", [0.0])
     if not isinstance(dirs, (list, tuple)) or not dirs \
-            or not all(isinstance(d, (int, float)) for d in dirs):
+            or not all(isinstance(d, (int, float)) and not isinstance(d, bool)
+                       for d in dirs):
         raise ParseError("directions must be a non-empty list of reals")
     mode = data.get("mode", "direct")
     if mode not in ("direct", "pseudo"):
@@ -150,6 +153,8 @@ def expand_rhs(rhs_spec: dict, n1: int, n2: int, exact: bool) -> Series2:
     if not d00:
         raise PreconditionError(
             "rational rhs needs a denominator with nonzero constant term")
+    if exact:
+        return Series2(_quotient_exact(num, den, n1, n2), exact=True)
     zero = _entry_value(0, 0, exact)
     rows = [[zero] * (n2 + 1) for _ in range(n1 + 1)]
     den_items = [(k, v) for k, v in sorted(den.items()) if k != (0, 0)]
@@ -161,6 +166,52 @@ def expand_rhs(rhs_spec: dict, n1: int, n2: int, exact: bool) -> Series2:
                     acc = acc - dv * rows[j - a][i - b]
             rows[j][i] = acc / d00
     return Series2(rows, exact=exact)
+
+
+def _quotient_exact(num: dict, den: dict, n1: int, n2: int) -> list:
+    """Rows of the power series num/den, fraction-free.
+
+    Both tables are scaled to Gaussian integers N and Q.  With q = Q_00 the
+    cells ``R_{j,i} = q**(j+i+1) * (num/den)_{j,i}`` obey the integer
+    recursion ``R_{j,i} = q**(j+i) N_{j,i} - sum Q_ab q**(a+b-1) R_{j-a,i-b}``
+    over (a, b) != (0, 0); each cell is divided by its power of q once.
+    """
+    d = kernel.common_denominator(list(num.values()) + list(den.values()))
+    N = {k: kernel.gaussian_int(v, d) for k, v in num.items()}
+    Q = {k: kernel.gaussian_int(v, d) for k, v in den.items()}
+    qr, qi = Q[(0, 0)]
+    powers = [(1, 0)]  # q**k
+    for _ in range(n1 + n2 + 1):
+        pr, pi = powers[-1]
+        powers.append((pr * qr - pi * qi, pr * qi + pi * qr))
+
+    def mul(x, y):
+        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    terms = [(a, b, mul(v, powers[a + b - 1]))
+             for (a, b), v in sorted(Q.items()) if (a, b) != (0, 0)]
+    R = [[(0, 0)] * (n2 + 1) for _ in range(n1 + 1)]
+    rows = []
+    for j in range(n1 + 1):
+        row = []
+        for i in range(n2 + 1):
+            acc = mul(N[(j, i)], powers[j + i]) if (j, i) in N else (0, 0)
+            for a, b, k in terms:
+                if a <= j and b <= i:
+                    x = mul(k, R[j - a][i - b])
+                    acc = (acc[0] - x[0], acc[1] - x[1])
+            R[j][i] = acc
+            if acc == (0, 0):
+                row.append(QC_ZERO)
+                continue
+            pr, pi = powers[j + i + 1]
+            if pi:  # R / p = R * conj(p) / |p|**2
+                (re, im), div = mul(acc, (pr, -pi)), pr * pr + pi * pi
+            else:
+                (re, im), div = acc, pr
+            row.append(RationalComplex(Fraction(re, div), Fraction(im, div)))
+        rows.append(row)
+    return rows
 
 
 # -- assembled problem -------------------------------------------------------------
@@ -355,10 +406,3 @@ def newton_problem(pf: ProblemFile):
     s2 = parse_moment(pf.m2).order
     polygon = newton.build(P.support(), s1, s2)
     return newton.to_svg(polygon), newton.vertices_csv(polygon)
-
-
-def numeric_branch_check(pf: ProblemFile, radii=(1e3, 1e4),
-                         ray_angle: float = 0.0):
-    P = parse_operator(pf.operator)
-    branches = branches_at_infinity(P)
-    return validate_numeric(P, branches, radii, ray_angle)

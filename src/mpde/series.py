@@ -1,15 +1,18 @@
 """Truncated formal power series in one and two variables with ramification.
 
 Coefficients are stored raw (plain monomial coefficients).  The moment
-operators convert to and from normalized coordinates ``u_j = c_j * m(j/kappa)``
-on the fly, always through ratios of moment values so that grids far beyond
-the double overflow threshold stay finite in float mode.
+operators act as shifts on normalized coordinates ``u_j = c_j * m(j/kappa)``.
 
 Two coefficient fields are supported: Python ``complex`` (float mode) and
-:class:`~mpde.exact.RationalComplex` (exact mode).  Exact mode uses exact
-rational moment values (true factorials where available, dyadic rationals of
-the scaled double evaluation otherwise) so that algebraic identities such as
-Borel round trips and solver residuals hold bit for bit.
+:class:`~mpde.exact.RationalComplex` (exact mode).  Float mode works on raw
+coefficients through ratios of moment values taken from their logarithms,
+so that grids far beyond the double overflow threshold stay finite.  Exact
+mode multiplies by the moment values once on input, shifts (on integers in
+:func:`apply_operator`, see :mod:`mpde.kernel`) and divides once per output
+coefficient.  Its moment values are exact rationals (true factorials where
+available, dyadic rationals of the scaled double evaluation otherwise), so
+algebraic identities such as Borel round trips and solver residuals hold
+bit for bit.
 
 Operators never zero-pad: output grids are sliced to the window on which the
 result is trustworthy, and ``valid`` records that window.
@@ -24,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate
 
-from . import moments
+from . import kernel, moments
 from .errors import DomainError, EstimationError, EvaluationError, WindowError
 from .exact import RationalComplex, as_fraction
 from .moments import MomentFunction
@@ -46,14 +49,6 @@ def _div_scaled(c: complex, sv: moments.ScaledValue) -> complex:
 def _mul_scaled(c: complex, sv: moments.ScaledValue) -> complex:
     return complex(math.ldexp(c.real * sv.mantissa, sv.exp2),
                    math.ldexp(c.imag * sv.mantissa, sv.exp2))
-
-
-def _ratio(m: MomentFunction, u_num: Fraction, u_den: Fraction, exact: bool):
-    if exact:
-        return (moments.scaled_eval(m, u_num).to_fraction()
-                / moments.scaled_eval(m, u_den).to_fraction())
-    return math.exp(moments.scaled_eval(m, u_num).log
-                    - moments.scaled_eval(m, u_den).log)
 
 
 @dataclass(frozen=True)
@@ -267,19 +262,23 @@ def moment_antidiff(m: MomentFunction, s, axis: str | None = None,
 
 def _shift_1d(coeffs, m, kappa, exact, times, up):
     n = len(coeffs) - 1
+    if up and times > n:
+        raise WindowError(f"differentiating {times} times leaves no "
+                          f"valid coefficients (truncation {n})")
+    src = range(times, n + 1) if up else range(n - times + 1)
+    dst = range(n - times + 1) if up else range(times, n + 1)
+    if exact:
+        # normalized coefficients c_j * m(j) shift; divide once on output
+        w = moments.fraction_table(m, kappa, n)
+        moved = [coeffs[x] * w[x] / w[y] for x, y in zip(src, dst)]
+    else:
+        logs = moments.log_table(m, kappa, n)
+        moved = [coeffs[x] * math.exp(logs[x] - logs[y])
+                 for x, y in zip(src, dst)]
     if up:
-        if times > n:
-            raise WindowError(f"differentiating {times} times leaves no "
-                              f"valid coefficients (truncation {n})")
-        return [coeffs[j + times]
-                * _ratio(m, Fraction(j + times, kappa), Fraction(j, kappa), exact)
-                for j in range(n - times + 1)]
+        return moved
     zero = RationalComplex(0) if exact else 0j
-    out = [zero] * min(times, n + 1)
-    for j in range(times, n + 1):
-        out.append(coeffs[j - times]
-                   * _ratio(m, Fraction(j - times, kappa), Fraction(j, kappa), exact))
-    return out
+    return [zero] * min(times, n + 1) + moved
 
 
 def _shift_impl(m, s, axis, times, up):
@@ -316,41 +315,58 @@ def normalize_table(table) -> list:
     return items
 
 
+def operator_window(table, valid) -> tuple:
+    """Valid window left after applying the operator ``table`` to a series
+    with valid window ``valid``; raises WindowError when it is empty."""
+    items = normalize_table(table)
+    max_a = max(a for (a, _), _ in items)
+    max_b = max(b for (_, b), _ in items)
+    J_out, I_out = valid[0] - max_a, valid[1] - max_b
+    if J_out < 0 or I_out < 0:
+        raise WindowError(
+            f"operator orders ({max_a}, {max_b}) exceed the valid window {valid}")
+    return J_out, I_out
+
+
 def apply_operator(table, m1: MomentFunction, m2: MomentFunction,
                    u: Series2) -> Series2:
     """Apply ``sum p_ab * dt^a dz^b`` (moment derivatives) to a Series2.
 
-    Works in raw coordinates through moment-value ratios, equivalent to the
-    shift ``V_{j,i} = sum p_ab U_{j+a,i+b}`` on normalized coefficients.
-    The output window shrinks by the maximal orders in the support.
+    On normalized coefficients this is the shift
+    ``V_{j,i} = sum p_ab U_{j+a,i+b}``.  Exact mode normalizes u once, runs
+    the shift on integers (:mod:`mpde.kernel`) and divides by the moment
+    values once per output cell; float mode works on raw coefficients
+    through ratios of moment values taken from their logarithms.  The
+    output window shrinks by the maximal orders in the support.
     """
-    items = normalize_table(table)
-    max_a = max(a for (a, _), _ in items)
-    max_b = max(b for (_, b), _ in items)
+    J_out, I_out = operator_window(table, u.valid)
     J, I = u.valid
-    J_out, I_out = J - max_a, I - max_b
-    if J_out < 0 or I_out < 0:
-        raise WindowError(
-            f"operator orders ({max_a}, {max_b}) exceed the valid window {u.valid}")
-    exact = u.exact
-    coeffs = [((a, b), _coerce(p, exact)) for (a, b), p in items]
-    a_vals = sorted({a for (a, _), _ in items})
-    b_vals = sorted({b for (_, b), _ in items})
-    r1 = {a: [_ratio(m1, Fraction(j + a, u.kappa1), Fraction(j, u.kappa1), exact)
-              for j in range(J_out + 1)] for a in a_vals}
-    r2 = {b: [_ratio(m2, Fraction(i + b, u.kappa2), Fraction(i, u.kappa2), exact)
-              for i in range(I_out + 1)] for b in b_vals}
-    zero = RationalComplex(0) if exact else 0j
+    if u.exact:
+        w1 = moments.fraction_table(m1, u.kappa1, J)
+        w2 = moments.fraction_table(m2, u.kappa2, I)
+        U = kernel.normalize(u.coeffs, w1, w2, J, I)
+        V = kernel.shift(U, table, J_out, I_out)
+        rows = kernel.denormalize(V.re, V.im, [V.den] * (J_out + 1), w1, w2,
+                                  J_out, I_out)
+        return Series2(rows, u.kappa1, u.kappa2, True)
+    items = normalize_table(table)
+    coeffs = [((a, b), complex(p)) for (a, b), p in items]
+    logs1 = moments.log_table(m1, u.kappa1, J)
+    logs2 = moments.log_table(m2, u.kappa2, I)
+    r1 = {a: [math.exp(logs1[j + a] - logs1[j]) for j in range(J_out + 1)]
+          for a in {a for (a, _), _ in items}}
+    r2 = {b: [math.exp(logs2[i + b] - logs2[i]) for i in range(I_out + 1)]
+          for b in {b for (_, b), _ in items}}
     rows = []
     for j in range(J_out + 1):
         row = []
         for i in range(I_out + 1):
-            acc = zero
+            acc = 0j
             for (a, b), p in coeffs:
                 acc = acc + p * u.coeffs[j + a][i + b] * r1[a][j] * r2[b][i]
             row.append(acc)
         rows.append(row)
-    return Series2(rows, u.kappa1, u.kappa2, exact)
+    return Series2(rows, u.kappa1, u.kappa2, False)
 
 
 # -- empirical Gevrey order ---------------------------------------------------

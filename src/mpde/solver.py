@@ -1,10 +1,17 @@
 """Normalized truncated formal solutions of moment Cauchy problems.
 
 Solves ``P(dt, dz) u = f`` with zero initial data, where dt and dz are the
-moment derivatives attached to m1 and m2.  The recursion runs level by level
-in the t-order on raw coefficients, converting to normalized coordinates
-through ratios of moment values, so that float mode stays finite on grids
-whose normalized coefficients would overflow.
+moment derivatives attached to m1 and m2.  In normalized coordinates
+``U_{j,i} = u_{j,i} * m1(j/kappa1) * m2(i/kappa2)`` the operator is a
+constant-coefficient shift, and the recursion runs level by level in the
+t-order as ``U[j+n][i] = G[j][i] + sum c_ab U[j+n-a][i+b]``.
+
+Exact mode normalizes g once and runs this recursion on Python integers over
+one common denominator (:mod:`mpde.kernel`); the moment values are divided
+out once per output cell.  Float mode runs it on raw coefficients, scaling
+each term by a ratio of moment values taken from their logarithms, so that
+grids whose normalized coefficients would overflow stay finite; an output
+row that overflows anyway raises EvaluationError.
 
 Two modes:
 
@@ -22,16 +29,18 @@ requested output window is valid.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
-from . import moments
-from .charroots import CharPoly, branches_at_infinity
-from .errors import PreconditionError, WindowError
-from .exact import RationalComplex, as_fraction
+from . import kernel, moments
+from .charroots import CharPoly, _divmod, branches_at_infinity
+from .errors import EvaluationError, PreconditionError, WindowError
+from .exact import QC_ONE, RationalComplex, as_fraction
 from .moments import MomentFunction
-from .series import Series2, apply_operator
+from .series import Series2, apply_operator, operator_window
 
 
 @dataclass(frozen=True)
@@ -72,30 +81,13 @@ class CauchyProblem:
         return self.out_shape[1] + self.out_shape[0] * self.max_b
 
 
-class _Weights:
-    """Moment values along one axis, float logs plus exact fractions."""
-
-    def __init__(self, m: MomentFunction, kappa: int, n: int, exact: bool):
-        vals = [moments.scaled_eval(m, Fraction(j, kappa)) for j in range(n + 1)]
-        self.logs = [v.log for v in vals]
-        self.fracs = [v.to_fraction() for v in vals] if exact else None
-        self.exact = exact
-
-    def ratio(self, x: int, y: int):
-        if self.exact:
-            return self.fracs[x] / self.fracs[y]
-        return math.exp(self.logs[x] - self.logs[y])
-
-
-def _zero(exact: bool):
-    return RationalComplex(0) if exact else 0j
-
-
 def g_from_f(p0_coeffs, m2: MomentFunction, f: Series2) -> Series2:
     """Solve ``P0(dz) g = f`` for g with the free z-coefficients set to zero.
 
-    In z-normalized coordinates the recursion runs upward in the z-index,
-    with ``G_{j,i} = 0`` for ``i < deg P0``.  Exact in rational mode.
+    In z-normalized coordinates ``G_i = g_i * m2(i/kappa2)`` the equation is
+    the recursion ``G_{i+deg} = (F_i - sum_{b<deg} p_b G_{i+b}) / p_deg``
+    upward in the z-index, with ``G_{j,i} = 0`` for ``i < deg P0``.  Exact
+    mode runs it on the shift kernel, all rows at once.
     """
     exact = f.exact
     p = [RationalComplex.coerce(c) if exact else complex(c) for c in p0_coeffs]
@@ -105,35 +97,48 @@ def g_from_f(p0_coeffs, m2: MomentFunction, f: Series2) -> Series2:
         raise PreconditionError("P0 must not be identically zero")
     deg = len(p) - 1
     J, I = f.valid
-    if deg == 0:
-        rows = [[f.coeffs[j][i] / p[0] for i in range(I + 1)]
-                for j in range(J + 1)]
+    if exact:
+        w2 = moments.fraction_table(m2, f.kappa2, I + deg)
+        F = kernel.normalize(f.coeffs, [1] * (J + 1), w2, J, I)
+        # z-levels: the recursion runs over columns, each a vector over j
+        cols = kernel.Lanes(_transpose(F.re),
+                            _transpose(F.im) if F.im is not None else None,
+                            F.den)
+        terms = [(deg - b, 0, -p[b] / p[deg]) for b in range(deg) if p[b]]
+        levels = kernel.recurrence(cols, 1 / p[deg], terms, deg,
+                                   [J] * (I + deg + 1))
+        rows = _transpose(kernel.denormalize(*levels, w2, [1] * (J + 1),
+                                             I + deg, J))
         return Series2(rows, f.kappa1, f.kappa2, exact)
-    w2 = _Weights(m2, f.kappa2, I + deg, exact)
-    zero = _zero(exact)
+    logs = moments.log_table(m2, f.kappa2, I + deg)
     rows = []
     for j in range(J + 1):
-        g = [zero] * (I + deg + 1)
+        g = [0j] * (I + deg + 1)
         frow = f.coeffs[j]
         for i in range(I + 1):
-            acc = frow[i] * w2.ratio(i, i + deg)
+            acc = frow[i] * math.exp(logs[i] - logs[i + deg])
             for b in range(deg):
                 if p[b]:
-                    acc = acc - p[b] * g[i + b] * w2.ratio(i + b, i + deg)
+                    acc = acc - p[b] * g[i + b] * math.exp(
+                        logs[i + b] - logs[i + deg])
             g[i + deg] = acc / p[deg]
         rows.append(g)
     return Series2(rows, f.kappa1, f.kappa2, exact)
 
 
-def _laurent_tail(rem, den, order: int, exact: bool):
+def _transpose(rows) -> list:
+    return [list(col) for col in zip(*rows)]
+
+
+def _laurent_tail(rem, den, order: int):
     """Coefficients h_1..h_order of ``rem/den`` expanded in powers of 1/zeta.
 
     ``rem`` has degree < ``deg den``; substituting w = 1/zeta turns the
-    quotient into a power series in w with zero constant term, computed by
-    series division.
+    quotient into a power series in w with zero constant term, computed
+    exactly by series division.
     """
     B = len(den) - 1
-    zero = _zero(exact)
+    zero = RationalComplex(0)
     num_w = [zero] * (order + 1)
     for mdeg, c in enumerate(rem):
         t = B - mdeg
@@ -150,16 +155,46 @@ def _laurent_tail(rem, den, order: int, exact: bool):
     return h[1:]
 
 
+def _recursion_terms(prob: CauchyProblem, top, width: int) -> list:
+    """Terms (a, b, c) of ``U[t] = G[t-n] + sum c * U[t-a][i+b]``.
+
+    The recursion is in normalized coordinates; b < 0 reads ``U[t-a][i-|b|]``
+    with zero below index 0.  Direct mode divides the lower lambda powers by
+    the constant top coefficient (lambda power ascending, then b ascending).
+    Pseudo mode expands each ``-A_{n-a}/A_n`` at zeta = infinity, exactly,
+    into a polynomial part and an inverse-power tail of ``width`` terms (a
+    ascending, then the polynomial part, then the tail by ascending power).
+    """
+    P = prob.operator
+    n = P.n
+    if prob.mode == "direct":
+        return [(n - a, b, -RationalComplex.coerce(c) / top[0])
+                for a, row in enumerate(P.coeff_polys[:n])
+                for b, c in enumerate(row) if c]
+    terms = []
+    for a in range(1, n + 1):
+        num = [RationalComplex.coerce(c) for c in P.coeff_polys[n - a]]
+        if not any(num):
+            continue
+        quo, rem = _divmod(num, top)
+        terms += [(a, b, -c) for b, c in enumerate(quo) if c]
+        terms += [(a, -r, -h)
+                  for r, h in enumerate(_laurent_tail(rem, top, width), 1) if h]
+    return terms
+
+
 def formal_solve(prob: CauchyProblem) -> Series2:
     """Truncated formal solution with zero initial data, determined by g.
 
     Output grid is exactly ``out_shape``; every returned coefficient is
-    inside the valid window thanks to the internal z-inflation.
+    inside the valid window thanks to the internal z-inflation.  In float
+    mode a t-level that overflows binary64 inside that window raises
+    EvaluationError.
     """
     P = prob.operator
     n = P.n
     exact = prob.rhs.exact
-    top = [RationalComplex.coerce(c) if exact else complex(c) for c in P.p0()]
+    top = [RationalComplex.coerce(c) for c in P.p0()]
     B = len(top) - 1
     if prob.mode == "direct" and B != 0:
         raise PreconditionError(
@@ -179,95 +214,73 @@ def formal_solve(prob: CauchyProblem) -> Series2:
             f"insufficient rhs data: need window ({rows_needed}, {N2i}), "
             f"rhs provides ({J_g}, {I_g})")
 
-    w1 = _Weights(prob.m1, kappa1, N1, exact)
-    w2 = _Weights(prob.m2, kappa2, N2i + prob.max_b, exact)
-    zero = _zero(exact)
-    grid = [[zero] * (N2i + 1) for _ in range(N1 + 1)]
+    terms = _recursion_terms(prob, top, N2i)
     windows = [N2i] * (N1 + 1)
-
-    def coerce(c):
-        return RationalComplex.coerce(c) if exact else complex(c)
-
-    if prob.mode == "direct":
-        p_top = top[0]
-        lower = []  # (a, b, coeff) for lambda powers below n
-        for a, row in enumerate(P.coeff_polys[:n]):
-            for b, c in enumerate(row):
-                if c:
-                    lower.append((a, b, coerce(c)))
-        g_scale = p_top  # f = P0(dz) g with constant P0
-        for j in range(0, N1 - n + 1):
-            tgt = j + n
-            win = min(I_g, *(windows[j + a] - b for a, b, _ in lower)) \
-                if lower else I_g
-            win = min(win, N2i)
-            windows[tgt] = win
-            r1_g = w1.ratio(j, tgt)
-            r1 = {a: w1.ratio(j + a, tgt) for a, _, _ in lower}
-            row_out = grid[tgt]
-            for i in range(win + 1):
-                acc = g_scale * g.coeffs[j][i] * r1_g
-                for a, b, p in lower:
-                    acc = acc - p * grid[j + a][i + b] * r1[a] * w2.ratio(i + b, i)
-                row_out[i] = acc / p_top
-    else:
-        # expansions of -A_{n-a}/A_n at infinity, one per lower lambda power
-        actions = []
-        for a in range(1, n + 1):
-            num = [coerce(c) for c in P.coeff_polys[n - a]]
-            if not any(num):
-                continue
-            quo, rem = _poly_divmod(num, top, exact)
-            poly_part = [(b, -c) for b, c in enumerate(quo) if c]
-            tail = [-h for h in _laurent_tail(rem, top, N2i, exact)]
-            actions.append((a, poly_part, tail))
-        for j in range(0, N1 - n + 1):
-            tgt = j + n
-            win = I_g
-            for a, poly_part, _ in actions:
-                up = max((b for b, _ in poly_part), default=0)
-                win = min(win, windows[tgt - a] - up)
-            win = min(win, N2i)
-            if win < 0:
-                raise WindowError("pseudo-mode recursion ran out of columns")
-            windows[tgt] = win
-            r1_g = w1.ratio(j, tgt)
-            row_out = grid[tgt]
-            for i in range(win + 1):
-                acc = g.coeffs[j][i] * r1_g
-                for a, poly_part, tail in actions:
-                    src = grid[tgt - a]
-                    r1 = w1.ratio(tgt - a, tgt)
-                    for b, c in poly_part:
-                        acc = acc + c * src[i + b] * r1 * w2.ratio(i + b, i)
-                    for r in range(1, i + 1):
-                        c = tail[r - 1]
-                        if c:
-                            acc = acc + c * src[i - r] * r1 * w2.ratio(i - r, i)
-                row_out[i] = acc
-    final_window = min(windows[: N1 + 1])
+    for t in range(n, N1 + 1):
+        windows[t] = min([I_g, N2i] + [windows[t - a] - max(b, 0)
+                                       for a, b, _ in terms])
+    final_window = min(windows)
+    if prob.mode == "pseudo" and final_window < 0:
+        raise WindowError("pseudo-mode recursion ran out of columns")
     if final_window < N2:
         raise WindowError(
             f"internal inflation insufficient: reached column {final_window}, "
             f"needed {N2}")
-    out_rows = [row[: N2 + 1] for row in grid]
+
+    if exact:
+        w1 = moments.fraction_table(prob.m1, kappa1, N1)
+        w2 = moments.fraction_table(prob.m2, kappa2, N2i)
+        G = kernel.normalize(g.coeffs, w1, w2, rows_needed, N2i)
+        levels = kernel.recurrence(G, QC_ONE, terms, n, windows)
+        out_rows = kernel.denormalize(*levels, w1, w2, N1, N2)
+    else:
+        out_rows = _float_levels(prob, g, terms, windows)
     return Series2(out_rows, kappa1, kappa2, exact)
 
 
-def _poly_divmod(num, den, exact: bool):
-    num = list(num)
-    B = len(den) - 1
-    if len(num) - 1 < B:
-        return [], num
-    quo = [_zero(exact)] * (len(num) - B)
-    for i in range(len(num) - B - 1, -1, -1):
-        factor = num[i + B] / den[B]
-        quo[i] = factor
-        for jj, d in enumerate(den):
-            num[i + jj] = num[i + jj] - factor * d
-    while num and not num[-1]:
-        num.pop()
-    return quo, num
+def _float_levels(prob: CauchyProblem, g: Series2, terms, windows) -> list:
+    """Float recursion on raw coefficients through moment-value ratios.
+
+    Each term is scaled by ``m(x)/m(y)`` taken from the log moment values,
+    so grids whose normalized coefficients would overflow stay finite.  The
+    first level with a non-finite coefficient in the output window raises
+    EvaluationError; overflow confined to the inflated columns does not
+    reach the output and is not an error.
+    """
+    n = prob.operator.n
+    N1, N2 = prob.out_shape
+    logs1 = moments.log_table(prob.m1, g.kappa1, N1)
+    logs2 = moments.log_table(prob.m2, g.kappa2, prob.inflated_n2 + prob.max_b)
+    # consecutive terms of one level offset, tails last: the tail loop of a
+    # group stops at the first read below column 0
+    groups = [(a, [(b, complex(c)) for _, b, c in run])
+              for a, run in groupby(terms, key=lambda term: term[0])]
+    grid = [[0j] * (prob.inflated_n2 + 1) for _ in range(N1 + 1)]
+    for t in range(n, N1 + 1):
+        j = t - n
+        r1_g = math.exp(logs1[j] - logs1[t])
+        level = [(grid[t - a], math.exp(logs1[t - a] - logs1[t]), group)
+                 for a, group in groups]
+        row_out = grid[t]
+        g_row = g.coeffs[j]
+        for i in range(windows[t] + 1):
+            acc = g_row[i] * r1_g
+            for src, r1, group in level:
+                for b, c in group:
+                    if i + b < 0:
+                        break
+                    acc = acc + c * src[i + b] * r1 * math.exp(
+                        logs2[i + b] - logs2[i])
+            row_out[i] = acc
+        # one C-level sum per level; a finite sum of finite cells can still
+        # overflow, so a non-finite sum is confirmed cell by cell
+        out = row_out[: N2 + 1]
+        if not cmath.isfinite(sum(out)) and not all(map(cmath.isfinite, out)):
+            raise EvaluationError(
+                f"float coefficients overflow at t-level {t} (of {N1}) inside "
+                f"the requested window; use exact arithmetic or a smaller "
+                f"t-truncation")
+    return [row[: N2 + 1] for row in grid]
 
 
 @dataclass(frozen=True)
@@ -296,36 +309,32 @@ def residual(prob: CauchyProblem, u_hat: Series2) -> ResidualReport:
 
     f is reconstructed as ``P0(dz) g`` by operator application when the
     problem was posed through g.  In exact mode a zero residual is exact;
-    in float mode the relative residual is measured against the largest
-    term magnitude (operator applied with absolute coefficients to the
-    absolute series), the backward-error scale of the cancellation.
+    both sides are normalized once and shifted on integers, and the L1
+    moduli ``|re| + |im|`` of raw coefficients are compared.  In float mode
+    the relative residual is measured against the largest term magnitude
+    (operator applied with absolute coefficients to the absolute series),
+    the backward-error scale of the cancellation; a NaN or infinite value
+    makes the relative residual NaN.
     """
     P = prob.operator
     support = P.support()
-    lhs = apply_operator(support, prob.m1, prob.m2, u_hat)
-    if prob.rhs_is_g:
-        p0_table = {(0, b): c for b, c in enumerate(P.p0()) if c}
-        f = apply_operator(p0_table, prob.m1, prob.m2, prob.rhs)
-    else:
-        p0_table = None
-        f = prob.rhs
-    J = min(lhs.valid[0], f.valid[0])
-    I = min(lhs.valid[1], f.valid[1])
+    p0_table = ({(0, b): c for b, c in enumerate(P.p0()) if c}
+                if prob.rhs_is_g else None)
+    if (u_hat.kappa1, u_hat.kappa2) != (prob.rhs.kappa1, prob.rhs.kappa2):
+        raise PreconditionError("u_hat and the rhs must share kappa1, kappa2")
+    J_l, I_l = operator_window(support, u_hat.valid)
+    J_f, I_f = (operator_window(p0_table, prob.rhs.valid)
+                if p0_table is not None else prob.rhs.valid)
+    J, I = min(J_l, J_f), min(I_l, I_f)
     if J < 0 or I < 0:
         raise WindowError("empty comparison window for the residual")
-    exact = u_hat.exact and f.exact
-    if exact:
-        max_abs = Fraction(0)
-        scale = Fraction(0)
-        for j in range(J + 1):
-            for i in range(I + 1):
-                d = lhs.coeffs[j][i] - f.coeffs[j][i]
-                max_abs = max(max_abs, d.abs1())
-                scale = max(scale, f.coeffs[j][i].abs1(),
-                            lhs.coeffs[j][i].abs1())
-        rel = float(max_abs / scale) if scale > 0 else float(max_abs != 0)
-        return ResidualReport(_safe_float(max_abs), _safe_float(scale),
-                              (J, I), max_abs == 0, rel)
+    if u_hat.exact and prob.rhs.exact:
+        return _residual_exact(prob, u_hat, support, p0_table, J, I)
+    lhs = apply_operator(support, prob.m1, prob.m2, u_hat)
+    if p0_table is not None:
+        f = apply_operator(p0_table, prob.m1, prob.m2, prob.rhs)
+    else:
+        f = prob.rhs
     abs_table = {k: abs(complex(v)) for k, v in support.items()}
     abs_lhs = apply_operator(abs_table, prob.m1, prob.m2, _abs_companion(u_hat))
     if p0_table is not None:
@@ -334,15 +343,72 @@ def residual(prob: CauchyProblem, u_hat: Series2) -> ResidualReport:
                                _abs_companion(prob.rhs))
     else:
         abs_f = _abs_companion(f)
-    max_abs = 0.0
-    scale = 0.0
-    for j in range(J + 1):
-        for i in range(I + 1):
-            max_abs = max(max_abs, abs(lhs.coeffs[j][i] - f.coeffs[j][i]))
-            scale = max(scale, abs_lhs.coeffs[j][i].real,
-                        abs_f.coeffs[j][i].real)
-    rel = max_abs / scale if scale > 0.0 else max_abs
+    diffs = [abs(lhs.coeffs[j][i] - f.coeffs[j][i])
+             for j in range(J + 1) for i in range(I + 1)]
+    terms = [s.coeffs[j][i].real for s in (abs_lhs, abs_f)
+             for j in range(J + 1) for i in range(I + 1)]
+    # max() skips NaN, a sum of non-negative values does not
+    max_abs = max(diffs) if not math.isnan(sum(diffs)) else math.nan
+    scale = max(terms) if not math.isnan(sum(terms)) else math.nan
+    if not (math.isfinite(max_abs) and math.isfinite(scale)):
+        rel = math.nan
+    else:
+        rel = max_abs / scale if scale > 0.0 else max_abs
     return ResidualReport(max_abs, scale, (J, I), max_abs == 0.0, rel)
+
+
+def _residual_exact(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
+    max_a = max(a for a, _ in support)
+    max_b = max(b for _, b in support)
+    deg0 = max(b for _, b in p0_table) if p0_table is not None else 0
+    w1 = moments.fraction_table(prob.m1, u_hat.kappa1, J + max_a)
+    w2 = moments.fraction_table(prob.m2, u_hat.kappa2, I + max(max_b, deg0))
+    U = kernel.normalize(u_hat.coeffs, w1, w2, J + max_a, I + max_b)
+    lhs = kernel.shift(U, support, J, I)
+    if p0_table is not None:
+        G = kernel.normalize(prob.rhs.coeffs, w1, w2, J, I + deg0)
+        f = kernel.shift(G, p0_table, J, I)
+    else:
+        f = kernel.normalize(prob.rhs.coeffs, w1, w2, J, I)
+    # raw coefficient = numerator / (den * w1[j] * w2[i]); put both sides
+    # over one denominator and compare integer L1 moduli
+    den = math.lcm(lhs.den, f.den)
+    sl, sf = den // lhs.den, den // f.den
+    zeros = [[0] * (I + 1) for _ in range(J + 1)]
+    l_im = lhs.im if lhs.im is not None else zeros
+    f_im = f.im if f.im is not None else zeros
+    diff, size = [], []
+    for j in range(J + 1):
+        lr, li, fr, fi = lhs.re[j], l_im[j], f.re[j], f_im[j]
+        diff.append([abs(lr[i] * sl - fr[i] * sf) + abs(li[i] * sl - fi[i] * sf)
+                     for i in range(I + 1)])
+        size.append([max((abs(lr[i]) + abs(li[i])) * sl,
+                         (abs(fr[i]) + abs(fi[i])) * sf)
+                     for i in range(I + 1)])
+    max_abs = _max_weighted(diff, w1, w2) / den
+    scale = _max_weighted(size, w1, w2) / den
+    rel = float(max_abs / scale) if scale > 0 else float(max_abs != 0)
+    return ResidualReport(_safe_float(max_abs), _safe_float(scale),
+                          (J, I), max_abs == 0, rel)
+
+
+def _max_weighted(rows, w1, w2) -> Fraction:
+    """Largest ``rows[j][i] / (w1[j] * w2[i])`` over non-negative int rows.
+
+    Candidates are compared by cross-multiplication, which needs no gcd per
+    cell, and only the maximum becomes a Fraction.
+    """
+    best_num, best_den = 0, 1
+    w2n = [w.numerator for w in w2]
+    w2d = [w.denominator for w in w2]
+    for j, row in enumerate(rows):
+        jn, jd = w1[j].numerator, w1[j].denominator
+        for i, x in enumerate(row):
+            if x:
+                num, den = x * jd * w2d[i], jn * w2n[i]
+                if num * best_den > best_num * den:
+                    best_num, best_den = num, den
+    return Fraction(best_num, best_den)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,16 @@ def test_load_problem_defaults_and_validation():
                       "rhs": {"kind": "weird", "payload": []}})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("truncation", [True, 5]), ("truncation", [4, False]),
+    ("directions", [True]), ("directions", [0.0, False])])
+def test_load_problem_rejects_booleans(field, value):
+    data = json.loads(Path(shipped("heat")).read_text())
+    data[field] = value
+    with pytest.raises(ParseError):
+        load_problem(data)
+
+
 def test_expand_rhs_rational():
     spec = {"kind": "rational",
             "payload": {"num": [[0, 0, 1, 0]],
@@ -165,6 +175,27 @@ def test_cli_verify_exit_codes(tmp_path):
                                   "float", "--n1", "6", "--n2", "8",
                                   "--tol", "0"])
     assert strict.exit_code == 3
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_cli_float_overflow_exits_numeric(command, tmp_path):
+    # raw float coefficients of twofactor overflow binary64 at N1 = 80;
+    # neither command may report success on them
+    runner = CliRunner()
+    out = tmp_path / "twofactor.csv"
+    result = runner.invoke(main, [command, shipped("twofactor"), "--n1", "80",
+                                  "--arithmetic", "float", "--out", str(out)])
+    assert result.exit_code == 4, result.output
+    assert "t-level 64" in result.output
+    assert not out.exists()
+
+
+def test_cli_bool_truncation_is_parse_error(tmp_path):
+    data = json.loads(Path(shipped("heat")).read_text())
+    data["truncation"] = [True, 5]
+    prob = tmp_path / "bool.json"
+    prob.write_text(json.dumps(data))
+    assert CliRunner().invoke(main, ["solve", str(prob)]).exit_code == 1
 
 
 def test_cli_error_exit_codes(tmp_path):

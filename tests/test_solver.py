@@ -7,7 +7,7 @@ import pytest
 from helpers import random_series2
 
 from mpde.charroots import CharPoly, branches_at_infinity
-from mpde.errors import PreconditionError
+from mpde.errors import EvaluationError, PreconditionError
 from mpde.exact import RationalComplex
 from mpde.moments import gamma_s
 from mpde.series import Series2, apply_operator, gevrey_fit
@@ -115,6 +115,37 @@ def test_residual_detects_perturbation():
     perturbed = Series2(rows, exact=True)
     rep = residual(prob, perturbed)
     assert rep.max_abs > 0 and not rep.exact_zero
+
+
+def test_residual_float_propagates_nonfinite():
+    # max() skips NaN; the residual must not
+    prob = heat_problem(6, 8, exact=False)
+    u = formal_solve(prob)
+    for bad in (math.nan, math.inf):
+        rows = [list(r) for r in u.coeffs]
+        rows[3][2] = complex(bad, 0.0)
+        rep = residual(prob, Series2(rows))
+        assert math.isnan(rep.relative) and not rep.exact_zero
+        assert not rep.relative <= 1e-8
+
+
+def test_float_solve_raises_on_overflow_in_window():
+    # raw float coefficients of twofactor leave binary64 at t-level 64;
+    # overflow in the inflated columns alone (N1 = 60) is not an error
+    n1, n2 = 70, 60
+    g = geometric_g(n1, n2 + 5 * n1)
+    with pytest.raises(EvaluationError, match="t-level 64"):
+        formal_solve(CauchyProblem(TWOFACTOR, G1, G1, g, (n1, n2)))
+    g = geometric_g(60, n2 + 5 * 60)
+    prob = CauchyProblem(TWOFACTOR, G1, G1, g, (60, n2))
+    assert residual(prob, formal_solve(prob)).relative < 1e-10
+
+
+def test_residual_rejects_mismatched_ramification():
+    prob = heat_problem(4, 4)
+    u = formal_solve(prob)
+    with pytest.raises(PreconditionError):
+        residual(prob, Series2(u.coeffs, kappa1=2, exact=True))
 
 
 def test_solution_linearity_exact():
@@ -239,6 +270,25 @@ def test_pseudo_mode_with_rhs_f_and_nontrivial_tail():
                          rhs_is_g=False)
     rep = residual(prob, formal_solve(prob))
     assert rep.exact_zero
+
+
+@pytest.mark.parametrize("table", [
+    {(1, 0): 2, (1, 1): 1, (0, 2): -1},   # polynomial part plus tail
+    {(1, 0): 2, (1, 1): 1, (0, 0): -1},   # tail only: full-width levels
+])
+def test_pseudo_mode_float_tail_matches_exact(table):
+    P = CharPoly.from_table(table)
+    n1, n2 = 6, 8
+    rng = random.Random(46)
+    f = random_series2(rng, n1, n2 + 2 * n1 + 1, exact=True)
+    f_float = Series2([[complex(c) for c in row] for row in f.coeffs])
+    exact, approx = (formal_solve(CauchyProblem(P, G1, G1, rhs, (n1, n2),
+                                                mode="pseudo", rhs_is_g=False))
+                     for rhs in (f, f_float))
+    for j in range(n1 + 1):
+        for i in range(n2 + 1):
+            want = complex(exact.coeffs[j][i])
+            assert abs(approx.coeffs[j][i] - want) <= 1e-10 * max(1.0, abs(want))
 
 
 def test_theoretical_orders():
