@@ -13,15 +13,13 @@ from .errors import (DomainError, EstimationError, EvaluationError, MpdeError,
 from .exact import RationalComplex, as_fraction, fmt_fraction
 from .moments import (MomentFactor, MomentFunction, combine, e_s_beta,
                       e_s_beta_via_derivative, eval_at, eval_fraction,
-                      gamma_s, kernel_e, log_gamma, mellin_check,
-                      mittag_leffler, order)
+                      gamma_s, kernel_e, log_gamma, mittag_leffler, order)
 from .newton import NewtonPolygon, build, cross_check, slopes
 from .parsing import operator_to_text, parse_moment, parse_operator
 from .problem import (ProblemFile, analyze_problem, expand_rhs, load_problem,
                       probe_problem, solve_problem, verify_problem)
 from .series import (GevreyFit, Series1, Series2, apply_operator, borel,
-                     frac_integral_quadrature, gevrey_fit, inv_borel,
-                     moment_antidiff, moment_diff)
+                     gevrey_fit, inv_borel, moment_antidiff, moment_diff)
 from .solver import (CauchyProblem, OrdersReport, ResidualReport, formal_solve,
                      g_from_f, residual, theoretical_orders)
 from .summability import (Angle, LevelSpec, ProbeResult, SectorRequirement,

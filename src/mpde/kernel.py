@@ -1,9 +1,13 @@
-"""Fraction-free shift kernel for exact arithmetic in normalized coordinates.
+"""Shift kernel of the moment operators, for exact and float arithmetic.
 
 In normalized coordinates ``U_{j,i} = u_{j,i} * m1(j/kappa1) * m2(i/kappa2)``
 a moment operator with constant coefficients is a pure shift,
 ``sum p_ab U_{j+a,i+b}``, and the formal-solution recursion is a shift
-recursion between t-levels.  Exact mode runs both on Python integers:
+recursion between t-levels.  Each runs as one kernel function per
+arithmetic: :func:`shift` and :func:`recurrence` for exact mode,
+:func:`shift_float` and :func:`recurrence_float` for float mode.
+
+Exact mode runs on Python integers:
 
 * a grid of Gaussian rationals is held as :class:`Lanes`, integer numerators
   over one common denominator, with real and imaginary parts in separate
@@ -14,6 +18,13 @@ recursion between t-levels.  Exact mode runs both on Python integers:
 
 Moment values enter twice: once when a grid is normalized and once as a
 single division per output cell when it is converted back.
+
+Float mode runs on numpy complex arrays of raw coefficients, so that grids
+whose normalized coefficients would overflow binary64 stay finite.  The
+moment values enter as ratios ``m(x)/m(y) = exp(log m(x) - log m(y))``: one
+scalar per row offset and one vector per column offset.  The ratios use
+``math.exp``, whose results numpy's vectorized ``exp`` does not always
+reproduce to the last bit.
 """
 
 from __future__ import annotations
@@ -21,6 +32,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .exact import RationalComplex
 
@@ -195,3 +208,69 @@ def denormalize(re, im, row_div, w1, w2, n_rows: int, n_cols: int):
                 Fraction(ri[i] * nums[i], dens[i]) if ri[i] else _ZERO)
                 for i in range(n_cols + 1)])
     return out
+
+
+# -- float arithmetic -------------------------------------------------------
+
+
+def _ratios(logs, offsets, width: int) -> dict:
+    """``{b: r}`` with ``r[i] = exp(logs[i + b] - logs[i])`` for i <= width.
+
+    Entries with ``i + b < 0`` are never read and stay 0.
+    """
+    out = {}
+    for b in offsets:
+        lo = max(0, -b)
+        r = np.zeros(width + 1)
+        r[lo:] = [math.exp(logs[i + b] - logs[i]) for i in range(lo, width + 1)]
+        out[b] = r
+    return out
+
+
+def shift_float(u, items, logs1, logs2, n_rows: int, n_cols: int):
+    """Raw coefficients of ``sum p_ab * dt^a dz^b u`` for j <= n_rows, i <= n_cols.
+
+    ``u`` is a 2-D numpy array of raw coefficients, ``items`` the pairs
+    ``((a, b), p_ab)`` and ``logs1``, ``logs2`` the log moment values along
+    the two axes.  Cell (j, i) sums
+    ``p_ab * u[j+a][i+b] * m1(j+a)/m1(j) * m2(i+b)/m2(i)`` in item order.
+    """
+    r1 = _ratios(logs1, {a for (a, _), _ in items}, n_rows)
+    r2 = _ratios(logs2, {b for (_, b), _ in items}, n_cols)
+    out = np.zeros((n_rows + 1, n_cols + 1),
+                   dtype=np.result_type(u, *(p for _, p in items)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (a, b), p in items:
+            out += (p * u[a: a + n_rows + 1, b: b + n_cols + 1]
+                    * r1[a][:, None] * r2[b])
+    return out
+
+
+def recurrence_float(base, q, terms, n: int, widths, logs1, logs2):
+    """Yield the levels ``u[t] = q * B[t-n] + sum c * u[t-a][i+b]``, zero for t < n.
+
+    The float counterpart of :func:`recurrence`, in raw coordinates: ``base``
+    is a 2-D numpy array of raw coefficients, every term carries the moment
+    ratios ``m1(t-a)/m1(t)`` and ``m2(i+b)/m2(i)`` (``m1(t-n)/m1(t)`` for the
+    base) from the log tables ``logs1``, ``logs2``, and terms are added in
+    list order.  Level t covers ``i <= widths[t]``; reads below index 0 are
+    zero.  Each level is yielded as soon as it is complete, so a caller can
+    stop at the first one that overflows.
+    """
+    width = max(widths)
+    r2 = _ratios(logs2, {b for _, b, _ in terms}, width)
+    grid = np.zeros((len(widths), width + 1), dtype=complex)
+    for t, w in enumerate(widths):
+        row = grid[t, : w + 1]
+        if t >= n:
+            with np.errstate(over="ignore", invalid="ignore"):
+                row[:] = base[t - n, : w + 1] * (
+                    q * math.exp(logs1[t - n] - logs1[t]))
+                for a, b, c in terms:
+                    lo = max(0, -b)
+                    if lo > w:
+                        continue
+                    r1 = math.exp(logs1[t - a] - logs1[t])
+                    row[lo:] += (c * grid[t - a, lo + b: w + 1 + b] * r1
+                                 * r2[b][lo: w + 1])
+        yield row

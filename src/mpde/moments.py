@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from scipy import integrate
-
 from .errors import DomainError, EvaluationError
 from .exact import as_fraction, fmt_fraction
 
@@ -380,49 +378,3 @@ def e_s_beta_via_derivative(s, beta: int, x: complex, tol: float = 1e-12,
     series, _, _, _ = _sum_gamma_series(first, beta - 1, ratio, tol, max_terms,
                                         "e_s_beta (derivative form)")
     return series * x ** beta / math.factorial(beta - 1)
-
-
-# -- Mellin-transform oracle -------------------------------------------------
-
-
-def mellin_check(a, b, k, u, quad_params: dict | None = None) -> float:
-    """Numerical Mellin transform of the single-factor kernel.
-
-    Integrates ``x**(u-1) * e_m(x)`` over (0, inf) after the substitution
-    ``y = x**k``, which turns the integrand into ``a * y**(c-1) * exp(-y)``
-    with ``c = b + u/k``.  The domain is cut at Y with the analytic tail
-    bound ``2 * Y**(c-1) * exp(-Y)`` below the requested accuracy.  Serves
-    as an independent oracle for :func:`eval_at`.
-    """
-    params = {"epsrel": 1e-12, "limit": 300}
-    if quad_params:
-        params.update(quad_params)
-    a = float(a)
-    u = as_fraction(u)
-    if u < 0:
-        raise DomainError("mellin_check requires u >= 0")
-    c = float(as_fraction(b) + u / as_fraction(k))
-    if c <= 0:
-        raise DomainError("mellin_check requires b + u/k > 0")
-    rough = math.exp(log_gamma(c))
-    target = params["epsrel"] * rough * 0.1
-    upper = max(2.0 * c, 40.0)
-    while 2.0 * upper ** max(c - 1.0, 0.0) * math.exp(-upper) > target:
-        upper *= 1.5
-        if upper > 720.0:  # exp underflows anyway
-            break
-
-    def integrand(y):
-        return y ** (c - 1.0) * math.exp(-y)
-
-    out = integrate.quad(integrand, 0.0, upper,
-                         epsabs=target, epsrel=params["epsrel"],
-                         limit=params["limit"], full_output=1)
-    if len(out) > 3:
-        raise EvaluationError(f"Mellin quadrature failed: {out[3]}",
-                              residual=out[1])
-    value, abserr = out[0], out[1]
-    if abserr > 10.0 * max(target, params["epsrel"] * abs(value)):
-        raise EvaluationError("Mellin quadrature error estimate too large",
-                              residual=abserr)
-    return a * value

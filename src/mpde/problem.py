@@ -23,16 +23,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 from . import kernel, newton
-from .charroots import branches_at_infinity
+from .charroots import CharPoly, branches_at_infinity
 from .errors import ParseError, PreconditionError
 from .exact import QC_ZERO, RationalComplex, as_fraction, fmt_fraction
+from .moments import MomentFunction
 from .parsing import parse_moment, parse_operator
 from .series import Series2, gevrey_fit
-from .solver import (CauchyProblem, formal_solve, residual,
-                     theoretical_orders)
+from .solver import (CauchyProblem, formal_solve, inflated_window, residual,
+                     theoretical_orders, z_order)
 from .summability import classify, levels as summability_levels, \
     singular_direction_probe
 
@@ -218,34 +220,57 @@ def _quotient_exact(num: dict, den: dict, n1: int, n2: int) -> list:
 
 
 @dataclass(frozen=True)
-class AssembledProblem:
+class ParsedProblem:
+    """A problem file with its operator and moment functions parsed."""
+
     pf: ProblemFile
-    cauchy: CauchyProblem
-    branches: tuple
-    s1: Fraction
-    s2: Fraction
+    operator: CharPoly
+    m1: MomentFunction
+    m2: MomentFunction
+
+    @property
+    def s1(self) -> Fraction:
+        return self.m1.order
+
+    @property
+    def s2(self) -> Fraction:
+        return self.m2.order
+
+    @cached_property
+    def branches(self) -> tuple:
+        return tuple(branches_at_infinity(self.operator))
 
 
-def assemble(pf: ProblemFile, n1: int | None = None, n2: int | None = None,
-             arithmetic: str | None = None) -> AssembledProblem:
-    """Parse all pieces and expand the rhs to the inflated solver window."""
-    P = parse_operator(pf.operator)
-    m1 = parse_moment(pf.m1)
-    m2 = parse_moment(pf.m2)
-    N1 = pf.truncation[0] if n1 is None else n1
-    N2 = pf.truncation[1] if n2 is None else n2
+def parse_problem(pf: ProblemFile) -> ParsedProblem:
+    """Parse the operator and the moment functions of a problem file."""
+    return ParsedProblem(pf, parse_operator(pf.operator), parse_moment(pf.m1),
+                         parse_moment(pf.m2))
+
+
+def _truncation(pf: ProblemFile, n1, n2) -> tuple:
+    """``(N1, N2)``: the overrides where set, else the problem file's."""
+    return (pf.truncation[0] if n1 is None else n1,
+            pf.truncation[1] if n2 is None else n2)
+
+
+def assemble(pp: ParsedProblem, n1: int | None = None, n2: int | None = None,
+             arithmetic: str | None = None) -> CauchyProblem:
+    """Expand the rhs to the inflated solver window of ``(n1, n2)``.
+
+    Unset truncation and arithmetic come from the problem file.
+    """
+    pf = pp.pf
+    P = pp.operator
+    N1, N2 = _truncation(pf, n1, n2)
     exact = (arithmetic or pf.arithmetic) == "exact"
-    max_b = max(len(row) - 1 for row in P.coeff_polys if row)
-    n2_internal = N2 + N1 * max_b
+    n2_internal = inflated_window(P, (N1, N2))
     if pf.rhs_role == "f":
         # g reconstruction consumes deg P0 columns
         n2_internal += len(P.p0()) - 1
     rhs = expand_rhs(pf.rhs, max(N1, 0), n2_internal, exact)
-    cauchy = CauchyProblem(P, m1, m2, rhs, (N1, N2),
-                           rhs_is_g=pf.rhs_role == "g",
-                           rhs_gevrey=pf.rhs_gevrey, mode=pf.mode)
-    return AssembledProblem(pf, cauchy, tuple(branches_at_infinity(P)),
-                            m1.order, m2.order)
+    return CauchyProblem(P, pp.m1, pp.m2, rhs, (N1, N2),
+                         rhs_is_g=pf.rhs_role == "g",
+                         rhs_gevrey=pf.rhs_gevrey, mode=pf.mode)
 
 
 # -- reports ------------------------------------------------------------------------
@@ -291,12 +316,9 @@ def _summability_json(report) -> dict:
 def analyze_problem(pf: ProblemFile, n1: int | None = None,
                     n2: int | None = None) -> dict:
     """Full analysis report: branches, polygon, orders, summability."""
-    P = parse_operator(pf.operator)
-    m1 = parse_moment(pf.m1)
-    m2 = parse_moment(pf.m2)
-    s1, s2 = m1.order, m2.order
+    pp = parse_problem(pf)
+    P, s1, s2, branches = pp.operator, pp.s1, pp.s2, pp.branches
     st1, st2 = pf.rhs_gevrey
-    branches = branches_at_infinity(P)
     report = {
         "schema_version": SCHEMA_VERSION,
         "operator": pf.operator,
@@ -337,12 +359,28 @@ def analyze_problem(pf: ProblemFile, n1: int | None = None,
     return report
 
 
+def _solve_checked(pf: ProblemFile, n1, n2, arithmetic):
+    """assemble -> formal_solve -> residual; returns (solution, report).
+
+    A truncation below the operator orders leaves the residual no window to
+    compare on; it is rejected before anything is solved.
+    """
+    pp = parse_problem(pf)
+    N1, N2 = _truncation(pf, n1, n2)
+    n, max_b = pp.operator.n, z_order(pp.operator)
+    if N1 < n or N2 < max_b:
+        raise PreconditionError(
+            f"truncation ({N1}, {N2}) is below the operator orders "
+            f"({n}, {max_b}); the residual needs N1 >= {n} and N2 >= {max_b}")
+    prob = assemble(pp, N1, N2, arithmetic)
+    u = formal_solve(prob)
+    return u, residual(prob, u)
+
+
 def solve_problem(pf: ProblemFile, n1: int | None = None,
                   n2: int | None = None, arithmetic: str | None = None):
     """Solve and return (solution series, sidecar dict)."""
-    ap = assemble(pf, n1, n2, arithmetic)
-    u = formal_solve(ap.cauchy)
-    res = residual(ap.cauchy, u)
+    u, res = _solve_checked(pf, n1, n2, arithmetic)
     sidecar = {
         "valid_window": [u.valid[0], u.valid[1]],
         "mode": pf.mode,
@@ -357,9 +395,7 @@ def solve_problem(pf: ProblemFile, n1: int | None = None,
 def verify_problem(pf: ProblemFile, tol: float = 1e-8,
                    n1: int | None = None, n2: int | None = None,
                    arithmetic: str | None = None) -> dict:
-    ap = assemble(pf, n1, n2, arithmetic)
-    u = formal_solve(ap.cauchy)
-    res = residual(ap.cauchy, u)
+    _, res = _solve_checked(pf, n1, n2, arithmetic)
     return {
         "residual": res.relative,
         "residual_abs": res.max_abs,
@@ -374,12 +410,12 @@ def probe_problem(pf: ProblemFile, n1: int | None = None,
                   n2: int | None = None, arithmetic: str | None = None,
                   z_eval: complex = 0.0) -> dict:
     """Empirical Gevrey fit plus singular-direction probes per level."""
-    ap = assemble(pf, n1, n2, arithmetic)
-    u = formal_solve(ap.cauchy)
+    pp = parse_problem(pf)
+    u = formal_solve(assemble(pp, n1, n2, arithmetic))
     st1, st2 = pf.rhs_gevrey
-    orders = theoretical_orders(ap.branches, ap.s1, ap.s2, st1, st2)
+    orders = theoretical_orders(pp.branches, pp.s1, pp.s2, st1, st2)
     fit = gevrey_fit(u)
-    lres = summability_levels(ap.branches, ap.s1, ap.s2, st1, st2)
+    lres = summability_levels(pp.branches, pp.s1, pp.s2, st1, st2)
     probes = []
     for spec in lres.levels:
         try:
@@ -401,8 +437,6 @@ def probe_problem(pf: ProblemFile, n1: int | None = None,
 
 def newton_problem(pf: ProblemFile):
     """Polygon of the operator at the moment orders; returns (svg, csv)."""
-    P = parse_operator(pf.operator)
-    s1 = parse_moment(pf.m1).order
-    s2 = parse_moment(pf.m2).order
-    polygon = newton.build(P.support(), s1, s2)
+    pp = parse_problem(pf)
+    polygon = newton.build(pp.operator.support(), pp.s1, pp.s2)
     return newton.to_svg(polygon), newton.vertices_csv(polygon)

@@ -7,12 +7,12 @@ Two coefficient fields are supported: Python ``complex`` (float mode) and
 :class:`~mpde.exact.RationalComplex` (exact mode).  Float mode works on raw
 coefficients through ratios of moment values taken from their logarithms,
 so that grids far beyond the double overflow threshold stay finite.  Exact
-mode multiplies by the moment values once on input, shifts (on integers in
-:func:`apply_operator`, see :mod:`mpde.kernel`) and divides once per output
-coefficient.  Its moment values are exact rationals (true factorials where
-available, dyadic rationals of the scaled double evaluation otherwise), so
-algebraic identities such as Borel round trips and solver residuals hold
-bit for bit.
+mode multiplies by the moment values once on input, shifts and divides once
+per output coefficient.  :func:`apply_operator` runs both modes on the shift
+kernel of :mod:`mpde.kernel`.  Exact moment values are exact rationals (true
+factorials where available, dyadic rationals of the scaled double evaluation
+otherwise), so algebraic identities such as Borel round trips and solver
+residuals hold bit for bit.
 
 Operators never zero-pad: output grids are sliced to the window on which the
 result is trustworthy, and ``valid`` records that window.
@@ -25,11 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
 
 from . import kernel, moments
-from .errors import DomainError, EstimationError, EvaluationError, WindowError
-from .exact import RationalComplex, as_fraction
+from .errors import DomainError, EstimationError, WindowError
+from .exact import RationalComplex
 from .moments import MomentFunction
 
 
@@ -333,9 +332,9 @@ def apply_operator(table, m1: MomentFunction, m2: MomentFunction,
     """Apply ``sum p_ab * dt^a dz^b`` (moment derivatives) to a Series2.
 
     On normalized coefficients this is the shift
-    ``V_{j,i} = sum p_ab U_{j+a,i+b}``.  Exact mode normalizes u once, runs
-    the shift on integers (:mod:`mpde.kernel`) and divides by the moment
-    values once per output cell; float mode works on raw coefficients
+    ``V_{j,i} = sum p_ab U_{j+a,i+b}``, run on :mod:`mpde.kernel`.  Exact
+    mode normalizes u once, runs the shift on integers and divides by the
+    moment values once per output cell; float mode works on raw coefficients
     through ratios of moment values taken from their logarithms.  The
     output window shrinks by the maximal orders in the support.
     """
@@ -349,24 +348,11 @@ def apply_operator(table, m1: MomentFunction, m2: MomentFunction,
         rows = kernel.denormalize(V.re, V.im, [V.den] * (J_out + 1), w1, w2,
                                   J_out, I_out)
         return Series2(rows, u.kappa1, u.kappa2, True)
-    items = normalize_table(table)
-    coeffs = [((a, b), complex(p)) for (a, b), p in items]
-    logs1 = moments.log_table(m1, u.kappa1, J)
-    logs2 = moments.log_table(m2, u.kappa2, I)
-    r1 = {a: [math.exp(logs1[j + a] - logs1[j]) for j in range(J_out + 1)]
-          for a in {a for (a, _), _ in items}}
-    r2 = {b: [math.exp(logs2[i + b] - logs2[i]) for i in range(I_out + 1)]
-          for b in {b for (_, b), _ in items}}
-    rows = []
-    for j in range(J_out + 1):
-        row = []
-        for i in range(I_out + 1):
-            acc = 0j
-            for (a, b), p in coeffs:
-                acc = acc + p * u.coeffs[j + a][i + b] * r1[a][j] * r2[b][i]
-            row.append(acc)
-        rows.append(row)
-    return Series2(rows, u.kappa1, u.kappa2, False)
+    items = [(k, complex(p)) for k, p in normalize_table(table)]
+    out = kernel.shift_float(np.array(u.coeffs, dtype=complex), items,
+                             moments.log_table(m1, u.kappa1, J),
+                             moments.log_table(m2, u.kappa2, I), J_out, I_out)
+    return Series2(out.tolist(), u.kappa1, u.kappa2, False)
 
 
 # -- empirical Gevrey order ---------------------------------------------------
@@ -416,45 +402,3 @@ def gevrey_fit(u: Series2, axis: str = "t", radius: float = 0.1,
     cov = sigma2 * np.linalg.inv(design.T @ design)
     return GevreyFit(float(beta[2]), float(math.sqrt(max(cov[2, 2], 0.0))),
                      (j_lo, J), radius)
-
-
-# -- fractional-integration quadrature oracle ---------------------------------
-
-
-def frac_integral_quadrature(phi: Series1, s, k: int, x: float) -> complex:
-    """Iterated fractional integral of a polynomial by adaptive quadrature.
-
-    Evaluates ``(ks / Gamma(1+ks)) * integral_0^{x^(1/s)}
-    phi(y^s) (x^(1/s) - y)^(ks-1) dy``, the integral form of the k-fold
-    moment integration at scale s applied to the polynomial ``phi`` and
-    summed at ``x``.  Independent of the coefficient-shift route, which it
-    cross-checks.
-    """
-    s = as_fraction(s)
-    if s <= 0 or k < 1 or x <= 0:
-        raise DomainError("requires s > 0, integer k >= 1 and x > 0")
-    sf = float(s)
-    upper = x ** (1.0 / sf)
-    expo = float(k * s) - 1.0  # exponent of the (upper - y) endpoint factor
-    front = float(k * s) / math.gamma(1.0 + k * sf)
-    coeffs = [complex(c) for c in phi.coeffs]
-
-    def poly(y):
-        acc = 0j
-        for c in reversed(coeffs):
-            acc = acc * (y ** sf) + c
-        return acc
-
-    def run(part):
-        out = integrate.quad(lambda y: part(poly(y)), 0.0, upper,
-                             weight="alg", wvar=(0.0, expo),
-                             epsabs=1e-13, epsrel=1e-10, limit=200,
-                             full_output=1)
-        if len(out) > 3:
-            raise EvaluationError(f"fractional-integral quadrature failed: {out[3]}",
-                                  residual=out[1])
-        return out[0]
-
-    re = run(lambda v: v.real)
-    im = run(lambda v: v.imag)
-    return front * complex(re, im)

@@ -6,12 +6,13 @@ moment derivatives attached to m1 and m2.  In normalized coordinates
 constant-coefficient shift, and the recursion runs level by level in the
 t-order as ``U[j+n][i] = G[j][i] + sum c_ab U[j+n-a][i+b]``.
 
-Exact mode normalizes g once and runs this recursion on Python integers over
-one common denominator (:mod:`mpde.kernel`); the moment values are divided
-out once per output cell.  Float mode runs it on raw coefficients, scaling
-each term by a ratio of moment values taken from their logarithms, so that
-grids whose normalized coefficients would overflow stay finite; an output
-row that overflows anyway raises EvaluationError.
+Both arithmetics run this recursion, ``g_from_f`` and the residual on the
+shift kernel of :mod:`mpde.kernel`.  Exact mode normalizes g once, recurses
+on Python integers over one common denominator and divides the moment values
+out once per output cell.  Float mode recurses on raw coefficients with
+moment ratios taken from their logarithms, so that grids whose normalized
+coefficients would overflow stay finite; an output row that overflows anyway
+raises EvaluationError.
 
 Two modes:
 
@@ -29,18 +30,18 @@ requested output window is valid.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+
+import numpy as np
 
 from . import kernel, moments
 from .charroots import CharPoly, _divmod, branches_at_infinity
 from .errors import EvaluationError, PreconditionError, WindowError
 from .exact import QC_ONE, RationalComplex, as_fraction
 from .moments import MomentFunction
-from .series import Series2, apply_operator, operator_window
+from .series import Series2, normalize_table, operator_window
 
 
 @dataclass(frozen=True)
@@ -74,11 +75,22 @@ class CauchyProblem:
 
     @property
     def max_b(self) -> int:
-        return max(len(row) - 1 for row in self.operator.coeff_polys if row)
+        return z_order(self.operator)
 
     @property
     def inflated_n2(self) -> int:
-        return self.out_shape[1] + self.out_shape[0] * self.max_b
+        return inflated_window(self.operator, self.out_shape)
+
+
+def z_order(P: CharPoly) -> int:
+    """Largest z-order ``max_b`` of the operator."""
+    return max(len(row) - 1 for row in P.coeff_polys if row)
+
+
+def inflated_window(P: CharPoly, out_shape) -> int:
+    """Internal z-truncation ``N2 + N1 * max_b`` for the output window
+    ``(N1, N2)``; solving on it leaves the whole output window valid."""
+    return out_shape[1] + out_shape[0] * z_order(P)
 
 
 def g_from_f(p0_coeffs, m2: MomentFunction, f: Series2) -> Series2:
@@ -86,8 +98,9 @@ def g_from_f(p0_coeffs, m2: MomentFunction, f: Series2) -> Series2:
 
     In z-normalized coordinates ``G_i = g_i * m2(i/kappa2)`` the equation is
     the recursion ``G_{i+deg} = (F_i - sum_{b<deg} p_b G_{i+b}) / p_deg``
-    upward in the z-index, with ``G_{j,i} = 0`` for ``i < deg P0``.  Exact
-    mode runs it on the shift kernel, all rows at once.
+    upward in the z-index, with ``G_{j,i} = 0`` for ``i < deg P0``.  Both
+    arithmetics run it on the shift kernel with z-levels as the recursion
+    levels, all rows at once.
     """
     exact = f.exact
     p = [RationalComplex.coerce(c) if exact else complex(c) for c in p0_coeffs]
@@ -97,32 +110,24 @@ def g_from_f(p0_coeffs, m2: MomentFunction, f: Series2) -> Series2:
         raise PreconditionError("P0 must not be identically zero")
     deg = len(p) - 1
     J, I = f.valid
+    # z-levels: the recursion runs over columns, each a vector over j
+    terms = [(deg - b, 0, -p[b] / p[deg]) for b in range(deg) if p[b]]
+    widths = [J] * (I + deg + 1)
     if exact:
         w2 = moments.fraction_table(m2, f.kappa2, I + deg)
         F = kernel.normalize(f.coeffs, [1] * (J + 1), w2, J, I)
-        # z-levels: the recursion runs over columns, each a vector over j
         cols = kernel.Lanes(_transpose(F.re),
                             _transpose(F.im) if F.im is not None else None,
                             F.den)
-        terms = [(deg - b, 0, -p[b] / p[deg]) for b in range(deg) if p[b]]
-        levels = kernel.recurrence(cols, 1 / p[deg], terms, deg,
-                                   [J] * (I + deg + 1))
+        levels = kernel.recurrence(cols, 1 / p[deg], terms, deg, widths)
         rows = _transpose(kernel.denormalize(*levels, w2, [1] * (J + 1),
                                              I + deg, J))
-        return Series2(rows, f.kappa1, f.kappa2, exact)
-    logs = moments.log_table(m2, f.kappa2, I + deg)
-    rows = []
-    for j in range(J + 1):
-        g = [0j] * (I + deg + 1)
-        frow = f.coeffs[j]
-        for i in range(I + 1):
-            acc = frow[i] * math.exp(logs[i] - logs[i + deg])
-            for b in range(deg):
-                if p[b]:
-                    acc = acc - p[b] * g[i + b] * math.exp(
-                        logs[i + b] - logs[i + deg])
-            g[i + deg] = acc / p[deg]
-        rows.append(g)
+    else:
+        F = np.array(f.coeffs, dtype=complex)[: J + 1, : I + 1].T
+        levels = kernel.recurrence_float(
+            F, 1 / p[deg], terms, deg, widths,
+            moments.log_table(m2, f.kappa2, I + deg), [0.0] * (J + 1))
+        rows = np.array(list(levels)).T.tolist()
     return Series2(rows, f.kappa1, f.kappa2, exact)
 
 
@@ -232,55 +237,24 @@ def formal_solve(prob: CauchyProblem) -> Series2:
         w2 = moments.fraction_table(prob.m2, kappa2, N2i)
         G = kernel.normalize(g.coeffs, w1, w2, rows_needed, N2i)
         levels = kernel.recurrence(G, QC_ONE, terms, n, windows)
-        out_rows = kernel.denormalize(*levels, w1, w2, N1, N2)
-    else:
-        out_rows = _float_levels(prob, g, terms, windows)
-    return Series2(out_rows, kappa1, kappa2, exact)
-
-
-def _float_levels(prob: CauchyProblem, g: Series2, terms, windows) -> list:
-    """Float recursion on raw coefficients through moment-value ratios.
-
-    Each term is scaled by ``m(x)/m(y)`` taken from the log moment values,
-    so grids whose normalized coefficients would overflow stay finite.  The
-    first level with a non-finite coefficient in the output window raises
-    EvaluationError; overflow confined to the inflated columns does not
-    reach the output and is not an error.
-    """
-    n = prob.operator.n
-    N1, N2 = prob.out_shape
-    logs1 = moments.log_table(prob.m1, g.kappa1, N1)
-    logs2 = moments.log_table(prob.m2, g.kappa2, prob.inflated_n2 + prob.max_b)
-    # consecutive terms of one level offset, tails last: the tail loop of a
-    # group stops at the first read below column 0
-    groups = [(a, [(b, complex(c)) for _, b, c in run])
-              for a, run in groupby(terms, key=lambda term: term[0])]
-    grid = [[0j] * (prob.inflated_n2 + 1) for _ in range(N1 + 1)]
-    for t in range(n, N1 + 1):
-        j = t - n
-        r1_g = math.exp(logs1[j] - logs1[t])
-        level = [(grid[t - a], math.exp(logs1[t - a] - logs1[t]), group)
-                 for a, group in groups]
-        row_out = grid[t]
-        g_row = g.coeffs[j]
-        for i in range(windows[t] + 1):
-            acc = g_row[i] * r1_g
-            for src, r1, group in level:
-                for b, c in group:
-                    if i + b < 0:
-                        break
-                    acc = acc + c * src[i + b] * r1 * math.exp(
-                        logs2[i + b] - logs2[i])
-            row_out[i] = acc
-        # one C-level sum per level; a finite sum of finite cells can still
-        # overflow, so a non-finite sum is confirmed cell by cell
-        out = row_out[: N2 + 1]
-        if not cmath.isfinite(sum(out)) and not all(map(cmath.isfinite, out)):
+        return Series2(kernel.denormalize(*levels, w1, w2, N1, N2),
+                       kappa1, kappa2, exact)
+    levels = kernel.recurrence_float(
+        np.array(g.coeffs, dtype=complex), 1,
+        [(a, b, complex(c)) for a, b, c in terms], n, windows,
+        moments.log_table(prob.m1, kappa1, N1),
+        moments.log_table(prob.m2, kappa2, N2i + prob.max_b))
+    out_rows = []
+    for t, level in enumerate(levels):
+        # overflow confined to the inflated columns is not an error
+        out = level[: N2 + 1]
+        if not np.isfinite(out).all():
             raise EvaluationError(
                 f"float coefficients overflow at t-level {t} (of {N1}) inside "
                 f"the requested window; use exact arithmetic or a smaller "
                 f"t-truncation")
-    return [row[: N2 + 1] for row in grid]
+        out_rows.append(out.tolist())
+    return Series2(out_rows, kappa1, kappa2, exact)
 
 
 @dataclass(frozen=True)
@@ -299,11 +273,6 @@ def _safe_float(x) -> float:
         return math.inf
 
 
-def _abs_companion(s: Series2) -> Series2:
-    rows = [[complex(abs(c)) for c in row] for row in s.coeffs]
-    return Series2(rows, s.kappa1, s.kappa2, exact=False, valid=s.valid)
-
-
 def residual(prob: CauchyProblem, u_hat: Series2) -> ResidualReport:
     """Max-abs residual of ``P u - f`` on the common valid window.
 
@@ -314,7 +283,8 @@ def residual(prob: CauchyProblem, u_hat: Series2) -> ResidualReport:
     the relative residual is measured against the largest term magnitude
     (operator applied with absolute coefficients to the absolute series),
     the backward-error scale of the cancellation; a NaN or infinite value
-    makes the relative residual NaN.
+    makes the relative residual NaN.  Both modes shift on
+    :mod:`mpde.kernel`.
     """
     P = prob.operator
     support = P.support()
@@ -330,26 +300,40 @@ def residual(prob: CauchyProblem, u_hat: Series2) -> ResidualReport:
         raise WindowError("empty comparison window for the residual")
     if u_hat.exact and prob.rhs.exact:
         return _residual_exact(prob, u_hat, support, p0_table, J, I)
-    lhs = apply_operator(support, prob.m1, prob.m2, u_hat)
-    if p0_table is not None:
-        f = apply_operator(p0_table, prob.m1, prob.m2, prob.rhs)
-    else:
-        f = prob.rhs
-    abs_table = {k: abs(complex(v)) for k, v in support.items()}
-    abs_lhs = apply_operator(abs_table, prob.m1, prob.m2, _abs_companion(u_hat))
-    if p0_table is not None:
-        abs_p0 = {k: abs(complex(v)) for k, v in p0_table.items()}
-        abs_f = apply_operator(abs_p0, prob.m1, prob.m2,
-                               _abs_companion(prob.rhs))
-    else:
-        abs_f = _abs_companion(f)
-    diffs = [abs(lhs.coeffs[j][i] - f.coeffs[j][i])
-             for j in range(J + 1) for i in range(I + 1)]
-    terms = [s.coeffs[j][i].real for s in (abs_lhs, abs_f)
-             for j in range(J + 1) for i in range(I + 1)]
-    # max() skips NaN, a sum of non-negative values does not
-    max_abs = max(diffs) if not math.isnan(sum(diffs)) else math.nan
-    scale = max(terms) if not math.isnan(sum(terms)) else math.nan
+    return _residual_float(prob, u_hat, support, p0_table, J, I)
+
+
+def _modulus(grid):
+    # np.abs of a complex array may differ from abs() in the last bit
+    return np.hypot(grid.real, grid.imag)
+
+
+def _residual_float(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
+    max_a = max(a for a, _ in support)
+    max_b = max(b for _, b in support)
+    deg0 = max(b for _, b in p0_table) if p0_table is not None else 0
+    logs1 = moments.log_table(prob.m1, u_hat.kappa1, J + max_a)
+    logs2 = moments.log_table(prob.m2, u_hat.kappa2, I + max(max_b, deg0))
+
+    def sides(s: Series2, table):
+        """``table`` applied to s and, with absolute coefficients, to |s|."""
+        grid = np.array(s.coeffs, dtype=complex)
+        if table is None:
+            f = grid[: J + 1, : I + 1]
+            return f, _modulus(f)
+        items = [(k, complex(p)) for k, p in normalize_table(table)]
+        abs_items = [(k, abs(p)) for k, p in items]
+        return (kernel.shift_float(grid, items, logs1, logs2, J, I),
+                kernel.shift_float(_modulus(grid), abs_items, logs1, logs2,
+                                   J, I))
+
+    lhs, abs_lhs = sides(u_hat, support)
+    f, abs_f = sides(prob.rhs, p0_table)
+    with np.errstate(invalid="ignore"):
+        diffs = _modulus(lhs - f)
+    # numpy maxima propagate NaN
+    max_abs = float(np.max(diffs))
+    scale = float(np.maximum(np.max(abs_lhs), np.max(abs_f)))
     if not (math.isfinite(max_abs) and math.isfinite(scale)):
         rel = math.nan
     else:

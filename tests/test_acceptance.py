@@ -11,15 +11,16 @@ from importlib import resources
 import pytest
 
 from helpers import random_factor_product, random_series1, table_mul
+from oracles import frac_integral_quadrature, mellin_check
 
 from mpde import newton
 from mpde.charroots import CharPoly, branches_at_infinity, validate_numeric
 from mpde.moments import (MomentFactor, MomentFunction, e_s_beta,
                           e_s_beta_via_derivative, eval_at, eval_fraction,
-                          gamma_s, mellin_check)
+                          gamma_s)
 from mpde.problem import analyze_problem, load_problem
-from mpde.series import (Series1, Series2, borel, frac_integral_quadrature,
-                         gevrey_fit, inv_borel, moment_antidiff, moment_diff)
+from mpde.series import (Series1, Series2, borel, gevrey_fit, inv_borel,
+                         moment_antidiff, moment_diff)
 from mpde.solver import (CauchyProblem, formal_solve, residual,
                          theoretical_orders)
 from mpde.summability import admissible, singular_direction_probe

@@ -4,11 +4,13 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from oracles import mellin_check
+
 from mpde.errors import DomainError, EvaluationError
 from mpde.moments import (MomentFactor, MomentFunction, combine, e_s_beta,
                           e_s_beta_via_derivative, eval_at, eval_fraction,
-                          gamma_s, kernel_e, log_gamma, mellin_check,
-                          mittag_leffler, mittag_leffler_info, order)
+                          gamma_s, kernel_e, log_gamma, mittag_leffler,
+                          mittag_leffler_info, order)
 
 
 def test_log_gamma_accuracy_against_libm():

@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
+from mpde import problem as problem_mod
 from mpde.cli import main
 from mpde.errors import ParseError, PreconditionError
 from mpde.problem import (analyze_problem, expand_rhs, load_problem,
@@ -187,6 +188,23 @@ def test_cli_float_overflow_exits_numeric(command, tmp_path):
                                   "--arithmetic", "float", "--out", str(out)])
     assert result.exit_code == 4, result.output
     assert "t-level 64" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("flag,value", [("--n2", "3"), ("--n1", "1")])
+def test_cli_truncation_below_operator_order(command, flag, value, tmp_path,
+                                             monkeypatch):
+    # twofactor has operator orders (2, 5); below them the residual has no
+    # window, which is reported before anything is solved
+    def no_solve(prob):
+        raise AssertionError("formal_solve must not run")
+    monkeypatch.setattr(problem_mod, "formal_solve", no_solve)
+    out = tmp_path / "twofactor.csv"
+    result = CliRunner().invoke(main, [command, shipped("twofactor"), flag,
+                                       value, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "N1 >= 2 and N2 >= 5" in result.output
     assert not out.exists()
 
 

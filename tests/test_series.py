@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_series1, random_series2, series1_close
+from oracles import frac_integral_quadrature
 
 from mpde.errors import DomainError, EstimationError, WindowError
 from mpde.exact import RationalComplex
 from mpde.moments import MomentFunction, combine, eval_at, gamma_s
-from mpde.series import (Series1, Series2, apply_operator, borel,
-                         frac_integral_quadrature, gevrey_fit, inv_borel,
-                         moment_antidiff, moment_diff)
+from mpde.series import (Series1, Series2, apply_operator, borel, gevrey_fit,
+                         inv_borel, moment_antidiff, moment_diff)
 
 G1 = gamma_s(1)
 GHALF = gamma_s(Fraction(1, 2))
@@ -132,6 +132,39 @@ def test_apply_operator_examples():
     assert same.coeffs == v.coeffs
     with pytest.raises(WindowError):
         apply_operator({(5, 0): 1}, G1, G1, v)
+
+
+@pytest.mark.parametrize("m1,m2,kappa1", [(GHALF, GHALF, 1), (MIX, G2, 2),
+                                         (G1, MIX, 1)])
+def test_apply_operator_float_matches_exact(m1, m2, kappa1):
+    # the float and the exact branch on the same random complex grids and
+    # complex operators; the error scale of a cell is its term magnitude,
+    # the operator with absolute coefficients applied to |u|
+    rng = random.Random(15)
+
+    def gaussian():
+        return RationalComplex(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                               Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+
+    for _ in range(5):
+        rows = random_series2(rng, 7, 8, exact=True).coeffs
+        table = {(rng.randint(0, 3), rng.randint(0, 3)): gaussian()
+                 for _ in range(4)}
+        exact = apply_operator(table, m1, m2,
+                               Series2(rows, kappa1=kappa1, exact=True))
+        approx = apply_operator(
+            {k: complex(v) for k, v in table.items()}, m1, m2,
+            Series2([[complex(c) for c in row] for row in rows],
+                    kappa1=kappa1))
+        bound = apply_operator(
+            {k: abs(complex(v)) for k, v in table.items()}, m1, m2,
+            Series2([[abs(complex(c)) for c in row] for row in rows],
+                    kappa1=kappa1))
+        assert approx.valid == exact.valid
+        for a_row, e_row, b_row in zip(approx.coeffs, exact.coeffs,
+                                       bound.coeffs):
+            for a, e, b in zip(a_row, e_row, b_row):
+                assert abs(a - complex(e)) <= 1e-13 * b.real
 
 
 def test_commutation_with_moment_diff():

@@ -275,6 +275,7 @@ def test_pseudo_mode_with_rhs_f_and_nontrivial_tail():
 @pytest.mark.parametrize("table", [
     {(1, 0): 2, (1, 1): 1, (0, 2): -1},   # polynomial part plus tail
     {(1, 0): 2, (1, 1): 1, (0, 0): -1},   # tail only: full-width levels
+    {(1, 0): 2, (1, 1): 3, (0, 2): -1},   # P0 leading coefficient 3
 ])
 def test_pseudo_mode_float_tail_matches_exact(table):
     P = CharPoly.from_table(table)
