@@ -15,7 +15,11 @@ Evaluation goes through a Lanczos log-gamma (accuracy checked against the C
 library implementation in the test suite: better than 1e-12 relative on
 arguments in [1, 500]).  Values are produced in a scaled form
 ``mantissa * 2**exponent`` so that series operators can use them far beyond
-the double-precision overflow threshold.
+the double-precision overflow threshold.  Exact mode reads tables of exact
+values (:func:`fraction_table`, through the cached :func:`scaled_eval`);
+float mode reads tables of logarithms only (:func:`log_table`), summed
+factor by factor as :func:`scaled_eval` sums them, without building the
+exact values.
 """
 
 from __future__ import annotations
@@ -229,8 +233,34 @@ def fraction_table(m: MomentFunction, kappa: int, n: int) -> list:
 
 
 def log_table(m: MomentFunction, kappa: int, n: int) -> list:
-    """Natural logs of ``m(j/kappa)`` for j = 0..n."""
-    return [scaled_eval(m, Fraction(j, kappa)).log for j in range(n + 1)]
+    """Natural logs of ``m(j/kappa)`` for j = 0..n.
+
+    The same floats as ``scaled_eval(m, j/kappa).log``, summed factor by
+    factor in the same order, with the same DomainErrors, but without the
+    exact values (factorials, dyadic rationals) and outside its cache.  The
+    Gamma argument ``b + j/(kappa*k)`` is the integer quotient
+    ``(A + j*B) / D``, whose true division rounds as ``float(Fraction)``.
+    """
+    factors = [(f.sign, math.log(f.scale),
+                f.offset.numerator * kappa * f.ram.numerator,
+                f.offset.denominator * f.ram.denominator,
+                f.offset.denominator * kappa * f.ram.numerator)
+               for f in m.factors]
+    logs = []
+    for j in range(n + 1):
+        if j * kappa < 0:
+            raise DomainError(f"moment functions are evaluated for u >= 0, "
+                              f"got {Fraction(j, kappa)}")
+        logv = 0.0
+        for sign, log_scale, A, B, D in factors:
+            x = A + j * B
+            if x * D <= 0:
+                raise DomainError(
+                    f"Gamma argument b + u/k = {Fraction(x, D)} is not "
+                    f"positive (u = {Fraction(j, kappa)})")
+            logv += sign * (log_scale + log_gamma(x / D))
+        logs.append(logv)
+    return logs
 
 
 # -- kernel and Mittag-Leffler style functions ------------------------------

@@ -16,6 +16,12 @@ Unknown keys are rejected, and so are JSON booleans where a truncation or a
 direction is expected.  Coefficient payloads are lists of
 ``[j, i, re, im]`` quadruples; re/im may be JSON numbers or rational
 strings such as ``"1/2"``.
+
+A ``rational`` rhs is expanded on the solver grid by power-series division:
+fraction-free on Gaussian integers in exact mode, and in float mode one
+anti-diagonal at a time on numpy planes, rounding as Python ``complex``
+arithmetic does.  Grids above ``MAX_GRID_CELLS`` are rejected before they
+are allocated.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 from . import kernel, newton
 from .charroots import CharPoly, branches_at_infinity
@@ -155,19 +163,8 @@ def expand_rhs(rhs_spec: dict, n1: int, n2: int, exact: bool) -> Series2:
     if not d00:
         raise PreconditionError(
             "rational rhs needs a denominator with nonzero constant term")
-    if exact:
-        return Series2(_quotient_exact(num, den, n1, n2), exact=True)
-    zero = _entry_value(0, 0, exact)
-    rows = [[zero] * (n2 + 1) for _ in range(n1 + 1)]
-    den_items = [(k, v) for k, v in sorted(den.items()) if k != (0, 0)]
-    for j in range(n1 + 1):
-        for i in range(n2 + 1):
-            acc = num.get((j, i), zero)
-            for (a, b), dv in den_items:
-                if a <= j and b <= i:
-                    acc = acc - dv * rows[j - a][i - b]
-            rows[j][i] = acc / d00
-    return Series2(rows, exact=exact)
+    quotient = _quotient_exact if exact else _quotient_float
+    return Series2(quotient(num, den, n1, n2), exact=exact)
 
 
 def _quotient_exact(num: dict, den: dict, n1: int, n2: int) -> list:
@@ -190,8 +187,10 @@ def _quotient_exact(num: dict, den: dict, n1: int, n2: int) -> list:
     def mul(x, y):
         return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
+    # a term beyond the grid reaches no cell (and no power of q)
     terms = [(a, b, mul(v, powers[a + b - 1]))
-             for (a, b), v in sorted(Q.items()) if (a, b) != (0, 0)]
+             for (a, b), v in sorted(Q.items())
+             if (a, b) != (0, 0) and a <= n1 and b <= n2]
     R = [[(0, 0)] * (n2 + 1) for _ in range(n1 + 1)]
     rows = []
     for j in range(n1 + 1):
@@ -214,6 +213,98 @@ def _quotient_exact(num: dict, den: dict, n1: int, n2: int) -> list:
             row.append(RationalComplex(Fraction(re, div), Fraction(im, div)))
         rows.append(row)
     return rows
+
+
+def _quotient_float(num: dict, den: dict, n1: int, n2: int) -> np.ndarray:
+    """Complex grid of the power series num/den in binary64, by
+    anti-diagonals.
+
+    Cell ``(j, i)`` is ``(N_ji - sum Q_ab R_{j-a,i-b}) / Q_00`` over the
+    sorted terms (a, b) != (0, 0) that fit in the grid, so anti-diagonal
+    ``s = j + i`` depends only on earlier ones and runs as one numpy vector:
+    on the flat C-contiguous grid it is the strided view
+    ``flat[s + lo*n2 : s + hi*n2 + 1 : n2]`` over the rows lo..hi, and so is
+    each source diagonal.  The arithmetic is CPython's complex multiply and
+    its ``c_quot`` division written out on real and imaginary planes, so
+    every cell rounds as Python ``complex`` arithmetic does, signs of zero
+    included (numpy's complex ``/`` multiplies by a reciprocal, and its
+    complex ``*`` may be fused with FMA).
+
+    Real data (every imaginary part of num and den is +0.0, as
+    ``_entry_value`` makes it) runs on the real plane alone.  While that
+    plane stays finite, every cell's imaginary part is the zero ``0.0 /
+    Q_00``, and a real accumulator is never -0.0 (it starts from a table
+    value or +0.0 and only subtracts), so the signed zeros that the
+    imaginary parts add to it change nothing: the real part is
+    ``(N_ji - sum Re(Q_ab) R_{j-a,i-b}) / Re(Q_00)``.  A non-finite cell
+    spreads NaN into the imaginary parts, so the sweep then reruns on both
+    planes.
+    """
+    q = den[(0, 0)]
+    terms = [(a, b, v) for (a, b), v in sorted(den.items())
+             if (a, b) != (0, 0)]
+    shape = (n1 + 1, n2 + 1)
+    out = np.empty(shape, dtype=complex)
+    if not any(v.imag for v in (*num.values(), *den.values())):
+        (re,) = _diagonal_sweep(num, terms, q, shape, real=True)
+        if np.isfinite(re).all():
+            out.real, out.imag = re.reshape(shape), 0.0 / q.real
+            return out
+    re, im = _diagonal_sweep(num, terms, q, shape, real=False)
+    out.real, out.imag = re.reshape(shape), im.reshape(shape)
+    return out
+
+
+def _diagonal_sweep(num, terms, q, shape, real: bool) -> list:
+    """Flat planes ``[re]`` (real data) or ``[re, im]`` of num/den, for
+    :func:`_quotient_float`; ``q`` is the constant term of den."""
+    n1, n2 = shape[0] - 1, shape[1] - 1
+    planes = [np.zeros(shape[0] * shape[1]) for _ in range(1 if real else 2)]
+    for (j, i), v in num.items():
+        if j <= n1 and i <= n2:
+            planes[0][j * (n2 + 1) + i] = v.real
+            if not real:
+                planes[1][j * (n2 + 1) + i] = v.imag
+    # CPython's c_quot by q; its branch depends on q alone
+    first = abs(q.real) >= abs(q.imag)
+    if first:
+        ratio = q.imag / q.real
+        denom = q.real + q.imag * ratio
+    else:
+        ratio = q.real / q.imag
+        denom = q.real * ratio + q.imag
+    step = max(n2, 1)  # a one-column grid has one cell per diagonal
+    # overflow becomes inf or NaN, as in Python complex arithmetic
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(n1 + n2 + 1):
+            lo, hi = max(0, s - n2), min(n1, s)
+            diag = slice(s + lo * n2, s + hi * n2 + 1, step)
+            acc = [p[diag] for p in planes]  # views into the planes
+            for a, b, v in terms:
+                jl, jh = max(lo, a), min(hi, s - b)
+                if jl > jh:
+                    continue
+                t = s - a - b
+                src = slice(t + (jl - a) * n2, t + (jh - a) * n2 + 1, step)
+                dst = slice(jl - lo, jh - lo + 1)
+                yr = planes[0][src]
+                if real:
+                    acc[0][dst] -= v.real * yr
+                else:
+                    yi = planes[1][src]
+                    acc[0][dst] -= v.real * yr - v.imag * yi
+                    acc[1][dst] -= v.real * yi + v.imag * yr
+            if real:
+                acc[0] /= q.real
+            elif first:
+                ar, ai = acc
+                acc[0][:], acc[1][:] = ((ar + ai * ratio) / denom,
+                                        (ai - ar * ratio) / denom)
+            else:
+                ar, ai = acc
+                acc[0][:], acc[1][:] = ((ar * ratio + ai) / denom,
+                                        (ai * ratio - ar) / denom)
+    return planes
 
 
 # -- assembled problem -------------------------------------------------------------
@@ -253,11 +344,21 @@ def _truncation(pf: ProblemFile, n1, n2) -> tuple:
             pf.truncation[1] if n2 is None else n2)
 
 
+# Largest rhs grid ``(N1+1) * (N2 + N1*max_b + 1)`` that ``assemble`` expands
+# (plus deg P0 columns for ``rhs_role: "f"``).  A float grid costs about
+# 56 bytes a cell (16 in numpy, 40 as a Python complex in its row), exact
+# cells several times more, and a solve holds a few grids at once; the cap
+# stops a mistyped truncation before it allocates, at about 7x the largest
+# grid of the benchmark ladders (138,621 cells).
+MAX_GRID_CELLS = 1_000_000
+
+
 def assemble(pp: ParsedProblem, n1: int | None = None, n2: int | None = None,
              arithmetic: str | None = None) -> CauchyProblem:
     """Expand the rhs to the inflated solver window of ``(n1, n2)``.
 
-    Unset truncation and arithmetic come from the problem file.
+    Unset truncation and arithmetic come from the problem file.  A grid
+    above ``MAX_GRID_CELLS`` is rejected before anything is allocated.
     """
     pf = pp.pf
     P = pp.operator
@@ -267,6 +368,12 @@ def assemble(pp: ParsedProblem, n1: int | None = None, n2: int | None = None,
     if pf.rhs_role == "f":
         # g reconstruction consumes deg P0 columns
         n2_internal += len(P.p0()) - 1
+    cells = (max(N1, 0) + 1) * (n2_internal + 1)
+    if cells > MAX_GRID_CELLS:
+        raise PreconditionError(
+            f"the solver grid of truncation ({N1}, {N2}) has {cells} cells "
+            f"({max(N1, 0) + 1} x {n2_internal + 1}), above the cap of "
+            f"{MAX_GRID_CELLS}; lower --n1 or --n2")
     rhs = expand_rhs(pf.rhs, max(N1, 0), n2_internal, exact)
     return CauchyProblem(P, pp.m1, pp.m2, rhs, (N1, N2),
                          rhs_is_g=pf.rhs_role == "g",

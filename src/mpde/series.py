@@ -32,12 +32,9 @@ from .exact import RationalComplex
 from .moments import MomentFunction
 
 
-def _coerce(value, exact: bool):
-    if exact:
-        return RationalComplex.coerce(value)
-    if isinstance(value, RationalComplex):
-        return complex(value)
-    return complex(value)
+def _coercer(exact: bool):
+    """The coefficient type's constructor, applied at C level by ``map``."""
+    return RationalComplex.coerce if exact else complex
 
 
 def _div_scaled(c: complex, sv: moments.ScaledValue) -> complex:
@@ -63,7 +60,7 @@ class Series1:
         if self.kappa < 1:
             raise DomainError("kappa must be a positive integer")
         object.__setattr__(self, "coeffs",
-                           tuple(_coerce(c, self.exact) for c in self.coeffs))
+                           tuple(map(_coercer(self.exact), self.coeffs)))
         if not self.coeffs:
             raise DomainError("a series needs at least the constant coefficient")
 
@@ -84,8 +81,11 @@ class Series1:
 class Series2:
     """Truncated series ``sum c_{j,i} t**(j/kappa1) z**(i/kappa2)``.
 
-    ``valid`` marks the rectangle of trustworthy indices (J, I); it can be
-    smaller than the grid for user-supplied data and is shrunk by operators.
+    ``coeffs`` is a sequence of rows, coerced cell by cell to the
+    coefficient type, or in float mode a 2-D numpy array, whose complex
+    values need no coercion.  ``valid`` marks the rectangle of trustworthy
+    indices (J, I); it can be smaller than the grid for user-supplied data
+    and is shrunk by operators.
     """
 
     coeffs: tuple
@@ -97,8 +97,13 @@ class Series2:
     def __post_init__(self):
         if self.kappa1 < 1 or self.kappa2 < 1:
             raise DomainError("kappa1, kappa2 must be positive integers")
-        rows = tuple(tuple(_coerce(c, self.exact) for c in row)
-                     for row in self.coeffs)
+        if isinstance(self.coeffs, np.ndarray) and not self.exact:
+            # the rows of a complex array's tolist() are Python complex
+            rows = tuple(map(tuple,
+                             self.coeffs.astype(complex, copy=False).tolist()))
+        else:
+            coerce = _coercer(self.exact)
+            rows = tuple(tuple(map(coerce, row)) for row in self.coeffs)
         if not rows or not rows[0]:
             raise DomainError("empty coefficient grid")
         width = len(rows[0])
@@ -129,7 +134,7 @@ class Series2:
         rows = [[zero] * (n2 + 1) for _ in range(n1 + 1)]
         for j, i, v in entries:
             if 0 <= j <= n1 and 0 <= i <= n2:
-                rows[j][i] = _coerce(v, exact)
+                rows[j][i] = v
         return cls(rows, exact=exact, **kw)
 
     @classmethod
@@ -352,7 +357,7 @@ def apply_operator(table, m1: MomentFunction, m2: MomentFunction,
     out = kernel.shift_float(np.array(u.coeffs, dtype=complex), items,
                              moments.log_table(m1, u.kappa1, J),
                              moments.log_table(m2, u.kappa2, I), J_out, I_out)
-    return Series2(out.tolist(), u.kappa1, u.kappa2, False)
+    return Series2(out, u.kappa1, u.kappa2, False)
 
 
 # -- empirical Gevrey order ---------------------------------------------------

@@ -127,7 +127,7 @@ def g_from_f(p0_coeffs, m2: MomentFunction, f: Series2) -> Series2:
         levels = kernel.recurrence_float(
             F, 1 / p[deg], terms, deg, widths,
             moments.log_table(m2, f.kappa2, I + deg), [0.0] * (J + 1))
-        rows = np.array(list(levels)).T.tolist()
+        rows = np.array(list(levels)).T
     return Series2(rows, f.kappa1, f.kappa2, exact)
 
 
@@ -149,14 +149,16 @@ def _laurent_tail(rem, den, order: int):
         t = B - mdeg
         if t <= order:
             num_w[t] = num_w[t] + c
-    den_w = [den[B - t] if t <= B else zero for t in range(order + 1)]
+    # den_w[k] = den[B - k] vanishes for k > B: O(order * B) work
+    den_w = [(k, den[B - k]) for k in range(min(B, order), 0, -1)
+             if den[B - k]]
     h = [zero] * (order + 1)
     for t in range(order + 1):
         acc = num_w[t]
-        for sidx in range(t):
-            if h[sidx] and den_w[t - sidx]:
-                acc = acc - h[sidx] * den_w[t - sidx]
-        h[t] = acc / den_w[0]
+        for k, dk in den_w:
+            if k <= t and h[t - k]:
+                acc = acc - h[t - k] * dk
+        h[t] = acc / den[B]
     return h[1:]
 
 

@@ -1,9 +1,11 @@
-"""Quadrature oracles for the test suite (they need scipy).
+"""Independent oracles for the test suite.
 
-Independent numerical routes that cross-check the coefficient-shift
+Two quadratures (they need scipy) cross-check the coefficient-shift
 operators of mpde: a Mellin transform of the single-factor kernel against
 ``moments.eval_at``, and an adaptive quadrature of the fractional integral
-against ``series.moment_antidiff``.
+against ``series.moment_antidiff``.  A per-cell power-series division in
+Python ``complex`` arithmetic is the reference for the float expansion of a
+``rational`` rhs.
 """
 
 from __future__ import annotations
@@ -98,3 +100,32 @@ def frac_integral_quadrature(phi: Series1, s, k: int, x: float) -> complex:
     re = run(lambda v: v.real)
     im = run(lambda v: v.imag)
     return front * complex(re, im)
+
+
+def rational_rhs_float(payload: dict, n1: int, n2: int) -> list:
+    """Rows of num/den on the (n1, n2) grid, one cell at a time.
+
+    ``payload`` is a ``rational`` rhs payload of ``[j, i, re, im]`` entries;
+    each entry becomes ``complex(float(re), float(im))`` of its exact
+    rational parts and repeated indices add up from ``0j``.  Cell (j, i) is
+    ``(N_ji - sum Q_ab R_{j-a,i-b}) / Q_00`` over the terms (a, b) != (0, 0)
+    in sorted order, in Python ``complex`` arithmetic.
+    """
+    def table(quads):
+        out = {}
+        for j, i, re, im in quads:
+            val = complex(float(as_fraction(re)), float(as_fraction(im)))
+            out[(j, i)] = out.get((j, i), 0j) + val
+        return out
+
+    num, den = table(payload.get("num", [])), table(payload["den"])
+    terms = sorted((k, v) for k, v in den.items() if k != (0, 0))
+    rows = [[0j] * (n2 + 1) for _ in range(n1 + 1)]
+    for j in range(n1 + 1):
+        for i in range(n2 + 1):
+            acc = num.get((j, i), 0j)
+            for (a, b), v in terms:
+                if a <= j and b <= i:
+                    acc = acc - v * rows[j - a][i - b]
+            rows[j][i] = acc / den[(0, 0)]
+    return rows

@@ -7,10 +7,11 @@ import pytest
 from oracles import mellin_check
 
 from mpde.errors import DomainError, EvaluationError
-from mpde.moments import (MomentFactor, MomentFunction, combine, e_s_beta,
-                          e_s_beta_via_derivative, eval_at, eval_fraction,
-                          gamma_s, kernel_e, log_gamma, mittag_leffler,
-                          mittag_leffler_info, order)
+from mpde.moments import (MOMENT_ONE, MomentFactor, MomentFunction, combine,
+                          e_s_beta, e_s_beta_via_derivative, eval_at,
+                          eval_fraction, gamma_s, kernel_e, log_gamma,
+                          log_table, mittag_leffler, mittag_leffler_info,
+                          order, scaled_eval)
 
 
 def test_log_gamma_accuracy_against_libm():
@@ -177,3 +178,40 @@ def test_scaled_eval_beyond_double_range():
     frac_val = eval_fraction(gamma_s(Fraction(1, 2)), 401)
     assert frac_val > 0
     assert math.isinf(eval_at(gamma_s(2), 400))  # honest overflow to inf
+
+
+LOG_TABLE_MOMENTS = {
+    "Gamma(1)": gamma_s(1),
+    "Gamma(1/2)": gamma_s(Fraction(1, 2)),
+    "Gamma(3/2)": gamma_s(Fraction(3, 2)),
+    "Gamma(1)*Gamma(1/2)/Gamma(2)": combine(
+        combine(gamma_s(1), gamma_s(Fraction(1, 2)), "product"), gamma_s(2),
+        "quotient"),
+    "1/Gamma(2)": combine(MOMENT_ONE, gamma_s(2), "quotient"),
+    "3/7*Gamma(2/3+u/5)/(2*Gamma(1/3+u/7))": MomentFunction((
+        MomentFactor(Fraction(3, 7), Fraction(2, 3), 5, 1),
+        MomentFactor(2, Fraction(1, 3), 7, -1))),
+}
+
+
+@pytest.mark.parametrize("kappa", [1, 2])
+@pytest.mark.parametrize("name", sorted(LOG_TABLE_MOMENTS))
+def test_log_table_matches_scaled_eval_bit_for_bit(name, kappa):
+    m = LOG_TABLE_MOMENTS[name]
+    want = [scaled_eval(m, Fraction(j, kappa)).log for j in range(121)]
+    assert [x.hex() for x in log_table(m, kappa, 120)] == \
+        [x.hex() for x in want]
+
+
+@pytest.mark.parametrize("offset,kappa", [(-2, 1), (0, 1), (1, -1)])
+def test_log_table_domain_error_matches_scaled_eval(offset, kappa):
+    # Gamma(offset + u): at u = 0 the argument is -2 or 0; kappa = -1 makes
+    # u = j/kappa negative from j = 1 on
+    m = combine(gamma_s(1), MomentFunction((MomentFactor(1, offset, 1, 1),)),
+                "product")
+    with pytest.raises(DomainError) as want:
+        for j in range(6):
+            scaled_eval(m, Fraction(j, kappa))
+    with pytest.raises(DomainError) as got:
+        log_table(m, kappa, 5)
+    assert str(got.value) == str(want.value)

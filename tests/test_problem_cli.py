@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -206,6 +207,45 @@ def test_cli_truncation_below_operator_order(command, flag, value, tmp_path,
     assert result.exit_code == 2, result.output
     assert "N1 >= 2 and N2 >= 5" in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "probe"])
+def test_cli_grid_above_cap_is_rejected_before_expansion(command,
+                                                         monkeypatch):
+    # heat has max_b = 2: (1000, 60) needs 1001 x 2061 = 2,063,061 cells
+    def no_expand(*args):
+        raise AssertionError("expand_rhs must not run")
+    monkeypatch.setattr(problem_mod, "expand_rhs", no_expand)
+    result = CliRunner().invoke(main, [command, shipped("heat"), "--n1",
+                                       "1000", "--n2", "60"])
+    assert result.exit_code == 2, result.output
+    assert "2063061 cells" in result.output
+    assert str(problem_mod.MAX_GRID_CELLS) in result.output
+
+
+def test_grid_cap_admits_the_largest_benchmark_grid(monkeypatch):
+    # twofactor (160, 60): 161 x 861 = 138,621 cells reach expand_rhs
+    class Reached(Exception):
+        pass
+
+    def reached(spec, n1, n2, exact):
+        assert (n1 + 1) * (n2 + 1) == 138621
+        raise Reached
+    monkeypatch.setattr(problem_mod, "expand_rhs", reached)
+    pp = problem_mod.parse_problem(load_problem(shipped("twofactor")))
+    with pytest.raises(Reached):
+        problem_mod.assemble(pp, 160, 60, "float")
+
+
+def test_import_does_not_load_scipy():
+    # scipy serves only test oracles; importing it would add ~0.5 s to
+    # every CLI call
+    src = Path(problem_mod.__file__).resolve().parents[1]
+    code = "import sys, mpde; sys.exit('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr or "import mpde loaded scipy"
 
 
 def test_cli_bool_truncation_is_parse_error(tmp_path):

@@ -3,6 +3,9 @@
 Operators are drawn with a constant top coefficient ``p_n`` at (n, 0),
 orders n <= 3 in t and <= 3 in z, Gaussian-rational coefficients, Gamma(1)
 or Gamma(1/2)/Gamma(3/2) moments, small grids, and both rhs roles.
+Rational right-hand sides are drawn with real or complex entries, a
+constant denominator term in {1, 2, 3, -1, 1/2, 3+i, 1-3i, -2i} and further
+denominator terms in t, in z and mixed.
 """
 
 import cmath
@@ -15,11 +18,13 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import brute_force
+from oracles import rational_rhs_float
 
 from mpde.charroots import CharPoly
 from mpde.errors import EvaluationError, WindowError
 from mpde.exact import RationalComplex
 from mpde.parsing import parse_moment
+from mpde.problem import expand_rhs
 from mpde.series import Series2
 from mpde.solver import CauchyProblem, formal_solve, residual
 
@@ -161,3 +166,86 @@ def test_brute_force_oracle_reproduces_heat_closed_form(moments):
             Fraction(math.factorial(2 * j - 2), math.factorial(j))
             for j in range(1, 7)]
     assert all(r[0][1] == 0 for r in rows)
+
+
+# (constant denominator term, complex entries); 1 - 3i and -2i take the
+# second branch of CPython's complex division
+REAL_D00 = (("1", "0"), ("2", "0"), ("3", "0"), ("-1", "0"), ("1/2", "0"))
+RHS_KINDS = ([(d00, False) for d00 in REAL_D00]
+             + [(d00, True) for d00 in REAL_D00 + (("3", "1"), ("1", "-3"),
+                                                   ("0", "-2"))])
+RHS_IDS = [f"{'complex' if c else 'real'}-d00={re},{im}"
+           for (re, im), c in RHS_KINDS]
+
+
+@st.composite
+def rational_rhs(draw, d00, is_complex, huge=True):
+    """A ``rational`` rhs spec with constant denominator term ``d00`` and a
+    grid (n1, n2), n1 <= 6, n2 <= 8.
+
+    With ``huge``, denominator terms may be scaled by 1e150 so that later
+    cells overflow binary64.
+    """
+    scale = draw(st.sampled_from((1, 10 ** 150) if huge else (1,)))
+
+    def entry(j, i, value, factor=1):
+        re, im = value if is_complex else (value[0], Fraction(0))
+        return [j, i, str(re * factor), str(im * factor)]
+
+    den_terms = draw(st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any),
+        nonzero_gaussians, max_size=4))
+    num = draw(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                               gaussians, max_size=4))
+    payload = {
+        "num": [entry(j, i, v) for (j, i), v in num.items()],
+        "den": [[0, 0, *d00]] + [entry(a, b, v, scale)
+                                  for (a, b), v in den_terms.items()]}
+    n1, n2 = draw(st.integers(0, 6)), draw(st.integers(0, 8))
+    return {"kind": "rational", "payload": payload}, n1, n2
+
+
+def _same_bits(x: complex, y: complex) -> bool:
+    """Equal parts with equal signs of zero; NaN matches NaN."""
+    return all((math.isnan(p) and math.isnan(q))
+               or (p == q and math.copysign(1.0, p) == math.copysign(1.0, q))
+               for p, q in ((x.real, y.real), (x.imag, y.imag)))
+
+
+@pytest.mark.parametrize("d00,is_complex", RHS_KINDS, ids=RHS_IDS)
+@SETTINGS
+@given(data=st.data())
+def test_float_rational_rhs_matches_per_cell_oracle(d00, is_complex, data):
+    spec, n1, n2 = data.draw(rational_rhs(d00, is_complex))
+    got = expand_rhs(spec, n1, n2, exact=False).coeffs
+    want = rational_rhs_float(spec["payload"], n1, n2)
+    assert all(type(c) is complex for row in got for c in row)
+    assert all(_same_bits(w, g) for wrow, grow in zip(want, got)
+               for w, g in zip(wrow, grow))
+
+
+@pytest.mark.parametrize("d00,is_complex", RHS_KINDS, ids=RHS_IDS)
+@SETTINGS
+@given(data=st.data())
+def test_float_rational_rhs_matches_exact(d00, is_complex, data):
+    """Error bounded by 1e-13 of the cell's term magnitude, the division
+    recursion run on moduli."""
+    spec, n1, n2 = data.draw(rational_rhs(d00, is_complex, huge=False))
+    approx = expand_rhs(spec, n1, n2, exact=False).coeffs
+    exact = expand_rhs(spec, n1, n2, exact=True).coeffs
+    tables = {}
+    for key, quads in spec["payload"].items():
+        table = tables.setdefault(key, {})
+        for j, i, re, im in quads:
+            table[(j, i)] = table.get((j, i), 0) + RationalComplex(re, im)
+    num, den = tables.get("num", {}), tables["den"]
+    size = [[0.0] * (n2 + 1) for _ in range(n1 + 1)]
+    for j in range(n1 + 1):
+        for i in range(n2 + 1):
+            acc = abs(complex(num.get((j, i), 0)))
+            for (a, b), v in den.items():
+                if (a, b) != (0, 0) and a <= j and b <= i:
+                    acc += abs(complex(v)) * size[j - a][i - b]
+            size[j][i] = acc / abs(complex(den[(0, 0)]))
+            err = abs(approx[j][i] - complex(exact[j][i]))
+            assert err <= 1e-13 * size[j][i]

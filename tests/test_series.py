@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helpers import random_series1, random_series2, series1_close
@@ -293,3 +294,19 @@ def test_zero_series_legal_everywhere_but_fit():
     z = Series2.zeros(5, 5, exact=True)
     assert borel(G1, z, "t").coeffs == z.coeffs
     assert apply_operator({(1, 1): 1}, G1, G1, z).shape == (4, 4)
+
+
+def test_series_coercion_keeps_the_coefficient_type():
+    cells = [RationalComplex(Fraction(1, 3), -2), RationalComplex(5), 0.5, 2]
+    for s in (Series2([cells, cells]), Series1(cells)):
+        rows = s.coeffs if isinstance(s, Series2) else (s.coeffs,)
+        assert all(type(c) is complex for row in rows for c in row)
+        assert rows[0] == (complex(1 / 3, -2), 5 + 0j, 0.5 + 0j, 2 + 0j)
+    grid = Series2(np.array([[complex(-0.0, 1), 1.5], [2, -1j]]))
+    assert all(type(c) is complex for row in grid.coeffs for c in row)
+    assert grid.coeffs == ((-0.0 + 1j, 1.5 + 0j), (2 + 0j, -1j))
+    assert math.copysign(1.0, grid.coeffs[0][0].real) == -1.0
+    exact = Series2([[1.5, 1j, RationalComplex(1, 2)]], exact=True)
+    assert all(type(c) is RationalComplex for c in exact.coeffs[0])
+    assert exact.coeffs[0] == (RationalComplex(Fraction(3, 2)),
+                               RationalComplex(0, 1), RationalComplex(1, 2))

@@ -11,8 +11,8 @@ from mpde.errors import EvaluationError, PreconditionError
 from mpde.exact import RationalComplex
 from mpde.moments import gamma_s
 from mpde.series import Series2, apply_operator, gevrey_fit
-from mpde.solver import (CauchyProblem, formal_solve, g_from_f, residual,
-                         theoretical_orders)
+from mpde.solver import (CauchyProblem, _laurent_tail, formal_solve, g_from_f,
+                         residual, theoretical_orders)
 
 G1 = gamma_s(1)
 
@@ -290,6 +290,20 @@ def test_pseudo_mode_float_tail_matches_exact(table):
         for i in range(n2 + 1):
             want = complex(exact.coeffs[j][i])
             assert abs(approx.coeffs[j][i] - want) <= 1e-10 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("den", [[1, -3, 2], [2, 0, 0, 1], [5]])
+def test_laurent_tail_solves_the_division(den):
+    # rem/den = sum_r h_r zeta**-r: in w = 1/zeta, den_w * h = rem_w
+    den = [RationalComplex(c) for c in den]
+    rem = [RationalComplex(Fraction(1, 2), -1),
+           RationalComplex(3)][:len(den) - 1]
+    B, order = len(den) - 1, 12
+    h = [RationalComplex(0)] + _laurent_tail(rem, den, order)
+    for t in range(order + 1):
+        lhs = sum((den[B - k] * h[t - k] for k in range(min(B, t) + 1)),
+                  RationalComplex(0))
+        assert lhs == (rem[B - t] if 0 <= B - t < len(rem) else 0)
 
 
 def test_theoretical_orders():
