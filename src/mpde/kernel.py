@@ -24,7 +24,11 @@ whose normalized coefficients would overflow binary64 stay finite.  The
 moment values enter as ratios ``m(x)/m(y) = exp(log m(x) - log m(y))``: one
 scalar per row offset and one vector per column offset.  The ratios use
 ``math.exp``, whose results numpy's vectorized ``exp`` does not always
-reproduce to the last bit.
+reproduce to the last bit.  The inverse-power tail of pseudo mode (terms
+that shift down in i) is folded, per row offset, into one lower-triangular
+matrix with the column ratios built in, so each level adds it as one matrix
+product; only the summation order of the tail differs from a term-by-term
+sum.
 """
 
 from __future__ import annotations
@@ -63,27 +67,30 @@ def gaussian_int(c: RationalComplex, d: int) -> tuple:
 
 
 def normalize(rows, w1, w2, n_rows: int, n_cols: int) -> Lanes:
-    """Numerators of ``rows[j][i] * w1[j] * w2[i]`` for j <= n_rows, i <= n_cols."""
-    cells = []  # (j, i, re, im) of the nonzero cells, as Fractions
+    """Numerators of ``rows[j][i] * w1[j] * w2[i]`` for j <= n_rows, i <= n_cols.
+
+    Each nonzero part is multiplied out on integer numerators and
+    denominators and reduced by one gcd, without building Fractions.
+    """
+    w2n = [w.numerator for w in w2[: n_cols + 1]]
+    w2d = [w.denominator for w in w2[: n_cols + 1]]
+    parts = []  # (j, i, lane, numerator, denominator) in lowest terms
     for j in range(n_rows + 1):
-        row = rows[j]
-        wj = w1[j]
-        for i in range(n_cols + 1):
-            c = row[i]
-            if c:
-                w = wj * w2[i]
-                cells.append((j, i, c.re * w, c.im * w))
-    is_complex = any(im for _, _, _, im in cells)
-    den = math.lcm(*(x.denominator for _, _, re, im in cells
-                     for x in ((re, im) if is_complex else (re,))))
-    re_rows = [[0] * (n_cols + 1) for _ in range(n_rows + 1)]
-    im_rows = [[0] * (n_cols + 1) for _ in range(n_rows + 1)] \
-        if is_complex else None
-    for j, i, re, im in cells:
-        re_rows[j][i] = re.numerator * (den // re.denominator)
-        if is_complex:
-            im_rows[j][i] = im.numerator * (den // im.denominator)
-    return Lanes(re_rows, im_rows, den)
+        jn, jd = w1[j].numerator, w1[j].denominator
+        products = [(i, lane, x.numerator * jn * w2n[i],
+                     x.denominator * jd * w2d[i])
+                    for i, c in enumerate(rows[j][: n_cols + 1]) if c
+                    for lane, x in ((0, c.re), (1, c.im)) if x]
+        parts += [(j, i, lane, num // g, den // g)
+                  for i, lane, num, den in products
+                  for g in (math.gcd(num, den),)]
+    is_complex = any(lane for _, _, lane, _, _ in parts)
+    den = math.lcm(*(d for _, _, _, _, d in parts))
+    lanes = [[[0] * (n_cols + 1) for _ in range(n_rows + 1)]
+             for _ in range(2 if is_complex else 1)]
+    for j, i, lane, num, d in parts:
+        lanes[lane][j][i] = num * (den // d)
+    return Lanes(lanes[0], lanes[1] if is_complex else None, den)
 
 
 def _axpy(acc_re, acc_im, k, src_re, src_im, b: int) -> None:
@@ -246,19 +253,53 @@ def shift_float(u, items, logs1, logs2, n_rows: int, n_cols: int):
     return out
 
 
+def _tail_product(T, offsets, src):
+    """``T @ src`` for a tail matrix whose row i reads ``src[i - r]``, r in
+    ``offsets``.
+
+    A non-finite ``src[k]`` is kept out of the product, where ``0 * inf``
+    would spread NaN to every row, and is added to the rows ``k + r`` that
+    read it, as a term-by-term sum would add it.
+    """
+    finite = np.isfinite(src)
+    # einsum, not BLAS: OpenBLAS runs all but small products on threads,
+    # whose wake-up can cost milliseconds per level on a busy host
+    out = np.einsum("ij,j->i", T, np.where(finite, src, 0))
+    for k in np.flatnonzero(~finite):
+        rows = k + np.array(offsets)
+        rows = rows[rows < len(src)]
+        out[rows] += T[rows, k] * src[k]
+    return out
+
+
 def recurrence_float(base, q, terms, n: int, widths, logs1, logs2):
     """Yield the levels ``u[t] = q * B[t-n] + sum c * u[t-a][i+b]``, zero for t < n.
 
     The float counterpart of :func:`recurrence`, in raw coordinates: ``base``
     is a 2-D numpy array of raw coefficients, every term carries the moment
     ratios ``m1(t-a)/m1(t)`` and ``m2(i+b)/m2(i)`` (``m1(t-n)/m1(t)`` for the
-    base) from the log tables ``logs1``, ``logs2``, and terms are added in
-    list order.  Level t covers ``i <= widths[t]``; reads below index 0 are
-    zero.  Each level is yielded as soon as it is complete, so a caller can
-    stop at the first one that overflows.
+    base) from the log tables ``logs1``, ``logs2``.  Level t covers
+    ``i <= widths[t]``; reads below index 0 are zero.  Terms with b >= 0 are
+    added one banded row update at a time, in list order.  Terms with b < 0
+    (the inverse-power tail of pseudo mode) are folded, per row offset a,
+    into one strictly lower-triangular matrix
+    ``T_a[i, i+b] = c * m2(i+b)/m2(i)`` and added after them as one matrix
+    product ``m1(t-a)/m1(t) * T_a @ u[t-a]`` per level.  Each level is
+    yielded as soon as it is complete, so a caller can stop at the first one
+    that overflows.
     """
     width = max(widths)
-    r2 = _ratios(logs2, {b for _, b, _ in terms}, width)
+    bands = [(a, b, c) for a, b, c in terms if b >= 0]
+    r2 = _ratios(logs2, {b for _, b, _ in bands}, width)
+    tails = {}  # a -> (T_a, the offsets -b of its terms)
+    for a, b, c in terms:
+        if b < 0:
+            if a not in tails:
+                tails[a] = (np.zeros((width + 1, width + 1), dtype=complex), [])
+            T, offsets = tails[a]
+            i = np.arange(-b, width + 1)
+            T[i, i + b] += c * _ratios(logs2, (b,), width)[b][-b:]
+            offsets.append(-b)
     grid = np.zeros((len(widths), width + 1), dtype=complex)
     for t, w in enumerate(widths):
         row = grid[t, : w + 1]
@@ -266,11 +307,12 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2):
             with np.errstate(over="ignore", invalid="ignore"):
                 row[:] = base[t - n, : w + 1] * (
                     q * math.exp(logs1[t - n] - logs1[t]))
-                for a, b, c in terms:
-                    lo = max(0, -b)
-                    if lo > w:
-                        continue
+                for a, b, c in bands:
                     r1 = math.exp(logs1[t - a] - logs1[t])
-                    row[lo:] += (c * grid[t - a, lo + b: w + 1 + b] * r1
-                                 * r2[b][lo: w + 1])
+                    row += (c * grid[t - a, b: w + 1 + b] * r1
+                            * r2[b][: w + 1])
+                for a, (T, offsets) in tails.items():
+                    r1 = math.exp(logs1[t - a] - logs1[t])
+                    row += r1 * _tail_product(T[: w + 1, : w + 1], offsets,
+                                              grid[t - a, : w + 1])
         yield row

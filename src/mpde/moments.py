@@ -227,9 +227,57 @@ def eval_fraction(m: MomentFunction, u) -> Fraction:
     return scaled_eval(m, as_fraction(u)).to_fraction()
 
 
+def _gamma_arguments(m: MomentFunction, kappa: int, n: int):
+    """Yield, for j = 0..n, the factors ``(sign, scale, x, D)`` of
+    ``m(j/kappa)``, whose Gamma argument ``b + j/(kappa*k)`` is ``x / D``.
+
+    Raises the DomainErrors of :func:`scaled_eval`, in the same order.
+    """
+    factors = [(f.sign, f.scale,
+                f.offset.numerator * kappa * f.ram.numerator,
+                f.offset.denominator * f.ram.denominator,
+                f.offset.denominator * kappa * f.ram.numerator)
+               for f in m.factors]
+    for j in range(n + 1):
+        if j * kappa < 0:
+            raise DomainError(f"moment functions are evaluated for u >= 0, "
+                              f"got {Fraction(j, kappa)}")
+        args = []
+        for sign, scale, A, B, D in factors:
+            x = A + j * B
+            if x * D <= 0:
+                raise DomainError(
+                    f"Gamma argument b + u/k = {Fraction(x, D)} is not "
+                    f"positive (u = {Fraction(j, kappa)})")
+            args.append((sign, scale, x, D))
+        yield args
+
+
 def fraction_table(m: MomentFunction, kappa: int, n: int) -> list:
-    """Exact values ``m(j/kappa)`` for j = 0..n (see :func:`eval_fraction`)."""
-    return [scaled_eval(m, Fraction(j, kappa)).rational for j in range(n + 1)]
+    """Exact values ``m(j/kappa)`` for j = 0..n (see :func:`eval_fraction`).
+
+    The same Fractions as ``scaled_eval(m, j/kappa).rational``, built factor
+    by factor in the same order, with the same DomainErrors, but outside its
+    cache.  An integer Gamma argument k contributes ``scale * (k-1)!`` from
+    a running product (arguments grow with j), any other argument ``x / D``
+    the dyadic rational of ``log(scale) + log_gamma(x / D)``.
+    """
+    running = [[1, 1] for _ in m.factors]  # per factor: [k, (k-1)!]
+    values = []
+    for args in _gamma_arguments(m, kappa, n):
+        value = Fraction(1)
+        for fact, (sign, scale, x, D) in zip(running, args):
+            if x % D == 0:
+                while fact[0] < x // D:
+                    fact[1] *= fact[0]
+                    fact[0] += 1
+                base_val = scale * fact[1]
+            else:
+                base_val = _dyadic_from_log(math.log(scale)
+                                            + log_gamma(x / D))
+            value = value * base_val if sign == 1 else value / base_val
+        values.append(value)
+    return values
 
 
 def log_table(m: MomentFunction, kappa: int, n: int) -> list:
@@ -238,26 +286,14 @@ def log_table(m: MomentFunction, kappa: int, n: int) -> list:
     The same floats as ``scaled_eval(m, j/kappa).log``, summed factor by
     factor in the same order, with the same DomainErrors, but without the
     exact values (factorials, dyadic rationals) and outside its cache.  The
-    Gamma argument ``b + j/(kappa*k)`` is the integer quotient
-    ``(A + j*B) / D``, whose true division rounds as ``float(Fraction)``.
+    Gamma argument is the integer quotient ``x / D``, whose true division
+    rounds as ``float(Fraction)``.
     """
-    factors = [(f.sign, math.log(f.scale),
-                f.offset.numerator * kappa * f.ram.numerator,
-                f.offset.denominator * f.ram.denominator,
-                f.offset.denominator * kappa * f.ram.numerator)
-               for f in m.factors]
+    log_scales = [math.log(f.scale) for f in m.factors]
     logs = []
-    for j in range(n + 1):
-        if j * kappa < 0:
-            raise DomainError(f"moment functions are evaluated for u >= 0, "
-                              f"got {Fraction(j, kappa)}")
+    for args in _gamma_arguments(m, kappa, n):
         logv = 0.0
-        for sign, log_scale, A, B, D in factors:
-            x = A + j * B
-            if x * D <= 0:
-                raise DomainError(
-                    f"Gamma argument b + u/k = {Fraction(x, D)} is not "
-                    f"positive (u = {Fraction(j, kappa)})")
+        for log_scale, (sign, _, x, D) in zip(log_scales, args):
             logv += sign * (log_scale + log_gamma(x / D))
         logs.append(logv)
     return logs

@@ -77,48 +77,85 @@ class Series1:
         return acc
 
 
-@dataclass(frozen=True)
 class Series2:
     """Truncated series ``sum c_{j,i} t**(j/kappa1) z**(i/kappa2)``.
 
-    ``coeffs`` is a sequence of rows, coerced cell by cell to the
-    coefficient type, or in float mode a 2-D numpy array, whose complex
-    values need no coercion.  ``valid`` marks the rectangle of trustworthy
-    indices (J, I); it can be smaller than the grid for user-supplied data
-    and is shrunk by operators.
+    The grid is given as a sequence of rows, coerced cell by cell to the
+    coefficient type, or in float mode as a 2-D numpy array, which is copied
+    once and kept as :attr:`grid`.  ``coeffs`` is the grid as tuple rows of
+    the coefficient type (Python ``complex`` in float mode, signs of zero
+    kept); for an array it is built on first use.  ``valid`` marks the
+    rectangle of trustworthy indices (J, I); it can be smaller than the grid
+    for user-supplied data and is shrunk by operators.  Series are immutable
+    and compare equal when their ``coeffs``, ramifications, arithmetic and
+    windows are equal.
     """
 
-    coeffs: tuple
-    kappa1: int = 1
-    kappa2: int = 1
-    exact: bool = False
-    valid: tuple | None = None
-
-    def __post_init__(self):
-        if self.kappa1 < 1 or self.kappa2 < 1:
+    def __init__(self, coeffs, kappa1: int = 1, kappa2: int = 1,
+                 exact: bool = False, valid: tuple | None = None):
+        if kappa1 < 1 or kappa2 < 1:
             raise DomainError("kappa1, kappa2 must be positive integers")
-        if isinstance(self.coeffs, np.ndarray) and not self.exact:
-            # the rows of a complex array's tolist() are Python complex
-            rows = tuple(map(tuple,
-                             self.coeffs.astype(complex, copy=False).tolist()))
+        rows = grid = None
+        if isinstance(coeffs, np.ndarray) and not exact:
+            grid = np.array(coeffs, dtype=complex)
+            if grid.ndim != 2:
+                raise DomainError("a coefficient array must be 2-D")
+            grid.flags.writeable = False
+            n_rows, width = grid.shape
         else:
-            coerce = _coercer(self.exact)
-            rows = tuple(tuple(map(coerce, row)) for row in self.coeffs)
-        if not rows or not rows[0]:
+            coerce = _coercer(exact)
+            rows = tuple(tuple(map(coerce, row)) for row in coeffs)
+            n_rows, width = len(rows), len(rows[0]) if rows else 0
+        if not n_rows or not width:
             raise DomainError("empty coefficient grid")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
+        if rows is not None and any(len(r) != width for r in rows):
             raise DomainError("ragged coefficient grid")
-        object.__setattr__(self, "coeffs", rows)
-        valid = self.valid if self.valid is not None else (len(rows) - 1, width - 1)
-        valid = (min(valid[0], len(rows) - 1), min(valid[1], width - 1))
+        valid = valid if valid is not None else (n_rows - 1, width - 1)
+        valid = (min(valid[0], n_rows - 1), min(valid[1], width - 1))
         if valid[0] < 0 or valid[1] < 0:
             raise WindowError("valid window is empty")
-        object.__setattr__(self, "valid", valid)
+        for name, value in (("_rows", rows), ("_grid", grid),
+                            ("shape", (n_rows - 1, width - 1)),
+                            ("kappa1", kappa1), ("kappa2", kappa2),
+                            ("exact", exact), ("valid", valid)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Series2 is immutable; cannot set {name!r}")
 
     @property
-    def shape(self) -> tuple:
-        return (len(self.coeffs) - 1, len(self.coeffs[0]) - 1)
+    def coeffs(self) -> tuple:
+        """Rows of the grid as tuples of the coefficient type."""
+        if self._rows is None:
+            # the rows of a complex array's tolist() are Python complex
+            object.__setattr__(self, "_rows",
+                               tuple(map(tuple, self._grid.tolist())))
+        return self._rows
+
+    @property
+    def grid(self) -> np.ndarray:
+        """The grid as a read-only 2-D complex numpy array."""
+        if self._grid is None:
+            grid = np.array(self._rows, dtype=complex)
+            grid.flags.writeable = False
+            object.__setattr__(self, "_grid", grid)
+        return self._grid
+
+    def _key(self) -> tuple:
+        return (self.coeffs, self.kappa1, self.kappa2, self.exact, self.valid)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"Series2(coeffs={self.coeffs!r}, kappa1={self.kappa1!r}, "
+                f"kappa2={self.kappa2!r}, exact={self.exact!r}, "
+                f"valid={self.valid!r})")
 
     @classmethod
     def zeros(cls, n1: int, n2: int, exact: bool = False, **kw) -> "Series2":
@@ -147,31 +184,45 @@ class Series2:
         J, I = self.valid
         if (J, I) == self.shape:
             return self
-        rows = [row[: I + 1] for row in self.coeffs[: J + 1]]
+        if self.exact:
+            rows = [row[: I + 1] for row in self.coeffs[: J + 1]]
+        else:
+            rows = self.grid[: J + 1, : I + 1]
         return Series2(rows, self.kappa1, self.kappa2, self.exact)
 
     def row_values(self, z, up_to: int | None = None):
-        """Evaluate each t-level at the point z (within the valid window)."""
+        """Evaluate each t-level at the point z (within the valid window).
+
+        One Horner sweep over the columns for all rows at once, with
+        Python's complex multiply written out on real and imaginary planes,
+        so each value rounds as a per-row loop in ``complex`` would.
+        """
         J, I = self.valid
         if up_to is not None:
             J = min(J, up_to)
         zc = complex(z)
-        out = []
-        for j in range(J + 1):
-            acc = 0j
-            row = self.coeffs[j]
+        zr, zi = zc.real, zc.imag
+        if self.exact:
+            cells = np.array([row[: I + 1] for row in self.coeffs[: J + 1]],
+                             dtype=complex)
+        else:
+            cells = self.grid[: J + 1, : I + 1]
+        re, im = np.zeros(J + 1), np.zeros(J + 1)
+        with np.errstate(over="ignore", invalid="ignore"):
             for i in range(I, -1, -1):
-                acc = acc * zc + complex(row[i])
-            out.append(acc)
-        return out
+                c = cells[:, i]
+                re, im = re * zr - im * zi + c.real, re * zi + im * zr + c.imag
+        out = np.empty(J + 1, dtype=complex)
+        out.real, out.imag = re, im
+        return out.tolist()
 
     def to_csv(self) -> str:
         """Coefficient dump: header ``j,i,re,im``, row-major, 17 sig digits."""
         J, I = self.valid
         lines = ["j,i,re,im"]
-        for j in range(J + 1):
+        for j, row in enumerate(self.coeffs[: J + 1]):
             for i in range(I + 1):
-                c = complex(self.coeffs[j][i])
+                c = complex(row[i])
                 lines.append(f"{j},{i},{c.real:.17g},{c.imag:.17g}")
         return "\n".join(lines) + "\n"
 
@@ -293,7 +344,8 @@ def _shift_impl(m, s, axis, times, up):
         raise DomainError("Series2 transforms need axis 't' or 'z'")
     J, I = s.valid
     if axis == "t":
-        cols = [[s.coeffs[j][i] for j in range(J + 1)] for i in range(I + 1)]
+        cells = s.coeffs
+        cols = [[cells[j][i] for j in range(J + 1)] for i in range(I + 1)]
         new_cols = [_shift_1d(col, m, s.kappa1, s.exact, times, up)
                     for col in cols]
         rows = [[new_cols[i][j] for i in range(I + 1)]
@@ -354,7 +406,7 @@ def apply_operator(table, m1: MomentFunction, m2: MomentFunction,
                                   J_out, I_out)
         return Series2(rows, u.kappa1, u.kappa2, True)
     items = [(k, complex(p)) for k, p in normalize_table(table)]
-    out = kernel.shift_float(np.array(u.coeffs, dtype=complex), items,
+    out = kernel.shift_float(u.grid, items,
                              moments.log_table(m1, u.kappa1, J),
                              moments.log_table(m2, u.kappa2, I), J_out, I_out)
     return Series2(out, u.kappa1, u.kappa2, False)
@@ -378,18 +430,22 @@ def gevrey_fit(u: Series2, axis: str = "t", radius: float = 0.1,
     J, I = u.valid
     if axis == "z":
         J, I = I, J
-
-    def row_sum(j):
-        if axis == "t":
-            vals = (u.coeffs[j][i] for i in range(I + 1))
-        else:
-            vals = (u.coeffs[i][j] for i in range(I + 1))
-        return math.fsum(abs(v) * radius ** i for i, v in enumerate(vals))
-
     j_lo = max(0, math.ceil(j_min_frac * J))
+    if u.exact:
+        rows = u.coeffs if axis == "t" else tuple(zip(*u.coeffs))
+        moduli = np.array([[abs(v) for v in row[: I + 1]]
+                           for row in rows[j_lo: J + 1]],
+                          dtype=float).reshape(-1, I + 1)
+    else:
+        cells = (u.grid if axis == "t" else u.grid.T)[j_lo: J + 1, : I + 1]
+        # np.hypot rounds as abs() of a Python complex does
+        moduli = np.hypot(cells.real, cells.imag)
+    weights = np.array([radius ** i for i in range(I + 1)], dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = (moduli * weights).tolist()
     pts = []
-    for j in range(j_lo, J + 1):
-        a = row_sum(j)
+    for j, row in enumerate(terms, j_lo):
+        a = math.fsum(row)
         if a > 0.0 and math.isfinite(a):
             pts.append((j, math.log(a)))
     if len(pts) < min_points:

@@ -12,7 +12,9 @@ on Python integers over one common denominator and divides the moment values
 out once per output cell.  Float mode recurses on raw coefficients with
 moment ratios taken from their logarithms, so that grids whose normalized
 coefficients would overflow stay finite; an output row that overflows anyway
-raises EvaluationError.
+raises EvaluationError.  Float grids stay numpy arrays from the rhs to the
+output (``Series2.grid``): each finite-checked level is written into one
+preallocated output array.
 
 Two modes:
 
@@ -22,7 +24,9 @@ Two modes:
   each ``A_{n-a}/A_n`` is expanded at ``zeta = infinity`` into a polynomial
   part plus an inverse-power tail.  Positive powers shift z-indices up,
   inverse powers shift down with zero padding.  Truncating the tail at the
-  internal grid width is exact on the grid.
+  internal grid width is exact on the grid.  Float mode sums the tail as
+  one matrix product per level, so its last bit can differ from a
+  term-by-term sum.
 
 The internal z-truncation is inflated to ``N2 + N1 * max_b`` so the whole
 requested output window is valid.
@@ -123,7 +127,7 @@ def g_from_f(p0_coeffs, m2: MomentFunction, f: Series2) -> Series2:
         rows = _transpose(kernel.denormalize(*levels, w2, [1] * (J + 1),
                                              I + deg, J))
     else:
-        F = np.array(f.coeffs, dtype=complex)[: J + 1, : I + 1].T
+        F = f.grid[: J + 1, : I + 1].T
         levels = kernel.recurrence_float(
             F, 1 / p[deg], terms, deg, widths,
             moments.log_table(m2, f.kappa2, I + deg), [0.0] * (J + 1))
@@ -242,21 +246,19 @@ def formal_solve(prob: CauchyProblem) -> Series2:
         return Series2(kernel.denormalize(*levels, w1, w2, N1, N2),
                        kappa1, kappa2, exact)
     levels = kernel.recurrence_float(
-        np.array(g.coeffs, dtype=complex), 1,
-        [(a, b, complex(c)) for a, b, c in terms], n, windows,
+        g.grid, 1, [(a, b, complex(c)) for a, b, c in terms], n, windows,
         moments.log_table(prob.m1, kappa1, N1),
         moments.log_table(prob.m2, kappa2, N2i + prob.max_b))
-    out_rows = []
+    out = np.empty((N1 + 1, N2 + 1), dtype=complex)
     for t, level in enumerate(levels):
         # overflow confined to the inflated columns is not an error
-        out = level[: N2 + 1]
-        if not np.isfinite(out).all():
+        out[t] = level[: N2 + 1]
+        if not np.isfinite(out[t]).all():
             raise EvaluationError(
                 f"float coefficients overflow at t-level {t} (of {N1}) inside "
                 f"the requested window; use exact arithmetic or a smaller "
                 f"t-truncation")
-        out_rows.append(out.tolist())
-    return Series2(out_rows, kappa1, kappa2, exact)
+    return Series2(out, kappa1, kappa2, exact)
 
 
 @dataclass(frozen=True)
@@ -319,7 +321,7 @@ def _residual_float(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
 
     def sides(s: Series2, table):
         """``table`` applied to s and, with absolute coefficients, to |s|."""
-        grid = np.array(s.coeffs, dtype=complex)
+        grid = s.grid
         if table is None:
             f = grid[: J + 1, : I + 1]
             return f, _modulus(f)

@@ -5,17 +5,22 @@ operators of mpde: a Mellin transform of the single-factor kernel against
 ``moments.eval_at``, and an adaptive quadrature of the fractional integral
 against ``series.moment_antidiff``.  A per-cell power-series division in
 Python ``complex`` arithmetic is the reference for the float expansion of a
-``rational`` rhs.
+``rational`` rhs.  Two loop forms of shift-kernel functions are references
+for their faster forms: a per-cell ``Fraction`` normalization for
+``kernel.normalize``, and a term-by-term float recursion for the tail
+matrices of ``kernel.recurrence_float``.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy import integrate
 
 from mpde.errors import DomainError, EvaluationError
 from mpde.exact import as_fraction
+from mpde.kernel import Lanes
 from mpde.moments import log_gamma
 from mpde.series import Series1
 
@@ -129,3 +134,51 @@ def rational_rhs_float(payload: dict, n1: int, n2: int) -> list:
                     acc = acc - v * rows[j - a][i - b]
             rows[j][i] = acc / den[(0, 0)]
     return rows
+
+
+def normalize_fractions(rows, w1, w2, n_rows: int, n_cols: int) -> Lanes:
+    """``kernel.normalize`` one cell at a time on ``Fraction`` products."""
+    cells = []  # (j, i, re, im) of the nonzero cells, as Fractions
+    for j in range(n_rows + 1):
+        row = rows[j]
+        wj = w1[j]
+        for i in range(n_cols + 1):
+            c = row[i]
+            if c:
+                w = wj * w2[i]
+                cells.append((j, i, c.re * w, c.im * w))
+    is_complex = any(im for _, _, _, im in cells)
+    den = math.lcm(*(x.denominator for _, _, re, im in cells
+                     for x in ((re, im) if is_complex else (re,))))
+    re_rows = [[0] * (n_cols + 1) for _ in range(n_rows + 1)]
+    im_rows = [[0] * (n_cols + 1) for _ in range(n_rows + 1)] \
+        if is_complex else None
+    for j, i, re, im in cells:
+        re_rows[j][i] = re.numerator * (den // re.denominator)
+        if is_complex:
+            im_rows[j][i] = im.numerator * (den // im.denominator)
+    return Lanes(re_rows, im_rows, den)
+
+
+def recurrence_float_terms(base, q, terms, n: int, widths, logs1, logs2):
+    """Rows of ``kernel.recurrence_float`` with every term added on its own.
+
+    Cell (t, i) adds ``c * u[t-a][i+b] * m1(t-a)/m1(t) * m2(i+b)/m2(i)`` for
+    each term in list order, reads below index 0 being zero, and the moment
+    ratios come from ``math.exp`` of the log tables.
+    """
+    width = max(widths)
+    grid = np.zeros((len(widths), width + 1), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, w in enumerate(widths):
+            if t < n:
+                continue
+            row = grid[t, : w + 1]
+            row[:] = base[t - n, : w + 1] * (
+                q * math.exp(logs1[t - n] - logs1[t]))
+            for a, b, c in terms:
+                r1 = math.exp(logs1[t - a] - logs1[t])
+                for i in range(max(0, -b), w + 1):
+                    r2 = math.exp(logs2[i + b] - logs2[i])
+                    row[i] += c * grid[t - a, i + b] * r1 * r2
+    return [grid[t, : w + 1] for t, w in enumerate(widths)]

@@ -9,9 +9,10 @@ from oracles import mellin_check
 from mpde.errors import DomainError, EvaluationError
 from mpde.moments import (MOMENT_ONE, MomentFactor, MomentFunction, combine,
                           e_s_beta, e_s_beta_via_derivative, eval_at,
-                          eval_fraction, gamma_s, kernel_e, log_gamma,
-                          log_table, mittag_leffler, mittag_leffler_info,
-                          order, scaled_eval)
+                          eval_fraction, fraction_table, gamma_s, kernel_e,
+                          log_gamma, log_table, mittag_leffler,
+                          mittag_leffler_info, order, scaled_eval)
+from mpde.parsing import parse_moment
 
 
 def test_log_gamma_accuracy_against_libm():
@@ -214,4 +215,36 @@ def test_log_table_domain_error_matches_scaled_eval(offset, kappa):
             scaled_eval(m, Fraction(j, kappa))
     with pytest.raises(DomainError) as got:
         log_table(m, kappa, 5)
+    assert str(got.value) == str(want.value)
+
+
+FRACTION_TABLE_MOMENTS = {
+    **{name: parse_moment(name) for name in (
+        "Gamma(1)", "Gamma(1/2)", "Gamma(3/2)", "Gamma(2)",
+        "Gamma(1)*Gamma(1/2)/Gamma(2)", "Gamma(1/3)*Gamma(2)")},
+    "3/7*Gamma(1+u/2)/(2*Gamma(1/3+u))": MomentFunction((
+        MomentFactor(Fraction(3, 7), 1, 2, 1),
+        MomentFactor(2, Fraction(1, 3), 1, -1))),
+}
+
+
+@pytest.mark.parametrize("kappa", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(FRACTION_TABLE_MOMENTS))
+def test_fraction_table_matches_scaled_eval(name, kappa):
+    m = FRACTION_TABLE_MOMENTS[name]
+    want = [scaled_eval(m, Fraction(j, kappa)).rational for j in range(301)]
+    got = fraction_table(m, kappa, 300)
+    assert all(type(x) is Fraction for x in got)
+    assert got == want
+
+
+@pytest.mark.parametrize("offset,kappa", [(-2, 1), (0, 1), (1, -1)])
+def test_fraction_table_domain_error_matches_scaled_eval(offset, kappa):
+    m = combine(gamma_s(1), MomentFunction((MomentFactor(1, offset, 1, 1),)),
+                "product")
+    with pytest.raises(DomainError) as want:
+        for j in range(6):
+            scaled_eval(m, Fraction(j, kappa))
+    with pytest.raises(DomainError) as got:
+        fraction_table(m, kappa, 5)
     assert str(got.value) == str(want.value)

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 from mpde import problem as problem_mod
 from mpde.cli import main
-from mpde.errors import ParseError, PreconditionError
+from mpde.errors import EvaluationError, ParseError, PreconditionError
 from mpde.problem import (analyze_problem, expand_rhs, load_problem,
                           solve_problem, verify_problem)
 
@@ -190,6 +190,23 @@ def test_cli_float_overflow_exits_numeric(command, tmp_path):
     assert result.exit_code == 4, result.output
     assert "t-level 64" in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("operator,n1,n2,level", [
+    ("(1+dz^2)*dt - dz^4", 100, 5, None),
+    ("(2+dz)*dt - dz^3", 150, 3, 135)])
+def test_pseudo_float_overflow_in_inflated_columns(operator, n1, n2, level):
+    # the inverse-power tail reads columns that overflow binary64 before the
+    # requested window does; they may not make the window non-finite early
+    spec = json.loads((PROBLEMS / "heat.json").read_text())
+    spec.update(operator=operator, rhs_role="f", mode="pseudo",
+                arithmetic="float", truncation=[n1, n2])
+    pf = load_problem(json.dumps(spec))
+    if level is None:
+        assert verify_problem(pf)["passed"]
+    else:
+        with pytest.raises(EvaluationError, match=f"t-level {level} "):
+            verify_problem(pf)
 
 
 @pytest.mark.parametrize("command", ["solve", "verify"])

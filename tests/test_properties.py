@@ -2,7 +2,8 @@
 
 Operators are drawn with a constant top coefficient ``p_n`` at (n, 0),
 orders n <= 3 in t and <= 3 in z, Gaussian-rational coefficients, Gamma(1)
-or Gamma(1/2)/Gamma(3/2) moments, small grids, and both rhs roles.
+or Gamma(1/2)/Gamma(3/2) moments, small grids, and both rhs roles; for
+pseudo mode also with a top coefficient ``A_n(zeta)`` of degree 1 or 2.
 Rational right-hand sides are drawn with real or complex entries, a
 constant denominator term in {1, 2, 3, -1, 1/2, 3+i, 1-3i, -2i} and further
 denominator terms in t, in z and mixed.
@@ -23,10 +24,11 @@ from oracles import rational_rhs_float
 from mpde.charroots import CharPoly
 from mpde.errors import EvaluationError, WindowError
 from mpde.exact import RationalComplex
+from mpde.moments import eval_at
 from mpde.parsing import parse_moment
 from mpde.problem import expand_rhs
 from mpde.series import Series2
-from mpde.solver import CauchyProblem, formal_solve, residual
+from mpde.solver import CauchyProblem, _recursion_terms, formal_solve, residual
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                     database=None,
@@ -129,6 +131,82 @@ def test_float_matches_exact_or_raises(case):
         for i, c in enumerate(row):
             err = abs(c - complex(exact.coeffs[j][i]))
             assert err <= 1e-9 * float(bound[j][i][0])
+
+
+@st.composite
+def pseudo_cases(draw):
+    """Operators whose top coefficient ``A_n(zeta)`` has degree 1 or 2."""
+    n = draw(st.integers(1, 2))
+    deg = draw(st.integers(1, 2))
+    table = {(n, b): v for b in range(deg)
+             if (v := draw(gaussians))[0] or v[1]}
+    table[(n, deg)] = draw(nonzero_gaussians)
+    table.update(draw(st.dictionaries(
+        st.tuples(st.integers(0, n - 1), st.integers(0, 3)),
+        nonzero_gaussians, min_size=1, max_size=4)))
+    m1, m2 = draw(st.sampled_from(MOMENTS))
+    n1, n2 = draw(st.integers(0, 6)), draw(st.integers(0, 4))
+    max_b = max(b for _, b in table)
+    shape = (max(n1 - n, 0), n2 + n1 * max_b)
+    rhs = draw(st.dictionaries(
+        st.tuples(st.integers(0, shape[0]), st.integers(0, shape[1])),
+        nonzero_gaussians, max_size=6))
+    return Case(table, m1, m2, rhs, shape, (n1, n2), draw(st.booleans()))
+
+
+def pseudo_term_magnitude(prob) -> list:
+    """Each output cell's term magnitude in pseudo mode: the recursion of
+    ``_recursion_terms`` (after ``P0(dz) g = f`` for an f rhs) run on
+    moduli, every subtraction an addition, in normalized coordinates."""
+    n, (N1, N2), width = prob.operator.n, prob.out_shape, prob.inflated_n2
+    top = [RationalComplex.coerce(c) for c in prob.operator.p0()]
+    J, I = prob.rhs.valid
+    w1 = [eval_at(prob.m1, j) for j in range(N1 + 1)]
+    w2 = [eval_at(prob.m2, i) for i in range(I + len(top))]
+    G = [[abs(complex(c)) * w2[i] for i, c in enumerate(row[: I + 1])]
+         for row in prob.rhs.coeffs[: J + 1]]
+    if not prob.rhs_is_g:
+        deg, p = len(top) - 1, [abs(complex(c)) for c in top]
+        for row in G:
+            row[:] = [0.0] * deg + row
+            for i in range(I + 1):
+                row[i + deg] = (row[i + deg] + sum(p[b] * row[i + b]
+                                                   for b in range(deg))) / p[deg]
+    terms = [(a, b, abs(complex(c)))
+             for a, b, c in _recursion_terms(prob, top, width)]
+    M = []
+    for t in range(N1 + 1):
+        row = [0.0] * (width + 1)
+        if t >= n:
+            for i in range(width + 1):
+                row[i] = G[t - n][i] * w1[t - n] + sum(
+                    c * M[t - a][i + b] for a, b, c in terms
+                    if 0 <= i + b <= width)
+        M.append(row)
+    return [[M[t][i] / (w1[t] * w2[i]) for i in range(N2 + 1)]
+            for t in range(N1 + 1)]
+
+
+@SETTINGS
+@given(pseudo_cases())
+def test_pseudo_mode_float_matches_exact_or_raises(case):
+    """Pseudo mode with a polynomial top coefficient runs the inverse-power
+    tail as matrix products; the error is bounded as in
+    test_float_matches_exact_or_raises, by the term magnitude of each cell."""
+    prob = case.problem(mode="pseudo")
+    try:
+        exact = formal_solve(prob)
+    except WindowError:
+        assume(False)  # the inflated window is too narrow for this operator
+    try:
+        approx = formal_solve(case.problem(exact=False, mode="pseudo"))
+    except EvaluationError:
+        return
+    bound = pseudo_term_magnitude(prob)
+    for j, row in enumerate(approx.coeffs):
+        for i, c in enumerate(row):
+            err = abs(c - complex(exact.coeffs[j][i]))
+            assert err <= 1e-9 * bound[j][i]
 
 
 @SETTINGS

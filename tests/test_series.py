@@ -310,3 +310,75 @@ def test_series_coercion_keeps_the_coefficient_type():
     assert all(type(c) is RationalComplex for c in exact.coeffs[0])
     assert exact.coeffs[0] == (RationalComplex(Fraction(3, 2)),
                                RationalComplex(0, 1), RationalComplex(1, 2))
+
+
+def _bits(c: complex) -> tuple:
+    return (c.real.hex(), math.copysign(1.0, c.real),
+            c.imag.hex(), math.copysign(1.0, c.imag))
+
+
+def test_float_series_from_array_matches_one_from_rows():
+    rng = np.random.default_rng(54)
+    arr = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
+    arr[0, 0] = complex(-0.0, 0.0)
+    arr[1, 2] = complex(0.0, -0.0)
+    arr[2, 3] = complex(-0.0, -0.0)
+    arr[3, 4] = complex(math.inf, -math.inf)
+    arr[4, 5] = complex(-1e-320, 1e308)
+    from_array = Series2(arr, valid=(3, 4))
+    from_rows = Series2(arr.tolist(), valid=(3, 4))
+    assert all(type(c) is complex for row in from_array.coeffs for c in row)
+    assert [list(map(_bits, row)) for row in from_array.coeffs] == \
+        [list(map(_bits, row)) for row in from_rows.coeffs]
+    assert from_array == from_rows and hash(from_array) == hash(from_rows)
+    assert from_array.shape == from_rows.shape == (4, 5)
+    # the series holds its own read-only copy of the array
+    arr[1, 1] = 7.0
+    assert from_array.coeffs[1][1] != 7.0
+    with pytest.raises(ValueError):
+        from_array.grid[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        from_array.valid = (0, 0)
+    assert from_array.windowed() == from_rows.windowed()
+    assert np.array_equal(from_rows.grid, from_array.grid)
+    # a real array gives complex coefficients too
+    real = Series2(np.array([[1.0, -0.0], [2.5, 3.0]]))
+    assert real.coeffs == ((1 + 0j, -0.0 + 0j), (2.5 + 0j, 3 + 0j))
+    assert all(type(c) is complex for row in real.coeffs for c in row)
+
+
+@pytest.mark.parametrize("z", [0.0, 0.3, -0.7 + 0.2j, 1.5j])
+def test_row_values_match_a_per_row_horner_loop(z):
+    rng = random.Random(55)
+    u = random_series2(rng, 6, 9)
+    cells = [list(row) for row in u.coeffs]
+    cells[2][3] = complex(-0.0, 0.0)
+    cells[4] = [complex(-0.0, -0.0)] * 10
+    for s in (Series2(cells, valid=(5, 7)),
+              Series2(cells, valid=(5, 7), exact=True)):
+        J, I = s.valid
+        want = []
+        for row in s.coeffs[: J + 1]:
+            acc = 0j
+            for c in reversed(row[: I + 1]):
+                acc = acc * complex(z) + complex(c)
+            want.append(acc)
+        got = s.row_values(z)
+        assert list(map(_bits, got)) == list(map(_bits, want))
+        assert s.row_values(z, up_to=2) == got[:3]
+
+
+@pytest.mark.parametrize("axis", ["t", "z"])
+def test_gevrey_fit_float_matches_exact_of_the_same_values(axis):
+    # the float path (np.hypot, one fsum per row) against the exact path
+    # (abs() per cell) on cells with one zero part, whose modulus both take
+    # exactly
+    rows = [[RationalComplex(0, -math.factorial(j + i)) if (i + j) % 2
+             else RationalComplex(Fraction(math.factorial(j + 2 * i), 3 + i))
+             for i in range(12)] for j in range(30)]
+    rows[20][3] = RationalComplex(0)
+    rows[25][1] = RationalComplex(10 ** 307)
+    exact = Series2(rows, exact=True)
+    approx = Series2(np.array([[complex(c) for c in row] for row in rows]))
+    assert gevrey_fit(exact, axis=axis, min_points=4) == \
+        gevrey_fit(approx, axis=axis, min_points=4)
