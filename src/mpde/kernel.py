@@ -25,10 +25,10 @@ moment values enter as ratios ``m(x)/m(y) = exp(log m(x) - log m(y))``: one
 scalar per row offset and one vector per column offset.  The ratios use
 ``math.exp``, whose results numpy's vectorized ``exp`` does not always
 reproduce to the last bit.  The inverse-power tail of pseudo mode (terms
-that shift down in i) is folded, per row offset, into one lower-triangular
-matrix with the column ratios built in, so each level adds it as one matrix
-product; only the summation order of the tail differs from a term-by-term
-sum.
+that shift down in i) is folded, per row offset, into one band as wide as
+its largest shift, with the column ratios built in, so each level adds it
+as one product over the band; only the summation order of the tail differs
+from a term-by-term sum.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exact import RationalComplex
 
@@ -253,22 +254,39 @@ def shift_float(u, items, logs1, logs2, n_rows: int, n_cols: int):
     return out
 
 
-def _tail_product(T, offsets, src):
-    """``T @ src`` for a tail matrix whose row i reads ``src[i - r]``, r in
-    ``offsets``.
+def _tail_band(part, r2, width: int):
+    """The band of the tail terms ``part`` = [(b, c)], b < 0, of one row offset.
+
+    Column ``R - r`` of the ``(width + 1, R)`` band, R the largest offset
+    ``-b``, holds ``c * m2(i-r)/m2(i)`` summed over the terms with b = -r;
+    the sorted offsets r come with it.
+    """
+    R = max(-b for b, _ in part)
+    band = np.zeros((width + 1, R), dtype=complex)
+    for b, c in part:
+        band[:, R + b] += c * r2[b]
+    return band, np.array(sorted({-b for b, _ in part}))
+
+
+def _tail_product(band, offsets, src):
+    """``out[i] = sum_r band[i, R - r] * src[i - r]`` over the offsets r the
+    band holds, for i < len(src); reads below index 0 are zero.
 
     A non-finite ``src[k]`` is kept out of the product, where ``0 * inf``
     would spread NaN to every row, and is added to the rows ``k + r`` that
     read it, as a term-by-term sum would add it.
     """
-    finite = np.isfinite(src)
-    # einsum, not BLAS: OpenBLAS runs all but small products on threads,
-    # whose wake-up can cost milliseconds per level on a busy host
-    out = np.einsum("ij,j->i", T, np.where(finite, src, 0))
-    for k in np.flatnonzero(~finite):
-        rows = k + np.array(offsets)
-        rows = rows[rows < len(src)]
-        out[rows] += T[rows, k] * src[k]
+    n, R = len(src), band.shape[1]
+    r_max = min(R, n - 1)  # row i reads at most i columns back
+    padded = np.zeros(r_max + n - 1, dtype=complex)
+    padded[r_max:] = src[: n - 1]
+    bad = np.flatnonzero(~np.isfinite(padded))
+    padded[bad] = 0
+    out = np.einsum("ir,ir->i", band[:n, R - r_max:],
+                    sliding_window_view(padded, r_max))
+    for k in bad - r_max:
+        r = offsets[offsets < n - k]
+        out[k + r] += band[k + r, R - r] * src[k]
     return out
 
 
@@ -280,26 +298,22 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2):
     ratios ``m1(t-a)/m1(t)`` and ``m2(i+b)/m2(i)`` (``m1(t-n)/m1(t)`` for the
     base) from the log tables ``logs1``, ``logs2``.  Level t covers
     ``i <= widths[t]``; reads below index 0 are zero.  Terms with b >= 0 are
-    added one banded row update at a time, in list order.  Terms with b < 0
-    (the inverse-power tail of pseudo mode) are folded, per row offset a,
-    into one strictly lower-triangular matrix
-    ``T_a[i, i+b] = c * m2(i+b)/m2(i)`` and added after them as one matrix
-    product ``m1(t-a)/m1(t) * T_a @ u[t-a]`` per level.  Each level is
-    yielded as soon as it is complete, so a caller can stop at the first one
-    that overflows.
+    added one row update at a time, in list order.  Terms with b < 0 (the
+    inverse-power tail of pseudo mode) are folded, per row offset a, into
+    one band of width ``R_a = max(-b)`` with the column ratios built in,
+    ``T_a[i, R_a + b] = c * m2(i+b)/m2(i)``, and added after them as one
+    product ``m1(t-a)/m1(t) * sum_b T_a[i, R_a + b] * u[t-a][i+b]`` per
+    level.  Each level is yielded as soon as it is complete, so a caller can
+    stop at the first one that overflows.
     """
     width = max(widths)
-    bands = [(a, b, c) for a, b, c in terms if b >= 0]
-    r2 = _ratios(logs2, {b for _, b, _ in bands}, width)
-    tails = {}  # a -> (T_a, the offsets -b of its terms)
+    r2 = _ratios(logs2, {b for _, b, _ in terms}, width)
+    poly = [(a, b, c) for a, b, c in terms if b >= 0]
+    tails = {}  # a -> [(b, c)] of its tail terms
     for a, b, c in terms:
         if b < 0:
-            if a not in tails:
-                tails[a] = (np.zeros((width + 1, width + 1), dtype=complex), [])
-            T, offsets = tails[a]
-            i = np.arange(-b, width + 1)
-            T[i, i + b] += c * _ratios(logs2, (b,), width)[b][-b:]
-            offsets.append(-b)
+            tails.setdefault(a, []).append((b, c))
+    tails = {a: _tail_band(part, r2, width) for a, part in tails.items()}
     grid = np.zeros((len(widths), width + 1), dtype=complex)
     for t, w in enumerate(widths):
         row = grid[t, : w + 1]
@@ -307,12 +321,12 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2):
             with np.errstate(over="ignore", invalid="ignore"):
                 row[:] = base[t - n, : w + 1] * (
                     q * math.exp(logs1[t - n] - logs1[t]))
-                for a, b, c in bands:
+                for a, b, c in poly:
                     r1 = math.exp(logs1[t - a] - logs1[t])
                     row += (c * grid[t - a, b: w + 1 + b] * r1
                             * r2[b][: w + 1])
-                for a, (T, offsets) in tails.items():
+                for a, (band, offsets) in tails.items():
                     r1 = math.exp(logs1[t - a] - logs1[t])
-                    row += r1 * _tail_product(T[: w + 1, : w + 1], offsets,
+                    row += r1 * _tail_product(band, offsets,
                                               grid[t - a, : w + 1])
         yield row

@@ -134,7 +134,8 @@ class Series2:
 
     @property
     def grid(self) -> np.ndarray:
-        """The grid as a read-only 2-D complex numpy array."""
+        """The grid as a read-only 2-D complex numpy array (exact
+        coefficients rounded to ``complex``)."""
         if self._grid is None:
             grid = np.array(self._rows, dtype=complex)
             grid.flags.writeable = False
@@ -202,11 +203,7 @@ class Series2:
             J = min(J, up_to)
         zc = complex(z)
         zr, zi = zc.real, zc.imag
-        if self.exact:
-            cells = np.array([row[: I + 1] for row in self.coeffs[: J + 1]],
-                             dtype=complex)
-        else:
-            cells = self.grid[: J + 1, : I + 1]
+        cells = self.grid[: J + 1, : I + 1]
         re, im = np.zeros(J + 1), np.zeros(J + 1)
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(I, -1, -1):

@@ -25,7 +25,7 @@ Two modes:
   part plus an inverse-power tail.  Positive powers shift z-indices up,
   inverse powers shift down with zero padding.  Truncating the tail at the
   internal grid width is exact on the grid.  Float mode sums the tail as
-  one matrix product per level, so its last bit can differ from a
+  one banded product per level, so its last bit can differ from a
   term-by-term sum.
 
 The internal z-truncation is inflated to ``N2 + N1 * max_b`` so the whole

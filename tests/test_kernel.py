@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -80,6 +81,28 @@ def test_recurrence_float_tail_spreads_nonfinite_as_term_by_term_sum(bad):
     for g, w in zip(got, want):
         assert np.array_equal(np.isfinite(g), np.isfinite(w))
     assert any(np.isfinite(g).any() and not np.isfinite(g).all() for g in got)
+
+
+def test_recurrence_float_tail_memory_follows_its_band():
+    # a monomial top c*zeta^2 gives a tail of two terms: its band holds
+    # (width+1) x 2 cells, where a (width+1)^2 matrix would take 256 MB
+    width, levels = 4000, 4
+    rng = random.Random(54)
+    terms = [(1, 0, 1.5), (1, -1, -0.5), (1, -2, 0.25j)]
+    base = np.array([[complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                      for _ in range(width + 1)] for _ in range(levels)])
+    m = parse_moment("Gamma(1/2)")
+    args = (base, 0.5, terms, 1, [width] * levels, log_table(m, 1, levels),
+            log_table(m, 1, width + 2))
+    tracemalloc.start()
+    try:
+        got = [row.copy() for row in kernel.recurrence_float(*args)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    for g, w in zip(got, recurrence_float_terms(*args)):
+        assert np.max(np.abs(g - w)) <= 1e-13 * max(np.max(np.abs(w)), 1.0)
 
 
 def test_normalize_of_zero_grid_has_unit_denominator():

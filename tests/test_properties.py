@@ -191,7 +191,7 @@ def pseudo_term_magnitude(prob) -> list:
 @given(pseudo_cases())
 def test_pseudo_mode_float_matches_exact_or_raises(case):
     """Pseudo mode with a polynomial top coefficient runs the inverse-power
-    tail as matrix products; the error is bounded as in
+    tail as banded products; the error is bounded as in
     test_float_matches_exact_or_raises, by the term magnitude of each cell."""
     prob = case.problem(mode="pseudo")
     try:
