@@ -142,10 +142,6 @@ class RationalComplex:
     def __abs__(self):
         return math.hypot(float(self.re), float(self.im))
 
-    def abs1(self) -> Fraction:
-        """Exact L1 modulus |re| + |im| (zero iff the value is zero)."""
-        return abs(self.re) + abs(self.im)
-
     def __repr__(self):
         return f"RationalComplex({self.re!r}, {self.im!r})"
 
@@ -158,5 +154,4 @@ class RationalComplex:
         return f"{fmt_fraction(self.re)}{sign}{fmt_fraction(abs(self.im))}i"
 
 
-QC_ZERO = RationalComplex(0)
 QC_ONE = RationalComplex(1)

@@ -9,15 +9,20 @@ arithmetic: :func:`shift` and :func:`recurrence` for exact mode,
 
 Exact mode runs on Python integers:
 
-* a grid of Gaussian rationals is held as :class:`Lanes`, integer numerators
-  over one common denominator, with real and imaginary parts in separate
-  lanes; the imaginary lane is ``None`` when every imaginary part is zero;
+* an exact grid of raw coefficients is held as :class:`RawLanes`, integer
+  numerator rows with one divisor per row and one per column; real and
+  imaginary parts sit in separate lanes, and the imaginary lane is ``None``
+  when every imaginary part is zero;
+* a normalized grid is held as :class:`Lanes`, integer numerators over one
+  common denominator; :func:`rescale` turns raw lanes into normalized ones
+  with O(rows + columns) Fractions and one gcd;
 * a recursion with rational coefficients stays integral by scaling level t
   by ``d**(t+1)``, where d is the common denominator of its coefficients,
   in the fraction-free spirit of Bareiss (Math. Comp. 1968).
 
-Moment values enter twice: once when a grid is normalized and once as a
-single division per output cell when it is converted back.
+Moment values enter as divisors: an output grid keeps its level divisors
+times the moment values as row and column divisors, and they are divided
+out cell by cell only when :func:`denormalize` builds Gaussian rationals.
 
 Float mode runs on numpy complex arrays of raw coefficients, so that grids
 whose normalized coefficients would overflow binary64 stay finite.  The
@@ -43,6 +48,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .exact import RationalComplex
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @dataclass
@@ -55,6 +61,19 @@ class Lanes:
     re: list
     im: list | None
     den: int
+
+
+@dataclass
+class RawLanes:
+    """Grid ``(re + i*im)[j][i] / (row_div[j] * col_div[i])`` of raw
+    coefficients: integer numerator rows, ``im`` None for real data, and
+    nonzero rational divisors, one per row and one per column.
+    """
+
+    re: list
+    im: list | None
+    row_div: list
+    col_div: list
 
 
 def common_denominator(values) -> int:
@@ -94,7 +113,53 @@ def normalize(rows, w1, w2, n_rows: int, n_cols: int) -> Lanes:
     return Lanes(lanes[0], lanes[1] if is_complex else None, den)
 
 
-def _axpy(acc_re, acc_im, k, src_re, src_im, b: int) -> None:
+def _quotients(weights, divisors, n: int) -> list:
+    """``weights[k] / divisors[k]`` as Fractions for k <= n; a weight equal
+    to its divisor (the lanes divide by that same table) gives 1."""
+    return [_ONE if w == d else Fraction(w) if d == 1 else Fraction(w) / d
+            for w, d in ((weights[k], divisors[k]) for k in range(n + 1))]
+
+
+def rescale(grid: RawLanes, w1, w2, n_rows: int, n_cols: int) -> Lanes:
+    """:func:`normalize` of the raw lanes ``grid``, field for field.
+
+    Row j is multiplied by ``w1[j] / row_div[j]`` and column i by
+    ``w2[i] / col_div[i]``, O(rows + columns) Fractions brought to the
+    product L of their two common denominators; one gcd of L and all the
+    numerators then leaves the least common denominator of the cells.
+    """
+    rows = _quotients(w1, grid.row_div, n_rows)
+    cols = _quotients(w2, grid.col_div, n_cols)
+    lr = math.lcm(*(f.denominator for f in rows))
+    lc = math.lcm(*(f.denominator for f in cols))
+    rk = [f.numerator * (lr // f.denominator) for f in rows]
+    ck = [f.numerator * (lc // f.denominator) for f in cols]
+    unit_cols = all(k == 1 for k in ck)
+    den = g = lr * lc
+    lanes = []
+    for lane in (grid.re, grid.im):
+        if lane is None:
+            continue
+        out = []
+        for r, row in zip(rk, lane):
+            row = row[: n_cols + 1]
+            if any(row):
+                if not unit_cols:
+                    row = [x * k for x, k in zip(row, ck)]
+                if r != 1:
+                    row = [x * r for x in row]
+                if g > 1:
+                    g = math.gcd(g, *row)
+            out.append(row)
+        lanes.append(out)
+    if g > 1:
+        lanes = [[[x // g for x in row] for row in lane] for lane in lanes]
+        den //= g
+    im = lanes[1] if len(lanes) == 2 and any(map(any, lanes[1])) else None
+    return Lanes(lanes[0], im, den)
+
+
+def axpy(acc_re, acc_im, k, src_re, src_im, b: int) -> None:
     """``acc[i] += k * src[i + b]`` in place; reads below index 0 are zero.
 
     The source must reach index ``len(acc) - 1 + b``.
@@ -137,8 +202,8 @@ def shift(grid: Lanes, table, n_rows: int, n_cols: int) -> Lanes:
         acc_re = [0] * (n_cols + 1)
         acc_im = [0] * (n_cols + 1) if is_complex else None
         for a, b, k in ks:
-            _axpy(acc_re, acc_im, k, grid.re[j + a],
-                  src_im[j + a] if is_complex else None, b)
+            axpy(acc_re, acc_im, k, grid.re[j + a],
+                 src_im[j + a] if is_complex else None, b)
         out_re.append(acc_re)
         if is_complex:
             out_im.append(acc_im)
@@ -182,8 +247,8 @@ def recurrence(base: Lanes, q: RationalComplex, terms, n: int, widths):
                 acc_re = [sr * x - si * y for x, y in zip(br, bi)]
                 acc_im = [sr * y + si * x for x, y in zip(br, bi)]
             for a, b, k in ks:
-                _axpy(acc_re, acc_im, k, v_re[t - a],
-                      v_im[t - a] if is_complex else None, b)
+                axpy(acc_re, acc_im, k, v_re[t - a],
+                     v_im[t - a] if is_complex else None, b)
         v_re.append(acc_re)
         if is_complex:
             v_im.append(acc_im)
@@ -191,31 +256,28 @@ def recurrence(base: Lanes, q: RationalComplex, terms, n: int, widths):
     return v_re, v_im, row_div
 
 
-def denormalize(re, im, row_div, w1, w2, n_rows: int, n_cols: int):
-    """Rows of ``(re + i*im)[j][i] / (row_div[j] * w1[j] * w2[i])``.
-
-    Entries are RationalComplex; ``im`` may be None for real data.
-    """
-    w2n = [w.numerator for w in w2[: n_cols + 1]]
-    w2d = [w.denominator for w in w2[: n_cols + 1]]
+def denormalize(grid: RawLanes) -> tuple:
+    """Tuple rows of the raw coefficients of ``grid`` as RationalComplex."""
+    cols = [Fraction(c) for c in grid.col_div]
+    col_nums = [c.numerator for c in cols]
+    col_dens = [c.denominator for c in cols]
+    im = grid.im if grid.im is not None else [None] * len(grid.re)
     out = []
-    for j in range(n_rows + 1):
-        wj = row_div[j] * Fraction(w1[j])
-        jn, jd = wj.numerator, wj.denominator
-        nums = [jd * y for y in w2d]
-        dens = [jn * y for y in w2n]
-        rr = re[j]
-        if im is None:
-            out.append([RationalComplex(Fraction(rr[i] * nums[i], dens[i])
-                                        if rr[i] else _ZERO, _ZERO)
-                        for i in range(n_cols + 1)])
+    for rr, ri, r in zip(grid.re, im, grid.row_div):
+        r = Fraction(r)
+        # cell i is x * nums[i] / dens[i]; Fraction reduces it
+        nums = [r.denominator * c for c in col_dens]
+        dens = [r.numerator * c for c in col_nums]
+        if ri is None:
+            out.append(tuple(
+                RationalComplex(Fraction(x * n, d) if x else _ZERO, _ZERO)
+                for x, n, d in zip(rr, nums, dens)))
         else:
-            ri = im[j]
-            out.append([RationalComplex(
-                Fraction(rr[i] * nums[i], dens[i]) if rr[i] else _ZERO,
-                Fraction(ri[i] * nums[i], dens[i]) if ri[i] else _ZERO)
-                for i in range(n_cols + 1)])
-    return out
+            out.append(tuple(RationalComplex(
+                Fraction(x * n, d) if x else _ZERO,
+                Fraction(y * n, d) if y else _ZERO)
+                for x, y, n, d in zip(rr, ri, nums, dens)))
+    return tuple(out)
 
 
 # -- float arithmetic -------------------------------------------------------

@@ -256,27 +256,32 @@ def _gamma_arguments(m: MomentFunction, kappa: int, n: int):
 def fraction_table(m: MomentFunction, kappa: int, n: int) -> list:
     """Exact values ``m(j/kappa)`` for j = 0..n (see :func:`eval_fraction`).
 
-    The same Fractions as ``scaled_eval(m, j/kappa).rational``, built factor
-    by factor in the same order, with the same DomainErrors, but outside its
-    cache.  An integer Gamma argument k contributes ``scale * (k-1)!`` from
-    a running product (arguments grow with j), any other argument ``x / D``
-    the dyadic rational of ``log(scale) + log_gamma(x / D)``.
+    The same Fractions as ``scaled_eval(m, j/kappa).rational``, with the
+    same DomainErrors, but outside its cache: numerator and denominator are
+    multiplied factor by factor on integers and reduced once.  An integer
+    Gamma argument k contributes ``scale * (k-1)!`` from a running product
+    (arguments grow with j), any other argument ``x / D`` the dyadic
+    rational of ``log(scale) + log_gamma(x / D)``.
     """
     running = [[1, 1] for _ in m.factors]  # per factor: [k, (k-1)!]
     values = []
     for args in _gamma_arguments(m, kappa, n):
-        value = Fraction(1)
+        num = den = 1  # the value's numerator and denominator, unreduced
         for fact, (sign, scale, x, D) in zip(running, args):
             if x % D == 0:
                 while fact[0] < x // D:
                     fact[1] *= fact[0]
                     fact[0] += 1
-                base_val = scale * fact[1]
+                bn, bd = scale.numerator * fact[1], scale.denominator
             else:
                 base_val = _dyadic_from_log(math.log(scale)
                                             + log_gamma(x / D))
-            value = value * base_val if sign == 1 else value / base_val
-        values.append(value)
+                bn, bd = base_val.numerator, base_val.denominator
+            if sign == 1:
+                num, den = num * bn, den * bd
+            else:
+                num, den = num * bd, den * bn
+        values.append(Fraction(num, den))
     return values
 
 

@@ -40,10 +40,6 @@ class _Scanner:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
     def take(self, literal: str) -> bool:
         self.skip_ws()
         if self.text.startswith(literal, self.pos):

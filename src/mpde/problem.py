@@ -18,10 +18,11 @@ direction is expected.  Coefficient payloads are lists of
 strings such as ``"1/2"``.
 
 A ``rational`` rhs is expanded on the solver grid by power-series division:
-fraction-free on Gaussian integers in exact mode, and in float mode one
-anti-diagonal at a time on numpy planes, rounding as Python ``complex``
-arithmetic does.  Grids above ``MAX_GRID_CELLS`` are rejected before they
-are allocated.
+fraction-free on Gaussian integers in exact mode, row by row into the
+integer lanes of an exact ``Series2``, and in float mode one anti-diagonal
+at a time on numpy planes, rounding as Python ``complex`` arithmetic does.
+An exact ``coeffs`` rhs becomes lanes over one common denominator.  Grids
+above ``MAX_GRID_CELLS`` are rejected before they are allocated.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from . import kernel, newton
 from .charroots import CharPoly, branches_at_infinity
 from .errors import ParseError, PreconditionError
-from .exact import QC_ZERO, RationalComplex, as_fraction, fmt_fraction
+from .exact import RationalComplex, as_fraction, fmt_fraction
 from .moments import MomentFunction
 from .parsing import parse_moment, parse_operator
 from .series import Series2, gevrey_fit
@@ -155,6 +156,8 @@ def expand_rhs(rhs_spec: dict, n1: int, n2: int, exact: bool) -> Series2:
     payload = rhs_spec["payload"]
     if kind == "coeffs":
         table = _quads_to_table(payload, exact)
+        if exact:
+            return Series2(_lanes_of_table(table, n1, n2), exact=True)
         return Series2.from_entries(((j, i, v) for (j, i), v in table.items()),
                                     n1, n2, exact=exact)
     num = _quads_to_table(payload.get("num", []), exact)
@@ -167,13 +170,31 @@ def expand_rhs(rhs_spec: dict, n1: int, n2: int, exact: bool) -> Series2:
     return Series2(quotient(num, den, n1, n2), exact=exact)
 
 
-def _quotient_exact(num: dict, den: dict, n1: int, n2: int) -> list:
-    """Rows of the power series num/den, fraction-free.
+def _lanes_of_table(table: dict, n1: int, n2: int) -> kernel.RawLanes:
+    """The (n1, n2) grid of the entries ``table`` {(j, i): value}, over their
+    common denominator; entries outside the grid are dropped."""
+    table = {k: v for k, v in table.items() if k[0] <= n1 and k[1] <= n2}
+    d = kernel.common_denominator(table.values())
+    re = [[0] * (n2 + 1) for _ in range(n1 + 1)]
+    im = [[0] * (n2 + 1) for _ in range(n1 + 1)]
+    for (j, i), v in table.items():
+        re[j][i], im[j][i] = kernel.gaussian_int(v, d)
+    return kernel.RawLanes(re, im if any(map(any, im)) else None,
+                           [d] * (n1 + 1), [1] * (n2 + 1))
+
+
+def _quotient_exact(num: dict, den: dict, n1: int, n2: int) -> kernel.RawLanes:
+    """Lanes of the power series num/den, fraction-free, row by row.
 
     Both tables are scaled to Gaussian integers N and Q.  With q = Q_00 the
     cells ``R_{j,i} = q**(j+i+1) * (num/den)_{j,i}`` obey the integer
     recursion ``R_{j,i} = q**(j+i) N_{j,i} - sum Q_ab q**(a+b-1) R_{j-a,i-b}``
-    over (a, b) != (0, 0); each cell is divided by its power of q once.
+    over (a, b) != (0, 0).  Row j starts from its N terms; each term with
+    a >= 1 subtracts a shifted earlier row (:func:`kernel.axpy`), and the
+    terms with a = 0 then run along the row.  A row whose start is zero
+    stays zero.  The lanes divide row j by ``q**(j+1)`` and column i by
+    ``q**i``; for complex q by ``|q|**(2j+2)`` and ``|q|**(2i)``, with the
+    numerators multiplied by ``conj(q)**(j+i+1)``.
     """
     d = kernel.common_denominator(list(num.values()) + list(den.values()))
     N = {k: kernel.gaussian_int(v, d) for k, v in num.items()}
@@ -187,32 +208,66 @@ def _quotient_exact(num: dict, den: dict, n1: int, n2: int) -> list:
     def mul(x, y):
         return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
-    # a term beyond the grid reaches no cell (and no power of q)
-    terms = [(a, b, mul(v, powers[a + b - 1]))
+    is_complex = any(v[1] for v in (*N.values(), *Q.values()))
+    # a term beyond the grid reaches no cell (and no power of q); each is
+    # kept negated, as -Q_ab q**(a+b-1)
+    terms = [(a, b, tuple(-x for x in mul(v, powers[a + b - 1])))
              for (a, b), v in sorted(Q.items())
              if (a, b) != (0, 0) and a <= n1 and b <= n2]
-    R = [[(0, 0)] * (n2 + 1) for _ in range(n1 + 1)]
-    rows = []
+    down = [(a, b, k) for a, b, k in terms if a]
+    along = [(b, k) for a, b, k in terms if not a]
+    starts = {}
+    for (j, i), v in N.items():
+        if j <= n1 and i <= n2:
+            starts.setdefault(j, []).append((i, mul(v, powers[j + i])))
+    R_re, R_im = [], [] if is_complex else None
     for j in range(n1 + 1):
-        row = []
-        for i in range(n2 + 1):
-            acc = mul(N[(j, i)], powers[j + i]) if (j, i) in N else (0, 0)
-            for a, b, k in terms:
-                if a <= j and b <= i:
-                    x = mul(k, R[j - a][i - b])
-                    acc = (acc[0] - x[0], acc[1] - x[1])
-            R[j][i] = acc
-            if acc == (0, 0):
-                row.append(QC_ZERO)
-                continue
-            pr, pi = powers[j + i + 1]
-            if pi:  # R / p = R * conj(p) / |p|**2
-                (re, im), div = mul(acc, (pr, -pi)), pr * pr + pi * pi
-            else:
-                (re, im), div = acc, pr
-            row.append(RationalComplex(Fraction(re, div), Fraction(im, div)))
-        rows.append(row)
-    return rows
+        acc_re = [0] * (n2 + 1)
+        acc_im = [0] * (n2 + 1) if is_complex else None
+        for i, (x, y) in starts.get(j, ()):
+            acc_re[i] = x
+            if is_complex:
+                acc_im[i] = y
+        for a, b, k in down:
+            if a <= j:
+                kernel.axpy(acc_re, acc_im, k, R_re[j - a],
+                            R_im[j - a] if is_complex else None, -b)
+        if any(acc_re) or (is_complex and any(acc_im)):
+            _run_along(acc_re, acc_im, along)
+        R_re.append(acc_re)
+        if is_complex:
+            R_im.append(acc_im)
+    if not qi:
+        return kernel.RawLanes(R_re, R_im,
+                               [powers[j + 1][0] for j in range(n1 + 1)],
+                               [powers[i][0] for i in range(n2 + 1)])
+    # R / q**k = R * conj(q)**k / |q|**(2k)
+    norm = qr * qr + qi * qi
+    out_re, out_im = [], []
+    for j in range(n1 + 1):
+        row = [mul((x, y), (pr, -pi)) if x or y else (0, 0)
+               for x, y, (pr, pi) in zip(R_re[j], R_im[j], powers[j + 1:])]
+        out_re.append([x for x, _ in row])
+        out_im.append([y for _, y in row])
+    return kernel.RawLanes(out_re, out_im,
+                           [norm ** (j + 1) for j in range(n1 + 1)],
+                           [norm ** i for i in range(n2 + 1)])
+
+
+def _run_along(acc_re, acc_im, along) -> None:
+    """``acc[i] += sum k * acc[i - b]`` in place over ``along`` = [(b, k)],
+    b >= 1, for i ascending, so each read is of a finished cell."""
+    if not along:
+        return
+    for i in range(min(b for b, _ in along), len(acc_re)):
+        for b, (kr, ki) in along:
+            if b <= i:
+                if acc_im is None:
+                    acc_re[i] += kr * acc_re[i - b]
+                else:
+                    x, y = acc_re[i - b], acc_im[i - b]
+                    acc_re[i] += kr * x - ki * y
+                    acc_im[i] += kr * y + ki * x
 
 
 def _quotient_float(num: dict, den: dict, n1: int, n2: int) -> np.ndarray:

@@ -7,8 +7,10 @@ Two coefficient fields are supported: Python ``complex`` (float mode) and
 :class:`~mpde.exact.RationalComplex` (exact mode).  Float mode works on raw
 coefficients through ratios of moment values taken from their logarithms,
 so that grids far beyond the double overflow threshold stay finite.  Exact
-mode multiplies by the moment values once on input, shifts and divides once
-per output coefficient.  :func:`apply_operator` runs both modes on the shift
+mode keeps a grid as integer lanes with row and column divisors, multiplies
+by the moment values once on input and shifts on integers; the moment
+values stay in the output's divisors, and are divided out only when
+``coeffs`` is read.  :func:`apply_operator` runs both modes on the shift
 kernel of :mod:`mpde.kernel`.  Exact moment values are exact rationals (true
 factorials where available, dyadic rationals of the scaled double evaluation
 otherwise), so algebraic identities such as Borel round trips and solver
@@ -27,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernel, moments
-from .errors import DomainError, EstimationError, WindowError
+from .errors import DomainError, EstimationError, EvaluationError, WindowError
 from .exact import RationalComplex
 from .moments import MomentFunction
 
@@ -81,12 +83,16 @@ class Series2:
     """Truncated series ``sum c_{j,i} t**(j/kappa1) z**(i/kappa2)``.
 
     The grid is given as a sequence of rows, coerced cell by cell to the
-    coefficient type, or in float mode as a 2-D numpy array, which is copied
-    once and kept as :attr:`grid`.  ``coeffs`` is the grid as tuple rows of
-    the coefficient type (Python ``complex`` in float mode, signs of zero
-    kept); for an array it is built on first use.  ``valid`` marks the
-    rectangle of trustworthy indices (J, I); it can be smaller than the grid
-    for user-supplied data and is shrunk by operators.  Series are immutable
+    coefficient type; in float mode also as a 2-D numpy array, which is
+    copied once and kept as :attr:`grid`; in exact mode also as
+    :class:`~mpde.kernel.RawLanes`, integer numerator rows with row and
+    column divisors, which are kept as :attr:`lanes`.  ``coeffs`` is the
+    grid as tuple rows of the coefficient type (Python ``complex`` in float
+    mode, signs of zero kept; ``RationalComplex`` in exact mode); for an
+    array or lanes it is built on first use, and the lanes of exact rows
+    are built on first use too.  ``valid`` marks the rectangle of
+    trustworthy indices (J, I); it can be smaller than the grid for
+    user-supplied data and is shrunk by operators.  Series are immutable
     and compare equal when their ``coeffs``, ramifications, arithmetic and
     windows are equal.
     """
@@ -95,13 +101,21 @@ class Series2:
                  exact: bool = False, valid: tuple | None = None):
         if kappa1 < 1 or kappa2 < 1:
             raise DomainError("kappa1, kappa2 must be positive integers")
-        rows = grid = None
+        rows = grid = lanes = None
         if isinstance(coeffs, np.ndarray) and not exact:
             grid = np.array(coeffs, dtype=complex)
             if grid.ndim != 2:
                 raise DomainError("a coefficient array must be 2-D")
             grid.flags.writeable = False
             n_rows, width = grid.shape
+        elif isinstance(coeffs, kernel.RawLanes) and exact:
+            lanes = coeffs
+            n_rows, width = len(lanes.re), len(lanes.col_div)
+            shape = [len(r) for r in lanes.re]
+            if lanes.im is not None:
+                shape += [len(r) for r in lanes.im]
+            if len(lanes.row_div) != n_rows or any(k != width for k in shape):
+                raise DomainError("ragged coefficient lanes")
         else:
             coerce = _coercer(exact)
             rows = tuple(tuple(map(coerce, row)) for row in coeffs)
@@ -115,6 +129,7 @@ class Series2:
         if valid[0] < 0 or valid[1] < 0:
             raise WindowError("valid window is empty")
         for name, value in (("_rows", rows), ("_grid", grid),
+                            ("_lanes", lanes),
                             ("shape", (n_rows - 1, width - 1)),
                             ("kappa1", kappa1), ("kappa2", kappa2),
                             ("exact", exact), ("valid", valid)):
@@ -127,9 +142,12 @@ class Series2:
     def coeffs(self) -> tuple:
         """Rows of the grid as tuples of the coefficient type."""
         if self._rows is None:
-            # the rows of a complex array's tolist() are Python complex
-            object.__setattr__(self, "_rows",
-                               tuple(map(tuple, self._grid.tolist())))
+            if self._lanes is not None:
+                rows = kernel.denormalize(self._lanes)
+            else:
+                # the rows of a complex array's tolist() are Python complex
+                rows = tuple(map(tuple, self._grid.tolist()))
+            object.__setattr__(self, "_rows", rows)
         return self._rows
 
     @property
@@ -137,10 +155,24 @@ class Series2:
         """The grid as a read-only 2-D complex numpy array (exact
         coefficients rounded to ``complex``)."""
         if self._grid is None:
-            grid = np.array(self._rows, dtype=complex)
+            grid = np.array(self.coeffs, dtype=complex)
             grid.flags.writeable = False
             object.__setattr__(self, "_grid", grid)
         return self._grid
+
+    @property
+    def lanes(self) -> kernel.RawLanes:
+        """The exact grid as integer lanes with row and column divisors
+        (exact series only; do not modify)."""
+        if not self.exact:
+            raise DomainError("only exact series have integer lanes")
+        if self._lanes is None:
+            n_rows, n_cols = self.shape
+            ones = [1] * (max(n_rows, n_cols) + 1)
+            U = kernel.normalize(self._rows, ones, ones, n_rows, n_cols)
+            object.__setattr__(self, "_lanes", kernel.RawLanes(
+                U.re, U.im, [U.den] * (n_rows + 1), [1] * (n_cols + 1)))
+        return self._lanes
 
     def _key(self) -> tuple:
         return (self.coeffs, self.kappa1, self.kappa2, self.exact, self.valid)
@@ -186,7 +218,12 @@ class Series2:
         if (J, I) == self.shape:
             return self
         if self.exact:
-            rows = [row[: I + 1] for row in self.coeffs[: J + 1]]
+            lanes = self.lanes
+            rows = kernel.RawLanes(
+                [row[: I + 1] for row in lanes.re[: J + 1]],
+                None if lanes.im is None
+                else [row[: I + 1] for row in lanes.im[: J + 1]],
+                lanes.row_div[: J + 1], lanes.col_div[: I + 1])
         else:
             rows = self.grid[: J + 1, : I + 1]
         return Series2(rows, self.kappa1, self.kappa2, self.exact)
@@ -214,14 +251,63 @@ class Series2:
         return out.tolist()
 
     def to_csv(self) -> str:
-        """Coefficient dump: header ``j,i,re,im``, row-major, 17 sig digits."""
+        """Coefficient dump: header ``j,i,re,im``, row-major, 17 sig digits.
+
+        Exact cells are rounded to binary64 from the integer lanes as
+        ``n / d`` on Python ints, which rounds correctly, as
+        ``float(Fraction)`` does; a cell beyond the binary64 range raises
+        EvaluationError.
+        """
         J, I = self.valid
         lines = ["j,i,re,im"]
-        for j, row in enumerate(self.coeffs[: J + 1]):
-            for i in range(I + 1):
-                c = complex(row[i])
-                lines.append(f"{j},{i},{c.real:.17g},{c.imag:.17g}")
+        if self.exact:
+            for j, parts in enumerate(_float_rows(self.lanes, J, I)):
+                if len(parts) == 1:  # real lanes: every imaginary part is 0
+                    lines += [f"{j},{i},{x:.17g},0"
+                              for i, x in enumerate(parts[0])]
+                else:
+                    lines += [f"{j},{i},{x:.17g},{y:.17g}"
+                              for i, (x, y) in enumerate(zip(*parts))]
+        else:
+            for j, row in enumerate(self.coeffs[: J + 1]):
+                for i in range(I + 1):
+                    c = complex(row[i])
+                    lines.append(f"{j},{i},{c.real:.17g},{c.imag:.17g}")
         return "\n".join(lines) + "\n"
+
+
+def _float_rows(lanes: kernel.RawLanes, J: int, I: int):
+    """Yield, for the rows j <= J of exact lanes, the float lists ``[re]``
+    (real lanes) or ``[re, im]`` of the cells i <= I, each part rounded
+    once from its integer quotient."""
+    cols = [Fraction(c) for c in lanes.col_div[: I + 1]]
+    col_nums = [c.numerator for c in cols]
+    col_dens = [c.denominator for c in cols]
+    for j in range(J + 1):
+        r = Fraction(lanes.row_div[j])
+        # cell i is x * nums[i] / dens[i]
+        nums = [r.denominator * c for c in col_dens]
+        dens = [r.numerator * c for c in col_nums]
+        parts = [lane[j] for lane in (lanes.re, lanes.im) if lane is not None]
+        try:
+            yield [[x * n / d if x else 0.0
+                    for x, n, d in zip(part, nums, dens)] for part in parts]
+        except OverflowError:
+            raise _out_of_range(j, parts, nums, dens) from None
+
+
+def _out_of_range(j, parts, nums, dens) -> EvaluationError:
+    """The error for the first cell of row j whose quotient overflows."""
+    for i, (n, d) in enumerate(zip(nums, dens)):
+        for x in (part[i] for part in parts):
+            try:
+                x * n / d
+            except OverflowError:
+                log2 = math.log2(abs(x) * n) - math.log2(abs(d))
+                return EvaluationError(
+                    f"exact coefficient ({j}, {i}) is about 2^{log2:.1f}, "
+                    f"outside the binary64 range of the CSV; lower --n1 "
+                    f"(verify checks the exact solution without writing it)")
 
 
 @dataclass(frozen=True)
@@ -387,21 +473,22 @@ def apply_operator(table, m1: MomentFunction, m2: MomentFunction,
 
     On normalized coefficients this is the shift
     ``V_{j,i} = sum p_ab U_{j+a,i+b}``, run on :mod:`mpde.kernel`.  Exact
-    mode normalizes u once, runs the shift on integers and divides by the
-    moment values once per output cell; float mode works on raw coefficients
-    through ratios of moment values taken from their logarithms.  The
-    output window shrinks by the maximal orders in the support.
+    mode rescales the lanes of u once, runs the shift on integers and keeps
+    the moment values as the row and column divisors of its output lanes;
+    float mode works on raw coefficients through ratios of moment values
+    taken from their logarithms.  The output window shrinks by the maximal
+    orders in the support.
     """
     J_out, I_out = operator_window(table, u.valid)
     J, I = u.valid
     if u.exact:
         w1 = moments.fraction_table(m1, u.kappa1, J)
         w2 = moments.fraction_table(m2, u.kappa2, I)
-        U = kernel.normalize(u.coeffs, w1, w2, J, I)
-        V = kernel.shift(U, table, J_out, I_out)
-        rows = kernel.denormalize(V.re, V.im, [V.den] * (J_out + 1), w1, w2,
-                                  J_out, I_out)
-        return Series2(rows, u.kappa1, u.kappa2, True)
+        V = kernel.shift(kernel.rescale(u.lanes, w1, w2, J, I), table,
+                         J_out, I_out)
+        out = kernel.RawLanes(V.re, V.im, [V.den * w for w in w1[: J_out + 1]],
+                              w2[: I_out + 1])
+        return Series2(out, u.kappa1, u.kappa2, True)
     items = [(k, complex(p)) for k, p in normalize_table(table)]
     out = kernel.shift_float(u.grid, items,
                              moments.log_table(m1, u.kappa1, J),

@@ -7,12 +7,16 @@ constant-coefficient shift, and the recursion runs level by level in the
 t-order as ``U[j+n][i] = G[j][i] + sum c_ab U[j+n-a][i+b]``.
 
 Both arithmetics run this recursion, ``g_from_f`` and the residual on the
-shift kernel of :mod:`mpde.kernel`.  Exact mode normalizes g once, recurses
-on Python integers over one common denominator and divides the moment values
-out once per output cell.  Float mode recurses on raw coefficients with
-moment ratios taken from their logarithms, so that grids whose normalized
-coefficients would overflow stay finite; an output row that overflows anyway
-raises EvaluationError.  Float grids stay numpy arrays from the rhs to the
+shift kernel of :mod:`mpde.kernel`, with the moment tables that each
+:class:`CauchyProblem` builds once.  Exact mode rescales the integer lanes
+of g once, recurses on Python integers over one common denominator and
+returns the output window as lanes whose row divisors are the level
+divisors times ``m1`` and whose column divisors are the values of ``m2``;
+the residual rescales those lanes and shifts them on integers, with no
+Gaussian rational built in between.  Float mode recurses on raw
+coefficients with moment ratios taken from their logarithms, so that grids
+whose normalized coefficients would overflow stay finite; an output row
+that overflows anyway raises EvaluationError.  Float grids stay numpy arrays from the rhs to the
 output (``Series2.grid``): each finite-checked level is written into one
 preallocated output array.
 
@@ -37,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -85,6 +90,32 @@ class CauchyProblem:
     def inflated_n2(self) -> int:
         return inflated_window(self.operator, self.out_shape)
 
+    @property
+    def _table_sizes(self) -> tuple:
+        """Largest row and column index any stage reads a moment value at:
+        the rhs or output window plus the t-order of the operator (rows)
+        and plus the larger of ``max_b`` and ``deg P0`` (columns)."""
+        n1, _ = self.out_shape
+        J, I = self.rhs.valid
+        return (max(n1, J) + self.operator.n,
+                max(self.inflated_n2, I)
+                + max(self.max_b, len(self.operator.p0()) - 1))
+
+    @cached_property
+    def fraction_tables(self) -> tuple:
+        """Exact moment values ``(m1(j/kappa1), m2(i/kappa2))`` over
+        :attr:`_table_sizes`, shared by every exact stage of a solve."""
+        n_rows, n_cols = self._table_sizes
+        return (moments.fraction_table(self.m1, self.rhs.kappa1, n_rows),
+                moments.fraction_table(self.m2, self.rhs.kappa2, n_cols))
+
+    @cached_property
+    def log_tables(self) -> tuple:
+        """Natural logs of the same moment values, for float mode."""
+        n_rows, n_cols = self._table_sizes
+        return (moments.log_table(self.m1, self.rhs.kappa1, n_rows),
+                moments.log_table(self.m2, self.rhs.kappa2, n_cols))
+
 
 def z_order(P: CharPoly) -> int:
     """Largest z-order ``max_b`` of the operator."""
@@ -97,14 +128,18 @@ def inflated_window(P: CharPoly, out_shape) -> int:
     return out_shape[1] + out_shape[0] * z_order(P)
 
 
-def g_from_f(p0_coeffs, m2: MomentFunction, f: Series2) -> Series2:
+def g_from_f(p0_coeffs, m2: MomentFunction, f: Series2,
+             table=None) -> Series2:
     """Solve ``P0(dz) g = f`` for g with the free z-coefficients set to zero.
 
     In z-normalized coordinates ``G_i = g_i * m2(i/kappa2)`` the equation is
     the recursion ``G_{i+deg} = (F_i - sum_{b<deg} p_b G_{i+b}) / p_deg``
     upward in the z-index, with ``G_{j,i} = 0`` for ``i < deg P0``.  Both
     arithmetics run it on the shift kernel with z-levels as the recursion
-    levels, all rows at once.
+    levels, all rows at once; exact output lanes keep the level divisors
+    times the moment values as column divisors.  ``table`` holds the values
+    ``m2(i/kappa2)`` (exact mode) or their logs (float mode) for i from 0 to
+    at least ``I + deg P0``, as a solve shares them; it is built when None.
     """
     exact = f.exact
     p = [RationalComplex.coerce(c) if exact else complex(c) for c in p0_coeffs]
@@ -114,25 +149,28 @@ def g_from_f(p0_coeffs, m2: MomentFunction, f: Series2) -> Series2:
         raise PreconditionError("P0 must not be identically zero")
     deg = len(p) - 1
     J, I = f.valid
+    if table is None:
+        build = moments.fraction_table if exact else moments.log_table
+        table = build(m2, f.kappa2, I + deg)
     # z-levels: the recursion runs over columns, each a vector over j
     terms = [(deg - b, 0, -p[b] / p[deg]) for b in range(deg) if p[b]]
     widths = [J] * (I + deg + 1)
     if exact:
-        w2 = moments.fraction_table(m2, f.kappa2, I + deg)
-        F = kernel.normalize(f.coeffs, [1] * (J + 1), w2, J, I)
+        F = kernel.rescale(f.lanes, [1] * (J + 1), table, J, I)
         cols = kernel.Lanes(_transpose(F.re),
                             _transpose(F.im) if F.im is not None else None,
                             F.den)
-        levels = kernel.recurrence(cols, 1 / p[deg], terms, deg, widths)
-        rows = _transpose(kernel.denormalize(*levels, w2, [1] * (J + 1),
-                                             I + deg, J))
-    else:
-        F = f.grid[: J + 1, : I + 1].T
-        levels = kernel.recurrence_float(
-            F, 1 / p[deg], terms, deg, widths,
-            moments.log_table(m2, f.kappa2, I + deg), [0.0] * (J + 1))
-        rows = np.array(list(levels)).T
-    return Series2(rows, f.kappa1, f.kappa2, exact)
+        v_re, v_im, level_div = kernel.recurrence(cols, 1 / p[deg], terms,
+                                                  deg, widths)
+        out = kernel.RawLanes(_transpose(v_re),
+                              _transpose(v_im) if v_im is not None else None,
+                              [1] * (J + 1),
+                              [d * w for d, w in zip(level_div, table)])
+        return Series2(out, f.kappa1, f.kappa2, True)
+    F = f.grid[: J + 1, : I + 1].T
+    levels = kernel.recurrence_float(F, 1 / p[deg], terms, deg, widths,
+                                     table, [0.0] * (J + 1))
+    return Series2(np.array(list(levels)).T, f.kappa1, f.kappa2, False)
 
 
 def _transpose(rows) -> list:
@@ -162,7 +200,7 @@ def _laurent_tail(rem, den, order: int):
         for k, dk in den_w:
             if k <= t and h[t - k]:
                 acc = acc - h[t - k] * dk
-        h[t] = acc / den[B]
+        h[t] = acc / den[B] if acc else zero
     return h[1:]
 
 
@@ -217,7 +255,9 @@ def formal_solve(prob: CauchyProblem) -> Series2:
     N2i = prob.inflated_n2
     kappa1, kappa2 = prob.rhs.kappa1, prob.rhs.kappa2
 
-    g = prob.rhs if prob.rhs_is_g else g_from_f(top, prob.m2, prob.rhs)
+    tables = prob.fraction_tables if exact else prob.log_tables
+    g = (prob.rhs if prob.rhs_is_g
+         else g_from_f(top, prob.m2, prob.rhs, tables[1]))
     J_g, I_g = g.valid
     rows_needed = max(N1 - n, -1)
     if J_g < rows_needed or I_g < N2i:
@@ -238,17 +278,20 @@ def formal_solve(prob: CauchyProblem) -> Series2:
             f"internal inflation insufficient: reached column {final_window}, "
             f"needed {N2}")
 
+    w1, w2 = tables
     if exact:
-        w1 = moments.fraction_table(prob.m1, kappa1, N1)
-        w2 = moments.fraction_table(prob.m2, kappa2, N2i)
-        G = kernel.normalize(g.coeffs, w1, w2, rows_needed, N2i)
-        levels = kernel.recurrence(G, QC_ONE, terms, n, windows)
-        return Series2(kernel.denormalize(*levels, w1, w2, N1, N2),
-                       kappa1, kappa2, exact)
+        G = kernel.rescale(g.lanes, w1, w2, rows_needed, N2i)
+        v_re, v_im, level_div = kernel.recurrence(G, QC_ONE, terms, n,
+                                                  windows)
+        # only the output window is kept
+        out = kernel.RawLanes(
+            [row[: N2 + 1] for row in v_re],
+            [row[: N2 + 1] for row in v_im] if v_im is not None else None,
+            [d * w for d, w in zip(level_div, w1)], w2[: N2 + 1])
+        return Series2(out, kappa1, kappa2, exact)
     levels = kernel.recurrence_float(
         g.grid, 1, [(a, b, complex(c)) for a, b, c in terms], n, windows,
-        moments.log_table(prob.m1, kappa1, N1),
-        moments.log_table(prob.m2, kappa2, N2i + prob.max_b))
+        w1, w2)
     out = np.empty((N1 + 1, N2 + 1), dtype=complex)
     for t, level in enumerate(levels):
         # overflow confined to the inflated columns is not an error
@@ -256,8 +299,8 @@ def formal_solve(prob: CauchyProblem) -> Series2:
         if not np.isfinite(out[t]).all():
             raise EvaluationError(
                 f"float coefficients overflow at t-level {t} (of {N1}) inside "
-                f"the requested window; use exact arithmetic or a smaller "
-                f"t-truncation")
+                f"the requested window; lower the t-truncation (--n1) below "
+                f"{t}, or check larger ones with verify --arithmetic exact")
     return Series2(out, kappa1, kappa2, exact)
 
 
@@ -313,11 +356,7 @@ def _modulus(grid):
 
 
 def _residual_float(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
-    max_a = max(a for a, _ in support)
-    max_b = max(b for _, b in support)
-    deg0 = max(b for _, b in p0_table) if p0_table is not None else 0
-    logs1 = moments.log_table(prob.m1, u_hat.kappa1, J + max_a)
-    logs2 = moments.log_table(prob.m2, u_hat.kappa2, I + max(max_b, deg0))
+    logs1, logs2 = prob.log_tables
 
     def sides(s: Series2, table):
         """``table`` applied to s and, with absolute coefficients, to |s|."""
@@ -349,15 +388,16 @@ def _residual_exact(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
     max_a = max(a for a, _ in support)
     max_b = max(b for _, b in support)
     deg0 = max(b for _, b in p0_table) if p0_table is not None else 0
-    w1 = moments.fraction_table(prob.m1, u_hat.kappa1, J + max_a)
-    w2 = moments.fraction_table(prob.m2, u_hat.kappa2, I + max(max_b, deg0))
-    U = kernel.normalize(u_hat.coeffs, w1, w2, J + max_a, I + max_b)
+    w1, w2 = prob.fraction_tables
+    # the solver's lanes divide by the same tables: rescaling them only
+    # brings the level divisors to one denominator
+    U = kernel.rescale(u_hat.lanes, w1, w2, J + max_a, I + max_b)
     lhs = kernel.shift(U, support, J, I)
     if p0_table is not None:
-        G = kernel.normalize(prob.rhs.coeffs, w1, w2, J, I + deg0)
+        G = kernel.rescale(prob.rhs.lanes, w1, w2, J, I + deg0)
         f = kernel.shift(G, p0_table, J, I)
     else:
-        f = kernel.normalize(prob.rhs.coeffs, w1, w2, J, I)
+        f = kernel.rescale(prob.rhs.lanes, w1, w2, J, I)
     # raw coefficient = numerator / (den * w1[j] * w2[i]); put both sides
     # over one denominator and compare integer L1 moduli
     den = math.lcm(lhs.den, f.den)

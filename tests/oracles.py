@@ -5,22 +5,24 @@ operators of mpde: a Mellin transform of the single-factor kernel against
 ``moments.eval_at``, and an adaptive quadrature of the fractional integral
 against ``series.moment_antidiff``.  A per-cell power-series division in
 Python ``complex`` arithmetic is the reference for the float expansion of a
-``rational`` rhs.  Two loop forms of shift-kernel functions are references
-for their faster forms: a per-cell ``Fraction`` normalization for
-``kernel.normalize``, and a term-by-term float recursion for the tail
-matrices of ``kernel.recurrence_float``.
+``rational`` rhs, and a per-cell fraction-free division on Gaussian integers
+for its exact expansion.  Two loop forms of shift-kernel functions are
+references for their faster forms: a per-cell ``Fraction`` normalization
+for ``kernel.normalize`` and ``kernel.rescale``, and a term-by-term float
+recursion for the tail matrices of ``kernel.recurrence_float``.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
 
 from mpde.errors import DomainError, EvaluationError
-from mpde.exact import as_fraction
-from mpde.kernel import Lanes
+from mpde.exact import RationalComplex, as_fraction
+from mpde.kernel import Lanes, common_denominator, gaussian_int
 from mpde.moments import log_gamma
 from mpde.series import Series1
 
@@ -133,6 +135,51 @@ def rational_rhs_float(payload: dict, n1: int, n2: int) -> list:
                 if a <= j and b <= i:
                     acc = acc - v * rows[j - a][i - b]
             rows[j][i] = acc / den[(0, 0)]
+    return rows
+
+
+def rational_rhs_exact(num: dict, den: dict, n1: int, n2: int) -> list:
+    """Rows of num/den on the (n1, n2) grid, one cell at a time, exactly.
+
+    ``num`` and ``den`` map (j, i) to RationalComplex.  Both are scaled to
+    Gaussian integers N and Q; with q = Q_00 the cells
+    ``R_{j,i} = q**(j+i+1) * (num/den)_{j,i}`` obey the integer recursion
+    ``R_{j,i} = q**(j+i) N_{j,i} - sum Q_ab q**(a+b-1) R_{j-a,i-b}`` over
+    (a, b) != (0, 0), and each cell is divided by its power of q once.
+    """
+    d = common_denominator(list(num.values()) + list(den.values()))
+    N = {k: gaussian_int(v, d) for k, v in num.items()}
+    Q = {k: gaussian_int(v, d) for k, v in den.items()}
+    qr, qi = Q[(0, 0)]
+    powers = [(1, 0)]  # q**k
+    for _ in range(n1 + n2 + 1):
+        pr, pi = powers[-1]
+        powers.append((pr * qr - pi * qi, pr * qi + pi * qr))
+
+    def mul(x, y):
+        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    terms = [(a, b, mul(v, powers[a + b - 1]))
+             for (a, b), v in sorted(Q.items())
+             if (a, b) != (0, 0) and a <= n1 and b <= n2]
+    R = [[(0, 0)] * (n2 + 1) for _ in range(n1 + 1)]
+    rows = []
+    for j in range(n1 + 1):
+        row = []
+        for i in range(n2 + 1):
+            acc = mul(N[(j, i)], powers[j + i]) if (j, i) in N else (0, 0)
+            for a, b, k in terms:
+                if a <= j and b <= i:
+                    x = mul(k, R[j - a][i - b])
+                    acc = (acc[0] - x[0], acc[1] - x[1])
+            R[j][i] = acc
+            pr, pi = powers[j + i + 1]
+            if pi:  # R / p = R * conj(p) / |p|**2
+                (re, im), div = mul(acc, (pr, -pi)), pr * pr + pi * pi
+            else:
+                (re, im), div = acc, pr
+            row.append(RationalComplex(Fraction(re, div), Fraction(im, div)))
+        rows.append(row)
     return rows
 
 

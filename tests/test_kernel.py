@@ -109,3 +109,43 @@ def test_normalize_of_zero_grid_has_unit_denominator():
     zero = [[RationalComplex(0)] * 3 for _ in range(2)]
     got = kernel.normalize(zero, [Fraction(1)] * 2, [Fraction(1, 2)] * 3, 1, 2)
     assert (got.re, got.im, got.den) == ([[0, 0, 0], [0, 0, 0]], None, 1)
+
+
+DIVISORS = (1, 2, -3, 7, Fraction(5, 12), Fraction(-2, 9), Fraction(16, 3))
+
+
+@pytest.mark.parametrize("kind", ["real", "real-zero-im", "complex", "zero"])
+def test_rescale_matches_fraction_oracle(kind):
+    # raw lanes with row and column divisors, normalized to moment weights,
+    # give the same Lanes as the per-cell Fraction normalization of their
+    # cells; an imaginary lane of zeros is dropped as the oracle drops it
+    m = parse_moment("Gamma(1/2)")
+    rng = random.Random(53)
+    for n_rows, n_cols in ((0, 0), (3, 7), (6, 4)):
+        shape = (n_rows + 2, n_cols + 3)  # one row and two columns unread
+
+        def lane():
+            return [[rng.randint(-60, 60) if kind != "zero"
+                     and rng.random() < 0.7 else 0
+                     for _ in range(shape[1])] for _ in range(shape[0])]
+
+        re = lane()
+        im = {"complex": lane(), "real-zero-im": [[0] * shape[1]] * shape[0]
+              }.get(kind)
+        grid = kernel.RawLanes(re, im,
+                               [rng.choice(DIVISORS) for _ in range(shape[0])],
+                               [rng.choice(DIVISORS) for _ in range(shape[1])])
+        rows = [[RationalComplex(
+            Fraction(re[j][i]) / (grid.row_div[j] * grid.col_div[i]),
+            Fraction(im[j][i] if im else 0) / (grid.row_div[j]
+                                                * grid.col_div[i]))
+            for i in range(shape[1])] for j in range(shape[0])]
+        assert kernel.denormalize(grid) == tuple(map(tuple, rows))
+        w1 = fraction_table(m, 2, n_rows + 1)
+        w2 = fraction_table(m, 1, n_cols + 2)
+        for weights in ((w1, w2), ([1] * (n_rows + 2), w2)):
+            got = kernel.rescale(grid, *weights, n_rows, n_cols)
+            want = normalize_fractions(rows, *weights, n_rows, n_cols)
+            assert (got.re, got.im, got.den) == (want.re, want.im, want.den)
+    if kind == "zero":
+        assert (got.im, got.den) == (None, 1)

@@ -192,6 +192,34 @@ def test_cli_float_overflow_exits_numeric(command, tmp_path):
     assert not out.exists()
 
 
+def test_cli_exact_solve_beyond_binary64_names_the_cell(tmp_path):
+    # the exact solution of twofactor at (80, 60) leaves the binary64 range
+    # of the CSV at t-level 64; verify checks it without rounding
+    runner = CliRunner()
+    out = tmp_path / "twofactor.csv"
+    args = [shipped("twofactor"), "--n1", "80", "--n2", "60",
+            "--arithmetic", "exact"]
+    result = runner.invoke(main, ["solve", *args, "--out", str(out)])
+    assert result.exit_code == 4, result.output
+    assert ("exact coefficient (64, 55) is about 2^1025.8, outside the "
+            "binary64 range of the CSV; lower --n1") in result.output
+    assert not out.exists()
+    result = runner.invoke(main, ["verify", *args])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["residual_exact_zero"]
+
+
+@pytest.mark.parametrize("command", ["solve", "probe"])
+def test_cli_float_overflow_advises_a_smaller_truncation(command, tmp_path):
+    result = CliRunner().invoke(main, [
+        command, shipped("twofactor"), "--n1", "80", "--arithmetic", "float",
+        "--out", str(tmp_path / "out")])
+    assert result.exit_code == 4, result.output
+    assert ("overflow at t-level 64 (of 80) inside the requested window; "
+            "lower the t-truncation (--n1) below 64, or check larger ones "
+            "with verify --arithmetic exact") in result.output
+
+
 @pytest.mark.parametrize("operator,n1,n2,level", [
     ("(1+dz^2)*dt - dz^4", 100, 5, None),
     ("(2+dz)*dt - dz^3", 150, 3, 135)])

@@ -5,8 +5,11 @@ orders n <= 3 in t and <= 3 in z, Gaussian-rational coefficients, Gamma(1)
 or Gamma(1/2)/Gamma(3/2) moments, small grids, and both rhs roles; for
 pseudo mode also with a top coefficient ``A_n(zeta)`` of degree 1 or 2.
 Rational right-hand sides are drawn with real or complex entries, a
-constant denominator term in {1, 2, 3, -1, 1/2, 3+i, 1-3i, -2i} and further
-denominator terms in t, in z and mixed.
+constant denominator term in {1, 2, 3, -1, 1/2, 3+i, 1-3i, -2i} (and -2,
+-3/2, -2+i for the exact expansion) and further denominator terms in t, in
+z and mixed.  Exact series built from integer lanes (solver, operator and
+rhs outputs) are checked against the series built from their ``coeffs``
+rows, with right-hand sides scaled towards the ends of the binary64 range.
 """
 
 import cmath
@@ -19,16 +22,17 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import brute_force
-from oracles import rational_rhs_float
+from oracles import rational_rhs_exact, rational_rhs_float
 
 from mpde.charroots import CharPoly
 from mpde.errors import EvaluationError, WindowError
 from mpde.exact import RationalComplex
 from mpde.moments import eval_at
 from mpde.parsing import parse_moment
-from mpde.problem import expand_rhs
-from mpde.series import Series2
-from mpde.solver import CauchyProblem, _recursion_terms, formal_solve, residual
+from mpde.problem import _quads_to_table, expand_rhs
+from mpde.series import Series2, apply_operator
+from mpde.solver import (CauchyProblem, _recursion_terms, formal_solve,
+                         g_from_f, residual)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                     database=None,
@@ -327,3 +331,104 @@ def test_float_rational_rhs_matches_exact(d00, is_complex, data):
             size[j][i] = acc / abs(complex(den[(0, 0)]))
             err = abs(approx[j][i] - complex(exact[j][i]))
             assert err <= 1e-13 * size[j][i]
+
+
+EXACT_D00 = (("1", "0"), ("-1", "0"), ("-2", "0"), ("1/2", "0"), ("-3/2", "0"))
+EXACT_KINDS = ([(d00, False) for d00 in EXACT_D00]
+               + [(d00, True) for d00 in (("1", "0"), ("-2", "0"), ("3", "1"),
+                                          ("1", "-3"), ("0", "-2"),
+                                          ("-2", "1"))])
+EXACT_IDS = [f"{'complex' if c else 'real'}-d00={re},{im}"
+             for (re, im), c in EXACT_KINDS]
+
+
+@pytest.mark.parametrize("d00,is_complex", EXACT_KINDS, ids=EXACT_IDS)
+@SETTINGS
+@given(data=st.data())
+def test_exact_rational_rhs_matches_per_cell_oracle(d00, is_complex, data):
+    """The row-by-row expansion on integer lanes against the per-cell
+    division, with and without pure-z denominator terms."""
+    spec, n1, n2 = data.draw(rational_rhs(d00, is_complex))
+    payload = spec["payload"]
+    if not data.draw(st.booleans(), label="keep pure-z terms"):
+        payload["den"] = [q for q in payload["den"] if q[0] or not q[1]]
+    num = _quads_to_table(payload["num"], exact=True)
+    den = _quads_to_table(payload["den"], exact=True)
+    got = expand_rhs(spec, n1, n2, exact=True)
+    check_lanes_series(got)
+    assert got.coeffs == tuple(map(tuple, rational_rhs_exact(num, den, n1, n2)))
+
+
+def per_cell_csv(s: Series2) -> str:
+    """``Series2.to_csv`` text with each cell rounded by ``complex()`` of its
+    RationalComplex, that is by ``float(Fraction)`` per part."""
+    J, I = s.valid
+    lines = ["j,i,re,im"]
+    for j, row in enumerate(s.coeffs[: J + 1]):
+        for i in range(I + 1):
+            c = complex(row[i])
+            lines.append(f"{j},{i},{c.real:.17g},{c.imag:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def check_lanes_series(s: Series2):
+    """A series built from integer lanes equals the series built from its
+    ``coeffs`` rows: equality, hash, CSV text (or the out-of-range error)
+    and float grid."""
+    assert s._rows is None  # built from lanes; coeffs not read yet
+    try:
+        csv = s.to_csv()
+    except EvaluationError:
+        csv = None
+    rows = Series2(s.coeffs, s.kappa1, s.kappa2, exact=True, valid=s.valid)
+    assert s == rows and hash(s) == hash(rows)
+    try:
+        want = per_cell_csv(rows)
+    except OverflowError:
+        want = None
+    assert csv == want
+    if want is not None:
+        assert rows.to_csv() == want
+        assert s.grid.tobytes() == rows.grid.tobytes()
+
+
+# the rhs scaled so that cells reach 2**+-1022, overflow binary64 or
+# round to subnormals
+SCALES = (Fraction(1), Fraction(2) ** 1000, Fraction(2) ** 1022,
+          Fraction(1, 2 ** 1000), Fraction(1, 2 ** 1070))
+
+
+@SETTINGS
+@given(cases(), st.sampled_from(SCALES), st.sampled_from(["direct", "pseudo"]))
+def test_lanes_backed_series_equal_their_rows(case, scale, mode):
+    """formal_solve, apply_operator, g_from_f and a ``coeffs`` rhs give
+    lanes-backed series; each equals the series built from its rows, and the
+    residual reads the same from both."""
+    assume(case.rhs)
+    payload = [[j, i, str(re * scale), str(im * scale)]
+               for (j, i), (re, im) in case.rhs.items()]
+    rhs = expand_rhs({"kind": "coeffs", "payload": payload}, *case.shape,
+                     exact=True)
+    prob = dataclasses.replace(case.problem(mode=mode), rhs=rhs)
+    try:
+        u = formal_solve(prob)
+    except WindowError:
+        assume(False)
+    check_lanes_series(u)
+    check_lanes_series(rhs)
+    try:
+        report = residual(prob, u)
+    except WindowError:
+        pass  # the truncation is below the operator orders
+    else:
+        assert report == residual(
+            prob, Series2(u.coeffs, u.kappa1, u.kappa2, exact=True))
+    table = {k: RationalComplex(*v) for k, v in case.table.items()}
+    for s in (rhs, u):
+        try:
+            check_lanes_series(apply_operator(table, prob.m1, prob.m2, s))
+        except WindowError:
+            pass  # the operator orders exceed the window
+    p0 = [table.get((0, b), 0) for b in range(4)]
+    if any(p0):
+        check_lanes_series(g_from_f(p0, prob.m2, rhs))

@@ -347,6 +347,26 @@ def test_float_series_from_array_matches_one_from_rows():
     assert all(type(c) is complex for row in real.coeffs for c in row)
 
 
+def test_exact_series_from_lanes_matches_one_from_rows():
+    # operator output keeps moment values as row and column divisors; a
+    # series of those lanes, windowed or not, equals one of its rows
+    rng = random.Random(55)
+    u = random_series2(rng, 5, 7, exact=True)
+    v = apply_operator({(1, 1): RationalComplex(2, -1), (0, 0): 1},
+                       GHALF, G1, u)
+    rows = [list(row) for row in v.coeffs]
+    assert v.lanes.col_div[3] == 6 and v.lanes.row_div[0] != 1
+    from_lanes = Series2(v.lanes, v.kappa1, v.kappa2, exact=True,
+                         valid=(2, 3))
+    from_rows = Series2(rows, v.kappa1, v.kappa2, exact=True, valid=(2, 3))
+    assert from_lanes == from_rows and hash(from_lanes) == hash(from_rows)
+    assert from_lanes.to_csv() == from_rows.to_csv()
+    assert from_lanes.windowed() == from_rows.windowed() == Series2(
+        [row[:4] for row in rows[:3]], v.kappa1, v.kappa2, exact=True)
+    with pytest.raises(DomainError):
+        Series2([[1.0]]).lanes  # float series have no integer lanes
+
+
 @pytest.mark.parametrize("z", [0.0, 0.3, -0.7 + 0.2j, 1.5j])
 def test_row_values_match_a_per_row_horner_loop(z):
     rng = random.Random(55)

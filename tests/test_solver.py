@@ -6,6 +6,7 @@ import pytest
 
 from helpers import random_series2
 
+from mpde import moments
 from mpde.charroots import CharPoly, branches_at_infinity
 from mpde.errors import EvaluationError, PreconditionError
 from mpde.exact import RationalComplex
@@ -304,6 +305,47 @@ def test_laurent_tail_solves_the_division(den):
         lhs = sum((den[B - k] * h[t - k] for k in range(min(B, t) + 1)),
                   RationalComplex(0))
         assert lhs == (rem[B - t] if 0 <= B - t < len(rem) else 0)
+
+
+def test_laurent_tail_of_a_monomial_top_divides_at_most_its_degree(
+        monkeypatch):
+    # rem / (c * zeta**B) has at most B nonzero coefficients; the zero ones
+    # need no division, however long the expansion
+    divisions = []
+    divide = RationalComplex.__truediv__
+
+    def counting(self, other):
+        divisions.append(other)
+        return divide(self, other)
+
+    monkeypatch.setattr(RationalComplex, "__truediv__", counting)
+    B, order = 3, 5000
+    den = [RationalComplex(0)] * B + [RationalComplex(Fraction(2, 3), 1)]
+    rem = [RationalComplex(1), RationalComplex(0), RationalComplex(-5, 2)]
+    h = _laurent_tail(rem, den, order)
+    assert len(divisions) == 2  # the nonzero coefficients of rem
+    assert len(h) == order
+    assert [r for r, c in enumerate(h, 1) if c] == [1, 3]
+    assert h[0] == rem[2] / den[B] and h[2] == rem[0] / den[B]
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_moment_tables_are_built_once_per_problem(exact, monkeypatch):
+    # g_from_f, formal_solve and the residual slice the problem's tables
+    calls = []
+    for name in ("fraction_table", "log_table"):
+        build = getattr(moments, name)
+        monkeypatch.setattr(moments, name,
+                            lambda *a, build=build, name=name:
+                            calls.append(name) or build(*a))
+    P = CharPoly.from_table({(1, 0): 1, (1, 1): 2, (0, 3): -1, (0, 0): 1})
+    rng = random.Random(54)
+    f = random_series2(rng, 6, 8 + 3 * 6 + 1, exact=exact)
+    prob = CauchyProblem(P, gamma_s(Fraction(1, 2)), G1, f, (6, 8),
+                         mode="pseudo", rhs_is_g=False)
+    rep = residual(prob, formal_solve(prob))
+    assert calls == 2 * ["fraction_table" if exact else "log_table"]
+    assert rep.relative <= (0 if exact else 1e-12)
 
 
 def test_theoretical_orders():
