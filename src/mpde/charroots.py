@@ -5,8 +5,10 @@ branches behave like ``lambda ~ lambda0 * zeta**q`` as ``zeta -> infinity``.
 The pole orders q are the negated slopes of the upper convex hull of the
 points ``(i, deg A_i)`` and the leading terms are the nonzero roots of the
 edge polynomials, one per hull edge.  Multiplicities are extracted exactly
-(square-free decomposition over the Gaussian rationals) when the input is
-exact, by root clustering otherwise.
+(square-free decomposition over the Gaussian rationals).  A square-free part
+of degree 1 gives its root exactly; numpy's companion-matrix root finder runs
+only on parts of degree >= 2 and in :func:`validate_numeric`, so the branch
+data of linear edges needs no numpy.
 
 Only first-order data (q, lambda0, multiplicity) is computed.  A repeated
 edge root means the class may split at deeper expansion orders; it is
@@ -18,8 +20,6 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import DomainError, EvaluationError, PreconditionError
 from .exact import RationalComplex
@@ -111,7 +111,6 @@ class CharPoly:
     """
 
     coeff_polys: tuple
-    exact: bool = True
 
     def __post_init__(self):
         rows = [_trim(list(row)) for row in self.coeff_polys]
@@ -126,20 +125,19 @@ class CharPoly:
         return len(self.coeff_polys) - 1
 
     @classmethod
-    def from_table(cls, table, exact: bool = True) -> "CharPoly":
+    def from_table(cls, table) -> "CharPoly":
         """Build from a sparse ``{(lambda_pow, zeta_pow): coeff}`` mapping."""
         if not table:
             raise PreconditionError("empty operator support")
         n = max(a for a, _ in table)
         rows = [[] for _ in range(n + 1)]
-        zero = RationalComplex(0) if exact else 0j
+        zero = RationalComplex(0)
         for (a, b), c in table.items():
             row = rows[a]
             while len(row) <= b:
                 row.append(zero)
-            coerced = RationalComplex.coerce(c) if exact else complex(c)
-            row[b] = row[b] + coerced
-        return cls(tuple(tuple(r) for r in rows), exact=exact)
+            row[b] = row[b] + RationalComplex.coerce(c)
+        return cls(tuple(tuple(r) for r in rows))
 
     def support(self) -> dict:
         out = {}
@@ -182,35 +180,23 @@ class CharBranch:
         return sum(m for _, m in self.leading_terms)
 
 
-def _cluster_roots(roots, rel_tol=1e-6):
-    """Greedy clustering of numpy roots into (value, multiplicity) pairs."""
-    items = sorted(roots, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
-    clusters = []
-    for z in items:
-        for cl in clusters:
-            center = cl[0] / cl[1]
-            if abs(z - center) <= rel_tol * max(1.0, abs(center)):
-                cl[0] += z
-                cl[1] += 1
-                break
+def _edge_roots(edge_coeffs):
+    """Nonzero roots with multiplicities of an edge polynomial.
+
+    Every square-free part is monic, so a linear one ``w + c0`` has the root
+    ``-c0``, rounded once; numpy's companion-matrix route gives the same
+    value (it divides by the leading 1), differing at most in the sign of a
+    zero part.  Parts of degree >= 2 go through ``np.roots``.
+    """
+    out = []
+    for mult, part in _squarefree_parts(list(edge_coeffs)):
+        if _deg(part) == 1:
+            out.append((complex(-part[0]), mult))
         else:
-            clusters.append([z, 1])
-    return [(cl[0] / cl[1], cl[1]) for cl in clusters]
-
-
-def _edge_roots(edge_coeffs, exact):
-    """Nonzero roots with multiplicities of an edge polynomial."""
-    if exact:
-        out = []
-        for mult, part in _squarefree_parts(list(edge_coeffs)):
-            if _deg(part) == 0:
-                continue
+            import numpy as np
             arr = np.array([complex(c) for c in reversed(part)])
-            for r in np.roots(arr):
-                out.append((complex(r), mult))
-        return out
-    arr = np.array([complex(c) for c in reversed(edge_coeffs)])
-    return _cluster_roots(list(np.roots(arr)))
+            out += [(complex(r), mult) for r in np.roots(arr)]
+    return out
 
 
 def branches_at_infinity(P: CharPoly) -> list:
@@ -250,11 +236,9 @@ def branches_at_infinity(P: CharPoly) -> list:
             row = P.coeff_polys[i]
             if row and Fraction(len(row) - 1) == Fraction(d1) + slope * (i - i1):
                 while len(edge) <= i - i1:
-                    edge.append(RationalComplex(0) if P.exact else 0j)
+                    edge.append(RationalComplex(0))
                 edge[i - i1] = row[-1]
-        while len(edge) < i2 - i1 + 1:
-            edge.append(RationalComplex(0) if P.exact else 0j)
-        terms = _edge_roots(edge, P.exact)
+        terms = _edge_roots(edge)
         terms.sort(key=lambda t: (t[0].real, t[0].imag))
         branches.append(CharBranch(
             q=q,
@@ -298,6 +282,8 @@ def validate_numeric(P: CharPoly, branches, radii, ray_angle: float = 0.0
     per-branch maximum relative deviation is recorded.  Deviations should be
     non-increasing in R (10% jitter near machine precision is tolerated).
     """
+    import numpy as np
+
     radii = tuple(float(R) for R in radii)
     if any(R <= 0 for R in radii):
         raise DomainError("radii must be positive")

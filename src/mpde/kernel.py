@@ -42,9 +42,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-
 from .exact import RationalComplex
 
 _ZERO = Fraction(0)
@@ -288,6 +285,8 @@ def _ratios(logs, offsets, width: int) -> dict:
 
     Entries with ``i + b < 0`` are never read and stay 0.
     """
+    import numpy as np
+
     out = {}
     for b in offsets:
         lo = max(0, -b)
@@ -305,6 +304,8 @@ def shift_float(u, items, logs1, logs2, n_rows: int, n_cols: int):
     the two axes.  Cell (j, i) sums
     ``p_ab * u[j+a][i+b] * m1(j+a)/m1(j) * m2(i+b)/m2(i)`` in item order.
     """
+    import numpy as np
+
     r1 = _ratios(logs1, {a for (a, _), _ in items}, n_rows)
     r2 = _ratios(logs2, {b for (_, b), _ in items}, n_cols)
     out = np.zeros((n_rows + 1, n_cols + 1),
@@ -323,6 +324,8 @@ def _tail_band(part, r2, width: int):
     ``-b``, holds ``c * m2(i-r)/m2(i)`` summed over the terms with b = -r;
     the sorted offsets r come with it.
     """
+    import numpy as np
+
     R = max(-b for b, _ in part)
     band = np.zeros((width + 1, R), dtype=complex)
     for b, c in part:
@@ -338,6 +341,9 @@ def _tail_product(band, offsets, src):
     would spread NaN to every row, and is added to the rows ``k + r`` that
     read it, as a term-by-term sum would add it.
     """
+    import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
+
     n, R = len(src), band.shape[1]
     r_max = min(R, n - 1)  # row i reads at most i columns back
     padded = np.zeros(r_max + n - 1, dtype=complex)
@@ -368,6 +374,8 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2):
     level.  Each level is yielded as soon as it is complete, so a caller can
     stop at the first one that overflows.
     """
+    import numpy as np
+
     width = max(widths)
     r2 = _ratios(logs2, {b for _, b, _ in terms}, width)
     poly = [(a, b, c) for a, b, c in terms if b >= 0]

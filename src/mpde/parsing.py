@@ -171,7 +171,7 @@ def parse_operator(text: str) -> CharPoly:
     if n == 0:
         raise PreconditionError(
             "operator has lambda-degree 0: no dt appears")
-    return CharPoly.from_table(table, exact=True)
+    return CharPoly.from_table(table)
 
 
 def operator_to_text(P: CharPoly) -> str:

@@ -33,8 +33,6 @@ from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
-import numpy as np
-
 from . import kernel, newton
 from .charroots import CharPoly, branches_at_infinity
 from .errors import ParseError, PreconditionError
@@ -270,8 +268,8 @@ def _run_along(acc_re, acc_im, along) -> None:
                     acc_im[i] += kr * y + ki * x
 
 
-def _quotient_float(num: dict, den: dict, n1: int, n2: int) -> np.ndarray:
-    """Complex grid of the power series num/den in binary64, by
+def _quotient_float(num: dict, den: dict, n1: int, n2: int):
+    """Complex numpy grid of the power series num/den in binary64, by
     anti-diagonals.
 
     Cell ``(j, i)`` is ``(N_ji - sum Q_ab R_{j-a,i-b}) / Q_00`` over the
@@ -295,6 +293,8 @@ def _quotient_float(num: dict, den: dict, n1: int, n2: int) -> np.ndarray:
     spreads NaN into the imaginary parts, so the sweep then reruns on both
     planes.
     """
+    import numpy as np
+
     q = den[(0, 0)]
     terms = [(a, b, v) for (a, b), v in sorted(den.items())
              if (a, b) != (0, 0)]
@@ -313,6 +313,8 @@ def _quotient_float(num: dict, den: dict, n1: int, n2: int) -> np.ndarray:
 def _diagonal_sweep(num, terms, q, shape, real: bool) -> list:
     """Flat planes ``[re]`` (real data) or ``[re, im]`` of num/den, for
     :func:`_quotient_float`; ``q`` is the constant term of den."""
+    import numpy as np
+
     n1, n2 = shape[0] - 1, shape[1] - 1
     planes = [np.zeros(shape[0] * shape[1]) for _ in range(1 if real else 2)]
     for (j, i), v in num.items():

@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import kernel, moments
 from .errors import DomainError, EstimationError, EvaluationError, WindowError
 from .exact import RationalComplex
@@ -102,21 +100,26 @@ class Series2:
         if kappa1 < 1 or kappa2 < 1:
             raise DomainError("kappa1, kappa2 must be positive integers")
         rows = grid = lanes = None
-        if isinstance(coeffs, np.ndarray) and not exact:
-            grid = np.array(coeffs, dtype=complex)
-            if grid.ndim != 2:
-                raise DomainError("a coefficient array must be 2-D")
-            grid.flags.writeable = False
-            n_rows, width = grid.shape
-        elif isinstance(coeffs, kernel.RawLanes) and exact:
-            lanes = coeffs
-            n_rows, width = len(lanes.re), len(lanes.col_div)
-            shape = [len(r) for r in lanes.re]
-            if lanes.im is not None:
-                shape += [len(r) for r in lanes.im]
-            if len(lanes.row_div) != n_rows or any(k != width for k in shape):
-                raise DomainError("ragged coefficient lanes")
+        if exact:
+            if isinstance(coeffs, kernel.RawLanes):
+                lanes = coeffs
+                n_rows, width = len(lanes.re), len(lanes.col_div)
+                shape = [len(r) for r in lanes.re]
+                if lanes.im is not None:
+                    shape += [len(r) for r in lanes.im]
+                if (len(lanes.row_div) != n_rows
+                        or any(k != width for k in shape)):
+                    raise DomainError("ragged coefficient lanes")
         else:
+            import numpy as np
+
+            if isinstance(coeffs, np.ndarray):
+                grid = np.array(coeffs, dtype=complex)
+                if grid.ndim != 2:
+                    raise DomainError("a coefficient array must be 2-D")
+                grid.flags.writeable = False
+                n_rows, width = grid.shape
+        if grid is None and lanes is None:
             coerce = _coercer(exact)
             rows = tuple(tuple(map(coerce, row)) for row in coeffs)
             n_rows, width = len(rows), len(rows[0]) if rows else 0
@@ -151,10 +154,12 @@ class Series2:
         return self._rows
 
     @property
-    def grid(self) -> np.ndarray:
+    def grid(self):
         """The grid as a read-only 2-D complex numpy array (exact
         coefficients rounded to ``complex``)."""
         if self._grid is None:
+            import numpy as np
+
             grid = np.array(self.coeffs, dtype=complex)
             grid.flags.writeable = False
             object.__setattr__(self, "_grid", grid)
@@ -235,6 +240,8 @@ class Series2:
         Python's complex multiply written out on real and imaginary planes,
         so each value rounds as a per-row loop in ``complex`` would.
         """
+        import numpy as np
+
         J, I = self.valid
         if up_to is not None:
             J = min(J, up_to)
@@ -256,23 +263,23 @@ class Series2:
         Exact cells are rounded to binary64 from the integer lanes as
         ``n / d`` on Python ints, which rounds correctly, as
         ``float(Fraction)`` does; a cell beyond the binary64 range raises
-        EvaluationError.
+        EvaluationError.  Float cells are formatted from the real and
+        imaginary planes of :attr:`grid`.
         """
         J, I = self.valid
-        lines = ["j,i,re,im"]
         if self.exact:
-            for j, parts in enumerate(_float_rows(self.lanes, J, I)):
-                if len(parts) == 1:  # real lanes: every imaginary part is 0
-                    lines += [f"{j},{i},{x:.17g},0"
-                              for i, x in enumerate(parts[0])]
-                else:
-                    lines += [f"{j},{i},{x:.17g},{y:.17g}"
-                              for i, (x, y) in enumerate(zip(*parts))]
+            rows = _float_rows(self.lanes, J, I)
         else:
-            for j, row in enumerate(self.coeffs[: J + 1]):
-                for i in range(I + 1):
-                    c = complex(row[i])
-                    lines.append(f"{j},{i},{c.real:.17g},{c.imag:.17g}")
+            cells = self.grid[: J + 1, : I + 1]
+            rows = zip(cells.real.tolist(), cells.imag.tolist())
+        lines = ["j,i,re,im"]
+        for j, parts in enumerate(rows):
+            if len(parts) == 1:  # real lanes: every imaginary part is 0
+                lines += [f"{j},{i},{x:.17g},0"
+                          for i, x in enumerate(parts[0])]
+            else:
+                lines += [f"{j},{i},{x:.17g},{y:.17g}"
+                          for i, (x, y) in enumerate(zip(*parts))]
         return "\n".join(lines) + "\n"
 
 
@@ -308,6 +315,18 @@ def _out_of_range(j, parts, nums, dens) -> EvaluationError:
                     f"exact coefficient ({j}, {i}) is about 2^{log2:.1f}, "
                     f"outside the binary64 range of the CSV; lower --n1 "
                     f"(verify checks the exact solution without writing it)")
+
+
+def _exact_moduli(row, j: int, axis: str) -> list:
+    """``abs()`` of each exact cell of level j along ``axis``."""
+    try:
+        return [abs(v) for v in row]
+    except OverflowError:
+        flag = "--n1" if axis == "t" else "--n2"
+        raise EvaluationError(
+            f"exact coefficients of {axis}-level {j} are outside the binary64 "
+            f"range of the Gevrey fit; lower {flag} below {j} (verify checks "
+            f"the exact solution without fitting it)") from None
 
 
 @dataclass(frozen=True)
@@ -507,8 +526,11 @@ def gevrey_fit(u: Series2, axis: str = "t", radius: float = 0.1,
     the basis ``{1, j, log Gamma(1+j)}`` over the upper part of the valid
     j-range; the coefficient of ``log Gamma(1+j)`` estimates the Gevrey
     order.  The weighted l1 row sum stands in for the sup norm on a z-disc
-    of radius ``radius``.
+    of radius ``radius``.  An exact cell whose real or imaginary part
+    lies outside the binary64 range raises EvaluationError naming its level.
     """
+    import numpy as np
+
     if axis not in ("t", "z"):
         raise DomainError("axis must be 't' or 'z'")
     J, I = u.valid
@@ -517,8 +539,8 @@ def gevrey_fit(u: Series2, axis: str = "t", radius: float = 0.1,
     j_lo = max(0, math.ceil(j_min_frac * J))
     if u.exact:
         rows = u.coeffs if axis == "t" else tuple(zip(*u.coeffs))
-        moduli = np.array([[abs(v) for v in row[: I + 1]]
-                           for row in rows[j_lo: J + 1]],
+        moduli = np.array([_exact_moduli(row[: I + 1], j, axis)
+                           for j, row in enumerate(rows[j_lo: J + 1], j_lo)],
                           dtype=float).reshape(-1, I + 1)
     else:
         cells = (u.grid if axis == "t" else u.grid.T)[j_lo: J + 1, : I + 1]

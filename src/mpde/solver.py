@@ -43,8 +43,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 from . import kernel, moments
 from .charroots import CharPoly, _divmod, branches_at_infinity
 from .errors import EvaluationError, PreconditionError, WindowError
@@ -167,6 +165,8 @@ def g_from_f(p0_coeffs, m2: MomentFunction, f: Series2,
                               [1] * (J + 1),
                               [d * w for d, w in zip(level_div, table)])
         return Series2(out, f.kappa1, f.kappa2, True)
+    import numpy as np
+
     F = f.grid[: J + 1, : I + 1].T
     levels = kernel.recurrence_float(F, 1 / p[deg], terms, deg, widths,
                                      table, [0.0] * (J + 1))
@@ -289,6 +289,8 @@ def formal_solve(prob: CauchyProblem) -> Series2:
             [row[: N2 + 1] for row in v_im] if v_im is not None else None,
             [d * w for d, w in zip(level_div, w1)], w2[: N2 + 1])
         return Series2(out, kappa1, kappa2, exact)
+    import numpy as np
+
     levels = kernel.recurrence_float(
         g.grid, 1, [(a, b, complex(c)) for a, b, c in terms], n, windows,
         w1, w2)
@@ -351,11 +353,15 @@ def residual(prob: CauchyProblem, u_hat: Series2) -> ResidualReport:
 
 
 def _modulus(grid):
+    import numpy as np
+
     # np.abs of a complex array may differ from abs() in the last bit
     return np.hypot(grid.real, grid.imag)
 
 
 def _residual_float(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
+    import numpy as np
+
     logs1, logs2 = prob.log_tables
 
     def sides(s: Series2, table):

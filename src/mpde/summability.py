@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DomainError, PreconditionError
 from .exact import as_fraction, fmt_fraction
 from .series import Series2
@@ -395,6 +393,8 @@ def singular_direction_probe(u: Series2, K, z_eval: complex = 0.0,
     linear recurrence fit when the plain ratios oscillate (conjugate
     singularity pairs).  Heuristic: results depend on coefficients only.
     """
+    import numpy as np
+
     Kf = float(as_fraction(K)) if not isinstance(K, float) else K
     if Kf <= 0:
         raise DomainError("probe level K must be positive")

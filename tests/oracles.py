@@ -9,7 +9,9 @@ Python ``complex`` arithmetic is the reference for the float expansion of a
 for its exact expansion.  Two loop forms of shift-kernel functions are
 references for their faster forms: a per-cell ``Fraction`` normalization
 for ``kernel.normalize`` and ``kernel.rescale``, and a term-by-term float
-recursion for the tail matrices of ``kernel.recurrence_float``.
+recursion for the tail matrices of ``kernel.recurrence_float``.  The
+edge roots of ``charroots`` are checked against numpy's companion-matrix
+root finder run on every square-free part, linear ones included.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate
 
+from mpde.charroots import _deg, _squarefree_parts
 from mpde.errors import DomainError, EvaluationError
 from mpde.exact import RationalComplex, as_fraction
 from mpde.kernel import Lanes, common_denominator, gaussian_int
@@ -229,3 +232,15 @@ def recurrence_float_terms(base, q, terms, n: int, widths, logs1, logs2):
                     r2 = math.exp(logs2[i + b] - logs2[i])
                     row[i] += c * grid[t - a, i + b] * r1 * r2
     return [grid[t, : w + 1] for t, w in enumerate(widths)]
+
+
+def edge_roots_numpy(edge_coeffs) -> list:
+    """``(root, multiplicity)`` of an edge polynomial (coefficients low to
+    high), every square-free part solved by ``np.roots``."""
+    out = []
+    for mult, part in _squarefree_parts(list(edge_coeffs)):
+        if _deg(part) == 0:
+            continue
+        arr = np.array([complex(c) for c in reversed(part)])
+        out += [(complex(r), mult) for r in np.roots(arr)]
+    return out

@@ -209,6 +209,22 @@ def test_cli_exact_solve_beyond_binary64_names_the_cell(tmp_path):
     assert json.loads(result.output)["residual_exact_zero"]
 
 
+def test_cli_exact_probe_beyond_binary64_names_the_level(tmp_path):
+    # the Gevrey fit rounds the moduli of the exact cells to binary64; at
+    # (80, 60) twofactor's t-level 64 leaves that range, below it the fit runs
+    runner = CliRunner()
+    args = [shipped("twofactor"), "--n2", "60", "--arithmetic", "exact"]
+    result = runner.invoke(main, ["probe", *args, "--n1", "80"])
+    assert result.exit_code == 4, result.output
+    assert ("numeric failure: exact coefficients of t-level 64 are outside "
+            "the binary64 range of the Gevrey fit; lower --n1 below 64 "
+            "(verify checks the exact solution without fitting it)"
+            ) in result.output
+    result = runner.invoke(main, ["probe", *args, "--n1", "63"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["gevrey_fit"]["j_range"] == [32, 63]
+
+
 @pytest.mark.parametrize("command", ["solve", "probe"])
 def test_cli_float_overflow_advises_a_smaller_truncation(command, tmp_path):
     result = CliRunner().invoke(main, [
@@ -291,6 +307,39 @@ def test_import_does_not_load_scipy():
                           env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr or "import mpde loaded scipy"
+
+
+def test_import_analyze_newton_and_exact_solve_do_not_load_numpy(tmp_path):
+    # branch data, polygon and classification are rational work, and so is
+    # an exact solve; numpy's import would take about half of every cold
+    # analyze or newton call
+    src = Path(problem_mod.__file__).resolve().parents[1]
+    calls = []
+    for name in ("heat", "transport", "twofactor"):
+        out = tmp_path / name
+        calls += [["analyze", shipped(name), "--out", f"{out}.json"],
+                  ["newton", shipped(name), "--out", f"{out}.csv",
+                   "--svg", f"{out}.svg"],
+                  ["solve", shipped(name), "--arithmetic", "exact",
+                   "--out", f"{out}.solution.csv"],
+                  ["verify", shipped(name), "--arithmetic", "exact",
+                   "--out", f"{out}.verify.json"]]
+    code = ("import sys, mpde\n"
+            "assert 'numpy' not in sys.modules, 'import mpde'\n"
+            "from mpde.cli import main\n"
+            f"for argv in {calls!r}:\n"
+            "    main(argv, standalone_mode=False)\n"
+            "    assert 'numpy' not in sys.modules, argv\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("heat", "transport", "twofactor"):
+        assert ((tmp_path / f"{name}.json").read_text()
+                == (GOLDEN / f"{name}.analyze.json").read_text())
+        assert (tmp_path / f"{name}.svg").read_text().startswith("<svg")
+        assert json.loads(
+            (tmp_path / f"{name}.verify.json").read_text())["passed"]
 
 
 def test_cli_bool_truncation_is_parse_error(tmp_path):

@@ -10,6 +10,8 @@ constant denominator term in {1, 2, 3, -1, 1/2, 3+i, 1-3i, -2i} (and -2,
 z and mixed.  Exact series built from integer lanes (solver, operator and
 rhs outputs) are checked against the series built from their ``coeffs``
 rows, with right-hand sides scaled towards the ends of the binary64 range.
+Edge polynomials are drawn as Gaussian-rational products of linear factors,
+roots on the positive real axis included.
 """
 
 import cmath
@@ -22,9 +24,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import brute_force
-from oracles import rational_rhs_exact, rational_rhs_float
+from oracles import edge_roots_numpy, rational_rhs_exact, rational_rhs_float
 
-from mpde.charroots import CharPoly
+from mpde.charroots import CharPoly, _edge_roots
 from mpde.errors import EvaluationError, WindowError
 from mpde.exact import RationalComplex
 from mpde.moments import eval_at
@@ -432,3 +434,34 @@ def test_lanes_backed_series_equal_their_rows(case, scale, mode):
     p0 = [table.get((0, b), 0) for b in range(4)]
     if any(p0):
         check_lanes_series(g_from_f(p0, prob.m2, rhs))
+
+
+positive_reals = st.builds(lambda x: (x, Fraction(0)),
+                           st.builds(Fraction, st.integers(1, 6),
+                                     st.integers(1, 4)))
+
+
+@SETTINGS
+@given(st.lists(st.tuples(st.one_of(positive_reals, nonzero_gaussians),
+                          st.integers(1, 3)),
+                min_size=1, max_size=3,
+                unique_by=(lambda r: r[0], lambda r: r[1])),
+       nonzero_gaussians)
+def test_linear_edge_roots_match_numpy(roots, lead):
+    """Each root has its own multiplicity, so every square-free part is
+    linear and its exact root must equal numpy's.  ``==`` ignores the sign
+    of a zero part: on the positive real axis ``np.roots`` returns 1-0j
+    where the exact route returns 1+0j, and neither
+    ``summability._arg_pi_multiple`` nor the ``+ 0.0`` of
+    ``problem.analyze_problem`` sees that sign."""
+    poly = [RationalComplex(*lead)]
+    for root, mult in roots:
+        for _ in range(mult):
+            # times (w - root), coefficients low to high
+            poly = ([-RationalComplex(*root) * poly[0]]
+                    + [poly[k - 1] - RationalComplex(*root) * poly[k]
+                       for k in range(1, len(poly))] + [poly[-1]])
+    got = _edge_roots(poly)
+    assert got == edge_roots_numpy(poly)
+    assert sorted(m for _, m in got) == sorted(m for _, m in roots)
+    assert all(type(r) is complex for r, _ in got)
