@@ -90,17 +90,23 @@ def analyze(problem, out):
 def solve(problem, out, n1, n2, arithmetic):
     """Write the solution coefficient CSV plus a JSON sidecar.
 
-    The requested window [N1, N2] is fully valid: the solver internally
-    inflates the z-truncation by N1 times the largest z-order of the
-    operator before recursing.
+    The sidecar is the CSV path with a .json suffix; neither may be the
+    problem file.  The requested window [N1, N2] is fully valid: the solver
+    internally inflates the z-truncation by N1 times the largest z-order of
+    the operator before recursing.
     """
     def body():
-        pf = problem_mod.load_problem(problem)
-        u, sidecar = problem_mod.solve_problem(pf, n1, n2, arithmetic)
         csv_path = Path(out) if out else Path(problem).with_suffix(
             ".solution.csv")
-        csv_path.write_text(u.to_csv())
         sidecar_path = csv_path.with_suffix(".json")
+        if Path(problem).resolve() in (csv_path.resolve(),
+                                       sidecar_path.resolve()):
+            raise PreconditionError(
+                f"the CSV {csv_path} or its sidecar {sidecar_path} would "
+                f"overwrite the problem file {problem}; choose another --out")
+        pf = problem_mod.load_problem(problem)
+        u, sidecar = problem_mod.solve_problem(pf, n1, n2, arithmetic)
+        csv_path.write_text(u.to_csv())
         sidecar_path.write_text(_dump(sidecar))
         click.echo(f"wrote {csv_path} and {sidecar_path}")
     _run(body)

@@ -83,31 +83,18 @@ def gaussian_int(c: RationalComplex, d: int) -> tuple:
     return (c.re * d).numerator, (c.im * d).numerator
 
 
-def normalize(rows, w1, w2, n_rows: int, n_cols: int) -> Lanes:
-    """Numerators of ``rows[j][i] * w1[j] * w2[i]`` for j <= n_rows, i <= n_cols.
-
-    Each nonzero part is multiplied out on integer numerators and
-    denominators and reduced by one gcd, without building Fractions.
-    """
-    w2n = [w.numerator for w in w2[: n_cols + 1]]
-    w2d = [w.denominator for w in w2[: n_cols + 1]]
-    parts = []  # (j, i, lane, numerator, denominator) in lowest terms
-    for j in range(n_rows + 1):
-        jn, jd = w1[j].numerator, w1[j].denominator
-        products = [(i, lane, x.numerator * jn * w2n[i],
-                     x.denominator * jd * w2d[i])
-                    for i, c in enumerate(rows[j][: n_cols + 1]) if c
-                    for lane, x in ((0, c.re), (1, c.im)) if x]
-        parts += [(j, i, lane, num // g, den // g)
-                  for i, lane, num, den in products
-                  for g in (math.gcd(num, den),)]
-    is_complex = any(lane for _, _, lane, _, _ in parts)
-    den = math.lcm(*(d for _, _, _, _, d in parts))
-    lanes = [[[0] * (n_cols + 1) for _ in range(n_rows + 1)]
-             for _ in range(2 if is_complex else 1)]
-    for j, i, lane, num, d in parts:
-        lanes[lane][j][i] = num * (den // d)
-    return Lanes(lanes[0], lanes[1] if is_complex else None, den)
+def lanes_of_table(table: dict, n1: int, n2: int) -> RawLanes:
+    """The (n1, n2) grid of the Gaussian rationals ``table`` {(j, i): value},
+    absent cells zero, as raw lanes over their common denominator; entries
+    outside the grid are dropped."""
+    table = {k: v for k, v in table.items() if k[0] <= n1 and k[1] <= n2}
+    d = common_denominator(table.values())
+    re = [[0] * (n2 + 1) for _ in range(n1 + 1)]
+    im = [[0] * (n2 + 1) for _ in range(n1 + 1)]
+    for (j, i), v in table.items():
+        re[j][i], im[j][i] = gaussian_int(v, d)
+    return RawLanes(re, im if any(map(any, im)) else None,
+                    [d] * (n1 + 1), [1] * (n2 + 1))
 
 
 def _quotients(weights, divisors, n: int) -> list:
@@ -118,7 +105,8 @@ def _quotients(weights, divisors, n: int) -> list:
 
 
 def rescale(grid: RawLanes, w1, w2, n_rows: int, n_cols: int) -> Lanes:
-    """:func:`normalize` of the raw lanes ``grid``, field for field.
+    """Numerators of ``grid[j][i] * w1[j] * w2[i]`` for j <= n_rows,
+    i <= n_cols, over the least common denominator of the cells.
 
     Row j is multiplied by ``w1[j] / row_div[j]`` and column i by
     ``w2[i] / col_div[i]``, O(rows + columns) Fractions brought to the

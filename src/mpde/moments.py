@@ -13,13 +13,14 @@ The classical scales are obtained through :func:`gamma_s`:
 
 Evaluation goes through a Lanczos log-gamma (accuracy checked against the C
 library implementation in the test suite: better than 1e-12 relative on
-arguments in [1, 500]).  Values are produced in a scaled form
-``mantissa * 2**exponent`` so that series operators can use them far beyond
-the double-precision overflow threshold.  Exact mode reads tables of exact
-values (:func:`fraction_table`, through the cached :func:`scaled_eval`);
-float mode reads tables of logarithms only (:func:`log_table`), summed
-factor by factor as :func:`scaled_eval` sums them, without building the
-exact values.
+arguments in [1, 500]).  The cached :func:`scaled_eval` gives one value as
+its logarithm and an exact rational, so that it exists far beyond the
+double-precision overflow threshold.  The series operators read whole
+tables instead, built outside that cache with the same values and errors:
+exact mode reads exact values (:func:`fraction_table`), multiplied out on
+integers; float mode reads logarithms only (:func:`log_table`), summed
+factor by factor as :func:`scaled_eval` sums them.  :func:`split_log` turns
+a logarithm into a binary64 mantissa and a power of two.
 """
 
 from __future__ import annotations
@@ -174,22 +175,17 @@ class ScaledValue:
         except OverflowError:
             return math.inf
 
-    def to_fraction(self) -> Fraction:
-        return self.rational
 
-    @property
-    def mantissa(self) -> float:
-        e2 = math.floor(self.log / _LN2)
-        return math.exp(self.log - e2 * _LN2)
-
-    @property
-    def exp2(self) -> int:
-        return math.floor(self.log / _LN2)
+def split_log(logv: float) -> tuple:
+    """``(mantissa, e2)`` with ``exp(logv) = mantissa * 2**e2``: e2 is
+    ``floor(logv / log 2)`` and the mantissa, about in [1, 2), is ``exp`` of
+    the rest, so a value far outside binary64 splits into finite parts."""
+    e2 = math.floor(logv / _LN2)
+    return math.exp(logv - e2 * _LN2), e2
 
 
 def _dyadic_from_log(logv: float) -> Fraction:
-    e2 = math.floor(logv / _LN2)
-    mant = math.exp(logv - e2 * _LN2)
+    mant, e2 = split_log(logv)
     return Fraction(mant) * Fraction(2) ** e2
 
 
@@ -224,7 +220,7 @@ def eval_at(m: MomentFunction, u) -> float:
 def eval_fraction(m: MomentFunction, u) -> Fraction:
     """m(u) as an exact Fraction (exact Gamma values where possible,
     otherwise the dyadic rational of the scaled double evaluation)."""
-    return scaled_eval(m, as_fraction(u)).to_fraction()
+    return scaled_eval(m, as_fraction(u)).rational
 
 
 def _gamma_arguments(m: MomentFunction, kappa: int, n: int):

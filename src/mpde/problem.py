@@ -14,8 +14,9 @@ A problem file is a JSON object with the fields
 
 Unknown keys are rejected, and so are JSON booleans where a truncation or a
 direction is expected.  Coefficient payloads are lists of
-``[j, i, re, im]`` quadruples; re/im may be JSON numbers or rational
-strings such as ``"1/2"``.
+``[j, i, re, im]`` quadruples (``num`` and ``den`` of a ``rational``
+payload object): j, i non-negative integers; re, im and the ``rhs_gevrey``
+entries finite non-boolean numbers or rational strings such as ``"1/2"``.
 
 A ``rational`` rhs is expanded on the solver grid by power-series division:
 fraction-free on Gaussian integers in exact mode, row by row into the
@@ -90,6 +91,15 @@ def load_problem(source) -> ProblemFile:
         raise ParseError('rhs must be {"kind": "coeffs"|"rational", "payload": ...}')
     if "payload" not in rhs:
         raise ParseError("rhs is missing its payload")
+    payload = rhs["payload"]
+    if rhs["kind"] == "coeffs":
+        _entries(payload, "rhs")
+    elif not isinstance(payload, dict):
+        raise ParseError('a rational rhs payload is an object '
+                         '{"num": [...], "den": [...]}')
+    else:
+        for key in ("num", "den"):
+            _entries(payload.get(key, []), f"rhs {key}")
     role = data.get("rhs_role", "g")
     if role not in ("g", "f"):
         raise ParseError('rhs_role must be "g" or "f"')
@@ -97,9 +107,9 @@ def load_problem(source) -> ProblemFile:
     if not isinstance(gevrey, (list, tuple)) or len(gevrey) != 2:
         raise ParseError("rhs_gevrey must be a pair of rationals")
     try:
-        gevrey = (as_fraction(gevrey[0]), as_fraction(gevrey[1]))
-    except (ValueError, TypeError) as exc:
-        raise ParseError(f"bad rhs_gevrey: {exc}")
+        gevrey = tuple(map(_rational, gevrey))
+    except ParseError as exc:
+        raise ParseError(f"rhs_gevrey entry {exc}") from None
     trunc = data.get("truncation", [20, 40])
     if (not isinstance(trunc, (list, tuple)) or len(trunc) != 2
             or not all(isinstance(v, int) and not isinstance(v, bool)
@@ -121,25 +131,51 @@ def load_problem(source) -> ProblemFile:
                        mode, arithmetic)
 
 
+def _rational(value) -> Fraction:
+    """``value`` as a Fraction: a finite number that is not a boolean, or a
+    rational string with a nonzero denominator; else ParseError."""
+    if not isinstance(value, bool):
+        try:
+            return as_fraction(value)
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+            pass
+    raise ParseError(f"{json.dumps(value, default=str)} is not a finite "
+                     f"number or a rational string with a nonzero denominator")
+
+
+def _entries(quads, where: str) -> list:
+    """``(j, i, re, im)`` of the coefficient list ``quads``, with re and im
+    as Fractions; every entry must be ``[j, i, re, im]`` with non-negative
+    integer indices and :func:`_rational` values, else ParseError."""
+    if not isinstance(quads, (list, tuple)):
+        raise ParseError(f"{where} coefficients must be a list of "
+                         f"[j, i, re, im] entries")
+    out = []
+    for quad in quads:
+        if not isinstance(quad, (list, tuple)) or len(quad) != 4:
+            fault = " is not [j, i, re, im]"
+        elif not all(type(k) is int and k >= 0 for k in quad[:2]):
+            fault = ": indices must be non-negative integers"
+        else:
+            try:
+                out.append((*quad[:2], _rational(quad[2]), _rational(quad[3])))
+                continue
+            except ParseError as exc:
+                fault = f": value {exc}"
+        raise ParseError(f"{where} entry {json.dumps(quad, default=str)}"
+                         f"{fault}")
+    return out
+
+
 # -- right-hand side expansion ---------------------------------------------------
 
 
-def _entry_value(re, im, exact: bool):
-    if exact:
-        return RationalComplex(as_fraction(re), as_fraction(im))
-    return complex(float(as_fraction(re)), float(as_fraction(im)))
-
-
-def _quads_to_table(quads, exact: bool) -> dict:
+def _quads_to_table(quads, exact: bool, where: str = "rhs") -> dict:
     table = {}
-    for quad in quads:
-        if len(quad) != 4:
-            raise ParseError(f"coefficient entries are [j, i, re, im], got {quad}")
-        j, i = int(quad[0]), int(quad[1])
-        if j < 0 or i < 0:
-            raise ParseError("coefficient indices must be non-negative")
-        val = _entry_value(quad[2], quad[3], exact)
-        table[(j, i)] = table.get((j, i), _entry_value(0, 0, exact)) + val
+    zero = RationalComplex(0) if exact else 0j
+    for j, i, re, im in _entries(quads, where):
+        val = RationalComplex(re, im) if exact else complex(re, im)
+        table[(j, i)] = table.get((j, i), zero) + val
     return table
 
 
@@ -155,30 +191,17 @@ def expand_rhs(rhs_spec: dict, n1: int, n2: int, exact: bool) -> Series2:
     if kind == "coeffs":
         table = _quads_to_table(payload, exact)
         if exact:
-            return Series2(_lanes_of_table(table, n1, n2), exact=True)
+            return Series2(kernel.lanes_of_table(table, n1, n2), exact=True)
         return Series2.from_entries(((j, i, v) for (j, i), v in table.items()),
                                     n1, n2, exact=exact)
-    num = _quads_to_table(payload.get("num", []), exact)
-    den = _quads_to_table(payload.get("den", []), exact)
+    num = _quads_to_table(payload.get("num", []), exact, "rhs num")
+    den = _quads_to_table(payload.get("den", []), exact, "rhs den")
     d00 = den.get((0, 0))
     if not d00:
         raise PreconditionError(
             "rational rhs needs a denominator with nonzero constant term")
     quotient = _quotient_exact if exact else _quotient_float
     return Series2(quotient(num, den, n1, n2), exact=exact)
-
-
-def _lanes_of_table(table: dict, n1: int, n2: int) -> kernel.RawLanes:
-    """The (n1, n2) grid of the entries ``table`` {(j, i): value}, over their
-    common denominator; entries outside the grid are dropped."""
-    table = {k: v for k, v in table.items() if k[0] <= n1 and k[1] <= n2}
-    d = kernel.common_denominator(table.values())
-    re = [[0] * (n2 + 1) for _ in range(n1 + 1)]
-    im = [[0] * (n2 + 1) for _ in range(n1 + 1)]
-    for (j, i), v in table.items():
-        re[j][i], im[j][i] = kernel.gaussian_int(v, d)
-    return kernel.RawLanes(re, im if any(map(any, im)) else None,
-                           [d] * (n1 + 1), [1] * (n2 + 1))
 
 
 def _quotient_exact(num: dict, den: dict, n1: int, n2: int) -> kernel.RawLanes:
@@ -284,7 +307,7 @@ def _quotient_float(num: dict, den: dict, n1: int, n2: int):
     complex ``*`` may be fused with FMA).
 
     Real data (every imaginary part of num and den is +0.0, as
-    ``_entry_value`` makes it) runs on the real plane alone.  While that
+    ``_quads_to_table`` makes it) runs on the real plane alone.  While that
     plane stays finite, every cell's imaginary part is the zero ``0.0 /
     Q_00``, and a real accumulator is never -0.0 (it starts from a table
     value or +0.0 and only subtracts), so the signed zeros that the

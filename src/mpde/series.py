@@ -11,7 +11,10 @@ mode keeps a grid as integer lanes with row and column divisors, multiplies
 by the moment values once on input and shifts on integers; the moment
 values stay in the output's divisors, and are divided out only when
 ``coeffs`` is read.  :func:`apply_operator` runs both modes on the shift
-kernel of :mod:`mpde.kernel`.  Exact moment values are exact rationals (true
+kernel of :mod:`mpde.kernel`.  The moment Borel transforms and moment
+derivatives re-index one axis and scale it by moment values, put into the
+divisors of exact lanes or applied to the float grid as one vector.
+Exact moment values are exact rationals (true
 factorials where available, dyadic rationals of the scaled double evaluation
 otherwise), so algebraic identities such as Borel round trips and solver
 residuals hold bit for bit.
@@ -35,16 +38,6 @@ from .moments import MomentFunction
 def _coercer(exact: bool):
     """The coefficient type's constructor, applied at C level by ``map``."""
     return RationalComplex.coerce if exact else complex
-
-
-def _div_scaled(c: complex, sv: moments.ScaledValue) -> complex:
-    return complex(math.ldexp(c.real / sv.mantissa, -sv.exp2),
-                   math.ldexp(c.imag / sv.mantissa, -sv.exp2))
-
-
-def _mul_scaled(c: complex, sv: moments.ScaledValue) -> complex:
-    return complex(math.ldexp(c.real * sv.mantissa, sv.exp2),
-                   math.ldexp(c.imag * sv.mantissa, sv.exp2))
 
 
 @dataclass(frozen=True)
@@ -172,11 +165,10 @@ class Series2:
         if not self.exact:
             raise DomainError("only exact series have integer lanes")
         if self._lanes is None:
-            n_rows, n_cols = self.shape
-            ones = [1] * (max(n_rows, n_cols) + 1)
-            U = kernel.normalize(self._rows, ones, ones, n_rows, n_cols)
-            object.__setattr__(self, "_lanes", kernel.RawLanes(
-                U.re, U.im, [U.den] * (n_rows + 1), [1] * (n_cols + 1)))
+            cells = {(j, i): c for j, row in enumerate(self._rows)
+                     for i, c in enumerate(row) if c}
+            object.__setattr__(self, "_lanes",
+                               kernel.lanes_of_table(cells, *self.shape))
         return self._lanes
 
     def _key(self) -> tuple:
@@ -342,60 +334,14 @@ class GevreyFit:
 # -- moment Borel transforms and moment differentiation ----------------------
 
 
-def _scale_1d(coeffs, m, kappa, exact, invert):
-    out = []
-    for j, c in enumerate(coeffs):
-        sv = moments.scaled_eval(m, Fraction(j, kappa))
-        if exact:
-            f = sv.to_fraction()
-            out.append(c * f if invert else c / f)
-        else:
-            out.append(_mul_scaled(c, sv) if invert else _div_scaled(c, sv))
-    return out
-
-
 def borel(m: MomentFunction, s, axis: str | None = None):
     """Coefficient-wise division by m(j/kappa) along the chosen axis."""
-    return _borel_impl(m, s, axis, invert=False)
+    return _transform(m, s, axis, 0, False, True)
 
 
 def inv_borel(m: MomentFunction, s, axis: str | None = None):
     """Exact inverse of :func:`borel`: multiplication by m(j/kappa)."""
-    return _borel_impl(m, s, axis, invert=True)
-
-
-def _borel_impl(m, s, axis, invert):
-    if isinstance(s, Series1):
-        out = _scale_1d(s.coeffs, m, s.kappa, s.exact, invert)
-        return Series1(out, s.kappa, s.axis, s.exact)
-    if axis not in ("t", "z"):
-        raise DomainError("Series2 transforms need axis 't' or 'z'")
-    J, I = s.valid
-    if axis == "t":
-        rows = []
-        for j in range(J + 1):
-            sv = moments.scaled_eval(m, Fraction(j, s.kappa1))
-            if s.exact:
-                f = sv.to_fraction()
-                rows.append([c * f if invert else c / f
-                             for c in s.coeffs[j][: I + 1]])
-            else:
-                rows.append([_mul_scaled(c, sv) if invert else _div_scaled(c, sv)
-                             for c in s.coeffs[j][: I + 1]])
-    else:
-        svs = [moments.scaled_eval(m, Fraction(i, s.kappa2)) for i in range(I + 1)]
-        fs = [sv.to_fraction() for sv in svs] if s.exact else None
-        rows = []
-        for j in range(J + 1):
-            row = s.coeffs[j]
-            if s.exact:
-                rows.append([row[i] * fs[i] if invert else row[i] / fs[i]
-                             for i in range(I + 1)])
-            else:
-                rows.append([_mul_scaled(row[i], svs[i]) if invert
-                             else _div_scaled(row[i], svs[i])
-                             for i in range(I + 1)])
-    return Series2(rows, s.kappa1, s.kappa2, s.exact)
+    return _transform(m, s, axis, 0, True, False)
 
 
 def moment_diff(m: MomentFunction, s, axis: str | None = None, times: int = 1):
@@ -406,7 +352,7 @@ def moment_diff(m: MomentFunction, s, axis: str | None = None, times: int = 1):
     """
     if times < 0:
         raise DomainError("times must be >= 0")
-    return _shift_impl(m, s, axis, times, up=True)
+    return _transform(m, s, axis, times, True, True)
 
 
 def moment_antidiff(m: MomentFunction, s, axis: str | None = None,
@@ -414,49 +360,80 @@ def moment_antidiff(m: MomentFunction, s, axis: str | None = None,
     """Moment integration: normalized coefficients shift down, zero-padded."""
     if times < 0:
         raise DomainError("times must be >= 0")
-    return _shift_impl(m, s, axis, times, up=False)
+    return _transform(m, s, axis, -times, True, True)
 
 
-def _shift_1d(coeffs, m, kappa, exact, times, up):
-    n = len(coeffs) - 1
-    if up and times > n:
-        raise WindowError(f"differentiating {times} times leaves no "
-                          f"valid coefficients (truncation {n})")
-    src = range(times, n + 1) if up else range(n - times + 1)
-    dst = range(n - times + 1) if up else range(times, n + 1)
-    if exact:
-        # normalized coefficients c_j * m(j) shift; divide once on output
-        w = moments.fraction_table(m, kappa, n)
-        moved = [coeffs[x] * w[x] / w[y] for x, y in zip(src, dst)]
-    else:
-        logs = moments.log_table(m, kappa, n)
-        moved = [coeffs[x] * math.exp(logs[x] - logs[y])
-                 for x, y in zip(src, dst)]
-    if up:
-        return moved
-    zero = RationalComplex(0) if exact else 0j
-    return [zero] * min(times, n + 1) + moved
+def _reindex(seq, delta: int, n_out: int, fill) -> list:
+    """``seq[k + delta]`` for k <= n_out, ``fill`` where k + delta < 0."""
+    lo = min(max(-delta, 0), n_out + 1)
+    return [fill] * lo + list(seq[lo + delta: n_out + 1 + delta])
 
 
-def _shift_impl(m, s, axis, times, up):
+def _transform(m, s, axis, delta: int, num: bool, den: bool):
+    """Output index k along ``axis`` reads input index k + delta (zero
+    below index 0), times ``A(k + delta) / B(k)``: A is m if ``num``, B is
+    m if ``den``, else 1.  A Series1 runs as a one-row Series2 along z.
+
+    Exact mode re-indexes the lanes of the valid window and sets divisor k
+    to ``div[k + delta] * B(k) / A(k + delta)``.  Float mode scales the
+    grid planes of the Borel pair by the parts of :func:`moments.split_log`,
+    raising OverflowError where ``math.ldexp`` would, and multiplies a shift
+    by ``exp(log m(k + delta) - log m(k))`` as Python's ``complex``
+    multiply does, overflow giving inf.
+    """
     if isinstance(s, Series1):
-        out = _shift_1d(list(s.coeffs), m, s.kappa, s.exact, times, up)
-        return Series1(out, s.kappa, s.axis, s.exact)
+        row = Series2([s.coeffs], 1, s.kappa, s.exact)
+        out = _transform(m, row, "z", delta, num, den)
+        return Series1(out.coeffs[0], s.kappa, s.axis, s.exact)
     if axis not in ("t", "z"):
         raise DomainError("Series2 transforms need axis 't' or 'z'")
     J, I = s.valid
-    if axis == "t":
-        cells = s.coeffs
-        cols = [[cells[j][i] for j in range(J + 1)] for i in range(I + 1)]
-        new_cols = [_shift_1d(col, m, s.kappa1, s.exact, times, up)
-                    for col in cols]
-        rows = [[new_cols[i][j] for i in range(I + 1)]
-                for j in range(len(new_cols[0]))]
+    n, kappa = (J, s.kappa1) if axis == "t" else (I, s.kappa2)
+    if delta > n:
+        raise WindowError(f"differentiating {delta} times leaves no "
+                          f"valid coefficients (truncation {n})")
+    n_out = n - max(delta, 0)
+    if s.exact:
+        w = moments.fraction_table(m, kappa, n)
+        lanes = s.windowed().lanes
+        divs = [1 if k + delta < 0 else
+                d * (w[k] if den else 1) / (w[k + delta] if num else 1)
+                for k, d in enumerate(_reindex(
+                    lanes.row_div if axis == "t" else lanes.col_div,
+                    delta, n_out, 1))]
+        re, im = (
+            None if lane is None
+            else _reindex(lane, delta, n_out, [0] * (I + 1)) if axis == "t"
+            else [_reindex(row, delta, n_out, 0) for row in lane]
+            for lane in (lanes.re, lanes.im))
+        out = (kernel.RawLanes(re, im, divs, lanes.col_div) if axis == "t"
+               else kernel.RawLanes(re, im, lanes.row_div, divs))
+        return Series2(out, s.kappa1, s.kappa2, True)
+    import numpy as np
+
+    cells = s.grid[: J + 1, : I + 1]
+    if axis == "z":
+        cells = cells.T  # the transform runs along axis 0
+    lo = min(max(-delta, 0), n_out + 1)
+    src = cells[lo + delta: n_out + 1 + delta]
+    logs = moments.log_table(m, kappa, n)
+    out = np.zeros((n_out + 1, cells.shape[1]), dtype=complex)
+    if num and den:
+        r = np.array([math.exp(logs[k + delta] - logs[k])
+                      for k in range(lo, n_out + 1)])[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            out.real[lo:] = src.real * r - src.imag * 0.0
+            out.imag[lo:] = src.real * 0.0 + src.imag * r
     else:
-        rows = [_shift_1d(list(s.coeffs[j][: I + 1]), m, s.kappa2, s.exact,
-                          times, up)
-                for j in range(J + 1)]
-    return Series2(rows, s.kappa1, s.kappa2, s.exact)
+        mant, e2 = (np.array(v)[:, None]
+                    for v in zip(*map(moments.split_log, logs)))
+        for plane, part in ((out.real, src.real), (out.imag, src.imag)):
+            with np.errstate(over="ignore"):
+                scaled = part * mant if num else part / mant
+                plane[:] = np.ldexp(scaled, e2 if num else -e2)
+            if not np.isfinite(plane[np.isfinite(scaled)]).all():
+                raise OverflowError("math range error")
+    return Series2(out if axis == "t" else out.T, s.kappa1, s.kappa2, False)
 
 
 # -- constant-coefficient moment differential operators ----------------------

@@ -8,10 +8,14 @@ Python ``complex`` arithmetic is the reference for the float expansion of a
 ``rational`` rhs, and a per-cell fraction-free division on Gaussian integers
 for its exact expansion.  Two loop forms of shift-kernel functions are
 references for their faster forms: a per-cell ``Fraction`` normalization
-for ``kernel.normalize`` and ``kernel.rescale``, and a term-by-term float
-recursion for the tail matrices of ``kernel.recurrence_float``.  The
-edge roots of ``charroots`` are checked against numpy's companion-matrix
-root finder run on every square-free part, linear ones included.
+for ``kernel.lanes_of_table`` and ``kernel.rescale``, and a term-by-term
+float recursion for the tail matrices of ``kernel.recurrence_float``.  The
+moment Borel transforms and moment derivatives of ``series`` are checked
+against their per-cell forms: exact cells times ``Fraction`` moment values,
+float cells scaled by ``math.ldexp`` or multiplied as Python ``complex``.
+The edge roots of ``charroots`` are checked against numpy's
+companion-matrix root finder run on every square-free part, linear ones
+included.
 """
 
 from __future__ import annotations
@@ -23,11 +27,11 @@ import numpy as np
 from scipy import integrate
 
 from mpde.charroots import _deg, _squarefree_parts
-from mpde.errors import DomainError, EvaluationError
+from mpde.errors import DomainError, EvaluationError, WindowError
 from mpde.exact import RationalComplex, as_fraction
 from mpde.kernel import Lanes, common_denominator, gaussian_int
-from mpde.moments import log_gamma
-from mpde.series import Series1
+from mpde.moments import log_gamma, log_table, scaled_eval
+from mpde.series import Series1, Series2
 
 
 def mellin_check(a, b, k, u, quad_params: dict | None = None) -> float:
@@ -187,7 +191,9 @@ def rational_rhs_exact(num: dict, den: dict, n1: int, n2: int) -> list:
 
 
 def normalize_fractions(rows, w1, w2, n_rows: int, n_cols: int) -> Lanes:
-    """``kernel.normalize`` one cell at a time on ``Fraction`` products."""
+    """Numerators of ``rows[j][i] * w1[j] * w2[i]`` for j <= n_rows,
+    i <= n_cols, over their least common denominator, one cell at a time on
+    ``Fraction`` products."""
     cells = []  # (j, i, re, im) of the nonzero cells, as Fractions
     for j in range(n_rows + 1):
         row = rows[j]
@@ -244,3 +250,104 @@ def edge_roots_numpy(edge_coeffs) -> list:
         arr = np.array([complex(c) for c in reversed(part)])
         out += [(complex(r), mult) for r in np.roots(arr)]
     return out
+
+
+# -- the moment Borel transforms and moment derivatives, one cell at a time --
+
+
+def _scale_cell(c: complex, logv: float, invert: bool) -> complex:
+    """``c`` divided (multiplied, ``invert``) by ``exp(logv)``, split as
+    ``mantissa * 2**e2``, each part through ``math.ldexp``."""
+    e2 = math.floor(logv / math.log(2.0))
+    mant = math.exp(logv - e2 * math.log(2.0))
+    if invert:
+        return complex(math.ldexp(c.real * mant, e2),
+                       math.ldexp(c.imag * mant, e2))
+    return complex(math.ldexp(c.real / mant, -e2),
+                   math.ldexp(c.imag / mant, -e2))
+
+
+def _scale_1d(coeffs, m, kappa, exact, invert):
+    out = []
+    for j, c in enumerate(coeffs):
+        sv = scaled_eval(m, Fraction(j, kappa))
+        if exact:
+            out.append(c * sv.rational if invert else c / sv.rational)
+        else:
+            out.append(_scale_cell(c, sv.log, invert))
+    return out
+
+
+def borel_cells(m, s, axis=None, invert=False):
+    """``series.borel`` (``inv_borel`` with ``invert``) one cell at a time:
+    each coefficient is divided (multiplied) by its moment value, an exact
+    ``Fraction`` in exact mode and the scaled form of its logarithm in
+    float mode."""
+    if isinstance(s, Series1):
+        out = _scale_1d(s.coeffs, m, s.kappa, s.exact, invert)
+        return Series1(out, s.kappa, s.axis, s.exact)
+    if axis not in ("t", "z"):
+        raise DomainError("Series2 transforms need axis 't' or 'z'")
+    J, I = s.valid
+    if axis == "t":
+        rows = []
+        for j in range(J + 1):
+            sv = scaled_eval(m, Fraction(j, s.kappa1))
+            row = s.coeffs[j][: I + 1]
+            if s.exact:
+                rows.append([c * sv.rational if invert else c / sv.rational
+                             for c in row])
+            else:
+                rows.append([_scale_cell(c, sv.log, invert) for c in row])
+    else:
+        rows = [_scale_1d(s.coeffs[j][: I + 1], m, s.kappa2, s.exact, invert)
+                for j in range(J + 1)]
+    return Series2(rows, s.kappa1, s.kappa2, s.exact)
+
+
+def _shift_1d(coeffs, m, kappa, exact, times, up):
+    n = len(coeffs) - 1
+    if up and times > n:
+        raise WindowError(f"differentiating {times} times leaves no "
+                          f"valid coefficients (truncation {n})")
+    src = range(times, n + 1) if up else range(n - times + 1)
+    dst = range(n - times + 1) if up else range(times, n + 1)
+    if exact:
+        w = [scaled_eval(m, Fraction(j, kappa)).rational for j in range(n + 1)]
+        moved = [coeffs[x] * w[x] / w[y] for x, y in zip(src, dst)]
+    else:
+        logs = log_table(m, kappa, n)
+        moved = [coeffs[x] * math.exp(logs[x] - logs[y])
+                 for x, y in zip(src, dst)]
+    if up:
+        return moved
+    zero = RationalComplex(0) if exact else 0j
+    return [zero] * min(times, n + 1) + moved
+
+
+def moment_shift_cells(m, s, axis=None, times=1, up=True):
+    """``series.moment_diff`` (``moment_antidiff`` when not ``up``) one cell
+    at a time: each output cell is its source cell times the ratio of their
+    moment values, a ``Fraction`` quotient in exact mode and in float mode a
+    Python ``complex`` times ``math.exp`` of the difference of their logs;
+    along t the columns are shifted one by one."""
+    if times < 0:
+        raise DomainError("times must be >= 0")
+    if isinstance(s, Series1):
+        out = _shift_1d(list(s.coeffs), m, s.kappa, s.exact, times, up)
+        return Series1(out, s.kappa, s.axis, s.exact)
+    if axis not in ("t", "z"):
+        raise DomainError("Series2 transforms need axis 't' or 'z'")
+    J, I = s.valid
+    if axis == "t":
+        cells = s.coeffs
+        cols = [[cells[j][i] for j in range(J + 1)] for i in range(I + 1)]
+        new_cols = [_shift_1d(col, m, s.kappa1, s.exact, times, up)
+                    for col in cols]
+        rows = [[new_cols[i][j] for i in range(I + 1)]
+                for j in range(len(new_cols[0]))]
+    else:
+        rows = [_shift_1d(list(s.coeffs[j][: I + 1]), m, s.kappa2, s.exact,
+                          times, up)
+                for j in range(J + 1)]
+    return Series2(rows, s.kappa1, s.kappa2, s.exact)

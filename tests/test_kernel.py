@@ -14,12 +14,42 @@ from mpde.exact import RationalComplex
 from mpde.moments import fraction_table, log_table
 from mpde.parsing import parse_moment
 
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_lanes_of_table_matches_fraction_oracle(is_complex):
+    # the nonzero cells of random grids, a third of them zero, become raw
+    # lanes over the cells' common denominator: the per-cell Fraction
+    # normalization with unit weights; cells beyond the grid are dropped
+    rng = random.Random(51)
+    for n_rows, n_cols in ((0, 0), (3, 7), (6, 4)):
+        rows = [list(row) for row in
+                random_series2(rng, n_rows + 1, n_cols + 2, exact=True).coeffs]
+        for row in rows:
+            for i in range(len(row)):
+                if rng.random() < 0.3:
+                    row[i] = RationalComplex(0)
+                elif not is_complex:
+                    row[i] = RationalComplex(row[i].re)
+        table = {(j, i): c for j, row in enumerate(rows)
+                 for i, c in enumerate(row) if c}
+        got = kernel.lanes_of_table(table, n_rows, n_cols)
+        want = normalize_fractions(rows, [1] * (n_rows + 1),
+                                   [1] * (n_cols + 1), n_rows, n_cols)
+        assert (got.re, got.im) == (want.re, want.im)
+        assert got.row_div == [want.den] * (n_rows + 1)
+        assert got.col_div == [1] * (n_cols + 1)
+        if n_rows:
+            assert (got.im is None) == (not is_complex)
+
+
 WEIGHTS = ("Gamma(1/2)", "Gamma(1)*Gamma(1/2)/Gamma(2)")
 
 
 @pytest.mark.parametrize("is_complex", [False, True])
 @pytest.mark.parametrize("moment", WEIGHTS)
 def test_normalize_matches_fraction_oracle(moment, is_complex):
+    # a table normalized to moment weights, as the solvers do it: raw lanes
+    # of the table, then rescaled by the weights, against the per-cell
+    # Fraction normalization of the same cells
     m = parse_moment(moment)
     rng = random.Random(51)
     for n_rows, n_cols in ((0, 0), (3, 7), (6, 4)):
@@ -31,10 +61,13 @@ def test_normalize_matches_fraction_oracle(moment, is_complex):
                     row[i] = RationalComplex(0)
                 elif not is_complex:
                     row[i] = RationalComplex(row[i].re)
+        table = {(j, i): c for j, row in enumerate(rows)
+                 for i, c in enumerate(row) if c}
+        raw = kernel.lanes_of_table(table, n_rows, n_cols)
         w1 = fraction_table(m, 2, n_rows + 1)
         w2 = fraction_table(m, 1, n_cols + 2)
         for weights in ((w1, w2), ([1] * (n_rows + 2), w2)):
-            got = kernel.normalize(rows, *weights, n_rows, n_cols)
+            got = kernel.rescale(raw, *weights, n_rows, n_cols)
             want = normalize_fractions(rows, *weights, n_rows, n_cols)
             assert (got.re, got.im, got.den) == (want.re, want.im, want.den)
             if n_rows:
@@ -105,10 +138,11 @@ def test_recurrence_float_tail_memory_follows_its_band():
         assert np.max(np.abs(g - w)) <= 1e-13 * max(np.max(np.abs(w)), 1.0)
 
 
-def test_normalize_of_zero_grid_has_unit_denominator():
-    zero = [[RationalComplex(0)] * 3 for _ in range(2)]
-    got = kernel.normalize(zero, [Fraction(1)] * 2, [Fraction(1, 2)] * 3, 1, 2)
-    assert (got.re, got.im, got.den) == ([[0, 0, 0], [0, 0, 0]], None, 1)
+def test_lanes_of_table_of_zero_grid_has_unit_denominator():
+    zero = kernel.RawLanes([[0, 0, 0], [0, 0, 0]], None, [1, 1], [1, 1, 1])
+    assert kernel.lanes_of_table({}, 1, 2) == zero
+    assert kernel.lanes_of_table({(1, 1): RationalComplex(0),
+                                  (2, 0): RationalComplex(5, 1)}, 1, 2) == zero
 
 
 DIVISORS = (1, 2, -3, 7, Fraction(5, 12), Fraction(-2, 9), Fraction(16, 3))

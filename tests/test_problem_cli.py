@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -373,6 +375,76 @@ def test_cli_error_exit_codes(tmp_path):
     data3["operator"] = "(dz^2+1)*dt - dz"
     badmode.write_text(json.dumps(data3))  # mode stays "direct"
     assert runner.invoke(main, ["solve", str(badmode)]).exit_code == 2
+
+
+# heat.json with one field replaced by a raw JSON literal, and a piece of
+# the ParseError message that names the entry
+MALFORMED = [
+    ("num entry", '[0, 0, "abc", "0"]', 'rhs num entry [0, 0, "abc", "0"]'),
+    ("num entry", '["x", 0, "1", "0"]', 'rhs num entry ["x", 0, "1", "0"]'),
+    ("num entry", '[0, 0, null, "0"]', 'rhs num entry [0, 0, null, "0"]'),
+    ("payload", '[[0, 0, "1", "0"]]', "a rational rhs payload is an object"),
+    ("num entry", "[0, 0, 1e309, 0]", "rhs num entry [0, 0, Infinity, 0]"),
+    ("num entry", '[0, 0, "1/0", "0"]', 'rhs num entry [0, 0, "1/0", "0"]'),
+    ("num entry", '[0.5, 0, "1", "0"]', 'rhs num entry [0.5, 0, "1", "0"]'),
+    ("num entry", '[true, 0, "1", "0"]', 'rhs num entry [true, 0, "1", "0"]'),
+    ("rhs_gevrey", '[1e309, "0"]', "rhs_gevrey entry Infinity"),
+    ("rhs_gevrey", '[true, "0"]', "rhs_gevrey entry true"),
+]
+
+
+def _malformed_heat(field: str, literal: str) -> str:
+    data = json.loads(Path(shipped("heat")).read_text())
+    if field == "num entry":
+        data["rhs"]["payload"]["num"][0] = "RAW"
+    elif field == "payload":
+        data["rhs"]["payload"] = "RAW"
+    else:
+        data[field] = "RAW"
+    return json.dumps(data).replace('"RAW"', literal)
+
+
+@pytest.mark.parametrize("field,literal,named", MALFORMED,
+                         ids=[f"{f}={v}" for f, v, _ in MALFORMED])
+def test_malformed_rhs_is_a_parse_error_naming_the_entry(field, literal,
+                                                         named, tmp_path):
+    text = _malformed_heat(field, literal)
+    with pytest.raises(ParseError, match=re.escape(named)):
+        load_problem(text)
+    prob = tmp_path / "bad.json"
+    prob.write_text(text)
+    for command in ("verify", "analyze"):
+        result = CliRunner().invoke(main, [command, str(prob)])
+        assert result.exit_code == 1, result.output
+        assert f"parse error: {named}" in result.output
+
+
+def test_shipped_problems_pass_the_entry_checks():
+    for name in ("heat", "transport", "twofactor"):
+        data = json.loads(Path(shipped(name)).read_text())
+        assert load_problem(data).rhs == data["rhs"]
+    # numbers, rational and decimal strings, and repeated entries still load
+    data = json.loads(Path(shipped("heat")).read_text())
+    data["rhs"]["payload"]["num"] += [[0, 0, 0.5, -2], [3, 1, "-1/3", "0.25"]]
+    data["rhs_gevrey"] = [1, "1/2"]
+    pf = load_problem(data)
+    assert pf.rhs_gevrey == (1, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("out_name", ["heat.json", "heat.csv", "heat"])
+def test_cli_solve_refuses_to_overwrite_the_problem_file(out_name, tmp_path):
+    # the CSV or its .json sidecar would be the problem file itself
+    prob = tmp_path / "heat.json"
+    prob.write_bytes(Path(shipped("heat")).read_bytes())
+    before = prob.read_bytes()
+    result = CliRunner().invoke(main, ["solve", str(prob), "--out",
+                                       str(tmp_path / out_name)])
+    assert result.exit_code == 2, result.output
+    csv = tmp_path / out_name
+    assert (f"the CSV {csv} or its sidecar {csv.with_suffix('.json')} would "
+            f"overwrite the problem file {prob}") in result.output
+    assert prob.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["heat.json"]
 
 
 def test_console_script_entry_point(tmp_path):

@@ -11,7 +11,12 @@ z and mixed.  Exact series built from integer lanes (solver, operator and
 rhs outputs) are checked against the series built from their ``coeffs``
 rows, with right-hand sides scaled towards the ends of the binary64 range.
 Edge polynomials are drawn as Gaussian-rational products of linear factors,
-roots on the positive real axis included.
+roots on the positive real axis included.  The moment Borel transforms and
+moment derivatives are drawn on Series1 and Series2 (both axes, windows
+smaller than the grid), seven moment functions and one that is undefined at
+0, ramifications 1-3 and ``times`` up to past the truncation, with float
+data scaled by 1, 1e+-300, 1e-310 and 1e-323, signed zeros and a few
+non-finite parts.
 """
 
 import cmath
@@ -24,15 +29,17 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import brute_force
-from oracles import edge_roots_numpy, rational_rhs_exact, rational_rhs_float
+from oracles import (borel_cells, edge_roots_numpy, moment_shift_cells,
+                     rational_rhs_exact, rational_rhs_float)
 
 from mpde.charroots import CharPoly, _edge_roots
 from mpde.errors import EvaluationError, WindowError
 from mpde.exact import RationalComplex
-from mpde.moments import eval_at
+from mpde.moments import MOMENT_ONE, eval_at
 from mpde.parsing import parse_moment
 from mpde.problem import _quads_to_table, expand_rhs
-from mpde.series import Series2, apply_operator
+from mpde.series import (Series1, Series2, apply_operator, borel, inv_borel,
+                         moment_antidiff, moment_diff)
 from mpde.solver import (CauchyProblem, _recursion_terms, formal_solve,
                          g_from_f, residual)
 
@@ -465,3 +472,147 @@ def test_linear_edge_roots_match_numpy(roots, lead):
     assert got == edge_roots_numpy(poly)
     assert sorted(m for _, m in got) == sorted(m for _, m in roots)
     assert all(type(r) is complex for r, _ in got)
+
+
+TRANSFORM_MOMENTS = tuple(parse_moment(m) for m in (
+    "Gamma(0)", "Gamma(1)", "Gamma(1/2)", "Gamma(3)", "Gamma(-1)",
+    "Gamma(1)*Gamma(1/2)/Gamma(2)", "3/2*Gamma(1/3+u/2)"))
+UNDEFINED_AT_0 = parse_moment("1*Gamma(-1/2+u/1)")  # Gamma(-1/2) at u = 0
+
+# each transform and its per-cell oracle, called as (m, s, axis, times)
+TRANSFORMS = {
+    "borel": (lambda m, s, axis, _: borel(m, s, axis),
+              lambda m, s, axis, _: borel_cells(m, s, axis)),
+    "inv_borel": (lambda m, s, axis, _: inv_borel(m, s, axis),
+                  lambda m, s, axis, _: borel_cells(m, s, axis, invert=True)),
+    "moment_diff": (moment_diff,
+                    lambda m, s, axis, k: moment_shift_cells(m, s, axis, k)),
+    "moment_antidiff": (moment_antidiff,
+                        lambda m, s, axis, k: moment_shift_cells(
+                            m, s, axis, k, up=False)),
+}
+
+
+@st.composite
+def transform_cases(draw):
+    """(transform name, m, series, axis, times)."""
+    exact = draw(st.booleans())
+    if exact:
+        cell = st.builds(RationalComplex, fractions,
+                         st.one_of(st.just(0), fractions))
+    else:
+        scale = draw(st.sampled_from([1.0, 1e300, 1e-300, 1e-310, 1e-323]))
+        finite = st.integers(-16, 16).map(lambda k: k / 8 * scale)
+        special = st.sampled_from([0.0, -0.0] * 4
+                                  + [math.inf, -math.inf, math.nan])
+        part = st.one_of(finite, finite, special)
+        cell = st.builds(complex, part, part)
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 8))
+        s = Series1(draw(st.lists(cell, min_size=n + 1, max_size=n + 1)),
+                    draw(st.integers(1, 3)), exact=exact)
+        axis = None
+    else:
+        n1, n2 = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+        rows = draw(st.lists(st.lists(cell, min_size=n2 + 1,
+                                      max_size=n2 + 1),
+                             min_size=n1 + 1, max_size=n1 + 1))
+        valid = draw(st.one_of(st.none(), st.tuples(st.integers(0, n1),
+                                                    st.integers(0, n2))))
+        s = Series2(rows, draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+                    exact=exact, valid=valid)
+        axis = draw(st.sampled_from(["t", "z", "t", "z", "x"]))
+    m = draw(st.sampled_from(TRANSFORM_MOMENTS + (UNDEFINED_AT_0,)))
+    times = draw(st.one_of(st.integers(0, 3), st.integers(-1, 10)))
+    return draw(st.sampled_from(sorted(TRANSFORMS))), m, s, axis, times
+
+
+def _outcome(fn, *args):
+    """``(coefficient rows, None)`` of a transform, or ``(None, type)`` of
+    the exception it raises."""
+    try:
+        out = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is compared
+        return None, type(exc)
+    rows = out.coeffs if isinstance(out, Series2) else (out.coeffs,)
+    return rows, None
+
+
+@settings(SETTINGS, max_examples=400)
+@given(transform_cases())
+def test_transforms_match_per_cell_oracle(case):
+    """Exact coefficients equal the oracle's, all RationalComplex; float
+    coefficients equal its bits, signs of zero included; a failure is the
+    same exception type on both sides."""
+    name, m, s, axis, times = case
+    fast, cells = TRANSFORMS[name]
+    got, got_exc = _outcome(fast, m, s, axis, times)
+    want, want_exc = _outcome(cells, m, s, axis, times)
+    assert got_exc is want_exc
+    if got is None:
+        return
+    assert [len(row) for row in got] == [len(row) for row in want]
+    if s.exact:
+        assert got == want
+        assert all(type(c) is RationalComplex for row in got for c in row)
+    else:
+        assert all(type(c) is complex for row in got for c in row)
+        assert all(_same_bits(x, y) for g, w in zip(got, want)
+                   for x, y in zip(g, w))
+
+
+@pytest.mark.parametrize("name,m,values,raises", [
+    # m(j) grows past 1e8 from j = 4 on: a finite part leaves binary64
+    ("inv_borel", "Gamma(3)", [1e300] * 6, OverflowError),
+    ("borel", "Gamma(-3)", [complex(1, 1e300)] * 6, OverflowError),
+    # an infinite part stays infinite, as math.ldexp(inf) does
+    ("inv_borel", "Gamma(3)", [complex(math.inf, 1.0), 2.0], None),
+    # subnormal results round once, in ldexp
+    ("borel", "Gamma(3)", [complex(1e-310, -3e-308)] * 8, None),
+    # a shift product that underflows to zero takes the sign of Python's
+    # complex multiply, -0.0 - (-1.0 * 0.0) = +0.0, where a fused
+    # multiply-add keeps -0.0
+    ("moment_antidiff", "Gamma(1)", [complex(-5e-324, -1.0)] * 4, None),
+    # the shifts overflow to inf (and inf * 0.0 to NaN) without a warning
+    ("moment_diff", "Gamma(3)",
+     [1e300, complex(1e308, -0.0), complex(math.inf, 1.0)] + [1.0] * 6, None),
+    ("moment_antidiff", "Gamma(-3)",
+     [1e300, complex(-1e308, 0.0), complex(1.0, -math.inf)] + [1.0] * 6,
+     None),
+])
+def test_transform_range_edges(name, m, values, raises):
+    fast, cells = TRANSFORMS[name]
+    m = parse_moment(m)
+    for s in (Series1(values), Series2([values, values[::-1]])):
+        for axis in ("t", "z"):
+            got, got_exc = _outcome(fast, m, s, axis, 1)
+            want, want_exc = _outcome(cells, m, s, axis, 1)
+            assert got_exc is want_exc
+            if s.__class__ is Series1 or axis == "z":
+                assert got_exc is raises
+            if got is not None:
+                assert all(_same_bits(x, y) for g, w in zip(got, want)
+                           for x, y in zip(g, w))
+
+
+@SETTINGS
+@given(cases(), st.integers(0, 3), st.booleans())
+def test_moment_diff_is_apply_operator_of_one_derivative(case, k, exact):
+    """``moment_diff`` along t is the operator dt^k with m2 = 1, along z the
+    operator dz^k with m1 = 1, in both arithmetics."""
+    rows = [[RationalComplex(*case.rhs.get((j, i), (0, 0)))
+             for i in range(case.shape[1] + 1)]
+            for j in range(case.shape[0] + 1)]
+    if not exact:
+        rows = [[complex(c) for c in row] for row in rows]
+    u = Series2(rows, exact=exact)
+    for axis, m, table, m1, m2 in (
+            ("t", case.m1, {(k, 0): 1}, case.m1, MOMENT_ONE),
+            ("z", case.m2, {(0, k): 1}, MOMENT_ONE, case.m2)):
+        try:
+            want = apply_operator(table, m1, m2, u)
+        except WindowError:
+            with pytest.raises(WindowError):
+                moment_diff(m, u, axis, k)
+            continue
+        assert moment_diff(m, u, axis, k) == want
