@@ -22,8 +22,9 @@ EXIT_VERIFY = 3
 EXIT_NUMERIC = 4
 
 
-def _run(fn):
+def _run(fn, problem: str, *outputs):
     try:
+        _check_outputs(problem, *outputs)
         return fn()
     except ParseError as exc:
         click.echo(f"parse error: {exc}", err=True)
@@ -35,6 +36,19 @@ def _run(fn):
             ZeroDivisionError, FloatingPointError) as exc:
         click.echo(f"numeric failure: {exc}", err=True)
         sys.exit(EXIT_NUMERIC)
+
+
+def _check_outputs(problem: str, *outputs) -> None:
+    """PreconditionError when an output path (of the ``(name, path)`` pairs
+    ``outputs``; None is stdout) is the problem file or another output."""
+    names = [f"{name} {path}" for name, path in outputs if path is not None]
+    paths = [Path(path).resolve() for _, path in outputs if path is not None]
+    if Path(problem).resolve() in paths:
+        raise PreconditionError(f"{' or '.join(names)} would overwrite the "
+                                f"problem file {problem}; choose another path")
+    if len(set(paths)) < len(paths):
+        raise PreconditionError(f"{' and '.join(names)} resolve to one file; "
+                                f"choose different paths")
 
 
 def _emit(text: str, out: str | None):
@@ -53,6 +67,7 @@ def main():
     """Analyze moment partial differential equations.
 
     All commands take a problem JSON file; see the README for the schema.
+    No output may overwrite the problem file or another output (exit 2).
     """
 
 
@@ -78,7 +93,7 @@ def analyze(problem, out):
         pf = problem_mod.load_problem(problem)
         report = problem_mod.analyze_problem(pf)
         _emit(_dump(report), out)
-    _run(body)
+    _run(body, problem, ("the report", out))
 
 
 @main.command()
@@ -90,26 +105,21 @@ def analyze(problem, out):
 def solve(problem, out, n1, n2, arithmetic):
     """Write the solution coefficient CSV plus a JSON sidecar.
 
-    The sidecar is the CSV path with a .json suffix; neither may be the
-    problem file.  The requested window [N1, N2] is fully valid: the solver
-    internally inflates the z-truncation by N1 times the largest z-order of
-    the operator before recursing.
+    The sidecar is the CSV path with a .json suffix.  The requested window
+    [N1, N2] is fully valid: the solver internally inflates the
+    z-truncation by N1 times the largest z-order of the operator before
+    recursing.
     """
+    csv_path = Path(out) if out else Path(problem).with_suffix(".solution.csv")
+    sidecar_path = csv_path.with_suffix(".json")
+
     def body():
-        csv_path = Path(out) if out else Path(problem).with_suffix(
-            ".solution.csv")
-        sidecar_path = csv_path.with_suffix(".json")
-        if Path(problem).resolve() in (csv_path.resolve(),
-                                       sidecar_path.resolve()):
-            raise PreconditionError(
-                f"the CSV {csv_path} or its sidecar {sidecar_path} would "
-                f"overwrite the problem file {problem}; choose another --out")
         pf = problem_mod.load_problem(problem)
         u, sidecar = problem_mod.solve_problem(pf, n1, n2, arithmetic)
         csv_path.write_text(u.to_csv())
         sidecar_path.write_text(_dump(sidecar))
         click.echo(f"wrote {csv_path} and {sidecar_path}")
-    _run(body)
+    _run(body, problem, ("the CSV", csv_path), ("its sidecar", sidecar_path))
 
 
 @main.command()
@@ -119,17 +129,16 @@ def solve(problem, out, n1, n2, arithmetic):
               help="Path for the polygon SVG (default: problem stem).")
 def newton(problem, out, svg):
     """Emit the Newton polygon as SVG plus a vertex CSV."""
+    svg_path = Path(svg) if svg else Path(problem).with_suffix(".newton.svg")
+    csv_path = Path(out) if out else Path(problem).with_suffix(".newton.csv")
+
     def body():
         pf = problem_mod.load_problem(problem)
         svg_text, csv_text = problem_mod.newton_problem(pf)
-        svg_path = Path(svg) if svg else Path(problem).with_suffix(
-            ".newton.svg")
         svg_path.write_text(svg_text)
-        csv_path = Path(out) if out else Path(problem).with_suffix(
-            ".newton.csv")
         csv_path.write_text(csv_text)
         click.echo(f"wrote {svg_path} and {csv_path}")
-    _run(body)
+    _run(body, problem, ("the SVG", svg_path), ("the vertex CSV", csv_path))
 
 
 @main.command()
@@ -144,7 +153,7 @@ def probe(problem, out, n1, n2, arithmetic):
         pf = problem_mod.load_problem(problem)
         report = problem_mod.probe_problem(pf, n1, n2, arithmetic)
         _emit(_dump(report), out)
-    _run(body)
+    _run(body, problem, ("the report", out))
 
 
 @main.command()
@@ -162,7 +171,7 @@ def verify(problem, out, n1, n2, arithmetic, tol):
         report = problem_mod.verify_problem(pf, tol, n1, n2, arithmetic)
         _emit(_dump(report), out)
         return report
-    report = _run(body)
+    report = _run(body, problem, ("the report", out))
     if not report["passed"]:
         sys.exit(EXIT_VERIFY)
 

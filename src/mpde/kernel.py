@@ -21,8 +21,9 @@ Exact mode runs on Python integers:
   in the fraction-free spirit of Bareiss (Math. Comp. 1968).
 
 Moment values enter as divisors: an output grid keeps its level divisors
-times the moment values as row and column divisors, and they are divided
-out cell by cell only when :func:`denormalize` builds Gaussian rationals.
+times the moment values as row and column divisors.  One decoder divides
+them out of raw lanes, row by row: :func:`denormalize` builds Gaussian
+rationals from it, :func:`binary64_rows` correctly rounded binary64 parts.
 
 Float mode runs on numpy complex arrays of raw coefficients, so that grids
 whose normalized coefficients would overflow binary64 stay finite.  The
@@ -241,28 +242,60 @@ def recurrence(base: Lanes, q: RationalComplex, terms, n: int, widths):
     return v_re, v_im, row_div
 
 
+class CellOverflow(OverflowError):
+    """A part of exact cell ``(j, i)`` lies outside the binary64 range."""
+
+    def __init__(self, j: int, i: int, log2: float):
+        super().__init__(f"exact coefficient ({j}, {i}) is about "
+                         f"2^{log2:.1f}, outside the binary64 range")
+        self.j = j
+
+
+def _decode(grid: RawLanes, rows, n_cols: int):
+    """The one decoder of raw lanes: yield ``(j, parts, nums, dens)`` for
+    each row j in ``rows``; ``parts`` are its numerator rows ``[re]`` or
+    ``[re, im]``, and a part x of cell i <= n_cols is ``x * nums[i] /
+    dens[i]``, with ``nums[i] > 0``."""
+    col_nums, col_dens = zip(*(Fraction(c).as_integer_ratio()
+                               for c in grid.col_div[: n_cols + 1]))
+    for j in rows:
+        r_num, r_den = Fraction(grid.row_div[j]).as_integer_ratio()
+        yield (j, [lane[j] for lane in (grid.re, grid.im) if lane is not None],
+               [r_den * c for c in col_dens], [r_num * c for c in col_nums])
+
+
 def denormalize(grid: RawLanes) -> tuple:
     """Tuple rows of the raw coefficients of ``grid`` as RationalComplex."""
-    cols = [Fraction(c) for c in grid.col_div]
-    col_nums = [c.numerator for c in cols]
-    col_dens = [c.denominator for c in cols]
-    im = grid.im if grid.im is not None else [None] * len(grid.re)
     out = []
-    for rr, ri, r in zip(grid.re, im, grid.row_div):
-        r = Fraction(r)
-        # cell i is x * nums[i] / dens[i]; Fraction reduces it
-        nums = [r.denominator * c for c in col_dens]
-        dens = [r.numerator * c for c in col_nums]
-        if ri is None:
-            out.append(tuple(
-                RationalComplex(Fraction(x * n, d) if x else _ZERO, _ZERO)
-                for x, n, d in zip(rr, nums, dens)))
-        else:
-            out.append(tuple(RationalComplex(
-                Fraction(x * n, d) if x else _ZERO,
-                Fraction(y * n, d) if y else _ZERO)
-                for x, y, n, d in zip(rr, ri, nums, dens)))
+    for _, parts, nums, dens in _decode(grid, range(len(grid.re)),
+                                        len(grid.col_div) - 1):
+        fracs = [[Fraction(x * n, d) if x else _ZERO
+                  for x, n, d in zip(part, nums, dens)] for part in parts]
+        out.append(tuple(map(RationalComplex, fracs[0],
+                             fracs[1] if len(parts) == 2
+                             else [_ZERO] * len(fracs[0]))))
     return tuple(out)
+
+
+def binary64_rows(grid: RawLanes, rows, n_cols: int):
+    """Yield, for each row j in ``rows``, the float lists ``[re]`` (real
+    lanes) or ``[re, im]`` of its cells i <= n_cols, each part the integer
+    quotient ``x * n / d``, which Python rounds correctly, as
+    ``float(Fraction)`` does.  The first cell, in row-major order, with a
+    part outside the binary64 range raises CellOverflow."""
+    for j, parts, nums, dens in _decode(grid, rows, n_cols):
+        try:
+            out = [[x * n / d if x else 0.0
+                    for x, n, d in zip(part, nums, dens)] for part in parts]
+        except OverflowError:
+            for i, (n, d) in enumerate(zip(nums, dens)):
+                for x in (part[i] for part in parts):
+                    try:
+                        x * n / d
+                    except OverflowError:
+                        log2 = math.log2(abs(x) * n) - math.log2(abs(d))
+                        raise CellOverflow(j, i, log2) from None
+        yield out
 
 
 # -- float arithmetic -------------------------------------------------------

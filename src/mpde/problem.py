@@ -29,6 +29,7 @@ above ``MAX_GRID_CELLS`` are rejected before they are allocated.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -116,10 +117,12 @@ def load_problem(source) -> ProblemFile:
                        and v >= 0 for v in trunc)):
         raise ParseError("truncation must be a pair of non-negative integers")
     dirs = data.get("directions", [0.0])
-    if not isinstance(dirs, (list, tuple)) or not dirs \
-            or not all(isinstance(d, (int, float)) and not isinstance(d, bool)
-                       for d in dirs):
-        raise ParseError("directions must be a non-empty list of reals")
+    # JSON reads NaN, Infinity and 1e309; a finite real converts to float
+    if not isinstance(dirs, (list, tuple)) or not dirs or not all(
+            isinstance(d, (int, float)) and not isinstance(d, bool)
+            and abs(d) <= sys.float_info.max for d in dirs):
+        raise ParseError(f"directions must be a non-empty list of finite "
+                         f"reals, got {json.dumps(dirs, default=str)}")
     mode = data.get("mode", "direct")
     if mode not in ("direct", "pseudo"):
         raise ParseError('mode must be "direct" or "pseudo"')

@@ -9,15 +9,15 @@ coefficients through ratios of moment values taken from their logarithms,
 so that grids far beyond the double overflow threshold stay finite.  Exact
 mode keeps a grid as integer lanes with row and column divisors, multiplies
 by the moment values once on input and shifts on integers; the moment
-values stay in the output's divisors, and are divided out only when
-``coeffs`` is read.  :func:`apply_operator` runs both modes on the shift
-kernel of :mod:`mpde.kernel`.  The moment Borel transforms and moment
-derivatives re-index one axis and scale it by moment values, put into the
-divisors of exact lanes or applied to the float grid as one vector.
-Exact moment values are exact rationals (true
-factorials where available, dyadic rationals of the scaled double evaluation
-otherwise), so algebraic identities such as Borel round trips and solver
-residuals hold bit for bit.
+values stay in the output's divisors, and the kernel's one decoder divides
+them out when ``coeffs``, ``grid``, the CSV or the Gevrey fit reads the
+lanes.  :func:`apply_operator` runs both modes on the shift kernel of
+:mod:`mpde.kernel`.  The moment Borel transforms and moment derivatives
+re-index one axis and scale it by moment values, put into the divisors of
+exact lanes or applied to the float grid as one vector.  Exact moment
+values are exact rationals (true factorials where available, dyadic
+rationals of the scaled double evaluation otherwise), so algebraic
+identities such as Borel round trips and solver residuals hold bit for bit.
 
 Operators never zero-pad: output grids are sliced to the window on which the
 result is trustworthy, and ``valid`` records that window.
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import kernel, moments
 from .errors import DomainError, EstimationError, EvaluationError, WindowError
@@ -35,9 +34,14 @@ from .exact import RationalComplex
 from .moments import MomentFunction
 
 
-def _coercer(exact: bool):
-    """The coefficient type's constructor, applied at C level by ``map``."""
-    return RationalComplex.coerce if exact else complex
+def _rows(coeffs, coerce) -> tuple:
+    """Rows of ``coeffs`` coerced cell by cell; neither empty nor ragged."""
+    rows = tuple(tuple(map(coerce, row)) for row in coeffs)
+    if not rows or not rows[0]:
+        raise DomainError("empty coefficient grid")
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise DomainError("ragged coefficient grid")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -52,8 +56,8 @@ class Series1:
     def __post_init__(self):
         if self.kappa < 1:
             raise DomainError("kappa must be a positive integer")
-        object.__setattr__(self, "coeffs",
-                           tuple(map(_coercer(self.exact), self.coeffs)))
+        coerce = RationalComplex.coerce if self.exact else complex
+        object.__setattr__(self, "coeffs", tuple(map(coerce, self.coeffs)))
         if not self.coeffs:
             raise DomainError("a series needs at least the constant coefficient")
 
@@ -73,59 +77,50 @@ class Series1:
 class Series2:
     """Truncated series ``sum c_{j,i} t**(j/kappa1) z**(i/kappa2)``.
 
-    The grid is given as a sequence of rows, coerced cell by cell to the
-    coefficient type; in float mode also as a 2-D numpy array, which is
-    copied once and kept as :attr:`grid`; in exact mode also as
-    :class:`~mpde.kernel.RawLanes`, integer numerator rows with row and
-    column divisors, which are kept as :attr:`lanes`.  ``coeffs`` is the
-    grid as tuple rows of the coefficient type (Python ``complex`` in float
-    mode, signs of zero kept; ``RationalComplex`` in exact mode); for an
-    array or lanes it is built on first use, and the lanes of exact rows
-    are built on first use too.  ``valid`` marks the rectangle of
-    trustworthy indices (J, I); it can be smaller than the grid for
-    user-supplied data and is shrunk by operators.  Series are immutable
-    and compare equal when their ``coeffs``, ramifications, arithmetic and
-    windows are equal.
+    A series stores one grid: a read-only 2-D complex numpy array
+    (:attr:`grid`) in float mode, :class:`~mpde.kernel.RawLanes`
+    (:attr:`lanes`) in exact mode.  It is given as such an array (copied
+    once), as lanes, or as rows, coerced cell by cell to the coefficient
+    type and converted once.  ``coeffs``, the grid as tuple rows of Python
+    ``complex`` (signs of zero kept) or ``RationalComplex``, is built on
+    first use.  ``valid`` marks the rectangle of trustworthy indices (J, I);
+    it can be smaller than the grid for user-supplied data and is shrunk by
+    operators.  Series are immutable and compare equal when their
+    ``coeffs``, ramifications, arithmetic and windows are equal.
     """
 
     def __init__(self, coeffs, kappa1: int = 1, kappa2: int = 1,
                  exact: bool = False, valid: tuple | None = None):
         if kappa1 < 1 or kappa2 < 1:
             raise DomainError("kappa1, kappa2 must be positive integers")
-        rows = grid = lanes = None
         if exact:
-            if isinstance(coeffs, kernel.RawLanes):
-                lanes = coeffs
-                n_rows, width = len(lanes.re), len(lanes.col_div)
-                shape = [len(r) for r in lanes.re]
-                if lanes.im is not None:
-                    shape += [len(r) for r in lanes.im]
-                if (len(lanes.row_div) != n_rows
-                        or any(k != width for k in shape)):
-                    raise DomainError("ragged coefficient lanes")
+            if not isinstance(coeffs, kernel.RawLanes):
+                rows = _rows(coeffs, RationalComplex.coerce)
+                coeffs = kernel.lanes_of_table(
+                    {(j, i): c for j, row in enumerate(rows)
+                     for i, c in enumerate(row) if c},
+                    len(rows) - 1, len(rows[0]) - 1)
+            n_rows, width = len(coeffs.re), len(coeffs.col_div)
+            if len(coeffs.row_div) != n_rows or any(
+                    len(r) != width for r in [*coeffs.re, *(coeffs.im or ())]):
+                raise DomainError("ragged coefficient lanes")
         else:
             import numpy as np
 
-            if isinstance(coeffs, np.ndarray):
-                grid = np.array(coeffs, dtype=complex)
-                if grid.ndim != 2:
-                    raise DomainError("a coefficient array must be 2-D")
-                grid.flags.writeable = False
-                n_rows, width = grid.shape
-        if grid is None and lanes is None:
-            coerce = _coercer(exact)
-            rows = tuple(tuple(map(coerce, row)) for row in coeffs)
-            n_rows, width = len(rows), len(rows[0]) if rows else 0
+            if not isinstance(coeffs, np.ndarray):
+                coeffs = _rows(coeffs, complex)
+            coeffs = np.array(coeffs, dtype=complex)
+            if coeffs.ndim != 2:
+                raise DomainError("a coefficient array must be 2-D")
+            coeffs.flags.writeable = False
+            n_rows, width = coeffs.shape
         if not n_rows or not width:
             raise DomainError("empty coefficient grid")
-        if rows is not None and any(len(r) != width for r in rows):
-            raise DomainError("ragged coefficient grid")
         valid = valid if valid is not None else (n_rows - 1, width - 1)
         valid = (min(valid[0], n_rows - 1), min(valid[1], width - 1))
         if valid[0] < 0 or valid[1] < 0:
             raise WindowError("valid window is empty")
-        for name, value in (("_rows", rows), ("_grid", grid),
-                            ("_lanes", lanes),
+        for name, value in (("_data", coeffs), ("_coeffs", None),
                             ("shape", (n_rows - 1, width - 1)),
                             ("kappa1", kappa1), ("kappa2", kappa2),
                             ("exact", exact), ("valid", valid)):
@@ -137,26 +132,26 @@ class Series2:
     @property
     def coeffs(self) -> tuple:
         """Rows of the grid as tuples of the coefficient type."""
-        if self._rows is None:
-            if self._lanes is not None:
-                rows = kernel.denormalize(self._lanes)
-            else:
-                # the rows of a complex array's tolist() are Python complex
-                rows = tuple(map(tuple, self._grid.tolist()))
-            object.__setattr__(self, "_rows", rows)
-        return self._rows
+        if self._coeffs is None:
+            # the rows of a complex array's tolist() are Python complex
+            rows = (kernel.denormalize(self._data) if self.exact
+                    else tuple(map(tuple, self._data.tolist())))
+            object.__setattr__(self, "_coeffs", rows)
+        return self._coeffs
 
     @property
     def grid(self):
-        """The grid as a read-only 2-D complex numpy array (exact
-        coefficients rounded to ``complex``)."""
-        if self._grid is None:
-            import numpy as np
+        """The grid as a read-only 2-D complex numpy array; exact cells are
+        rounded part by part (:func:`kernel.binary64_rows`)."""
+        if not self.exact:
+            return self._data
+        import numpy as np
 
-            grid = np.array(self.coeffs, dtype=complex)
-            grid.flags.writeable = False
-            object.__setattr__(self, "_grid", grid)
-        return self._grid
+        J, I = self.shape
+        grid = np.array([list(map(complex, *parts)) for parts in
+                         kernel.binary64_rows(self._data, range(J + 1), I)])
+        grid.flags.writeable = False
+        return grid
 
     @property
     def lanes(self) -> kernel.RawLanes:
@@ -164,12 +159,7 @@ class Series2:
         (exact series only; do not modify)."""
         if not self.exact:
             raise DomainError("only exact series have integer lanes")
-        if self._lanes is None:
-            cells = {(j, i): c for j, row in enumerate(self._rows)
-                     for i, c in enumerate(row) if c}
-            object.__setattr__(self, "_lanes",
-                               kernel.lanes_of_table(cells, *self.shape))
-        return self._lanes
+        return self._data
 
     def _key(self) -> tuple:
         return (self.coeffs, self.kappa1, self.kappa2, self.exact, self.valid)
@@ -189,9 +179,7 @@ class Series2:
 
     @classmethod
     def zeros(cls, n1: int, n2: int, exact: bool = False, **kw) -> "Series2":
-        zero = RationalComplex(0) if exact else 0j
-        rows = [[zero] * (n2 + 1) for _ in range(n1 + 1)]
-        return cls(rows, exact=exact, **kw)
+        return cls.from_entries((), n1, n2, exact, **kw)
 
     @classmethod
     def from_entries(cls, entries, n1: int, n2: int, exact: bool = False,
@@ -216,11 +204,11 @@ class Series2:
             return self
         if self.exact:
             lanes = self.lanes
-            rows = kernel.RawLanes(
-                [row[: I + 1] for row in lanes.re[: J + 1]],
-                None if lanes.im is None
-                else [row[: I + 1] for row in lanes.im[: J + 1]],
-                lanes.row_div[: J + 1], lanes.col_div[: I + 1])
+            re, im = (None if lane is None
+                      else [row[: I + 1] for row in lane[: J + 1]]
+                      for lane in (lanes.re, lanes.im))
+            rows = kernel.RawLanes(re, im, lanes.row_div[: J + 1],
+                                   lanes.col_div[: I + 1])
         else:
             rows = self.grid[: J + 1, : I + 1]
         return Series2(rows, self.kappa1, self.kappa2, self.exact)
@@ -252,73 +240,30 @@ class Series2:
     def to_csv(self) -> str:
         """Coefficient dump: header ``j,i,re,im``, row-major, 17 sig digits.
 
-        Exact cells are rounded to binary64 from the integer lanes as
-        ``n / d`` on Python ints, which rounds correctly, as
-        ``float(Fraction)`` does; a cell beyond the binary64 range raises
-        EvaluationError.  Float cells are formatted from the real and
-        imaginary planes of :attr:`grid`.
+        Exact cells are rounded part by part (:func:`kernel.binary64_rows`);
+        one beyond the binary64 range raises EvaluationError.  Float cells
+        are formatted from the real and imaginary planes of :attr:`grid`.
         """
         J, I = self.valid
         if self.exact:
-            rows = _float_rows(self.lanes, J, I)
+            rows = kernel.binary64_rows(self.lanes, range(J + 1), I)
         else:
             cells = self.grid[: J + 1, : I + 1]
             rows = zip(cells.real.tolist(), cells.imag.tolist())
         lines = ["j,i,re,im"]
-        for j, parts in enumerate(rows):
-            if len(parts) == 1:  # real lanes: every imaginary part is 0
-                lines += [f"{j},{i},{x:.17g},0"
-                          for i, x in enumerate(parts[0])]
-            else:
-                lines += [f"{j},{i},{x:.17g},{y:.17g}"
-                          for i, (x, y) in enumerate(zip(*parts))]
-        return "\n".join(lines) + "\n"
-
-
-def _float_rows(lanes: kernel.RawLanes, J: int, I: int):
-    """Yield, for the rows j <= J of exact lanes, the float lists ``[re]``
-    (real lanes) or ``[re, im]`` of the cells i <= I, each part rounded
-    once from its integer quotient."""
-    cols = [Fraction(c) for c in lanes.col_div[: I + 1]]
-    col_nums = [c.numerator for c in cols]
-    col_dens = [c.denominator for c in cols]
-    for j in range(J + 1):
-        r = Fraction(lanes.row_div[j])
-        # cell i is x * nums[i] / dens[i]
-        nums = [r.denominator * c for c in col_dens]
-        dens = [r.numerator * c for c in col_nums]
-        parts = [lane[j] for lane in (lanes.re, lanes.im) if lane is not None]
         try:
-            yield [[x * n / d if x else 0.0
-                    for x, n, d in zip(part, nums, dens)] for part in parts]
-        except OverflowError:
-            raise _out_of_range(j, parts, nums, dens) from None
-
-
-def _out_of_range(j, parts, nums, dens) -> EvaluationError:
-    """The error for the first cell of row j whose quotient overflows."""
-    for i, (n, d) in enumerate(zip(nums, dens)):
-        for x in (part[i] for part in parts):
-            try:
-                x * n / d
-            except OverflowError:
-                log2 = math.log2(abs(x) * n) - math.log2(abs(d))
-                return EvaluationError(
-                    f"exact coefficient ({j}, {i}) is about 2^{log2:.1f}, "
-                    f"outside the binary64 range of the CSV; lower --n1 "
-                    f"(verify checks the exact solution without writing it)")
-
-
-def _exact_moduli(row, j: int, axis: str) -> list:
-    """``abs()`` of each exact cell of level j along ``axis``."""
-    try:
-        return [abs(v) for v in row]
-    except OverflowError:
-        flag = "--n1" if axis == "t" else "--n2"
-        raise EvaluationError(
-            f"exact coefficients of {axis}-level {j} are outside the binary64 "
-            f"range of the Gevrey fit; lower {flag} below {j} (verify checks "
-            f"the exact solution without fitting it)") from None
+            for j, parts in enumerate(rows):
+                if len(parts) == 1:  # real lanes: every imaginary part is 0
+                    lines += [f"{j},{i},{x:.17g},0"
+                              for i, x in enumerate(parts[0])]
+                else:
+                    lines += [f"{j},{i},{x:.17g},{y:.17g}"
+                              for i, (x, y) in enumerate(zip(*parts))]
+        except kernel.CellOverflow as exc:
+            raise EvaluationError(
+                f"{exc} of the CSV; lower --n1 (verify checks the exact "
+                f"solution without writing it)") from None
+        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -515,10 +460,23 @@ def gevrey_fit(u: Series2, axis: str = "t", radius: float = 0.1,
         J, I = I, J
     j_lo = max(0, math.ceil(j_min_frac * J))
     if u.exact:
-        rows = u.coeffs if axis == "t" else tuple(zip(*u.coeffs))
-        moduli = np.array([_exact_moduli(row[: I + 1], j, axis)
-                           for j, row in enumerate(rows[j_lo: J + 1], j_lo)],
-                          dtype=float).reshape(-1, I + 1)
+        lanes = u.lanes
+        if axis == "z":  # the levels are the columns
+            re, im = (None if lane is None else list(zip(*lane))
+                      for lane in (lanes.re, lanes.im))
+            lanes = kernel.RawLanes(re, im, lanes.col_div, lanes.row_div)
+        try:
+            # hypot(x) of a real cell is hypot(x, 0.0), as abs() takes it
+            moduli = [[math.hypot(*c) for c in zip(*parts)] for parts in
+                      kernel.binary64_rows(lanes, range(j_lo, J + 1), I)]
+        except kernel.CellOverflow as exc:
+            flag = "--n1" if axis == "t" else "--n2"
+            raise EvaluationError(
+                f"exact coefficients of {axis}-level {exc.j} are outside the "
+                f"binary64 range of the Gevrey fit; lower {flag} below "
+                f"{exc.j} (verify checks the exact solution without fitting "
+                f"it)") from None
+        moduli = np.array(moduli, dtype=float).reshape(-1, I + 1)
     else:
         cells = (u.grid if axis == "t" else u.grid.T)[j_lo: J + 1, : I + 1]
         # np.hypot rounds as abs() of a Python complex does

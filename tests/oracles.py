@@ -15,7 +15,10 @@ against their per-cell forms: exact cells times ``Fraction`` moment values,
 float cells scaled by ``math.ldexp`` or multiplied as Python ``complex``.
 The edge roots of ``charroots`` are checked against numpy's
 companion-matrix root finder run on every square-free part, linear ones
-included.
+included.  The binary64 readers of an exact series (``grid``,
+``row_values``, ``gevrey_fit`` and ``to_csv``) are checked against their
+per-cell forms: ``complex()`` and ``abs()`` of each ``RationalComplex`` of
+``coeffs``.
 """
 
 from __future__ import annotations
@@ -27,11 +30,12 @@ import numpy as np
 from scipy import integrate
 
 from mpde.charroots import _deg, _squarefree_parts
-from mpde.errors import DomainError, EvaluationError, WindowError
+from mpde.errors import (DomainError, EstimationError, EvaluationError,
+                         WindowError)
 from mpde.exact import RationalComplex, as_fraction
 from mpde.kernel import Lanes, common_denominator, gaussian_int
 from mpde.moments import log_gamma, log_table, scaled_eval
-from mpde.series import Series1, Series2
+from mpde.series import GevreyFit, Series1, Series2
 
 
 def mellin_check(a, b, k, u, quad_params: dict | None = None) -> float:
@@ -351,3 +355,62 @@ def moment_shift_cells(m, s, axis=None, times=1, up=True):
                           times, up)
                 for j in range(J + 1)]
     return Series2(rows, s.kappa1, s.kappa2, s.exact)
+
+
+# -- binary64 readers of exact series, one RationalComplex per cell -----------
+
+
+def exact_grid_cells(s: Series2):
+    """The float grid of an exact series, ``complex()`` of each cell of
+    ``coeffs``; OverflowError when a part leaves binary64."""
+    return np.array(s.coeffs, dtype=complex)
+
+
+def exact_gevrey_fit_cells(u: Series2, axis: str = "t", radius: float = 0.1,
+                           j_min_frac: float = 0.5,
+                           min_points: int = 8) -> GevreyFit:
+    """``series.gevrey_fit`` of an exact series with the modulus of each cell
+    taken as ``abs()`` of its RationalComplex; a level with a part outside
+    binary64 raises EvaluationError naming it."""
+    if axis not in ("t", "z"):
+        raise DomainError("axis must be 't' or 'z'")
+    J, I = u.valid
+    if axis == "z":
+        J, I = I, J
+    j_lo = max(0, math.ceil(j_min_frac * J))
+    rows = u.coeffs if axis == "t" else tuple(zip(*u.coeffs))
+    moduli = []
+    for j, row in enumerate(rows[j_lo: J + 1], j_lo):
+        try:
+            moduli.append([abs(v) for v in row[: I + 1]])
+        except OverflowError:
+            flag = "--n1" if axis == "t" else "--n2"
+            raise EvaluationError(
+                f"exact coefficients of {axis}-level {j} are outside the "
+                f"binary64 range of the Gevrey fit; lower {flag} below {j} "
+                f"(verify checks the exact solution without fitting it)"
+            ) from None
+    moduli = np.array(moduli, dtype=float).reshape(-1, I + 1)
+    weights = np.array([radius ** i for i in range(I + 1)], dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = (moduli * weights).tolist()
+    pts = []
+    for j, row in enumerate(terms, j_lo):
+        a = math.fsum(row)
+        if a > 0.0 and math.isfinite(a):
+            pts.append((j, math.log(a)))
+    if len(pts) < min_points:
+        raise EstimationError(
+            f"need at least {min_points} nonzero levels in [{j_lo}, {J}], "
+            f"got {len(pts)}")
+    js = np.array([p[0] for p in pts], dtype=float)
+    ys = np.array([p[1] for p in pts], dtype=float)
+    design = np.column_stack([np.ones_like(js), js,
+                              [math.lgamma(1.0 + j) for j in js]])
+    beta, _, _, _ = np.linalg.lstsq(design, ys, rcond=None)
+    resid = ys - design @ beta
+    dof = max(len(pts) - 3, 1)
+    sigma2 = float(resid @ resid) / dof
+    cov = sigma2 * np.linalg.inv(design.T @ design)
+    return GevreyFit(float(beta[2]), float(math.sqrt(max(cov[2, 2], 0.0))),
+                     (j_lo, J), radius)

@@ -14,8 +14,11 @@ from click.testing import CliRunner
 from mpde import problem as problem_mod
 from mpde.cli import main
 from mpde.errors import EvaluationError, ParseError, PreconditionError
+from mpde.exact import RationalComplex
 from mpde.problem import (analyze_problem, expand_rhs, load_problem,
                           solve_problem, verify_problem)
+from mpde.series import gevrey_fit
+from mpde.solver import formal_solve
 
 PROBLEMS = resources.files("mpde") / "problems"
 SCHEMA = json.loads(
@@ -227,6 +230,26 @@ def test_cli_exact_probe_beyond_binary64_names_the_level(tmp_path):
     assert json.loads(result.output)["gevrey_fit"]["j_range"] == [32, 63]
 
 
+def test_exact_fit_and_row_values_build_no_cell_objects(monkeypatch):
+    # the binary64 readers decode the integer lanes row by row; the per-cell
+    # route built one RationalComplex for each of the 64 x 61 cells
+    pf = load_problem(shipped("twofactor"))
+    u = formal_solve(problem_mod.assemble(problem_mod.parse_problem(pf), 63,
+                                          60, "exact"))
+    built = []
+    init = RationalComplex.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(RationalComplex, "__init__", counting_init)
+    fit = gevrey_fit(u)
+    values = u.row_values(0.0)
+    assert fit.j_range == (32, 63) and len(values) == 64
+    assert built == []
+
+
 @pytest.mark.parametrize("command", ["solve", "probe"])
 def test_cli_float_overflow_advises_a_smaller_truncation(command, tmp_path):
     result = CliRunner().invoke(main, [
@@ -391,6 +414,14 @@ MALFORMED = [
     ("rhs_gevrey", '[1e309, "0"]', "rhs_gevrey entry Infinity"),
     ("rhs_gevrey", '[true, "0"]', "rhs_gevrey entry true"),
 ]
+# JSON reads NaN, Infinity and 1e309 (as Infinity) into directions
+MALFORMED += [
+    ("directions", literal,
+     f"directions must be a non-empty list of finite reals, got {shown}")
+    for literal, shown in (("[NaN]", "[NaN]"),
+                           ("[Infinity, 0.0]", "[Infinity, 0.0]"),
+                           ("[0.0, -Infinity]", "[0.0, -Infinity]"),
+                           ("[1e309]", "[Infinity]"))]
 
 
 def _malformed_heat(field: str, literal: str) -> str:
@@ -445,6 +476,44 @@ def test_cli_solve_refuses_to_overwrite_the_problem_file(out_name, tmp_path):
             f"overwrite the problem file {prob}") in result.output
     assert prob.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["heat.json"]
+
+
+# (arguments after the problem path, a piece of the refusal); P.json is the
+# problem file, out.json and X are names in the same directory
+OUTPUT_CLASHES = [
+    (["analyze", "--out", "P.json"],
+     "the report P.json would overwrite the problem file"),
+    (["verify", "--out", "P.json"],
+     "the report P.json would overwrite the problem file"),
+    (["probe", "--out", "P.json"],
+     "the report P.json would overwrite the problem file"),
+    (["newton", "--svg", "P.json"],
+     "the SVG P.json or the vertex CSV P.newton.csv would overwrite the "
+     "problem file"),
+    (["newton", "--out", "P.json"],
+     "the SVG P.newton.svg or the vertex CSV P.json would overwrite the "
+     "problem file"),
+    (["solve", "--out", "out.json"],
+     "the CSV out.json and its sidecar out.json resolve to one file"),
+    (["newton", "--svg", "X", "--out", "X"],
+     "the SVG X and the vertex CSV X resolve to one file"),
+]
+
+
+@pytest.mark.parametrize("args,refusal", OUTPUT_CLASHES,
+                         ids=[" ".join(a) for a, _ in OUTPUT_CLASHES])
+def test_cli_refuses_outputs_over_the_problem_or_each_other(args, refusal,
+                                                           tmp_path,
+                                                           monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    prob = tmp_path / "P.json"
+    prob.write_bytes(Path(shipped("heat")).read_bytes())
+    before = prob.read_bytes()
+    result = CliRunner().invoke(main, [args[0], "P.json", *args[1:]])
+    assert result.exit_code == 2, result.output
+    assert f"precondition violated: {refusal}" in result.output
+    assert prob.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["P.json"]
 
 
 def test_console_script_entry_point(tmp_path):

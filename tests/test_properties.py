@@ -22,6 +22,7 @@ non-finite parts.
 import cmath
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -29,17 +30,19 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import brute_force
-from oracles import (borel_cells, edge_roots_numpy, moment_shift_cells,
-                     rational_rhs_exact, rational_rhs_float)
+from oracles import (borel_cells, edge_roots_numpy, exact_gevrey_fit_cells,
+                     exact_grid_cells, moment_shift_cells, rational_rhs_exact,
+                     rational_rhs_float)
 
+from mpde import kernel
 from mpde.charroots import CharPoly, _edge_roots
 from mpde.errors import EvaluationError, WindowError
 from mpde.exact import RationalComplex
 from mpde.moments import MOMENT_ONE, eval_at
 from mpde.parsing import parse_moment
 from mpde.problem import _quads_to_table, expand_rhs
-from mpde.series import (Series1, Series2, apply_operator, borel, inv_borel,
-                         moment_antidiff, moment_diff)
+from mpde.series import (Series1, Series2, apply_operator, borel, gevrey_fit,
+                         inv_borel, moment_antidiff, moment_diff)
 from mpde.solver import (CauchyProblem, _recursion_terms, formal_solve,
                          g_from_f, residual)
 
@@ -384,7 +387,7 @@ def check_lanes_series(s: Series2):
     """A series built from integer lanes equals the series built from its
     ``coeffs`` rows: equality, hash, CSV text (or the out-of-range error)
     and float grid."""
-    assert s._rows is None  # built from lanes; coeffs not read yet
+    assert s._coeffs is None  # built from lanes; coeffs not read yet
     try:
         csv = s.to_csv()
     except EvaluationError:
@@ -441,6 +444,102 @@ def test_lanes_backed_series_equal_their_rows(case, scale, mode):
     p0 = [table.get((0, b), 0) for b in range(4)]
     if any(p0):
         check_lanes_series(g_from_f(p0, prob.m2, rhs))
+
+
+@st.composite
+def raw_lanes_series(draw):
+    """An exact Series2 stored as RawLanes: real or complex lanes, zero rows,
+    negative and Fraction divisors, and cells past 2**1024 or subnormal."""
+    n1, n2 = draw(st.integers(0, 14)), draw(st.integers(0, 5))
+    numerator = st.builds(lambda m, k: m << k, st.integers(-2 ** 20, 2 ** 20),
+                          st.sampled_from([0, 0, 0, 0, 0, 1000, 1010]))
+    cells = st.lists(numerator, min_size=n2 + 1, max_size=n2 + 1)
+    row = st.one_of(cells, cells, cells, st.just([0] * (n2 + 1)))
+    lane = st.lists(row, min_size=n1 + 1, max_size=n1 + 1)
+    positive = st.builds(Fraction, st.integers(1, 9), st.integers(1, 4))
+
+    def divisors(n, exponents):
+        return draw(st.lists(st.builds(
+            lambda sign, q, e: sign * q * Fraction(2) ** e,
+            st.sampled_from([1, -1]), positive, st.sampled_from(exponents)),
+            min_size=n, max_size=n))
+
+    lanes = kernel.RawLanes(draw(lane), draw(st.one_of(st.none(), lane)),
+                            divisors(n1 + 1, [0, 0, 0, -30, 30, 1060]),
+                            divisors(n2 + 1, [0, 0, -5, 5]))
+    valid = draw(st.tuples(st.integers(0, n1), st.integers(0, n2)))
+    return Series2(lanes, exact=True, valid=valid)
+
+
+def _repr_or_error(fn, *args, **kw):
+    """``repr`` of the result (bit-exact for floats), or the type and message
+    of the exception."""
+    try:
+        return repr(fn(*args, **kw))
+    except Exception as exc:  # noqa: BLE001 - the type and text are compared
+        return type(exc), str(exc)
+
+
+@settings(SETTINGS, max_examples=150)
+@given(raw_lanes_series(), st.sampled_from([0.0, 0.5, -0.7 + 0.2j]),
+       st.sampled_from([0.0, 0.5, 0.8]), st.integers(1, 4))
+def test_exact_binary64_readers_match_per_cell_oracle(s, z, frac, min_points):
+    """``grid``, ``row_values``, ``gevrey_fit`` (both axes) and ``to_csv`` of
+    a lanes-backed series equal their per-cell forms, which round each
+    RationalComplex of ``coeffs``: bit for bit, or the same error.  A series
+    built from rows equals the one built from its lanes or its array."""
+    # a fresh series (hypothesis may have read ``s.coeffs`` for its report),
+    # cut to the valid window: cells outside it may leave binary64
+    check_lanes_series(Series2(s.lanes, exact=True, valid=s.valid).windowed())
+    rows = Series2(s.coeffs, exact=True, valid=s.valid)
+    assert rows == s and hash(rows) == hash(s)
+    for axis in ("t", "z"):
+        kw = {"axis": axis, "j_min_frac": frac, "min_points": min_points}
+        assert _repr_or_error(gevrey_fit, s, **kw) == \
+            _repr_or_error(exact_gevrey_fit_cells, s, **kw)
+    J, I = s.valid
+    try:
+        csv = per_cell_csv(s)
+    except OverflowError:
+        j, i, part = next((j, i, p) for j, row in enumerate(s.coeffs[: J + 1])
+                          for i, c in enumerate(row[: I + 1])
+                          for p in (c.re, c.im) if _leaves_binary64(p))
+        with pytest.raises(EvaluationError) as err:
+            s.to_csv()
+        m = re.search(rf"exact coefficient \({j}, {i}\) is about "
+                      rf"2\^([0-9.]+), outside the binary64 range of the CSV",
+                      str(err.value))
+        exact_log2 = (math.log2(abs(part.numerator))
+                      - math.log2(part.denominator))
+        assert m and abs(float(m[1]) - exact_log2) <= 0.06
+    else:
+        assert s.to_csv() == csv == rows.to_csv()
+    try:
+        want = exact_grid_cells(s)
+    except OverflowError:
+        for read in (lambda: s.grid, lambda: s.row_values(z)):
+            with pytest.raises(OverflowError):
+                read()
+        return
+    assert s.grid.tobytes() == want.tobytes()
+    assert s.grid.dtype == complex and not s.grid.flags.writeable
+    got = s.row_values(z)
+    assert all(map(_same_bits, got, Series2(want, valid=s.valid).row_values(z)))
+    from_array = Series2(want, valid=s.valid)
+    from_rows = Series2(want.tolist(), valid=s.valid)
+    assert from_array == from_rows and hash(from_array) == hash(from_rows)
+    assert from_rows.grid.tobytes() == want.tobytes()
+    assert all(_same_bits(x, y) for a, b in zip(from_array.coeffs,
+                                                from_rows.coeffs)
+               for x, y in zip(a, b))
+
+
+def _leaves_binary64(q: Fraction) -> bool:
+    try:
+        float(q)
+    except OverflowError:
+        return True
+    return False
 
 
 positive_reals = st.builds(lambda x: (x, Fraction(0)),

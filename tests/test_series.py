@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import random_series1, random_series2, series1_close
-from oracles import frac_integral_quadrature
+from oracles import exact_gevrey_fit_cells, frac_integral_quadrature
 
 from mpde.errors import DomainError, EstimationError, WindowError
 from mpde.exact import RationalComplex
@@ -402,3 +402,29 @@ def test_gevrey_fit_float_matches_exact_of_the_same_values(axis):
     approx = Series2(np.array([[complex(c) for c in row] for row in rows]))
     assert gevrey_fit(exact, axis=axis, min_points=4) == \
         gevrey_fit(approx, axis=axis, min_points=4)
+
+
+# pairs on which math.hypot, which abs() of a RationalComplex takes, differs
+# in the last bit from the C hypot of abs(complex) and np.hypot
+HYPOT_PAIRS = [("0x1.38343775cc7fap+0", "0x1.de8c38a17add4p+0"),
+               ("0x1.cbc6d821b79c0p-1", "0x1.d61524f130211p-1"),
+               ("0x1.95ff9fc72412fp-1", "0x1.575dbb1e3dc28p+0"),
+               ("0x1.8ceade0831836p+0", "0x1.89322b6d5e9fep+0"),
+               ("0x1.a44dcd4e079fep-1", "0x1.d8115cabd98b2p+0"),
+               ("0x1.75b0814ab1c8ep-1", "0x1.4ce86525f5fdcp+0")]
+
+
+@pytest.mark.parametrize("axis", ["t", "z"])
+def test_exact_gevrey_fit_takes_math_hypot_of_the_parts(axis):
+    pairs = [(float.fromhex(x), float.fromhex(y)) for x, y in HYPOT_PAIRS]
+    assert all(math.hypot(x, y) != abs(complex(x, y)) for x, y in pairs)
+    # each row and column leads with one pair; scaling by powers of two
+    # keeps each pair's rounding
+    rows = [[complex(x * 2.0 ** (j - k), y * 2.0 ** (j - k))
+             for k, (x, y) in enumerate(pairs[j % 6:] + pairs[: j % 6])]
+            for j in range(12)]
+    kw = {"axis": axis, "j_min_frac": 0.0, "min_points": 4}
+    exact = Series2(rows, exact=True)
+    fit = gevrey_fit(exact, **kw)
+    assert fit == exact_gevrey_fit_cells(exact, **kw)
+    assert fit != gevrey_fit(Series2(rows), **kw)
