@@ -40,15 +40,23 @@ def _run(fn, problem: str, *outputs):
 
 def _check_outputs(problem: str, *outputs) -> None:
     """PreconditionError when an output path (of the ``(name, path)`` pairs
-    ``outputs``; None is stdout) is the problem file or another output."""
-    names = [f"{name} {path}" for name, path in outputs if path is not None]
-    paths = [Path(path).resolve() for _, path in outputs if path is not None]
+    ``outputs``; None is stdout) is the problem file or another output, or
+    lies in a directory that does not exist."""
+    outputs = [(name, path) for name, path in outputs if path is not None]
+    names = [f"{name} {path}" for name, path in outputs]
+    paths = [Path(path).resolve() for _, path in outputs]
     if Path(problem).resolve() in paths:
         raise PreconditionError(f"{' or '.join(names)} would overwrite the "
                                 f"problem file {problem}; choose another path")
     if len(set(paths)) < len(paths):
         raise PreconditionError(f"{' and '.join(names)} resolve to one file; "
                                 f"choose different paths")
+    for name, path in outputs:
+        folder = Path(path).parent
+        if not folder.is_dir():
+            raise PreconditionError(f"{name} {path} is in {folder}, which is "
+                                    f"not an existing directory; create it or "
+                                    f"choose another path")
 
 
 def _emit(text: str, out: str | None):
@@ -67,7 +75,8 @@ def main():
     """Analyze moment partial differential equations.
 
     All commands take a problem JSON file; see the README for the schema.
-    No output may overwrite the problem file or another output (exit 2).
+    No output may overwrite the problem file or another output, or lie in
+    a directory that does not exist (exit 2).
     """
 
 

@@ -20,14 +20,16 @@ entries finite non-boolean numbers or rational strings such as ``"1/2"``.
 
 A ``rational`` rhs is expanded on the solver grid by power-series division:
 fraction-free on Gaussian integers in exact mode, row by row into the
-integer lanes of an exact ``Series2``, and in float mode one anti-diagonal
-at a time on numpy planes, rounding as Python ``complex`` arithmetic does.
+integer lanes of an exact ``Series2``, and in float mode over the live rows
+only, one anti-diagonal at a time on numpy planes or, for a single live row,
+cell by cell, rounding as Python ``complex`` arithmetic does.
 An exact ``coeffs`` rhs becomes lanes over one common denominator.  Grids
 above ``MAX_GRID_CELLS`` are rejected before they are allocated.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import sys
 from dataclasses import dataclass
@@ -295,59 +297,93 @@ def _run_along(acc_re, acc_im, along) -> None:
 
 
 def _quotient_float(num: dict, den: dict, n1: int, n2: int):
-    """Complex numpy grid of the power series num/den in binary64, by
-    anti-diagonals.
+    """Complex numpy grid of the power series num/den in binary64, over its
+    live rows only.
 
     Cell ``(j, i)`` is ``(N_ji - sum Q_ab R_{j-a,i-b}) / Q_00`` over the
-    sorted terms (a, b) != (0, 0) that fit in the grid, so anti-diagonal
-    ``s = j + i`` depends only on earlier ones and runs as one numpy vector:
-    on the flat C-contiguous grid it is the strided view
-    ``flat[s + lo*n2 : s + hi*n2 + 1 : n2]`` over the rows lo..hi, and so is
-    each source diagonal.  The arithmetic is CPython's complex multiply and
-    its ``c_quot`` division written out on real and imaginary planes, so
-    every cell rounds as Python ``complex`` arithmetic does, signs of zero
-    included (numpy's complex ``/`` multiplies by a reciprocal, and its
-    complex ``*`` may be fused with FMA).
+    sorted terms (a, b) != (0, 0) that fit in the grid, rounded as Python
+    ``complex`` arithmetic rounds it, signs of zero included.  The live band
+    of rows runs from the first row with a numerator entry in the grid to
+    the last row, or, when den has no term in t (so rows are independent),
+    to the last numerator row.  Every other cell is ``0j / Q_00``, and the
+    grid is filled with that before the band is written over it: an
+    accumulator is never -0.0 (it starts from a table value or +0.0 and
+    only subtracts), so a cell that no entry reaches ends as ``+0j / Q_00``,
+    and a term that reads a dead cell subtracts a signed zero and changes
+    nothing, so the band skips it as it skips reads below row 0.  That needs
+    finite den terms (``v * 0`` is NaN for an infinite one, possible when
+    repeated entries add up past binary64); otherwise the band is the grid.
 
-    Real data (every imaginary part of num and den is +0.0, as
-    ``_quads_to_table`` makes it) runs on the real plane alone.  While that
-    plane stays finite, every cell's imaginary part is the zero ``0.0 /
-    Q_00``, and a real accumulator is never -0.0 (it starts from a table
-    value or +0.0 and only subtracts), so the signed zeros that the
-    imaginary parts add to it change nothing: the real part is
-    ``(N_ji - sum Re(Q_ab) R_{j-a,i-b}) / Re(Q_00)``.  A non-finite cell
-    spreads NaN into the imaginary parts, so the sweep then reruns on both
-    planes.
+    A band of one row meets only den's terms in z, and runs cell by cell in
+    Python ``complex``.  A band of several rows runs by anti-diagonals
+    (:func:`_diagonal_sweep`).  Real data (every imaginary part of num and
+    den is +0.0, as ``_quads_to_table`` makes it) runs on the real plane
+    alone.  While that plane stays finite, every cell's imaginary part is
+    the zero ``0.0 / Q_00`` of the fill, and the signed zeros that the
+    imaginary parts add to a real accumulator change nothing, by the
+    argument above: the real part is ``(N_ji - sum Re(Q_ab) R_{j-a,i-b}) /
+    Re(Q_00)``.  A non-finite cell spreads NaN into the imaginary parts, so
+    the sweep then reruns on both planes.
     """
     import numpy as np
 
     q = den[(0, 0)]
     terms = [(a, b, v) for (a, b), v in sorted(den.items())
-             if (a, b) != (0, 0)]
-    shape = (n1 + 1, n2 + 1)
-    out = np.empty(shape, dtype=complex)
+             if (a, b) != (0, 0) and a <= n1 and b <= n2]
+    out = np.full((n1 + 1, n2 + 1), 0j / q)
+    rows = [j for j, i in num if j <= n1 and i <= n2]
+    if not all(cmath.isfinite(v) for _, _, v in terms):
+        lo, hi = 0, n1
+    elif not rows:
+        return out
+    else:
+        lo = min(rows)
+        hi = n1 if any(a for a, _, _ in terms) else max(rows)
+    if lo == hi:
+        along = [(b, v) for a, b, v in terms if not a]
+        row = [num.get((lo, i), 0j) for i in range(n2 + 1)]
+        for i, acc in enumerate(row):
+            for b, v in along:
+                if b <= i:
+                    acc = acc - v * row[i - b]
+            row[i] = acc / q
+        out[lo] = row
+        return out
+    shape = (hi - lo + 1, n2 + 1)
     if not any(v.imag for v in (*num.values(), *den.values())):
-        (re,) = _diagonal_sweep(num, terms, q, shape, real=True)
+        (re,) = _diagonal_sweep(num, terms, q, lo, shape, real=True)
         if np.isfinite(re).all():
-            out.real, out.imag = re.reshape(shape), 0.0 / q.real
+            out.real[lo: hi + 1] = re.reshape(shape)
             return out
-    re, im = _diagonal_sweep(num, terms, q, shape, real=False)
-    out.real, out.imag = re.reshape(shape), im.reshape(shape)
+    re, im = _diagonal_sweep(num, terms, q, lo, shape, real=False)
+    out.real[lo: hi + 1], out.imag[lo: hi + 1] = (re.reshape(shape),
+                                                  im.reshape(shape))
     return out
 
 
-def _diagonal_sweep(num, terms, q, shape, real: bool) -> list:
-    """Flat planes ``[re]`` (real data) or ``[re, im]`` of num/den, for
-    :func:`_quotient_float`; ``q`` is the constant term of den."""
+def _diagonal_sweep(num, terms, q, first: int, shape, real: bool) -> list:
+    """Flat planes ``[re]`` (real data) or ``[re, im]`` of num/den over the
+    band of ``shape`` that starts at grid row ``first``, for
+    :func:`_quotient_float`; ``q`` is the constant term of den, and a term
+    that reads a row below the band is skipped.
+
+    Anti-diagonal ``s = j + i`` depends only on earlier ones and runs as
+    one numpy vector: on the flat C-contiguous grid it is the strided view
+    ``flat[s + lo*n2 : s + hi*n2 + 1 : n2]`` over the rows lo..hi, and so is
+    each source diagonal.  The arithmetic is CPython's complex multiply and
+    its ``c_quot`` division written out on real and imaginary planes (numpy's
+    complex ``/`` multiplies by a reciprocal, and its complex ``*`` may be
+    fused with FMA).
+    """
     import numpy as np
 
     n1, n2 = shape[0] - 1, shape[1] - 1
     planes = [np.zeros(shape[0] * shape[1]) for _ in range(1 if real else 2)]
     for (j, i), v in num.items():
-        if j <= n1 and i <= n2:
-            planes[0][j * (n2 + 1) + i] = v.real
+        if first <= j <= first + n1 and i <= n2:
+            planes[0][(j - first) * (n2 + 1) + i] = v.real
             if not real:
-                planes[1][j * (n2 + 1) + i] = v.imag
+                planes[1][(j - first) * (n2 + 1) + i] = v.imag
     # CPython's c_quot by q; its branch depends on q alone
     first = abs(q.real) >= abs(q.imag)
     if first:

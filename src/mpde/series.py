@@ -145,13 +145,19 @@ class Series2:
         rounded part by part (:func:`kernel.binary64_rows`)."""
         if not self.exact:
             return self._data
-        import numpy as np
-
-        J, I = self.shape
-        grid = np.array([list(map(complex, *parts)) for parts in
-                         kernel.binary64_rows(self._data, range(J + 1), I)])
+        grid = self._cells(*self.shape)
         grid.flags.writeable = False
         return grid
+
+    def _cells(self, J: int, I: int):
+        """Cells ``[: J + 1, : I + 1]`` as a 2-D complex numpy array; exact
+        cells are rounded part by part, and only these are decoded."""
+        if not self.exact:
+            return self._data[: J + 1, : I + 1]
+        import numpy as np
+
+        return np.array([list(map(complex, *parts)) for parts in
+                         kernel.binary64_rows(self._data, range(J + 1), I)])
 
     @property
     def lanes(self) -> kernel.RawLanes:
@@ -214,7 +220,8 @@ class Series2:
         return Series2(rows, self.kappa1, self.kappa2, self.exact)
 
     def row_values(self, z, up_to: int | None = None):
-        """Evaluate each t-level at the point z (within the valid window).
+        """Evaluate each t-level at the point z (within the valid window;
+        an exact cell outside it is never decoded).
 
         One Horner sweep over the columns for all rows at once, with
         Python's complex multiply written out on real and imaginary planes,
@@ -227,7 +234,7 @@ class Series2:
             J = min(J, up_to)
         zc = complex(z)
         zr, zi = zc.real, zc.imag
-        cells = self.grid[: J + 1, : I + 1]
+        cells = self._cells(J, I)
         re, im = np.zeros(J + 1), np.zeros(J + 1)
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(I, -1, -1):

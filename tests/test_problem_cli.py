@@ -479,7 +479,8 @@ def test_cli_solve_refuses_to_overwrite_the_problem_file(out_name, tmp_path):
 
 
 # (arguments after the problem path, a piece of the refusal); P.json is the
-# problem file, out.json and X are names in the same directory
+# problem file, out.json and X are names in the same directory, and nodir
+# does not exist
 OUTPUT_CLASHES = [
     (["analyze", "--out", "P.json"],
      "the report P.json would overwrite the problem file"),
@@ -497,6 +498,25 @@ OUTPUT_CLASHES = [
      "the CSV out.json and its sidecar out.json resolve to one file"),
     (["newton", "--svg", "X", "--out", "X"],
      "the SVG X and the vertex CSV X resolve to one file"),
+    (["analyze", "--out", "nodir/x.json"],
+     "the report nodir/x.json is in nodir, which is not an existing "
+     "directory"),
+    (["verify", "--out", "nodir/x.json"],
+     "the report nodir/x.json is in nodir, which is not an existing "
+     "directory"),
+    (["probe", "--out", "nodir/x.json"],
+     "the report nodir/x.json is in nodir, which is not an existing "
+     "directory"),
+    (["solve", "--out", "nodir/x.csv"],
+     "the CSV nodir/x.csv is in nodir, which is not an existing directory"),
+    (["newton", "--svg", "nodir/x.svg"],
+     "the SVG nodir/x.svg is in nodir, which is not an existing directory"),
+    (["newton", "--out", "nodir/x.csv"],
+     "the vertex CSV nodir/x.csv is in nodir, which is not an existing "
+     "directory"),
+    (["analyze", "--out", "P.json/x.json"],
+     "the report P.json/x.json is in P.json, which is not an existing "
+     "directory"),
 ]
 
 

@@ -6,10 +6,11 @@ or Gamma(1/2)/Gamma(3/2) moments, small grids, and both rhs roles; for
 pseudo mode also with a top coefficient ``A_n(zeta)`` of degree 1 or 2.
 Rational right-hand sides are drawn with real or complex entries, a
 constant denominator term in {1, 2, 3, -1, 1/2, 3+i, 1-3i, -2i} (and -2,
--3/2, -2+i for the exact expansion) and further denominator terms in t, in
-z and mixed.  Exact series built from integer lanes (solver, operator and
-rhs outputs) are checked against the series built from their ``coeffs``
-rows, with right-hand sides scaled towards the ends of the binary64 range.
+-3/2, -2+i for the exact expansion), further denominator terms in t, in
+z and mixed, and numerators anywhere, on one row, above row 0 or empty.
+Exact series built from integer lanes (solver, operator and rhs outputs)
+are checked against the series built from their ``coeffs`` rows, with
+right-hand sides scaled towards the ends of the binary64 range.
 Edge polynomials are drawn as Gaussian-rational products of linear factors,
 roots on the positive real axis included.  The moment Borel transforms and
 moment derivatives are drawn on Series1 and Series2 (both axes, windows
@@ -25,6 +26,7 @@ import math
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -34,7 +36,7 @@ from oracles import (borel_cells, edge_roots_numpy, exact_gevrey_fit_cells,
                      exact_grid_cells, moment_shift_cells, rational_rhs_exact,
                      rational_rhs_float)
 
-from mpde import kernel
+from mpde import kernel, problem as problem_mod
 from mpde.charroots import CharPoly, _edge_roots
 from mpde.errors import EvaluationError, WindowError
 from mpde.exact import RationalComplex
@@ -278,24 +280,36 @@ def rational_rhs(draw, d00, is_complex, huge=True):
     grid (n1, n2), n1 <= 6, n2 <= 8.
 
     With ``huge``, denominator terms may be scaled by 1e150 so that later
-    cells overflow binary64.
+    cells overflow binary64.  The numerator lies anywhere in rows 0-4; or
+    on one row under a denominator without terms in t, on a grid up to
+    n2 = 40; or in rows 1-4 under a denominator with a term in t, so that
+    dead rows lie below the live band; or it is empty.
     """
     scale = draw(st.sampled_from((1, 10 ** 150) if huge else (1,)))
+    layout = draw(st.sampled_from(("anywhere", "one row", "above row 0",
+                                   "empty")))
 
     def entry(j, i, value, factor=1):
         re, im = value if is_complex else (value[0], Fraction(0))
         return [j, i, str(re * factor), str(im * factor)]
 
+    t_order = 0 if layout == "one row" else 3
     den_terms = draw(st.dictionaries(
-        st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any),
+        st.tuples(st.integers(0, t_order), st.integers(0, 3)).filter(any),
         nonzero_gaussians, max_size=4))
-    num = draw(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
-                               gaussians, max_size=4))
+    if layout == "above row 0" and not any(a for a, _ in den_terms):
+        den_terms[draw(st.tuples(st.integers(1, 3), st.integers(0, 3)))] = \
+            draw(nonzero_gaussians)
+    rows = {"anywhere": st.integers(0, 4), "above row 0": st.integers(1, 4),
+            "one row": st.just(draw(st.integers(0, 4)))}
+    num = {} if layout == "empty" else draw(st.dictionaries(
+        st.tuples(rows[layout], st.integers(0, 4)), gaussians, max_size=4))
     payload = {
         "num": [entry(j, i, v) for (j, i), v in num.items()],
         "den": [[0, 0, *d00]] + [entry(a, b, v, scale)
                                   for (a, b), v in den_terms.items()]}
-    n1, n2 = draw(st.integers(0, 6)), draw(st.integers(0, 8))
+    n1 = draw(st.integers(0, 6))
+    n2 = draw(st.integers(0, 40 if layout == "one row" else 8))
     return {"kind": "rational", "payload": payload}, n1, n2
 
 
@@ -316,6 +330,58 @@ def test_float_rational_rhs_matches_per_cell_oracle(d00, is_complex, data):
     assert all(type(c) is complex for row in got for c in row)
     assert all(_same_bits(w, g) for wrow, grow in zip(want, got)
                for w, g in zip(wrow, grow))
+
+
+ONE_OVER_ONE_MINUS_Z = {"kind": "rational", "payload": {
+    "num": [[0, 0, "1", "0"]], "den": [[0, 0, "1", "0"], [0, 1, "-1", "0"]]}}
+
+
+# the rhs grids of the benchmark's float-ladder rungs, heat (200, 100) to
+# pseudo (40, 40), all on the shipped 1/(1-z)
+@pytest.mark.parametrize("n1,n2", [(200, 500), (200, 400), (40, 260),
+                                   (80, 460), (160, 860), (100, 260),
+                                   (40, 121)])
+def test_float_rhs_of_shipped_problems_matches_per_cell_oracle(n1, n2):
+    got = expand_rhs(ONE_OVER_ONE_MINUS_Z, n1, n2, exact=False).grid
+    want = rational_rhs_float(ONE_OVER_ONE_MINUS_Z["payload"], n1, n2)
+    assert got.tobytes() == np.array(want, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("payload,n1,n2", [
+    (ONE_OVER_ONE_MINUS_Z["payload"], 30, 50),
+    # num on row 2 only, den 1 - (1+i) z - z^3 without terms in t
+    ({"num": [[2, 0, "1", "0"], [2, 3, "-1/2", "2"]],
+      "den": [[0, 0, "3", "1"], [0, 1, "-1", "-1"], [0, 3, "-1", "0"]]},
+     6, 20),
+    # num on the last row under a den with a term in t: rows below are dead
+    ({"num": [[4, 1, "1", "0"], [5, 0, "2", "0"]],
+      "den": [[0, 0, "-2", "0"], [1, 0, "-1", "0"], [0, 2, "1/3", "0"]]},
+     4, 9),
+])
+def test_one_row_band_runs_without_the_diagonal_sweep(payload, n1, n2,
+                                                      monkeypatch):
+    def sweep(*args, **kw):
+        raise AssertionError("a one-row band ran the anti-diagonal sweep")
+
+    monkeypatch.setattr(problem_mod, "_diagonal_sweep", sweep)
+    spec = {"kind": "rational", "payload": payload}
+    got = expand_rhs(spec, n1, n2, exact=False).grid
+    want = rational_rhs_float(payload, n1, n2)
+    assert got.tobytes() == np.array(want, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("t_term", [[], [[1, 0, "-1", "0"]]])
+def test_float_rhs_with_an_infinite_den_term_matches_per_cell_oracle(t_term):
+    # two entries at (0, 1) add up to inf, so inf * 0 spreads NaN into rows
+    # that no numerator entry reaches: no row is dead
+    payload = {"num": [[2, 0, "1", "0"]],
+               "den": [[0, 0, "1", "0"], [0, 1, "1e308", "0"],
+                       [0, 1, "1e308", "0"], *t_term]}
+    got = expand_rhs({"kind": "rational", "payload": payload}, 4, 3,
+                     exact=False).grid
+    want = rational_rhs_float(payload, 4, 3)
+    assert got.tobytes() == np.array(want, dtype=complex).tobytes()
+    assert np.isnan(got[0, 1:]).all()
 
 
 @pytest.mark.parametrize("d00,is_complex", RHS_KINDS, ids=RHS_IDS)
@@ -514,17 +580,25 @@ def test_exact_binary64_readers_match_per_cell_oracle(s, z, frac, min_points):
         assert m and abs(float(m[1]) - exact_log2) <= 0.06
     else:
         assert s.to_csv() == csv == rows.to_csv()
+    # row_values reads the valid window alone: it raises only when a cell
+    # there leaves binary64
+    try:
+        window = exact_grid_cells(Series2([row[: I + 1] for row in
+                                           s.coeffs[: J + 1]], exact=True))
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            s.row_values(z)
+    else:
+        assert all(map(_same_bits, s.row_values(z),
+                       Series2(window).row_values(z)))
     try:
         want = exact_grid_cells(s)
     except OverflowError:
-        for read in (lambda: s.grid, lambda: s.row_values(z)):
-            with pytest.raises(OverflowError):
-                read()
+        with pytest.raises(OverflowError):
+            s.grid
         return
     assert s.grid.tobytes() == want.tobytes()
     assert s.grid.dtype == complex and not s.grid.flags.writeable
-    got = s.row_values(z)
-    assert all(map(_same_bits, got, Series2(want, valid=s.valid).row_values(z)))
     from_array = Series2(want, valid=s.valid)
     from_rows = Series2(want.tolist(), valid=s.valid)
     assert from_array == from_rows and hash(from_array) == hash(from_rows)
@@ -532,6 +606,14 @@ def test_exact_binary64_readers_match_per_cell_oracle(s, z, frac, min_points):
     assert all(_same_bits(x, y) for a, b in zip(from_array.coeffs,
                                                 from_rows.coeffs)
                for x, y in zip(a, b))
+
+
+def test_exact_row_values_decode_only_the_valid_window():
+    # cell (1, 1) is past 2**1024 but outside the valid window (0, 1)
+    s = Series2([[1, 2], [3, 10 ** 400]], exact=True, valid=(0, 1))
+    assert s.row_values(0.5) == [2.0]
+    with pytest.raises(OverflowError):
+        s.grid
 
 
 def _leaves_binary64(q: Fraction) -> bool:
