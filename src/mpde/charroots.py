@@ -52,9 +52,10 @@ def _divmod(num, den):
     for i in range(len(num) - len(den), -1, -1):
         factor = num[i + len(den) - 1] * inv_lead
         q[i] = factor
-        for jj, d in enumerate(den):
+        # the leading term cancels exactly; a constant den leaves no update
+        for jj, d in enumerate(den[:-1]):
             num[i + jj] = num[i + jj] - factor * d
-    return _trim(q), _trim(num)
+    return _trim(q), _trim(num[: len(den) - 1])
 
 
 def _gcd(a, b):

@@ -18,7 +18,8 @@ Exact mode runs on Python integers:
   with O(rows + columns) Fractions and one gcd;
 * a recursion with rational coefficients stays integral by scaling level t
   by ``d**(t+1)``, where d is the common denominator of its coefficients,
-  in the fraction-free spirit of Bareiss (Math. Comp. 1968).
+  in the fraction-free spirit of Bareiss (Math. Comp. 1968), and column i
+  by ``e**i``, where e is the common denominator of its taps.
 
 Moment values enter as divisors: an output grid keeps its level divisors
 times the moment values as row and column divisors.  One decoder divides
@@ -30,11 +31,11 @@ whose normalized coefficients would overflow binary64 stay finite.  The
 moment values enter as ratios ``m(x)/m(y) = exp(log m(x) - log m(y))``: one
 scalar per row offset and one vector per column offset.  The ratios use
 ``math.exp``, whose results numpy's vectorized ``exp`` does not always
-reproduce to the last bit.  The inverse-power tail of pseudo mode (terms
-that shift down in i) is folded, per row offset, into one band as wide as
-its largest shift, with the column ratios built in, so each level adds it
-as one product over the band; only the summation order of the tail differs
-from a term-by-term sum.
+reproduce to the last bit.
+
+Both recursions divide by a top coefficient of degree B in z through B
+taps: the terms that shift down are summed into a second accumulator per
+level, on which a B-tap recurrence along z runs, in order of increasing i.
 """
 
 from __future__ import annotations
@@ -196,50 +197,93 @@ def shift(grid: Lanes, table, n_rows: int, n_cols: int) -> Lanes:
     return Lanes(out_re, out_im, grid.den * d)
 
 
-def recurrence(base: Lanes, q: RationalComplex, terms, n: int, widths):
-    """Levels ``U[t] = q * B[t-n] + sum c * U[t-a][i+b]``, zero for t < n.
+def _run_taps(x_re, x_im, taps) -> None:
+    """Solve ``V_i + sum m_k V_{i-k} = X_i`` in place of x, i ascending, for
+    the ``taps`` [(k, m_k)], k >= 1 ascending, V zero below index 0."""
+    for i in range(len(x_re)):
+        for k, (mr, mi) in taps:
+            if k > i:
+                break
+            if x_im is None:
+                x_re[i] -= mr * x_re[i - k]
+            else:
+                pr, pi = x_re[i - k], x_im[i - k]
+                x_re[i] -= mr * pr - mi * pi
+                x_im[i] -= mr * pi + mi * pr
+
+
+def recurrence(base: Lanes, q: RationalComplex, terms, n: int, widths,
+               taps=()) -> RawLanes:
+    """Levels ``U[t] = q B[t-n] + sum c U[t-a][i+b] + V[t]``, zero for t < n.
 
     ``B`` is the grid ``base`` holds; ``terms`` are (a, b, c) with a >= 1
     and Gaussian-rational c.  Level t is computed for ``i <= widths[t]``;
-    reads below index 0 are zero (b < 0 is a downward shift).  With d the
-    common denominator of q and the c, the integer levels
-    ``V[t] = U[t] * base.den * d**(t+1)`` obey
-    ``V[t] = (d q) d**t base[t-n] + sum (d c) d**(a-1) V[t-a][i+b]``.
-    Returns ``(re, im, row_div)`` of V, ``row_div[t] = base.den * d**(t+1)``.
+    reads below index 0 are zero.  The terms with b < 0 are summed into
+    ``X[t]`` instead, and ``V[t]`` solves ``V_i + sum m_k V_{i-k} = X_i``
+    for the ``taps`` [(k, m_k)], k >= 1 ascending.
+
+    With e the common denominator of the taps, ``W[t][i] = U[t][i] e**i``
+    obeys the recursion with ``c e**-b`` for c, ``q e**i`` for q and the
+    Gaussian integers ``m_k e**k`` for the taps.  With d the common
+    denominator of q and the ``c e**-b``, the levels
+    ``V[t] = W[t] * base.den * d**(t+1)`` are integral.  Returns them as raw
+    lanes with ``row_div[t] = base.den * d**(t+1)``, ``col_div[i] = e**i``.
     """
+    width = max(widths)
+    e = common_denominator(m for _, m in taps)
+    kt = [(k, gaussian_int(m, e ** k)) for k, m in taps]
+    if e != 1:
+        terms = [(a, b, c * Fraction(e) ** -b) for a, b, c in terms]
     d = common_denominator([q] + [c for _, _, c in terms])
     kq = gaussian_int(q, d)
     ks = [(a, b, tuple(x * d ** (a - 1) for x in gaussian_int(c, d)))
           for a, b, c in terms]
+    up = [k for k in ks if k[1] >= 0]
+    down = [k for k in ks if k[1] < 0]
     is_complex = (base.im is not None or kq[1] != 0
-                  or any(k[1] for _, _, k in ks))
-    base_im = _imag_lane(base, is_complex)
+                  or any(k[1] for _, _, k in ks) or any(m[1] for _, m in kt))
+    col_div = [e ** i for i in range(width + 1)]
+    base_re, base_im = base.re, _imag_lane(base, is_complex)
+    if e != 1:
+        base_re, base_im = ([[x * p for x, p in zip(row, col_div)]
+                             for row in lane] if lane is not None else None
+                            for lane in (base_re, base_im))
     v_re, v_im = [], [] if is_complex else None
     power = 1  # d**t
     row_div = []
-    for t, width in enumerate(widths):
+    for t, w in enumerate(widths):
         row_div.append(base.den * power * d)
         if t < n:
-            acc_re = [0] * (width + 1)
-            acc_im = [0] * (width + 1) if is_complex else None
+            acc_re = [0] * (w + 1)
+            acc_im = [0] * (w + 1) if is_complex else None
         else:
             sr, si = kq[0] * power, kq[1] * power
-            br = base.re[t - n][: width + 1]
+            br = base_re[t - n][: w + 1]
             if not is_complex:
                 acc_re = br if sr == 1 else [sr * x for x in br]
                 acc_im = None
             else:
-                bi = base_im[t - n][: width + 1]
+                bi = base_im[t - n][: w + 1]
                 acc_re = [sr * x - si * y for x, y in zip(br, bi)]
                 acc_im = [sr * y + si * x for x, y in zip(br, bi)]
-            for a, b, k in ks:
+            for a, b, k in up:
                 axpy(acc_re, acc_im, k, v_re[t - a],
                      v_im[t - a] if is_complex else None, b)
+            if down:
+                x_re = [0] * (w + 1)
+                x_im = [0] * (w + 1) if is_complex else None
+                for a, b, k in down:
+                    axpy(x_re, x_im, k, v_re[t - a],
+                         v_im[t - a] if is_complex else None, b)
+                _run_taps(x_re, x_im, kt)
+                acc_re = [p + x for p, x in zip(acc_re, x_re)]
+                if is_complex:
+                    acc_im = [p + x for p, x in zip(acc_im, x_im)]
         v_re.append(acc_re)
         if is_complex:
             v_im.append(acc_im)
         power *= d
-    return v_re, v_im, row_div
+    return RawLanes(v_re, v_im, row_div, col_div)
 
 
 class CellOverflow(OverflowError):
@@ -338,73 +382,29 @@ def shift_float(u, items, logs1, logs2, n_rows: int, n_cols: int):
     return out
 
 
-def _tail_band(part, r2, width: int):
-    """The band of the tail terms ``part`` = [(b, c)], b < 0, of one row offset.
-
-    Column ``R - r`` of the ``(width + 1, R)`` band, R the largest offset
-    ``-b``, holds ``c * m2(i-r)/m2(i)`` summed over the terms with b = -r;
-    the sorted offsets r come with it.
-    """
-    import numpy as np
-
-    R = max(-b for b, _ in part)
-    band = np.zeros((width + 1, R), dtype=complex)
-    for b, c in part:
-        band[:, R + b] += c * r2[b]
-    return band, np.array(sorted({-b for b, _ in part}))
-
-
-def _tail_product(band, offsets, src):
-    """``out[i] = sum_r band[i, R - r] * src[i - r]`` over the offsets r the
-    band holds, for i < len(src); reads below index 0 are zero.
-
-    A non-finite ``src[k]`` is kept out of the product, where ``0 * inf``
-    would spread NaN to every row, and is added to the rows ``k + r`` that
-    read it, as a term-by-term sum would add it.
-    """
-    import numpy as np
-    from numpy.lib.stride_tricks import sliding_window_view
-
-    n, R = len(src), band.shape[1]
-    r_max = min(R, n - 1)  # row i reads at most i columns back
-    padded = np.zeros(r_max + n - 1, dtype=complex)
-    padded[r_max:] = src[: n - 1]
-    bad = np.flatnonzero(~np.isfinite(padded))
-    padded[bad] = 0
-    out = np.einsum("ir,ir->i", band[:n, R - r_max:],
-                    sliding_window_view(padded, r_max))
-    for k in bad - r_max:
-        r = offsets[offsets < n - k]
-        out[k + r] += band[k + r, R - r] * src[k]
-    return out
-
-
-def recurrence_float(base, q, terms, n: int, widths, logs1, logs2):
-    """Yield the levels ``u[t] = q * B[t-n] + sum c * u[t-a][i+b]``, zero for t < n.
+def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=()):
+    """Yield levels ``u[t] = q B[t-n] + sum c u[t-a][i+b] + v[t]``, zero for t < n.
 
     The float counterpart of :func:`recurrence`, in raw coordinates: ``base``
     is a 2-D numpy array of raw coefficients, every term carries the moment
     ratios ``m1(t-a)/m1(t)`` and ``m2(i+b)/m2(i)`` (``m1(t-n)/m1(t)`` for the
     base) from the log tables ``logs1``, ``logs2``.  Level t covers
-    ``i <= widths[t]``; reads below index 0 are zero.  Terms with b >= 0 are
-    added one row update at a time, in list order.  Terms with b < 0 (the
-    inverse-power tail of pseudo mode) are folded, per row offset a, into
-    one band of width ``R_a = max(-b)`` with the column ratios built in,
-    ``T_a[i, R_a + b] = c * m2(i+b)/m2(i)``, and added after them as one
-    product ``m1(t-a)/m1(t) * sum_b T_a[i, R_a + b] * u[t-a][i+b]`` per
-    level.  Each level is yielded as soon as it is complete, so a caller can
-    stop at the first one that overflows.
+    ``i <= widths[t]``; reads below index 0 are zero.  Terms are added one
+    row update at a time, in list order, those with b < 0 into ``x[t]``;
+    ``v[t]`` solves ``v_i + sum m_k m2(i-k)/m2(i) v_{i-k} = x_i`` for the
+    ``taps`` [(k, m_k)] cell by cell in Python ``complex``.  Each level is
+    yielded as soon as it is complete, so a caller can stop at the first
+    one that overflows.
     """
     import numpy as np
 
     width = max(widths)
-    r2 = _ratios(logs2, {b for _, b, _ in terms}, width)
-    poly = [(a, b, c) for a, b, c in terms if b >= 0]
-    tails = {}  # a -> [(b, c)] of its tail terms
-    for a, b, c in terms:
-        if b < 0:
-            tails.setdefault(a, []).append((b, c))
-    tails = {a: _tail_band(part, r2, width) for a, part in tails.items()}
+    r2 = _ratios(logs2, {b for _, b, _ in terms} | {-k for k, _ in taps},
+                 width)
+    up = [(a, b, c) for a, b, c in terms if b >= 0]
+    down = [(a, b, c) for a, b, c in terms if b < 0]
+    # m_k * m2(i-k)/m2(i), for i >= k
+    kt = [(k, (m * r2[-k]).tolist()) for k, m in taps]
     grid = np.zeros((len(widths), width + 1), dtype=complex)
     for t, w in enumerate(widths):
         row = grid[t, : w + 1]
@@ -412,12 +412,27 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2):
             with np.errstate(over="ignore", invalid="ignore"):
                 row[:] = base[t - n, : w + 1] * (
                     q * math.exp(logs1[t - n] - logs1[t]))
-                for a, b, c in poly:
+                for a, b, c in up:
                     r1 = math.exp(logs1[t - a] - logs1[t])
                     row += (c * grid[t - a, b: w + 1 + b] * r1
                             * r2[b][: w + 1])
-                for a, (band, offsets) in tails.items():
-                    r1 = math.exp(logs1[t - a] - logs1[t])
-                    row += r1 * _tail_product(band, offsets,
-                                              grid[t - a, : w + 1])
+                if down:
+                    x = np.zeros(w + 1, dtype=complex)
+                    for a, b, c in down:
+                        if -b > w:
+                            continue
+                        r1 = math.exp(logs1[t - a] - logs1[t])
+                        x[-b:] += (c * grid[t - a, : w + 1 + b] * r1
+                                   * r2[b][-b: w + 1])
+                    if kt:
+                        xs = x.tolist()
+                        for i in range(1, w + 1):
+                            s = xs[i]
+                            for k, r in kt:
+                                if k > i:
+                                    break
+                                s -= r[i] * xs[i - k]
+                            xs[i] = s
+                        x[:] = xs
+                    row += x
         yield row

@@ -39,7 +39,7 @@ from pathlib import Path
 
 from . import kernel, newton
 from .charroots import CharPoly, branches_at_infinity
-from .errors import ParseError, PreconditionError
+from .errors import EvaluationError, ParseError, PreconditionError
 from .exact import RationalComplex, as_fraction, fmt_fraction
 from .moments import MomentFunction
 from .parsing import parse_moment, parse_operator
@@ -176,10 +176,18 @@ def _entries(quads, where: str) -> list:
 
 
 def _quads_to_table(quads, exact: bool, where: str = "rhs") -> dict:
+    """{(j, i): value} of the entries, repeated ones summed; a float entry
+    beyond binary64 raises EvaluationError naming it."""
     table = {}
     zero = RationalComplex(0) if exact else 0j
-    for j, i, re, im in _entries(quads, where):
-        val = RationalComplex(re, im) if exact else complex(re, im)
+    for quad, (j, i, re, im) in zip(quads, _entries(quads, where)):
+        try:
+            val = RationalComplex(re, im) if exact else complex(re, im)
+        except OverflowError:
+            raise EvaluationError(
+                f"{where} entry {json.dumps(quad, default=str)} is beyond "
+                f"the binary64 range of float arithmetic; use --arithmetic "
+                f"exact") from None
         table[(j, i)] = table.get((j, i), zero) + val
     return table
 

@@ -11,26 +11,27 @@ shift kernel of :mod:`mpde.kernel`, with the moment tables that each
 :class:`CauchyProblem` builds once.  Exact mode rescales the integer lanes
 of g once, recurses on Python integers over one common denominator and
 returns the output window as lanes whose row divisors are the level
-divisors times ``m1`` and whose column divisors are the values of ``m2``;
-the residual rescales those lanes and shifts them on integers, with no
+divisors times ``m1`` and whose column divisors are the values of ``m2``
+(times ``e**i``, e the denominator of the top coefficient's taps); the
+residual rescales those lanes and shifts them on integers, with no
 Gaussian rational built in between.  Float mode recurses on raw
 coefficients with moment ratios taken from their logarithms, so that grids
 whose normalized coefficients would overflow stay finite; an output row
-that overflows anyway raises EvaluationError.  Float grids stay numpy arrays from the rhs to the
-output (``Series2.grid``): each finite-checked level is written into one
-preallocated output array.
+that overflows anyway raises EvaluationError.  Float grids stay numpy
+arrays from the rhs to the output (``Series2.grid``): each finite-checked
+level is written into one preallocated output array.
 
-Two modes:
+One recursion serves both modes.  Each ``A_{n-a}`` is divided once by the
+top lambda coefficient ``A_n(zeta)`` of degree B: the quotient shifts
+z-indices up, and the remainder over ``A_n``, which is the inverse-power
+tail of ``A_{n-a}/A_n`` at ``zeta = infinity``, shifts down with zero
+padding.  The kernel applies the tail as remainder terms followed by a
+B-tap recurrence along z (``1/A_n``), exactly the Laurent convolution on
+the grid.  The ``mode`` only states what the top may be:
 
-* ``direct``  - the top lambda coefficient is a constant; the recursion
-  solves for the highest t-level directly.
-* ``pseudo``  - the top lambda coefficient ``A_n(zeta)`` is a polynomial;
-  each ``A_{n-a}/A_n`` is expanded at ``zeta = infinity`` into a polynomial
-  part plus an inverse-power tail.  Positive powers shift z-indices up,
-  inverse powers shift down with zero padding.  Truncating the tail at the
-  internal grid width is exact on the grid.  Float mode sums the tail as
-  one banded product per level, so its last bit can differ from a
-  term-by-term sum.
+* ``direct``  - the top lambda coefficient is a constant (B = 0): no
+  remainder and no taps;
+* ``pseudo``  - the top lambda coefficient ``A_n(zeta)`` is a polynomial.
 
 The internal z-truncation is inflated to ``N2 + N1 * max_b`` so the whole
 requested output window is valid.
@@ -158,12 +159,11 @@ def g_from_f(p0_coeffs, m2: MomentFunction, f: Series2,
         cols = kernel.Lanes(_transpose(F.re),
                             _transpose(F.im) if F.im is not None else None,
                             F.den)
-        v_re, v_im, level_div = kernel.recurrence(cols, 1 / p[deg], terms,
-                                                  deg, widths)
-        out = kernel.RawLanes(_transpose(v_re),
-                              _transpose(v_im) if v_im is not None else None,
-                              [1] * (J + 1),
-                              [d * w for d, w in zip(level_div, table)])
+        v = kernel.recurrence(cols, 1 / p[deg], terms, deg, widths)
+        out = kernel.RawLanes(_transpose(v.re),
+                              _transpose(v.im) if v.im is not None else None,
+                              v.col_div,
+                              [d * w for d, w in zip(v.row_div, table)])
         return Series2(out, f.kappa1, f.kappa2, True)
     import numpy as np
 
@@ -177,59 +177,29 @@ def _transpose(rows) -> list:
     return [list(col) for col in zip(*rows)]
 
 
-def _laurent_tail(rem, den, order: int):
-    """Coefficients h_1..h_order of ``rem/den`` expanded in powers of 1/zeta.
+def _recursion_terms(P: CharPoly, top) -> tuple:
+    """Terms (a, b, c) and taps (k, m_k) of the normalized recursion
+    ``U[t] = G[t-n] + sum c * U[t-a][i+b] + V[t]`` of :func:`kernel.recurrence`.
 
-    ``rem`` has degree < ``deg den``; substituting w = 1/zeta turns the
-    quotient into a power series in w with zero constant term, computed
-    exactly by series division.
+    Each ``-A_{n-a}/A_n`` is divided once into a quotient, whose terms shift
+    up (b >= 0), and a remainder of degree < B = deg A_n over ``A_n``.  In
+    w = 1/zeta that fraction is ``sum_k (-rem_k/p_B) w**(B-k)`` over
+    ``1 + sum_k m_k w**k`` with ``m_k = p_{B-k}/p_B``: its numerator gives
+    the terms that shift down (b = k - B < 0), its denominator the taps.
+    This is the expansion of ``A_{n-a}/A_n`` at zeta = infinity, whose
+    inverse powers shift down with zero padding.  Terms come lambda power
+    ascending, then quotient before remainder, b ascending; a constant top
+    (B = 0) leaves no remainder and no taps.
     """
-    B = len(den) - 1
-    zero = RationalComplex(0)
-    num_w = [zero] * (order + 1)
-    for mdeg, c in enumerate(rem):
-        t = B - mdeg
-        if t <= order:
-            num_w[t] = num_w[t] + c
-    # den_w[k] = den[B - k] vanishes for k > B: O(order * B) work
-    den_w = [(k, den[B - k]) for k in range(min(B, order), 0, -1)
-             if den[B - k]]
-    h = [zero] * (order + 1)
-    for t in range(order + 1):
-        acc = num_w[t]
-        for k, dk in den_w:
-            if k <= t and h[t - k]:
-                acc = acc - h[t - k] * dk
-        h[t] = acc / den[B] if acc else zero
-    return h[1:]
-
-
-def _recursion_terms(prob: CauchyProblem, top, width: int) -> list:
-    """Terms (a, b, c) of ``U[t] = G[t-n] + sum c * U[t-a][i+b]``.
-
-    The recursion is in normalized coordinates; b < 0 reads ``U[t-a][i-|b|]``
-    with zero below index 0.  Direct mode divides the lower lambda powers by
-    the constant top coefficient (lambda power ascending, then b ascending).
-    Pseudo mode expands each ``-A_{n-a}/A_n`` at zeta = infinity, exactly,
-    into a polynomial part and an inverse-power tail of ``width`` terms (a
-    ascending, then the polynomial part, then the tail by ascending power).
-    """
-    P = prob.operator
-    n = P.n
-    if prob.mode == "direct":
-        return [(n - a, b, -RationalComplex.coerce(c) / top[0])
-                for a, row in enumerate(P.coeff_polys[:n])
-                for b, c in enumerate(row) if c]
+    n, B = P.n, len(top) - 1
     terms = []
-    for a in range(1, n + 1):
-        num = [RationalComplex.coerce(c) for c in P.coeff_polys[n - a]]
-        if not any(num):
-            continue
-        quo, rem = _divmod(num, top)
-        terms += [(a, b, -c) for b, c in enumerate(quo) if c]
-        terms += [(a, -r, -h)
-                  for r, h in enumerate(_laurent_tail(rem, top, width), 1) if h]
-    return terms
+    for lam, row in enumerate(P.coeff_polys[:n]):
+        quo, rem = _divmod([RationalComplex.coerce(c) for c in row], top)
+        terms += [(n - lam, b, -c) for b, c in enumerate(quo) if c]
+        terms += [(n - lam, k - B, -c / top[B])
+                  for k, c in enumerate(rem) if c]
+    taps = [(k, top[B - k] / top[B]) for k in range(1, B + 1) if top[B - k]]
+    return terms, taps
 
 
 def formal_solve(prob: CauchyProblem) -> Series2:
@@ -265,14 +235,12 @@ def formal_solve(prob: CauchyProblem) -> Series2:
             f"insufficient rhs data: need window ({rows_needed}, {N2i}), "
             f"rhs provides ({J_g}, {I_g})")
 
-    terms = _recursion_terms(prob, top, N2i)
+    terms, taps = _recursion_terms(P, top)
     windows = [N2i] * (N1 + 1)
     for t in range(n, N1 + 1):
         windows[t] = min([I_g, N2i] + [windows[t - a] - max(b, 0)
                                        for a, b, _ in terms])
     final_window = min(windows)
-    if prob.mode == "pseudo" and final_window < 0:
-        raise WindowError("pseudo-mode recursion ran out of columns")
     if final_window < N2:
         raise WindowError(
             f"internal inflation insufficient: reached column {final_window}, "
@@ -281,19 +249,19 @@ def formal_solve(prob: CauchyProblem) -> Series2:
     w1, w2 = tables
     if exact:
         G = kernel.rescale(g.lanes, w1, w2, rows_needed, N2i)
-        v_re, v_im, level_div = kernel.recurrence(G, QC_ONE, terms, n,
-                                                  windows)
+        v = kernel.recurrence(G, QC_ONE, terms, n, windows, taps)
         # only the output window is kept
         out = kernel.RawLanes(
-            [row[: N2 + 1] for row in v_re],
-            [row[: N2 + 1] for row in v_im] if v_im is not None else None,
-            [d * w for d, w in zip(level_div, w1)], w2[: N2 + 1])
+            [row[: N2 + 1] for row in v.re],
+            [row[: N2 + 1] for row in v.im] if v.im is not None else None,
+            [d * w for d, w in zip(v.row_div, w1)],
+            [w if c == 1 else c * w for c, w in zip(v.col_div, w2[: N2 + 1])])
         return Series2(out, kappa1, kappa2, exact)
     import numpy as np
 
     levels = kernel.recurrence_float(
         g.grid, 1, [(a, b, complex(c)) for a, b, c in terms], n, windows,
-        w1, w2)
+        w1, w2, [(k, complex(m)) for k, m in taps])
     out = np.empty((N1 + 1, N2 + 1), dtype=complex)
     for t, level in enumerate(levels):
         # overflow confined to the inflated columns is not an error

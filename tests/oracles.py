@@ -9,7 +9,11 @@ Python ``complex`` arithmetic is the reference for the float expansion of a
 for its exact expansion.  Two loop forms of shift-kernel functions are
 references for their faster forms: a per-cell ``Fraction`` normalization
 for ``kernel.lanes_of_table`` and ``kernel.rescale``, and a term-by-term
-float recursion for the tail matrices of ``kernel.recurrence_float``.  The
+float recursion for ``kernel.recurrence_float``, with its taps expanded
+into inverse-power terms.  Pseudo mode's division by the top coefficient
+is checked against the Laurent-tail route: each ``A_{n-a}/A_n`` expanded
+at zeta = infinity into a polynomial part and an inverse-power tail as wide
+as the grid, summed cell by cell in Gaussian rationals.  The
 moment Borel transforms and moment derivatives of ``series`` are checked
 against their per-cell forms: exact cells times ``Fraction`` moment values,
 float cells scaled by ``math.ldexp`` or multiplied as Python ``complex``.
@@ -29,12 +33,12 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate
 
-from mpde.charroots import _deg, _squarefree_parts
+from mpde.charroots import _deg, _divmod, _squarefree_parts
 from mpde.errors import (DomainError, EstimationError, EvaluationError,
                          WindowError)
 from mpde.exact import RationalComplex, as_fraction
 from mpde.kernel import Lanes, common_denominator, gaussian_int
-from mpde.moments import log_gamma, log_table, scaled_eval
+from mpde.moments import eval_fraction, log_gamma, log_table, scaled_eval
 from mpde.series import GevreyFit, Series1, Series2
 
 
@@ -242,6 +246,107 @@ def recurrence_float_terms(base, q, terms, n: int, widths, logs1, logs2):
                     r2 = math.exp(logs2[i + b] - logs2[i])
                     row[i] += c * grid[t - a, i + b] * r1 * r2
     return [grid[t, : w + 1] for t, w in enumerate(widths)]
+
+
+def expand_taps(terms, taps, order: int) -> list:
+    """``terms`` with the taps of ``kernel.recurrence_float`` expanded: each
+    term (a, b, c) with b < 0 becomes the terms ``(a, b - r, c * h_r)`` for
+    r = 0..order, where ``h`` is the Python ``complex`` power series of
+    ``1 / (1 + sum m_k w**k)`` over the ``taps`` [(k, m_k)]."""
+    h = [1.0 + 0j]
+    for r in range(1, order + 1):
+        h.append(-sum(m * h[r - k] for k, m in taps if k <= r))
+    return ([(a, b, c) for a, b, c in terms if b >= 0]
+            + [(a, b - r, c * hr) for a, b, c in terms if b < 0
+               for r, hr in enumerate(h)])
+
+
+def laurent_tail(rem, den, order: int):
+    """Coefficients h_1..h_order of ``rem/den`` expanded in powers of 1/zeta.
+
+    ``rem`` has degree < ``deg den``; substituting w = 1/zeta turns the
+    quotient into a power series in w with zero constant term, computed
+    exactly by series division.
+    """
+    B = len(den) - 1
+    zero = RationalComplex(0)
+    num_w = [zero] * (order + 1)
+    for mdeg, c in enumerate(rem):
+        t = B - mdeg
+        if t <= order:
+            num_w[t] = num_w[t] + c
+    # den_w[k] = den[B - k] vanishes for k > B: O(order * B) work
+    den_w = [(k, den[B - k]) for k in range(min(B, order), 0, -1)
+             if den[B - k]]
+    h = [zero] * (order + 1)
+    for t in range(order + 1):
+        acc = num_w[t]
+        for k, dk in den_w:
+            if k <= t and h[t - k]:
+                acc = acc - h[t - k] * dk
+        h[t] = acc / den[B] if acc else zero
+    return h[1:]
+
+
+def laurent_terms(P, top, width: int) -> list:
+    """Terms (a, b, c) of the pseudo-mode recursion
+    ``U[t] = G[t-n] + sum c * U[t-a][i+b]``: each ``-A_{n-a}/A_n`` expanded
+    at zeta = infinity, exactly, into a polynomial part and an inverse-power
+    tail of ``width`` terms (a ascending, then the polynomial part, then the
+    tail by ascending power)."""
+    terms = []
+    for a in range(1, P.n + 1):
+        num = [RationalComplex.coerce(c) for c in P.coeff_polys[P.n - a]]
+        if not any(num):
+            continue
+        quo, rem = _divmod(num, top)
+        terms += [(a, b, -c) for b, c in enumerate(quo) if c]
+        terms += [(a, -r, -h)
+                  for r, h in enumerate(laurent_tail(rem, top, width), 1) if h]
+    return terms
+
+
+def laurent_solve(prob) -> list:
+    """Rows of the exact pseudo-mode solution of ``prob`` by the Laurent-tail
+    route, cell by cell in Gaussian rationals.
+
+    An f rhs is first turned into g by ``G_{i+deg} = (F_i - sum_{b<deg} p_b
+    G_{i+b}) / p_deg`` in normalized coordinates, with G zero below column
+    deg P0; the recursion of :func:`laurent_terms` then runs on the internal
+    width, reads below column 0 being zero, and the output window is
+    divided by the moment values of ``eval_fraction``.
+    """
+    P, (N1, N2), width = prob.operator, prob.out_shape, prob.inflated_n2
+    n, k1, k2 = P.n, prob.rhs.kappa1, prob.rhs.kappa2
+    top = [RationalComplex.coerce(c) for c in P.p0()]
+    deg = len(top) - 1
+    w1 = [eval_fraction(prob.m1, Fraction(j, k1)) for j in range(N1 + 1)]
+    w2 = [eval_fraction(prob.m2, Fraction(i, k2)) for i in range(width + 1)]
+    zero = RationalComplex(0)
+    G = []
+    for j, row in enumerate(prob.rhs.coeffs[: max(N1 - n, -1) + 1]):
+        F = [c * w1[j] * w2[i] for i, c in enumerate(row[: width + 1])]
+        if prob.rhs_is_g:
+            G.append(F)
+            continue
+        g = [zero] * (width + 1)
+        for i in range(width + 1 - deg):
+            acc = F[i] - sum((top[b] * g[i + b] for b in range(deg)), zero)
+            g[i + deg] = acc / top[deg]
+        G.append(g)
+    terms = laurent_terms(P, top, width)
+    U = []
+    for t in range(N1 + 1):
+        if t < n:
+            U.append([zero] * (width + 1))
+            continue
+        # columns a term reads beyond the width are never output
+        U.append([G[t - n][i] + sum(
+            (c * U[t - a][i + b] for a, b, c in terms
+             if 0 <= i + b <= width and U[t - a][i + b]), zero)
+            for i in range(width + 1)])
+    return [[U[t][i] / (w1[t] * w2[i]) for i in range(N2 + 1)]
+            for t in range(N1 + 1)]
 
 
 def edge_roots_numpy(edge_coeffs) -> list:

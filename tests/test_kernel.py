@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 import tracemalloc
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from helpers import random_series2
-from oracles import normalize_fractions, recurrence_float_terms
+from oracles import (expand_taps, normalize_fractions,
+                     recurrence_float_terms)
 
 from mpde import kernel
 from mpde.exact import RationalComplex
@@ -74,27 +76,47 @@ def test_normalize_matches_fraction_oracle(moment, is_complex):
                 assert (got.im is None) == (not is_complex)
 
 
+def _taps(rng, B):
+    """Taps ``m_k`` of ``1 + sum m_k w**k = prod (1 - rho w)`` for B roots
+    rho of modulus below 0.9, so that their power series decays."""
+    poly = [1.0 + 0j]
+    for _ in range(B):
+        rho = cmath.rect(rng.uniform(0.1, 0.9), rng.uniform(-math.pi, math.pi))
+        poly = [c - rho * p for c, p in zip(poly + [0j], [0j] + poly)]
+    return [(k, m) for k, m in enumerate(poly) if k]
+
+
 def _tail_case(rng, levels=7, width=16):
-    """Pseudo-mode-like terms: a banded part and a sparse inverse-power tail
-    for two row offsets, on windows that shrink by the largest band."""
+    """Pseudo-mode-like terms: an upward part, and downward terms for two row
+    offsets under taps of order 1 or 2, on windows that shrink by the
+    largest upward shift."""
     terms = [(1, 0, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))),
              (2, 2, complex(rng.uniform(-1, 1), 0))]
+    B = rng.choice([1, 2])
     terms += [(a, -r, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
-              for a in (1, 2) for r in range(1, width + 1) if rng.random() < 0.7]
+              for a in (1, 2) for r in range(1, B + 1)]
     widths = [width - 2 * max(t - 1, 0) for t in range(levels)]
     base = np.array([[complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                       for _ in range(width + 1)] for _ in range(levels)])
     m = parse_moment("Gamma(1/2)")
     return (base, 0.5, terms, 2, widths, log_table(m, 1, levels),
-            log_table(m, 1, width + 2))
+            log_table(m, 1, width + 2), _taps(rng, B))
+
+
+def _terms_oracle(base, q, terms, n, widths, logs1, logs2, taps):
+    """The term-by-term sum, taps expanded over the whole width."""
+    return recurrence_float_terms(base, q,
+                                  expand_taps(terms, taps, max(widths)),
+                                  n, widths, logs1, logs2)
 
 
 def test_recurrence_float_tail_matches_term_by_term_sum():
+    # the last levels are narrower than the largest downward shift
     rng = random.Random(52)
     for _ in range(5):
-        args = _tail_case(rng)
+        args = _tail_case(rng, levels=10)
         got = list(kernel.recurrence_float(*args))
-        want = recurrence_float_terms(*args)
+        want = _terms_oracle(*args)
         for g, w in zip(got, want):
             scale = max(np.max(np.abs(w)), 1.0)
             assert np.max(np.abs(g - w)) <= 1e-13 * scale
@@ -106,22 +128,25 @@ def test_recurrence_float_tail_spreads_nonfinite_as_term_by_term_sum(bad):
     rng = random.Random(53)
     args = list(_tail_case(rng))
     base = args[0].copy()
-    base[0, 1] = bad  # level 2, column 1: spread upward by the tails
+    base[0, 1] = bad  # level 2, column 1: spread upward by the taps
     base[3, 5] = bad
     args[0] = base
     got = list(kernel.recurrence_float(*args))
-    want = recurrence_float_terms(*args)
+    want = _terms_oracle(*args)
     for g, w in zip(got, want):
         assert np.array_equal(np.isfinite(g), np.isfinite(w))
     assert any(np.isfinite(g).any() and not np.isfinite(g).all() for g in got)
 
 
-def test_recurrence_float_tail_memory_follows_its_band():
-    # a monomial top c*zeta^2 gives a tail of two terms: its band holds
-    # (width+1) x 2 cells, where a (width+1)^2 matrix would take 256 MB
+def test_recurrence_float_tail_memory_follows_the_width():
+    # taps of order 2 solve along z in O(width) memory, where a band of the
+    # expanded inverse-power tail, (width+1)^2 cells, would take 256 MB;
+    # the taps' power series is below 1e-20 from w**30 on, so the oracle
+    # stops there
     width, levels = 4000, 4
     rng = random.Random(54)
     terms = [(1, 0, 1.5), (1, -1, -0.5), (1, -2, 0.25j)]
+    taps = [(1, 0.125 - 0.0625j), (2, -0.015625)]
     base = np.array([[complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                       for _ in range(width + 1)] for _ in range(levels)])
     m = parse_moment("Gamma(1/2)")
@@ -129,12 +154,14 @@ def test_recurrence_float_tail_memory_follows_its_band():
             log_table(m, 1, width + 2))
     tracemalloc.start()
     try:
-        got = [row.copy() for row in kernel.recurrence_float(*args)]
+        got = [row.copy() for row in kernel.recurrence_float(*args, taps)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
-    for g, w in zip(got, recurrence_float_terms(*args)):
+    want = recurrence_float_terms(args[0], args[1],
+                                  expand_taps(terms, taps, 30), *args[3:])
+    for g, w in zip(got, want):
         assert np.max(np.abs(g - w)) <= 1e-13 * max(np.max(np.abs(w)), 1.0)
 
 

@@ -230,6 +230,36 @@ def test_cli_exact_probe_beyond_binary64_names_the_level(tmp_path):
     assert json.loads(result.output)["gevrey_fit"]["j_range"] == [32, 63]
 
 
+@pytest.mark.parametrize("kind", ["rational", "coeffs"])
+def test_cli_float_rhs_entry_beyond_binary64_names_it(kind, tmp_path):
+    # 1e400 is a valid rational but no binary64: float arithmetic exits 4
+    # naming the entry and the remedy, exact arithmetic solves it
+    data = json.loads(Path(shipped("heat")).read_text())
+    entry = [0, 0, "1e400", "0"]
+    if kind == "rational":
+        data["rhs"]["payload"]["num"] = [entry]
+        where = "rhs num"
+    else:
+        data["rhs"] = {"kind": "coeffs", "payload": [[0, 1, "1", "0"], entry]}
+        where = "rhs"
+    prob = tmp_path / "heat.json"
+    prob.write_text(json.dumps(data))
+    runner = CliRunner()
+    for command in ("verify", "solve", "probe"):
+        args = [command, str(prob), "--arithmetic", "float"]
+        if command == "solve":
+            args += ["--out", str(tmp_path / "out.csv")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 4, result.output
+        assert (f'numeric failure: {where} entry [0, 0, "1e400", "0"] is '
+                f"beyond the binary64 range of float arithmetic; use "
+                f"--arithmetic exact") in result.output
+    assert not (tmp_path / "out.csv").exists()
+    result = runner.invoke(main, ["verify", str(prob), "--arithmetic", "exact"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["residual_exact_zero"]
+
+
 def test_exact_fit_and_row_values_build_no_cell_objects(monkeypatch):
     # the binary64 readers decode the integer lanes row by row; the per-cell
     # route built one RationalComplex for each of the 64 x 61 cells

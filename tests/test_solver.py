@@ -5,15 +5,17 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_series2
+from oracles import laurent_tail
 
-from mpde import moments
+from mpde import kernel, moments
 from mpde.charroots import CharPoly, branches_at_infinity
 from mpde.errors import EvaluationError, PreconditionError
 from mpde.exact import RationalComplex
 from mpde.moments import gamma_s
 from mpde.series import Series2, apply_operator, gevrey_fit
-from mpde.solver import (CauchyProblem, _laurent_tail, formal_solve, g_from_f,
-                         residual, theoretical_orders)
+from mpde.parsing import parse_operator
+from mpde.solver import (CauchyProblem, formal_solve, g_from_f, residual,
+                         theoretical_orders)
 
 G1 = gamma_s(1)
 
@@ -300,7 +302,7 @@ def test_laurent_tail_solves_the_division(den):
     rem = [RationalComplex(Fraction(1, 2), -1),
            RationalComplex(3)][:len(den) - 1]
     B, order = len(den) - 1, 12
-    h = [RationalComplex(0)] + _laurent_tail(rem, den, order)
+    h = [RationalComplex(0)] + laurent_tail(rem, den, order)
     for t in range(order + 1):
         lhs = sum((den[B - k] * h[t - k] for k in range(min(B, t) + 1)),
                   RationalComplex(0))
@@ -322,11 +324,48 @@ def test_laurent_tail_of_a_monomial_top_divides_at_most_its_degree(
     B, order = 3, 5000
     den = [RationalComplex(0)] * B + [RationalComplex(Fraction(2, 3), 1)]
     rem = [RationalComplex(1), RationalComplex(0), RationalComplex(-5, 2)]
-    h = _laurent_tail(rem, den, order)
+    h = laurent_tail(rem, den, order)
     assert len(divisions) == 2  # the nonzero coefficients of rem
     assert len(h) == order
     assert [r for r, c in enumerate(h, 1) if c] == [1, 3]
     assert h[0] == rem[2] / den[B] and h[2] == rem[0] / den[B]
+
+
+def test_non_monic_pseudo_lanes_stay_near_the_reduced_size():
+    # P0 = 2 + 3 zeta: the taps' denominator 3 sits in the column divisors,
+    # so the lanes hold no power of 3 that grows with the internal width;
+    # the reduced raw coefficients need 420 bits at (40, 40)
+    P = parse_operator("(2+3*dz)*dt - dz^2")
+    n1, n2 = 40, 40
+    f = geometric_g(n1, n2 + 2 * n1 + 1, exact=True)
+    u = formal_solve(CauchyProblem(P, G1, G1, f, (n1, n2), mode="pseudo",
+                                   rhs_is_g=False))
+    reduced = max(x.bit_length() for row in u.coeffs for c in row
+                  for q in (c.re, c.im) for x in (q.numerator, q.denominator))
+    lanes = u.lanes
+    lane_bits = max(abs(x).bit_length() for lane in (lanes.re, lanes.im)
+                    if lane is not None for row in lane for x in row)
+    assert reduced == 420
+    assert lane_bits <= 2 * reduced
+
+
+@pytest.mark.parametrize("operator", ["(2+dz)*dt - dz^2",
+                                      "(2+3*dz)*dt - dz^2"])
+def test_pseudo_mode_axpy_calls_follow_the_terms(operator, monkeypatch):
+    # three terms per t-level (zeta^0, zeta^1 and one remainder term): the
+    # taps run along z without axpy, so no call depends on the internal
+    # width N2 + N1 * max_b
+    calls = []
+    axpy = kernel.axpy
+    monkeypatch.setattr(kernel, "axpy",
+                        lambda *args: calls.append(args[-1]) or axpy(*args))
+    n1, n2 = 80, 80
+    g = geometric_g(n1, n2 + 2 * n1, exact=True)
+    u = formal_solve(CauchyProblem(parse_operator(operator), G1, G1, g,
+                                   (n1, n2), mode="pseudo"))
+    assert len(calls) == 3 * n1
+    assert sorted(set(calls)) == [-1, 0, 1]
+    assert u.valid == (n1, n2)
 
 
 @pytest.mark.parametrize("exact", [True, False])
