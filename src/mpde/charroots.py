@@ -22,7 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, EvaluationError, PreconditionError
-from .exact import RationalComplex
+from .exact import QC_ONE, RationalComplex
+
+_ZERO = RationalComplex(0)
 
 # -- dense polynomial helpers over an exact field (coefficients low -> high) --
 
@@ -47,14 +49,15 @@ def _divmod(num, den):
     num = list(num)
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
-    q = [RationalComplex(0)] * max(len(num) - len(den) + 1, 0)
-    inv_lead = RationalComplex(1) / den[-1]
+    q = [_ZERO] * max(len(num) - len(den) + 1, 0)
+    inv_lead = QC_ONE / den[-1]
     for i in range(len(num) - len(den), -1, -1):
-        factor = num[i + len(den) - 1] * inv_lead
-        q[i] = factor
-        # the leading term cancels exactly; a constant den leaves no update
-        for jj, d in enumerate(den[:-1]):
-            num[i + jj] = num[i + jj] - factor * d
+        # zero terms are skipped; the leading term cancels exactly
+        if num[i + len(den) - 1]:
+            factor = q[i] = num[i + len(den) - 1] * inv_lead
+            for jj, d in enumerate(den[:-1]):
+                if d:
+                    num[i + jj] = num[i + jj] - factor * d
     return _trim(q), _trim(num[: len(den) - 1])
 
 

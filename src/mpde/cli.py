@@ -1,16 +1,15 @@
-"""Command line interface.
-
-Exit codes: 0 success, 1 parse error, 2 precondition violation,
-3 verification failure, 4 numeric evaluation failure.
-"""
+"""Analyze moment partial differential equations: mpde COMMAND PROBLEM
+[options], where mpde COMMAND --help lists the options.  Exit codes:
+0 success, 1 parse error or interrupt, 2 precondition violation or usage
+error, 3 verification failure, 4 numeric evaluation failure."""
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import sys
 from pathlib import Path
-
-import click
 
 from . import problem as problem_mod
 from .errors import (DomainError, EstimationError, EvaluationError,
@@ -25,17 +24,19 @@ EXIT_NUMERIC = 4
 def _run(fn, problem: str, *outputs):
     try:
         _check_outputs(problem, *outputs)
-        return fn()
+        return fn(problem_mod.load_problem(problem))
     except ParseError as exc:
-        click.echo(f"parse error: {exc}", err=True)
+        print(f"parse error: {exc}", file=sys.stderr)
         sys.exit(EXIT_PARSE)
     except (PreconditionError, DomainError) as exc:
-        click.echo(f"precondition violated: {exc}", err=True)
+        print(f"precondition violated: {exc}", file=sys.stderr)
         sys.exit(EXIT_PRECONDITION)
     except (EvaluationError, EstimationError, OverflowError,
             ZeroDivisionError, FloatingPointError) as exc:
-        click.echo(f"numeric failure: {exc}", err=True)
+        print(f"numeric failure: {exc}", file=sys.stderr)
         sys.exit(EXIT_NUMERIC)
+    except KeyboardInterrupt:
+        sys.exit("\nAborted!")  # on stderr, exit 1, and no traceback
 
 
 def _check_outputs(problem: str, *outputs) -> None:
@@ -63,54 +64,19 @@ def _emit(text: str, out: str | None):
     if out:
         Path(out).write_text(text)
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
 def _dump(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-@click.group()
-def main():
-    """Analyze moment partial differential equations.
-
-    All commands take a problem JSON file; see the README for the schema.
-    No output may overwrite the problem file or another output, or lie in
-    a directory that does not exist (exit 2).
-    """
-
-
-_problem_arg = click.argument("problem", type=click.Path(exists=True,
-                                                         dir_okay=False))
-_out_opt = click.option("--out", type=click.Path(dir_okay=False), default=None,
-                        help="Output path (default: stdout or problem stem).")
-_n1_opt = click.option("--n1", type=int, default=None,
-                       help="Override the t-truncation.")
-_n2_opt = click.option("--n2", type=int, default=None,
-                       help="Override the z-truncation.")
-_arith_opt = click.option("--arithmetic",
-                          type=click.Choice(["float", "exact"]), default=None,
-                          help="Override the coefficient arithmetic.")
-
-
-@main.command()
-@_problem_arg
-@_out_opt
 def analyze(problem, out):
     """Branch data, Newton polygon, Gevrey orders, summability report."""
-    def body():
-        pf = problem_mod.load_problem(problem)
-        report = problem_mod.analyze_problem(pf)
-        _emit(_dump(report), out)
-    _run(body, problem, ("the report", out))
+    _run(lambda pf: _emit(_dump(problem_mod.analyze_problem(pf)), out),
+         problem, ("the report", out))
 
 
-@main.command()
-@_problem_arg
-@_out_opt
-@_n1_opt
-@_n2_opt
-@_arith_opt
 def solve(problem, out, n1, n2, arithmetic):
     """Write the solution coefficient CSV plus a JSON sidecar.
 
@@ -122,68 +88,112 @@ def solve(problem, out, n1, n2, arithmetic):
     csv_path = Path(out) if out else Path(problem).with_suffix(".solution.csv")
     sidecar_path = csv_path.with_suffix(".json")
 
-    def body():
-        pf = problem_mod.load_problem(problem)
+    def body(pf):
         u, sidecar = problem_mod.solve_problem(pf, n1, n2, arithmetic)
         csv_path.write_text(u.to_csv())
         sidecar_path.write_text(_dump(sidecar))
-        click.echo(f"wrote {csv_path} and {sidecar_path}")
+        print(f"wrote {csv_path} and {sidecar_path}")
     _run(body, problem, ("the CSV", csv_path), ("its sidecar", sidecar_path))
 
 
-@main.command()
-@_problem_arg
-@_out_opt
-@click.option("--svg", type=click.Path(dir_okay=False), default=None,
-              help="Path for the polygon SVG (default: problem stem).")
 def newton(problem, out, svg):
     """Emit the Newton polygon as SVG plus a vertex CSV."""
     svg_path = Path(svg) if svg else Path(problem).with_suffix(".newton.svg")
     csv_path = Path(out) if out else Path(problem).with_suffix(".newton.csv")
 
-    def body():
-        pf = problem_mod.load_problem(problem)
+    def body(pf):
         svg_text, csv_text = problem_mod.newton_problem(pf)
         svg_path.write_text(svg_text)
         csv_path.write_text(csv_text)
-        click.echo(f"wrote {svg_path} and {csv_path}")
+        print(f"wrote {svg_path} and {csv_path}")
     _run(body, problem, ("the SVG", svg_path), ("the vertex CSV", csv_path))
 
 
-@main.command()
-@_problem_arg
-@_out_opt
-@_n1_opt
-@_n2_opt
-@_arith_opt
 def probe(problem, out, n1, n2, arithmetic):
     """Empirical Gevrey order and singular-direction estimates."""
-    def body():
-        pf = problem_mod.load_problem(problem)
-        report = problem_mod.probe_problem(pf, n1, n2, arithmetic)
-        _emit(_dump(report), out)
-    _run(body, problem, ("the report", out))
+    _run(lambda pf: _emit(_dump(problem_mod.probe_problem(
+        pf, n1, n2, arithmetic)), out), problem, ("the report", out))
 
 
-@main.command()
-@_problem_arg
-@_out_opt
-@_n1_opt
-@_n2_opt
-@_arith_opt
-@click.option("--tol", type=float, default=1e-8,
-              help="Relative residual tolerance (default 1e-8).")
 def verify(problem, out, n1, n2, arithmetic, tol):
     """Solve and check the residual; exit 3 when above --tol."""
-    def body():
-        pf = problem_mod.load_problem(problem)
+    def body(pf):
         report = problem_mod.verify_problem(pf, tol, n1, n2, arithmetic)
         _emit(_dump(report), out)
         return report
-    report = _run(body, problem, ("the report", out))
-    if not report["passed"]:
+    if not _run(body, problem, ("the report", out))["passed"]:
         sys.exit(EXIT_VERIFY)
 
+
+def _path(path: str, readable: bool = False) -> str:
+    if os.path.isdir(path) or readable and not os.access(path, os.R_OK):
+        raise argparse.ArgumentTypeError(
+            f"{path!r} is not a {'readable ' * readable}file")
+    return path
+
+
+_OUT = ("--out", {"type": _path,
+                  "help": "output path (default: stdout or problem stem)"})
+_WINDOW = [("--n1", {"type": int, "help": "override the t-truncation"}),
+           ("--n2", {"type": int, "help": "override the z-truncation"}),
+           ("--arithmetic", {"choices": ["float", "exact"],
+                             "help": "override the coefficient arithmetic"})]
+# each command with its options (flag, argparse keywords)
+COMMANDS = {
+    analyze: [_OUT], solve: [_OUT, *_WINDOW],
+    newton: [_OUT, ("--svg", {"type": _path, "help": "path for the polygon "
+                              "SVG (default: problem stem)"})],
+    probe: [_OUT, *_WINDOW],
+    verify: [_OUT, *_WINDOW, ("--tol", {
+        "type": float, "default": 1e-8,
+        "help": "relative residual tolerance (default 1e-8)"})]}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Long options only, never abbreviated, and ``--help`` but no ``-h``."""
+
+    def __init__(self, **kw):
+        super().__init__(add_help=False, allow_abbrev=False, **kw)
+        self.add_argument("--help", action="help",
+                          help="show this message and exit")
+
+
+def _parser(prog: str) -> argparse.ArgumentParser:
+    top = _Parser(prog=prog, description=__doc__)
+    commands = top.add_subparsers(dest="command", required=True,
+                                  metavar="COMMAND")
+    for fn, options in COMMANDS.items():
+        sub = commands.add_parser(fn.__name__, description=fn.__doc__,
+                                  help=(fn.__doc__ or "").split("\n")[0])
+        sub.add_argument("problem", metavar="PROBLEM",
+                         type=lambda path: _path(path, readable=True))
+        for flag, keywords in options:
+            sub.add_argument(flag, **keywords)
+    return top
+
+
+def _glue(argv) -> list:
+    """``--opt=word`` for a valued option and its next word, even ``-x``."""
+    words, out = iter(argv), []
+    valued = {flag for options in COMMANDS.values() for flag, _ in options}
+    for word in words:
+        if word == "--":
+            return out + [word, *words]
+        value = next(words, None) if word in valued else None
+        out.append(word if value is None else f"{word}={value}")
+    return out
+
+
+def main(args=None, prog_name: str = "mpde"):
+    """Run ``args`` (default ``sys.argv[1:]``); always raises SystemExit."""
+    namespace = vars(_parser(prog_name).parse_args(
+        _glue(sys.argv[1:] if args is None else args)))
+    {fn.__name__: fn for fn in COMMANDS}[namespace.pop("command")](**namespace)
+    sys.exit(0)
+
+
+# perfbench/clitrace.py calls ``mpde.cli.main.main(args=..., prog_name=...)``
+main.main = main
 
 if __name__ == "__main__":
     main()

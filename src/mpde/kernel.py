@@ -197,7 +197,7 @@ def shift(grid: Lanes, table, n_rows: int, n_cols: int) -> Lanes:
     return Lanes(out_re, out_im, grid.den * d)
 
 
-def _run_taps(x_re, x_im, taps) -> None:
+def run_taps(x_re, x_im, taps) -> None:
     """Solve ``V_i + sum m_k V_{i-k} = X_i`` in place of x, i ascending, for
     the ``taps`` [(k, m_k)], k >= 1 ascending, V zero below index 0."""
     for i in range(len(x_re)):
@@ -275,7 +275,7 @@ def recurrence(base: Lanes, q: RationalComplex, terms, n: int, widths,
                 for a, b, k in down:
                     axpy(x_re, x_im, k, v_re[t - a],
                          v_im[t - a] if is_complex else None, b)
-                _run_taps(x_re, x_im, kt)
+                run_taps(x_re, x_im, kt)
                 acc_re = [p + x for p, x in zip(acc_re, x_re)]
                 if is_complex:
                     acc_im = [p + x for p, x in zip(acc_im, x_im)]
@@ -343,6 +343,12 @@ def binary64_rows(grid: RawLanes, rows, n_cols: int):
 
 
 # -- float arithmetic -------------------------------------------------------
+
+
+def read_only(grid):
+    """``grid`` marked read-only, so that a Series2 keeps it uncopied."""
+    grid.flags.writeable = False
+    return grid
 
 
 def _ratios(logs, offsets, width: int) -> dict:

@@ -225,10 +225,11 @@ def _quotient_exact(num: dict, den: dict, n1: int, n2: int) -> kernel.RawLanes:
     recursion ``R_{j,i} = q**(j+i) N_{j,i} - sum Q_ab q**(a+b-1) R_{j-a,i-b}``
     over (a, b) != (0, 0).  Row j starts from its N terms; each term with
     a >= 1 subtracts a shifted earlier row (:func:`kernel.axpy`), and the
-    terms with a = 0 then run along the row.  A row whose start is zero
-    stays zero.  The lanes divide row j by ``q**(j+1)`` and column i by
-    ``q**i``; for complex q by ``|q|**(2j+2)`` and ``|q|**(2i)``, with the
-    numerators multiplied by ``conj(q)**(j+i+1)``.
+    terms with a = 0 then run along the row as taps (:func:`kernel.run_taps`).
+    A row whose start is zero stays zero.  The lanes divide row j by
+    ``q**(j+1)`` and column i by ``q**i``; for complex q by ``|q|**(2j+2)``
+    and ``|q|**(2i)``, with the numerators multiplied by
+    ``conj(q)**(j+i+1)``.
     """
     d = kernel.common_denominator(list(num.values()) + list(den.values()))
     N = {k: kernel.gaussian_int(v, d) for k, v in num.items()}
@@ -243,13 +244,13 @@ def _quotient_exact(num: dict, den: dict, n1: int, n2: int) -> kernel.RawLanes:
         return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
     is_complex = any(v[1] for v in (*N.values(), *Q.values()))
-    # a term beyond the grid reaches no cell (and no power of q); each is
-    # kept negated, as -Q_ab q**(a+b-1)
-    terms = [(a, b, tuple(-x for x in mul(v, powers[a + b - 1])))
+    # a term beyond the grid reaches no cell (and no power of q); a term in
+    # t is kept negated, as -Q_ab q**(a+b-1), and the taps are Q_0b q**(b-1)
+    terms = [(a, b, mul(v, powers[a + b - 1]))
              for (a, b), v in sorted(Q.items())
              if (a, b) != (0, 0) and a <= n1 and b <= n2]
-    down = [(a, b, k) for a, b, k in terms if a]
-    along = [(b, k) for a, b, k in terms if not a]
+    down = [(a, b, (-x, -y)) for a, b, (x, y) in terms if a]
+    taps = [(b, k) for a, b, k in terms if not a]
     starts = {}
     for (j, i), v in N.items():
         if j <= n1 and i <= n2:
@@ -266,8 +267,8 @@ def _quotient_exact(num: dict, den: dict, n1: int, n2: int) -> kernel.RawLanes:
             if a <= j:
                 kernel.axpy(acc_re, acc_im, k, R_re[j - a],
                             R_im[j - a] if is_complex else None, -b)
-        if any(acc_re) or (is_complex and any(acc_im)):
-            _run_along(acc_re, acc_im, along)
+        if taps and (any(acc_re) or (is_complex and any(acc_im))):
+            kernel.run_taps(acc_re, acc_im, taps)
         R_re.append(acc_re)
         if is_complex:
             R_im.append(acc_im)
@@ -286,22 +287,6 @@ def _quotient_exact(num: dict, den: dict, n1: int, n2: int) -> kernel.RawLanes:
     return kernel.RawLanes(out_re, out_im,
                            [norm ** (j + 1) for j in range(n1 + 1)],
                            [norm ** i for i in range(n2 + 1)])
-
-
-def _run_along(acc_re, acc_im, along) -> None:
-    """``acc[i] += sum k * acc[i - b]`` in place over ``along`` = [(b, k)],
-    b >= 1, for i ascending, so each read is of a finished cell."""
-    if not along:
-        return
-    for i in range(min(b for b, _ in along), len(acc_re)):
-        for b, (kr, ki) in along:
-            if b <= i:
-                if acc_im is None:
-                    acc_re[i] += kr * acc_re[i - b]
-                else:
-                    x, y = acc_re[i - b], acc_im[i - b]
-                    acc_re[i] += kr * x - ki * y
-                    acc_im[i] += kr * y + ki * x
 
 
 def _quotient_float(num: dict, den: dict, n1: int, n2: int):
@@ -343,7 +328,7 @@ def _quotient_float(num: dict, den: dict, n1: int, n2: int):
     if not all(cmath.isfinite(v) for _, _, v in terms):
         lo, hi = 0, n1
     elif not rows:
-        return out
+        return kernel.read_only(out)
     else:
         lo = min(rows)
         hi = n1 if any(a for a, _, _ in terms) else max(rows)
@@ -356,17 +341,17 @@ def _quotient_float(num: dict, den: dict, n1: int, n2: int):
                     acc = acc - v * row[i - b]
             row[i] = acc / q
         out[lo] = row
-        return out
+        return kernel.read_only(out)
     shape = (hi - lo + 1, n2 + 1)
     if not any(v.imag for v in (*num.values(), *den.values())):
         (re,) = _diagonal_sweep(num, terms, q, lo, shape, real=True)
         if np.isfinite(re).all():
             out.real[lo: hi + 1] = re.reshape(shape)
-            return out
+            return kernel.read_only(out)
     re, im = _diagonal_sweep(num, terms, q, lo, shape, real=False)
     out.real[lo: hi + 1], out.imag[lo: hi + 1] = (re.reshape(shape),
                                                   im.reshape(shape))
-    return out
+    return kernel.read_only(out)
 
 
 def _diagonal_sweep(num, terms, q, first: int, shape, real: bool) -> list:

@@ -79,14 +79,16 @@ class Series2:
 
     A series stores one grid: a read-only 2-D complex numpy array
     (:attr:`grid`) in float mode, :class:`~mpde.kernel.RawLanes`
-    (:attr:`lanes`) in exact mode.  It is given as such an array (copied
-    once), as lanes, or as rows, coerced cell by cell to the coefficient
-    type and converted once.  ``coeffs``, the grid as tuple rows of Python
-    ``complex`` (signs of zero kept) or ``RationalComplex``, is built on
-    first use.  ``valid`` marks the rectangle of trustworthy indices (J, I);
-    it can be smaller than the grid for user-supplied data and is shrunk by
-    operators.  Series are immutable and compare equal when their
-    ``coeffs``, ramifications, arithmetic and windows are equal.
+    (:attr:`lanes`) in exact mode.  It is given as such an array (kept
+    when it is complex128, read-only and owns its memory, as the grids
+    mpde builds are; copied once otherwise), as lanes, or as rows, coerced
+    cell by cell to the coefficient type and converted once.  ``coeffs``,
+    the grid as tuple rows of Python ``complex`` (signs of zero kept) or
+    ``RationalComplex``, is built on first use.  ``valid`` marks the
+    rectangle of trustworthy indices (J, I); it can be smaller than the
+    grid for user-supplied data and is shrunk by operators.  Series are
+    immutable and compare equal when their ``coeffs``, ramifications,
+    arithmetic and windows are equal.
     """
 
     def __init__(self, coeffs, kappa1: int = 1, kappa2: int = 1,
@@ -108,8 +110,10 @@ class Series2:
             import numpy as np
 
             if not isinstance(coeffs, np.ndarray):
-                coeffs = _rows(coeffs, complex)
-            coeffs = np.array(coeffs, dtype=complex)
+                coeffs = np.array(_rows(coeffs, complex), dtype=complex)
+            elif (coeffs.dtype != complex or coeffs.flags.writeable
+                  or not coeffs.flags.owndata):
+                coeffs = np.array(coeffs, dtype=complex)
             if coeffs.ndim != 2:
                 raise DomainError("a coefficient array must be 2-D")
             coeffs.flags.writeable = False
@@ -145,9 +149,7 @@ class Series2:
         rounded part by part (:func:`kernel.binary64_rows`)."""
         if not self.exact:
             return self._data
-        grid = self._cells(*self.shape)
-        grid.flags.writeable = False
-        return grid
+        return kernel.read_only(self._cells(*self.shape))
 
     def _cells(self, J: int, I: int):
         """Cells ``[: J + 1, : I + 1]`` as a 2-D complex numpy array; exact
@@ -385,7 +387,8 @@ def _transform(m, s, axis, delta: int, num: bool, den: bool):
                 plane[:] = np.ldexp(scaled, e2 if num else -e2)
             if not np.isfinite(plane[np.isfinite(scaled)]).all():
                 raise OverflowError("math range error")
-    return Series2(out if axis == "t" else out.T, s.kappa1, s.kappa2, False)
+    return Series2(kernel.read_only(out if axis == "t" else out.T),
+                   s.kappa1, s.kappa2, False)
 
 
 # -- constant-coefficient moment differential operators ----------------------
@@ -441,7 +444,7 @@ def apply_operator(table, m1: MomentFunction, m2: MomentFunction,
     out = kernel.shift_float(u.grid, items,
                              moments.log_table(m1, u.kappa1, J),
                              moments.log_table(m2, u.kappa2, I), J_out, I_out)
-    return Series2(out, u.kappa1, u.kappa2, False)
+    return Series2(kernel.read_only(out), u.kappa1, u.kappa2, False)
 
 
 # -- empirical Gevrey order ---------------------------------------------------

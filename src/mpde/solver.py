@@ -271,7 +271,7 @@ def formal_solve(prob: CauchyProblem) -> Series2:
                 f"float coefficients overflow at t-level {t} (of {N1}) inside "
                 f"the requested window; lower the t-truncation (--n1) below "
                 f"{t}, or check larger ones with verify --arithmetic exact")
-    return Series2(out, kappa1, kappa2, exact)
+    return Series2(kernel.read_only(out), kappa1, kappa2, exact)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,13 @@
-"""Shared builders for randomized test corpora (all deterministic seeds)."""
+"""Shared builders for randomized test corpora (all deterministic seeds),
+and an in-process harness for the command line."""
 
+import contextlib
+import io
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
+from mpde import cli
 from mpde.exact import RationalComplex
 from mpde.series import Series1, Series2
 
@@ -59,3 +64,35 @@ def series1_close(a: Series1, b: Series1, tol: float = 1e-12) -> bool:
     scale = max([abs(complex(c)) for c in a.coeffs] + [1.0])
     return all(abs(complex(x) - complex(y)) <= tol * scale
                for x, y in zip(a.coeffs, b.coeffs))
+
+
+@dataclass(frozen=True)
+class CliResult:
+    """One ``mpde`` run: its exit code, its stdout, and ``output``, stdout
+    and stderr in the order they were written."""
+
+    exit_code: int
+    stdout: str
+    output: str
+
+
+def run_cli(argv) -> CliResult:
+    """Run ``cli.main(argv)`` in this process with both streams captured;
+    main must end in SystemExit, whose code None reads as 0."""
+    both = io.StringIO()
+
+    class Tee(io.StringIO):
+        def write(self, text):
+            both.write(text)
+            return super().write(text)
+
+    out, err = Tee(), Tee()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        else:
+            raise AssertionError(f"mpde {argv} returned without SystemExit")
+    code = 0 if code is None else code if isinstance(code, int) else 1
+    return CliResult(code, out.getvalue(), both.getvalue())

@@ -9,10 +9,11 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from click.testing import CliRunner
 
+from helpers import run_cli
+
+from mpde import cli
 from mpde import problem as problem_mod
-from mpde.cli import main
 from mpde.errors import EvaluationError, ParseError, PreconditionError
 from mpde.exact import RationalComplex
 from mpde.problem import (analyze_problem, expand_rhs, load_problem,
@@ -68,6 +69,20 @@ def test_expand_rhs_rational():
     assert all(c.re == 1 for row in s2.coeffs for c in row)
 
 
+def test_float_rational_rhs_keeps_the_quotient_grid(monkeypatch):
+    # the fresh read-only grid of _quotient_float is not copied again
+    grids = []
+    quotient = problem_mod._quotient_float
+    monkeypatch.setattr(problem_mod, "_quotient_float",
+                        lambda *args: grids.append(quotient(*args))
+                        or grids[-1])
+    spec = json.loads(Path(shipped("heat")).read_text())["rhs"]
+    s = expand_rhs(spec, 20, 50, exact=False)
+    assert len(grids) == 1 and s.grid is grids[0]
+    assert not s.grid.flags.writeable
+    assert s.coeffs[0][7] == 1 and s.coeffs[3][7] == 0
+
+
 def test_expand_rhs_coeffs_and_errors():
     s = expand_rhs({"kind": "coeffs", "payload": [[0, 0, 1, 0]]}, 2, 2, False)
     assert s.coeffs[0][0] == 1 and s.coeffs[1][1] == 0
@@ -112,8 +127,7 @@ def test_verify_problem_tolerance():
 
 
 def test_cli_analyze_stdout_golden():
-    runner = CliRunner()
-    result = runner.invoke(main, ["analyze", shipped("heat")])
+    result = run_cli(["analyze", shipped("heat")])
     assert result.exit_code == 0
     report = json.loads(result.output)
     golden = json.loads((GOLDEN / "heat.analyze.json").read_text())
@@ -121,10 +135,9 @@ def test_cli_analyze_stdout_golden():
 
 
 def test_cli_solve_csv_and_sidecar(tmp_path):
-    runner = CliRunner()
     out = tmp_path / "heat.csv"
-    result = runner.invoke(main, ["solve", shipped("heat"), "--out", str(out),
-                                  "--n1", "5", "--n2", "6"])
+    result = run_cli(["solve", shipped("heat"), "--out", str(out),
+                      "--n1", "5", "--n2", "6"])
     assert result.exit_code == 0, result.output
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "j,i,re,im"
@@ -143,20 +156,18 @@ def test_cli_solve_csv_and_sidecar(tmp_path):
 
 
 def test_cli_newton_outputs(tmp_path):
-    runner = CliRunner()
     svg = tmp_path / "p.svg"
     csv = tmp_path / "v.csv"
-    result = runner.invoke(main, ["newton", shipped("twofactor"),
-                                  "--svg", str(svg), "--out", str(csv)])
+    result = run_cli(["newton", shipped("twofactor"),
+                      "--svg", str(svg), "--out", str(csv)])
     assert result.exit_code == 0
     assert csv.read_text() == "x,y\n2,-2\n4,-1\n5,0\n"
     assert svg.read_text().startswith("<svg")
 
 
 def test_cli_probe(tmp_path):
-    runner = CliRunner()
-    result = runner.invoke(main, ["probe", shipped("heat"),
-                                  "--arithmetic", "float", "--n1", "40"])
+    result = run_cli(["probe", shipped("heat"),
+                      "--arithmetic", "float", "--n1", "40"])
     assert result.exit_code == 0
     report = json.loads(result.output)
     assert abs(report["gevrey_fit"]["s_hat"] - 1.0) <= 0.15
@@ -165,9 +176,8 @@ def test_cli_probe(tmp_path):
 
 
 def test_cli_verify_exit_codes(tmp_path):
-    runner = CliRunner()
-    ok = runner.invoke(main, ["verify", shipped("heat"), "--n1", "6",
-                              "--n2", "8"])
+    ok = run_cli(["verify", shipped("heat"), "--n1", "6",
+                  "--n2", "8"])
     assert ok.exit_code == 0
     # an impossible tolerance still passes in exact mode (residual is 0);
     # force a float failure instead through a perturbed problem
@@ -175,12 +185,12 @@ def test_cli_verify_exit_codes(tmp_path):
     data["rhs_gevrey"] = ["0", "0"]
     prob = tmp_path / "ok.json"
     prob.write_text(json.dumps(data))
-    ok2 = runner.invoke(main, ["verify", str(prob), "--arithmetic", "float",
-                               "--n1", "6", "--n2", "8"])
+    ok2 = run_cli(["verify", str(prob), "--arithmetic", "float",
+                   "--n1", "6", "--n2", "8"])
     assert ok2.exit_code == 0
-    strict = runner.invoke(main, ["verify", str(prob), "--arithmetic",
-                                  "float", "--n1", "6", "--n2", "8",
-                                  "--tol", "0"])
+    strict = run_cli(["verify", str(prob), "--arithmetic",
+                      "float", "--n1", "6", "--n2", "8",
+                      "--tol", "0"])
     assert strict.exit_code == 3
 
 
@@ -188,10 +198,9 @@ def test_cli_verify_exit_codes(tmp_path):
 def test_cli_float_overflow_exits_numeric(command, tmp_path):
     # raw float coefficients of twofactor overflow binary64 at N1 = 80;
     # neither command may report success on them
-    runner = CliRunner()
     out = tmp_path / "twofactor.csv"
-    result = runner.invoke(main, [command, shipped("twofactor"), "--n1", "80",
-                                  "--arithmetic", "float", "--out", str(out)])
+    result = run_cli([command, shipped("twofactor"), "--n1", "80",
+                      "--arithmetic", "float", "--out", str(out)])
     assert result.exit_code == 4, result.output
     assert "t-level 64" in result.output
     assert not out.exists()
@@ -200,16 +209,15 @@ def test_cli_float_overflow_exits_numeric(command, tmp_path):
 def test_cli_exact_solve_beyond_binary64_names_the_cell(tmp_path):
     # the exact solution of twofactor at (80, 60) leaves the binary64 range
     # of the CSV at t-level 64; verify checks it without rounding
-    runner = CliRunner()
     out = tmp_path / "twofactor.csv"
     args = [shipped("twofactor"), "--n1", "80", "--n2", "60",
             "--arithmetic", "exact"]
-    result = runner.invoke(main, ["solve", *args, "--out", str(out)])
+    result = run_cli(["solve", *args, "--out", str(out)])
     assert result.exit_code == 4, result.output
     assert ("exact coefficient (64, 55) is about 2^1025.8, outside the "
             "binary64 range of the CSV; lower --n1") in result.output
     assert not out.exists()
-    result = runner.invoke(main, ["verify", *args])
+    result = run_cli(["verify", *args])
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["residual_exact_zero"]
 
@@ -217,15 +225,14 @@ def test_cli_exact_solve_beyond_binary64_names_the_cell(tmp_path):
 def test_cli_exact_probe_beyond_binary64_names_the_level(tmp_path):
     # the Gevrey fit rounds the moduli of the exact cells to binary64; at
     # (80, 60) twofactor's t-level 64 leaves that range, below it the fit runs
-    runner = CliRunner()
     args = [shipped("twofactor"), "--n2", "60", "--arithmetic", "exact"]
-    result = runner.invoke(main, ["probe", *args, "--n1", "80"])
+    result = run_cli(["probe", *args, "--n1", "80"])
     assert result.exit_code == 4, result.output
     assert ("numeric failure: exact coefficients of t-level 64 are outside "
             "the binary64 range of the Gevrey fit; lower --n1 below 64 "
             "(verify checks the exact solution without fitting it)"
             ) in result.output
-    result = runner.invoke(main, ["probe", *args, "--n1", "63"])
+    result = run_cli(["probe", *args, "--n1", "63"])
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["gevrey_fit"]["j_range"] == [32, 63]
 
@@ -244,18 +251,17 @@ def test_cli_float_rhs_entry_beyond_binary64_names_it(kind, tmp_path):
         where = "rhs"
     prob = tmp_path / "heat.json"
     prob.write_text(json.dumps(data))
-    runner = CliRunner()
     for command in ("verify", "solve", "probe"):
         args = [command, str(prob), "--arithmetic", "float"]
         if command == "solve":
             args += ["--out", str(tmp_path / "out.csv")]
-        result = runner.invoke(main, args)
+        result = run_cli(args)
         assert result.exit_code == 4, result.output
         assert (f'numeric failure: {where} entry [0, 0, "1e400", "0"] is '
                 f"beyond the binary64 range of float arithmetic; use "
                 f"--arithmetic exact") in result.output
     assert not (tmp_path / "out.csv").exists()
-    result = runner.invoke(main, ["verify", str(prob), "--arithmetic", "exact"])
+    result = run_cli(["verify", str(prob), "--arithmetic", "exact"])
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["residual_exact_zero"]
 
@@ -282,7 +288,7 @@ def test_exact_fit_and_row_values_build_no_cell_objects(monkeypatch):
 
 @pytest.mark.parametrize("command", ["solve", "probe"])
 def test_cli_float_overflow_advises_a_smaller_truncation(command, tmp_path):
-    result = CliRunner().invoke(main, [
+    result = run_cli([
         command, shipped("twofactor"), "--n1", "80", "--arithmetic", "float",
         "--out", str(tmp_path / "out")])
     assert result.exit_code == 4, result.output
@@ -318,8 +324,8 @@ def test_cli_truncation_below_operator_order(command, flag, value, tmp_path,
         raise AssertionError("formal_solve must not run")
     monkeypatch.setattr(problem_mod, "formal_solve", no_solve)
     out = tmp_path / "twofactor.csv"
-    result = CliRunner().invoke(main, [command, shipped("twofactor"), flag,
-                                       value, "--out", str(out)])
+    result = run_cli([command, shipped("twofactor"), flag,
+                      value, "--out", str(out)])
     assert result.exit_code == 2, result.output
     assert "N1 >= 2 and N2 >= 5" in result.output
     assert not out.exists()
@@ -332,8 +338,8 @@ def test_cli_grid_above_cap_is_rejected_before_expansion(command,
     def no_expand(*args):
         raise AssertionError("expand_rhs must not run")
     monkeypatch.setattr(problem_mod, "expand_rhs", no_expand)
-    result = CliRunner().invoke(main, [command, shipped("heat"), "--n1",
-                                       "1000", "--n2", "60"])
+    result = run_cli([command, shipped("heat"), "--n1",
+                      "1000", "--n2", "60"])
     assert result.exit_code == 2, result.output
     assert "2063061 cells" in result.output
     assert str(problem_mod.MAX_GRID_CELLS) in result.output
@@ -381,12 +387,13 @@ def test_import_analyze_newton_and_exact_solve_do_not_load_numpy(tmp_path):
                    "--out", f"{out}.verify.json"]]
     code = ("import sys, mpde\n"
             "assert 'numpy' not in sys.modules, 'import mpde'\n"
-            "from mpde.cli import main\n"
+            "from helpers import run_cli\n"
             f"for argv in {calls!r}:\n"
-            "    main(argv, standalone_mode=False)\n"
+            "    assert run_cli(argv).exit_code == 0, argv\n"
             "    assert 'numpy' not in sys.modules, argv\n")
+    path = os.pathsep.join([str(src), str(Path(__file__).parent)])
     proc = subprocess.run([sys.executable, "-c", code],
-                          env={**os.environ, "PYTHONPATH": str(src)},
+                          env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     for name in ("heat", "transport", "twofactor"):
@@ -397,37 +404,105 @@ def test_import_analyze_newton_and_exact_solve_do_not_load_numpy(tmp_path):
             (tmp_path / f"{name}.verify.json").read_text())["passed"]
 
 
+def test_import_cli_loads_the_standard_library_alone():
+    # the command line runs on argparse, and numpy waits for float numerics
+    src = Path(problem_mod.__file__).resolve().parents[1]
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import mpde.cli\n"
+            "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+            "print(sorted(new - set(sys.stdlib_module_names) - {'mpde'}))\n"
+            "print('numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\nFalse\n"
+
+
+# argument lists that are usage errors, run in a directory that holds only
+# the problem P.json and an empty directory D
+USAGE_ERRORS = [
+    [], ["bogus", "P.json"], ["solve"], ["solve", "P.json", "--n1", "x"],
+    ["probe", "P.json", "--n2", "1.5"], ["verify", "P.json", "--tol", "tiny"],
+    ["solve", "P.json", "--arithmetic", "double"], ["solve", "P.json", "--n1"],
+    ["newton", "P.json", "--svg"], ["analyze", "missing.json"],
+    ["analyze", "D"], ["analyze", "P.json", "--out", "D"],
+    ["newton", "P.json", "--svg", "D"], ["solve", "P.json", "--out", "D"],
+    # no abbreviated option, no -h, no option of another command, no extra
+    # argument
+    ["solve", "P.json", "--ar", "exact"], ["analyze", "P.json", "-h"],
+    ["analyze", "P.json", "--n1", "5"], ["analyze", "P.json", "P.json"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+def test_cli_usage_errors_exit_2_and_write_nothing(argv, tmp_path,
+                                                   monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "P.json").write_bytes(Path(shipped("heat")).read_bytes())
+    (tmp_path / "D").mkdir()
+    result = run_cli(argv)
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["D", "P.json"]
+
+
+@pytest.mark.parametrize("args,code", [
+    (["verify", shipped("heat"), "--n1", "6", "--n2", "8"], 0),
+    (["verify", shipped("heat"), "--n1", "-5"], 2),
+    # a valued option takes the next word whatever it starts with; the
+    # exact residual 0 is above a negative tolerance
+    (["verify", shipped("heat"), "--n1", "6", "--n2", "8", "--tol",
+      "-1e-9"], 3)])
+def test_cli_main_main_ends_in_system_exit_with_the_code(args, code,
+                                                        capsys):
+    # perfbench/clitrace.py calls the entry point through this attribute
+    with pytest.raises(SystemExit) as exc:
+        cli.main.main(args=args, prog_name="mpde")
+    assert exc.value.code == code, capsys.readouterr()
+
+
+def test_cli_interrupt_exits_1_with_aborted(monkeypatch):
+    # no traceback: "\nAborted!" on stderr and exit code 1
+    def interrupted(path):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(problem_mod, "load_problem", interrupted)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", shipped("heat")])
+    assert exc.value.code == "\nAborted!"
+
+
 def test_cli_bool_truncation_is_parse_error(tmp_path):
     data = json.loads(Path(shipped("heat")).read_text())
     data["truncation"] = [True, 5]
     prob = tmp_path / "bool.json"
     prob.write_text(json.dumps(data))
-    assert CliRunner().invoke(main, ["solve", str(prob)]).exit_code == 1
+    assert run_cli(["solve", str(prob)]).exit_code == 1
 
 
 def test_cli_error_exit_codes(tmp_path):
-    runner = CliRunner()
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
-    assert runner.invoke(main, ["analyze", str(bad)]).exit_code == 1
+    assert run_cli(["analyze", str(bad)]).exit_code == 1
 
     deg0 = tmp_path / "deg0.json"
     data = json.loads(Path(shipped("heat")).read_text())
     data["operator"] = "dz^2"
     deg0.write_text(json.dumps(data))
-    assert runner.invoke(main, ["analyze", str(deg0)]).exit_code == 2
+    assert run_cli(["analyze", str(deg0)]).exit_code == 2
 
     unk = tmp_path / "unk.json"
     data2 = json.loads(Path(shipped("heat")).read_text())
     data2["surprise"] = True
     unk.write_text(json.dumps(data2))
-    assert runner.invoke(main, ["analyze", str(unk)]).exit_code == 1
+    assert run_cli(["analyze", str(unk)]).exit_code == 1
 
     badmode = tmp_path / "badmode.json"
     data3 = json.loads(Path(shipped("heat")).read_text())
     data3["operator"] = "(dz^2+1)*dt - dz"
     badmode.write_text(json.dumps(data3))  # mode stays "direct"
-    assert runner.invoke(main, ["solve", str(badmode)]).exit_code == 2
+    assert run_cli(["solve", str(badmode)]).exit_code == 2
 
 
 # heat.json with one field replaced by a raw JSON literal, and a piece of
@@ -475,7 +550,7 @@ def test_malformed_rhs_is_a_parse_error_naming_the_entry(field, literal,
     prob = tmp_path / "bad.json"
     prob.write_text(text)
     for command in ("verify", "analyze"):
-        result = CliRunner().invoke(main, [command, str(prob)])
+        result = run_cli([command, str(prob)])
         assert result.exit_code == 1, result.output
         assert f"parse error: {named}" in result.output
 
@@ -498,8 +573,8 @@ def test_cli_solve_refuses_to_overwrite_the_problem_file(out_name, tmp_path):
     prob = tmp_path / "heat.json"
     prob.write_bytes(Path(shipped("heat")).read_bytes())
     before = prob.read_bytes()
-    result = CliRunner().invoke(main, ["solve", str(prob), "--out",
-                                       str(tmp_path / out_name)])
+    result = run_cli(["solve", str(prob), "--out",
+                      str(tmp_path / out_name)])
     assert result.exit_code == 2, result.output
     csv = tmp_path / out_name
     assert (f"the CSV {csv} or its sidecar {csv.with_suffix('.json')} would "
@@ -559,7 +634,7 @@ def test_cli_refuses_outputs_over_the_problem_or_each_other(args, refusal,
     prob = tmp_path / "P.json"
     prob.write_bytes(Path(shipped("heat")).read_bytes())
     before = prob.read_bytes()
-    result = CliRunner().invoke(main, [args[0], "P.json", *args[1:]])
+    result = run_cli([args[0], "P.json", *args[1:]])
     assert result.exit_code == 2, result.output
     assert f"precondition violated: {refusal}" in result.output
     assert prob.read_bytes() == before

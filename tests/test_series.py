@@ -290,6 +290,28 @@ def test_series2_csv_format():
     assert len(lines) == 5
 
 
+def test_series2_copies_a_grid_it_may_not_keep():
+    # a writeable array, a read-only view of one, and a read-only array of
+    # another dtype are copied; the series does not follow later writes
+    grid = np.array([[1, 2], [3, 4]], dtype=complex)
+    view = grid[:, :]
+    view.flags.writeable = False
+    real = np.array([[1.0, 2.0], [3.0, 4.0]])
+    real.flags.writeable = False
+    series = [Series2(grid), Series2(view), Series2(real)]
+    grid[0, 0] = 9
+    for s in series:
+        assert s.grid.dtype == complex and not s.grid.flags.writeable
+        assert s.coeffs == ((1, 2), (3, 4))
+    assert grid.flags.writeable
+
+
+def test_series2_keeps_a_read_only_complex_grid_it_owns():
+    grid = np.array([[1, 2], [3, 4]], dtype=complex)
+    grid.flags.writeable = False
+    assert Series2(grid).grid is grid
+
+
 def test_zero_series_legal_everywhere_but_fit():
     z = Series2.zeros(5, 5, exact=True)
     assert borel(G1, z, "t").coeffs == z.coeffs

@@ -14,8 +14,8 @@ from mpde.exact import RationalComplex
 from mpde.moments import gamma_s
 from mpde.series import Series2, apply_operator, gevrey_fit
 from mpde.parsing import parse_operator
-from mpde.solver import (CauchyProblem, formal_solve, g_from_f, residual,
-                         theoretical_orders)
+from mpde.solver import (CauchyProblem, _recursion_terms, formal_solve,
+                         g_from_f, residual, theoretical_orders)
 
 G1 = gamma_s(1)
 
@@ -366,6 +366,27 @@ def test_pseudo_mode_axpy_calls_follow_the_terms(operator, monkeypatch):
     assert len(calls) == 3 * n1
     assert sorted(set(calls)) == [-1, 0, 1]
     assert u.valid == (n1, n2)
+
+
+@pytest.mark.parametrize("P,terms", [
+    (HEAT, [(1, 2, 1)]), (TWOFACTOR, [(2, 5, -1), (1, 2, 1), (1, 3, 1)])],
+    ids=["heat", "twofactor"])
+def test_recursion_terms_of_a_constant_top_multiply_no_zero(P, terms,
+                                                            monkeypatch):
+    # a zero coefficient of A_{n-a} gives no quotient term and updates
+    # nothing, so no multiplication reads it
+    assert any(not c for row in P.coeff_polys for c in row)
+    zeros = []
+    mul = RationalComplex.__mul__
+
+    def counting_mul(self, other):
+        if not self or not other:
+            zeros.append((self, other))
+        return mul(self, other)
+    monkeypatch.setattr(RationalComplex, "__mul__", counting_mul)
+    top = [RationalComplex.coerce(c) for c in P.p0()]
+    assert _recursion_terms(P, top) == (terms, [])
+    assert zeros == []
 
 
 @pytest.mark.parametrize("exact", [True, False])
