@@ -18,11 +18,11 @@ reported with ``resolved=False`` instead of recursing.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, EvaluationError, PreconditionError
 from .exact import QC_ONE, RationalComplex
+from .record import record
 
 _ZERO = RationalComplex(0)
 
@@ -104,7 +104,7 @@ def _squarefree_parts(p):
 # -- public types --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class CharPoly:
     """``P(lambda, zeta)`` stored by lambda power.
 
@@ -166,7 +166,7 @@ class CharPoly:
         return vals
 
 
-@dataclass(frozen=True)
+@record
 class CharBranch:
     """One branch class: all roots growing like ``lambda0 * zeta**q``.
 
@@ -257,15 +257,19 @@ def branches_at_infinity(P: CharPoly) -> list:
 # -- numerical validation -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class BranchValidation:
+    """Numeric check of one branch: root deviation per radius."""
+
     q: Fraction
     deviations: tuple  # max relative deviation per radius (None if no root landed)
     monotone: bool
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
+    """Numeric checks of all branches along one ray of radii."""
+
     radii: tuple
     ray_angle: float
     branches: tuple

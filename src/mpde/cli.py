@@ -1,7 +1,8 @@
 """Analyze moment partial differential equations: mpde COMMAND PROBLEM
 [options], where mpde COMMAND --help lists the options.  Exit codes:
-0 success, 1 parse error or interrupt, 2 precondition violation or usage
-error, 3 verification failure, 4 numeric evaluation failure."""
+0 success, 1 parse error, interrupt or a reader that closed stdout first,
+2 precondition violation or usage error, 3 verification failure, 4 numeric
+evaluation failure."""
 
 from __future__ import annotations
 
@@ -188,7 +189,17 @@ def main(args=None, prog_name: str = "mpde"):
     """Run ``args`` (default ``sys.argv[1:]``); always raises SystemExit."""
     namespace = vars(_parser(prog_name).parse_args(
         _glue(sys.argv[1:] if args is None else args)))
-    {fn.__name__: fn for fn in COMMANDS}[namespace.pop("command")](**namespace)
+    command = {fn.__name__: fn for fn in COMMANDS}[namespace.pop("command")]
+    try:
+        try:
+            command(**namespace)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout first (``mpde analyze P | head -1``): exit
+        # 1 quietly, with stdout on devnull so that the final flush succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
     sys.exit(0)
 
 

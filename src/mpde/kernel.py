@@ -41,16 +41,16 @@ level, on which a B-tap recurrence along z runs, in order of increasing i.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import RationalComplex
+from .record import record
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass
+@record
 class Lanes:
     """Grid ``(re + i*im) / den`` of integer numerator rows.
 
@@ -62,7 +62,7 @@ class Lanes:
     den: int
 
 
-@dataclass
+@record
 class RawLanes:
     """Grid ``(re + i*im)[j][i] / (row_div[j] * col_div[i])`` of raw
     coefficients: integer numerator rows, ``im`` None for real data, and

@@ -26,12 +26,12 @@ a logarithm into a binary64 mantissa and a power of two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, EvaluationError
 from .exact import as_fraction, fmt_fraction
+from .record import record
 
 _LN2 = math.log(2.0)
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
@@ -69,7 +69,7 @@ def log_gamma(x: float) -> float:
     return shift + _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(acc)
 
 
-@dataclass(frozen=True)
+@record
 class MomentFactor:
     """One Gamma factor ``(a * Gamma(b + u/k)) ** sign``."""
 
@@ -90,7 +90,7 @@ class MomentFactor:
             raise DomainError("factor sign must be +1 or -1")
 
 
-@dataclass(frozen=True)
+@record
 class MomentFunction:
     """Finite signed product of Gamma factors; the empty product is 1."""
 
@@ -154,7 +154,7 @@ def order(m: MomentFunction) -> Fraction:
 # -- evaluation ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ScaledValue:
     """m(u) as log value plus an exact rational representative.
 

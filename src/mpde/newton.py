@@ -10,14 +10,14 @@ slopes are compared exactly against characteristic branch data downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
 from .exact import as_fraction, fmt_fraction
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class NewtonPolygon:
     """Vertex chain (x, y strictly increasing) with generating monomials."""
 
@@ -88,8 +88,10 @@ def slopes(polygon: NewtonPolygon) -> list:
     return [seg[2] for seg in polygon.segments]
 
 
-@dataclass(frozen=True)
+@record
 class CrossCheckReport:
+    """Agreement of the Newton polygon with the branch data."""
+
     slopes_match: bool
     integrality: bool
     vertices_match: bool

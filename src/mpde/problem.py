@@ -32,7 +32,6 @@ from __future__ import annotations
 import cmath
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -43,6 +42,7 @@ from .errors import EvaluationError, ParseError, PreconditionError
 from .exact import RationalComplex, as_fraction, fmt_fraction
 from .moments import MomentFunction
 from .parsing import parse_moment, parse_operator
+from .record import record
 from .series import Series2, gevrey_fit
 from .solver import (CauchyProblem, formal_solve, inflated_window, residual,
                      theoretical_orders, z_order)
@@ -55,8 +55,10 @@ _KNOWN_KEYS = {"operator", "m1", "m2", "rhs", "rhs_role", "rhs_gevrey",
                "truncation", "directions", "mode", "arithmetic"}
 
 
-@dataclass(frozen=True)
+@record
 class ProblemFile:
+    """A problem file as loaded and validated, before parsing."""
+
     operator: str
     m1: str
     m2: str
@@ -422,7 +424,7 @@ def _diagonal_sweep(num, terms, q, first: int, shape, real: bool) -> list:
 # -- assembled problem -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ParsedProblem:
     """A problem file with its operator and moment functions parsed."""
 

@@ -26,12 +26,12 @@ result is trustworthy, and ``valid`` records that window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import kernel, moments
 from .errors import DomainError, EstimationError, EvaluationError, WindowError
 from .exact import RationalComplex
 from .moments import MomentFunction
+from .record import record
 
 
 def _rows(coeffs, coerce) -> tuple:
@@ -44,7 +44,7 @@ def _rows(coeffs, coerce) -> tuple:
     return rows
 
 
-@dataclass(frozen=True)
+@record
 class Series1:
     """Truncated series ``sum_j c_j x**(j/kappa)`` on one axis."""
 
@@ -275,7 +275,7 @@ class Series2:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
+@record
 class GevreyFit:
     """Empirical coefficient-growth exponent against log Gamma(1+j)."""
 
@@ -371,7 +371,11 @@ def _transform(m, s, axis, delta: int, num: bool, den: bool):
     lo = min(max(-delta, 0), n_out + 1)
     src = cells[lo + delta: n_out + 1 + delta]
     logs = moments.log_table(m, kappa, n)
-    out = np.zeros((n_out + 1, cells.shape[1]), dtype=complex)
+    # ``grid`` is row-major in (t, z), so a Series2 keeps it; ``out`` is its
+    # view with ``axis`` first, as ``cells`` is
+    grid = np.zeros((n_out + 1, cells.shape[1]) if axis == "t"
+                    else (cells.shape[1], n_out + 1), dtype=complex)
+    out = grid if axis == "t" else grid.T
     if num and den:
         r = np.array([math.exp(logs[k + delta] - logs[k])
                       for k in range(lo, n_out + 1)])[:, None]
@@ -387,8 +391,7 @@ def _transform(m, s, axis, delta: int, num: bool, den: bool):
                 plane[:] = np.ldexp(scaled, e2 if num else -e2)
             if not np.isfinite(plane[np.isfinite(scaled)]).all():
                 raise OverflowError("math range error")
-    return Series2(kernel.read_only(out if axis == "t" else out.T),
-                   s.kappa1, s.kappa2, False)
+    return Series2(kernel.read_only(grid), s.kappa1, s.kappa2, False)
 
 
 # -- constant-coefficient moment differential operators ----------------------

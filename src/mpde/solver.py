@@ -40,7 +40,6 @@ requested output window is valid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -49,10 +48,11 @@ from .charroots import CharPoly, _divmod, branches_at_infinity
 from .errors import EvaluationError, PreconditionError, WindowError
 from .exact import QC_ONE, RationalComplex, as_fraction
 from .moments import MomentFunction
+from .record import record
 from .series import Series2, normalize_table, operator_window
 
 
-@dataclass(frozen=True)
+@record
 class CauchyProblem:
     """Problem data: operator, moment functions, inhomogeneity, truncation.
 
@@ -274,8 +274,10 @@ def formal_solve(prob: CauchyProblem) -> Series2:
     return Series2(kernel.read_only(out), kappa1, kappa2, exact)
 
 
-@dataclass(frozen=True)
+@record
 class ResidualReport:
+    """Largest residual of ``P u - f`` on its window, absolute and relative."""
+
     max_abs: float
     scale: float  # largest term magnitude entering the comparison
     window: tuple
@@ -413,14 +415,18 @@ def _max_weighted(rows, w1, w2) -> Fraction:
     return Fraction(best_num, best_den)
 
 
-@dataclass(frozen=True)
+@record
 class BranchOrder:
+    """Gevrey order bound in t of one branch of pole order q."""
+
     q: Fraction
     gevrey_t: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class OrdersReport:
+    """Theoretical Gevrey orders per branch and overall in t and z."""
+
     per_branch: tuple
     t_order: Fraction
     z_order: Fraction

@@ -16,18 +16,18 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, PreconditionError
 from .exact import as_fraction, fmt_fraction
+from .record import record
 from .series import Series2
 
 
 # -- exact-when-possible angles ----------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Angle:
     """An angle in [0, 2*pi); ``pi_multiple`` is exact when known."""
 
@@ -67,15 +67,19 @@ def _arg_pi_multiple(z: complex) -> Fraction | None:
 # -- levels -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class LevelSpec:
+    """One candidate summability level K and its branch."""
+
     K: Fraction
     q: Fraction
     branch_index: int  # 1-based index into the branch list
 
 
-@dataclass(frozen=True)
+@record
 class LevelsResult:
+    """The candidate levels of a problem and the counts behind them."""
+
     applicable: bool
     levels: tuple          # LevelSpec, K strictly decreasing
     tilde_K: Fraction | None
@@ -113,8 +117,10 @@ def levels(branches, s1, s2, st1=0, st2=0) -> LevelsResult:
 # -- sector requirements --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SectorRequirement:
+    """A sector in t or z that the Borel-transformed rhs must extend to."""
+
     variable: str            # "t" | "z"
     direction: Angle
     growth: Fraction
@@ -198,15 +204,19 @@ def admissible(directions, level_values):
 # -- the decision procedure -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Hypothesis:
+    """One named hypothesis of the summability statements, checked."""
+
     name: str
     holds: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class SummabilityReport:
+    """The summability classification of a problem."""
+
     case: str
     levels: tuple            # LevelSpec, K decreasing
     tilde_K: Fraction | None
@@ -375,8 +385,10 @@ def _classify_multi(branches, s1, s2, st1, st2, dir_list, res, notes):
 # -- heuristic singular-direction probe --------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ProbeResult:
+    """Singular directions estimated from the coefficients."""
+
     status: str              # "ok" | "no_singularity" | "inconclusive"
     directions: tuple        # estimated singular directions, radians in [0, 2pi)
     radius: float | None

@@ -649,3 +649,21 @@ def test_console_script_entry_point(tmp_path):
         capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["passed"] is True
+
+
+@pytest.mark.parametrize("args", [["analyze"], ["newton", "--out", "N.csv",
+                                                "--svg", "N.svg"]])
+def test_cli_exits_1_quietly_when_the_reader_closed_stdout(args, tmp_path):
+    # as in ``mpde analyze P | true``: the read end of the pipe is closed
+    # before mpde starts, so every write to stdout fails
+    src = Path(problem_mod.__file__).resolve().parents[1]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "mpde.cli", args[0], shipped("twofactor"),
+             *args[1:]], stdout=write, stderr=subprocess.PIPE, text=True,
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)})
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (1, "")

@@ -8,6 +8,7 @@ import pytest
 from helpers import random_series1, random_series2, series1_close
 from oracles import exact_gevrey_fit_cells, frac_integral_quadrature
 
+from mpde import kernel
 from mpde.errors import DomainError, EstimationError, WindowError
 from mpde.exact import RationalComplex
 from mpde.moments import MomentFunction, combine, eval_at, gamma_s
@@ -310,6 +311,22 @@ def test_series2_keeps_a_read_only_complex_grid_it_owns():
     grid = np.array([[1, 2], [3, 4]], dtype=complex)
     grid.flags.writeable = False
     assert Series2(grid).grid is grid
+
+
+@pytest.mark.parametrize("transform", [borel, inv_borel, moment_diff])
+def test_z_transform_hands_over_its_grid_uncopied(transform, monkeypatch):
+    # the z-axis output is built row-major and kept by Series2 as built; it
+    # equals the t-axis transform of the transposed series bit for bit
+    kept = []
+    read_only = kernel.read_only
+    monkeypatch.setattr(kernel, "read_only",
+                        lambda grid: kept.append(read_only(grid)) or kept[-1])
+    s = random_series2(random.Random(5), 6, 9)
+    s = Series2(s.grid, 1, 2)
+    out = transform(MIX, s, "z")
+    assert out.grid is kept[-1] and out.grid.flags.c_contiguous
+    flipped = transform(MIX, Series2(s.grid.T, 2, 1), "t")
+    assert out.grid.tobytes() == flipped.grid.T.tobytes()
 
 
 def test_zero_series_legal_everywhere_but_fit():
