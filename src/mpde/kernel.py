@@ -35,7 +35,8 @@ reproduce to the last bit.
 
 Both recursions divide by a top coefficient of degree B in z through B
 taps: the terms that shift down are summed into a second accumulator per
-level, on which a B-tap recurrence along z runs, in order of increasing i.
+level, on which a B-tap recurrence along z runs, in order of increasing i;
+a base read at a negative z-offset joins that accumulator.
 """
 
 from __future__ import annotations
@@ -213,18 +214,19 @@ def run_taps(x_re, x_im, taps) -> None:
 
 
 def recurrence(base: Lanes, q: RationalComplex, terms, n: int, widths,
-               taps=()) -> RawLanes:
-    """Levels ``U[t] = q B[t-n] + sum c U[t-a][i+b] + V[t]``, zero for t < n.
+               taps=(), shift: int = 0) -> RawLanes:
+    """Levels ``U[t] = q B[t-n][i+shift] + sum c U[t-a][i+b] + V[t]``.
 
     ``B`` is the grid ``base`` holds; ``terms`` are (a, b, c) with a >= 1
-    and Gaussian-rational c.  Level t is computed for ``i <= widths[t]``;
-    reads below index 0 are zero.  The terms with b < 0 are summed into
-    ``X[t]`` instead, and ``V[t]`` solves ``V_i + sum m_k V_{i-k} = X_i``
-    for the ``taps`` [(k, m_k)], k >= 1 ascending.
+    and Gaussian-rational c.  Level t is zero for t < n and computed for
+    ``i <= widths[t]``; reads below index 0 are zero.  The terms with b < 0,
+    and the base when ``shift < 0``, are summed into ``X[t]`` instead, and
+    ``V[t]`` solves ``V_i + sum m_k V_{i-k} = X_i`` for the ``taps``
+    [(k, m_k)], k >= 1 ascending.
 
     With e the common denominator of the taps, ``W[t][i] = U[t][i] e**i``
-    obeys the recursion with ``c e**-b`` for c, ``q e**i`` for q and the
-    Gaussian integers ``m_k e**k`` for the taps.  With d the common
+    obeys the recursion with ``c e**-b`` for c, ``q e**-shift`` for q and
+    the Gaussian integers ``m_k e**k`` for the taps.  With d the common
     denominator of q and the ``c e**-b``, the levels
     ``V[t] = W[t] * base.den * d**(t+1)`` are integral.  Returns them as raw
     lanes with ``row_div[t] = base.den * d**(t+1)``, ``col_div[i] = e**i``.
@@ -234,6 +236,7 @@ def recurrence(base: Lanes, q: RationalComplex, terms, n: int, widths,
     kt = [(k, gaussian_int(m, e ** k)) for k, m in taps]
     if e != 1:
         terms = [(a, b, c * Fraction(e) ** -b) for a, b, c in terms]
+        q = q * Fraction(e) ** -shift
     d = common_denominator([q] + [c for _, _, c in terms])
     kq = gaussian_int(q, d)
     ks = [(a, b, tuple(x * d ** (a - 1) for x in gaussian_int(c, d)))
@@ -253,25 +256,25 @@ def recurrence(base: Lanes, q: RationalComplex, terms, n: int, widths,
     row_div = []
     for t, w in enumerate(widths):
         row_div.append(base.den * power * d)
-        if t < n:
-            acc_re = [0] * (w + 1)
-            acc_im = [0] * (w + 1) if is_complex else None
-        else:
+        acc_re = [0] * (w + 1)
+        acc_im = [0] * (w + 1) if is_complex else None
+        if t >= n:
             sr, si = kq[0] * power, kq[1] * power
             br = base_re[t - n][: w + 1]
-            if not is_complex:
+            bi = base_im[t - n][: w + 1] if is_complex else None
+            if not shift and not is_complex:
                 acc_re = br if sr == 1 else [sr * x for x in br]
-                acc_im = None
-            else:
-                bi = base_im[t - n][: w + 1]
+            elif not shift:
                 acc_re = [sr * x - si * y for x, y in zip(br, bi)]
                 acc_im = [sr * y + si * x for x, y in zip(br, bi)]
             for a, b, k in up:
                 axpy(acc_re, acc_im, k, v_re[t - a],
                      v_im[t - a] if is_complex else None, b)
-            if down:
+            if down or shift:
                 x_re = [0] * (w + 1)
                 x_im = [0] * (w + 1) if is_complex else None
+                if shift:
+                    axpy(x_re, x_im, (sr, si), br, bi, shift)
                 for a, b, k in down:
                     axpy(x_re, x_im, k, v_re[t - a],
                          v_im[t - a] if is_complex else None, b)
@@ -388,47 +391,51 @@ def shift_float(u, items, logs1, logs2, n_rows: int, n_cols: int):
     return out
 
 
-def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=()):
-    """Yield levels ``u[t] = q B[t-n] + sum c u[t-a][i+b] + v[t]``, zero for t < n.
+def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
+                     shift: int = 0):
+    """Yield levels ``u[t] = q B[t-n][i+shift] + sum c u[t-a][i+b] + v[t]``.
 
     The float counterpart of :func:`recurrence`, in raw coordinates: ``base``
     is a 2-D numpy array of raw coefficients, every term carries the moment
-    ratios ``m1(t-a)/m1(t)`` and ``m2(i+b)/m2(i)`` (``m1(t-n)/m1(t)`` for the
-    base) from the log tables ``logs1``, ``logs2``.  Level t covers
-    ``i <= widths[t]``; reads below index 0 are zero.  Terms are added one
-    row update at a time, in list order, those with b < 0 into ``x[t]``;
-    ``v[t]`` solves ``v_i + sum m_k m2(i-k)/m2(i) v_{i-k} = x_i`` for the
-    ``taps`` [(k, m_k)] cell by cell in Python ``complex``.  Each level is
-    yielded as soon as it is complete, so a caller can stop at the first
-    one that overflows.
+    ratios ``m1(t-a)/m1(t)`` and ``m2(i+b)/m2(i)`` (``m1(t-n)/m1(t)`` and
+    ``m2(i+shift)/m2(i)`` for the base) from the log tables ``logs1``,
+    ``logs2``.  Level t is zero for t < n and covers ``i <= widths[t]``;
+    reads below index 0 are zero.  Terms are added one row update at a
+    time, in list order, those with b < 0 into ``x[t]`` (after the base
+    when ``shift < 0``); ``v[t]`` solves ``v_i + sum m_k m2(i-k)/m2(i)
+    v_{i-k} = x_i`` for the ``taps`` [(k, m_k)] cell by cell in Python
+    ``complex``.  Each level is yielded as soon as it is complete, so a
+    caller can stop at the first one that overflows.
     """
     import numpy as np
 
     width = max(widths)
-    r2 = _ratios(logs2, {b for _, b, _ in terms} | {-k for k, _ in taps},
-                 width)
+    r2 = _ratios(logs2, {b for _, b, _ in terms} | {-k for k, _ in taps}
+                 | ({shift} - {0}), width)
+    grid = np.zeros((len(widths), width + 1), dtype=complex)
     up = [(a, b, c) for a, b, c in terms if b >= 0]
-    down = [(a, b, c) for a, b, c in terms if b < 0]
+    down = [(base, n, shift, q)] if shift else []
+    down += [(grid, a, b, c) for a, b, c in terms if b < 0]
     # m_k * m2(i-k)/m2(i), for i >= k
     kt = [(k, (m * r2[-k]).tolist()) for k, m in taps]
-    grid = np.zeros((len(widths), width + 1), dtype=complex)
     for t, w in enumerate(widths):
         row = grid[t, : w + 1]
         if t >= n:
             with np.errstate(over="ignore", invalid="ignore"):
-                row[:] = base[t - n, : w + 1] * (
-                    q * math.exp(logs1[t - n] - logs1[t]))
+                if not shift:
+                    row[:] = base[t - n, : w + 1] * (
+                        q * math.exp(logs1[t - n] - logs1[t]))
                 for a, b, c in up:
                     r1 = math.exp(logs1[t - a] - logs1[t])
                     row += (c * grid[t - a, b: w + 1 + b] * r1
                             * r2[b][: w + 1])
                 if down:
                     x = np.zeros(w + 1, dtype=complex)
-                    for a, b, c in down:
+                    for src, a, b, c in down:
                         if -b > w:
                             continue
                         r1 = math.exp(logs1[t - a] - logs1[t])
-                        x[-b:] += (c * grid[t - a, : w + 1 + b] * r1
+                        x[-b:] += (c * src[t - a, : w + 1 + b] * r1
                                    * r2[b][-b: w + 1])
                     if kt:
                         xs = x.tolist()

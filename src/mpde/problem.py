@@ -453,17 +453,22 @@ def parse_problem(pf: ProblemFile) -> ParsedProblem:
 
 
 def _truncation(pf: ProblemFile, n1, n2) -> tuple:
-    """``(N1, N2)``: the overrides where set, else the problem file's."""
+    """``(N1, N2)``: the overrides where set, else the problem file's; a
+    negative override raises PreconditionError before anything is built."""
+    for name, value in (("--n1", n1), ("--n2", n2)):
+        if value is not None and value < 0:
+            raise PreconditionError(f"truncation override {name} {value} "
+                                    f"is negative")
     return (pf.truncation[0] if n1 is None else n1,
             pf.truncation[1] if n2 is None else n2)
 
 
-# Largest rhs grid ``(N1+1) * (N2 + N1*max_b + 1)`` that ``assemble`` expands
-# (plus deg P0 columns for ``rhs_role: "f"``).  A float grid costs about
-# 56 bytes a cell (16 in numpy, 40 as a Python complex in its row), exact
-# cells several times more, and a solve holds a few grids at once; the cap
-# stops a mistyped truncation before it allocates, at about 7x the largest
-# grid of the benchmark ladders (138,621 cells).
+# Largest rhs grid ``(N1+1) * (N2 + N1*max_b + 1)`` that ``assemble``
+# expands: the inflated solver window, for either ``rhs_role``.  A float grid
+# costs about 56 bytes a cell (16 in numpy, 40 as a Python complex in its
+# row), exact cells several times more, and a solve holds a few grids at
+# once; the cap stops a mistyped truncation before it allocates, at about 7x
+# the largest grid of the benchmark ladders (138,621 cells).
 MAX_GRID_CELLS = 1_000_000
 
 
@@ -479,16 +484,13 @@ def assemble(pp: ParsedProblem, n1: int | None = None, n2: int | None = None,
     N1, N2 = _truncation(pf, n1, n2)
     exact = (arithmetic or pf.arithmetic) == "exact"
     n2_internal = inflated_window(P, (N1, N2))
-    if pf.rhs_role == "f":
-        # g reconstruction consumes deg P0 columns
-        n2_internal += len(P.p0()) - 1
-    cells = (max(N1, 0) + 1) * (n2_internal + 1)
+    cells = (N1 + 1) * (n2_internal + 1)
     if cells > MAX_GRID_CELLS:
         raise PreconditionError(
             f"the solver grid of truncation ({N1}, {N2}) has {cells} cells "
-            f"({max(N1, 0) + 1} x {n2_internal + 1}), above the cap of "
+            f"({N1 + 1} x {n2_internal + 1}), above the cap of "
             f"{MAX_GRID_CELLS}; lower --n1 or --n2")
-    rhs = expand_rhs(pf.rhs, max(N1, 0), n2_internal, exact)
+    rhs = expand_rhs(pf.rhs, N1, n2_internal, exact)
     return CauchyProblem(P, pp.m1, pp.m2, rhs, (N1, N2),
                          rhs_is_g=pf.rhs_role == "g",
                          rhs_gevrey=pf.rhs_gevrey, mode=pf.mode)

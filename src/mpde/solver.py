@@ -7,13 +7,13 @@ constant-coefficient shift, and the recursion runs level by level in the
 t-order as ``U[j+n][i] = G[j][i] + sum c_ab U[j+n-a][i+b]``.
 
 Both arithmetics run this recursion, ``g_from_f`` and the residual on the
-shift kernel of :mod:`mpde.kernel`, with the moment tables that each
-:class:`CauchyProblem` builds once.  Exact mode rescales the integer lanes
-of g once, recurses on Python integers over one common denominator and
-returns the output window as lanes whose row divisors are the level
-divisors times ``m1`` and whose column divisors are the values of ``m2``
-(times ``e**i``, e the denominator of the top coefficient's taps); the
-residual rescales those lanes and shifts them on integers, with no
+shift kernel of :mod:`mpde.kernel`; a solve uses the moment tables that
+its :class:`CauchyProblem` builds once.  Exact mode rescales the integer
+lanes of the rhs once, recurses on Python integers over one common
+denominator and returns the output window as lanes whose row divisors are
+the level divisors times ``m1`` and whose column divisors are the values of
+``m2`` (times ``e**i``, e the denominator of the top coefficient's taps);
+the residual rescales those lanes and shifts them on integers, with no
 Gaussian rational built in between.  Float mode recurses on raw
 coefficients with moment ratios taken from their logarithms, so that grids
 whose normalized coefficients would overflow stay finite; an output row
@@ -21,13 +21,15 @@ that overflows anyway raises EvaluationError.  Float grids stay numpy
 arrays from the rhs to the output (``Series2.grid``): each finite-checked
 level is written into one preallocated output array.
 
-One recursion serves both modes.  Each ``A_{n-a}`` is divided once by the
-top lambda coefficient ``A_n(zeta)`` of degree B: the quotient shifts
-z-indices up, and the remainder over ``A_n``, which is the inverse-power
-tail of ``A_{n-a}/A_n`` at ``zeta = infinity``, shifts down with zero
-padding.  The kernel applies the tail as remainder terms followed by a
-B-tap recurrence along z (``1/A_n``), exactly the Laurent convolution on
-the grid.  The ``mode`` only states what the top may be:
+One recursion serves both modes and both rhs roles.  Each ``A_{n-a}`` is
+divided once by the top lambda coefficient ``A_n(zeta)`` of degree B: the
+quotient shifts z-indices up, and the remainder over ``A_n``, which is the
+inverse-power tail of ``A_{n-a}/A_n`` at ``zeta = infinity``, shifts down
+with zero padding.  The kernel applies the tail as remainder terms followed
+by a B-tap recurrence along z (``1/A_n``), exactly the Laurent convolution
+on the grid.  An f rhs enters the same taps shifted down by B and divided
+by ``p_B``, the top term of ``A_n``, which is ``g = A_n^-1 f`` at infinity.
+The ``mode`` only states what the top may be:
 
 * ``direct``  - the top lambda coefficient is a constant (B = 0): no
   remainder and no taps;
@@ -57,8 +59,8 @@ class CauchyProblem:
     """Problem data: operator, moment functions, inhomogeneity, truncation.
 
     ``rhs`` is read as the normalized right-hand side g by default
-    (``rhs_is_g``), or as f itself; in the latter case g is reconstructed by
-    inverting the top zeta-polynomial with free coefficients set to zero.
+    (``rhs_is_g``), or as f itself, for ``g = P0(dz)^-1 f`` with the free
+    coefficients set to zero; f then needs B = deg P0 columns fewer.
     ``rhs_gevrey`` is declared metadata; it never alters coefficients.
     """
 
@@ -93,12 +95,11 @@ class CauchyProblem:
     def _table_sizes(self) -> tuple:
         """Largest row and column index any stage reads a moment value at:
         the rhs or output window plus the t-order of the operator (rows)
-        and plus the larger of ``max_b`` and ``deg P0`` (columns)."""
+        and plus ``max_b`` (columns)."""
         n1, _ = self.out_shape
         J, I = self.rhs.valid
         return (max(n1, J) + self.operator.n,
-                max(self.inflated_n2, I)
-                + max(self.max_b, len(self.operator.p0()) - 1))
+                max(self.inflated_n2, I) + self.max_b)
 
     @cached_property
     def fraction_tables(self) -> tuple:
@@ -127,54 +128,43 @@ def inflated_window(P: CharPoly, out_shape) -> int:
     return out_shape[1] + out_shape[0] * z_order(P)
 
 
-def g_from_f(p0_coeffs, m2: MomentFunction, f: Series2,
-             table=None) -> Series2:
+def g_from_f(p0_coeffs, m2: MomentFunction, f: Series2) -> Series2:
     """Solve ``P0(dz) g = f`` for g with the free z-coefficients set to zero.
 
-    In z-normalized coordinates ``G_i = g_i * m2(i/kappa2)`` the equation is
-    the recursion ``G_{i+deg} = (F_i - sum_{b<deg} p_b G_{i+b}) / p_deg``
-    upward in the z-index, with ``G_{j,i} = 0`` for ``i < deg P0``.  Both
-    arithmetics run it on the shift kernel with z-levels as the recursion
-    levels, all rows at once; exact output lanes keep the level divisors
-    times the moment values as column divisors.  ``table`` holds the values
-    ``m2(i/kappa2)`` (exact mode) or their logs (float mode) for i from 0 to
-    at least ``I + deg P0``, as a solve shares them; it is built when None.
+    With ``P0 = sum p_b zeta**b`` of degree B and ``G_i = g_i m2(i/kappa2)``
+    that is ``G_i + sum m_k G_{i-k} = F_{i-B} / p_B``: the taps that
+    :func:`formal_solve` runs, here alone, with the rows as levels.  g is
+    valid B columns past f.
     """
-    exact = f.exact
-    p = [RationalComplex.coerce(c) if exact else complex(c) for c in p0_coeffs]
-    while p and not p[-1]:
-        p.pop()
-    if not p:
+    top = [RationalComplex.coerce(c) for c in p0_coeffs]
+    while top and not top[-1]:
+        top.pop()
+    if not top:
         raise PreconditionError("P0 must not be identically zero")
-    deg = len(p) - 1
+    B = len(top) - 1
     J, I = f.valid
-    if table is None:
-        build = moments.fraction_table if exact else moments.log_table
-        table = build(m2, f.kappa2, I + deg)
-    # z-levels: the recursion runs over columns, each a vector over j
-    terms = [(deg - b, 0, -p[b] / p[deg]) for b in range(deg) if p[b]]
-    widths = [J] * (I + deg + 1)
-    if exact:
+    q, taps, widths = 1 / top[B], _taps(top), [I + B] * (J + 1)
+    if f.exact:
+        table = moments.fraction_table(m2, f.kappa2, I + B)
         F = kernel.rescale(f.lanes, [1] * (J + 1), table, J, I)
-        cols = kernel.Lanes(_transpose(F.re),
-                            _transpose(F.im) if F.im is not None else None,
-                            F.den)
-        v = kernel.recurrence(cols, 1 / p[deg], terms, deg, widths)
-        out = kernel.RawLanes(_transpose(v.re),
-                              _transpose(v.im) if v.im is not None else None,
-                              v.col_div,
-                              [d * w for d, w in zip(v.row_div, table)])
+        v = kernel.recurrence(F, q, [], 0, widths, taps, -B)
+        out = kernel.RawLanes(v.re, v.im, v.row_div,
+                              [c * w for c, w in zip(v.col_div, table)])
         return Series2(out, f.kappa1, f.kappa2, True)
     import numpy as np
 
-    F = f.grid[: J + 1, : I + 1].T
-    levels = kernel.recurrence_float(F, 1 / p[deg], terms, deg, widths,
-                                     table, [0.0] * (J + 1))
-    return Series2(np.array(list(levels)).T, f.kappa1, f.kappa2, False)
+    levels = kernel.recurrence_float(
+        f.grid[: J + 1, : I + 1], complex(q), [], 0, widths, [0.0] * (J + 1),
+        moments.log_table(m2, f.kappa2, I + B),
+        [(k, complex(m)) for k, m in taps], -B)
+    return Series2(kernel.read_only(np.array(list(levels))), f.kappa1,
+                   f.kappa2, False)
 
 
-def _transpose(rows) -> list:
-    return [list(col) for col in zip(*rows)]
+def _taps(top) -> list:
+    """Taps (k, ``p_{B-k}/p_B``) of a top coefficient ``sum p_b zeta**b``."""
+    B = len(top) - 1
+    return [(k, top[B - k] / top[B]) for k in range(1, B + 1) if top[B - k]]
 
 
 def _recursion_terms(P: CharPoly, top) -> tuple:
@@ -198,8 +188,7 @@ def _recursion_terms(P: CharPoly, top) -> tuple:
         terms += [(n - lam, b, -c) for b, c in enumerate(quo) if c]
         terms += [(n - lam, k - B, -c / top[B])
                   for k, c in enumerate(rem) if c]
-    taps = [(k, top[B - k] / top[B]) for k in range(1, B + 1) if top[B - k]]
-    return terms, taps
+    return terms, _taps(top)
 
 
 def formal_solve(prob: CauchyProblem) -> Series2:
@@ -225,31 +214,30 @@ def formal_solve(prob: CauchyProblem) -> Series2:
     N2i = prob.inflated_n2
     kappa1, kappa2 = prob.rhs.kappa1, prob.rhs.kappa2
 
-    tables = prob.fraction_tables if exact else prob.log_tables
-    g = (prob.rhs if prob.rhs_is_g
-         else g_from_f(top, prob.m2, prob.rhs, tables[1]))
-    J_g, I_g = g.valid
+    # f enters shifted down by B, so that the taps turn it into g = P0^-1 f
+    q, shift = (QC_ONE, 0) if prob.rhs_is_g else (1 / top[B], -B)
+    J_g, I_g = prob.rhs.valid
     rows_needed = max(N1 - n, -1)
-    if J_g < rows_needed or I_g < N2i:
+    if J_g < rows_needed or I_g < N2i + shift:
         raise PreconditionError(
-            f"insufficient rhs data: need window ({rows_needed}, {N2i}), "
-            f"rhs provides ({J_g}, {I_g})")
+            f"insufficient rhs data: need window ({rows_needed}, "
+            f"{N2i + shift}), rhs provides ({J_g}, {I_g})")
 
     terms, taps = _recursion_terms(P, top)
     windows = [N2i] * (N1 + 1)
     for t in range(n, N1 + 1):
-        windows[t] = min([I_g, N2i] + [windows[t - a] - max(b, 0)
-                                       for a, b, _ in terms])
+        windows[t] = min([N2i] + [windows[t - a] - max(b, 0)
+                                  for a, b, _ in terms])
     final_window = min(windows)
     if final_window < N2:
         raise WindowError(
             f"internal inflation insufficient: reached column {final_window}, "
             f"needed {N2}")
 
-    w1, w2 = tables
+    w1, w2 = prob.fraction_tables if exact else prob.log_tables
     if exact:
-        G = kernel.rescale(g.lanes, w1, w2, rows_needed, N2i)
-        v = kernel.recurrence(G, QC_ONE, terms, n, windows, taps)
+        G = kernel.rescale(prob.rhs.lanes, w1, w2, rows_needed, N2i + shift)
+        v = kernel.recurrence(G, q, terms, n, windows, taps, shift)
         # only the output window is kept
         out = kernel.RawLanes(
             [row[: N2 + 1] for row in v.re],
@@ -259,9 +247,11 @@ def formal_solve(prob: CauchyProblem) -> Series2:
         return Series2(out, kappa1, kappa2, exact)
     import numpy as np
 
+    # a real 1 keeps g bit for bit (a complex 1 may flip a zero's sign)
     levels = kernel.recurrence_float(
-        g.grid, 1, [(a, b, complex(c)) for a, b, c in terms], n, windows,
-        w1, w2, [(k, complex(m)) for k, m in taps])
+        prob.rhs.grid, 1 if prob.rhs_is_g else complex(q),
+        [(a, b, complex(c)) for a, b, c in terms], n, windows, w1, w2,
+        [(k, complex(m)) for k, m in taps], shift)
     out = np.empty((N1 + 1, N2 + 1), dtype=complex)
     for t, level in enumerate(levels):
         # overflow confined to the inflated columns is not an error

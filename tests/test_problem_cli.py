@@ -481,6 +481,28 @@ def test_cli_bool_truncation_is_parse_error(tmp_path):
     assert run_cli(["solve", str(prob)]).exit_code == 1
 
 
+@pytest.mark.parametrize("arithmetic", ["float", "exact"])
+@pytest.mark.parametrize("command,override", [
+    ("probe", ["--n1", "0", "--n2", "-5"]), ("probe", ["--n1", "-1"]),
+    ("solve", ["--n2", "-5"]), ("verify", ["--n1", "-3", "--n2", "4"])])
+def test_cli_negative_truncation_override_exits_2_naming_it(
+        command, override, arithmetic, tmp_path, monkeypatch):
+    # rejected before the rhs is expanded: no IndexError from the exact
+    # expansion, no "empty coefficient grid" in float
+    expanded = []
+    monkeypatch.setattr(problem_mod, "expand_rhs",
+                        lambda *a: expanded.append(a))
+    out = tmp_path / "out"
+    result = run_cli([command, shipped("heat"), *override, "--arithmetic",
+                      arithmetic, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    name, value = next(pair for pair in zip(override[::2], override[1::2])
+                       if pair[1].startswith("-"))
+    assert result.stdout == "" and "Traceback" not in result.output
+    assert f"truncation override {name} {value} is negative" in result.output
+    assert expanded == [] and not out.exists()
+
+
 def test_cli_error_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import brute_force
@@ -258,6 +258,55 @@ def test_pseudo_mode_float_matches_exact_or_raises(case):
         for i, c in enumerate(row):
             err = abs(c - complex(exact.coeffs[j][i]))
             assert err <= 1e-9 * bound[j][i]
+
+
+# fixed before it was measured: float cells of the two rhs routes differ by
+# at most this share of their row's largest cell
+ROUTE_TOL = 1e-10
+
+# P0 = 3 zeta**3 + 2 zeta + i, with Gamma(1/2), Gamma(3/2) moments
+ROUTE_CASE = Case(
+    table={(1, 0): (Fraction(0), Fraction(1)),
+           (1, 1): (Fraction(2), Fraction(0)),
+           (1, 3): (Fraction(3), Fraction(0)),
+           (0, 2): (Fraction(-1), Fraction(0))},
+    m1=MOMENTS[1][0], m2=MOMENTS[1][1],
+    rhs={(0, 0): (Fraction(1), Fraction(0)),
+         (1, 2): (Fraction(1, 3), Fraction(2)),
+         (3, 15): (Fraction(-1), Fraction(1, 2))},
+    shape=(3, 15), out=(4, 3), rhs_is_g=False)
+
+
+@SETTINGS
+@given(st.one_of(cases(), pseudo_cases()))
+@example(ROUTE_CASE)
+def test_f_rhs_solve_matches_solve_of_g_from_f(case):
+    """The solver divides an f rhs by P0 with its own taps; solving with the
+    g that g_from_f makes of f must give the same solution: equal exact
+    coefficients, and float cells within ROUTE_TOL of their row's largest
+    cell.  The draws include complex and non-monic P0, polynomial P0 and
+    Gamma(3/2) moments."""
+    P = CharPoly.from_table({k: RationalComplex(*v)
+                             for k, v in case.table.items()})
+    for exact in (True, False):
+        f = case.problem(exact=exact).rhs
+        try:
+            via_f, via_g = (
+                formal_solve(CauchyProblem(P, case.m1, case.m2, rhs,
+                                           case.out, rhs_is_g=is_g,
+                                           mode="pseudo"))
+                for rhs, is_g in ((f, False),
+                                  (g_from_f(P.p0(), case.m2, f), True)))
+        except WindowError:
+            assume(False)  # the inflated window is too narrow
+        except EvaluationError:
+            continue  # a float route overflowed inside the window
+        if exact:
+            assert via_f.coeffs == via_g.coeffs
+            continue
+        for a, b in zip(via_f.grid, via_g.grid):
+            top = max(np.abs(a).max(), np.abs(b).max())
+            assert np.abs(a - b).max() <= ROUTE_TOL * top
 
 
 @SETTINGS

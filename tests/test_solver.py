@@ -199,6 +199,42 @@ def test_g_from_f_examples():
         for i in range(I + 1):
             want = RationalComplex(1) if (j, i) == (0, 2) else RationalComplex(0)
             assert back.coeffs[j][i] == want
+    # float against exact, with complex and non-monic P0, a zero tap and a
+    # zero trailing entry; g is valid B = deg P0 columns beyond f
+    fe = random_series2(random.Random(61), 3, 9, exact=True)
+    ff = Series2([[complex(c) for c in row] for row in fe.coeffs])
+    for p0 in ([1], [0, 1], [1, 0, 1], [1j, 2, 0, 3], [2, Fraction(-1, 3), 0],
+               [1, Fraction(1, 2), 2 - 1j]):
+        B = max(b for b, c in enumerate(p0) if c)
+        for m2 in (G1, gamma_s(Fraction(3, 2))):
+            ge, gf = g_from_f(p0, m2, fe), g_from_f(p0, m2, ff)
+            assert ge.valid == gf.valid == (3, 9 + B)
+            for want, got in zip(ge.coeffs, gf.coeffs):
+                want = [complex(c) for c in want]
+                top = max(map(abs, want))
+                err = max(abs(x - y) for x, y in zip(want, got))
+                assert err <= 1e-14 * top
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_f_rhs_needs_b_columns_fewer_than_the_inflated_window(exact):
+    # B = deg P0 = 3 and max_b = 3: f is read up to column N2 + N1*max_b - B
+    P = CharPoly.from_table({(1, 0): 1j, (1, 1): 2, (1, 3): 3, (0, 2): -1})
+    n1, n2 = 4, 5
+    width = n2 + n1 * 3 - 3
+    rng = random.Random(62)
+    f = random_series2(rng, n1 - 1, width, exact=exact)
+    prob = CauchyProblem(P, G1, G1, f, (n1, n2), rhs_is_g=False,
+                         mode="pseudo")
+    rep = residual(prob, formal_solve(prob))
+    assert rep.exact_zero if exact else rep.relative < 1e-12
+    short = Series2([row[:-1] for row in f.coeffs], exact=exact)
+    with pytest.raises(PreconditionError,
+                       match=rf"insufficient rhs data: need window "
+                             rf"\({n1 - 1}, {width}\), rhs provides "
+                             rf"\({n1 - 1}, {width - 1}\)"):
+        formal_solve(CauchyProblem(P, G1, G1, short, (n1, n2),
+                                   rhs_is_g=False, mode="pseudo"))
 
 
 def test_rhs_as_f_direct_mode():
