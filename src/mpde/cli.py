@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -133,6 +134,16 @@ def _path(path: str, readable: bool = False) -> str:
     return path
 
 
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 _OUT = ("--out", {"type": _path,
                   "help": "output path (default: stdout or problem stem)"})
 _WINDOW = [("--n1", {"type": int, "help": "override the t-truncation"}),
@@ -146,7 +157,7 @@ COMMANDS = {
                               "SVG (default: problem stem)"})],
     probe: [_OUT, *_WINDOW],
     verify: [_OUT, *_WINDOW, ("--tol", {
-        "type": float, "default": 1e-8,
+        "type": _finite, "default": 1e-8,
         "help": "relative residual tolerance (default 1e-8)"})]}
 
 

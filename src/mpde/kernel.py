@@ -28,10 +28,17 @@ rationals from it, :func:`binary64_rows` correctly rounded binary64 parts.
 
 Float mode runs on numpy complex arrays of raw coefficients, so that grids
 whose normalized coefficients would overflow binary64 stay finite.  The
-moment values enter as ratios ``m(x)/m(y) = exp(log m(x) - log m(y))``: one
-scalar per row offset and one vector per column offset.  The ratios use
-``math.exp``, whose results numpy's vectorized ``exp`` does not always
-reproduce to the last bit.
+moment values enter as ratios ``m(x)/m(y) = exp(log m(x) - log m(y))``, read
+from the numpy arrays of :func:`mpde.moments.log_table`: one scalar per row
+offset and one vector per column offset, built by :func:`ratios` once per
+call (once per residual, whose four shifts share them).  A vector's log
+differences are one array subtraction; its exponentials are ``math.exp``
+per element, whose results numpy's vectorized ``exp`` does not always
+reproduce to the last bit.  Overflow and invalid operations give ``inf``
+and ``nan`` without a warning: :func:`shift_float` ignores them around its
+sum, :func:`recurrence_float` from its first level to its last, and both
+restore the caller's numpy error state when they return, or, for the
+generator, when it finishes or is closed.
 
 Both recursions divide by a top coefficient of degree B in z through B
 taps: the terms that shift down are summed into a second accumulator per
@@ -147,6 +154,16 @@ def rescale(grid: RawLanes, w1, w2, n_rows: int, n_cols: int) -> Lanes:
     return Lanes(lanes[0], im, den)
 
 
+def _plus(acc, k, src) -> list:
+    """``acc + k * src`` elementwise; a k of 1 or -1 adds or subtracts
+    without the multiply."""
+    if k == 1:
+        return [x + y for x, y in zip(acc, src)]
+    if k == -1:
+        return [x - y for x, y in zip(acc, src)]
+    return [x + k * y for x, y in zip(acc, src)]
+
+
 def axpy(acc_re, acc_im, k, src_re, src_im, b: int) -> None:
     """``acc[i] += k * src[i + b]`` in place; reads below index 0 are zero.
 
@@ -156,7 +173,7 @@ def axpy(acc_re, acc_im, k, src_re, src_im, b: int) -> None:
     lo = -b if b < 0 else 0
     start = lo + b
     if acc_im is None:
-        acc_re[lo:] = [x + kr * y for x, y in zip(acc_re[lo:], src_re[start:])]
+        acc_re[lo:] = _plus(acc_re[lo:], kr, src_re[start:])
         return
     xs, ys = src_re[start:], src_im[start:]
     if ki:
@@ -165,8 +182,8 @@ def axpy(acc_re, acc_im, k, src_re, src_im, b: int) -> None:
         acc_im[lo:] = [x + kr * q + ki * p
                        for x, p, q in zip(acc_im[lo:], xs, ys)]
     else:
-        acc_re[lo:] = [x + kr * p for x, p in zip(acc_re[lo:], xs)]
-        acc_im[lo:] = [x + kr * q for x, q in zip(acc_im[lo:], ys)]
+        acc_re[lo:] = _plus(acc_re[lo:], kr, xs)
+        acc_im[lo:] = _plus(acc_im[lo:], kr, ys)
 
 
 def _imag_lane(grid: Lanes, is_complex: bool):
@@ -354,10 +371,13 @@ def read_only(grid):
     return grid
 
 
-def _ratios(logs, offsets, width: int) -> dict:
+def ratios(logs, offsets, width: int) -> dict:
     """``{b: r}`` with ``r[i] = exp(logs[i + b] - logs[i])`` for i <= width.
 
-    Entries with ``i + b < 0`` are never read and stay 0.
+    ``logs`` is a numpy float array.  The differences are one array
+    subtraction, which rounds as Python's float subtraction does; the
+    exponentials are ``math.exp`` per element.  Entries with ``i + b < 0``
+    are never read and stay 0.
     """
     import numpy as np
 
@@ -365,23 +385,24 @@ def _ratios(logs, offsets, width: int) -> dict:
     for b in offsets:
         lo = max(0, -b)
         r = np.zeros(width + 1)
-        r[lo:] = [math.exp(logs[i + b] - logs[i]) for i in range(lo, width + 1)]
+        if lo <= width:
+            r[lo:] = list(map(math.exp, (logs[lo + b: width + 1 + b]
+                                         - logs[lo: width + 1]).tolist()))
         out[b] = r
     return out
 
 
-def shift_float(u, items, logs1, logs2, n_rows: int, n_cols: int):
+def shift_float(u, items, r1, r2, n_rows: int, n_cols: int):
     """Raw coefficients of ``sum p_ab * dt^a dz^b u`` for j <= n_rows, i <= n_cols.
 
     ``u`` is a 2-D numpy array of raw coefficients, ``items`` the pairs
-    ``((a, b), p_ab)`` and ``logs1``, ``logs2`` the log moment values along
-    the two axes.  Cell (j, i) sums
+    ``((a, b), p_ab)`` and ``r1``, ``r2`` the :func:`ratios` of the log
+    moment values along the two axes, for widths n_rows and n_cols and at
+    least the offsets a and b of the items.  Cell (j, i) sums
     ``p_ab * u[j+a][i+b] * m1(j+a)/m1(j) * m2(i+b)/m2(i)`` in item order.
     """
     import numpy as np
 
-    r1 = _ratios(logs1, {a for (a, _), _ in items}, n_rows)
-    r2 = _ratios(logs2, {b for (_, b), _ in items}, n_cols)
     out = np.zeros((n_rows + 1, n_cols + 1),
                    dtype=np.result_type(u, *(p for _, p in items)))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -398,7 +419,7 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
     The float counterpart of :func:`recurrence`, in raw coordinates: ``base``
     is a 2-D numpy array of raw coefficients, every term carries the moment
     ratios ``m1(t-a)/m1(t)`` and ``m2(i+b)/m2(i)`` (``m1(t-n)/m1(t)`` and
-    ``m2(i+shift)/m2(i)`` for the base) from the log tables ``logs1``,
+    ``m2(i+shift)/m2(i)`` for the base) from the log arrays ``logs1``,
     ``logs2``.  Level t is zero for t < n and covers ``i <= widths[t]``;
     reads below index 0 are zero.  Terms are added one row update at a
     time, in list order, those with b < 0 into ``x[t]`` (after the base
@@ -406,22 +427,27 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
     v_{i-k} = x_i`` for the ``taps`` [(k, m_k)] cell by cell in Python
     ``complex``.  Each level is yielded as soon as it is complete, so a
     caller can stop at the first one that overflows.
+
+    Overflow and invalid operations are ignored from the first level to
+    the last, and the caller's numpy error state returns when the
+    generator finishes or is closed: a caller that stops early closes it.
     """
     import numpy as np
 
     width = max(widths)
-    r2 = _ratios(logs2, {b for _, b, _ in terms} | {-k for k, _ in taps}
-                 | ({shift} - {0}), width)
+    logs1 = logs1.tolist()  # Python floats for the scalar ratios per level
+    r2 = ratios(logs2, {b for _, b, _ in terms} | {-k for k, _ in taps}
+                | ({shift} - {0}), width)
     grid = np.zeros((len(widths), width + 1), dtype=complex)
     up = [(a, b, c) for a, b, c in terms if b >= 0]
     down = [(base, n, shift, q)] if shift else []
     down += [(grid, a, b, c) for a, b, c in terms if b < 0]
     # m_k * m2(i-k)/m2(i), for i >= k
     kt = [(k, (m * r2[-k]).tolist()) for k, m in taps]
-    for t, w in enumerate(widths):
-        row = grid[t, : w + 1]
-        if t >= n:
-            with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, w in enumerate(widths):
+            row = grid[t, : w + 1]
+            if t >= n:
                 if not shift:
                     row[:] = base[t - n, : w + 1] * (
                         q * math.exp(logs1[t - n] - logs1[t]))
@@ -448,4 +474,4 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
                             xs[i] = s
                         x[:] = xs
                     row += x
-        yield row
+            yield row

@@ -21,6 +21,15 @@ exact mode reads exact values (:func:`fraction_table`), multiplied out on
 integers; float mode reads logarithms only (:func:`log_table`), summed
 factor by factor as :func:`scaled_eval` sums them.  :func:`split_log` turns
 a logarithm into a binary64 mantissa and a power of two.
+
+There is one Lanczos body, written in ``+ - * /`` and a ``log`` passed in,
+so that it runs on a float and on a numpy array alike.  :func:`log_gamma`
+runs it on one float with ``math.log``; :func:`log_table` runs it once per
+factor on the array of the factor's Gamma arguments, with ``math.log`` per
+element, and so returns the floats of the scalar evaluation bit for bit
+(numpy's own ``log`` does not always match ``math.log`` in the last bit).
+The scalar paths, :func:`scaled_eval` and :func:`fraction_table` among
+them, never import numpy.
 """
 
 from __future__ import annotations
@@ -55,18 +64,35 @@ def log_gamma(x: float) -> float:
     """Natural log of Gamma(x) for real x > 0 via the Lanczos series."""
     if x <= 0.0:
         raise DomainError(f"log_gamma requires a positive argument, got {x}")
-    # For x < 0.5 use the recurrence log G(x) = log G(x+1) - log x to keep
-    # the Lanczos series on its well-conditioned range.
+    return _lanczos(*_shift_up(x), math.log)
+
+
+def _shift_up(x: float) -> tuple:
+    """``(shift, y)`` with ``log Gamma(x) = shift + log Gamma(y)``, y >= 0.5.
+
+    For x < 0.5 the recurrence log G(x) = log G(x+1) - log x keeps the
+    Lanczos series on its well-conditioned range.
+    """
     shift = 0.0
     while x < 0.5:
         shift -= math.log(x)
         x += 1.0
+    return shift, x
+
+
+def _lanczos(shift, x, log):
+    """``shift + log Gamma(x)`` for x >= 0.5, x a float or a numpy array.
+
+    The one Lanczos body: only ``+ - * /``, which round alike on floats and
+    on numpy arrays, and ``log``, which the caller applies to a float or to
+    each element of an array.
+    """
     z = x - 1.0
     acc = _LANCZOS_COEFFS[0]
     for i in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[i] / (z + i)
+        acc = acc + _LANCZOS_COEFFS[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
-    return shift + _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(acc)
+    return shift + _HALF_LOG_TWO_PI + (z + 0.5) * log(t) - t + log(acc)
 
 
 @record
@@ -223,23 +249,30 @@ def eval_fraction(m: MomentFunction, u) -> Fraction:
     return scaled_eval(m, as_fraction(u)).rational
 
 
+def _argument_lines(m: MomentFunction, kappa: int) -> list:
+    """Per factor of m, ``(sign, scale, A, B, D)``: the Gamma argument of
+    ``m(j/kappa)`` is ``b + j/(kappa*k) = (A + j*B) / D``.  B is positive
+    and D has the sign of kappa, so A + j*B grows with j."""
+    return [(f.sign, f.scale,
+             f.offset.numerator * kappa * f.ram.numerator,
+             f.offset.denominator * f.ram.denominator,
+             f.offset.denominator * kappa * f.ram.numerator)
+            for f in m.factors]
+
+
 def _gamma_arguments(m: MomentFunction, kappa: int, n: int):
     """Yield, for j = 0..n, the factors ``(sign, scale, x, D)`` of
     ``m(j/kappa)``, whose Gamma argument ``b + j/(kappa*k)`` is ``x / D``.
 
     Raises the DomainErrors of :func:`scaled_eval`, in the same order.
     """
-    factors = [(f.sign, f.scale,
-                f.offset.numerator * kappa * f.ram.numerator,
-                f.offset.denominator * f.ram.denominator,
-                f.offset.denominator * kappa * f.ram.numerator)
-               for f in m.factors]
+    lines = _argument_lines(m, kappa)
     for j in range(n + 1):
         if j * kappa < 0:
             raise DomainError(f"moment functions are evaluated for u >= 0, "
                               f"got {Fraction(j, kappa)}")
         args = []
-        for sign, scale, A, B, D in factors:
+        for sign, scale, A, B, D in lines:
             x = A + j * B
             if x * D <= 0:
                 raise DomainError(
@@ -281,22 +314,38 @@ def fraction_table(m: MomentFunction, kappa: int, n: int) -> list:
     return values
 
 
-def log_table(m: MomentFunction, kappa: int, n: int) -> list:
-    """Natural logs of ``m(j/kappa)`` for j = 0..n.
+def log_table(m: MomentFunction, kappa: int, n: int):
+    """Natural logs of ``m(j/kappa)`` for j = 0..n, as a numpy float array.
 
     The same floats as ``scaled_eval(m, j/kappa).log``, summed factor by
     factor in the same order, with the same DomainErrors, but without the
-    exact values (factorials, dyadic rationals) and outside its cache.  The
-    Gamma argument is the integer quotient ``x / D``, whose true division
-    rounds as ``float(Fraction)``.
+    exact values (factorials, dyadic rationals) and outside its cache.
+
+    Each factor runs the Lanczos body of :func:`log_gamma` once on the
+    array of its Gamma arguments.  An argument is the integer quotient
+    ``x / D``, which rounds as ``float(Fraction)``; arguments below 0.5 go
+    through the scalar shift loop of :func:`log_gamma` first.  numpy's
+    ``+ - * /`` round correctly, as Python's float operations do, so every
+    entry is bit-identical to the scalar evaluation.  The two logarithms of
+    the body are ``math.log`` per element: numpy's vectorized ``log`` is
+    not guaranteed to match it to the last bit.
     """
-    log_scales = [math.log(f.scale) for f in m.factors]
-    logs = []
-    for args in _gamma_arguments(m, kappa, n):
-        logv = 0.0
-        for log_scale, (sign, _, x, D) in zip(log_scales, args):
-            logv += sign * (log_scale + log_gamma(x / D))
-        logs.append(logv)
+    import numpy as np
+
+    def log_each(a):
+        return np.array(list(map(math.log, a.tolist())))
+
+    # arguments grow with j: a DomainError can only come at j = 0 (an
+    # argument) or at j = 1 (kappa < 0), and these two raise it in order
+    for _ in _gamma_arguments(m, kappa, min(n, 1)):
+        pass
+    logs = np.zeros(n + 1)
+    for sign, scale, A, B, D in _argument_lines(m, kappa):
+        x = np.array([(A + j * B) / D for j in range(n + 1)])
+        shift = np.zeros(n + 1)
+        for j in np.flatnonzero(x < 0.5).tolist():
+            shift[j], x[j] = _shift_up(x[j].item())
+        logs = logs + sign * (math.log(scale) + _lanczos(shift, x, log_each))
     return logs
 
 

@@ -377,14 +377,13 @@ def _transform(m, s, axis, delta: int, num: bool, den: bool):
                     else (cells.shape[1], n_out + 1), dtype=complex)
     out = grid if axis == "t" else grid.T
     if num and den:
-        r = np.array([math.exp(logs[k + delta] - logs[k])
-                      for k in range(lo, n_out + 1)])[:, None]
+        r = kernel.ratios(logs, {delta}, n_out)[delta][lo:, None]
         with np.errstate(over="ignore", invalid="ignore"):
             out.real[lo:] = src.real * r - src.imag * 0.0
             out.imag[lo:] = src.real * 0.0 + src.imag * r
     else:
         mant, e2 = (np.array(v)[:, None]
-                    for v in zip(*map(moments.split_log, logs)))
+                    for v in zip(*map(moments.split_log, logs.tolist())))
         for plane, part in ((out.real, src.real), (out.imag, src.imag)):
             with np.errstate(over="ignore"):
                 scaled = part * mant if num else part / mant
@@ -444,9 +443,11 @@ def apply_operator(table, m1: MomentFunction, m2: MomentFunction,
                               w2[: I_out + 1])
         return Series2(out, u.kappa1, u.kappa2, True)
     items = [(k, complex(p)) for k, p in normalize_table(table)]
-    out = kernel.shift_float(u.grid, items,
-                             moments.log_table(m1, u.kappa1, J),
-                             moments.log_table(m2, u.kappa2, I), J_out, I_out)
+    r1 = kernel.ratios(moments.log_table(m1, u.kappa1, J),
+                       {a for (a, _), _ in items}, J_out)
+    r2 = kernel.ratios(moments.log_table(m2, u.kappa2, I),
+                       {b for (_, b), _ in items}, I_out)
+    out = kernel.shift_float(u.grid, items, r1, r2, J_out, I_out)
     return Series2(kernel.read_only(out), u.kappa1, u.kappa2, False)
 
 

@@ -105,16 +105,22 @@ class CauchyProblem:
     def fraction_tables(self) -> tuple:
         """Exact moment values ``(m1(j/kappa1), m2(i/kappa2))`` over
         :attr:`_table_sizes`, shared by every exact stage of a solve."""
-        n_rows, n_cols = self._table_sizes
-        return (moments.fraction_table(self.m1, self.rhs.kappa1, n_rows),
-                moments.fraction_table(self.m2, self.rhs.kappa2, n_cols))
+        return self._tables(moments.fraction_table)
 
     @cached_property
     def log_tables(self) -> tuple:
         """Natural logs of the same moment values, for float mode."""
+        return self._tables(moments.log_table)
+
+    def _tables(self, build) -> tuple:
+        """``build`` over :attr:`_table_sizes`; one table, sliced for both
+        axes, when ``(m1, kappa1) == (m2, kappa2)``."""
         n_rows, n_cols = self._table_sizes
-        return (moments.log_table(self.m1, self.rhs.kappa1, n_rows),
-                moments.log_table(self.m2, self.rhs.kappa2, n_cols))
+        axes = (self.m1, self.rhs.kappa1), (self.m2, self.rhs.kappa2)
+        if axes[0] == axes[1]:
+            table = build(*axes[0], max(n_rows, n_cols))
+            return table[: n_rows + 1], table[: n_cols + 1]
+        return build(*axes[0], n_rows), build(*axes[1], n_cols)
 
 
 def z_order(P: CharPoly) -> int:
@@ -154,7 +160,7 @@ def g_from_f(p0_coeffs, m2: MomentFunction, f: Series2) -> Series2:
     import numpy as np
 
     levels = kernel.recurrence_float(
-        f.grid[: J + 1, : I + 1], complex(q), [], 0, widths, [0.0] * (J + 1),
+        f.grid[: J + 1, : I + 1], complex(q), [], 0, widths, np.zeros(J + 1),
         moments.log_table(m2, f.kappa2, I + B),
         [(k, complex(m)) for k, m in taps], -B)
     return Series2(kernel.read_only(np.array(list(levels))), f.kappa1,
@@ -253,14 +259,18 @@ def formal_solve(prob: CauchyProblem) -> Series2:
         [(a, b, complex(c)) for a, b, c in terms], n, windows, w1, w2,
         [(k, complex(m)) for k, m in taps], shift)
     out = np.empty((N1 + 1, N2 + 1), dtype=complex)
-    for t, level in enumerate(levels):
-        # overflow confined to the inflated columns is not an error
-        out[t] = level[: N2 + 1]
-        if not np.isfinite(out[t]).all():
-            raise EvaluationError(
-                f"float coefficients overflow at t-level {t} (of {N1}) inside "
-                f"the requested window; lower the t-truncation (--n1) below "
-                f"{t}, or check larger ones with verify --arithmetic exact")
+    try:
+        for t, level in enumerate(levels):
+            # overflow confined to the inflated columns is not an error
+            out[t] = level[: N2 + 1]
+            if not np.isfinite(out[t]).all():
+                raise EvaluationError(
+                    f"float coefficients overflow at t-level {t} (of {N1}) "
+                    f"inside the requested window; lower the t-truncation "
+                    f"(--n1) below {t}, or check larger ones with verify "
+                    f"--arithmetic exact")
+    finally:
+        levels.close()  # restores the caller's numpy error state
     return Series2(kernel.read_only(out), kappa1, kappa2, exact)
 
 
@@ -323,6 +333,10 @@ def _residual_float(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
     import numpy as np
 
     logs1, logs2 = prob.log_tables
+    # the ratio vectors of all four shifts
+    offsets = [*support, *(p0_table or ())]
+    r1 = kernel.ratios(logs1, {a for a, _ in offsets}, J)
+    r2 = kernel.ratios(logs2, {b for _, b in offsets}, I)
 
     def sides(s: Series2, table):
         """``table`` applied to s and, with absolute coefficients, to |s|."""
@@ -332,9 +346,8 @@ def _residual_float(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
             return f, _modulus(f)
         items = [(k, complex(p)) for k, p in normalize_table(table)]
         abs_items = [(k, abs(p)) for k, p in items]
-        return (kernel.shift_float(grid, items, logs1, logs2, J, I),
-                kernel.shift_float(_modulus(grid), abs_items, logs1, logs2,
-                                   J, I))
+        return (kernel.shift_float(grid, items, r1, r2, J, I),
+                kernel.shift_float(_modulus(grid), abs_items, r1, r2, J, I))
 
     lhs, abs_lhs = sides(u_hat, support)
     f, abs_f = sides(prob.rhs, p0_table)

@@ -172,6 +172,46 @@ def test_lanes_of_table_of_zero_grid_has_unit_denominator():
                                   (2, 0): RationalComplex(5, 1)}, 1, 2) == zero
 
 
+@pytest.mark.parametrize("k", [(1, 0), (-1, 0), (3, 0), (1, 2), (0, -1)])
+@pytest.mark.parametrize("b", [-2, 0, 3])
+def test_axpy_matches_the_cellwise_sum(k, b):
+    # acc[i] += k * src[i + b] on Gaussian integers, cell by cell, on real
+    # lanes (a real k only) and complex ones; a real k of 1 or -1 adds or
+    # subtracts without the multiply
+    rng = random.Random(55)
+
+    def ints(n):
+        return [rng.randint(-10**30, 10**30) for _ in range(n)]
+    n, kr, ki = 8, *k
+    acc_re, acc_im = ints(n + 1), ints(n + 1)
+    src_re, src_im = ints(n + 1 + max(b, 0)), ints(n + 1 + max(b, 0))
+    for complex_lanes in ([True] if ki else [False, True]):
+        a_im, s_im = (acc_im, src_im) if complex_lanes else (None, None)
+        got_re, got_im = acc_re[:], a_im[:] if complex_lanes else None
+        kernel.axpy(got_re, got_im, k, src_re, s_im, b)
+        for i in range(n + 1):
+            want_re, want_im = acc_re[i], a_im[i] if complex_lanes else 0
+            if i + b >= 0:
+                sr, si = src_re[i + b], s_im[i + b] if complex_lanes else 0
+                want_re += kr * sr - ki * si
+                want_im += kr * si + ki * sr
+            assert got_re[i] == want_re
+            assert got_im is None or got_im[i] == want_im
+
+
+@pytest.mark.parametrize("offsets", [{0, 1, 3}, {-1, -4}, {-12}])
+def test_ratios_are_math_exp_of_float_differences(offsets):
+    # one array subtraction, then math.exp per element: the floats of the
+    # scalar expression; offsets reaching below index 0 leave zeros
+    m = parse_moment("Gamma(1/3)*Gamma(2)")
+    logs, width = log_table(m, 2, 40), 30
+    listed = logs.tolist()
+    for b, r in kernel.ratios(logs, offsets, width).items():
+        want = [math.exp(listed[i + b] - listed[i]) if i + b >= 0 else 0.0
+                for i in range(width + 1)]
+        assert [x.hex() for x in r.tolist()] == [x.hex() for x in want]
+
+
 DIVISORS = (1, 2, -3, 7, Fraction(5, 12), Fraction(-2, 9), Fraction(16, 3))
 
 

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from oracles import mellin_check
@@ -192,19 +193,35 @@ LOG_TABLE_MOMENTS = {
     "3/7*Gamma(2/3+u/5)/(2*Gamma(1/3+u/7))": MomentFunction((
         MomentFactor(Fraction(3, 7), Fraction(2, 3), 5, 1),
         MomentFactor(2, Fraction(1, 3), 7, -1))),
+    # Gamma arguments below 0.5, which shift up first: j <= 1 for kappa = 1,
+    # j <= 2 for kappa = 2
+    "Gamma(1/100+u/3)/Gamma(1/7+u/2)": MomentFunction((
+        MomentFactor(1, Fraction(1, 100), 3, 1),
+        MomentFactor(1, Fraction(1, 7), 2, -1))),
 }
 
 
 @pytest.mark.parametrize("kappa", [1, 2])
 @pytest.mark.parametrize("name", sorted(LOG_TABLE_MOMENTS))
 def test_log_table_matches_scaled_eval_bit_for_bit(name, kappa):
+    # the whole-array evaluation against the scalar one, over a table as
+    # long as the inflated window of twofactor (160, 60)
     m = LOG_TABLE_MOMENTS[name]
-    want = [scaled_eval(m, Fraction(j, kappa)).log for j in range(121)]
-    assert [x.hex() for x in log_table(m, kappa, 120)] == \
-        [x.hex() for x in want]
+    want = [scaled_eval(m, Fraction(j, kappa)).log for j in range(901)]
+    got = log_table(m, kappa, 900)
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
 
 
-@pytest.mark.parametrize("offset,kappa", [(-2, 1), (0, 1), (1, -1)])
+def test_log_table_of_short_and_empty_windows():
+    m = LOG_TABLE_MOMENTS["Gamma(1/100+u/3)/Gamma(1/7+u/2)"]
+    assert log_table(m, 1, -1).shape == (0,)
+    assert log_table(m, 1, 0).tolist() == [scaled_eval(m, Fraction(0)).log]
+    assert log_table(MOMENT_ONE, 3, 4).tolist() == [0.0] * 5
+
+
+@pytest.mark.parametrize("offset,kappa", [(-2, 1), (0, 1), (1, -1), (-2, -1),
+                                          (Fraction(1, 3), -2)])
 def test_log_table_domain_error_matches_scaled_eval(offset, kappa):
     # Gamma(offset + u): at u = 0 the argument is -2 or 0; kappa = -1 makes
     # u = j/kappa negative from j = 1 on

@@ -425,6 +425,7 @@ def test_import_cli_loads_the_standard_library_alone():
 USAGE_ERRORS = [
     [], ["bogus", "P.json"], ["solve"], ["solve", "P.json", "--n1", "x"],
     ["probe", "P.json", "--n2", "1.5"], ["verify", "P.json", "--tol", "tiny"],
+    ["verify", "P.json", "--tol", "nan"], ["verify", "P.json", "--tol", "inf"],
     ["solve", "P.json", "--arithmetic", "double"], ["solve", "P.json", "--n1"],
     ["newton", "P.json", "--svg"], ["analyze", "missing.json"],
     ["analyze", "D"], ["analyze", "P.json", "--out", "D"],
@@ -446,6 +447,26 @@ def test_cli_usage_errors_exit_2_and_write_nothing(argv, tmp_path,
     assert result.exit_code == 2, result.output
     assert result.stdout == ""
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["D", "P.json"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "NaN", "inf", "-Infinity", "1e400"])
+@pytest.mark.parametrize("arithmetic", ["exact", "float"])
+def test_cli_verify_refuses_a_tolerance_that_is_not_finite(tol, arithmetic):
+    # a NaN tolerance failed an exactly zero residual and printed "tol":
+    # NaN, which is not JSON; an infinite one passed any residual
+    result = run_cli(["verify", shipped("heat"), "--n1", "6", "--n2", "8",
+                      "--arithmetic", arithmetic, "--tol", tol])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert f"argument --tol: {tol!r} is not a finite number" in result.output
+
+
+@pytest.mark.parametrize("tol", ["1e-300", "0", "-0.0", "1e300"])
+def test_cli_verify_accepts_a_finite_tolerance(tol):
+    result = run_cli(["verify", shipped("heat"), "--n1", "6", "--n2", "8",
+                      "--arithmetic", "exact", "--tol", tol])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["tol"] == float(tol)
 
 
 @pytest.mark.parametrize("args,code", [

@@ -427,7 +427,8 @@ def test_recursion_terms_of_a_constant_top_multiply_no_zero(P, terms,
 
 @pytest.mark.parametrize("exact", [True, False])
 def test_moment_tables_are_built_once_per_problem(exact, monkeypatch):
-    # g_from_f, formal_solve and the residual slice the problem's tables
+    # g_from_f, formal_solve and the residual slice the problem's tables;
+    # with m1 == m2 (and kappa1 == kappa2) one table serves both axes
     calls = []
     for name in ("fraction_table", "log_table"):
         build = getattr(moments, name)
@@ -437,11 +438,58 @@ def test_moment_tables_are_built_once_per_problem(exact, monkeypatch):
     P = CharPoly.from_table({(1, 0): 1, (1, 1): 2, (0, 3): -1, (0, 0): 1})
     rng = random.Random(54)
     f = random_series2(rng, 6, 8 + 3 * 6 + 1, exact=exact)
-    prob = CauchyProblem(P, gamma_s(Fraction(1, 2)), G1, f, (6, 8),
-                         mode="pseudo", rhs_is_g=False)
-    rep = residual(prob, formal_solve(prob))
-    assert calls == 2 * ["fraction_table" if exact else "log_table"]
-    assert rep.relative <= (0 if exact else 1e-12)
+    for m1, tables in ((gamma_s(Fraction(1, 2)), 2), (G1, 1)):
+        calls.clear()
+        prob = CauchyProblem(P, m1, G1, f, (6, 8), mode="pseudo",
+                             rhs_is_g=False)
+        rep = residual(prob, formal_solve(prob))
+        assert calls == tables * ["fraction_table" if exact else "log_table"]
+        assert rep.relative <= (0 if exact else 1e-12)
+
+
+@pytest.mark.parametrize("m", [G1, gamma_s(Fraction(3, 2))])
+@pytest.mark.parametrize("kappa", [1, 2])
+def test_shared_moment_table_equals_two_separate_ones(m, kappa):
+    P = CharPoly.from_table({(2, 0): 1, (1, 2): -1, (0, 1): 3})
+    for n1, n2 in ((10, 3), (3, 10), (0, 0)):
+        f = Series2([[1.0] * (n2 + 2 * n1 + 1)] * (n1 + 1), kappa, kappa)
+        prob = CauchyProblem(P, m, m, f, (n1, n2))
+        n_rows, n_cols = (len(t) - 1 for t in prob.log_tables)
+        assert n_rows == n1 + 2 and n_cols == n2 + 2 * n1 + 2
+        logs = prob.log_tables
+        for got, n in zip(logs, (n_rows, n_cols)):
+            assert [x.hex() for x in got.tolist()] == \
+                [x.hex() for x in moments.log_table(m, kappa, n).tolist()]
+        assert prob.fraction_tables == (moments.fraction_table(m, kappa, n_rows),
+                                        moments.fraction_table(m, kappa, n_cols))
+
+
+def test_float_solve_restores_the_numpy_error_state():
+    # the float recursion ignores overflow from its first level to its last;
+    # the caller's state comes back after a solve that overflows (the
+    # EvaluationError leaves the recursion suspended) and after one that
+    # succeeds, in direct and pseudo mode
+    import numpy as np
+
+    pseudo = CharPoly.from_table({(1, 0): 2, (1, 1): 1, (0, 2): -1})
+    cases = [(heat_problem(200, 100, exact=False), True),
+             (heat_problem(20, 10, exact=False), False),
+             (CauchyProblem(pseudo, G1, G1, geometric_g(12, 40), (12, 10),
+                            mode="pseudo", rhs_is_g=False), False)]
+    with np.errstate(all="raise"):
+        state = np.geterr()
+        for prob, overflows in cases:
+            if overflows:
+                # exc holds the traceback, so the recursion stays suspended
+                # unless formal_solve closed it
+                with pytest.raises(EvaluationError) as exc:
+                    formal_solve(prob)
+                assert np.geterr() == state, exc.value
+            else:
+                residual(prob, formal_solve(prob))
+                assert np.geterr() == state
+        g_from_f([2, 1], G1, geometric_g(8, 8))
+        assert np.geterr() == state
 
 
 def test_theoretical_orders():
