@@ -83,9 +83,8 @@ def solve(problem, out, n1, n2, arithmetic):
     """Write the solution coefficient CSV plus a JSON sidecar.
 
     The sidecar is the CSV path with a .json suffix.  The requested window
-    [N1, N2] is fully valid: the solver internally inflates the
-    z-truncation by N1 times the largest z-order of the operator before
-    recursing.
+    [N1, N2] is fully valid: the solver computes each internal t-level on
+    as many columns past N2 as the later levels read from it.
     """
     csv_path = Path(out) if out else Path(problem).with_suffix(".solution.csv")
     sidecar_path = csv_path.with_suffix(".json")

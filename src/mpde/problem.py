@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 import sys
 from fractions import Fraction
 from functools import cached_property
@@ -44,7 +45,7 @@ from .moments import MomentFunction
 from .parsing import parse_moment, parse_operator
 from .record import record
 from .series import Series2, gevrey_fit
-from .solver import (CauchyProblem, formal_solve, inflated_window, residual,
+from .solver import (CauchyProblem, formal_solve, level_widths, residual,
                      theoretical_orders, z_order)
 from .summability import classify, levels as summability_levels, \
     singular_direction_probe
@@ -463,18 +464,18 @@ def _truncation(pf: ProblemFile, n1, n2) -> tuple:
             pf.truncation[1] if n2 is None else n2)
 
 
-# Largest rhs grid ``(N1+1) * (N2 + N1*max_b + 1)`` that ``assemble``
-# expands: the inflated solver window, for either ``rhs_role``.  A float grid
-# costs about 56 bytes a cell (16 in numpy, 40 as a Python complex in its
-# row), exact cells several times more, and a solve holds a few grids at
-# once; the cap stops a mistyped truncation before it allocates, at about 7x
-# the largest grid of the benchmark ladders (138,621 cells).
+# Largest rhs grid ``(N1+1) * (w[0] + 1)`` that ``assemble`` expands, w the
+# solver's ``level_widths``, for either ``rhs_role``.  A float grid costs
+# about 56 bytes a cell (16 in numpy, 40 as a Python complex in its row),
+# exact cells several times more, and a solve holds a few grids at once; the
+# cap stops a mistyped truncation before it allocates, at about 10x the
+# largest grid of the benchmark ladders (heat (200, 100), 100,701 cells).
 MAX_GRID_CELLS = 1_000_000
 
 
 def assemble(pp: ParsedProblem, n1: int | None = None, n2: int | None = None,
              arithmetic: str | None = None) -> CauchyProblem:
-    """Expand the rhs to the inflated solver window of ``(n1, n2)``.
+    """Expand the rhs to the widest solver level of ``(n1, n2)``.
 
     Unset truncation and arithmetic come from the problem file.  A grid
     above ``MAX_GRID_CELLS`` is rejected before anything is allocated.
@@ -483,7 +484,7 @@ def assemble(pp: ParsedProblem, n1: int | None = None, n2: int | None = None,
     P = pp.operator
     N1, N2 = _truncation(pf, n1, n2)
     exact = (arithmetic or pf.arithmetic) == "exact"
-    n2_internal = inflated_window(P, (N1, N2))
+    n2_internal = level_widths(P, (N1, N2))[0]
     cells = (N1 + 1) * (n2_internal + 1)
     if cells > MAX_GRID_CELLS:
         raise PreconditionError(
@@ -618,6 +619,10 @@ def solve_problem(pf: ProblemFile, n1: int | None = None,
 def verify_problem(pf: ProblemFile, tol: float = 1e-8,
                    n1: int | None = None, n2: int | None = None,
                    arithmetic: str | None = None) -> dict:
+    """Residual report of the solve; ``passed`` when the relative residual
+    is at most ``tol``, which must be finite (checked before solving)."""
+    if not math.isfinite(tol):
+        raise PreconditionError(f"tolerance {tol!r} is not a finite number")
     _, res = _solve_checked(pf, n1, n2, arithmetic)
     return {
         "residual": res.relative,

@@ -252,6 +252,8 @@ class Series2:
         Exact cells are rounded part by part (:func:`kernel.binary64_rows`);
         one beyond the binary64 range raises EvaluationError.  Float cells
         are formatted from the real and imaginary planes of :attr:`grid`.
+        Each row is one ``%`` of its cells into the column templates joined
+        by the row index.
         """
         J, I = self.valid
         if self.exact:
@@ -259,20 +261,23 @@ class Series2:
         else:
             cells = self.grid[: J + 1, : I + 1]
             rows = zip(cells.real.tolist(), cells.imag.tolist())
-        lines = ["j,i,re,im"]
+        # real lanes: every imaginary part is 0
+        im = "0" if self.exact and self.lanes.im is None else "%.17g"
+        columns = [f",{i},%.17g,{im}\n" for i in range(I + 1)]
+        lines = ["j,i,re,im\n"]
         try:
             for j, parts in enumerate(rows):
-                if len(parts) == 1:  # real lanes: every imaginary part is 0
-                    lines += [f"{j},{i},{x:.17g},0"
-                              for i, x in enumerate(parts[0])]
-                else:
-                    lines += [f"{j},{i},{x:.17g},{y:.17g}"
-                              for i, (x, y) in enumerate(zip(*parts))]
+                cells = parts[0]
+                if len(parts) == 2:
+                    cells = [0.0] * (2 * I + 2)
+                    cells[::2], cells[1::2] = parts
+                js = str(j)
+                lines.append((js + js.join(columns)) % tuple(cells))
         except kernel.CellOverflow as exc:
             raise EvaluationError(
                 f"{exc} of the CSV; lower --n1 (verify checks the exact "
                 f"solution without writing it)") from None
-        return "\n".join(lines) + "\n"
+        return "".join(lines)
 
 
 @record

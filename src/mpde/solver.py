@@ -35,8 +35,11 @@ The ``mode`` only states what the top may be:
   remainder and no taps;
 * ``pseudo``  - the top lambda coefficient ``A_n(zeta)`` is a polynomial.
 
-The internal z-truncation is inflated to ``N2 + N1 * max_b`` so the whole
-requested output window is valid.
+Level t is computed on the columns ``i <= w[t]`` of :func:`level_widths`:
+a quotient term (a, b) reads level ``t - a`` at column ``i + b``, so
+``w[t] = max(N2, w[t+a] + b)`` leaves the whole requested output window
+valid; the remainder terms and the taps read lower columns, and the rhs is
+read up to ``w[0]``.
 """
 
 from __future__ import annotations
@@ -87,9 +90,11 @@ class CauchyProblem:
     def max_b(self) -> int:
         return z_order(self.operator)
 
-    @property
-    def inflated_n2(self) -> int:
-        return inflated_window(self.operator, self.out_shape)
+    @cached_property
+    def widths(self) -> list:
+        """Last column of each solver level, :func:`level_widths`; level 0
+        is the widest."""
+        return level_widths(self.operator, self.out_shape)
 
     @property
     def _table_sizes(self) -> tuple:
@@ -99,7 +104,7 @@ class CauchyProblem:
         n1, _ = self.out_shape
         J, I = self.rhs.valid
         return (max(n1, J) + self.operator.n,
-                max(self.inflated_n2, I) + self.max_b)
+                max(self.widths[0], I) + self.max_b)
 
     @cached_property
     def fraction_tables(self) -> tuple:
@@ -128,10 +133,25 @@ def z_order(P: CharPoly) -> int:
     return max(len(row) - 1 for row in P.coeff_polys if row)
 
 
-def inflated_window(P: CharPoly, out_shape) -> int:
-    """Internal z-truncation ``N2 + N1 * max_b`` for the output window
-    ``(N1, N2)``; solving on it leaves the whole output window valid."""
-    return out_shape[1] + out_shape[0] * z_order(P)
+def level_widths(P: CharPoly, out_shape) -> list:
+    """Last column ``w[t]`` that level t of the recursion is computed on,
+    for the output window ``(N1, N2)``; the list is non-increasing in t.
+
+    Level ``t + a`` reads level t up to b columns further through the
+    quotient terms of ``A_{n-a}/A_n``, the largest of which has
+    ``b = deg A_{n-a} - B``.  One backward pass sets ``w[N1] = N2`` and
+    ``w[t] = max(N2, w[t+a] + b)``; every other read is at a lower column.
+    """
+    N1, N2 = out_shape
+    n, B = P.n, len(P.p0()) - 1
+    ups = [(n - lam, len(row) - 1 - B)
+           for lam, row in enumerate(P.coeff_polys[:n]) if len(row) > B]
+    w = [N2] * (N1 + 1)
+    for t in range(N1 - 1, -1, -1):
+        for a, b in ups:
+            if t + a <= N1 and w[t + a] + b > w[t]:
+                w[t] = w[t + a] + b
+    return w
 
 
 def g_from_f(p0_coeffs, m2: MomentFunction, f: Series2) -> Series2:
@@ -201,7 +221,7 @@ def formal_solve(prob: CauchyProblem) -> Series2:
     """Truncated formal solution with zero initial data, determined by g.
 
     Output grid is exactly ``out_shape``; every returned coefficient is
-    inside the valid window thanks to the internal z-inflation.  In float
+    inside the valid window thanks to the level widths.  In float
     mode a t-level that overflows binary64 inside that window raises
     EvaluationError.
     """
@@ -217,7 +237,7 @@ def formal_solve(prob: CauchyProblem) -> Series2:
     if not top[-1]:
         raise PreconditionError("top lambda coefficient has vanishing leading term")
     N1, N2 = prob.out_shape
-    N2i = prob.inflated_n2
+    N2i = prob.widths[0]
     kappa1, kappa2 = prob.rhs.kappa1, prob.rhs.kappa2
 
     # f enters shifted down by B, so that the taps turn it into g = P0^-1 f
@@ -230,20 +250,10 @@ def formal_solve(prob: CauchyProblem) -> Series2:
             f"{N2i + shift}), rhs provides ({J_g}, {I_g})")
 
     terms, taps = _recursion_terms(P, top)
-    windows = [N2i] * (N1 + 1)
-    for t in range(n, N1 + 1):
-        windows[t] = min([N2i] + [windows[t - a] - max(b, 0)
-                                  for a, b, _ in terms])
-    final_window = min(windows)
-    if final_window < N2:
-        raise WindowError(
-            f"internal inflation insufficient: reached column {final_window}, "
-            f"needed {N2}")
-
     w1, w2 = prob.fraction_tables if exact else prob.log_tables
     if exact:
         G = kernel.rescale(prob.rhs.lanes, w1, w2, rows_needed, N2i + shift)
-        v = kernel.recurrence(G, q, terms, n, windows, taps, shift)
+        v = kernel.recurrence(G, q, terms, n, prob.widths, taps, shift)
         # only the output window is kept
         out = kernel.RawLanes(
             [row[: N2 + 1] for row in v.re],
@@ -256,12 +266,12 @@ def formal_solve(prob: CauchyProblem) -> Series2:
     # a real 1 keeps g bit for bit (a complex 1 may flip a zero's sign)
     levels = kernel.recurrence_float(
         prob.rhs.grid, 1 if prob.rhs_is_g else complex(q),
-        [(a, b, complex(c)) for a, b, c in terms], n, windows, w1, w2,
+        [(a, b, complex(c)) for a, b, c in terms], n, prob.widths, w1, w2,
         [(k, complex(m)) for k, m in taps], shift)
     out = np.empty((N1 + 1, N2 + 1), dtype=complex)
     try:
         for t, level in enumerate(levels):
-            # overflow confined to the inflated columns is not an error
+            # overflow confined to the columns past N2 is not an error
             out[t] = level[: N2 + 1]
             if not np.isfinite(out[t]).all():
                 raise EvaluationError(
@@ -387,6 +397,13 @@ def _residual_exact(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
     diff, size = [], []
     for j in range(J + 1):
         lr, li, fr, fi = lhs.re[j], l_im[j], f.re[j], f_im[j]
+        if lhs.den == f.den and lr == fr and li == fi:
+            # equal rows over one denominator (sl = sf = 1): no difference,
+            # and both sides have one size
+            diff.append(())
+            size.append([abs(x) for x in lr] if li is zeros[j] else
+                        [abs(x) + abs(y) for x, y in zip(lr, li)])
+            continue
         diff.append([abs(lr[i] * sl - fr[i] * sf) + abs(li[i] * sl - fi[i] * sf)
                      for i in range(I + 1)])
         size.append([max((abs(lr[i]) + abs(li[i])) * sl,

@@ -17,12 +17,13 @@ as the grid, summed cell by cell in Gaussian rationals.  The
 moment Borel transforms and moment derivatives of ``series`` are checked
 against their per-cell forms: exact cells times ``Fraction`` moment values,
 float cells scaled by ``math.ldexp`` or multiplied as Python ``complex``.
-The edge roots of ``charroots`` are checked against numpy's
+The exact residual is checked against its per-cell form in Gaussian
+rationals.  The edge roots of ``charroots`` are checked against numpy's
 companion-matrix root finder run on every square-free part, linear ones
 included.  The binary64 readers of an exact series (``grid``,
 ``row_values``, ``gevrey_fit`` and ``to_csv``) are checked against their
 per-cell forms: ``complex()`` and ``abs()`` of each ``RationalComplex`` of
-``coeffs``.
+``coeffs``; the CSV of a float series against one f-string per cell.
 """
 
 from __future__ import annotations
@@ -306,17 +307,25 @@ def laurent_terms(P, top, width: int) -> list:
     return terms
 
 
+def wide_width(P, out_shape) -> int:
+    """``N2 + N1 * max_b``, max_b the largest z-order of P: every level as
+    wide as the widest any chain of up-shifts can need."""
+    N1, N2 = out_shape
+    return N2 + N1 * max(len(row) - 1 for row in P.coeff_polys if row)
+
+
 def laurent_solve(prob) -> list:
     """Rows of the exact pseudo-mode solution of ``prob`` by the Laurent-tail
     route, cell by cell in Gaussian rationals.
 
     An f rhs is first turned into g by ``G_{i+deg} = (F_i - sum_{b<deg} p_b
     G_{i+b}) / p_deg`` in normalized coordinates, with G zero below column
-    deg P0; the recursion of :func:`laurent_terms` then runs on the internal
-    width, reads below column 0 being zero, and the output window is
-    divided by the moment values of ``eval_fraction``.
+    deg P0; the recursion of :func:`laurent_terms` then runs on every level
+    up to :func:`wide_width`, reads below column 0 being zero, and the
+    output window is divided by the moment values of ``eval_fraction``.
     """
-    P, (N1, N2), width = prob.operator, prob.out_shape, prob.inflated_n2
+    P, (N1, N2) = prob.operator, prob.out_shape
+    width = wide_width(P, prob.out_shape)
     n, k1, k2 = P.n, prob.rhs.kappa1, prob.rhs.kappa2
     top = [RationalComplex.coerce(c) for c in P.p0()]
     deg = len(top) - 1
@@ -462,7 +471,62 @@ def moment_shift_cells(m, s, axis=None, times=1, up=True):
     return Series2(rows, s.kappa1, s.kappa2, s.exact)
 
 
+def residual_cells(prob, u: Series2, window) -> tuple:
+    """``(max_abs, scale)`` of the exact residual ``P u - f`` on ``window``,
+    one Gaussian rational per cell: a side is ``sum p_ab c[j+a][i+b]
+    m1(j+a)/m1(j) m2(i+b)/m2(i)`` with the moment values of
+    ``eval_fraction``, f is ``P0(dz) g`` for a g rhs, and each cell is
+    measured by its L1 modulus ``|re| + |im|``; scale is the larger of the
+    two sides' largest cell."""
+    J, I = window
+    P, n = prob.operator, prob.operator.n
+    w1 = [eval_fraction(prob.m1, Fraction(j, u.kappa1))
+          for j in range(J + n + 1)]
+    w2 = [eval_fraction(prob.m2, Fraction(i, u.kappa2))
+          for i in range(I + max(map(len, P.coeff_polys)))]
+
+    def apply(table, rows):
+        return [[sum((RationalComplex.coerce(p) * rows[j + a][i + b]
+                      * (w1[j + a] / w1[j]) * (w2[i + b] / w2[i])
+                      for (a, b), p in table.items()), RationalComplex(0))
+                 for i in range(I + 1)] for j in range(J + 1)]
+
+    lhs = apply(P.support(), u.coeffs)
+    if prob.rhs_is_g:
+        f = apply({(0, b): c for b, c in enumerate(P.p0()) if c},
+                  prob.rhs.coeffs)
+    else:
+        f = [list(row[: I + 1]) for row in prob.rhs.coeffs[: J + 1]]
+
+    def l1(c):
+        return abs(c.re) + abs(c.im)
+
+    pairs = [(x, y) for lrow, frow in zip(lhs, f) for x, y in zip(lrow, frow)]
+    return (max(l1(x - y) for x, y in pairs),
+            max(max(l1(x), l1(y)) for x, y in pairs))
+
+
 # -- binary64 readers of exact series, one RationalComplex per cell -----------
+
+
+def csv_cells(s: Series2) -> str:
+    """``Series2.to_csv`` formatted one cell at a time by an f-string: an
+    exact cell as ``complex()`` of its RationalComplex, that is
+    ``float(Fraction)`` per part, a float cell from the real and imaginary
+    planes of the grid; OverflowError when an exact part leaves binary64."""
+    J, I = s.valid
+    if s.exact:
+        rows = [[complex(c) for c in row[: I + 1]] for row in s.coeffs[: J + 1]]
+        planes = [([c.real for c in row], [c.imag for c in row])
+                  for row in rows]
+    else:
+        cells = s.grid[: J + 1, : I + 1]
+        planes = zip(cells.real.tolist(), cells.imag.tolist())
+    lines = ["j,i,re,im"]
+    for j, (re, im) in enumerate(planes):
+        lines += [f"{j},{i},{x:.17g},{y:.17g}"
+                  for i, (x, y) in enumerate(zip(re, im))]
+    return "\n".join(lines) + "\n"
 
 
 def exact_grid_cells(s: Series2):

@@ -204,8 +204,9 @@ LOG_TABLE_MOMENTS = {
 @pytest.mark.parametrize("kappa", [1, 2])
 @pytest.mark.parametrize("name", sorted(LOG_TABLE_MOMENTS))
 def test_log_table_matches_scaled_eval_bit_for_bit(name, kappa):
-    # the whole-array evaluation against the scalar one, over a table as
-    # long as the inflated window of twofactor (160, 60)
+    # the whole-array evaluation against the scalar one, over a table
+    # longer than any the benchmark ladders build (twofactor (160, 60)
+    # reads up to index 545)
     m = LOG_TABLE_MOMENTS[name]
     want = [scaled_eval(m, Fraction(j, kappa)).log for j in range(901)]
     got = log_table(m, kappa, 900)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -121,6 +122,20 @@ def test_verify_problem_tolerance():
     pf = load_problem(shipped("transport"))
     rep = verify_problem(pf, tol=1e-8, n1=8, n2=10)
     assert rep["passed"] and rep["residual"] == 0.0
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("arithmetic", ["exact", "float"])
+def test_verify_problem_refuses_a_tolerance_that_is_not_finite(
+        tol, arithmetic, monkeypatch):
+    # refused before anything is solved
+    def solve(*args):
+        raise AssertionError("solved with a non-finite tolerance")
+    monkeypatch.setattr(problem_mod, "_solve_checked", solve)
+    pf = load_problem(shipped("heat"))
+    with pytest.raises(PreconditionError,
+                       match=rf"^tolerance {tol!r} is not a finite number$"):
+        verify_problem(pf, tol, 6, 8, arithmetic)
 
 
 # -- CLI integration ------------------------------------------------------------
@@ -346,17 +361,17 @@ def test_cli_grid_above_cap_is_rejected_before_expansion(command,
 
 
 def test_grid_cap_admits_the_largest_benchmark_grid(monkeypatch):
-    # twofactor (160, 60): 161 x 861 = 138,621 cells reach expand_rhs
+    # heat (200, 100): 201 x 501 = 100,701 cells reach expand_rhs
     class Reached(Exception):
         pass
 
     def reached(spec, n1, n2, exact):
-        assert (n1 + 1) * (n2 + 1) == 138621
+        assert (n1 + 1) * (n2 + 1) == 100701
         raise Reached
     monkeypatch.setattr(problem_mod, "expand_rhs", reached)
-    pp = problem_mod.parse_problem(load_problem(shipped("twofactor")))
+    pp = problem_mod.parse_problem(load_problem(shipped("heat")))
     with pytest.raises(Reached):
-        problem_mod.assemble(pp, 160, 60, "float")
+        problem_mod.assemble(pp, 200, 100, "float")
 
 
 def test_import_does_not_load_scipy():

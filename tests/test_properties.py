@@ -33,10 +33,10 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import brute_force
-from oracles import (borel_cells, edge_roots_numpy, exact_gevrey_fit_cells,
-                     exact_grid_cells, laurent_solve, laurent_terms,
-                     moment_shift_cells, rational_rhs_exact,
-                     rational_rhs_float)
+from oracles import (borel_cells, csv_cells, edge_roots_numpy,
+                     exact_gevrey_fit_cells, exact_grid_cells, laurent_solve,
+                     laurent_terms, moment_shift_cells, rational_rhs_exact,
+                     rational_rhs_float, wide_width)
 
 from mpde import kernel, problem as problem_mod
 from mpde.charroots import CharPoly, _edge_roots
@@ -47,7 +47,8 @@ from mpde.parsing import parse_moment
 from mpde.problem import _quads_to_table, expand_rhs
 from mpde.series import (Series1, Series2, apply_operator, borel, gevrey_fit,
                          inv_borel, moment_antidiff, moment_diff)
-from mpde.solver import CauchyProblem, formal_solve, g_from_f, residual
+from mpde.solver import (CauchyProblem, formal_solve, g_from_f, level_widths,
+                         residual)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                     database=None,
@@ -195,7 +196,8 @@ def pseudo_term_magnitude(prob) -> list:
     recursion of ``oracles.laurent_terms`` (after ``P0(dz) g = f`` for an f
     rhs) run on moduli, every subtraction an addition, in normalized
     coordinates."""
-    n, (N1, N2), width = prob.operator.n, prob.out_shape, prob.inflated_n2
+    n, (N1, N2) = prob.operator.n, prob.out_shape
+    width = wide_width(prob.operator, prob.out_shape)
     top = [RationalComplex.coerce(c) for c in prob.operator.p0()]
     J, I = prob.rhs.valid
     w1 = [eval_at(prob.m1, j) for j in range(N1 + 1)]
@@ -230,10 +232,7 @@ def test_exact_pseudo_solve_matches_laurent_route(case):
     """Dividing by the top coefficient once, with its taps run along z,
     gives the coefficients of the Laurent-tail route bit for bit."""
     prob = case.problem(mode="pseudo")
-    try:
-        u = formal_solve(prob)
-    except WindowError:
-        assume(False)  # the inflated window is too narrow for this operator
+    u = formal_solve(prob)
     assert [list(row) for row in u.coeffs] == laurent_solve(prob)
     assert u.valid == prob.out_shape
 
@@ -245,10 +244,7 @@ def test_pseudo_mode_float_matches_exact_or_raises(case):
     cell along z; the error is bounded as in
     test_float_matches_exact_or_raises, by the term magnitude of each cell."""
     prob = case.problem(mode="pseudo")
-    try:
-        exact = formal_solve(prob)
-    except WindowError:
-        assume(False)  # the inflated window is too narrow for this operator
+    exact = formal_solve(prob)
     try:
         approx = formal_solve(case.problem(exact=False, mode="pseudo"))
     except EvaluationError:
@@ -258,6 +254,26 @@ def test_pseudo_mode_float_matches_exact_or_raises(case):
         for i, c in enumerate(row):
             err = abs(c - complex(exact.coeffs[j][i]))
             assert err <= 1e-9 * bound[j][i]
+
+
+@SETTINGS
+@given(st.one_of(cases(), pseudo_cases()))
+def test_level_widths_are_tight(case):
+    """``w[N1] = N2``; every other level is N2 wide or exactly as wide as a
+    later level reads through one up-shifting term of the Laurent route,
+    and at least as wide as each of them reads; the widths never exceed
+    the wide bound ``N2 + N1 * max_b``."""
+    prob = case.problem()
+    P, (N1, N2) = prob.operator, prob.out_shape
+    top = [RationalComplex.coerce(c) for c in P.p0()]
+    ups = {(a, b) for a, b, _ in laurent_terms(P, top, 0) if b >= 0}
+    w = level_widths(P, (N1, N2))
+    assert len(w) == N1 + 1 and w[N1] == N2
+    for t in range(N1):
+        reads = [w[t + a] + b for a, b in ups if t + a <= N1]
+        assert w[t] >= N2 and all(w[t] >= r for r in reads)
+        assert w[t] == N2 or w[t] in reads
+    assert w[0] <= wide_width(P, (N1, N2))
 
 
 # fixed before it was measured: float cells of the two rhs routes differ by
@@ -297,8 +313,6 @@ def test_f_rhs_solve_matches_solve_of_g_from_f(case):
                                            mode="pseudo"))
                 for rhs, is_g in ((f, False),
                                   (g_from_f(P.p0(), case.m2, f), True)))
-        except WindowError:
-            assume(False)  # the inflated window is too narrow
         except EvaluationError:
             continue  # a float route overflowed inside the window
         if exact:
@@ -519,18 +533,6 @@ def test_exact_rational_rhs_matches_per_cell_oracle(d00, is_complex, data):
     assert got.coeffs == tuple(map(tuple, rational_rhs_exact(num, den, n1, n2)))
 
 
-def per_cell_csv(s: Series2) -> str:
-    """``Series2.to_csv`` text with each cell rounded by ``complex()`` of its
-    RationalComplex, that is by ``float(Fraction)`` per part."""
-    J, I = s.valid
-    lines = ["j,i,re,im"]
-    for j, row in enumerate(s.coeffs[: J + 1]):
-        for i in range(I + 1):
-            c = complex(row[i])
-            lines.append(f"{j},{i},{c.real:.17g},{c.imag:.17g}")
-    return "\n".join(lines) + "\n"
-
-
 def check_lanes_series(s: Series2):
     """A series built from integer lanes equals the series built from its
     ``coeffs`` rows: equality, hash, CSV text (or the out-of-range error)
@@ -543,7 +545,7 @@ def check_lanes_series(s: Series2):
     rows = Series2(s.coeffs, s.kappa1, s.kappa2, exact=True, valid=s.valid)
     assert s == rows and hash(s) == hash(rows)
     try:
-        want = per_cell_csv(rows)
+        want = csv_cells(rows)
     except OverflowError:
         want = None
     assert csv == want
@@ -649,7 +651,7 @@ def test_exact_binary64_readers_match_per_cell_oracle(s, z, frac, min_points):
             _repr_or_error(exact_gevrey_fit_cells, s, **kw)
     J, I = s.valid
     try:
-        csv = per_cell_csv(s)
+        csv = csv_cells(s)
     except OverflowError:
         j, i, part = next((j, i, p) for j, row in enumerate(s.coeffs[: J + 1])
                           for i, c in enumerate(row[: I + 1])

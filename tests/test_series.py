@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from helpers import random_series1, random_series2, series1_close
-from oracles import exact_gevrey_fit_cells, frac_integral_quadrature
+from oracles import (csv_cells, exact_gevrey_fit_cells,
+                     frac_integral_quadrature)
 
 from mpde import kernel
 from mpde.errors import DomainError, EstimationError, WindowError
@@ -289,6 +290,51 @@ def test_series2_csv_format():
     assert lines[1] == "0,0,1,0"
     assert lines[4].startswith("1,1,0,-0.333333333333333")
     assert len(lines) == 5
+
+
+# signed zeros, infinities, NaN, subnormals, the binary64 extremes and
+# values that need all 17 digits
+CSV_SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-320,
+                1e-310, 2.2250738585072014e-308, 1.7976931348623157e308,
+                -1 / 3, 0.1, 123456789.0]
+
+
+@pytest.mark.parametrize("shape,valid", [((1, 1), None), ((4, 7), None),
+                                         ((4, 7), (2, 5)), ((4, 7), (0, 0))])
+def test_to_csv_matches_the_per_cell_formatter_on_float_grids(shape, valid):
+    rng = random.Random(17)
+    cells = [complex(rng.choice(CSV_SPECIALS), rng.choice(CSV_SPECIALS))
+             for _ in range(shape[0] * shape[1])]
+    grid = np.array(cells).reshape(shape)
+    s = Series2(grid, valid=valid)
+    assert s.to_csv() == csv_cells(s)
+
+
+def test_to_csv_of_one_cell():
+    s = Series2([[complex(-0.0, 5e-324)]])
+    want = "j,i,re,im\n0,0,-0,4.9406564584124654e-324\n"
+    assert s.to_csv() == csv_cells(s) == want
+
+
+@pytest.mark.parametrize("complex_lanes", [False, True])
+@pytest.mark.parametrize("shape,valid", [((0, 0), None), ((3, 6), None),
+                                         ((3, 6), (1, 4))])
+def test_to_csv_matches_the_per_cell_formatter_on_exact_lanes(
+        complex_lanes, shape, valid):
+    rng = random.Random(18)
+
+    def part():
+        return Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**20)) \
+            * Fraction(2) ** rng.randint(-1130, 900)
+    rows = [[RationalComplex(part(), part() if complex_lanes else 0)
+             for _ in range(shape[1] + 1)] for _ in range(shape[0] + 1)]
+    if shape[1]:
+        rows[-1][0] = RationalComplex(0)  # a zero among nonzero cells
+    s = Series2(kernel.lanes_of_table(
+        {(j, i): c for j, row in enumerate(rows) for i, c in enumerate(row)},
+        *shape), exact=True, valid=valid)
+    assert (s.lanes.im is None) == (not complex_lanes)
+    assert s.to_csv() == csv_cells(s)
 
 
 def test_series2_copies_a_grid_it_may_not_keep():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_series2
-from oracles import laurent_tail
+from oracles import laurent_tail, residual_cells
 
 from mpde import kernel, moments
 from mpde.charroots import CharPoly, branches_at_infinity
@@ -15,7 +15,7 @@ from mpde.moments import gamma_s
 from mpde.series import Series2, apply_operator, gevrey_fit
 from mpde.parsing import parse_operator
 from mpde.solver import (CauchyProblem, _recursion_terms, formal_solve,
-                         g_from_f, residual, theoretical_orders)
+                         g_from_f, level_widths, residual, theoretical_orders)
 
 G1 = gamma_s(1)
 
@@ -134,7 +134,7 @@ def test_residual_float_propagates_nonfinite():
 
 def test_float_solve_raises_on_overflow_in_window():
     # raw float coefficients of twofactor leave binary64 at t-level 64;
-    # overflow in the inflated columns alone (N1 = 60) is not an error
+    # overflow in the columns past N2 alone (N1 = 60) is not an error
     n1, n2 = 70, 60
     g = geometric_g(n1, n2 + 5 * n1)
     with pytest.raises(EvaluationError, match="t-level 64"):
@@ -142,6 +142,36 @@ def test_float_solve_raises_on_overflow_in_window():
     g = geometric_g(60, n2 + 5 * 60)
     prob = CauchyProblem(TWOFACTOR, G1, G1, g, (60, n2))
     assert residual(prob, formal_solve(prob)).relative < 1e-10
+
+
+@pytest.mark.parametrize("operator,rhs_is_g,shape", [
+    ("dt - dz^2", True, (6, 8)),
+    ("(dt - dz^2)*(dt - dz^3)", True, (8, 10)),
+    ("(2+1i*dz)*dt - (1+2i)*dz^2", False, (7, 6)),
+    ("(2+3*dz)*dt - dz^2", True, (7, 6))])
+@pytest.mark.parametrize("complex_rhs", [False, True])
+def test_exact_residual_matches_the_per_cell_report(operator, rhs_is_g, shape,
+                                                    complex_rhs):
+    # the exact solution, whose rows equal the rhs rows, and the solution
+    # with one cell changed, whose rows differ from a level on
+    P = parse_operator(operator)
+    rng = random.Random(19)
+    n1, n2 = shape
+    g = random_series2(rng, n1, level_widths(P, shape)[0], exact=True)
+    if not complex_rhs:
+        g = Series2([[RationalComplex(c.re) for c in row] for row in g.coeffs],
+                    exact=True)
+    prob = CauchyProblem(P, G1, gamma_s(Fraction(3, 2)), g, shape,
+                         rhs_is_g=rhs_is_g, mode="pseudo")
+    u = formal_solve(prob)
+    rows = [list(row) for row in u.coeffs]
+    rows[P.n + 1][2] += RationalComplex(Fraction(1, 3), Fraction(-2, 7))
+    for v in (u, Series2(rows, exact=True)):
+        rep = residual(prob, v)
+        max_abs, scale = residual_cells(prob, v, rep.window)
+        assert (rep.max_abs, rep.scale) == (float(max_abs), float(scale))
+        assert rep.relative == float(max_abs / scale)
+        assert rep.exact_zero == (max_abs == 0) == (v is u)
 
 
 def test_residual_rejects_mismatched_ramification():
@@ -216,12 +246,34 @@ def test_g_from_f_examples():
                 assert err <= 1e-14 * top
 
 
+@pytest.mark.parametrize("operator,shape,slope,cells", [
+    ("dt - dz^2", (60, 60), 2, 7_200),
+    ("dt - dz", (200, 200), 1, 60_100),
+    ("(dt - dz^2)*(dt - dz^3)", (60, 60), 3, 8_732),
+    ("(dt - dz^2)*(dt - dz^3)", (160, 60), 3, 47_382),
+    ("(2+dz)*dt - dz^2", (40, 40), 1, 2_420),
+    ("(2+3*dz)*dt^2 - dz", (30, 10), 0, 319)])
+def test_level_widths_grow_by_the_largest_up_shift_per_level(
+        operator, shape, slope, cells):
+    # twofactor shifts up by 3 per level through dz^3*dt and by 5 per two
+    # levels through dz^5, so 3 columns a level where max_b = 5; pseudo's
+    # dz^2 over 2+dz shifts up by 1; a quotient of degree 0 adds nothing
+    P = parse_operator(operator)
+    N1, N2 = shape
+    w = level_widths(P, shape)
+    assert w == [N2 + slope * (N1 - t) for t in range(N1 + 1)]
+    # the cells the recursion computes, levels t >= n
+    assert sum(x + 1 for x in w[P.n:]) == cells
+
+
 @pytest.mark.parametrize("exact", [True, False])
 def test_f_rhs_needs_b_columns_fewer_than_the_inflated_window(exact):
-    # B = deg P0 = 3 and max_b = 3: f is read up to column N2 + N1*max_b - B
+    # B = deg P0 = 3 and deg A_0 = 2 < B: no term shifts z up, so every
+    # level is N2 wide and f is read up to column N2 - B
     P = CharPoly.from_table({(1, 0): 1j, (1, 1): 2, (1, 3): 3, (0, 2): -1})
     n1, n2 = 4, 5
-    width = n2 + n1 * 3 - 3
+    assert level_widths(P, (n1, n2)) == [n2] * (n1 + 1)
+    width = n2 - 3
     rng = random.Random(62)
     f = random_series2(rng, n1 - 1, width, exact=exact)
     prob = CauchyProblem(P, G1, G1, f, (n1, n2), rhs_is_g=False,
@@ -390,7 +442,7 @@ def test_non_monic_pseudo_lanes_stay_near_the_reduced_size():
 def test_pseudo_mode_axpy_calls_follow_the_terms(operator, monkeypatch):
     # three terms per t-level (zeta^0, zeta^1 and one remainder term): the
     # taps run along z without axpy, so no call depends on the internal
-    # width N2 + N1 * max_b
+    # level widths
     calls = []
     axpy = kernel.axpy
     monkeypatch.setattr(kernel, "axpy",
