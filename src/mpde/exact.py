@@ -104,6 +104,8 @@ class RationalComplex:
         if pair is None:
             return NotImplemented
         c, d = pair
+        if not d and c:  # a real divisor divides each part once
+            return RationalComplex(self.re / c, self.im / c)
         denom = c * c + d * d
         if denom == 0:
             raise ZeroDivisionError("division by zero RationalComplex")

@@ -18,12 +18,11 @@ direction is expected.  Coefficient payloads are lists of
 payload object): j, i non-negative integers; re, im and the ``rhs_gevrey``
 entries finite non-boolean numbers or rational strings such as ``"1/2"``.
 
-A ``rational`` rhs is expanded on the solver grid by power-series division:
-fraction-free on Gaussian integers in exact mode, row by row into the
-integer lanes of an exact ``Series2``, and in float mode over the live rows
-only, one anti-diagonal at a time on numpy planes or, for a single live row,
-cell by cell, rounding as Python ``complex`` arithmetic does.
-An exact ``coeffs`` rhs becomes lanes over one common denominator.  Grids
+A ``rational`` rhs num/den is expanded on the solver grid by the solver's
+own recursion (:func:`mpde.kernel.recurrence` and ``recurrence_float``):
+``den * R = num`` is a pseudo-mode solve with unit moments and num as an f
+rhs, run over the live rows only.  A float problem that sums or divides
+its entries past binary64 fails naming them.  An exact ``coeffs`` rhs becomes lanes over one common denominator.  Grids
 above ``MAX_GRID_CELLS`` are rejected before they are allocated.
 """
 
@@ -45,12 +44,14 @@ from .moments import MomentFunction
 from .parsing import parse_moment, parse_operator
 from .record import record
 from .series import Series2, gevrey_fit
-from .solver import (CauchyProblem, formal_solve, level_widths, residual,
-                     theoretical_orders, z_order)
+from .solver import (CauchyProblem, _recursion_terms, formal_solve,
+                     level_widths, residual, theoretical_orders, z_order)
 from .summability import classify, levels as summability_levels, \
     singular_direction_probe
 
 SCHEMA_VERSION = 1
+
+_ZERO = RationalComplex(0)
 
 _KNOWN_KEYS = {"operator", "m1", "m2", "rhs", "rhs_role", "rhs_gevrey",
                "truncation", "directions", "mode", "arithmetic"}
@@ -76,9 +77,11 @@ def load_problem(source) -> ProblemFile:
     """Load and validate a problem file (path, JSON text, or dict)."""
     if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
         try:
-            data = json.loads(Path(source).read_text())
+            data = json.loads(Path(source).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON in {source}: {exc}")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{source} is not UTF-8 text: {exc}") from None
     elif isinstance(source, str):
         try:
             data = json.loads(source)
@@ -86,6 +89,9 @@ def load_problem(source) -> ProblemFile:
             raise ParseError(f"invalid problem JSON: {exc}")
     else:
         data = dict(source)
+    if not isinstance(data, dict):
+        raise ParseError(f"a problem file holds one JSON object, got "
+                         f"{json.dumps(data)[:40]}")
     unknown = set(data) - _KNOWN_KEYS
     if unknown:
         raise ParseError(f"unknown problem keys: {sorted(unknown)}")
@@ -179,247 +185,123 @@ def _entries(quads, where: str) -> list:
 
 
 def _quads_to_table(quads, exact: bool, where: str = "rhs") -> dict:
-    """{(j, i): value} of the entries, repeated ones summed; a float entry
-    beyond binary64 raises EvaluationError naming it."""
+    """{(j, i): value} of the entries, repeated ones summed; a float entry,
+    or a float sum of repeated ones, beyond binary64 raises EvaluationError
+    naming it."""
     table = {}
     zero = RationalComplex(0) if exact else 0j
     for quad, (j, i, re, im) in zip(quads, _entries(quads, where)):
         try:
             val = RationalComplex(re, im) if exact else complex(re, im)
         except OverflowError:
-            raise EvaluationError(
-                f"{where} entry {json.dumps(quad, default=str)} is beyond "
-                f"the binary64 range of float arithmetic; use --arithmetic "
-                f"exact") from None
-        table[(j, i)] = table.get((j, i), zero) + val
+            raise _beyond_binary64(
+                f"{where} entry {json.dumps(quad, default=str)} is") from None
+        table[(j, i)] = total = table.get((j, i), zero) + val
+        if not (exact or cmath.isfinite(total)):
+            raise _beyond_binary64(f"{where} entries at [{j}, {i}] add up")
     return table
+
+
+def _beyond_binary64(what: str) -> EvaluationError:
+    return EvaluationError(f"{what} beyond the binary64 range of float "
+                           f"arithmetic; use --arithmetic exact")
 
 
 def expand_rhs(rhs_spec: dict, n1: int, n2: int, exact: bool) -> Series2:
     """Materialize the rhs on the (n1, n2) grid.
 
     ``coeffs`` payloads are finite polynomials and are zero-padded; the
-    ``rational`` kind expands num/den by bivariate power-series division,
-    exact in rational mode.
+    ``rational`` kind expands num/den as a power series on the solver's
+    recursion (:func:`_divide`), exact in rational mode.
     """
-    kind = rhs_spec["kind"]
     payload = rhs_spec["payload"]
-    if kind == "coeffs":
+    if rhs_spec["kind"] == "coeffs":
         table = _quads_to_table(payload, exact)
-        if exact:
-            return Series2(kernel.lanes_of_table(table, n1, n2), exact=True)
-        return Series2.from_entries(((j, i, v) for (j, i), v in table.items()),
-                                    n1, n2, exact=exact)
-    num = _quads_to_table(payload.get("num", []), exact, "rhs num")
-    den = _quads_to_table(payload.get("den", []), exact, "rhs den")
-    d00 = den.get((0, 0))
-    if not d00:
-        raise PreconditionError(
-            "rational rhs needs a denominator with nonzero constant term")
-    quotient = _quotient_exact if exact else _quotient_float
-    return Series2(quotient(num, den, n1, n2), exact=exact)
+    else:
+        num = _quads_to_table(payload.get("num", []), exact, "rhs num")
+        den = _quads_to_table(payload.get("den", []), exact, "rhs den")
+        if not den.get((0, 0)):
+            raise PreconditionError(
+                "rational rhs needs a denominator with nonzero constant term")
+        table = {k: v for k, v in num.items() if k[0] <= n1 and k[1] <= n2}
+        if table:  # else num/den is zero on the grid
+            return Series2(_divide(table, den, n1, n2, exact), exact=exact)
+    if exact:
+        return Series2(kernel.lanes_of_table(table, n1, n2), exact=True)
+    return Series2.from_entries(((j, i, v) for (j, i), v in table.items()),
+                                n1, n2, exact=exact)
 
 
-def _quotient_exact(num: dict, den: dict, n1: int, n2: int) -> kernel.RawLanes:
-    """Lanes of the power series num/den, fraction-free, row by row.
+def _divide(num: dict, den: dict, n1: int, n2: int, exact: bool):
+    """Raw lanes (exact) or read-only complex grid (float) of the power
+    series ``R = num/den`` on the (n1, n2) grid, num nonzero there.
 
-    Both tables are scaled to Gaussian integers N and Q.  With q = Q_00 the
-    cells ``R_{j,i} = q**(j+i+1) * (num/den)_{j,i}`` obey the integer
-    recursion ``R_{j,i} = q**(j+i) N_{j,i} - sum Q_ab q**(a+b-1) R_{j-a,i-b}``
-    over (a, b) != (0, 0).  Row j starts from its N terms; each term with
-    a >= 1 subtracts a shifted earlier row (:func:`kernel.axpy`), and the
-    terms with a = 0 then run along the row as taps (:func:`kernel.run_taps`).
-    A row whose start is zero stays zero.  The lanes divide row j by
-    ``q**(j+1)`` and column i by ``q**i``; for complex q by ``|q|**(2j+2)``
-    and ``|q|**(2i)``, with the numerators multiplied by
-    ``conj(q)**(j+i+1)``.
+    With ``zeta = 1/z``, B the largest z-power and n the largest t-power of
+    den's nonzero terms in the grid, ``den * R = num`` is the recursion that
+    :func:`formal_solve` runs in pseudo mode for the operator whose
+    ``lambda**(n-a)`` coefficient is ``sum_b d_ab zeta**(B-b)``, with unit
+    moments and num as an f rhs: its level ``n + j`` is row j of R, B
+    columns up.  Only the live band of rows runs, from the first row with a
+    numerator entry in the grid to the last row or, when den has no term in
+    t (n = 0, so rows are independent), to the last numerator row; every
+    other cell is zero.  Float mode divides den's float table exactly and
+    rounds the recursion's coefficients once; one beyond binary64 raises
+    EvaluationError naming its den term.
     """
-    d = kernel.common_denominator(list(num.values()) + list(den.values()))
-    N = {k: kernel.gaussian_int(v, d) for k, v in num.items()}
-    Q = {k: kernel.gaussian_int(v, d) for k, v in den.items()}
-    qr, qi = Q[(0, 0)]
-    powers = [(1, 0)]  # q**k
-    for _ in range(n1 + n2 + 1):
-        pr, pi = powers[-1]
-        powers.append((pr * qr - pi * qi, pr * qi + pi * qr))
+    den = {k: RationalComplex.coerce(v) for k, v in den.items()
+           if v and k[0] <= n1 and k[1] <= n2}
+    n, B = max(a for a, _ in den), max(b for _, b in den)
+    rows = [[_ZERO] * (B + 1) for _ in range(n + 1)]
+    for (a, b), v in den.items():
+        rows[n - a][B - b] = v
+    terms, taps = _recursion_terms(rows, rows[n])
+    q = 1 / rows[n][B]
+    if not exact:
+        q, terms, taps = _rounded(q, terms, taps)
+    lo = min(j for j, _ in num)
+    hi = n1 if n else max(j for j, _ in num)
+    band = {(j - lo, i): v for (j, i), v in num.items()}
+    widths = [B + n2] * (n + hi - lo + 1)
+    if exact:
+        base = kernel.lanes_of_table(band, hi - lo, n2)
+        v = kernel.recurrence(kernel.Lanes(base.re, base.im, base.row_div[0]),
+                              q, terms, n, widths, taps, -B)
 
-    def mul(x, y):
-        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-    is_complex = any(v[1] for v in (*N.values(), *Q.values()))
-    # a term beyond the grid reaches no cell (and no power of q); a term in
-    # t is kept negated, as -Q_ab q**(a+b-1), and the taps are Q_0b q**(b-1)
-    terms = [(a, b, mul(v, powers[a + b - 1]))
-             for (a, b), v in sorted(Q.items())
-             if (a, b) != (0, 0) and a <= n1 and b <= n2]
-    down = [(a, b, (-x, -y)) for a, b, (x, y) in terms if a]
-    taps = [(b, k) for a, b, k in terms if not a]
-    starts = {}
-    for (j, i), v in N.items():
-        if j <= n1 and i <= n2:
-            starts.setdefault(j, []).append((i, mul(v, powers[j + i])))
-    R_re, R_im = [], [] if is_complex else None
-    for j in range(n1 + 1):
-        acc_re = [0] * (n2 + 1)
-        acc_im = [0] * (n2 + 1) if is_complex else None
-        for i, (x, y) in starts.get(j, ()):
-            acc_re[i] = x
-            if is_complex:
-                acc_im[i] = y
-        for a, b, k in down:
-            if a <= j:
-                kernel.axpy(acc_re, acc_im, k, R_re[j - a],
-                            R_im[j - a] if is_complex else None, -b)
-        if taps and (any(acc_re) or (is_complex and any(acc_im))):
-            kernel.run_taps(acc_re, acc_im, taps)
-        R_re.append(acc_re)
-        if is_complex:
-            R_im.append(acc_im)
-    if not qi:
-        return kernel.RawLanes(R_re, R_im,
-                               [powers[j + 1][0] for j in range(n1 + 1)],
-                               [powers[i][0] for i in range(n2 + 1)])
-    # R / q**k = R * conj(q)**k / |q|**(2k)
-    norm = qr * qr + qi * qi
-    out_re, out_im = [], []
-    for j in range(n1 + 1):
-        row = [mul((x, y), (pr, -pi)) if x or y else (0, 0)
-               for x, y, (pr, pi) in zip(R_re[j], R_im[j], powers[j + 1:])]
-        out_re.append([x for x, _ in row])
-        out_im.append([y for _, y in row])
-    return kernel.RawLanes(out_re, out_im,
-                           [norm ** (j + 1) for j in range(n1 + 1)],
-                           [norm ** i for i in range(n2 + 1)])
-
-
-def _quotient_float(num: dict, den: dict, n1: int, n2: int):
-    """Complex numpy grid of the power series num/den in binary64, over its
-    live rows only.
-
-    Cell ``(j, i)`` is ``(N_ji - sum Q_ab R_{j-a,i-b}) / Q_00`` over the
-    sorted terms (a, b) != (0, 0) that fit in the grid, rounded as Python
-    ``complex`` arithmetic rounds it, signs of zero included.  The live band
-    of rows runs from the first row with a numerator entry in the grid to
-    the last row, or, when den has no term in t (so rows are independent),
-    to the last numerator row.  Every other cell is ``0j / Q_00``, and the
-    grid is filled with that before the band is written over it: an
-    accumulator is never -0.0 (it starts from a table value or +0.0 and
-    only subtracts), so a cell that no entry reaches ends as ``+0j / Q_00``,
-    and a term that reads a dead cell subtracts a signed zero and changes
-    nothing, so the band skips it as it skips reads below row 0.  That needs
-    finite den terms (``v * 0`` is NaN for an infinite one, possible when
-    repeated entries add up past binary64); otherwise the band is the grid.
-
-    A band of one row meets only den's terms in z, and runs cell by cell in
-    Python ``complex``.  A band of several rows runs by anti-diagonals
-    (:func:`_diagonal_sweep`).  Real data (every imaginary part of num and
-    den is +0.0, as ``_quads_to_table`` makes it) runs on the real plane
-    alone.  While that plane stays finite, every cell's imaginary part is
-    the zero ``0.0 / Q_00`` of the fill, and the signed zeros that the
-    imaginary parts add to a real accumulator change nothing, by the
-    argument above: the real part is ``(N_ji - sum Re(Q_ab) R_{j-a,i-b}) /
-    Re(Q_00)``.  A non-finite cell spreads NaN into the imaginary parts, so
-    the sweep then reruns on both planes.
-    """
+        def grid_rows(lane):
+            return ([[0] * (n2 + 1) for _ in range(lo)]
+                    + [row[B:] for row in lane[n:]]
+                    + [[0] * (n2 + 1) for _ in range(n1 - hi)])
+        return kernel.RawLanes(
+            grid_rows(v.re), None if v.im is None else grid_rows(v.im),
+            [1] * lo + v.row_div[n:] + [1] * (n1 - hi), v.col_div[B:])
     import numpy as np
 
-    q = den[(0, 0)]
-    terms = [(a, b, v) for (a, b), v in sorted(den.items())
-             if (a, b) != (0, 0) and a <= n1 and b <= n2]
-    out = np.full((n1 + 1, n2 + 1), 0j / q)
-    rows = [j for j, i in num if j <= n1 and i <= n2]
-    if not all(cmath.isfinite(v) for _, _, v in terms):
-        lo, hi = 0, n1
-    elif not rows:
-        return kernel.read_only(out)
-    else:
-        lo = min(rows)
-        hi = n1 if any(a for a, _, _ in terms) else max(rows)
-    if lo == hi:
-        along = [(b, v) for a, b, v in terms if not a]
-        row = [num.get((lo, i), 0j) for i in range(n2 + 1)]
-        for i, acc in enumerate(row):
-            for b, v in along:
-                if b <= i:
-                    acc = acc - v * row[i - b]
-            row[i] = acc / q
-        out[lo] = row
-        return kernel.read_only(out)
-    shape = (hi - lo + 1, n2 + 1)
-    if not any(v.imag for v in (*num.values(), *den.values())):
-        (re,) = _diagonal_sweep(num, terms, q, lo, shape, real=True)
-        if np.isfinite(re).all():
-            out.real[lo: hi + 1] = re.reshape(shape)
-            return kernel.read_only(out)
-    re, im = _diagonal_sweep(num, terms, q, lo, shape, real=False)
-    out.real[lo: hi + 1], out.imag[lo: hi + 1] = (re.reshape(shape),
-                                                  im.reshape(shape))
+    base = np.zeros((hi - lo + 1, n2 + 1), dtype=complex)
+    for (j, i), v in band.items():
+        base[j, i] = v
+    out = np.zeros((n1 + 1, n2 + 1), dtype=complex)
+    levels = kernel.recurrence_float(base, q, terms, n, widths,
+                                     np.zeros(len(widths)),
+                                     np.zeros(B + n2 + 1), taps, -B)
+    for t, level in enumerate(levels):
+        if t >= n:
+            out[lo + t - n] = level[B:]
     return kernel.read_only(out)
 
 
-def _diagonal_sweep(num, terms, q, first: int, shape, real: bool) -> list:
-    """Flat planes ``[re]`` (real data) or ``[re, im]`` of num/den over the
-    band of ``shape`` that starts at grid row ``first``, for
-    :func:`_quotient_float`; ``q`` is the constant term of den, and a term
-    that reads a row below the band is skipped.
-
-    Anti-diagonal ``s = j + i`` depends only on earlier ones and runs as
-    one numpy vector: on the flat C-contiguous grid it is the strided view
-    ``flat[s + lo*n2 : s + hi*n2 + 1 : n2]`` over the rows lo..hi, and so is
-    each source diagonal.  The arithmetic is CPython's complex multiply and
-    its ``c_quot`` division written out on real and imaginary planes (numpy's
-    complex ``/`` multiplies by a reciprocal, and its complex ``*`` may be
-    fused with FMA).
-    """
-    import numpy as np
-
-    n1, n2 = shape[0] - 1, shape[1] - 1
-    planes = [np.zeros(shape[0] * shape[1]) for _ in range(1 if real else 2)]
-    for (j, i), v in num.items():
-        if first <= j <= first + n1 and i <= n2:
-            planes[0][(j - first) * (n2 + 1) + i] = v.real
-            if not real:
-                planes[1][(j - first) * (n2 + 1) + i] = v.imag
-    # CPython's c_quot by q; its branch depends on q alone
-    first = abs(q.real) >= abs(q.imag)
-    if first:
-        ratio = q.imag / q.real
-        denom = q.real + q.imag * ratio
-    else:
-        ratio = q.real / q.imag
-        denom = q.real * ratio + q.imag
-    step = max(n2, 1)  # a one-column grid has one cell per diagonal
-    # overflow becomes inf or NaN, as in Python complex arithmetic
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(n1 + n2 + 1):
-            lo, hi = max(0, s - n2), min(n1, s)
-            diag = slice(s + lo * n2, s + hi * n2 + 1, step)
-            acc = [p[diag] for p in planes]  # views into the planes
-            for a, b, v in terms:
-                jl, jh = max(lo, a), min(hi, s - b)
-                if jl > jh:
-                    continue
-                t = s - a - b
-                src = slice(t + (jl - a) * n2, t + (jh - a) * n2 + 1, step)
-                dst = slice(jl - lo, jh - lo + 1)
-                yr = planes[0][src]
-                if real:
-                    acc[0][dst] -= v.real * yr
-                else:
-                    yi = planes[1][src]
-                    acc[0][dst] -= v.real * yr - v.imag * yi
-                    acc[1][dst] -= v.real * yi + v.imag * yr
-            if real:
-                acc[0] /= q.real
-            elif first:
-                ar, ai = acc
-                acc[0][:], acc[1][:] = ((ar + ai * ratio) / denom,
-                                        (ai - ar * ratio) / denom)
-            else:
-                ar, ai = acc
-                acc[0][:], acc[1][:] = ((ar * ratio + ai) / denom,
-                                        (ai * ratio - ar) / denom)
-    return planes
+def _rounded(q, terms, taps) -> tuple:
+    """``q``, the terms and the taps of :func:`_divide` rounded to complex;
+    one beyond binary64 raises EvaluationError naming its den term."""
+    def rounded(c, what):
+        try:
+            return complex(c)
+        except OverflowError:
+            raise _beyond_binary64(f"{what} is") from None
+    return (rounded(q, "1 over rhs den term [0, 0]"),
+            [(a, b, rounded(c, f"rhs den term [{a}, {-b}] over term [0, 0]"))
+             for a, b, c in terms],
+            [(k, rounded(m, f"rhs den term [0, {k}] over term [0, 0]"))
+             for k, m in taps])
 
 
 # -- assembled problem -------------------------------------------------------------

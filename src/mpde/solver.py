@@ -21,7 +21,8 @@ that overflows anyway raises EvaluationError.  Float grids stay numpy
 arrays from the rhs to the output (``Series2.grid``): each finite-checked
 level is written into one preallocated output array.
 
-One recursion serves both modes and both rhs roles.  Each ``A_{n-a}`` is
+One recursion serves both modes, both rhs roles and the power-series
+division of a ``rational`` rhs in :mod:`mpde.problem`.  Each ``A_{n-a}`` is
 divided once by the top lambda coefficient ``A_n(zeta)`` of degree B: the
 quotient shifts z-indices up, and the remainder over ``A_n``, which is the
 inverse-power tail of ``A_{n-a}/A_n`` at ``zeta = infinity``, shifts down
@@ -193,9 +194,11 @@ def _taps(top) -> list:
     return [(k, top[B - k] / top[B]) for k in range(1, B + 1) if top[B - k]]
 
 
-def _recursion_terms(P: CharPoly, top) -> tuple:
+def _recursion_terms(rows, top) -> tuple:
     """Terms (a, b, c) and taps (k, m_k) of the normalized recursion
-    ``U[t] = G[t-n] + sum c * U[t-a][i+b] + V[t]`` of :func:`kernel.recurrence`.
+    ``U[t] = G[t-n] + sum c * U[t-a][i+b] + V[t]`` of :func:`kernel.recurrence`
+    for the lambda coefficients ``rows`` (zeta-polynomials, ``rows[n]`` the
+    top coefficient ``top``, as a :class:`CharPoly` holds them).
 
     Each ``-A_{n-a}/A_n`` is divided once into a quotient, whose terms shift
     up (b >= 0), and a remainder of degree < B = deg A_n over ``A_n``.  In
@@ -207,9 +210,9 @@ def _recursion_terms(P: CharPoly, top) -> tuple:
     ascending, then quotient before remainder, b ascending; a constant top
     (B = 0) leaves no remainder and no taps.
     """
-    n, B = P.n, len(top) - 1
+    n, B = len(rows) - 1, len(top) - 1
     terms = []
-    for lam, row in enumerate(P.coeff_polys[:n]):
+    for lam, row in enumerate(rows[:n]):
         quo, rem = _divmod([RationalComplex.coerce(c) for c in row], top)
         terms += [(n - lam, b, -c) for b, c in enumerate(quo) if c]
         terms += [(n - lam, k - B, -c / top[B])
@@ -249,7 +252,7 @@ def formal_solve(prob: CauchyProblem) -> Series2:
             f"insufficient rhs data: need window ({rows_needed}, "
             f"{N2i + shift}), rhs provides ({J_g}, {I_g})")
 
-    terms, taps = _recursion_terms(P, top)
+    terms, taps = _recursion_terms(P.coeff_polys, top)
     w1, w2 = prob.fraction_tables if exact else prob.log_tables
     if exact:
         G = kernel.rescale(prob.rhs.lanes, w1, w2, rows_needed, N2i + shift)

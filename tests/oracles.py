@@ -5,8 +5,9 @@ operators of mpde: a Mellin transform of the single-factor kernel against
 ``moments.eval_at``, and an adaptive quadrature of the fractional integral
 against ``series.moment_antidiff``.  A per-cell power-series division in
 Python ``complex`` arithmetic is the reference for the float expansion of a
-``rational`` rhs, and a per-cell fraction-free division on Gaussian integers
-for its exact expansion.  Two loop forms of shift-kernel functions are
+``rational`` rhs, within a bound set by the same division run on moduli,
+and a per-cell fraction-free division on Gaussian integers for its exact
+expansion.  Two loop forms of shift-kernel functions are
 references for their faster forms: a per-cell ``Fraction`` normalization
 for ``kernel.lanes_of_table`` and ``kernel.rescale``, and a term-by-term
 float recursion for ``kernel.recurrence_float``, with its taps expanded
@@ -152,6 +153,28 @@ def rational_rhs_float(payload: dict, n1: int, n2: int) -> list:
                     acc = acc - v * rows[j - a][i - b]
             rows[j][i] = acc / den[(0, 0)]
     return rows
+
+
+def rational_rhs_sizes(payload: dict, n1: int, n2: int) -> list:
+    """Rows of the term magnitude of each cell of num/den: the division
+    recursion run on moduli, ``(|N_ji| + sum |Q_ab| size_{j-a,i-b}) /
+    |Q_00|`` over the terms (a, b) != (0, 0), from the exact entries of the
+    ``rational`` rhs payload."""
+    tables = {}
+    for key in ("num", "den"):
+        table = tables[key] = {}
+        for j, i, re, im in payload.get(key, []):
+            table[(j, i)] = table.get((j, i), 0) + RationalComplex(re, im)
+    num, den = tables["num"], tables["den"]
+    size = [[0.0] * (n2 + 1) for _ in range(n1 + 1)]
+    for j in range(n1 + 1):
+        for i in range(n2 + 1):
+            acc = abs(complex(num.get((j, i), 0)))
+            for (a, b), v in den.items():
+                if (a, b) != (0, 0) and a <= j and b <= i:
+                    acc += abs(complex(v)) * size[j - a][i - b]
+            size[j][i] = acc / abs(complex(den[(0, 0)]))
+    return size
 
 
 def rational_rhs_exact(num: dict, den: dict, n1: int, n2: int) -> list:

@@ -71,11 +71,11 @@ def test_expand_rhs_rational():
 
 
 def test_float_rational_rhs_keeps_the_quotient_grid(monkeypatch):
-    # the fresh read-only grid of _quotient_float is not copied again
+    # the fresh read-only grid of the expansion is not copied again
     grids = []
-    quotient = problem_mod._quotient_float
-    monkeypatch.setattr(problem_mod, "_quotient_float",
-                        lambda *args: grids.append(quotient(*args))
+    divide = problem_mod._divide
+    monkeypatch.setattr(problem_mod, "_divide",
+                        lambda *args: grids.append(divide(*args))
                         or grids[-1])
     spec = json.loads(Path(shipped("heat")).read_text())["rhs"]
     s = expand_rhs(spec, 20, 50, exact=False)
@@ -277,6 +277,61 @@ def test_cli_float_rhs_entry_beyond_binary64_names_it(kind, tmp_path):
                 f"--arithmetic exact") in result.output
     assert not (tmp_path / "out.csv").exists()
     result = run_cli(["verify", str(prob), "--arithmetic", "exact"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["residual_exact_zero"]
+
+
+ONE_MINUS_Z = [[0, 0, "1", "0"], [0, 1, "-1", "0"]]
+
+
+@pytest.mark.parametrize("rhs,named", [
+    ({"kind": "coeffs", "payload": [[0, 0, "1e308", "0"]] * 2},
+     "rhs entries at [0, 0] add up"),
+    ({"kind": "rational", "payload": {"num": [[0, 1, "-1e308", "1"]] * 2,
+                                      "den": ONE_MINUS_Z}},
+     "rhs num entries at [0, 1] add up"),
+    ({"kind": "rational", "payload": {
+        "num": [[0, 0, "1", "0"]],
+        "den": ONE_MINUS_Z + [[1, 1, "1e308", "0"]] * 2}},
+     "rhs den entries at [1, 1] add up"),
+    # the recursion divides den by its constant term 1e-10 once
+    ({"kind": "rational", "payload": {
+        "num": [[0, 0, "1", "0"]],
+        "den": [[0, 0, "1e-10", "0"], [1, 0, "1e300", "0"]]}},
+     "rhs den term [1, 0] over term [0, 0] is"),
+    ({"kind": "rational", "payload": {
+        "num": [[0, 0, "1", "0"]],
+        "den": [[0, 0, "1e-10", "0"], [0, 1, "1", "0"], [1, 2, "1e300", "0"]]}},
+     "rhs den term [1, 2] over term [0, 0] is"),
+    ({"kind": "rational", "payload": {
+        "num": [[0, 0, "1", "0"]],
+        "den": [[0, 0, "1e-10", "0"], [0, 2, "0", "-1e300"]]}},
+     "rhs den term [0, 2] over term [0, 0] is"),
+    ({"kind": "rational", "payload": {"num": [[0, 0, "1", "0"]],
+                                      "den": [[0, 0, "1e-310", "0"]]}},
+     "1 over rhs den term [0, 0] is"),
+], ids=["coeffs", "num", "den", "den-term", "den-tail-term", "den-tap",
+        "den-inverse"])
+def test_cli_float_rhs_beyond_binary64_after_summing_or_dividing_names_it(
+        rhs, named, tmp_path):
+    # finite entries whose sum, or whose quotient by den's constant term,
+    # leaves binary64: float arithmetic exits 4 naming the term and the
+    # remedy before anything is solved, exact arithmetic solves it
+    data = json.loads(Path(shipped("heat")).read_text())
+    data["rhs"] = rhs
+    prob = tmp_path / "heat.json"
+    prob.write_text(json.dumps(data))
+    for command in ("verify", "solve", "probe"):
+        args = [command, str(prob), "--arithmetic", "float"]
+        if command == "solve":
+            args += ["--out", str(tmp_path / "out.csv")]
+        result = run_cli(args)
+        assert result.exit_code == 4, result.output
+        assert (f"numeric failure: {named} beyond the binary64 range of "
+                f"float arithmetic; use --arithmetic exact") in result.output
+    assert not (tmp_path / "out.csv").exists()
+    result = run_cli(["verify", str(prob), "--arithmetic", "exact",
+                      "--n1", "4", "--n2", "4"])
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["residual_exact_zero"]
 
@@ -537,6 +592,31 @@ def test_cli_negative_truncation_override_exits_2_naming_it(
     assert result.stdout == "" and "Traceback" not in result.output
     assert f"truncation override {name} {value} is negative" in result.output
     assert expanded == [] and not out.exists()
+
+
+@pytest.mark.parametrize("text", ["5", "[1, 2]", '"x"', "null"])
+def test_problem_file_that_is_no_json_object_is_a_parse_error(text,
+                                                              tmp_path):
+    prob = tmp_path / "scalar.json"
+    prob.write_text(text)
+    named = f"a problem file holds one JSON object, got {text}"
+    with pytest.raises(ParseError, match=re.escape(named)):
+        load_problem(prob)
+    result = run_cli(["analyze", str(prob)])
+    assert result.exit_code == 1, result.output
+    assert named in result.output and "Traceback" not in result.output
+
+
+def test_problem_file_that_is_no_utf8_is_a_parse_error(tmp_path):
+    prob = tmp_path / "latin1.json"
+    prob.write_bytes(b'{"operator": "dt - dz^2 \xe9"}')  # Latin-1 bytes
+    with pytest.raises(ParseError, match=f"{re.escape(str(prob))} is not "
+                                         f"UTF-8 text"):
+        load_problem(prob)
+    result = run_cli(["analyze", str(prob)])
+    assert result.exit_code == 1, result.output
+    assert "is not UTF-8 text" in result.output
+    assert "Traceback" not in result.output
 
 
 def test_cli_error_exit_codes(tmp_path):

@@ -36,9 +36,9 @@ import brute_force
 from oracles import (borel_cells, csv_cells, edge_roots_numpy,
                      exact_gevrey_fit_cells, exact_grid_cells, laurent_solve,
                      laurent_terms, moment_shift_cells, rational_rhs_exact,
-                     rational_rhs_float, wide_width)
+                     rational_rhs_float, rational_rhs_sizes, wide_width)
 
-from mpde import kernel, problem as problem_mod
+from mpde import kernel
 from mpde.charroots import CharPoly, _edge_roots
 from mpde.errors import EvaluationError, WindowError
 from mpde.exact import RationalComplex
@@ -416,16 +416,51 @@ def _same_bits(x: complex, y: complex) -> bool:
                for p, q in ((x.real, y.real), (x.imag, y.imag)))
 
 
+def check_float_rhs(payload: dict, n1: int, n2: int) -> None:
+    """The float expansion of num/den has the non-finite cells of the
+    per-cell oracle, and every other cell within 1e-13 of its term
+    magnitude of it."""
+    got = expand_rhs({"kind": "rational", "payload": payload}, n1, n2,
+                     exact=False).coeffs
+    want = rational_rhs_float(payload, n1, n2)
+    size = rational_rhs_sizes(payload, n1, n2)
+    assert all(type(c) is complex for row in got for c in row)
+    for j, (grow, wrow, srow) in enumerate(zip(got, want, size)):
+        for i, (g, w, bound) in enumerate(zip(grow, wrow, srow)):
+            assert cmath.isfinite(g) == cmath.isfinite(w), (j, i, g, w)
+            if cmath.isfinite(w):
+                assert abs(g - w) <= 1e-13 * bound, (j, i, g, w, bound)
+
+
 @pytest.mark.parametrize("d00,is_complex", RHS_KINDS, ids=RHS_IDS)
 @SETTINGS
 @given(data=st.data())
 def test_float_rational_rhs_matches_per_cell_oracle(d00, is_complex, data):
     spec, n1, n2 = data.draw(rational_rhs(d00, is_complex))
-    got = expand_rhs(spec, n1, n2, exact=False).coeffs
-    want = rational_rhs_float(spec["payload"], n1, n2)
-    assert all(type(c) is complex for row in got for c in row)
-    assert all(_same_bits(w, g) for wrow, grow in zip(want, got)
-               for w, g in zip(wrow, grow))
+    check_float_rhs(spec["payload"], n1, n2)
+
+
+# num on rows 1 and 2, den (3+i) - (1-i/2) z + (1/3-2i) z^3 in z alone
+PURE_Z_RHS = {"kind": "rational", "payload": {
+    "num": [[1, 0, "1", "-1/2"], [2, 2, "2", "0"]],
+    "den": [[0, 0, "3", "1"], [0, 1, "-1", "1/2"], [0, 3, "1/3", "-2"]]}}
+
+
+@SETTINGS
+@given(drawn=st.sampled_from(RHS_KINDS).flatmap(
+    lambda kind: rational_rhs(*kind, huge=False)))
+@example(drawn=(PURE_Z_RHS, 3, 9))
+def test_rational_rhs_of_both_arithmetics_matches_per_cell_oracles(drawn):
+    """The recursion with B taps and no level term (a den without terms in
+    t, B >= 2 and a complex constant term in the example) against both
+    per-cell divisions."""
+    spec, n1, n2 = drawn
+    payload = spec["payload"]
+    check_float_rhs(payload, n1, n2)
+    num = _quads_to_table(payload["num"], exact=True)
+    den = _quads_to_table(payload["den"], exact=True)
+    assert expand_rhs(spec, n1, n2, exact=True).coeffs == tuple(
+        map(tuple, rational_rhs_exact(num, den, n1, n2)))
 
 
 ONE_OVER_ONE_MINUS_Z = {"kind": "rational", "payload": {
@@ -454,30 +489,23 @@ def test_float_rhs_of_shipped_problems_matches_per_cell_oracle(n1, n2):
       "den": [[0, 0, "-2", "0"], [1, 0, "-1", "0"], [0, 2, "1/3", "0"]]},
      4, 9),
 ])
-def test_one_row_band_runs_without_the_diagonal_sweep(payload, n1, n2,
-                                                      monkeypatch):
-    def sweep(*args, **kw):
-        raise AssertionError("a one-row band ran the anti-diagonal sweep")
-
-    monkeypatch.setattr(problem_mod, "_diagonal_sweep", sweep)
-    spec = {"kind": "rational", "payload": payload}
-    got = expand_rhs(spec, n1, n2, exact=False).grid
-    want = rational_rhs_float(payload, n1, n2)
-    assert got.tobytes() == np.array(want, dtype=complex).tobytes()
+def test_one_row_band_runs_without_the_diagonal_sweep(payload, n1, n2):
+    # a live band of one row runs one level of the recursion
+    check_float_rhs(payload, n1, n2)
 
 
 @pytest.mark.parametrize("t_term", [[], [[1, 0, "-1", "0"]]])
-def test_float_rhs_with_an_infinite_den_term_matches_per_cell_oracle(t_term):
-    # two entries at (0, 1) add up to inf, so inf * 0 spreads NaN into rows
-    # that no numerator entry reaches: no row is dead
+def test_float_rhs_with_an_infinite_den_term_raises(t_term):
+    # two entries at (0, 1) add up to inf: float arithmetic names them and
+    # advises exact arithmetic
     payload = {"num": [[2, 0, "1", "0"]],
                "den": [[0, 0, "1", "0"], [0, 1, "1e308", "0"],
                        [0, 1, "1e308", "0"], *t_term]}
-    got = expand_rhs({"kind": "rational", "payload": payload}, 4, 3,
-                     exact=False).grid
-    want = rational_rhs_float(payload, 4, 3)
-    assert got.tobytes() == np.array(want, dtype=complex).tobytes()
-    assert np.isnan(got[0, 1:]).all()
+    with pytest.raises(EvaluationError, match=re.escape(
+            "rhs den entries at [0, 1] add up beyond the binary64 range of "
+            "float arithmetic; use --arithmetic exact")):
+        expand_rhs({"kind": "rational", "payload": payload}, 4, 3,
+                   exact=False)
 
 
 @pytest.mark.parametrize("d00,is_complex", RHS_KINDS, ids=RHS_IDS)

@@ -473,7 +473,7 @@ def test_recursion_terms_of_a_constant_top_multiply_no_zero(P, terms,
         return mul(self, other)
     monkeypatch.setattr(RationalComplex, "__mul__", counting_mul)
     top = [RationalComplex.coerce(c) for c in P.p0()]
-    assert _recursion_terms(P, top) == (terms, [])
+    assert _recursion_terms(P.coeff_polys, top) == (terms, [])
     assert zeros == []
 
 
