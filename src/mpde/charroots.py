@@ -72,31 +72,34 @@ def _gcd(a, b):
     return [c * inv for c in a]
 
 
+def _sub(a, b):
+    """``a - b``, the shorter one padded with zeros, trailing zeros trimmed."""
+    n = max(len(a), len(b))
+    return _trim([x - y for x, y in zip(list(a) + [_ZERO] * (n - len(a)),
+                                        list(b) + [_ZERO] * (n - len(b)))])
+
+
 def _squarefree_parts(p):
-    """Yun decomposition: list of (multiplicity, monic square-free factor)."""
+    """Yun's square-free decomposition over the Gaussian rationals.
+
+    Returns ``(multiplicity, part)`` pairs, multiplicities increasing, whose
+    parts are monic, square-free, pairwise coprime and of positive degree,
+    with ``p = lc(p) * prod part**multiplicity``.  With ``b = p/gcd(p, p')``
+    and ``d = p'/gcd(p, p')``, each round takes ``a = gcd(b, d - b')`` as the
+    next part and divides it out of b and of ``d - b'``.
+    """
     p = _trim(list(p))
     dp = _deriv(p)
     g = _gcd(p, dp)
-    if _deg(g) <= 0:
-        inv = RationalComplex(1) / p[-1]
-        return [(1, [c * inv for c in p])]
-    c, _ = _divmod(p, g)
-    d_quot, _ = _divmod(dp, g)
-    d = _trim([x - y for x, y in
-               zip(d_quot + [RationalComplex(0)] * len(c), _deriv(c) + [RationalComplex(0)] * len(c))])
+    b, d = _divmod(p, g)[0], _divmod(dp, g)[0]
     parts = []
     mult = 1
-    while _deg(c) > 0:
-        f = _gcd(c, d)
-        if _deg(f) > 0:
-            parts.append((mult, f))
-        c, _ = _divmod(c, f if f else [RationalComplex(1)])
-        d_quot, _ = _divmod(d, f if f else [RationalComplex(1)])
-        pad = max(len(d_quot), len(c))
-        dc = _deriv(c)
-        d = _trim([(d_quot[i] if i < len(d_quot) else RationalComplex(0))
-                   - (dc[i] if i < len(dc) else RationalComplex(0))
-                   for i in range(pad)])
+    while _deg(b) > 0:
+        d = _sub(d, _deriv(b))
+        a = _gcd(b, d)
+        if _deg(a) > 0:
+            parts.append((mult, a))
+        b, d = _divmod(b, a)[0], _divmod(d, a)[0]
         mult += 1
     return parts
 
@@ -211,10 +214,7 @@ def branches_at_infinity(P: CharPoly) -> list:
     class whose leading terms are the nonzero roots of the edge polynomial
     ``E(w) = sum lc(A_i) w**(i - i_low)`` over the lattice points on the edge.
     """
-    pts = []
-    for i, row in enumerate(P.coeff_polys):
-        if row:
-            pts.append((i, len(row) - 1))
+    pts = [(i, len(row) - 1) for i, row in enumerate(P.coeff_polys) if row]
     if not pts:
         raise PreconditionError("all coefficient polynomials are zero")
     if pts[0][0] != 0:
@@ -234,14 +234,8 @@ def branches_at_infinity(P: CharPoly) -> list:
     branches = []
     for (i1, d1), (i2, d2) in zip(hull, hull[1:]):
         q = Fraction(d1 - d2, i2 - i1)
-        slope = Fraction(d2 - d1, i2 - i1)
-        edge = []
-        for i in range(i1, i2 + 1):
-            row = P.coeff_polys[i]
-            if row and Fraction(len(row) - 1) == Fraction(d1) + slope * (i - i1):
-                while len(edge) <= i - i1:
-                    edge.append(RationalComplex(0))
-                edge[i - i1] = row[-1]
+        edge = [row[-1] if row and len(row) - 1 == d1 - q * (i - i1) else _ZERO
+                for i, row in enumerate(P.coeff_polys[i1:i2 + 1], start=i1)]
         terms = _edge_roots(edge)
         terms.sort(key=lambda t: (t[0].real, t[0].imag))
         branches.append(CharBranch(

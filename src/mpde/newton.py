@@ -39,9 +39,12 @@ def build(support, s1, s2) -> NewtonPolygon:
     """Build the polygon for a support set at weights (s1, s2) > 0.
 
     ``support`` is a ``{(i, j): coeff}`` mapping or an iterable of (i, j)
-    pairs; j may be rational (pseudodifferential symbols).  Dominated points
-    and points interior to the lower convex chain are removed; each kept
-    vertex remembers which support points generate it.
+    pairs; j may be rational (pseudodifferential symbols).  One monotone
+    chain runs over the lowest point of each x, from the rightmost lowest
+    point rightwards, and keeps the turns of strictly increasing slope;
+    every point it skips or pops lies in the union of the quarter-planes of
+    the others.  Each kept vertex remembers which support points generate
+    it.
     """
     s1, s2 = as_fraction(s1), as_fraction(s2)
     if s1 <= 0 or s2 <= 0:
@@ -53,31 +56,17 @@ def build(support, s1, s2) -> NewtonPolygon:
     for (i, j) in pairs:
         pt = (as_fraction(i) * s1 + as_fraction(j) * s2, -as_fraction(i))
         by_point.setdefault(pt, []).append((i, j))
-    # Pareto filter for the quarter-plane order: drop p if some other point
-    # has x' >= x and y' <= y.
-    best_y = {}
-    for (x, y) in by_point:
-        if x not in best_y or y < best_y[x]:
-            best_y[x] = y
-    staircase = sorted(best_y.items())  # (x, y) with x ascending
-    kept = []
-    min_y_right = None
-    for x, y in reversed(staircase):
-        if min_y_right is None or y < min_y_right:
-            kept.append((x, y))
-            min_y_right = y
-        # equal y from the right also dominates (x' > x, y' <= y)
-    kept.reverse()
-    # lower convex chain: strictly increasing slopes
+    lowest = {}
+    for x, y in by_point:
+        lowest[x] = min(y, lowest.get(x, y))
+    x0 = min(lowest.items(), key=lambda p: (p[1], -p[0]))[0]
     hull = []
-    for p in kept:
+    for p in sorted(pt for pt in lowest.items() if pt[0] >= x0):
         while len(hull) >= 2:
-            o, a = hull[-2], hull[-1]
-            cross = (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])
-            if cross <= 0:
-                hull.pop()
-            else:
-                break
+            (ox, oy), (ax, ay) = hull[-2:]
+            if (ax - ox) * (p[1] - oy) > (ay - oy) * (p[0] - ox):
+                break  # a strict left turn at a
+            hull.pop()
         hull.append(p)
     generators = tuple(tuple(sorted(by_point[pt])) for pt in hull)
     return NewtonPolygon(tuple(hull), generators, s1, s2)

@@ -74,19 +74,27 @@ class ProblemFile:
 
 
 def load_problem(source) -> ProblemFile:
-    """Load and validate a problem file (path, JSON text, or dict)."""
-    if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
+    """Load and validate a problem file (path, JSON text, or dict).
+
+    A string whose first non-blank character is ``{`` or ``[`` is JSON text;
+    any other string is a path.  A path that cannot be read, text that is
+    not one JSON object and an invalid field are each a ParseError.
+    """
+    if isinstance(source, str) and source.lstrip()[:1] in ("{", "["):
+        try:
+            data = json.loads(source)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid problem JSON: {exc}")
+    elif isinstance(source, (str, Path)):
         try:
             data = json.loads(Path(source).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON in {source}: {exc}")
         except UnicodeDecodeError as exc:
             raise ParseError(f"{source} is not UTF-8 text: {exc}") from None
-    elif isinstance(source, str):
-        try:
-            data = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid problem JSON: {exc}")
+        except OSError as exc:
+            raise ParseError(f"cannot read the problem file {source}: "
+                             f"{exc.strerror or exc}") from None
     else:
         data = dict(source)
     if not isinstance(data, dict):

@@ -51,7 +51,7 @@ from functools import cached_property
 
 from . import kernel, moments
 from .charroots import CharPoly, _divmod, branches_at_infinity
-from .errors import EvaluationError, PreconditionError, WindowError
+from .errors import EvaluationError, PreconditionError
 from .exact import QC_ONE, RationalComplex, as_fraction
 from .moments import MomentFunction
 from .record import record
@@ -237,8 +237,6 @@ def formal_solve(prob: CauchyProblem) -> Series2:
         raise PreconditionError(
             "direct mode requires a constant top lambda coefficient; "
             "use pseudo mode")
-    if not top[-1]:
-        raise PreconditionError("top lambda coefficient has vanishing leading term")
     N1, N2 = prob.out_shape
     N2i = prob.widths[0]
     kappa1, kappa2 = prob.rhs.kappa1, prob.rhs.kappa2
@@ -328,8 +326,6 @@ def residual(prob: CauchyProblem, u_hat: Series2) -> ResidualReport:
     J_f, I_f = (operator_window(p0_table, prob.rhs.valid)
                 if p0_table is not None else prob.rhs.valid)
     J, I = min(J_l, J_f), min(I_l, I_f)
-    if J < 0 or I < 0:
-        raise WindowError("empty comparison window for the residual")
     if u_hat.exact and prob.rhs.exact:
         return _residual_exact(prob, u_hat, support, p0_table, J, I)
     return _residual_float(prob, u_hat, support, p0_table, J, I)

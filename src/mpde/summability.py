@@ -83,7 +83,6 @@ class LevelsResult:
     applicable: bool
     levels: tuple          # LevelSpec, K strictly decreasing
     tilde_K: Fraction | None
-    threshold: Fraction | None
     n_qualifying: int
     n_distinct: int
     note: str = ""
@@ -100,18 +99,15 @@ def levels(branches, s1, s2, st1=0, st2=0) -> LevelsResult:
     st1, st2 = as_fraction(st1), as_fraction(st2)
     weight = s2 + st2
     if weight <= 0:
-        return LevelsResult(False, (), None, None, 0, len(branches),
+        return LevelsResult(False, (), None, 0, len(branches),
                             "s2 + st2 <= 0: no Borel weight available")
     threshold = max(s1 / weight, (s1 + st1) / weight)
     qual = [(idx + 1, b.q) for idx, b in enumerate(branches) if b.q > threshold]
     # branches arrive q-descending; ascending q = descending K
     specs = tuple(LevelSpec(1 / (q * weight - s1), q, idx)
                   for idx, q in sorted(qual, key=lambda t: t[1]))
-    tilde = None
-    if st1 > 0 and len(qual) < len(branches):
-        tilde = 1 / st1
-    return LevelsResult(True, specs, tilde, threshold,
-                        len(qual), len(branches))
+    tilde = 1 / st1 if st1 > 0 and len(qual) < len(branches) else None
+    return LevelsResult(True, specs, tilde, len(qual), len(branches))
 
 
 # -- sector requirements --------------------------------------------------------
@@ -128,10 +124,17 @@ class SectorRequirement:
     disc_replaceable: bool = False
 
 
-def _z_sectors(branch, alpha_idx: int, d: Angle, K: Fraction):
+def _level_sectors(branch, alpha_idx: int, d: Angle, K: Fraction, st1):
+    """The t-sector of level K in direction d, then the branch's z-sectors.
+
+    The t-sector has growth K and can be replaced by a disc when st1 <= 0.
+    Each leading term lambda0 and residue ``k = 0..mu-1`` (pole order
+    q = mu/nu reduced) gives a z-sector in direction
+    ``(d + arg(lambda0) + 2*k*pi)/q`` with growth ``q*K``.
+    """
     q = branch.q
     mu = abs(q.numerator)
-    out = []
+    out = [SectorRequirement("t", d, K, (alpha_idx, 0, 0), st1 <= 0)]
     for beta_idx, (lam0, _) in enumerate(branch.leading_terms, start=1):
         arg_pi = _arg_pi_multiple(lam0)
         for k in range(mu):
@@ -150,24 +153,16 @@ def _z_sectors(branch, alpha_idx: int, d: Angle, K: Fraction):
 def required_sectors(branches, d, s1, s2, st1=0, st2=0) -> list:
     """Sectors the Borel-transformed inhomogeneity must extend to.
 
-    For each qualifying branch, each leading term and each residue
-    ``k = 0..mu-1`` (pole order q = mu/nu reduced) a z-sector in direction
-    ``(d + arg(lambda0) + 2*k*pi)/q`` with growth ``q*K`` is required, plus
-    one t-sector in direction d with growth K; the t-sector requirement can
-    be replaced by a disc when st1 <= 0.
+    Every level K of a qualifying branch requires its t-sector in direction
+    d and the branch's z-sectors (see :func:`_level_sectors`); there are
+    none when no level exists.
     """
     st1 = as_fraction(st1)
-    res = levels(branches, s1, s2, st1, st2)
-    if not res.applicable:
-        return []
     d_angle = d if isinstance(d, Angle) else Angle.from_radians(float(d))
     out = []
-    for spec in res.levels:
-        branch = branches[spec.branch_index - 1]
-        out.append(SectorRequirement("t", d_angle, spec.K,
-                                     (spec.branch_index, 0, 0),
-                                     disc_replaceable=st1 <= 0))
-        out.extend(_z_sectors(branch, spec.branch_index, d_angle, spec.K))
+    for spec in levels(branches, s1, s2, st1, st2).levels:
+        out += _level_sectors(branches[spec.branch_index - 1],
+                              spec.branch_index, d_angle, spec.K, st1)
     return out
 
 
@@ -246,7 +241,10 @@ def classify(branches, s1, s2, st1=0, st2=0, directions=None
     classes -> the multilevel case (I when st1 <= 0 or every class
     qualifies, II otherwise).  All inequalities are evaluated exactly and
     recorded; an inapplicable configuration yields case ``none`` with the
-    failing hypotheses in the ledger.
+    failing hypotheses in the ledger and the directions as given.  A report
+    with levels takes one direction per level, ordered with decreasing K
+    (a single direction is broadcast); any other count is a
+    PreconditionError.
     """
     s1, s2 = as_fraction(s1), as_fraction(s2)
     st1, st2 = as_fraction(st1), as_fraction(st2)
@@ -271,10 +269,25 @@ def _growth_requirement(t_order, z_order, K, qK, label="G"):
             f"({fmt_fraction(K)}, {fmt_fraction(qK)}) on the listed sectors")
 
 
+def _none_report(hyps, dir_list, notes) -> SummabilityReport:
+    return SummabilityReport("none", (), None, False, (), tuple(hyps),
+                             None, None, tuple(dir_list), (), tuple(notes))
+
+
+def _per_level(dir_list, k_values) -> list:
+    """One direction per level value; a single direction is broadcast."""
+    if len(dir_list) == 1:
+        return dir_list * len(k_values)
+    if len(dir_list) != len(k_values):
+        raise PreconditionError(
+            f"need {len(k_values)} directions for levels "
+            f"{[fmt_fraction(k) for k in k_values]}, got {len(dir_list)}")
+    return dir_list
+
+
 def _classify_single(branches, s1, s2, st1, st2, dir_list, res, notes):
     branch = branches[0]
     q = branch.q
-    prefix = "simple_sum" if len(branch.leading_terms) == 1 else "sum"
     weight = s2 + st2
     gap = q * weight - s1
     hyps = [
@@ -286,39 +299,29 @@ def _classify_single(branches, s1, s2, st1, st2, dir_list, res, notes):
         _hyp("t1>0", st1, ">", Fraction(0)),
         _hyp("s1+t1>0", s1 + st1, ">", Fraction(0)),
     ]
-    case_I = all(h.holds for h in hyps[:4])
-    case_II = hyps[0].holds and all(h.holds for h in hyps[4:])
-    d0 = Angle.from_radians(dir_list[0])
-    if case_I:
-        K = 1 / gap
-        iff = (s1 == q * s2 and st2 > 0)
-        sectors = [SectorRequirement("t", d0, K, (1, 0, 0),
-                                     disc_replaceable=st1 <= 0)]
-        sectors += _z_sectors(branch, 1, d0, K)
-        g_req = (_growth_requirement(gap, st2, K, q * K),)
-        lv = (LevelSpec(K, q, 1),)
-        if iff:
-            notes.append("two-variable summability is equivalent to the "
-                         "same property of g (s1 = q*s2, t2 > 0)")
-        return SummabilityReport(prefix + "_I", lv, res.tilde_K, iff,
-                                 tuple(sectors), tuple(hyps), True, (),
-                                 tuple(dir_list[:1]), g_req, tuple(notes))
-    if case_II:
-        K = 1 / st1
+    if all(h.holds for h in hyps[:4]):
+        case, K, tilde = "_I", 1 / gap, res.tilde_K
+        iff = s1 == q * s2 and st2 > 0
+        g_req = _growth_requirement(gap, st2, K, q * K)
+        note = ("two-variable summability is equivalent to the same "
+                "property of g (s1 = q*s2, t2 > 0)")
+    elif hyps[0].holds and all(h.holds for h in hyps[4:]):
+        case, K, tilde = "_II", 1 / st1, None
         iff = s1 >= q * weight
-        sectors = [SectorRequirement("t", d0, K, (1, 0, 0),
-                                     disc_replaceable=False)]
-        sectors += _z_sectors(branch, 1, d0, K)
-        g_req = (_growth_requirement(st1, (s1 + st1) / q - s2, K, q * K),)
-        lv = (LevelSpec(K, q, 1),)
-        if iff:
-            notes.append("summability in direction d is equivalent to the "
-                         "same property of g (s1 >= q*(s2+t2))")
-        return SummabilityReport(prefix + "_II", lv, None, iff,
-                                 tuple(sectors), tuple(hyps), True, (),
-                                 tuple(dir_list[:1]), g_req, tuple(notes))
-    return SummabilityReport("none", (), None, False, (), tuple(hyps),
-                             None, None, tuple(dir_list), (), tuple(notes))
+        g_req = _growth_requirement(st1, (s1 + st1) / q - s2, K, q * K)
+        note = ("summability in direction d is equivalent to the same "
+                "property of g (s1 >= q*(s2+t2))")
+    else:
+        return _none_report(hyps, dir_list, notes)
+    dir_list = _per_level(dir_list, [K])
+    if iff:
+        notes.append(note)
+    prefix = "simple_sum" if len(branch.leading_terms) == 1 else "sum"
+    sectors = _level_sectors(branch, 1, Angle.from_radians(dir_list[0]), K,
+                             st1)
+    return SummabilityReport(prefix + case, (LevelSpec(K, q, 1),), tilde,
+                             iff, tuple(sectors), tuple(hyps), True, (),
+                             tuple(dir_list), (g_req,), tuple(notes))
 
 
 def _classify_multi(branches, s1, s2, st1, st2, dir_list, res, notes):
@@ -330,54 +333,40 @@ def _classify_multi(branches, s1, s2, st1, st2, dir_list, res, notes):
                    f"{res.n_qualifying} of {res.n_distinct} pole orders "
                    f"exceed the threshold"),
     ]
-    if not (all(h.holds for h in hyps[:3]) and res.levels):
-        return SummabilityReport("none", (), None, False, (), tuple(hyps),
-                                 None, None, tuple(dir_list), (), tuple(notes))
+    if not all(h.holds for h in hyps):
+        return _none_report(hyps, dir_list, notes)
     case_I = st1 <= 0 or res.n_qualifying == res.n_distinct
     hyps.append(_hyp("t1<=0", st1, "<=", Fraction(0)))
     hyps.append(Hypothesis("all pole orders qualify (N=n~)",
                            res.n_qualifying == res.n_distinct,
                            f"{res.n_qualifying} == {res.n_distinct}"))
-    lvl = list(res.levels)
-    k_values = [spec.K for spec in lvl]
-    tilde = res.tilde_K if not case_I else None
-    if tilde is not None:
-        k_values = [tilde] + k_values
-    if len(dir_list) == 1 and len(k_values) > 1:
-        dir_list = dir_list * len(k_values)
-    if len(dir_list) != len(k_values):
-        raise PreconditionError(
-            f"need {len(k_values)} directions for levels "
-            f"{[fmt_fraction(k) for k in k_values]}, got {len(dir_list)}")
-    ok, margins = admissible(dir_list, k_values) if len(k_values) > 1 \
-        else (True, [])
+    # case II puts tilde_K = 1/st1 (st1 > 0) ahead of the levels, which
+    # take the last directions
+    tilde = None if case_I else res.tilde_K
+    k_values = ([] if case_I else [tilde]) + [spec.K for spec in res.levels]
+    dir_list = _per_level(dir_list, k_values)
+    ok, margins = admissible(dir_list, k_values)
+    angles = [Angle.from_radians(d) for d in dir_list]
     sectors = []
     g_reqs = []
-    offset = 1 if tilde is not None else 0
-    for pos, spec in enumerate(lvl):
-        d_angle = Angle.from_radians(dir_list[pos + offset])
-        branch = branches[spec.branch_index - 1]
-        sectors.append(SectorRequirement("t", d_angle, spec.K,
-                                         (spec.branch_index, 0, 0),
-                                         disc_replaceable=st1 <= 0))
-        sectors.extend(_z_sectors(branch, spec.branch_index, d_angle, spec.K))
+    for spec, d_angle in zip(res.levels, angles[-len(res.levels):]):
+        sectors += _level_sectors(branches[spec.branch_index - 1],
+                                  spec.branch_index, d_angle, spec.K, st1)
         g_reqs.append(_growth_requirement(
             spec.q * (s2 + st2) - s1, st2, spec.K, spec.q * spec.K,
             label=f"G[q={fmt_fraction(spec.q)}]"))
     if tilde is not None:
-        qualifying = {spec.branch_index for spec in lvl}
-        d_t = Angle.from_radians(dir_list[0])
+        qualifying = {spec.branch_index for spec in res.levels}
         for bidx, branch in enumerate(branches, start=1):
             if bidx in qualifying or branch.q <= 0:
                 continue
             g_reqs.append(_growth_requirement(
                 st1, st2, tilde, branch.q * tilde,
                 label=f"G0[q={fmt_fraction(branch.q)}]"))
-            sectors.append(SectorRequirement("t", d_t, tilde, (bidx, 0, 0)))
-            sectors.extend(_z_sectors(branch, bidx, d_t, tilde))
+            sectors += _level_sectors(branch, bidx, angles[0], tilde, st1)
         notes.append("the G0 requirement is reported but not verified")
     case = "multi1_I" if case_I else "multi1_II"
-    return SummabilityReport(case, tuple(lvl), tilde, False, tuple(sectors),
+    return SummabilityReport(case, res.levels, tilde, False, tuple(sectors),
                              tuple(hyps), ok, tuple(margins),
                              tuple(dir_list), tuple(g_reqs), tuple(notes))
 

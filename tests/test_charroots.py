@@ -1,12 +1,17 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from helpers import random_factor_product
 
-from mpde.charroots import (CharPoly, branches_at_infinity, validate_numeric)
+from mpde.charroots import (CharPoly, _deriv, _gcd, _squarefree_parts,
+                            branches_at_infinity, validate_numeric)
 from mpde.errors import PreconditionError
+from mpde.exact import RationalComplex
 
 
 def _branch_map(branches):
@@ -140,3 +145,46 @@ def test_validate_monotone_random_products():
         rep = validate_numeric(P, br, [1e2, 1e3, 1e4, 1e5])
         assert rep.unassigned == 0
         assert all(b.monotone for b in rep.branches)
+
+
+def _poly_mul(a, b):
+    out = [RationalComplex(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+_gaussian = st.builds(RationalComplex,
+                      st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+                      st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+_nonzero = _gaussian.filter(bool)
+# (factor, times): a factor of degree 1 or 2 repeated 1-3 times
+_factors = st.lists(st.tuples(
+    st.builds(lambda low, top: low + [top],
+              st.lists(_gaussian, min_size=1, max_size=2), _nonzero),
+    st.integers(1, 3)), min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(lead=_nonzero, factors=_factors)
+def test_squarefree_parts_of_repeated_gaussian_factors(lead, factors):
+    p = [lead]
+    for factor, times in factors:
+        for _ in range(times):
+            p = _poly_mul(p, factor)
+    parts = _squarefree_parts(p)
+    mults = [m for m, _ in parts]
+    assert mults == sorted(set(mults)) and mults[0] >= 1
+    one = [RationalComplex(1)]
+    for m, part in parts:
+        assert len(part) >= 2 and part[-1] == 1  # monic, positive degree
+        assert _gcd(part, _deriv(part)) == one   # square-free
+    for (_, a), (_, b) in itertools.combinations(parts, 2):
+        assert _gcd(a, b) == one                 # pairwise coprime
+    product = one
+    for m, part in parts:
+        for _ in range(m):
+            product = _poly_mul(product, part)
+    assert product == [c / p[-1] for c in p]

@@ -100,14 +100,36 @@ def test_cross_check_detects_mismatch():
     assert not report.ok and report.details
 
 
+def _random_support(rng, s1, s2):
+    """Points (i, j) with rational z-orders j, several of them sharing an x."""
+    support = set()
+    for _ in range(rng.randint(1, 9)):
+        i = rng.randint(0, 5)
+        j = Fraction(rng.randint(0, 16), rng.choice((1, 2, 3)))
+        support.add((i, j))
+        for i2 in range(6):
+            # the point of t-order i2 with the same x, when j2 >= 0
+            j2 = j + (i - i2) * _fr(s1) / _fr(s2)
+            if j2 >= 0 and rng.random() < 0.3:
+                support.add((i2, j2))
+    return support
+
+
 def test_brute_force_oracle_random():
     rng = random.Random(31)
-    for _ in range(40):
-        support = {(rng.randint(0, 5), rng.randint(0, 8))
-                   for _ in range(rng.randint(1, 9))}
-        for s1, s2 in ((1, 1), (Fraction(1, 2), 2), (2, Fraction(1, 2))):
+    for _ in range(60):
+        weights = ((1, 1), (Fraction(1, 2), 2), (2, Fraction(1, 2)),
+                   (Fraction(rng.randint(1, 7), rng.randint(1, 5)),
+                    Fraction(rng.randint(1, 7), rng.randint(1, 5))))
+        for s1, s2 in weights:
+            support = _random_support(rng, s1, s2)
             p = newton.build(dict.fromkeys(support, 1), s1, s2)
             assert p.vertices == brute_force_vertices(support, s1, s2)
+            # each vertex lists exactly the support points that map to it
+            for (x, y), gens in zip(p.vertices, p.generators):
+                assert set(gens) == {(i, j) for i, j in support
+                                     if (i * _fr(s1) + j * _fr(s2), -i)
+                                     == (x, y)}
             ks = newton.slopes(p)
             assert all(k > 0 for k in ks)
             assert all(a < b for a, b in zip(ks, ks[1:]))

@@ -607,6 +607,38 @@ def test_problem_file_that_is_no_json_object_is_a_parse_error(text,
     assert named in result.output and "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("source,message", [
+    ("[1, 2]", "a problem file holds one JSON object, got [1, 2]"),
+    ("5", "cannot read the problem file 5: "),
+    ("null", "cannot read the problem file null: "),
+])
+def test_load_problem_of_text_that_is_no_object_is_a_parse_error(source,
+                                                                 message):
+    # JSON text from its first non-blank "{" or "["; any other text is a path
+    with pytest.raises(ParseError, match=re.escape(message)):
+        load_problem(source)
+
+
+def test_load_problem_of_an_unreadable_path_is_a_parse_error(tmp_path):
+    missing = tmp_path / "missing.json"
+    for source in (missing, str(missing), tmp_path):
+        with pytest.raises(ParseError, match=re.escape(
+                f"cannot read the problem file {source}: ")):
+            load_problem(source)
+
+
+def test_cli_single_branch_problem_needs_one_direction_per_level(tmp_path):
+    prob = tmp_path / "heat3.json"
+    data = json.loads(Path(shipped("heat")).read_text())
+    data["directions"] = [0.0, 1.0, 2.0]
+    prob.write_text(json.dumps(data))
+    result = run_cli(["analyze", str(prob)])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == "" and "Traceback" not in result.output
+    assert ("precondition violated: need 1 directions for levels ['1'], "
+            "got 3") in result.output
+
+
 def test_problem_file_that_is_no_utf8_is_a_parse_error(tmp_path):
     prob = tmp_path / "latin1.json"
     prob.write_bytes(b'{"operator": "dt - dz^2 \xe9"}')  # Latin-1 bytes
@@ -780,7 +812,8 @@ def test_cli_refuses_outputs_over_the_problem_or_each_other(args, refusal,
 
 
 def test_console_script_entry_point(tmp_path):
-    # one end-to-end run through the installed executable
+    # one end-to-end run of the CLI module in a fresh interpreter; the
+    # installed ``mpde`` console script is run by CI on the shipped problems
     result = subprocess.run(
         [sys.executable, "-m", "mpde.cli", "verify", shipped("heat"),
          "--n1", "5", "--n2", "6"],

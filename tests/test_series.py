@@ -22,6 +22,27 @@ G2 = gamma_s(2)
 MIX = combine(G1, GHALF, "product")
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_series1_eval_at_matches_closed_forms(exact):
+    n = 12
+    # kappa 1: the geometric sum (1 - x**(n+1)) / (1 - x); the exp sum at 1
+    ones = Series1([1] * (n + 1), exact=exact)
+    assert ones.eval_at(0.5) == pytest.approx((1 - 0.5 ** (n + 1)) / 0.5,
+                                              rel=1e-15)
+    inv_fact = [Fraction(1, math.factorial(j)) for j in range(n + 1)]
+    assert Series1(inv_fact, exact=exact).eval_at(1) == pytest.approx(
+        sum(1 / math.factorial(j) for j in range(n + 1)), rel=1e-15)
+    # kappa 2 evaluates at x**(1/2): 4 -> 2, -4 -> 2i, 1j -> e**(i pi/4)
+    halves = Series1([1] * (n + 1), kappa=2, exact=exact)
+    assert halves.eval_at(4) == 2 ** (n + 1) - 1
+    for x, root in ((-4, 2j), (1j, complex(math.sqrt(0.5), math.sqrt(0.5)))):
+        assert halves.eval_at(x) == pytest.approx(
+            (1 - root ** (n + 1)) / (1 - root), rel=1e-13)
+    alt = Series1([(-1) ** j for j in range(n + 1)], kappa=2, exact=exact)
+    assert alt.eval_at(9) == pytest.approx((1 - (-3) ** (n + 1)) / 4,
+                                           rel=1e-15)
+
+
 def test_borel_factorials_to_ones():
     s = Series1([math.factorial(j) for j in range(11)])
     out = borel(G1, s)

@@ -1,13 +1,16 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from helpers import random_factor_product
 
 from mpde import newton
-from mpde.charroots import CharPoly, branches_at_infinity
+from mpde.charroots import CharBranch, CharPoly, branches_at_infinity
 from mpde.errors import PreconditionError
 from mpde.series import Series2
 from mpde.summability import (Angle, admissible, classify, levels,
@@ -154,6 +157,10 @@ def test_classify_multi_case_II():
     assert rep.case == "multi1_II"
     assert rep.tilde_K == Fraction(2, 3)
     assert any(r.startswith("G0") for r in rep.g_requirements)
+    # tilde_K takes the first direction, the level K = 1/2 the second
+    t_sectors = {s.branch[0]: (s.direction.radians, s.growth)
+                 for s in rep.sectors if s.variable == "t"}
+    assert t_sectors == {1: (0.1, Fraction(1, 2)), 2: (0.0, Fraction(2, 3))}
 
 
 def test_classify_none_case_with_ledger():
@@ -161,6 +168,57 @@ def test_classify_none_case_with_ledger():
     assert rep.case == "none"
     failing = [h.name for h in rep.hypotheses if not h.holds]
     assert "q(s2+t2)-s1>0" in failing
+
+
+@pytest.mark.parametrize("branches,st1,dirs,message", [
+    (HEAT, 0, [0.0, 1.0, 2.0], "need 1 directions for levels ['1'], got 3"),
+    (TRANSPORT, 1, [0.0, 1.0], "need 1 directions for levels ['1'], got 2"),
+    (TWOFACTOR, 0, [0.0, 1.0, 2.0],
+     "need 2 directions for levels ['1', '1/2'], got 3"),
+    (TWOFACTOR, Fraction(3, 2), [0.0, 0.1, 0.2],
+     "need 2 directions for levels ['2/3', '1/2'], got 3"),
+], ids=["simple_sum_I", "simple_sum_II", "multi1_I", "multi1_II"])
+def test_classify_needs_one_direction_per_level(branches, st1, dirs,
+                                                message):
+    with pytest.raises(PreconditionError, match=re.escape(message)):
+        classify(branches, 1, 1, st1, 0, dirs)
+    # a single direction is broadcast to every level
+    rep = classify(branches, 1, 1, st1, 0, [0.5])
+    assert rep.directions == (0.5,) * int(message.split()[1])
+
+
+def test_classify_none_report_keeps_the_directions_as_given():
+    rep = classify(TRANSPORT, 1, 1, 0, 0, [0.0, 1.0, 2.0])
+    assert rep.case == "none" and rep.directions == (0.0, 1.0, 2.0)
+
+
+def _branch(q, lam0s):
+    return CharBranch(q, tuple((lam0, 1) for lam0 in lam0s), q.denominator)
+
+
+_rationals = st.builds(Fraction, st.integers(-3, 8), st.integers(1, 4))
+_lam0 = st.sampled_from([1, -1, 1j, -2j, 2 + 1j, -0.5 + 3j])
+_branch_sets = st.lists(
+    st.tuples(st.builds(Fraction, st.integers(-2, 9), st.integers(1, 3)),
+              st.lists(_lam0, min_size=1, max_size=3, unique=True)),
+    min_size=1, max_size=3, unique_by=lambda b: b[0]).map(
+        lambda bs: [_branch(q, lams)
+                    for q, lams in sorted(bs, key=lambda b: -b[0])])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(branches=_branch_sets, s1=_rationals, s2=_rationals,
+       st1=st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+       st2=st.builds(Fraction, st.integers(-2, 3), st.integers(1, 3)),
+       d=st.sampled_from([0.0, 1.0, math.pi, -2.5, 3 * math.pi / 4]))
+def test_required_sectors_equal_the_case_I_report_sectors(
+        branches, s1, s2, st1, st2, d):
+    rep = classify(branches, s1, s2, st1, st2, [d])
+    qualifies = bool(levels(branches, s1, s2, st1, st2).levels)
+    if rep.case == "multi1_I" or (rep.case.endswith("sum_I") and qualifies):
+        assert tuple(required_sectors(branches, d, s1, s2, st1, st2)) \
+            == rep.sectors
 
 
 def test_classify_monotone_in_st1():
