@@ -7,6 +7,8 @@ evaluation failure."""
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import math
 import os
@@ -196,9 +198,15 @@ def _glue(argv) -> list:
 
 
 def main(args=None, prog_name: str = "mpde"):
-    """Run ``args`` (default ``sys.argv[1:]``); always raises SystemExit."""
-    namespace = vars(_parser(prog_name).parse_args(
-        _glue(sys.argv[1:] if args is None else args)))
+    """Run ``args`` (default ``sys.argv[1:]``); always raises SystemExit.
+
+    As the program (``args`` None) it freezes the heap at exit, so that the
+    interpreter's teardown skips its cyclic-GC passes over what the command
+    leaves alive; a caller that passes ``args`` keeps its own exit."""
+    if args is None:
+        atexit.register(gc.freeze)
+        args = sys.argv[1:]
+    namespace = vars(_parser(prog_name).parse_args(_glue(args)))
     command = {fn.__name__: fn for fn in COMMANDS}[namespace.pop("command")]
     try:
         try:

@@ -80,7 +80,6 @@ class LevelSpec:
 class LevelsResult:
     """The candidate levels of a problem and the counts behind them."""
 
-    applicable: bool
     levels: tuple          # LevelSpec, K strictly decreasing
     tilde_K: Fraction | None
     n_qualifying: int
@@ -99,7 +98,7 @@ def levels(branches, s1, s2, st1=0, st2=0) -> LevelsResult:
     st1, st2 = as_fraction(st1), as_fraction(st2)
     weight = s2 + st2
     if weight <= 0:
-        return LevelsResult(False, (), None, 0, len(branches),
+        return LevelsResult((), None, 0, len(branches),
                             "s2 + st2 <= 0: no Borel weight available")
     threshold = max(s1 / weight, (s1 + st1) / weight)
     qual = [(idx + 1, b.q) for idx, b in enumerate(branches) if b.q > threshold]
@@ -107,7 +106,7 @@ def levels(branches, s1, s2, st1=0, st2=0) -> LevelsResult:
     specs = tuple(LevelSpec(1 / (q * weight - s1), q, idx)
                   for idx, q in sorted(qual, key=lambda t: t[1]))
     tilde = 1 / st1 if st1 > 0 and len(qual) < len(branches) else None
-    return LevelsResult(True, specs, tilde, len(qual), len(branches))
+    return LevelsResult(specs, tilde, len(qual), len(branches))
 
 
 # -- sector requirements --------------------------------------------------------

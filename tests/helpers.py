@@ -68,12 +68,13 @@ def series1_close(a: Series1, b: Series1, tol: float = 1e-12) -> bool:
 
 @dataclass(frozen=True)
 class CliResult:
-    """One ``mpde`` run: its exit code, its stdout, and ``output``, stdout
-    and stderr in the order they were written."""
+    """One ``mpde`` run: its exit code, its stdout, ``output`` (stdout and
+    stderr in the order they were written) and its stderr."""
 
     exit_code: int
     stdout: str
     output: str
+    stderr: str
 
 
 def run_cli(argv) -> CliResult:
@@ -95,4 +96,5 @@ def run_cli(argv) -> CliResult:
         else:
             raise AssertionError(f"mpde {argv} returned without SystemExit")
     code = 0 if code is None else code if isinstance(code, int) else 1
-    return CliResult(code, out.getvalue(), both.getvalue())
+    return CliResult(code, out.getvalue(), both.getvalue(),
+                     err.getvalue())

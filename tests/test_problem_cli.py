@@ -1,3 +1,7 @@
+import atexit
+import contextlib
+import gc
+import io
 import json
 import math
 import os
@@ -838,3 +842,78 @@ def test_cli_exits_1_quietly_when_the_reader_closed_stdout(args, tmp_path):
     finally:
         os.close(write)
     assert (result.returncode, result.stderr) == (1, "")
+
+
+# mpde run as the program in a fresh interpreter, behind an exit probe that is
+# registered first and so runs after mpde's own exit handler: it writes the
+# count of frozen objects to the file named by the first argument
+EXIT_PROBE = ("import atexit, gc, sys\n"
+              "path = sys.argv.pop(1)\n"
+              "atexit.register(lambda: open(path, 'w').write("
+              "str(gc.get_freeze_count())))\n"
+              "from mpde.cli import main\n"
+              "sys.argv[0] = 'mpde'\n"
+              "main()\n")
+
+
+def _files(folder: Path) -> dict:
+    return {p.name: p.read_bytes() for p in folder.iterdir()}
+
+
+@pytest.mark.parametrize("args, code, closed", [
+    (["solve", "heat", "--n1", "5", "--n2", "6", "--arithmetic", "float",
+      "--out", "S.csv"], 0, False),
+    (["analyze", "twofactor"], 0, False),
+    (["solve", "heat", "--n1", "x"], 2, False),
+    (["verify", "heat", "--n1", "5", "--n2", "6", "--tol", "-1"], 3, False),
+    (["solve", "twofactor", "--n1", "80", "--arithmetic", "float",
+      "--out", "T.csv"], 4, False),
+    (["newton", "twofactor", "--out", "N.csv", "--svg", "N.svg"], 1, True)])
+def test_cli_as_the_program_freezes_the_heap_at_exit_and_keeps_its_output(
+        args, code, closed, tmp_path, monkeypatch):
+    # stdout, stderr, exit code and written files are those of the in-process
+    # run, except that a program whose reader closed stdout first (``closed``)
+    # writes no stdout and exits 1 quietly
+    argv = [args[0], shipped(args[1]), *args[2:]]
+    inside, program = tmp_path / "inside", tmp_path / "program"
+    inside.mkdir()
+    program.mkdir()
+    monkeypatch.chdir(inside)
+    want = run_cli(argv)
+    assert want.exit_code == (0 if closed else code), want.output
+    src = Path(problem_mod.__file__).resolve().parents[1]
+    count = tmp_path / "freeze_count"
+    stdout = subprocess.PIPE
+    if closed:
+        read, stdout = os.pipe()
+        os.close(read)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-c", EXIT_PROBE, str(count), *argv],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, cwd=program,
+            env={**os.environ, "PYTHONPATH": str(src)})
+    finally:
+        if closed:
+            os.close(stdout)
+    assert result.returncode == code, result.stderr
+    assert (result.stdout, result.stderr) == (
+        (None, "") if closed else (want.stdout, want.stderr))
+    assert _files(program) == _files(inside)
+    assert int(count.read_text()) > 0
+
+
+def test_cli_called_with_args_registers_no_exit_handler(monkeypatch):
+    # the tests, perfbench's clitrace and library callers run main(args) in
+    # their own process, whose exit stays theirs; as the program, main
+    # registers gc.freeze
+    handlers = []
+    monkeypatch.setattr(atexit, "register", handlers.append)
+    assert run_cli(["analyze", shipped("heat")]).exit_code == 0
+    assert handlers == []
+    monkeypatch.setattr(sys, "argv", ["mpde", "analyze", shipped("heat")])
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+    assert exc.value.code == 0
+    assert out.getvalue() == (GOLDEN / "heat.analyze.json").read_text()
+    assert handlers == [gc.freeze]

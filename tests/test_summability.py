@@ -40,12 +40,12 @@ def test_levels_two_factor_ordering():
 
 def test_levels_transport_empty():
     res = levels(TRANSPORT, 1, 1)
-    assert res.levels == () and res.applicable
+    assert res.levels == () and res.note == ""
 
 
 def test_levels_not_applicable():
     res = levels(HEAT, 1, 1, 0, -2)  # s2 + st2 < 0
-    assert not res.applicable
+    assert res.note == "s2 + st2 <= 0: no Borel weight available"
 
 
 def test_levels_tilde_K():
