@@ -15,14 +15,23 @@ Exact mode runs on Python integers:
   when every imaginary part is zero;
 * a normalized grid is held as :class:`Lanes`, integer numerators over one
   common denominator; :func:`rescale` turns raw lanes into normalized ones
-  with O(rows + columns) Fractions and one gcd;
+  with O(rows + columns) quotients and one gcd;
 * a recursion with rational coefficients stays integral by scaling level t
   by ``d**(t+1)``, where d is the common denominator of its coefficients,
   in the fraction-free spirit of Bareiss (Math. Comp. 1968), and column i
-  by ``e**i``, where e is the common denominator of its taps.
+  by ``e**i``, where e is the common denominator of its taps;
+* each output row of :func:`shift` and :func:`recurrence` is built in one
+  lazy pass, :func:`_fold`, per lane: a chain of maps that adds each
+  term's integer multiple of a source row, materialized once.  A Gaussian
+  term gives up to two integer terms per lane, so real and complex lanes,
+  the terms that shift up and down, the base and the tap sum all take that
+  one pass.
 
 Moment values enter as divisors: an output grid keeps its level divisors
-times the moment values as row and column divisors.  One decoder divides
+times the moment values as row and column divisors.  A divisor is an int
+where the values are integral (a solve holds integral moment values as
+ints, such as the factorials of Gamma(1)) and a Fraction otherwise, so
+that integral divisors multiply and divide as ints.  One decoder divides
 them out of raw lanes, row by row: :func:`denormalize` builds Gaussian
 rationals from it, :func:`binary64_rows` correctly rounded binary64 parts.
 
@@ -50,12 +59,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain, islice, repeat
+from operator import add, sub
 
 from .exact import RationalComplex
 from .record import record
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @record
@@ -74,7 +84,8 @@ class Lanes:
 class RawLanes:
     """Grid ``(re + i*im)[j][i] / (row_div[j] * col_div[i])`` of raw
     coefficients: integer numerator rows, ``im`` None for real data, and
-    nonzero rational divisors, one per row and one per column.
+    nonzero rational divisors (ints or Fractions), one per row and one per
+    column.
     """
 
     re: list
@@ -90,7 +101,7 @@ def common_denominator(values) -> int:
 
 def gaussian_int(c: RationalComplex, d: int) -> tuple:
     """``c * d`` as an integer pair; d must clear the denominators of c."""
-    return (c.re * d).numerator, (c.im * d).numerator
+    return tuple(q.numerator * (d // q.denominator) for q in (c.re, c.im))
 
 
 def lanes_of_table(table: dict, n1: int, n2: int) -> RawLanes:
@@ -108,9 +119,11 @@ def lanes_of_table(table: dict, n1: int, n2: int) -> RawLanes:
 
 
 def _quotients(weights, divisors, n: int) -> list:
-    """``weights[k] / divisors[k]`` as Fractions for k <= n; a weight equal
-    to its divisor (the lanes divide by that same table) gives 1."""
-    return [_ONE if w == d else Fraction(w) if d == 1 else Fraction(w) / d
+    """``weights[k] / divisors[k]`` for k <= n, ints and Fractions: a weight
+    equal to its divisor (the lanes divide by that same table) gives 1, a
+    weight its divisor divides gives the int ``w // d``, and only the
+    other quotients are built as Fractions."""
+    return [1 if w == d else w // d if not w % d else Fraction(w, d)
             for w, d in ((weights[k], divisors[k]) for k in range(n + 1))]
 
 
@@ -119,9 +132,10 @@ def rescale(grid: RawLanes, w1, w2, n_rows: int, n_cols: int) -> Lanes:
     i <= n_cols, over the least common denominator of the cells.
 
     Row j is multiplied by ``w1[j] / row_div[j]`` and column i by
-    ``w2[i] / col_div[i]``, O(rows + columns) Fractions brought to the
-    product L of their two common denominators; one gcd of L and all the
-    numerators then leaves the least common denominator of the cells.
+    ``w2[i] / col_div[i]``, O(rows + columns) quotients, ints where they
+    are integral and Fractions otherwise (:func:`_quotients`), brought to
+    the product L of their two common denominators; one gcd of L and all
+    the numerators then leaves the least common denominator of the cells.
     """
     rows = _quotients(w1, grid.row_div, n_rows)
     cols = _quotients(w2, grid.col_div, n_cols)
@@ -154,65 +168,60 @@ def rescale(grid: RawLanes, w1, w2, n_rows: int, n_cols: int) -> Lanes:
     return Lanes(lanes[0], im, den)
 
 
-def _plus(acc, k, src) -> list:
-    """``acc + k * src`` elementwise; a k of 1 or -1 adds or subtracts
-    without the multiply."""
-    if k == 1:
-        return [x + y for x, y in zip(acc, src)]
-    if k == -1:
-        return [x - y for x, y in zip(acc, src)]
-    return [x + k * y for x, y in zip(acc, src)]
+def _fold(acc, terms) -> list:
+    """``acc[i] + sum k * src[i + b]`` over the ``terms`` (k, src, b), in
+    one lazy pass that ``list`` materializes once; reads below index 0 are
+    zero, and a k of 1 or -1 adds or subtracts without the multiply.
 
-
-def axpy(acc_re, acc_im, k, src_re, src_im, b: int) -> None:
-    """``acc[i] += k * src[i + b]`` in place; reads below index 0 are zero.
-
-    The source must reach index ``len(acc) - 1 + b``.
+    ``acc`` is an iterable that is consumed; each src must reach index
+    ``len(acc) - 1 + b``.
     """
-    kr, ki = k
-    lo = -b if b < 0 else 0
-    start = lo + b
-    if acc_im is None:
-        acc_re[lo:] = _plus(acc_re[lo:], kr, src_re[start:])
-        return
-    xs, ys = src_re[start:], src_im[start:]
-    if ki:
-        acc_re[lo:] = [x + kr * p - ki * q
-                       for x, p, q in zip(acc_re[lo:], xs, ys)]
-        acc_im[lo:] = [x + kr * q + ki * p
-                       for x, p, q in zip(acc_im[lo:], xs, ys)]
-    else:
-        acc_re[lo:] = _plus(acc_re[lo:], kr, xs)
-        acc_im[lo:] = _plus(acc_im[lo:], kr, ys)
+    for k, src, b in terms:
+        src = islice(src, b, None) if b >= 0 else chain(repeat(0, -b), src)
+        if k == 1:
+            acc = map(add, acc, src)
+        elif k == -1:
+            acc = map(sub, acc, src)
+        else:
+            acc = map(add, acc, map(k.__mul__, src))
+    return list(acc)
 
 
-def _imag_lane(grid: Lanes, is_complex: bool):
-    if not is_complex or grid.im is not None:
-        return grid.im
-    return [[0] * len(row) for row in grid.re]
+def _lane_terms(terms, src_re, src_im, is_complex: bool) -> tuple:
+    """The integer terms (k, rows, da, b) of the real and of the imaginary
+    output lane for the Gaussian-integer terms (da, b, (kr, ki)) that read
+    row ``r + da`` of the source lanes into output row r: ``k * src`` adds
+    ``kr*re - ki*im`` to the real lane and ``kr*im + ki*re`` to the
+    imaginary one.  A zero part, or an ``src_im`` of None, adds nothing."""
+    re, im = [], []
+    for da, b, (kr, ki) in terms:
+        re += [(k, s, da, b) for k, s in ((kr, src_re), (-ki, src_im))
+               if k and s is not None]
+        if is_complex:
+            im += [(k, s, da, b) for k, s in ((kr, src_im), (ki, src_re))
+                   if k and s is not None]
+    return (re, im) if is_complex else (re,)
+
+
+def _row(lane_terms, r: int, scale: int = 1) -> list:
+    """The (k * scale, src, b) terms that ``lane_terms`` give output row r."""
+    return [(k * scale, rows[r + da], b) for k, rows, da, b in lane_terms]
 
 
 def shift(grid: Lanes, table, n_rows: int, n_cols: int) -> Lanes:
     """``out[j][i] = sum p_ab * grid[j+a][i+b]`` over ``table`` {(a, b): p_ab}.
 
-    The common denominator of the exact coefficients joins ``den``.
+    The common denominator of the exact coefficients joins ``den``; each
+    output row is one :func:`_fold` per lane.
     """
     coeffs = {k: RationalComplex.coerce(p) for k, p in table.items()}
     d = common_denominator(coeffs.values())
     ks = [(a, b, gaussian_int(p, d)) for (a, b), p in coeffs.items()]
     is_complex = grid.im is not None or any(k[1] for _, _, k in ks)
-    src_im = _imag_lane(grid, is_complex)
-    out_re, out_im = [], [] if is_complex else None
-    for j in range(n_rows + 1):
-        acc_re = [0] * (n_cols + 1)
-        acc_im = [0] * (n_cols + 1) if is_complex else None
-        for a, b, k in ks:
-            axpy(acc_re, acc_im, k, grid.re[j + a],
-                 src_im[j + a] if is_complex else None, b)
-        out_re.append(acc_re)
-        if is_complex:
-            out_im.append(acc_im)
-    return Lanes(out_re, out_im, grid.den * d)
+    lanes = _lane_terms(ks, grid.re, grid.im, is_complex)
+    out = [[_fold(repeat(0, n_cols + 1), _row(terms, j))
+            for j in range(n_rows + 1)] for terms in lanes]
+    return Lanes(out[0], out[1] if is_complex else None, grid.den * d)
 
 
 def run_taps(x_re, x_im, taps) -> None:
@@ -239,7 +248,9 @@ def recurrence(base: Lanes, q: RationalComplex, terms, n: int, widths,
     ``i <= widths[t]``; reads below index 0 are zero.  The terms with b < 0,
     and the base when ``shift < 0``, are summed into ``X[t]`` instead, and
     ``V[t]`` solves ``V_i + sum m_k V_{i-k} = X_i`` for the ``taps``
-    [(k, m_k)], k >= 1 ascending.
+    [(k, m_k)], k >= 1 ascending.  ``X[t]`` and then level t, which adds
+    ``V[t]`` to the base and the other terms, are one :func:`_fold` per
+    lane each.
 
     With e the common denominator of the taps, ``W[t][i] = U[t][i] e**i``
     obeys the recursion with ``c e**-b`` for c, ``q e**-shift`` for q and
@@ -258,50 +269,43 @@ def recurrence(base: Lanes, q: RationalComplex, terms, n: int, widths,
     kq = gaussian_int(q, d)
     ks = [(a, b, tuple(x * d ** (a - 1) for x in gaussian_int(c, d)))
           for a, b, c in terms]
-    up = [k for k in ks if k[1] >= 0]
-    down = [k for k in ks if k[1] < 0]
     is_complex = (base.im is not None or kq[1] != 0
                   or any(k[1] for _, _, k in ks) or any(m[1] for _, m in kt))
     col_div = [e ** i for i in range(width + 1)]
-    base_re, base_im = base.re, _imag_lane(base, is_complex)
+    base_re, base_im = base.re, base.im
     if e != 1:
         base_re, base_im = ([[x * p for x, p in zip(row, col_div)]
                              for row in lane] if lane is not None else None
                             for lane in (base_re, base_im))
     v_re, v_im = [], [] if is_complex else None
+    lanes = [v_re, v_im][: 1 + is_complex]
+    # per output lane: the base's terms, whose multiplier level t scales by
+    # d**t, and those of the terms that shift up and down
+    lane_base = _lane_terms([(-n, shift, kq)], base_re, base_im, is_complex)
+    lane_up, lane_down = (
+        _lane_terms([(-a, b, k) for a, b, k in ks if (b >= 0) == is_up],
+                    v_re, v_im, is_complex) for is_up in (True, False))
     power = 1  # d**t
     row_div = []
     for t, w in enumerate(widths):
         row_div.append(base.den * power * d)
-        acc_re = [0] * (w + 1)
-        acc_im = [0] * (w + 1) if is_complex else None
-        if t >= n:
-            sr, si = kq[0] * power, kq[1] * power
-            br = base_re[t - n][: w + 1]
-            bi = base_im[t - n][: w + 1] if is_complex else None
-            if not shift and not is_complex:
-                acc_re = br if sr == 1 else [sr * x for x in br]
-            elif not shift:
-                acc_re = [sr * x - si * y for x, y in zip(br, bi)]
-                acc_im = [sr * y + si * x for x, y in zip(br, bi)]
-            for a, b, k in up:
-                axpy(acc_re, acc_im, k, v_re[t - a],
-                     v_im[t - a] if is_complex else None, b)
-            if down or shift:
-                x_re = [0] * (w + 1)
-                x_im = [0] * (w + 1) if is_complex else None
-                if shift:
-                    axpy(x_re, x_im, (sr, si), br, bi, shift)
-                for a, b, k in down:
-                    axpy(x_re, x_im, k, v_re[t - a],
-                         v_im[t - a] if is_complex else None, b)
-                run_taps(x_re, x_im, kt)
-                acc_re = [p + x for p, x in zip(acc_re, x_re)]
-                if is_complex:
-                    acc_im = [p + x for p, x in zip(acc_im, x_im)]
-        v_re.append(acc_re)
-        if is_complex:
-            v_im.append(acc_im)
+        if t < n:
+            rows = [[0] * (w + 1) for _ in lanes]
+        else:
+            ups, downs = [], []
+            for b_terms, u_terms, d_terms in zip(lane_base, lane_up,
+                                                 lane_down):
+                b_terms = _row(b_terms, t, power)
+                ups.append((b_terms if not shift else []) + _row(u_terms, t))
+                downs.append((b_terms if shift else []) + _row(d_terms, t))
+            if any(downs):
+                xs = [_fold(repeat(0, w + 1), terms) for terms in downs]
+                run_taps(xs[0], xs[1] if is_complex else None, kt)
+                for terms, x in zip(ups, xs):
+                    terms.append((1, x, 0))
+            rows = [_fold(repeat(0, w + 1), terms) for terms in ups]
+        for lane, row in zip(lanes, rows):
+            lane.append(row)
         power *= d
     return RawLanes(v_re, v_im, row_div, col_div)
 
@@ -319,11 +323,12 @@ def _decode(grid: RawLanes, rows, n_cols: int):
     """The one decoder of raw lanes: yield ``(j, parts, nums, dens)`` for
     each row j in ``rows``; ``parts`` are its numerator rows ``[re]`` or
     ``[re, im]``, and a part x of cell i <= n_cols is ``x * nums[i] /
-    dens[i]``, with ``nums[i] > 0``."""
-    col_nums, col_dens = zip(*(Fraction(c).as_integer_ratio()
+    dens[i]``, with ``nums[i] > 0``.  The factors come from each divisor's
+    ``as_integer_ratio()``, an int's or a Fraction's alike."""
+    col_nums, col_dens = zip(*(c.as_integer_ratio()
                                for c in grid.col_div[: n_cols + 1]))
     for j in rows:
-        r_num, r_den = Fraction(grid.row_div[j]).as_integer_ratio()
+        r_num, r_den = grid.row_div[j].as_integer_ratio()
         yield (j, [lane[j] for lane in (grid.re, grid.im) if lane is not None],
                [r_den * c for c in col_dens], [r_num * c for c in col_nums])
 

@@ -172,12 +172,28 @@ def test_lanes_of_table_of_zero_grid_has_unit_denominator():
                                   (2, 0): RationalComplex(5, 1)}, 1, 2) == zero
 
 
-@pytest.mark.parametrize("k", [(1, 0), (-1, 0), (3, 0), (1, 2), (0, -1)])
-@pytest.mark.parametrize("b", [-2, 0, 3])
+AXPY_KS = [(1, 0), (-1, 0), (3, 0), (1, 2), (0, -1)]
+AXPY_BS = [-2, 0, 3]
+
+
+def _fused_rows(accs, terms, src_re, src_im, complex_lanes):
+    """Row 0 of each output lane, built by the fused row builder from the
+    accumulator rows ``accs`` and the Gaussian terms (b, k) on row 0 of
+    the source lanes."""
+    lanes = kernel._lane_terms([(0, b, k) for b, k in terms], [src_re],
+                               [src_im] if complex_lanes else None,
+                               complex_lanes)
+    return [kernel._fold(iter(acc), kernel._row(lane, 0))
+            for acc, lane in zip(accs, lanes)]
+
+
+@pytest.mark.parametrize("k", AXPY_KS)
+@pytest.mark.parametrize("b", AXPY_BS)
 def test_axpy_matches_the_cellwise_sum(k, b):
-    # acc[i] += k * src[i + b] on Gaussian integers, cell by cell, on real
-    # lanes (a real k only) and complex ones; a real k of 1 or -1 adds or
-    # subtracts without the multiply
+    # one term of a fused row pass is the axpy acc[i] += k * src[i + b] on
+    # Gaussian integers: cell by cell, on real lanes (a real k only) and
+    # complex ones; a real k of 1 or -1 adds or subtracts without the
+    # multiply, and reads below index 0 are zero
     rng = random.Random(55)
 
     def ints(n):
@@ -187,8 +203,10 @@ def test_axpy_matches_the_cellwise_sum(k, b):
     src_re, src_im = ints(n + 1 + max(b, 0)), ints(n + 1 + max(b, 0))
     for complex_lanes in ([True] if ki else [False, True]):
         a_im, s_im = (acc_im, src_im) if complex_lanes else (None, None)
-        got_re, got_im = acc_re[:], a_im[:] if complex_lanes else None
-        kernel.axpy(got_re, got_im, k, src_re, s_im, b)
+        got = _fused_rows([acc_re, a_im][: 1 + complex_lanes], [(b, k)],
+                          src_re, s_im, complex_lanes)
+        got_re, got_im = got[0], got[1] if complex_lanes else None
+        assert len(got_re) == n + 1
         for i in range(n + 1):
             want_re, want_im = acc_re[i], a_im[i] if complex_lanes else 0
             if i + b >= 0:
@@ -197,6 +215,30 @@ def test_axpy_matches_the_cellwise_sum(k, b):
                 want_im += kr * si + ki * sr
             assert got_re[i] == want_re
             assert got_im is None or got_im[i] == want_im
+
+
+@pytest.mark.parametrize("complex_lanes", [False, True])
+def test_one_pass_of_many_terms_matches_the_cellwise_sum(complex_lanes):
+    # every (k, b) of the grid above folded into one lazy pass per lane,
+    # each with its own zero padding, equals the cellwise sum of its terms
+    rng = random.Random(56)
+
+    def ints(n):
+        return [rng.randint(-10**30, 10**30) for _ in range(n)]
+    n = 8
+    terms = [(b, k) for b in AXPY_BS for k in AXPY_KS
+             if complex_lanes or not k[1]]
+    src_re, src_im = ints(n + 1 + max(AXPY_BS)), ints(n + 1 + max(AXPY_BS))
+    s_im = src_im if complex_lanes else None
+    zeros = [[0] * (n + 1)] * (1 + complex_lanes)
+    got = _fused_rows(zeros, terms, src_re, s_im, complex_lanes)
+    want = [[0] * (n + 1) for _ in range(2)]
+    for b, (kr, ki) in terms:
+        for i in range(max(-b, 0), n + 1):
+            sr, si = src_re[i + b], s_im[i + b] if complex_lanes else 0
+            want[0][i] += kr * sr - ki * si
+            want[1][i] += kr * si + ki * sr
+    assert got == want[: 1 + complex_lanes]
 
 
 @pytest.mark.parametrize("offsets", [{0, 1, 3}, {-1, -4}, {-12}])

@@ -12,7 +12,8 @@ from mpde.charroots import CharPoly, branches_at_infinity
 from mpde.errors import EvaluationError, PreconditionError
 from mpde.exact import RationalComplex
 from mpde.moments import gamma_s
-from mpde.series import Series2, apply_operator, gevrey_fit
+from mpde.series import (Series2, apply_operator, borel, gevrey_fit,
+                         inv_borel, moment_diff)
 from mpde.parsing import parse_operator
 from mpde.solver import (CauchyProblem, _recursion_terms, formal_solve,
                          g_from_f, level_widths, residual, theoretical_orders)
@@ -440,19 +441,32 @@ def test_non_monic_pseudo_lanes_stay_near_the_reduced_size():
 @pytest.mark.parametrize("operator", ["(2+dz)*dt - dz^2",
                                       "(2+3*dz)*dt - dz^2"])
 def test_pseudo_mode_axpy_calls_follow_the_terms(operator, monkeypatch):
-    # three terms per t-level (zeta^0, zeta^1 and one remainder term): the
-    # taps run along z without axpy, so no call depends on the internal
-    # level widths
-    calls = []
-    axpy = kernel.axpy
-    monkeypatch.setattr(kernel, "axpy",
-                        lambda *args: calls.append(args[-1]) or axpy(*args))
+    # each t-level runs two passes of the fused row builder, the terms that
+    # shift down and then the row; they receive the three recursion terms
+    # (zeta^0, zeta^1 and one remainder term), each an axpy
+    # acc + k * src[i + b] on the level below, plus the base and the tap
+    # sum; the taps run along z between the passes, so no count depends on
+    # the internal level widths
+    passes, solved = [], []
+    fold, recurrence = kernel._fold, kernel.recurrence
+    monkeypatch.setattr(kernel, "_fold", lambda acc, terms:
+                        passes.append(terms) or fold(acc, terms))
+    monkeypatch.setattr(kernel, "recurrence", lambda *args:
+                        solved.append(recurrence(*args)) or solved[-1])
     n1, n2 = 80, 80
     g = geometric_g(n1, n2 + 2 * n1, exact=True)
     u = formal_solve(CauchyProblem(parse_operator(operator), G1, G1, g,
                                    (n1, n2), mode="pseudo"))
-    assert len(calls) == 3 * n1
-    assert sorted(set(calls)) == [-1, 0, 1]
+    (v,) = solved
+    level = {id(row): t for t, row in enumerate(v.re)}
+    reads = [(level[id(src)], b) for terms in passes for _, src, b in terms
+             if id(src) in level]
+    assert len(passes) == 2 * n1
+    assert sum(map(len, passes)) == 5 * n1
+    assert len(reads) == 3 * n1
+    assert sorted(t for t, _ in reads) == [t for t in range(n1)
+                                           for _ in range(3)]
+    assert sorted(set(b for _, b in reads)) == [-1, 0, 1]
     assert u.valid == (n1, n2)
 
 
@@ -514,6 +528,55 @@ def test_shared_moment_table_equals_two_separate_ones(m, kappa):
                 [x.hex() for x in moments.log_table(m, kappa, n).tolist()]
         assert prob.fraction_tables == (moments.fraction_table(m, kappa, n_rows),
                                         moments.fraction_table(m, kappa, n_cols))
+
+
+def test_integral_moment_values_are_int_divisors():
+    # Gamma(1) values are factorials: the problem's tables hold them as
+    # ints, and so every divisor of the solution's lanes is an int
+    prob = heat_problem(12, 10)
+    lanes = formal_solve(prob).lanes
+    assert all(type(w) is int for table in prob.fraction_tables
+               for w in table)
+    assert all(type(d) is int for d in [*lanes.row_div, *lanes.col_div])
+    # Gamma(1 + j/2) is an integer at even j only: the other values stay
+    # Fractions, and the tables still equal the exact moment values
+    m = gamma_s(Fraction(1, 2))
+    prob = CauchyProblem(HEAT, m, m, geometric_g(12, 34, exact=True),
+                         (12, 10))
+    types = set()
+    for got in prob.fraction_tables:
+        want = moments.fraction_table(m, 1, len(got) - 1)
+        assert got == want
+        assert [type(w) for w in got] == [
+            int if w.denominator == 1 else Fraction for w in want]
+        types.update(map(type, got))
+    assert types == {int, Fraction}
+
+
+@pytest.mark.parametrize("m", [G1, gamma_s(Fraction(1, 2))],
+                         ids=["Gamma(1)", "Gamma(1/2)"])
+def test_transforms_of_int_divisors_equal_fraction_divisors(m):
+    # the transforms divide a series' divisors by the Fraction moment
+    # values of moments.fraction_table; a solution whose divisors are ints
+    # gives the same series as one with the same cells over Fraction
+    # divisors; an int divided by an int would give a float, which rounds
+    # the divisors past 2**53 that z up to 24 reaches (24! > 2**79)
+    prob = CauchyProblem(TWOFACTOR, G1, G1,
+                         geometric_g(8, 24 + 3 * 8, exact=True), (8, 24))
+    u = formal_solve(prob)
+    lanes = u.lanes
+    assert all(type(d) is int for d in [*lanes.row_div, *lanes.col_div])
+    v = Series2(kernel.RawLanes(lanes.re, lanes.im,
+                                list(map(Fraction, lanes.row_div)),
+                                list(map(Fraction, lanes.col_div))),
+                u.kappa1, u.kappa2, True)
+    assert v == u
+    for axis in ("t", "z"):
+        for transform in (borel, inv_borel, moment_diff):
+            assert transform(m, u, axis) == transform(m, v, axis)
+    table = {(1, 0): 1, (0, 2): RationalComplex(Fraction(-1, 3), 2)}
+    assert apply_operator(table, m, G1, u) == apply_operator(table, m, G1, v)
+    assert apply_operator(table, G1, m, u) == apply_operator(table, G1, m, v)
 
 
 def test_float_solve_restores_the_numpy_error_state():
