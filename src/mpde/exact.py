@@ -10,8 +10,11 @@ converts losslessly from Python ints, Fractions, floats and complex numbers
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from numbers import Rational
+
+_HASH_HALF = 1 << (sys.hash_info.width - 1)
 
 
 def as_fraction(value) -> Fraction:
@@ -131,7 +134,10 @@ class RationalComplex:
         return self.re == pair[0] and self.im == pair[1]
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # CPython's complex hash of these parts, signed in width bits (hash()
+        # turns -1 into -2), so that a value hashes as the number it equals
+        return (hash(self.re) + sys.hash_info.imag * hash(self.im)
+                + _HASH_HALF) % (2 * _HASH_HALF) - _HASH_HALF
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)

@@ -28,10 +28,11 @@ Exact mode runs on Python integers:
   one pass.
 
 Moment values enter as divisors: an output grid keeps its level divisors
-times the moment values as row and column divisors.  A divisor is an int
-where the values are integral (a solve holds integral moment values as
-ints, such as the factorials of Gamma(1)) and a Fraction otherwise, so
-that integral divisors multiply and divide as ints.  One decoder divides
+times the moment values as row and column divisors.  Exact moment values
+(:func:`mpde.moments.fraction_table`) and divisors are ints where they are
+integral, such as the factorials of Gamma(1), and Fractions otherwise, in
+every exact stage: they multiply as they are and divide by one rule,
+:func:`quotient`, so that integral divisors stay ints.  One decoder divides
 them out of raw lanes, row by row: :func:`denormalize` builds Gaussian
 rationals from it, :func:`binary64_rows` correctly rounded binary64 parts.
 
@@ -118,13 +119,11 @@ def lanes_of_table(table: dict, n1: int, n2: int) -> RawLanes:
                     [d] * (n1 + 1), [1] * (n2 + 1))
 
 
-def _quotients(weights, divisors, n: int) -> list:
-    """``weights[k] / divisors[k]`` for k <= n, ints and Fractions: a weight
-    equal to its divisor (the lanes divide by that same table) gives 1, a
-    weight its divisor divides gives the int ``w // d``, and only the
-    other quotients are built as Fractions."""
-    return [1 if w == d else w // d if not w % d else Fraction(w, d)
-            for w, d in ((weights[k], divisors[k]) for k in range(n + 1))]
+def quotient(w, d):
+    """The exact quotient ``w / d`` of ints or Fractions: the int ``w // d``
+    when d divides w (1 when they are equal), else a Fraction; the one rule
+    by which exact moment values and divisors are divided."""
+    return 1 if w == d else w // d if not w % d else Fraction(w, d)
 
 
 def rescale(grid: RawLanes, w1, w2, n_rows: int, n_cols: int) -> Lanes:
@@ -133,12 +132,12 @@ def rescale(grid: RawLanes, w1, w2, n_rows: int, n_cols: int) -> Lanes:
 
     Row j is multiplied by ``w1[j] / row_div[j]`` and column i by
     ``w2[i] / col_div[i]``, O(rows + columns) quotients, ints where they
-    are integral and Fractions otherwise (:func:`_quotients`), brought to
+    are integral and Fractions otherwise (:func:`quotient`), brought to
     the product L of their two common denominators; one gcd of L and all
     the numerators then leaves the least common denominator of the cells.
     """
-    rows = _quotients(w1, grid.row_div, n_rows)
-    cols = _quotients(w2, grid.col_div, n_cols)
+    rows = [quotient(w1[j], grid.row_div[j]) for j in range(n_rows + 1)]
+    cols = [quotient(w2[i], grid.col_div[i]) for i in range(n_cols + 1)]
     lr = math.lcm(*(f.denominator for f in rows))
     lc = math.lcm(*(f.denominator for f in cols))
     rk = [f.numerator * (lr // f.denominator) for f in rows]

@@ -18,8 +18,9 @@ its logarithm and an exact rational, so that it exists far beyond the
 double-precision overflow threshold.  The series operators read whole
 tables instead, built outside that cache with the same values and errors:
 exact mode reads exact values (:func:`fraction_table`), multiplied out on
-integers; float mode reads logarithms only (:func:`log_table`), summed
-factor by factor as :func:`scaled_eval` sums them.  :func:`split_log` turns
+integers and held as ints where they are integral, Fractions otherwise;
+float mode reads logarithms only (:func:`log_table`), summed factor by
+factor as :func:`scaled_eval` sums them.  :func:`split_log` turns
 a logarithm into a binary64 mantissa and a power of two.
 
 There is one Lanczos body, written in ``+ - * /`` and a ``log`` passed in,
@@ -40,6 +41,7 @@ from functools import lru_cache
 
 from .errors import DomainError, EvaluationError
 from .exact import as_fraction, fmt_fraction
+from .kernel import quotient
 from .record import record
 
 _LN2 = math.log(2.0)
@@ -285,9 +287,10 @@ def _gamma_arguments(m: MomentFunction, kappa: int, n: int):
 def fraction_table(m: MomentFunction, kappa: int, n: int) -> list:
     """Exact values ``m(j/kappa)`` for j = 0..n (see :func:`eval_fraction`).
 
-    The same Fractions as ``scaled_eval(m, j/kappa).rational``, with the
-    same DomainErrors, but outside its cache: numerator and denominator are
-    multiplied factor by factor on integers and reduced once.  An integer
+    The values of ``scaled_eval(m, j/kappa).rational``, with the same
+    DomainErrors, but outside its cache, multiplied factor by factor on
+    integers and divided once (:func:`mpde.kernel.quotient`): an int where
+    integral, such as a factorial of Gamma(1), else a Fraction.  An integer
     Gamma argument k contributes ``scale * (k-1)!`` from a running product
     (arguments grow with j), any other argument ``x / D`` the dyadic
     rational of ``log(scale) + log_gamma(x / D)``.
@@ -310,7 +313,7 @@ def fraction_table(m: MomentFunction, kappa: int, n: int) -> list:
                 num, den = num * bn, den * bd
             else:
                 num, den = num * bd, den * bn
-        values.append(Fraction(num, den))
+        values.append(quotient(num, den))
     return values
 
 

@@ -22,7 +22,7 @@ class NewtonPolygon:
     """Vertex chain (x, y strictly increasing) with generating monomials."""
 
     vertices: tuple        # ((x, y) Fractions, ...)
-    generators: tuple      # per vertex: tuple of (i, j) support points
+    generators: tuple      # per vertex: the (i, j) support point
     s1: Fraction
     s2: Fraction
 
@@ -43,8 +43,8 @@ def build(support, s1, s2) -> NewtonPolygon:
     chain runs over the lowest point of each x, from the rightmost lowest
     point rightwards, and keeps the turns of strictly increasing slope;
     every point it skips or pops lies in the union of the quarter-planes of
-    the others.  Each kept vertex remembers which support points generate
-    it.
+    the others.  Distinct support points map to distinct points, so each
+    kept vertex remembers the one support point that generates it.
     """
     s1, s2 = as_fraction(s1), as_fraction(s2)
     if s1 <= 0 or s2 <= 0:
@@ -52,10 +52,8 @@ def build(support, s1, s2) -> NewtonPolygon:
     pairs = list(support.keys()) if hasattr(support, "keys") else list(support)
     if not pairs:
         raise PreconditionError("empty operator support")
-    by_point = {}
-    for (i, j) in pairs:
-        pt = (as_fraction(i) * s1 + as_fraction(j) * s2, -as_fraction(i))
-        by_point.setdefault(pt, []).append((i, j))
+    by_point = {(as_fraction(i) * s1 + as_fraction(j) * s2, -as_fraction(i)):
+                (i, j) for i, j in pairs}
     lowest = {}
     for x, y in by_point:
         lowest[x] = min(y, lowest.get(x, y))
@@ -68,8 +66,8 @@ def build(support, s1, s2) -> NewtonPolygon:
                 break  # a strict left turn at a
             hull.pop()
         hull.append(p)
-    generators = tuple(tuple(sorted(by_point[pt])) for pt in hull)
-    return NewtonPolygon(tuple(hull), generators, s1, s2)
+    return NewtonPolygon(tuple(hull), tuple(by_point[pt] for pt in hull),
+                         s1, s2)
 
 
 def slopes(polygon: NewtonPolygon) -> list:
@@ -185,12 +183,12 @@ def to_svg(polygon: NewtonPolygon, width: int = 600, height: int = 400) -> str:
         pts = " ".join(f"{tx(x):.2f},{ty(y):.2f}" for x, y in vs)
         parts.append(f'<polyline points="{pts}" fill="none" '
                      'stroke="steelblue" stroke-width="2.5"/>')
-    for (vx, vy), (xf, yf), gens in zip(vs, polygon.vertices, polygon.generators):
+    for (vx, vy), (xf, yf), (i, j) in zip(vs, polygon.vertices,
+                                          polygon.generators):
         label = f"({fmt_fraction(xf)}, {fmt_fraction(yf)})"
-        gen_txt = ", ".join(f"dt^{i} dz^{j}" for i, j in gens)
         parts.append(
             f'<circle cx="{tx(vx):.2f}" cy="{ty(vy):.2f}" r="4" fill="crimson">'
-            f'<title>generated by {gen_txt}</title></circle>')
+            f'<title>generated by dt^{i} dz^{j}</title></circle>')
         parts.append(
             f'<text x="{tx(vx) + 7:.2f}" y="{ty(vy) - 7:.2f}" '
             f'font-family="monospace" font-size="13">{label}</text>')

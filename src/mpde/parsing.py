@@ -91,13 +91,6 @@ class _Scanner:
 # -- operator expressions -----------------------------------------------------
 
 
-def _table_add(t1, t2):
-    out = dict(t1)
-    for key, val in t2.items():
-        out[key] = out.get(key, RationalComplex(0)) + val
-    return {k: v for k, v in out.items() if v}
-
-
 def _table_mul(t1, t2):
     out = {}
     for (a1, b1), v1 in t1.items():
@@ -108,23 +101,21 @@ def _table_mul(t1, t2):
 
 
 def _parse_expr(sc: _Scanner):
+    table = {}  # every signed term adds into it; zeros go at the end
     # leading sign is accepted as a convenience
-    sign = 1
-    if sc.take("-"):
-        sign = -1
-    elif sc.take("+"):
-        pass
-    table = _parse_term(sc)
-    if sign < 0:
-        table = {k: -v for k, v in table.items()}
+    negative = sc.take("-")
+    if not negative:
+        sc.take("+")
     while True:
+        for key, val in _parse_term(sc).items():
+            val = -val if negative else val
+            table[key] = table[key] + val if key in table else val
         if sc.take("+"):
-            table = _table_add(table, _parse_term(sc))
+            negative = False
         elif sc.take("-"):
-            neg = {k: -v for k, v in _parse_term(sc).items()}
-            table = _table_add(table, neg)
+            negative = True
         else:
-            return table
+            return {k: v for k, v in table.items() if v}
 
 
 def _parse_term(sc: _Scanner):

@@ -334,11 +334,12 @@ def _transform(m, s, axis, delta: int, num: bool, den: bool):
     m if ``den``, else 1.  A Series1 runs as a one-row Series2 along z.
 
     Exact mode re-indexes the lanes of the valid window and sets divisor k
-    to ``div[k + delta] * B(k) / A(k + delta)``.  Float mode scales the
-    grid planes of the Borel pair by the parts of :func:`moments.split_log`,
-    raising OverflowError where ``math.ldexp`` would, and multiplies a shift
-    by ``exp(log m(k + delta) - log m(k))`` as Python's ``complex``
-    multiply does, overflow giving inf.
+    to ``div[k + delta] * B(k) / A(k + delta)`` by :func:`kernel.quotient`,
+    an int where it is integral.  Float mode scales the grid planes of the
+    Borel pair by the parts of :func:`moments.split_log`, raising
+    OverflowError where ``math.ldexp`` would, and multiplies a shift by
+    ``exp(log m(k + delta) - log m(k))`` as Python's ``complex`` multiply
+    does, overflow giving inf.
     """
     if isinstance(s, Series1):
         row = Series2([s.coeffs], 1, s.kappa, s.exact)
@@ -356,7 +357,8 @@ def _transform(m, s, axis, delta: int, num: bool, den: bool):
         w = moments.fraction_table(m, kappa, n)
         lanes = s.windowed().lanes
         divs = [1 if k + delta < 0 else
-                d * (w[k] if den else 1) / (w[k + delta] if num else 1)
+                kernel.quotient(d * (w[k] if den else 1),
+                                w[k + delta] if num else 1)
                 for k, d in enumerate(_reindex(
                     lanes.row_div if axis == "t" else lanes.col_div,
                     delta, n_out, 1))]

@@ -109,13 +109,12 @@ class CauchyProblem:
 
     @cached_property
     def fraction_tables(self) -> tuple:
-        """Exact moment values ``(m1(j/kappa1), m2(i/kappa2))`` over
-        :attr:`_table_sizes`, shared by every exact stage of a solve; an
-        integral value is held as an int, so that the divisors the kernel
-        multiplies and divides stay ints, and any other as a Fraction."""
-        return self._tables(lambda *args: [
-            w.numerator if w.denominator == 1 else w
-            for w in moments.fraction_table(*args)])
+        """Exact moment values ``(m1(j/kappa1), m2(i/kappa2))`` of
+        :func:`moments.fraction_table` over :attr:`_table_sizes`, shared by
+        every exact stage of a solve: ints where they are integral, so that
+        the divisors the kernel multiplies and divides stay ints, and
+        Fractions otherwise."""
+        return self._tables(moments.fraction_table)
 
     @cached_property
     def log_tables(self) -> tuple:

@@ -51,9 +51,9 @@ def test_build_two_factor():
                           (_fr(5), _fr(0)))
     assert newton.slopes(p) == [Fraction(1, 2), Fraction(1)]
     assert brute_force_vertices(support, 1, 1) == p.vertices
-    # generating monomials are remembered per vertex
-    assert p.generators[0] == ((2, 0),)
-    assert p.generators[1] == ((1, 3),)
+    # the generating monomial is remembered per vertex
+    assert p.generators[0] == (2, 0)
+    assert p.generators[1] == (1, 3)
 
 
 def test_build_single_point():
@@ -125,11 +125,11 @@ def test_brute_force_oracle_random():
             support = _random_support(rng, s1, s2)
             p = newton.build(dict.fromkeys(support, 1), s1, s2)
             assert p.vertices == brute_force_vertices(support, s1, s2)
-            # each vertex lists exactly the support points that map to it
-            for (x, y), gens in zip(p.vertices, p.generators):
-                assert set(gens) == {(i, j) for i, j in support
-                                     if (i * _fr(s1) + j * _fr(s2), -i)
-                                     == (x, y)}
+            # each vertex keeps exactly the support point that maps to it
+            for (x, y), gen in zip(p.vertices, p.generators):
+                assert {gen} == {(i, j) for i, j in support
+                                 if (i * _fr(s1) + j * _fr(s2), -i)
+                                 == (x, y)}
             ks = newton.slopes(p)
             assert all(k > 0 for k in ks)
             assert all(a < b for a, b in zip(ks, ks[1:]))

@@ -48,6 +48,18 @@ def test_parse_syntax_errors_carry_position():
         parse_operator("dt - dt")  # cancels to zero
 
 
+def test_parse_table_adds_signed_terms_and_keeps_no_zero_entry():
+    assert parse_operator_table("dt - dz + dt - 3*dz - dz*(-2)") == {
+        (1, 0): RationalComplex(2), (0, 1): RationalComplex(-2)}
+    # a term that cancels and comes back is counted once
+    assert parse_operator_table("dz - dt - dz + 2*dt + dz - (dt - dz)") == {
+        (0, 1): RationalComplex(2)}
+    # a lone zero term is as zero as a cancelled or multiplied one
+    for text in ("0", "-0", "(0)", "0i", "0/3", "dt - dt", "0*dt + 0"):
+        with pytest.raises(ParseError, match="identically zero"):
+            parse_operator_table(text)
+
+
 def test_operator_round_trip():
     rng = random.Random(61)
     samples = [

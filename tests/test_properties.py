@@ -18,7 +18,8 @@ moment derivatives are drawn on Series1 and Series2 (both axes, windows
 smaller than the grid), seven moment functions and one that is undefined at
 0, ramifications 1-3 and ``times`` up to past the truncation, with float
 data scaled by 1, 1e+-300, 1e-310 and 1e-323, signed zeros and a few
-non-finite parts.
+non-finite parts.  A Gaussian rational hashes as the int, Fraction, float
+or complex number it equals.
 """
 
 import cmath
@@ -911,3 +912,29 @@ def test_moment_diff_is_apply_operator_of_one_derivative(case, k, exact):
                 moment_diff(m, u, axis, k)
             continue
         assert moment_diff(m, u, axis, k) == want
+
+
+NUMBERS = st.one_of(
+    st.integers(), st.integers(-2, 2),
+    st.builds(Fraction, st.integers(), st.integers(1, 10 ** 30)),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+    st.builds(complex, st.integers(-3, 3), st.integers(-3, 3)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(NUMBERS)
+@example(-1)
+@example(-1j)
+@example(complex(2.0 ** 62, 2.0 ** 62))
+@example(complex(-1000004, 1))  # parts combine to -1, which hashes as -2
+def test_exact_values_hash_as_the_numbers_they_equal(x):
+    """A RationalComplex hashes as the int, Fraction, float or complex it
+    equals, so that equal values, and records holding them, make one set
+    element."""
+    value = RationalComplex.coerce(x)
+    assert value == x
+    assert hash(value) == hash(x)
+    heat = CharPoly(((1,), (0, 0, -1)))
+    assert heat == CharPoly.from_table({(0, 0): 1, (1, 2): -1})
+    assert len({heat, CharPoly.from_table({(0, 0): 1, (1, 2): -1})}) == 1

@@ -13,7 +13,7 @@ from mpde.errors import EvaluationError, PreconditionError
 from mpde.exact import RationalComplex
 from mpde.moments import gamma_s
 from mpde.series import (Series2, apply_operator, borel, gevrey_fit,
-                         inv_borel, moment_diff)
+                         inv_borel, moment_antidiff, moment_diff)
 from mpde.parsing import parse_operator
 from mpde.solver import (CauchyProblem, _recursion_terms, formal_solve,
                          g_from_f, level_widths, residual, theoretical_orders)
@@ -556,11 +556,12 @@ def test_integral_moment_values_are_int_divisors():
 @pytest.mark.parametrize("m", [G1, gamma_s(Fraction(1, 2))],
                          ids=["Gamma(1)", "Gamma(1/2)"])
 def test_transforms_of_int_divisors_equal_fraction_divisors(m):
-    # the transforms divide a series' divisors by the Fraction moment
-    # values of moments.fraction_table; a solution whose divisors are ints
-    # gives the same series as one with the same cells over Fraction
-    # divisors; an int divided by an int would give a float, which rounds
-    # the divisors past 2**53 that z up to 24 reaches (24! > 2**79)
+    # the transforms divide a series' divisors by the moment values of
+    # moments.fraction_table, ints where they are integral; a solution
+    # whose divisors are ints gives the same series as one with the same
+    # cells over Fraction divisors; an int divided by an int with ``/``
+    # would give a float, which rounds the divisors past 2**53 that z up
+    # to 24 reaches (24! > 2**79)
     prob = CauchyProblem(TWOFACTOR, G1, G1,
                          geometric_g(8, 24 + 3 * 8, exact=True), (8, 24))
     u = formal_solve(prob)
@@ -571,12 +572,24 @@ def test_transforms_of_int_divisors_equal_fraction_divisors(m):
                                 list(map(Fraction, lanes.col_div))),
                 u.kappa1, u.kappa2, True)
     assert v == u
+    outputs = []
     for axis in ("t", "z"):
-        for transform in (borel, inv_borel, moment_diff):
-            assert transform(m, u, axis) == transform(m, v, axis)
+        for transform in (borel, inv_borel, moment_diff, moment_antidiff):
+            outputs += [transform(m, u, axis), transform(m, v, axis)]
+            assert outputs[-2] == outputs[-1]
     table = {(1, 0): 1, (0, 2): RationalComplex(Fraction(-1, 3), 2)}
-    assert apply_operator(table, m, G1, u) == apply_operator(table, m, G1, v)
-    assert apply_operator(table, G1, m, u) == apply_operator(table, G1, m, v)
+    for m1, m2 in ((m, G1), (G1, m)):
+        outputs += [apply_operator(table, m1, m2, u),
+                    apply_operator(table, m1, m2, v)]
+        assert outputs[-2] == outputs[-1]
+    outputs += [g_from_f([2, 1], m, u), g_from_f([2, 1], m, v)]
+    assert outputs[-2] == outputs[-1]
+    if m == G1:
+        # the values of Gamma(1) are factorials: every output of the
+        # solution, whose divisors are ints, holds its divisors as ints
+        for out in outputs[::2]:
+            assert all(type(d) is int
+                       for d in [*out.lanes.row_div, *out.lanes.col_div])
 
 
 def test_float_solve_restores_the_numpy_error_state():
