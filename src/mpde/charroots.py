@@ -113,14 +113,17 @@ class CharPoly:
 
     ``coeff_polys[i]`` is the zeta-polynomial multiplying ``lambda**i``
     (coefficients low to high, trailing zeros trimmed, empty tuple for an
-    absent power).  The top power must be present and the lambda degree at
-    least 1.
+    absent power).  Every coefficient is a :class:`RationalComplex`,
+    whatever numbers the caller passed, so equal operators hold equal
+    values and every consumer reads them exactly.  The top power must be
+    present and the lambda degree at least 1.
     """
 
     coeff_polys: tuple
 
     def __post_init__(self):
-        rows = [_trim(list(row)) for row in self.coeff_polys]
+        rows = [_trim([RationalComplex.coerce(c) for c in row])
+                for row in self.coeff_polys]
         while rows and not rows[-1]:
             rows.pop()
         if len(rows) <= 1:
@@ -131,6 +134,16 @@ class CharPoly:
     def n(self) -> int:
         return len(self.coeff_polys) - 1
 
+    @property
+    def B(self) -> int:
+        """zeta-degree of the top lambda coefficient :meth:`p0`."""
+        return len(self.coeff_polys[-1]) - 1
+
+    @property
+    def max_b(self) -> int:
+        """Largest z-order: the highest zeta-degree of any coefficient."""
+        return max(map(len, self.coeff_polys)) - 1
+
     @classmethod
     def from_table(cls, table) -> "CharPoly":
         """Build from a sparse ``{(lambda_pow, zeta_pow): coeff}`` mapping."""
@@ -138,11 +151,10 @@ class CharPoly:
             raise PreconditionError("empty operator support")
         n = max(a for a, _ in table)
         rows = [[] for _ in range(n + 1)]
-        zero = RationalComplex(0)
         for (a, b), c in table.items():
             row = rows[a]
             while len(row) <= b:
-                row.append(zero)
+                row.append(_ZERO)
             row[b] = row[b] + RationalComplex.coerce(c)
         return cls(tuple(tuple(r) for r in rows))
 

@@ -169,31 +169,27 @@ def operator_to_text(P: CharPoly) -> str:
     """Printable form; reparsing reproduces the coefficient table exactly."""
     parts = []
     for a in range(P.n, -1, -1):
-        row = P.coeff_polys[a] if a < len(P.coeff_polys) else ()
+        row = P.coeff_polys[a]
         for b in range(len(row) - 1, -1, -1):
             c = row[b]
             if not c:
                 continue
-            qc = RationalComplex.coerce(c)
             mono = []
             if a:
                 mono.append(f"dt^{a}" if a > 1 else "dt")
             if b:
                 mono.append(f"dz^{b}" if b > 1 else "dz")
-            if not qc.im:
-                coeff_txt = fmt_fraction(qc.re)
-                neg = qc.re < 0
-                if neg:
-                    coeff_txt = fmt_fraction(-qc.re)
+            if not c.im:
+                neg, coeff_txt = c.re < 0, fmt_fraction(abs(c.re))
                 body = "*".join(([coeff_txt] if (coeff_txt != "1" or not mono)
                                  else []) + mono)
                 parts.append(("-" if neg else "+", body))
-            elif not qc.re:
-                coeff_txt = f"{fmt_fraction(abs(qc.im))}i"
+            elif not c.re:
+                coeff_txt = f"{fmt_fraction(abs(c.im))}i"
                 body = "*".join([coeff_txt] + mono)
-                parts.append(("-" if qc.im < 0 else "+", body))
+                parts.append(("-" if c.im < 0 else "+", body))
             else:
-                inner = str(qc).replace("-", "- ").replace("+", " + ")
+                inner = str(c).replace("-", "- ").replace("+", " + ")
                 body = "*".join([f"({inner})"] + mono)
                 parts.append(("+", body))
     first_sign, first_body = parts[0]

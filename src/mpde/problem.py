@@ -18,12 +18,17 @@ direction is expected.  Coefficient payloads are lists of
 payload object): j, i non-negative integers; re, im and the ``rhs_gevrey``
 entries finite non-boolean numbers or rational strings such as ``"1/2"``.
 
+A loaded :class:`ProblemFile` parses its operator, into one
+:class:`~mpde.charroots.CharPoly` of Gaussian rationals, and both moment
+expressions once; :func:`assemble` and every report read that parse.
+
 A ``rational`` rhs num/den is expanded on the solver grid by the solver's
 own recursion (:func:`mpde.kernel.recurrence` and ``recurrence_float``):
 ``den * R = num`` is a pseudo-mode solve with unit moments and num as an f
 rhs, run over the live rows only.  A float problem that sums or divides
-its entries past binary64 fails naming them.  An exact ``coeffs`` rhs becomes lanes over one common denominator.  Grids
-above ``MAX_GRID_CELLS`` are rejected before they are allocated.
+its entries past binary64 fails naming them.  An exact ``coeffs`` rhs
+becomes lanes over one common denominator.  Grids above
+``MAX_GRID_CELLS`` are rejected before they are allocated.
 """
 
 from __future__ import annotations
@@ -37,15 +42,14 @@ from functools import cached_property
 from pathlib import Path
 
 from . import kernel, newton
-from .charroots import CharPoly, branches_at_infinity
+from .charroots import branches_at_infinity
 from .errors import EvaluationError, ParseError, PreconditionError
 from .exact import RationalComplex, as_fraction, fmt_fraction
-from .moments import MomentFunction
 from .parsing import parse_moment, parse_operator
 from .record import record
 from .series import Series2, gevrey_fit
 from .solver import (CauchyProblem, _recursion_terms, formal_solve,
-                     level_widths, residual, theoretical_orders, z_order)
+                     level_widths, residual, theoretical_orders)
 from .summability import classify, levels as summability_levels, \
     singular_direction_probe
 
@@ -59,7 +63,8 @@ _KNOWN_KEYS = {"operator", "m1", "m2", "rhs", "rhs_role", "rhs_gevrey",
 
 @record
 class ProblemFile:
-    """A problem file as loaded and validated, before parsing."""
+    """A problem file as loaded and validated; its expressions are parsed
+    once, when :attr:`parsed` is first read."""
 
     operator: str
     m1: str
@@ -71,6 +76,13 @@ class ProblemFile:
     directions: tuple = (0.0,)
     mode: str = "direct"
     arithmetic: str = "float"
+
+    @cached_property
+    def parsed(self) -> tuple:
+        """``(CharPoly, m1, m2)``: the operator and both moment functions,
+        parsed together on first use."""
+        return (parse_operator(self.operator), parse_moment(self.m1),
+                parse_moment(self.m2))
 
 
 def load_problem(source) -> ProblemFile:
@@ -315,34 +327,6 @@ def _rounded(q, terms, taps) -> tuple:
 # -- assembled problem -------------------------------------------------------------
 
 
-@record
-class ParsedProblem:
-    """A problem file with its operator and moment functions parsed."""
-
-    pf: ProblemFile
-    operator: CharPoly
-    m1: MomentFunction
-    m2: MomentFunction
-
-    @property
-    def s1(self) -> Fraction:
-        return self.m1.order
-
-    @property
-    def s2(self) -> Fraction:
-        return self.m2.order
-
-    @cached_property
-    def branches(self) -> tuple:
-        return tuple(branches_at_infinity(self.operator))
-
-
-def parse_problem(pf: ProblemFile) -> ParsedProblem:
-    """Parse the operator and the moment functions of a problem file."""
-    return ParsedProblem(pf, parse_operator(pf.operator), parse_moment(pf.m1),
-                         parse_moment(pf.m2))
-
-
 def _truncation(pf: ProblemFile, n1, n2) -> tuple:
     """``(N1, N2)``: the overrides where set, else the problem file's; a
     negative override raises PreconditionError before anything is built."""
@@ -363,15 +347,14 @@ def _truncation(pf: ProblemFile, n1, n2) -> tuple:
 MAX_GRID_CELLS = 1_000_000
 
 
-def assemble(pp: ParsedProblem, n1: int | None = None, n2: int | None = None,
+def assemble(pf: ProblemFile, n1: int | None = None, n2: int | None = None,
              arithmetic: str | None = None) -> CauchyProblem:
     """Expand the rhs to the widest solver level of ``(n1, n2)``.
 
     Unset truncation and arithmetic come from the problem file.  A grid
     above ``MAX_GRID_CELLS`` is rejected before anything is allocated.
     """
-    pf = pp.pf
-    P = pp.operator
+    P, m1, m2 = pf.parsed
     N1, N2 = _truncation(pf, n1, n2)
     exact = (arithmetic or pf.arithmetic) == "exact"
     n2_internal = level_widths(P, (N1, N2))[0]
@@ -382,9 +365,8 @@ def assemble(pp: ParsedProblem, n1: int | None = None, n2: int | None = None,
             f"({N1 + 1} x {n2_internal + 1}), above the cap of "
             f"{MAX_GRID_CELLS}; lower --n1 or --n2")
     rhs = expand_rhs(pf.rhs, N1, n2_internal, exact)
-    return CauchyProblem(P, pp.m1, pp.m2, rhs, (N1, N2),
-                         rhs_is_g=pf.rhs_role == "g",
-                         rhs_gevrey=pf.rhs_gevrey, mode=pf.mode)
+    return CauchyProblem(P, m1, m2, rhs, (N1, N2),
+                         rhs_is_g=pf.rhs_role == "g", mode=pf.mode)
 
 
 # -- reports ------------------------------------------------------------------------
@@ -430,8 +412,8 @@ def _summability_json(report) -> dict:
 def analyze_problem(pf: ProblemFile, n1: int | None = None,
                     n2: int | None = None) -> dict:
     """Full analysis report: branches, polygon, orders, summability."""
-    pp = parse_problem(pf)
-    P, s1, s2, branches = pp.operator, pp.s1, pp.s2, pp.branches
+    P, m1, m2 = pf.parsed
+    s1, s2, branches = m1.order, m2.order, branches_at_infinity(P)
     st1, st2 = pf.rhs_gevrey
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -450,13 +432,12 @@ def analyze_problem(pf: ProblemFile, n1: int | None = None,
     }
     if s1 > 0 and s2 > 0:
         polygon = newton.build(P.support(), s1, s2)
-        p0_degree = len(P.p0()) - 1
-        cc = newton.cross_check(polygon, branches, s1, s2, p0_degree)
+        cc = newton.cross_check(polygon, branches, s1, s2, P.B)
         report["newton"] = {
             "vertices": [[fmt_fraction(x), fmt_fraction(y)]
                          for x, y in polygon.vertices],
             "slopes": [fmt_fraction(k) for k in newton.slopes(polygon)],
-            "p0_degree": p0_degree,
+            "p0_degree": P.B,
             "consistent": cc.ok,
         }
     else:
@@ -479,14 +460,14 @@ def _solve_checked(pf: ProblemFile, n1, n2, arithmetic):
     A truncation below the operator orders leaves the residual no window to
     compare on; it is rejected before anything is solved.
     """
-    pp = parse_problem(pf)
+    P = pf.parsed[0]
     N1, N2 = _truncation(pf, n1, n2)
-    n, max_b = pp.operator.n, z_order(pp.operator)
+    n, max_b = P.n, P.max_b
     if N1 < n or N2 < max_b:
         raise PreconditionError(
             f"truncation ({N1}, {N2}) is below the operator orders "
             f"({n}, {max_b}); the residual needs N1 >= {n} and N2 >= {max_b}")
-    prob = assemble(pp, N1, N2, arithmetic)
+    prob = assemble(pf, N1, N2, arithmetic)
     u = formal_solve(prob)
     return u, residual(prob, u)
 
@@ -525,19 +506,20 @@ def verify_problem(pf: ProblemFile, tol: float = 1e-8,
 
 
 def probe_problem(pf: ProblemFile, n1: int | None = None,
-                  n2: int | None = None, arithmetic: str | None = None,
-                  z_eval: complex = 0.0) -> dict:
+                  n2: int | None = None, arithmetic: str | None = None
+                  ) -> dict:
     """Empirical Gevrey fit plus singular-direction probes per level."""
-    pp = parse_problem(pf)
-    u = formal_solve(assemble(pp, n1, n2, arithmetic))
+    P, m1, m2 = pf.parsed
+    u = formal_solve(assemble(pf, n1, n2, arithmetic))
+    branches, s1, s2 = branches_at_infinity(P), m1.order, m2.order
     st1, st2 = pf.rhs_gevrey
-    orders = theoretical_orders(pp.branches, pp.s1, pp.s2, st1, st2)
+    orders = theoretical_orders(branches, s1, s2, st1, st2)
     fit = gevrey_fit(u)
-    lres = summability_levels(pp.branches, pp.s1, pp.s2, st1, st2)
+    lres = summability_levels(branches, s1, s2, st1, st2)
     probes = []
     for spec in lres.levels:
         try:
-            pr = singular_direction_probe(u, spec.K, z_eval=z_eval)
+            pr = singular_direction_probe(u, spec.K)
             probes.append({"K": fmt_fraction(spec.K), "status": pr.status,
                            "directions": list(pr.directions),
                            "radius": pr.radius, "detail": pr.detail})
@@ -555,6 +537,6 @@ def probe_problem(pf: ProblemFile, n1: int | None = None,
 
 def newton_problem(pf: ProblemFile):
     """Polygon of the operator at the moment orders; returns (svg, csv)."""
-    pp = parse_problem(pf)
-    polygon = newton.build(pp.operator.support(), pp.s1, pp.s2)
+    P, m1, m2 = pf.parsed
+    polygon = newton.build(P.support(), m1.order, m2.order)
     return newton.to_svg(polygon), newton.vertices_csv(polygon)

@@ -65,7 +65,9 @@ class CauchyProblem:
     ``rhs`` is read as the normalized right-hand side g by default
     (``rhs_is_g``), or as f itself, for ``g = P0(dz)^-1 f`` with the free
     coefficients set to zero; f then needs B = deg P0 columns fewer.
-    ``rhs_gevrey`` is declared metadata; it never alters coefficients.
+    The orders are the operator's own (``operator.n``, ``operator.B`` and
+    ``operator.max_b``).  The declared Gevrey orders of a problem file's
+    rhs enter only its analysis reports, not a solve.
     """
 
     operator: CharPoly
@@ -74,22 +76,14 @@ class CauchyProblem:
     rhs: Series2
     out_shape: tuple
     rhs_is_g: bool = True
-    rhs_gevrey: tuple = (Fraction(0), Fraction(0))
     mode: str = "direct"
 
     def __post_init__(self):
         if self.mode not in ("direct", "pseudo"):
             raise PreconditionError(f"unknown mode {self.mode!r}")
-        object.__setattr__(self, "rhs_gevrey",
-                           (as_fraction(self.rhs_gevrey[0]),
-                            as_fraction(self.rhs_gevrey[1])))
         n1, n2 = self.out_shape
         if n1 < 0 or n2 < 0:
             raise PreconditionError("output truncation must be non-negative")
-
-    @property
-    def max_b(self) -> int:
-        return z_order(self.operator)
 
     @cached_property
     def widths(self) -> list:
@@ -101,11 +95,11 @@ class CauchyProblem:
     def _table_sizes(self) -> tuple:
         """Largest row and column index any stage reads a moment value at:
         the rhs or output window plus the t-order of the operator (rows)
-        and plus ``max_b`` (columns)."""
+        and plus its largest z-order ``max_b`` (columns)."""
         n1, _ = self.out_shape
         J, I = self.rhs.valid
         return (max(n1, J) + self.operator.n,
-                max(self.widths[0], I) + self.max_b)
+                max(self.widths[0], I) + self.operator.max_b)
 
     @cached_property
     def fraction_tables(self) -> tuple:
@@ -132,11 +126,6 @@ class CauchyProblem:
         return build(*axes[0], n_rows), build(*axes[1], n_cols)
 
 
-def z_order(P: CharPoly) -> int:
-    """Largest z-order ``max_b`` of the operator."""
-    return max(len(row) - 1 for row in P.coeff_polys if row)
-
-
 def level_widths(P: CharPoly, out_shape) -> list:
     """Last column ``w[t]`` that level t of the recursion is computed on,
     for the output window ``(N1, N2)``; the list is non-increasing in t.
@@ -147,7 +136,7 @@ def level_widths(P: CharPoly, out_shape) -> list:
     ``w[t] = max(N2, w[t+a] + b)``; every other read is at a lower column.
     """
     N1, N2 = out_shape
-    n, B = P.n, len(P.p0()) - 1
+    n, B = P.n, P.B
     ups = [(n - lam, len(row) - 1 - B)
            for lam, row in enumerate(P.coeff_polys[:n]) if len(row) > B]
     w = [N2] * (N1 + 1)
@@ -200,8 +189,9 @@ def _taps(top) -> list:
 def _recursion_terms(rows, top) -> tuple:
     """Terms (a, b, c) and taps (k, m_k) of the normalized recursion
     ``U[t] = G[t-n] + sum c * U[t-a][i+b] + V[t]`` of :func:`kernel.recurrence`
-    for the lambda coefficients ``rows`` (zeta-polynomials, ``rows[n]`` the
-    top coefficient ``top``, as a :class:`CharPoly` holds them).
+    for the lambda coefficients ``rows`` (zeta-polynomials of
+    :class:`RationalComplex` values, ``rows[n]`` the top coefficient
+    ``top``, as a :class:`CharPoly` holds them).
 
     Each ``-A_{n-a}/A_n`` is divided once into a quotient, whose terms shift
     up (b >= 0), and a remainder of degree < B = deg A_n over ``A_n``.  In
@@ -216,7 +206,7 @@ def _recursion_terms(rows, top) -> tuple:
     n, B = len(rows) - 1, len(top) - 1
     terms = []
     for lam, row in enumerate(rows[:n]):
-        quo, rem = _divmod([RationalComplex.coerce(c) for c in row], top)
+        quo, rem = _divmod(row, top)
         terms += [(n - lam, b, -c) for b, c in enumerate(quo) if c]
         terms += [(n - lam, k - B, -c / top[B])
                   for k, c in enumerate(rem) if c]
@@ -227,15 +217,15 @@ def formal_solve(prob: CauchyProblem) -> Series2:
     """Truncated formal solution with zero initial data, determined by g.
 
     Output grid is exactly ``out_shape``; every returned coefficient is
-    inside the valid window thanks to the level widths.  In float
-    mode a t-level that overflows binary64 inside that window raises
-    EvaluationError.
+    inside the valid window thanks to the level widths.  The recursion's
+    terms and taps come from the operator's Gaussian-rational coefficients
+    as they are; float mode rounds them once.  In float mode a t-level
+    that overflows binary64 inside that window raises EvaluationError.
     """
     P = prob.operator
     n = P.n
     exact = prob.rhs.exact
-    top = [RationalComplex.coerce(c) for c in P.p0()]
-    B = len(top) - 1
+    top, B = P.p0(), P.B
     if prob.mode == "direct" and B != 0:
         raise PreconditionError(
             "direct mode requires a constant top lambda coefficient; "

@@ -95,7 +95,7 @@ def test_acceptance_03_gevrey_empirical_vs_theoretical():
     worst = 0.0
     for P, maxb, (st1, st2), t_coeffs in cases:
         g = _single_row_g(n1, n2 + maxb * n1, t_coeffs=t_coeffs)
-        prob = CauchyProblem(P, G1, G1, g, (n1, n2), rhs_gevrey=(st1, st2))
+        prob = CauchyProblem(P, G1, G1, g, (n1, n2))
         fit = gevrey_fit(formal_solve(prob))
         orders = theoretical_orders(branches_at_infinity(P), 1, 1, st1, st2)
         err = abs(fit.s_hat - float(orders.t_order))

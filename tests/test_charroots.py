@@ -12,6 +12,7 @@ from mpde.charroots import (CharPoly, _deriv, _gcd, _squarefree_parts,
                             branches_at_infinity, validate_numeric)
 from mpde.errors import PreconditionError
 from mpde.exact import RationalComplex
+from mpde.parsing import parse_operator
 
 
 def _branch_map(branches):
@@ -65,6 +66,30 @@ def test_rejects_zero_branch_and_degenerate():
         branches_at_infinity(CharPoly.from_table({(2, 0): 1, (1, 1): -1}))
     with pytest.raises(PreconditionError):
         CharPoly.from_table({(0, 3): 1})
+
+
+def test_an_operator_holds_gaussian_rationals_whatever_it_was_built_from():
+    # ints, other numbers, a sparse table and the parser give one value
+    heat = [CharPoly(((0, 0, -1), (1,))),
+            CharPoly(((0.0, Fraction(0), -1 + 0j), (Fraction(2, 2),))),
+            CharPoly.from_table({(1, 0): 1, (0, 2): -1}),
+            parse_operator("dt - dz^2")]
+    assert len({repr(P) for P in heat}) == 1 and len(set(heat)) == 1
+    for P in heat:
+        assert all(type(c) is RationalComplex
+                   for row in P.coeff_polys for c in row)
+        assert all(type(c) is RationalComplex for c in P.support().values())
+
+
+@pytest.mark.parametrize("text,n,B,max_b", [
+    ("dt - dz^2", 1, 0, 2), ("(dt - dz^2)*(dt - dz^3)", 2, 0, 5),
+    ("(2+dz)*dt - dz^2", 1, 1, 2), ("dz^3*dt^2 + dt - 1", 2, 3, 3),
+    ("dt*dz + dz^4", 1, 1, 4)])
+def test_an_operator_reports_its_orders(text, n, B, max_b):
+    P = parse_operator(text)
+    assert (P.n, P.B, P.max_b) == (n, B, max_b)
+    assert P.B == len(P.p0()) - 1
+    assert P.max_b == max(b for _, b in P.support())
 
 
 def test_degree_accounting_random():

@@ -22,7 +22,8 @@ from mpde import problem as problem_mod
 from mpde.errors import EvaluationError, ParseError, PreconditionError
 from mpde.exact import RationalComplex
 from mpde.problem import (analyze_problem, expand_rhs, load_problem,
-                          solve_problem, verify_problem)
+                          newton_problem, probe_problem, solve_problem,
+                          verify_problem)
 from mpde.series import gevrey_fit
 from mpde.solver import formal_solve
 
@@ -344,8 +345,7 @@ def test_exact_fit_and_row_values_build_no_cell_objects(monkeypatch):
     # the binary64 readers decode the integer lanes row by row; the per-cell
     # route built one RationalComplex for each of the 64 x 61 cells
     pf = load_problem(shipped("twofactor"))
-    u = formal_solve(problem_mod.assemble(problem_mod.parse_problem(pf), 63,
-                                          60, "exact"))
+    u = formal_solve(problem_mod.assemble(pf, 63, 60, "exact"))
     built = []
     init = RationalComplex.__init__
 
@@ -428,9 +428,9 @@ def test_grid_cap_admits_the_largest_benchmark_grid(monkeypatch):
         assert (n1 + 1) * (n2 + 1) == 100701
         raise Reached
     monkeypatch.setattr(problem_mod, "expand_rhs", reached)
-    pp = problem_mod.parse_problem(load_problem(shipped("heat")))
+    pf = load_problem(shipped("heat"))
     with pytest.raises(Reached):
-        problem_mod.assemble(pp, 200, 100, "float")
+        problem_mod.assemble(pf, 200, 100, "float")
 
 
 def test_import_does_not_load_scipy():
@@ -596,6 +596,41 @@ def test_cli_negative_truncation_override_exits_2_naming_it(
     assert result.stdout == "" and "Traceback" not in result.output
     assert f"truncation override {name} {value} is negative" in result.output
     assert expanded == [] and not out.exists()
+
+
+def test_a_problem_file_parses_its_operator_and_moments_once(monkeypatch):
+    calls = []
+
+    def counted(name):
+        parse = getattr(problem_mod, name)
+        return lambda text: calls.append(name) or parse(text)
+    for name in ("parse_operator", "parse_moment"):
+        monkeypatch.setattr(problem_mod, name, counted(name))
+    pf = load_problem(shipped("twofactor"))
+    analyze_problem(pf)
+    solve_problem(pf, 6, 8, "exact")
+    verify_problem(pf, 1e-8, 6, 8, "float")
+    probe_problem(pf, 24, 8, "float")
+    newton_problem(pf)
+    assert calls == ["parse_operator", "parse_moment", "parse_moment"]
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "probe"])
+@pytest.mark.parametrize("override", [["--n1", "0"], ["--n1", "-1"],
+                                      ["--n1", "3000"]])
+def test_cli_parse_error_comes_before_the_truncation_checks(
+        command, override, tmp_path):
+    # the operator and both moments are parsed before the truncation is
+    # checked against the overrides, the operator orders or the grid cap
+    data = json.loads(Path(shipped("heat")).read_text())
+    data["m2"] = "Gamma(1"
+    prob = tmp_path / "bad_m2.json"
+    prob.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    result = run_cli([command, str(prob), *override, "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert result.stderr.startswith("parse error: ") and result.stdout == ""
+    assert "truncation" not in result.output and not out.exists()
 
 
 @pytest.mark.parametrize("text", ["5", "[1, 2]", '"x"', "null"])

@@ -602,7 +602,7 @@ def test_lanes_backed_series_equal_their_rows(case, scale, mode):
                      exact=True)
     base = case.problem(mode=mode)
     prob = CauchyProblem(base.operator, base.m1, base.m2, rhs, base.out_shape,
-                         base.rhs_is_g, base.rhs_gevrey, base.mode)
+                         base.rhs_is_g, base.mode)
     try:
         u = formal_solve(prob)
     except WindowError:

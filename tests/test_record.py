@@ -132,9 +132,8 @@ def test_record_keeps_cached_property_working():
     assert c.square == 9 and c.square == 9 and calls == [3]
     assert c == Cached(3) and hash(c) == hash(Cached(3))
     pf = problem.load_problem(str(PROBLEMS / "twofactor.json"))
-    pp = problem.parse_problem(pf)
-    assert pp.branches is pp.branches
-    cp = problem.assemble(pp, 4, 6, True)
+    assert pf.parsed is pf.parsed
+    cp = problem.assemble(pf, 4, 6, True)
     assert cp.fraction_tables is cp.fraction_tables
 
 
@@ -155,7 +154,7 @@ def test_every_record_repr_and_hash_match_its_dataclass_twin(monkeypatch):
     # instances from the pipeline on two shipped problems, each compared
     # with the frozen dataclass of the same name and field values
     classes = record_classes()
-    assert len(classes) == 26
+    assert len(classes) == 25
     made = {cls: [] for cls in classes}
     for cls in classes:
         def init(self, *args, _init=cls.__init__, **kwargs):
@@ -168,7 +167,7 @@ def test_every_record_repr_and_hash_match_its_dataclass_twin(monkeypatch):
         problem.solve_problem(pf, 6, 8, "exact")
         problem.verify_problem(pf, 1e-8, 6, 8, "float")
         problem.probe_problem(pf, 24, 8, "float")
-        P = problem.parse_problem(pf).operator
+        P = pf.parsed[0]
         charroots.validate_numeric(P, charroots.branches_at_infinity(P),
                                    [10.0, 100.0])
     series.borel(MomentFunction(), Series1([1, 2, 3]))

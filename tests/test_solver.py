@@ -648,8 +648,7 @@ def test_gevrey_agreement_benchmarks():
     ]
     for P, maxb, (st1, st2), t_coeffs in cases:
         g = geometric_g(n1, n2 + maxb * n1, t_coeffs=t_coeffs)
-        prob = CauchyProblem(P, G1, G1, g, (n1, n2),
-                             rhs_gevrey=(st1, st2))
+        prob = CauchyProblem(P, G1, G1, g, (n1, n2))
         u = formal_solve(prob)
         fit = gevrey_fit(u)
         orders = theoretical_orders(branches_at_infinity(P), 1, 1, st1, st2)
