@@ -146,7 +146,8 @@ class CharPoly:
 
     @classmethod
     def from_table(cls, table) -> "CharPoly":
-        """Build from a sparse ``{(lambda_pow, zeta_pow): coeff}`` mapping."""
+        """Build from a sparse ``{(lambda_pow, zeta_pow): coeff}`` mapping,
+        whose keys are unique, so each coefficient is stored as it is."""
         if not table:
             raise PreconditionError("empty operator support")
         n = max(a for a, _ in table)
@@ -155,7 +156,7 @@ class CharPoly:
             row = rows[a]
             while len(row) <= b:
                 row.append(_ZERO)
-            row[b] = row[b] + RationalComplex.coerce(c)
+            row[b] = RationalComplex.coerce(c)
         return cls(tuple(tuple(r) for r in rows))
 
     def support(self) -> dict:

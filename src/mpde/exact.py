@@ -1,10 +1,14 @@
 """Exact complex-rational arithmetic for the exact computation mode.
 
-Coefficients in exact mode are Gaussian rationals: pairs of
-:class:`fractions.Fraction` for the real and imaginary part.  The class
-supports the field operations needed by the series and solver code and
-converts losslessly from Python ints, Fractions, floats and complex numbers
-(binary floats are themselves exact rationals).
+Coefficients in exact mode are Gaussian rationals: a real and an imaginary
+part, each an exact rational held as an ``int`` where it is integral and as
+a :class:`fractions.Fraction` otherwise, the rule that exact moment values
+follow too.  Parts are added, subtracted and multiplied as they are; an
+integral result of Fraction parts becomes an int again, and every quotient
+goes through :func:`quotient`, since ``/`` on two ints gives a float.
+:class:`RationalComplex` supports the field operations needed by the series
+and solver code and converts losslessly from Python ints, Fractions, floats
+and complex numbers (binary floats are themselves exact rationals).
 """
 
 from __future__ import annotations
@@ -34,6 +38,23 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 
+def as_rational(value):
+    """``value`` as an exact rational: an int where it is integral, else a
+    Fraction.  Accepts what :func:`as_fraction` accepts."""
+    if type(value) is int:
+        return value
+    q = as_fraction(value)
+    return q.numerator if q.denominator == 1 else q
+
+
+def quotient(w, d):
+    """The exact quotient ``w / d`` of ints or Fractions: an int when it is
+    integral, else a Fraction; the one rule by which exact values divide."""
+    if type(w) is not int or type(d) is not int:
+        w, d = w.numerator * d.denominator, w.denominator * d.numerator
+    return w // d if not w % d else Fraction(w, d)
+
+
 def fmt_fraction(q: Fraction) -> str:
     """Render a Fraction compactly: ``3/2``, ``-1``, ``0``."""
     q = Fraction(q)
@@ -42,14 +63,24 @@ def fmt_fraction(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _made(re, im) -> "RationalComplex":
+    """A RationalComplex of int or Fraction parts, integral Fractions turned
+    into ints, built without :func:`as_rational`."""
+    z = object.__new__(RationalComplex)
+    _SET_RE(z, re if type(re) is int or re.denominator != 1 else re.numerator)
+    _SET_IM(z, im if type(im) is int or im.denominator != 1 else im.numerator)
+    return z
+
+
 class RationalComplex:
-    """A complex number with exact rational real and imaginary parts."""
+    """A complex number with exact rational real and imaginary parts, each
+    an int where it is integral and a Fraction otherwise."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", as_fraction(re))
-        object.__setattr__(self, "im", as_fraction(im))
+        _SET_RE(self, as_rational(re))
+        _SET_IM(self, as_rational(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalComplex is immutable")
@@ -68,16 +99,16 @@ class RationalComplex:
         if isinstance(other, RationalComplex):
             return other.re, other.im
         if isinstance(other, complex):
-            return as_fraction(other.real), as_fraction(other.imag)
+            return as_rational(other.real), as_rational(other.imag)
         if isinstance(other, (int, float, Fraction)):
-            return as_fraction(other), Fraction(0)
+            return as_rational(other), 0
         return None
 
     def __add__(self, other):
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
-        return RationalComplex(self.re + pair[0], self.im + pair[1])
+        return _made(self.re + pair[0], self.im + pair[1])
 
     __radd__ = __add__
 
@@ -85,20 +116,20 @@ class RationalComplex:
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
-        return RationalComplex(self.re - pair[0], self.im - pair[1])
+        return _made(self.re - pair[0], self.im - pair[1])
 
     def __rsub__(self, other):
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
-        return RationalComplex(pair[0] - self.re, pair[1] - self.im)
+        return _made(pair[0] - self.re, pair[1] - self.im)
 
     def __mul__(self, other):
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
         a, b, c, d = self.re, self.im, pair[0], pair[1]
-        return RationalComplex(a * c - b * d, a * d + b * c)
+        return _made(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -107,22 +138,23 @@ class RationalComplex:
         if pair is None:
             return NotImplemented
         c, d = pair
-        if not d and c:  # a real divisor divides each part once
-            return RationalComplex(self.re / c, self.im / c)
+        if not d:  # a real divisor divides each part once
+            if not c:
+                raise ZeroDivisionError("division by zero RationalComplex")
+            return _made(quotient(self.re, c), quotient(self.im, c))
         denom = c * c + d * d
-        if denom == 0:
-            raise ZeroDivisionError("division by zero RationalComplex")
         a, b = self.re, self.im
-        return RationalComplex((a * c + b * d) / denom, (b * c - a * d) / denom)
+        return _made(quotient(a * c + b * d, denom),
+                     quotient(b * c - a * d, denom))
 
     def __rtruediv__(self, other):
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
-        return RationalComplex(pair[0], pair[1]) / self
+        return _made(*pair) / self
 
     def __neg__(self):
-        return RationalComplex(-self.re, -self.im)
+        return _made(-self.re, -self.im)
 
     def __pos__(self):
         return self
@@ -160,6 +192,10 @@ class RationalComplex:
             return f"{fmt_fraction(self.im)}i"
         sign = "+" if self.im > 0 else "-"
         return f"{fmt_fraction(self.re)}{sign}{fmt_fraction(abs(self.im))}i"
+
+
+_SET_RE = RationalComplex.re.__set__
+_SET_IM = RationalComplex.im.__set__
 
 
 QC_ONE = RationalComplex(1)

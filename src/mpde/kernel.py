@@ -31,10 +31,11 @@ Moment values enter as divisors: an output grid keeps its level divisors
 times the moment values as row and column divisors.  Exact moment values
 (:func:`mpde.moments.fraction_table`) and divisors are ints where they are
 integral, such as the factorials of Gamma(1), and Fractions otherwise, in
-every exact stage: they multiply as they are and divide by one rule,
-:func:`quotient`, so that integral divisors stay ints.  One decoder divides
-them out of raw lanes, row by row: :func:`denormalize` builds Gaussian
-rationals from it, :func:`binary64_rows` correctly rounded binary64 parts.
+every exact stage, as are the parts of the Gaussian rationals: they
+multiply as they are and divide by one rule, :func:`mpde.exact.quotient`,
+so that integral divisors stay ints.  One decoder divides them out of raw
+lanes, row by row: :func:`denormalize` builds Gaussian rationals from it,
+:func:`binary64_rows` correctly rounded binary64 parts.
 
 Float mode runs on numpy complex arrays of raw coefficients, so that grids
 whose normalized coefficients would overflow binary64 stay finite.  The
@@ -63,10 +64,8 @@ from fractions import Fraction
 from itertools import chain, islice, repeat
 from operator import add, sub
 
-from .exact import RationalComplex
+from .exact import RationalComplex, quotient
 from .record import record
-
-_ZERO = Fraction(0)
 
 
 @record
@@ -119,22 +118,16 @@ def lanes_of_table(table: dict, n1: int, n2: int) -> RawLanes:
                     [d] * (n1 + 1), [1] * (n2 + 1))
 
 
-def quotient(w, d):
-    """The exact quotient ``w / d`` of ints or Fractions: the int ``w // d``
-    when d divides w (1 when they are equal), else a Fraction; the one rule
-    by which exact moment values and divisors are divided."""
-    return 1 if w == d else w // d if not w % d else Fraction(w, d)
-
-
 def rescale(grid: RawLanes, w1, w2, n_rows: int, n_cols: int) -> Lanes:
     """Numerators of ``grid[j][i] * w1[j] * w2[i]`` for j <= n_rows,
     i <= n_cols, over the least common denominator of the cells.
 
     Row j is multiplied by ``w1[j] / row_div[j]`` and column i by
     ``w2[i] / col_div[i]``, O(rows + columns) quotients, ints where they
-    are integral and Fractions otherwise (:func:`quotient`), brought to
-    the product L of their two common denominators; one gcd of L and all
-    the numerators then leaves the least common denominator of the cells.
+    are integral and Fractions otherwise (:func:`mpde.exact.quotient`),
+    brought to the product L of their two common denominators; one gcd of
+    L and all the numerators then leaves the least common denominator of
+    the cells.
     """
     rows = [quotient(w1[j], grid.row_div[j]) for j in range(n_rows + 1)]
     cols = [quotient(w2[i], grid.col_div[i]) for i in range(n_cols + 1)]
@@ -337,11 +330,10 @@ def denormalize(grid: RawLanes) -> tuple:
     out = []
     for _, parts, nums, dens in _decode(grid, range(len(grid.re)),
                                         len(grid.col_div) - 1):
-        fracs = [[Fraction(x * n, d) if x else _ZERO
-                  for x, n, d in zip(part, nums, dens)] for part in parts]
-        out.append(tuple(map(RationalComplex, fracs[0],
-                             fracs[1] if len(parts) == 2
-                             else [_ZERO] * len(fracs[0]))))
+        vals = [[quotient(x * n, d) if x else 0
+                 for x, n, d in zip(part, nums, dens)] for part in parts]
+        out.append(tuple(map(RationalComplex, vals[0],
+                             vals[1] if len(vals) == 2 else repeat(0))))
     return tuple(out)
 
 

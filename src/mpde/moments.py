@@ -40,8 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, EvaluationError
-from .exact import as_fraction, fmt_fraction
-from .kernel import quotient
+from .exact import as_fraction, fmt_fraction, quotient
 from .record import record
 
 _LN2 = math.log(2.0)
@@ -289,7 +288,7 @@ def fraction_table(m: MomentFunction, kappa: int, n: int) -> list:
 
     The values of ``scaled_eval(m, j/kappa).rational``, with the same
     DomainErrors, but outside its cache, multiplied factor by factor on
-    integers and divided once (:func:`mpde.kernel.quotient`): an int where
+    integers and divided once (:func:`mpde.exact.quotient`): an int where
     integral, such as a factorial of Gamma(1), else a Fraction.  An integer
     Gamma argument k contributes ``scale * (k-1)!`` from a running product
     (arguments grow with j), any other argument ``x / D`` the dyadic

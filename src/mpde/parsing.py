@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .charroots import CharPoly
 from .errors import ParseError, PreconditionError
-from .exact import RationalComplex, fmt_fraction
+from .exact import QC_ONE, RationalComplex, fmt_fraction
 from .moments import MomentFactor, MomentFunction, gamma_s
 
 _NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:/\d+(?:\.\d+)?)?")
@@ -51,7 +51,9 @@ class _Scanner:
         if not self.take(literal):
             raise ParseError(f"expected {literal!r}", self.pos)
 
-    def number(self) -> Fraction | None:
+    def number(self) -> int | Fraction | None:
+        """The unsigned number at the cursor: an int for an integer
+        literal, else a Fraction; None when there is none."""
         self.skip_ws()
         mt = _NUMBER_RE.match(self.text, self.pos)
         if not mt:
@@ -61,7 +63,7 @@ class _Scanner:
         if "/" in body:
             num, den = body.split("/")
             return Fraction(num) / Fraction(den)
-        return Fraction(body)
+        return Fraction(body) if "." in body else int(body)
 
     def uint(self) -> int:
         self.skip_ws()
@@ -71,7 +73,7 @@ class _Scanner:
         self.pos = mt.end()
         return int(mt.group(0))
 
-    def signed_number(self) -> Fraction:
+    def signed_number(self) -> int | Fraction:
         self.skip_ws()
         sign = 1
         if self.take("-"):
@@ -132,10 +134,10 @@ def _parse_factor(sc: _Scanner):
         return inner
     if sc.take("dt"):
         power = sc.uint() if sc.take("^") else 1
-        return {(power, 0): RationalComplex(1)}
+        return {(power, 0): QC_ONE}
     if sc.take("dz"):
         power = sc.uint() if sc.take("^") else 1
-        return {(0, power): RationalComplex(1)}
+        return {(0, power): QC_ONE}
     value = sc.number()
     if value is None:
         raise ParseError("expected a number, dt, dz or a parenthesized "

@@ -44,7 +44,7 @@ from pathlib import Path
 from . import kernel, newton
 from .charroots import branches_at_infinity
 from .errors import EvaluationError, ParseError, PreconditionError
-from .exact import RationalComplex, as_fraction, fmt_fraction
+from .exact import RationalComplex, as_rational, fmt_fraction
 from .parsing import parse_moment, parse_operator
 from .record import record
 from .series import Series2, gevrey_fit
@@ -71,7 +71,7 @@ class ProblemFile:
     m2: str
     rhs: dict
     rhs_role: str = "g"
-    rhs_gevrey: tuple = (Fraction(0), Fraction(0))
+    rhs_gevrey: tuple = (0, 0)
     truncation: tuple = (20, 40)
     directions: tuple = (0.0,)
     mode: str = "direct"
@@ -165,12 +165,13 @@ def load_problem(source) -> ProblemFile:
                        mode, arithmetic)
 
 
-def _rational(value) -> Fraction:
-    """``value`` as a Fraction: a finite number that is not a boolean, or a
-    rational string with a nonzero denominator; else ParseError."""
+def _rational(value) -> int | Fraction:
+    """``value`` as an exact rational, an int where it is integral and a
+    Fraction otherwise: a finite number that is not a boolean, or a rational
+    string with a nonzero denominator; else ParseError."""
     if not isinstance(value, bool):
         try:
-            return as_fraction(value)
+            return as_rational(value)
         except (TypeError, ValueError, OverflowError, ZeroDivisionError):
             pass
     raise ParseError(f"{json.dumps(value, default=str)} is not a finite "
@@ -179,7 +180,7 @@ def _rational(value) -> Fraction:
 
 def _entries(quads, where: str) -> list:
     """``(j, i, re, im)`` of the coefficient list ``quads``, with re and im
-    as Fractions; every entry must be ``[j, i, re, im]`` with non-negative
+    exact rationals; every entry must be ``[j, i, re, im]`` with non-negative
     integer indices and :func:`_rational` values, else ParseError."""
     if not isinstance(quads, (list, tuple)):
         raise ParseError(f"{where} coefficients must be a list of "

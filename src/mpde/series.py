@@ -29,7 +29,7 @@ import math
 
 from . import kernel, moments
 from .errors import DomainError, EstimationError, EvaluationError, WindowError
-from .exact import RationalComplex
+from .exact import RationalComplex, quotient
 from .moments import MomentFunction
 from .record import record
 
@@ -334,7 +334,7 @@ def _transform(m, s, axis, delta: int, num: bool, den: bool):
     m if ``den``, else 1.  A Series1 runs as a one-row Series2 along z.
 
     Exact mode re-indexes the lanes of the valid window and sets divisor k
-    to ``div[k + delta] * B(k) / A(k + delta)`` by :func:`kernel.quotient`,
+    to ``div[k + delta] * B(k) / A(k + delta)`` by :func:`exact.quotient`,
     an int where it is integral.  Float mode scales the grid planes of the
     Borel pair by the parts of :func:`moments.split_log`, raising
     OverflowError where ``math.ldexp`` would, and multiplies a shift by
@@ -357,8 +357,7 @@ def _transform(m, s, axis, delta: int, num: bool, den: bool):
         w = moments.fraction_table(m, kappa, n)
         lanes = s.windowed().lanes
         divs = [1 if k + delta < 0 else
-                kernel.quotient(d * (w[k] if den else 1),
-                                w[k + delta] if num else 1)
+                quotient(d * (w[k] if den else 1), w[k + delta] if num else 1)
                 for k, d in enumerate(_reindex(
                     lanes.row_div if axis == "t" else lanes.col_div,
                     delta, n_out, 1))]

@@ -50,7 +50,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import kernel, moments
-from .charroots import CharPoly, _divmod, branches_at_infinity
+from .charroots import CharPoly, _divmod
 from .errors import EvaluationError, PreconditionError
 from .exact import QC_ONE, RationalComplex, as_fraction
 from .moments import MomentFunction
@@ -444,16 +444,13 @@ class OrdersReport:
     z_order: Fraction
 
 
-def theoretical_orders(P_or_branches, s1, s2, st1=0, st2=0) -> OrdersReport:
+def theoretical_orders(branches, s1, s2, st1=0, st2=0) -> OrdersReport:
     """Gevrey order bound per branch: ``max(q+ * (s2 + st2) - s1, st1)``.
 
+    ``branches`` are those of :func:`mpde.charroots.branches_at_infinity`;
     ``q+`` is the positive part of the pole order; the overall t-order is
     the maximum over branches and the z-order is the declared st2.
     """
-    if isinstance(P_or_branches, CharPoly):
-        branches = branches_at_infinity(P_or_branches)
-    else:
-        branches = list(P_or_branches)
     s1, s2 = as_fraction(s1), as_fraction(s2)
     st1, st2 = as_fraction(st1), as_fraction(st2)
     per = []

@@ -36,6 +36,17 @@ def random_series2(rng: random.Random, n1: int, n2: int,
     return Series2(rows, exact=exact)
 
 
+def geometric_g(n1, n2, exact=False, t_coeffs=None):
+    """g = (sum_j t_coeffs[j] t^j) / (1 - z); default is 1/(1-z)."""
+    one = 1 if exact else 1.0
+    zero = 0 if exact else 0.0
+    rows = []
+    for j in range(n1 + 1):
+        w = t_coeffs[j] if t_coeffs else (one if j == 0 else zero)
+        rows.append([w * one] * (n2 + 1))
+    return Series2(rows, exact=exact)
+
+
 def table_mul(t1: dict, t2: dict) -> dict:
     out = {}
     for (a1, b1), v1 in t1.items():

@@ -10,7 +10,8 @@ from importlib import resources
 
 import pytest
 
-from helpers import random_factor_product, random_series1, table_mul
+from helpers import (geometric_g, random_factor_product, random_series1,
+                     table_mul)
 from oracles import frac_integral_quadrature, mellin_check
 
 from mpde import newton
@@ -31,15 +32,6 @@ PROBLEMS = resources.files("mpde") / "problems"
 
 def _passed(n, text):
     print(f"\nACCEPTANCE {n}: PASS - {text}")
-
-
-def _single_row_g(n1, n2_total, exact=False, t_coeffs=None):
-    one, zero = (1, 0) if exact else (1.0, 0.0)
-    rows = []
-    for j in range(n1 + 1):
-        w = t_coeffs[j] if t_coeffs else (one if j == 0 else zero)
-        rows.append([w] * (n2_total + 1))
-    return Series2(rows, exact=exact)
 
 
 def test_acceptance_01_heat_pipeline():
@@ -70,7 +62,7 @@ def test_acceptance_02_solver_exactness():
     ]
     for name, table, maxb in cases:
         P = CharPoly.from_table(table)
-        g = _single_row_g(n1, n2 + maxb * n1, exact=True)
+        g = geometric_g(n1, n2 + maxb * n1, exact=True)
         prob = CauchyProblem(P, G1, G1, g, (n1, n2))
         rep = residual(prob, formal_solve(prob))
         assert rep.exact_zero and rep.max_abs == 0.0, name
@@ -94,7 +86,7 @@ def test_acceptance_03_gevrey_empirical_vs_theoretical():
     ]
     worst = 0.0
     for P, maxb, (st1, st2), t_coeffs in cases:
-        g = _single_row_g(n1, n2 + maxb * n1, t_coeffs=t_coeffs)
+        g = geometric_g(n1, n2 + maxb * n1, t_coeffs=t_coeffs)
         prob = CauchyProblem(P, G1, G1, g, (n1, n2))
         fit = gevrey_fit(formal_solve(prob))
         orders = theoretical_orders(branches_at_infinity(P), 1, 1, st1, st2)

@@ -31,6 +31,15 @@ def test_parse_numbers():
     assert table[(1, 1)] == RationalComplex(0, -3)
 
 
+def test_parsed_parts_are_ints_where_integral():
+    heat = parse_operator("dt - 2*dz^2")
+    assert all(type(p) is int for row in heat.coeff_polys for c in row
+               for p in (c.re, c.im))
+    half = parse_operator("dt - 1/2*dz").support()[(0, 1)]
+    assert half == Fraction(-1, 2) and type(half.re) is Fraction
+    assert type(half.im) is int
+
+
 def test_parse_lambda_degree_zero_rejected():
     with pytest.raises(PreconditionError):
         parse_operator("dz^2")

@@ -19,13 +19,16 @@ smaller than the grid), seven moment functions and one that is undefined at
 0, ramifications 1-3 and ``times`` up to past the truncation, with float
 data scaled by 1, 1e+-300, 1e-310 and 1e-323, signed zeros and a few
 non-finite parts.  A Gaussian rational hashes as the int, Fraction, float
-or complex number it equals.
+or complex number it equals, and computes as the pair of Fractions of its
+parts, drawn from ints, Fractions, floats and complex numbers.
 """
 
 import cmath
 import dataclasses
 import math
+import operator
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -938,3 +941,84 @@ def test_exact_values_hash_as_the_numbers_they_equal(x):
     heat = CharPoly(((1,), (0, 0, -1)))
     assert heat == CharPoly.from_table({(0, 0): 1, (1, 2): -1})
     assert len({heat, CharPoly.from_table({(0, 0): 1, (1, 2): -1})}) == 1
+
+
+
+def _fraction_pair(x) -> tuple:
+    """The number x as a (Fraction, Fraction) pair of its parts."""
+    if isinstance(x, complex):
+        return Fraction(x.real), Fraction(x.imag)
+    return Fraction(x), Fraction(0)
+
+
+def _pair_ops(x, y) -> dict:
+    """``+ - * /`` of x and y on (Fraction, Fraction) pairs, the quotient
+    None for a zero divisor."""
+    (a, b), (c, d) = x, y
+    denom = c * c + d * d
+    return {operator.add: (a + c, b + d), operator.sub: (a - c, b - d),
+            operator.mul: (a * c - b * d, a * d + b * c),
+            operator.truediv: ((a * c + b * d) / denom,
+                               (b * c - a * d) / denom) if denom else None}
+
+
+def _pair_hash(a, b) -> int:
+    """CPython's complex hash over the hashes of the parts a and b."""
+    width = 1 << sys.hash_info.width
+    h = (hash(a) + sys.hash_info.imag * hash(b)) % width
+    h = h - width if h >= width // 2 else h
+    return -2 if h == -1 else h
+
+
+def _pair_str(a, b) -> str:
+    if not b:
+        return str(a)
+    if not a:
+        return f"{b}i"
+    return f"{a}{'+' if b > 0 else '-'}{abs(b)}i"
+
+
+def _complex_or_overflow(fn):
+    try:
+        return fn()
+    except OverflowError:
+        return OverflowError
+
+
+def _assert_equals_pair(z, pair):
+    """z holds the parts of ``pair``, each an int exactly when it is
+    integral, and reads as the pair does: hash, bool, complex() and str."""
+    for part, want in zip((z.re, z.im), pair):
+        assert part == want
+        assert type(part) is (int if want.denominator == 1 else Fraction)
+    assert hash(z) == _pair_hash(*pair)
+    assert bool(z) == bool(pair[0] or pair[1])
+    assert _complex_or_overflow(lambda: complex(z)) == _complex_or_overflow(
+        lambda: complex(float(pair[0]), float(pair[1])))
+    assert str(z) == _pair_str(*pair)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(NUMBERS, NUMBERS)
+@example(1, 2)  # 1/2 is a Fraction
+@example(6, 3)  # 6/3 is the int 2
+@example(3 + 4j, 1 + 2j)  # (11 - 2i)/5
+@example(complex(5, -7), -1)
+@example(7, 2)  # a quotient of two int parts, never the float 3.5
+@example(Fraction(1, 2), Fraction(1, 2))  # integral sums become ints
+def test_gaussian_rationals_compute_as_fraction_pairs(x, y):
+    """Every operation of a RationalComplex equals the same operation on
+    (Fraction, Fraction) pairs, with either operand a plain number, and
+    holds each part as an int exactly when it is integral."""
+    zx, zy = RationalComplex.coerce(x), RationalComplex.coerce(y)
+    px, py = _fraction_pair(x), _fraction_pair(y)
+    _assert_equals_pair(zx, px)
+    _assert_equals_pair(-zx, (-px[0], -px[1]))
+    for fn, want in _pair_ops(px, py).items():
+        for args in ((zx, zy), (zx, y), (x, zy)):
+            if want is None:
+                with pytest.raises(ZeroDivisionError):
+                    fn(*args)
+            else:
+                _assert_equals_pair(fn(*args), want)
+    assert (zx == zy) == (px == py) and (zx == y) == (px == py)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_series2
+from helpers import geometric_g, random_series2
 from oracles import laurent_tail, residual_cells
 
 from mpde import kernel, moments
@@ -23,17 +23,6 @@ G1 = gamma_s(1)
 HEAT = CharPoly.from_table({(1, 0): 1, (0, 2): -1})
 TRANSPORT = CharPoly.from_table({(1, 0): 1, (0, 1): -1})
 TWOFACTOR = CharPoly.from_table({(2, 0): 1, (1, 2): -1, (1, 3): -1, (0, 5): 1})
-
-
-def geometric_g(n1, n2, exact=False, t_coeffs=None):
-    """g = (sum_j t_coeffs[j] t^j) / (1 - z); default is 1/(1-z)."""
-    one = 1 if exact else 1.0
-    zero = 0 if exact else 0.0
-    rows = []
-    for j in range(n1 + 1):
-        w = t_coeffs[j] if t_coeffs else (one if j == 0 else zero)
-        rows.append([w * one] * (n2 + 1))
-    return Series2(rows, exact=exact)
 
 
 def heat_problem(n1, n2, exact=True, **kw):
@@ -628,28 +617,12 @@ def test_theoretical_orders():
     assert tr.t_order == 0
     rep2 = theoretical_orders(heat_br, 1, 1, 2, 0)
     assert rep2.t_order == 2  # max(2*1 - 1, 2)
-    # accepts the operator itself and reports the z-order
-    rep3 = theoretical_orders(TWOFACTOR, 1, 1, 0, Fraction(1, 2))
+    # reports the declared z-order
+    rep3 = theoretical_orders(branches_at_infinity(TWOFACTOR), 1, 1, 0,
+                              Fraction(1, 2))
     assert rep3.t_order == Fraction(7, 2) and rep3.z_order == Fraction(1, 2)
     # pole order -1 clips at zero in the positive part
     neg = branches_at_infinity(CharPoly.from_table({(1, 1): 1, (0, 0): -1}))
     rep4 = theoretical_orders(neg, 1, 1, 0, 0)
     assert rep4.per_branch[0].gevrey_t == 0  # max(0*(1+0) - 1, 0)
 
-
-def test_gevrey_agreement_benchmarks():
-    n1, n2 = 40, 60
-    q3 = CharPoly.from_table({(1, 0): 1, (0, 3): -1})
-    cases = [
-        (HEAT, 2, (0, 0), None),
-        (q3, 3, (0, 0), None),
-        (TRANSPORT, 1, (0, 0), None),
-        (HEAT, 2, (2, 0), [math.gamma(1 + 2 * j) for j in range(n1 + 1)]),
-    ]
-    for P, maxb, (st1, st2), t_coeffs in cases:
-        g = geometric_g(n1, n2 + maxb * n1, t_coeffs=t_coeffs)
-        prob = CauchyProblem(P, G1, G1, g, (n1, n2))
-        u = formal_solve(prob)
-        fit = gevrey_fit(u)
-        orders = theoretical_orders(branches_at_infinity(P), 1, 1, st1, st2)
-        assert abs(fit.s_hat - float(orders.t_order)) <= 0.15
