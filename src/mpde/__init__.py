@@ -17,7 +17,7 @@ from .moments import (MomentFactor, MomentFunction, combine, e_s_beta,
 from .newton import NewtonPolygon, build, cross_check, slopes
 from .parsing import operator_to_text, parse_moment, parse_operator
 from .problem import (ProblemFile, analyze_problem, expand_rhs, load_problem,
-                      probe_problem, solve_problem, verify_problem)
+                      parse_rhs, probe_problem, solve_problem, verify_problem)
 from .series import (GevreyFit, Series1, Series2, apply_operator, borel,
                      gevrey_fit, inv_borel, moment_antidiff, moment_diff)
 from .solver import (CauchyProblem, OrdersReport, ResidualReport, formal_solve,

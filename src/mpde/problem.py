@@ -12,23 +12,26 @@ A problem file is a JSON object with the fields
 * ``mode``       - ``"direct"`` or ``"pseudo"``
 * ``arithmetic`` - ``"float"`` or ``"exact"``
 
-Unknown keys are rejected, and so are JSON booleans where a truncation or a
+Unknown keys are rejected, in the problem, in its ``rhs`` object and in a
+``rational`` payload, and so are JSON booleans where a truncation or a
 direction is expected.  Coefficient payloads are lists of
 ``[j, i, re, im]`` quadruples (``num`` and ``den`` of a ``rational``
 payload object): j, i non-negative integers; re, im and the ``rhs_gevrey``
 entries finite non-boolean numbers or rational strings such as ``"1/2"``.
 
-A loaded :class:`ProblemFile` parses its operator, into one
+A loaded :class:`ProblemFile` holds its rhs as parsed at load
+(:func:`parse_rhs`), and parses its operator, into one
 :class:`~mpde.charroots.CharPoly` of Gaussian rationals, and both moment
-expressions once; :func:`assemble` and every report read that parse.
+expressions once; :func:`assemble` and every report read these parses.
 
 A ``rational`` rhs num/den is expanded on the solver grid by the solver's
 own recursion (:func:`mpde.kernel.recurrence` and ``recurrence_float``):
 ``den * R = num`` is a pseudo-mode solve with unit moments and num as an f
 rhs, run over the live rows only.  A float problem that sums or divides
-its entries past binary64 fails naming them.  An exact ``coeffs`` rhs
-becomes lanes over one common denominator.  Grids above
-``MAX_GRID_CELLS`` are rejected before they are allocated.
+its entries past binary64 fails naming them.  Every rhs grid, the
+numerator band of the division included, comes from
+:meth:`Series2.from_entries`.  Grids above ``MAX_GRID_CELLS`` are rejected
+before they are allocated.
 """
 
 from __future__ import annotations
@@ -63,13 +66,14 @@ _KNOWN_KEYS = {"operator", "m1", "m2", "rhs", "rhs_role", "rhs_gevrey",
 
 @record
 class ProblemFile:
-    """A problem file as loaded and validated; its expressions are parsed
-    once, when :attr:`parsed` is first read."""
+    """A problem file as loaded and validated.  ``rhs`` is the rhs as
+    :func:`parse_rhs` parsed it at load; the expressions are parsed once,
+    when :attr:`parsed` is first read."""
 
     operator: str
     m1: str
     m2: str
-    rhs: dict
+    rhs: tuple
     rhs_role: str = "g"
     rhs_gevrey: tuple = (0, 0)
     truncation: tuple = (20, 40)
@@ -112,26 +116,11 @@ def load_problem(source) -> ProblemFile:
     if not isinstance(data, dict):
         raise ParseError(f"a problem file holds one JSON object, got "
                          f"{json.dumps(data)[:40]}")
-    unknown = set(data) - _KNOWN_KEYS
-    if unknown:
-        raise ParseError(f"unknown problem keys: {sorted(unknown)}")
+    _no_unknown_keys(data, _KNOWN_KEYS, "problem")
     for required in ("operator", "m1", "m2", "rhs"):
         if required not in data:
             raise ParseError(f"problem file is missing {required!r}")
-    rhs = data["rhs"]
-    if not isinstance(rhs, dict) or rhs.get("kind") not in ("coeffs", "rational"):
-        raise ParseError('rhs must be {"kind": "coeffs"|"rational", "payload": ...}')
-    if "payload" not in rhs:
-        raise ParseError("rhs is missing its payload")
-    payload = rhs["payload"]
-    if rhs["kind"] == "coeffs":
-        _entries(payload, "rhs")
-    elif not isinstance(payload, dict):
-        raise ParseError('a rational rhs payload is an object '
-                         '{"num": [...], "den": [...]}')
-    else:
-        for key in ("num", "den"):
-            _entries(payload.get(key, []), f"rhs {key}")
+    rhs = parse_rhs(data["rhs"])
     role = data.get("rhs_role", "g")
     if role not in ("g", "f"):
         raise ParseError('rhs_role must be "g" or "f"')
@@ -178,9 +167,38 @@ def _rational(value) -> int | Fraction:
                      f"number or a rational string with a nonzero denominator")
 
 
-def _entries(quads, where: str) -> list:
-    """``(j, i, re, im)`` of the coefficient list ``quads``, with re and im
-    exact rationals; every entry must be ``[j, i, re, im]`` with non-negative
+def _no_unknown_keys(obj: dict, known, what: str) -> None:
+    unknown = set(obj) - known
+    if unknown:
+        raise ParseError(f"unknown {what} keys: {sorted(unknown)}")
+
+
+def parse_rhs(spec) -> tuple:
+    """``(num, den)``: the entries of the rhs object ``spec``, each a tuple
+    ``(j, i, re, im, quad)`` with re and im exact rationals and quad the
+    entry as written, which the float overflow messages quote.  A
+    ``coeffs`` payload is num and den is None.  A malformed rhs, an unknown
+    key in it or in a ``rational`` payload, and a malformed entry are each
+    a ParseError."""
+    if not isinstance(spec, dict) or spec.get("kind") not in ("coeffs", "rational"):
+        raise ParseError('rhs must be {"kind": "coeffs"|"rational", "payload": ...}')
+    if "payload" not in spec:
+        raise ParseError("rhs is missing its payload")
+    _no_unknown_keys(spec, {"kind", "payload"}, "rhs")
+    payload = spec["payload"]
+    if spec["kind"] == "coeffs":
+        return _entries(payload, "rhs"), None
+    if not isinstance(payload, dict):
+        raise ParseError('a rational rhs payload is an object '
+                         '{"num": [...], "den": [...]}')
+    _no_unknown_keys(payload, {"num", "den"}, "rational rhs payload")
+    return (_entries(payload.get("num", []), "rhs num"),
+            _entries(payload.get("den", []), "rhs den"))
+
+
+def _entries(quads, where: str) -> tuple:
+    """``(j, i, re, im, quad)`` of each entry ``quad`` of the coefficient
+    list ``quads``; every entry must be ``[j, i, re, im]`` with non-negative
     integer indices and :func:`_rational` values, else ParseError."""
     if not isinstance(quads, (list, tuple)):
         raise ParseError(f"{where} coefficients must be a list of "
@@ -193,25 +211,26 @@ def _entries(quads, where: str) -> list:
             fault = ": indices must be non-negative integers"
         else:
             try:
-                out.append((*quad[:2], _rational(quad[2]), _rational(quad[3])))
+                out.append((*quad[:2], _rational(quad[2]),
+                            _rational(quad[3]), quad))
                 continue
             except ParseError as exc:
                 fault = f": value {exc}"
         raise ParseError(f"{where} entry {json.dumps(quad, default=str)}"
                          f"{fault}")
-    return out
+    return tuple(out)
 
 
 # -- right-hand side expansion ---------------------------------------------------
 
 
-def _quads_to_table(quads, exact: bool, where: str = "rhs") -> dict:
-    """{(j, i): value} of the entries, repeated ones summed; a float entry,
-    or a float sum of repeated ones, beyond binary64 raises EvaluationError
-    naming it."""
+def _table(entries, exact: bool, where: str) -> dict:
+    """{(j, i): value} of the parsed ``entries``, repeated ones summed in
+    order; a float entry, or a float sum of repeated ones, beyond binary64
+    raises EvaluationError naming it."""
     table = {}
-    zero = RationalComplex(0) if exact else 0j
-    for quad, (j, i, re, im) in zip(quads, _entries(quads, where)):
+    zero = _ZERO if exact else 0j
+    for j, i, re, im, quad in entries:
         try:
             val = RationalComplex(re, im) if exact else complex(re, im)
         except OverflowError:
@@ -228,29 +247,26 @@ def _beyond_binary64(what: str) -> EvaluationError:
                            f"arithmetic; use --arithmetic exact")
 
 
-def expand_rhs(rhs_spec: dict, n1: int, n2: int, exact: bool) -> Series2:
-    """Materialize the rhs on the (n1, n2) grid.
+def expand_rhs(rhs: tuple, n1: int, n2: int, exact: bool) -> Series2:
+    """Materialize the parsed rhs ``(num, den)`` of :func:`parse_rhs` on
+    the (n1, n2) grid.
 
-    ``coeffs`` payloads are finite polynomials and are zero-padded; the
-    ``rational`` kind expands num/den as a power series on the solver's
+    A ``coeffs`` rhs (den None) is a finite polynomial, zero-padded; a
+    ``rational`` one expands num/den as a power series on the solver's
     recursion (:func:`_divide`), exact in rational mode.
     """
-    payload = rhs_spec["payload"]
-    if rhs_spec["kind"] == "coeffs":
-        table = _quads_to_table(payload, exact)
-    else:
-        num = _quads_to_table(payload.get("num", []), exact, "rhs num")
-        den = _quads_to_table(payload.get("den", []), exact, "rhs den")
+    num, den = rhs
+    table = _table(num, exact, "rhs" if den is None else "rhs num")
+    if den is not None:
+        den = _table(den, exact, "rhs den")
         if not den.get((0, 0)):
             raise PreconditionError(
                 "rational rhs needs a denominator with nonzero constant term")
-        table = {k: v for k, v in num.items() if k[0] <= n1 and k[1] <= n2}
+        table = {k: v for k, v in table.items() if k[0] <= n1 and k[1] <= n2}
         if table:  # else num/den is zero on the grid
             return Series2(_divide(table, den, n1, n2, exact), exact=exact)
-    if exact:
-        return Series2(kernel.lanes_of_table(table, n1, n2), exact=True)
     return Series2.from_entries(((j, i, v) for (j, i), v in table.items()),
-                                n1, n2, exact=exact)
+                                n1, n2, exact)
 
 
 def _divide(num: dict, den: dict, n1: int, n2: int, exact: bool):
@@ -281,10 +297,11 @@ def _divide(num: dict, den: dict, n1: int, n2: int, exact: bool):
         q, terms, taps = _rounded(q, terms, taps)
     lo = min(j for j, _ in num)
     hi = n1 if n else max(j for j, _ in num)
-    band = {(j - lo, i): v for (j, i), v in num.items()}
+    band = Series2.from_entries(((j - lo, i, v) for (j, i), v in num.items()),
+                                hi - lo, n2, exact)
     widths = [B + n2] * (n + hi - lo + 1)
     if exact:
-        base = kernel.lanes_of_table(band, hi - lo, n2)
+        base = band.lanes
         v = kernel.recurrence(kernel.Lanes(base.re, base.im, base.row_div[0]),
                               q, terms, n, widths, taps, -B)
 
@@ -297,11 +314,8 @@ def _divide(num: dict, den: dict, n1: int, n2: int, exact: bool):
             [1] * lo + v.row_div[n:] + [1] * (n1 - hi), v.col_div[B:])
     import numpy as np
 
-    base = np.zeros((hi - lo + 1, n2 + 1), dtype=complex)
-    for (j, i), v in band.items():
-        base[j, i] = v
     out = np.zeros((n1 + 1, n2 + 1), dtype=complex)
-    levels = kernel.recurrence_float(base, q, terms, n, widths,
+    levels = kernel.recurrence_float(band.grid, q, terms, n, widths,
                                      np.zeros(len(widths)),
                                      np.zeros(B + n2 + 1), taps, -B)
     for t, level in enumerate(levels):

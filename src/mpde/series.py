@@ -192,13 +192,27 @@ class Series2:
     @classmethod
     def from_entries(cls, entries, n1: int, n2: int, exact: bool = False,
                      **kw) -> "Series2":
-        """Build from an iterable of (j, i, value) triples; the rest is 0."""
-        zero = RationalComplex(0) if exact else 0j
-        rows = [[zero] * (n2 + 1) for _ in range(n1 + 1)]
-        for j, i, v in entries:
-            if 0 <= j <= n1 and 0 <= i <= n2:
-                rows[j][i] = v
-        return cls(rows, exact=exact, **kw)
+        """The (n1, n2) grid of the (j, i, value) triples ``entries``, every
+        other cell zero.  Entries outside the grid are dropped, and a
+        repeated (j, i) keeps its last value.  Exact values are coerced to
+        ``RationalComplex`` and become lanes over their common denominator
+        (:func:`kernel.lanes_of_table`); float values are written, signs of
+        zero kept, into a read-only complex numpy array.  Only the entries
+        are converted, never the zero cells."""
+        if n1 < 0 or n2 < 0:
+            raise DomainError("empty coefficient grid")
+        table = {(j, i): v for j, i, v in entries
+                 if 0 <= j <= n1 and 0 <= i <= n2}
+        if exact:
+            return cls(kernel.lanes_of_table(
+                {k: RationalComplex.coerce(v) for k, v in table.items()},
+                n1, n2), exact=True, **kw)
+        import numpy as np
+
+        grid = np.zeros((n1 + 1, n2 + 1), dtype=complex)
+        for (j, i), v in table.items():
+            grid[j, i] = v
+        return cls(kernel.read_only(grid), **kw)
 
     @classmethod
     def from_t_coeffs(cls, seq, exact: bool = False, **kw) -> "Series2":

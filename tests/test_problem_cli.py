@@ -22,8 +22,8 @@ from mpde import problem as problem_mod
 from mpde.errors import EvaluationError, ParseError, PreconditionError
 from mpde.exact import RationalComplex
 from mpde.problem import (analyze_problem, expand_rhs, load_problem,
-                          newton_problem, probe_problem, solve_problem,
-                          verify_problem)
+                          newton_problem, parse_rhs, probe_problem,
+                          solve_problem, verify_problem)
 from mpde.series import gevrey_fit
 from mpde.solver import formal_solve
 
@@ -65,13 +65,13 @@ def test_expand_rhs_rational():
     spec = {"kind": "rational",
             "payload": {"num": [[0, 0, 1, 0]],
                         "den": [[0, 0, 1, 0], [0, 1, -1, 0]]}}
-    s = expand_rhs(spec, 0, 5, exact=True)
+    s = expand_rhs(parse_rhs(spec), 0, 5, exact=True)
     assert all(c.re == 1 for c in s.coeffs[0])
     spec2 = {"kind": "rational",
              "payload": {"num": [[0, 0, 1, 0]],
                          "den": [[0, 0, 1, 0], [0, 1, -1, 0],
                                  [1, 0, -1, 0], [1, 1, 1, 0]]}}
-    s2 = expand_rhs(spec2, 4, 4, exact=True)  # 1/((1-t)(1-z))
+    s2 = expand_rhs(parse_rhs(spec2), 4, 4, exact=True)  # 1/((1-t)(1-z))
     assert all(c.re == 1 for row in s2.coeffs for c in row)
 
 
@@ -83,23 +83,26 @@ def test_float_rational_rhs_keeps_the_quotient_grid(monkeypatch):
                         lambda *args: grids.append(divide(*args))
                         or grids[-1])
     spec = json.loads(Path(shipped("heat")).read_text())["rhs"]
-    s = expand_rhs(spec, 20, 50, exact=False)
+    s = expand_rhs(parse_rhs(spec), 20, 50, exact=False)
     assert len(grids) == 1 and s.grid is grids[0]
     assert not s.grid.flags.writeable
     assert s.coeffs[0][7] == 1 and s.coeffs[3][7] == 0
 
 
 def test_expand_rhs_coeffs_and_errors():
-    s = expand_rhs({"kind": "coeffs", "payload": [[0, 0, 1, 0]]}, 2, 2, False)
+    s = expand_rhs(parse_rhs({"kind": "coeffs", "payload": [[0, 0, 1, 0]]}),
+                   2, 2, False)
     assert s.coeffs[0][0] == 1 and s.coeffs[1][1] == 0
     with pytest.raises(PreconditionError):
-        expand_rhs({"kind": "rational",
-                    "payload": {"num": [[0, 0, 1, 0]],
-                                "den": [[0, 1, 1, 0]]}}, 2, 2, False)
+        expand_rhs(parse_rhs({"kind": "rational",
+                              "payload": {"num": [[0, 0, 1, 0]],
+                                          "den": [[0, 1, 1, 0]]}}),
+                   2, 2, False)
 
 
 def test_expand_rhs_exact_strings():
-    s = expand_rhs({"kind": "coeffs", "payload": [[1, 2, "1/3", "-2/7"]]},
+    s = expand_rhs(parse_rhs({"kind": "coeffs",
+                              "payload": [[1, 2, "1/3", "-2/7"]]}),
                    2, 3, exact=True)
     from fractions import Fraction
     assert s.coeffs[1][2].re == Fraction(1, 3)
@@ -727,6 +730,12 @@ MALFORMED = [
     ("num entry", '[true, 0, "1", "0"]', 'rhs num entry [true, 0, "1", "0"]'),
     ("rhs_gevrey", '[1e309, "0"]', "rhs_gevrey entry Infinity"),
     ("rhs_gevrey", '[true, "0"]', "rhs_gevrey entry true"),
+    # a misspelt key would leave a zero rhs that verifies as passed
+    ("payload", '{"nums": [[0, 0, "1", "0"]], "den": [[0, 0, "1", "0"]]}',
+     "unknown rational rhs payload keys: ['nums']"),
+    ("rhs", '{"kind": "coeffs", "payload": [[0, 0, "1", "0"]], '
+            '"den": [[0, 0, "2", "0"]]}',
+     "unknown rhs keys: ['den']"),
 ]
 # JSON reads NaN, Infinity and 1e309 (as Infinity) into directions
 MALFORMED += [
@@ -767,13 +776,36 @@ def test_malformed_rhs_is_a_parse_error_naming_the_entry(field, literal,
 def test_shipped_problems_pass_the_entry_checks():
     for name in ("heat", "transport", "twofactor"):
         data = json.loads(Path(shipped(name)).read_text())
-        assert load_problem(data).rhs == data["rhs"]
+        assert load_problem(data).rhs == parse_rhs(data["rhs"])
     # numbers, rational and decimal strings, and repeated entries still load
     data = json.loads(Path(shipped("heat")).read_text())
     data["rhs"]["payload"]["num"] += [[0, 0, 0.5, -2], [3, 1, "-1/3", "0.25"]]
     data["rhs_gevrey"] = [1, "1/2"]
     pf = load_problem(data)
     assert pf.rhs_gevrey == (1, Fraction(1, 2))
+
+
+# shaped as the seeded operators of the exact benchmark ladder: three rhs
+# entries of two parts and the two default Gevrey orders, 8 rationals
+SEEDED = {"operator": "dt^2 + dz^3 - dt*dz^2 + dt - 1", "m1": "Gamma(1)",
+          "m2": "Gamma(1)", "truncation": [12, 24], "arithmetic": "exact",
+          "rhs": {"kind": "coeffs", "payload": [[0, 0, "1", "0"],
+                                                [1, 3, "-1", "0"],
+                                                [2, 0, "1", "0"]]}}
+
+
+def test_the_rhs_is_parsed_once_at_load(monkeypatch):
+    parsed = []
+    rational = problem_mod._rational
+    monkeypatch.setattr(problem_mod, "_rational",
+                        lambda value: parsed.append(value) or rational(value))
+    pf = load_problem(SEEDED)
+    assert len(parsed) == 8
+    for arithmetic in ("exact", "float"):
+        solve_problem(pf, arithmetic=arithmetic)
+        verify_problem(pf, arithmetic=arithmetic)
+        probe_problem(pf, 24, 24, arithmetic)  # 12 levels fit too few
+    assert len(parsed) == 8
 
 
 @pytest.mark.parametrize("out_name", ["heat.json", "heat.csv", "heat"])

@@ -20,16 +20,21 @@ smaller than the grid), seven moment functions and one that is undefined at
 data scaled by 1, 1e+-300, 1e-310 and 1e-323, signed zeros and a few
 non-finite parts.  A Gaussian rational hashes as the int, Fraction, float
 or complex number it equals, and computes as the pair of Fractions of its
-parts, drawn from ints, Fractions, floats and complex numbers.
+parts, drawn from ints, Fractions, floats and complex numbers.  Exact
+solves are scaling covariant: ``u(c t, c' z)`` solves the problem scaled
+by small Gaussian-rational ``c, c'``, on the draws and on the shipped
+problems.
 """
 
 import cmath
 import dataclasses
+import json
 import math
 import operator
 import re
 import sys
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -47,8 +52,9 @@ from mpde.charroots import CharPoly, _edge_roots
 from mpde.errors import EvaluationError, WindowError
 from mpde.exact import RationalComplex
 from mpde.moments import MOMENT_ONE, eval_at
-from mpde.parsing import parse_moment
-from mpde.problem import _quads_to_table, expand_rhs
+from mpde.parsing import operator_to_text, parse_moment
+from mpde.problem import (_table, expand_rhs, load_problem, parse_rhs,
+                          solve_problem)
 from mpde.series import (Series1, Series2, apply_operator, borel, gevrey_fit,
                          inv_borel, moment_antidiff, moment_diff)
 from mpde.solver import (CauchyProblem, formal_solve, g_from_f, level_widths,
@@ -280,6 +286,97 @@ def test_level_widths_are_tight(case):
     assert w[0] <= wide_width(P, (N1, N2))
 
 
+def _power(c: RationalComplex, k: int) -> RationalComplex:
+    out = RationalComplex(1)
+    for _ in range(abs(k)):
+        out = out * c
+    return out if k >= 0 else 1 / out
+
+
+def _scaled(u: Series2, c, cp) -> tuple:
+    """``u_ji c^j c'^i``: the coefficients of ``u(c t, c' z)``."""
+    return tuple(tuple(x * _power(c, j) * _power(cp, i)
+                       for i, x in enumerate(row))
+                 for j, row in enumerate(u.coeffs))
+
+
+def check_scaling_covariance(case: Case, mode: str, c, cp) -> None:
+    """Moment derivatives are homogeneous, so ``u(c t, c' z)`` solves the
+    problem whose ``p_ab`` are scaled by ``c^(n-a) c'^(-b)`` and whose rhs
+    entries (j, i) by ``c^(n+j) c'^i``, in either role: an exact solve of
+    that problem gives ``u_ji c^j c'^i`` in every cell."""
+    c, cp = RationalComplex(*c), RationalComplex(*cp)
+    n = max(a for a, _ in case.table)
+
+    def pairs(table, scale):
+        return {k: ((x := RationalComplex(*v) * scale(*k)).re, x.im)
+                for k, v in table.items()}
+    scaled = dataclasses.replace(
+        case, table=pairs(case.table,
+                          lambda a, b: _power(c, n - a) * _power(cp, -b)),
+        rhs=pairs(case.rhs, lambda j, i: _power(c, n + j) * _power(cp, i)))
+    u = formal_solve(case.problem(mode=mode))
+    v = formal_solve(scaled.problem(mode=mode))
+    assert v.valid == u.valid
+    assert v.coeffs == _scaled(u, c, cp)
+
+
+@settings(SETTINGS, max_examples=300)
+@given(cases(), st.sampled_from(["direct", "pseudo"]), nonzero_gaussians,
+       nonzero_gaussians)
+def test_exact_solve_is_scaling_covariant(case, mode, c, cp):
+    check_scaling_covariance(case, mode, c, cp)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(pseudo_cases(), nonzero_gaussians, nonzero_gaussians)
+def test_exact_pseudo_solve_is_scaling_covariant(case, c, cp):
+    """The same with a polynomial top coefficient, whose taps scale too."""
+    check_scaling_covariance(case, "pseudo", c, cp)
+
+
+# (c, c') per shipped problem, complex and real, on or off the unit circle
+SHIPPED_SCALES = {
+    "heat": (RationalComplex(Fraction(1, 2), Fraction(1, 3)),
+             RationalComplex(2, -1)),
+    "twofactor": (RationalComplex(0, 1),
+                  RationalComplex(Fraction(3, 5), Fraction(4, 5))),
+    "transport": (RationalComplex(-2), RationalComplex(1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_SCALES))
+def test_shipped_problems_are_scaling_covariant(name):
+    """A shipped problem rewritten for ``u(c t, c' z)``, through its problem
+    file: operator text, num entries scaled by ``c^(n+j) c'^i`` and den
+    entries by ``c^j c'^i``, strings that :func:`parse_rhs` reads."""
+    c, cp = SHIPPED_SCALES[name]
+    data = json.loads((resources.files("mpde") / "problems"
+                       / f"{name}.json").read_text())
+    P = load_problem(data).parsed[0]
+    table = {(a, b): x * _power(c, P.n - a) * _power(cp, -b)
+             for a, row in enumerate(P.coeff_polys)
+             for b, x in enumerate(row) if x}
+    scaled = dict(data, operator=operator_to_text(CharPoly.from_table(table)))
+
+    def entries(quads, shift):
+        out = []
+        for j, i, re, im in quads:
+            x = (RationalComplex(Fraction(re), Fraction(im))
+                 * _power(c, shift + j) * _power(cp, i))
+            out.append([j, i, str(x.re), str(x.im)])
+        return out
+    payload = data["rhs"]["payload"]
+    scaled["rhs"] = {"kind": "rational",
+                     "payload": {"num": entries(payload["num"], P.n),
+                                 "den": entries(payload["den"], 0)}}
+    u, _ = solve_problem(load_problem(data), arithmetic="exact")
+    v, sidecar = solve_problem(load_problem(scaled), arithmetic="exact")
+    assert sidecar["residual_exact_zero"]
+    assert v.valid == u.valid
+    assert v.coeffs == _scaled(u, c, cp)
+
+
 # fixed before it was measured: float cells of the two rhs routes differ by
 # at most this share of their row's largest cell
 ROUTE_TOL = 1e-10
@@ -424,8 +521,8 @@ def check_float_rhs(payload: dict, n1: int, n2: int) -> None:
     """The float expansion of num/den has the non-finite cells of the
     per-cell oracle, and every other cell within 1e-13 of its term
     magnitude of it."""
-    got = expand_rhs({"kind": "rational", "payload": payload}, n1, n2,
-                     exact=False).coeffs
+    got = expand_rhs(parse_rhs({"kind": "rational", "payload": payload}),
+                     n1, n2, exact=False).coeffs
     want = rational_rhs_float(payload, n1, n2)
     size = rational_rhs_sizes(payload, n1, n2)
     assert all(type(c) is complex for row in got for c in row)
@@ -461,9 +558,8 @@ def test_rational_rhs_of_both_arithmetics_matches_per_cell_oracles(drawn):
     spec, n1, n2 = drawn
     payload = spec["payload"]
     check_float_rhs(payload, n1, n2)
-    num = _quads_to_table(payload["num"], exact=True)
-    den = _quads_to_table(payload["den"], exact=True)
-    assert expand_rhs(spec, n1, n2, exact=True).coeffs == tuple(
+    num, den = (_table(entries, True, "rhs") for entries in parse_rhs(spec))
+    assert expand_rhs(parse_rhs(spec), n1, n2, exact=True).coeffs == tuple(
         map(tuple, rational_rhs_exact(num, den, n1, n2)))
 
 
@@ -477,7 +573,7 @@ ONE_OVER_ONE_MINUS_Z = {"kind": "rational", "payload": {
                                    (80, 460), (160, 860), (100, 260),
                                    (40, 121)])
 def test_float_rhs_of_shipped_problems_matches_per_cell_oracle(n1, n2):
-    got = expand_rhs(ONE_OVER_ONE_MINUS_Z, n1, n2, exact=False).grid
+    got = expand_rhs(parse_rhs(ONE_OVER_ONE_MINUS_Z), n1, n2, exact=False).grid
     want = rational_rhs_float(ONE_OVER_ONE_MINUS_Z["payload"], n1, n2)
     assert got.tobytes() == np.array(want, dtype=complex).tobytes()
 
@@ -508,8 +604,8 @@ def test_float_rhs_with_an_infinite_den_term_raises(t_term):
     with pytest.raises(EvaluationError, match=re.escape(
             "rhs den entries at [0, 1] add up beyond the binary64 range of "
             "float arithmetic; use --arithmetic exact")):
-        expand_rhs({"kind": "rational", "payload": payload}, 4, 3,
-                   exact=False)
+        expand_rhs(parse_rhs({"kind": "rational", "payload": payload}),
+                   4, 3, exact=False)
 
 
 @pytest.mark.parametrize("d00,is_complex", RHS_KINDS, ids=RHS_IDS)
@@ -519,8 +615,8 @@ def test_float_rational_rhs_matches_exact(d00, is_complex, data):
     """Error bounded by 1e-13 of the cell's term magnitude, the division
     recursion run on moduli."""
     spec, n1, n2 = data.draw(rational_rhs(d00, is_complex, huge=False))
-    approx = expand_rhs(spec, n1, n2, exact=False).coeffs
-    exact = expand_rhs(spec, n1, n2, exact=True).coeffs
+    approx = expand_rhs(parse_rhs(spec), n1, n2, exact=False).coeffs
+    exact = expand_rhs(parse_rhs(spec), n1, n2, exact=True).coeffs
     tables = {}
     for key, quads in spec["payload"].items():
         table = tables.setdefault(key, {})
@@ -558,11 +654,73 @@ def test_exact_rational_rhs_matches_per_cell_oracle(d00, is_complex, data):
     payload = spec["payload"]
     if not data.draw(st.booleans(), label="keep pure-z terms"):
         payload["den"] = [q for q in payload["den"] if q[0] or not q[1]]
-    num = _quads_to_table(payload["num"], exact=True)
-    den = _quads_to_table(payload["den"], exact=True)
-    got = expand_rhs(spec, n1, n2, exact=True)
+    num, den = (_table(entries, True, "rhs") for entries in parse_rhs(spec))
+    got = expand_rhs(parse_rhs(spec), n1, n2, exact=True)
     check_lanes_series(got)
     assert got.coeffs == tuple(map(tuple, rational_rhs_exact(num, den, n1, n2)))
+
+
+# every pair of signs of zero, plus numbers of each kind the callers pass
+CELL_VALUES = st.one_of(
+    st.sampled_from([0, 0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0),
+                     complex(-0.0, -0.0)]),
+    st.integers(-9, 9), fractions,
+    st.complex_numbers(max_magnitude=1e300, allow_nan=False,
+                       allow_infinity=False))
+# (j, i) up to past the largest grid drawn, below 0 for Series2.from_entries
+ENTRY_AT = (st.integers(-1, 6), st.integers(-1, 7))
+
+
+@SETTINGS
+@given(st.integers(0, 4), st.integers(0, 5),
+       st.lists(st.tuples(*ENTRY_AT, CELL_VALUES), max_size=12),
+       st.booleans())
+@example(1, 1, [(0, 0, -0.0), (1, 1, complex(0.0, -0.0)), (2, 0, 5),
+                (0, 1, 1), (0, 1, Fraction(1, 3)), (-1, 0, 7)], False)
+def test_from_entries_matches_a_per_cell_build(n1, n2, entries, exact):
+    """The one rhs grid builder equals rows built cell by cell: entries
+    outside the grid dropped, the last value of a repeated (j, i) kept,
+    float signs of zero kept bit for bit."""
+    coerce = RationalComplex.coerce if exact else complex
+    rows = [[coerce(0)] * (n2 + 1) for _ in range(n1 + 1)]
+    for j, i, v in entries:
+        if 0 <= j <= n1 and 0 <= i <= n2:
+            rows[j][i] = coerce(v)
+    got = Series2.from_entries(entries, n1, n2, exact=exact)
+    if exact:
+        assert got.coeffs == tuple(map(tuple, rows))
+    else:
+        assert got.grid.tobytes() == np.array(rows, dtype=complex).tobytes()
+        assert not got.grid.flags.writeable
+
+
+JSON_VALUES = st.one_of(
+    st.integers(-5, 5), st.floats(-1e300, 1e300), fractions.map(str),
+    st.sampled_from(["-0", "0.25", "-1e-5", "1/3"]))
+
+
+@SETTINGS
+@given(st.integers(0, 4), st.integers(0, 5),
+       st.lists(st.tuples(*(st.integers(0, k) for k in (6, 7)), JSON_VALUES,
+                          JSON_VALUES).map(list), max_size=12))
+@example(1, 1, [[0, 0, 1, -0.0], [0, 0, 1e17, "-0"], [0, 0, -1e17, 0],
+                [1, 0, -0.0, -0.0], [2, 1, 1, 1]])
+def test_coeffs_rhs_matches_a_per_cell_sum(n1, n2, payload):
+    """A ``coeffs`` rhs sums repeated entries in file order from zero, so
+    ``1 + 1e17 - 1e17`` is 0 and a ``-0.0`` entry gives +0, and drops
+    entries outside the grid, in both arithmetics."""
+    rows = [[0j] * (n2 + 1) for _ in range(n1 + 1)]
+    exact_rows = [[RationalComplex(0)] * (n2 + 1) for _ in range(n1 + 1)]
+    for j, i, re, im in payload:
+        if j <= n1 and i <= n2:
+            re, im = Fraction(re), Fraction(im)
+            rows[j][i] = rows[j][i] + complex(float(re), float(im))
+            exact_rows[j][i] = exact_rows[j][i] + RationalComplex(re, im)
+    rhs = parse_rhs({"kind": "coeffs", "payload": payload})
+    got = expand_rhs(rhs, n1, n2, exact=False).grid
+    assert got.tobytes() == np.array(rows, dtype=complex).tobytes()
+    exact = expand_rhs(rhs, n1, n2, exact=True).coeffs
+    assert exact == tuple(map(tuple, exact_rows))
 
 
 def check_lanes_series(s: Series2):
@@ -601,8 +759,8 @@ def test_lanes_backed_series_equal_their_rows(case, scale, mode):
     assume(case.rhs)
     payload = [[j, i, str(re * scale), str(im * scale)]
                for (j, i), (re, im) in case.rhs.items()]
-    rhs = expand_rhs({"kind": "coeffs", "payload": payload}, *case.shape,
-                     exact=True)
+    rhs = expand_rhs(parse_rhs({"kind": "coeffs", "payload": payload}),
+                     *case.shape, exact=True)
     base = case.problem(mode=mode)
     prob = CauchyProblem(base.operator, base.m1, base.m2, rhs, base.out_shape,
                          base.rhs_is_g, base.mode)
