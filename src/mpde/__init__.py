@@ -11,9 +11,9 @@ from .charroots import (CharBranch, CharPoly, branches_at_infinity,
 from .errors import (DomainError, EstimationError, EvaluationError, MpdeError,
                      ParseError, PreconditionError, WindowError)
 from .exact import RationalComplex, as_fraction, fmt_fraction
-from .moments import (MomentFactor, MomentFunction, combine, e_s_beta,
+from .moments import (MomentFactor, MomentFunction, e_s_beta,
                       e_s_beta_via_derivative, eval_at, eval_fraction,
-                      gamma_s, kernel_e, log_gamma, mittag_leffler, order)
+                      gamma_s, kernel_e, log_gamma, mittag_leffler)
 from .newton import NewtonPolygon, build, cross_check, slopes
 from .parsing import operator_to_text, parse_moment, parse_operator
 from .problem import (ProblemFile, analyze_problem, expand_rhs, load_problem,

@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, EvaluationError
-from .exact import as_fraction, fmt_fraction, quotient
+from .exact import as_fraction, quotient
 from .record import record
 
 _LN2 = math.log(2.0)
@@ -129,24 +129,14 @@ class MomentFunction:
         return sum((Fraction(f.sign) / f.ram for f in self.factors), Fraction(0))
 
     def __mul__(self, other: "MomentFunction") -> "MomentFunction":
-        return combine(self, other, "product")
+        """Pointwise product: the factor lists concatenate."""
+        return MomentFunction(self.factors + other.factors)
 
     def __truediv__(self, other: "MomentFunction") -> "MomentFunction":
-        return combine(self, other, "quotient")
-
-    def __str__(self):
-        if not self.factors:
-            return "1"
-        parts = []
-        for f in self.factors:
-            body = f"Gamma({fmt_fraction(f.offset)}+u/{fmt_fraction(f.ram)})"
-            if f.scale != 1:
-                body = f"{fmt_fraction(f.scale)}*{body}"
-            parts.append((f.sign, body))
-        out = parts[0][1] if parts[0][0] == 1 else f"1/{parts[0][1]}"
-        for sign, body in parts[1:]:
-            out += ("*" if sign == 1 else "/") + body
-        return out
+        """Pointwise quotient: ``other``'s factors flip sign and append."""
+        return MomentFunction(self.factors + tuple(
+            MomentFactor(f.scale, f.offset, f.ram, -f.sign)
+            for f in other.factors))
 
 
 MOMENT_ONE = MomentFunction(())
@@ -160,22 +150,6 @@ def gamma_s(s) -> MomentFunction:
     if s > 0:
         return MomentFunction((MomentFactor(1, 1, 1 / s, 1),))
     return MomentFunction((MomentFactor(1, 1, -1 / s, -1),))
-
-
-def combine(m1: MomentFunction, m2: MomentFunction, op: str) -> MomentFunction:
-    """Pointwise product or quotient; factor lists concatenate."""
-    if op == "product":
-        return MomentFunction(m1.factors + m2.factors)
-    if op == "quotient":
-        flipped = tuple(
-            MomentFactor(f.scale, f.offset, f.ram, -f.sign) for f in m2.factors
-        )
-        return MomentFunction(m1.factors + flipped)
-    raise ValueError(f"op must be 'product' or 'quotient', got {op!r}")
-
-
-def order(m: MomentFunction) -> Fraction:
-    return m.order
 
 
 # -- evaluation ------------------------------------------------------------
@@ -416,8 +390,12 @@ def _sum_gamma_series(first_term, first_j, ratio_fn, tol, max_terms, what):
     )
 
 
+# the series sums refuse |x| above this bound
+_RADIUS = 20.0
+
+
 def mittag_leffler_info(s, x: complex, tol: float = 1e-12,
-                        max_terms: int = 10000, radius: float = 20.0):
+                        max_terms: int = 10000):
     """Mittag-Leffler sum ``sum_j x**j / Gamma(1 + s*j)`` with diagnostics.
 
     Returns ``(value, terms_used, max_abs_term, tail_bound)``.  The rounding
@@ -431,8 +409,8 @@ def mittag_leffler_info(s, x: complex, tol: float = 1e-12,
     if tol <= 0:
         raise DomainError("tol must be positive")
     x = complex(x)
-    if abs(x) > radius:
-        raise DomainError(f"|x| = {abs(x)} exceeds the series radius bound {radius}")
+    if abs(x) > _RADIUS:
+        raise DomainError(f"|x| = {abs(x)} exceeds the series radius bound {_RADIUS}")
     sf = float(s)
 
     def ratio(j):
@@ -442,19 +420,19 @@ def mittag_leffler_info(s, x: complex, tol: float = 1e-12,
 
 
 def mittag_leffler(s, x: complex, tol: float = 1e-12,
-                   max_terms: int = 10000, radius: float = 20.0) -> complex:
-    return mittag_leffler_info(s, x, tol, max_terms, radius)[0]
+                   max_terms: int = 10000) -> complex:
+    return mittag_leffler_info(s, x, tol, max_terms)[0]
 
 
 def e_s_beta(s, beta: int, x: complex, tol: float = 1e-12,
-             max_terms: int = 10000, radius: float = 20.0) -> complex:
+             max_terms: int = 10000) -> complex:
     """Kernel series ``sum_{j>=beta} C(j-1, beta-1) x**j / Gamma(1+s*j)``."""
     s = as_fraction(s)
     if s <= 0 or beta < 1:
         raise DomainError("e_s_beta requires s > 0 and beta >= 1")
     x = complex(x)
-    if abs(x) > radius:
-        raise DomainError(f"|x| = {abs(x)} exceeds the series radius bound {radius}")
+    if abs(x) > _RADIUS:
+        raise DomainError(f"|x| = {abs(x)} exceeds the series radius bound {_RADIUS}")
     if x == 0:
         return 0.0 + 0.0j
     sf = float(s)

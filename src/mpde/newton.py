@@ -146,8 +146,10 @@ def vertices_csv(polygon: NewtonPolygon) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_svg(polygon: NewtonPolygon, width: int = 600, height: int = 400) -> str:
-    """Standalone SVG: boundary polyline, labeled vertices, dashed half-lines."""
+def to_svg(polygon: NewtonPolygon) -> str:
+    """Standalone 600x400 SVG: boundary polyline, labeled vertices, dashed
+    half-lines."""
+    width, height = 600, 400
     vs = [(float(x), float(y)) for (x, y) in polygon.vertices]
     xs = [v[0] for v in vs]
     ys = [v[1] for v in vs]

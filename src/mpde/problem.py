@@ -176,7 +176,7 @@ def _no_unknown_keys(obj: dict, known, what: str) -> None:
 def parse_rhs(spec) -> tuple:
     """``(num, den)``: the entries of the rhs object ``spec``, each a tuple
     ``(j, i, re, im, quad)`` with re and im exact rationals and quad the
-    entry as written, which the float overflow messages quote.  A
+    entry as written, as a tuple, which the float overflow messages quote.  A
     ``coeffs`` payload is num and den is None.  A malformed rhs, an unknown
     key in it or in a ``rational`` payload, and a malformed entry are each
     a ParseError."""
@@ -212,7 +212,7 @@ def _entries(quads, where: str) -> tuple:
         else:
             try:
                 out.append((*quad[:2], _rational(quad[2]),
-                            _rational(quad[3]), quad))
+                            _rational(quad[3]), tuple(quad)))
                 continue
             except ParseError as exc:
                 fault = f": value {exc}"
@@ -506,9 +506,12 @@ def verify_problem(pf: ProblemFile, tol: float = 1e-8,
                    n1: int | None = None, n2: int | None = None,
                    arithmetic: str | None = None) -> dict:
     """Residual report of the solve; ``passed`` when the relative residual
-    is at most ``tol``, which must be finite (checked before solving)."""
+    is at most ``tol``, which must be finite and not negative (checked
+    before solving)."""
     if not math.isfinite(tol):
         raise PreconditionError(f"tolerance {tol!r} is not a finite number")
+    if tol < 0:
+        raise PreconditionError(f"tolerance {tol!r} is negative")
     _, res = _solve_checked(pf, n1, n2, arithmetic)
     return {
         "residual": res.relative,

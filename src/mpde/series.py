@@ -186,10 +186,6 @@ class Series2:
                 f"valid={self.valid!r})")
 
     @classmethod
-    def zeros(cls, n1: int, n2: int, exact: bool = False, **kw) -> "Series2":
-        return cls.from_entries((), n1, n2, exact, **kw)
-
-    @classmethod
     def from_entries(cls, entries, n1: int, n2: int, exact: bool = False,
                      **kw) -> "Series2":
         """The (n1, n2) grid of the (j, i, value) triples ``entries``, every
@@ -235,7 +231,7 @@ class Series2:
             rows = self.grid[: J + 1, : I + 1]
         return Series2(rows, self.kappa1, self.kappa2, self.exact)
 
-    def row_values(self, z, up_to: int | None = None):
+    def row_values(self, z):
         """Evaluate each t-level at the point z (within the valid window;
         an exact cell outside it is never decoded).
 
@@ -246,8 +242,6 @@ class Series2:
         import numpy as np
 
         J, I = self.valid
-        if up_to is not None:
-            J = min(J, up_to)
         zc = complex(z)
         zr, zi = zc.real, zc.imag
         cells = self._cells(J, I)
@@ -474,16 +468,20 @@ def apply_operator(table, m1: MomentFunction, m2: MomentFunction,
 # -- empirical Gevrey order ---------------------------------------------------
 
 
-def gevrey_fit(u: Series2, axis: str = "t", radius: float = 0.1,
-               j_min_frac: float = 0.5, min_points: int = 8) -> GevreyFit:
+FIT_RADIUS = 0.1
+
+
+def gevrey_fit(u: Series2, axis: str = "t", j_min_frac: float = 0.5,
+               min_points: int = 8) -> GevreyFit:
     """Least-squares growth exponent of weighted row sums.
 
-    Forms ``a_j = sum_i |c_{j,i}| * radius**i`` and fits ``log a_j`` against
-    the basis ``{1, j, log Gamma(1+j)}`` over the upper part of the valid
-    j-range; the coefficient of ``log Gamma(1+j)`` estimates the Gevrey
-    order.  The weighted l1 row sum stands in for the sup norm on a z-disc
-    of radius ``radius``.  An exact cell whose real or imaginary part
-    lies outside the binary64 range raises EvaluationError naming its level.
+    Forms ``a_j = sum_i |c_{j,i}| * FIT_RADIUS**i`` and fits ``log a_j``
+    against the basis ``{1, j, log Gamma(1+j)}`` over the upper part of the
+    valid j-range; the coefficient of ``log Gamma(1+j)`` estimates the
+    Gevrey order.  The weighted l1 row sum stands in for the sup norm on a
+    z-disc of radius ``FIT_RADIUS``.  An exact cell whose real or imaginary
+    part lies outside the binary64 range raises EvaluationError naming its
+    level.
     """
     import numpy as np
 
@@ -515,7 +513,7 @@ def gevrey_fit(u: Series2, axis: str = "t", radius: float = 0.1,
         cells = (u.grid if axis == "t" else u.grid.T)[j_lo: J + 1, : I + 1]
         # np.hypot rounds as abs() of a Python complex does
         moduli = np.hypot(cells.real, cells.imag)
-    weights = np.array([radius ** i for i in range(I + 1)], dtype=float)
+    weights = np.array([FIT_RADIUS ** i for i in range(I + 1)], dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         terms = (moduli * weights).tolist()
     pts = []
@@ -537,4 +535,4 @@ def gevrey_fit(u: Series2, axis: str = "t", radius: float = 0.1,
     sigma2 = float(resid @ resid) / dof
     cov = sigma2 * np.linalg.inv(design.T @ design)
     return GevreyFit(float(beta[2]), float(math.sqrt(max(cov[2, 2], 0.0))),
-                     (j_lo, J), radius)
+                     (j_lo, J), FIT_RADIUS)

@@ -231,7 +231,7 @@ def _hyp(name: str, lhs: Fraction, op: str, rhs: Fraction) -> Hypothesis:
                       f"{fmt_fraction(lhs)} {op} {fmt_fraction(rhs)}")
 
 
-def classify(branches, s1, s2, st1=0, st2=0, directions=None
+def classify(branches, s1, s2, st1=0, st2=0, directions=(0.0,)
              ) -> SummabilityReport:
     """Apply the summability statements as a hypothesis-checking procedure.
 
@@ -247,12 +247,7 @@ def classify(branches, s1, s2, st1=0, st2=0, directions=None
     """
     s1, s2 = as_fraction(s1), as_fraction(s2)
     st1, st2 = as_fraction(st1), as_fraction(st2)
-    if directions is None:
-        dir_list = [0.0]
-    elif isinstance(directions, (int, float)):
-        dir_list = [float(directions)]
-    else:
-        dir_list = [float(d) for d in directions]
+    dir_list = [float(d) for d in directions]
     res = levels(branches, s1, s2, st1, st2)
     notes = [res.note] if res.note else []
 
@@ -383,15 +378,15 @@ class ProbeResult:
     detail: str = ""
 
 
-def singular_direction_probe(u: Series2, K, z_eval: complex = 0.0,
-                             min_levels: int = 20) -> ProbeResult:
+def singular_direction_probe(u: Series2, K) -> ProbeResult:
     """Estimate singular directions of the level-K Borel transform.
 
-    Forms ``b_j = u_j(z_eval) / Gamma(1 + j/K)`` and reads the nearest
-    singularity of ``sum b_j tau**j`` off the coefficient ratio sequence
-    (direction = -arg of the ratio limit), falling back to a two-term
-    linear recurrence fit when the plain ratios oscillate (conjugate
-    singularity pairs).  Heuristic: results depend on coefficients only.
+    Forms ``b_j = u_j(0) / Gamma(1 + j/K)`` from at least 20 valid t-levels
+    and reads the nearest singularity of ``sum b_j tau**j`` off the
+    coefficient ratio sequence (direction = -arg of the ratio limit),
+    falling back to a two-term linear recurrence fit when the plain ratios
+    oscillate (conjugate singularity pairs).  Heuristic: results depend on
+    coefficients only.
     """
     import numpy as np
 
@@ -399,10 +394,10 @@ def singular_direction_probe(u: Series2, K, z_eval: complex = 0.0,
     if Kf <= 0:
         raise DomainError("probe level K must be positive")
     J = u.valid[0]
-    if J + 1 < min_levels:
+    if J + 1 < 20:
         raise PreconditionError(
-            f"probe needs at least {min_levels} valid t-levels, got {J + 1}")
-    vals = u.row_values(z_eval)
+            f"probe needs at least 20 valid t-levels, got {J + 1}")
+    vals = u.row_values(0.0)
     b = [v / math.exp(math.lgamma(1.0 + j / Kf)) for j, v in enumerate(vals)]
     start = max(2, J // 2)
     tail = b[start:]

@@ -41,7 +41,7 @@ from mpde.errors import (DomainError, EstimationError, EvaluationError,
 from mpde.exact import RationalComplex, as_fraction
 from mpde.kernel import Lanes, common_denominator, gaussian_int
 from mpde.moments import eval_fraction, log_gamma, log_table, scaled_eval
-from mpde.series import GevreyFit, Series1, Series2
+from mpde.series import FIT_RADIUS, GevreyFit, Series1, Series2
 
 
 def mellin_check(a, b, k, u, quad_params: dict | None = None) -> float:
@@ -558,8 +558,7 @@ def exact_grid_cells(s: Series2):
     return np.array(s.coeffs, dtype=complex)
 
 
-def exact_gevrey_fit_cells(u: Series2, axis: str = "t", radius: float = 0.1,
-                           j_min_frac: float = 0.5,
+def exact_gevrey_fit_cells(u: Series2, axis: str = "t", j_min_frac: float = 0.5,
                            min_points: int = 8) -> GevreyFit:
     """``series.gevrey_fit`` of an exact series with the modulus of each cell
     taken as ``abs()`` of its RationalComplex; a level with a part outside
@@ -583,7 +582,7 @@ def exact_gevrey_fit_cells(u: Series2, axis: str = "t", radius: float = 0.1,
                 f"(verify checks the exact solution without fitting it)"
             ) from None
     moduli = np.array(moduli, dtype=float).reshape(-1, I + 1)
-    weights = np.array([radius ** i for i in range(I + 1)], dtype=float)
+    weights = np.array([FIT_RADIUS ** i for i in range(I + 1)], dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         terms = (moduli * weights).tolist()
     pts = []
@@ -605,4 +604,4 @@ def exact_gevrey_fit_cells(u: Series2, axis: str = "t", radius: float = 0.1,
     sigma2 = float(resid @ resid) / dof
     cov = sigma2 * np.linalg.inv(design.T @ design)
     return GevreyFit(float(beta[2]), float(math.sqrt(max(cov[2, 2], 0.0))),
-                     (j_lo, J), radius)
+                     (j_lo, J), FIT_RADIUS)

@@ -8,11 +8,11 @@ import pytest
 from oracles import mellin_check
 
 from mpde.errors import DomainError, EvaluationError
-from mpde.moments import (MOMENT_ONE, MomentFactor, MomentFunction, combine,
+from mpde.moments import (MOMENT_ONE, MomentFactor, MomentFunction,
                           e_s_beta, e_s_beta_via_derivative, eval_at,
                           eval_fraction, fraction_table, gamma_s, kernel_e,
                           log_gamma, log_table, mittag_leffler,
-                          mittag_leffler_info, order, scaled_eval)
+                          mittag_leffler_info, scaled_eval)
 from mpde.parsing import parse_moment
 
 
@@ -49,20 +49,20 @@ def test_eval_positive_and_exact_factorials():
 
 
 def test_order_examples():
-    assert order(gamma_s(1)) == 1
-    prod = combine(gamma_s(1), gamma_s(Fraction(1, 2)), "product")
-    assert order(prod) == Fraction(3, 2)
-    quot = combine(gamma_s(1), gamma_s(1), "quotient")
-    assert order(quot) == 0
-    assert order(combine(gamma_s(2), gamma_s(1), "quotient")) == 1
-    assert order(MomentFunction(())) == 0 and eval_at(MomentFunction(()), 7) == 1.0
+    assert gamma_s(1).order == 1
+    prod = gamma_s(1) * gamma_s(Fraction(1, 2))
+    assert prod.order == Fraction(3, 2)
+    quot = gamma_s(1) / gamma_s(1)
+    assert quot.order == 0
+    assert (gamma_s(2) / gamma_s(1)).order == 1
+    assert MomentFunction(()).order == 0 and eval_at(MomentFunction(()), 7) == 1.0
 
 
 def test_combine_pointwise():
     g1 = gamma_s(1)
-    prod = combine(g1, g1, "product")
+    prod = g1 * g1
     assert eval_at(prod, 2) == pytest.approx(4.0, rel=1e-12)  # 2! * 2!
-    quot = combine(g1, g1, "quotient")
+    quot = g1 / g1
     for u in (0, 1, Fraction(7, 3), 10):
         assert eval_at(quot, u) == pytest.approx(1.0, rel=1e-12)
 
@@ -138,7 +138,7 @@ def test_gamma_s_round_trip():
 def test_growth_comparable_to_gamma_s():
     # m of order 1/2 grows like Gamma_{1/2} up to geometric factors
     m = MomentFunction((MomentFactor(2, Fraction(5, 4), 2, 1),))
-    assert order(m) == Fraction(1, 2)
+    assert m.order == Fraction(1, 2)
     ref = gamma_s(Fraction(1, 2))
     seq = [(math.log(eval_at(m, n)) - math.log(eval_at(ref, n))) / n
            for n in range(1, 101)]
@@ -186,10 +186,9 @@ LOG_TABLE_MOMENTS = {
     "Gamma(1)": gamma_s(1),
     "Gamma(1/2)": gamma_s(Fraction(1, 2)),
     "Gamma(3/2)": gamma_s(Fraction(3, 2)),
-    "Gamma(1)*Gamma(1/2)/Gamma(2)": combine(
-        combine(gamma_s(1), gamma_s(Fraction(1, 2)), "product"), gamma_s(2),
-        "quotient"),
-    "1/Gamma(2)": combine(MOMENT_ONE, gamma_s(2), "quotient"),
+    "Gamma(1)*Gamma(1/2)/Gamma(2)":
+        gamma_s(1) * gamma_s(Fraction(1, 2)) / gamma_s(2),
+    "1/Gamma(2)": MOMENT_ONE / gamma_s(2),
     "3/7*Gamma(2/3+u/5)/(2*Gamma(1/3+u/7))": MomentFunction((
         MomentFactor(Fraction(3, 7), Fraction(2, 3), 5, 1),
         MomentFactor(2, Fraction(1, 3), 7, -1))),
@@ -226,8 +225,7 @@ def test_log_table_of_short_and_empty_windows():
 def test_log_table_domain_error_matches_scaled_eval(offset, kappa):
     # Gamma(offset + u): at u = 0 the argument is -2 or 0; kappa = -1 makes
     # u = j/kappa negative from j = 1 on
-    m = combine(gamma_s(1), MomentFunction((MomentFactor(1, offset, 1, 1),)),
-                "product")
+    m = gamma_s(1) * MomentFunction((MomentFactor(1, offset, 1, 1),))
     with pytest.raises(DomainError) as want:
         for j in range(6):
             scaled_eval(m, Fraction(j, kappa))
@@ -260,8 +258,7 @@ def test_fraction_table_matches_scaled_eval(name, kappa):
 
 @pytest.mark.parametrize("offset,kappa", [(-2, 1), (0, 1), (1, -1)])
 def test_fraction_table_domain_error_matches_scaled_eval(offset, kappa):
-    m = combine(gamma_s(1), MomentFunction((MomentFactor(1, offset, 1, 1),)),
-                "product")
+    m = gamma_s(1) * MomentFunction((MomentFactor(1, offset, 1, 1),))
     with pytest.raises(DomainError) as want:
         for j in range(6):
             scaled_eval(m, Fraction(j, kappa))

@@ -51,6 +51,16 @@ def test_load_problem_defaults_and_validation():
                       "rhs": {"kind": "weird", "payload": []}})
 
 
+def test_problem_files_loaded_twice_are_equal_and_hash_equal():
+    # a loaded rhs keeps each entry as a tuple, so the record hashes
+    rational = json.loads(Path(shipped("heat")).read_text())
+    rational["rhs"]["payload"]["den"].append([1, 0, "-1/2", "0"])
+    for source in (*map(shipped, ("heat", "transport", "twofactor")),
+                   json.dumps(rational)):
+        a, b = load_problem(source), load_problem(source)
+        assert a == b and hash(a) == hash(b)
+
+
 @pytest.mark.parametrize("field,value", [
     ("truncation", [True, 5]), ("truncation", [4, False]),
     ("directions", [True]), ("directions", [0.0, False])])
@@ -118,6 +128,25 @@ def test_analyze_matches_golden_and_schema(name):
     assert report == golden
 
 
+def test_analyze_without_a_newton_polygon_reports_null_and_fits_the_schema():
+    data = json.loads(Path(shipped("heat")).read_text())
+    data["m2"] = "Gamma(0)"
+    report = analyze_problem(load_problem(data))
+    jsonschema.validate(report, SCHEMA)
+    assert report["newton"] is None
+
+
+def test_analyze_reports_the_multilevel_case_II():
+    # st1 = 3/2 > 0 leaves a branch below the threshold: tilde_K = 1/st1
+    # takes the first direction
+    data = json.loads(Path(shipped("twofactor")).read_text())
+    data.update(rhs_gevrey=["3/2", "0"], directions=[0.0, 0.1])
+    report = analyze_problem(load_problem(data))
+    jsonschema.validate(report, SCHEMA)
+    assert report["summability"]["case"] == "multi1_II"
+    assert report["summability"]["tilde_K"] == "2/3"
+
+
 def test_solve_problem_sidecar():
     pf = load_problem(shipped("heat"))
     u, sidecar = solve_problem(pf, n1=6, n2=8)
@@ -144,6 +173,19 @@ def test_verify_problem_refuses_a_tolerance_that_is_not_finite(
     with pytest.raises(PreconditionError,
                        match=rf"^tolerance {tol!r} is not a finite number$"):
         verify_problem(pf, tol, 6, 8, arithmetic)
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300])
+def test_verify_problem_refuses_a_negative_tolerance(tol, monkeypatch):
+    # a negative tolerance failed even an exactly zero residual; it is
+    # refused before anything is solved
+    def solve(*args):
+        raise AssertionError("solved with a negative tolerance")
+    monkeypatch.setattr(problem_mod, "_solve_checked", solve)
+    pf = load_problem(shipped("heat"))
+    with pytest.raises(PreconditionError,
+                       match=rf"^tolerance {tol!r} is negative$"):
+        verify_problem(pf, tol, 6, 8, "exact")
 
 
 # -- CLI integration ------------------------------------------------------------
@@ -196,6 +238,14 @@ def test_cli_probe(tmp_path):
     assert abs(report["gevrey_fit"]["s_hat"] - 1.0) <= 0.15
     assert report["theoretical_t_order"] == "1"
     assert report["probes"][0]["K"] == "1"
+
+
+def test_cli_probe_skips_a_level_below_20_valid_t_levels():
+    result = run_cli(["probe", shipped("heat"), "--n1", "18", "--n2", "20"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["probes"] == [
+        {"K": "1", "status": "skipped", "directions": [], "radius": None,
+         "detail": "probe needs at least 20 valid t-levels, got 19"}]
 
 
 def test_cli_verify_exit_codes(tmp_path):
@@ -538,6 +588,17 @@ def test_cli_verify_refuses_a_tolerance_that_is_not_finite(tol, arithmetic):
     assert f"argument --tol: {tol!r} is not a finite number" in result.output
 
 
+@pytest.mark.parametrize("tol", ["-1", "-1e-300"])
+def test_cli_verify_refuses_a_negative_tolerance(tol):
+    # exit 3 before, even on an exactly zero residual
+    result = run_cli(["verify", shipped("heat"), "--n1", "6", "--n2", "8",
+                      "--tol", tol])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == "" and "Traceback" not in result.output
+    assert (f"precondition violated: tolerance {float(tol)!r} is negative"
+            in result.output)
+
+
 @pytest.mark.parametrize("tol", ["1e-300", "0", "-0.0", "1e300"])
 def test_cli_verify_accepts_a_finite_tolerance(tol):
     result = run_cli(["verify", shipped("heat"), "--n1", "6", "--n2", "8",
@@ -549,10 +610,13 @@ def test_cli_verify_accepts_a_finite_tolerance(tol):
 @pytest.mark.parametrize("args,code", [
     (["verify", shipped("heat"), "--n1", "6", "--n2", "8"], 0),
     (["verify", shipped("heat"), "--n1", "-5"], 2),
-    # a valued option takes the next word whatever it starts with; the
-    # exact residual 0 is above a negative tolerance
+    # a valued option takes the next word whatever it starts with: the
+    # float residual is above a tolerance of -0.0, and a negative
+    # tolerance is a precondition violation
+    (["verify", shipped("heat"), "--n1", "6", "--n2", "8", "--arithmetic",
+      "float", "--tol", "-0.0"], 3),
     (["verify", shipped("heat"), "--n1", "6", "--n2", "8", "--tol",
-      "-1e-9"], 3)])
+      "-1e-9"], 2)])
 def test_cli_main_main_ends_in_system_exit_with_the_code(args, code,
                                                         capsys):
     # perfbench/clitrace.py calls the entry point through this attribute
@@ -653,6 +717,7 @@ def test_problem_file_that_is_no_json_object_is_a_parse_error(text,
     ("[1, 2]", "a problem file holds one JSON object, got [1, 2]"),
     ("5", "cannot read the problem file 5: "),
     ("null", "cannot read the problem file null: "),
+    ("{bad", "invalid problem JSON: "),
 ])
 def test_load_problem_of_text_that_is_no_object_is_a_parse_error(source,
                                                                  message):
@@ -736,6 +801,15 @@ MALFORMED = [
     ("rhs", '{"kind": "coeffs", "payload": [[0, 0, "1", "0"]], '
             '"den": [[0, 0, "2", "0"]]}',
      "unknown rhs keys: ['den']"),
+    ("rhs", '{"kind": "coeffs"}', "rhs is missing its payload"),
+    ("rhs", '{"kind": "coeffs", "payload": {"num": []}}',
+     "rhs coefficients must be a list of [j, i, re, im] entries"),
+    ("num entry", '[0, 0, "1"]', 'rhs num entry [0, 0, "1"] is not '
+                                 '[j, i, re, im]'),
+    ("rhs_role", '"h"', 'rhs_role must be "g" or "f"'),
+    ("rhs_gevrey", "[1]", "rhs_gevrey must be a pair of rationals"),
+    ("mode", '"fast"', 'mode must be "direct" or "pseudo"'),
+    ("arithmetic", '"double"', 'arithmetic must be "float" or "exact"'),
 ]
 # JSON reads NaN, Infinity and 1e309 (as Infinity) into directions
 MALFORMED += [
@@ -771,6 +845,25 @@ def test_malformed_rhs_is_a_parse_error_naming_the_entry(field, literal,
         result = run_cli([command, str(prob)])
         assert result.exit_code == 1, result.output
         assert f"parse error: {named}" in result.output
+
+
+@pytest.mark.parametrize("field,text,named", [
+    ("operator", "dt^x - dz", "expected an unsigned integer exponent"),
+    ("m1", "Gamma(x)", "expected a rational number"),
+    ("m2", "0*Gamma(1+u/1)", "factor scale a must be positive, got 0")])
+def test_cli_bad_operator_or_moment_is_a_parse_error(field, text, named,
+                                                     tmp_path):
+    # the expressions are parsed on first use, not at load
+    data = json.loads(Path(shipped("heat")).read_text())
+    data[field] = text
+    load_problem(data)
+    prob = tmp_path / "bad.json"
+    prob.write_text(json.dumps(data))
+    for command in ("verify", "analyze"):
+        result = run_cli([command, str(prob)])
+        assert result.exit_code == 1, result.output
+        assert result.stderr.startswith(f"parse error: {named}")
+        assert result.stdout == ""
 
 
 def test_shipped_problems_pass_the_entry_checks():
@@ -932,7 +1025,8 @@ def _files(folder: Path) -> dict:
       "--out", "S.csv"], 0, False),
     (["analyze", "twofactor"], 0, False),
     (["solve", "heat", "--n1", "x"], 2, False),
-    (["verify", "heat", "--n1", "5", "--n2", "6", "--tol", "-1"], 3, False),
+    (["verify", "heat", "--n1", "5", "--n2", "6", "--arithmetic", "float",
+      "--tol", "-0.0"], 3, False),
     (["solve", "twofactor", "--n1", "80", "--arithmetic", "float",
       "--out", "T.csv"], 4, False),
     (["newton", "twofactor", "--out", "N.csv", "--svg", "N.svg"], 1, True)])

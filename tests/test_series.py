@@ -12,14 +12,14 @@ from oracles import (csv_cells, exact_gevrey_fit_cells,
 from mpde import kernel
 from mpde.errors import DomainError, EstimationError, WindowError
 from mpde.exact import RationalComplex
-from mpde.moments import MomentFunction, combine, eval_at, gamma_s
+from mpde.moments import MomentFunction, eval_at, gamma_s
 from mpde.series import (Series1, Series2, apply_operator, borel, gevrey_fit,
                          inv_borel, moment_antidiff, moment_diff)
 
 G1 = gamma_s(1)
 GHALF = gamma_s(Fraction(1, 2))
 G2 = gamma_s(2)
-MIX = combine(G1, GHALF, "product")
+MIX = G1 * GHALF
 
 
 @pytest.mark.parametrize("exact", [False, True])
@@ -60,7 +60,7 @@ def test_inv_borel_examples():
     out = inv_borel(G1, ones)
     for j, c in enumerate(out.coeffs):
         assert abs(c - math.factorial(j)) <= 1e-12 * math.factorial(j)
-    ident = combine(G1, G1, "quotient")  # order 0
+    ident = G1 / G1  # order 0
     s = Series1([1.5, -2.25, 3.0])
     assert inv_borel(ident, s).coeffs == s.coeffs
 
@@ -84,7 +84,7 @@ def test_borel_quotient_form_round_trip():
     # applying the transform for m after the one for 1/m is the identity
     rng = random.Random(71)
     for m in (G1, GHALF, MIX):
-        inv_m = combine(MomentFunction(()), m, "quotient")
+        inv_m = MomentFunction(()) / m
         se = random_series1(rng, 30, exact=True)
         assert borel(m, borel(inv_m, se)).coeffs == se.coeffs
         sf = random_series1(rng, 30)
@@ -199,7 +199,7 @@ def test_commutation_with_moment_diff():
         for _ in range(10):
             s = random_series1(rng, 30)
             lhs = borel(mp, moment_diff(m, s))
-            rhs = moment_diff(combine(m, mp, "product"), borel(mp, s))
+            rhs = moment_diff(m * mp, borel(mp, s))
             assert series1_close(lhs, rhs, 1e-12)
 
 
@@ -223,7 +223,7 @@ def test_commutation_with_polynomial_operator():
         s = random_series1(rng, 25)
         m, mp = GHALF, G1
         lhs = borel(mp, _poly_diff_apply(m, s, coeffs))
-        rhs = _poly_diff_apply(combine(m, mp, "product"), borel(mp, s), coeffs)
+        rhs = _poly_diff_apply(m * mp, borel(mp, s), coeffs)
         assert series1_close(lhs, rhs, 1e-12)
 
 
@@ -397,7 +397,7 @@ def test_z_transform_hands_over_its_grid_uncopied(transform, monkeypatch):
 
 
 def test_zero_series_legal_everywhere_but_fit():
-    z = Series2.zeros(5, 5, exact=True)
+    z = Series2.from_entries((), 5, 5, exact=True)
     assert borel(G1, z, "t").coeffs == z.coeffs
     assert apply_operator({(1, 1): 1}, G1, G1, z).shape == (4, 4)
 
@@ -491,7 +491,6 @@ def test_row_values_match_a_per_row_horner_loop(z):
             want.append(acc)
         got = s.row_values(z)
         assert list(map(_bits, got)) == list(map(_bits, want))
-        assert s.row_values(z, up_to=2) == got[:3]
 
 
 @pytest.mark.parametrize("axis", ["t", "z"])

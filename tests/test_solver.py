@@ -61,7 +61,7 @@ def test_heat_formal_solution_matches_brute_force():
 
 
 def test_zero_rhs_gives_zero_solution():
-    g = Series2.zeros(6, 20, exact=True)
+    g = Series2.from_entries((), 6, 20, exact=True)
     u = formal_solve(CauchyProblem(HEAT, G1, G1, g, (6, 8)))
     assert all(not c for row in u.coeffs for c in row)
 

@@ -13,8 +13,9 @@ from mpde import newton
 from mpde.charroots import CharBranch, CharPoly, branches_at_infinity
 from mpde.errors import PreconditionError
 from mpde.series import Series2
-from mpde.summability import (Angle, admissible, classify, levels,
-                              required_sectors, singular_direction_probe)
+from mpde.summability import (Angle, ProbeResult, admissible, classify,
+                              levels, required_sectors,
+                              singular_direction_probe)
 
 HEAT = branches_at_infinity(CharPoly.from_table({(1, 0): 1, (0, 2): -1}))
 TRANSPORT = branches_at_infinity(CharPoly.from_table({(1, 0): 1, (0, 1): -1}))
@@ -286,6 +287,22 @@ def test_probe_convergent_inconclusive():
     res = singular_direction_probe(u, 1)
     assert res.status in ("no_singularity", "inconclusive")
     assert res.directions == ()
+
+
+def test_probe_zero_tail_is_inconclusive():
+    u = Series2.from_t_coeffs([1.0] + [0.0] * 40)
+    assert singular_direction_probe(u, 1) == ProbeResult(
+        "inconclusive", (), None, "tail is identically zero")
+
+
+def test_probe_decaying_borel_coefficients_have_no_singularity():
+    # b_j = 100**-j: a constant ratio below the detection scale
+    u = Series2.from_t_coeffs([0.01 ** j * math.factorial(j)
+                               for j in range(41)])
+    res = singular_direction_probe(u, 1)
+    assert (res.status, res.directions, res.radius) == (
+        "no_singularity", (), None)
+    assert res.detail.startswith("Borel coefficients decay")
 
 
 def test_probe_conjugate_pair():
