@@ -37,8 +37,11 @@ so that integral divisors stay ints.  One decoder divides them out of raw
 lanes, row by row: :func:`denormalize` builds Gaussian rationals from it,
 :func:`binary64_rows` correctly rounded binary64 parts.
 
-Float mode runs on numpy complex arrays of raw coefficients, so that grids
-whose normalized coefficients would overflow binary64 stay finite.  The
+Float mode runs on numpy arrays of raw coefficients, so that grids whose
+normalized coefficients would overflow binary64 stay finite.  An array is
+float64 when the data are real and complex128 otherwise: numpy's dtype
+follows the operands, and :func:`binary64` rounds a real coefficient to a
+Python float, so a real problem never computes an imaginary plane.  The
 moment values enter as ratios ``m(x)/m(y) = exp(log m(x) - log m(y))``, read
 from the numpy arrays of :func:`mpde.moments.log_table`: one scalar per row
 offset and one vector per column offset, built by :func:`ratios` once per
@@ -361,6 +364,26 @@ def binary64_rows(grid: RawLanes, rows, n_cols: int):
 # -- float arithmetic -------------------------------------------------------
 
 
+def binary64(c):
+    """``c`` rounded to a Python float when its imaginary part is +0.0,
+    else to a Python complex; a RationalComplex too large for binary64
+    raises OverflowError."""
+    z = complex(c)
+    return z.real if z.imag == 0.0 and math.copysign(1.0, z.imag) > 0 else z
+
+
+def modulus(grid):
+    """``|c|`` of each cell of a numpy array: ``np.abs`` of a float64 one,
+    which is bit for bit ``hypot(x, 0)``, and ``np.hypot`` of the planes of
+    a complex one, which rounds as ``abs()`` of a Python complex does
+    (``np.abs`` of a complex array may differ in the last bit)."""
+    import numpy as np
+
+    if grid.dtype.kind != "c":
+        return np.abs(grid)
+    return np.hypot(grid.real, grid.imag)
+
+
 def read_only(grid):
     """``grid`` marked read-only, so that a Series2 keeps it uncopied."""
     grid.flags.writeable = False
@@ -395,7 +418,8 @@ def shift_float(u, items, r1, r2, n_rows: int, n_cols: int):
     ``((a, b), p_ab)`` and ``r1``, ``r2`` the :func:`ratios` of the log
     moment values along the two axes, for widths n_rows and n_cols and at
     least the offsets a and b of the items.  Cell (j, i) sums
-    ``p_ab * u[j+a][i+b] * m1(j+a)/m1(j) * m2(i+b)/m2(i)`` in item order.
+    ``p_ab * u[j+a][i+b] * m1(j+a)/m1(j) * m2(i+b)/m2(i)`` in item order;
+    the output is float64 when u is and every p_ab is a Python float.
     """
     import numpy as np
 
@@ -421,8 +445,11 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
     time, in list order, those with b < 0 into ``x[t]`` (after the base
     when ``shift < 0``); ``v[t]`` solves ``v_i + sum m_k m2(i-k)/m2(i)
     v_{i-k} = x_i`` for the ``taps`` [(k, m_k)] cell by cell in Python
-    ``complex``.  Each level is yielded as soon as it is complete, so a
-    caller can stop at the first one that overflows.
+    scalars.  The levels are float64 when ``base`` is and q, the term
+    coefficients and the taps are real Python numbers (:func:`binary64`),
+    and complex128 otherwise.  Each level is
+    yielded as soon as it is complete, so a caller can stop at the first
+    one that overflows.
 
     Overflow and invalid operations are ignored from the first level to
     the last, and the caller's numpy error state returns when the
@@ -434,7 +461,9 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
     logs1 = logs1.tolist()  # Python floats for the scalar ratios per level
     r2 = ratios(logs2, {b for _, b, _ in terms} | {-k for k, _ in taps}
                 | ({shift} - {0}), width)
-    grid = np.zeros((len(widths), width + 1), dtype=complex)
+    scalars = (q, *(c for _, _, c in terms), *(m for _, m in taps))
+    grid = np.zeros((len(widths), width + 1), dtype=complex if any(
+        isinstance(c, complex) for c in scalars) else base.dtype)
     up = [(a, b, c) for a, b, c in terms if b >= 0]
     down = [(base, n, shift, q)] if shift else []
     down += [(grid, a, b, c) for a, b, c in terms if b < 0]
@@ -452,7 +481,7 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
                     row += (c * grid[t - a, b: w + 1 + b] * r1
                             * r2[b][: w + 1])
                 if down:
-                    x = np.zeros(w + 1, dtype=complex)
+                    x = np.zeros(w + 1, dtype=grid.dtype)
                     for src, a, b, c in down:
                         if -b > w:
                             continue

@@ -424,15 +424,24 @@ def mittag_leffler(s, x: complex, tol: float = 1e-12,
     return mittag_leffler_info(s, x, tol, max_terms)[0]
 
 
-def e_s_beta(s, beta: int, x: complex, tol: float = 1e-12,
-             max_terms: int = 10000) -> complex:
-    """Kernel series ``sum_{j>=beta} C(j-1, beta-1) x**j / Gamma(1+s*j)``."""
+def _kernel_series_args(s, beta: int, x, tol: float) -> tuple:
+    """``(as_fraction(s), complex(x))`` once s > 0, beta >= 1, tol > 0 and
+    ``|x| <= _RADIUS`` are checked, as both kernel series sums need."""
     s = as_fraction(s)
     if s <= 0 or beta < 1:
         raise DomainError("e_s_beta requires s > 0 and beta >= 1")
+    if tol <= 0:
+        raise DomainError("tol must be positive")
     x = complex(x)
     if abs(x) > _RADIUS:
         raise DomainError(f"|x| = {abs(x)} exceeds the series radius bound {_RADIUS}")
+    return s, x
+
+
+def e_s_beta(s, beta: int, x: complex, tol: float = 1e-12,
+             max_terms: int = 10000) -> complex:
+    """Kernel series ``sum_{j>=beta} C(j-1, beta-1) x**j / Gamma(1+s*j)``."""
+    s, x = _kernel_series_args(s, beta, x, tol)
     if x == 0:
         return 0.0 + 0.0j
     sf = float(s)
@@ -456,10 +465,7 @@ def e_s_beta_via_derivative(s, beta: int, x: complex, tol: float = 1e-12,
     multiplies by ``x**beta / (beta-1)!``; agrees with :func:`e_s_beta` up to
     the summation tolerance.
     """
-    s = as_fraction(s)
-    if s <= 0 or beta < 1:
-        raise DomainError("e_s_beta requires s > 0 and beta >= 1")
-    x = complex(x)
+    s, x = _kernel_series_args(s, beta, x, tol)
     if x == 0:
         return 0.0 + 0.0j
     sf = float(s)

@@ -270,7 +270,7 @@ def expand_rhs(rhs: tuple, n1: int, n2: int, exact: bool) -> Series2:
 
 
 def _divide(num: dict, den: dict, n1: int, n2: int, exact: bool):
-    """Raw lanes (exact) or read-only complex grid (float) of the power
+    """Raw lanes (exact) or read-only numpy grid (float) of the power
     series ``R = num/den`` on the (n1, n2) grid, num nonzero there.
 
     With ``zeta = 1/z``, B the largest z-power and n the largest t-power of
@@ -283,7 +283,8 @@ def _divide(num: dict, den: dict, n1: int, n2: int, exact: bool):
     t (n = 0, so rows are independent), to the last numerator row; every
     other cell is zero.  Float mode divides den's float table exactly and
     rounds the recursion's coefficients once; one beyond binary64 raises
-    EvaluationError naming its den term.
+    EvaluationError naming its den term.  The float grid is float64 when num
+    and den are real, complex128 otherwise.
     """
     den = {k: RationalComplex.coerce(v) for k, v in den.items()
            if v and k[0] <= n1 and k[1] <= n2}
@@ -314,22 +315,22 @@ def _divide(num: dict, den: dict, n1: int, n2: int, exact: bool):
             [1] * lo + v.row_div[n:] + [1] * (n1 - hi), v.col_div[B:])
     import numpy as np
 
-    out = np.zeros((n1 + 1, n2 + 1), dtype=complex)
     levels = kernel.recurrence_float(band.grid, q, terms, n, widths,
                                      np.zeros(len(widths)),
                                      np.zeros(B + n2 + 1), taps, -B)
-    for t, level in enumerate(levels):
-        if t >= n:
-            out[lo + t - n] = level[B:]
+    rows = [level[B:] for t, level in enumerate(levels) if t >= n]
+    out = np.zeros((n1 + 1, n2 + 1), dtype=rows[0].dtype)
+    out[lo: lo + len(rows)] = rows
     return kernel.read_only(out)
 
 
 def _rounded(q, terms, taps) -> tuple:
-    """``q``, the terms and the taps of :func:`_divide` rounded to complex;
-    one beyond binary64 raises EvaluationError naming its den term."""
+    """``q``, the terms and the taps of :func:`_divide` rounded by
+    :func:`kernel.binary64`, real ones to floats; one beyond binary64
+    raises EvaluationError naming its den term."""
     def rounded(c, what):
         try:
-            return complex(c)
+            return kernel.binary64(c)
         except OverflowError:
             raise _beyond_binary64(f"{what} is") from None
     return (rounded(q, "1 over rhs den term [0, 0]"),

@@ -77,12 +77,14 @@ class Series1:
 class Series2:
     """Truncated series ``sum c_{j,i} t**(j/kappa1) z**(i/kappa2)``.
 
-    A series stores one grid: a read-only 2-D complex numpy array
-    (:attr:`grid`) in float mode, :class:`~mpde.kernel.RawLanes`
-    (:attr:`lanes`) in exact mode.  It is given as such an array (kept
-    when it is complex128, read-only and owns its memory, as the grids
-    mpde builds are; copied once otherwise), as lanes, or as rows, coerced
-    cell by cell to the coefficient type and converted once.  ``coeffs``,
+    A series stores one grid: a read-only 2-D numpy array (:attr:`grid`)
+    in float mode, float64 for real data and complex128 otherwise, and
+    :class:`~mpde.kernel.RawLanes` (:attr:`lanes`) in exact mode.  It is
+    given as such an array (kept when it is float64 or complex128,
+    read-only and owns its memory, as the grids mpde builds are; copied
+    once otherwise, to complex128 from a complex or object array and to
+    float64 from any other), as lanes, or as rows, coerced cell by cell to
+    the coefficient type and converted once.  ``coeffs``,
     the grid as tuple rows of Python ``complex`` (signs of zero kept) or
     ``RationalComplex``, is built on first use.  ``valid`` marks the
     rectangle of trustworthy indices (J, I); it can be smaller than the
@@ -111,9 +113,10 @@ class Series2:
 
             if not isinstance(coeffs, np.ndarray):
                 coeffs = np.array(_rows(coeffs, complex), dtype=complex)
-            elif (coeffs.dtype != complex or coeffs.flags.writeable
-                  or not coeffs.flags.owndata):
-                coeffs = np.array(coeffs, dtype=complex)
+            elif (coeffs.dtype not in (float, complex)
+                  or coeffs.flags.writeable or not coeffs.flags.owndata):
+                coeffs = np.array(coeffs, dtype=complex if
+                                  coeffs.dtype.kind in "cO" else float)
             if coeffs.ndim != 2:
                 raise DomainError("a coefficient array must be 2-D")
             coeffs.flags.writeable = False
@@ -137,23 +140,26 @@ class Series2:
     def coeffs(self) -> tuple:
         """Rows of the grid as tuples of the coefficient type."""
         if self._coeffs is None:
-            # the rows of a complex array's tolist() are Python complex
-            rows = (kernel.denormalize(self._data) if self.exact
-                    else tuple(map(tuple, self._data.tolist())))
+            # the rows of a complex array's tolist() are Python complex; a
+            # float64 one converts with +0.0 imaginary parts
+            rows = (kernel.denormalize(self._data) if self.exact else
+                    tuple(map(tuple, self._data.astype(complex).tolist())))
             object.__setattr__(self, "_coeffs", rows)
         return self._coeffs
 
     @property
     def grid(self):
-        """The grid as a read-only 2-D complex numpy array; exact cells are
-        rounded part by part (:func:`kernel.binary64_rows`)."""
+        """The grid as a read-only 2-D numpy array.  A float series gives
+        the array it keeps: float64 for real data (every imaginary part
+        +0.0), complex128 otherwise.  An exact one gives complex128, its
+        cells rounded part by part (:func:`kernel.binary64_rows`)."""
         if not self.exact:
             return self._data
         return kernel.read_only(self._cells(*self.shape))
 
     def _cells(self, J: int, I: int):
-        """Cells ``[: J + 1, : I + 1]`` as a 2-D complex numpy array; exact
-        cells are rounded part by part, and only these are decoded."""
+        """Cells ``[: J + 1, : I + 1]`` as :attr:`grid` holds them; only
+        these exact cells are decoded."""
         if not self.exact:
             return self._data[: J + 1, : I + 1]
         import numpy as np
@@ -193,7 +199,8 @@ class Series2:
         repeated (j, i) keeps its last value.  Exact values are coerced to
         ``RationalComplex`` and become lanes over their common denominator
         (:func:`kernel.lanes_of_table`); float values are written, signs of
-        zero kept, into a read-only complex numpy array.  Only the entries
+        zero kept, into a read-only numpy array, float64 when every value's
+        imaginary part is +0.0 and complex128 otherwise.  Only the entries
         are converted, never the zero cells."""
         if n1 < 0 or n2 < 0:
             raise DomainError("empty coefficient grid")
@@ -205,8 +212,10 @@ class Series2:
                 n1, n2), exact=True, **kw)
         import numpy as np
 
-        grid = np.zeros((n1 + 1, n2 + 1), dtype=complex)
-        for (j, i), v in table.items():
+        values = list(map(kernel.binary64, table.values()))
+        real = not any(isinstance(v, complex) for v in values)
+        grid = np.zeros((n1 + 1, n2 + 1), dtype=float if real else complex)
+        for (j, i), v in zip(table, values):
             grid[j, i] = v
         return cls(kernel.read_only(grid), **kw)
 
@@ -260,17 +269,21 @@ class Series2:
         Exact cells are rounded part by part (:func:`kernel.binary64_rows`);
         one beyond the binary64 range raises EvaluationError.  Float cells
         are formatted from the real and imaginary planes of :attr:`grid`.
+        Real lanes and float64 grids write every imaginary part as ``0``.
         Each row is one ``%`` of its cells into the column templates joined
         by the row index.
         """
         J, I = self.valid
         if self.exact:
             rows = kernel.binary64_rows(self.lanes, range(J + 1), I)
+            real = self.lanes.im is None
         else:
             cells = self.grid[: J + 1, : I + 1]
-            rows = zip(cells.real.tolist(), cells.imag.tolist())
-        # real lanes: every imaginary part is 0
-        im = "0" if self.exact and self.lanes.im is None else "%.17g"
+            real = cells.dtype == float
+            rows = (zip(cells.tolist()) if real else
+                    zip(cells.real.tolist(), cells.imag.tolist()))
+        # real lanes and float64 grids: every imaginary part is 0
+        im = "0" if real else "%.17g"
         columns = [f",{i},%.17g,{im}\n" for i in range(I + 1)]
         lines = ["j,i,re,im\n"]
         try:
@@ -443,8 +456,9 @@ def apply_operator(table, m1: MomentFunction, m2: MomentFunction,
     mode rescales the lanes of u once, runs the shift on integers and keeps
     the moment values as the row and column divisors of its output lanes;
     float mode works on raw coefficients through ratios of moment values
-    taken from their logarithms.  The output window shrinks by the maximal
-    orders in the support.
+    taken from their logarithms, applying a real coefficient as a Python
+    float (:func:`kernel.binary64`), so that a float64 grid stays float64.
+    The output window shrinks by the maximal orders in the support.
     """
     J_out, I_out = operator_window(table, u.valid)
     J, I = u.valid
@@ -456,7 +470,7 @@ def apply_operator(table, m1: MomentFunction, m2: MomentFunction,
         out = kernel.RawLanes(V.re, V.im, [V.den * w for w in w1[: J_out + 1]],
                               w2[: I_out + 1])
         return Series2(out, u.kappa1, u.kappa2, True)
-    items = [(k, complex(p)) for k, p in normalize_table(table)]
+    items = [(k, kernel.binary64(p)) for k, p in normalize_table(table)]
     r1 = kernel.ratios(moments.log_table(m1, u.kappa1, J),
                        {a for (a, _), _ in items}, J_out)
     r2 = kernel.ratios(moments.log_table(m2, u.kappa2, I),
@@ -511,8 +525,7 @@ def gevrey_fit(u: Series2, axis: str = "t", j_min_frac: float = 0.5,
         moduli = np.array(moduli, dtype=float).reshape(-1, I + 1)
     else:
         cells = (u.grid if axis == "t" else u.grid.T)[j_lo: J + 1, : I + 1]
-        # np.hypot rounds as abs() of a Python complex does
-        moduli = np.hypot(cells.real, cells.imag)
+        moduli = kernel.modulus(cells)
     weights = np.array([FIT_RADIUS ** i for i in range(I + 1)], dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         terms = (moduli * weights).tolist()

@@ -18,8 +18,11 @@ Gaussian rational built in between.  Float mode recurses on raw
 coefficients with moment ratios taken from their logarithms, so that grids
 whose normalized coefficients would overflow stay finite; an output row
 that overflows anyway raises EvaluationError.  Float grids stay numpy
-arrays from the rhs to the output (``Series2.grid``): each finite-checked
-level is written into one preallocated output array.
+arrays from the rhs to the output (``Series2.grid``): the output window of
+each finite-checked level is kept, and the levels are stacked into one
+array at the end.  A solve has one float dtype: float64 when the rhs grid
+and the operator's coefficients are real, each coefficient rounded to a
+Python float (:func:`kernel.binary64`), and complex128 otherwise.
 
 One recursion serves both modes, both rhs roles and the power-series
 division of a ``rational`` rhs in :mod:`mpde.problem`.  Each ``A_{n-a}`` is
@@ -173,9 +176,9 @@ def g_from_f(p0_coeffs, m2: MomentFunction, f: Series2) -> Series2:
     import numpy as np
 
     levels = kernel.recurrence_float(
-        f.grid[: J + 1, : I + 1], complex(q), [], 0, widths, np.zeros(J + 1),
-        moments.log_table(m2, f.kappa2, I + B),
-        [(k, complex(m)) for k, m in taps], -B)
+        f.grid[: J + 1, : I + 1], kernel.binary64(q), [], 0, widths,
+        np.zeros(J + 1), moments.log_table(m2, f.kappa2, I + B),
+        [(k, kernel.binary64(m)) for k, m in taps], -B)
     return Series2(kernel.read_only(np.array(list(levels))), f.kappa1,
                    f.kappa2, False)
 
@@ -259,15 +262,15 @@ def formal_solve(prob: CauchyProblem) -> Series2:
 
     # a real 1 keeps g bit for bit (a complex 1 may flip a zero's sign)
     levels = kernel.recurrence_float(
-        prob.rhs.grid, 1 if prob.rhs_is_g else complex(q),
-        [(a, b, complex(c)) for a, b, c in terms], n, prob.widths, w1, w2,
-        [(k, complex(m)) for k, m in taps], shift)
-    out = np.empty((N1 + 1, N2 + 1), dtype=complex)
+        prob.rhs.grid, 1 if prob.rhs_is_g else kernel.binary64(q),
+        [(a, b, kernel.binary64(c)) for a, b, c in terms], n, prob.widths,
+        w1, w2, [(k, kernel.binary64(m)) for k, m in taps], shift)
+    rows = []
     try:
         for t, level in enumerate(levels):
             # overflow confined to the columns past N2 is not an error
-            out[t] = level[: N2 + 1]
-            if not np.isfinite(out[t]).all():
+            rows.append(level[: N2 + 1])
+            if not np.isfinite(rows[t]).all():
                 raise EvaluationError(
                     f"float coefficients overflow at t-level {t} (of {N1}) "
                     f"inside the requested window; lower the t-truncation "
@@ -275,7 +278,7 @@ def formal_solve(prob: CauchyProblem) -> Series2:
                     f"--arithmetic exact")
     finally:
         levels.close()  # restores the caller's numpy error state
-    return Series2(kernel.read_only(out), kappa1, kappa2, exact)
+    return Series2(kernel.read_only(np.array(rows)), kappa1, kappa2, exact)
 
 
 @record
@@ -324,13 +327,6 @@ def residual(prob: CauchyProblem, u_hat: Series2) -> ResidualReport:
     return _residual_float(prob, u_hat, support, p0_table, J, I)
 
 
-def _modulus(grid):
-    import numpy as np
-
-    # np.abs of a complex array may differ from abs() in the last bit
-    return np.hypot(grid.real, grid.imag)
-
-
 def _residual_float(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
     import numpy as np
 
@@ -345,16 +341,17 @@ def _residual_float(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
         grid = s.grid
         if table is None:
             f = grid[: J + 1, : I + 1]
-            return f, _modulus(f)
-        items = [(k, complex(p)) for k, p in normalize_table(table)]
+            return f, kernel.modulus(f)
+        items = [(k, kernel.binary64(p)) for k, p in normalize_table(table)]
         abs_items = [(k, abs(p)) for k, p in items]
         return (kernel.shift_float(grid, items, r1, r2, J, I),
-                kernel.shift_float(_modulus(grid), abs_items, r1, r2, J, I))
+                kernel.shift_float(kernel.modulus(grid), abs_items, r1, r2,
+                                   J, I))
 
     lhs, abs_lhs = sides(u_hat, support)
     f, abs_f = sides(prob.rhs, p0_table)
     with np.errstate(invalid="ignore"):
-        diffs = _modulus(lhs - f)
+        diffs = kernel.modulus(lhs - f)
     # numpy maxima propagate NaN
     max_abs = float(np.max(diffs))
     scale = float(np.maximum(np.max(abs_lhs), np.max(abs_f)))

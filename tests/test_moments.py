@@ -110,6 +110,21 @@ def test_e_s_beta_dual_formula_agreement():
                 assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
 
 
+@pytest.mark.parametrize("evaluate", [e_s_beta, e_s_beta_via_derivative])
+@pytest.mark.parametrize("tol", [-1.0, 0.0, -1e-300])
+def test_e_s_beta_refuses_a_tolerance_that_is_not_positive(evaluate, tol):
+    # refused at once, as mittag_leffler does, not after max_terms terms
+    with pytest.raises(DomainError, match="tol must be positive"):
+        evaluate(1, 1, 1.0, tol=tol)
+
+
+@pytest.mark.parametrize("evaluate", [e_s_beta, e_s_beta_via_derivative])
+@pytest.mark.parametrize("x", [25.0, -20.5, 15 + 15j])
+def test_e_s_beta_refuses_x_outside_the_radius_bound(evaluate, x):
+    with pytest.raises(DomainError, match="exceeds the series radius bound"):
+        evaluate(1, 1, x)
+
+
 def test_mellin_examples():
     assert mellin_check(1, 1, 1, 3) == pytest.approx(6.0, rel=1e-9)
     assert mellin_check(1, 1, 2, 2) == pytest.approx(1.0, rel=1e-9)

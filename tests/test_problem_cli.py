@@ -99,6 +99,29 @@ def test_float_rational_rhs_keeps_the_quotient_grid(monkeypatch):
     assert s.coeffs[0][7] == 1 and s.coeffs[3][7] == 0
 
 
+# heat with one complex piece: an operator coefficient, a rhs num entry, a
+# rhs den entry; None is heat itself
+COMPLEX_PIECES = {
+    None: {},
+    "operator": {"operator": "(1+1i)*dt - dz^2"},
+    "num": {"rhs": {"kind": "rational", "payload": {
+        "num": [[0, 0, "1", "1"]],
+        "den": [[0, 0, "1", "0"], [0, 1, "-1", "0"]]}}},
+    "den": {"rhs": {"kind": "rational", "payload": {
+        "num": [[0, 0, "1", "0"]],
+        "den": [[0, 0, "1", "0"], [0, 1, "-1", "1/2"]]}}},
+}
+
+
+@pytest.mark.parametrize("piece", list(COMPLEX_PIECES))
+def test_float_solve_is_float64_for_real_data_and_complex128_otherwise(piece):
+    data = json.loads(Path(shipped("heat")).read_text())
+    data.update(COMPLEX_PIECES[piece])
+    u, _ = solve_problem(load_problem(data), 6, 8, "float")
+    assert u.grid.dtype == (float if piece is None else complex)
+    assert all(type(c) is complex for row in u.coeffs for c in row)
+
+
 def test_expand_rhs_coeffs_and_errors():
     s = expand_rhs(parse_rhs({"kind": "coeffs", "payload": [[0, 0, 1, 0]]}),
                    2, 2, False)

@@ -266,6 +266,96 @@ def test_pseudo_mode_float_matches_exact_or_raises(case):
             assert err <= 1e-9 * bound[j][i]
 
 
+def _real(case: Case) -> Case:
+    """The case with each Gaussian value made real: its real part, or its
+    imaginary part where the real part is zero."""
+    def real(values):
+        return {k: (v[0] or v[1], Fraction(0)) for k, v in values.items()}
+    return dataclasses.replace(case, table=real(case.table),
+                               rhs=real(case.rhs))
+
+
+def check_real_and_complex_routes_agree(case, mode, scale):
+    """A real problem runs on float64 grids; its rhs times i runs on
+    complex128 grids, with the same numbers on the imaginary plane, zeros
+    on the real one, the same residual, or the same overflow."""
+    assume(case.rhs)
+    rotated = dataclasses.replace(
+        case, rhs={k: (Fraction(0), re) for k, (re, _) in case.rhs.items()})
+    probs = [c.problem(exact=False, mode=mode, scale=scale)
+             for c in (case, rotated)]
+    assert probs[0].rhs.grid.dtype == float
+    assert probs[1].rhs.grid.dtype == complex
+    real, imag = map(_solve_or_error, probs)
+    if isinstance(real, str):
+        assert real == imag
+        return
+    assert real.grid.dtype == float and imag.grid.dtype == complex
+    assert np.array_equal(imag.grid.imag, real.grid, equal_nan=True)
+    assert not imag.grid.real.any()
+    reports = []
+    for prob, u in zip(probs, (real, imag)):
+        try:
+            reports.append(repr(residual(prob, u)))
+        except WindowError as exc:  # truncation below the operator order
+            reports.append(str(exc))
+    assert reports[0] == reports[1]
+
+
+@SETTINGS
+@given(cases(), st.sampled_from([1.0, 1e300]))
+def test_real_and_complex_float_routes_agree(case, scale):
+    check_real_and_complex_routes_agree(_real(case), "direct", scale)
+
+
+@SETTINGS
+@given(pseudo_cases(), st.sampled_from([1.0, 1e300]))
+def test_real_and_complex_float_routes_agree_in_pseudo_mode(case, scale):
+    check_real_and_complex_routes_agree(_real(case), "pseudo", scale)
+
+
+def _shipped(name: str) -> dict:
+    """A shipped problem file, or pseudo and gamma, the two problems built
+    on heat.json."""
+    data = json.loads((resources.files("mpde") / "problems"
+                       / f"{'heat' if name in ('pseudo', 'gamma') else name}"
+                         ".json").read_text())
+    if name == "pseudo":
+        data.update(operator="(2+dz)*dt - dz^2", rhs_role="f", mode="pseudo")
+    elif name == "gamma":
+        data.update(m1="Gamma(1/2)", m2="Gamma(3/2)")
+    return data
+
+
+# the shipped problems at their truncation, and rungs that overflow
+# binary64 (heat at level 105, twofactor at 64, gamma at 52)
+@pytest.mark.parametrize("name,n1,n2", [
+    ("heat", None, None), ("transport", None, None),
+    ("twofactor", None, None), ("heat", 200, 100), ("transport", 200, 200),
+    ("twofactor", 80, 60), ("gamma", 100, 60), ("pseudo", 40, 40)])
+def test_real_and_complex_float_routes_agree_on_shipped_problems(name, n1,
+                                                                  n2):
+    real = _shipped(name)
+    rotated = json.loads(json.dumps(real))
+    payload = rotated["rhs"]["payload"]
+    payload["num"] = [[j, i, str(-Fraction(im)), re]
+                      for j, i, re, im in payload["num"]]
+    out = []
+    for data in (real, rotated):
+        try:
+            out.append(solve_problem(load_problem(data), n1, n2, "float"))
+        except EvaluationError as exc:
+            out.append(str(exc))
+    if isinstance(out[0], str):
+        assert "overflow at t-level" in out[0] and out[0] == out[1]
+        return
+    (u, real_sidecar), (v, imag_sidecar) = out
+    assert u.grid.dtype == float and v.grid.dtype == complex
+    assert np.array_equal(v.grid.imag, u.grid, equal_nan=True)
+    assert not v.grid.real.any()
+    assert json.dumps(real_sidecar) == json.dumps(imag_sidecar)
+
+
 @SETTINGS
 @given(st.one_of(cases(), pseudo_cases()))
 def test_level_widths_are_tight(case):
@@ -575,7 +665,9 @@ ONE_OVER_ONE_MINUS_Z = {"kind": "rational", "payload": {
 def test_float_rhs_of_shipped_problems_matches_per_cell_oracle(n1, n2):
     got = expand_rhs(parse_rhs(ONE_OVER_ONE_MINUS_Z), n1, n2, exact=False).grid
     want = rational_rhs_float(ONE_OVER_ONE_MINUS_Z["payload"], n1, n2)
-    assert got.tobytes() == np.array(want, dtype=complex).tobytes()
+    assert got.dtype == float  # a real rhs: no imaginary plane
+    assert (np.asarray(got, dtype=complex).tobytes()
+            == np.array(want, dtype=complex).tobytes())
 
 
 @pytest.mark.parametrize("payload,n1,n2", [
@@ -690,7 +782,8 @@ def test_from_entries_matches_a_per_cell_build(n1, n2, entries, exact):
     if exact:
         assert got.coeffs == tuple(map(tuple, rows))
     else:
-        assert got.grid.tobytes() == np.array(rows, dtype=complex).tobytes()
+        assert (np.asarray(got.grid, dtype=complex).tobytes()
+                == np.array(rows, dtype=complex).tobytes())
         assert not got.grid.flags.writeable
 
 
@@ -718,7 +811,8 @@ def test_coeffs_rhs_matches_a_per_cell_sum(n1, n2, payload):
             exact_rows[j][i] = exact_rows[j][i] + RationalComplex(re, im)
     rhs = parse_rhs({"kind": "coeffs", "payload": payload})
     got = expand_rhs(rhs, n1, n2, exact=False).grid
-    assert got.tobytes() == np.array(rows, dtype=complex).tobytes()
+    assert (np.asarray(got, dtype=complex).tobytes()
+            == np.array(rows, dtype=complex).tobytes())
     exact = expand_rhs(rhs, n1, n2, exact=True).coeffs
     assert exact == tuple(map(tuple, exact_rows))
 

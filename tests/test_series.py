@@ -360,24 +360,53 @@ def test_to_csv_matches_the_per_cell_formatter_on_exact_lanes(
 
 def test_series2_copies_a_grid_it_may_not_keep():
     # a writeable array, a read-only view of one, and a read-only array of
-    # another dtype are copied; the series does not follow later writes
+    # another dtype are copied, an int one to float64; the series does not
+    # follow later writes
     grid = np.array([[1, 2], [3, 4]], dtype=complex)
     view = grid[:, :]
     view.flags.writeable = False
-    real = np.array([[1.0, 2.0], [3.0, 4.0]])
-    real.flags.writeable = False
-    series = [Series2(grid), Series2(view), Series2(real)]
+    ints = np.array([[1, 2], [3, 4]])
+    ints.flags.writeable = False
+    series = [Series2(grid), Series2(view), Series2(ints)]
     grid[0, 0] = 9
-    for s in series:
-        assert s.grid.dtype == complex and not s.grid.flags.writeable
+    for s, dtype in zip(series, (complex, complex, float)):
+        assert s.grid.dtype == dtype and not s.grid.flags.writeable
         assert s.coeffs == ((1, 2), (3, 4))
     assert grid.flags.writeable
 
 
+def test_float64_and_complex128_grids_of_one_series_agree():
+    values = [[1.5, -0.0, 0.0], [2.0 ** -1074, -3.0, 1e308]]
+    real, cplx = (kernel.read_only(np.array(values, dtype=dtype))
+                  for dtype in (float, complex))
+    a, b = Series2(real, valid=(1, 1)), Series2(cplx, valid=(1, 1))
+    assert a.grid.dtype == float and b.grid.dtype == complex
+    assert a == b and hash(a) == hash(b)
+    assert a.to_csv() == b.to_csv() == csv_cells(b)
+    # +0.0 imaginary parts, signs of the real zeros kept
+    assert all(type(x) is complex and math.copysign(1.0, x.imag) == 1.0
+               for row in a.coeffs for x in row)
+    assert [[math.copysign(1.0, x.real) for x in row] for row in a.coeffs] \
+        == [[math.copysign(1.0, x) for x in row] for row in values]
+
+
+@pytest.mark.parametrize("value,dtype", [
+    (1.5, float), (complex(1.5, 0.0), float), (complex(1.5, -0.0), complex),
+    (complex(0.0, 1.0), complex), (complex(1.0, math.nan), complex)])
+def test_from_entries_is_float64_only_where_every_imaginary_part_is_plus_zero(
+        value, dtype):
+    s = Series2.from_entries([(0, 0, 2.0), (1, 1, value)], 1, 1)
+    assert s.grid.dtype == dtype
+    assert np.asarray(s.grid, dtype=complex).tobytes() == np.array(
+        [[2.0, 0.0], [0.0, value]], dtype=complex).tobytes()
+
+
 def test_series2_keeps_a_read_only_complex_grid_it_owns():
-    grid = np.array([[1, 2], [3, 4]], dtype=complex)
-    grid.flags.writeable = False
-    assert Series2(grid).grid is grid
+    # and a float64 one: a real grid is kept as it is
+    for dtype in (complex, float):
+        grid = np.array([[1, 2], [3, 4]], dtype=dtype)
+        grid.flags.writeable = False
+        assert Series2(grid).grid is grid
 
 
 @pytest.mark.parametrize("transform", [borel, inv_borel, moment_diff])
