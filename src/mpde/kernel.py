@@ -3,9 +3,12 @@
 In normalized coordinates ``U_{j,i} = u_{j,i} * m1(j/kappa1) * m2(i/kappa2)``
 a moment operator with constant coefficients is a pure shift,
 ``sum p_ab U_{j+a,i+b}``, and the formal-solution recursion is a shift
-recursion between t-levels.  Each runs as one kernel function per
-arithmetic: :func:`shift` and :func:`recurrence` for exact mode,
-:func:`shift_float` and :func:`recurrence_float` for float mode.
+recursion between t-levels.  Each runs as one function per arithmetic:
+:func:`shift` and :func:`recurrence` for exact mode, :func:`shift_float`
+and :func:`recurrence_float` for float mode.  All four take a grid of raw
+coefficients, the exact coefficients and the moment tables, and return a
+finished grid of raw coefficients: the moment values, and the rounding of
+the coefficients to binary64, are applied here.
 
 Exact mode runs on Python integers:
 
@@ -13,46 +16,40 @@ Exact mode runs on Python integers:
   numerator rows with one divisor per row and one per column; real and
   imaginary parts sit in separate lanes, and the imaginary lane is ``None``
   when every imaginary part is zero;
-* a normalized grid is held as :class:`Lanes`, integer numerators over one
-  common denominator; :func:`rescale` turns raw lanes into normalized ones
-  with O(rows + columns) quotients and one gcd;
+* :func:`rescale` brings the rows and columns that :func:`shift` and
+  :func:`recurrence` read to normalized coordinates, :class:`Lanes` of
+  integer numerators over one common denominator, with O(rows + columns)
+  quotients and one gcd;
 * a recursion with rational coefficients stays integral by scaling level t
   by ``d**(t+1)``, where d is the common denominator of its coefficients,
   in the fraction-free spirit of Bareiss (Math. Comp. 1968), and column i
   by ``e**i``, where e is the common denominator of its taps;
-* each output row of :func:`shift` and :func:`recurrence` is built in one
-  lazy pass, :func:`_fold`, per lane: a chain of maps that adds each
-  term's integer multiple of a source row, materialized once.  A Gaussian
-  term gives up to two integer terms per lane, so real and complex lanes,
-  the terms that shift up and down, the base and the tap sum all take that
-  one pass.
-
-Moment values enter as divisors: an output grid keeps its level divisors
-times the moment values as row and column divisors.  Exact moment values
-(:func:`mpde.moments.fraction_table`) and divisors are ints where they are
-integral, such as the factorials of Gamma(1), and Fractions otherwise, in
-every exact stage, as are the parts of the Gaussian rationals: they
-multiply as they are and divide by one rule, :func:`mpde.exact.quotient`,
-so that integral divisors stay ints.  One decoder divides them out of raw
-lanes, row by row: :func:`denormalize` builds Gaussian rationals from it,
-:func:`binary64_rows` correctly rounded binary64 parts.
+* each output row is built in one lazy pass, :func:`_fold`, per lane: a
+  chain of maps that adds each term's integer multiple of a source row,
+  materialized once, whatever the terms (real or Gaussian, shifting up or
+  down, the base or the tap sum);
+* the output keeps its level divisors times the moment values as row and
+  column divisors.  Moment values (:func:`mpde.moments.fraction_table`),
+  divisors and the parts of Gaussian rationals are ints where integral and
+  Fractions otherwise, and divide by one rule, :func:`mpde.exact.quotient`.
+  One decoder divides the divisors out of raw lanes, row by row:
+  :func:`denormalize` builds Gaussian rationals, :func:`binary64_rows`
+  correctly rounded binary64 parts.
 
 Float mode runs on numpy arrays of raw coefficients, so that grids whose
-normalized coefficients would overflow binary64 stay finite.  An array is
-float64 when the data are real and complex128 otherwise: numpy's dtype
-follows the operands, and :func:`binary64` rounds a real coefficient to a
-Python float, so a real problem never computes an imaginary plane.  The
-moment values enter as ratios ``m(x)/m(y) = exp(log m(x) - log m(y))``, read
-from the numpy arrays of :func:`mpde.moments.log_table`: one scalar per row
-offset and one vector per column offset, built by :func:`ratios` once per
-call (once per residual, whose four shifts share them).  A vector's log
-differences are one array subtraction; its exponentials are ``math.exp``
-per element, whose results numpy's vectorized ``exp`` does not always
-reproduce to the last bit.  Overflow and invalid operations give ``inf``
-and ``nan`` without a warning: :func:`shift_float` ignores them around its
-sum, :func:`recurrence_float` from its first level to its last, and both
-restore the caller's numpy error state when they return, or, for the
-generator, when it finishes or is closed.
+normalized coefficients would overflow binary64 stay finite.  Each
+coefficient is rounded once by :func:`binary64`, a real one to a Python
+float, so numpy's dtype follows the data: float64 for a real problem, which
+never computes an imaginary plane, complex128 otherwise.  The moment values
+enter as ratios ``m(x)/m(y) = exp(log m(x) - log m(y))`` of the logs of
+:func:`mpde.moments.log_table`: one scalar per row offset and one vector per
+column offset (:func:`ratios`), whose exponentials are ``math.exp`` per
+element, as numpy's vectorized ``exp`` does not always reproduce it to the
+last bit.  Overflow and invalid operations give ``inf`` and ``nan`` without
+a warning: :func:`shift_float` ignores them around its sum,
+:func:`recurrence_float` from its first level to its last, and both restore
+the caller's numpy error state when they return, or, for the generator,
+when it finishes or is closed.
 
 Both recursions divide by a top coefficient of degree B in z through B
 taps: the terms that shift down are summed into a second accumulator per
@@ -133,7 +130,9 @@ def rescale(grid: RawLanes, w1, w2, n_rows: int, n_cols: int) -> Lanes:
     the cells.
     """
     rows = [quotient(w1[j], grid.row_div[j]) for j in range(n_rows + 1)]
-    cols = [quotient(w2[i], grid.col_div[i]) for i in range(n_cols + 1)]
+    # a unit divisor, as in every column of an rhs, needs no quotient
+    cols = [w2[i] if c == 1 else quotient(w2[i], c)
+            for i, c in enumerate(grid.col_div[: n_cols + 1])]
     lr = math.lcm(*(f.denominator for f in rows))
     lc = math.lcm(*(f.denominator for f in cols))
     rk = [f.numerator * (lr // f.denominator) for f in rows]
@@ -203,20 +202,25 @@ def _row(lane_terms, r: int, scale: int = 1) -> list:
     return [(k * scale, rows[r + da], b) for k, rows, da, b in lane_terms]
 
 
-def shift(grid: Lanes, table, n_rows: int, n_cols: int) -> Lanes:
-    """``out[j][i] = sum p_ab * grid[j+a][i+b]`` over ``table`` {(a, b): p_ab}.
-
-    The common denominator of the exact coefficients joins ``den``; each
-    output row is one :func:`_fold` per lane.
+def shift(raw: RawLanes, table, w1, w2, n_rows: int, n_cols: int) -> RawLanes:
+    """``out[j][i] = sum p_ab * U[j+a][i+b]`` over ``table`` {(a, b): p_ab}
+    for j <= n_rows, i <= n_cols, U the grid ``raw`` rescaled by the moment
+    tables w1, w2, as raw lanes with ``row_div[j] = den * d * w1[j]`` and
+    ``col_div[i] = w2[i]``: d, the common denominator of the coefficients,
+    joins the ``den`` of U; each output row is one :func:`_fold` per lane.
     """
     coeffs = {k: RationalComplex.coerce(p) for k, p in table.items()}
+    grid = rescale(raw, w1, w2, n_rows + max(a for a, _ in coeffs),
+                   n_cols + max(b for _, b in coeffs))
     d = common_denominator(coeffs.values())
     ks = [(a, b, gaussian_int(p, d)) for (a, b), p in coeffs.items()]
     is_complex = grid.im is not None or any(k[1] for _, _, k in ks)
     lanes = _lane_terms(ks, grid.re, grid.im, is_complex)
     out = [[_fold(repeat(0, n_cols + 1), _row(terms, j))
             for j in range(n_rows + 1)] for terms in lanes]
-    return Lanes(out[0], out[1] if is_complex else None, grid.den * d)
+    return RawLanes(out[0], out[1] if is_complex else None,
+                    [grid.den * d * w for w in w1[: n_rows + 1]],
+                    w2[: n_cols + 1])
 
 
 def run_taps(x_re, x_im, taps) -> None:
@@ -234,11 +238,12 @@ def run_taps(x_re, x_im, taps) -> None:
                 x_im[i] -= mr * pi + mi * pr
 
 
-def recurrence(base: Lanes, q: RationalComplex, terms, n: int, widths,
-               taps=(), shift: int = 0) -> RawLanes:
+def recurrence(raw: RawLanes, q: RationalComplex, terms, n: int, widths,
+               w1, w2, taps, shift: int) -> RawLanes:
     """Levels ``U[t] = q B[t-n][i+shift] + sum c U[t-a][i+b] + V[t]``.
 
-    ``B`` is the grid ``base`` holds; ``terms`` are (a, b, c) with a >= 1
+    ``B`` is the grid ``raw`` rescaled by the moment tables w1, w2 on the
+    rows and columns the levels read; ``terms`` are (a, b, c) with a >= 1
     and Gaussian-rational c.  Level t is zero for t < n and computed for
     ``i <= widths[t]``; reads below index 0 are zero.  The terms with b < 0,
     and the base when ``shift < 0``, are summed into ``X[t]`` instead, and
@@ -251,10 +256,12 @@ def recurrence(base: Lanes, q: RationalComplex, terms, n: int, widths,
     obeys the recursion with ``c e**-b`` for c, ``q e**-shift`` for q and
     the Gaussian integers ``m_k e**k`` for the taps.  With d the common
     denominator of q and the ``c e**-b``, the levels
-    ``V[t] = W[t] * base.den * d**(t+1)`` are integral.  Returns them as raw
-    lanes with ``row_div[t] = base.den * d**(t+1)``, ``col_div[i] = e**i``.
+    ``V[t] = W[t] * den * d**(t+1)`` are integral, den that of the rescaled
+    B.  Returns the raw levels as lanes with ``row_div[t] = den * d**(t+1)
+    * w1[t]`` and ``col_div[i] = e**i * w2[i]``.
     """
     width = max(widths)
+    base = rescale(raw, w1, w2, len(widths) - 1 - n, width + shift)
     e = common_denominator(m for _, m in taps)
     kt = [(k, gaussian_int(m, e ** k)) for k, m in taps]
     if e != 1:
@@ -283,7 +290,7 @@ def recurrence(base: Lanes, q: RationalComplex, terms, n: int, widths,
     power = 1  # d**t
     row_div = []
     for t, w in enumerate(widths):
-        row_div.append(base.den * power * d)
+        row_div.append(base.den * power * d * w1[t])
         if t < n:
             rows = [[0] * (w + 1) for _ in lanes]
         else:
@@ -302,7 +309,8 @@ def recurrence(base: Lanes, q: RationalComplex, terms, n: int, widths,
         for lane, row in zip(lanes, rows):
             lane.append(row)
         power *= d
-    return RawLanes(v_re, v_im, row_div, col_div)
+    return RawLanes(v_re, v_im, row_div,
+                    [w if c == 1 else c * w for c, w in zip(col_div, w2)])
 
 
 class CellOverflow(OverflowError):
@@ -367,7 +375,7 @@ def binary64_rows(grid: RawLanes, rows, n_cols: int):
 def binary64(c):
     """``c`` rounded to a Python float when its imaginary part is +0.0,
     else to a Python complex; a RationalComplex too large for binary64
-    raises OverflowError."""
+    raises OverflowError; a float or complex it returned comes back as is."""
     z = complex(c)
     return z.real if z.imag == 0.0 and math.copysign(1.0, z.imag) > 0 else z
 
@@ -415,14 +423,16 @@ def shift_float(u, items, r1, r2, n_rows: int, n_cols: int):
     """Raw coefficients of ``sum p_ab * dt^a dz^b u`` for j <= n_rows, i <= n_cols.
 
     ``u`` is a 2-D numpy array of raw coefficients, ``items`` the pairs
-    ``((a, b), p_ab)`` and ``r1``, ``r2`` the :func:`ratios` of the log
-    moment values along the two axes, for widths n_rows and n_cols and at
-    least the offsets a and b of the items.  Cell (j, i) sums
+    ``((a, b), p_ab)``, each p_ab rounded here by :func:`binary64`, and
+    ``r1``, ``r2`` the :func:`ratios` of the log moment values along the
+    two axes, for widths n_rows and n_cols and at least the offsets a and b
+    of the items.  Cell (j, i) sums
     ``p_ab * u[j+a][i+b] * m1(j+a)/m1(j) * m2(i+b)/m2(i)`` in item order;
-    the output is float64 when u is and every p_ab is a Python float.
+    the output is float64 when u is and every p_ab is real.
     """
     import numpy as np
 
+    items = [(k, binary64(p)) for k, p in items]
     out = np.zeros((n_rows + 1, n_cols + 1),
                    dtype=np.result_type(u, *(p for _, p in items)))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -437,19 +447,19 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
     """Yield levels ``u[t] = q B[t-n][i+shift] + sum c u[t-a][i+b] + v[t]``.
 
     The float counterpart of :func:`recurrence`, in raw coordinates: ``base``
-    is a 2-D numpy array of raw coefficients, every term carries the moment
-    ratios ``m1(t-a)/m1(t)`` and ``m2(i+b)/m2(i)`` (``m1(t-n)/m1(t)`` and
-    ``m2(i+shift)/m2(i)`` for the base) from the log arrays ``logs1``,
-    ``logs2``.  Level t is zero for t < n and covers ``i <= widths[t]``;
+    is a 2-D numpy array of raw coefficients, q, the term coefficients and
+    the taps are rounded here by :func:`binary64`, and every term carries
+    the moment ratios ``m1(t-a)/m1(t)`` and ``m2(i+b)/m2(i)``
+    (``m1(t-n)/m1(t)`` and ``m2(i+shift)/m2(i)`` for the base) from the log
+    arrays ``logs1``, ``logs2``.  Level t is zero for t < n and covers ``i <= widths[t]``;
     reads below index 0 are zero.  Terms are added one row update at a
     time, in list order, those with b < 0 into ``x[t]`` (after the base
     when ``shift < 0``); ``v[t]`` solves ``v_i + sum m_k m2(i-k)/m2(i)
     v_{i-k} = x_i`` for the ``taps`` [(k, m_k)] cell by cell in Python
     scalars.  The levels are float64 when ``base`` is and q, the term
-    coefficients and the taps are real Python numbers (:func:`binary64`),
-    and complex128 otherwise.  Each level is
-    yielded as soon as it is complete, so a caller can stop at the first
-    one that overflows.
+    coefficients and the taps are real, and complex128 otherwise.  Each
+    level is yielded as soon as it is complete, so a caller can stop at the
+    first one that overflows.
 
     Overflow and invalid operations are ignored from the first level to
     the last, and the caller's numpy error state returns when the
@@ -458,6 +468,8 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
     import numpy as np
 
     width = max(widths)
+    q, taps = binary64(q), [(k, binary64(m)) for k, m in taps]
+    terms = [(a, b, binary64(c)) for a, b, c in terms]
     logs1 = logs1.tolist()  # Python floats for the scalar ratios per level
     r2 = ratios(logs2, {b for _, b, _ in terms} | {-k for k, _ in taps}
                 | ({shift} - {0}), width)

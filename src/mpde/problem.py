@@ -31,7 +31,7 @@ rhs, run over the live rows only.  A float problem that sums or divides
 its entries past binary64 fails naming them.  Every rhs grid, the
 numerator band of the division included, comes from
 :meth:`Series2.from_entries`.  Grids above ``MAX_GRID_CELLS`` are rejected
-before they are allocated.
+before they, or the solver's level widths, are allocated.
 """
 
 from __future__ import annotations
@@ -281,10 +281,12 @@ def _divide(num: dict, den: dict, n1: int, n2: int, exact: bool):
     columns up.  Only the live band of rows runs, from the first row with a
     numerator entry in the grid to the last row or, when den has no term in
     t (n = 0, so rows are independent), to the last numerator row; every
-    other cell is zero.  Float mode divides den's float table exactly and
-    rounds the recursion's coefficients once; one beyond binary64 raises
-    EvaluationError naming its den term.  The float grid is float64 when num
-    and den are real, complex128 otherwise.
+    other cell is zero; the kernel gets the band and unit moment tables.
+    Float mode divides den's float table exactly, and :func:`_rounded`
+    rounds the recursion's coefficients before the kernel, whose rounding
+    keeps their bits, so that one beyond binary64 raises EvaluationError
+    naming its den term.  The float grid is float64 when num and den are
+    real, complex128 otherwise.
     """
     den = {k: RationalComplex.coerce(v) for k, v in den.items()
            if v and k[0] <= n1 and k[1] <= n2}
@@ -302,9 +304,8 @@ def _divide(num: dict, den: dict, n1: int, n2: int, exact: bool):
                                 hi - lo, n2, exact)
     widths = [B + n2] * (n + hi - lo + 1)
     if exact:
-        base = band.lanes
-        v = kernel.recurrence(kernel.Lanes(base.re, base.im, base.row_div[0]),
-                              q, terms, n, widths, taps, -B)
+        v = kernel.recurrence(band.lanes, q, terms, n, widths,
+                              [1] * len(widths), [1] * (B + n2 + 1), taps, -B)
 
         def grid_rows(lane):
             return ([[0] * (n2 + 1) for _ in range(lo)]
@@ -368,21 +369,32 @@ def assemble(pf: ProblemFile, n1: int | None = None, n2: int | None = None,
     """Expand the rhs to the widest solver level of ``(n1, n2)``.
 
     Unset truncation and arithmetic come from the problem file.  A grid
-    above ``MAX_GRID_CELLS`` is rejected before anything is allocated.
+    above ``MAX_GRID_CELLS`` is rejected before anything is allocated: its
+    lower bound ``(N1+1) * (N2+1)`` before the level widths, which the rhs
+    and the solver share, are built.
     """
     P, m1, m2 = pf.parsed
     N1, N2 = _truncation(pf, n1, n2)
     exact = (arithmetic or pf.arithmetic) == "exact"
-    n2_internal = level_widths(P, (N1, N2))[0]
-    cells = (N1 + 1) * (n2_internal + 1)
+    _check_cells(N1, N2, N2, "at least ")
+    widths = level_widths(P, (N1, N2))
+    _check_cells(N1, N2, widths[0], "")
+    rhs = expand_rhs(pf.rhs, N1, widths[0], exact)
+    prob = CauchyProblem(P, m1, m2, rhs, (N1, N2),
+                         rhs_is_g=pf.rhs_role == "g", mode=pf.mode)
+    vars(prob)["widths"] = widths  # the cached_property's own slot
+    return prob
+
+
+def _check_cells(N1: int, N2: int, width: int, bound: str) -> None:
+    """PreconditionError when ``(N1+1) * (width+1)`` cells, the solver grid
+    of (N1, N2) or, ``bound`` "at least ", a lower bound of it, top the cap."""
+    cells = (N1 + 1) * (width + 1)
     if cells > MAX_GRID_CELLS:
         raise PreconditionError(
-            f"the solver grid of truncation ({N1}, {N2}) has {cells} cells "
-            f"({N1 + 1} x {n2_internal + 1}), above the cap of "
+            f"the solver grid of truncation ({N1}, {N2}) has {bound}{cells} "
+            f"cells ({N1 + 1} x {width + 1}), above the cap of "
             f"{MAX_GRID_CELLS}; lower --n1 or --n2")
-    rhs = expand_rhs(pf.rhs, N1, n2_internal, exact)
-    return CauchyProblem(P, m1, m2, rhs, (N1, N2),
-                         rhs_is_g=pf.rhs_role == "g", mode=pf.mode)
 
 
 # -- reports ------------------------------------------------------------------------
@@ -425,8 +437,7 @@ def _summability_json(report) -> dict:
     }
 
 
-def analyze_problem(pf: ProblemFile, n1: int | None = None,
-                    n2: int | None = None) -> dict:
+def analyze_problem(pf: ProblemFile) -> dict:
     """Full analysis report: branches, polygon, orders, summability."""
     P, m1, m2 = pf.parsed
     s1, s2, branches = m1.order, m2.order, branches_at_infinity(P)

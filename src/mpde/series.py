@@ -7,12 +7,11 @@ Two coefficient fields are supported: Python ``complex`` (float mode) and
 :class:`~mpde.exact.RationalComplex` (exact mode).  Float mode works on raw
 coefficients through ratios of moment values taken from their logarithms,
 so that grids far beyond the double overflow threshold stay finite.  Exact
-mode keeps a grid as integer lanes with row and column divisors, multiplies
-by the moment values once on input and shifts on integers; the moment
-values stay in the output's divisors, and the kernel's one decoder divides
-them out when ``coeffs``, ``grid``, the CSV or the Gevrey fit reads the
-lanes.  :func:`apply_operator` runs both modes on the shift kernel of
-:mod:`mpde.kernel`.  The moment Borel transforms and moment derivatives
+mode keeps a grid as integer lanes with row and column divisors, in which
+the shift kernel (:mod:`mpde.kernel`) leaves the moment values; the
+kernel's one decoder divides them out when ``coeffs``, ``grid``, the CSV or
+the Gevrey fit reads the lanes.  :func:`apply_operator` hands both modes'
+raw grids to the kernel.  The moment Borel transforms and moment derivatives
 re-index one axis and scale it by moment values, put into the divisors of
 exact lanes or applied to the float grid as one vector.  Exact moment
 values are exact rationals (true factorials where available, dyadic
@@ -452,25 +451,22 @@ def apply_operator(table, m1: MomentFunction, m2: MomentFunction,
     """Apply ``sum p_ab * dt^a dz^b`` (moment derivatives) to a Series2.
 
     On normalized coefficients this is the shift
-    ``V_{j,i} = sum p_ab U_{j+a,i+b}``, run on :mod:`mpde.kernel`.  Exact
-    mode rescales the lanes of u once, runs the shift on integers and keeps
-    the moment values as the row and column divisors of its output lanes;
-    float mode works on raw coefficients through ratios of moment values
-    taken from their logarithms, applying a real coefficient as a Python
-    float (:func:`kernel.binary64`), so that a float64 grid stays float64.
+    ``V_{j,i} = sum p_ab U_{j+a,i+b}``, run on :mod:`mpde.kernel` with the
+    coefficients as given: :func:`kernel.shift` on the lanes of u and the
+    exact moment tables, or :func:`kernel.shift_float` on the grid and the
+    ratios of moment values taken from their logarithms, applying a real
+    coefficient as a Python float so that a float64 grid stays float64.
     The output window shrinks by the maximal orders in the support.
     """
     J_out, I_out = operator_window(table, u.valid)
     J, I = u.valid
     if u.exact:
-        w1 = moments.fraction_table(m1, u.kappa1, J)
-        w2 = moments.fraction_table(m2, u.kappa2, I)
-        V = kernel.shift(kernel.rescale(u.lanes, w1, w2, J, I), table,
-                         J_out, I_out)
-        out = kernel.RawLanes(V.re, V.im, [V.den * w for w in w1[: J_out + 1]],
-                              w2[: I_out + 1])
+        out = kernel.shift(u.lanes, table,
+                           moments.fraction_table(m1, u.kappa1, J),
+                           moments.fraction_table(m2, u.kappa2, I),
+                           J_out, I_out)
         return Series2(out, u.kappa1, u.kappa2, True)
-    items = [(k, kernel.binary64(p)) for k, p in normalize_table(table)]
+    items = normalize_table(table)
     r1 = kernel.ratios(moments.log_table(m1, u.kappa1, J),
                        {a for (a, _), _ in items}, J_out)
     r2 = kernel.ratios(moments.log_table(m2, u.kappa2, I),

@@ -7,13 +7,13 @@ constant-coefficient shift, and the recursion runs level by level in the
 t-order as ``U[j+n][i] = G[j][i] + sum c_ab U[j+n-a][i+b]``.
 
 Both arithmetics run this recursion, ``g_from_f`` and the residual on the
-shift kernel of :mod:`mpde.kernel`; a solve uses the moment tables that
-its :class:`CauchyProblem` builds once.  Exact mode rescales the integer
-lanes of the rhs once, recurses on Python integers over one common
-denominator and returns the output window as lanes whose row divisors are
-the level divisors times ``m1`` and whose column divisors are the values of
-``m2`` (times ``e**i``, e the denominator of the top coefficient's taps);
-the residual rescales those lanes and shifts them on integers, with no
+shift kernel of :mod:`mpde.kernel`, handing it raw grids, the operator's
+Gaussian-rational coefficients and the moment tables that the
+:class:`CauchyProblem` builds once.  Exact mode recurses on Python integers
+over one common denominator and keeps the output window of lanes whose row
+divisors are the level divisors times ``m1`` and whose column divisors are
+the values of ``m2`` (times ``e**i``, e the denominator of the top
+coefficient's taps); the residual shifts those lanes on integers, with no
 Gaussian rational built in between.  Float mode recurses on raw
 coefficients with moment ratios taken from their logarithms, so that grids
 whose normalized coefficients would overflow stay finite; an output row
@@ -21,8 +21,7 @@ that overflows anyway raises EvaluationError.  Float grids stay numpy
 arrays from the rhs to the output (``Series2.grid``): the output window of
 each finite-checked level is kept, and the levels are stacked into one
 array at the end.  A solve has one float dtype: float64 when the rhs grid
-and the operator's coefficients are real, each coefficient rounded to a
-Python float (:func:`kernel.binary64`), and complex128 otherwise.
+and the operator's coefficients are real, and complex128 otherwise.
 
 One recursion serves both modes, both rhs roles and the power-series
 division of a ``rational`` rhs in :mod:`mpde.problem`.  Each ``A_{n-a}`` is
@@ -55,7 +54,7 @@ from functools import cached_property
 from . import kernel, moments
 from .charroots import CharPoly, _divmod
 from .errors import EvaluationError, PreconditionError
-from .exact import QC_ONE, RationalComplex, as_fraction
+from .exact import QC_ONE, RationalComplex, as_fraction, quotient
 from .moments import MomentFunction
 from .record import record
 from .series import Series2, normalize_table, operator_window
@@ -155,8 +154,8 @@ def g_from_f(p0_coeffs, m2: MomentFunction, f: Series2) -> Series2:
 
     With ``P0 = sum p_b zeta**b`` of degree B and ``G_i = g_i m2(i/kappa2)``
     that is ``G_i + sum m_k G_{i-k} = F_{i-B} / p_B``: the taps that
-    :func:`formal_solve` runs, here alone, with the rows as levels.  g is
-    valid B columns past f.
+    :func:`formal_solve` runs, here alone, with the rows as levels and unit
+    moments along t.  g is valid B columns past f.
     """
     top = [RationalComplex.coerce(c) for c in p0_coeffs]
     while top and not top[-1]:
@@ -167,18 +166,15 @@ def g_from_f(p0_coeffs, m2: MomentFunction, f: Series2) -> Series2:
     J, I = f.valid
     q, taps, widths = 1 / top[B], _taps(top), [I + B] * (J + 1)
     if f.exact:
-        table = moments.fraction_table(m2, f.kappa2, I + B)
-        F = kernel.rescale(f.lanes, [1] * (J + 1), table, J, I)
-        v = kernel.recurrence(F, q, [], 0, widths, taps, -B)
-        out = kernel.RawLanes(v.re, v.im, v.row_div,
-                              [c * w for c, w in zip(v.col_div, table)])
-        return Series2(out, f.kappa1, f.kappa2, True)
+        v = kernel.recurrence(f.lanes, q, [], 0, widths, [1] * (J + 1),
+                              moments.fraction_table(m2, f.kappa2, I + B),
+                              taps, -B)
+        return Series2(v, f.kappa1, f.kappa2, True)
     import numpy as np
 
     levels = kernel.recurrence_float(
-        f.grid[: J + 1, : I + 1], kernel.binary64(q), [], 0, widths,
-        np.zeros(J + 1), moments.log_table(m2, f.kappa2, I + B),
-        [(k, kernel.binary64(m)) for k, m in taps], -B)
+        f.grid[: J + 1, : I + 1], q, [], 0, widths, np.zeros(J + 1),
+        moments.log_table(m2, f.kappa2, I + B), taps, -B)
     return Series2(kernel.read_only(np.array(list(levels))), f.kappa1,
                    f.kappa2, False)
 
@@ -221,13 +217,13 @@ def formal_solve(prob: CauchyProblem) -> Series2:
 
     Output grid is exactly ``out_shape``; every returned coefficient is
     inside the valid window thanks to the level widths.  The recursion's
-    terms and taps come from the operator's Gaussian-rational coefficients
-    as they are; float mode rounds them once.  In float mode a t-level
-    that overflows binary64 inside that window raises EvaluationError.
+    terms and taps are the operator's Gaussian-rational coefficients as
+    they are: the kernel's recurrence applies the moment tables and the
+    rounding.  In float mode a t-level that overflows binary64 inside that
+    window raises EvaluationError.
     """
     P = prob.operator
     n = P.n
-    exact = prob.rhs.exact
     top, B = P.p0(), P.B
     if prob.mode == "direct" and B != 0:
         raise PreconditionError(
@@ -235,7 +231,6 @@ def formal_solve(prob: CauchyProblem) -> Series2:
             "use pseudo mode")
     N1, N2 = prob.out_shape
     N2i = prob.widths[0]
-    kappa1, kappa2 = prob.rhs.kappa1, prob.rhs.kappa2
 
     # f enters shifted down by B, so that the taps turn it into g = P0^-1 f
     q, shift = (QC_ONE, 0) if prob.rhs_is_g else (1 / top[B], -B)
@@ -247,24 +242,19 @@ def formal_solve(prob: CauchyProblem) -> Series2:
             f"{N2i + shift}), rhs provides ({J_g}, {I_g})")
 
     terms, taps = _recursion_terms(P.coeff_polys, top)
-    w1, w2 = prob.fraction_tables if exact else prob.log_tables
-    if exact:
-        G = kernel.rescale(prob.rhs.lanes, w1, w2, rows_needed, N2i + shift)
-        v = kernel.recurrence(G, q, terms, n, prob.widths, taps, shift)
+    if prob.rhs.exact:
+        v = kernel.recurrence(prob.rhs.lanes, q, terms, n, prob.widths,
+                              *prob.fraction_tables, taps, shift)
         # only the output window is kept
         out = kernel.RawLanes(
             [row[: N2 + 1] for row in v.re],
             [row[: N2 + 1] for row in v.im] if v.im is not None else None,
-            [d * w for d, w in zip(v.row_div, w1)],
-            [w if c == 1 else c * w for c, w in zip(v.col_div, w2[: N2 + 1])])
-        return Series2(out, kappa1, kappa2, exact)
+            v.row_div, v.col_div[: N2 + 1])
+        return Series2(out, prob.rhs.kappa1, prob.rhs.kappa2, True)
     import numpy as np
 
-    # a real 1 keeps g bit for bit (a complex 1 may flip a zero's sign)
-    levels = kernel.recurrence_float(
-        prob.rhs.grid, 1 if prob.rhs_is_g else kernel.binary64(q),
-        [(a, b, kernel.binary64(c)) for a, b, c in terms], n, prob.widths,
-        w1, w2, [(k, kernel.binary64(m)) for k, m in taps], shift)
+    levels = kernel.recurrence_float(prob.rhs.grid, q, terms, n, prob.widths,
+                                     *prob.log_tables, taps, shift)
     rows = []
     try:
         for t, level in enumerate(levels):
@@ -278,7 +268,8 @@ def formal_solve(prob: CauchyProblem) -> Series2:
                     f"--arithmetic exact")
     finally:
         levels.close()  # restores the caller's numpy error state
-    return Series2(kernel.read_only(np.array(rows)), kappa1, kappa2, exact)
+    return Series2(kernel.read_only(np.array(rows)), prob.rhs.kappa1,
+                   prob.rhs.kappa2, False)
 
 
 @record
@@ -342,8 +333,8 @@ def _residual_float(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
         if table is None:
             f = grid[: J + 1, : I + 1]
             return f, kernel.modulus(f)
-        items = [(k, kernel.binary64(p)) for k, p in normalize_table(table)]
-        abs_items = [(k, abs(p)) for k, p in items]
+        items = normalize_table(table)
+        abs_items = [(k, abs(kernel.binary64(p))) for k, p in items]
         return (kernel.shift_float(grid, items, r1, r2, J, I),
                 kernel.shift_float(kernel.modulus(grid), abs_items, r1, r2,
                                    J, I))
@@ -363,30 +354,19 @@ def _residual_float(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
 
 
 def _residual_exact(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
-    max_a = max(a for a, _ in support)
-    max_b = max(b for _, b in support)
-    deg0 = max(b for _, b in p0_table) if p0_table is not None else 0
     w1, w2 = prob.fraction_tables
-    # the solver's lanes divide by the same tables: rescaling them only
-    # brings the level divisors to one denominator
-    U = kernel.rescale(u_hat.lanes, w1, w2, J + max_a, I + max_b)
-    lhs = kernel.shift(U, support, J, I)
-    if p0_table is not None:
-        G = kernel.rescale(prob.rhs.lanes, w1, w2, J, I + deg0)
-        f = kernel.shift(G, p0_table, J, I)
-    else:
-        f = kernel.rescale(prob.rhs.lanes, w1, w2, J, I)
-    # raw coefficient = numerator / (den * w1[j] * w2[i]); put both sides
-    # over one denominator and compare integer L1 moduli
-    den = math.lcm(lhs.den, f.den)
-    sl, sf = den // lhs.den, den // f.den
+    lhs = kernel.shift(u_hat.lanes, support, w1, w2, J, I)
+    f = kernel.shift(prob.rhs.lanes, p0_table or {(0, 0): 1}, w1, w2, J, I)
+    # the row divisors of the sides differ by one ratio sf/sl in lowest
+    # terms: put both over lhs's divisors times sl, compare integer L1 moduli
+    sf, sl = quotient(lhs.row_div[0], f.row_div[0]).as_integer_ratio()
     zeros = [[0] * (I + 1) for _ in range(J + 1)]
     l_im = lhs.im if lhs.im is not None else zeros
     f_im = f.im if f.im is not None else zeros
     diff, size = [], []
     for j in range(J + 1):
         lr, li, fr, fi = lhs.re[j], l_im[j], f.re[j], f_im[j]
-        if lhs.den == f.den and lr == fr and li == fi:
+        if sl == sf and lr == fr and li == fi:
             # equal rows over one denominator (sl = sf = 1): no difference,
             # and both sides have one size
             diff.append(())
@@ -398,8 +378,8 @@ def _residual_exact(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
         size.append([max((abs(lr[i]) + abs(li[i])) * sl,
                          (abs(fr[i]) + abs(fi[i])) * sf)
                      for i in range(I + 1)])
-    max_abs = _max_weighted(diff, w1, w2) / den
-    scale = _max_weighted(size, w1, w2) / den
+    max_abs = _max_weighted(diff, lhs.row_div, w2) / sl
+    scale = _max_weighted(size, lhs.row_div, w2) / sl
     rel = float(max_abs / scale) if scale > 0 else float(max_abs != 0)
     return ResidualReport(_safe_float(max_abs), _safe_float(scale),
                           (J, I), max_abs == 0, rel)

@@ -1,8 +1,10 @@
 import cmath
+import json
 import math
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,3 +294,156 @@ def test_rescale_matches_fraction_oracle(kind):
             assert (got.re, got.im, got.den) == (want.re, want.im, want.den)
     if kind == "zero":
         assert (got.im, got.den) == (None, 1)
+
+
+def _uneven_lanes(rng, n_rows, n_cols, is_complex):
+    """Raw lanes whose row and column divisors are not uniform: the lanes
+    of a t-Borel transform followed by a z-derivative, as an exact series
+    keeps them, and those of an exact solve."""
+    from mpde.problem import assemble, load_problem
+    from mpde.series import borel, moment_diff
+    from mpde.solver import formal_solve
+
+    s = random_series2(rng, n_rows, n_cols + 3, exact=True)
+    if not is_complex:
+        s = type(s)([[RationalComplex(c.re) for c in row] for row in s.coeffs],
+                    exact=True)
+    m = parse_moment("Gamma(1/2)")
+    transformed = moment_diff(m, borel(parse_moment("Gamma(1)"), s, "t"), "z")
+    heat = json.loads((Path(__file__).parents[1] / "src" / "mpde"
+                       / "problems" / "heat.json").read_text())
+    if is_complex:
+        heat["operator"] = "(1+1i)*dt - dz^2"
+    solved = formal_solve(assemble(load_problem(heat), n_rows, n_cols + 2,
+                                   "exact"))
+    return [transformed.lanes, solved.lanes]
+
+
+def _gaussian_rows(lanes):
+    """Normalized Gaussian rationals of ``Lanes`` (numerators over den)."""
+    im = lanes.im or [[0] * len(row) for row in lanes.re]
+    return [[RationalComplex(Fraction(x, lanes.den), Fraction(y, lanes.den))
+             for x, y in zip(rx, ry)] for rx, ry in zip(lanes.re, im)]
+
+
+def _raw(U, w1, w2):
+    """Raw coefficients ``U[j][i] / (w1[j] * w2[i])`` of normalized rows."""
+    return tuple(tuple(c * Fraction(1) / (w1[j] * w2[i])
+                       for i, c in enumerate(row)) for j, row in enumerate(U))
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_shift_of_uneven_raw_lanes_matches_per_cell_shift(is_complex):
+    # raw lanes go in with the moment tables, finished raw lanes come out:
+    # they decode to the per-cell shift of the per-cell Fraction
+    # normalization, divided by the tables again
+    rng = random.Random(57)
+    w1 = fraction_table(parse_moment("Gamma(1/2)"), 2, 12)
+    w2 = fraction_table(parse_moment("Gamma(1)*Gamma(1/2)/Gamma(2)"), 1, 12)
+    table = {(0, 0): RationalComplex(2), (1, 1): RationalComplex(-1, 3),
+             (0, 2): Fraction(1, 3), (2, 0): RationalComplex(Fraction(5, 7))}
+    if not is_complex:
+        table[(1, 1)] = RationalComplex(-1)
+    n_rows, n_cols = 3, 4
+    for raw in _uneven_lanes(rng, n_rows + 2, n_cols, is_complex):
+        assert len(set(raw.row_div)) > 1 and len(set(raw.col_div)) > 1
+        rows = [list(row) for row in kernel.denormalize(raw)]
+        U = _gaussian_rows(normalize_fractions(rows, w1, w2, n_rows + 2,
+                                               n_cols + 2))
+        want = [[sum((RationalComplex.coerce(p) * U[j + a][i + b]
+                      for (a, b), p in table.items()), RationalComplex(0))
+                 for i in range(n_cols + 1)] for j in range(n_rows + 1)]
+        got = kernel.shift(raw, table, w1, w2, n_rows, n_cols)
+        assert kernel.denormalize(got) == _raw(want, w1, w2)
+
+
+@pytest.mark.parametrize("shift", [0, -1])
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_recurrence_of_uneven_raw_lanes_matches_per_cell_recursion(
+        is_complex, shift):
+    # the levels of the per-cell recursion on the Fraction normalization of
+    # the base, with its taps solved cell by cell, then divided by the
+    # tables: what the returned lanes decode to
+    rng = random.Random(58)
+    w1 = fraction_table(parse_moment("Gamma(1/2)"), 2, 12)
+    w2 = fraction_table(parse_moment("Gamma(1)*Gamma(1/2)/Gamma(2)"), 1, 16)
+    c = RationalComplex(Fraction(1, 2), Fraction(1, 3) if is_complex else 0)
+    q = RationalComplex(Fraction(3, 4))
+    terms = [(1, 0, c), (1, 2, RationalComplex(Fraction(-2, 3))),
+             (2, 1, RationalComplex(Fraction(1, 5))),
+             (1, -1, RationalComplex(Fraction(-1, 6)))]
+    taps = [(1, RationalComplex(Fraction(1, 2))),
+            (2, RationalComplex(Fraction(-1, 9)))]
+    n, widths = 1, [10, 8, 6, 4, 2]
+    zero = RationalComplex(0)
+    for raw in _uneven_lanes(rng, len(widths), max(widths), is_complex):
+        rows = [list(row) for row in kernel.denormalize(raw)]
+        B = _gaussian_rows(normalize_fractions(
+            rows, w1, w2, len(widths) - 1 - n, max(widths) + shift))
+
+        def read(grid, r, i):
+            return grid[r][i] if i >= 0 else zero
+        U = []
+        for t, w in enumerate(widths):
+            if t < n:
+                U.append([zero] * (w + 1))
+                continue
+            base = [q * read(B, t - n, i + shift) for i in range(w + 1)]
+            up = [sum((c * U[t - a][i + b] for a, b, c in terms if b >= 0),
+                      zero) for i in range(w + 1)]
+            x = [sum((c * read(U, t - a, i + b) for a, b, c in terms
+                      if b < 0), zero) for i in range(w + 1)]
+            up, x = (up, [y + z for y, z in zip(x, base)]) if shift else (
+                [y + z for y, z in zip(up, base)], x)
+            v = []
+            for i in range(w + 1):
+                v.append(x[i] - sum((m * v[i - k] for k, m in taps if k <= i),
+                                    zero))
+            U.append([y + z for y, z in zip(up, v)])
+        got = kernel.recurrence(raw, q, terms, n, widths, w1, w2, taps, shift)
+        assert kernel.denormalize(got) == _raw(U, w1, w2)
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_float_kernels_round_their_own_coefficients(is_complex):
+    # coefficients given as Gaussian rationals, or already rounded by
+    # kernel.binary64 (the form problem._divide passes), give bit-identical
+    # arrays of the same dtype
+    rng = random.Random(59)
+    im = Fraction(1, 3) if is_complex else 0
+    q = RationalComplex(Fraction(3, 7))
+    terms = [(1, 0, RationalComplex(Fraction(1, 3), im)),
+             (1, 2, RationalComplex(Fraction(-2, 3))),
+             (1, -1, RationalComplex(Fraction(-1, 7), im))]
+    taps = [(1, RationalComplex(Fraction(1, 3))),
+            (2, RationalComplex(Fraction(-1, 11), im))]
+    items = [((0, 0), RationalComplex(2)), ((1, 1), RationalComplex(-1, im)),
+             ((0, 2), RationalComplex(Fraction(1, 3)))]
+    m = parse_moment("Gamma(1/2)")
+    logs1, logs2 = log_table(m, 2, 12), log_table(m, 1, 16)
+    for dtype in (float, complex):
+        base = np.array([[rng.uniform(-2, 2) for _ in range(11)]
+                         for _ in range(5)], dtype=dtype)
+        if dtype is complex:
+            base.imag = [[rng.uniform(-2, 2) for _ in range(11)]
+                         for _ in range(5)]
+        grids = []
+        for rounded in (False, True):
+            args = ((kernel.binary64(q),
+                     [(a, b, kernel.binary64(c)) for a, b, c in terms],
+                     [(k, kernel.binary64(m)) for k, m in taps])
+                    if rounded else (q, terms, taps))
+            levels = [row.copy() for row in kernel.recurrence_float(
+                base, args[0], args[1], 1, [10, 8, 6, 4, 2], logs1, logs2,
+                args[2], -1)]
+            r1 = kernel.ratios(logs1, {0, 1}, 3)
+            r2 = kernel.ratios(logs2, {0, 1, 2}, 8)
+            shifted = kernel.shift_float(
+                base, [(k, kernel.binary64(p)) if rounded else (k, p)
+                       for k, p in items], r1, r2, 3, 8)
+            grids.append([*levels, shifted])
+        for got, want in zip(*grids):
+            assert got.dtype == want.dtype
+            assert got.dtype == (complex if is_complex or dtype is complex
+                                 else float)
+            assert got.tobytes() == want.tobytes()

@@ -495,6 +495,42 @@ def test_cli_grid_above_cap_is_rejected_before_expansion(command,
     assert str(problem_mod.MAX_GRID_CELLS) in result.output
 
 
+@pytest.mark.parametrize("command", ["solve", "verify", "probe"])
+def test_cli_grid_above_cap_is_rejected_before_the_level_widths(command,
+                                                                monkeypatch):
+    # (N1+1) * (N2+1) is a lower bound of the solver grid, since w[0] >= N2:
+    # a truncation whose bound exceeds the cap exits 2 before level_widths
+    # builds its N1+1 widths (about 40 GB at N1 = 10**9)
+    def no_widths(*args):
+        raise AssertionError("level_widths must not run")
+    monkeypatch.setattr(problem_mod, "level_widths", no_widths)
+    result = run_cli([command, shipped("heat"), "--n1", "1000000000",
+                      "--n2", "10"])
+    assert result.exit_code == 2, result.output
+    assert ("has at least 11000000011 cells (1000000001 x 11), above the cap "
+            f"of {problem_mod.MAX_GRID_CELLS}") in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("arithmetic", ["float", "exact"])
+def test_a_solve_builds_its_level_widths_once(arithmetic, monkeypatch):
+    # assemble builds the widths for the rhs and hands them to the solver
+    from mpde import solver
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return level_widths(*args)
+    level_widths = solver.level_widths
+    monkeypatch.setattr(solver, "level_widths", counted)
+    monkeypatch.setattr(problem_mod, "level_widths", counted)
+    for name in ("heat", "twofactor"):
+        calls.clear()
+        solve_problem(load_problem(shipped(name)), arithmetic=arithmetic)
+        assert len(calls) == 1
+
+
 def test_grid_cap_admits_the_largest_benchmark_grid(monkeypatch):
     # heat (200, 100): 201 x 501 = 100,701 cells reach expand_rhs
     class Reached(Exception):
