@@ -42,14 +42,17 @@ coefficient is rounded once by :func:`binary64`, a real one to a Python
 float, so numpy's dtype follows the data: float64 for a real problem, which
 never computes an imaginary plane, complex128 otherwise.  The moment values
 enter as ratios ``m(x)/m(y) = exp(log m(x) - log m(y))`` of the logs of
-:func:`mpde.moments.log_table`: one scalar per row offset and one vector per
-column offset (:func:`ratios`), whose exponentials are ``math.exp`` per
-element, as numpy's vectorized ``exp`` does not always reproduce it to the
-last bit.  Overflow and invalid operations give ``inf`` and ``nan`` without
-a warning: :func:`shift_float` ignores them around its sum,
-:func:`recurrence_float` from its first level to its last, and both restore
-the caller's numpy error state when they return, or, for the generator,
-when it finishes or is closed.
+:func:`mpde.moments.log_table`: one scalar per row offset and level, and one
+vector per column offset (:func:`ratios`), whose exponentials are
+``math.exp`` per element, as numpy's vectorized ``exp`` does not always
+reproduce it to the last bit.  The fixed cost of a numpy call outweighs
+the arithmetic on a level's columns, so :func:`recurrence_float` makes few
+calls per level, and gives every cell the same IEEE operations in the same
+order as a loop over levels and terms would.  Overflow and invalid
+operations give ``inf`` and ``nan`` without a warning: :func:`shift_float`
+ignores them around its sum, :func:`recurrence_float` from its first level
+to its last, and both restore the caller's numpy error state when they
+return, or, for the generator, when it finishes or is closed.
 
 Both recursions divide by a top coefficient of degree B in z through B
 taps: the terms that shift down are summed into a second accumulator per
@@ -134,10 +137,13 @@ def rescale(grid: RawLanes, w1, w2, n_rows: int, n_cols: int) -> Lanes:
     cols = [w2[i] if c == 1 else quotient(w2[i], c)
             for i, c in enumerate(grid.col_div[: n_cols + 1])]
     lr = math.lcm(*(f.denominator for f in rows))
-    lc = math.lcm(*(f.denominator for f in cols))
     rk = [f.numerator * (lr // f.denominator) for f in rows]
-    ck = [f.numerator * (lc // f.denominator) for f in cols]
-    unit_cols = all(k == 1 for k in ck)
+    if set(map(type, cols)) == {int}:  # as for Gamma(1) or unit tables
+        lc, ck = 1, cols
+    else:
+        lc = math.lcm(*(f.denominator for f in cols))
+        ck = [f.numerator * (lc // f.denominator) for f in cols]
+    unit_cols = ck.count(1) == len(ck)
     den = g = lr * lc
     lanes = []
     for lane in (grid.re, grid.im):
@@ -160,6 +166,15 @@ def rescale(grid: RawLanes, w1, w2, n_rows: int, n_cols: int) -> Lanes:
         den //= g
     im = lanes[1] if len(lanes) == 2 and any(map(any, lanes[1])) else None
     return Lanes(lanes[0], im, den)
+
+
+def window(grid: RawLanes, n_rows: int, n_cols: int) -> RawLanes:
+    """The rows j <= n_rows and columns i <= n_cols of ``grid``."""
+    re, im = (None if lane is None
+              else [row[: n_cols + 1] for row in lane[: n_rows + 1]]
+              for lane in (grid.re, grid.im))
+    return RawLanes(re, im, grid.row_div[: n_rows + 1],
+                    grid.col_div[: n_cols + 1])
 
 
 def _fold(acc, terms) -> list:
@@ -451,15 +466,27 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
     the taps are rounded here by :func:`binary64`, and every term carries
     the moment ratios ``m1(t-a)/m1(t)`` and ``m2(i+b)/m2(i)``
     (``m1(t-n)/m1(t)`` and ``m2(i+shift)/m2(i)`` for the base) from the log
-    arrays ``logs1``, ``logs2``.  Level t is zero for t < n and covers ``i <= widths[t]``;
-    reads below index 0 are zero.  Terms are added one row update at a
-    time, in list order, those with b < 0 into ``x[t]`` (after the base
-    when ``shift < 0``); ``v[t]`` solves ``v_i + sum m_k m2(i-k)/m2(i)
-    v_{i-k} = x_i`` for the ``taps`` [(k, m_k)] cell by cell in Python
-    scalars.  The levels are float64 when ``base`` is and q, the term
-    coefficients and the taps are real, and complex128 otherwise.  Each
-    level is yielded as soon as it is complete, so a caller can stop at the
-    first one that overflows.
+    arrays ``logs1``, ``logs2``.  Level t is zero for t < n and covers
+    ``i <= widths[t]``; reads below index 0 are zero, and a term (a, b)
+    with b >= 0 must read level t - a inside its width, ``widths[t] + b <=
+    widths[t-a]``, as :func:`mpde.solver.level_widths` gives.  Terms are
+    added one row update at a time, in list order, those with b < 0 into
+    ``x[t]`` (after the base when ``shift < 0``); ``v[t]`` solves ``v_i +
+    sum m_k m2(i-k)/m2(i) v_{i-k} = x_i`` for the ``taps`` [(k, m_k)] cell
+    by cell in Python scalars.  The levels are float64 when ``base`` is and
+    q, the term coefficients and the taps are real, and complex128
+    otherwise.  Each level is yielded as soon as it is complete, so a
+    caller can stop at the first one that overflows.
+
+    The fixed cost per numpy call outweighs the arithmetic on a level's
+    columns, so the calls are few, and each cell still gets the same IEEE
+    operations in the same order as one level at a time: with ``shift ==
+    0`` one multiply fills the base of every level before the first is
+    computed, one scale ``q * m1(t-n)/m1(t)`` per row; the ``m1`` ratios
+    are ``math.exp`` once per row offset and level; and on a float64 grid a
+    coefficient of 1.0 or -1.0 adds or subtracts its term with no multiply.
+    A complex grid keeps that multiply: ``(1+0j) * z`` may differ from z in
+    the sign of a zero or turn an infinite part into NaN.
 
     Overflow and invalid operations are ignored from the first level to
     the last, and the caller's numpy error state returns when the
@@ -467,39 +494,63 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
     """
     import numpy as np
 
-    width = max(widths)
+    width, levels = max(widths), len(widths)
     q, taps = binary64(q), [(k, binary64(m)) for k, m in taps]
     terms = [(a, b, binary64(c)) for a, b, c in terms]
     logs1 = logs1.tolist()  # Python floats for the scalar ratios per level
+    # m1(t-a)/m1(t) at index t >= n, one list per row offset a
+    r1 = {a: [0.0] * n + [math.exp(logs1[t - a] - logs1[t])
+                          for t in range(n, levels)]
+          for a in {n, *(a for a, _, _ in terms)}}
     r2 = ratios(logs2, {b for _, b, _ in terms} | {-k for k, _ in taps}
                 | ({shift} - {0}), width)
     scalars = (q, *(c for _, _, c in terms), *(m for _, m in taps))
-    grid = np.zeros((len(widths), width + 1), dtype=complex if any(
+    grid = np.zeros((levels, width + 1), dtype=complex if any(
         isinstance(c, complex) for c in scalars) else base.dtype)
-    up = [(a, b, c) for a, b, c in terms if b >= 0]
-    down = [(base, n, shift, q)] if shift else []
-    down += [(grid, a, b, c) for a, b, c in terms if b < 0]
+    real = grid.dtype.kind != "c"
+
+    def signed(src, a, b, c):
+        """The update (src, a, b, c, sign, m1 ratios, m2 ratios) of a term;
+        on a float64 grid a c of 1.0 or -1.0 becomes None and the sign of
+        the add, as ``1.0 * y`` and ``-1.0 * y`` are y and -y exactly."""
+        if real and abs(c) == 1.0:
+            return src, a, b, None, c, r1[a], r2[b]
+        return src, a, b, c, 1.0, r1[a], r2[b]
+
+    up = [signed(grid, a, b, c) for a, b, c in terms if b >= 0]
+    down = [signed(base, n, shift, q)] if shift else []
+    down += [signed(grid, a, b, c) for a, b, c in terms if b < 0]
     # m_k * m2(i-k)/m2(i), for i >= k
     kt = [(k, (m * r2[-k]).tolist()) for k, m in taps]
     with np.errstate(over="ignore", invalid="ignore"):
+        if not shift and levels > n:
+            # the base of every level in one multiply, one scale per row
+            np.multiply(base[: levels - n, : width + 1],
+                        np.array([q * r for r in r1[n][n:]])[:, None],
+                        out=grid[n:])
         for t, w in enumerate(widths):
             row = grid[t, : w + 1]
             if t >= n:
-                if not shift:
-                    row[:] = base[t - n, : w + 1] * (
-                        q * math.exp(logs1[t - n] - logs1[t]))
-                for a, b, c in up:
-                    r1 = math.exp(logs1[t - a] - logs1[t])
-                    row += (c * grid[t - a, b: w + 1 + b] * r1
-                            * r2[b][: w + 1])
+                for src, a, b, c, sign, ra, rb in up:
+                    y = src[t - a, b: w + 1 + b]
+                    y = y * ra[t] if c is None else c * y * ra[t]
+                    y *= rb[: w + 1]
+                    if sign > 0:
+                        row += y
+                    else:
+                        row -= y
                 if down:
                     x = np.zeros(w + 1, dtype=grid.dtype)
-                    for src, a, b, c in down:
+                    for src, a, b, c, sign, ra, rb in down:
                         if -b > w:
                             continue
-                        r1 = math.exp(logs1[t - a] - logs1[t])
-                        x[-b:] += (c * src[t - a, : w + 1 + b] * r1
-                                   * r2[b][-b: w + 1])
+                        y = src[t - a, : w + 1 + b]
+                        y = y * ra[t] if c is None else c * y * ra[t]
+                        y *= rb[-b: w + 1]
+                        if sign > 0:
+                            x[-b:] += y
+                        else:
+                            x[-b:] -= y
                     if kt:
                         xs = x.tolist()
                         for i in range(1, w + 1):

@@ -228,15 +228,8 @@ class Series2:
         J, I = self.valid
         if (J, I) == self.shape:
             return self
-        if self.exact:
-            lanes = self.lanes
-            re, im = (None if lane is None
-                      else [row[: I + 1] for row in lane[: J + 1]]
-                      for lane in (lanes.re, lanes.im))
-            rows = kernel.RawLanes(re, im, lanes.row_div[: J + 1],
-                                   lanes.col_div[: I + 1])
-        else:
-            rows = self.grid[: J + 1, : I + 1]
+        rows = (kernel.window(self.lanes, J, I) if self.exact
+                else self.grid[: J + 1, : I + 1])
         return Series2(rows, self.kappa1, self.kappa2, self.exact)
 
     def row_values(self, z):

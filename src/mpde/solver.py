@@ -19,9 +19,10 @@ coefficients with moment ratios taken from their logarithms, so that grids
 whose normalized coefficients would overflow stay finite; an output row
 that overflows anyway raises EvaluationError.  Float grids stay numpy
 arrays from the rhs to the output (``Series2.grid``): the output window of
-each finite-checked level is kept, and the levels are stacked into one
-array at the end.  A solve has one float dtype: float64 when the rhs grid
-and the operator's coefficients are real, and complex128 otherwise.
+each level is copied into one array as the level is yielded, and checked
+for non-finite cells a block of levels at a time.  A solve has one float
+dtype: float64 when the rhs grid and the operator's coefficients are real,
+and complex128 otherwise.
 
 One recursion serves both modes, both rhs roles and the power-series
 division of a ``rational`` rhs in :mod:`mpde.problem`.  Each ``A_{n-a}`` is
@@ -212,6 +213,24 @@ def _recursion_terms(rows, top) -> tuple:
     return terms, _taps(top)
 
 
+# formal_solve checks the window of this many float levels at a time
+_BLOCK = 8
+
+
+def _check_finite(out, lo: int, hi: int, N1: int) -> None:
+    """Raise EvaluationError naming the first of the levels ``lo..hi`` of
+    the float output window ``out`` that holds a non-finite cell."""
+    import numpy as np
+
+    block = out[lo: hi + 1]
+    if not np.isfinite(block).all():
+        t = lo + int(np.isfinite(block).all(axis=1).argmin())
+        raise EvaluationError(
+            f"float coefficients overflow at t-level {t} (of {N1}) inside "
+            f"the requested window; lower the t-truncation (--n1) below "
+            f"{t}, or check larger ones with verify --arithmetic exact")
+
+
 def formal_solve(prob: CauchyProblem) -> Series2:
     """Truncated formal solution with zero initial data, determined by g.
 
@@ -220,7 +239,11 @@ def formal_solve(prob: CauchyProblem) -> Series2:
     terms and taps are the operator's Gaussian-rational coefficients as
     they are: the kernel's recurrence applies the moment tables and the
     rounding.  In float mode a t-level that overflows binary64 inside that
-    window raises EvaluationError.
+    window raises EvaluationError naming the first such level.  The window
+    of each level is copied into the output array as the level is yielded,
+    and checked for non-finite cells once per block of 8 levels and at
+    level N1, not once per level; on a failure the recursion has run at
+    most 7 levels past the one named.
     """
     P = prob.operator
     n = P.n
@@ -246,30 +269,24 @@ def formal_solve(prob: CauchyProblem) -> Series2:
         v = kernel.recurrence(prob.rhs.lanes, q, terms, n, prob.widths,
                               *prob.fraction_tables, taps, shift)
         # only the output window is kept
-        out = kernel.RawLanes(
-            [row[: N2 + 1] for row in v.re],
-            [row[: N2 + 1] for row in v.im] if v.im is not None else None,
-            v.row_div, v.col_div[: N2 + 1])
-        return Series2(out, prob.rhs.kappa1, prob.rhs.kappa2, True)
+        return Series2(kernel.window(v, N1, N2), prob.rhs.kappa1,
+                       prob.rhs.kappa2, True)
     import numpy as np
 
     levels = kernel.recurrence_float(prob.rhs.grid, q, terms, n, prob.widths,
                                      *prob.log_tables, taps, shift)
-    rows = []
     try:
         for t, level in enumerate(levels):
+            if not t:
+                out = np.empty((N1 + 1, N2 + 1), dtype=level.dtype)
             # overflow confined to the columns past N2 is not an error
-            rows.append(level[: N2 + 1])
-            if not np.isfinite(rows[t]).all():
-                raise EvaluationError(
-                    f"float coefficients overflow at t-level {t} (of {N1}) "
-                    f"inside the requested window; lower the t-truncation "
-                    f"(--n1) below {t}, or check larger ones with verify "
-                    f"--arithmetic exact")
+            out[t] = level[: N2 + 1]
+            if t % _BLOCK == _BLOCK - 1 or t == N1:
+                _check_finite(out, t - t % _BLOCK, t, N1)
     finally:
         levels.close()  # restores the caller's numpy error state
-    return Series2(kernel.read_only(np.array(rows)), prob.rhs.kappa1,
-                   prob.rhs.kappa2, False)
+    return Series2(kernel.read_only(out), prob.rhs.kappa1, prob.rhs.kappa2,
+                   False)
 
 
 @record
@@ -319,6 +336,9 @@ def residual(prob: CauchyProblem, u_hat: Series2) -> ResidualReport:
 
 
 def _residual_float(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
+    """The float residual: each side is one :func:`kernel.shift_float` of
+    its grid, and one more of its moduli with absolute coefficients, for
+    the scale; the rhs side of a g whose ``P0`` is 1 is the grid itself."""
     import numpy as np
 
     logs1, logs2 = prob.log_tables
@@ -340,7 +360,9 @@ def _residual_float(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
                                    J, I))
 
     lhs, abs_lhs = sides(u_hat, support)
-    f, abs_f = sides(prob.rhs, p0_table)
+    # P0 = 1 leaves g as it is: the grid itself, whose -0.0 cells the
+    # shift would turn to +0.0, which modulus reads alike
+    f, abs_f = sides(prob.rhs, None if p0_table == {(0, 0): 1} else p0_table)
     with np.errstate(invalid="ignore"):
         diffs = kernel.modulus(lhs - f)
     # numpy maxima propagate NaN

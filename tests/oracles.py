@@ -7,14 +7,16 @@ against ``series.moment_antidiff``.  A per-cell power-series division in
 Python ``complex`` arithmetic is the reference for the float expansion of a
 ``rational`` rhs, within a bound set by the same division run on moduli,
 and a per-cell fraction-free division on Gaussian integers for its exact
-expansion.  Two loop forms of shift-kernel functions are
-references for their faster forms: a per-cell ``Fraction`` normalization
+expansion.  Loop forms of shift-kernel functions are references for
+their faster forms: a per-cell ``Fraction`` normalization
 for ``kernel.lanes_of_table`` and ``kernel.rescale``, and a term-by-term
 float recursion for ``kernel.recurrence_float``, with its taps expanded
-into inverse-power terms.  Pseudo mode's division by the top coefficient
-is checked against the Laurent-tail route: each ``A_{n-a}/A_n`` expanded
-at zeta = infinity into a polynomial part and an inverse-power tail as wide
-as the grid, summed cell by cell in Gaussian rationals.  The
+into inverse-power terms; a form of that recursion computed one level at a
+time must give its levels bit for bit.  Pseudo mode's division by the top
+coefficient is checked against the Laurent-tail route: each
+``A_{n-a}/A_n`` expanded at zeta = infinity into a polynomial part and an
+inverse-power tail as wide as the grid, summed cell by cell in Gaussian
+rationals.  The
 moment Borel transforms and moment derivatives of ``series`` are checked
 against their per-cell forms: exact cells times ``Fraction`` moment values,
 float cells scaled by ``math.ldexp`` or multiplied as Python ``complex``.
@@ -39,7 +41,8 @@ from mpde.charroots import _deg, _divmod, _squarefree_parts
 from mpde.errors import (DomainError, EstimationError, EvaluationError,
                          WindowError)
 from mpde.exact import RationalComplex, as_fraction
-from mpde.kernel import Lanes, common_denominator, gaussian_int
+from mpde.kernel import (Lanes, binary64, common_denominator,
+                         gaussian_int, ratios)
 from mpde.moments import eval_fraction, log_gamma, log_table, scaled_eval
 from mpde.series import FIT_RADIUS, GevreyFit, Series1, Series2
 
@@ -270,6 +273,61 @@ def recurrence_float_terms(base, q, terms, n: int, widths, logs1, logs2):
                     r2 = math.exp(logs2[i + b] - logs2[i])
                     row[i] += c * grid[t - a, i + b] * r1 * r2
     return [grid[t, : w + 1] for t, w in enumerate(widths)]
+
+
+def recurrence_float_levels(base, q, terms, n: int, widths, logs1, logs2,
+                            taps=(), shift: int = 0):
+    """``kernel.recurrence_float`` computed one level at a time: per level,
+    the base times its scale, then one update per term, each with its own
+    ``math.exp`` of the log ratio and its coefficient multiply, then the
+    downward terms and the taps.  Each cell gets the same operations in
+    the same order as in the kernel, so the levels must agree bit for bit.
+    """
+    width = max(widths)
+    q, taps = binary64(q), [(k, binary64(m)) for k, m in taps]
+    terms = [(a, b, binary64(c)) for a, b, c in terms]
+    logs1 = logs1.tolist()  # Python floats for the scalar ratios per level
+    r2 = ratios(logs2, {b for _, b, _ in terms} | {-k for k, _ in taps}
+                | ({shift} - {0}), width)
+    scalars = (q, *(c for _, _, c in terms), *(m for _, m in taps))
+    grid = np.zeros((len(widths), width + 1), dtype=complex if any(
+        isinstance(c, complex) for c in scalars) else base.dtype)
+    up = [(a, b, c) for a, b, c in terms if b >= 0]
+    down = [(base, n, shift, q)] if shift else []
+    down += [(grid, a, b, c) for a, b, c in terms if b < 0]
+    # m_k * m2(i-k)/m2(i), for i >= k
+    kt = [(k, (m * r2[-k]).tolist()) for k, m in taps]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, w in enumerate(widths):
+            row = grid[t, : w + 1]
+            if t >= n:
+                if not shift:
+                    row[:] = base[t - n, : w + 1] * (
+                        q * math.exp(logs1[t - n] - logs1[t]))
+                for a, b, c in up:
+                    r1 = math.exp(logs1[t - a] - logs1[t])
+                    row += (c * grid[t - a, b: w + 1 + b] * r1
+                            * r2[b][: w + 1])
+                if down:
+                    x = np.zeros(w + 1, dtype=grid.dtype)
+                    for src, a, b, c in down:
+                        if -b > w:
+                            continue
+                        r1 = math.exp(logs1[t - a] - logs1[t])
+                        x[-b:] += (c * src[t - a, : w + 1 + b] * r1
+                                   * r2[b][-b: w + 1])
+                    if kt:
+                        xs = x.tolist()
+                        for i in range(1, w + 1):
+                            s = xs[i]
+                            for k, r in kt:
+                                if k > i:
+                                    break
+                                s -= r[i] * xs[i - k]
+                            xs[i] = s
+                        x[:] = xs
+                    row += x
+            yield row
 
 
 def expand_taps(terms, taps, order: int) -> list:

@@ -11,7 +11,7 @@ import pytest
 
 from helpers import random_series2
 from oracles import (expand_taps, normalize_fractions,
-                     recurrence_float_terms)
+                     recurrence_float_levels, recurrence_float_terms)
 
 from mpde import kernel
 from mpde.exact import RationalComplex
@@ -447,3 +447,69 @@ def test_float_kernels_round_their_own_coefficients(is_complex):
             assert got.dtype == (complex if is_complex or dtype is complex
                                  else float)
             assert got.tobytes() == want.tobytes()
+
+
+def _level_case(rng, is_complex):
+    """A random ``recurrence_float`` case: real or complex base and
+    coefficients, some of them exactly 1 or -1 or Gaussian rationals,
+    terms shifting up and down, taps, a shift of 0 or below, widths that
+    keep every read inside the level it reads (as ``level_widths`` does),
+    and a base with inf, nan and -0.0 cells."""
+    def coefficient():
+        kind = rng.choice(["one", "minus_one", "real", "complex", "rational"])
+        if kind == "one":
+            return 1.0
+        if kind == "minus_one":
+            return -1.0
+        if kind == "rational":
+            return RationalComplex(Fraction(rng.randint(-9, 9), 7),
+                                   Fraction(rng.randint(-3, 3), 5)
+                                   if is_complex else 0)
+        if kind == "complex" and is_complex:
+            return complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        return rng.uniform(-2, 2)
+
+    n = rng.randint(1, 3)
+    shift = rng.choice([0, 0, -1, -2])
+    terms = [(rng.randint(1, n), rng.randint(-2, 2), coefficient())
+             for _ in range(rng.randint(1, 5))]
+    taps = [(k, coefficient() * 0.25) for k in range(1, rng.randint(1, 3))]
+    levels, n2 = rng.randint(1, 14), rng.randint(0, 9)
+    widths = [n2] * levels
+    for t in range(levels - 2, -1, -1):
+        for a, b, _ in terms:
+            if t + a < levels and b >= 0:
+                widths[t] = max(widths[t], widths[t + a] + b)
+    width = max(widths)
+    dtype = complex if is_complex and rng.random() < 0.7 else float
+    base = np.array([[rng.uniform(-3, 3) for _ in range(width + 1)]
+                     for _ in range(max(levels - n, 1))], dtype=dtype)
+    if dtype is complex:
+        base.imag = [[rng.uniform(-3, 3) for _ in range(width + 1)]
+                     for _ in range(base.shape[0])]
+    for _ in range(rng.randint(0, 3)):
+        base[rng.randrange(base.shape[0]), rng.randrange(width + 1)] = \
+            rng.choice([math.inf, -math.inf, math.nan, -0.0])
+    m = parse_moment(rng.choice(["Gamma(1)", "Gamma(1/2)", "Gamma(3/2)"]))
+    logs1 = log_table(m, rng.randint(1, 2), levels)
+    logs2 = log_table(m, 1, width + 3)
+    return base, coefficient(), terms, n, widths, logs1, logs2, taps, shift
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_recurrence_float_matches_the_level_by_level_form(is_complex):
+    # the bases filled at once, the ratio tables and the unit coefficients
+    # applied as signs give every level bit for bit, and its dtype, as the
+    # form that computes each level on its own
+    rng = random.Random(60 + is_complex)
+    units = 0
+    for _ in range(150):
+        args = _level_case(rng, is_complex)
+        got = [row.copy() for row in kernel.recurrence_float(*args)]
+        want = [row.copy() for row in recurrence_float_levels(*args)]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+        units += any(abs(complex(c)) == 1.0 for _, _, c in args[2])
+    assert units > 50

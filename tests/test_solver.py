@@ -1,11 +1,14 @@
+import json
 import math
 import random
 from fractions import Fraction
+from importlib import resources
 
+import numpy as np
 import pytest
 
 from helpers import geometric_g, random_series2
-from oracles import laurent_tail, residual_cells
+from oracles import laurent_tail, recurrence_float_levels, residual_cells
 
 from mpde import kernel, moments
 from mpde.charroots import CharPoly, branches_at_infinity
@@ -15,6 +18,7 @@ from mpde.moments import gamma_s
 from mpde.series import (Series2, apply_operator, borel, gevrey_fit,
                          inv_borel, moment_antidiff, moment_diff)
 from mpde.parsing import parse_operator
+from mpde.problem import assemble, load_problem
 from mpde.solver import (CauchyProblem, _recursion_terms, formal_solve,
                          g_from_f, level_widths, residual, theoretical_orders)
 
@@ -132,6 +136,70 @@ def test_float_solve_raises_on_overflow_in_window():
     g = geometric_g(60, n2 + 5 * 60)
     prob = CauchyProblem(TWOFACTOR, G1, G1, g, (60, n2))
     assert residual(prob, formal_solve(prob)).relative < 1e-10
+
+
+def _float_problem(name, n1, n2, **changes):
+    """A shipped problem file, with ``changes``, assembled in float mode."""
+    pf = json.loads((resources.files("mpde") / "problems" / f"{name}.json")
+                    .read_text())
+    pf.update(changes, truncation=[n1, n2], arithmetic="float")
+    return assemble(load_problem(json.dumps(pf)))
+
+
+def _first_nonfinite_level(prob):
+    """The first level whose output window holds a non-finite cell, in the
+    level-by-level form of the float recursion, or None."""
+    P = prob.operator
+    top = P.p0()
+    q, shift = (1, 0) if prob.rhs_is_g else (1 / top[P.B], -P.B)
+    terms, taps = _recursion_terms(P.coeff_polys, top)
+    levels = recurrence_float_levels(prob.rhs.grid, q, terms, P.n,
+                                     prob.widths, *prob.log_tables, taps,
+                                     shift)
+    N2 = prob.out_shape[1]
+    return next((t for t, level in enumerate(levels)
+                 if not np.isfinite(level[: N2 + 1]).all()), None)
+
+
+GAMMA = dict(m1="Gamma(1/2)", m2="Gamma(3/2)")
+
+
+@pytest.mark.parametrize("name,n1,n2,changes,where", [
+    ("twofactor", 80, 60, {}, "first of a block"),
+    ("heat", 100, 60, GAMMA, "inside a block"),
+    ("heat", 107, 100, {}, "inside the last, partial block"),
+    ("heat", 52, 60, GAMMA, "at N1")])
+def test_float_solve_names_the_first_nonfinite_level(monkeypatch, name, n1,
+                                                     n2, changes, where):
+    # formal_solve checks the window of 8 levels at a time and at N1, and
+    # still names the first level that the level-by-level recursion finds
+    # non-finite, having drawn at most 7 levels past it
+    prob = _float_problem(name, n1, n2, **changes)
+    level = _first_nonfinite_level(prob)
+    assert {"first of a block": level is not None and level % 8 == 0,
+            "inside a block": level is not None and 0 < level % 8 < 7
+            and level // 8 < n1 // 8,
+            "inside the last, partial block": level is not None
+            and level // 8 == n1 // 8 and n1 % 8 != 7 and level < n1,
+            "at N1": level == n1}[where]
+    recurrence_float, drawn = kernel.recurrence_float, []
+
+    def counted(*args):
+        levels = recurrence_float(*args)
+        try:
+            for row in levels:
+                drawn.append(row)
+                yield row
+        finally:
+            levels.close()
+
+    monkeypatch.setattr(kernel, "recurrence_float", counted)
+    with pytest.raises(EvaluationError) as exc:
+        formal_solve(prob)
+    assert str(exc.value).startswith(
+        f"float coefficients overflow at t-level {level} (of {n1}) inside "
+        f"the requested window; lower the t-truncation (--n1) below {level},")
+    assert level < len(drawn) <= level + 8
 
 
 @pytest.mark.parametrize("operator,rhs_is_g,shape", [
