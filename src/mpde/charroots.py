@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 
+from . import kernel
 from .errors import DomainError, EvaluationError, PreconditionError
 from .exact import QC_ONE, RationalComplex
 from .record import record
@@ -182,6 +183,13 @@ class CharPoly:
         return vals
 
 
+def monomial(a: int, b: int) -> str:
+    """``dt^a*dz^b`` as an operator is written: a power 1 bare, a power 0
+    left out, and ``1`` for a = b = 0."""
+    return "*".join([f"d{x}^{k}" if k > 1 else f"d{x}"
+                     for x, k in (("t", a), ("z", b)) if k]) or "1"
+
+
 @record
 class CharBranch:
     """One branch class: all roots growing like ``lambda0 * zeta**q``.
@@ -200,21 +208,28 @@ class CharBranch:
         return sum(m for _, m in self.leading_terms)
 
 
-def _edge_roots(edge_coeffs):
-    """Nonzero roots with multiplicities of an edge polynomial.
+def _edge_roots(edge_coeffs, q):
+    """Nonzero roots with multiplicities of the edge polynomial of the
+    branches of pole order q.
 
     Every square-free part is monic, so a linear one ``w + c0`` has the root
     ``-c0``, rounded once; numpy's companion-matrix route gives the same
     value (it divides by the leading 1), differing at most in the sign of a
-    zero part.  Parts of degree >= 2 go through ``np.roots``.
+    zero part.  Parts of degree >= 2 go through ``np.roots``.  A root or
+    coefficient so rounded that lies beyond binary64 raises EvaluationError
+    naming q.
     """
     out = []
     for mult, part in _squarefree_parts(list(edge_coeffs)):
         if _deg(part) == 1:
-            out.append((complex(-part[0]), mult))
+            out.append((complex(kernel.rounded(
+                -part[0], f"the branch leading term of pole order q = {q}",
+                "")), mult))
         else:
             import numpy as np
-            arr = np.array([complex(c) for c in reversed(part)])
+            arr = np.array([complex(kernel.rounded(
+                c, f"a coefficient of the edge polynomial of pole order "
+                   f"q = {q}", "")) for c in reversed(part)])
             out += [(complex(r), mult) for r in np.roots(arr)]
     return out
 
@@ -249,7 +264,7 @@ def branches_at_infinity(P: CharPoly) -> list:
         q = Fraction(d1 - d2, i2 - i1)
         edge = [row[-1] if row and len(row) - 1 == d1 - q * (i - i1) else _ZERO
                 for i, row in enumerate(P.coeff_polys[i1:i2 + 1], start=i1)]
-        terms = _edge_roots(edge)
+        terms = _edge_roots(edge, q)
         terms.sort(key=lambda t: (t[0].real, t[0].imag))
         branches.append(CharBranch(
             q=q,

@@ -67,6 +67,7 @@ from fractions import Fraction
 from itertools import chain, islice, repeat
 from operator import add, sub
 
+from .errors import EvaluationError
 from .exact import RationalComplex, quotient
 from .record import record
 
@@ -393,6 +394,25 @@ def binary64(c):
     raises OverflowError; a float or complex it returned comes back as is."""
     z = complex(c)
     return z.real if z.imag == 0.0 and math.copysign(1.0, z.imag) > 0 else z
+
+
+_USE_EXACT = "; use --arithmetic exact"
+
+
+def beyond_binary64(what: str, advice: str = _USE_EXACT) -> EvaluationError:
+    """The EvaluationError of a value ``what`` names that binary64 cannot
+    hold, followed by ``advice``."""
+    return EvaluationError(f"{what} beyond the binary64 range of float "
+                           f"arithmetic{advice}")
+
+
+def rounded(c, what: str, advice: str = _USE_EXACT):
+    """:func:`binary64` of ``c``; a c beyond binary64 raises the
+    :func:`beyond_binary64` error of ``what`` and ``advice``."""
+    try:
+        return binary64(c)
+    except OverflowError:
+        raise beyond_binary64(f"{what} is", advice) from None
 
 
 def modulus(grid):

@@ -36,6 +36,7 @@ them, never import numpy.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -94,6 +95,21 @@ def _lanczos(shift, x, log):
         acc = acc + _LANCZOS_COEFFS[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
     return shift + _HALF_LOG_TWO_PI + (z + 0.5) * log(t) - t + log(acc)
+
+
+def log_rational(q) -> float:
+    """Natural log of the positive rational q.  Inside the normal binary64
+    range it is ``math.log(q)``, the log of ``float(q)``; outside it, where
+    ``float(q)`` would overflow or lose its precision to underflow, it is
+    the log of q's integer numerator less the log of its denominator, which
+    ``math.log`` takes of ints of any size."""
+    try:
+        x = float(q)
+    except OverflowError:
+        x = math.inf
+    if sys.float_info.min <= x < math.inf:
+        return math.log(x)
+    return math.log(q.numerator) - math.log(q.denominator)
 
 
 @record
@@ -203,7 +219,7 @@ def scaled_eval(m: MomentFunction, u: Fraction) -> ScaledValue:
             raise DomainError(
                 f"Gamma argument b + u/k = {arg} is not positive (u = {u})"
             )
-        base_log = math.log(f.scale) + log_gamma(float(arg))
+        base_log = log_rational(f.scale) + log_gamma(float(arg))
         logv += f.sign * base_log
         if arg.denominator == 1:
             base_val = f.scale * math.factorial(arg.numerator - 1)
@@ -266,21 +282,23 @@ def fraction_table(m: MomentFunction, kappa: int, n: int) -> list:
     integral, such as a factorial of Gamma(1), else a Fraction.  An integer
     Gamma argument k contributes ``scale * (k-1)!`` from a running product
     (arguments grow with j), any other argument ``x / D`` the dyadic
-    rational of ``log(scale) + log_gamma(x / D)``.
+    rational of ``log(scale) + log_gamma(x / D)``, the log of the scale
+    taken once per factor by :func:`log_rational`.
     """
     running = [[1, 1] for _ in m.factors]  # per factor: [k, (k-1)!]
+    log_scales = [log_rational(f.scale) for f in m.factors]
     values = []
     for args in _gamma_arguments(m, kappa, n):
         num = den = 1  # the value's numerator and denominator, unreduced
-        for fact, (sign, scale, x, D) in zip(running, args):
+        for fact, log_scale, (sign, scale, x, D) in zip(running, log_scales,
+                                                       args):
             if x % D == 0:
                 while fact[0] < x // D:
                     fact[1] *= fact[0]
                     fact[0] += 1
                 bn, bd = scale.numerator * fact[1], scale.denominator
             else:
-                base_val = _dyadic_from_log(math.log(scale)
-                                            + log_gamma(x / D))
+                base_val = _dyadic_from_log(log_scale + log_gamma(x / D))
                 bn, bd = base_val.numerator, base_val.denominator
             if sign == 1:
                 num, den = num * bn, den * bd
@@ -321,7 +339,8 @@ def log_table(m: MomentFunction, kappa: int, n: int):
         shift = np.zeros(n + 1)
         for j in np.flatnonzero(x < 0.5).tolist():
             shift[j], x[j] = _shift_up(x[j].item())
-        logs = logs + sign * (math.log(scale) + _lanczos(shift, x, log_each))
+        logs = logs + sign * (log_rational(scale)
+                              + _lanczos(shift, x, log_each))
     return logs
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .charroots import CharPoly
+from .charroots import CharPoly, monomial
 from .errors import ParseError, PreconditionError
 from .exact import QC_ONE, RationalComplex, fmt_fraction
 from .moments import MomentFactor, MomentFunction, gamma_s
@@ -176,11 +176,7 @@ def operator_to_text(P: CharPoly) -> str:
             c = row[b]
             if not c:
                 continue
-            mono = []
-            if a:
-                mono.append(f"dt^{a}" if a > 1 else "dt")
-            if b:
-                mono.append(f"dz^{b}" if b > 1 else "dz")
+            mono = [monomial(a, b)] if a or b else []
             if not c.im:
                 neg, coeff_txt = c.re < 0, fmt_fraction(abs(c.re))
                 body = "*".join(([coeff_txt] if (coeff_txt != "1" or not mono)

@@ -46,13 +46,14 @@ from pathlib import Path
 
 from . import kernel, newton
 from .charroots import branches_at_infinity
-from .errors import EvaluationError, ParseError, PreconditionError
+from .errors import ParseError, PreconditionError
 from .exact import RationalComplex, as_rational, fmt_fraction
 from .parsing import parse_moment, parse_operator
 from .record import record
 from .series import Series2, gevrey_fit
 from .solver import (CauchyProblem, _recursion_terms, formal_solve,
-                     level_widths, residual, theoretical_orders)
+                     level_widths, residual, rounded_recursion,
+                     theoretical_orders)
 from .summability import classify, levels as summability_levels, \
     singular_direction_probe
 
@@ -120,6 +121,10 @@ def load_problem(source) -> ProblemFile:
     for required in ("operator", "m1", "m2", "rhs"):
         if required not in data:
             raise ParseError(f"problem file is missing {required!r}")
+    for text in ("operator", "m1", "m2"):
+        if not isinstance(data[text], str):
+            raise ParseError(f"{text} must be a string, got "
+                             f"{json.dumps(data[text], default=str)[:40]}")
     rhs = parse_rhs(data["rhs"])
     role = data.get("rhs_role", "g")
     if role not in ("g", "f"):
@@ -234,17 +239,13 @@ def _table(entries, exact: bool, where: str) -> dict:
         try:
             val = RationalComplex(re, im) if exact else complex(re, im)
         except OverflowError:
-            raise _beyond_binary64(
+            raise kernel.beyond_binary64(
                 f"{where} entry {json.dumps(quad, default=str)} is") from None
         table[(j, i)] = total = table.get((j, i), zero) + val
         if not (exact or cmath.isfinite(total)):
-            raise _beyond_binary64(f"{where} entries at [{j}, {i}] add up")
+            raise kernel.beyond_binary64(
+                f"{where} entries at [{j}, {i}] add up")
     return table
-
-
-def _beyond_binary64(what: str) -> EvaluationError:
-    return EvaluationError(f"{what} beyond the binary64 range of float "
-                           f"arithmetic; use --arithmetic exact")
 
 
 def expand_rhs(rhs: tuple, n1: int, n2: int, exact: bool) -> Series2:
@@ -282,11 +283,12 @@ def _divide(num: dict, den: dict, n1: int, n2: int, exact: bool):
     numerator entry in the grid to the last row or, when den has no term in
     t (n = 0, so rows are independent), to the last numerator row; every
     other cell is zero; the kernel gets the band and unit moment tables.
-    Float mode divides den's float table exactly, and :func:`_rounded`
-    rounds the recursion's coefficients before the kernel, whose rounding
-    keeps their bits, so that one beyond binary64 raises EvaluationError
-    naming its den term.  The float grid is float64 when num and den are
-    real, complex128 otherwise.
+    Float mode divides den's float table exactly, and
+    :func:`mpde.solver.rounded_recursion` rounds the recursion's
+    coefficients before the kernel, whose rounding keeps their bits, so
+    that one beyond binary64 raises EvaluationError naming its den term.
+    The float grid is float64 when num and den are real, complex128
+    otherwise.
     """
     den = {k: RationalComplex.coerce(v) for k, v in den.items()
            if v and k[0] <= n1 and k[1] <= n2}
@@ -297,7 +299,9 @@ def _divide(num: dict, den: dict, n1: int, n2: int, exact: bool):
     terms, taps = _recursion_terms(rows, rows[n])
     q = 1 / rows[n][B]
     if not exact:
-        q, terms, taps = _rounded(q, terms, taps)
+        q, terms, taps = rounded_recursion(
+            q, terms, taps, "1 over rhs den term [0, 0]",
+            lambda a, b: f"rhs den term [{a}, {-b}] over term [0, 0]")
     lo = min(j for j, _ in num)
     hi = n1 if n else max(j for j, _ in num)
     band = Series2.from_entries(((j - lo, i, v) for (j, i), v in num.items()),
@@ -323,22 +327,6 @@ def _divide(num: dict, den: dict, n1: int, n2: int, exact: bool):
     out = np.zeros((n1 + 1, n2 + 1), dtype=rows[0].dtype)
     out[lo: lo + len(rows)] = rows
     return kernel.read_only(out)
-
-
-def _rounded(q, terms, taps) -> tuple:
-    """``q``, the terms and the taps of :func:`_divide` rounded by
-    :func:`kernel.binary64`, real ones to floats; one beyond binary64
-    raises EvaluationError naming its den term."""
-    def rounded(c, what):
-        try:
-            return kernel.binary64(c)
-        except OverflowError:
-            raise _beyond_binary64(f"{what} is") from None
-    return (rounded(q, "1 over rhs den term [0, 0]"),
-            [(a, b, rounded(c, f"rhs den term [{a}, {-b}] over term [0, 0]"))
-             for a, b, c in terms],
-            [(k, rounded(m, f"rhs den term [0, {k}] over term [0, 0]"))
-             for k, m in taps])
 
 
 # -- assembled problem -------------------------------------------------------------

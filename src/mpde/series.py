@@ -18,8 +18,9 @@ values are exact rationals (true factorials where available, dyadic
 rationals of the scaled double evaluation otherwise), so algebraic
 identities such as Borel round trips and solver residuals hold bit for bit.
 
-Operators never zero-pad: output grids are sliced to the window on which the
-result is trustworthy, and ``valid`` records that window.
+Operators never zero-pad: every output grid is sliced to the cells that the
+truncation determines, so a series is trustworthy on its whole grid and every
+reader reads all of it.
 """
 
 from __future__ import annotations
@@ -85,15 +86,14 @@ class Series2:
     float64 from any other), as lanes, or as rows, coerced cell by cell to
     the coefficient type and converted once.  ``coeffs``,
     the grid as tuple rows of Python ``complex`` (signs of zero kept) or
-    ``RationalComplex``, is built on first use.  ``valid`` marks the
-    rectangle of trustworthy indices (J, I); it can be smaller than the
-    grid for user-supplied data and is shrunk by operators.  Series are
-    immutable and compare equal when their ``coeffs``, ramifications,
-    arithmetic and windows are equal.
+    ``RationalComplex``, is built on first use.  The whole grid is valid:
+    ``valid`` is its last index pair (J, I), one less than its row and
+    column counts.  Series are immutable and compare equal when their
+    ``coeffs``, ramifications and arithmetic are equal.
     """
 
     def __init__(self, coeffs, kappa1: int = 1, kappa2: int = 1,
-                 exact: bool = False, valid: tuple | None = None):
+                 exact: bool = False):
         if kappa1 < 1 or kappa2 < 1:
             raise DomainError("kappa1, kappa2 must be positive integers")
         if exact:
@@ -122,14 +122,10 @@ class Series2:
             n_rows, width = coeffs.shape
         if not n_rows or not width:
             raise DomainError("empty coefficient grid")
-        valid = valid if valid is not None else (n_rows - 1, width - 1)
-        valid = (min(valid[0], n_rows - 1), min(valid[1], width - 1))
-        if valid[0] < 0 or valid[1] < 0:
-            raise WindowError("valid window is empty")
         for name, value in (("_data", coeffs), ("_coeffs", None),
-                            ("shape", (n_rows - 1, width - 1)),
                             ("kappa1", kappa1), ("kappa2", kappa2),
-                            ("exact", exact), ("valid", valid)):
+                            ("exact", exact),
+                            ("valid", (n_rows - 1, width - 1))):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -150,21 +146,18 @@ class Series2:
     def grid(self):
         """The grid as a read-only 2-D numpy array.  A float series gives
         the array it keeps: float64 for real data (every imaginary part
-        +0.0), complex128 otherwise.  An exact one gives complex128, its
-        cells rounded part by part (:func:`kernel.binary64_rows`)."""
+        +0.0), complex128 otherwise.  An exact one gives complex128, every
+        cell of its lanes rounded part by part
+        (:func:`kernel.binary64_rows`), which raises OverflowError for a
+        part beyond binary64."""
         if not self.exact:
             return self._data
-        return kernel.read_only(self._cells(*self.shape))
-
-    def _cells(self, J: int, I: int):
-        """Cells ``[: J + 1, : I + 1]`` as :attr:`grid` holds them; only
-        these exact cells are decoded."""
-        if not self.exact:
-            return self._data[: J + 1, : I + 1]
         import numpy as np
 
-        return np.array([list(map(complex, *parts)) for parts in
-                         kernel.binary64_rows(self._data, range(J + 1), I)])
+        J, I = self.valid
+        return kernel.read_only(np.array(
+            [list(map(complex, *parts)) for parts in
+             kernel.binary64_rows(self._data, range(J + 1), I)]))
 
     @property
     def lanes(self) -> kernel.RawLanes:
@@ -175,7 +168,7 @@ class Series2:
         return self._data
 
     def _key(self) -> tuple:
-        return (self.coeffs, self.kappa1, self.kappa2, self.exact, self.valid)
+        return (self.coeffs, self.kappa1, self.kappa2, self.exact)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -187,8 +180,7 @@ class Series2:
 
     def __repr__(self):
         return (f"Series2(coeffs={self.coeffs!r}, kappa1={self.kappa1!r}, "
-                f"kappa2={self.kappa2!r}, exact={self.exact!r}, "
-                f"valid={self.valid!r})")
+                f"kappa2={self.kappa2!r}, exact={self.exact!r})")
 
     @classmethod
     def from_entries(cls, entries, n1: int, n2: int, exact: bool = False,
@@ -223,18 +215,9 @@ class Series2:
         """One-column grid: c_{j,0} from ``seq``, everything else absent."""
         return cls([[v] for v in seq], exact=exact, **kw)
 
-    def windowed(self) -> "Series2":
-        """Slice the grid down to the valid window."""
-        J, I = self.valid
-        if (J, I) == self.shape:
-            return self
-        rows = (kernel.window(self.lanes, J, I) if self.exact
-                else self.grid[: J + 1, : I + 1])
-        return Series2(rows, self.kappa1, self.kappa2, self.exact)
-
     def row_values(self, z):
-        """Evaluate each t-level at the point z (within the valid window;
-        an exact cell outside it is never decoded).
+        """Evaluate each t-level at the point z, reading the whole grid
+        (an exact one decoded as :attr:`grid` decodes it).
 
         One Horner sweep over the columns for all rows at once, with
         Python's complex multiply written out on real and imaginary planes,
@@ -245,7 +228,7 @@ class Series2:
         J, I = self.valid
         zc = complex(z)
         zr, zi = zc.real, zc.imag
-        cells = self._cells(J, I)
+        cells = self.grid
         re, im = np.zeros(J + 1), np.zeros(J + 1)
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(I, -1, -1):
@@ -270,7 +253,7 @@ class Series2:
             rows = kernel.binary64_rows(self.lanes, range(J + 1), I)
             real = self.lanes.im is None
         else:
-            cells = self.grid[: J + 1, : I + 1]
+            cells = self.grid
             real = cells.dtype == float
             rows = (zip(cells.tolist()) if real else
                     zip(cells.real.tolist(), cells.imag.tolist()))
@@ -346,7 +329,7 @@ def _transform(m, s, axis, delta: int, num: bool, den: bool):
     below index 0), times ``A(k + delta) / B(k)``: A is m if ``num``, B is
     m if ``den``, else 1.  A Series1 runs as a one-row Series2 along z.
 
-    Exact mode re-indexes the lanes of the valid window and sets divisor k
+    Exact mode re-indexes the lanes and sets divisor k
     to ``div[k + delta] * B(k) / A(k + delta)`` by :func:`exact.quotient`,
     an int where it is integral.  Float mode scales the grid planes of the
     Borel pair by the parts of :func:`moments.split_log`, raising
@@ -368,7 +351,7 @@ def _transform(m, s, axis, delta: int, num: bool, den: bool):
     n_out = n - max(delta, 0)
     if s.exact:
         w = moments.fraction_table(m, kappa, n)
-        lanes = s.windowed().lanes
+        lanes = s.lanes
         divs = [1 if k + delta < 0 else
                 quotient(d * (w[k] if den else 1), w[k + delta] if num else 1)
                 for k, d in enumerate(_reindex(
@@ -384,7 +367,7 @@ def _transform(m, s, axis, delta: int, num: bool, den: bool):
         return Series2(out, s.kappa1, s.kappa2, True)
     import numpy as np
 
-    cells = s.grid[: J + 1, : I + 1]
+    cells = s.grid
     if axis == "z":
         cells = cells.T  # the transform runs along axis 0
     lo = min(max(-delta, 0), n_out + 1)
@@ -513,7 +496,7 @@ def gevrey_fit(u: Series2, axis: str = "t", j_min_frac: float = 0.5,
                 f"it)") from None
         moduli = np.array(moduli, dtype=float).reshape(-1, I + 1)
     else:
-        cells = (u.grid if axis == "t" else u.grid.T)[j_lo: J + 1, : I + 1]
+        cells = (u.grid if axis == "t" else u.grid.T)[j_lo:]
         moduli = kernel.modulus(cells)
     weights = np.array([FIT_RADIUS ** i for i in range(I + 1)], dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -53,7 +53,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import kernel, moments
-from .charroots import CharPoly, _divmod
+from .charroots import CharPoly, _divmod, monomial
 from .errors import EvaluationError, PreconditionError
 from .exact import QC_ONE, RationalComplex, as_fraction, quotient
 from .moments import MomentFunction
@@ -174,7 +174,7 @@ def g_from_f(p0_coeffs, m2: MomentFunction, f: Series2) -> Series2:
     import numpy as np
 
     levels = kernel.recurrence_float(
-        f.grid[: J + 1, : I + 1], q, [], 0, widths, np.zeros(J + 1),
+        f.grid, q, [], 0, widths, np.zeros(J + 1),
         moments.log_table(m2, f.kappa2, I + B), taps, -B)
     return Series2(kernel.read_only(np.array(list(levels))), f.kappa1,
                    f.kappa2, False)
@@ -213,6 +213,16 @@ def _recursion_terms(rows, top) -> tuple:
     return terms, _taps(top)
 
 
+def rounded_recursion(q, terms, taps, q_name: str, name) -> tuple:
+    """``q``, the terms and the taps of a recursion rounded by
+    :func:`kernel.rounded`, real ones to floats.  One beyond binary64 raises
+    EvaluationError naming it: ``q_name`` names q, ``name(a, b)`` the term
+    at offset (a, b) and ``name(0, -k)`` tap k."""
+    return (kernel.rounded(q, q_name),
+            [(a, b, kernel.rounded(c, name(a, b))) for a, b, c in terms],
+            [(k, kernel.rounded(m, name(0, -k))) for k, m in taps])
+
+
 # formal_solve checks the window of this many float levels at a time
 _BLOCK = 8
 
@@ -238,7 +248,9 @@ def formal_solve(prob: CauchyProblem) -> Series2:
     inside the valid window thanks to the level widths.  The recursion's
     terms and taps are the operator's Gaussian-rational coefficients as
     they are: the kernel's recurrence applies the moment tables and the
-    rounding.  In float mode a t-level that overflows binary64 inside that
+    rounding.  Float mode rounds them first (:func:`rounded_recursion`), so
+    that one beyond binary64 raises EvaluationError naming the operator
+    terms it divides, and a t-level that overflows binary64 inside that
     window raises EvaluationError naming the first such level.  The window
     of each level is copied into the output array as the level is yielded,
     and checked for non-finite cells once per block of 8 levels and at
@@ -273,6 +285,17 @@ def formal_solve(prob: CauchyProblem) -> Series2:
                        prob.rhs.kappa2, True)
     import numpy as np
 
+    def name(a, b):
+        # a tap, and a term when B = 0, is one operator term over the top
+        # one; a term when B > 0 is a coefficient of the quotient of two
+        # lambda coefficients
+        if a and B:
+            return (f"the zeta^{b} coefficient of the lambda^{n - a} "
+                    f"coefficient over the top lambda coefficient")
+        return (f"operator term {monomial(n - a, B + b)} over term "
+                f"{monomial(n, B)}")
+    q, terms, taps = rounded_recursion(
+        q, terms, taps, f"1 over operator term {monomial(n, B)}", name)
     levels = kernel.recurrence_float(prob.rhs.grid, q, terms, n, prob.widths,
                                      *prob.log_tables, taps, shift)
     try:
@@ -338,7 +361,9 @@ def residual(prob: CauchyProblem, u_hat: Series2) -> ResidualReport:
 def _residual_float(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
     """The float residual: each side is one :func:`kernel.shift_float` of
     its grid, and one more of its moduli with absolute coefficients, for
-    the scale; the rhs side of a g whose ``P0`` is 1 is the grid itself."""
+    the scale; the rhs side of a g whose ``P0`` is 1 is the grid itself.
+    An operator coefficient beyond binary64 raises EvaluationError naming
+    its term."""
     import numpy as np
 
     logs1, logs2 = prob.log_tables
@@ -347,14 +372,17 @@ def _residual_float(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
     r1 = kernel.ratios(logs1, {a for a, _ in offsets}, J)
     r2 = kernel.ratios(logs2, {b for _, b in offsets}, I)
 
-    def sides(s: Series2, table):
-        """``table`` applied to s and, with absolute coefficients, to |s|."""
+    def sides(s: Series2, table, n: int = 0):
+        """``table`` applied to s and, with absolute coefficients, to |s|;
+        its key (a, b) is the operator term ``dt^(a+n)*dz^b``."""
         grid = s.grid
         if table is None:
             f = grid[: J + 1, : I + 1]
             return f, kernel.modulus(f)
-        items = normalize_table(table)
-        abs_items = [(k, abs(kernel.binary64(p))) for k, p in items]
+        items = [((a, b), kernel.rounded(
+                     p, f"operator term {monomial(a + n, b)}"))
+                 for (a, b), p in normalize_table(table)]
+        abs_items = [(k, abs(p)) for k, p in items]
         return (kernel.shift_float(grid, items, r1, r2, J, I),
                 kernel.shift_float(kernel.modulus(grid), abs_items, r1, r2,
                                    J, I))
@@ -362,7 +390,8 @@ def _residual_float(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
     lhs, abs_lhs = sides(u_hat, support)
     # P0 = 1 leaves g as it is: the grid itself, whose -0.0 cells the
     # shift would turn to +0.0, which modulus reads alike
-    f, abs_f = sides(prob.rhs, None if p0_table == {(0, 0): 1} else p0_table)
+    f, abs_f = sides(prob.rhs, None if p0_table == {(0, 0): 1} else p0_table,
+                     prob.operator.n)
     with np.errstate(invalid="ignore"):
         diffs = kernel.modulus(lhs - f)
     # numpy maxima propagate NaN

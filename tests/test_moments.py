@@ -11,7 +11,7 @@ from mpde.errors import DomainError, EvaluationError
 from mpde.moments import (MOMENT_ONE, MomentFactor, MomentFunction,
                           e_s_beta, e_s_beta_via_derivative, eval_at,
                           eval_fraction, fraction_table, gamma_s, kernel_e,
-                          log_gamma, log_table, mittag_leffler,
+                          log_gamma, log_rational, log_table, mittag_leffler,
                           mittag_leffler_info, scaled_eval)
 from mpde.parsing import parse_moment
 
@@ -280,3 +280,45 @@ def test_fraction_table_domain_error_matches_scaled_eval(offset, kappa):
     with pytest.raises(DomainError) as got:
         fraction_table(m, kappa, 5)
     assert str(got.value) == str(want.value)
+
+
+BIG = 10 ** 400
+
+
+@pytest.mark.parametrize("q", [Fraction(1), Fraction(3, 7),
+                               Fraction(10) ** 300, Fraction(1, 10 ** 300),
+                               Fraction(2) ** -1022, Fraction(2) ** 1023])
+def test_log_rational_inside_binary64_is_math_log(q):
+    assert log_rational(q).hex() == math.log(q).hex()
+
+
+@pytest.mark.parametrize("q,want", [
+    (Fraction(BIG), 400 * mpmath.log(10)),
+    (Fraction(1, BIG), -400 * mpmath.log(10)),
+    (Fraction(3 * BIG, 7),
+     mpmath.log(3) - mpmath.log(7) + 400 * mpmath.log(10)),
+    (Fraction(2) ** -1074, -1074 * mpmath.log(2)),  # subnormal
+    (Fraction(2) ** -1100, -1100 * mpmath.log(2)),  # rounds to 0.0
+])
+def test_log_rational_outside_binary64_takes_the_integer_logs(q, want):
+    # math.log(q) fails here: float(q) overflows, or underflows to a value
+    # whose log is off or undefined
+    assert abs(log_rational(q) - float(want)) <= 1e-15 * abs(float(want))
+
+
+@pytest.mark.parametrize("arg", ["1/2+u/1", "1+u/1"])
+def test_moment_scales_outside_binary64_evaluate(arg):
+    # the scale's log enters every table; the values themselves underflow
+    # to 0.0 or overflow to inf as floats
+    tiny = parse_moment(f"1/{BIG}*Gamma({arg})")
+    huge = parse_moment(f"{BIG}*Gamma({arg})")
+    one = parse_moment(f"1*Gamma({arg})")
+    assert eval_at(tiny, 0) == 0.0 and eval_at(huge, 0) == math.inf
+    for m, scale in ((tiny, Fraction(1, BIG)), (huge, Fraction(BIG))):
+        shift = log_rational(scale)
+        assert np.allclose(log_table(m, 1, 5) - log_table(one, 1, 5), shift,
+                           rtol=1e-15, atol=0)
+        values = fraction_table(m, 1, 5)
+        assert values == [eval_fraction(m, j) for j in range(6)]
+        if arg == "1+u/1":  # integer Gamma arguments: exact factorials
+            assert values == [scale * math.factorial(j) for j in range(6)]

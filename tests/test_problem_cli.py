@@ -51,6 +51,16 @@ def test_load_problem_defaults_and_validation():
                       "rhs": {"kind": "weird", "payload": []}})
 
 
+@pytest.mark.parametrize("field", ["operator", "m1", "m2"])
+@pytest.mark.parametrize("value", [3, None, ["dt"]])
+def test_load_problem_rejects_an_operator_or_moment_that_is_no_string(
+        field, value):
+    data = dict(json.loads(Path(shipped("heat")).read_text()),
+                **{field: value})
+    with pytest.raises(ParseError, match=f"^{field} must be a string, got "):
+        load_problem(data)
+
+
 def test_problem_files_loaded_twice_are_equal_and_hash_equal():
     # a loaded rhs keeps each entry as a tuple, so the record hashes
     rational = json.loads(Path(shipped("heat")).read_text())
@@ -415,6 +425,99 @@ def test_cli_float_rhs_beyond_binary64_after_summing_or_dividing_names_it(
                       "--n1", "4", "--n2", "4"])
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["residual_exact_zero"]
+
+
+BIG = "1" + "0" * 400  # 10^400, beyond binary64
+
+
+def _csv_cells(path) -> list:
+    """The complex cells of a solution CSV, row-major."""
+    return [complex(float(re), float(im)) for _, _, re, im in
+            (line.split(",") for line in path.read_text().splitlines()[1:])]
+
+
+@pytest.mark.parametrize("scale", [f"1/{BIG}", BIG], ids=["tiny", "huge"])
+@pytest.mark.parametrize("arg", ["1/2+u/1", "1+u/1"])
+def test_cli_moment_scale_beyond_binary64_solves(scale, arg, tmp_path):
+    # the scale a of a*Gamma(b + u/k) may be any positive rational: its log
+    # is taken from its integer numerator and denominator.  The scale of m1
+    # cancels from the solution, so the cells are those of the unscaled
+    # moment: equal in exact arithmetic when the Gamma arguments are
+    # integers (both tables are exact factorials), within 1e-12 in float
+    data = json.loads(Path(shipped("heat")).read_text())
+    cells = {}
+    for label, m1 in (("scaled", f"{scale}*Gamma({arg})"),
+                      ("unscaled", f"1*Gamma({arg})")):
+        prob = tmp_path / f"{label}.json"
+        prob.write_text(json.dumps(dict(data, m1=m1)))
+        for arithmetic in ("exact", "float"):
+            for command in ("verify", "probe"):
+                result = run_cli([command, str(prob),
+                                  "--arithmetic", arithmetic])
+                assert result.exit_code == 0, result.output
+            out = tmp_path / f"{label}.{arithmetic}.csv"
+            result = run_cli(["solve", str(prob), "--arithmetic", arithmetic,
+                              "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            cells[label, arithmetic] = out
+    if arg == "1+u/1":
+        assert (cells["scaled", "exact"].read_text()
+                == cells["unscaled", "exact"].read_text())
+    got, want = (_csv_cells(cells[label, "float"])
+                 for label in ("scaled", "unscaled"))
+    assert len(got) == len(want)
+    assert all(abs(x - y) <= 1e-12 * abs(y) for x, y in zip(got, want))
+
+
+TOP_LEAVES = ("numeric failure: the branch leading term of pole order q = 2 "
+              "is beyond the binary64 range of float arithmetic\n")
+
+
+@pytest.mark.parametrize("operator,float_named,exact_probe", [
+    (f"dt - {BIG}*dz^2", "operator term dz^2 over term dt", TOP_LEAVES),
+    # each coefficient is a binary64, their quotient is not
+    (f"1/1{'0' * 200}*dt - 1{'0' * 200}*dz^2",
+     "operator term dz^2 over term dt", TOP_LEAVES),
+    # the recursion's quotient is 1; the residual reads the terms themselves
+    (f"{BIG}*dt - {BIG}*dz^2", "operator term dz^2", None),
+    # a pseudo-mode quotient of two lambda coefficients
+    (f"(2+dz)*dt - {BIG}*dz^2", "the zeta^0 coefficient of the lambda^0 "
+     "coefficient over the top lambda coefficient",
+     TOP_LEAVES.replace("q = 2", "q = 1")),
+], ids=["term", "quotient", "residual", "pseudo"])
+def test_cli_operator_beyond_binary64_names_the_term(
+        operator, float_named, exact_probe, tmp_path):
+    # float solve, verify and probe exit 4 naming the operator term and the
+    # remedy, and exact verify solves the problem; analyze and the exact
+    # probe round the branch leading terms to binary64, and name the one
+    # beyond it
+    data = json.loads(Path(shipped("heat")).read_text())
+    data.update(operator=operator)
+    if "(" in operator:
+        data.update(rhs_role="f", mode="pseudo")
+    prob = tmp_path / "op.json"
+    prob.write_text(json.dumps(data))
+    want = (f"numeric failure: {float_named} is beyond the binary64 range of "
+            f"float arithmetic; use --arithmetic exact\n")
+    for command in ("solve", "verify", "probe"):
+        args = [command, str(prob), "--arithmetic", "float"]
+        if command == "solve":
+            args += ["--out", str(tmp_path / "out.csv")]
+        result = run_cli(args)
+        if command == "probe" and exact_probe is None:
+            # probe computes no residual, and its branches are in range
+            assert result.exit_code == 0, result.output
+        else:
+            assert (result.exit_code, result.stderr) == (4, want), command
+    result = run_cli(["verify", str(prob), "--arithmetic", "exact"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["residual_exact_zero"]
+    for args in (["analyze"], ["probe", "--arithmetic", "exact"]):
+        result = run_cli([args[0], str(prob), *args[1:]])
+        if exact_probe is None:
+            assert result.exit_code == 0, result.output
+        else:
+            assert (result.exit_code, result.stderr) == (4, exact_probe)
 
 
 def test_exact_fit_and_row_values_build_no_cell_objects(monkeypatch):

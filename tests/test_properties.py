@@ -826,7 +826,7 @@ def check_lanes_series(s: Series2):
         csv = s.to_csv()
     except EvaluationError:
         csv = None
-    rows = Series2(s.coeffs, s.kappa1, s.kappa2, exact=True, valid=s.valid)
+    rows = Series2(s.coeffs, s.kappa1, s.kappa2, exact=True)
     assert s == rows and hash(s) == hash(rows)
     try:
         want = csv_cells(rows)
@@ -903,8 +903,7 @@ def raw_lanes_series(draw):
     lanes = kernel.RawLanes(draw(lane), draw(st.one_of(st.none(), lane)),
                             divisors(n1 + 1, [0, 0, 0, -30, 30, 1060]),
                             divisors(n2 + 1, [0, 0, -5, 5]))
-    valid = draw(st.tuples(st.integers(0, n1), st.integers(0, n2)))
-    return Series2(lanes, exact=True, valid=valid)
+    return Series2(lanes, exact=True)
 
 
 def _repr_or_error(fn, *args, **kw):
@@ -924,21 +923,19 @@ def test_exact_binary64_readers_match_per_cell_oracle(s, z, frac, min_points):
     a lanes-backed series equal their per-cell forms, which round each
     RationalComplex of ``coeffs``: bit for bit, or the same error.  A series
     built from rows equals the one built from its lanes or its array."""
-    # a fresh series (hypothesis may have read ``s.coeffs`` for its report),
-    # cut to the valid window: cells outside it may leave binary64
-    check_lanes_series(Series2(s.lanes, exact=True, valid=s.valid).windowed())
-    rows = Series2(s.coeffs, exact=True, valid=s.valid)
+    # a fresh series: hypothesis may have read ``s.coeffs`` for its report
+    check_lanes_series(Series2(s.lanes, exact=True))
+    rows = Series2(s.coeffs, exact=True)
     assert rows == s and hash(rows) == hash(s)
     for axis in ("t", "z"):
         kw = {"axis": axis, "j_min_frac": frac, "min_points": min_points}
         assert _repr_or_error(gevrey_fit, s, **kw) == \
             _repr_or_error(exact_gevrey_fit_cells, s, **kw)
-    J, I = s.valid
     try:
         csv = csv_cells(s)
     except OverflowError:
-        j, i, part = next((j, i, p) for j, row in enumerate(s.coeffs[: J + 1])
-                          for i, c in enumerate(row[: I + 1])
+        j, i, part = next((j, i, p) for j, row in enumerate(s.coeffs)
+                          for i, c in enumerate(row)
                           for p in (c.re, c.im) if _leaves_binary64(p))
         with pytest.raises(EvaluationError) as err:
             s.to_csv()
@@ -950,40 +947,26 @@ def test_exact_binary64_readers_match_per_cell_oracle(s, z, frac, min_points):
         assert m and abs(float(m[1]) - exact_log2) <= 0.06
     else:
         assert s.to_csv() == csv == rows.to_csv()
-    # row_values reads the valid window alone: it raises only when a cell
-    # there leaves binary64
-    try:
-        window = exact_grid_cells(Series2([row[: I + 1] for row in
-                                           s.coeffs[: J + 1]], exact=True))
-    except OverflowError:
-        with pytest.raises(OverflowError):
-            s.row_values(z)
-    else:
-        assert all(map(_same_bits, s.row_values(z),
-                       Series2(window).row_values(z)))
+    # grid and row_values decode every cell: both raise when one leaves
+    # binary64
     try:
         want = exact_grid_cells(s)
     except OverflowError:
         with pytest.raises(OverflowError):
+            s.row_values(z)
+        with pytest.raises(OverflowError):
             s.grid
         return
+    assert all(map(_same_bits, s.row_values(z), Series2(want).row_values(z)))
     assert s.grid.tobytes() == want.tobytes()
     assert s.grid.dtype == complex and not s.grid.flags.writeable
-    from_array = Series2(want, valid=s.valid)
-    from_rows = Series2(want.tolist(), valid=s.valid)
+    from_array = Series2(want)
+    from_rows = Series2(want.tolist())
     assert from_array == from_rows and hash(from_array) == hash(from_rows)
     assert from_rows.grid.tobytes() == want.tobytes()
     assert all(_same_bits(x, y) for a, b in zip(from_array.coeffs,
                                                 from_rows.coeffs)
                for x, y in zip(a, b))
-
-
-def test_exact_row_values_decode_only_the_valid_window():
-    # cell (1, 1) is past 2**1024 but outside the valid window (0, 1)
-    s = Series2([[1, 2], [3, 10 ** 400]], exact=True, valid=(0, 1))
-    assert s.row_values(0.5) == [2.0]
-    with pytest.raises(OverflowError):
-        s.grid
 
 
 def _leaves_binary64(q: Fraction) -> bool:
@@ -1019,7 +1002,7 @@ def test_linear_edge_roots_match_numpy(roots, lead):
             poly = ([-RationalComplex(*root) * poly[0]]
                     + [poly[k - 1] - RationalComplex(*root) * poly[k]
                        for k in range(1, len(poly))] + [poly[-1]])
-    got = _edge_roots(poly)
+    got = _edge_roots(poly, Fraction(1))
     assert got == edge_roots_numpy(poly)
     assert sorted(m for _, m in got) == sorted(m for _, m in roots)
     assert all(type(r) is complex for r, _ in got)
@@ -1068,10 +1051,8 @@ def transform_cases(draw):
         rows = draw(st.lists(st.lists(cell, min_size=n2 + 1,
                                       max_size=n2 + 1),
                              min_size=n1 + 1, max_size=n1 + 1))
-        valid = draw(st.one_of(st.none(), st.tuples(st.integers(0, n1),
-                                                    st.integers(0, n2))))
         s = Series2(rows, draw(st.integers(1, 3)), draw(st.integers(1, 3)),
-                    exact=exact, valid=valid)
+                    exact=exact)
         axis = draw(st.sampled_from(["t", "z", "t", "z", "x"]))
     m = draw(st.sampled_from(TRANSFORM_MOMENTS + (UNDEFINED_AT_0,)))
     times = draw(st.one_of(st.integers(0, 3), st.integers(-1, 10)))

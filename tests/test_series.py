@@ -327,7 +327,9 @@ def test_to_csv_matches_the_per_cell_formatter_on_float_grids(shape, valid):
     cells = [complex(rng.choice(CSV_SPECIALS), rng.choice(CSV_SPECIALS))
              for _ in range(shape[0] * shape[1])]
     grid = np.array(cells).reshape(shape)
-    s = Series2(grid, valid=valid)
+    if valid is not None:  # a corner of the grid, sliced by hand
+        grid = grid[: valid[0] + 1, : valid[1] + 1]
+    s = Series2(grid)
     assert s.to_csv() == csv_cells(s)
 
 
@@ -351,9 +353,12 @@ def test_to_csv_matches_the_per_cell_formatter_on_exact_lanes(
              for _ in range(shape[1] + 1)] for _ in range(shape[0] + 1)]
     if shape[1]:
         rows[-1][0] = RationalComplex(0)  # a zero among nonzero cells
-    s = Series2(kernel.lanes_of_table(
+    lanes = kernel.lanes_of_table(
         {(j, i): c for j, row in enumerate(rows) for i, c in enumerate(row)},
-        *shape), exact=True, valid=valid)
+        *shape)
+    if valid is not None:  # a corner of the lanes, cut by hand
+        lanes = kernel.window(lanes, *valid)
+    s = Series2(lanes, exact=True)
     assert (s.lanes.im is None) == (not complex_lanes)
     assert s.to_csv() == csv_cells(s)
 
@@ -379,7 +384,7 @@ def test_float64_and_complex128_grids_of_one_series_agree():
     values = [[1.5, -0.0, 0.0], [2.0 ** -1074, -3.0, 1e308]]
     real, cplx = (kernel.read_only(np.array(values, dtype=dtype))
                   for dtype in (float, complex))
-    a, b = Series2(real, valid=(1, 1)), Series2(cplx, valid=(1, 1))
+    a, b = Series2(real), Series2(cplx)
     assert a.grid.dtype == float and b.grid.dtype == complex
     assert a == b and hash(a) == hash(b)
     assert a.to_csv() == b.to_csv() == csv_cells(b)
@@ -428,7 +433,7 @@ def test_z_transform_hands_over_its_grid_uncopied(transform, monkeypatch):
 def test_zero_series_legal_everywhere_but_fit():
     z = Series2.from_entries((), 5, 5, exact=True)
     assert borel(G1, z, "t").coeffs == z.coeffs
-    assert apply_operator({(1, 1): 1}, G1, G1, z).shape == (4, 4)
+    assert apply_operator({(1, 1): 1}, G1, G1, z).valid == (4, 4)
 
 
 def test_series_coercion_keeps_the_coefficient_type():
@@ -460,13 +465,13 @@ def test_float_series_from_array_matches_one_from_rows():
     arr[2, 3] = complex(-0.0, -0.0)
     arr[3, 4] = complex(math.inf, -math.inf)
     arr[4, 5] = complex(-1e-320, 1e308)
-    from_array = Series2(arr, valid=(3, 4))
-    from_rows = Series2(arr.tolist(), valid=(3, 4))
+    from_array = Series2(arr)
+    from_rows = Series2(arr.tolist())
     assert all(type(c) is complex for row in from_array.coeffs for c in row)
     assert [list(map(_bits, row)) for row in from_array.coeffs] == \
         [list(map(_bits, row)) for row in from_rows.coeffs]
     assert from_array == from_rows and hash(from_array) == hash(from_rows)
-    assert from_array.shape == from_rows.shape == (4, 5)
+    assert from_array.valid == from_rows.valid == (4, 5)
     # the series holds its own read-only copy of the array
     arr[1, 1] = 7.0
     assert from_array.coeffs[1][1] != 7.0
@@ -474,8 +479,10 @@ def test_float_series_from_array_matches_one_from_rows():
         from_array.grid[0, 0] = 1.0
     with pytest.raises(AttributeError):
         from_array.valid = (0, 0)
-    assert from_array.windowed() == from_rows.windowed()
     assert np.array_equal(from_rows.grid, from_array.grid)
+    # a corner sliced by hand from the array equals one cut from the rows
+    rows = [row[:5] for row in from_rows.coeffs[:4]]
+    assert Series2(from_array.grid[:4, :5]) == Series2(rows)
     # a real array gives complex coefficients too
     real = Series2(np.array([[1.0, -0.0], [2.5, 3.0]]))
     assert real.coeffs == ((1 + 0j, -0.0 + 0j), (2.5 + 0j, 3 + 0j))
@@ -484,20 +491,23 @@ def test_float_series_from_array_matches_one_from_rows():
 
 def test_exact_series_from_lanes_matches_one_from_rows():
     # operator output keeps moment values as row and column divisors; a
-    # series of those lanes, windowed or not, equals one of its rows
+    # series of those lanes, or of a corner cut from them, equals one of its
+    # rows
     rng = random.Random(55)
     u = random_series2(rng, 5, 7, exact=True)
     v = apply_operator({(1, 1): RationalComplex(2, -1), (0, 0): 1},
                        GHALF, G1, u)
     rows = [list(row) for row in v.coeffs]
     assert v.lanes.col_div[3] == 6 and v.lanes.row_div[0] != 1
-    from_lanes = Series2(v.lanes, v.kappa1, v.kappa2, exact=True,
-                         valid=(2, 3))
-    from_rows = Series2(rows, v.kappa1, v.kappa2, exact=True, valid=(2, 3))
+    from_lanes = Series2(v.lanes, v.kappa1, v.kappa2, exact=True)
+    from_rows = Series2(rows, v.kappa1, v.kappa2, exact=True)
     assert from_lanes == from_rows and hash(from_lanes) == hash(from_rows)
     assert from_lanes.to_csv() == from_rows.to_csv()
-    assert from_lanes.windowed() == from_rows.windowed() == Series2(
-        [row[:4] for row in rows[:3]], v.kappa1, v.kappa2, exact=True)
+    corner = Series2(kernel.window(v.lanes, 2, 3), v.kappa1, v.kappa2,
+                     exact=True)
+    assert corner == Series2([row[:4] for row in rows[:3]], v.kappa1,
+                             v.kappa2, exact=True)
+    assert corner.to_csv() == csv_cells(corner)
     with pytest.raises(DomainError):
         Series2([[1.0]]).lanes  # float series have no integer lanes
 
@@ -509,13 +519,13 @@ def test_row_values_match_a_per_row_horner_loop(z):
     cells = [list(row) for row in u.coeffs]
     cells[2][3] = complex(-0.0, 0.0)
     cells[4] = [complex(-0.0, -0.0)] * 10
-    for s in (Series2(cells, valid=(5, 7)),
-              Series2(cells, valid=(5, 7), exact=True)):
-        J, I = s.valid
+    corner = [row[:8] for row in cells[:6]]  # sliced by hand
+    for s in (Series2(cells), Series2(corner), Series2(cells, exact=True),
+              Series2(corner, exact=True)):
         want = []
-        for row in s.coeffs[: J + 1]:
+        for row in s.coeffs:
             acc = 0j
-            for c in reversed(row[: I + 1]):
+            for c in reversed(row):
                 acc = acc * complex(z) + complex(c)
             want.append(acc)
         got = s.row_values(z)
