@@ -11,19 +11,16 @@ from .charroots import (CharBranch, CharPoly, branches_at_infinity,
 from .errors import (DomainError, EstimationError, EvaluationError, MpdeError,
                      ParseError, PreconditionError, WindowError)
 from .exact import RationalComplex, as_fraction, fmt_fraction
-from .moments import (MomentFactor, MomentFunction, e_s_beta,
-                      e_s_beta_via_derivative, eval_at, eval_fraction,
-                      gamma_s, kernel_e, log_gamma, mittag_leffler)
+from .moments import MomentFactor, MomentFunction, gamma_s, log_gamma
 from .newton import NewtonPolygon, build, cross_check, slopes
-from .parsing import operator_to_text, parse_moment, parse_operator
+from .parsing import parse_moment, parse_operator
 from .problem import (ProblemFile, analyze_problem, expand_rhs, load_problem,
                       parse_rhs, probe_problem, solve_problem, verify_problem)
-from .series import (GevreyFit, Series1, Series2, apply_operator, borel,
-                     gevrey_fit, inv_borel, moment_antidiff, moment_diff)
+from .series import GevreyFit, Series2, gevrey_fit
 from .solver import (CauchyProblem, OrdersReport, ResidualReport, formal_solve,
-                     g_from_f, residual, theoretical_orders)
+                     residual, theoretical_orders)
 from .summability import (Angle, LevelSpec, ProbeResult, SectorRequirement,
                           SummabilityReport, admissible, classify, levels,
-                          required_sectors, singular_direction_probe)
+                          singular_direction_probe)
 
 __version__ = "0.1.0"

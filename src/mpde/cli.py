@@ -39,6 +39,10 @@ def _run(fn, problem: str, *outputs):
             ZeroDivisionError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         sys.exit(EXIT_NUMERIC)
+    except MemoryError:
+        print("precondition violated: the command ran out of memory; lower "
+              "--n1 or --n2, or use --arithmetic float", file=sys.stderr)
+        sys.exit(EXIT_PRECONDITION)
     except KeyboardInterrupt:
         sys.exit("\nAborted!")  # on stderr, exit 1, and no traceback
 

@@ -15,8 +15,9 @@ Evaluation goes through a Lanczos log-gamma (accuracy checked against the C
 library implementation in the test suite: better than 1e-12 relative on
 arguments in [1, 500]).  The cached :func:`scaled_eval` gives one value as
 its logarithm and an exact rational, so that it exists far beyond the
-double-precision overflow threshold.  The series operators read whole
-tables instead, built outside that cache with the same values and errors:
+double-precision overflow threshold; no command calls it.  The solver and
+the residual read whole tables instead, built outside that cache with the
+same values and errors:
 exact mode reads exact values (:func:`fraction_table`), multiplied out on
 integers and held as ints where they are integral, Fractions otherwise;
 float mode reads logarithms only (:func:`log_table`), summed factor by
@@ -40,7 +41,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, EvaluationError
+from .errors import DomainError
 from .exact import as_fraction, quotient
 from .record import record
 
@@ -186,12 +187,6 @@ class ScaledValue:
     log: float
     rational: Fraction
 
-    def to_float(self) -> float:
-        try:
-            return float(self.rational)
-        except OverflowError:
-            return math.inf
-
 
 def split_log(logv: float) -> tuple:
     """``(mantissa, e2)`` with ``exp(logv) = mantissa * 2**e2``: e2 is
@@ -206,6 +201,7 @@ def _dyadic_from_log(logv: float) -> Fraction:
     return Fraction(mant) * Fraction(2) ** e2
 
 
+# kept for perfbench's cache metric; it can move when ROADMAP item 6 drops it
 @lru_cache(maxsize=None)
 def scaled_eval(m: MomentFunction, u: Fraction) -> ScaledValue:
     """Evaluate m(u) for u >= 0 in overflow-safe scaled form (cached)."""
@@ -227,17 +223,6 @@ def scaled_eval(m: MomentFunction, u: Fraction) -> ScaledValue:
             base_val = _dyadic_from_log(base_log)
         value = value * base_val if f.sign == 1 else value / base_val
     return ScaledValue(logv, value)
-
-
-def eval_at(m: MomentFunction, u) -> float:
-    """m(u) as a positive float (inf when outside double range)."""
-    return scaled_eval(m, as_fraction(u)).to_float()
-
-
-def eval_fraction(m: MomentFunction, u) -> Fraction:
-    """m(u) as an exact Fraction (exact Gamma values where possible,
-    otherwise the dyadic rational of the scaled double evaluation)."""
-    return scaled_eval(m, as_fraction(u)).rational
 
 
 def _argument_lines(m: MomentFunction, kappa: int) -> list:
@@ -274,7 +259,7 @@ def _gamma_arguments(m: MomentFunction, kappa: int, n: int):
 
 
 def fraction_table(m: MomentFunction, kappa: int, n: int) -> list:
-    """Exact values ``m(j/kappa)`` for j = 0..n (see :func:`eval_fraction`).
+    """Exact values ``m(j/kappa)`` for j = 0..n.
 
     The values of ``scaled_eval(m, j/kappa).rational``, with the same
     DomainErrors, but outside its cache, multiplied factor by factor on
@@ -342,160 +327,3 @@ def log_table(m: MomentFunction, kappa: int, n: int):
         logs = logs + sign * (log_rational(scale)
                               + _lanczos(shift, x, log_each))
     return logs
-
-
-# -- kernel and Mittag-Leffler style functions ------------------------------
-
-
-def kernel_e(a, b, k, x: float) -> float:
-    """Single-factor kernel ``a*k*x**(b*k)*exp(-x**k)`` for x > 0."""
-    if x <= 0:
-        raise DomainError(f"kernel_e requires x > 0, got {x}")
-    a, b, k = float(a), float(b), float(k)
-    return a * k * x ** (b * k) * math.exp(-(x ** k))
-
-
-def _neumaier_add(acc, comp, term):
-    # compensated (Neumaier) accumulation on one float lane
-    s = acc + term
-    if abs(acc) >= abs(term):
-        comp += (acc - s) + term
-    else:
-        comp += (term - s) + acc
-    return s, comp
-
-
-class _CompensatedComplex:
-    """Neumaier-compensated complex accumulator."""
-
-    def __init__(self):
-        self.re = 0.0
-        self.im = 0.0
-        self.cre = 0.0
-        self.cim = 0.0
-
-    def add(self, z: complex):
-        self.re, self.cre = _neumaier_add(self.re, self.cre, z.real)
-        self.im, self.cim = _neumaier_add(self.im, self.cim, z.imag)
-
-    def value(self) -> complex:
-        return complex(self.re + self.cre, self.im + self.cim)
-
-
-def _sum_gamma_series(first_term, first_j, ratio_fn, tol, max_terms, what):
-    """Sum ``term_j`` from ``first_j`` with term_{j+1} = term_j * ratio_fn(j).
-
-    Compensated summation; stops when the geometric tail bound drops below
-    ``tol`` relative to max(1, |partial sum|).  Returns (value, terms_used,
-    max_abs_term, tail_bound).
-    """
-    acc = _CompensatedComplex()
-    term = first_term
-    max_abs = 0.0
-    j = first_j
-    for used in range(1, max_terms + 1):
-        acc.add(term)
-        max_abs = max(max_abs, abs(term))
-        ratio = ratio_fn(j)
-        nxt = term * ratio
-        scale = max(1.0, abs(acc.value()))
-        if abs(ratio) < 0.5 and abs(nxt) <= 0.5 * tol * scale:
-            tail = abs(nxt) / (1.0 - abs(ratio))
-            return acc.value(), used, max_abs, tail
-        term = nxt
-        j += 1
-    raise EvaluationError(
-        f"{what} did not converge within {max_terms} terms", residual=abs(term)
-    )
-
-
-# the series sums refuse |x| above this bound
-_RADIUS = 20.0
-
-
-def mittag_leffler_info(s, x: complex, tol: float = 1e-12,
-                        max_terms: int = 10000):
-    """Mittag-Leffler sum ``sum_j x**j / Gamma(1 + s*j)`` with diagnostics.
-
-    Returns ``(value, terms_used, max_abs_term, tail_bound)``.  The rounding
-    error is bounded by roughly ``max_abs_term * terms_used * eps`` on top of
-    ``tail_bound`` (compensated summation keeps accumulation error at the
-    level of individual term rounding).
-    """
-    s = as_fraction(s)
-    if s <= 0:
-        raise DomainError("mittag_leffler requires s > 0")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    x = complex(x)
-    if abs(x) > _RADIUS:
-        raise DomainError(f"|x| = {abs(x)} exceeds the series radius bound {_RADIUS}")
-    sf = float(s)
-
-    def ratio(j):
-        return x * math.exp(log_gamma(1.0 + sf * j) - log_gamma(1.0 + sf * (j + 1)))
-
-    return _sum_gamma_series(1.0 + 0.0j, 0, ratio, tol, max_terms, "mittag_leffler")
-
-
-def mittag_leffler(s, x: complex, tol: float = 1e-12,
-                   max_terms: int = 10000) -> complex:
-    return mittag_leffler_info(s, x, tol, max_terms)[0]
-
-
-def _kernel_series_args(s, beta: int, x, tol: float) -> tuple:
-    """``(as_fraction(s), complex(x))`` once s > 0, beta >= 1, tol > 0 and
-    ``|x| <= _RADIUS`` are checked, as both kernel series sums need."""
-    s = as_fraction(s)
-    if s <= 0 or beta < 1:
-        raise DomainError("e_s_beta requires s > 0 and beta >= 1")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    x = complex(x)
-    if abs(x) > _RADIUS:
-        raise DomainError(f"|x| = {abs(x)} exceeds the series radius bound {_RADIUS}")
-    return s, x
-
-
-def e_s_beta(s, beta: int, x: complex, tol: float = 1e-12,
-             max_terms: int = 10000) -> complex:
-    """Kernel series ``sum_{j>=beta} C(j-1, beta-1) x**j / Gamma(1+s*j)``."""
-    s, x = _kernel_series_args(s, beta, x, tol)
-    if x == 0:
-        return 0.0 + 0.0j
-    sf = float(s)
-    first = x ** beta * math.exp(-log_gamma(1.0 + sf * beta))
-
-    def ratio(j):
-        # C(j, beta-1) / C(j-1, beta-1) = j / (j - beta + 1)
-        return x * (j / (j - beta + 1)) * math.exp(
-            log_gamma(1.0 + sf * j) - log_gamma(1.0 + sf * (j + 1))
-        )
-
-    value, _, _, _ = _sum_gamma_series(first, beta, ratio, tol, max_terms, "e_s_beta")
-    return value
-
-
-def e_s_beta_via_derivative(s, beta: int, x: complex, tol: float = 1e-12,
-                            max_terms: int = 10000) -> complex:
-    """Alternate evaluation through the termwise-derivative identity.
-
-    Differentiates the series of ``(E_s(x) - 1)/x`` termwise beta-1 times and
-    multiplies by ``x**beta / (beta-1)!``; agrees with :func:`e_s_beta` up to
-    the summation tolerance.
-    """
-    s, x = _kernel_series_args(s, beta, x, tol)
-    if x == 0:
-        return 0.0 + 0.0j
-    sf = float(s)
-    # term_n = (n)! / (n-beta+1)! * x**(n-beta+1) / Gamma(1+s*(n+1)), n >= beta-1
-    first = math.factorial(beta - 1) * math.exp(-log_gamma(1.0 + sf * beta))
-
-    def ratio(n):
-        return x * ((n + 1) / (n - beta + 2)) * math.exp(
-            log_gamma(1.0 + sf * (n + 1)) - log_gamma(1.0 + sf * (n + 2))
-        )
-
-    series, _, _, _ = _sum_gamma_series(first, beta - 1, ratio, tol, max_terms,
-                                        "e_s_beta (derivative form)")
-    return series * x ** beta / math.factorial(beta - 1)

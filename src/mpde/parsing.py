@@ -23,9 +23,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .charroots import CharPoly, monomial
+from .charroots import CharPoly
 from .errors import ParseError, PreconditionError
-from .exact import QC_ONE, RationalComplex, fmt_fraction
+from .exact import QC_ONE, RationalComplex
 from .moments import MomentFactor, MomentFunction, gamma_s
 
 _NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:/\d+(?:\.\d+)?)?")
@@ -165,36 +165,6 @@ def parse_operator(text: str) -> CharPoly:
         raise PreconditionError(
             "operator has lambda-degree 0: no dt appears")
     return CharPoly.from_table(table)
-
-
-def operator_to_text(P: CharPoly) -> str:
-    """Printable form; reparsing reproduces the coefficient table exactly."""
-    parts = []
-    for a in range(P.n, -1, -1):
-        row = P.coeff_polys[a]
-        for b in range(len(row) - 1, -1, -1):
-            c = row[b]
-            if not c:
-                continue
-            mono = [monomial(a, b)] if a or b else []
-            if not c.im:
-                neg, coeff_txt = c.re < 0, fmt_fraction(abs(c.re))
-                body = "*".join(([coeff_txt] if (coeff_txt != "1" or not mono)
-                                 else []) + mono)
-                parts.append(("-" if neg else "+", body))
-            elif not c.re:
-                coeff_txt = f"{fmt_fraction(abs(c.im))}i"
-                body = "*".join([coeff_txt] + mono)
-                parts.append(("-" if c.im < 0 else "+", body))
-            else:
-                inner = str(c).replace("-", "- ").replace("+", " + ")
-                body = "*".join([f"({inner})"] + mono)
-                parts.append(("+", body))
-    first_sign, first_body = parts[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
 
 
 # -- moment expressions ---------------------------------------------------------

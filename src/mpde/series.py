@@ -1,36 +1,28 @@
-"""Truncated formal power series in one and two variables with ramification.
+"""Truncated formal power series in two variables with ramification, and
+their empirical Gevrey order.
 
-Coefficients are stored raw (plain monomial coefficients).  The moment
-operators act as shifts on normalized coordinates ``u_j = c_j * m(j/kappa)``.
+Coefficients are stored raw (plain monomial coefficients).  Two coefficient
+fields are supported: Python ``complex`` (float mode), kept as a numpy
+grid, and :class:`~mpde.exact.RationalComplex` (exact mode), kept as
+integer lanes with row and column divisors.  The moment operators act as
+shifts on normalized coordinates ``u_j = c_j * m(j/kappa)``; the solver
+runs them on the shift kernel (:mod:`mpde.kernel`), which leaves the exact
+moment values in the divisors of the lanes.  The kernel's one decoder
+divides them out when ``coeffs``, ``grid``, the CSV or the Gevrey fit reads
+the lanes.
 
-Two coefficient fields are supported: Python ``complex`` (float mode) and
-:class:`~mpde.exact.RationalComplex` (exact mode).  Float mode works on raw
-coefficients through ratios of moment values taken from their logarithms,
-so that grids far beyond the double overflow threshold stay finite.  Exact
-mode keeps a grid as integer lanes with row and column divisors, in which
-the shift kernel (:mod:`mpde.kernel`) leaves the moment values; the
-kernel's one decoder divides them out when ``coeffs``, ``grid``, the CSV or
-the Gevrey fit reads the lanes.  :func:`apply_operator` hands both modes'
-raw grids to the kernel.  The moment Borel transforms and moment derivatives
-re-index one axis and scale it by moment values, put into the divisors of
-exact lanes or applied to the float grid as one vector.  Exact moment
-values are exact rationals (true factorials where available, dyadic
-rationals of the scaled double evaluation otherwise), so algebraic
-identities such as Borel round trips and solver residuals hold bit for bit.
-
-Operators never zero-pad: every output grid is sliced to the cells that the
-truncation determines, so a series is trustworthy on its whole grid and every
-reader reads all of it.
+The solver slices every output grid to the cells that the truncation
+determines, so a series is trustworthy on its whole grid and every reader
+reads all of it.
 """
 
 from __future__ import annotations
 
 import math
 
-from . import kernel, moments
-from .errors import DomainError, EstimationError, EvaluationError, WindowError
-from .exact import RationalComplex, quotient
-from .moments import MomentFunction
+from . import kernel
+from .errors import DomainError, EstimationError, EvaluationError
+from .exact import RationalComplex
 from .record import record
 
 
@@ -42,36 +34,6 @@ def _rows(coeffs, coerce) -> tuple:
     if any(len(r) != len(rows[0]) for r in rows):
         raise DomainError("ragged coefficient grid")
     return rows
-
-
-@record
-class Series1:
-    """Truncated series ``sum_j c_j x**(j/kappa)`` on one axis."""
-
-    coeffs: tuple
-    kappa: int = 1
-    axis: str = "x"
-    exact: bool = False
-
-    def __post_init__(self):
-        if self.kappa < 1:
-            raise DomainError("kappa must be a positive integer")
-        coerce = RationalComplex.coerce if self.exact else complex
-        object.__setattr__(self, "coeffs", tuple(map(coerce, self.coeffs)))
-        if not self.coeffs:
-            raise DomainError("a series needs at least the constant coefficient")
-
-    @property
-    def truncation(self) -> int:
-        return len(self.coeffs) - 1
-
-    def eval_at(self, x) -> complex:
-        """Horner sum of the truncated series at the point x**(1/kappa)."""
-        base = complex(x) ** (1.0 / self.kappa) if self.kappa > 1 else complex(x)
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * base + complex(c)
-        return acc
 
 
 class Series2:
@@ -210,11 +172,6 @@ class Series2:
             grid[j, i] = v
         return cls(kernel.read_only(grid), **kw)
 
-    @classmethod
-    def from_t_coeffs(cls, seq, exact: bool = False, **kw) -> "Series2":
-        """One-column grid: c_{j,0} from ``seq``, everything else absent."""
-        return cls([[v] for v in seq], exact=exact, **kw)
-
     def row_values(self, z):
         """Evaluate each t-level at the point z, reading the whole grid
         (an exact one decoded as :attr:`grid` decodes it).
@@ -284,171 +241,6 @@ class GevreyFit:
     stderr: float
     j_range: tuple
     radius: float
-
-
-# -- moment Borel transforms and moment differentiation ----------------------
-
-
-def borel(m: MomentFunction, s, axis: str | None = None):
-    """Coefficient-wise division by m(j/kappa) along the chosen axis."""
-    return _transform(m, s, axis, 0, False, True)
-
-
-def inv_borel(m: MomentFunction, s, axis: str | None = None):
-    """Exact inverse of :func:`borel`: multiplication by m(j/kappa)."""
-    return _transform(m, s, axis, 0, True, False)
-
-
-def moment_diff(m: MomentFunction, s, axis: str | None = None, times: int = 1):
-    """Moment differentiation: shift of normalized coefficients.
-
-    In normalized coordinates ``u_j = c_j * m(j/kappa)`` the output is
-    ``u'_j = u_{j+times}``; the truncation shrinks by ``times``.
-    """
-    if times < 0:
-        raise DomainError("times must be >= 0")
-    return _transform(m, s, axis, times, True, True)
-
-
-def moment_antidiff(m: MomentFunction, s, axis: str | None = None,
-                    times: int = 1):
-    """Moment integration: normalized coefficients shift down, zero-padded."""
-    if times < 0:
-        raise DomainError("times must be >= 0")
-    return _transform(m, s, axis, -times, True, True)
-
-
-def _reindex(seq, delta: int, n_out: int, fill) -> list:
-    """``seq[k + delta]`` for k <= n_out, ``fill`` where k + delta < 0."""
-    lo = min(max(-delta, 0), n_out + 1)
-    return [fill] * lo + list(seq[lo + delta: n_out + 1 + delta])
-
-
-def _transform(m, s, axis, delta: int, num: bool, den: bool):
-    """Output index k along ``axis`` reads input index k + delta (zero
-    below index 0), times ``A(k + delta) / B(k)``: A is m if ``num``, B is
-    m if ``den``, else 1.  A Series1 runs as a one-row Series2 along z.
-
-    Exact mode re-indexes the lanes and sets divisor k
-    to ``div[k + delta] * B(k) / A(k + delta)`` by :func:`exact.quotient`,
-    an int where it is integral.  Float mode scales the grid planes of the
-    Borel pair by the parts of :func:`moments.split_log`, raising
-    OverflowError where ``math.ldexp`` would, and multiplies a shift by
-    ``exp(log m(k + delta) - log m(k))`` as Python's ``complex`` multiply
-    does, overflow giving inf.
-    """
-    if isinstance(s, Series1):
-        row = Series2([s.coeffs], 1, s.kappa, s.exact)
-        out = _transform(m, row, "z", delta, num, den)
-        return Series1(out.coeffs[0], s.kappa, s.axis, s.exact)
-    if axis not in ("t", "z"):
-        raise DomainError("Series2 transforms need axis 't' or 'z'")
-    J, I = s.valid
-    n, kappa = (J, s.kappa1) if axis == "t" else (I, s.kappa2)
-    if delta > n:
-        raise WindowError(f"differentiating {delta} times leaves no "
-                          f"valid coefficients (truncation {n})")
-    n_out = n - max(delta, 0)
-    if s.exact:
-        w = moments.fraction_table(m, kappa, n)
-        lanes = s.lanes
-        divs = [1 if k + delta < 0 else
-                quotient(d * (w[k] if den else 1), w[k + delta] if num else 1)
-                for k, d in enumerate(_reindex(
-                    lanes.row_div if axis == "t" else lanes.col_div,
-                    delta, n_out, 1))]
-        re, im = (
-            None if lane is None
-            else _reindex(lane, delta, n_out, [0] * (I + 1)) if axis == "t"
-            else [_reindex(row, delta, n_out, 0) for row in lane]
-            for lane in (lanes.re, lanes.im))
-        out = (kernel.RawLanes(re, im, divs, lanes.col_div) if axis == "t"
-               else kernel.RawLanes(re, im, lanes.row_div, divs))
-        return Series2(out, s.kappa1, s.kappa2, True)
-    import numpy as np
-
-    cells = s.grid
-    if axis == "z":
-        cells = cells.T  # the transform runs along axis 0
-    lo = min(max(-delta, 0), n_out + 1)
-    src = cells[lo + delta: n_out + 1 + delta]
-    logs = moments.log_table(m, kappa, n)
-    # ``grid`` is row-major in (t, z), so a Series2 keeps it; ``out`` is its
-    # view with ``axis`` first, as ``cells`` is
-    grid = np.zeros((n_out + 1, cells.shape[1]) if axis == "t"
-                    else (cells.shape[1], n_out + 1), dtype=complex)
-    out = grid if axis == "t" else grid.T
-    if num and den:
-        r = kernel.ratios(logs, {delta}, n_out)[delta][lo:, None]
-        with np.errstate(over="ignore", invalid="ignore"):
-            out.real[lo:] = src.real * r - src.imag * 0.0
-            out.imag[lo:] = src.real * 0.0 + src.imag * r
-    else:
-        mant, e2 = (np.array(v)[:, None]
-                    for v in zip(*map(moments.split_log, logs.tolist())))
-        for plane, part in ((out.real, src.real), (out.imag, src.imag)):
-            with np.errstate(over="ignore"):
-                scaled = part * mant if num else part / mant
-                plane[:] = np.ldexp(scaled, e2 if num else -e2)
-            if not np.isfinite(plane[np.isfinite(scaled)]).all():
-                raise OverflowError("math range error")
-    return Series2(kernel.read_only(grid), s.kappa1, s.kappa2, False)
-
-
-# -- constant-coefficient moment differential operators ----------------------
-
-
-def normalize_table(table) -> list:
-    """Sorted ((a, b), coeff) items; sorting makes application order
-    independent of the caller's enumeration order."""
-    items = sorted(table.items())
-    if not items:
-        raise DomainError("empty operator support")
-    if any(a < 0 or b < 0 for (a, b), _ in items):
-        raise DomainError("operator support must live in the first quadrant")
-    return items
-
-
-def operator_window(table, valid) -> tuple:
-    """Valid window left after applying the operator ``table`` to a series
-    with valid window ``valid``; raises WindowError when it is empty."""
-    items = normalize_table(table)
-    max_a = max(a for (a, _), _ in items)
-    max_b = max(b for (_, b), _ in items)
-    J_out, I_out = valid[0] - max_a, valid[1] - max_b
-    if J_out < 0 or I_out < 0:
-        raise WindowError(
-            f"operator orders ({max_a}, {max_b}) exceed the valid window {valid}")
-    return J_out, I_out
-
-
-def apply_operator(table, m1: MomentFunction, m2: MomentFunction,
-                   u: Series2) -> Series2:
-    """Apply ``sum p_ab * dt^a dz^b`` (moment derivatives) to a Series2.
-
-    On normalized coefficients this is the shift
-    ``V_{j,i} = sum p_ab U_{j+a,i+b}``, run on :mod:`mpde.kernel` with the
-    coefficients as given: :func:`kernel.shift` on the lanes of u and the
-    exact moment tables, or :func:`kernel.shift_float` on the grid and the
-    ratios of moment values taken from their logarithms, applying a real
-    coefficient as a Python float so that a float64 grid stays float64.
-    The output window shrinks by the maximal orders in the support.
-    """
-    J_out, I_out = operator_window(table, u.valid)
-    J, I = u.valid
-    if u.exact:
-        out = kernel.shift(u.lanes, table,
-                           moments.fraction_table(m1, u.kappa1, J),
-                           moments.fraction_table(m2, u.kappa2, I),
-                           J_out, I_out)
-        return Series2(out, u.kappa1, u.kappa2, True)
-    items = normalize_table(table)
-    r1 = kernel.ratios(moments.log_table(m1, u.kappa1, J),
-                       {a for (a, _), _ in items}, J_out)
-    r2 = kernel.ratios(moments.log_table(m2, u.kappa2, I),
-                       {b for (_, b), _ in items}, I_out)
-    out = kernel.shift_float(u.grid, items, r1, r2, J_out, I_out)
-    return Series2(kernel.read_only(out), u.kappa1, u.kappa2, False)
 
 
 # -- empirical Gevrey order ---------------------------------------------------

@@ -6,8 +6,8 @@ moment derivatives attached to m1 and m2.  In normalized coordinates
 constant-coefficient shift, and the recursion runs level by level in the
 t-order as ``U[j+n][i] = G[j][i] + sum c_ab U[j+n-a][i+b]``.
 
-Both arithmetics run this recursion, ``g_from_f`` and the residual on the
-shift kernel of :mod:`mpde.kernel`, handing it raw grids, the operator's
+Both arithmetics run this recursion and the residual on the shift kernel
+of :mod:`mpde.kernel`, handing it raw grids, the operator's
 Gaussian-rational coefficients and the moment tables that the
 :class:`CauchyProblem` builds once.  Exact mode recurses on Python integers
 over one common denominator and keeps the output window of lanes whose row
@@ -54,11 +54,12 @@ from functools import cached_property
 
 from . import kernel, moments
 from .charroots import CharPoly, _divmod, monomial
-from .errors import EvaluationError, PreconditionError
-from .exact import QC_ONE, RationalComplex, as_fraction, quotient
+from .errors import (DomainError, EvaluationError, PreconditionError,
+                     WindowError)
+from .exact import QC_ONE, as_fraction, quotient
 from .moments import MomentFunction
 from .record import record
-from .series import Series2, normalize_table, operator_window
+from .series import Series2
 
 
 @record
@@ -148,36 +149,6 @@ def level_widths(P: CharPoly, out_shape) -> list:
             if t + a <= N1 and w[t + a] + b > w[t]:
                 w[t] = w[t + a] + b
     return w
-
-
-def g_from_f(p0_coeffs, m2: MomentFunction, f: Series2) -> Series2:
-    """Solve ``P0(dz) g = f`` for g with the free z-coefficients set to zero.
-
-    With ``P0 = sum p_b zeta**b`` of degree B and ``G_i = g_i m2(i/kappa2)``
-    that is ``G_i + sum m_k G_{i-k} = F_{i-B} / p_B``: the taps that
-    :func:`formal_solve` runs, here alone, with the rows as levels and unit
-    moments along t.  g is valid B columns past f.
-    """
-    top = [RationalComplex.coerce(c) for c in p0_coeffs]
-    while top and not top[-1]:
-        top.pop()
-    if not top:
-        raise PreconditionError("P0 must not be identically zero")
-    B = len(top) - 1
-    J, I = f.valid
-    q, taps, widths = 1 / top[B], _taps(top), [I + B] * (J + 1)
-    if f.exact:
-        v = kernel.recurrence(f.lanes, q, [], 0, widths, [1] * (J + 1),
-                              moments.fraction_table(m2, f.kappa2, I + B),
-                              taps, -B)
-        return Series2(v, f.kappa1, f.kappa2, True)
-    import numpy as np
-
-    levels = kernel.recurrence_float(
-        f.grid, q, [], 0, widths, np.zeros(J + 1),
-        moments.log_table(m2, f.kappa2, I + B), taps, -B)
-    return Series2(kernel.read_only(np.array(list(levels))), f.kappa1,
-                   f.kappa2, False)
 
 
 def _taps(top) -> list:
@@ -328,6 +299,30 @@ def _safe_float(x) -> float:
         return float(x)
     except OverflowError:
         return math.inf
+
+
+def normalize_table(table) -> list:
+    """Sorted ((a, b), coeff) items; sorting makes application order
+    independent of the caller's enumeration order."""
+    items = sorted(table.items())
+    if not items:
+        raise DomainError("empty operator support")
+    if any(a < 0 or b < 0 for (a, b), _ in items):
+        raise DomainError("operator support must live in the first quadrant")
+    return items
+
+
+def operator_window(table, valid) -> tuple:
+    """Valid window left after applying the operator ``table`` to a series
+    with valid window ``valid``; raises WindowError when it is empty."""
+    items = normalize_table(table)
+    max_a = max(a for (a, _), _ in items)
+    max_b = max(b for (_, b), _ in items)
+    J_out, I_out = valid[0] - max_a, valid[1] - max_b
+    if J_out < 0 or I_out < 0:
+        raise WindowError(
+            f"operator orders ({max_a}, {max_b}) exceed the valid window {valid}")
+    return J_out, I_out
 
 
 def residual(prob: CauchyProblem, u_hat: Series2) -> ResidualReport:

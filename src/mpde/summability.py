@@ -149,22 +149,6 @@ def _level_sectors(branch, alpha_idx: int, d: Angle, K: Fraction, st1):
     return out
 
 
-def required_sectors(branches, d, s1, s2, st1=0, st2=0) -> list:
-    """Sectors the Borel-transformed inhomogeneity must extend to.
-
-    Every level K of a qualifying branch requires its t-sector in direction
-    d and the branch's z-sectors (see :func:`_level_sectors`); there are
-    none when no level exists.
-    """
-    st1 = as_fraction(st1)
-    d_angle = d if isinstance(d, Angle) else Angle.from_radians(float(d))
-    out = []
-    for spec in levels(branches, s1, s2, st1, st2).levels:
-        out += _level_sectors(branches[spec.branch_index - 1],
-                              spec.branch_index, d_angle, spec.K, st1)
-    return out
-
-
 # -- admissible multidirections ---------------------------------------------------
 
 

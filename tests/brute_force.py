@@ -1,8 +1,10 @@
 """Brute-force normalized recursion, an oracle for the property tests.
 
 Shares no code with mpde's solver or shift kernel: Gaussian rationals are
-plain ``(Fraction, Fraction)`` pairs, moment values come from
-``eval_fraction`` one cell at a time, and every normalized coefficient
+plain ``(Fraction, Fraction)`` pairs, moment values come one cell at a time
+from ``eval_fraction`` of ``routes``, which reads ``moments.scaled_eval``
+where the solver reads ``moments.fraction_table``, and every normalized
+coefficient
 ``U[t][i] = u[t][i] * m1(t) * m2(i)`` is computed by a memoized recursion
 
     U[t][i] = G[t-n][i] - sum_{a<n} (p_ab / p_n) * U[t-n+a][i+b],
@@ -14,7 +16,7 @@ with a constant top coefficient ``p_n`` (at ``(n, 0)``) are supported.
 from fractions import Fraction
 from functools import lru_cache
 
-from mpde.moments import eval_fraction
+from routes import eval_fraction
 
 ZERO = (Fraction(0), Fraction(0))
 

@@ -9,7 +9,8 @@ from fractions import Fraction
 
 from mpde import cli
 from mpde.exact import RationalComplex
-from mpde.series import Series1, Series2
+from mpde.series import Series2
+from routes import Series1
 
 
 def random_series1(rng: random.Random, n: int, kappa: int = 1,
@@ -34,6 +35,11 @@ def random_series2(rng: random.Random, n1: int, n2: int,
         rows = [[complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                  for _ in range(n2 + 1)] for _ in range(n1 + 1)]
     return Series2(rows, exact=exact)
+
+
+def from_t_coeffs(seq, exact: bool = False, **kw) -> Series2:
+    """One-column grid: c_{j,0} from ``seq``, everything else absent."""
+    return Series2([[v] for v in seq], exact=exact, **kw)
 
 
 def geometric_g(n1, n2, exact=False, t_coeffs=None):

@@ -2,8 +2,8 @@
 
 Two quadratures (they need scipy) cross-check the coefficient-shift
 operators of mpde: a Mellin transform of the single-factor kernel against
-``moments.eval_at``, and an adaptive quadrature of the fractional integral
-against ``series.moment_antidiff``.  A per-cell power-series division in
+``eval_at``, and an adaptive quadrature of the fractional integral against
+``moment_antidiff``, both test routes of ``routes``.  A per-cell power-series division in
 Python ``complex`` arithmetic is the reference for the float expansion of a
 ``rational`` rhs, within a bound set by the same division run on moduli,
 and a per-cell fraction-free division on Gaussian integers for its exact
@@ -17,7 +17,7 @@ coefficient is checked against the Laurent-tail route: each
 ``A_{n-a}/A_n`` expanded at zeta = infinity into a polynomial part and an
 inverse-power tail as wide as the grid, summed cell by cell in Gaussian
 rationals.  The
-moment Borel transforms and moment derivatives of ``series`` are checked
+moment Borel transforms and moment derivatives of ``routes`` are checked
 against their per-cell forms: exact cells times ``Fraction`` moment values,
 float cells scaled by ``math.ldexp`` or multiplied as Python ``complex``.
 The exact residual is checked against its per-cell form in Gaussian
@@ -27,6 +27,16 @@ included.  The binary64 readers of an exact series (``grid``,
 ``row_values``, ``gevrey_fit`` and ``to_csv``) are checked against their
 per-cell forms: ``complex()`` and ``abs()`` of each ``RationalComplex`` of
 ``coeffs``; the CSV of a float series against one f-string per cell.
+
+From ``routes`` the oracles take only the ``Series1`` record and
+``eval_fraction``.  Their single moment values come from
+``moments.scaled_eval``, directly or through ``eval_fraction``, which
+neither the solver, the shift kernel nor the transforms of ``routes`` call:
+those read whole tables (``moments.fraction_table`` and ``log_table``).  So
+no oracle shares the code it checks.  The one table an oracle reads is the
+float ``log_table`` of the moment-shift oracle, which checks how the shift
+applies the logarithms; ``tests/test_moments.py`` checks the table itself,
+bit for bit, against ``scaled_eval``.
 """
 
 from __future__ import annotations
@@ -43,8 +53,9 @@ from mpde.errors import (DomainError, EstimationError, EvaluationError,
 from mpde.exact import RationalComplex, as_fraction
 from mpde.kernel import (Lanes, binary64, common_denominator,
                          gaussian_int, ratios)
-from mpde.moments import eval_fraction, log_gamma, log_table, scaled_eval
-from mpde.series import FIT_RADIUS, GevreyFit, Series1, Series2
+from mpde.moments import log_gamma, log_table, scaled_eval
+from mpde.series import FIT_RADIUS, GevreyFit, Series2
+from routes import Series1, eval_fraction
 
 
 def mellin_check(a, b, k, u, quad_params: dict | None = None) -> float:
@@ -478,7 +489,7 @@ def _scale_1d(coeffs, m, kappa, exact, invert):
 
 
 def borel_cells(m, s, axis=None, invert=False):
-    """``series.borel`` (``inv_borel`` with ``invert``) one cell at a time:
+    """``routes.borel`` (``inv_borel`` with ``invert``) one cell at a time:
     each coefficient is divided (multiplied) by its moment value, an exact
     ``Fraction`` in exact mode and the scaled form of its logarithm in
     float mode."""
@@ -525,7 +536,7 @@ def _shift_1d(coeffs, m, kappa, exact, times, up):
 
 
 def moment_shift_cells(m, s, axis=None, times=1, up=True):
-    """``series.moment_diff`` (``moment_antidiff`` when not ``up``) one cell
+    """``routes.moment_diff`` (``moment_antidiff`` when not ``up``) one cell
     at a time: each output cell is its source cell times the ratio of their
     moment values, a ``Fraction`` quotient in exact mode and in float mode a
     Python ``complex`` times ``math.exp`` of the difference of their logs;

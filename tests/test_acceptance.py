@@ -10,18 +10,17 @@ from importlib import resources
 
 import pytest
 
-from helpers import (geometric_g, random_factor_product, random_series1,
-                     table_mul)
+from helpers import (from_t_coeffs, geometric_g, random_factor_product,
+                     random_series1, table_mul)
 from oracles import frac_integral_quadrature, mellin_check
+from routes import (Series1, borel, e_s_beta, e_s_beta_via_derivative, eval_at,
+                    eval_fraction, inv_borel, moment_antidiff, moment_diff)
 
 from mpde import newton
 from mpde.charroots import CharPoly, branches_at_infinity, validate_numeric
-from mpde.moments import (MomentFactor, MomentFunction, e_s_beta,
-                          e_s_beta_via_derivative, eval_at, eval_fraction,
-                          gamma_s)
+from mpde.moments import MomentFactor, MomentFunction, gamma_s
 from mpde.problem import analyze_problem, load_problem
-from mpde.series import (Series1, Series2, borel, gevrey_fit, inv_borel,
-                         moment_antidiff, moment_diff)
+from mpde.series import gevrey_fit
 from mpde.solver import (CauchyProblem, formal_solve, residual,
                          theoretical_orders)
 from mpde.summability import admissible, singular_direction_probe
@@ -217,10 +216,10 @@ def test_acceptance_09_multidirection_admissibility():
 
 
 def test_acceptance_10_singular_direction_probe():
-    u = Series2.from_t_coeffs([math.factorial(j) for j in range(41)])
+    u = from_t_coeffs([math.factorial(j) for j in range(41)])
     res = singular_direction_probe(u, 1)
     assert res.status == "ok" and abs(res.directions[0]) <= 0.05
-    u2 = Series2.from_t_coeffs([(-1) ** j * math.factorial(j)
+    u2 = from_t_coeffs([(-1) ** j * math.factorial(j)
                                 for j in range(41)])
     res2 = singular_direction_probe(u2, 1)
     assert res2.status == "ok"

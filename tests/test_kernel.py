@@ -301,8 +301,8 @@ def _uneven_lanes(rng, n_rows, n_cols, is_complex):
     of a t-Borel transform followed by a z-derivative, as an exact series
     keeps them, and those of an exact solve."""
     from mpde.problem import assemble, load_problem
-    from mpde.series import borel, moment_diff
     from mpde.solver import formal_solve
+    from routes import borel, moment_diff
 
     s = random_series2(rng, n_rows, n_cols + 3, exact=True)
     if not is_complex:

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from oracles import mellin_check
+from routes import (e_s_beta, e_s_beta_via_derivative, eval_at, eval_fraction,
+                    kernel_e, mittag_leffler, mittag_leffler_info)
 
 from mpde.errors import DomainError, EvaluationError
 from mpde.moments import (MOMENT_ONE, MomentFactor, MomentFunction,
-                          e_s_beta, e_s_beta_via_derivative, eval_at,
-                          eval_fraction, fraction_table, gamma_s, kernel_e,
-                          log_gamma, log_rational, log_table, mittag_leffler,
-                          mittag_leffler_info, scaled_eval)
+                          fraction_table, gamma_s, log_gamma, log_rational,
+                          log_table, scaled_eval)
 from mpde.parsing import parse_moment
 
 

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from routes import operator_to_text
+
 from mpde.errors import ParseError, PreconditionError
 from mpde.exact import RationalComplex
-from mpde.parsing import (operator_to_text, parse_moment, parse_operator,
-                          parse_operator_table)
+from mpde.parsing import parse_moment, parse_operator, parse_operator_table
 
 
 def test_parse_heat():

@@ -615,6 +615,22 @@ def test_cli_grid_above_cap_is_rejected_before_the_level_widths(command,
     assert "Traceback" not in result.output
 
 
+def test_running_out_of_memory_exits_2_with_advice(monkeypatch, tmp_path):
+    # a grid below the cap can still exhaust memory (an exact solve whose
+    # integers grow large); the solver is stubbed, no memory is exhausted
+    def exhausted(*args):
+        raise MemoryError
+    monkeypatch.setattr(problem_mod, "solve_problem", exhausted)
+    out = tmp_path / "u.csv"
+    result = run_cli(["solve", shipped("heat"), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert result.stderr == (
+        "precondition violated: the command ran out of memory; lower --n1 "
+        "or --n2, or use --arithmetic float\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("arithmetic", ["float", "exact"])
 def test_a_solve_builds_its_level_widths_once(arithmetic, monkeypatch):
     # assemble builds the widths for the rhs and hands them to the solver

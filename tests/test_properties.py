@@ -46,19 +46,19 @@ from oracles import (borel_cells, csv_cells, edge_roots_numpy,
                      exact_gevrey_fit_cells, exact_grid_cells, laurent_solve,
                      laurent_terms, moment_shift_cells, rational_rhs_exact,
                      rational_rhs_float, rational_rhs_sizes, wide_width)
+from routes import (Series1, apply_operator, borel, eval_at, g_from_f,
+                    inv_borel, moment_antidiff, moment_diff, operator_to_text)
 
 from mpde import kernel
 from mpde.charroots import CharPoly, _edge_roots
 from mpde.errors import EvaluationError, WindowError
 from mpde.exact import RationalComplex
-from mpde.moments import MOMENT_ONE, eval_at
-from mpde.parsing import operator_to_text, parse_moment
+from mpde.moments import MOMENT_ONE
+from mpde.parsing import parse_moment
 from mpde.problem import (_table, expand_rhs, load_problem, parse_rhs,
                           solve_problem)
-from mpde.series import (Series1, Series2, apply_operator, borel, gevrey_fit,
-                         inv_borel, moment_antidiff, moment_diff)
-from mpde.solver import (CauchyProblem, formal_solve, g_from_f, level_widths,
-                         residual)
+from mpde.series import Series2, gevrey_fit
+from mpde.solver import CauchyProblem, formal_solve, level_widths, residual
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                     database=None,

@@ -13,11 +13,12 @@ from pathlib import Path
 
 import pytest
 
+import routes
+
 import mpde
-from mpde import charroots, moments, problem, series
+from mpde import charroots, moments, problem
 from mpde.moments import MomentFunction
 from mpde.record import record
-from mpde.series import Series1
 
 PROBLEMS = resources.files("mpde") / "problems"
 
@@ -138,12 +139,14 @@ def test_record_keeps_cached_property_working():
 
 
 def record_classes() -> set:
-    """Every class in mpde decorated by ``record``."""
+    """Every class decorated by ``record`` in mpde and in ``routes``."""
     out = set()
-    for info in pkgutil.iter_modules(mpde.__path__, "mpde."):
-        module = importlib.import_module(info.name)
+    names = [info.name for info in
+             pkgutil.iter_modules(mpde.__path__, "mpde.")] + ["routes"]
+    for name in names:
+        module = importlib.import_module(name)
         for value in vars(module).values():
-            if (isinstance(value, type) and value.__module__ == info.name
+            if (isinstance(value, type) and value.__module__ == name
                     and getattr(value.__init__, "__module__", None)
                     == "mpde.record"):
                 out.add(value)
@@ -170,7 +173,7 @@ def test_every_record_repr_and_hash_match_its_dataclass_twin(monkeypatch):
         P = pf.parsed[0]
         charroots.validate_numeric(P, charroots.branches_at_infinity(P),
                                    [10.0, 100.0])
-    series.borel(MomentFunction(), Series1([1, 2, 3]))
+    routes.borel(MomentFunction(), routes.Series1([1, 2, 3]))
     moments.scaled_eval.__wrapped__(MomentFunction(), Fraction(1, 2))
     assert not [cls.__name__ for cls, found in made.items() if not found]
     for cls, instances in made.items():

@@ -5,16 +5,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import random_series1, random_series2, series1_close
+from helpers import (from_t_coeffs, random_series1, random_series2,
+                     series1_close)
 from oracles import (csv_cells, exact_gevrey_fit_cells,
                      frac_integral_quadrature)
+from routes import (Series1, apply_operator, borel, eval_at, inv_borel,
+                    moment_antidiff, moment_diff)
 
 from mpde import kernel
 from mpde.errors import DomainError, EstimationError, WindowError
 from mpde.exact import RationalComplex
-from mpde.moments import MomentFunction, eval_at, gamma_s
-from mpde.series import (Series1, Series2, apply_operator, borel, gevrey_fit,
-                         inv_borel, moment_antidiff, moment_diff)
+from mpde.moments import MomentFunction, gamma_s
+from mpde.series import Series2, gevrey_fit
 
 G1 = gamma_s(1)
 GHALF = gamma_s(Fraction(1, 2))
@@ -245,23 +247,23 @@ def test_linearity_exact():
 
 
 def test_gevrey_fit_oracles():
-    u = Series2.from_t_coeffs([math.factorial(j) for j in range(41)])
+    u = from_t_coeffs([math.factorial(j) for j in range(41)])
     assert abs(gevrey_fit(u).s_hat - 1) <= 0.1
-    flat = Series2.from_t_coeffs([1.0] * 41)
+    flat = from_t_coeffs([1.0] * 41)
     assert abs(gevrey_fit(flat).s_hat) <= 0.05
-    fast = Series2.from_t_coeffs([math.gamma(1 + 2 * j) for j in range(41)])
+    fast = from_t_coeffs([math.gamma(1 + 2 * j) for j in range(41)])
     assert abs(gevrey_fit(fast).s_hat - 2) <= 0.1
 
 
 def test_gevrey_fit_needs_data():
     with pytest.raises(EstimationError):
-        gevrey_fit(Series2.from_t_coeffs([0.0] * 41))
+        gevrey_fit(from_t_coeffs([0.0] * 41))
     with pytest.raises(EstimationError):
-        gevrey_fit(Series2.from_t_coeffs([1.0] * 8))
+        gevrey_fit(from_t_coeffs([1.0] * 8))
 
 
 def test_gevrey_shift_under_borel():
-    u = Series2.from_t_coeffs([math.gamma(1 + 2 * j) for j in range(41)])
+    u = from_t_coeffs([math.gamma(1 + 2 * j) for j in range(41)])
     base = gevrey_fit(u).s_hat
     shifted = gevrey_fit(borel(G1, u, "t")).s_hat
     assert abs(shifted - (base - 1)) <= 0.15
@@ -280,7 +282,7 @@ def test_iterated_derivative_growth():
             rows.append(math.fsum(abs(c) * 0.1 ** i
                                   for i, c in enumerate(phi.coeffs)))
             phi = moment_diff(G1, phi, times=q)
-        fit = gevrey_fit(Series2.from_t_coeffs(rows))
+        fit = gevrey_fit(from_t_coeffs(rows))
         assert abs(fit.s_hat - q) <= 0.2
 
 

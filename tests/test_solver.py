@@ -9,18 +9,19 @@ import pytest
 
 from helpers import geometric_g, random_series2
 from oracles import laurent_tail, recurrence_float_levels, residual_cells
+from routes import (apply_operator, borel, g_from_f, inv_borel, moment_antidiff,
+                    moment_diff)
 
 from mpde import kernel, moments
 from mpde.charroots import CharPoly, branches_at_infinity
 from mpde.errors import EvaluationError, PreconditionError
 from mpde.exact import RationalComplex
 from mpde.moments import gamma_s
-from mpde.series import (Series2, apply_operator, borel, gevrey_fit,
-                         inv_borel, moment_antidiff, moment_diff)
+from mpde.series import Series2, gevrey_fit
 from mpde.parsing import parse_operator
 from mpde.problem import assemble, load_problem
 from mpde.solver import (CauchyProblem, _recursion_terms, formal_solve,
-                         g_from_f, level_widths, residual, theoretical_orders)
+                         level_widths, residual, theoretical_orders)
 
 G1 = gamma_s(1)
 

@@ -7,15 +7,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_factor_product
+from helpers import from_t_coeffs, random_factor_product
+from routes import required_sectors
 
 from mpde import newton
 from mpde.charroots import CharBranch, CharPoly, branches_at_infinity
 from mpde.errors import PreconditionError
-from mpde.series import Series2
 from mpde.summability import (Angle, ProbeResult, admissible, classify,
-                              levels, required_sectors,
-                              singular_direction_probe)
+                              levels, singular_direction_probe)
 
 HEAT = branches_at_infinity(CharPoly.from_table({(1, 0): 1, (0, 2): -1}))
 TRANSPORT = branches_at_infinity(CharPoly.from_table({(1, 0): 1, (0, 1): -1}))
@@ -267,7 +266,7 @@ def test_admissible_validation():
 
 
 def test_probe_factorial_series():
-    u = Series2.from_t_coeffs([math.factorial(j) for j in range(41)])
+    u = from_t_coeffs([math.factorial(j) for j in range(41)])
     res = singular_direction_probe(u, 1)
     assert res.status == "ok"
     assert len(res.directions) == 1
@@ -275,7 +274,7 @@ def test_probe_factorial_series():
 
 
 def test_probe_alternating_series():
-    u = Series2.from_t_coeffs([(-1) ** j * math.factorial(j)
+    u = from_t_coeffs([(-1) ** j * math.factorial(j)
                                for j in range(41)])
     res = singular_direction_probe(u, 1)
     assert res.status == "ok"
@@ -283,21 +282,21 @@ def test_probe_alternating_series():
 
 
 def test_probe_convergent_inconclusive():
-    u = Series2.from_t_coeffs([1.0] * 41)
+    u = from_t_coeffs([1.0] * 41)
     res = singular_direction_probe(u, 1)
     assert res.status in ("no_singularity", "inconclusive")
     assert res.directions == ()
 
 
 def test_probe_zero_tail_is_inconclusive():
-    u = Series2.from_t_coeffs([1.0] + [0.0] * 40)
+    u = from_t_coeffs([1.0] + [0.0] * 40)
     assert singular_direction_probe(u, 1) == ProbeResult(
         "inconclusive", (), None, "tail is identically zero")
 
 
 def test_probe_decaying_borel_coefficients_have_no_singularity():
     # b_j = 100**-j: a constant ratio below the detection scale
-    u = Series2.from_t_coeffs([0.01 ** j * math.factorial(j)
+    u = from_t_coeffs([0.01 ** j * math.factorial(j)
                                for j in range(41)])
     res = singular_direction_probe(u, 1)
     assert (res.status, res.directions, res.radius) == (
@@ -309,7 +308,7 @@ def test_probe_conjugate_pair():
     # 1/(1 - 2 tau cos(a) + tau^2): singularities at exp(+-ia)
     a = 2.0
     b = [math.sin((j + 1) * a) / math.sin(a) for j in range(60)]
-    u = Series2.from_t_coeffs([b[j] * math.gamma(1 + j) for j in range(60)])
+    u = from_t_coeffs([b[j] * math.gamma(1 + j) for j in range(60)])
     res = singular_direction_probe(u, 1)
     assert res.status == "ok"
     dirs = sorted(res.directions)
@@ -319,15 +318,15 @@ def test_probe_conjugate_pair():
 
 def test_probe_needs_levels():
     with pytest.raises(PreconditionError):
-        singular_direction_probe(Series2.from_t_coeffs([1.0] * 10), 1)
+        singular_direction_probe(from_t_coeffs([1.0] * 10), 1)
 
 
 def test_probe_invariant_under_identity_weighting():
     # multiplying coefficient-wise by an order-0 quotient that is
     # identically 1 cannot change anything: the probe sees coefficients only
-    u = Series2.from_t_coeffs([math.factorial(j) for j in range(41)])
+    u = from_t_coeffs([math.factorial(j) for j in range(41)])
     res1 = singular_direction_probe(u, 1)
-    weighted = Series2.from_t_coeffs(
+    weighted = from_t_coeffs(
         [c * 1.0 for row in u.coeffs for c in row])
     res2 = singular_direction_probe(weighted, 1)
     assert res1.directions == res2.directions and res1.status == res2.status
