@@ -43,11 +43,15 @@ float, so numpy's dtype follows the data: float64 for a real problem, which
 never computes an imaginary plane, complex128 otherwise.  The moment values
 enter as ratios ``m(x)/m(y) = exp(log m(x) - log m(y))`` of the logs of
 :func:`mpde.moments.log_table`: one scalar per row offset and level, and one
-vector per column offset (:func:`ratios`), whose exponentials are
-``math.exp`` per element, as numpy's vectorized ``exp`` does not always
-reproduce it to the last bit.  The fixed cost of a numpy call outweighs
-the arithmetic on a level's columns, so :func:`recurrence_float` makes few
-calls per level, and gives every cell the same IEEE operations in the same
+vector per column offset (:func:`ratios`), each offset's exponentials one
+``np.exp`` of the array of log differences.  On hosts where numpy
+vectorizes ``exp`` its last bit may differ from ``math.exp``, far below the
+rounding error of the recursion; a ratio beyond binary64 raises
+EvaluationError naming the moment function.  The fixed cost of a numpy
+call outweighs the arithmetic on a level's columns, so
+:func:`recurrence_float` makes few calls per level, fills its levels'
+base a block of levels at a time up to the level where its caller stops,
+and gives every cell the same IEEE operations in the same
 order as a loop over levels and terms would.  Overflow and invalid
 operations give ``inf`` and ``nan`` without a warning: :func:`shift_float`
 ignores them around its sum, :func:`recurrence_float` from its first level
@@ -433,13 +437,35 @@ def read_only(grid):
     return grid
 
 
-def ratios(logs, offsets, width: int) -> dict:
+def _exp_differences(logs, b: int, lo: int, hi: int, name: str):
+    """``exp(logs[i + b] - logs[i])`` for ``lo <= i <= hi``, a numpy array:
+    one array subtraction, which rounds as Python's float subtraction does,
+    and one ``np.exp``.  A ratio beyond binary64 raises the
+    :func:`beyond_binary64` error naming the first such i and the moment
+    function ``name`` of the table ``logs``."""
+    import numpy as np
+
+    if lo > hi:
+        return np.empty(0)
+    with np.errstate(over="ignore", under="ignore"):
+        r = np.exp(logs[lo + b: hi + 1 + b] - logs[lo: hi + 1])
+    big = np.isinf(r)
+    if big.any():
+        i = lo + int(big.argmax())
+        raise beyond_binary64(f"the ratio of the {name} values at indices "
+                              f"{i + b} and {i} is")
+    return r
+
+
+def ratios(logs, offsets, width: int, name: str = "m") -> dict:
     """``{b: r}`` with ``r[i] = exp(logs[i + b] - logs[i])`` for i <= width.
 
-    ``logs`` is a numpy float array.  The differences are one array
-    subtraction, which rounds as Python's float subtraction does; the
-    exponentials are ``math.exp`` per element.  Entries with ``i + b < 0``
-    are never read and stay 0.
+    ``logs`` is a numpy float array of the logs of the moment function
+    ``name``; each offset costs one array subtraction and one ``np.exp``
+    (:func:`_exp_differences`), whose last bit may differ from ``math.exp``
+    on hosts where numpy vectorizes it.  Entries with ``i + b < 0`` are
+    never read and stay 0.  A ratio beyond binary64 raises EvaluationError
+    naming ``name``.
     """
     import numpy as np
 
@@ -447,11 +473,14 @@ def ratios(logs, offsets, width: int) -> dict:
     for b in offsets:
         lo = max(0, -b)
         r = np.zeros(width + 1)
-        if lo <= width:
-            r[lo:] = list(map(math.exp, (logs[lo + b: width + 1 + b]
-                                         - logs[lo: width + 1]).tolist()))
+        r[lo:] = _exp_differences(logs, b, lo, width, name)
         out[b] = r
     return out
+
+
+# recurrence_float fills the base of this many levels at a time, and
+# mpde.solver.formal_solve checks as many output levels at a time
+BLOCK = 8
 
 
 def shift_float(u, items, r1, r2, n_rows: int, n_cols: int):
@@ -495,18 +524,25 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
     sum m_k m2(i-k)/m2(i) v_{i-k} = x_i`` for the ``taps`` [(k, m_k)] cell
     by cell in Python scalars.  The levels are float64 when ``base`` is and
     q, the term coefficients and the taps are real, and complex128
-    otherwise.  Each level is yielded as soon as it is complete, so a
-    caller can stop at the first one that overflows.
+    otherwise.  Level t is yielded as soon as it is complete, as the view
+    ``grid[t, : widths[t] + 1]`` of one 2-D array of all levels, its
+    ``base``, whose rows of yielded levels do not change afterwards: a
+    caller can read the finished levels there, and stop at the first one
+    that overflows.  A moment ratio beyond binary64 raises the
+    EvaluationError of :func:`ratios`, naming ``m1`` or ``m2``.
 
     The fixed cost per numpy call outweighs the arithmetic on a level's
     columns, so the calls are few, and each cell still gets the same IEEE
     operations in the same order as one level at a time: with ``shift ==
-    0`` one multiply fills the base of every level before the first is
-    computed, one scale ``q * m1(t-n)/m1(t)`` per row; the ``m1`` ratios
-    are ``math.exp`` once per row offset and level; and on a float64 grid a
-    coefficient of 1.0 or -1.0 adds or subtracts its term with no multiply.
-    A complex grid keeps that multiply: ``(1+0j) * z`` may differ from z in
-    the sign of a zero or turn an infinite part into NaN.
+    0`` one multiply fills the base of each block of :data:`BLOCK` levels
+    (t // BLOCK alike) as its first level starts, on that level's columns,
+    one scale ``q * m1(t-n)/m1(t)`` per row, so nothing is filled past the
+    block where a caller stops; the ``m1`` ratios are one ``np.exp`` per
+    row offset; a single tap runs as one loop from column k; and on a
+    float64 grid a coefficient of 1.0 or -1.0 adds or subtracts its term
+    with no multiply.  A complex grid keeps that multiply: ``(1+0j) * z``
+    may differ from z in the sign of a zero or turn an infinite part into
+    NaN.
 
     Overflow and invalid operations are ignored from the first level to
     the last, and the caller's numpy error state returns when the
@@ -517,13 +553,13 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
     width, levels = max(widths), len(widths)
     q, taps = binary64(q), [(k, binary64(m)) for k, m in taps]
     terms = [(a, b, binary64(c)) for a, b, c in terms]
-    logs1 = logs1.tolist()  # Python floats for the scalar ratios per level
-    # m1(t-a)/m1(t) at index t >= n, one list per row offset a
-    r1 = {a: [0.0] * n + [math.exp(logs1[t - a] - logs1[t])
-                          for t in range(n, levels)]
+    # m1(t-a)/m1(t) at index t >= n, one list of Python floats per row
+    # offset a, for the scalar ratio of each level
+    r1 = {a: [0.0] * n + _exp_differences(logs1, -a, n, levels - 1,
+                                          "m1").tolist()
           for a in {n, *(a for a, _, _ in terms)}}
     r2 = ratios(logs2, {b for _, b, _ in terms} | {-k for k, _ in taps}
-                | ({shift} - {0}), width)
+                | ({shift} - {0}), width, "m2")
     scalars = (q, *(c for _, _, c in terms), *(m for _, m in taps))
     grid = np.zeros((levels, width + 1), dtype=complex if any(
         isinstance(c, complex) for c in scalars) else base.dtype)
@@ -542,15 +578,20 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
     down += [signed(grid, a, b, c) for a, b, c in terms if b < 0]
     # m_k * m2(i-k)/m2(i), for i >= k
     kt = [(k, (m * r2[-k]).tolist()) for k, m in taps]
+    if not shift:
+        # the base's scale q * m1(t-n)/m1(t) of each level t >= n
+        scale = np.array([q * r for r in r1[n][n:]])[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        if not shift and levels > n:
-            # the base of every level in one multiply, one scale per row
-            np.multiply(base[: levels - n, : width + 1],
-                        np.array([q * r for r in r1[n][n:]])[:, None],
-                        out=grid[n:])
         for t, w in enumerate(widths):
             row = grid[t, : w + 1]
             if t >= n:
+                if not shift and (t == n or t % BLOCK == 0):
+                    # the base of the levels up to the end of this block,
+                    # on the columns of the widest, its first
+                    end = min(t - t % BLOCK + BLOCK, levels)
+                    np.multiply(base[t - n: end - n, : w + 1],
+                                scale[t - n: end - n],
+                                out=grid[t: end, : w + 1])
                 for src, a, b, c, sign, ra, rb in up:
                     y = src[t - a, b: w + 1 + b]
                     y = y * ra[t] if c is None else c * y * ra[t]
@@ -573,13 +614,18 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
                             x[-b:] -= y
                     if kt:
                         xs = x.tolist()
-                        for i in range(1, w + 1):
-                            s = xs[i]
-                            for k, r in kt:
-                                if k > i:
-                                    break
-                                s -= r[i] * xs[i - k]
-                            xs[i] = s
+                        if len(kt) == 1:  # one loop, no bounds check
+                            (k, r), = kt
+                            for i in range(k, w + 1):
+                                xs[i] -= r[i] * xs[i - k]
+                        else:
+                            for i in range(1, w + 1):
+                                s = xs[i]
+                                for k, r in kt:
+                                    if k > i:
+                                        break
+                                    s -= r[i] * xs[i - k]
+                                xs[i] = s
                         x[:] = xs
                     row += x
             yield row

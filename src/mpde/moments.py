@@ -17,19 +17,20 @@ arguments in [1, 500]).  The cached :func:`scaled_eval` gives one value as
 its logarithm and an exact rational, so that it exists far beyond the
 double-precision overflow threshold; no command calls it.  The solver and
 the residual read whole tables instead, built outside that cache with the
-same values and errors:
-exact mode reads exact values (:func:`fraction_table`), multiplied out on
-integers and held as ints where they are integral, Fractions otherwise;
-float mode reads logarithms only (:func:`log_table`), summed factor by
-factor as :func:`scaled_eval` sums them.  :func:`split_log` turns
+same errors:
+exact mode reads the same exact values (:func:`fraction_table`), multiplied
+out on integers and held as ints where they are integral, Fractions
+otherwise; float mode reads logarithms only (:func:`log_table`), summed
+factor by factor as :func:`scaled_eval` sums them, equal to its logs up to
+the last bits.  :func:`split_log` turns
 a logarithm into a binary64 mantissa and a power of two.
 
 There is one Lanczos body, written in ``+ - * /`` and a ``log`` passed in,
 so that it runs on a float and on a numpy array alike.  :func:`log_gamma`
 runs it on one float with ``math.log``; :func:`log_table` runs it once per
-factor on the array of the factor's Gamma arguments, with ``math.log`` per
-element, and so returns the floats of the scalar evaluation bit for bit
-(numpy's own ``log`` does not always match ``math.log`` in the last bit).
+factor on the array of the factor's Gamma arguments with numpy's ``log``,
+which on some hosts differs from ``math.log`` in the last bit, so a table
+entry may differ from the scalar evaluation in its last bits.
 The scalar paths, :func:`scaled_eval` and :func:`fraction_table` among
 them, never import numpy.
 """
@@ -87,8 +88,8 @@ def _lanczos(shift, x, log):
     """``shift + log Gamma(x)`` for x >= 0.5, x a float or a numpy array.
 
     The one Lanczos body: only ``+ - * /``, which round alike on floats and
-    on numpy arrays, and ``log``, which the caller applies to a float or to
-    each element of an array.
+    on numpy arrays, and ``log``: ``math.log`` of a float, or numpy's
+    ``log`` of an array.
     """
     z = x - 1.0
     acc = _LANCZOS_COEFFS[0]
@@ -296,23 +297,24 @@ def fraction_table(m: MomentFunction, kappa: int, n: int) -> list:
 def log_table(m: MomentFunction, kappa: int, n: int):
     """Natural logs of ``m(j/kappa)`` for j = 0..n, as a numpy float array.
 
-    The same floats as ``scaled_eval(m, j/kappa).log``, summed factor by
-    factor in the same order, with the same DomainErrors, but without the
-    exact values (factorials, dyadic rationals) and outside its cache.
+    The logs of ``scaled_eval(m, j/kappa)``, summed factor by factor in the
+    same order, with the same DomainErrors, but without the exact values
+    (factorials, dyadic rationals) and outside its cache.
 
     Each factor runs the Lanczos body of :func:`log_gamma` once on the
-    array of its Gamma arguments.  An argument is the integer quotient
-    ``x / D``, which rounds as ``float(Fraction)``; arguments below 0.5 go
-    through the scalar shift loop of :func:`log_gamma` first.  numpy's
-    ``+ - * /`` round correctly, as Python's float operations do, so every
-    entry is bit-identical to the scalar evaluation.  The two logarithms of
-    the body are ``math.log`` per element: numpy's vectorized ``log`` is
-    not guaranteed to match it to the last bit.
+    array of its Gamma arguments ``(A + j*B) / D``.  When A, B, ``A + n*B``
+    and D lie below 2**53 in magnitude, the numerators and D are exact in
+    binary64, and one array division rounds each argument as the integer
+    quotient does; otherwise each argument is the integer quotient,
+    which rounds as ``float(Fraction)``.  Arguments below 0.5 go through the
+    scalar shift loop of :func:`log_gamma` first.  numpy's ``+ - * /``
+    round correctly, as Python's float operations do; the two logarithms of
+    the body are numpy's ``log`` of the array, which may differ from
+    ``math.log`` in the last bit on hosts where numpy vectorizes it, so an
+    entry may differ from the scalar evaluation by a few units in the last
+    place of the body's largest term.
     """
     import numpy as np
-
-    def log_each(a):
-        return np.array(list(map(math.log, a.tolist())))
 
     # arguments grow with j: a DomainError can only come at j = 0 (an
     # argument) or at j = 1 (kappa < 0), and these two raise it in order
@@ -320,10 +322,13 @@ def log_table(m: MomentFunction, kappa: int, n: int):
         pass
     logs = np.zeros(n + 1)
     for sign, scale, A, B, D in _argument_lines(m, kappa):
-        x = np.array([(A + j * B) / D for j in range(n + 1)])
+        if max(abs(A), B, abs(A + n * B), abs(D)) < 2 ** 53:
+            x = (np.arange(n + 1, dtype=np.int64) * B + A) / D
+        else:
+            x = np.array([(A + j * B) / D for j in range(n + 1)])
         shift = np.zeros(n + 1)
         for j in np.flatnonzero(x < 0.5).tolist():
             shift[j], x[j] = _shift_up(x[j].item())
         logs = logs + sign * (log_rational(scale)
-                              + _lanczos(shift, x, log_each))
+                              + _lanczos(shift, x, np.log))
     return logs

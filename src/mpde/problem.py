@@ -320,12 +320,13 @@ def _divide(num: dict, den: dict, n1: int, n2: int, exact: bool):
             [1] * lo + v.row_div[n:] + [1] * (n1 - hi), v.col_div[B:])
     import numpy as np
 
-    levels = kernel.recurrence_float(band.grid, q, terms, n, widths,
-                                     np.zeros(len(widths)),
-                                     np.zeros(B + n2 + 1), taps, -B)
-    rows = [level[B:] for t, level in enumerate(levels) if t >= n]
-    out = np.zeros((n1 + 1, n2 + 1), dtype=rows[0].dtype)
-    out[lo: lo + len(rows)] = rows
+    *_, last = kernel.recurrence_float(band.grid, q, terms, n, widths,
+                                       np.zeros(len(widths)),
+                                       np.zeros(B + n2 + 1), taps, -B)
+    # the recursion's grid of levels holds R from level n, B columns up
+    levels = last.base
+    out = np.zeros((n1 + 1, n2 + 1), dtype=levels.dtype)
+    out[lo: hi + 1] = levels[n:, B:]
     return kernel.read_only(out)
 
 

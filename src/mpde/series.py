@@ -172,29 +172,6 @@ class Series2:
             grid[j, i] = v
         return cls(kernel.read_only(grid), **kw)
 
-    def row_values(self, z):
-        """Evaluate each t-level at the point z, reading the whole grid
-        (an exact one decoded as :attr:`grid` decodes it).
-
-        One Horner sweep over the columns for all rows at once, with
-        Python's complex multiply written out on real and imaginary planes,
-        so each value rounds as a per-row loop in ``complex`` would.
-        """
-        import numpy as np
-
-        J, I = self.valid
-        zc = complex(z)
-        zr, zi = zc.real, zc.imag
-        cells = self.grid
-        re, im = np.zeros(J + 1), np.zeros(J + 1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(I, -1, -1):
-                c = cells[:, i]
-                re, im = re * zr - im * zi + c.real, re * zi + im * zr + c.imag
-        out = np.empty(J + 1, dtype=complex)
-        out.real, out.imag = re, im
-        return out.tolist()
-
     def to_csv(self) -> str:
         """Coefficient dump: header ``j,i,re,im``, row-major, 17 sig digits.
 

@@ -18,9 +18,9 @@ Gaussian rational built in between.  Float mode recurses on raw
 coefficients with moment ratios taken from their logarithms, so that grids
 whose normalized coefficients would overflow stay finite; an output row
 that overflows anyway raises EvaluationError.  Float grids stay numpy
-arrays from the rhs to the output (``Series2.grid``): the output window of
-each level is copied into one array as the level is yielded, and checked
-for non-finite cells a block of levels at a time.  A solve has one float
+arrays from the rhs to the output (``Series2.grid``): the output window is
+checked for non-finite cells in the recursion's grid of levels, a block of
+levels at a time, and copied into one array once.  A solve has one float
 dtype: float64 when the rhs grid and the operator's coefficients are real,
 and complex128 otherwise.
 
@@ -194,10 +194,6 @@ def rounded_recursion(q, terms, taps, q_name: str, name) -> tuple:
             [(k, kernel.rounded(m, name(0, -k))) for k, m in taps])
 
 
-# formal_solve checks the window of this many float levels at a time
-_BLOCK = 8
-
-
 def _check_finite(out, lo: int, hi: int, N1: int) -> None:
     """Raise EvaluationError naming the first of the levels ``lo..hi`` of
     the float output window ``out`` that holds a non-finite cell."""
@@ -223,10 +219,10 @@ def formal_solve(prob: CauchyProblem) -> Series2:
     that one beyond binary64 raises EvaluationError naming the operator
     terms it divides, and a t-level that overflows binary64 inside that
     window raises EvaluationError naming the first such level.  The window
-    of each level is copied into the output array as the level is yielded,
-    and checked for non-finite cells once per block of 8 levels and at
-    level N1, not once per level; on a failure the recursion has run at
-    most 7 levels past the one named.
+    is checked for non-finite cells as a view of the recursion's grid of
+    levels, once per block of 8 levels (:data:`kernel.BLOCK`) and at level
+    N1, not once per level, and copied once, at the end; on a failure the
+    recursion has run at most 7 levels past the one named.
     """
     P = prob.operator
     n = P.n
@@ -254,7 +250,6 @@ def formal_solve(prob: CauchyProblem) -> Series2:
         # only the output window is kept
         return Series2(kernel.window(v, N1, N2), prob.rhs.kappa1,
                        prob.rhs.kappa2, True)
-    import numpy as np
 
     def name(a, b):
         # a tap, and a term when B = 0, is one operator term over the top
@@ -269,16 +264,16 @@ def formal_solve(prob: CauchyProblem) -> Series2:
         q, terms, taps, f"1 over operator term {monomial(n, B)}", name)
     levels = kernel.recurrence_float(prob.rhs.grid, q, terms, n, prob.widths,
                                      *prob.log_tables, taps, shift)
+    block = kernel.BLOCK
     try:
         for t, level in enumerate(levels):
-            if not t:
-                out = np.empty((N1 + 1, N2 + 1), dtype=level.dtype)
-            # overflow confined to the columns past N2 is not an error
-            out[t] = level[: N2 + 1]
-            if t % _BLOCK == _BLOCK - 1 or t == N1:
-                _check_finite(out, t - t % _BLOCK, t, N1)
+            if t % block == block - 1 or t == N1:
+                # the window of the recursion's grid of levels; overflow
+                # confined to the columns past N2 is not an error
+                _check_finite(level.base[:, : N2 + 1], t - t % block, t, N1)
     finally:
         levels.close()  # restores the caller's numpy error state
+    out = level.base[:, : N2 + 1].copy()
     return Series2(kernel.read_only(out), prob.rhs.kappa1, prob.rhs.kappa2,
                    False)
 
@@ -364,8 +359,8 @@ def _residual_float(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
     logs1, logs2 = prob.log_tables
     # the ratio vectors of all four shifts
     offsets = [*support, *(p0_table or ())]
-    r1 = kernel.ratios(logs1, {a for a, _ in offsets}, J)
-    r2 = kernel.ratios(logs2, {b for _, b in offsets}, I)
+    r1 = kernel.ratios(logs1, {a for a, _ in offsets}, J, "m1")
+    r2 = kernel.ratios(logs2, {b for _, b in offsets}, I, "m2")
 
     def sides(s: Series2, table, n: int = 0):
         """``table`` applied to s and, with absolute coefficients, to |s|;

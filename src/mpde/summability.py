@@ -381,7 +381,8 @@ def singular_direction_probe(u: Series2, K) -> ProbeResult:
     if J + 1 < 20:
         raise PreconditionError(
             f"probe needs at least 20 valid t-levels, got {J + 1}")
-    vals = u.row_values(0.0)
+    # u_j(0) is column 0, as Python complex (a float64 grid gets +0j)
+    vals = u.grid[:, 0].astype(complex).tolist()
     b = [v / math.exp(math.lgamma(1.0 + j / Kf)) for j, v in enumerate(vals)]
     start = max(2, J // 2)
     tail = b[start:]

@@ -24,9 +24,10 @@ The exact residual is checked against its per-cell form in Gaussian
 rationals.  The edge roots of ``charroots`` are checked against numpy's
 companion-matrix root finder run on every square-free part, linear ones
 included.  The binary64 readers of an exact series (``grid``,
-``row_values``, ``gevrey_fit`` and ``to_csv``) are checked against their
-per-cell forms: ``complex()`` and ``abs()`` of each ``RationalComplex`` of
-``coeffs``; the CSV of a float series against one f-string per cell.
+``gevrey_fit``, ``to_csv`` and ``row_values`` of ``routes``) are checked
+against their per-cell forms: ``complex()`` and ``abs()`` of each
+``RationalComplex`` of ``coeffs``; the CSV of a float series against one
+f-string per cell.
 
 From ``routes`` the oracles take only the ``Series1`` record and
 ``eval_fraction``.  Their single moment values come from
@@ -290,14 +291,19 @@ def recurrence_float_levels(base, q, terms, n: int, widths, logs1, logs2,
                             taps=(), shift: int = 0):
     """``kernel.recurrence_float`` computed one level at a time: per level,
     the base times its scale, then one update per term, each with its own
-    ``math.exp`` of the log ratio and its coefficient multiply, then the
-    downward terms and the taps.  Each cell gets the same operations in
-    the same order as in the kernel, so the levels must agree bit for bit.
+    log ratio and its coefficient multiply, then the downward terms and the
+    taps.  The log ratio of row offset a at level t is ``np.exp`` of the
+    array of the differences ``logs1[t - a] - logs1[t]``, t >= n, as the
+    kernel takes it.  Each cell gets the same operations in the same order
+    as in the kernel, so the levels must agree bit for bit.
     """
-    width = max(widths)
+    width, levels = max(widths), len(widths)
     q, taps = binary64(q), [(k, binary64(m)) for k, m in taps]
     terms = [(a, b, binary64(c)) for a, b, c in terms]
-    logs1 = logs1.tolist()  # Python floats for the scalar ratios per level
+    logs1 = logs1.tolist()  # Python floats for the differences per level
+    exp1 = {a: dict(zip(range(n, levels), np.exp(np.array(
+                [logs1[t - a] - logs1[t] for t in range(n, levels)])).tolist()))
+            for a in {n, *(a for a, _, _ in terms)}}
     r2 = ratios(logs2, {b for _, b, _ in terms} | {-k for k, _ in taps}
                 | ({shift} - {0}), width)
     scalars = (q, *(c for _, _, c in terms), *(m for _, m in taps))
@@ -313,10 +319,9 @@ def recurrence_float_levels(base, q, terms, n: int, widths, logs1, logs2,
             row = grid[t, : w + 1]
             if t >= n:
                 if not shift:
-                    row[:] = base[t - n, : w + 1] * (
-                        q * math.exp(logs1[t - n] - logs1[t]))
+                    row[:] = base[t - n, : w + 1] * (q * exp1[n][t])
                 for a, b, c in up:
-                    r1 = math.exp(logs1[t - a] - logs1[t])
+                    r1 = exp1[a][t]
                     row += (c * grid[t - a, b: w + 1 + b] * r1
                             * r2[b][: w + 1])
                 if down:
@@ -324,7 +329,7 @@ def recurrence_float_levels(base, q, terms, n: int, widths, logs1, logs2,
                     for src, a, b, c in down:
                         if -b > w:
                             continue
-                        r1 = math.exp(logs1[t - a] - logs1[t])
+                        r1 = exp1[a][t]
                         x[-b:] += (c * src[t - a, : w + 1 + b] * r1
                                    * r2[b][-b: w + 1])
                     if kt:

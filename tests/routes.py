@@ -9,6 +9,8 @@ that the tests still use lives here:
 * ``Series1``, the moment Borel transforms and moment derivatives, and
   ``apply_operator``, which applies a constant-coefficient moment operator
   with the shift kernel as the residual does;
+* ``row_values``, the t-levels of a ``Series2`` evaluated at a point z (the
+  probe reads column 0, their values at z = 0);
 * ``g_from_f``, the division ``P0(dz) g = f`` alone, on the taps that
   ``solver.formal_solve`` runs for an f rhs;
 * single values of a moment function (``eval_at``, ``eval_fraction``, both
@@ -206,6 +208,30 @@ def apply_operator(table, m1: MomentFunction, m2: MomentFunction,
                        {b for (_, b), _ in items}, I_out)
     out = kernel.shift_float(u.grid, items, r1, r2, J_out, I_out)
     return Series2(kernel.read_only(out), u.kappa1, u.kappa2, False)
+
+
+def row_values(s: Series2, z) -> list:
+    """Evaluate each t-level of s at the point z, reading the whole grid
+    (an exact one decoded as ``Series2.grid`` decodes it).
+
+    One Horner sweep over the columns for all rows at once, with Python's
+    complex multiply written out on real and imaginary planes, so each
+    value rounds as a per-row loop in ``complex`` would.
+    """
+    import numpy as np
+
+    J, I = s.valid
+    zc = complex(z)
+    zr, zi = zc.real, zc.imag
+    cells = s.grid
+    re, im = np.zeros(J + 1), np.zeros(J + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(I, -1, -1):
+            c = cells[:, i]
+            re, im = re * zr - im * zi + c.real, re * zi + im * zr + c.imag
+    out = np.empty(J + 1, dtype=complex)
+    out.real, out.imag = re, im
+    return out.tolist()
 
 
 # -- the division P0(dz) g = f -------------------------------------------------

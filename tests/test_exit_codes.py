@@ -33,12 +33,13 @@ OPERATORS = ["dt - dz", "dt - dz^2", "(dt - dz^2)*(dt - dz^3)",
              "dt^2 - dt*dz - dz^3 + 1", "(2+dz)*dt - dz^2", "(1+1i)*dt - dz^2",
              "dz^2", "dt - dt", "0", "dt -", "x", "", 3,
              f"dt - {BIG}*dz^2", f"1/1{'0' * 200}*dt - 1{'0' * 200}*dz^2",
-             f"{BIG}*dt - {BIG}*dz^2", f"(2+dz)*dt - {BIG}*dz^2"]
+             f"{BIG}*dt - {BIG}*dz^2", f"(2+dz)*dt - {BIG}*dz^2",
+             "dt - dz^6"]
 MOMENTS = ["Gamma(1)", "Gamma(1/2)", "Gamma(3/2)", "Gamma(0)", "Gamma(-1)",
            "Gamma(1)*Gamma(1/2)/Gamma(2)", "3/2*Gamma(1/3+u/2)",
            "1*Gamma(-1/2+u/1)", f"1/{BIG}*Gamma(1/2+u/1)",
            f"{BIG}*Gamma(1/2+u/1)", f"1/{BIG}*Gamma(1+u/1)", "Gamma(",
-           "x", "", 2]
+           "x", "", 2, "1*Gamma(1+u/1/60)"]
 VALUES = ["1", "-1/2", "0", "1/0", "x", "1e400", BIG, f"1/{BIG}", "1e-400",
           "2.5", 1.5, None, ""]
 KEYS = {"problem": ["operatr", "m_1", "rhs_rol", "truncaton", "bogus"],
@@ -112,6 +113,7 @@ def _heat(**changes) -> dict:
 @given(problems())
 @example(_heat(m1=f"1/{BIG}*Gamma(1/2+u/1)"))
 @example(_heat(operator=f"dt - {BIG}*dz^2"))
+@example(_heat(operator="dt - dz^6", m2="1*Gamma(1+u/1/60)"))
 def test_every_run_exits_0_to_4_with_its_stderr_prefix(problem):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "problem.json"

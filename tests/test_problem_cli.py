@@ -16,6 +16,7 @@ import jsonschema
 import pytest
 
 from helpers import run_cli
+from routes import row_values
 
 from mpde import cli
 from mpde import problem as problem_mod
@@ -473,6 +474,42 @@ TOP_LEAVES = ("numeric failure: the branch leading term of pole order q = 2 "
               "is beyond the binary64 range of float arithmetic\n")
 
 
+@pytest.mark.parametrize("changes,named", [
+    # m2 = Gamma(1 + 60u): the dz^6 term's ratio m2(6)/m2(0) = 360!
+    ({"operator": "dt - dz^6", "m2": "1*Gamma(1+u/1/60)",
+      "truncation": [4, 200]}, "the m2 values at indices 6 and 0"),
+    # m1 = 1/Gamma(1 + 600u): the ratio m1(0)/m1(1) = 600! of level 1
+    ({"m1": "Gamma(1)/1*Gamma(1+u/1/600)", "truncation": [4, 8]},
+     "the m1 values at indices 0 and 1"),
+], ids=["m2", "m1"])
+def test_cli_moment_ratio_beyond_binary64_names_the_moment_function(
+        changes, named, tmp_path):
+    # float solve, verify and probe exit 4 naming the moment function and
+    # the remedy; in a fresh interpreter stderr is that one line, with no
+    # numpy warning; exact verify solves the problem
+    data = json.loads(Path(shipped("heat")).read_text())
+    data.update(changes)
+    prob = tmp_path / "ratio.json"
+    prob.write_text(json.dumps(data))
+    want = (f"numeric failure: the ratio of {named} is beyond the binary64 "
+            f"range of float arithmetic; use --arithmetic exact\n")
+    for command in ("solve", "verify", "probe"):
+        args = [command, str(prob), "--arithmetic", "float"]
+        if command == "solve":
+            args += ["--out", str(tmp_path / "out.csv")]
+        result = run_cli(args)
+        assert (result.exit_code, result.stderr) == (4, want), command
+    src = Path(problem_mod.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "mpde.cli", "verify", str(prob),
+         "--arithmetic", "float"], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", want)
+    result = run_cli(["verify", str(prob), "--arithmetic", "exact"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["residual_exact_zero"]
+
+
 @pytest.mark.parametrize("operator,float_named,exact_probe", [
     (f"dt - {BIG}*dz^2", "operator term dz^2 over term dt", TOP_LEAVES),
     # each coefficient is a binary64, their quotient is not
@@ -534,7 +571,7 @@ def test_exact_fit_and_row_values_build_no_cell_objects(monkeypatch):
 
     monkeypatch.setattr(RationalComplex, "__init__", counting_init)
     fit = gevrey_fit(u)
-    values = u.row_values(0.0)
+    values = row_values(u, 0.0)
     assert fit.j_range == (32, 63) and len(values) == 64
     assert built == []
 

@@ -47,13 +47,15 @@ from oracles import (borel_cells, csv_cells, edge_roots_numpy,
                      laurent_terms, moment_shift_cells, rational_rhs_exact,
                      rational_rhs_float, rational_rhs_sizes, wide_width)
 from routes import (Series1, apply_operator, borel, eval_at, g_from_f,
-                    inv_borel, moment_antidiff, moment_diff, operator_to_text)
+                    inv_borel, moment_antidiff, moment_diff, operator_to_text,
+                    row_values)
 
 from mpde import kernel
 from mpde.charroots import CharPoly, _edge_roots
 from mpde.errors import EvaluationError, WindowError
 from mpde.exact import RationalComplex
-from mpde.moments import MOMENT_ONE
+from mpde.moments import (MOMENT_ONE, MomentFactor, MomentFunction,
+                          log_gamma, log_rational, log_table)
 from mpde.parsing import parse_moment
 from mpde.problem import (_table, expand_rhs, load_problem, parse_rhs,
                           solve_problem)
@@ -953,11 +955,12 @@ def test_exact_binary64_readers_match_per_cell_oracle(s, z, frac, min_points):
         want = exact_grid_cells(s)
     except OverflowError:
         with pytest.raises(OverflowError):
-            s.row_values(z)
+            row_values(s, z)
         with pytest.raises(OverflowError):
             s.grid
         return
-    assert all(map(_same_bits, s.row_values(z), Series2(want).row_values(z)))
+    assert all(map(_same_bits, row_values(s, z),
+                    row_values(Series2(want), z)))
     assert s.grid.tobytes() == want.tobytes()
     assert s.grid.dtype == complex and not s.grid.flags.writeable
     from_array = Series2(want)
@@ -1148,6 +1151,73 @@ def test_moment_diff_is_apply_operator_of_one_derivative(case, k, exact):
                 moment_diff(m, u, axis, k)
             continue
         assert moment_diff(m, u, axis, k) == want
+
+
+# -- moment logs and ratios against the scalar route ---------------------------
+
+# Fixed before measuring.  numpy's and math's log and exp are each within
+# about an ulp of the true value, so a ratio may differ from math.exp of
+# the same difference by RATIO_ULPS ulps of itself, and a log-table entry
+# from the scalar sum by LOG_ULPS ulps of the magnitudes that the sum adds
+# (:func:`_log_magnitude`), where a last-bit change of a log is scaled by
+# the Lanczos body's ``z + 0.5``.
+RATIO_ULPS, LOG_ULPS = 2, 8
+
+# an offset denominator of 3**34 > 2**53 takes log_table's per-entry
+# integer division
+gamma_factors = st.builds(
+    MomentFactor, st.builds(Fraction, st.integers(1, 30), st.integers(1, 10)),
+    st.builds(Fraction, st.integers(1, 12),
+              st.one_of(st.integers(1, 6), st.just(3 ** 34))),
+    st.builds(Fraction, st.integers(1, 12), st.integers(1, 4)),
+    st.sampled_from([1, -1]))
+
+
+def _log_magnitude(m, u) -> float:
+    """A bound on the magnitudes that ``log m(u)`` adds: per factor
+    ``a*Gamma(x)``, ``|log a|``, the shift ``|log x|`` of an argument below
+    0.5, and ``(x + 8) * (2 + log(x + 8))`` for the Lanczos body's
+    ``(z + 0.5) * log(t)``, ``t`` and ``log(acc)``."""
+    total = 0.0
+    for f in m.factors:
+        x = float(f.offset + u / f.ram)
+        total += (abs(math.log(f.scale)) + abs(math.log(x))
+                  + (x + 8.0) * (2.0 + math.log(x + 8.0)))
+    return total
+
+
+@settings(SETTINGS, max_examples=100)
+@given(st.lists(gamma_factors, min_size=1, max_size=3), st.integers(1, 3),
+       st.integers(0, 300),
+       st.sets(st.integers(-6, 6), min_size=1, max_size=4))
+def test_log_table_and_ratios_match_the_scalar_route(factors, kappa, n,
+                                                     offsets):
+    """``log_table`` against ``log_rational`` and ``log_gamma`` per entry
+    and factor, and ``kernel.ratios`` against ``math.exp`` of the same
+    differences, within the ulp bounds above; a ratio that ``math.exp``
+    cannot hold makes ``ratios`` raise EvaluationError."""
+    m = MomentFunction(tuple(factors))
+    logs = log_table(m, kappa, n)
+    listed = logs.tolist()
+    for j, got in enumerate(listed):
+        u = Fraction(j, kappa)
+        want = 0.0
+        for f in m.factors:
+            want += f.sign * (log_rational(f.scale)
+                              + log_gamma(float(f.offset + u / f.ram)))
+        assert abs(got - want) <= LOG_ULPS * math.ulp(_log_magnitude(m, u))
+    width = n - 6
+    assume(width >= 0)
+    try:
+        wants = {b: [math.exp(listed[i + b] - listed[i]) if i + b >= 0
+                     else 0.0 for i in range(width + 1)] for b in offsets}
+    except OverflowError:
+        with pytest.raises(EvaluationError, match="beyond the binary64"):
+            kernel.ratios(logs, offsets, width)
+        return
+    for b, r in kernel.ratios(logs, offsets, width).items():
+        for got, want in zip(r.tolist(), wants[b]):
+            assert abs(got - want) <= RATIO_ULPS * math.ulp(want)
 
 
 NUMBERS = st.one_of(

@@ -165,6 +165,22 @@ def _first_nonfinite_level(prob):
 GAMMA = dict(m1="Gamma(1/2)", m2="Gamma(3/2)")
 
 
+@pytest.mark.parametrize("name,changes", [
+    ("heat", {}), ("twofactor", {}), ("heat", GAMMA),
+    ("heat", {"operator": "(1+1i)*dt - dz^2"}),
+    ("heat", {"operator": "(2+dz)*dt - dz^2", "rhs_role": "f",
+              "mode": "pseudo"})])
+def test_float_solution_grid_is_read_only_contiguous_and_owned(name,
+                                                               changes):
+    # formal_solve copies the output window out of the recursion's grid of
+    # levels once: a Series2 keeps that array as it is
+    u = formal_solve(_float_problem(name, 20, 30, **changes))
+    grid = u.grid
+    assert grid.shape == (21, 31)
+    assert not grid.flags.writeable
+    assert grid.flags.c_contiguous and grid.flags.owndata
+
+
 @pytest.mark.parametrize("name,n1,n2,changes,where", [
     ("twofactor", 80, 60, {}, "first of a block"),
     ("heat", 100, 60, GAMMA, "inside a block"),
