@@ -25,16 +25,17 @@ Exact mode runs on Python integers:
   in the fraction-free spirit of Bareiss (Math. Comp. 1968), and column i
   by ``e**i``, where e is the common denominator of its taps;
 * each output row is built in one lazy pass, :func:`_fold`, per lane: a
-  chain of maps that adds each term's integer multiple of a source row,
-  materialized once, whatever the terms (real or Gaussian, shifting up or
-  down, the base or the tap sum);
+  chain of maps that starts from the first term's integer multiple of a
+  source row and adds each further term's, materialized once, whatever the
+  terms (real or Gaussian, shifting up or down, the base or the tap sum);
 * the output keeps its level divisors times the moment values as row and
   column divisors.  Moment values (:func:`mpde.moments.fraction_table`),
   divisors and the parts of Gaussian rationals are ints where integral and
   Fractions otherwise, and divide by one rule, :func:`mpde.exact.quotient`.
-  One decoder divides the divisors out of raw lanes, row by row:
-  :func:`denormalize` builds Gaussian rationals, :func:`binary64_rows`
-  correctly rounded binary64 parts.
+  One decoder divides the divisors out of raw lanes, row by row, with no
+  multiply on a row whose divisors are ints: :func:`denormalize` builds
+  Gaussian rationals, :func:`binary64_rows` correctly rounded binary64
+  parts.
 
 Float mode runs on numpy arrays of raw coefficients, so that grids whose
 normalized coefficients would overflow binary64 stay finite.  Each
@@ -69,7 +70,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain, islice, repeat
-from operator import add, sub
+from operator import add, neg, sub
 
 from .errors import EvaluationError
 from .exact import RationalComplex, quotient
@@ -182,15 +183,24 @@ def window(grid: RawLanes, n_rows: int, n_cols: int) -> RawLanes:
                     grid.col_div[: n_cols + 1])
 
 
-def _fold(acc, terms) -> list:
-    """``acc[i] + sum k * src[i + b]`` over the ``terms`` (k, src, b), in
+def _fold(terms, n: int) -> list:
+    """``sum k * src[i + b]`` for i < n over the ``terms`` (k, src, b), in
     one lazy pass that ``list`` materializes once; reads below index 0 are
-    zero, and a k of 1 or -1 adds or subtracts without the multiply.
+    zero, and no term list gives n zeros.
 
-    ``acc`` is an iterable that is consumed; each src must reach index
-    ``len(acc) - 1 + b``.
+    The first term starts the sum, ``src``, ``-src`` or ``k * src`` cut to
+    its n cells, so no cell is added to a zero; a k of 1 or -1 adds or
+    subtracts without the multiply.  Each src must reach index
+    ``n - 1 + b``.
     """
-    for k, src, b in terms:
+    if not terms:
+        return [0] * n
+    (k, src, b), *rest = terms
+    src = (islice(src, b, b + n) if b >= 0
+           else islice(chain(repeat(0, -b), src), n))
+    acc = (src if k == 1 else map(neg, src) if k == -1
+           else map(k.__mul__, src))
+    for k, src, b in rest:
         src = islice(src, b, None) if b >= 0 else chain(repeat(0, -b), src)
         if k == 1:
             acc = map(add, acc, src)
@@ -236,7 +246,7 @@ def shift(raw: RawLanes, table, w1, w2, n_rows: int, n_cols: int) -> RawLanes:
     ks = [(a, b, gaussian_int(p, d)) for (a, b), p in coeffs.items()]
     is_complex = grid.im is not None or any(k[1] for _, _, k in ks)
     lanes = _lane_terms(ks, grid.re, grid.im, is_complex)
-    out = [[_fold(repeat(0, n_cols + 1), _row(terms, j))
+    out = [[_fold(_row(terms, j), n_cols + 1)
             for j in range(n_rows + 1)] for terms in lanes]
     return RawLanes(out[0], out[1] if is_complex else None,
                     [grid.den * d * w for w in w1[: n_rows + 1]],
@@ -321,11 +331,11 @@ def recurrence(raw: RawLanes, q: RationalComplex, terms, n: int, widths,
                 ups.append((b_terms if not shift else []) + _row(u_terms, t))
                 downs.append((b_terms if shift else []) + _row(d_terms, t))
             if any(downs):
-                xs = [_fold(repeat(0, w + 1), terms) for terms in downs]
+                xs = [_fold(terms, w + 1) for terms in downs]
                 run_taps(xs[0], xs[1] if is_complex else None, kt)
                 for terms, x in zip(ups, xs):
                     terms.append((1, x, 0))
-            rows = [_fold(repeat(0, w + 1), terms) for terms in ups]
+            rows = [_fold(terms, w + 1) for terms in ups]
         for lane, row in zip(lanes, rows):
             lane.append(row)
         power *= d
@@ -347,13 +357,18 @@ def _decode(grid: RawLanes, rows, n_cols: int):
     each row j in ``rows``; ``parts`` are its numerator rows ``[re]`` or
     ``[re, im]``, and a part x of cell i <= n_cols is ``x * nums[i] /
     dens[i]``, with ``nums[i] > 0``.  The factors come from each divisor's
-    ``as_integer_ratio()``, an int's or a Fraction's alike."""
+    ``as_integer_ratio()``, an int's or a Fraction's alike.  ``nums`` is
+    None when every one is 1, as when the divisors are ints (Gamma(1) or
+    unit moment tables): a part is then ``x / dens[i]``."""
     col_nums, col_dens = zip(*(c.as_integer_ratio()
                                for c in grid.col_div[: n_cols + 1]))
+    unit_cols = col_dens.count(1) == len(col_dens)
     for j in rows:
         r_num, r_den = grid.row_div[j].as_integer_ratio()
         yield (j, [lane[j] for lane in (grid.re, grid.im) if lane is not None],
-               [r_den * c for c in col_dens], [r_num * c for c in col_nums])
+               None if unit_cols and r_den == 1
+               else [r_den * c for c in col_dens],
+               [r_num * c for c in col_nums])
 
 
 def denormalize(grid: RawLanes) -> tuple:
@@ -361,8 +376,12 @@ def denormalize(grid: RawLanes) -> tuple:
     out = []
     for _, parts, nums, dens in _decode(grid, range(len(grid.re)),
                                         len(grid.col_div) - 1):
-        vals = [[quotient(x * n, d) if x else 0
-                 for x, n, d in zip(part, nums, dens)] for part in parts]
+        if nums is None:
+            vals = [[quotient(x, d) if x else 0 for x, d in zip(part, dens)]
+                    for part in parts]
+        else:
+            vals = [[quotient(x * n, d) if x else 0
+                     for x, n, d in zip(part, nums, dens)] for part in parts]
         out.append(tuple(map(RationalComplex, vals[0],
                              vals[1] if len(vals) == 2 else repeat(0))))
     return tuple(out)
@@ -371,15 +390,21 @@ def denormalize(grid: RawLanes) -> tuple:
 def binary64_rows(grid: RawLanes, rows, n_cols: int):
     """Yield, for each row j in ``rows``, the float lists ``[re]`` (real
     lanes) or ``[re, im]`` of its cells i <= n_cols, each part the integer
-    quotient ``x * n / d``, which Python rounds correctly, as
+    quotient ``x * n / d``, or ``x / d`` on a row whose numerators n are
+    all 1 (:func:`_decode`), which Python rounds correctly, as
     ``float(Fraction)`` does.  The first cell, in row-major order, with a
     part outside the binary64 range raises CellOverflow."""
     for j, parts, nums, dens in _decode(grid, rows, n_cols):
         try:
-            out = [[x * n / d if x else 0.0
-                    for x, n, d in zip(part, nums, dens)] for part in parts]
+            if nums is None:
+                out = [[x / d if x else 0.0 for x, d in zip(part, dens)]
+                       for part in parts]
+            else:
+                out = [[x * n / d if x else 0.0
+                        for x, n, d in zip(part, nums, dens)]
+                       for part in parts]
         except OverflowError:
-            for i, (n, d) in enumerate(zip(nums, dens)):
+            for i, (n, d) in enumerate(zip(nums or repeat(1), dens)):
                 for x in (part[i] for part in parts):
                     try:
                         x * n / d

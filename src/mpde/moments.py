@@ -41,6 +41,7 @@ import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import DomainError
 from .exact import as_fraction, quotient
@@ -197,9 +198,12 @@ def split_log(logv: float) -> tuple:
     return math.exp(logv - e2 * _LN2), e2
 
 
-def _dyadic_from_log(logv: float) -> Fraction:
+def _dyadic_from_log(logv: float) -> tuple:
+    """``(num, den)``, unreduced ints, of the dyadic rational ``mantissa *
+    2**e2`` of :func:`split_log`, the exact value taken for ``exp(logv)``."""
     mant, e2 = split_log(logv)
-    return Fraction(mant) * Fraction(2) ** e2
+    p, q = mant.as_integer_ratio()
+    return (p << e2, q) if e2 >= 0 else (p, q << -e2)
 
 
 # kept for perfbench's cache metric; it can move when ROADMAP item 6 drops it
@@ -221,7 +225,7 @@ def scaled_eval(m: MomentFunction, u: Fraction) -> ScaledValue:
         if arg.denominator == 1:
             base_val = f.scale * math.factorial(arg.numerator - 1)
         else:
-            base_val = _dyadic_from_log(base_log)
+            base_val = Fraction(*_dyadic_from_log(base_log))
         value = value * base_val if f.sign == 1 else value / base_val
     return ScaledValue(logv, value)
 
@@ -237,61 +241,83 @@ def _argument_lines(m: MomentFunction, kappa: int) -> list:
             for f in m.factors]
 
 
-def _gamma_arguments(m: MomentFunction, kappa: int, n: int):
-    """Yield, for j = 0..n, the factors ``(sign, scale, x, D)`` of
-    ``m(j/kappa)``, whose Gamma argument ``b + j/(kappa*k)`` is ``x / D``.
-
-    Raises the DomainErrors of :func:`scaled_eval`, in the same order.
-    """
+def _check_arguments(m: MomentFunction, kappa: int, n: int) -> None:
+    """Raise the DomainErrors of :func:`scaled_eval` on ``m(j/kappa)``,
+    j = 0..n, in the same order: a negative u, or a Gamma argument that is
+    not positive."""
     lines = _argument_lines(m, kappa)
     for j in range(n + 1):
         if j * kappa < 0:
             raise DomainError(f"moment functions are evaluated for u >= 0, "
                               f"got {Fraction(j, kappa)}")
-        args = []
-        for sign, scale, A, B, D in lines:
+        for _, _, A, B, D in lines:
             x = A + j * B
             if x * D <= 0:
                 raise DomainError(
                     f"Gamma argument b + u/k = {Fraction(x, D)} is not "
                     f"positive (u = {Fraction(j, kappa)})")
-            args.append((sign, scale, x, D))
-        yield args
+
+
+def _times(a, b):
+    """The cellwise product of the int lists a and b, where None stands for
+    a list of ones."""
+    if a is None or b is None:
+        return b if a is None else a
+    return list(map(mul, a, b))
+
+
+def _factor_values(scale: Fraction, A: int, B: int, D: int, n: int) -> tuple:
+    """``(nums, dens)``: per j = 0..n the numerator and the denominator,
+    unreduced, of ``scale * Gamma((A + j*B) / D)`` as :func:`scaled_eval`
+    takes it, ``dens`` None when every one is 1.
+
+    An integer argument k gives ``scale * (k-1)!`` from a running product
+    (arguments grow with j), any other argument ``x / D`` the dyadic
+    rational of ``log(scale) + log_gamma(x / D)`` (:func:`_dyadic_from_log`),
+    the log of the scale taken once."""
+    sn, sd = scale.numerator, scale.denominator
+    log_scale = log_rational(scale)
+    k, fact = 1, 1  # fact = (k-1)!
+    nums, dens = [], []
+    dyadic = False
+    for x in range(A, A + n * B + 1, B):
+        if x % D:
+            p, q = _dyadic_from_log(log_scale + log_gamma(x / D))
+            nums.append(p)
+            dens.append(q)
+            dyadic = True
+        else:
+            while k < x // D:
+                fact *= k
+                k += 1
+            nums.append(fact if sn == 1 else sn * fact)
+            dens.append(sd)
+    return nums, dens if dyadic or sd != 1 else None
 
 
 def fraction_table(m: MomentFunction, kappa: int, n: int) -> list:
     """Exact values ``m(j/kappa)`` for j = 0..n.
 
     The values of ``scaled_eval(m, j/kappa).rational``, with the same
-    DomainErrors, but outside its cache, multiplied factor by factor on
-    integers and divided once (:func:`mpde.exact.quotient`): an int where
-    integral, such as a factorial of Gamma(1), else a Fraction.  An integer
-    Gamma argument k contributes ``scale * (k-1)!`` from a running product
-    (arguments grow with j), any other argument ``x / D`` the dyadic
-    rational of ``log(scale) + log_gamma(x / D)``, the log of the scale
-    taken once per factor by :func:`log_rational`.
+    DomainErrors, but outside its cache.  Arguments grow with j, so the
+    errors are checked once, for j <= 1, as :func:`log_table` does.  Each
+    factor is then built over the whole range (:func:`_factor_values`), a
+    running factorial at integer Gamma arguments and a dyadic rational
+    elsewhere; the factors multiply cell by cell on integers, numerators
+    and denominators apart, skipping the lists of ones, and each entry is
+    divided once (:func:`mpde.exact.quotient`): an int where integral, such
+    as a factorial of Gamma(1), else a Fraction.
     """
-    running = [[1, 1] for _ in m.factors]  # per factor: [k, (k-1)!]
-    log_scales = [log_rational(f.scale) for f in m.factors]
-    values = []
-    for args in _gamma_arguments(m, kappa, n):
-        num = den = 1  # the value's numerator and denominator, unreduced
-        for fact, log_scale, (sign, scale, x, D) in zip(running, log_scales,
-                                                       args):
-            if x % D == 0:
-                while fact[0] < x // D:
-                    fact[1] *= fact[0]
-                    fact[0] += 1
-                bn, bd = scale.numerator * fact[1], scale.denominator
-            else:
-                base_val = _dyadic_from_log(log_scale + log_gamma(x / D))
-                bn, bd = base_val.numerator, base_val.denominator
-            if sign == 1:
-                num, den = num * bn, den * bd
-            else:
-                num, den = num * bd, den * bn
-        values.append(quotient(num, den))
-    return values
+    _check_arguments(m, kappa, min(n, 1))
+    nums = dens = None  # None: a list of ones
+    for sign, scale, A, B, D in _argument_lines(m, kappa):
+        bn, bd = _factor_values(scale, A, B, D, n)
+        if sign == -1:
+            bn, bd = bd, bn
+        nums, dens = _times(nums, bn), _times(dens, bd)
+    if nums is None:
+        nums = [1] * (n + 1)
+    return nums if dens is None else list(map(quotient, nums, dens))
 
 
 def log_table(m: MomentFunction, kappa: int, n: int):
@@ -318,8 +344,7 @@ def log_table(m: MomentFunction, kappa: int, n: int):
 
     # arguments grow with j: a DomainError can only come at j = 0 (an
     # argument) or at j = 1 (kappa < 0), and these two raise it in order
-    for _ in _gamma_arguments(m, kappa, min(n, 1)):
-        pass
+    _check_arguments(m, kappa, min(n, 1))
     logs = np.zeros(n + 1)
     for sign, scale, A, B, D in _argument_lines(m, kappa):
         if max(abs(A), B, abs(A + n * B), abs(D)) < 2 ** 53:

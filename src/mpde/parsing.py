@@ -174,6 +174,10 @@ def _parse_moment_factor(sc: _Scanner) -> MomentFunction:
     if sc.take("Gamma"):
         sc.expect("(")
         s = sc.signed_number()
+        sc.skip_ws()
+        if sc.text.startswith("+", sc.pos):
+            raise ParseError("Gamma(b+u/k) needs its scale a, as in "
+                             "'1*Gamma(1+u/1)'", sc.pos)
         sc.expect(")")
         return gamma_s(s)
     a = sc.number()

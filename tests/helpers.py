@@ -3,6 +3,7 @@ and an in-process harness for the command line."""
 
 import contextlib
 import io
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -11,6 +12,27 @@ from mpde import cli
 from mpde.exact import RationalComplex
 from mpde.series import Series2
 from routes import Series1
+
+
+# Fixed before measuring.  numpy's and math's log are each within about an
+# ulp of the true value, so a ``moments.log_table`` entry may differ from the
+# scalar sum of ``log_rational`` and ``log_gamma`` by LOG_ULPS ulps of the
+# magnitudes that the sum adds (:func:`log_magnitude`), where a last-bit
+# change of a log is scaled by the Lanczos body's ``z + 0.5``.
+LOG_ULPS = 8
+
+
+def log_magnitude(m, u) -> float:
+    """A bound on the magnitudes that ``log m(u)`` adds: per factor
+    ``a*Gamma(x)``, ``|log a|``, the shift ``|log x|`` of an argument below
+    0.5, and ``(x + 8) * (2 + log(x + 8))`` for the Lanczos body's
+    ``(z + 0.5) * log(t)``, ``t`` and ``log(acc)``."""
+    total = 0.0
+    for f in m.factors:
+        x = float(f.offset + u / f.ram)
+        total += (abs(math.log(f.scale)) + abs(math.log(x))
+                  + (x + 8.0) * (2.0 + math.log(x + 8.0)))
+    return total
 
 
 def random_series1(rng: random.Random, n: int, kappa: int = 1,

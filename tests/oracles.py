@@ -36,8 +36,8 @@ neither the solver, the shift kernel nor the transforms of ``routes`` call:
 those read whole tables (``moments.fraction_table`` and ``log_table``).  So
 no oracle shares the code it checks.  The one table an oracle reads is the
 float ``log_table`` of the moment-shift oracle, which checks how the shift
-applies the logarithms; ``tests/test_moments.py`` checks the table itself,
-bit for bit, against ``scaled_eval``.
+applies the logarithms; ``tests/test_moments.py`` checks the table itself
+against ``scaled_eval``, within ``helpers.LOG_ULPS``.
 """
 
 from __future__ import annotations

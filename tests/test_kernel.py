@@ -180,12 +180,12 @@ AXPY_BS = [-2, 0, 3]
 
 def _fused_rows(accs, terms, src_re, src_im, complex_lanes):
     """Row 0 of each output lane, built by the fused row builder from the
-    accumulator rows ``accs`` and the Gaussian terms (b, k) on row 0 of
-    the source lanes."""
+    accumulator rows ``accs``, each given as the first term ``(1, acc, 0)``,
+    and the Gaussian terms (b, k) on row 0 of the source lanes."""
     lanes = kernel._lane_terms([(0, b, k) for b, k in terms], [src_re],
                                [src_im] if complex_lanes else None,
                                complex_lanes)
-    return [kernel._fold(iter(acc), kernel._row(lane, 0))
+    return [kernel._fold([(1, acc, 0)] + kernel._row(lane, 0), len(acc))
             for acc, lane in zip(accs, lanes)]
 
 

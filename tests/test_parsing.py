@@ -113,6 +113,19 @@ def test_parse_moment_errors():
         parse_moment("Gamma(1) Gamma(2)")
 
 
+@pytest.mark.parametrize("text,position", [("Gamma(1)/Gamma(1+u/1)", 16),
+                                           ("Gamma( 1/2 + u/2)", 11)])
+def test_parse_moment_gamma_of_b_plus_u_without_its_scale(text, position):
+    # Gamma(s) takes no u: a '+' after s is the a*Gamma(b+u/k) form without
+    # its scale a, reported at the '+'
+    with pytest.raises(ParseError) as err:
+        parse_moment(text)
+    assert err.value.position == position
+    assert str(err.value) == ("Gamma(b+u/k) needs its scale a, as in "
+                              f"'1*Gamma(1+u/1)' (at position {position})")
+    assert parse_moment("Gamma(1)/1*Gamma(1+u/1)").order == 0
+
+
 def test_parse_moment_whitespace_tolerant():
     m = parse_moment("  Gamma( 1 ) * 3*Gamma( 2 + u/ 3 ) / Gamma( 1/2 )  ")
     assert m.order == Fraction(1) + Fraction(1, 3) - Fraction(1, 2)

@@ -1081,6 +1081,27 @@ def test_cli_bad_operator_or_moment_is_a_parse_error(field, text, named,
         assert result.stdout == ""
 
 
+def test_cli_gamma_of_b_plus_u_without_its_scale_is_a_one_line_parse_error(
+        tmp_path):
+    # in a fresh interpreter: exit 1, one stderr line naming the missing
+    # scale, no traceback
+    data = json.loads(Path(shipped("heat")).read_text())
+    data["m1"] = "Gamma(1)/Gamma(1+u/1)"
+    prob = tmp_path / "scale.json"
+    prob.write_text(json.dumps(data))
+    want = ("parse error: Gamma(b+u/k) needs its scale a, as in "
+            "'1*Gamma(1+u/1)' (at position 16)\n")
+    for command in ("verify", "analyze"):
+        result = run_cli([command, str(prob)])
+        assert (result.exit_code, result.stdout, result.stderr) == (1, "", want)
+    src = Path(problem_mod.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "mpde.cli", "solve", str(prob), "--out",
+         str(tmp_path / "out.csv")], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", want)
+
+
 def test_shipped_problems_pass_the_entry_checks():
     for name in ("heat", "transport", "twofactor"):
         data = json.loads(Path(shipped(name)).read_text())

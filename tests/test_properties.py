@@ -42,6 +42,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import brute_force
+from helpers import LOG_ULPS, log_magnitude
 from oracles import (borel_cells, csv_cells, edge_roots_numpy,
                      exact_gevrey_fit_cells, exact_grid_cells, laurent_solve,
                      laurent_terms, moment_shift_cells, rational_rhs_exact,
@@ -52,10 +53,11 @@ from routes import (Series1, apply_operator, borel, eval_at, g_from_f,
 
 from mpde import kernel
 from mpde.charroots import CharPoly, _edge_roots
-from mpde.errors import EvaluationError, WindowError
+from mpde.errors import DomainError, EvaluationError, WindowError
 from mpde.exact import RationalComplex
 from mpde.moments import (MOMENT_ONE, MomentFactor, MomentFunction,
-                          log_gamma, log_rational, log_table)
+                          fraction_table, log_gamma, log_rational, log_table,
+                          scaled_eval)
 from mpde.parsing import parse_moment
 from mpde.problem import (_table, expand_rhs, load_problem, parse_rhs,
                           solve_problem)
@@ -1155,13 +1157,12 @@ def test_moment_diff_is_apply_operator_of_one_derivative(case, k, exact):
 
 # -- moment logs and ratios against the scalar route ---------------------------
 
-# Fixed before measuring.  numpy's and math's log and exp are each within
-# about an ulp of the true value, so a ratio may differ from math.exp of
-# the same difference by RATIO_ULPS ulps of itself, and a log-table entry
-# from the scalar sum by LOG_ULPS ulps of the magnitudes that the sum adds
-# (:func:`_log_magnitude`), where a last-bit change of a log is scaled by
-# the Lanczos body's ``z + 0.5``.
-RATIO_ULPS, LOG_ULPS = 2, 8
+# Fixed before measuring.  numpy's and math's exp are each within about an
+# ulp of the true value, so a ratio may differ from math.exp of the same
+# difference by RATIO_ULPS ulps of itself; a log-table entry may differ
+# from the scalar sum by helpers.LOG_ULPS ulps of the magnitudes that the
+# sum adds (helpers.log_magnitude).
+RATIO_ULPS = 2
 
 # an offset denominator of 3**34 > 2**53 takes log_table's per-entry
 # integer division
@@ -1171,19 +1172,6 @@ gamma_factors = st.builds(
               st.one_of(st.integers(1, 6), st.just(3 ** 34))),
     st.builds(Fraction, st.integers(1, 12), st.integers(1, 4)),
     st.sampled_from([1, -1]))
-
-
-def _log_magnitude(m, u) -> float:
-    """A bound on the magnitudes that ``log m(u)`` adds: per factor
-    ``a*Gamma(x)``, ``|log a|``, the shift ``|log x|`` of an argument below
-    0.5, and ``(x + 8) * (2 + log(x + 8))`` for the Lanczos body's
-    ``(z + 0.5) * log(t)``, ``t`` and ``log(acc)``."""
-    total = 0.0
-    for f in m.factors:
-        x = float(f.offset + u / f.ram)
-        total += (abs(math.log(f.scale)) + abs(math.log(x))
-                  + (x + 8.0) * (2.0 + math.log(x + 8.0)))
-    return total
 
 
 @settings(SETTINGS, max_examples=100)
@@ -1205,7 +1193,7 @@ def test_log_table_and_ratios_match_the_scalar_route(factors, kappa, n,
         for f in m.factors:
             want += f.sign * (log_rational(f.scale)
                               + log_gamma(float(f.offset + u / f.ram)))
-        assert abs(got - want) <= LOG_ULPS * math.ulp(_log_magnitude(m, u))
+        assert abs(got - want) <= LOG_ULPS * math.ulp(log_magnitude(m, u))
     width = n - 6
     assume(width >= 0)
     try:
@@ -1218,6 +1206,141 @@ def test_log_table_and_ratios_match_the_scalar_route(factors, kappa, n,
     for b, r in kernel.ratios(logs, offsets, width).items():
         for got, want in zip(r.tolist(), wants[b]):
             assert abs(got - want) <= RATIO_ULPS * math.ulp(want)
+
+
+# -- exact kernel shortcuts against their cellwise forms -----------------------
+
+FOLD_KS = st.one_of(st.sampled_from([1, -1]), st.integers(-10 ** 30, 10 ** 30))
+
+
+@SETTINGS
+@given(st.integers(0, 12), st.lists(
+    st.tuples(FOLD_KS, st.integers(-16, 6), st.integers(0, 3)), max_size=5),
+    st.data())
+@example(0, [], None)
+@example(5, [(3, -9, 0), (1, 2, 1)], None)  # -b past n: the first term is zero
+def test_fold_is_the_cellwise_sum_of_its_terms(n, shapes, data):
+    """``kernel._fold`` of the terms (k, src, b) is the cell-by-cell sum
+    ``sum k * src[i + b]`` over i < n, reads below index 0 zero: whatever k
+    (1, -1 or any other int), b (below 0, -b past n) and source length (at
+    least ``n + b``, or longer), and n zeros for no terms."""
+    terms = []
+    for k, b, extra in shapes:
+        size = max(n + b, 0) + extra
+        src = (list(range(3, 3 + size)) if data is None else
+               data.draw(st.lists(st.integers(), min_size=size,
+                                  max_size=size)))
+        terms.append((k, src, b))
+    want = [sum(k * src[i + b] for k, src, b in terms if i + b >= 0)
+            for i in range(n)]
+    got = kernel._fold(terms, n)
+    assert got == want and all(type(x) is int for x in got)
+
+
+moment_factors = st.builds(
+    MomentFactor, st.builds(Fraction, st.integers(1, 30), st.integers(1, 10)),
+    # integer, half-integer and third offsets, 0 and below among them
+    st.builds(Fraction, st.integers(-4, 12), st.sampled_from([1, 2, 3])),
+    st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3),
+                     Fraction(2, 3)]),
+    st.sampled_from([1, -1]))
+
+
+def _first_error(fn):
+    """The message of the DomainError that ``fn()`` raises, else None."""
+    try:
+        fn()
+    except DomainError as err:
+        return str(err)
+    return None
+
+
+@SETTINGS
+@given(st.lists(moment_factors, max_size=4), st.sampled_from([1, 2, 3, -1]),
+       st.integers(-1, 60))
+@example([MomentFactor(1, 1, 2, 1)], 1, 40)  # 1*Gamma(1+u/2)
+@example([MomentFactor(1, 1, 1, 1)] * 2 + [MomentFactor(1, 1, 1, -1)], 1, 30)
+@example([MomentFactor(1, 1, 1, -1)], 2, 10)  # only an inverse factor
+def test_fraction_table_is_scaled_eval_per_entry(factors, kappa, n):
+    """``fraction_table(m, kappa, n)`` is ``scaled_eval(m, j/kappa).rational``
+    for j = 0..n, an int exactly where it is integral, on products of
+    factors with integer, half-integer and mixed Gamma arguments, inverse
+    factors among them; where an entry raises a DomainError the table
+    raises the first such error."""
+    m = MomentFunction(tuple(factors))
+    want = []
+    error = _first_error(lambda: want.extend(
+        scaled_eval(m, Fraction(j, kappa)).rational for j in range(n + 1)))
+    if error is not None:
+        assert _first_error(lambda: fraction_table(m, kappa, n)) == error
+        return
+    got = fraction_table(m, kappa, n)
+    assert got == want
+    assert [type(x) for x in got] == [
+        int if w.denominator == 1 else Fraction for w in want]
+
+
+def _overflows(q) -> bool:
+    """Whether ``float(q)`` of the Fraction q overflows binary64."""
+    try:
+        float(q)
+    except OverflowError:
+        return True
+    return False
+
+
+DIVISORS = st.one_of(
+    st.integers(1, 10 ** 6), st.integers(-10 ** 6, -1),
+    st.builds(Fraction, st.integers(1, 10 ** 6), st.integers(2, 10 ** 6)),
+    st.builds(Fraction, st.integers(-10 ** 6, -1), st.integers(2, 10 ** 6)))
+
+
+@SETTINGS
+@given(st.integers(0, 4), st.integers(0, 5), st.booleans(), st.booleans(),
+       st.data())
+def test_binary64_rows_is_float_of_fraction_per_cell(n_rows, n_cols,
+                                                     is_complex, unit, data):
+    """``kernel.binary64_rows`` rounds each part as ``float(Fraction)`` of
+    ``x / (row_div * col_div)`` does, signed zeros too, on lanes whose
+    numerators are all 1 (int divisors) and on lanes with Fraction
+    divisors; the first part beyond binary64, in row-major order, raises
+    CellOverflow on its row.  ``kernel.denormalize`` gives the same cells
+    as Gaussian rationals."""
+    ints = st.one_of(st.integers(), st.integers(-3, 3),
+                     st.integers(2 ** 1020, 2 ** 1100),
+                     st.integers(-2 ** 1100, -2 ** 1020))
+    divs = st.integers(1, 10 ** 6) if unit else DIVISORS
+    lanes = [data.draw(st.lists(st.lists(ints, min_size=n_cols + 1,
+                                         max_size=n_cols + 1),
+                                min_size=n_rows + 1, max_size=n_rows + 1))
+             for _ in range(1 + is_complex)]
+    row_div = data.draw(st.lists(divs, min_size=n_rows + 1,
+                                 max_size=n_rows + 1))
+    col_div = data.draw(st.lists(divs, min_size=n_cols + 1,
+                                 max_size=n_cols + 1))
+    grid = kernel.RawLanes(lanes[0], lanes[1] if is_complex else None,
+                           row_div, col_div)
+    cells = [[[Fraction(lane[j][i]) / (row_div[j] * col_div[i])
+               for i in range(n_cols + 1)] for lane in lanes]
+             for j in range(n_rows + 1)]
+    got = kernel.binary64_rows(grid, range(n_rows + 1), n_cols)
+    for j, parts in enumerate(cells):
+        try:
+            want = [[float(q).hex() for q in part] for part in parts]
+        except OverflowError:
+            with pytest.raises(kernel.CellOverflow) as err:
+                next(got)
+            i = next(i for i in range(n_cols + 1)
+                     if any(map(_overflows, (part[i] for part in parts))))
+            assert err.value.j == j
+            assert str(err.value).startswith(f"exact coefficient ({j}, {i}) ")
+            break
+        assert [[x.hex() for x in part] for part in next(got)] == want
+    exact = kernel.denormalize(grid)
+    assert [[(c.re, c.im) for c in row] for row in exact] == [
+        [(re, im) for re, im in zip(parts[0], parts[1] if is_complex
+                                    else [0] * (n_cols + 1))]
+        for parts in cells]
 
 
 NUMBERS = st.one_of(

@@ -523,8 +523,8 @@ def test_pseudo_mode_axpy_calls_follow_the_terms(operator, monkeypatch):
     # the internal level widths
     passes, solved = [], []
     fold, recurrence = kernel._fold, kernel.recurrence
-    monkeypatch.setattr(kernel, "_fold", lambda acc, terms:
-                        passes.append(terms) or fold(acc, terms))
+    monkeypatch.setattr(kernel, "_fold", lambda terms, n:
+                        passes.append(terms) or fold(terms, n))
     monkeypatch.setattr(kernel, "recurrence", lambda *args:
                         solved.append(recurrence(*args)) or solved[-1])
     n1, n2 = 80, 80
