@@ -32,10 +32,9 @@ Exact mode runs on Python integers:
   column divisors.  Moment values (:func:`mpde.moments.fraction_table`),
   divisors and the parts of Gaussian rationals are ints where integral and
   Fractions otherwise, and divide by one rule, :func:`mpde.exact.quotient`.
-  One decoder divides the divisors out of raw lanes, row by row, with no
-  multiply on a row whose divisors are ints: :func:`denormalize` builds
-  Gaussian rationals, :func:`binary64_rows` correctly rounded binary64
-  parts.
+  One decoder divides the divisors out of raw lanes, row by row:
+  :func:`denormalize` builds Gaussian rationals, :func:`binary64_rows`
+  correctly rounded binary64 parts.
 
 Float mode runs on numpy arrays of raw coefficients, so that grids whose
 normalized coefficients would overflow binary64 stay finite.  Each
@@ -357,18 +356,13 @@ def _decode(grid: RawLanes, rows, n_cols: int):
     each row j in ``rows``; ``parts`` are its numerator rows ``[re]`` or
     ``[re, im]``, and a part x of cell i <= n_cols is ``x * nums[i] /
     dens[i]``, with ``nums[i] > 0``.  The factors come from each divisor's
-    ``as_integer_ratio()``, an int's or a Fraction's alike.  ``nums`` is
-    None when every one is 1, as when the divisors are ints (Gamma(1) or
-    unit moment tables): a part is then ``x / dens[i]``."""
+    ``as_integer_ratio()``, an int's or a Fraction's alike."""
     col_nums, col_dens = zip(*(c.as_integer_ratio()
                                for c in grid.col_div[: n_cols + 1]))
-    unit_cols = col_dens.count(1) == len(col_dens)
     for j in rows:
         r_num, r_den = grid.row_div[j].as_integer_ratio()
         yield (j, [lane[j] for lane in (grid.re, grid.im) if lane is not None],
-               None if unit_cols and r_den == 1
-               else [r_den * c for c in col_dens],
-               [r_num * c for c in col_nums])
+               [r_den * c for c in col_dens], [r_num * c for c in col_nums])
 
 
 def denormalize(grid: RawLanes) -> tuple:
@@ -376,12 +370,8 @@ def denormalize(grid: RawLanes) -> tuple:
     out = []
     for _, parts, nums, dens in _decode(grid, range(len(grid.re)),
                                         len(grid.col_div) - 1):
-        if nums is None:
-            vals = [[quotient(x, d) if x else 0 for x, d in zip(part, dens)]
-                    for part in parts]
-        else:
-            vals = [[quotient(x * n, d) if x else 0
-                     for x, n, d in zip(part, nums, dens)] for part in parts]
+        vals = [[quotient(x * n, d) if x else 0
+                 for x, n, d in zip(part, nums, dens)] for part in parts]
         out.append(tuple(map(RationalComplex, vals[0],
                              vals[1] if len(vals) == 2 else repeat(0))))
     return tuple(out)
@@ -390,21 +380,15 @@ def denormalize(grid: RawLanes) -> tuple:
 def binary64_rows(grid: RawLanes, rows, n_cols: int):
     """Yield, for each row j in ``rows``, the float lists ``[re]`` (real
     lanes) or ``[re, im]`` of its cells i <= n_cols, each part the integer
-    quotient ``x * n / d``, or ``x / d`` on a row whose numerators n are
-    all 1 (:func:`_decode`), which Python rounds correctly, as
+    quotient ``x * n / d``, which Python rounds correctly, as
     ``float(Fraction)`` does.  The first cell, in row-major order, with a
     part outside the binary64 range raises CellOverflow."""
     for j, parts, nums, dens in _decode(grid, rows, n_cols):
         try:
-            if nums is None:
-                out = [[x / d if x else 0.0 for x, d in zip(part, dens)]
-                       for part in parts]
-            else:
-                out = [[x * n / d if x else 0.0
-                        for x, n, d in zip(part, nums, dens)]
-                       for part in parts]
+            out = [[x * n / d if x else 0.0
+                    for x, n, d in zip(part, nums, dens)] for part in parts]
         except OverflowError:
-            for i, (n, d) in enumerate(zip(nums or repeat(1), dens)):
+            for i, (n, d) in enumerate(zip(nums, dens)):
                 for x in (part[i] for part in parts):
                     try:
                         x * n / d

@@ -258,18 +258,10 @@ def _check_arguments(m: MomentFunction, kappa: int, n: int) -> None:
                     f"positive (u = {Fraction(j, kappa)})")
 
 
-def _times(a, b):
-    """The cellwise product of the int lists a and b, where None stands for
-    a list of ones."""
-    if a is None or b is None:
-        return b if a is None else a
-    return list(map(mul, a, b))
-
-
 def _factor_values(scale: Fraction, A: int, B: int, D: int, n: int) -> tuple:
     """``(nums, dens)``: per j = 0..n the numerator and the denominator,
     unreduced, of ``scale * Gamma((A + j*B) / D)`` as :func:`scaled_eval`
-    takes it, ``dens`` None when every one is 1.
+    takes it.
 
     An integer argument k gives ``scale * (k-1)!`` from a running product
     (arguments grow with j), any other argument ``x / D`` the dyadic
@@ -279,20 +271,17 @@ def _factor_values(scale: Fraction, A: int, B: int, D: int, n: int) -> tuple:
     log_scale = log_rational(scale)
     k, fact = 1, 1  # fact = (k-1)!
     nums, dens = [], []
-    dyadic = False
     for x in range(A, A + n * B + 1, B):
         if x % D:
             p, q = _dyadic_from_log(log_scale + log_gamma(x / D))
-            nums.append(p)
-            dens.append(q)
-            dyadic = True
         else:
             while k < x // D:
                 fact *= k
                 k += 1
-            nums.append(fact if sn == 1 else sn * fact)
-            dens.append(sd)
-    return nums, dens if dyadic or sd != 1 else None
+            p, q = sn * fact, sd
+        nums.append(p)
+        dens.append(q)
+    return nums, dens
 
 
 def fraction_table(m: MomentFunction, kappa: int, n: int) -> list:
@@ -303,21 +292,25 @@ def fraction_table(m: MomentFunction, kappa: int, n: int) -> list:
     errors are checked once, for j <= 1, as :func:`log_table` does.  Each
     factor is then built over the whole range (:func:`_factor_values`), a
     running factorial at integer Gamma arguments and a dyadic rational
-    elsewhere; the factors multiply cell by cell on integers, numerators
-    and denominators apart, skipping the lists of ones, and each entry is
-    divided once (:func:`mpde.exact.quotient`): an int where integral, such
-    as a factorial of Gamma(1), else a Fraction.
+    elsewhere.  The first factor starts the product and each further one
+    multiplies it cell by cell, on integers, numerators and denominators
+    apart.  Each entry is divided once (:func:`mpde.exact.quotient`),
+    unless every denominator is 1: an int where integral, such as a
+    factorial of Gamma(1), else a Fraction.  No factor gives ones.
     """
     _check_arguments(m, kappa, min(n, 1))
-    nums = dens = None  # None: a list of ones
+    factors = []
     for sign, scale, A, B, D in _argument_lines(m, kappa):
         bn, bd = _factor_values(scale, A, B, D, n)
-        if sign == -1:
-            bn, bd = bd, bn
-        nums, dens = _times(nums, bn), _times(dens, bd)
-    if nums is None:
-        nums = [1] * (n + 1)
-    return nums if dens is None else list(map(quotient, nums, dens))
+        factors.append((bn, bd) if sign == 1 else (bd, bn))
+    if not factors:
+        return [1] * (n + 1)
+    (nums, dens), *rest = factors
+    for bn, bd in rest:
+        nums, dens = list(map(mul, nums, bn)), list(map(mul, dens, bd))
+    if dens.count(1) == len(dens):
+        return nums
+    return list(map(quotient, nums, dens))
 
 
 def log_table(m: MomentFunction, kappa: int, n: int):
