@@ -50,13 +50,13 @@ rounding error of the recursion; a ratio beyond binary64 raises
 EvaluationError naming the moment function.  The fixed cost of a numpy
 call outweighs the arithmetic on a level's columns, so
 :func:`recurrence_float` makes few calls per level, fills its levels'
-base a block of levels at a time up to the level where its caller stops,
-and gives every cell the same IEEE operations in the same
-order as a loop over levels and terms would.  Overflow and invalid
-operations give ``inf`` and ``nan`` without a warning: :func:`shift_float`
-ignores them around its sum, :func:`recurrence_float` from its first level
-to its last, and both restore the caller's numpy error state when they
-return, or, for the generator, when it finishes or is closed.
+base and checks its output window a block of levels at a time, stopping
+at the block where the window overflows, and gives every cell the same
+IEEE operations in the same order as a loop over levels and terms would.
+Overflow and invalid operations give ``inf`` and ``nan`` without a
+warning: :func:`shift_float` ignores them around its sum,
+:func:`recurrence_float` from its first level to its last, and both
+restore the caller's numpy error state when they return or raise.
 
 Both recursions divide by a top coefficient of degree B in z through B
 taps: the terms that shift down are summed into a second accumulator per
@@ -487,9 +487,9 @@ def ratios(logs, offsets, width: int, name: str = "m") -> dict:
     return out
 
 
-# recurrence_float fills the base of this many levels at a time, and
-# mpde.solver.formal_solve checks as many output levels at a time
-BLOCK = 8
+# recurrence_float fills the base of this many levels at a time, and checks
+# as many levels of its output window at a time
+_BLOCK = 8
 
 
 def shift_float(u, items, r1, r2, n_rows: int, n_cols: int):
@@ -516,8 +516,8 @@ def shift_float(u, items, r1, r2, n_rows: int, n_cols: int):
 
 
 def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
-                     shift: int = 0):
-    """Yield levels ``u[t] = q B[t-n][i+shift] + sum c u[t-a][i+b] + v[t]``.
+                     shift: int = 0, window: int | None = None):
+    """Levels ``u[t] = q B[t-n][i+shift] + sum c u[t-a][i+b] + v[t]``.
 
     The float counterpart of :func:`recurrence`, in raw coordinates: ``base``
     is a 2-D numpy array of raw coefficients, q, the term coefficients and
@@ -531,31 +531,36 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
     added one row update at a time, in list order, those with b < 0 into
     ``x[t]`` (after the base when ``shift < 0``); ``v[t]`` solves ``v_i +
     sum m_k m2(i-k)/m2(i) v_{i-k} = x_i`` for the ``taps`` [(k, m_k)] cell
-    by cell in Python scalars.  The levels are float64 when ``base`` is and
-    q, the term coefficients and the taps are real, and complex128
-    otherwise.  Level t is yielded as soon as it is complete, as the view
-    ``grid[t, : widths[t] + 1]`` of one 2-D array of all levels, its
-    ``base``, whose rows of yielded levels do not change afterwards: a
-    caller can read the finished levels there, and stop at the first one
-    that overflows.  A moment ratio beyond binary64 raises the
-    EvaluationError of :func:`ratios`, naming ``m1`` or ``m2``.
+    by cell in Python scalars.  Returns the 2-D array of all levels, level
+    t in ``grid[t, : widths[t] + 1]``: float64 when ``base`` is and q, the
+    term coefficients and the taps are real, and complex128 otherwise.  A
+    moment ratio beyond binary64 raises the EvaluationError of
+    :func:`ratios`, naming ``m1`` or ``m2``.
+
+    With ``window`` set, the last output column, at most every width, the
+    columns ``i <= window`` are checked for non-finite cells once per block
+    of :data:`_BLOCK` levels (t // _BLOCK alike) and at the last level,
+    N1 = ``len(widths) - 1``: a non-finite cell raises EvaluationError
+    naming the first level that holds one, after at most 7 levels past it,
+    and advising a t-truncation below it or, when that level is n, the
+    first the base sets, exact arithmetic.  Overflow confined to the
+    columns past ``window`` is not an error.
 
     The fixed cost per numpy call outweighs the arithmetic on a level's
     columns, so the calls are few, and each cell still gets the same IEEE
     operations in the same order as one level at a time: with ``shift ==
-    0`` one multiply fills the base of each block of :data:`BLOCK` levels
-    (t // BLOCK alike) as its first level starts, on that level's columns,
-    one scale ``q * m1(t-n)/m1(t)`` per row, so nothing is filled past the
-    block where a caller stops; the ``m1`` ratios are one ``np.exp`` per
-    row offset; a single tap runs as one loop from column k; and on a
-    float64 grid a coefficient of 1.0 or -1.0 adds or subtracts its term
-    with no multiply.  A complex grid keeps that multiply: ``(1+0j) * z``
-    may differ from z in the sign of a zero or turn an infinite part into
-    NaN.
+    0`` one multiply fills the base of each block as its first level
+    starts, on that level's columns, one scale ``q * m1(t-n)/m1(t)`` per
+    row, so nothing is filled past the block where the check stops; the
+    ``m1`` ratios are one ``np.exp`` per row offset; a single tap runs as
+    one loop from column k; and on a float64 grid a coefficient of 1.0 or
+    -1.0 adds or subtracts its term with no multiply.  A complex grid keeps
+    that multiply: ``(1+0j) * z`` may differ from z in the sign of a zero
+    or turn an infinite part into NaN.
 
     Overflow and invalid operations are ignored from the first level to
-    the last, and the caller's numpy error state returns when the
-    generator finishes or is closed: a caller that stops early closes it.
+    the last, and the caller's numpy error state returns when the function
+    returns or raises.
     """
     import numpy as np
 
@@ -594,10 +599,10 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
         for t, w in enumerate(widths):
             row = grid[t, : w + 1]
             if t >= n:
-                if not shift and (t == n or t % BLOCK == 0):
+                if not shift and (t == n or t % _BLOCK == 0):
                     # the base of the levels up to the end of this block,
                     # on the columns of the widest, its first
-                    end = min(t - t % BLOCK + BLOCK, levels)
+                    end = min(t - t % _BLOCK + _BLOCK, levels)
                     np.multiply(base[t - n: end - n, : w + 1],
                                 scale[t - n: end - n],
                                 out=grid[t: end, : w + 1])
@@ -637,4 +642,16 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
                                 xs[i] = s
                         x[:] = xs
                     row += x
-            yield row
+            if window is not None and (t % _BLOCK == _BLOCK - 1
+                                       or t == levels - 1):
+                lo = t - t % _BLOCK
+                finite = np.isfinite(grid[lo: t + 1, : window + 1])
+                if not finite.all():
+                    bad = lo + int(finite.all(axis=1).argmin())
+                    advice = _USE_EXACT if bad == n else (
+                        f"; lower the t-truncation (--n1) below {bad}, or "
+                        f"check larger ones with verify --arithmetic exact")
+                    raise EvaluationError(
+                        f"float coefficients overflow at t-level {bad} (of "
+                        f"{levels - 1}) inside the requested window{advice}")
+    return grid

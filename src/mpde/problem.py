@@ -288,7 +288,9 @@ def _divide(num: dict, den: dict, n1: int, n2: int, exact: bool):
     coefficients before the kernel, whose rounding keeps their bits, so
     that one beyond binary64 raises EvaluationError naming its den term.
     The float grid is float64 when num and den are real, complex128
-    otherwise.
+    otherwise, and is the kernel's grid of levels, unchecked: its
+    non-finite cells may lie where the solver, which checks its own output
+    window, never reads.
     """
     den = {k: RationalComplex.coerce(v) for k, v in den.items()
            if v and k[0] <= n1 and k[1] <= n2}
@@ -320,11 +322,10 @@ def _divide(num: dict, den: dict, n1: int, n2: int, exact: bool):
             [1] * lo + v.row_div[n:] + [1] * (n1 - hi), v.col_div[B:])
     import numpy as np
 
-    *_, last = kernel.recurrence_float(band.grid, q, terms, n, widths,
-                                       np.zeros(len(widths)),
-                                       np.zeros(B + n2 + 1), taps, -B)
-    # the recursion's grid of levels holds R from level n, B columns up
-    levels = last.base
+    levels = kernel.recurrence_float(band.grid, q, terms, n, widths,
+                                     np.zeros(len(widths)),
+                                     np.zeros(B + n2 + 1), taps, -B)
+    # R from level n, B columns up
     out = np.zeros((n1 + 1, n2 + 1), dtype=levels.dtype)
     out[lo: hi + 1] = levels[n:, B:]
     return kernel.read_only(out)

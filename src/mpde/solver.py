@@ -18,11 +18,11 @@ Gaussian rational built in between.  Float mode recurses on raw
 coefficients with moment ratios taken from their logarithms, so that grids
 whose normalized coefficients would overflow stay finite; an output row
 that overflows anyway raises EvaluationError.  Float grids stay numpy
-arrays from the rhs to the output (``Series2.grid``): the output window is
-checked for non-finite cells in the recursion's grid of levels, a block of
-levels at a time, and copied into one array once.  A solve has one float
-dtype: float64 when the rhs grid and the operator's coefficients are real,
-and complex128 otherwise.
+arrays from the rhs to the output (``Series2.grid``): the recursion checks
+the output window for non-finite cells, a block of levels at a time, and
+returns its grid of levels, out of which the window is copied once.  A
+solve has one float dtype: float64 when the rhs grid and the operator's
+coefficients are real, and complex128 otherwise.
 
 One recursion serves both modes, both rhs roles and the power-series
 division of a ``rational`` rhs in :mod:`mpde.problem`.  Each ``A_{n-a}`` is
@@ -54,8 +54,7 @@ from functools import cached_property
 
 from . import kernel, moments
 from .charroots import CharPoly, _divmod, monomial
-from .errors import (DomainError, EvaluationError, PreconditionError,
-                     WindowError)
+from .errors import DomainError, PreconditionError, WindowError
 from .exact import QC_ONE, as_fraction, quotient
 from .moments import MomentFunction
 from .record import record
@@ -194,20 +193,6 @@ def rounded_recursion(q, terms, taps, q_name: str, name) -> tuple:
             [(k, kernel.rounded(m, name(0, -k))) for k, m in taps])
 
 
-def _check_finite(out, lo: int, hi: int, N1: int) -> None:
-    """Raise EvaluationError naming the first of the levels ``lo..hi`` of
-    the float output window ``out`` that holds a non-finite cell."""
-    import numpy as np
-
-    block = out[lo: hi + 1]
-    if not np.isfinite(block).all():
-        t = lo + int(np.isfinite(block).all(axis=1).argmin())
-        raise EvaluationError(
-            f"float coefficients overflow at t-level {t} (of {N1}) inside "
-            f"the requested window; lower the t-truncation (--n1) below "
-            f"{t}, or check larger ones with verify --arithmetic exact")
-
-
 def formal_solve(prob: CauchyProblem) -> Series2:
     """Truncated formal solution with zero initial data, determined by g.
 
@@ -217,12 +202,10 @@ def formal_solve(prob: CauchyProblem) -> Series2:
     they are: the kernel's recurrence applies the moment tables and the
     rounding.  Float mode rounds them first (:func:`rounded_recursion`), so
     that one beyond binary64 raises EvaluationError naming the operator
-    terms it divides, and a t-level that overflows binary64 inside that
-    window raises EvaluationError naming the first such level.  The window
-    is checked for non-finite cells as a view of the recursion's grid of
-    levels, once per block of 8 levels (:data:`kernel.BLOCK`) and at level
-    N1, not once per level, and copied once, at the end; on a failure the
-    recursion has run at most 7 levels past the one named.
+    terms it divides; the kernel checks the window, columns ``i <= N2``,
+    and a t-level that overflows binary64 there raises EvaluationError
+    naming the first such level.  The window is copied out of the
+    recursion's grid of levels once.
     """
     P = prob.operator
     n = P.n
@@ -263,17 +246,8 @@ def formal_solve(prob: CauchyProblem) -> Series2:
     q, terms, taps = rounded_recursion(
         q, terms, taps, f"1 over operator term {monomial(n, B)}", name)
     levels = kernel.recurrence_float(prob.rhs.grid, q, terms, n, prob.widths,
-                                     *prob.log_tables, taps, shift)
-    block = kernel.BLOCK
-    try:
-        for t, level in enumerate(levels):
-            if t % block == block - 1 or t == N1:
-                # the window of the recursion's grid of levels; overflow
-                # confined to the columns past N2 is not an error
-                _check_finite(level.base[:, : N2 + 1], t - t % block, t, N1)
-    finally:
-        levels.close()  # restores the caller's numpy error state
-    out = level.base[:, : N2 + 1].copy()
+                                     *prob.log_tables, taps, shift, N2)
+    out = levels[:, : N2 + 1].copy()
     return Series2(kernel.read_only(out), prob.rhs.kappa1, prob.rhs.kappa2,
                    False)
 

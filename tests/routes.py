@@ -263,8 +263,7 @@ def g_from_f(p0_coeffs, m2: MomentFunction, f: Series2) -> Series2:
     levels = kernel.recurrence_float(
         f.grid, q, [], 0, widths, np.zeros(J + 1),
         moments.log_table(m2, f.kappa2, I + B), taps, -B)
-    return Series2(kernel.read_only(np.array(list(levels))), f.kappa1,
-                   f.kappa2, False)
+    return Series2(kernel.read_only(levels), f.kappa1, f.kappa2, False)
 
 
 # -- single moment values and the kernel series --------------------------------

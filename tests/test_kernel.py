@@ -14,6 +14,7 @@ from oracles import (expand_taps, normalize_fractions,
                      recurrence_float_levels, recurrence_float_terms)
 
 from mpde import kernel
+from mpde.errors import EvaluationError
 from mpde.exact import RationalComplex
 from mpde.moments import fraction_table, log_table
 from mpde.parsing import parse_moment
@@ -112,12 +113,18 @@ def _terms_oracle(base, q, terms, n, widths, logs1, logs2, taps):
                                   n, widths, logs1, logs2)
 
 
+def _levels(grid, widths) -> list:
+    """Level t of the grid that ``kernel.recurrence_float`` returns: its
+    cells ``i <= widths[t]``."""
+    return [grid[t, : w + 1] for t, w in enumerate(widths)]
+
+
 def test_recurrence_float_tail_matches_term_by_term_sum():
     # the last levels are narrower than the largest downward shift
     rng = random.Random(52)
     for _ in range(5):
         args = _tail_case(rng, levels=10)
-        got = list(kernel.recurrence_float(*args))
+        got = _levels(kernel.recurrence_float(*args), args[4])
         want = _terms_oracle(*args)
         for g, w in zip(got, want):
             scale = max(np.max(np.abs(w)), 1.0)
@@ -133,7 +140,7 @@ def test_recurrence_float_tail_spreads_nonfinite_as_term_by_term_sum(bad):
     base[0, 1] = bad  # level 2, column 1: spread upward by the taps
     base[3, 5] = bad
     args[0] = base
-    got = list(kernel.recurrence_float(*args))
+    got = _levels(kernel.recurrence_float(*args), args[4])
     want = _terms_oracle(*args)
     for g, w in zip(got, want):
         assert np.array_equal(np.isfinite(g), np.isfinite(w))
@@ -156,7 +163,7 @@ def test_recurrence_float_tail_memory_follows_the_width():
             log_table(m, 1, width + 2))
     tracemalloc.start()
     try:
-        got = [row.copy() for row in kernel.recurrence_float(*args, taps)]
+        got = _levels(kernel.recurrence_float(*args, taps), args[4])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -435,9 +442,9 @@ def test_float_kernels_round_their_own_coefficients(is_complex):
                      [(a, b, kernel.binary64(c)) for a, b, c in terms],
                      [(k, kernel.binary64(m)) for k, m in taps])
                     if rounded else (q, terms, taps))
-            levels = [row.copy() for row in kernel.recurrence_float(
+            levels = _levels(kernel.recurrence_float(
                 base, args[0], args[1], 1, [10, 8, 6, 4, 2], logs1, logs2,
-                args[2], -1)]
+                args[2], -1), [10, 8, 6, 4, 2])
             r1 = kernel.ratios(logs1, {0, 1}, 3)
             r2 = kernel.ratios(logs2, {0, 1, 2}, 8)
             shifted = kernel.shift_float(
@@ -507,7 +514,7 @@ def test_recurrence_float_matches_the_level_by_level_form(is_complex):
     units = 0
     for _ in range(150):
         args = _level_case(rng, is_complex)
-        got = [row.copy() for row in kernel.recurrence_float(*args)]
+        got = _levels(kernel.recurrence_float(*args), args[4])
         want = [row.copy() for row in recurrence_float_levels(*args)]
         assert len(got) == len(want)
         for g, w in zip(got, want):
@@ -515,3 +522,58 @@ def test_recurrence_float_matches_the_level_by_level_form(is_complex):
             assert g.tobytes() == w.tobytes()
         units += any(abs(complex(c)) == 1.0 for _, _, c in args[2])
     assert units > 50
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_recurrence_float_checks_its_window_as_the_level_by_level_form(
+        is_complex):
+    # with a window, the kernel raises exactly when the level-by-level form
+    # has a non-finite cell at a column <= window, naming the same first
+    # level and advising exact arithmetic when that level is n, the first
+    # that the base sets; non-finite cells past the window alone do not
+    # raise, and the levels returned are those of no window
+    rng = random.Random(62 + is_complex)
+    raised, at_n, past = 0, 0, 0
+    for _ in range(200):
+        args = _level_case(rng, is_complex)
+        n, widths = args[3], args[4]
+        window = rng.randint(0, min(widths))
+        want = [row.copy() for row in recurrence_float_levels(*args)]
+        bad = next((t for t, row in enumerate(want)
+                    if not np.isfinite(row[: window + 1]).all()), None)
+        if bad is None:
+            got = _levels(kernel.recurrence_float(*args, window), widths)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+            past += not all(np.isfinite(row).all() for row in want)
+            continue
+        with pytest.raises(EvaluationError) as exc:
+            kernel.recurrence_float(*args, window)
+        advice = ("use --arithmetic exact" if bad == n else
+                  f"lower the t-truncation (--n1) below {bad}, or check "
+                  f"larger ones with verify --arithmetic exact")
+        assert str(exc.value) == (
+            f"float coefficients overflow at t-level {bad} (of "
+            f"{len(widths) - 1}) inside the requested window; {advice}")
+        raised += 1
+        at_n += bad == n
+    assert raised > 20 and 0 < at_n < raised and past > 5
+
+
+def test_recurrence_float_restores_the_numpy_error_state():
+    # level 1 overflows, which the kernel ignores inside, whether it then
+    # returns (no window, or the finite column 0) or raises (window 1); the
+    # caller's error state, here one that raises on overflow, comes back
+    # in every case
+    base = np.array([[1.0, 1e300]])
+    args = (base, 1e10, [], 1, [1, 1], np.zeros(2), np.zeros(2))
+    with np.errstate(over="raise", invalid="warn", divide="print",
+                     under="ignore"):
+        state = np.geterr()
+        grid = kernel.recurrence_float(*args)
+        assert grid[1].tolist() == [1e10, math.inf]
+        assert np.geterr() == state
+        kernel.recurrence_float(*args, (), 0, 0)
+        assert np.geterr() == state
+        with pytest.raises(EvaluationError, match="t-level 1 .of 1. "):
+            kernel.recurrence_float(*args, (), 0, 1)
+        assert np.geterr() == state

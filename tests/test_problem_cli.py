@@ -587,6 +587,27 @@ def test_cli_float_overflow_advises_a_smaller_truncation(command, tmp_path):
             "with verify --arithmetic exact") in result.output
 
 
+def test_cli_float_overflow_at_the_first_rhs_level_advises_exact(tmp_path):
+    # den = 1 - 1e200 z overflows the rhs from column 2 on, so level n = 1,
+    # the first that the rhs sets, overflows; no t-truncation below it
+    # leaves the operator orders, so exact arithmetic, whose residual is
+    # zero, is the only advice
+    spec = json.loads((PROBLEMS / "heat.json").read_text())
+    spec["rhs"]["payload"]["den"] = [[0, 0, "1", "0"], [0, 1, "-1e200", "0"]]
+    spec.update(truncation=[10, 10], arithmetic="float")
+    path = tmp_path / "den.json"
+    path.write_text(json.dumps(spec))
+    for command in ("solve", "verify", "probe"):
+        result = run_cli([command, str(path), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 4, result.output
+        assert result.stderr == (
+            "numeric failure: float coefficients overflow at t-level 1 (of "
+            "10) inside the requested window; use --arithmetic exact\n")
+    result = run_cli(["verify", str(path), "--arithmetic", "exact"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["residual_exact_zero"] is True
+
+
 @pytest.mark.parametrize("operator,n1,n2,level", [
     ("(1+dz^2)*dt - dz^4", 100, 5, None),
     ("(2+dz)*dt - dz^3", 150, 3, 135)])

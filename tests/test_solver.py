@@ -188,9 +188,10 @@ def test_float_solution_grid_is_read_only_contiguous_and_owned(name,
     ("heat", 52, 60, GAMMA, "at N1")])
 def test_float_solve_names_the_first_nonfinite_level(monkeypatch, name, n1,
                                                      n2, changes, where):
-    # formal_solve checks the window of 8 levels at a time and at N1, and
+    # the kernel checks the window of 8 levels at a time and at N1, and
     # still names the first level that the level-by-level recursion finds
-    # non-finite, having drawn at most 7 levels past it
+    # non-finite, having computed at most 7 levels past it: the rows its
+    # np.isfinite checks see, one block after another
     prob = _float_problem(name, n1, n2, **changes)
     level = _first_nonfinite_level(prob)
     assert {"first of a block": level is not None and level % 8 == 0,
@@ -199,24 +200,19 @@ def test_float_solve_names_the_first_nonfinite_level(monkeypatch, name, n1,
             "inside the last, partial block": level is not None
             and level // 8 == n1 // 8 and n1 % 8 != 7 and level < n1,
             "at N1": level == n1}[where]
-    recurrence_float, drawn = kernel.recurrence_float, []
+    isfinite, checked = np.isfinite, []
 
-    def counted(*args):
-        levels = recurrence_float(*args)
-        try:
-            for row in levels:
-                drawn.append(row)
-                yield row
-        finally:
-            levels.close()
+    def counted(block):
+        checked.append(len(block))
+        return isfinite(block)
 
-    monkeypatch.setattr(kernel, "recurrence_float", counted)
+    monkeypatch.setattr(np, "isfinite", counted)
     with pytest.raises(EvaluationError) as exc:
         formal_solve(prob)
     assert str(exc.value).startswith(
         f"float coefficients overflow at t-level {level} (of {n1}) inside "
         f"the requested window; lower the t-truncation (--n1) below {level},")
-    assert level < len(drawn) <= level + 8
+    assert level < sum(checked) <= level + 8
 
 
 @pytest.mark.parametrize("operator,rhs_is_g,shape", [
