@@ -20,10 +20,6 @@ class WindowError(PreconditionError):
 class EvaluationError(MpdeError, RuntimeError):
     """Numerical evaluation failed (non-convergence, quadrature failure)."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class EstimationError(MpdeError, ValueError):
     """Not enough usable data for an empirical estimate."""

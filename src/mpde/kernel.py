@@ -6,9 +6,8 @@ a moment operator with constant coefficients is a pure shift,
 recursion between t-levels.  Each runs as one function per arithmetic:
 :func:`shift` and :func:`recurrence` for exact mode, :func:`shift_float`
 and :func:`recurrence_float` for float mode.  All four take a grid of raw
-coefficients, the exact coefficients and the moment tables, and return a
-finished grid of raw coefficients: the moment values, and the rounding of
-the coefficients to binary64, are applied here.
+coefficients, the coefficients and the moment tables, and return a
+finished grid of raw coefficients: the moment values are applied here.
 
 Exact mode runs on Python integers:
 
@@ -37,11 +36,13 @@ Exact mode runs on Python integers:
   correctly rounded binary64 parts.
 
 Float mode runs on numpy arrays of raw coefficients, so that grids whose
-normalized coefficients would overflow binary64 stay finite.  Each
-coefficient is rounded once by :func:`binary64`, a real one to a Python
-float, so numpy's dtype follows the data: float64 for a real problem, which
-never computes an imaginary plane, complex128 otherwise.  The moment values
-enter as ratios ``m(x)/m(y) = exp(log m(x) - log m(y))`` of the logs of
+normalized coefficients would overflow binary64 stay finite.  The two
+float functions take their coefficients as binary64 scalars, which the
+callers round once by :func:`rounded` (a real one to a Python float), where
+they can name a coefficient beyond binary64; numpy's dtype follows the
+data: float64 for a real problem, which never computes an imaginary plane,
+complex128 otherwise.  The moment values enter as ratios
+``m(x)/m(y) = exp(log m(x) - log m(y))`` of the logs of
 :func:`mpde.moments.log_table`: one scalar per row offset and level, and one
 vector per column offset (:func:`ratios`), each offset's exponentials one
 ``np.exp`` of the array of log differences.  On hosts where numpy
@@ -496,16 +497,15 @@ def shift_float(u, items, r1, r2, n_rows: int, n_cols: int):
     """Raw coefficients of ``sum p_ab * dt^a dz^b u`` for j <= n_rows, i <= n_cols.
 
     ``u`` is a 2-D numpy array of raw coefficients, ``items`` the pairs
-    ``((a, b), p_ab)``, each p_ab rounded here by :func:`binary64`, and
-    ``r1``, ``r2`` the :func:`ratios` of the log moment values along the
-    two axes, for widths n_rows and n_cols and at least the offsets a and b
-    of the items.  Cell (j, i) sums
+    ``((a, b), p_ab)``, each p_ab a binary64 scalar (what :func:`binary64`
+    returns), and ``r1``, ``r2`` the :func:`ratios` of the log moment
+    values along the two axes, for widths n_rows and n_cols and at least
+    the offsets a and b of the items.  Cell (j, i) sums
     ``p_ab * u[j+a][i+b] * m1(j+a)/m1(j) * m2(i+b)/m2(i)`` in item order;
     the output is float64 when u is and every p_ab is real.
     """
     import numpy as np
 
-    items = [(k, binary64(p)) for k, p in items]
     out = np.zeros((n_rows + 1, n_cols + 1),
                    dtype=np.result_type(u, *(p for _, p in items)))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -521,13 +521,14 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
 
     The float counterpart of :func:`recurrence`, in raw coordinates: ``base``
     is a 2-D numpy array of raw coefficients, q, the term coefficients and
-    the taps are rounded here by :func:`binary64`, and every term carries
-    the moment ratios ``m1(t-a)/m1(t)`` and ``m2(i+b)/m2(i)``
-    (``m1(t-n)/m1(t)`` and ``m2(i+shift)/m2(i)`` for the base) from the log
-    arrays ``logs1``, ``logs2``.  Level t is zero for t < n and covers
-    ``i <= widths[t]``; reads below index 0 are zero, and a term (a, b)
-    with b >= 0 must read level t - a inside its width, ``widths[t] + b <=
-    widths[t-a]``, as :func:`mpde.solver.level_widths` gives.  Terms are
+    the taps are binary64 scalars (what :func:`binary64` returns), and
+    every term carries the moment ratios ``m1(t-a)/m1(t)`` and
+    ``m2(i+b)/m2(i)`` (``m1(t-n)/m1(t)`` and ``m2(i+shift)/m2(i)`` for the
+    base) from the log arrays ``logs1``, ``logs2``.  Level t is zero for
+    t < n and covers ``i <= widths[t]``; reads below index 0 are zero, and
+    a term (a, b) with b >= 0 must read level t - a inside its width,
+    ``widths[t] + b <= widths[t-a]``, as :func:`mpde.solver.level_widths`
+    gives.  Terms are
     added one row update at a time, in list order, those with b < 0 into
     ``x[t]`` (after the base when ``shift < 0``); ``v[t]`` solves ``v_i +
     sum m_k m2(i-k)/m2(i) v_{i-k} = x_i`` for the ``taps`` [(k, m_k)] cell
@@ -565,8 +566,6 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
     import numpy as np
 
     width, levels = max(widths), len(widths)
-    q, taps = binary64(q), [(k, binary64(m)) for k, m in taps]
-    terms = [(a, b, binary64(c)) for a, b, c in terms]
     # m1(t-a)/m1(t) at index t >= n, one list of Python floats per row
     # offset a, for the scalar ratio of each level
     r1 = {a: [0.0] * n + _exp_differences(logs1, -a, n, levels - 1,

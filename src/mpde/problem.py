@@ -285,8 +285,8 @@ def _divide(num: dict, den: dict, n1: int, n2: int, exact: bool):
     other cell is zero; the kernel gets the band and unit moment tables.
     Float mode divides den's float table exactly, and
     :func:`mpde.solver.rounded_recursion` rounds the recursion's
-    coefficients before the kernel, whose rounding keeps their bits, so
-    that one beyond binary64 raises EvaluationError naming its den term.
+    coefficients once, for the kernel, so that one beyond binary64 raises
+    EvaluationError naming its den term.
     The float grid is float64 when num and den are real, complex128
     otherwise, and is the kernel's grid of levels, unchecked: its
     non-finite cells may lie where the solver, which checks its own output
@@ -489,6 +489,14 @@ def _solve_checked(pf: ProblemFile, n1, n2, arithmetic):
     return u, residual(prob, u)
 
 
+def _residual_fields(res) -> dict:
+    """The residual fields of the solve sidecar and the verify report; a
+    NaN or infinite value is null, which strict JSON parsers accept."""
+    fields = {"residual": res.relative, "residual_abs": res.max_abs}
+    return {"residual_exact_zero": res.exact_zero,
+            **{k: x if math.isfinite(x) else None for k, x in fields.items()}}
+
+
 def solve_problem(pf: ProblemFile, n1: int | None = None,
                   n2: int | None = None, arithmetic: str | None = None):
     """Solve and return (solution series, sidecar dict)."""
@@ -497,9 +505,7 @@ def solve_problem(pf: ProblemFile, n1: int | None = None,
         "valid_window": [u.valid[0], u.valid[1]],
         "mode": pf.mode,
         "arithmetic": arithmetic or pf.arithmetic,
-        "residual": res.relative,
-        "residual_abs": res.max_abs,
-        "residual_exact_zero": res.exact_zero,
+        **_residual_fields(res),
     }
     return u, sidecar
 
@@ -516,9 +522,7 @@ def verify_problem(pf: ProblemFile, tol: float = 1e-8,
         raise PreconditionError(f"tolerance {tol!r} is negative")
     _, res = _solve_checked(pf, n1, n2, arithmetic)
     return {
-        "residual": res.relative,
-        "residual_abs": res.max_abs,
-        "residual_exact_zero": res.exact_zero,
+        **_residual_fields(res),
         "window": list(res.window),
         "tol": tol,
         "passed": res.relative <= tol,

@@ -199,13 +199,13 @@ def formal_solve(prob: CauchyProblem) -> Series2:
     Output grid is exactly ``out_shape``; every returned coefficient is
     inside the valid window thanks to the level widths.  The recursion's
     terms and taps are the operator's Gaussian-rational coefficients as
-    they are: the kernel's recurrence applies the moment tables and the
-    rounding.  Float mode rounds them first (:func:`rounded_recursion`), so
-    that one beyond binary64 raises EvaluationError naming the operator
-    terms it divides; the kernel checks the window, columns ``i <= N2``,
-    and a t-level that overflows binary64 there raises EvaluationError
-    naming the first such level.  The window is copied out of the
-    recursion's grid of levels once.
+    they are, and the kernel's recurrence applies the moment tables.  Float
+    mode rounds them once (:func:`rounded_recursion`), so that one beyond
+    binary64 raises EvaluationError naming the operator terms it divides,
+    and the kernel takes the rounded values; it checks the window, columns
+    ``i <= N2``, and a t-level that overflows binary64 there raises
+    EvaluationError naming the first such level.  The window is copied out
+    of the recursion's grid of levels once.
     """
     P = prob.operator
     n = P.n
@@ -254,10 +254,11 @@ def formal_solve(prob: CauchyProblem) -> Series2:
 
 @record
 class ResidualReport:
-    """Largest residual of ``P u - f`` on its window, absolute and relative."""
+    """Largest residual of ``P u - f`` on its window ``(J, I)``, absolute
+    (``max_abs``) and relative (``relative``), and whether it is exactly
+    zero (``exact_zero``)."""
 
     max_abs: float
-    scale: float  # largest term magnitude entering the comparison
     window: tuple
     exact_zero: bool
     relative: float
@@ -299,13 +300,13 @@ def residual(prob: CauchyProblem, u_hat: Series2) -> ResidualReport:
 
     f is reconstructed as ``P0(dz) g`` by operator application when the
     problem was posed through g.  In exact mode a zero residual is exact;
-    both sides are normalized once and shifted on integers, and the L1
-    moduli ``|re| + |im|`` of raw coefficients are compared.  In float mode
-    the relative residual is measured against the largest term magnitude
-    (operator applied with absolute coefficients to the absolute series),
-    the backward-error scale of the cancellation; a NaN or infinite value
-    makes the relative residual NaN.  Both modes shift on
-    :mod:`mpde.kernel`.
+    both sides are normalized once and shifted on integers, and equal
+    sides report zero at once; otherwise the L1 moduli ``|re| + |im|`` of
+    raw coefficients are compared.  The relative residual is measured
+    against the largest term magnitude (in float mode, the operator applied
+    with absolute coefficients to the absolute series), the backward-error
+    scale of the cancellation; in float mode a NaN or infinite value makes
+    the relative residual NaN.  Both modes shift on :mod:`mpde.kernel`.
     """
     P = prob.operator
     support = P.support()
@@ -326,8 +327,8 @@ def _residual_float(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
     """The float residual: each side is one :func:`kernel.shift_float` of
     its grid, and one more of its moduli with absolute coefficients, for
     the scale; the rhs side of a g whose ``P0`` is 1 is the grid itself.
-    An operator coefficient beyond binary64 raises EvaluationError naming
-    its term."""
+    The coefficients are rounded once, here, so that one beyond binary64
+    raises EvaluationError naming its term."""
     import numpy as np
 
     logs1, logs2 = prob.log_tables
@@ -365,39 +366,34 @@ def _residual_float(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
         rel = math.nan
     else:
         rel = max_abs / scale if scale > 0.0 else max_abs
-    return ResidualReport(max_abs, scale, (J, I), max_abs == 0.0, rel)
+    return ResidualReport(max_abs, (J, I), max_abs == 0.0, rel)
 
 
 def _residual_exact(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
+    """The exact residual, one :func:`kernel.shift` per side.  Equal integer
+    lanes over one row divisor (an absent imaginary lane reads as zeros)
+    are a zero residual, returned before :func:`_max_weighted` sizes any."""
     w1, w2 = prob.fraction_tables
     lhs = kernel.shift(u_hat.lanes, support, w1, w2, J, I)
     f = kernel.shift(prob.rhs.lanes, p0_table or {(0, 0): 1}, w1, w2, J, I)
     # the row divisors of the sides differ by one ratio sf/sl in lowest
     # terms: put both over lhs's divisors times sl, compare integer L1 moduli
     sf, sl = quotient(lhs.row_div[0], f.row_div[0]).as_integer_ratio()
-    zeros = [[0] * (I + 1) for _ in range(J + 1)]
+    zeros = [[0] * (I + 1)] * (J + 1)
     l_im = lhs.im if lhs.im is not None else zeros
     f_im = f.im if f.im is not None else zeros
-    diff, size = [], []
-    for j in range(J + 1):
-        lr, li, fr, fi = lhs.re[j], l_im[j], f.re[j], f_im[j]
-        if sl == sf and lr == fr and li == fi:
-            # equal rows over one denominator (sl = sf = 1): no difference,
-            # and both sides have one size
-            diff.append(())
-            size.append([abs(x) for x in lr] if li is zeros[j] else
-                        [abs(x) + abs(y) for x, y in zip(lr, li)])
-            continue
-        diff.append([abs(lr[i] * sl - fr[i] * sf) + abs(li[i] * sl - fi[i] * sf)
-                     for i in range(I + 1)])
-        size.append([max((abs(lr[i]) + abs(li[i])) * sl,
-                         (abs(fr[i]) + abs(fi[i])) * sf)
-                     for i in range(I + 1)])
+    if sl == sf and lhs.re == f.re and l_im == f_im:
+        return ResidualReport(0.0, (J, I), True, 0.0)
+    rows = list(zip(lhs.re, l_im, f.re, f_im))
+    diff = [[abs(lr[i] * sl - fr[i] * sf) + abs(li[i] * sl - fi[i] * sf)
+             for i in range(I + 1)] for lr, li, fr, fi in rows]
+    size = [[max((abs(lr[i]) + abs(li[i])) * sl,
+                 (abs(fr[i]) + abs(fi[i])) * sf)
+             for i in range(I + 1)] for lr, li, fr, fi in rows]
     max_abs = _max_weighted(diff, lhs.row_div, w2) / sl
     scale = _max_weighted(size, lhs.row_div, w2) / sl
     rel = float(max_abs / scale) if scale > 0 else float(max_abs != 0)
-    return ResidualReport(_safe_float(max_abs), _safe_float(scale),
-                          (J, I), max_abs == 0, rel)
+    return ResidualReport(_safe_float(max_abs), (J, I), max_abs == 0, rel)
 
 
 def _max_weighted(rows, w1, w2) -> Fraction:

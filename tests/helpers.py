@@ -3,6 +3,7 @@ and an in-process harness for the command line."""
 
 import contextlib
 import io
+import json
 import math
 import random
 from dataclasses import dataclass
@@ -137,3 +138,12 @@ def run_cli(argv) -> CliResult:
     code = 0 if code is None else code if isinstance(code, int) else 1
     return CliResult(code, out.getvalue(), both.getvalue(),
                      err.getvalue())
+
+
+def strict_json(text: str):
+    """``json.loads`` of text that must be JSON: ``NaN``, ``Infinity`` and
+    ``-Infinity``, which Python's reader accepts and strict parsers reject,
+    raise ValueError."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)

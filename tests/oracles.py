@@ -52,8 +52,7 @@ from mpde.charroots import _deg, _divmod, _squarefree_parts
 from mpde.errors import (DomainError, EstimationError, EvaluationError,
                          WindowError)
 from mpde.exact import RationalComplex, as_fraction
-from mpde.kernel import (Lanes, binary64, common_denominator,
-                         gaussian_int, ratios)
+from mpde.kernel import Lanes, common_denominator, gaussian_int, ratios
 from mpde.moments import log_gamma, log_table, scaled_eval
 from mpde.series import FIT_RADIUS, GevreyFit, Series2
 from routes import Series1, eval_fraction
@@ -93,12 +92,10 @@ def mellin_check(a, b, k, u, quad_params: dict | None = None) -> float:
                          epsabs=target, epsrel=params["epsrel"],
                          limit=params["limit"], full_output=1)
     if len(out) > 3:
-        raise EvaluationError(f"Mellin quadrature failed: {out[3]}",
-                              residual=out[1])
+        raise EvaluationError(f"Mellin quadrature failed: {out[3]}")
     value, abserr = out[0], out[1]
     if abserr > 10.0 * max(target, params["epsrel"] * abs(value)):
-        raise EvaluationError("Mellin quadrature error estimate too large",
-                              residual=abserr)
+        raise EvaluationError("Mellin quadrature error estimate too large")
     return a * value
 
 
@@ -132,8 +129,8 @@ def frac_integral_quadrature(phi: Series1, s, k: int, x: float) -> complex:
                              epsabs=1e-13, epsrel=1e-10, limit=200,
                              full_output=1)
         if len(out) > 3:
-            raise EvaluationError(f"fractional-integral quadrature failed: {out[3]}",
-                                  residual=out[1])
+            raise EvaluationError(
+                f"fractional-integral quadrature failed: {out[3]}")
         return out[0]
 
     re = run(lambda v: v.real)
@@ -294,12 +291,12 @@ def recurrence_float_levels(base, q, terms, n: int, widths, logs1, logs2,
     log ratio and its coefficient multiply, then the downward terms and the
     taps.  The log ratio of row offset a at level t is ``np.exp`` of the
     array of the differences ``logs1[t - a] - logs1[t]``, t >= n, as the
-    kernel takes it.  Each cell gets the same operations in the same order
-    as in the kernel, so the levels must agree bit for bit.
+    kernel takes it.  q, the term coefficients and the taps are binary64
+    scalars, as the kernel takes them.  Each cell gets the same operations
+    in the same order as in the kernel, so the levels must agree bit for
+    bit.
     """
     width, levels = max(widths), len(widths)
-    q, taps = binary64(q), [(k, binary64(m)) for k, m in taps]
-    terms = [(a, b, binary64(c)) for a, b, c in terms]
     logs1 = logs1.tolist()  # Python floats for the differences per level
     exp1 = {a: dict(zip(range(n, levels), np.exp(np.array(
                 [logs1[t - a] - logs1[t] for t in range(n, levels)])).tolist()))

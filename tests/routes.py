@@ -189,8 +189,9 @@ def apply_operator(table, m1: MomentFunction, m2: MomentFunction,
     ``V_{j,i} = sum p_ab U_{j+a,i+b}``, run on :mod:`mpde.kernel` with the
     coefficients as given: :func:`kernel.shift` on the lanes of u and the
     exact moment tables, or :func:`kernel.shift_float` on the grid and the
-    ratios of moment values taken from their logarithms, applying a real
-    coefficient as a Python float so that a float64 grid stays float64.
+    ratios of moment values taken from their logarithms, with each
+    coefficient rounded by :func:`kernel.binary64`, a real one to a Python
+    float so that a float64 grid stays float64.
     The output window shrinks by the maximal orders in the support.
     """
     J_out, I_out = operator_window(table, u.valid)
@@ -201,7 +202,7 @@ def apply_operator(table, m1: MomentFunction, m2: MomentFunction,
                            moments.fraction_table(m2, u.kappa2, I),
                            J_out, I_out)
         return Series2(out, u.kappa1, u.kappa2, True)
-    items = normalize_table(table)
+    items = [(k, kernel.binary64(p)) for k, p in normalize_table(table)]
     r1 = kernel.ratios(moments.log_table(m1, u.kappa1, J),
                        {a for (a, _), _ in items}, J_out)
     r2 = kernel.ratios(moments.log_table(m2, u.kappa2, I),
@@ -261,8 +262,9 @@ def g_from_f(p0_coeffs, m2: MomentFunction, f: Series2) -> Series2:
     import numpy as np
 
     levels = kernel.recurrence_float(
-        f.grid, q, [], 0, widths, np.zeros(J + 1),
-        moments.log_table(m2, f.kappa2, I + B), taps, -B)
+        f.grid, kernel.binary64(q), [], 0, widths, np.zeros(J + 1),
+        moments.log_table(m2, f.kappa2, I + B),
+        [(k, kernel.binary64(m)) for k, m in taps], -B)
     return Series2(kernel.read_only(levels), f.kappa1, f.kappa2, False)
 
 
@@ -340,9 +342,7 @@ def _sum_gamma_series(first_term, first_j, ratio_fn, tol, max_terms, what):
             return acc.value(), used, max_abs, tail
         term = nxt
         j += 1
-    raise EvaluationError(
-        f"{what} did not converge within {max_terms} terms", residual=abs(term)
-    )
+    raise EvaluationError(f"{what} did not converge within {max_terms} terms")
 
 
 # the series sums refuse |x| above this bound

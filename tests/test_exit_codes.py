@@ -6,7 +6,9 @@ directions, with misspelled and extra keys at every level of the problem
 object.  Every command runs on it: ``analyze``, ``newton``, and ``solve``,
 ``verify`` and ``probe`` in both arithmetics.  Each run must exit 0-4 with
 nothing raised past ``cli.main``; exits 1, 2 and 4 start their stderr with
-the prefix of their kind.
+the prefix of their kind.  Every JSON report a run writes to stdout, and
+every solve sidecar, must parse as strict JSON, with no ``NaN`` or
+``Infinity``.
 """
 
 import copy
@@ -18,9 +20,10 @@ from pathlib import Path
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import run_cli
+from helpers import run_cli, strict_json
 
 BIG = "1" + "0" * 400  # 10^400, beyond binary64
+E300 = "1" + "0" * 300  # 10^300
 
 SHIPPED = {name: json.loads((resources.files("mpde") / "problems"
                              / f"{name}.json").read_text())
@@ -114,6 +117,9 @@ def _heat(**changes) -> dict:
 @example(_heat(m1=f"1/{BIG}*Gamma(1/2+u/1)"))
 @example(_heat(operator=f"dt - {BIG}*dz^2"))
 @example(_heat(operator="dt - dz^6", m2="1*Gamma(1+u/1/60)"))
+# the float residual meets an infinity and is NaN
+@example(dict(_heat(operator=f"({E300}+{E300}*dz)*dt - {E300}*dz^2",
+                    mode="pseudo"), truncation=[30, 30]))
 def test_every_run_exits_0_to_4_with_its_stderr_prefix(problem):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "problem.json"
@@ -129,3 +135,8 @@ def test_every_run_exits_0_to_4_with_its_stderr_prefix(problem):
             if code in PREFIX:
                 assert result.stderr.startswith(PREFIX[code]), (
                     command, options, result.stderr)
+            # verify prints its report when it fails (exit 3) too
+            if code in (0, 3) and command in ("analyze", "verify", "probe"):
+                strict_json(result.stdout)
+            if code == 0 and command == "solve":
+                strict_json((Path(tmp) / "u.json").read_text())

@@ -94,7 +94,7 @@ def _tail_case(rng, levels=7, width=16):
     offsets under taps of order 1 or 2, on windows that shrink by the
     largest upward shift."""
     terms = [(1, 0, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))),
-             (2, 2, complex(rng.uniform(-1, 1), 0))]
+             (2, 2, rng.uniform(-1, 1))]
     B = rng.choice([1, 2])
     terms += [(a, -r, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
               for a in (1, 2) for r in range(1, B + 1)]
@@ -413,54 +413,10 @@ def test_recurrence_of_uneven_raw_lanes_matches_per_cell_recursion(
         assert kernel.denormalize(got) == _raw(U, w1, w2)
 
 
-@pytest.mark.parametrize("is_complex", [False, True])
-def test_float_kernels_round_their_own_coefficients(is_complex):
-    # coefficients given as Gaussian rationals, or already rounded by
-    # kernel.binary64 (the form problem._divide passes), give bit-identical
-    # arrays of the same dtype
-    rng = random.Random(59)
-    im = Fraction(1, 3) if is_complex else 0
-    q = RationalComplex(Fraction(3, 7))
-    terms = [(1, 0, RationalComplex(Fraction(1, 3), im)),
-             (1, 2, RationalComplex(Fraction(-2, 3))),
-             (1, -1, RationalComplex(Fraction(-1, 7), im))]
-    taps = [(1, RationalComplex(Fraction(1, 3))),
-            (2, RationalComplex(Fraction(-1, 11), im))]
-    items = [((0, 0), RationalComplex(2)), ((1, 1), RationalComplex(-1, im)),
-             ((0, 2), RationalComplex(Fraction(1, 3)))]
-    m = parse_moment("Gamma(1/2)")
-    logs1, logs2 = log_table(m, 2, 12), log_table(m, 1, 16)
-    for dtype in (float, complex):
-        base = np.array([[rng.uniform(-2, 2) for _ in range(11)]
-                         for _ in range(5)], dtype=dtype)
-        if dtype is complex:
-            base.imag = [[rng.uniform(-2, 2) for _ in range(11)]
-                         for _ in range(5)]
-        grids = []
-        for rounded in (False, True):
-            args = ((kernel.binary64(q),
-                     [(a, b, kernel.binary64(c)) for a, b, c in terms],
-                     [(k, kernel.binary64(m)) for k, m in taps])
-                    if rounded else (q, terms, taps))
-            levels = _levels(kernel.recurrence_float(
-                base, args[0], args[1], 1, [10, 8, 6, 4, 2], logs1, logs2,
-                args[2], -1), [10, 8, 6, 4, 2])
-            r1 = kernel.ratios(logs1, {0, 1}, 3)
-            r2 = kernel.ratios(logs2, {0, 1, 2}, 8)
-            shifted = kernel.shift_float(
-                base, [(k, kernel.binary64(p)) if rounded else (k, p)
-                       for k, p in items], r1, r2, 3, 8)
-            grids.append([*levels, shifted])
-        for got, want in zip(*grids):
-            assert got.dtype == want.dtype
-            assert got.dtype == (complex if is_complex or dtype is complex
-                                 else float)
-            assert got.tobytes() == want.tobytes()
-
-
 def _level_case(rng, is_complex):
     """A random ``recurrence_float`` case: real or complex base and
-    coefficients, some of them exactly 1 or -1 or Gaussian rationals,
+    coefficients, some of them exactly 1 or -1 or Gaussian rationals
+    rounded by ``kernel.binary64``, as the package's callers round them,
     terms shifting up and down, taps, a shift of 0 or below, widths that
     keep every read inside the level it reads (as ``level_widths`` does),
     and a base with inf, nan and -0.0 cells."""
@@ -471,9 +427,9 @@ def _level_case(rng, is_complex):
         if kind == "minus_one":
             return -1.0
         if kind == "rational":
-            return RationalComplex(Fraction(rng.randint(-9, 9), 7),
-                                   Fraction(rng.randint(-3, 3), 5)
-                                   if is_complex else 0)
+            return kernel.binary64(RationalComplex(
+                Fraction(rng.randint(-9, 9), 7),
+                Fraction(rng.randint(-3, 3), 5) if is_complex else 0))
         if kind == "complex" and is_complex:
             return complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         return rng.uniform(-2, 2)
@@ -509,17 +465,28 @@ def _level_case(rng, is_complex):
 def test_recurrence_float_matches_the_level_by_level_form(is_complex):
     # the bases filled at once, the ratio tables and the unit coefficients
     # applied as signs give every level bit for bit, and its dtype, as the
-    # form that computes each level on its own
+    # form that computes each level on its own; both float kernels keep a
+    # float64 grid float64 when every rounded coefficient is real
     rng = random.Random(60 + is_complex)
     units = 0
     for _ in range(150):
         args = _level_case(rng, is_complex)
+        base, scalars = args[0], [args[1], *(c for _, _, c in args[2]),
+                                  *(m for _, m in args[7])]
+        dtype = complex if base.dtype == complex or any(
+            isinstance(c, complex) for c in scalars) else float
+        assert is_complex or dtype is float
         got = _levels(kernel.recurrence_float(*args), args[4])
         want = [row.copy() for row in recurrence_float_levels(*args)]
         assert len(got) == len(want)
         for g, w in zip(got, want):
-            assert g.dtype == w.dtype
+            assert g.dtype == w.dtype == dtype
             assert g.tobytes() == w.tobytes()
+        rows, cols = base.shape
+        shifted = kernel.shift_float(
+            base, [((0, 0), c) for c in scalars], {0: np.ones(rows)},
+            {0: np.ones(cols)}, rows - 1, cols - 1)
+        assert shifted.dtype == dtype
         units += any(abs(complex(c)) == 1.0 for _, _, c in args[2])
     assert units > 50
 

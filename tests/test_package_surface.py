@@ -31,10 +31,11 @@ PACKAGE = Path(util.find_spec("mpde").origin).parent
 
 NEVER_RUN = {
     # error paths: the corpus holds no failing problem
-    "errors.EvaluationError.__init__": "error path: a numeric failure",
     "errors.ParseError.__init__": "error path: a malformed problem file",
     "kernel.CellOverflow.__init__": "error path: an exact cell beyond binary64",
     "kernel.beyond_binary64": "error path: a float value beyond binary64",
+    "solver._max_weighted": "error path: an exact residual that is not zero",
+    "solver._safe_float": "error path: an exact residual that is not zero",
     # the public readout and dunder methods of the result types
     "exact.RationalComplex.__abs__": "dunder method of a public type",
     "exact.RationalComplex.__hash__": "dunder method of a public type",

@@ -15,7 +15,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from helpers import run_cli
+from helpers import run_cli, strict_json
 from routes import row_values
 
 from mpde import cli
@@ -822,6 +822,45 @@ def test_cli_verify_refuses_a_tolerance_that_is_not_finite(tol, arithmetic):
     assert result.exit_code == 2
     assert result.stdout == ""
     assert f"argument --tol: {tol!r} is not a finite number" in result.output
+
+
+def test_cli_nonfinite_residual_is_written_as_null(tmp_path):
+    # the float residual of this problem meets an infinity and is NaN:
+    # verify fails (exit 3) and solve succeeds, and both write the residual
+    # and its absolute value as null, in process and in a fresh interpreter
+    e300 = "1" + "0" * 300
+    data = json.loads(Path(shipped("heat")).read_text())
+    data.update(operator=f"({e300}+{e300}*dz)*dt - {e300}*dz^2",
+                mode="pseudo")
+    prob = tmp_path / "nan.json"
+    prob.write_text(json.dumps(data))
+    window = ["--n1", "30", "--n2", "30", "--arithmetic", "float"]
+    sidecar = tmp_path / "u.json"
+    src = Path(problem_mod.__file__).resolve().parents[1]
+
+    def in_process(argv):
+        result = run_cli(argv)
+        return result.exit_code, result.stdout, result.stderr
+
+    def fresh(argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "mpde.cli", *argv], capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        return proc.returncode, proc.stdout, proc.stderr
+
+    for run in (in_process, fresh):
+        code, out, err = run(["verify", str(prob), *window])
+        assert (code, err) == (3, "")
+        report = strict_json(out)
+        assert (report["residual"], report["residual_abs"],
+                report["residual_exact_zero"], report["passed"]) == (
+                    None, None, False, False)
+        sidecar.unlink(missing_ok=True)
+        code, _, err = run(["solve", str(prob), *window, "--out",
+                            str(tmp_path / "u.csv")])
+        assert (code, err) == (0, "")
+        written = strict_json(sidecar.read_text())
+        assert (written["residual"], written["residual_abs"]) == (None, None)
 
 
 @pytest.mark.parametrize("tol", ["-1", "-1e-300"])

@@ -12,16 +12,17 @@ from oracles import laurent_tail, recurrence_float_levels, residual_cells
 from routes import (apply_operator, borel, g_from_f, inv_borel, moment_antidiff,
                     moment_diff)
 
-from mpde import kernel, moments
+from mpde import kernel, moments, solver
 from mpde.charroots import CharPoly, branches_at_infinity
 from mpde.errors import EvaluationError, PreconditionError
 from mpde.exact import RationalComplex
 from mpde.moments import gamma_s
 from mpde.series import Series2, gevrey_fit
 from mpde.parsing import parse_operator
-from mpde.problem import assemble, load_problem
+from mpde.problem import assemble, load_problem, verify_problem
 from mpde.solver import (CauchyProblem, _recursion_terms, formal_solve,
-                         level_widths, residual, theoretical_orders)
+                         level_widths, residual, rounded_recursion,
+                         theoretical_orders)
 
 G1 = gamma_s(1)
 
@@ -139,12 +140,18 @@ def test_float_solve_raises_on_overflow_in_window():
     assert residual(prob, formal_solve(prob)).relative < 1e-10
 
 
-def _float_problem(name, n1, n2, **changes):
-    """A shipped problem file, with ``changes``, assembled in float mode."""
+def _shipped(name, **changes):
+    """A shipped problem file, with ``changes``, loaded."""
     pf = json.loads((resources.files("mpde") / "problems" / f"{name}.json")
                     .read_text())
-    pf.update(changes, truncation=[n1, n2], arithmetic="float")
-    return assemble(load_problem(json.dumps(pf)))
+    pf.update(changes)
+    return load_problem(json.dumps(pf))
+
+
+def _float_problem(name, n1, n2, **changes):
+    """A shipped problem file, with ``changes``, assembled in float mode."""
+    return assemble(_shipped(name, truncation=[n1, n2], arithmetic="float",
+                             **changes))
 
 
 def _first_nonfinite_level(prob):
@@ -154,6 +161,7 @@ def _first_nonfinite_level(prob):
     top = P.p0()
     q, shift = (1, 0) if prob.rhs_is_g else (1 / top[P.B], -P.B)
     terms, taps = _recursion_terms(P.coeff_polys, top)
+    q, terms, taps = rounded_recursion(q, terms, taps, "q", lambda a, b: "c")
     levels = recurrence_float_levels(prob.rhs.grid, q, terms, P.n,
                                      prob.widths, *prob.log_tables, taps,
                                      shift)
@@ -240,9 +248,26 @@ def test_exact_residual_matches_the_per_cell_report(operator, rhs_is_g, shape,
     for v in (u, Series2(rows, exact=True)):
         rep = residual(prob, v)
         max_abs, scale = residual_cells(prob, v, rep.window)
-        assert (rep.max_abs, rep.scale) == (float(max_abs), float(scale))
+        assert rep.max_abs == float(max_abs)
         assert rep.relative == float(max_abs / scale)
         assert rep.exact_zero == (max_abs == 0) == (v is u)
+
+
+@pytest.mark.parametrize("name,changes", [
+    ("heat", {}), ("transport", {}), ("twofactor", {}),
+    ("heat", {"operator": "(2+dz)*dt - dz^2", "rhs_role": "f",
+              "mode": "pseudo"})])
+def test_exact_zero_residual_is_reported_before_any_size(monkeypatch, name,
+                                                         changes):
+    # equal sides return a zero residual at once: the weighted maxima of
+    # the differences and the sizes run only for a residual that is not zero
+    def sized(*args):
+        raise AssertionError("an exactly zero residual was sized")
+
+    monkeypatch.setattr(solver, "_max_weighted", sized)
+    report = verify_problem(_shipped(name, arithmetic="exact", **changes))
+    assert report["residual"] == report["residual_abs"] == 0.0
+    assert report["residual_exact_zero"] and report["passed"]
 
 
 def test_residual_rejects_mismatched_ramification():
