@@ -1,7 +1,7 @@
 """Shift kernel of the moment operators, for exact and float arithmetic.
 
-In normalized coordinates ``U_{j,i} = u_{j,i} * m1(j/kappa1) * m2(i/kappa2)``
-a moment operator with constant coefficients is a pure shift,
+In normalized coordinates ``U_{j,i} = u_{j,i} * m1(j) * m2(i)`` a moment
+operator with constant coefficients is a pure shift,
 ``sum p_ab U_{j+a,i+b}``, and the formal-solution recursion is a shift
 recursion between t-levels.  Each runs as one function per arithmetic:
 :func:`shift` and :func:`recurrence` for exact mode, :func:`shift_float`

@@ -3,7 +3,10 @@
 A moment function here is a finite product/quotient of Gamma factors.  Each
 factor ``(a, b, k, sign)`` denotes ``(a * Gamma(b + u/k)) ** sign`` with
 ``a > 0``, ``k > 0`` rational and ``sign`` +1 or -1.  The growth order of the
-whole function is the exact rational ``sum(sign / k)``.
+whole function is the exact rational ``sum(sign / k)``.  The solver takes
+moment values at the integer indices j of a series in ``t**j``; a series in
+a root ``t**(1/r)`` is the same problem with each factor's k multiplied by
+r, since ``b + (j/r)/k = b + j/(k*r)``.
 
 The classical scales are obtained through :func:`gamma_s`:
 
@@ -230,32 +233,20 @@ def scaled_eval(m: MomentFunction, u: Fraction) -> ScaledValue:
     return ScaledValue(logv, value)
 
 
-def _argument_lines(m: MomentFunction, kappa: int) -> list:
+def _argument_lines(m: MomentFunction, n: int) -> list:
     """Per factor of m, ``(sign, scale, A, B, D)``: the Gamma argument of
-    ``m(j/kappa)`` is ``b + j/(kappa*k) = (A + j*B) / D``.  B is positive
-    and D has the sign of kappa, so A + j*B grows with j."""
-    return [(f.sign, f.scale,
-             f.offset.numerator * kappa * f.ram.numerator,
-             f.offset.denominator * f.ram.denominator,
-             f.offset.denominator * kappa * f.ram.numerator)
-            for f in m.factors]
-
-
-def _check_arguments(m: MomentFunction, kappa: int, n: int) -> None:
-    """Raise the DomainErrors of :func:`scaled_eval` on ``m(j/kappa)``,
-    j = 0..n, in the same order: a negative u, or a Gamma argument that is
-    not positive."""
-    lines = _argument_lines(m, kappa)
-    for j in range(n + 1):
-        if j * kappa < 0:
-            raise DomainError(f"moment functions are evaluated for u >= 0, "
-                              f"got {Fraction(j, kappa)}")
-        for _, _, A, B, D in lines:
-            x = A + j * B
-            if x * D <= 0:
-                raise DomainError(
-                    f"Gamma argument b + u/k = {Fraction(x, D)} is not "
-                    f"positive (u = {Fraction(j, kappa)})")
+    ``m(j)`` is ``b + j/k = (A + j*B) / D``.  B and D are positive, so the
+    argument grows with j and only j = 0 can raise the DomainError of
+    :func:`scaled_eval` on ``m(j)``, j = 0..n: the first factor whose
+    argument is not positive raises it, and an empty range (n < 0) none."""
+    lines = [(f.sign, f.scale, f.offset.numerator * f.ram.numerator,
+              f.offset.denominator * f.ram.denominator,
+              f.offset.denominator * f.ram.numerator) for f in m.factors]
+    for _, _, A, _, D in lines:
+        if A <= 0 <= n:
+            raise DomainError(f"Gamma argument b + u/k = {Fraction(A, D)} "
+                              f"is not positive (u = 0)")
+    return lines
 
 
 def _factor_values(scale: Fraction, A: int, B: int, D: int, n: int) -> tuple:
@@ -284,12 +275,12 @@ def _factor_values(scale: Fraction, A: int, B: int, D: int, n: int) -> tuple:
     return nums, dens
 
 
-def fraction_table(m: MomentFunction, kappa: int, n: int) -> list:
-    """Exact values ``m(j/kappa)`` for j = 0..n.
+def fraction_table(m: MomentFunction, n: int) -> list:
+    """Exact values ``m(j)`` for j = 0..n.
 
-    The values of ``scaled_eval(m, j/kappa).rational``, with the same
+    The values of ``scaled_eval(m, j).rational``, with the same
     DomainErrors, but outside its cache.  Arguments grow with j, so the
-    errors are checked once, for j <= 1, as :func:`log_table` does.  Each
+    errors are checked once, at j = 0 (:func:`_argument_lines`).  Each
     factor is then built over the whole range (:func:`_factor_values`), a
     running factorial at integer Gamma arguments and a dyadic rational
     elsewhere.  The first factor starts the product and each further one
@@ -298,9 +289,8 @@ def fraction_table(m: MomentFunction, kappa: int, n: int) -> list:
     unless every denominator is 1: an int where integral, such as a
     factorial of Gamma(1), else a Fraction.  No factor gives ones.
     """
-    _check_arguments(m, kappa, min(n, 1))
     factors = []
-    for sign, scale, A, B, D in _argument_lines(m, kappa):
+    for sign, scale, A, B, D in _argument_lines(m, n):
         bn, bd = _factor_values(scale, A, B, D, n)
         factors.append((bn, bd) if sign == 1 else (bd, bn))
     if not factors:
@@ -313,10 +303,10 @@ def fraction_table(m: MomentFunction, kappa: int, n: int) -> list:
     return list(map(quotient, nums, dens))
 
 
-def log_table(m: MomentFunction, kappa: int, n: int):
-    """Natural logs of ``m(j/kappa)`` for j = 0..n, as a numpy float array.
+def log_table(m: MomentFunction, n: int):
+    """Natural logs of ``m(j)`` for j = 0..n, as a numpy float array.
 
-    The logs of ``scaled_eval(m, j/kappa)``, summed factor by factor in the
+    The logs of ``scaled_eval(m, j)``, summed factor by factor in the
     same order, with the same DomainErrors, but without the exact values
     (factorials, dyadic rationals) and outside its cache.
 
@@ -335,12 +325,9 @@ def log_table(m: MomentFunction, kappa: int, n: int):
     """
     import numpy as np
 
-    # arguments grow with j: a DomainError can only come at j = 0 (an
-    # argument) or at j = 1 (kappa < 0), and these two raise it in order
-    _check_arguments(m, kappa, min(n, 1))
     logs = np.zeros(n + 1)
-    for sign, scale, A, B, D in _argument_lines(m, kappa):
-        if max(abs(A), B, abs(A + n * B), abs(D)) < 2 ** 53:
+    for sign, scale, A, B, D in _argument_lines(m, n):
+        if max(abs(A), B, abs(A + n * B), D) < 2 ** 53:
             x = (np.arange(n + 1, dtype=np.int64) * B + A) / D
         else:
             x = np.array([(A + j * B) / D for j in range(n + 1)])

@@ -50,7 +50,7 @@ from .errors import ParseError, PreconditionError
 from .exact import RationalComplex, as_rational, fmt_fraction
 from .parsing import parse_moment, parse_operator
 from .record import record
-from .series import Series2, gevrey_fit
+from .series import FIT_MIN_POINTS, Series2, gevrey_fit, least_fit_truncation
 from .solver import (CauchyProblem, _recursion_terms, formal_solve,
                      level_widths, residual, rounded_recursion,
                      theoretical_orders)
@@ -532,9 +532,16 @@ def verify_problem(pf: ProblemFile, tol: float = 1e-8,
 def probe_problem(pf: ProblemFile, n1: int | None = None,
                   n2: int | None = None, arithmetic: str | None = None
                   ) -> dict:
-    """Empirical Gevrey fit plus singular-direction probes per level."""
+    """Empirical Gevrey fit plus singular-direction probes per level; a
+    t-truncation too short for the fit is rejected before the solve."""
     P, m1, m2 = pf.parsed
-    u = formal_solve(assemble(pf, n1, n2, arithmetic))
+    N1, N2 = _truncation(pf, n1, n2)
+    least = least_fit_truncation()
+    if N1 < least:
+        raise PreconditionError(
+            f"probe needs --n1 >= {least}, so that its Gevrey fit has "
+            f"{FIT_MIN_POINTS} t-levels to read; got N1 = {N1}")
+    u = formal_solve(assemble(pf, N1, N2, arithmetic))
     branches, s1, s2 = branches_at_infinity(P), m1.order, m2.order
     st1, st2 = pf.rhs_gevrey
     orders = theoretical_orders(branches, s1, s2, st1, st2)

@@ -1,11 +1,11 @@
-"""Truncated formal power series in two variables with ramification, and
-their empirical Gevrey order.
+"""Truncated formal power series in two variables, and their empirical
+Gevrey order.
 
 Coefficients are stored raw (plain monomial coefficients).  Two coefficient
 fields are supported: Python ``complex`` (float mode), kept as a numpy
 grid, and :class:`~mpde.exact.RationalComplex` (exact mode), kept as
 integer lanes with row and column divisors.  The moment operators act as
-shifts on normalized coordinates ``u_j = c_j * m(j/kappa)``; the solver
+shifts on normalized coordinates ``u_j = c_j * m(j)``; the solver
 runs them on the shift kernel (:mod:`mpde.kernel`), which leaves the exact
 moment values in the divisors of the lanes.  The kernel's one decoder
 divides them out when ``coeffs``, ``grid``, the CSV or the Gevrey fit reads
@@ -37,7 +37,7 @@ def _rows(coeffs, coerce) -> tuple:
 
 
 class Series2:
-    """Truncated series ``sum c_{j,i} t**(j/kappa1) z**(i/kappa2)``.
+    """Truncated series ``sum c_{j,i} t**j z**i``.
 
     A series stores one grid: a read-only 2-D numpy array (:attr:`grid`)
     in float mode, float64 for real data and complex128 otherwise, and
@@ -51,13 +51,10 @@ class Series2:
     ``RationalComplex``, is built on first use.  The whole grid is valid:
     ``valid`` is its last index pair (J, I), one less than its row and
     column counts.  Series are immutable and compare equal when their
-    ``coeffs``, ramifications and arithmetic are equal.
+    ``coeffs`` and arithmetic are equal.
     """
 
-    def __init__(self, coeffs, kappa1: int = 1, kappa2: int = 1,
-                 exact: bool = False):
-        if kappa1 < 1 or kappa2 < 1:
-            raise DomainError("kappa1, kappa2 must be positive integers")
+    def __init__(self, coeffs, exact: bool = False):
         if exact:
             if not isinstance(coeffs, kernel.RawLanes):
                 rows = _rows(coeffs, RationalComplex.coerce)
@@ -85,7 +82,6 @@ class Series2:
         if not n_rows or not width:
             raise DomainError("empty coefficient grid")
         for name, value in (("_data", coeffs), ("_coeffs", None),
-                            ("kappa1", kappa1), ("kappa2", kappa2),
                             ("exact", exact),
                             ("valid", (n_rows - 1, width - 1))):
             object.__setattr__(self, name, value)
@@ -130,7 +126,7 @@ class Series2:
         return self._data
 
     def _key(self) -> tuple:
-        return (self.coeffs, self.kappa1, self.kappa2, self.exact)
+        return (self.coeffs, self.exact)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -141,12 +137,11 @@ class Series2:
         return hash(self._key())
 
     def __repr__(self):
-        return (f"Series2(coeffs={self.coeffs!r}, kappa1={self.kappa1!r}, "
-                f"kappa2={self.kappa2!r}, exact={self.exact!r})")
+        return f"Series2(coeffs={self.coeffs!r}, exact={self.exact!r})"
 
     @classmethod
-    def from_entries(cls, entries, n1: int, n2: int, exact: bool = False,
-                     **kw) -> "Series2":
+    def from_entries(cls, entries, n1: int, n2: int,
+                     exact: bool = False) -> "Series2":
         """The (n1, n2) grid of the (j, i, value) triples ``entries``, every
         other cell zero.  Entries outside the grid are dropped, and a
         repeated (j, i) keeps its last value.  Exact values are coerced to
@@ -162,7 +157,7 @@ class Series2:
         if exact:
             return cls(kernel.lanes_of_table(
                 {k: RationalComplex.coerce(v) for k, v in table.items()},
-                n1, n2), exact=True, **kw)
+                n1, n2), exact=True)
         import numpy as np
 
         values = list(map(kernel.binary64, table.values()))
@@ -170,7 +165,7 @@ class Series2:
         grid = np.zeros((n1 + 1, n2 + 1), dtype=float if real else complex)
         for (j, i), v in zip(table, values):
             grid[j, i] = v
-        return cls(kernel.read_only(grid), **kw)
+        return cls(kernel.read_only(grid))
 
     def to_csv(self) -> str:
         """Coefficient dump: header ``j,i,re,im``, row-major, 17 sig digits.
@@ -224,10 +219,21 @@ class GevreyFit:
 
 
 FIT_RADIUS = 0.1
+FIT_J_MIN_FRAC = 0.5
+FIT_MIN_POINTS = 8
 
 
-def gevrey_fit(u: Series2, axis: str = "t", j_min_frac: float = 0.5,
-               min_points: int = 8) -> GevreyFit:
+def least_fit_truncation(j_min_frac: float = FIT_J_MIN_FRAC,
+                         min_points: int = FIT_MIN_POINTS) -> int:
+    """Least J whose ``floor((1 - j_min_frac) * J) + 1`` levels
+    ``[ceil(j_min_frac * J), J]``, which :func:`gevrey_fit` reads, number
+    ``min_points``."""
+    return math.ceil((min_points - 1) / (1 - j_min_frac))
+
+
+def gevrey_fit(u: Series2, axis: str = "t",
+               j_min_frac: float = FIT_J_MIN_FRAC,
+               min_points: int = FIT_MIN_POINTS) -> GevreyFit:
     """Least-squares growth exponent of weighted row sums.
 
     Forms ``a_j = sum_i |c_{j,i}| * FIT_RADIUS**i`` and fits ``log a_j``

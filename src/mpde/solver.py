@@ -2,7 +2,7 @@
 
 Solves ``P(dt, dz) u = f`` with zero initial data, where dt and dz are the
 moment derivatives attached to m1 and m2.  In normalized coordinates
-``U_{j,i} = u_{j,i} * m1(j/kappa1) * m2(i/kappa2)`` the operator is a
+``U_{j,i} = u_{j,i} * m1(j) * m2(i)`` the operator is a
 constant-coefficient shift, and the recursion runs level by level in the
 t-order as ``U[j+n][i] = G[j][i] + sum c_ab U[j+n-a][i+b]``.
 
@@ -106,7 +106,7 @@ class CauchyProblem:
 
     @cached_property
     def fraction_tables(self) -> tuple:
-        """Exact moment values ``(m1(j/kappa1), m2(i/kappa2))`` of
+        """Exact moment values ``(m1(j), m2(i))`` of
         :func:`moments.fraction_table` over :attr:`_table_sizes`, shared by
         every exact stage of a solve: ints where they are integral, so that
         the divisors the kernel multiplies and divides stay ints, and
@@ -120,13 +120,12 @@ class CauchyProblem:
 
     def _tables(self, build) -> tuple:
         """``build`` over :attr:`_table_sizes`; one table, sliced for both
-        axes, when ``(m1, kappa1) == (m2, kappa2)``."""
+        axes, when ``m1 == m2``."""
         n_rows, n_cols = self._table_sizes
-        axes = (self.m1, self.rhs.kappa1), (self.m2, self.rhs.kappa2)
-        if axes[0] == axes[1]:
-            table = build(*axes[0], max(n_rows, n_cols))
+        if self.m1 == self.m2:
+            table = build(self.m1, max(n_rows, n_cols))
             return table[: n_rows + 1], table[: n_cols + 1]
-        return build(*axes[0], n_rows), build(*axes[1], n_cols)
+        return build(self.m1, n_rows), build(self.m2, n_cols)
 
 
 def level_widths(P: CharPoly, out_shape) -> list:
@@ -231,8 +230,7 @@ def formal_solve(prob: CauchyProblem) -> Series2:
         v = kernel.recurrence(prob.rhs.lanes, q, terms, n, prob.widths,
                               *prob.fraction_tables, taps, shift)
         # only the output window is kept
-        return Series2(kernel.window(v, N1, N2), prob.rhs.kappa1,
-                       prob.rhs.kappa2, True)
+        return Series2(kernel.window(v, N1, N2), True)
 
     def name(a, b):
         # a tap, and a term when B = 0, is one operator term over the top
@@ -248,8 +246,7 @@ def formal_solve(prob: CauchyProblem) -> Series2:
     levels = kernel.recurrence_float(prob.rhs.grid, q, terms, n, prob.widths,
                                      *prob.log_tables, taps, shift, N2)
     out = levels[:, : N2 + 1].copy()
-    return Series2(kernel.read_only(out), prob.rhs.kappa1, prob.rhs.kappa2,
-                   False)
+    return Series2(kernel.read_only(out), False)
 
 
 @record
@@ -312,8 +309,6 @@ def residual(prob: CauchyProblem, u_hat: Series2) -> ResidualReport:
     support = P.support()
     p0_table = ({(0, b): c for b, c in enumerate(P.p0()) if c}
                 if prob.rhs_is_g else None)
-    if (u_hat.kappa1, u_hat.kappa2) != (prob.rhs.kappa1, prob.rhs.kappa2):
-        raise PreconditionError("u_hat and the rhs must share kappa1, kappa2")
     J_l, I_l = operator_window(support, u_hat.valid)
     J_f, I_f = (operator_window(p0_table, prob.rhs.valid)
                 if p0_table is not None else prob.rhs.valid)

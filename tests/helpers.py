@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from mpde import cli
 from mpde.exact import RationalComplex
+from mpde.moments import MomentFactor, MomentFunction
 from mpde.series import Series2
 from routes import Series1
 
@@ -21,6 +22,15 @@ from routes import Series1
 # magnitudes that the sum adds (:func:`log_magnitude`), where a last-bit
 # change of a log is scaled by the Lanczos body's ``z + 0.5``.
 LOG_ULPS = 8
+
+
+def larger_k(m: MomentFunction, kappa: int) -> MomentFunction:
+    """m with each Gamma factor's k multiplied by kappa: the moment function
+    that reads a series in ``t**(1/kappa)`` at its index j, since
+    ``b + (j/kappa)/k = b + j/(k*kappa)`` (README, "Library entry
+    points")."""
+    return MomentFunction(tuple(MomentFactor(f.scale, f.offset, f.ram * kappa,
+                                             f.sign) for f in m.factors))
 
 
 def log_magnitude(m, u) -> float:
@@ -36,7 +46,7 @@ def log_magnitude(m, u) -> float:
     return total
 
 
-def random_series1(rng: random.Random, n: int, kappa: int = 1,
+def random_series1(rng: random.Random, n: int,
                    exact: bool = False) -> Series1:
     if exact:
         coeffs = [RationalComplex(Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
@@ -45,7 +55,7 @@ def random_series1(rng: random.Random, n: int, kappa: int = 1,
     else:
         coeffs = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                   for _ in range(n + 1)]
-    return Series1(coeffs, kappa=kappa, exact=exact)
+    return Series1(coeffs, exact=exact)
 
 
 def random_series2(rng: random.Random, n1: int, n2: int,
@@ -60,9 +70,9 @@ def random_series2(rng: random.Random, n1: int, n2: int,
     return Series2(rows, exact=exact)
 
 
-def from_t_coeffs(seq, exact: bool = False, **kw) -> Series2:
+def from_t_coeffs(seq, exact: bool = False) -> Series2:
     """One-column grid: c_{j,0} from ``seq``, everything else absent."""
-    return Series2([[v] for v in seq], exact=exact, **kw)
+    return Series2([[v] for v in seq], exact=exact)
 
 
 def geometric_g(n1, n2, exact=False, t_coeffs=None):

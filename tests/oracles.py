@@ -420,11 +420,11 @@ def laurent_solve(prob) -> list:
     """
     P, (N1, N2) = prob.operator, prob.out_shape
     width = wide_width(P, prob.out_shape)
-    n, k1, k2 = P.n, prob.rhs.kappa1, prob.rhs.kappa2
+    n = P.n
     top = [RationalComplex.coerce(c) for c in P.p0()]
     deg = len(top) - 1
-    w1 = [eval_fraction(prob.m1, Fraction(j, k1)) for j in range(N1 + 1)]
-    w2 = [eval_fraction(prob.m2, Fraction(i, k2)) for i in range(width + 1)]
+    w1 = [eval_fraction(prob.m1, j) for j in range(N1 + 1)]
+    w2 = [eval_fraction(prob.m2, i) for i in range(width + 1)]
     zero = RationalComplex(0)
     G = []
     for j, row in enumerate(prob.rhs.coeffs[: max(N1 - n, -1) + 1]):
@@ -479,10 +479,10 @@ def _scale_cell(c: complex, logv: float, invert: bool) -> complex:
                    math.ldexp(c.imag / mant, -e2))
 
 
-def _scale_1d(coeffs, m, kappa, exact, invert):
+def _scale_1d(coeffs, m, exact, invert):
     out = []
     for j, c in enumerate(coeffs):
-        sv = scaled_eval(m, Fraction(j, kappa))
+        sv = scaled_eval(m, j)
         if exact:
             out.append(c * sv.rational if invert else c / sv.rational)
         else:
@@ -496,15 +496,15 @@ def borel_cells(m, s, axis=None, invert=False):
     ``Fraction`` in exact mode and the scaled form of its logarithm in
     float mode."""
     if isinstance(s, Series1):
-        out = _scale_1d(s.coeffs, m, s.kappa, s.exact, invert)
-        return Series1(out, s.kappa, s.axis, s.exact)
+        out = _scale_1d(s.coeffs, m, s.exact, invert)
+        return Series1(out, s.axis, s.exact)
     if axis not in ("t", "z"):
         raise DomainError("Series2 transforms need axis 't' or 'z'")
     J, I = s.valid
     if axis == "t":
         rows = []
         for j in range(J + 1):
-            sv = scaled_eval(m, Fraction(j, s.kappa1))
+            sv = scaled_eval(m, j)
             row = s.coeffs[j][: I + 1]
             if s.exact:
                 rows.append([c * sv.rational if invert else c / sv.rational
@@ -512,12 +512,12 @@ def borel_cells(m, s, axis=None, invert=False):
             else:
                 rows.append([_scale_cell(c, sv.log, invert) for c in row])
     else:
-        rows = [_scale_1d(s.coeffs[j][: I + 1], m, s.kappa2, s.exact, invert)
+        rows = [_scale_1d(s.coeffs[j][: I + 1], m, s.exact, invert)
                 for j in range(J + 1)]
-    return Series2(rows, s.kappa1, s.kappa2, s.exact)
+    return Series2(rows, s.exact)
 
 
-def _shift_1d(coeffs, m, kappa, exact, times, up):
+def _shift_1d(coeffs, m, exact, times, up):
     n = len(coeffs) - 1
     if up and times > n:
         raise WindowError(f"differentiating {times} times leaves no "
@@ -525,10 +525,10 @@ def _shift_1d(coeffs, m, kappa, exact, times, up):
     src = range(times, n + 1) if up else range(n - times + 1)
     dst = range(n - times + 1) if up else range(times, n + 1)
     if exact:
-        w = [scaled_eval(m, Fraction(j, kappa)).rational for j in range(n + 1)]
+        w = [scaled_eval(m, j).rational for j in range(n + 1)]
         moved = [coeffs[x] * w[x] / w[y] for x, y in zip(src, dst)]
     else:
-        logs = log_table(m, kappa, n)
+        logs = log_table(m, n)
         moved = [coeffs[x] * math.exp(logs[x] - logs[y])
                  for x, y in zip(src, dst)]
     if up:
@@ -546,23 +546,21 @@ def moment_shift_cells(m, s, axis=None, times=1, up=True):
     if times < 0:
         raise DomainError("times must be >= 0")
     if isinstance(s, Series1):
-        out = _shift_1d(list(s.coeffs), m, s.kappa, s.exact, times, up)
-        return Series1(out, s.kappa, s.axis, s.exact)
+        out = _shift_1d(list(s.coeffs), m, s.exact, times, up)
+        return Series1(out, s.axis, s.exact)
     if axis not in ("t", "z"):
         raise DomainError("Series2 transforms need axis 't' or 'z'")
     J, I = s.valid
     if axis == "t":
         cells = s.coeffs
         cols = [[cells[j][i] for j in range(J + 1)] for i in range(I + 1)]
-        new_cols = [_shift_1d(col, m, s.kappa1, s.exact, times, up)
-                    for col in cols]
+        new_cols = [_shift_1d(col, m, s.exact, times, up) for col in cols]
         rows = [[new_cols[i][j] for i in range(I + 1)]
                 for j in range(len(new_cols[0]))]
     else:
-        rows = [_shift_1d(list(s.coeffs[j][: I + 1]), m, s.kappa2, s.exact,
-                          times, up)
+        rows = [_shift_1d(list(s.coeffs[j][: I + 1]), m, s.exact, times, up)
                 for j in range(J + 1)]
-    return Series2(rows, s.kappa1, s.kappa2, s.exact)
+    return Series2(rows, s.exact)
 
 
 def residual_cells(prob, u: Series2, window) -> tuple:
@@ -574,9 +572,8 @@ def residual_cells(prob, u: Series2, window) -> tuple:
     two sides' largest cell."""
     J, I = window
     P, n = prob.operator, prob.operator.n
-    w1 = [eval_fraction(prob.m1, Fraction(j, u.kappa1))
-          for j in range(J + n + 1)]
-    w2 = [eval_fraction(prob.m2, Fraction(i, u.kappa2))
+    w1 = [eval_fraction(prob.m1, j) for j in range(J + n + 1)]
+    w2 = [eval_fraction(prob.m2, i)
           for i in range(I + max(map(len, P.coeff_polys)))]
 
     def apply(table, rows):

@@ -47,16 +47,13 @@ from mpde.summability import Angle, _level_sectors, levels
 
 @record
 class Series1:
-    """Truncated series ``sum_j c_j x**(j/kappa)`` on one axis."""
+    """Truncated series ``sum_j c_j x**j`` on one axis."""
 
     coeffs: tuple
-    kappa: int = 1
     axis: str = "x"
     exact: bool = False
 
     def __post_init__(self):
-        if self.kappa < 1:
-            raise DomainError("kappa must be a positive integer")
         coerce = RationalComplex.coerce if self.exact else complex
         object.__setattr__(self, "coeffs", tuple(map(coerce, self.coeffs)))
         if not self.coeffs:
@@ -67,8 +64,8 @@ class Series1:
         return len(self.coeffs) - 1
 
     def eval_at(self, x) -> complex:
-        """Horner sum of the truncated series at the point x**(1/kappa)."""
-        base = complex(x) ** (1.0 / self.kappa) if self.kappa > 1 else complex(x)
+        """Horner sum of the truncated series at the point x."""
+        base = complex(x)
         acc = 0j
         for c in reversed(self.coeffs):
             acc = acc * base + complex(c)
@@ -76,19 +73,19 @@ class Series1:
 
 
 def borel(m: MomentFunction, s, axis: str | None = None):
-    """Coefficient-wise division by m(j/kappa) along the chosen axis."""
+    """Coefficient-wise division by m(j) along the chosen axis."""
     return _transform(m, s, axis, 0, False, True)
 
 
 def inv_borel(m: MomentFunction, s, axis: str | None = None):
-    """Exact inverse of :func:`borel`: multiplication by m(j/kappa)."""
+    """Exact inverse of :func:`borel`: multiplication by m(j)."""
     return _transform(m, s, axis, 0, True, False)
 
 
 def moment_diff(m: MomentFunction, s, axis: str | None = None, times: int = 1):
     """Moment differentiation: shift of normalized coefficients.
 
-    In normalized coordinates ``u_j = c_j * m(j/kappa)`` the output is
+    In normalized coordinates ``u_j = c_j * m(j)`` the output is
     ``u'_j = u_{j+times}``; the truncation shrinks by ``times``.
     """
     if times < 0:
@@ -124,19 +121,19 @@ def _transform(m, s, axis, delta: int, num: bool, den: bool):
     does, overflow giving inf.
     """
     if isinstance(s, Series1):
-        row = Series2([s.coeffs], 1, s.kappa, s.exact)
+        row = Series2([s.coeffs], s.exact)
         out = _transform(m, row, "z", delta, num, den)
-        return Series1(out.coeffs[0], s.kappa, s.axis, s.exact)
+        return Series1(out.coeffs[0], s.axis, s.exact)
     if axis not in ("t", "z"):
         raise DomainError("Series2 transforms need axis 't' or 'z'")
     J, I = s.valid
-    n, kappa = (J, s.kappa1) if axis == "t" else (I, s.kappa2)
+    n = J if axis == "t" else I
     if delta > n:
         raise WindowError(f"differentiating {delta} times leaves no "
                           f"valid coefficients (truncation {n})")
     n_out = n - max(delta, 0)
     if s.exact:
-        w = moments.fraction_table(m, kappa, n)
+        w = moments.fraction_table(m, n)
         lanes = s.lanes
         divs = [1 if k + delta < 0 else
                 quotient(d * (w[k] if den else 1), w[k + delta] if num else 1)
@@ -150,7 +147,7 @@ def _transform(m, s, axis, delta: int, num: bool, den: bool):
             for lane in (lanes.re, lanes.im))
         out = (kernel.RawLanes(re, im, divs, lanes.col_div) if axis == "t"
                else kernel.RawLanes(re, im, lanes.row_div, divs))
-        return Series2(out, s.kappa1, s.kappa2, True)
+        return Series2(out, True)
     import numpy as np
 
     cells = s.grid
@@ -158,7 +155,7 @@ def _transform(m, s, axis, delta: int, num: bool, den: bool):
         cells = cells.T  # the transform runs along axis 0
     lo = min(max(-delta, 0), n_out + 1)
     src = cells[lo + delta: n_out + 1 + delta]
-    logs = moments.log_table(m, kappa, n)
+    logs = moments.log_table(m, n)
     # ``grid`` is row-major in (t, z), so a Series2 keeps it; ``out`` is its
     # view with ``axis`` first, as ``cells`` is
     grid = np.zeros((n_out + 1, cells.shape[1]) if axis == "t"
@@ -178,7 +175,7 @@ def _transform(m, s, axis, delta: int, num: bool, den: bool):
                 plane[:] = np.ldexp(scaled, e2 if num else -e2)
             if not np.isfinite(plane[np.isfinite(scaled)]).all():
                 raise OverflowError("math range error")
-    return Series2(kernel.read_only(grid), s.kappa1, s.kappa2, False)
+    return Series2(kernel.read_only(grid), False)
 
 
 def apply_operator(table, m1: MomentFunction, m2: MomentFunction,
@@ -198,17 +195,16 @@ def apply_operator(table, m1: MomentFunction, m2: MomentFunction,
     J, I = u.valid
     if u.exact:
         out = kernel.shift(u.lanes, table,
-                           moments.fraction_table(m1, u.kappa1, J),
-                           moments.fraction_table(m2, u.kappa2, I),
-                           J_out, I_out)
-        return Series2(out, u.kappa1, u.kappa2, True)
+                           moments.fraction_table(m1, J),
+                           moments.fraction_table(m2, I), J_out, I_out)
+        return Series2(out, True)
     items = [(k, kernel.binary64(p)) for k, p in normalize_table(table)]
-    r1 = kernel.ratios(moments.log_table(m1, u.kappa1, J),
+    r1 = kernel.ratios(moments.log_table(m1, J),
                        {a for (a, _), _ in items}, J_out)
-    r2 = kernel.ratios(moments.log_table(m2, u.kappa2, I),
+    r2 = kernel.ratios(moments.log_table(m2, I),
                        {b for (_, b), _ in items}, I_out)
     out = kernel.shift_float(u.grid, items, r1, r2, J_out, I_out)
-    return Series2(kernel.read_only(out), u.kappa1, u.kappa2, False)
+    return Series2(kernel.read_only(out), False)
 
 
 def row_values(s: Series2, z) -> list:
@@ -241,7 +237,7 @@ def row_values(s: Series2, z) -> list:
 def g_from_f(p0_coeffs, m2: MomentFunction, f: Series2) -> Series2:
     """Solve ``P0(dz) g = f`` for g with the free z-coefficients set to zero.
 
-    With ``P0 = sum p_b zeta**b`` of degree B and ``G_i = g_i m2(i/kappa2)``
+    With ``P0 = sum p_b zeta**b`` of degree B and ``G_i = g_i m2(i)``
     that is ``G_i + sum m_k G_{i-k} = F_{i-B} / p_B``: the taps that
     :func:`formal_solve` runs, here alone, with the rows as levels and unit
     moments along t.  g is valid B columns past f.
@@ -256,16 +252,15 @@ def g_from_f(p0_coeffs, m2: MomentFunction, f: Series2) -> Series2:
     q, taps, widths = 1 / top[B], _taps(top), [I + B] * (J + 1)
     if f.exact:
         v = kernel.recurrence(f.lanes, q, [], 0, widths, [1] * (J + 1),
-                              moments.fraction_table(m2, f.kappa2, I + B),
-                              taps, -B)
-        return Series2(v, f.kappa1, f.kappa2, True)
+                              moments.fraction_table(m2, I + B), taps, -B)
+        return Series2(v, True)
     import numpy as np
 
     levels = kernel.recurrence_float(
         f.grid, kernel.binary64(q), [], 0, widths, np.zeros(J + 1),
-        moments.log_table(m2, f.kappa2, I + B),
+        moments.log_table(m2, I + B),
         [(k, kernel.binary64(m)) for k, m in taps], -B)
-    return Series2(kernel.read_only(levels), f.kappa1, f.kappa2, False)
+    return Series2(kernel.read_only(levels), False)
 
 
 # -- single moment values and the kernel series --------------------------------

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import random_series2
+from helpers import larger_k, random_series2
 from oracles import (expand_taps, normalize_fractions,
                      recurrence_float_levels, recurrence_float_terms)
 
@@ -69,8 +69,8 @@ def test_normalize_matches_fraction_oracle(moment, is_complex):
         table = {(j, i): c for j, row in enumerate(rows)
                  for i, c in enumerate(row) if c}
         raw = kernel.lanes_of_table(table, n_rows, n_cols)
-        w1 = fraction_table(m, 2, n_rows + 1)
-        w2 = fraction_table(m, 1, n_cols + 2)
+        w1 = fraction_table(larger_k(m, 2), n_rows + 1)
+        w2 = fraction_table(m, n_cols + 2)
         for weights in ((w1, w2), ([1] * (n_rows + 2), w2)):
             got = kernel.rescale(raw, *weights, n_rows, n_cols)
             want = normalize_fractions(rows, *weights, n_rows, n_cols)
@@ -102,8 +102,8 @@ def _tail_case(rng, levels=7, width=16):
     base = np.array([[complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                       for _ in range(width + 1)] for _ in range(levels)])
     m = parse_moment("Gamma(1/2)")
-    return (base, 0.5, terms, 2, widths, log_table(m, 1, levels),
-            log_table(m, 1, width + 2), _taps(rng, B))
+    return (base, 0.5, terms, 2, widths, log_table(m, levels),
+            log_table(m, width + 2), _taps(rng, B))
 
 
 def _terms_oracle(base, q, terms, n, widths, logs1, logs2, taps):
@@ -159,8 +159,8 @@ def test_recurrence_float_tail_memory_follows_the_width():
     base = np.array([[complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                       for _ in range(width + 1)] for _ in range(levels)])
     m = parse_moment("Gamma(1/2)")
-    args = (base, 0.5, terms, 1, [width] * levels, log_table(m, 1, levels),
-            log_table(m, 1, width + 2))
+    args = (base, 0.5, terms, 1, [width] * levels, log_table(m, levels),
+            log_table(m, width + 2))
     tracemalloc.start()
     try:
         got = _levels(kernel.recurrence_float(*args, taps), args[4])
@@ -256,7 +256,7 @@ def test_ratios_are_math_exp_of_float_differences(offsets):
     # np.exp of the scalar differences, bit for bit; offsets reaching below
     # index 0 leave zeros (math.exp agrees within 2 ulps, test_properties)
     m = parse_moment("Gamma(1/3)*Gamma(2)")
-    logs, width = log_table(m, 2, 40), 30
+    logs, width = log_table(larger_k(m, 2), 40), 30
     listed = logs.tolist()
     for b, r in kernel.ratios(logs, offsets, width).items():
         lo = max(0, -b)
@@ -295,8 +295,8 @@ def test_rescale_matches_fraction_oracle(kind):
                                                 * grid.col_div[i]))
             for i in range(shape[1])] for j in range(shape[0])]
         assert kernel.denormalize(grid) == tuple(map(tuple, rows))
-        w1 = fraction_table(m, 2, n_rows + 1)
-        w2 = fraction_table(m, 1, n_cols + 2)
+        w1 = fraction_table(larger_k(m, 2), n_rows + 1)
+        w2 = fraction_table(m, n_cols + 2)
         for weights in ((w1, w2), ([1] * (n_rows + 2), w2)):
             got = kernel.rescale(grid, *weights, n_rows, n_cols)
             want = normalize_fractions(rows, *weights, n_rows, n_cols)
@@ -347,8 +347,8 @@ def test_shift_of_uneven_raw_lanes_matches_per_cell_shift(is_complex):
     # they decode to the per-cell shift of the per-cell Fraction
     # normalization, divided by the tables again
     rng = random.Random(57)
-    w1 = fraction_table(parse_moment("Gamma(1/2)"), 2, 12)
-    w2 = fraction_table(parse_moment("Gamma(1)*Gamma(1/2)/Gamma(2)"), 1, 12)
+    w1 = fraction_table(larger_k(parse_moment("Gamma(1/2)"), 2), 12)
+    w2 = fraction_table(parse_moment("Gamma(1)*Gamma(1/2)/Gamma(2)"), 12)
     table = {(0, 0): RationalComplex(2), (1, 1): RationalComplex(-1, 3),
              (0, 2): Fraction(1, 3), (2, 0): RationalComplex(Fraction(5, 7))}
     if not is_complex:
@@ -374,8 +374,8 @@ def test_recurrence_of_uneven_raw_lanes_matches_per_cell_recursion(
     # the base, with its taps solved cell by cell, then divided by the
     # tables: what the returned lanes decode to
     rng = random.Random(58)
-    w1 = fraction_table(parse_moment("Gamma(1/2)"), 2, 12)
-    w2 = fraction_table(parse_moment("Gamma(1)*Gamma(1/2)/Gamma(2)"), 1, 16)
+    w1 = fraction_table(larger_k(parse_moment("Gamma(1/2)"), 2), 12)
+    w2 = fraction_table(parse_moment("Gamma(1)*Gamma(1/2)/Gamma(2)"), 16)
     c = RationalComplex(Fraction(1, 2), Fraction(1, 3) if is_complex else 0)
     q = RationalComplex(Fraction(3, 4))
     terms = [(1, 0, c), (1, 2, RationalComplex(Fraction(-2, 3))),
@@ -456,8 +456,8 @@ def _level_case(rng, is_complex):
         base[rng.randrange(base.shape[0]), rng.randrange(width + 1)] = \
             rng.choice([math.inf, -math.inf, math.nan, -0.0])
     m = parse_moment(rng.choice(["Gamma(1)", "Gamma(1/2)", "Gamma(3/2)"]))
-    logs1 = log_table(m, rng.randint(1, 2), levels)
-    logs2 = log_table(m, 1, width + 3)
+    logs1 = log_table(larger_k(m, rng.randint(1, 2)), levels)
+    logs2 = log_table(m, width + 3)
     return base, coefficient(), terms, n, widths, logs1, logs2, taps, shift
 
 

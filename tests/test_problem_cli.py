@@ -282,6 +282,25 @@ def test_cli_probe_skips_a_level_below_20_valid_t_levels():
          "detail": "probe needs at least 20 valid t-levels, got 19"}]
 
 
+@pytest.mark.parametrize("arithmetic", ["float", "exact"])
+def test_cli_probe_rejects_a_truncation_too_short_to_fit_before_solving(
+        arithmetic, monkeypatch):
+    # the fit reads the levels [ceil(N1/2), N1]: 8 of them from N1 = 14 on
+    args = ["probe", shipped("heat"), "--n2", "20", "--arithmetic", arithmetic]
+    assert run_cli([*args, "--n1", "14"]).exit_code == 0
+
+    def solve(prob):
+        raise AssertionError("probe solved a truncation it cannot fit")
+
+    monkeypatch.setattr(problem_mod, "formal_solve", solve)
+    result = run_cli([*args, "--n1", "13"])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert result.stderr == ("precondition violated: probe needs --n1 >= 14, "
+                             "so that its Gevrey fit has 8 t-levels to read; "
+                             "got N1 = 13\n")
+
+
 def test_cli_verify_exit_codes(tmp_path):
     ok = run_cli(["verify", shipped("heat"), "--n1", "6",
                   "--n2", "8"])
@@ -485,8 +504,9 @@ TOP_LEAVES = ("numeric failure: the branch leading term of pole order q = 2 "
 def test_cli_moment_ratio_beyond_binary64_names_the_moment_function(
         changes, named, tmp_path):
     # float solve, verify and probe exit 4 naming the moment function and
-    # the remedy; in a fresh interpreter stderr is that one line, with no
-    # numpy warning; exact verify solves the problem
+    # the remedy (probe at N1 = 14, the least it fits); in a fresh
+    # interpreter stderr is that one line, with no numpy warning; exact
+    # verify solves the problem
     data = json.loads(Path(shipped("heat")).read_text())
     data.update(changes)
     prob = tmp_path / "ratio.json"
@@ -497,6 +517,8 @@ def test_cli_moment_ratio_beyond_binary64_names_the_moment_function(
         args = [command, str(prob), "--arithmetic", "float"]
         if command == "solve":
             args += ["--out", str(tmp_path / "out.csv")]
+        if command == "probe":
+            args += ["--n1", "14"]
         result = run_cli(args)
         assert (result.exit_code, result.stderr) == (4, want), command
     src = Path(problem_mod.__file__).resolve().parents[1]
@@ -591,10 +613,10 @@ def test_cli_float_overflow_at_the_first_rhs_level_advises_exact(tmp_path):
     # den = 1 - 1e200 z overflows the rhs from column 2 on, so level n = 1,
     # the first that the rhs sets, overflows; no t-truncation below it
     # leaves the operator orders, so exact arithmetic, whose residual is
-    # zero, is the only advice
+    # zero, is the only advice (N1 = 14, the least that probe fits)
     spec = json.loads((PROBLEMS / "heat.json").read_text())
     spec["rhs"]["payload"]["den"] = [[0, 0, "1", "0"], [0, 1, "-1e200", "0"]]
-    spec.update(truncation=[10, 10], arithmetic="float")
+    spec.update(truncation=[14, 10], arithmetic="float")
     path = tmp_path / "den.json"
     path.write_text(json.dumps(spec))
     for command in ("solve", "verify", "probe"):
@@ -602,7 +624,7 @@ def test_cli_float_overflow_at_the_first_rhs_level_advises_exact(tmp_path):
         assert result.exit_code == 4, result.output
         assert result.stderr == (
             "numeric failure: float coefficients overflow at t-level 1 (of "
-            "10) inside the requested window; use --arithmetic exact\n")
+            "14) inside the requested window; use --arithmetic exact\n")
     result = run_cli(["verify", str(path), "--arithmetic", "exact"])
     assert result.exit_code == 0, result.output
     assert json.loads(result.stdout)["residual_exact_zero"] is True

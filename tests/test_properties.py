@@ -16,9 +16,9 @@ Edge polynomials are drawn as Gaussian-rational products of linear factors,
 roots on the positive real axis included.  The moment Borel transforms and
 moment derivatives are drawn on Series1 and Series2 (both axes, windows
 smaller than the grid), seven moment functions and one that is undefined at
-0, ramifications 1-3 and ``times`` up to past the truncation, with float
-data scaled by 1, 1e+-300, 1e-310 and 1e-323, signed zeros and a few
-non-finite parts.  A Gaussian rational hashes as the int, Fraction, float
+0, each factor's k multiplied by 1-3, and ``times`` up to past the
+truncation, with float data scaled by 1, 1e+-300, 1e-310 and 1e-323, signed
+zeros and a few non-finite parts.  A Gaussian rational hashes as the int, Fraction, float
 or complex number it equals, and computes as the pair of Fractions of its
 parts, drawn from ints, Fractions, floats and complex numbers.  Exact
 solves are scaling covariant: ``u(c t, c' z)`` solves the problem scaled
@@ -42,7 +42,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import brute_force
-from helpers import LOG_ULPS, log_magnitude
+from helpers import LOG_ULPS, larger_k, log_magnitude
 from oracles import (borel_cells, csv_cells, edge_roots_numpy,
                      exact_gevrey_fit_cells, exact_grid_cells, laurent_solve,
                      laurent_terms, moment_shift_cells, rational_rhs_exact,
@@ -830,7 +830,7 @@ def check_lanes_series(s: Series2):
         csv = s.to_csv()
     except EvaluationError:
         csv = None
-    rows = Series2(s.coeffs, s.kappa1, s.kappa2, exact=True)
+    rows = Series2(s.coeffs, exact=True)
     assert s == rows and hash(s) == hash(rows)
     try:
         want = csv_cells(rows)
@@ -874,7 +874,7 @@ def test_lanes_backed_series_equal_their_rows(case, scale, mode):
         pass  # the truncation is below the operator orders
     else:
         assert report == residual(
-            prob, Series2(u.coeffs, u.kappa1, u.kappa2, exact=True))
+            prob, Series2(u.coeffs, exact=True))
     table = {k: RationalComplex(*v) for k, v in case.table.items()}
     for s in (rhs, u):
         try:
@@ -1046,20 +1046,23 @@ def transform_cases(draw):
                                   + [math.inf, -math.inf, math.nan])
         part = st.one_of(finite, finite, special)
         cell = st.builds(complex, part, part)
+    # kappa multiplies each factor's k of m along the axis
     if draw(st.booleans()):
         n = draw(st.integers(0, 8))
         s = Series1(draw(st.lists(cell, min_size=n + 1, max_size=n + 1)),
-                    draw(st.integers(1, 3)), exact=exact)
-        axis = None
+                    exact=exact)
+        kappa, axis = draw(st.integers(1, 3)), None
     else:
         n1, n2 = draw(st.integers(0, 6)), draw(st.integers(0, 6))
         rows = draw(st.lists(st.lists(cell, min_size=n2 + 1,
                                       max_size=n2 + 1),
                              min_size=n1 + 1, max_size=n1 + 1))
-        s = Series2(rows, draw(st.integers(1, 3)), draw(st.integers(1, 3)),
-                    exact=exact)
+        s = Series2(rows, exact=exact)
+        kappas = draw(st.integers(1, 3)), draw(st.integers(1, 3))
         axis = draw(st.sampled_from(["t", "z", "t", "z", "x"]))
-    m = draw(st.sampled_from(TRANSFORM_MOMENTS + (UNDEFINED_AT_0,)))
+        kappa = kappas[axis == "z"]
+    m = larger_k(draw(st.sampled_from(TRANSFORM_MOMENTS + (UNDEFINED_AT_0,))),
+                 kappa)
     times = draw(st.one_of(st.integers(0, 3), st.integers(-1, 10)))
     return draw(st.sampled_from(sorted(TRANSFORMS))), m, s, axis, times
 
@@ -1180,12 +1183,13 @@ gamma_factors = st.builds(
        st.sets(st.integers(-6, 6), min_size=1, max_size=4))
 def test_log_table_and_ratios_match_the_scalar_route(factors, kappa, n,
                                                      offsets):
-    """``log_table`` against ``log_rational`` and ``log_gamma`` per entry
-    and factor, and ``kernel.ratios`` against ``math.exp`` of the same
+    """``log_table`` of m with each k multiplied by kappa against
+    ``log_rational`` and ``log_gamma`` of m at j/kappa per entry and
+    factor, and ``kernel.ratios`` against ``math.exp`` of the same
     differences, within the ulp bounds above; a ratio that ``math.exp``
     cannot hold makes ``ratios`` raise EvaluationError."""
     m = MomentFunction(tuple(factors))
-    logs = log_table(m, kappa, n)
+    logs = log_table(larger_k(m, kappa), n)
     listed = logs.tolist()
     for j, got in enumerate(listed):
         u = Fraction(j, kappa)
@@ -1256,28 +1260,54 @@ def _first_error(fn):
 
 
 @SETTINGS
-@given(st.lists(moment_factors, max_size=4), st.sampled_from([1, 2, 3, -1]),
+@given(st.lists(moment_factors, max_size=4), st.sampled_from([1, 2, 3]),
        st.integers(-1, 60))
 @example([MomentFactor(1, 1, 2, 1)], 1, 40)  # 1*Gamma(1+u/2)
 @example([MomentFactor(1, 1, 1, 1)] * 2 + [MomentFactor(1, 1, 1, -1)], 1, 30)
 @example([MomentFactor(1, 1, 1, -1)], 2, 10)  # only an inverse factor
 def test_fraction_table_is_scaled_eval_per_entry(factors, kappa, n):
-    """``fraction_table(m, kappa, n)`` is ``scaled_eval(m, j/kappa).rational``
-    for j = 0..n, an int exactly where it is integral, on products of
-    factors with integer, half-integer and mixed Gamma arguments, inverse
-    factors among them; where an entry raises a DomainError the table
-    raises the first such error."""
+    """``fraction_table`` of m with each k multiplied by kappa is
+    ``scaled_eval(m, j/kappa).rational`` for j = 0..n, an int exactly where
+    it is integral, on products of factors with integer, half-integer and
+    mixed Gamma arguments, inverse factors among them; where an entry
+    raises a DomainError the table raises the first such error."""
     m = MomentFunction(tuple(factors))
+    mk = larger_k(m, kappa)
     want = []
     error = _first_error(lambda: want.extend(
         scaled_eval(m, Fraction(j, kappa)).rational for j in range(n + 1)))
     if error is not None:
-        assert _first_error(lambda: fraction_table(m, kappa, n)) == error
+        assert _first_error(lambda: fraction_table(mk, n)) == error
         return
-    got = fraction_table(m, kappa, n)
+    got = fraction_table(mk, n)
     assert got == want
     assert [type(x) for x in got] == [
         int if w.denominator == 1 else Fraction for w in want]
+
+
+@settings(SETTINGS, max_examples=100)
+@given(cases(), st.lists(gamma_factors, min_size=1, max_size=2),
+       st.lists(gamma_factors, min_size=1, max_size=2),
+       st.sampled_from([2, 3]), st.sampled_from([2, 3]))
+def test_ramified_moments_are_gamma_factors_with_larger_k(case, f1, f2,
+                                                          kappa1, kappa2):
+    """README's recipe for a series in ``t**(1/kappa1)`` and
+    ``z**(1/kappa2)``: multiply each Gamma factor's k by kappa and read the
+    series at index j.  The moment tables that a solve of the drawn problem
+    reads, both axes, are then the scalar route's ``m(j/kappa)``: exact
+    values equal, logs within the ulp bound of helpers.LOG_ULPS."""
+    assume(case.rhs)
+    axes = ((MomentFunction(tuple(f1)), kappa1),
+            (MomentFunction(tuple(f2)), kappa2))
+    prob = dataclasses.replace(case, m1=larger_k(*axes[0]),
+                               m2=larger_k(*axes[1])).problem()
+    for (m, kappa), values, logs in zip(axes, prob.fraction_tables,
+                                        prob.log_tables):
+        us = [Fraction(j, kappa) for j in range(len(values))]
+        assert values == [scaled_eval(m, u).rational for u in us]
+        for got, u in zip(logs.tolist(), us):
+            bound = LOG_ULPS * math.ulp(log_magnitude(m, u))
+            assert abs(got - scaled_eval(m, u).log) <= bound
 
 
 def _overflows(q) -> bool:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import (from_t_coeffs, random_series1, random_series2,
+from helpers import (from_t_coeffs, larger_k, random_series1, random_series2,
                      series1_close)
 from oracles import (csv_cells, exact_gevrey_fit_cells,
                      frac_integral_quadrature)
@@ -16,7 +16,7 @@ from mpde import kernel
 from mpde.errors import DomainError, EstimationError, WindowError
 from mpde.exact import RationalComplex
 from mpde.moments import MomentFunction, gamma_s
-from mpde.series import Series2, gevrey_fit
+from mpde.series import Series2, gevrey_fit, least_fit_truncation
 
 G1 = gamma_s(1)
 GHALF = gamma_s(Fraction(1, 2))
@@ -27,21 +27,20 @@ MIX = G1 * GHALF
 @pytest.mark.parametrize("exact", [False, True])
 def test_series1_eval_at_matches_closed_forms(exact):
     n = 12
-    # kappa 1: the geometric sum (1 - x**(n+1)) / (1 - x); the exp sum at 1
+    # the geometric sum (1 - x**(n+1)) / (1 - x); the exp sum at 1
     ones = Series1([1] * (n + 1), exact=exact)
     assert ones.eval_at(0.5) == pytest.approx((1 - 0.5 ** (n + 1)) / 0.5,
                                               rel=1e-15)
     inv_fact = [Fraction(1, math.factorial(j)) for j in range(n + 1)]
     assert Series1(inv_fact, exact=exact).eval_at(1) == pytest.approx(
         sum(1 / math.factorial(j) for j in range(n + 1)), rel=1e-15)
-    # kappa 2 evaluates at x**(1/2): 4 -> 2, -4 -> 2i, 1j -> e**(i pi/4)
-    halves = Series1([1] * (n + 1), kappa=2, exact=exact)
-    assert halves.eval_at(4) == 2 ** (n + 1) - 1
-    for x, root in ((-4, 2j), (1j, complex(math.sqrt(0.5), math.sqrt(0.5)))):
-        assert halves.eval_at(x) == pytest.approx(
-            (1 - root ** (n + 1)) / (1 - root), rel=1e-13)
-    alt = Series1([(-1) ** j for j in range(n + 1)], kappa=2, exact=exact)
-    assert alt.eval_at(9) == pytest.approx((1 - (-3) ** (n + 1)) / 4,
+    # complex points and an integer point, where the sum is exact
+    assert ones.eval_at(2) == 2 ** (n + 1) - 1
+    for x in (2j, complex(math.sqrt(0.5), math.sqrt(0.5))):
+        assert ones.eval_at(x) == pytest.approx(
+            (1 - x ** (n + 1)) / (1 - x), rel=1e-13)
+    alt = Series1([(-1) ** j for j in range(n + 1)], exact=exact)
+    assert alt.eval_at(3) == pytest.approx((1 - (-3) ** (n + 1)) / 4,
                                            rel=1e-15)
 
 
@@ -70,15 +69,16 @@ def test_inv_borel_examples():
 def test_borel_round_trip_exact_and_float():
     rng = random.Random(7)
     for m in (G1, GHALF, G2, MIX):
-        for kappa in (1, 2):
-            se = random_series1(rng, 50, kappa=kappa, exact=True)
-            rt = inv_borel(m, borel(m, se))
+        for kappa in (1, 2):  # multiplies each factor's k
+            mk = larger_k(m, kappa)
+            se = random_series1(rng, 50, exact=True)
+            rt = inv_borel(mk, borel(mk, se))
             assert rt.coeffs == se.coeffs  # bit-for-bit
-            sf = random_series1(rng, 50, kappa=kappa)
-            rtf = inv_borel(m, borel(m, sf))
+            sf = random_series1(rng, 50)
+            rtf = inv_borel(mk, borel(mk, sf))
             assert series1_close(rtf, sf, 1e-12)
             # and the opposite composition order
-            rt2 = borel(m, inv_borel(m, se))
+            rt2 = borel(mk, inv_borel(mk, se))
             assert rt2.coeffs == se.coeffs
 
 
@@ -109,10 +109,11 @@ def test_moment_diff_ordinary_derivative():
 
 
 def test_moment_diff_is_normalized_shift():
-    # Caputo-style check at kappa=2: the normalized coefficients shift by one
+    # Caputo-style check with k doubled, the moments of GHALF at j/2: the
+    # normalized coefficients shift by one
     rng = random.Random(9)
-    s = random_series1(rng, 12, kappa=2)
-    d = moment_diff(GHALF, s)
+    s = random_series1(rng, 12)
+    d = moment_diff(larger_k(GHALF, 2), s)
     for j in range(d.truncation + 1):
         lhs = complex(d.coeffs[j]) * eval_at(GHALF, Fraction(j, 2))
         rhs = complex(s.coeffs[j + 1]) * eval_at(GHALF, Fraction(j + 1, 2))
@@ -165,7 +166,9 @@ def test_apply_operator_examples():
 def test_apply_operator_float_matches_exact(m1, m2, kappa1):
     # the float and the exact branch on the same random complex grids and
     # complex operators; the error scale of a cell is its term magnitude,
-    # the operator with absolute coefficients applied to |u|
+    # the operator with absolute coefficients applied to |u|; kappa1
+    # multiplies each factor's k in m1
+    m1 = larger_k(m1, kappa1)
     rng = random.Random(15)
 
     def gaussian():
@@ -176,16 +179,13 @@ def test_apply_operator_float_matches_exact(m1, m2, kappa1):
         rows = random_series2(rng, 7, 8, exact=True).coeffs
         table = {(rng.randint(0, 3), rng.randint(0, 3)): gaussian()
                  for _ in range(4)}
-        exact = apply_operator(table, m1, m2,
-                               Series2(rows, kappa1=kappa1, exact=True))
+        exact = apply_operator(table, m1, m2, Series2(rows, exact=True))
         approx = apply_operator(
             {k: complex(v) for k, v in table.items()}, m1, m2,
-            Series2([[complex(c) for c in row] for row in rows],
-                    kappa1=kappa1))
+            Series2([[complex(c) for c in row] for row in rows]))
         bound = apply_operator(
             {k: abs(complex(v)) for k, v in table.items()}, m1, m2,
-            Series2([[abs(complex(c)) for c in row] for row in rows],
-                    kappa1=kappa1))
+            Series2([[abs(complex(c)) for c in row] for row in rows]))
         assert approx.valid == exact.valid
         for a_row, e_row, b_row in zip(approx.coeffs, exact.coeffs,
                                        bound.coeffs):
@@ -214,7 +214,7 @@ def _poly_diff_apply(m, s, coeffs):
         cut = s.truncation - n
         vals = [p * term.coeffs[j] for j in range(cut + 1)]
         out = vals if out is None else [x + y for x, y in zip(out, vals)]
-    return Series1(out, s.kappa, s.axis, s.exact)
+    return Series1(out, s.axis, s.exact)
 
 
 def test_commutation_with_polynomial_operator():
@@ -260,6 +260,23 @@ def test_gevrey_fit_needs_data():
         gevrey_fit(from_t_coeffs([0.0] * 41))
     with pytest.raises(EstimationError):
         gevrey_fit(from_t_coeffs([1.0] * 8))
+
+
+@pytest.mark.parametrize("j_min_frac,min_points",
+                         [(0.5, 8), (0.5, 3), (0.25, 5), (0.0, 4), (0.75, 4)])
+def test_least_fit_truncation_is_the_least_that_fits(j_min_frac, min_points):
+    # the fit of J + 1 nonzero levels raises exactly for J below the bound
+    least = least_fit_truncation(j_min_frac, min_points)
+    for J in range(least + 3):
+        u = from_t_coeffs([math.factorial(j) for j in range(J + 1)])
+        if J < least:
+            with pytest.raises(EstimationError,
+                               match=f"need at least {min_points} nonzero"):
+                gevrey_fit(u, j_min_frac=j_min_frac, min_points=min_points)
+        else:
+            gevrey_fit(u, j_min_frac=j_min_frac, min_points=min_points)
+    # the defaults, which probe uses
+    assert least_fit_truncation() == 14
 
 
 def test_gevrey_shift_under_borel():
@@ -425,10 +442,10 @@ def test_z_transform_hands_over_its_grid_uncopied(transform, monkeypatch):
     monkeypatch.setattr(kernel, "read_only",
                         lambda grid: kept.append(read_only(grid)) or kept[-1])
     s = random_series2(random.Random(5), 6, 9)
-    s = Series2(s.grid, 1, 2)
-    out = transform(MIX, s, "z")
+    m = larger_k(MIX, 2)
+    out = transform(m, s, "z")
     assert out.grid is kept[-1] and out.grid.flags.c_contiguous
-    flipped = transform(MIX, Series2(s.grid.T, 2, 1), "t")
+    flipped = transform(m, Series2(s.grid.T), "t")
     assert out.grid.tobytes() == flipped.grid.T.tobytes()
 
 
@@ -501,14 +518,12 @@ def test_exact_series_from_lanes_matches_one_from_rows():
                        GHALF, G1, u)
     rows = [list(row) for row in v.coeffs]
     assert v.lanes.col_div[3] == 6 and v.lanes.row_div[0] != 1
-    from_lanes = Series2(v.lanes, v.kappa1, v.kappa2, exact=True)
-    from_rows = Series2(rows, v.kappa1, v.kappa2, exact=True)
+    from_lanes = Series2(v.lanes, exact=True)
+    from_rows = Series2(rows, exact=True)
     assert from_lanes == from_rows and hash(from_lanes) == hash(from_rows)
     assert from_lanes.to_csv() == from_rows.to_csv()
-    corner = Series2(kernel.window(v.lanes, 2, 3), v.kappa1, v.kappa2,
-                     exact=True)
-    assert corner == Series2([row[:4] for row in rows[:3]], v.kappa1,
-                             v.kappa2, exact=True)
+    corner = Series2(kernel.window(v.lanes, 2, 3), exact=True)
+    assert corner == Series2([row[:4] for row in rows[:3]], exact=True)
     assert corner.to_csv() == csv_cells(corner)
     with pytest.raises(DomainError):
         Series2([[1.0]]).lanes  # float series have no integer lanes

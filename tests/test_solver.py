@@ -7,7 +7,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from helpers import geometric_g, random_series2
+from helpers import geometric_g, larger_k, random_series2
 from oracles import laurent_tail, recurrence_float_levels, residual_cells
 from routes import (apply_operator, borel, g_from_f, inv_borel, moment_antidiff,
                     moment_diff)
@@ -268,13 +268,6 @@ def test_exact_zero_residual_is_reported_before_any_size(monkeypatch, name,
     report = verify_problem(_shipped(name, arithmetic="exact", **changes))
     assert report["residual"] == report["residual_abs"] == 0.0
     assert report["residual_exact_zero"] and report["passed"]
-
-
-def test_residual_rejects_mismatched_ramification():
-    prob = heat_problem(4, 4)
-    u = formal_solve(prob)
-    with pytest.raises(PreconditionError):
-        residual(prob, Series2(u.coeffs, kappa1=2, exact=True))
 
 
 def test_solution_linearity_exact():
@@ -589,7 +582,7 @@ def test_recursion_terms_of_a_constant_top_multiply_no_zero(P, terms,
 @pytest.mark.parametrize("exact", [True, False])
 def test_moment_tables_are_built_once_per_problem(exact, monkeypatch):
     # g_from_f, formal_solve and the residual slice the problem's tables;
-    # with m1 == m2 (and kappa1 == kappa2) one table serves both axes
+    # with m1 == m2 one table serves both axes
     calls = []
     for name in ("fraction_table", "log_table"):
         build = getattr(moments, name)
@@ -611,18 +604,20 @@ def test_moment_tables_are_built_once_per_problem(exact, monkeypatch):
 @pytest.mark.parametrize("m", [G1, gamma_s(Fraction(3, 2))])
 @pytest.mark.parametrize("kappa", [1, 2])
 def test_shared_moment_table_equals_two_separate_ones(m, kappa):
+    # kappa multiplies each factor's k
+    m = larger_k(m, kappa)
     P = CharPoly.from_table({(2, 0): 1, (1, 2): -1, (0, 1): 3})
     for n1, n2 in ((10, 3), (3, 10), (0, 0)):
-        f = Series2([[1.0] * (n2 + 2 * n1 + 1)] * (n1 + 1), kappa, kappa)
+        f = Series2([[1.0] * (n2 + 2 * n1 + 1)] * (n1 + 1))
         prob = CauchyProblem(P, m, m, f, (n1, n2))
         n_rows, n_cols = (len(t) - 1 for t in prob.log_tables)
         assert n_rows == n1 + 2 and n_cols == n2 + 2 * n1 + 2
         logs = prob.log_tables
         for got, n in zip(logs, (n_rows, n_cols)):
             assert [x.hex() for x in got.tolist()] == \
-                [x.hex() for x in moments.log_table(m, kappa, n).tolist()]
-        assert prob.fraction_tables == (moments.fraction_table(m, kappa, n_rows),
-                                        moments.fraction_table(m, kappa, n_cols))
+                [x.hex() for x in moments.log_table(m, n).tolist()]
+        assert prob.fraction_tables == (moments.fraction_table(m, n_rows),
+                                        moments.fraction_table(m, n_cols))
 
 
 def test_integral_moment_values_are_int_divisors():
@@ -640,7 +635,7 @@ def test_integral_moment_values_are_int_divisors():
                          (12, 10))
     types = set()
     for got in prob.fraction_tables:
-        want = moments.fraction_table(m, 1, len(got) - 1)
+        want = moments.fraction_table(m, len(got) - 1)
         assert got == want
         assert [type(w) for w in got] == [
             int if w.denominator == 1 else Fraction for w in want]
@@ -664,8 +659,7 @@ def test_transforms_of_int_divisors_equal_fraction_divisors(m):
     assert all(type(d) is int for d in [*lanes.row_div, *lanes.col_div])
     v = Series2(kernel.RawLanes(lanes.re, lanes.im,
                                 list(map(Fraction, lanes.row_div)),
-                                list(map(Fraction, lanes.col_div))),
-                u.kappa1, u.kappa2, True)
+                                list(map(Fraction, lanes.col_div))), True)
     assert v == u
     outputs = []
     for axis in ("t", "z"):
