@@ -9,7 +9,8 @@ A problem file is a JSON object with the fields
 * ``rhs_gevrey`` - declared Gevrey orders ``[st1, st2]`` as rational strings
 * ``truncation`` - requested output window ``[N1, N2]``
 * ``directions`` - list of real directions (radians)
-* ``mode``       - ``"direct"`` or ``"pseudo"``
+* ``mode``       - ``"direct"`` (a constant top lambda coefficient, which
+  :func:`assemble` checks) or ``"pseudo"`` (any top)
 * ``arithmetic`` - ``"float"`` or ``"exact"``
 
 Unknown keys are rejected, in the problem, in its ``rhs`` object and in a
@@ -358,20 +359,25 @@ def assemble(pf: ProblemFile, n1: int | None = None, n2: int | None = None,
              arithmetic: str | None = None) -> CauchyProblem:
     """Expand the rhs to the widest solver level of ``(n1, n2)``.
 
-    Unset truncation and arithmetic come from the problem file.  A grid
-    above ``MAX_GRID_CELLS`` is rejected before anything is allocated: its
-    lower bound ``(N1+1) * (N2+1)`` before the level widths, which the rhs
-    and the solver share, are built.
+    Unset truncation and arithmetic come from the problem file.  A
+    ``"direct"`` file whose top lambda coefficient is not a constant is
+    rejected first.  A grid above ``MAX_GRID_CELLS`` is rejected before
+    anything is allocated: its lower bound ``(N1+1) * (N2+1)`` before the
+    level widths, which the rhs and the solver share, are built.
     """
     P, m1, m2 = pf.parsed
     N1, N2 = _truncation(pf, n1, n2)
+    if pf.mode == "direct" and P.B > 0:
+        raise PreconditionError(
+            "direct mode requires a constant top lambda coefficient; "
+            "use pseudo mode")
     exact = (arithmetic or pf.arithmetic) == "exact"
     _check_cells(N1, N2, N2, "at least ")
     widths = level_widths(P, (N1, N2))
     _check_cells(N1, N2, widths[0], "")
     rhs = expand_rhs(pf.rhs, N1, widths[0], exact)
     prob = CauchyProblem(P, m1, m2, rhs, (N1, N2),
-                         rhs_is_g=pf.rhs_role == "g", mode=pf.mode)
+                         rhs_is_g=pf.rhs_role == "g")
     vars(prob)["widths"] = widths  # the cached_property's own slot
     return prob
 
@@ -533,7 +539,8 @@ def probe_problem(pf: ProblemFile, n1: int | None = None,
                   n2: int | None = None, arithmetic: str | None = None
                   ) -> dict:
     """Empirical Gevrey fit plus singular-direction probes per level; a
-    t-truncation too short for the fit is rejected before the solve."""
+    t-truncation too short for the fit, and branch data that cannot be
+    built, are rejected before the solve."""
     P, m1, m2 = pf.parsed
     N1, N2 = _truncation(pf, n1, n2)
     least = least_fit_truncation()
@@ -541,12 +548,12 @@ def probe_problem(pf: ProblemFile, n1: int | None = None,
         raise PreconditionError(
             f"probe needs --n1 >= {least}, so that its Gevrey fit has "
             f"{FIT_MIN_POINTS} t-levels to read; got N1 = {N1}")
-    u = formal_solve(assemble(pf, N1, N2, arithmetic))
     branches, s1, s2 = branches_at_infinity(P), m1.order, m2.order
     st1, st2 = pf.rhs_gevrey
     orders = theoretical_orders(branches, s1, s2, st1, st2)
-    fit = gevrey_fit(u)
     lres = summability_levels(branches, s1, s2, st1, st2)
+    u = formal_solve(assemble(pf, N1, N2, arithmetic))
+    fit = gevrey_fit(u)
     probes = []
     for spec in lres.levels:
         try:

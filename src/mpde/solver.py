@@ -24,7 +24,7 @@ returns its grid of levels, out of which the window is copied once.  A
 solve has one float dtype: float64 when the rhs grid and the operator's
 coefficients are real, and complex128 otherwise.
 
-One recursion serves both modes, both rhs roles and the power-series
+One recursion serves both arithmetics, both rhs roles and the power-series
 division of a ``rational`` rhs in :mod:`mpde.problem`.  Each ``A_{n-a}`` is
 divided once by the top lambda coefficient ``A_n(zeta)`` of degree B: the
 quotient shifts z-indices up, and the remainder over ``A_n``, which is the
@@ -33,11 +33,7 @@ with zero padding.  The kernel applies the tail as remainder terms followed
 by a B-tap recurrence along z (``1/A_n``), exactly the Laurent convolution
 on the grid.  An f rhs enters the same taps shifted down by B and divided
 by ``p_B``, the top term of ``A_n``, which is ``g = A_n^-1 f`` at infinity.
-The ``mode`` only states what the top may be:
-
-* ``direct``  - the top lambda coefficient is a constant (B = 0): no
-  remainder and no taps;
-* ``pseudo``  - the top lambda coefficient ``A_n(zeta)`` is a polynomial.
+A constant top (B = 0) has no remainder and no taps.
 
 Level t is computed on the columns ``i <= w[t]`` of :func:`level_widths`:
 a quotient term (a, b) reads level ``t - a`` at column ``i + b``, so
@@ -79,11 +75,8 @@ class CauchyProblem:
     rhs: Series2
     out_shape: tuple
     rhs_is_g: bool = True
-    mode: str = "direct"
 
     def __post_init__(self):
-        if self.mode not in ("direct", "pseudo"):
-            raise PreconditionError(f"unknown mode {self.mode!r}")
         n1, n2 = self.out_shape
         if n1 < 0 or n2 < 0:
             raise PreconditionError("output truncation must be non-negative")
@@ -193,7 +186,8 @@ def rounded_recursion(q, terms, taps, q_name: str, name) -> tuple:
 
 
 def formal_solve(prob: CauchyProblem) -> Series2:
-    """Truncated formal solution with zero initial data, determined by g.
+    """Truncated formal solution with zero initial data, determined by g,
+    for any top lambda coefficient, a constant or a polynomial.
 
     Output grid is exactly ``out_shape``; every returned coefficient is
     inside the valid window thanks to the level widths.  The recursion's
@@ -209,10 +203,6 @@ def formal_solve(prob: CauchyProblem) -> Series2:
     P = prob.operator
     n = P.n
     top, B = P.p0(), P.B
-    if prob.mode == "direct" and B != 0:
-        raise PreconditionError(
-            "direct mode requires a constant top lambda coefficient; "
-            "use pseudo mode")
     N1, N2 = prob.out_shape
     N2i = prob.widths[0]
 
@@ -308,10 +298,9 @@ def residual(prob: CauchyProblem, u_hat: Series2) -> ResidualReport:
     P = prob.operator
     support = P.support()
     p0_table = ({(0, b): c for b, c in enumerate(P.p0()) if c}
-                if prob.rhs_is_g else None)
+                if prob.rhs_is_g else {(0, 0): 1})
     J_l, I_l = operator_window(support, u_hat.valid)
-    J_f, I_f = (operator_window(p0_table, prob.rhs.valid)
-                if p0_table is not None else prob.rhs.valid)
+    J_f, I_f = operator_window(p0_table, prob.rhs.valid)
     J, I = min(J_l, J_f), min(I_l, I_f)
     if u_hat.exact and prob.rhs.exact:
         return _residual_exact(prob, u_hat, support, p0_table, J, I)
@@ -319,49 +308,51 @@ def residual(prob: CauchyProblem, u_hat: Series2) -> ResidualReport:
 
 
 def _residual_float(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
-    """The float residual: each side is one :func:`kernel.shift_float` of
-    its grid, and one more of its moduli with absolute coefficients, for
-    the scale; the rhs side of a g whose ``P0`` is 1 is the grid itself.
-    The coefficients are rounded once, here, so that one beyond binary64
-    raises EvaluationError naming its term."""
+    """The float residual of ``2**e (P u - f)``: each side is one
+    :func:`kernel.shift_float` of its grid, and one more of its moduli with
+    absolute coefficients, for the scale.  e, minus the largest bit length
+    of a part of an operator coefficient (0 near 1), scales each exactly
+    before it is rounded, so the relative residual is that of ``P u - f``
+    unless a value leaves the normal binary64 range; ``max_abs`` is scaled
+    back, infinite beyond binary64."""
     import numpy as np
 
+    e = -max(x.numerator.bit_length() - x.denominator.bit_length()
+             for c in support.values() for x in (c.re, c.im) if x)
     logs1, logs2 = prob.log_tables
     # the ratio vectors of all four shifts
-    offsets = [*support, *(p0_table or ())]
+    offsets = [*support, *p0_table]
     r1 = kernel.ratios(logs1, {a for a, _ in offsets}, J, "m1")
     r2 = kernel.ratios(logs2, {b for _, b in offsets}, I, "m2")
 
-    def sides(s: Series2, table, n: int = 0):
-        """``table`` applied to s and, with absolute coefficients, to |s|;
-        its key (a, b) is the operator term ``dt^(a+n)*dz^b``."""
+    def sides(s: Series2, table):
+        """``2**e table`` on s and, made absolute, on |s|; None is 1."""
         grid = s.grid
         if table is None:
             f = grid[: J + 1, : I + 1]
             return f, kernel.modulus(f)
-        items = [((a, b), kernel.rounded(
-                     p, f"operator term {monomial(a + n, b)}"))
-                 for (a, b), p in normalize_table(table)]
+        items = [(k, kernel.binary64(p * Fraction(2) ** e))
+                 for k, p in normalize_table(table)]
         abs_items = [(k, abs(p)) for k, p in items]
         return (kernel.shift_float(grid, items, r1, r2, J, I),
                 kernel.shift_float(kernel.modulus(grid), abs_items, r1, r2,
                                    J, I))
 
     lhs, abs_lhs = sides(u_hat, support)
-    # P0 = 1 leaves g as it is: the grid itself, whose -0.0 cells the
-    # shift would turn to +0.0, which modulus reads alike
-    f, abs_f = sides(prob.rhs, None if p0_table == {(0, 0): 1} else p0_table,
-                     prob.operator.n)
-    with np.errstate(invalid="ignore"):
-        diffs = kernel.modulus(lhs - f)
-    # numpy maxima propagate NaN
-    max_abs = float(np.max(diffs))
+    # unscaled, an f, or a g whose P0 is 1, is the grid itself, whose -0.0
+    # cells the shift would turn to +0.0, which modulus reads alike
+    f, abs_f = sides(prob.rhs,
+                     None if p0_table == {(0, 0): 1} and not e else p0_table)
+    with np.errstate(invalid="ignore", over="ignore"):
+        # numpy maxima propagate NaN
+        max_abs = float(np.max(kernel.modulus(lhs - f)))
+        abs_own = float(np.ldexp(max_abs, -e))
     scale = float(np.maximum(np.max(abs_lhs), np.max(abs_f)))
     if not (math.isfinite(max_abs) and math.isfinite(scale)):
         rel = math.nan
     else:
         rel = max_abs / scale if scale > 0.0 else max_abs
-    return ResidualReport(max_abs, (J, I), max_abs == 0.0, rel)
+    return ResidualReport(abs_own, (J, I), max_abs == 0.0, rel)
 
 
 def _residual_exact(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
@@ -370,7 +361,7 @@ def _residual_exact(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
     are a zero residual, returned before :func:`_max_weighted` sizes any."""
     w1, w2 = prob.fraction_tables
     lhs = kernel.shift(u_hat.lanes, support, w1, w2, J, I)
-    f = kernel.shift(prob.rhs.lanes, p0_table or {(0, 0): 1}, w1, w2, J, I)
+    f = kernel.shift(prob.rhs.lanes, p0_table, w1, w2, J, I)
     # the row divisors of the sides differ by one ratio sf/sl in lowest
     # terms: put both over lhs's divisors times sl, compare integer L1 moduli
     sf, sl = quotient(lhs.row_div[0], f.row_div[0]).as_integer_ratio()

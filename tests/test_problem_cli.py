@@ -301,6 +301,57 @@ def test_cli_probe_rejects_a_truncation_too_short_to_fit_before_solving(
                              "got N1 = 13\n")
 
 
+@pytest.mark.parametrize("arithmetic", ["float", "exact"])
+def test_cli_probe_reads_its_branch_data_before_solving(
+        arithmetic, tmp_path, monkeypatch):
+    # dz^2*dt - dt^2 is divisible by dt, so it has no branch data: probe
+    # exits 2 without expanding the rhs or solving
+    data = json.loads(Path(shipped("heat")).read_text())
+    data.update(operator="dz^2*dt - dt^2", mode="pseudo")
+    prob = tmp_path / "dt.json"
+    prob.write_text(json.dumps(data))
+
+    def refuse(*args):
+        raise AssertionError("probe built a problem it has no branches for")
+
+    for name in ("assemble", "formal_solve"):
+        monkeypatch.setattr(problem_mod, name, refuse)
+    result = run_cli(["probe", str(prob), "--arithmetic", arithmetic])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert result.stderr == (
+        "precondition violated: operator is divisible by the t-derivative: "
+        "the identically zero characteristic root has no pole order; factor "
+        "it out first\n")
+
+
+@pytest.mark.parametrize("arithmetic", ["float", "exact"])
+def test_cli_direct_mode_with_a_polynomial_top_exits_2(arithmetic, tmp_path):
+    # "direct" declares a constant top lambda coefficient; solve, verify
+    # and probe refuse (1+dz)*dt - dz^2 in one line, analyze and newton do
+    # not read the mode, and the file declared "pseudo" runs
+    data = json.loads(Path(shipped("heat")).read_text())
+    data.update(operator="(1+dz)*dt - dz^2")
+    runs = [["solve", "--out", str(tmp_path / "u.csv")], ["verify"],
+            ["probe"]]
+    for mode in ("direct", "pseudo"):
+        prob = tmp_path / f"{mode}.json"
+        prob.write_text(json.dumps(dict(data, mode=mode)))
+        for command, *options in runs:
+            result = run_cli([command, str(prob), "--arithmetic", arithmetic,
+                              *options])
+            if mode == "pseudo":
+                assert result.exit_code == 0, (command, result.output)
+                continue
+            assert (result.exit_code, result.stdout, result.stderr) == (
+                2, "", "precondition violated: direct mode requires a "
+                "constant top lambda coefficient; use pseudo mode\n"), command
+    prob = tmp_path / "direct.json"
+    assert run_cli(["analyze", str(prob)]).exit_code == 0
+    assert run_cli(["newton", str(prob), "--out", str(tmp_path / "n.csv"),
+                    "--svg", str(tmp_path / "n.svg")]).exit_code == 0
+
+
 def test_cli_verify_exit_codes(tmp_path):
     ok = run_cli(["verify", shipped("heat"), "--n1", "6",
                   "--n2", "8"])
@@ -537,8 +588,9 @@ def test_cli_moment_ratio_beyond_binary64_names_the_moment_function(
     # each coefficient is a binary64, their quotient is not
     (f"1/1{'0' * 200}*dt - 1{'0' * 200}*dz^2",
      "operator term dz^2 over term dt", TOP_LEAVES),
-    # the recursion's quotient is 1; the residual reads the terms themselves
-    (f"{BIG}*dt - {BIG}*dz^2", "operator term dz^2", None),
+    # the recursion's quotient is 1, and the residual scales the terms by a
+    # power of two
+    (f"{BIG}*dt - {BIG}*dz^2", None, None),
     # a pseudo-mode quotient of two lambda coefficients
     (f"(2+dz)*dt - {BIG}*dz^2", "the zeta^0 coefficient of the lambda^0 "
      "coefficient over the top lambda coefficient",
@@ -546,10 +598,10 @@ def test_cli_moment_ratio_beyond_binary64_names_the_moment_function(
 ], ids=["term", "quotient", "residual", "pseudo"])
 def test_cli_operator_beyond_binary64_names_the_term(
         operator, float_named, exact_probe, tmp_path):
-    # float solve, verify and probe exit 4 naming the operator term and the
-    # remedy, and exact verify solves the problem; analyze and the exact
-    # probe round the branch leading terms to binary64, and name the one
-    # beyond it
+    # float solve and verify exit 4 naming the operator term and the
+    # remedy, and exact verify solves the problem; analyze and probe, in
+    # both arithmetics and before the probe solves, round the branch
+    # leading terms to binary64, and name the one beyond it
     data = json.loads(Path(shipped("heat")).read_text())
     data.update(operator=operator)
     if "(" in operator:
@@ -563,9 +615,12 @@ def test_cli_operator_beyond_binary64_names_the_term(
         if command == "solve":
             args += ["--out", str(tmp_path / "out.csv")]
         result = run_cli(args)
-        if command == "probe" and exact_probe is None:
-            # probe computes no residual, and its branches are in range
+        if float_named is None:
+            # no float value is beyond binary64, and the branches are in
+            # range
             assert result.exit_code == 0, result.output
+        elif command == "probe":
+            assert (result.exit_code, result.stderr) == (4, exact_probe)
         else:
             assert (result.exit_code, result.stderr) == (4, want), command
     result = run_cli(["verify", str(prob), "--arithmetic", "exact"])
@@ -847,14 +902,13 @@ def test_cli_verify_refuses_a_tolerance_that_is_not_finite(tol, arithmetic):
 
 
 def test_cli_nonfinite_residual_is_written_as_null(tmp_path):
-    # the float residual of this problem meets an infinity and is NaN:
-    # verify fails (exit 3) and solve succeeds, and both write the residual
-    # and its absolute value as null, in process and in a fresh interpreter
-    e300 = "1" + "0" * 300
+    # the float residual of 10^400*dt - 10^400*dz^2 is small in the scaled
+    # terms, and beyond binary64 in the problem's own scale: verify passes
+    # and solve succeeds, and both write its absolute value as null, in
+    # process and in a fresh interpreter
     data = json.loads(Path(shipped("heat")).read_text())
-    data.update(operator=f"({e300}+{e300}*dz)*dt - {e300}*dz^2",
-                mode="pseudo")
-    prob = tmp_path / "nan.json"
+    data.update(operator=f"{BIG}*dt - {BIG}*dz^2")
+    prob = tmp_path / "null.json"
     prob.write_text(json.dumps(data))
     window = ["--n1", "30", "--n2", "30", "--arithmetic", "float"]
     sidecar = tmp_path / "u.json"
@@ -872,17 +926,43 @@ def test_cli_nonfinite_residual_is_written_as_null(tmp_path):
 
     for run in (in_process, fresh):
         code, out, err = run(["verify", str(prob), *window])
-        assert (code, err) == (3, "")
+        assert (code, err) == (0, "")
         report = strict_json(out)
-        assert (report["residual"], report["residual_abs"],
-                report["residual_exact_zero"], report["passed"]) == (
-                    None, None, False, False)
+        assert (report["residual_abs"], report["residual_exact_zero"],
+                report["passed"]) == (None, False, True)
+        assert 0.0 < report["residual"] < 1e-15
         sidecar.unlink(missing_ok=True)
         code, _, err = run(["solve", str(prob), *window, "--out",
                             str(tmp_path / "u.csv")])
         assert (code, err) == (0, "")
         written = strict_json(sidecar.read_text())
-        assert (written["residual"], written["residual_abs"]) == (None, None)
+        assert (written["residual"], written["residual_abs"]) == (
+            report["residual"], None)
+
+
+def test_cli_float_verify_passes_an_operator_with_huge_coefficients(
+        tmp_path):
+    # (E+E*dz)*dt - E*dz^2 with E = 10^300 has the solution of E = 1, and
+    # its float residual, on terms scaled by 2**-997, is as small; read
+    # unscaled, E * u overflowed and the residual was NaN, a failure
+    data = json.loads(Path(shipped("heat")).read_text())
+    window = ["--n1", "30", "--n2", "30", "--arithmetic", "float"]
+    reports, csvs = [], []
+    for e in ("1" + "0" * 300, "1"):
+        data.update(operator=f"({e}+{e}*dz)*dt - {e}*dz^2", mode="pseudo")
+        prob = tmp_path / f"e{len(e)}.json"
+        prob.write_text(json.dumps(data))
+        result = run_cli(["verify", str(prob), *window])
+        assert (result.exit_code, result.stderr) == (0, ""), result.output
+        reports.append(strict_json(result.stdout))
+        csv = tmp_path / f"u{len(e)}.csv"
+        assert run_cli(["solve", str(prob), *window, "--out",
+                        str(csv)]).exit_code == 0
+        csvs.append(csv.read_bytes())
+    assert csvs[0] == csvs[1]
+    huge, unit = reports
+    assert huge["passed"] and huge["residual"] < 1e-15
+    assert 1e290 < huge["residual_abs"] / unit["residual_abs"] < 1e310
 
 
 @pytest.mark.parametrize("tol", ["-1", "-1e-300"])

@@ -86,7 +86,7 @@ class Case:
     out: tuple    # (N1, N2)
     rhs_is_g: bool
 
-    def problem(self, exact=True, mode="direct", scale=1.0) -> CauchyProblem:
+    def problem(self, exact=True, scale=1.0) -> CauchyProblem:
         P = CharPoly.from_table({k: RationalComplex(*v)
                                  for k, v in self.table.items()})
         if exact:
@@ -96,7 +96,7 @@ class Case:
                        for (j, i), v in self.rhs.items()]
         rhs = Series2.from_entries(entries, *self.shape, exact=exact)
         return CauchyProblem(P, self.m1, self.m2, rhs, self.out,
-                             rhs_is_g=self.rhs_is_g, mode=mode)
+                             rhs_is_g=self.rhs_is_g)
 
     def oracle(self, magnitude=False):
         return brute_force.solve(self.table, self.m1, self.m2, self.rhs,
@@ -131,9 +131,9 @@ def test_exact_solve_matches_brute_force(case):
 
 
 @SETTINGS
-@given(cases(), st.sampled_from(["direct", "pseudo"]))
-def test_exact_residual_is_identically_zero(case, mode):
-    prob = case.problem(mode=mode)
+@given(cases())
+def test_exact_residual_is_identically_zero(case):
+    prob = case.problem()
     try:
         rep = residual(prob, formal_solve(prob))
     except WindowError:
@@ -148,20 +148,43 @@ def _solve_or_error(prob):
         return str(exc)
 
 
+def _declared(case: Case, mode: str, arithmetic: str):
+    """CSV text and sidecar of solving ``case`` as a problem file that
+    declares ``mode``, or the message of the error it raises; the
+    truncation is raised to the operator orders, which the residual needs."""
+    P = case.problem().operator
+    m1, m2 = (("Gamma(1)", "Gamma(1)"), ("Gamma(1/2)", "Gamma(3/2)"))[
+        MOMENTS.index((case.m1, case.m2))]
+    payload = [[j, i, str(re), str(im)]
+               for (j, i), (re, im) in case.rhs.items()]
+    pf = load_problem({
+        "operator": operator_to_text(P), "m1": m1, "m2": m2,
+        "rhs": {"kind": "coeffs", "payload": payload},
+        "rhs_role": "g" if case.rhs_is_g else "f",
+        "truncation": [max(case.out[0], P.n), max(case.out[1], P.max_b)],
+        "mode": mode})
+    try:
+        u, sidecar = solve_problem(pf, arithmetic=arithmetic)
+    except Exception as exc:  # the same failure in both declarations
+        return f"{type(exc).__name__}: {exc}"
+    return u.to_csv(), sidecar
+
+
 @SETTINGS
 @given(cases())
 def test_direct_and_pseudo_modes_agree_bit_for_bit(case):
-    # a constant top coefficient runs one path in both modes: the same exact
-    # coefficients, and the same float bits or the same overflow
-    direct = formal_solve(case.problem(mode="direct"))
-    pseudo = formal_solve(case.problem(mode="pseudo"))
-    assert direct.coeffs == pseudo.coeffs
-    direct, pseudo = (_solve_or_error(case.problem(exact=False, mode=mode))
-                      for mode in ("direct", "pseudo"))
-    if isinstance(direct, str):
-        assert direct == pseudo
-    else:
-        assert direct.grid.tobytes() == pseudo.grid.tobytes()
+    # the declared mode is not read past assemble: files that differ only in
+    # it, with a constant top coefficient, write the same CSV bytes and the
+    # same residual fields, or fail alike, in both arithmetics
+    for arithmetic in ("exact", "float"):
+        direct, pseudo = (_declared(case, mode, arithmetic)
+                          for mode in ("direct", "pseudo"))
+        if isinstance(direct, str):
+            assert direct == pseudo
+            continue
+        assert direct[0] == pseudo[0]
+        assert ({**direct[1], "mode": "pseudo"} == pseudo[1]
+                and direct[1]["mode"] == "direct")
 
 
 @SETTINGS
@@ -245,7 +268,7 @@ def pseudo_term_magnitude(prob) -> list:
 def test_exact_pseudo_solve_matches_laurent_route(case):
     """Dividing by the top coefficient once, with its taps run along z,
     gives the coefficients of the Laurent-tail route bit for bit."""
-    prob = case.problem(mode="pseudo")
+    prob = case.problem()
     u = formal_solve(prob)
     assert [list(row) for row in u.coeffs] == laurent_solve(prob)
     assert u.valid == prob.out_shape
@@ -257,10 +280,10 @@ def test_pseudo_mode_float_matches_exact_or_raises(case):
     """Pseudo mode with a polynomial top coefficient runs its taps cell by
     cell along z; the error is bounded as in
     test_float_matches_exact_or_raises, by the term magnitude of each cell."""
-    prob = case.problem(mode="pseudo")
+    prob = case.problem()
     exact = formal_solve(prob)
     try:
-        approx = formal_solve(case.problem(exact=False, mode="pseudo"))
+        approx = formal_solve(case.problem(exact=False))
     except EvaluationError:
         return
     bound = pseudo_term_magnitude(prob)
@@ -279,14 +302,14 @@ def _real(case: Case) -> Case:
                                rhs=real(case.rhs))
 
 
-def check_real_and_complex_routes_agree(case, mode, scale):
+def check_real_and_complex_routes_agree(case, scale):
     """A real problem runs on float64 grids; its rhs times i runs on
     complex128 grids, with the same numbers on the imaginary plane, zeros
     on the real one, the same residual, or the same overflow."""
     assume(case.rhs)
     rotated = dataclasses.replace(
         case, rhs={k: (Fraction(0), re) for k, (re, _) in case.rhs.items()})
-    probs = [c.problem(exact=False, mode=mode, scale=scale)
+    probs = [c.problem(exact=False, scale=scale)
              for c in (case, rotated)]
     assert probs[0].rhs.grid.dtype == float
     assert probs[1].rhs.grid.dtype == complex
@@ -309,13 +332,13 @@ def check_real_and_complex_routes_agree(case, mode, scale):
 @SETTINGS
 @given(cases(), st.sampled_from([1.0, 1e300]))
 def test_real_and_complex_float_routes_agree(case, scale):
-    check_real_and_complex_routes_agree(_real(case), "direct", scale)
+    check_real_and_complex_routes_agree(_real(case), scale)
 
 
 @SETTINGS
 @given(pseudo_cases(), st.sampled_from([1.0, 1e300]))
 def test_real_and_complex_float_routes_agree_in_pseudo_mode(case, scale):
-    check_real_and_complex_routes_agree(_real(case), "pseudo", scale)
+    check_real_and_complex_routes_agree(_real(case), scale)
 
 
 def _shipped(name: str) -> dict:
@@ -394,7 +417,7 @@ def _scaled(u: Series2, c, cp) -> tuple:
                  for j, row in enumerate(u.coeffs))
 
 
-def check_scaling_covariance(case: Case, mode: str, c, cp) -> None:
+def check_scaling_covariance(case: Case, c, cp) -> None:
     """Moment derivatives are homogeneous, so ``u(c t, c' z)`` solves the
     problem whose ``p_ab`` are scaled by ``c^(n-a) c'^(-b)`` and whose rhs
     entries (j, i) by ``c^(n+j) c'^i``, in either role: an exact solve of
@@ -409,24 +432,23 @@ def check_scaling_covariance(case: Case, mode: str, c, cp) -> None:
         case, table=pairs(case.table,
                           lambda a, b: _power(c, n - a) * _power(cp, -b)),
         rhs=pairs(case.rhs, lambda j, i: _power(c, n + j) * _power(cp, i)))
-    u = formal_solve(case.problem(mode=mode))
-    v = formal_solve(scaled.problem(mode=mode))
+    u = formal_solve(case.problem())
+    v = formal_solve(scaled.problem())
     assert v.valid == u.valid
     assert v.coeffs == _scaled(u, c, cp)
 
 
 @settings(SETTINGS, max_examples=300)
-@given(cases(), st.sampled_from(["direct", "pseudo"]), nonzero_gaussians,
-       nonzero_gaussians)
-def test_exact_solve_is_scaling_covariant(case, mode, c, cp):
-    check_scaling_covariance(case, mode, c, cp)
+@given(cases(), nonzero_gaussians, nonzero_gaussians)
+def test_exact_solve_is_scaling_covariant(case, c, cp):
+    check_scaling_covariance(case, c, cp)
 
 
 @settings(SETTINGS, max_examples=200)
 @given(pseudo_cases(), nonzero_gaussians, nonzero_gaussians)
 def test_exact_pseudo_solve_is_scaling_covariant(case, c, cp):
     """The same with a polynomial top coefficient, whose taps scale too."""
-    check_scaling_covariance(case, "pseudo", c, cp)
+    check_scaling_covariance(case, c, cp)
 
 
 # (c, c') per shipped problem, complex and real, on or off the unit circle
@@ -504,8 +526,7 @@ def test_f_rhs_solve_matches_solve_of_g_from_f(case):
         try:
             via_f, via_g = (
                 formal_solve(CauchyProblem(P, case.m1, case.m2, rhs,
-                                           case.out, rhs_is_g=is_g,
-                                           mode="pseudo"))
+                                           case.out, rhs_is_g=is_g))
                 for rhs, is_g in ((f, False),
                                   (g_from_f(P.p0(), case.m2, f), True)))
         except EvaluationError:
@@ -849,8 +870,8 @@ SCALES = (Fraction(1), Fraction(2) ** 1000, Fraction(2) ** 1022,
 
 
 @SETTINGS
-@given(cases(), st.sampled_from(SCALES), st.sampled_from(["direct", "pseudo"]))
-def test_lanes_backed_series_equal_their_rows(case, scale, mode):
+@given(cases(), st.sampled_from(SCALES))
+def test_lanes_backed_series_equal_their_rows(case, scale):
     """formal_solve, apply_operator, g_from_f and a ``coeffs`` rhs give
     lanes-backed series; each equals the series built from its rows, and the
     residual reads the same from both."""
@@ -859,9 +880,9 @@ def test_lanes_backed_series_equal_their_rows(case, scale, mode):
                for (j, i), (re, im) in case.rhs.items()]
     rhs = expand_rhs(parse_rhs({"kind": "coeffs", "payload": payload}),
                      *case.shape, exact=True)
-    base = case.problem(mode=mode)
+    base = case.problem()
     prob = CauchyProblem(base.operator, base.m1, base.m2, rhs, base.out_shape,
-                         base.rhs_is_g, base.mode)
+                         base.rhs_is_g)
     try:
         u = formal_solve(prob)
     except WindowError:

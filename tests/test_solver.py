@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -12,14 +13,15 @@ from oracles import laurent_tail, recurrence_float_levels, residual_cells
 from routes import (apply_operator, borel, g_from_f, inv_borel, moment_antidiff,
                     moment_diff)
 
-from mpde import kernel, moments, solver
+from mpde import kernel, moments, problem as problem_mod, solver
 from mpde.charroots import CharPoly, branches_at_infinity
 from mpde.errors import EvaluationError, PreconditionError
 from mpde.exact import RationalComplex
 from mpde.moments import gamma_s
 from mpde.series import Series2, gevrey_fit
 from mpde.parsing import parse_operator
-from mpde.problem import assemble, load_problem, verify_problem
+from mpde.problem import (assemble, load_problem, solve_problem,
+                          verify_problem)
 from mpde.solver import (CauchyProblem, _recursion_terms, formal_solve,
                          level_widths, residual, rounded_recursion,
                          theoretical_orders)
@@ -241,7 +243,7 @@ def test_exact_residual_matches_the_per_cell_report(operator, rhs_is_g, shape,
         g = Series2([[RationalComplex(c.re) for c in row] for row in g.coeffs],
                     exact=True)
     prob = CauchyProblem(P, G1, gamma_s(Fraction(3, 2)), g, shape,
-                         rhs_is_g=rhs_is_g, mode="pseudo")
+                         rhs_is_g=rhs_is_g)
     u = formal_solve(prob)
     rows = [list(row) for row in u.coeffs]
     rows[P.n + 1][2] += RationalComplex(Fraction(1, 3), Fraction(-2, 7))
@@ -365,8 +367,7 @@ def test_f_rhs_needs_b_columns_fewer_than_the_inflated_window(exact):
     width = n2 - 3
     rng = random.Random(62)
     f = random_series2(rng, n1 - 1, width, exact=exact)
-    prob = CauchyProblem(P, G1, G1, f, (n1, n2), rhs_is_g=False,
-                         mode="pseudo")
+    prob = CauchyProblem(P, G1, G1, f, (n1, n2), rhs_is_g=False)
     rep = residual(prob, formal_solve(prob))
     assert rep.exact_zero if exact else rep.relative < 1e-12
     short = Series2([row[:-1] for row in f.coeffs], exact=exact)
@@ -375,7 +376,7 @@ def test_f_rhs_needs_b_columns_fewer_than_the_inflated_window(exact):
                              rf"\({n1 - 1}, {width}\), rhs provides "
                              rf"\({n1 - 1}, {width - 1}\)"):
         formal_solve(CauchyProblem(P, G1, G1, short, (n1, n2),
-                                   rhs_is_g=False, mode="pseudo"))
+                                   rhs_is_g=False))
 
 
 def test_rhs_as_f_direct_mode():
@@ -395,11 +396,26 @@ def test_insufficient_rhs_data():
         formal_solve(CauchyProblem(HEAT, G1, G1, g, (8, 30)))
 
 
-def test_direct_mode_rejects_nonconstant_top():
-    P = CharPoly.from_table({(1, 0): 1, (1, 2): 1, (0, 1): -1, (0, 3): -1})
-    g = geometric_g(4, 40)
-    with pytest.raises(PreconditionError):
-        formal_solve(CauchyProblem(P, G1, G1, g, (4, 6), mode="direct"))
+def test_direct_mode_rejects_nonconstant_top(monkeypatch):
+    # a file that declares "direct" for a polynomial top coefficient is
+    # refused by assemble before the level widths or the rhs are built; the
+    # same file declared "pseudo" solves, and so does the CauchyProblem
+    heat = json.loads((resources.files("mpde") / "problems" / "heat.json")
+                      .read_text())
+    heat.update(operator="(1+dz^2)*dt - dz - dz^3")
+
+    def refuse(*args):
+        raise AssertionError("built after the mode check")
+
+    with monkeypatch.context() as patch:
+        for name in ("level_widths", "expand_rhs"):
+            patch.setattr(problem_mod, name, refuse)
+        with pytest.raises(PreconditionError, match="^direct mode requires "
+                           "a constant top lambda coefficient; use pseudo "
+                           "mode$"):
+            assemble(load_problem(heat), 4, 6, "exact")
+    prob = assemble(load_problem(dict(heat, mode="pseudo")), 4, 6, "exact")
+    assert residual(prob, formal_solve(prob)).exact_zero
 
 
 def test_pseudo_mode_matches_reduced_transport():
@@ -407,7 +423,7 @@ def test_pseudo_mode_matches_reduced_transport():
     P = CharPoly.from_table({(1, 0): 1, (1, 2): 1, (0, 1): -1, (0, 3): -1})
     n1, n2 = 10, 12
     g = geometric_g(n1, n2 + 3 * n1)
-    prob = CauchyProblem(P, G1, G1, g, (n1, n2), mode="pseudo")
+    prob = CauchyProblem(P, G1, G1, g, (n1, n2))
     u = formal_solve(prob)
     rep = residual(prob, u)
     assert rep.relative < 1e-8
@@ -420,14 +436,21 @@ def test_pseudo_mode_matches_reduced_transport():
 
 
 def test_pseudo_mode_agrees_with_direct_for_constant_top():
-    # with a constant top coefficient the expansion is a plain polynomial,
-    # so both modes produce the same exact coefficients
-    n1, n2 = 8, 10
-    g = geometric_g(n1, n2 + 2 * n1, exact=True)
-    u_direct = formal_solve(CauchyProblem(HEAT, G1, G1, g, (n1, n2)))
-    u_pseudo = formal_solve(CauchyProblem(HEAT, G1, G1, g, (n1, n2),
-                                          mode="pseudo"))
-    assert u_direct.coeffs == u_pseudo.coeffs
+    # the declared mode is not read past assemble: a shipped problem, whose
+    # top is constant, solves to the same CSV bytes and residual in both
+    # declarations, and its sidecar differs only in "mode", in both
+    # arithmetics
+    for name, arithmetic in itertools.product(
+            ("heat", "transport", "twofactor"), ("exact", "float")):
+        data = json.loads((resources.files("mpde") / "problems"
+                           / f"{name}.json").read_text())
+        (u, direct), (v, pseudo) = (
+            solve_problem(load_problem(dict(data, mode=mode)), 12, 10,
+                          arithmetic) for mode in ("direct", "pseudo"))
+        assert u.to_csv() == v.to_csv()
+        assert (direct.pop("mode"), pseudo.pop("mode")) == ("direct",
+                                                            "pseudo")
+        assert json.dumps(direct) == json.dumps(pseudo)
 
 
 def test_pseudo_mode_exact_residual():
@@ -435,7 +458,7 @@ def test_pseudo_mode_exact_residual():
     n1, n2 = 8, 10
     rng = random.Random(44)
     g = random_series2(rng, n1, n2 + 3 * n1, exact=True)
-    prob = CauchyProblem(P, G1, G1, g, (n1, n2), mode="pseudo")
+    prob = CauchyProblem(P, G1, G1, g, (n1, n2))
     rep = residual(prob, formal_solve(prob))
     assert rep.exact_zero
 
@@ -446,8 +469,7 @@ def test_pseudo_mode_with_rhs_f_and_nontrivial_tail():
     n1, n2 = 8, 10
     rng = random.Random(45)
     f = random_series2(rng, n1, n2 + 2 * n1 + 1, exact=True)
-    prob = CauchyProblem(P, G1, G1, f, (n1, n2), mode="pseudo",
-                         rhs_is_g=False)
+    prob = CauchyProblem(P, G1, G1, f, (n1, n2), rhs_is_g=False)
     rep = residual(prob, formal_solve(prob))
     assert rep.exact_zero
 
@@ -464,7 +486,7 @@ def test_pseudo_mode_float_tail_matches_exact(table):
     f = random_series2(rng, n1, n2 + 2 * n1 + 1, exact=True)
     f_float = Series2([[complex(c) for c in row] for row in f.coeffs])
     exact, approx = (formal_solve(CauchyProblem(P, G1, G1, rhs, (n1, n2),
-                                                mode="pseudo", rhs_is_g=False))
+                                                rhs_is_g=False))
                      for rhs in (f, f_float))
     for j in range(n1 + 1):
         for i in range(n2 + 1):
@@ -515,8 +537,7 @@ def test_non_monic_pseudo_lanes_stay_near_the_reduced_size():
     P = parse_operator("(2+3*dz)*dt - dz^2")
     n1, n2 = 40, 40
     f = geometric_g(n1, n2 + 2 * n1 + 1, exact=True)
-    u = formal_solve(CauchyProblem(P, G1, G1, f, (n1, n2), mode="pseudo",
-                                   rhs_is_g=False))
+    u = formal_solve(CauchyProblem(P, G1, G1, f, (n1, n2), rhs_is_g=False))
     reduced = max(x.bit_length() for row in u.coeffs for c in row
                   for q in (c.re, c.im) for x in (q.numerator, q.denominator))
     lanes = u.lanes
@@ -544,7 +565,7 @@ def test_pseudo_mode_axpy_calls_follow_the_terms(operator, monkeypatch):
     n1, n2 = 80, 80
     g = geometric_g(n1, n2 + 2 * n1, exact=True)
     u = formal_solve(CauchyProblem(parse_operator(operator), G1, G1, g,
-                                   (n1, n2), mode="pseudo"))
+                                   (n1, n2)))
     (v,) = solved
     level = {id(row): t for t, row in enumerate(v.re)}
     reads = [(level[id(src)], b) for terms in passes for _, src, b in terms
@@ -594,8 +615,7 @@ def test_moment_tables_are_built_once_per_problem(exact, monkeypatch):
     f = random_series2(rng, 6, 8 + 3 * 6 + 1, exact=exact)
     for m1, tables in ((gamma_s(Fraction(1, 2)), 2), (G1, 1)):
         calls.clear()
-        prob = CauchyProblem(P, m1, G1, f, (6, 8), mode="pseudo",
-                             rhs_is_g=False)
+        prob = CauchyProblem(P, m1, G1, f, (6, 8), rhs_is_g=False)
         rep = residual(prob, formal_solve(prob))
         assert calls == tables * ["fraction_table" if exact else "log_table"]
         assert rep.relative <= (0 if exact else 1e-12)
@@ -692,7 +712,7 @@ def test_float_solve_restores_the_numpy_error_state():
     cases = [(heat_problem(200, 100, exact=False), True),
              (heat_problem(20, 10, exact=False), False),
              (CauchyProblem(pseudo, G1, G1, geometric_g(12, 40), (12, 10),
-                            mode="pseudo", rhs_is_g=False), False)]
+                            rhs_is_g=False), False)]
     with np.errstate(all="raise"):
         state = np.geterr()
         for prob, overflows in cases:
