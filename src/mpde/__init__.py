@@ -6,8 +6,7 @@ polygons, theoretical and empirical Gevrey orders, and summability /
 multisummability classification reports.
 """
 
-from .charroots import (CharBranch, CharPoly, branches_at_infinity,
-                        validate_numeric)
+from .charroots import CharBranch, CharPoly, branches_at_infinity
 from .errors import (DomainError, EstimationError, EvaluationError, MpdeError,
                      ParseError, PreconditionError, WindowError)
 from .exact import RationalComplex, as_fraction, fmt_fraction

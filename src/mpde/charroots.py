@@ -7,8 +7,8 @@ points ``(i, deg A_i)`` and the leading terms are the nonzero roots of the
 edge polynomials, one per hull edge.  Multiplicities are extracted exactly
 (square-free decomposition over the Gaussian rationals).  A square-free part
 of degree 1 gives its root exactly; numpy's companion-matrix root finder runs
-only on parts of degree >= 2 and in :func:`validate_numeric`, so the branch
-data of linear edges needs no numpy.
+only on parts of degree >= 2, so the branch data of linear edges needs no
+numpy.
 
 Only first-order data (q, lambda0, multiplicity) is computed.  A repeated
 edge root means the class may split at deeper expansion orders; it is
@@ -17,11 +17,10 @@ reported with ``resolved=False`` instead of recursing.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 
 from . import kernel
-from .errors import DomainError, EvaluationError, PreconditionError
+from .errors import PreconditionError
 from .exact import QC_ONE, RationalComplex
 from .record import record
 
@@ -172,16 +171,6 @@ class CharPoly:
         """Coefficient polynomial of the top lambda power (zeta coeffs)."""
         return self.coeff_polys[self.n]
 
-    def lambda_coeffs_at(self, zeta0: complex):
-        """Coefficients (high lambda power first) of ``P(., zeta0)``."""
-        vals = []
-        for row in self.coeff_polys[::-1]:
-            acc = 0j
-            for c in reversed(row):
-                acc = acc * zeta0 + complex(c)
-            vals.append(acc)
-        return vals
-
 
 def monomial(a: int, b: int) -> str:
     """``dt^a*dz^b`` as an operator is written: a power 1 bare, a power 0
@@ -274,83 +263,3 @@ def branches_at_infinity(P: CharPoly) -> list:
         ))
     branches.sort(key=lambda b: b.q, reverse=True)
     return branches
-
-
-# -- numerical validation -------------------------------------------------------
-
-
-@record
-class BranchValidation:
-    """Numeric check of one branch: root deviation per radius."""
-
-    q: Fraction
-    deviations: tuple  # max relative deviation per radius (None if no root landed)
-    monotone: bool
-
-
-@record
-class ValidationReport:
-    """Numeric checks of all branches along one ray of radii."""
-
-    radii: tuple
-    ray_angle: float
-    branches: tuple
-    unassigned: int
-
-    @property
-    def consistent(self) -> bool:
-        return self.unassigned == 0 and all(b.monotone for b in self.branches)
-
-
-def validate_numeric(P: CharPoly, branches, radii, ray_angle: float = 0.0
-                     ) -> ValidationReport:
-    """Check branch data against numerically computed roots.
-
-    At each radius R the polynomial ``P(., R*e^{i*ray})`` is solved with the
-    companion-matrix root finder; every root is assigned to the (branch,
-    leading term) minimizing ``|lambda / zeta0**q - lambda0|`` and the
-    per-branch maximum relative deviation is recorded.  Deviations should be
-    non-increasing in R (10% jitter near machine precision is tolerated).
-    """
-    import numpy as np
-
-    radii = tuple(float(R) for R in radii)
-    if any(R <= 0 for R in radii):
-        raise DomainError("radii must be positive")
-    per_branch = [[None] * len(radii) for _ in branches]
-    unassigned = 0
-    for ridx, R in enumerate(sorted(radii)):
-        zeta0 = R * cmath.exp(1j * ray_angle)
-        coeffs = P.lambda_coeffs_at(zeta0)
-        if not coeffs or coeffs[0] == 0:
-            raise EvaluationError(
-                f"leading lambda coefficient vanishes at |zeta| = {R}")
-        try:
-            roots = np.roots(np.array(coeffs, dtype=complex))
-        except Exception as exc:  # pragma: no cover - numpy failure path
-            raise EvaluationError(f"root finder failed at |zeta| = {R}: {exc}")
-        powers = {b.q: zeta0 ** float(b.q) for b in branches}
-        for lam in roots:
-            best = None
-            for bidx, br in enumerate(branches):
-                scaled = complex(lam) / powers[br.q]
-                for lam0, _ in br.leading_terms:
-                    dev = abs(scaled - lam0)
-                    if best is None or dev < best[0]:
-                        best = (dev, bidx, abs(lam0))
-            if best is None or best[0] > 0.5:
-                unassigned += 1
-                continue
-            rel = best[0] / best[2]
-            cur = per_branch[best[1]][ridx]
-            per_branch[best[1]][ridx] = rel if cur is None else max(cur, rel)
-    reports = []
-    for br, devs in zip(branches, per_branch):
-        seq = [d for d in devs if d is not None]
-        monotone = all(
-            later <= earlier * 1.1 + 1e-12
-            for earlier, later in zip(seq, seq[1:])
-        )
-        reports.append(BranchValidation(br.q, tuple(devs), monotone))
-    return ValidationReport(tuple(sorted(radii)), float(ray_angle),
-                            tuple(reports), unassigned)

@@ -13,8 +13,8 @@ Gaussian-rational coefficients and the moment tables that the
 over one common denominator and keeps the output window of lanes whose row
 divisors are the level divisors times ``m1`` and whose column divisors are
 the values of ``m2`` (times ``e**i``, e the denominator of the top
-coefficient's taps); the residual shifts those lanes on integers, with no
-Gaussian rational built in between.  Float mode recurses on raw
+coefficient's taps); the residual shifts those lanes on integers, on the
+window the operator's orders leave, with no Gaussian rational built.  Float mode recurses on raw
 coefficients with moment ratios taken from their logarithms, so that grids
 whose normalized coefficients would overflow stay finite; an output row
 that overflows anyway raises EvaluationError.  Float grids stay numpy
@@ -50,7 +50,7 @@ from functools import cached_property
 
 from . import kernel, moments
 from .charroots import CharPoly, _divmod, monomial
-from .errors import DomainError, PreconditionError, WindowError
+from .errors import PreconditionError, WindowError
 from .exact import QC_ONE, as_fraction, quotient
 from .moments import MomentFunction
 from .record import record
@@ -258,35 +258,13 @@ def _safe_float(x) -> float:
         return math.inf
 
 
-def normalize_table(table) -> list:
-    """Sorted ((a, b), coeff) items; sorting makes application order
-    independent of the caller's enumeration order."""
-    items = sorted(table.items())
-    if not items:
-        raise DomainError("empty operator support")
-    if any(a < 0 or b < 0 for (a, b), _ in items):
-        raise DomainError("operator support must live in the first quadrant")
-    return items
-
-
-def operator_window(table, valid) -> tuple:
-    """Valid window left after applying the operator ``table`` to a series
-    with valid window ``valid``; raises WindowError when it is empty."""
-    items = normalize_table(table)
-    max_a = max(a for (a, _), _ in items)
-    max_b = max(b for (_, b), _ in items)
-    J_out, I_out = valid[0] - max_a, valid[1] - max_b
-    if J_out < 0 or I_out < 0:
-        raise WindowError(
-            f"operator orders ({max_a}, {max_b}) exceed the valid window {valid}")
-    return J_out, I_out
-
-
 def residual(prob: CauchyProblem, u_hat: Series2) -> ResidualReport:
     """Max-abs residual of ``P u - f`` on the common valid window.
 
     f is reconstructed as ``P0(dz) g`` by operator application when the
-    problem was posed through g.  In exact mode a zero residual is exact;
+    problem was posed through g.  The window is u's less P's orders
+    ``(n, max_b)`` and g's less P0's ``(0, B)``, or f's; an empty one raises
+    WindowError.  In exact mode a zero residual is exact;
     both sides are normalized once and shifted on integers, and equal
     sides report zero at once; otherwise the L1 moduli ``|re| + |im|`` of
     raw coefficients are compared.  The relative residual is measured
@@ -299,9 +277,13 @@ def residual(prob: CauchyProblem, u_hat: Series2) -> ResidualReport:
     support = P.support()
     p0_table = ({(0, b): c for b, c in enumerate(P.p0()) if c}
                 if prob.rhs_is_g else {(0, 0): 1})
-    J_l, I_l = operator_window(support, u_hat.valid)
-    J_f, I_f = operator_window(p0_table, prob.rhs.valid)
-    J, I = min(J_l, J_f), min(I_l, I_f)
+    B = P.B if prob.rhs_is_g else 0
+    for a, b, valid in ((P.n, P.max_b, u_hat.valid), (0, B, prob.rhs.valid)):
+        if valid[0] < a or valid[1] < b:
+            raise WindowError(f"operator orders ({a}, {b}) exceed the "
+                              f"valid window {valid}")
+    (J_u, I_u), (J_g, I_g) = u_hat.valid, prob.rhs.valid
+    J, I = min(J_u - P.n, J_g), min(I_u - P.max_b, I_g - B)
     if u_hat.exact and prob.rhs.exact:
         return _residual_exact(prob, u_hat, support, p0_table, J, I)
     return _residual_float(prob, u_hat, support, p0_table, J, I)
@@ -332,7 +314,7 @@ def _residual_float(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
             f = grid[: J + 1, : I + 1]
             return f, kernel.modulus(f)
         items = [(k, kernel.binary64(p * Fraction(2) ** e))
-                 for k, p in normalize_table(table)]
+                 for k, p in table.items()]
         abs_items = [(k, abs(p)) for k, p in items]
         return (kernel.shift_float(grid, items, r1, r2, J, I),
                 kernel.shift_float(kernel.modulus(grid), abs_items, r1, r2,

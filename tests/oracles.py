@@ -23,7 +23,11 @@ float cells scaled by ``math.ldexp`` or multiplied as Python ``complex``.
 The exact residual is checked against its per-cell form in Gaussian
 rationals.  The edge roots of ``charroots`` are checked against numpy's
 companion-matrix root finder run on every square-free part, linear ones
-included.  The binary64 readers of an exact series (``grid``,
+included, and the branch data of ``branches_at_infinity`` against the
+roots of ``P(., zeta)`` at growing ``|zeta|`` (:func:`validate_numeric`),
+which no command runs: a leading term ``lambda0 * zeta**q`` must match a
+root to a relative deviation that does not grow with ``|zeta|``.  The
+binary64 readers of an exact series (``grid``,
 ``gevrey_fit``, ``to_csv`` and ``row_values`` of ``routes``) are checked
 against their per-cell forms: ``complex()`` and ``abs()`` of each
 ``RationalComplex`` of ``coeffs``; the CSV of a float series against one
@@ -42,8 +46,10 @@ against ``scaled_eval``, within ``helpers.LOG_ULPS``.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate
@@ -462,6 +468,83 @@ def edge_roots_numpy(edge_coeffs) -> list:
         arr = np.array([complex(c) for c in reversed(part)])
         out += [(complex(r), mult) for r in np.roots(arr)]
     return out
+
+
+# -- the branch data at infinity, against the roots of P(., zeta) -------------
+
+
+def lambda_coeffs_at(P, zeta0: complex) -> list:
+    """Coefficients, high lambda power first, of ``P(., zeta0)`` for the
+    CharPoly P, each zeta-polynomial by Horner's rule in Python complex."""
+    vals = []
+    for row in P.coeff_polys[::-1]:
+        acc = 0j
+        for c in reversed(row):
+            acc = acc * zeta0 + complex(c)
+        vals.append(acc)
+    return vals
+
+
+class BranchValidation(NamedTuple):
+    """One branch: its largest relative root deviation per radius (None
+    where no root landed), and whether those deviations do not grow."""
+
+    q: Fraction
+    deviations: tuple
+    monotone: bool
+
+
+class ValidationReport(NamedTuple):
+    """The branches' checks along one ray, and how many roots matched no
+    leading term."""
+
+    branches: tuple
+    unassigned: int
+
+    @property
+    def consistent(self) -> bool:
+        return self.unassigned == 0 and all(b.monotone for b in self.branches)
+
+
+def validate_numeric(P, branches, radii, ray_angle: float = 0.0
+                     ) -> ValidationReport:
+    """Check the branch data of ``charroots.branches_at_infinity`` against
+    the roots of ``P(., R*e^{i*ray_angle})`` that ``np.roots`` finds.
+
+    At each radius R, ascending, every root is assigned to the (branch,
+    leading term) minimizing ``|lambda / zeta0**q - lambda0|``, or left
+    unassigned when that is above 0.5, and the per-branch maximum relative
+    deviation is recorded.  Deviations should not grow with R (10% jitter
+    near machine precision is tolerated).
+    """
+    radii = sorted(float(R) for R in radii)
+    per_branch = [[None] * len(radii) for _ in branches]
+    unassigned = 0
+    for ridx, R in enumerate(radii):
+        zeta0 = R * cmath.exp(1j * ray_angle)
+        roots = np.roots(np.array(lambda_coeffs_at(P, zeta0), dtype=complex))
+        powers = {b.q: zeta0 ** float(b.q) for b in branches}
+        for lam in roots:
+            best = None
+            for bidx, br in enumerate(branches):
+                scaled = complex(lam) / powers[br.q]
+                for lam0, _ in br.leading_terms:
+                    dev = abs(scaled - lam0)
+                    if best is None or dev < best[0]:
+                        best = (dev, bidx, abs(lam0))
+            if best is None or best[0] > 0.5:
+                unassigned += 1
+                continue
+            rel = best[0] / best[2]
+            cur = per_branch[best[1]][ridx]
+            per_branch[best[1]][ridx] = rel if cur is None else max(cur, rel)
+    reports = []
+    for br, devs in zip(branches, per_branch):
+        seq = [d for d in devs if d is not None]
+        monotone = all(later <= earlier * 1.1 + 1e-12
+                       for earlier, later in zip(seq, seq[1:]))
+        reports.append(BranchValidation(br.q, tuple(devs), monotone))
+    return ValidationReport(tuple(reports), unassigned)
 
 
 # -- the moment Borel transforms and moment derivatives, one cell at a time --

@@ -8,7 +8,9 @@ that the tests still use lives here:
 
 * ``Series1``, the moment Borel transforms and moment derivatives, and
   ``apply_operator``, which applies a constant-coefficient moment operator
-  with the shift kernel as the residual does;
+  with the shift kernel as the residual does, on the window that
+  ``operator_window`` reads from the operator's support (the residual
+  reads its own from the operator's orders);
 * ``row_values``, the t-levels of a ``Series2`` evaluated at a point z (the
   probe reads column 0, their values at z = 0);
 * ``g_from_f``, the division ``P0(dz) g = f`` alone, on the taps that
@@ -39,7 +41,7 @@ from mpde.exact import RationalComplex, as_fraction, fmt_fraction, quotient
 from mpde.moments import MomentFunction, log_gamma, scaled_eval
 from mpde.record import record
 from mpde.series import Series2
-from mpde.solver import _taps, normalize_table, operator_window
+from mpde.solver import _taps
 from mpde.summability import Angle, _level_sectors, levels
 
 # -- one-axis series, moment Borel transforms and moment derivatives ---------
@@ -176,6 +178,30 @@ def _transform(m, s, axis, delta: int, num: bool, den: bool):
             if not np.isfinite(plane[np.isfinite(scaled)]).all():
                 raise OverflowError("math range error")
     return Series2(kernel.read_only(grid), False)
+
+
+def normalize_table(table) -> list:
+    """Sorted ((a, b), coeff) items; sorting makes application order
+    independent of the caller's enumeration order."""
+    items = sorted(table.items())
+    if not items:
+        raise DomainError("empty operator support")
+    if any(a < 0 or b < 0 for (a, b), _ in items):
+        raise DomainError("operator support must live in the first quadrant")
+    return items
+
+
+def operator_window(table, valid) -> tuple:
+    """Valid window left after applying the operator ``table`` to a series
+    with valid window ``valid``; raises WindowError when it is empty."""
+    items = normalize_table(table)
+    max_a = max(a for (a, _), _ in items)
+    max_b = max(b for (_, b), _ in items)
+    J_out, I_out = valid[0] - max_a, valid[1] - max_b
+    if J_out < 0 or I_out < 0:
+        raise WindowError(
+            f"operator orders ({max_a}, {max_b}) exceed the valid window {valid}")
+    return J_out, I_out
 
 
 def apply_operator(table, m1: MomentFunction, m2: MomentFunction,

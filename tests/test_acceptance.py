@@ -12,12 +12,12 @@ import pytest
 
 from helpers import (from_t_coeffs, geometric_g, random_factor_product,
                      random_series1, table_mul)
-from oracles import frac_integral_quadrature, mellin_check
+from oracles import frac_integral_quadrature, mellin_check, validate_numeric
 from routes import (Series1, borel, e_s_beta, e_s_beta_via_derivative, eval_at,
                     eval_fraction, inv_borel, moment_antidiff, moment_diff)
 
 from mpde import newton
-from mpde.charroots import CharPoly, branches_at_infinity, validate_numeric
+from mpde.charroots import CharPoly, branches_at_infinity
 from mpde.moments import MomentFactor, MomentFunction, gamma_s
 from mpde.problem import analyze_problem, load_problem
 from mpde.series import gevrey_fit

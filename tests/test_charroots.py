@@ -7,9 +7,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_factor_product
+from oracles import validate_numeric
 
 from mpde.charroots import (CharPoly, _deriv, _gcd, _squarefree_parts,
-                            branches_at_infinity, validate_numeric)
+                            branches_at_infinity)
 from mpde.errors import PreconditionError
 from mpde.exact import RationalComplex
 from mpde.parsing import parse_operator

@@ -62,9 +62,6 @@ NEVER_RUN = {
                                    "which seeds the widths",
     # read by perfbench, or kept for an open ROADMAP item
     "moments.scaled_eval": "perfbench reads its cache (ROADMAP item 6)",
-    "charroots.validate_numeric": "ROADMAP item 11 decides its fate",
-    "charroots.ValidationReport.consistent": "validate_numeric's report",
-    "charroots.CharPoly.lambda_coeffs_at": "validate_numeric's evaluation",
 }
 
 _HEAT = {

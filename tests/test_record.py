@@ -16,7 +16,7 @@ import pytest
 import routes
 
 import mpde
-from mpde import charroots, moments, problem
+from mpde import moments, problem
 from mpde.moments import MomentFunction
 from mpde.record import record
 
@@ -134,7 +134,7 @@ def test_record_keeps_cached_property_working():
     assert c == Cached(3) and hash(c) == hash(Cached(3))
     pf = problem.load_problem(str(PROBLEMS / "twofactor.json"))
     assert pf.parsed is pf.parsed
-    cp = problem.assemble(pf, 4, 6, True)
+    cp = problem.assemble(pf, 4, 6, "exact")
     assert cp.fraction_tables is cp.fraction_tables
 
 
@@ -157,7 +157,7 @@ def test_every_record_repr_and_hash_match_its_dataclass_twin(monkeypatch):
     # instances from the pipeline on two shipped problems, each compared
     # with the frozen dataclass of the same name and field values
     classes = record_classes()
-    assert len(classes) == 25
+    assert len(classes) == 23
     made = {cls: [] for cls in classes}
     for cls in classes:
         def init(self, *args, _init=cls.__init__, **kwargs):
@@ -170,9 +170,6 @@ def test_every_record_repr_and_hash_match_its_dataclass_twin(monkeypatch):
         problem.solve_problem(pf, 6, 8, "exact")
         problem.verify_problem(pf, 1e-8, 6, 8, "float")
         problem.probe_problem(pf, 24, 8, "float")
-        P = pf.parsed[0]
-        charroots.validate_numeric(P, charroots.branches_at_infinity(P),
-                                   [10.0, 100.0])
     routes.borel(MomentFunction(), routes.Series1([1, 2, 3]))
     moments.scaled_eval.__wrapped__(MomentFunction(), Fraction(1, 2))
     assert not [cls.__name__ for cls, found in made.items() if not found]
