@@ -44,7 +44,8 @@ import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from itertools import count, islice
+from operator import add, mul, sub
 
 from .errors import DomainError
 from .exact import as_fraction, quotient
@@ -301,6 +302,20 @@ def fraction_table(m: MomentFunction, n: int) -> list:
     if dens.count(1) == len(dens):
         return nums
     return list(map(quotient, nums, dens))
+
+
+def log_magnitudes(m: MomentFunction, n: int) -> list:
+    """``|log m(j)|``, j = 0..n, by ``math.lgamma`` with no table built; a
+    Gamma argument that is not positive, as ``fraction_table`` refuses,
+    adds nothing, and one beyond binary64 raises OverflowError."""
+    logs = [0.0] * (n + 1)
+    for sign, scale, A, B, D in _argument_lines(m, -1):  # n < 0: no check
+        j0 = 0 if A > 0 else -A // B + 1  # the first positive argument
+        xs = islice(count((A + j0 * B) / D, B / D), n + 1 - j0)
+        c = log_rational(scale)
+        logs[j0:] = map(add if sign == 1 else sub, logs[j0:],
+                        map(c.__add__, map(math.lgamma, xs)))
+    return list(map(abs, logs))
 
 
 def log_table(m: MomentFunction, n: int):

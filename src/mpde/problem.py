@@ -32,7 +32,8 @@ rhs, run over the live rows only.  A float problem that sums or divides
 its entries past binary64 fails naming them.  Every rhs grid, the
 numerator band of the division included, comes from
 :meth:`Series2.from_entries`.  Grids above ``MAX_GRID_CELLS`` are rejected
-before they, or the solver's level widths, are allocated.
+before they, or the solver's level widths, are allocated, and exact solves
+whose moment values would pass ``MAX_EXACT_BYTES`` before the rhs is built.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
-from . import kernel, newton
+from . import kernel, moments, newton
 from .charroots import branches_at_infinity
 from .errors import ParseError, PreconditionError
 from .exact import RationalComplex, as_rational, fmt_fraction
@@ -346,6 +347,14 @@ def _truncation(pf: ProblemFile, n1, n2) -> tuple:
             pf.truncation[1] if n2 is None else n2)
 
 
+def _arithmetic(pf: ProblemFile, arithmetic) -> str:
+    """The arithmetic override, else the file's; PreconditionError if bad."""
+    if arithmetic not in (None, "float", "exact"):
+        raise PreconditionError(f'arithmetic must be "float" or "exact", '
+                                f'got {arithmetic!r}')
+    return arithmetic or pf.arithmetic
+
+
 # Largest rhs grid ``(N1+1) * (w[0] + 1)`` that ``assemble`` expands, w the
 # solver's ``level_widths``, for either ``rhs_role``.  A float grid costs
 # about 56 bytes a cell (16 in numpy, 40 as a Python complex in its row),
@@ -354,27 +363,36 @@ def _truncation(pf: ProblemFile, n1, n2) -> tuple:
 # largest grid of the benchmark ladders (heat (200, 100), 100,701 cells).
 MAX_GRID_CELLS = 1_000_000
 
+# Most bytes of moment values that ``assemble`` admits in an exact solve
+# (``_check_exact_bytes``): a float solve at the cap holds a few, say four,
+# grids of 56 MB, about 2**28 bytes, and an exact one may spend as much.
+MAX_EXACT_BYTES = 2 ** 28
+
 
 def assemble(pf: ProblemFile, n1: int | None = None, n2: int | None = None,
              arithmetic: str | None = None) -> CauchyProblem:
     """Expand the rhs to the widest solver level of ``(n1, n2)``.
 
-    Unset truncation and arithmetic come from the problem file.  A
-    ``"direct"`` file whose top lambda coefficient is not a constant is
-    rejected first.  A grid above ``MAX_GRID_CELLS`` is rejected before
-    anything is allocated: its lower bound ``(N1+1) * (N2+1)`` before the
-    level widths, which the rhs and the solver share, are built.
+    Unset truncation and arithmetic come from the problem file
+    (:func:`_arithmetic`).  A ``"direct"`` file whose top lambda
+    coefficient is not a constant is rejected first.  Before anything is
+    allocated, a grid above ``MAX_GRID_CELLS`` is rejected, its lower bound
+    ``(N1+1) * (N2+1)`` before the level widths, which the rhs and the
+    solver share, are built; and so is an exact solve whose moment values
+    the widths show to take more than ``MAX_EXACT_BYTES``.
     """
     P, m1, m2 = pf.parsed
     N1, N2 = _truncation(pf, n1, n2)
+    exact = _arithmetic(pf, arithmetic) == "exact"
     if pf.mode == "direct" and P.B > 0:
         raise PreconditionError(
             "direct mode requires a constant top lambda coefficient; "
             "use pseudo mode")
-    exact = (arithmetic or pf.arithmetic) == "exact"
     _check_cells(N1, N2, N2, "at least ")
     widths = level_widths(P, (N1, N2))
     _check_cells(N1, N2, widths[0], "")
+    if exact:
+        _check_exact_bytes(P, m1, m2, N1, N2, widths[0])
     rhs = expand_rhs(pf.rhs, N1, widths[0], exact)
     prob = CauchyProblem(P, m1, m2, rhs, (N1, N2),
                          rhs_is_g=pf.rhs_role == "g")
@@ -391,6 +409,23 @@ def _check_cells(N1: int, N2: int, width: int, bound: str) -> None:
             f"the solver grid of truncation ({N1}, {N2}) has {bound}{cells} "
             f"cells ({N1 + 1} x {width + 1}), above the cap of "
             f"{MAX_GRID_CELLS}; lower --n1 or --n2")
+
+
+def _check_exact_bytes(P, m1, m2, N1: int, N2: int, width: int) -> None:
+    """PreconditionError when the moment values of an exact solve, at
+    ``|log2 m|`` bits each, pass ``MAX_EXACT_BYTES``: the tables of
+    ``CauchyProblem.fraction_tables``, and a grid of lanes, as the rescaled
+    rhs, whose cell (t, i), t <= N1, i <= width, carries m1(t) * m2(i)."""
+    b1 = moments.log_magnitudes(m1, N1 + P.n)
+    b2 = moments.log_magnitudes(m2, width + P.max_b)
+    lanes = (width + 1) * sum(b1[: N1 + 1]) + (N1 + 1) * sum(b2[: width + 1])
+    nbytes = (sum(b1) + sum(b2) + lanes) / math.log(256)
+    if nbytes > MAX_EXACT_BYTES:
+        raise PreconditionError(
+            f"an exact solve of truncation ({N1}, {N2}) needs about "
+            f"{nbytes / 2**20:,.0f} MiB of moment values, above the budget of "
+            f"{MAX_EXACT_BYTES >> 20} MiB; lower --n1 or --n2, or use "
+            f"--arithmetic float")
 
 
 # -- reports ------------------------------------------------------------------------
@@ -510,7 +545,7 @@ def solve_problem(pf: ProblemFile, n1: int | None = None,
     sidecar = {
         "valid_window": [u.valid[0], u.valid[1]],
         "mode": pf.mode,
-        "arithmetic": arithmetic or pf.arithmetic,
+        "arithmetic": _arithmetic(pf, arithmetic),
         **_residual_fields(res),
     }
     return u, sidecar

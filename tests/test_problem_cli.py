@@ -18,7 +18,7 @@ import pytest
 from helpers import run_cli, strict_json
 from routes import row_values
 
-from mpde import cli
+from mpde import cli, moments
 from mpde import problem as problem_mod
 from mpde.errors import EvaluationError, ParseError, PreconditionError
 from mpde.exact import RationalComplex
@@ -748,6 +748,66 @@ def test_cli_grid_above_cap_is_rejected_before_the_level_widths(command,
     assert ("has at least 11000000011 cells (1000000001 x 11), above the cap "
             f"of {problem_mod.MAX_GRID_CELLS}") in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("command,n1", [("solve", 2), ("verify", 2),
+                                        ("probe", 14)])
+def test_cli_wide_exact_solve_is_refused_before_its_tables(command, n1,
+                                                           monkeypatch):
+    # transport at (2, 20000) exact held about 1.9 GB at its peak; its
+    # moment values are estimated at about 1,157 MiB, above the budget, so
+    # it exits 2 before the rhs or any exact moment table is built (probe
+    # needs 14 t-levels, and takes more)
+    def no_build(*args):
+        raise AssertionError("nothing may be built")
+    monkeypatch.setattr(problem_mod, "expand_rhs", no_build)
+    monkeypatch.setattr(moments, "fraction_table", no_build)
+    result = run_cli([command, shipped("transport"), "--arithmetic",
+                      "exact", "--n1", str(n1), "--n2", "20000"])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == "" and result.stderr.count("\n") == 1
+    assert result.stderr.startswith(
+        f"precondition violated: an exact solve of truncation ({n1}, 20000) "
+        f"needs about ")
+    assert result.stderr.endswith(
+        " MiB of moment values, above the budget of 256 MiB; lower --n1 or "
+        "--n2, or use --arithmetic float\n")
+    if n1 == 2:
+        assert "needs about 1,157 MiB" in result.stderr
+
+
+@pytest.mark.parametrize("name,n1,n2", [("heat", 240, 200),
+                                        ("transport", 2, 5000)])
+def test_exact_budget_admits_wide_solves_below_it(name, n1, n2, monkeypatch):
+    # heat (240, 200), estimated at about 62 MiB, and transport (2, 5000),
+    # at about 60 MiB, reach expand_rhs
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+    monkeypatch.setattr(problem_mod, "expand_rhs", reached)
+    with pytest.raises(Reached):
+        problem_mod.assemble(load_problem(shipped(name)), n1, n2, "exact")
+
+
+@pytest.mark.parametrize("arithmetic", ["Exact", True, "", 1])
+def test_an_arithmetic_other_than_float_or_exact_is_refused(arithmetic,
+                                                            monkeypatch):
+    # a library caller can pass what the CLI's choices cannot; every entry
+    # point refuses it before the rhs is expanded
+    def no_expand(*args):
+        raise AssertionError("expand_rhs must not run")
+    monkeypatch.setattr(problem_mod, "expand_rhs", no_expand)
+    pf = load_problem(shipped("heat"))
+    refusal = re.escape(f'arithmetic must be "float" or "exact", got '
+                        f'{arithmetic!r}')
+    for call in (lambda: problem_mod.assemble(pf, 4, 6, arithmetic),
+                 lambda: solve_problem(pf, 6, 8, arithmetic),
+                 lambda: verify_problem(pf, 1e-8, 6, 8, arithmetic),
+                 lambda: probe_problem(pf, 24, 8, arithmetic)):
+        with pytest.raises(PreconditionError, match=refusal):
+            call()
 
 
 def test_running_out_of_memory_exits_2_with_advice(monkeypatch, tmp_path):

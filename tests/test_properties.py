@@ -49,7 +49,7 @@ from oracles import (borel_cells, csv_cells, edge_roots_numpy,
                      rational_rhs_float, rational_rhs_sizes, wide_width)
 from routes import (Series1, apply_operator, borel, eval_at, g_from_f,
                     inv_borel, moment_antidiff, moment_diff, operator_to_text,
-                    row_values)
+                    operator_window, row_values)
 
 from mpde import kernel
 from mpde.charroots import CharPoly, _edge_roots
@@ -401,6 +401,32 @@ def test_level_widths_are_tight(case):
         assert w[t] >= N2 and all(w[t] >= r for r in reads)
         assert w[t] == N2 or w[t] in reads
     assert w[0] <= wide_width(P, (N1, N2))
+
+
+@SETTINGS
+@given(st.one_of(cases(), pseudo_cases()), st.integers(0, 6),
+       st.integers(0, 8))
+def test_residual_window_is_that_of_the_operator_tables(case, J, I):
+    """The residual's window, read from the operator's orders, is the
+    smaller of the windows that ``routes.operator_window`` leaves after the
+    support on u and after the P0 table on g (the identity on f), in both
+    rhs roles and arithmetics, for a u of any window: a window below the
+    operator orders raises the same WindowError on both routes."""
+    for rhs_is_g in (True, False):
+        for exact in (True, False):
+            prob = dataclasses.replace(case, rhs_is_g=rhs_is_g).problem(exact)
+            u = Series2.from_entries((), J, I, exact)
+            P = prob.operator
+            p0_table = ({(0, b): c for b, c in enumerate(P.p0()) if c}
+                        if rhs_is_g else {(0, 0): 1})
+            try:
+                want = tuple(map(min, operator_window(P.support(), u.valid),
+                                 operator_window(p0_table, prob.rhs.valid)))
+            except WindowError as exc:
+                with pytest.raises(WindowError, match=re.escape(str(exc))):
+                    residual(prob, u)
+            else:
+                assert residual(prob, u).window == want
 
 
 def _power(c: RationalComplex, k: int) -> RationalComplex:
