@@ -361,6 +361,7 @@ def _arithmetic(pf: ProblemFile, arithmetic) -> str:
 # exact cells several times more, and a solve holds a few grids at once; the
 # cap stops a mistyped truncation before it allocates, at about 10x the
 # largest grid of the benchmark ladders (heat (200, 100), 100,701 cells).
+# Exact moment values grow with the truncation, so they have their own cap.
 MAX_GRID_CELLS = 1_000_000
 
 # Most bytes of moment values that ``assemble`` admits in an exact solve
