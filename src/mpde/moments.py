@@ -44,8 +44,7 @@ import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, islice
-from operator import add, mul, sub
+from operator import mul
 
 from .errors import DomainError
 from .exact import as_fraction, quotient
@@ -304,18 +303,20 @@ def fraction_table(m: MomentFunction, n: int) -> list:
     return list(map(quotient, nums, dens))
 
 
-def log_magnitudes(m: MomentFunction, n: int) -> list:
-    """``|log m(j)|``, j = 0..n, by ``math.lgamma`` with no table built; a
-    Gamma argument that is not positive, as ``fraction_table`` refuses,
-    adds nothing, and one beyond binary64 raises OverflowError."""
+def log_sizes(m: MomentFunction, n: int) -> list:
+    """Per j = 0..n, ``log 2`` times the bits of ``m(j)`` as
+    :func:`fraction_table` builds it, by ``math.lgamma``: its factors stay
+    apart until the last division, so each adds its ``|log|``, and 53 bits
+    more off an integer argument (a dyadic rational).  An argument that is
+    not positive in binary64, which ``fraction_table`` refuses, adds
+    nothing; one beyond binary64 raises OverflowError."""
     logs = [0.0] * (n + 1)
-    for sign, scale, A, B, D in _argument_lines(m, -1):  # n < 0: no check
-        j0 = 0 if A > 0 else -A // B + 1  # the first positive argument
-        xs = islice(count((A + j0 * B) / D, B / D), n + 1 - j0)
+    for _, scale, A, B, D in _argument_lines(m, -1):  # n < 0: no check
         c = log_rational(scale)
-        logs[j0:] = map(add if sign == 1 else sub, logs[j0:],
-                        map(c.__add__, map(math.lgamma, xs)))
-    return list(map(abs, logs))
+        for j, x in enumerate(range(A, A + n * B + 1, B)):
+            if x / D > 0:
+                logs[j] += abs(c + math.lgamma(x / D)) + (x % D and 53 * _LN2)
+    return logs
 
 
 def log_table(m: MomentFunction, n: int):

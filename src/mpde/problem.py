@@ -413,12 +413,12 @@ def _check_cells(N1: int, N2: int, width: int, bound: str) -> None:
 
 
 def _check_exact_bytes(P, m1, m2, N1: int, N2: int, width: int) -> None:
-    """PreconditionError when the moment values of an exact solve, at
-    ``|log2 m|`` bits each, pass ``MAX_EXACT_BYTES``: the tables of
+    """PreconditionError when the moment values of an exact solve, sized
+    by :func:`moments.log_sizes`, pass ``MAX_EXACT_BYTES``: the tables of
     ``CauchyProblem.fraction_tables``, and a grid of lanes, as the rescaled
     rhs, whose cell (t, i), t <= N1, i <= width, carries m1(t) * m2(i)."""
-    b1 = moments.log_magnitudes(m1, N1 + P.n)
-    b2 = moments.log_magnitudes(m2, width + P.max_b)
+    b1 = moments.log_sizes(m1, N1 + P.n)
+    b2 = moments.log_sizes(m2, width + P.max_b)
     lanes = (width + 1) * sum(b1[: N1 + 1]) + (N1 + 1) * sum(b2[: width + 1])
     nbytes = (sum(b1) + sum(b2) + lanes) / math.log(256)
     if nbytes > MAX_EXACT_BYTES:

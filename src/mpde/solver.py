@@ -6,23 +6,23 @@ moment derivatives attached to m1 and m2.  In normalized coordinates
 constant-coefficient shift, and the recursion runs level by level in the
 t-order as ``U[j+n][i] = G[j][i] + sum c_ab U[j+n-a][i+b]``.
 
-Both arithmetics run this recursion and the residual on the shift kernel
-of :mod:`mpde.kernel`, handing it raw grids, the operator's
-Gaussian-rational coefficients and the moment tables that the
-:class:`CauchyProblem` builds once.  Exact mode recurses on Python integers
-over one common denominator and keeps the output window of lanes whose row
-divisors are the level divisors times ``m1`` and whose column divisors are
-the values of ``m2`` (times ``e**i``, e the denominator of the top
-coefficient's taps); the residual shifts those lanes on integers, on the
-window the operator's orders leave, with no Gaussian rational built.  Float mode recurses on raw
+Both arithmetics run this recursion and the residual on the shift kernel of
+:mod:`mpde.kernel`, handing it raw grids, the operator's Gaussian-rational
+coefficients and the moment tables that the :class:`CauchyProblem` builds
+once.  Exact mode recurses on Python integers over one common denominator
+and keeps the output window of lanes whose row divisors are the level
+divisors times ``m1`` and whose column divisors are the values of ``m2``
+(times ``e**i``, e the denominator of the top coefficient's taps); the
+residual shifts those lanes on integers, on the window the operator's orders
+leave, with no Gaussian rational built.  Float mode recurses on raw
 coefficients with moment ratios taken from their logarithms, so that grids
-whose normalized coefficients would overflow stay finite; an output row
-that overflows anyway raises EvaluationError.  Float grids stay numpy
-arrays from the rhs to the output (``Series2.grid``): the recursion checks
-the output window for non-finite cells, a block of levels at a time, and
-returns its grid of levels, out of which the window is copied once.  A
-solve has one float dtype: float64 when the rhs grid and the operator's
-coefficients are real, and complex128 otherwise.
+whose normalized coefficients would overflow stay finite; an output row that
+overflows anyway raises EvaluationError.  Float grids stay numpy arrays from
+the rhs to the output (``Series2.grid``): the recursion checks the output
+window for non-finite cells, a block of levels at a time, and returns its
+grid of levels, out of which the window is copied once.  A solve has one
+float dtype: float64 when the rhs grid and the operator's coefficients are
+real, and complex128 otherwise.
 
 One recursion serves both arithmetics, both rhs roles and the power-series
 division of a ``rational`` rhs in :mod:`mpde.problem`.  Each ``A_{n-a}`` is

@@ -3,12 +3,12 @@
 Each draw mutates one of the shipped problems: the operator, the moments,
 rhs entries, the rhs role, the mode, the truncation (kept small but for
 one wide one, which exact arithmetic refuses) and the directions, with
-misspelled and extra keys at every level of the problem object.  Every command runs on it: ``analyze``, ``newton``, and ``solve``,
-``verify`` and ``probe`` in both arithmetics.  Each run must exit 0-4 with
-nothing raised past ``cli.main``; exits 1, 2 and 4 start their stderr with
-the prefix of their kind.  Every JSON report a run writes to stdout, and
-every solve sidecar, must parse as strict JSON, with no ``NaN`` or
-``Infinity``.
+misspelled and extra keys at every level of the problem object.  Every
+command runs on it: ``analyze``, ``newton``, and ``solve``, ``verify`` and
+``probe`` in both arithmetics.  Each run must exit 0-4 with nothing raised
+past ``cli.main``; exits 1, 2 and 4 start their stderr with the prefix of
+their kind.  Every JSON report a run writes to stdout, and every solve
+sidecar, must parse as strict JSON, with no ``NaN`` or ``Infinity``.
 """
 
 import copy
@@ -44,7 +44,7 @@ MOMENTS = ["Gamma(1)", "Gamma(1/2)", "Gamma(3/2)", "Gamma(0)", "Gamma(-1)",
            "Gamma(1)*Gamma(1/2)/Gamma(2)", "3/2*Gamma(1/3+u/2)",
            "1*Gamma(-1/2+u/1)", f"1/{BIG}*Gamma(1/2+u/1)",
            f"{BIG}*Gamma(1/2+u/1)", f"1/{BIG}*Gamma(1+u/1)", "Gamma(",
-           "x", "", 2, "1*Gamma(1+u/1/60)"]
+           "x", "", 2, "1*Gamma(1+u/1/60)", "1*Gamma(-30+u/1)"]
 VALUES = ["1", "-1/2", "0", "1/0", "x", "1e400", BIG, f"1/{BIG}", "1e-400",
           "2.5", 1.5, None, ""]
 KEYS = {"problem": ["operatr", "m_1", "rhs_rol", "truncaton", "bogus"],
@@ -119,6 +119,8 @@ def _heat(**changes) -> dict:
 @example(_heat(m1=f"1/{BIG}*Gamma(1/2+u/1)"))
 @example(_heat(operator=f"dt - {BIG}*dz^2"))
 @example(_heat(operator="dt - dz^6", m2="1*Gamma(1+u/1/60)"))
+# a Gamma argument that is not positive over the whole exact moment table
+@example(_heat(m1="1*Gamma(-30+u/1)"))
 @example(dict(copy.deepcopy(SHIPPED["transport"]), truncation=WIDE))
 # huge operator coefficients, which the float residual scales by 2**-997
 @example(dict(_heat(operator=f"({E300}+{E300}*dz)*dt - {E300}*dz^2",

@@ -776,6 +776,51 @@ def test_cli_wide_exact_solve_is_refused_before_its_tables(command, n1,
         assert "needs about 1,157 MiB" in result.stderr
 
 
+def test_cli_exact_budget_counts_each_factor_of_a_quotient_moment(
+        tmp_path, monkeypatch):
+    # m2(j) = j! / Gamma(j + 1/2) is near sqrt(j), but the moment table
+    # multiplies j! by the 53-bit dyadic denominator of Gamma(j + 1/2)
+    # before it divides, so a value keeps about 2 j log2 j bits: transport
+    # at (2, 20000) is refused, as with m2 = Gamma(1), at twice the size
+    def no_build(*args):
+        raise AssertionError("nothing may be built")
+    monkeypatch.setattr(problem_mod, "expand_rhs", no_build)
+    monkeypatch.setattr(moments, "fraction_table", no_build)
+    prob = tmp_path / "quotient.json"
+    prob.write_text(json.dumps(dict(
+        json.loads(Path(shipped("transport")).read_text()),
+        m2="1*Gamma(1+u/1)/1*Gamma(1/2+u/1)")))
+    result = run_cli(["verify", str(prob), "--arithmetic", "exact",
+                      "--n1", "2", "--n2", "20000"])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith(
+        "precondition violated: an exact solve of truncation (2, 20000) "
+        "needs about 2,314 MiB of moment values, above the budget of 256 MiB")
+
+
+@pytest.mark.parametrize("m1,refusal", [
+    ("1*Gamma(-10+u/1)", "Gamma argument b + u/k = -10 is not positive "
+                         "(u = 0)"),
+    (f"1*Gamma(1/1{'0' * 400}+u/1)",
+     "log_gamma requires a positive argument, got 0.0")],
+    ids=["negative", "underflow"])
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_cli_exact_budget_leaves_a_bad_gamma_argument_to_the_table(
+        command, m1, refusal, tmp_path):
+    # the estimate skips Gamma arguments that are not positive in binary64
+    # (-10 + j for every j <= 3 of the m1 table, and 10^-400, which is 0.0)
+    # and the moment table refuses them after the rhs, as it always did
+    prob = tmp_path / "heat.json"
+    prob.write_text(json.dumps(dict(
+        json.loads(Path(shipped("heat")).read_text()), m1=m1)))
+    args = [command, str(prob), "--arithmetic", "exact", "--n1", "2"]
+    if command == "solve":
+        args += ["--out", str(tmp_path / "u.csv")]
+    result = run_cli(args)
+    assert result.exit_code == 2, result.output
+    assert result.stderr == f"precondition violated: {refusal}\n"
+
+
 @pytest.mark.parametrize("name,n1,n2", [("heat", 240, 200),
                                         ("transport", 2, 5000)])
 def test_exact_budget_admits_wide_solves_below_it(name, n1, n2, monkeypatch):
