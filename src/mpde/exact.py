@@ -40,9 +40,12 @@ def as_fraction(value) -> Fraction:
 
 def as_rational(value):
     """``value`` as an exact rational: an int where it is integral, else a
-    Fraction.  Accepts what :func:`as_fraction` accepts."""
+    Fraction.  Accepts what :func:`as_fraction` accepts; a signed string
+    of ASCII digits is read by ``int`` alone, to the value Fraction gives."""
     if type(value) is int:
         return value
+    if type(value) is str and value.lstrip("+-").isdigit() and value.isascii():
+        return int(value)
     q = as_fraction(value)
     return q.numerator if q.denominator == 1 else q
 

@@ -5,9 +5,10 @@ operator with constant coefficients is a pure shift,
 ``sum p_ab U_{j+a,i+b}``, and the formal-solution recursion is a shift
 recursion between t-levels.  Each runs as one function per arithmetic:
 :func:`shift` and :func:`recurrence` for exact mode, :func:`shift_float`
-and :func:`recurrence_float` for float mode.  All four take a grid of raw
-coefficients, the coefficients and the moment tables, and return a
-finished grid of raw coefficients: the moment values are applied here.
+and :func:`recurrence_float` for float mode.  All four return a finished
+grid of raw coefficients.  The float pair takes raw coefficients and
+applies the moment ratios; the exact pair takes a grid that
+:func:`rescale` normalized, once for every reader.
 
 Exact mode runs on Python integers:
 
@@ -116,14 +117,15 @@ def gaussian_int(c: RationalComplex, d: int) -> tuple:
 def lanes_of_table(table: dict, n1: int, n2: int) -> RawLanes:
     """The (n1, n2) grid of the Gaussian rationals ``table`` {(j, i): value},
     absent cells zero, as raw lanes over their common denominator; entries
-    outside the grid are dropped."""
+    outside the grid are dropped; only the entries are read."""
     table = {k: v for k, v in table.items() if k[0] <= n1 and k[1] <= n2}
     d = common_denominator(table.values())
-    re = [[0] * (n2 + 1) for _ in range(n1 + 1)]
-    im = [[0] * (n2 + 1) for _ in range(n1 + 1)]
+    lanes = [[[0] * (n2 + 1) for _ in range(n1 + 1)]
+             for _ in range(1 + any(v.im for v in table.values()))]
     for (j, i), v in table.items():
-        re[j][i], im[j][i] = gaussian_int(v, d)
-    return RawLanes(re, im if any(map(any, im)) else None,
+        for lane, x in zip(lanes, gaussian_int(v, d)):
+            lane[j][i] = x
+    return RawLanes(lanes[0], lanes[1] if len(lanes) == 2 else None,
                     [d] * (n1 + 1), [1] * (n2 + 1))
 
 
@@ -136,7 +138,9 @@ def rescale(grid: RawLanes, w1, w2, n_rows: int, n_cols: int) -> Lanes:
     are integral and Fractions otherwise (:func:`mpde.exact.quotient`),
     brought to the product L of their two common denominators; one gcd of
     L and all the numerators then leaves the least common denominator of
-    the cells.
+    the cells.  An exact solve calls it once on its rhs
+    (:attr:`mpde.solver.CauchyProblem.normalized_rhs`) and once on its
+    solution.
     """
     rows = [quotient(w1[j], grid.row_div[j]) for j in range(n_rows + 1)]
     # a unit divisor, as in every column of an rhs, needs no quotient
@@ -232,16 +236,15 @@ def _row(lane_terms, r: int, scale: int = 1) -> list:
     return [(k * scale, rows[r + da], b) for k, rows, da, b in lane_terms]
 
 
-def shift(raw: RawLanes, table, w1, w2, n_rows: int, n_cols: int) -> RawLanes:
+def shift(grid: Lanes, table, w1, w2, n_rows: int, n_cols: int) -> RawLanes:
     """``out[j][i] = sum p_ab * U[j+a][i+b]`` over ``table`` {(a, b): p_ab}
-    for j <= n_rows, i <= n_cols, U the grid ``raw`` rescaled by the moment
-    tables w1, w2, as raw lanes with ``row_div[j] = den * d * w1[j]`` and
-    ``col_div[i] = w2[i]``: d, the common denominator of the coefficients,
-    joins the ``den`` of U; each output row is one :func:`_fold` per lane.
+    for j <= n_rows, i <= n_cols, U the grid :func:`rescale` normalized by
+    the moment tables w1, w2 on at least the cells it reads, as raw lanes
+    with ``row_div[j] = den * d * w1[j]`` and ``col_div[i] = w2[i]``: d,
+    the common denominator of the coefficients, joins the ``den`` of U;
+    each output row is one :func:`_fold` per lane.
     """
     coeffs = {k: RationalComplex.coerce(p) for k, p in table.items()}
-    grid = rescale(raw, w1, w2, n_rows + max(a for a, _ in coeffs),
-                   n_cols + max(b for _, b in coeffs))
     d = common_denominator(coeffs.values())
     ks = [(a, b, gaussian_int(p, d)) for (a, b), p in coeffs.items()]
     is_complex = grid.im is not None or any(k[1] for _, _, k in ks)
@@ -268,19 +271,19 @@ def run_taps(x_re, x_im, taps) -> None:
                 x_im[i] -= mr * pi + mi * pr
 
 
-def recurrence(raw: RawLanes, q: RationalComplex, terms, n: int, widths,
+def recurrence(base: Lanes, q: RationalComplex, terms, n: int, widths,
                w1, w2, taps, shift: int) -> RawLanes:
     """Levels ``U[t] = q B[t-n][i+shift] + sum c U[t-a][i+b] + V[t]``.
 
-    ``B`` is the grid ``raw`` rescaled by the moment tables w1, w2 on the
-    rows and columns the levels read; ``terms`` are (a, b, c) with a >= 1
-    and Gaussian-rational c.  Level t is zero for t < n and computed for
-    ``i <= widths[t]``; reads below index 0 are zero.  The terms with b < 0,
-    and the base when ``shift < 0``, are summed into ``X[t]`` instead, and
-    ``V[t]`` solves ``V_i + sum m_k V_{i-k} = X_i`` for the ``taps``
-    [(k, m_k)], k >= 1 ascending.  ``X[t]`` and then level t, which adds
-    ``V[t]`` to the base and the other terms, are one :func:`_fold` per
-    lane each.
+    ``B`` is the grid ``base`` that :func:`rescale` normalized by the
+    moment tables w1, w2 on at least the cells the levels read; ``terms``
+    are (a, b, c) with a >= 1 and Gaussian-rational c.  Level t is zero for
+    t < n and computed for ``i <= widths[t]``; reads below index 0 are
+    zero.  The terms with b < 0, and the base when ``shift < 0``, are
+    summed into ``X[t]`` instead, and ``V[t]`` solves ``V_i + sum m_k
+    V_{i-k} = X_i`` for the ``taps`` [(k, m_k)], k >= 1 ascending.  ``X[t]``
+    and then level t, which adds ``V[t]`` to the base and the other terms,
+    are one :func:`_fold` per lane each.
 
     With e the common denominator of the taps, ``W[t][i] = U[t][i] e**i``
     obeys the recursion with ``c e**-b`` for c, ``q e**-shift`` for q and
@@ -291,7 +294,6 @@ def recurrence(raw: RawLanes, q: RationalComplex, terms, n: int, widths,
     * w1[t]`` and ``col_div[i] = e**i * w2[i]``.
     """
     width = max(widths)
-    base = rescale(raw, w1, w2, len(widths) - 1 - n, width + shift)
     e = common_denominator(m for _, m in taps)
     kt = [(k, gaussian_int(m, e ** k)) for k, m in taps]
     if e != 1:

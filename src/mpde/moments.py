@@ -2,11 +2,11 @@
 
 A moment function here is a finite product/quotient of Gamma factors.  Each
 factor ``(a, b, k, sign)`` denotes ``(a * Gamma(b + u/k)) ** sign`` with
-``a > 0``, ``k > 0`` rational and ``sign`` +1 or -1.  The growth order of the
-whole function is the exact rational ``sum(sign / k)``.  The solver takes
-moment values at the integer indices j of a series in ``t**j``; a series in
-a root ``t**(1/r)`` is the same problem with each factor's k multiplied by
-r, since ``b + (j/r)/k = b + j/(k*r)``.
+``a``, ``b`` and ``k`` positive ints or Fractions and ``sign`` +1 or -1,
+checked once, when the factor is built.  The growth order of the whole
+function is the exact rational ``sum(sign / k)``.  The solver takes moment
+values at the integer indices j of a series in ``t**j``; a series in a root
+``t**(1/r)`` is the same problem with each factor's k multiplied by r.
 
 The classical scales are obtained through :func:`gamma_s`:
 
@@ -14,28 +14,23 @@ The classical scales are obtained through :func:`gamma_s`:
 * ``gamma_s(0)``                 ->  the constant 1 (empty product)
 * ``gamma_s(s)`` with ``s < 0``  ->  ``1 / Gamma(1 - s*u)``
 
-Evaluation goes through a Lanczos log-gamma (accuracy checked against the C
-library implementation in the test suite: better than 1e-12 relative on
-arguments in [1, 500]).  The cached :func:`scaled_eval` gives one value as
-its logarithm and an exact rational, so that it exists far beyond the
-double-precision overflow threshold; no command calls it.  The solver and
-the residual read whole tables instead, built outside that cache with the
-same errors:
-exact mode reads the same exact values (:func:`fraction_table`), multiplied
-out on integers and held as ints where they are integral, Fractions
-otherwise; float mode reads logarithms only (:func:`log_table`), summed
-factor by factor as :func:`scaled_eval` sums them, equal to its logs up to
-the last bits.  :func:`split_log` turns
-a logarithm into a binary64 mantissa and a power of two.
+Evaluation goes through a Lanczos log-gamma (better than 1e-12 relative
+on [1, 500] against the C library, in the test suite).  The cached
+:func:`scaled_eval` gives one value as its logarithm and an exact rational,
+so that it exists far beyond the binary64 overflow threshold; no command
+calls it.  The solver and the residual read whole tables instead, outside
+that cache: exact mode the same exact values (:func:`fraction_table`), ints
+where they are integral and Fractions otherwise; float mode logarithms only
+(:func:`log_table`), summed factor by factor as :func:`scaled_eval` sums
+them.  :func:`split_log` turns a logarithm into a binary64 mantissa and a
+power of two.
 
-There is one Lanczos body, written in ``+ - * /`` and a ``log`` passed in,
-so that it runs on a float and on a numpy array alike.  :func:`log_gamma`
-runs it on one float with ``math.log``; :func:`log_table` runs it once per
-factor on the array of the factor's Gamma arguments with numpy's ``log``,
-which on some hosts differs from ``math.log`` in the last bit, so a table
-entry may differ from the scalar evaluation in its last bits.
-The scalar paths, :func:`scaled_eval` and :func:`fraction_table` among
-them, never import numpy.
+There is one Lanczos body, written in ``+ - * /`` and a ``log`` passed in:
+:func:`log_gamma` runs it on one float with ``math.log``, :func:`log_table`
+once per factor on the numpy array of the factor's Gamma arguments with
+numpy's ``log``, which on some hosts differs from ``math.log`` in the last
+bit, and so may a table entry from the scalar value.  The scalar paths,
+:func:`fraction_table` among them, never import numpy.
 """
 
 from __future__ import annotations
@@ -47,7 +42,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import DomainError
-from .exact import as_fraction, quotient
+from .exact import quotient
 from .record import record
 
 _LN2 = math.log(2.0)
@@ -70,8 +65,6 @@ _LANCZOS_COEFFS = (
 
 def log_gamma(x: float) -> float:
     """Natural log of Gamma(x) for real x > 0 via the Lanczos series."""
-    if x <= 0.0:
-        raise DomainError(f"log_gamma requires a positive argument, got {x}")
     return _lanczos(*_shift_up(x), math.log)
 
 
@@ -118,9 +111,16 @@ def log_rational(q) -> float:
     return math.log(q.numerator) - math.log(q.denominator)
 
 
+# the least rational that rounds to infinity: the largest double + ulp/2
+INF_EDGE = 2 ** 1024 - 2 ** 970
+
+
 @record
 class MomentFactor:
-    """One Gamma factor ``(a * Gamma(b + u/k)) ** sign``."""
+    """One Gamma factor ``(a * Gamma(b + u/k)) ** sign``, a, b and k ints or
+    Fractions, checked once: a DomainError names a parameter that is not
+    positive, a b that rounds to 0.0 and a k whose 1/k rounds to infinity
+    in binary64, so that every Gamma argument ``b + j/k`` is positive."""
 
     scale: Fraction
     offset: Fraction
@@ -128,13 +128,18 @@ class MomentFactor:
     sign: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "scale", as_fraction(self.scale))
-        object.__setattr__(self, "offset", as_fraction(self.offset))
-        object.__setattr__(self, "ram", as_fraction(self.ram))
-        if self.scale <= 0:
-            raise DomainError("factor scale a must be positive")
-        if self.ram <= 0:
-            raise DomainError("factor parameter k must be positive")
+        a, b, k = self.scale, self.offset, self.ram
+        for name, value in (("scale a", a), ("offset b", b),
+                            ("parameter k", k)):
+            if value.numerator <= 0:  # denominators are positive
+                raise DomainError(f"factor {name} must be positive, "
+                                  f"got {value}")
+        if b.numerator << 1075 <= b.denominator:
+            raise DomainError("factor offset b is at most 2^-1075, which "
+                              "rounds to 0.0 in binary64")
+        if k.denominator >= k.numerator * INF_EDGE:
+            raise DomainError("factor parameter k is so small that 1/k is "
+                              "beyond the binary64 range")
         if self.sign not in (1, -1):
             raise DomainError("factor sign must be +1 or -1")
 
@@ -165,13 +170,11 @@ MOMENT_ONE = MomentFunction(())
 
 
 def gamma_s(s) -> MomentFunction:
-    """The standard moment function of order ``s`` (Gevrey scale)."""
-    s = as_fraction(s)
+    """The standard moment function of order ``s``, an int or a Fraction."""
     if s == 0:
         return MOMENT_ONE
-    if s > 0:
-        return MomentFunction((MomentFactor(1, 1, 1 / s, 1),))
-    return MomentFunction((MomentFactor(1, 1, -1 / s, -1),))
+    return MomentFunction((MomentFactor(1, 1, quotient(1, abs(s)),
+                                        1 if s > 0 else -1),))
 
 
 # -- evaluation ------------------------------------------------------------
@@ -212,17 +215,13 @@ def _dyadic_from_log(logv: float) -> tuple:
 # kept for perfbench's cache metric; it can move when ROADMAP item 6 drops it
 @lru_cache(maxsize=None)
 def scaled_eval(m: MomentFunction, u: Fraction) -> ScaledValue:
-    """Evaluate m(u) for u >= 0 in overflow-safe scaled form (cached)."""
+    """m(u) for a rational u >= 0 in overflow-safe scaled form (cached)."""
     if u < 0:
         raise DomainError(f"moment functions are evaluated for u >= 0, got {u}")
     logv = 0.0
     value = Fraction(1)
     for f in m.factors:
-        arg = f.offset + u / f.ram
-        if arg <= 0:
-            raise DomainError(
-                f"Gamma argument b + u/k = {arg} is not positive (u = {u})"
-            )
+        arg = f.offset + quotient(u, f.ram)
         base_log = log_rational(f.scale) + log_gamma(float(arg))
         logv += f.sign * base_log
         if arg.denominator == 1:
@@ -233,34 +232,35 @@ def scaled_eval(m: MomentFunction, u: Fraction) -> ScaledValue:
     return ScaledValue(logv, value)
 
 
-def _argument_lines(m: MomentFunction, n: int) -> list:
+def argument_lines(m: MomentFunction) -> list:
     """Per factor of m, ``(sign, scale, A, B, D)``: the Gamma argument of
-    ``m(j)`` is ``b + j/k = (A + j*B) / D``.  B and D are positive, so the
-    argument grows with j and only j = 0 can raise the DomainError of
-    :func:`scaled_eval` on ``m(j)``, j = 0..n: the first factor whose
-    argument is not positive raises it, and an empty range (n < 0) none."""
-    lines = [(f.sign, f.scale, f.offset.numerator * f.ram.numerator,
-              f.offset.denominator * f.ram.denominator,
-              f.offset.denominator * f.ram.numerator) for f in m.factors]
-    for _, _, A, _, D in lines:
-        if A <= 0 <= n:
-            raise DomainError(f"Gamma argument b + u/k = {Fraction(A, D)} "
-                              f"is not positive (u = 0)")
-    return lines
+    ``m(j)`` is ``b + j/k = (A + j*B) / D``, A, B and D positive ints, so
+    it grows with j."""
+    return [(f.sign, f.scale, f.offset.numerator * f.ram.numerator,
+             f.offset.denominator * f.ram.denominator,
+             f.offset.denominator * f.ram.numerator) for f in m.factors]
 
 
-def _factor_values(scale: Fraction, A: int, B: int, D: int, n: int) -> tuple:
+def _factor_values(scale, A: int, B: int, D: int, n: int) -> tuple:
     """``(nums, dens)``: per j = 0..n the numerator and the denominator,
     unreduced, of ``scale * Gamma((A + j*B) / D)`` as :func:`scaled_eval`
     takes it.
 
     An integer argument k gives ``scale * (k-1)!`` from a running product
-    (arguments grow with j), any other argument ``x / D`` the dyadic
-    rational of ``log(scale) + log_gamma(x / D)`` (:func:`_dyadic_from_log`),
-    the log of the scale taken once."""
+    (arguments grow with j), alone when D divides A and B; any other
+    argument ``x / D`` the dyadic rational of ``log(scale) + log_gamma(x /
+    D)`` (:func:`_dyadic_from_log`), the log of the scale taken once."""
     sn, sd = scale.numerator, scale.denominator
-    log_scale = log_rational(scale)
     k, fact = 1, 1  # fact = (k-1)!
+    if not (A % D or B % D):
+        nums = []
+        for x in range(A // D, (A + n * B) // D + 1, B // D):
+            while k < x:
+                fact *= k
+                k += 1
+            nums.append(sn * fact)
+        return nums, [sd] * (n + 1)
+    log_scale = log_rational(scale)
     nums, dens = [], []
     for x in range(A, A + n * B + 1, B):
         if x % D:
@@ -278,10 +278,8 @@ def _factor_values(scale: Fraction, A: int, B: int, D: int, n: int) -> tuple:
 def fraction_table(m: MomentFunction, n: int) -> list:
     """Exact values ``m(j)`` for j = 0..n.
 
-    The values of ``scaled_eval(m, j).rational``, with the same
-    DomainErrors, but outside its cache.  Arguments grow with j, so the
-    errors are checked once, at j = 0 (:func:`_argument_lines`).  Each
-    factor is then built over the whole range (:func:`_factor_values`), a
+    The values of ``scaled_eval(m, j).rational``, but outside its cache.
+    Each factor is built over the whole range (:func:`_factor_values`), a
     running factorial at integer Gamma arguments and a dyadic rational
     elsewhere.  The first factor starts the product and each further one
     multiplies it cell by cell, on integers, numerators and denominators
@@ -290,7 +288,7 @@ def fraction_table(m: MomentFunction, n: int) -> list:
     factorial of Gamma(1), else a Fraction.  No factor gives ones.
     """
     factors = []
-    for sign, scale, A, B, D in _argument_lines(m, n):
+    for sign, scale, A, B, D in argument_lines(m):
         bn, bd = _factor_values(scale, A, B, D, n)
         factors.append((bn, bd) if sign == 1 else (bd, bn))
     if not factors:
@@ -307,15 +305,17 @@ def log_sizes(m: MomentFunction, n: int) -> list:
     """Per j = 0..n, ``log 2`` times the bits of ``m(j)`` as
     :func:`fraction_table` builds it, by ``math.lgamma``: its factors stay
     apart until the last division, so each adds its ``|log|``, and 53 bits
-    more off an integer argument (a dyadic rational).  An argument that is
-    not positive in binary64, which ``fraction_table`` refuses, adds
-    nothing; one beyond binary64 raises OverflowError."""
+    more off an integer argument (a dyadic rational).  ``assemble`` has
+    checked that every argument is a double."""
     logs = [0.0] * (n + 1)
-    for _, scale, A, B, D in _argument_lines(m, -1):  # n < 0: no check
+    for _, scale, A, B, D in argument_lines(m):
         c = log_rational(scale)
-        for j, x in enumerate(range(A, A + n * B + 1, B)):
-            if x / D > 0:
-                logs[j] += abs(c + math.lgamma(x / D)) + (x % D and 53 * _LN2)
+        if A % D or B % D:
+            logs = [s + abs(c + math.lgamma(x / D)) + (x % D and 53 * _LN2)
+                    for s, x in zip(logs, range(A, A + n * B + 1, B))]
+        else:  # integer arguments, as for Gamma(1)
+            logs = [s + abs(c + math.lgamma(x)) for s, x in
+                    zip(logs, range(A // D, (A + n * B) // D + 1, B // D))]
     return logs
 
 
@@ -323,8 +323,8 @@ def log_table(m: MomentFunction, n: int):
     """Natural logs of ``m(j)`` for j = 0..n, as a numpy float array.
 
     The logs of ``scaled_eval(m, j)``, summed factor by factor in the
-    same order, with the same DomainErrors, but without the exact values
-    (factorials, dyadic rationals) and outside its cache.
+    same order, but without the exact values (factorials, dyadic
+    rationals) and outside its cache.
 
     Each factor runs the Lanczos body of :func:`log_gamma` once on the
     array of its Gamma arguments ``(A + j*B) / D``.  When A, B, ``A + n*B``
@@ -342,8 +342,8 @@ def log_table(m: MomentFunction, n: int):
     import numpy as np
 
     logs = np.zeros(n + 1)
-    for sign, scale, A, B, D in _argument_lines(m, n):
-        if max(abs(A), B, abs(A + n * B), D) < 2 ** 53:
+    for sign, scale, A, B, D in argument_lines(m):
+        if max(A, B, A + n * B, D) < 2 ** 53:
             x = (np.arange(n + 1, dtype=np.int64) * B + A) / D
         else:
             x = np.array([(A + j * B) / D for j in range(n + 1)])

@@ -15,7 +15,7 @@ Moment grammar::
     mexpr := mfac (('*' | '/') mfac)*
     mfac  := 'Gamma(' s ')' | a '*Gamma(' b '+u/' k ')'
 
-with rational s, a, b, k and k > 0.
+with rational s, a, b, k, checked by :class:`~mpde.moments.MomentFactor`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import re
 from fractions import Fraction
 
 from .charroots import CharPoly
-from .errors import ParseError, PreconditionError
+from .errors import DomainError, ParseError, PreconditionError
 from .exact import QC_ONE, RationalComplex
 from .moments import MomentFactor, MomentFunction, gamma_s
 
@@ -192,24 +192,22 @@ def _parse_moment_factor(sc: _Scanner) -> MomentFunction:
     sc.expect("/")
     k = sc.signed_number()
     sc.expect(")")
-    if k <= 0:
-        raise ParseError(f"factor parameter k must be positive, got {k}",
-                         sc.pos)
-    if a <= 0:
-        raise ParseError(f"factor scale a must be positive, got {a}", sc.pos)
     return MomentFunction((MomentFactor(a, b, k, 1),))
 
 
 def parse_moment(text: str) -> MomentFunction:
     sc = _Scanner(text)
-    m = _parse_moment_factor(sc)
-    while True:
-        if sc.take("*"):
-            m = m * _parse_moment_factor(sc)
-        elif sc.take("/"):
-            m = m / _parse_moment_factor(sc)
-        else:
-            break
+    try:
+        m = _parse_moment_factor(sc)
+        while True:
+            if sc.take("*"):
+                m = m * _parse_moment_factor(sc)
+            elif sc.take("/"):
+                m = m / _parse_moment_factor(sc)
+            else:
+                break
+    except DomainError as exc:
+        raise ParseError(str(exc), sc.pos) from None
     if not sc.done():
         raise ParseError(f"unexpected input {sc.text[sc.pos:]!r}", sc.pos)
     return m

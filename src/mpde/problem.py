@@ -312,8 +312,9 @@ def _divide(num: dict, den: dict, n1: int, n2: int, exact: bool):
                                 hi - lo, n2, exact)
     widths = [B + n2] * (n + hi - lo + 1)
     if exact:
-        v = kernel.recurrence(band.lanes, q, terms, n, widths,
-                              [1] * len(widths), [1] * (B + n2 + 1), taps, -B)
+        w1, w2 = [1] * len(widths), [1] * (B + n2 + 1)
+        v = kernel.recurrence(kernel.rescale(band.lanes, w1, w2, hi - lo, n2),
+                              q, terms, n, widths, w1, w2, taps, -B)
 
         def grid_rows(lane):
             return ([[0] * (n2 + 1) for _ in range(lo)]
@@ -379,8 +380,9 @@ def assemble(pf: ProblemFile, n1: int | None = None, n2: int | None = None,
     coefficient is not a constant is rejected first.  Before anything is
     allocated, a grid above ``MAX_GRID_CELLS`` is rejected, its lower bound
     ``(N1+1) * (N2+1)`` before the level widths, which the rhs and the
-    solver share, are built; and so is an exact solve whose moment values
-    the widths show to take more than ``MAX_EXACT_BYTES``.
+    solver share, are built; so is a moment whose largest Gamma argument is
+    beyond binary64, and an exact solve whose moment values the widths show
+    to take more than ``MAX_EXACT_BYTES``.
     """
     P, m1, m2 = pf.parsed
     N1, N2 = _truncation(pf, n1, n2)
@@ -392,6 +394,13 @@ def assemble(pf: ProblemFile, n1: int | None = None, n2: int | None = None,
     _check_cells(N1, N2, N2, "at least ")
     widths = level_widths(P, (N1, N2))
     _check_cells(N1, N2, widths[0], "")
+    # arguments grow with the index: the last of a table is the largest
+    for name, m, k in (("m1", m1, N1 + P.n), ("m2", m2, widths[0] + P.max_b)):
+        if any(A + k * B >= D * moments.INF_EDGE
+               for *_, A, B, D in moments.argument_lines(m)):
+            raise PreconditionError(
+                f"the Gamma argument b + j/k of {name} at index {k} is "
+                f"beyond the binary64 range; lower --n1 or --n2")
     if exact:
         _check_exact_bytes(P, m1, m2, N1, N2, widths[0])
     rhs = expand_rhs(pf.rhs, N1, widths[0], exact)
@@ -415,7 +424,7 @@ def _check_cells(N1: int, N2: int, width: int, bound: str) -> None:
 def _check_exact_bytes(P, m1, m2, N1: int, N2: int, width: int) -> None:
     """PreconditionError when the moment values of an exact solve, sized
     by :func:`moments.log_sizes`, pass ``MAX_EXACT_BYTES``: the tables of
-    ``CauchyProblem.fraction_tables``, and a grid of lanes, as the rescaled
+    ``CauchyProblem.fraction_tables``, and a grid of lanes, the normalized
     rhs, whose cell (t, i), t <= N1, i <= width, carries m1(t) * m2(i)."""
     b1 = moments.log_sizes(m1, N1 + P.n)
     b2 = moments.log_sizes(m2, width + P.max_b)

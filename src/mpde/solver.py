@@ -66,7 +66,8 @@ class CauchyProblem:
     coefficients set to zero; f then needs B = deg P0 columns fewer.
     The orders are the operator's own (``operator.n``, ``operator.B`` and
     ``operator.max_b``).  The declared Gevrey orders of a problem file's
-    rhs enter only its analysis reports, not a solve.
+    rhs enter only its analysis reports, not a solve.  Its moment tables
+    and normalized rhs are built once, on first use, for every stage.
     """
 
     operator: CharPoly
@@ -105,6 +106,18 @@ class CauchyProblem:
         the divisors the kernel multiplies and divides stay ints, and
         Fractions otherwise."""
         return self._tables(moments.fraction_table)
+
+    @cached_property
+    def normalized_rhs(self) -> kernel.Lanes:
+        """The exact rhs normalized by :func:`kernel.rescale` on the rows
+        ``N1 - n`` and columns ``widths[0]`` (less B for an f) that the
+        recursion reads, or as many as the rhs has; the residual of the
+        recursion's output reads its rhs side from them too."""
+        J, I = self.rhs.valid
+        shift = 0 if self.rhs_is_g else self.operator.B
+        return kernel.rescale(self.rhs.lanes, *self.fraction_tables,
+                              min(self.out_shape[0] - self.operator.n, J),
+                              min(self.widths[0] - shift, I))
 
     @cached_property
     def log_tables(self) -> tuple:
@@ -192,7 +205,8 @@ def formal_solve(prob: CauchyProblem) -> Series2:
     Output grid is exactly ``out_shape``; every returned coefficient is
     inside the valid window thanks to the level widths.  The recursion's
     terms and taps are the operator's Gaussian-rational coefficients as
-    they are, and the kernel's recurrence applies the moment tables.  Float
+    they are; exact mode recurses on :attr:`CauchyProblem.normalized_rhs`,
+    and float mode applies the moment ratios.  Float
     mode rounds them once (:func:`rounded_recursion`), so that one beyond
     binary64 raises EvaluationError naming the operator terms it divides,
     and the kernel takes the rounded values; it checks the window, columns
@@ -217,7 +231,7 @@ def formal_solve(prob: CauchyProblem) -> Series2:
 
     terms, taps = _recursion_terms(P.coeff_polys, top)
     if prob.rhs.exact:
-        v = kernel.recurrence(prob.rhs.lanes, q, terms, n, prob.widths,
+        v = kernel.recurrence(prob.normalized_rhs, q, terms, n, prob.widths,
                               *prob.fraction_tables, taps, shift)
         # only the output window is kept
         return Series2(kernel.window(v, N1, N2), True)
@@ -338,12 +352,20 @@ def _residual_float(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
 
 
 def _residual_exact(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
-    """The exact residual, one :func:`kernel.shift` per side.  Equal integer
-    lanes over one row divisor (an absent imaginary lane reads as zeros)
-    are a zero residual, returned before :func:`_max_weighted` sizes any."""
+    """The exact residual: u normalized and shifted by P against the
+    problem's normalized rhs, as it is for a P0 table ``{(0, 0): 1}`` and
+    shifted by P0 otherwise (the rhs normalized anew past that grid, for a u
+    of another truncation).  Equal integer lanes over one row divisor (an
+    absent imaginary lane reads as zeros) are a zero residual."""
     w1, w2 = prob.fraction_tables
-    lhs = kernel.shift(u_hat.lanes, support, w1, w2, J, I)
-    f = kernel.shift(prob.rhs.lanes, p0_table, w1, w2, J, I)
+    P, B, g = prob.operator, max(b for _, b in p0_table), prob.normalized_rhs
+    lhs = kernel.shift(kernel.rescale(u_hat.lanes, w1, w2, J + P.n,
+                                      I + P.max_b), support, w1, w2, J, I)
+    if J >= len(g.re) or I + B >= len(g.re[0]):
+        g = kernel.rescale(prob.rhs.lanes, w1, w2, J, I + B)
+    f = (kernel.window(kernel.RawLanes(g.re, g.im, [g.den * w for w in w1],
+                                       w2), J, I)
+         if p0_table == {(0, 0): 1} else kernel.shift(g, p0_table, w1, w2, J, I))
     # the row divisors of the sides differ by one ratio sf/sl in lowest
     # terms: put both over lhs's divisors times sl, compare integer L1 moduli
     sf, sl = quotient(lhs.row_div[0], f.row_div[0]).as_integer_ratio()

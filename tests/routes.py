@@ -11,6 +11,9 @@ that the tests still use lives here:
   with the shift kernel as the residual does, on the window that
   ``operator_window`` reads from the operator's support (the residual
   reads its own from the operator's orders);
+* ``residual_of_shifted_rhs``, the exact residual report with the rhs
+  normalized on the residual's own window and shifted by P0, where
+  ``solver.residual`` reads the rhs that the solve normalized once;
 * ``row_values``, the t-levels of a ``Series2`` evaluated at a point z (the
   probe reads column 0, their values at z = 0);
 * ``g_from_f``, the division ``P0(dz) g = f`` alone, on the taps that
@@ -210,8 +213,9 @@ def apply_operator(table, m1: MomentFunction, m2: MomentFunction,
 
     On normalized coefficients this is the shift
     ``V_{j,i} = sum p_ab U_{j+a,i+b}``, run on :mod:`mpde.kernel` with the
-    coefficients as given: :func:`kernel.shift` on the lanes of u and the
-    exact moment tables, or :func:`kernel.shift_float` on the grid and the
+    coefficients as given: :func:`kernel.shift` on the lanes of u brought
+    to normalized coordinates by the exact moment tables
+    (:func:`kernel.rescale`), or :func:`kernel.shift_float` on the grid and the
     ratios of moment values taken from their logarithms, with each
     coefficient rounded by :func:`kernel.binary64`, a real one to a Python
     float so that a float64 grid stays float64.
@@ -220,9 +224,9 @@ def apply_operator(table, m1: MomentFunction, m2: MomentFunction,
     J_out, I_out = operator_window(table, u.valid)
     J, I = u.valid
     if u.exact:
-        out = kernel.shift(u.lanes, table,
-                           moments.fraction_table(m1, J),
-                           moments.fraction_table(m2, I), J_out, I_out)
+        w1, w2 = moments.fraction_table(m1, J), moments.fraction_table(m2, I)
+        out = kernel.shift(kernel.rescale(u.lanes, w1, w2, J, I), table,
+                           w1, w2, J_out, I_out)
         return Series2(out, True)
     items = [(k, kernel.binary64(p)) for k, p in normalize_table(table)]
     r1 = kernel.ratios(moments.log_table(m1, J),
@@ -231,6 +235,38 @@ def apply_operator(table, m1: MomentFunction, m2: MomentFunction,
                        {b for (_, b), _ in items}, I_out)
     out = kernel.shift_float(u.grid, items, r1, r2, J_out, I_out)
     return Series2(kernel.read_only(out), False)
+
+
+def residual_of_shifted_rhs(prob, u: Series2) -> tuple:
+    """``(max_abs, window, exact_zero, relative)``, the fields of the exact
+    ``solver.residual`` report of u, with each side normalized on the
+    residual's own window by :func:`kernel.rescale` and shifted by
+    :func:`kernel.shift`: u by P, the rhs by P0 for a g rhs and by 1 for an
+    f rhs.  Both sides are decoded to Gaussian rationals and compared cell
+    by cell on the L1 moduli ``|re| + |im|`` of raw coefficients."""
+    P = prob.operator
+    B = P.B if prob.rhs_is_g else 0
+    p0 = ({(0, b): c for b, c in enumerate(P.p0()) if c}
+          if prob.rhs_is_g else {(0, 0): 1})
+    (J_u, I_u), (J_g, I_g) = u.valid, prob.rhs.valid
+    J, I = min(J_u - P.n, J_g), min(I_u - P.max_b, I_g - B)
+    w1, w2 = prob.fraction_tables
+    lhs, f = (kernel.denormalize(kernel.shift(
+        kernel.rescale(s.lanes, w1, w2, J + a, I + b), table, w1, w2, J, I))
+        for s, table, a, b in ((u, P.support(), P.n, P.max_b),
+                               (prob.rhs, p0, 0, B)))
+    cells = [(x, y) for lr, fr in zip(lhs, f) for x, y in zip(lr, fr)]
+
+    def l1(c):
+        return abs(c.re) + abs(c.im)
+    max_abs = max(l1(x - y) for x, y in cells)
+    scale = max(max(l1(x), l1(y)) for x, y in cells)
+    rel = float(Fraction(max_abs) / scale) if scale else float(max_abs != 0)
+    try:
+        max_float = float(max_abs)
+    except OverflowError:
+        max_float = math.inf
+    return max_float, (J, I), max_abs == 0, rel
 
 
 def row_values(s: Series2, z) -> list:
@@ -277,8 +313,9 @@ def g_from_f(p0_coeffs, m2: MomentFunction, f: Series2) -> Series2:
     J, I = f.valid
     q, taps, widths = 1 / top[B], _taps(top), [I + B] * (J + 1)
     if f.exact:
-        v = kernel.recurrence(f.lanes, q, [], 0, widths, [1] * (J + 1),
-                              moments.fraction_table(m2, I + B), taps, -B)
+        w1, w2 = [1] * (J + 1), moments.fraction_table(m2, I + B)
+        v = kernel.recurrence(kernel.rescale(f.lanes, w1, w2, J, I), q, [],
+                              0, widths, w1, w2, taps, -B)
         return Series2(v, True)
     import numpy as np
 

@@ -362,7 +362,8 @@ def test_shift_of_uneven_raw_lanes_matches_per_cell_shift(is_complex):
         want = [[sum((RationalComplex.coerce(p) * U[j + a][i + b]
                       for (a, b), p in table.items()), RationalComplex(0))
                  for i in range(n_cols + 1)] for j in range(n_rows + 1)]
-        got = kernel.shift(raw, table, w1, w2, n_rows, n_cols)
+        grid = kernel.rescale(raw, w1, w2, n_rows + 2, n_cols + 2)
+        got = kernel.shift(grid, table, w1, w2, n_rows, n_cols)
         assert kernel.denormalize(got) == _raw(want, w1, w2)
 
 
@@ -409,7 +410,10 @@ def test_recurrence_of_uneven_raw_lanes_matches_per_cell_recursion(
                 v.append(x[i] - sum((m * v[i - k] for k, m in taps if k <= i),
                                     zero))
             U.append([y + z for y, z in zip(up, v)])
-        got = kernel.recurrence(raw, q, terms, n, widths, w1, w2, taps, shift)
+        base = kernel.rescale(raw, w1, w2, len(widths) - 1 - n,
+                              max(widths) + shift)
+        got = kernel.recurrence(base, q, terms, n, widths, w1, w2, taps,
+                                shift)
         assert kernel.denormalize(got) == _raw(U, w1, w2)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -10,7 +11,7 @@ from oracles import mellin_check
 from routes import (e_s_beta, e_s_beta_via_derivative, eval_at, eval_fraction,
                     kernel_e, mittag_leffler, mittag_leffler_info)
 
-from mpde.errors import DomainError, EvaluationError
+from mpde.errors import DomainError, EvaluationError, ParseError
 from mpde.moments import (MOMENT_ONE, MomentFactor, MomentFunction,
                           fraction_table, gamma_s, log_gamma, log_rational,
                           log_table, scaled_eval)
@@ -36,9 +37,9 @@ def test_eval_gamma_values():
 def test_eval_domain_errors():
     with pytest.raises(DomainError):
         eval_at(gamma_s(1), -1)
-    bad = MomentFunction((MomentFactor(1, -2, 1, 1),))
-    with pytest.raises(DomainError):
-        eval_at(bad, 1)  # b + u/k = -1
+    # b + u/k = -1 at u = 1: the factor itself is refused
+    with pytest.raises(DomainError, match="offset b must be positive"):
+        MomentFactor(1, -2, 1, 1)
 
 
 def test_eval_positive_and_exact_factorials():
@@ -243,14 +244,12 @@ def test_log_table_of_short_and_empty_windows():
 
 @pytest.mark.parametrize("offset,kappa", [(-2, 1), (0, 1)])
 def test_log_table_domain_error_matches_scaled_eval(offset, kappa):
-    # Gamma(offset + u): at u = 0 the argument is -2 or 0
-    m = gamma_s(1) * MomentFunction((MomentFactor(1, offset, 1, 1),))
-    with pytest.raises(DomainError) as want:
-        for j in range(6):
-            scaled_eval(m, Fraction(j, kappa))
-    with pytest.raises(DomainError) as got:
-        log_table(larger_k(m, kappa), 5)
-    assert str(got.value) == str(want.value)
+    # Gamma(offset + u): at u = 0 the argument is -2 or 0.  Neither
+    # log_table nor scaled_eval meets it: MomentFactor refuses the factor,
+    # naming its offset, for both
+    with pytest.raises(DomainError, match=re.escape(
+            f"factor offset b must be positive, got {offset}")):
+        MomentFactor(1, offset, kappa, 1)
 
 
 FRACTION_TABLE_MOMENTS = {
@@ -278,13 +277,13 @@ def test_fraction_table_matches_scaled_eval(name, kappa):
 
 @pytest.mark.parametrize("offset,kappa", [(-2, 1), (0, 1)])
 def test_fraction_table_domain_error_matches_scaled_eval(offset, kappa):
-    m = gamma_s(1) * MomentFunction((MomentFactor(1, offset, 1, 1),))
-    with pytest.raises(DomainError) as want:
-        for j in range(6):
-            scaled_eval(m, Fraction(j, kappa))
-    with pytest.raises(DomainError) as got:
-        fraction_table(larger_k(m, kappa), 5)
-    assert str(got.value) == str(want.value)
+    # the same factor in a problem file's moment: a parse error with the
+    # factor's text and its position, before any table
+    text = f"Gamma(1)*1*Gamma({offset}+u/{kappa})"
+    with pytest.raises(ParseError, match=re.escape(
+            f"factor offset b must be positive, got {offset} (at position "
+            f"{len(text)})")):
+        parse_moment(text)
 
 
 BIG = 10 ** 400

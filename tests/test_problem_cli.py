@@ -799,17 +799,19 @@ def test_cli_exact_budget_counts_each_factor_of_a_quotient_moment(
 
 
 @pytest.mark.parametrize("m1,refusal", [
-    ("1*Gamma(-10+u/1)", "Gamma argument b + u/k = -10 is not positive "
-                         "(u = 0)"),
+    ("1*Gamma(-10+u/1)", "factor offset b must be positive, got -10 "
+                         "(at position 16)"),
     (f"1*Gamma(1/1{'0' * 400}+u/1)",
-     "log_gamma requires a positive argument, got 0.0")],
+     "factor offset b is at most 2^-1075, which rounds to 0.0 in binary64 "
+     "(at position 416)")],
     ids=["negative", "underflow"])
 @pytest.mark.parametrize("command", ["solve", "verify"])
 def test_cli_exact_budget_leaves_a_bad_gamma_argument_to_the_table(
         command, m1, refusal, tmp_path):
-    # the estimate skips Gamma arguments that are not positive in binary64
-    # (-10 + j for every j <= 3 of the m1 table, and 10^-400, which is 0.0)
-    # and the moment table refuses them after the rhs, as it always did
+    # neither the byte estimate nor a moment table meets a Gamma argument
+    # that is not positive in binary64 (-10 + j for every j <= 3 of the m1
+    # table, and 10^-400, which is 0.0): its factor is a parse error, in
+    # one stderr line that names the offset
     prob = tmp_path / "heat.json"
     prob.write_text(json.dumps(dict(
         json.loads(Path(shipped("heat")).read_text()), m1=m1)))
@@ -817,8 +819,8 @@ def test_cli_exact_budget_leaves_a_bad_gamma_argument_to_the_table(
     if command == "solve":
         args += ["--out", str(tmp_path / "u.csv")]
     result = run_cli(args)
-    assert result.exit_code == 2, result.output
-    assert result.stderr == f"precondition violated: {refusal}\n"
+    assert result.exit_code == 1, result.output
+    assert result.stderr == f"parse error: {refusal}\n"
 
 
 @pytest.mark.parametrize("name,n1,n2", [("heat", 240, 200),
@@ -1402,6 +1404,62 @@ def test_the_rhs_is_parsed_once_at_load(monkeypatch):
         verify_problem(pf, arithmetic=arithmetic)
         probe_problem(pf, 24, 24, arithmetic)  # 12 levels fit too few
     assert len(parsed) == 8
+
+
+@pytest.mark.parametrize("text", ["0", "-0", "007", "+1", " 1 ", "1_0", "²",
+                                  "١٢", "1e3", "3/2", "-1/0"])
+def test_a_rational_string_reads_as_fraction_reads_it(text):
+    # a decimal integer string is read by int alone, to the value and the
+    # type that Fraction gives ("²" passes str.isdigit but is no decimal
+    # digit; "١٢" is one); the rest goes through Fraction, which refuses
+    # some strings as ParseErrors
+    try:
+        q = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ParseError) as err:
+            problem_mod._rational(text)
+        assert str(err.value) == (
+            f"{json.dumps(text)} is not a finite number or a rational string "
+            f"with a nonzero denominator")
+        return
+    got = problem_mod._rational(text)
+    assert got == q
+    assert type(got) is (int if q.denominator == 1 else Fraction)
+
+
+BIG_TEN = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("arithmetic", ["float", "exact"])
+@pytest.mark.parametrize("moment,text,line", [
+    ("m1", f"1*Gamma(1/{BIG_TEN}+u/1)",
+     "parse error: factor offset b is at most 2^-1075, which rounds to 0.0 "
+     "in binary64 (at position 416)"),
+    ("m2", f"1*Gamma(1+u/1/{BIG_TEN})",
+     "parse error: factor parameter k is so small that 1/k is beyond the "
+     "binary64 range (at position 416)"),
+    # 1/k = 10^307 is a double, but 1 + 66/k, the argument of m2(66), the
+    # last the table reads at --n1 2, is not
+    ("m2", f"1*Gamma(1+u/1/{BIG_TEN[:308]})",
+     "precondition violated: the Gamma argument b + j/k of m2 at index 66 "
+     "is beyond the binary64 range; lower --n1 or --n2")],
+    ids=["offset-rounds-to-0", "k-reciprocal-infinite", "argument-infinite"])
+def test_cli_gamma_factor_at_the_edge_of_binary64_is_one_line(
+        moment, text, line, arithmetic, tmp_path):
+    # each is refused before any table or rhs is built, in one stderr line
+    # with no traceback; analyze and newton parse the moments too
+    prob = tmp_path / "heat.json"
+    prob.write_text(json.dumps(dict(
+        json.loads(Path(shipped("heat")).read_text()), **{moment: text})))
+    result = run_cli(["verify", str(prob), "--arithmetic", arithmetic,
+                      "--n1", "2"])
+    assert result.exit_code == (1 if line.startswith("parse") else 2)
+    assert result.stderr == line + "\n" and result.stdout == ""
+    if line.startswith("parse"):
+        for command in ("analyze", "newton"):
+            result = run_cli([command, str(prob), "--out",
+                              str(tmp_path / f"{command}.out")])
+            assert result.exit_code == 1 and result.stderr == line + "\n"
 
 
 @pytest.mark.parametrize("out_name", ["heat.json", "heat.csv", "heat"])

@@ -621,6 +621,29 @@ def test_moment_tables_are_built_once_per_problem(exact, monkeypatch):
         assert rep.relative <= (0 if exact else 1e-12)
 
 
+@pytest.mark.parametrize("changes", [
+    {}, {"operator": "(2+dz)*dt - dz^2", "rhs_role": "f", "mode": "pseudo"},
+    {"operator": "(2+dz)*dt - dz^2", "mode": "pseudo"}],
+    ids=["heat", "pseudo-f", "pseudo-g"])
+def test_exact_solve_normalizes_its_rhs_once(changes, monkeypatch):
+    # the recursion and the residual read one normalized rhs: the grid
+    # itself (a g rhs with P0 = 1, or an f rhs) or one shift of it by P0
+    heat = json.loads((resources.files("mpde") / "problems" / "heat.json")
+                      .read_text())
+    data = dict(heat, truncation=[12, 16], **changes)
+    probs, rescaled = [], []
+    assemble, rescale = problem_mod.assemble, kernel.rescale
+    monkeypatch.setattr(problem_mod, "assemble", lambda *args:
+                        probs.append(assemble(*args)) or probs[-1])
+    monkeypatch.setattr(kernel, "rescale", lambda grid, *args:
+                        rescaled.append(grid) or rescale(grid, *args))
+    _, sidecar = problem_mod.solve_problem(problem_mod.load_problem(data),
+                                           arithmetic="exact")
+    (prob,) = probs
+    assert sum(grid is prob.rhs.lanes for grid in rescaled) == 1
+    assert sidecar["residual_exact_zero"]
+
+
 @pytest.mark.parametrize("m", [G1, gamma_s(Fraction(3, 2))])
 @pytest.mark.parametrize("kappa", [1, 2])
 def test_shared_moment_table_equals_two_separate_ones(m, kappa):
