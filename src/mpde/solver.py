@@ -278,10 +278,11 @@ def residual(prob: CauchyProblem, u_hat: Series2) -> ResidualReport:
     f is reconstructed as ``P0(dz) g`` by operator application when the
     problem was posed through g.  The window is u's less P's orders
     ``(n, max_b)`` and g's less P0's ``(0, B)``, or f's; an empty one raises
-    WindowError.  In exact mode a zero residual is exact;
-    both sides are normalized once and shifted on integers, and equal
-    sides report zero at once; otherwise the L1 moduli ``|re| + |im|`` of
-    raw coefficients are compared.  The relative residual is measured
+    WindowError.  In exact mode a zero residual is exact: u is normalized
+    and shifted on integers against the rhs the solve normalized once
+    (:attr:`CauchyProblem.normalized_rhs`), equal sides report zero at
+    once, and otherwise the L1 moduli ``|re| + |im|`` of raw coefficients
+    are compared.  The relative residual is measured
     against the largest term magnitude (in float mode, the operator applied
     with absolute coefficients to the absolute series), the backward-error
     scale of the cancellation; in float mode a NaN or infinite value makes
@@ -352,11 +353,10 @@ def _residual_float(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
 
 
 def _residual_exact(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
-    """The exact residual: u normalized and shifted by P against the
-    problem's normalized rhs, as it is for a P0 table ``{(0, 0): 1}`` and
-    shifted by P0 otherwise (the rhs normalized anew past that grid, for a u
-    of another truncation).  Equal integer lanes over one row divisor (an
-    absent imaginary lane reads as zeros) are a zero residual."""
+    """The exact residual, its rhs side the normalized rhs as it is for a
+    P0 table ``{(0, 0): 1}`` and shifted by P0 otherwise (normalized anew
+    for a u of another truncation past it).  Equal integer lanes over one
+    row divisor (an absent imaginary lane reads as zeros) are zero."""
     w1, w2 = prob.fraction_tables
     P, B, g = prob.operator, max(b for _, b in p0_table), prob.normalized_rhs
     lhs = kernel.shift(kernel.rescale(u_hat.lanes, w1, w2, J + P.n,
