@@ -111,8 +111,7 @@ def log_rational(q) -> float:
     return math.log(q.numerator) - math.log(q.denominator)
 
 
-# the least rational that rounds to infinity: the largest double + ulp/2
-INF_EDGE = 2 ** 1024 - 2 ** 970
+INF_EDGE = 2 ** 1024 - 2 ** 970  # rounds to infinity: the top double + ulp/2
 
 
 @record

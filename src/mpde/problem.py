@@ -396,11 +396,11 @@ def assemble(pf: ProblemFile, n1: int | None = None, n2: int | None = None,
     _check_cells(N1, N2, widths[0], "")
     # arguments grow with the index: the last of a table is the largest
     for name, m, k in (("m1", m1, N1 + P.n), ("m2", m2, widths[0] + P.max_b)):
-        if any(A + k * B >= D * moments.INF_EDGE
-               for *_, A, B, D in moments.argument_lines(m)):
-            raise PreconditionError(
-                f"the Gamma argument b + j/k of {name} at index {k} is "
-                f"beyond the binary64 range; lower --n1 or --n2")
+        for _, _, A, B, D in moments.argument_lines(m):
+            if A + k * B >= D * moments.INF_EDGE:
+                raise PreconditionError(
+                    f"the Gamma argument b + j/k of {name} at index {k} is "
+                    f"beyond the binary64 range; lower --n1 or --n2")
     if exact:
         _check_exact_bytes(P, m1, m2, N1, N2, widths[0])
     rhs = expand_rhs(pf.rhs, N1, widths[0], exact)
@@ -426,8 +426,9 @@ def _check_exact_bytes(P, m1, m2, N1: int, N2: int, width: int) -> None:
     by :func:`moments.log_sizes`, pass ``MAX_EXACT_BYTES``: the tables of
     ``CauchyProblem.fraction_tables``, and a grid of lanes, the normalized
     rhs, whose cell (t, i), t <= N1, i <= width, carries m1(t) * m2(i)."""
-    b1 = moments.log_sizes(m1, N1 + P.n)
     b2 = moments.log_sizes(m2, width + P.max_b)
+    b1 = (b2 if m1 == m2 and N1 + P.n <= width + P.max_b else
+          moments.log_sizes(m1, N1 + P.n))[: N1 + P.n + 1]
     lanes = (width + 1) * sum(b1[: N1 + 1]) + (N1 + 1) * sum(b2[: width + 1])
     nbytes = (sum(b1) + sum(b2) + lanes) / math.log(256)
     if nbytes > MAX_EXACT_BYTES:
