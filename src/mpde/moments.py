@@ -42,7 +42,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import DomainError
-from .exact import quotient
+from .exact import as_rational, quotient
 from .record import record
 
 _LN2 = math.log(2.0)
@@ -117,16 +117,22 @@ INF_EDGE = 2 ** 1024 - 2 ** 970  # rounds to infinity: the top double + ulp/2
 @record
 class MomentFactor:
     """One Gamma factor ``(a * Gamma(b + u/k)) ** sign``, a, b and k ints or
-    Fractions, checked once: a DomainError names a parameter that is not
-    positive, a b that rounds to 0.0 and a k whose 1/k rounds to infinity
-    in binary64, so that every Gamma argument ``b + j/k`` is positive."""
+    Fractions, kept as given (other numbers and strings convert by
+    :func:`mpde.exact.as_rational`), checked once: a DomainError names a
+    parameter that is not positive, a b that rounds to 0.0 and a k whose
+    1/k rounds to infinity in binary64, so that every Gamma argument
+    ``b + j/k`` is positive."""
 
-    scale: Fraction
-    offset: Fraction
-    ram: Fraction
+    scale: int | Fraction
+    offset: int | Fraction
+    ram: int | Fraction
     sign: int = 1
 
     def __post_init__(self):
+        for name in ("scale", "offset", "ram"):
+            if type(getattr(self, name)) not in (int, Fraction):
+                object.__setattr__(self, name,
+                                   as_rational(getattr(self, name)))
         a, b, k = self.scale, self.offset, self.ram
         for name, value in (("scale a", a), ("offset b", b),
                             ("parameter k", k)):
@@ -169,7 +175,9 @@ MOMENT_ONE = MomentFunction(())
 
 
 def gamma_s(s) -> MomentFunction:
-    """The standard moment function of order ``s``, an int or a Fraction."""
+    """The standard moment function of order ``s``, an exact rational as
+    :func:`mpde.exact.as_rational` reads it."""
+    s = as_rational(s)
     if s == 0:
         return MOMENT_ONE
     return MomentFunction((MomentFactor(1, 1, quotient(1, abs(s)),
@@ -240,26 +248,19 @@ def argument_lines(m: MomentFunction) -> list:
              f.offset.denominator * f.ram.numerator) for f in m.factors]
 
 
-def _factor_values(scale, A: int, B: int, D: int, n: int) -> tuple:
+def _factor_values(scale: int | Fraction, A: int, B: int, D: int,
+                   n: int) -> tuple:
     """``(nums, dens)``: per j = 0..n the numerator and the denominator,
     unreduced, of ``scale * Gamma((A + j*B) / D)`` as :func:`scaled_eval`
     takes it.
 
     An integer argument k gives ``scale * (k-1)!`` from a running product
-    (arguments grow with j), alone when D divides A and B; any other
-    argument ``x / D`` the dyadic rational of ``log(scale) + log_gamma(x /
-    D)`` (:func:`_dyadic_from_log`), the log of the scale taken once."""
+    (arguments grow with j), any other argument ``x / D`` the dyadic
+    rational of ``log(scale) + log_gamma(x / D)`` (:func:`_dyadic_from_log`),
+    the log of the scale taken once."""
     sn, sd = scale.numerator, scale.denominator
-    k, fact = 1, 1  # fact = (k-1)!
-    if not (A % D or B % D):
-        nums = []
-        for x in range(A // D, (A + n * B) // D + 1, B // D):
-            while k < x:
-                fact *= k
-                k += 1
-            nums.append(sn * fact)
-        return nums, [sd] * (n + 1)
     log_scale = log_rational(scale)
+    k, fact = 1, 1  # fact = (k-1)!
     nums, dens = [], []
     for x in range(A, A + n * B + 1, B):
         if x % D:
@@ -309,12 +310,8 @@ def log_sizes(m: MomentFunction, n: int) -> list:
     logs = [0.0] * (n + 1)
     for _, scale, A, B, D in argument_lines(m):
         c = log_rational(scale)
-        if A % D or B % D:
-            logs = [s + abs(c + math.lgamma(x / D)) + (x % D and 53 * _LN2)
-                    for s, x in zip(logs, range(A, A + n * B + 1, B))]
-        else:  # integer arguments, as for Gamma(1)
-            logs = [s + abs(c + math.lgamma(x)) for s, x in
-                    zip(logs, range(A // D, (A + n * B) // D + 1, B // D))]
+        logs = [s + abs(c + math.lgamma(x / D)) + (x % D and 53 * _LN2)
+                for s, x in zip(logs, range(A, A + n * B + 1, B))]
     return logs
 
 

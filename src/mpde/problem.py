@@ -426,9 +426,8 @@ def _check_exact_bytes(P, m1, m2, N1: int, N2: int, width: int) -> None:
     by :func:`moments.log_sizes`, pass ``MAX_EXACT_BYTES``: the tables of
     ``CauchyProblem.fraction_tables``, and a grid of lanes, the normalized
     rhs, whose cell (t, i), t <= N1, i <= width, carries m1(t) * m2(i)."""
+    b1 = moments.log_sizes(m1, N1 + P.n)
     b2 = moments.log_sizes(m2, width + P.max_b)
-    b1 = (b2 if m1 == m2 and N1 + P.n <= width + P.max_b else
-          moments.log_sizes(m1, N1 + P.n))[: N1 + P.n + 1]
     lanes = (width + 1) * sum(b1[: N1 + 1]) + (N1 + 1) * sum(b2[: width + 1])
     nbytes = (sum(b1) + sum(b2) + lanes) / math.log(256)
     if nbytes > MAX_EXACT_BYTES:

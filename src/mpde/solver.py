@@ -109,15 +109,11 @@ class CauchyProblem:
 
     @cached_property
     def normalized_rhs(self) -> kernel.Lanes:
-        """The exact rhs normalized by :func:`kernel.rescale` on the rows
-        ``N1 - n`` and columns ``widths[0]`` (less B for an f) that the
-        recursion reads, or as many as the rhs has; the residual of the
-        recursion's output reads its rhs side from them too."""
-        J, I = self.rhs.valid
-        shift = 0 if self.rhs_is_g else self.operator.B
+        """The exact rhs normalized by :func:`kernel.rescale` on its whole
+        valid window, which holds every cell that the recursion and the
+        residual of any u read."""
         return kernel.rescale(self.rhs.lanes, *self.fraction_tables,
-                              min(self.out_shape[0] - self.operator.n, J),
-                              min(self.widths[0] - shift, I))
+                              *self.rhs.valid)
 
     @cached_property
     def log_tables(self) -> tuple:
@@ -354,15 +350,13 @@ def _residual_float(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
 
 def _residual_exact(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
     """The exact residual, its rhs side the normalized rhs as it is for a
-    P0 table ``{(0, 0): 1}`` and shifted by P0 otherwise (normalized anew
-    for a u of another truncation past it).  Equal integer lanes over one
-    row divisor (an absent imaginary lane reads as zeros) are zero."""
+    P0 table ``{(0, 0): 1}`` and shifted by P0 otherwise.  Equal integer
+    lanes over one row divisor (an absent imaginary lane reads as zeros)
+    are zero."""
     w1, w2 = prob.fraction_tables
-    P, B, g = prob.operator, max(b for _, b in p0_table), prob.normalized_rhs
+    P, g = prob.operator, prob.normalized_rhs
     lhs = kernel.shift(kernel.rescale(u_hat.lanes, w1, w2, J + P.n,
                                       I + P.max_b), support, w1, w2, J, I)
-    if J >= len(g.re) or I + B >= len(g.re[0]):
-        g = kernel.rescale(prob.rhs.lanes, w1, w2, J, I + B)
     f = (kernel.window(kernel.RawLanes(g.re, g.im, [g.den * w for w in w1],
                                        w2), J, I)
          if p0_table == {(0, 0): 1} else kernel.shift(g, p0_table, w1, w2, J, I))

@@ -42,6 +42,26 @@ def test_eval_domain_errors():
         MomentFactor(1, -2, 1, 1)
 
 
+@pytest.mark.parametrize("value,exact", [(0.5, Fraction(1, 2)),
+                                         ("3/2", Fraction(3, 2)),
+                                         (2.0, 2), (True, 1)])
+def test_a_factor_reads_a_float_or_a_string_as_its_exact_value(value,
+                                                                exact):
+    """Ints and Fractions are kept as given; other numbers and strings
+    convert to the exact value they denote, so the factor and its checks
+    see the same value either way."""
+    for field in range(3):
+        args = [1, 1, 1]
+        args[field] = value
+        want = [1, 1, 1]
+        want[field] = exact
+        assert MomentFactor(*args) == MomentFactor(*want)
+    assert gamma_s(value) == gamma_s(exact)
+    negative = "-" + value if isinstance(value, str) else -value
+    with pytest.raises(DomainError, match="offset b must be positive"):
+        MomentFactor(1, negative, 1)
+
+
 def test_eval_positive_and_exact_factorials():
     m = gamma_s(1)
     for n in range(0, 30):

@@ -241,7 +241,7 @@ def _at_truncation(case: Case, out) -> Case:
 @given(st.one_of(cases(), pseudo_cases()), st.booleans(), st.booleans(),
        st.integers(-1, 2), st.integers(-2, 2))
 # (1+dz)*dt - 1, whose top has the largest z-degree: a u two columns wider
-# reads rhs columns past the shared normalized rhs, in both roles
+# reads rhs columns past those the recursion reads, in both roles
 @example(Case({(1, 0): (1, 0), (1, 1): (1, 0), (0, 0): (-1, 0)}, *MOMENTS[1],
               {(0, 0): (1, 0), (1, 2): (Fraction(1, 2), 1)}, (0, 0), (3, 2),
               True), True, False, 0, 2)
@@ -254,8 +254,8 @@ def test_exact_residual_equals_the_shifted_rhs_route(case, rhs_is_g,
     shares, reports what ``routes.residual_of_shifted_rhs`` reports with
     the rhs normalized on the residual's window, in both rhs roles, at the
     drawn truncation or at the operator orders, for the solve's own u and
-    for a u solved at a truncation (d1, d2) away, whose window the shared
-    rhs may not cover and whose residual need not be zero."""
+    for a u solved at a truncation (d1, d2) away, which may read rhs cells
+    the recursion does not and whose residual need not be zero."""
     n = max(a for a, _ in case.table)
     max_b = max(b for _, b in case.table)
     N1, N2 = (n, max_b) if at_orders else (max(case.out[0], n),
