@@ -278,8 +278,8 @@ def recurrence(base: Lanes, q: RationalComplex, terms, n: int, widths,
     ``B`` is the grid ``base`` that :func:`rescale` normalized by the
     moment tables w1, w2 on at least the cells the levels read; ``terms``
     are (a, b, c) with a >= 1 and Gaussian-rational c.  Level t is zero for
-    t < n and computed for ``i <= widths[t]``; reads below index 0 are
-    zero.  The terms with b < 0, and the base when ``shift < 0``, are
+    t < n and computed for ``i <= widths[t]``; reads below index 0, and of
+    the base's rows past its last, are zero.  The terms with b < 0, and the base when ``shift < 0``, are
     summed into ``X[t]`` instead, and ``V[t]`` solves ``V_i + sum m_k
     V_{i-k} = X_i`` for the ``taps`` [(k, m_k)], k >= 1 ascending.  ``X[t]``
     and then level t, which adds ``V[t]`` to the base and the other terms,
@@ -329,7 +329,8 @@ def recurrence(base: Lanes, q: RationalComplex, terms, n: int, widths,
             ups, downs = [], []
             for b_terms, u_terms, d_terms in zip(lane_base, lane_up,
                                                  lane_down):
-                b_terms = _row(b_terms, t, power)
+                b_terms = _row(b_terms, t, power) if t - n < len(base.re) \
+                    else []
                 ups.append((b_terms if not shift else []) + _row(u_terms, t))
                 downs.append((b_terms if shift else []) + _row(d_terms, t))
             if any(downs):
@@ -501,8 +502,8 @@ def shift_float(u, items, r1, r2, n_rows: int, n_cols: int):
     ``u`` is a 2-D numpy array of raw coefficients, ``items`` the pairs
     ``((a, b), p_ab)``, each p_ab a binary64 scalar (what :func:`binary64`
     returns), and ``r1``, ``r2`` the :func:`ratios` of the log moment
-    values along the two axes, for widths n_rows and n_cols and at least
-    the offsets a and b of the items.  Cell (j, i) sums
+    values along the two axes, for widths of at least n_rows and exactly
+    n_cols, and at least the offsets a and b of the items.  Cell (j, i) sums
     ``p_ab * u[j+a][i+b] * m1(j+a)/m1(j) * m2(i+b)/m2(i)`` in item order;
     the output is float64 when u is and every p_ab is real.
     """
@@ -513,7 +514,7 @@ def shift_float(u, items, r1, r2, n_rows: int, n_cols: int):
     with np.errstate(over="ignore", invalid="ignore"):
         for (a, b), p in items:
             out += (p * u[a: a + n_rows + 1, b: b + n_cols + 1]
-                    * r1[a][:, None] * r2[b])
+                    * r1[a][: n_rows + 1, None] * r2[b])
     return out
 
 
@@ -527,7 +528,8 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
     every term carries the moment ratios ``m1(t-a)/m1(t)`` and
     ``m2(i+b)/m2(i)`` (``m1(t-n)/m1(t)`` and ``m2(i+shift)/m2(i)`` for the
     base) from the log arrays ``logs1``, ``logs2``.  Level t is zero for
-    t < n and covers ``i <= widths[t]``; reads below index 0 are zero, and
+    t < n and covers ``i <= widths[t]``; reads below index 0, and of the
+    base's rows past its last, are zero, and
     a term (a, b) with b >= 0 must read level t - a inside its width,
     ``widths[t] + b <= widths[t-a]``, as :func:`mpde.solver.level_widths`
     gives.  Terms are
@@ -554,7 +556,11 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
     operations in the same order as one level at a time: with ``shift ==
     0`` one multiply fills the base of each block as its first level
     starts, on that level's columns, one scale ``q * m1(t-n)/m1(t)`` per
-    row, so nothing is filled past the block where the check stops; the
+    row, so nothing is filled past the block where the check stops; a
+    level past the base's rows is filled with the product of a zero and
+    its scale, whose sign is the one a zero row of the base would give,
+    and the base's downward reads past its rows, which would add a zero
+    to the zeros they start from, are skipped; the
     ``m1`` ratios are one ``np.exp`` per row offset; a single tap runs as
     one loop from column k; and on a float64 grid a coefficient of 1.0 or
     -1.0 adds or subtracts its term with no multiply.  A complex grid keeps
@@ -596,17 +602,23 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
     if not shift:
         # the base's scale q * m1(t-n)/m1(t) of each level t >= n
         scale = np.array([q * r for r in r1[n][n:]])[:, None]
+        zero = np.zeros(1, dtype=base.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         for t, w in enumerate(widths):
             row = grid[t, : w + 1]
             if t >= n:
                 if not shift and (t == n or t % _BLOCK == 0):
                     # the base of the levels up to the end of this block,
-                    # on the columns of the widest, its first
+                    # on the columns of the widest, its first; the levels
+                    # past the base's rows, from mid, take zero times scale
                     end = min(t - t % _BLOCK + _BLOCK, levels)
-                    np.multiply(base[t - n: end - n, : w + 1],
-                                scale[t - n: end - n],
-                                out=grid[t: end, : w + 1])
+                    src = base[t - n: end - n, : w + 1]
+                    mid = t + len(src)
+                    np.multiply(src, scale[t - n: mid - n],
+                                out=grid[t: mid, : w + 1])
+                    if mid < end:
+                        np.multiply(zero, scale[mid - n: end - n],
+                                    out=grid[mid: end, : w + 1])
                 for src, a, b, c, sign, ra, rb in up:
                     y = src[t - a, b: w + 1 + b]
                     y = y * ra[t] if c is None else c * y * ra[t]
@@ -618,7 +630,7 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
                 if down:
                     x = np.zeros(w + 1, dtype=grid.dtype)
                     for src, a, b, c, sign, ra, rb in down:
-                        if -b > w:
+                        if -b > w or t - a >= len(src):
                             continue
                         y = src[t - a, : w + 1 + b]
                         y = y * ra[t] if c is None else c * y * ra[t]

@@ -373,16 +373,20 @@ MAX_EXACT_BYTES = 2 ** 28
 
 def assemble(pf: ProblemFile, n1: int | None = None, n2: int | None = None,
              arithmetic: str | None = None) -> CauchyProblem:
-    """Expand the rhs to the widest solver level of ``(n1, n2)``.
+    """Expand the rhs to the widest solver level of ``(n1, n2)``, on the
+    t-rows it can be nonzero on (:func:`_rhs_rows`): the problem has
+    ``rhs_zero_past`` set, so the solver and the residual read the rows
+    past them, up to N1, as zero.
 
     Unset truncation and arithmetic come from the problem file
     (:func:`_arithmetic`).  A ``"direct"`` file whose top lambda
     coefficient is not a constant is rejected first.  Before anything is
     allocated, a grid above ``MAX_GRID_CELLS`` is rejected, its lower bound
     ``(N1+1) * (N2+1)`` before the level widths, which the rhs and the
-    solver share, are built; so is a moment whose largest Gamma argument is
-    beyond binary64, and an exact solve whose moment values the widths show
-    to take more than ``MAX_EXACT_BYTES``.
+    solver share, are built; so is a moment whose largest Gamma argument,
+    or the log-Gamma of that argument, is beyond binary64, in both
+    arithmetics, and an exact solve whose moment values the widths show to
+    take more than ``MAX_EXACT_BYTES``.
     """
     P, m1, m2 = pf.parsed
     N1, N2 = _truncation(pf, n1, n2)
@@ -394,20 +398,39 @@ def assemble(pf: ProblemFile, n1: int | None = None, n2: int | None = None,
     _check_cells(N1, N2, N2, "at least ")
     widths = level_widths(P, (N1, N2))
     _check_cells(N1, N2, widths[0], "")
-    # arguments grow with the index: the last of a table is the largest
+    # arguments grow with the index: the last of a table is the largest,
+    # and so is its log-Gamma, which is below 745 for arguments below 1.5
     for name, m, k in (("m1", m1, N1 + P.n), ("m2", m2, widths[0] + P.max_b)):
         for _, _, A, B, D in moments.argument_lines(m):
             if A + k * B >= D * moments.INF_EDGE:
                 raise PreconditionError(
                     f"the Gamma argument b + j/k of {name} at index {k} is "
                     f"beyond the binary64 range; lower --n1 or --n2")
+            # the Lanczos body overflows first, at arguments near 2.556e305,
+            # where math.lgamma does near 2.560e305
+            if not math.isfinite(moments.log_gamma((A + k * B) / D)):
+                raise PreconditionError(
+                    f"the log-Gamma of the argument b + j/k of {name} at "
+                    f"index {k} is beyond the binary64 range; lower --n1 or "
+                    f"--n2")
     if exact:
         _check_exact_bytes(P, m1, m2, N1, N2, widths[0])
-    rhs = expand_rhs(pf.rhs, N1, widths[0], exact)
+    rhs = expand_rhs(pf.rhs, _rhs_rows(pf.rhs, N1), widths[0], exact)
     prob = CauchyProblem(P, m1, m2, rhs, (N1, N2),
-                         rhs_is_g=pf.rhs_role == "g")
+                         rhs_is_g=pf.rhs_role == "g", rhs_zero_past=True)
     vars(prob)["widths"] = widths  # the cached_property's own slot
     return prob
+
+
+def _rhs_rows(rhs: tuple, N1: int) -> int:
+    """Last t-row, at most N1, that the parsed rhs ``(num, den)`` can be
+    nonzero on: a ``coeffs`` rhs's last entry row; a ``rational`` one's
+    last num row when den has no term in t, so that the rows of num/den
+    are independent; N1 otherwise."""
+    num, den = rhs
+    if den is not None and any(j for j, *_ in den):
+        return N1
+    return min(max((j for j, *_ in num), default=0), N1)
 
 
 def _check_cells(N1: int, N2: int, width: int, bound: str) -> None:

@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, islice, repeat
 
 from . import kernel, moments
 from .charroots import CharPoly, _divmod, monomial
@@ -64,6 +65,12 @@ class CauchyProblem:
     ``rhs`` is read as the normalized right-hand side g by default
     (``rhs_is_g``), or as f itself, for ``g = P0(dz)^-1 f`` with the free
     coefficients set to zero; f then needs B = deg P0 columns fewer.
+    With ``rhs_zero_past`` the rhs is zero on the t-rows past its grid:
+    every stage reads it as if it were zero-padded to the N1 rows of
+    ``out_shape`` (:attr:`rhs_window`), and no stage allocates those rows.
+    By default the rhs is known on its grid only, since a truncated series
+    is not zero past its truncation, and a solve that needs more rows
+    raises PreconditionError.
     The orders are the operator's own (``operator.n``, ``operator.B`` and
     ``operator.max_b``).  The declared Gevrey orders of a problem file's
     rhs enter only its analysis reports, not a solve.  Its moment tables
@@ -76,6 +83,7 @@ class CauchyProblem:
     rhs: Series2
     out_shape: tuple
     rhs_is_g: bool = True
+    rhs_zero_past: bool = False
 
     def __post_init__(self):
         n1, n2 = self.out_shape
@@ -89,12 +97,20 @@ class CauchyProblem:
         return level_widths(self.operator, self.out_shape)
 
     @property
+    def rhs_window(self) -> tuple:
+        """Last index pair ``(J, I)`` the rhs is known on: its grid's, with
+        J raised to N1 when ``rhs_zero_past`` says the rows past the grid
+        are zero."""
+        J, I = self.rhs.valid
+        return (max(J, self.out_shape[0]) if self.rhs_zero_past else J), I
+
+    @property
     def _table_sizes(self) -> tuple:
         """Largest row and column index any stage reads a moment value at:
         the rhs or output window plus the t-order of the operator (rows)
         and plus its largest z-order ``max_b`` (columns)."""
         n1, _ = self.out_shape
-        J, I = self.rhs.valid
+        J, I = self.rhs_window
         return (max(n1, J) + self.operator.n,
                 max(self.widths[0], I) + self.operator.max_b)
 
@@ -110,8 +126,9 @@ class CauchyProblem:
     @cached_property
     def normalized_rhs(self) -> kernel.Lanes:
         """The exact rhs normalized by :func:`kernel.rescale` on its whole
-        valid window, which holds every cell that the recursion and the
-        residual of any u read."""
+        grid, which holds every cell that the recursion and the residual of
+        any u read, but for the zero rows past it that ``rhs_zero_past``
+        declares."""
         return kernel.rescale(self.rhs.lanes, *self.fraction_tables,
                               *self.rhs.valid)
 
@@ -202,7 +219,10 @@ def formal_solve(prob: CauchyProblem) -> Series2:
     inside the valid window thanks to the level widths.  The recursion's
     terms and taps are the operator's Gaussian-rational coefficients as
     they are; exact mode recurses on :attr:`CauchyProblem.normalized_rhs`,
-    and float mode applies the moment ratios.  Float
+    and float mode applies the moment ratios.  The rhs must be known on
+    rows ``N1 - n`` (:attr:`CauchyProblem.rhs_window`), else
+    PreconditionError; both kernels read the rows past its grid, which
+    ``rhs_zero_past`` declares zero, as zero.  Float
     mode rounds them once (:func:`rounded_recursion`), so that one beyond
     binary64 raises EvaluationError naming the operator terms it divides,
     and the kernel takes the rounded values; it checks the window, columns
@@ -218,7 +238,7 @@ def formal_solve(prob: CauchyProblem) -> Series2:
 
     # f enters shifted down by B, so that the taps turn it into g = P0^-1 f
     q, shift = (QC_ONE, 0) if prob.rhs_is_g else (1 / top[B], -B)
-    J_g, I_g = prob.rhs.valid
+    J_g, I_g = prob.rhs_window
     rows_needed = max(N1 - n, -1)
     if J_g < rows_needed or I_g < N2i + shift:
         raise PreconditionError(
@@ -274,7 +294,10 @@ def residual(prob: CauchyProblem, u_hat: Series2) -> ResidualReport:
     f is reconstructed as ``P0(dz) g`` by operator application when the
     problem was posed through g.  The window is u's less P's orders
     ``(n, max_b)`` and g's less P0's ``(0, B)``, or f's; an empty one raises
-    WindowError.  In exact mode a zero residual is exact: u is normalized
+    WindowError.  The rhs's window is :attr:`CauchyProblem.rhs_window`,
+    and the rows of it past the rhs grid, zero by ``rhs_zero_past``, are
+    read as zero without being allocated.  In exact mode a zero residual
+    is exact: u is normalized
     and shifted on integers against the rhs the solve normalized once
     (:attr:`CauchyProblem.normalized_rhs`), equal sides report zero at
     once, and otherwise the L1 moduli ``|re| + |im|`` of raw coefficients
@@ -289,11 +312,11 @@ def residual(prob: CauchyProblem, u_hat: Series2) -> ResidualReport:
     p0_table = ({(0, b): c for b, c in enumerate(P.p0()) if c}
                 if prob.rhs_is_g else {(0, 0): 1})
     B = P.B if prob.rhs_is_g else 0
-    for a, b, valid in ((P.n, P.max_b, u_hat.valid), (0, B, prob.rhs.valid)):
+    for a, b, valid in ((P.n, P.max_b, u_hat.valid), (0, B, prob.rhs_window)):
         if valid[0] < a or valid[1] < b:
             raise WindowError(f"operator orders ({a}, {b}) exceed the "
                               f"valid window {valid}")
-    (J_u, I_u), (J_g, I_g) = u_hat.valid, prob.rhs.valid
+    (J_u, I_u), (J_g, I_g) = u_hat.valid, prob.rhs_window
     J, I = min(J_u - P.n, J_g), min(I_u - P.max_b, I_g - B)
     if u_hat.exact and prob.rhs.exact:
         return _residual_exact(prob, u_hat, support, p0_table, J, I)
@@ -307,7 +330,9 @@ def _residual_float(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
     of a part of an operator coefficient (0 near 1), scales each exactly
     before it is rounded, so the relative residual is that of ``P u - f``
     unless a value leaves the normal binary64 range; ``max_abs`` is scaled
-    back, infinite beyond binary64."""
+    back, infinite beyond binary64.  The rhs side covers the rhs grid's
+    rows only: past them it is +0.0, which leaves lhs's cells, and their
+    moduli, as they are."""
     import numpy as np
 
     e = -max(x.numerator.bit_length() - x.denominator.bit_length()
@@ -318,27 +343,31 @@ def _residual_float(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
     r1 = kernel.ratios(logs1, {a for a, _ in offsets}, J, "m1")
     r2 = kernel.ratios(logs2, {b for _, b in offsets}, I, "m2")
 
-    def sides(s: Series2, table):
-        """``2**e table`` on s and, made absolute, on |s|; None is 1."""
+    def sides(s: Series2, table, rows: int):
+        """``2**e table`` on s and, made absolute, on |s|, for j <= rows;
+        None is 1."""
         grid = s.grid
         if table is None:
-            f = grid[: J + 1, : I + 1]
+            f = grid[: rows + 1, : I + 1]
             return f, kernel.modulus(f)
         items = [(k, kernel.binary64(p * Fraction(2) ** e))
                  for k, p in table.items()]
         abs_items = [(k, abs(p)) for k, p in items]
-        return (kernel.shift_float(grid, items, r1, r2, J, I),
+        return (kernel.shift_float(grid, items, r1, r2, rows, I),
                 kernel.shift_float(kernel.modulus(grid), abs_items, r1, r2,
-                                   J, I))
+                                   rows, I))
 
-    lhs, abs_lhs = sides(u_hat, support)
+    lhs, abs_lhs = sides(u_hat, support, J)
     # unscaled, an f, or a g whose P0 is 1, is the grid itself, whose -0.0
     # cells the shift would turn to +0.0, which modulus reads alike
     f, abs_f = sides(prob.rhs,
-                     None if p0_table == {(0, 0): 1} and not e else p0_table)
+                     None if p0_table == {(0, 0): 1} and not e else p0_table,
+                     min(J, prob.rhs.valid[0]))
+    diff = lhs.astype(np.result_type(lhs, f), copy=False)
     with np.errstate(invalid="ignore", over="ignore"):
+        diff[: len(f)] -= f
         # numpy maxima propagate NaN
-        max_abs = float(np.max(kernel.modulus(lhs - f)))
+        max_abs = float(np.max(kernel.modulus(diff)))
         abs_own = float(np.ldexp(max_abs, -e))
     scale = float(np.maximum(np.max(abs_lhs), np.max(abs_f)))
     if not (math.isfinite(max_abs) and math.isfinite(scale)):
@@ -350,25 +379,29 @@ def _residual_float(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
 
 def _residual_exact(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
     """The exact residual, its rhs side the normalized rhs as it is for a
-    P0 table ``{(0, 0): 1}`` and shifted by P0 otherwise.  Equal integer
-    lanes over one row divisor (an absent imaginary lane reads as zeros)
-    are zero."""
+    P0 table ``{(0, 0): 1}`` and shifted by P0 otherwise, on the rows of
+    the rhs grid.  Equal integer lanes over one row divisor (an absent
+    imaginary lane, and the rows past the rhs grid's, read as zeros) are
+    zero."""
     w1, w2 = prob.fraction_tables
     P, g = prob.operator, prob.normalized_rhs
     lhs = kernel.shift(kernel.rescale(u_hat.lanes, w1, w2, J + P.n,
                                       I + P.max_b), support, w1, w2, J, I)
+    J_f = min(J, len(g.re) - 1)
     f = (kernel.window(kernel.RawLanes(g.re, g.im, [g.den * w for w in w1],
-                                       w2), J, I)
-         if p0_table == {(0, 0): 1} else kernel.shift(g, p0_table, w1, w2, J, I))
+                                       w2), J_f, I)
+         if p0_table == {(0, 0): 1}
+         else kernel.shift(g, p0_table, w1, w2, J_f, I))
     # the row divisors of the sides differ by one ratio sf/sl in lowest
     # terms: put both over lhs's divisors times sl, compare integer L1 moduli
     sf, sl = quotient(lhs.row_div[0], f.row_div[0]).as_integer_ratio()
-    zeros = [[0] * (I + 1)] * (J + 1)
-    l_im = lhs.im if lhs.im is not None else zeros
-    f_im = f.im if f.im is not None else zeros
-    if sl == sf and lhs.re == f.re and l_im == f_im:
+    zero = [0] * (I + 1)
+    l_re, l_im, f_re, f_im = (
+        list(islice(chain(lane or (), repeat(zero)), J + 1))
+        for lane in (lhs.re, lhs.im, f.re, f.im))
+    if sl == sf and l_re == f_re and l_im == f_im:
         return ResidualReport(0.0, (J, I), True, 0.0)
-    rows = list(zip(lhs.re, l_im, f.re, f_im))
+    rows = list(zip(l_re, l_im, f_re, f_im))
     diff = [[abs(lr[i] * sl - fr[i] * sf) + abs(li[i] * sl - fi[i] * sf)
              for i in range(I + 1)] for lr, li, fr, fi in rows]
     size = [[max((abs(lr[i]) + abs(li[i])) * sl,

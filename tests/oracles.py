@@ -298,11 +298,14 @@ def recurrence_float_levels(base, q, terms, n: int, widths, logs1, logs2,
     taps.  The log ratio of row offset a at level t is ``np.exp`` of the
     array of the differences ``logs1[t - a] - logs1[t]``, t >= n, as the
     kernel takes it.  q, the term coefficients and the taps are binary64
-    scalars, as the kernel takes them.  Each cell gets the same operations
-    in the same order as in the kernel, so the levels must agree bit for
-    bit.
+    scalars, as the kernel takes them.  A base with fewer rows than the
+    levels read is zero-padded first, with +0.0 rows of its dtype.  Each
+    cell gets the same operations in the same order as in the kernel, so
+    the levels must agree bit for bit.
     """
     width, levels = max(widths), len(widths)
+    base = np.vstack([base, np.zeros((max(levels - n - len(base), 0),
+                                      base.shape[1]), dtype=base.dtype)])
     logs1 = logs1.tolist()  # Python floats for the differences per level
     exp1 = {a: dict(zip(range(n, levels), np.exp(np.array(
                 [logs1[t - a] - logs1[t] for t in range(n, levels)])).tolist()))

@@ -45,9 +45,11 @@ MOMENTS = ["Gamma(1)", "Gamma(1/2)", "Gamma(3/2)", "Gamma(0)", "Gamma(-1)",
            "1*Gamma(-1/2+u/1)", f"1/{BIG}*Gamma(1/2+u/1)",
            f"{BIG}*Gamma(1/2+u/1)", f"1/{BIG}*Gamma(1+u/1)", "Gamma(",
            "x", "", 2, "1*Gamma(1+u/1/60)", "1*Gamma(-30+u/1)",
-           # an offset that rounds to 0.0, and a k whose 1/k is beyond
-           # binary64
-           f"1*Gamma(1/{BIG}+u/1)", f"1*Gamma(1+u/1/{BIG})"]
+           # an offset that rounds to 0.0, a k whose 1/k is beyond
+           # binary64, and one whose arguments are doubles whose log-Gamma
+           # is not
+           f"1*Gamma(1/{BIG}+u/1)", f"1*Gamma(1+u/1/{BIG})",
+           f"1*Gamma(1+u/1/{BIG[:307]})"]
 VALUES = ["1", "-1/2", "0", "1/0", "x", "1e400", BIG, f"1/{BIG}", "1e-400",
           "2.5", 1.5, None, ""]
 KEYS = {"problem": ["operatr", "m_1", "rhs_rol", "truncaton", "bogus"],
@@ -126,6 +128,7 @@ def _heat(**changes) -> dict:
 @example(_heat(m1="1*Gamma(-30+u/1)"))
 @example(_heat(m1=f"1*Gamma(1/{BIG}+u/1)"))
 @example(_heat(m2=f"1*Gamma(1+u/1/{BIG})"))
+@example(_heat(m2=f"1*Gamma(1+u/1/{BIG[:307]})"))
 @example(dict(copy.deepcopy(SHIPPED["transport"]), truncation=WIDE))
 # huge operator coefficients, which the float residual scales by 2**-997
 @example(dict(_heat(operator=f"({E300}+{E300}*dz)*dt - {E300}*dz^2",

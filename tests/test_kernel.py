@@ -373,7 +373,8 @@ def test_recurrence_of_uneven_raw_lanes_matches_per_cell_recursion(
         is_complex, shift):
     # the levels of the per-cell recursion on the Fraction normalization of
     # the base, with its taps solved cell by cell, then divided by the
-    # tables: what the returned lanes decode to
+    # tables: what the returned lanes decode to; a base that stops before
+    # the last level's row is read as zero past its last row
     rng = random.Random(58)
     w1 = fraction_table(larger_k(parse_moment("Gamma(1/2)"), 2), 12)
     w2 = fraction_table(parse_moment("Gamma(1)*Gamma(1/2)/Gamma(2)"), 16)
@@ -393,28 +394,30 @@ def test_recurrence_of_uneven_raw_lanes_matches_per_cell_recursion(
 
         def read(grid, r, i):
             return grid[r][i] if i >= 0 else zero
-        U = []
-        for t, w in enumerate(widths):
-            if t < n:
-                U.append([zero] * (w + 1))
-                continue
-            base = [q * read(B, t - n, i + shift) for i in range(w + 1)]
-            up = [sum((c * U[t - a][i + b] for a, b, c in terms if b >= 0),
-                      zero) for i in range(w + 1)]
-            x = [sum((c * read(U, t - a, i + b) for a, b, c in terms
-                      if b < 0), zero) for i in range(w + 1)]
-            up, x = (up, [y + z for y, z in zip(x, base)]) if shift else (
-                [y + z for y, z in zip(up, base)], x)
-            v = []
-            for i in range(w + 1):
-                v.append(x[i] - sum((m * v[i - k] for k, m in taps if k <= i),
-                                    zero))
-            U.append([y + z for y, z in zip(up, v)])
-        base = kernel.rescale(raw, w1, w2, len(widths) - 1 - n,
-                              max(widths) + shift)
-        got = kernel.recurrence(base, q, terms, n, widths, w1, w2, taps,
-                                shift)
-        assert kernel.denormalize(got) == _raw(U, w1, w2)
+        for last in (len(widths) - 1 - n, 1):
+            U = []
+            for t, w in enumerate(widths):
+                if t < n:
+                    U.append([zero] * (w + 1))
+                    continue
+                base = [q * read(B, t - n, i + shift) if t - n <= last
+                        else zero for i in range(w + 1)]
+                up = [sum((c * U[t - a][i + b] for a, b, c in terms
+                           if b >= 0), zero) for i in range(w + 1)]
+                x = [sum((c * read(U, t - a, i + b) for a, b, c in terms
+                          if b < 0), zero) for i in range(w + 1)]
+                up, x = (up, [y + z for y, z in zip(x, base)]) if shift \
+                    else ([y + z for y, z in zip(up, base)], x)
+                v = []
+                for i in range(w + 1):
+                    v.append(x[i] - sum((m * v[i - k] for k, m in taps
+                                         if k <= i), zero))
+                U.append([y + z for y, z in zip(up, v)])
+            base = kernel.rescale(raw, w1, w2, last, max(widths) + shift)
+            assert len(base.re) == last + 1
+            got = kernel.recurrence(base, q, terms, n, widths, w1, w2, taps,
+                                    shift)
+            assert kernel.denormalize(got) == _raw(U, w1, w2)
 
 
 def _level_case(rng, is_complex):
@@ -423,7 +426,8 @@ def _level_case(rng, is_complex):
     rounded by ``kernel.binary64``, as the package's callers round them,
     terms shifting up and down, taps, a shift of 0 or below, widths that
     keep every read inside the level it reads (as ``level_widths`` does),
-    and a base with inf, nan and -0.0 cells."""
+    and a base with inf, nan and -0.0 cells, which may stop before the row
+    of the last level; the oracle reads it zero-padded."""
     def coefficient():
         kind = rng.choice(["one", "minus_one", "real", "complex", "rational"])
         if kind == "one":
@@ -452,7 +456,8 @@ def _level_case(rng, is_complex):
     width = max(widths)
     dtype = complex if is_complex and rng.random() < 0.7 else float
     base = np.array([[rng.uniform(-3, 3) for _ in range(width + 1)]
-                     for _ in range(max(levels - n, 1))], dtype=dtype)
+                     for _ in range(rng.randint(1, max(levels - n, 1)))],
+                    dtype=dtype)
     if dtype is complex:
         base.imag = [[rng.uniform(-3, 3) for _ in range(width + 1)]
                      for _ in range(base.shape[0])]

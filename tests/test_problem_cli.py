@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -893,12 +894,13 @@ def test_a_solve_builds_its_level_widths_once(arithmetic, monkeypatch):
 
 
 def test_grid_cap_admits_the_largest_benchmark_grid(monkeypatch):
-    # heat (200, 100): 201 x 501 = 100,701 cells reach expand_rhs
+    # heat (200, 100): a solver grid of 201 x 501 = 100,701 cells reaches
+    # expand_rhs, which expands heat's t-free rhs on its one row
     class Reached(Exception):
         pass
 
     def reached(spec, n1, n2, exact):
-        assert (n1 + 1) * (n2 + 1) == 100701
+        assert (200 + 1) * (n2 + 1) == 100701 and n1 == 0
         raise Reached
     monkeypatch.setattr(problem_mod, "expand_rhs", reached)
     pf = load_problem(shipped("heat"))
@@ -1442,8 +1444,13 @@ BIG_TEN = "1" + "0" * 400
     # last the table reads at --n1 2, is not
     ("m2", f"1*Gamma(1+u/1/{BIG_TEN[:308]})",
      "precondition violated: the Gamma argument b + j/k of m2 at index 66 "
-     "is beyond the binary64 range; lower --n1 or --n2")],
-    ids=["offset-rounds-to-0", "k-reciprocal-infinite", "argument-infinite"])
+     "is beyond the binary64 range; lower --n1 or --n2"),
+    # 1 + 66 * 10^306 is a double, but its log-Gamma is not
+    ("m2", f"1*Gamma(1+u/1/{BIG_TEN[:307]})",
+     "precondition violated: the log-Gamma of the argument b + j/k of m2 at "
+     "index 66 is beyond the binary64 range; lower --n1 or --n2")],
+    ids=["offset-rounds-to-0", "k-reciprocal-infinite", "argument-infinite",
+         "log-gamma-infinite"])
 def test_cli_gamma_factor_at_the_edge_of_binary64_is_one_line(
         moment, text, line, arithmetic, tmp_path):
     # each is refused before any table or rhs is built, in one stderr line
@@ -1460,6 +1467,31 @@ def test_cli_gamma_factor_at_the_edge_of_binary64_is_one_line(
             result = run_cli([command, str(prob), "--out",
                               str(tmp_path / f"{command}.out")])
             assert result.exit_code == 1 and result.stderr == line + "\n"
+
+
+@pytest.mark.parametrize("arithmetic", ["float", "exact"])
+def test_a_log_gamma_beyond_binary64_is_refused_before_the_tables(
+        arithmetic, tmp_path, monkeypatch):
+    # m2 = Gamma(1 + u * 10^306) at --n1 2: its last argument, about
+    # 6.6e307, is a double whose log-Gamma is not; assemble refuses it
+    # before the byte estimate, the tables and the rhs, with no warning
+    def no_build(*args):
+        raise AssertionError("nothing may be built")
+    for name in ("log_sizes", "log_table", "fraction_table"):
+        monkeypatch.setattr(moments, name, no_build)
+    monkeypatch.setattr(problem_mod, "expand_rhs", no_build)
+    prob = tmp_path / "heat.json"
+    prob.write_text(json.dumps(dict(
+        json.loads(Path(shipped("heat")).read_text()),
+        m2=f"1*Gamma(1+u/1/{BIG_TEN[:307]})")))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_cli(["verify", str(prob), "--arithmetic", arithmetic,
+                          "--n1", "2"])
+    assert result.exit_code == 2 and not caught
+    assert result.stderr == (
+        "precondition violated: the log-Gamma of the argument b + j/k of m2 "
+        "at index 66 is beyond the binary64 range; lower --n1 or --n2\n")
 
 
 @pytest.mark.parametrize("out_name", ["heat.json", "heat.csv", "heat"])

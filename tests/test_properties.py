@@ -59,8 +59,8 @@ from mpde.moments import (MOMENT_ONE, MomentFactor, MomentFunction,
                           fraction_table, log_gamma, log_rational, log_table,
                           scaled_eval)
 from mpde.parsing import parse_moment
-from mpde.problem import (_table, expand_rhs, load_problem, parse_rhs,
-                          solve_problem)
+from mpde.problem import (_table, assemble, expand_rhs, load_problem,
+                          parse_rhs, solve_problem)
 from mpde.series import Series2, gevrey_fit
 from mpde.solver import CauchyProblem, formal_solve, level_widths, residual
 
@@ -268,6 +268,115 @@ def test_exact_residual_equals_the_shifted_rhs_route(case, rhs_is_g,
         rep = residual(prob, u)
         assert (rep.max_abs, rep.window, rep.exact_zero,
                 rep.relative) == residual_of_shifted_rhs(prob, u)
+
+
+def _rebuilt(prob: CauchyProblem, **changes) -> CauchyProblem:
+    """A new CauchyProblem of ``prob``'s fields, with ``changes``."""
+    fields = {name: getattr(prob, name) for name in CauchyProblem.__match_args__}
+    return CauchyProblem(**{**fields, **changes})
+
+
+def _solve_and_residual(prob) -> tuple:
+    """What a solve of ``prob`` gives: the float grid's dtype and bytes, or
+    the exact lanes, and the repr of the residual report (NaN and signs of
+    zero included); or the message of the error either raises."""
+    try:
+        u = formal_solve(prob)
+    except EvaluationError as exc:
+        return str(exc)
+    got = u.lanes if u.exact else (u.grid.dtype, u.grid.tobytes())
+    try:
+        return got, repr(residual(prob, u))
+    except (EvaluationError, WindowError) as exc:
+        return got, str(exc)
+
+
+# -dt - dz^2 with an f rhs on row 0: the base's scale 1/(-1) makes the
+# levels past the rhs rows start from -0.0, as a zero row of the base did,
+# and subtracting +0.0 keeps it
+NEGATIVE_TOP_F = Case({(1, 0): (Fraction(-1), Fraction(0)),
+                       (0, 2): (Fraction(-1), Fraction(0))}, *MOMENTS[0],
+                      {(0, 0): (Fraction(1), Fraction(0))}, (5, 17), (6, 5),
+                      False)
+
+
+@SETTINGS
+@given(st.one_of(cases(), pseudo_cases()), st.booleans(), st.integers(0, 6))
+@example(NEGATIVE_TOP_F, False, 0)
+def test_a_rhs_zero_past_its_rows_solves_as_the_zero_padded_rhs(
+        case, rhs_is_g, extra):
+    """A rhs stored up to row ``cut``, at or past its last entry row, with
+    ``rhs_zero_past``, gives the solve and the residual, bit for bit, of
+    the same rhs zero-padded to the N1 rows of the truncation with the
+    default field, in both arithmetics and both rhs roles."""
+    case = dataclasses.replace(case, rhs_is_g=rhs_is_g)
+    n1, width = case.out[0], case.shape[1]
+    cut = min(max((j for j, _ in case.rhs), default=0) + extra, n1)
+    for exact in (True, False):
+        probs = [dataclasses.replace(case, shape=(rows, width)).problem(exact)
+                 for rows in (cut, n1)]
+        short = _rebuilt(probs[0], rhs_zero_past=True)
+        assert short.rhs.valid[0] == cut and probs[1].rhs.valid[0] == n1
+        assert short.rhs_window == probs[1].rhs_window
+        assert _solve_and_residual(short) == _solve_and_residual(probs[1])
+
+
+@st.composite
+def assembled_rhs(draw):
+    """A problem file of a ``cases`` or ``pseudo_cases`` operator whose rhs
+    is a drawn ``rational`` one (a den with or without terms in t) or a
+    ``coeffs`` one, with its truncation."""
+    case = draw(st.one_of(cases(), pseudo_cases()))
+    if draw(st.booleans()):
+        spec, _, _ = draw(st.sampled_from(RHS_KINDS).flatmap(
+            lambda kind: rational_rhs(*kind)))
+    else:
+        spec = {"kind": "coeffs", "payload": [
+            [j, i, str(re), str(im)] for (j, i), (re, im) in draw(
+                st.dictionaries(st.tuples(st.integers(0, 7),
+                                          st.integers(0, 6)),
+                                nonzero_gaussians, max_size=4)).items()]}
+    m1, m2 = (("Gamma(1)", "Gamma(1)"), ("Gamma(1/2)", "Gamma(3/2)"))[
+        MOMENTS.index((case.m1, case.m2))]
+    return {"operator": operator_to_text(case.problem().operator),
+            "m1": m1, "m2": m2, "rhs": spec,
+            "rhs_role": draw(st.sampled_from(["g", "f"])),
+            "truncation": list(case.out), "mode": "pseudo"}
+
+
+@SETTINGS
+@given(assembled_rhs())
+# a den with a term in t: every row up to N1 is stored
+@example({"operator": "dt - dz^2", "m1": "Gamma(1)", "m2": "Gamma(1)",
+          "rhs": {"kind": "rational", "payload": {
+              "num": [[0, 0, "1", "0"]],
+              "den": [[0, 0, "1", "0"], [1, 0, "-1/2", "0"]]}},
+          "rhs_role": "g", "truncation": [4, 3], "mode": "pseudo"})
+def test_assembled_rhs_stops_at_its_data_rows(problem):
+    """``assemble`` stores a ``coeffs`` rhs up to its last entry row, a
+    ``rational`` one up to its last num row when den has no term in t and
+    up to N1 otherwise (all at most N1), and solves as the rhs that
+    ``expand_rhs`` gives on all N1 rows, with the default field."""
+    pf = load_problem(problem)
+    n1, n2 = pf.truncation
+    num, den = pf.rhs
+    if den is not None and any(j for j, *_ in den):
+        rows = n1
+    else:
+        rows = min(max((j for j, *_ in num), default=0), n1)
+    for arithmetic in ("exact", "float"):
+        try:
+            short = assemble(pf, arithmetic=arithmetic)
+        except EvaluationError as exc:  # an rhs entry beyond binary64
+            with pytest.raises(EvaluationError, match=re.escape(str(exc))):
+                expand_rhs(pf.rhs, n1, level_widths(
+                    pf.parsed[0], (n1, n2))[0], arithmetic == "exact")
+            continue
+        assert short.rhs_zero_past and short.rhs.valid[0] == rows
+        full = _rebuilt(short, rhs=expand_rhs(
+            pf.rhs, n1, short.widths[0], arithmetic == "exact"),
+            rhs_zero_past=False)
+        assert _solve_and_residual(short) == _solve_and_residual(full)
 
 
 def pseudo_term_magnitude(prob) -> list:

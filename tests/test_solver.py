@@ -396,6 +396,46 @@ def test_insufficient_rhs_data():
         formal_solve(CauchyProblem(HEAT, G1, G1, g, (8, 30)))
 
 
+@pytest.mark.parametrize("exact", [True, False])
+def test_a_short_rhs_is_zero_past_its_rows_only_when_declared(exact):
+    # 1/(1-z) on row 0 alone: by default the rows the solve needs past it
+    # are missing, and with rhs_zero_past they read as zero, which solves
+    # and checks as the rhs zero-padded to N1 rows
+    n1, n2 = 8, 30
+    short, padded = (geometric_g(rows, n2 + 2 * n1, exact) for rows in (0, n1))
+    with pytest.raises(PreconditionError, match=r"insufficient rhs data: "
+                       r"need window \(7, 46\), rhs provides \(0, 46\)"):
+        formal_solve(CauchyProblem(HEAT, G1, G1, short, (n1, n2)))
+    prob = CauchyProblem(HEAT, G1, G1, short, (n1, n2), rhs_zero_past=True)
+    full = CauchyProblem(HEAT, G1, G1, padded, (n1, n2))
+    assert prob.rhs_window == full.rhs_window == (n1, n2 + 2 * n1)
+    u = formal_solve(prob)
+    assert u == formal_solve(full)
+    assert repr(residual(prob, u)) == repr(residual(full, u))
+
+
+T_DEN = {"kind": "rational", "payload": {
+    "num": [[0, 0, "1", "0"]],
+    "den": [[0, 0, "1", "0"], [0, 1, "-1", "0"], [1, 0, "-1/2", "0"]]}}
+COEFFS = {"kind": "coeffs", "payload": [[0, 0, "1", "0"], [3, 1, "2", "0"],
+                                        [250, 0, "1", "0"]]}
+
+
+@pytest.mark.parametrize("rhs,rows", [(None, 0), (T_DEN, 200), (COEFFS, 200)])
+@pytest.mark.parametrize("arithmetic", ["float", "exact"])
+def test_assemble_stores_the_rhs_on_its_data_rows(rhs, rows, arithmetic):
+    # heat at (200, 100) in float, at its file truncation in exact: the
+    # shipped t-free 1/(1-z) on its one row, a den with a term in t on all
+    # N1 + 1 rows, and a coeffs rhs up to its last entry row, at most N1;
+    # the grid is as wide as the widest level
+    pf = _shipped("heat", **({"rhs": rhs} if rhs else {}))
+    n1, n2 = (200, 100) if arithmetic == "float" else pf.truncation
+    prob = assemble(pf, n1, n2, arithmetic)
+    assert prob.rhs_zero_past and prob.rhs.exact == (arithmetic == "exact")
+    assert prob.rhs.valid == (min(rows, n1), prob.widths[0])
+    assert prob.rhs_window == (n1, prob.widths[0])
+
+
 def test_direct_mode_rejects_nonconstant_top(monkeypatch):
     # a file that declares "direct" for a polynomial top coefficient is
     # refused by assemble before the level widths or the rhs are built; the
