@@ -279,9 +279,10 @@ def recurrence(base: Lanes, q: RationalComplex, terms, n: int, widths,
     moment tables w1, w2 on at least the cells the levels read; ``terms``
     are (a, b, c) with a >= 1 and Gaussian-rational c.  Level t is zero for
     t < n and computed for ``i <= widths[t]``; reads below index 0, and of
-    the base's rows past its last, are zero.  The terms with b < 0, and the base when ``shift < 0``, are
-    summed into ``X[t]`` instead, and ``V[t]`` solves ``V_i + sum m_k
-    V_{i-k} = X_i`` for the ``taps`` [(k, m_k)], k >= 1 ascending.  ``X[t]``
+    the base's rows past its last, are zero.  The terms with b < 0, and
+    the base when ``shift < 0``, are summed into ``X[t]`` instead, and
+    ``V[t]`` solves ``V_i + sum m_k V_{i-k} = X_i`` for the ``taps``
+    [(k, m_k)], k >= 1 ascending.  ``X[t]``
     and then level t, which adds ``V[t]`` to the base and the other terms,
     are one :func:`_fold` per lane each.
 
@@ -503,7 +504,8 @@ def shift_float(u, items, r1, r2, n_rows: int, n_cols: int):
     ``((a, b), p_ab)``, each p_ab a binary64 scalar (what :func:`binary64`
     returns), and ``r1``, ``r2`` the :func:`ratios` of the log moment
     values along the two axes, for widths of at least n_rows and exactly
-    n_cols, and at least the offsets a and b of the items.  Cell (j, i) sums
+    n_cols, and at least the offsets a and b of the items.  Cell (j, i)
+    sums
     ``p_ab * u[j+a][i+b] * m1(j+a)/m1(j) * m2(i+b)/m2(i)`` in item order;
     the output is float64 when u is and every p_ab is real.
     """
@@ -558,9 +560,10 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
     starts, on that level's columns, one scale ``q * m1(t-n)/m1(t)`` per
     row, so nothing is filled past the block where the check stops; a
     level past the base's rows is filled with the product of a zero and
-    its scale, whose sign is the one a zero row of the base would give,
-    and the base's downward reads past its rows, which would add a zero
-    to the zeros they start from, are skipped; the
+    its scale, the signed zero a zero row of the base would give, only
+    when some such product is -0.0, and the base's downward reads past its
+    rows, which would add a zero to the zeros they start from, are
+    skipped; the
     ``m1`` ratios are one ``np.exp`` per row offset; a single tap runs as
     one loop from column k; and on a float64 grid a coefficient of 1.0 or
     -1.0 adds or subtracts its term with no multiply.  A complex grid keeps
@@ -603,6 +606,9 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
         # the base's scale q * m1(t-n)/m1(t) of each level t >= n
         scale = np.array([q * r for r in r1[n][n:]])[:, None]
         zero = np.zeros(1, dtype=base.dtype)
+        # a zero of the base times its scale is the grid's own +0.0 unless
+        # a part of that product is -0.0, as for a negative q
+        signed = np.signbit((zero * scale).view(float)).any()
     with np.errstate(over="ignore", invalid="ignore"):
         for t, w in enumerate(widths):
             row = grid[t, : w + 1]
@@ -616,7 +622,7 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
                     mid = t + len(src)
                     np.multiply(src, scale[t - n: mid - n],
                                 out=grid[t: mid, : w + 1])
-                    if mid < end:
+                    if mid < end and signed:
                         np.multiply(zero, scale[mid - n: end - n],
                                     out=grid[mid: end, : w + 1])
                 for src, a, b, c, sign, ra, rb in up:

@@ -31,7 +31,9 @@ own recursion (:func:`mpde.kernel.recurrence` and ``recurrence_float``):
 rhs, run over the live rows only.  A float problem that sums or divides
 its entries past binary64 fails naming them.  Every rhs grid, the
 numerator band of the division included, comes from
-:meth:`Series2.from_entries`.  Grids above ``MAX_GRID_CELLS`` are rejected
+:meth:`Series2.from_entries`; :func:`assemble` expands it on the t-rows
+it can be nonzero on only, and the solve reads the rows past them as
+zero.  Grids above ``MAX_GRID_CELLS`` are rejected
 before they, or the solver's level widths, are allocated, and exact solves
 whose moment values would pass ``MAX_EXACT_BYTES`` before the rhs is built.
 """

@@ -62,7 +62,8 @@ RUNS = [("analyze", []), ("newton", ["--svg", "n.svg", "--out", "n.csv"]),
         *((f"{command}-{arithmetic}",
            [*extra, "--arithmetic", arithmetic])
           for command, extra in (("solve", ["--out", "u.csv"]),
-                                 ("verify", []), ("verify-tol0", ["--tol", "0"]),
+                                 ("verify", []),
+                                 ("verify-tol0", ["--tol", "0"]),
                                  ("probe", []))
           for arithmetic in ("float", "exact"))]
 # the files each command writes, in its folder
@@ -216,7 +217,8 @@ def _show(field: str, old, new) -> str:
         old = old[i] if i < len(old) else "<end>"
         new = new[i] if i < len(new) else "<end>"
         field = f"{field} line {i + 1}"
-    return f"    {field}:\n      parent: {old!r:.300}\n      change: {new!r:.300}"
+    return (f"    {field}:\n      parent: {old!r:.300}\n"
+            f"      change: {new!r:.300}")
 
 
 def main(argv=None) -> int:
@@ -224,7 +226,8 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--allow", type=Path,
-                        help="claimed differences, one run-name pattern a line")
+                        help="claimed differences, one run-name pattern "
+                             "a line")
     parser.add_argument("--quick", action="store_true",
                         help="drop the flipped roles and the seeds past 1")
     parser.add_argument("--json", type=Path,

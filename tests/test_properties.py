@@ -272,7 +272,8 @@ def test_exact_residual_equals_the_shifted_rhs_route(case, rhs_is_g,
 
 def _rebuilt(prob: CauchyProblem, **changes) -> CauchyProblem:
     """A new CauchyProblem of ``prob``'s fields, with ``changes``."""
-    fields = {name: getattr(prob, name) for name in CauchyProblem.__match_args__}
+    fields = {name: getattr(prob, name)
+              for name in CauchyProblem.__match_args__}
     return CauchyProblem(**{**fields, **changes})
 
 
