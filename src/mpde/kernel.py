@@ -560,10 +560,10 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
     starts, on that level's columns, one scale ``q * m1(t-n)/m1(t)`` per
     row, so nothing is filled past the block where the check stops; a
     level past the base's rows is filled with the product of a zero and
-    its scale, the signed zero a zero row of the base would give, only
-    when some such product is -0.0, and the base's downward reads past its
-    rows, which would add a zero to the zeros they start from, are
-    skipped; the
+    its scale, what a zero row of the base would give, only when some such
+    product is not +0.0 (-0.0 for a negative q, NaN for a scale beyond
+    binary64), and the base's downward reads past its rows, which would
+    add a zero to the zeros they start from, are skipped; the
     ``m1`` ratios are one ``np.exp`` per row offset; a single tap runs as
     one loop from column k; and on a float64 grid a coefficient of 1.0 or
     -1.0 adds or subtracts its term with no multiply.  A complex grid keeps
@@ -602,14 +602,15 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
     down += [signed(grid, a, b, c) for a, b, c in terms if b < 0]
     # m_k * m2(i-k)/m2(i), for i >= k
     kt = [(k, (m * r2[-k]).tolist()) for k, m in taps]
-    if not shift:
-        # the base's scale q * m1(t-n)/m1(t) of each level t >= n
-        scale = np.array([q * r for r in r1[n][n:]])[:, None]
-        zero = np.zeros(1, dtype=base.dtype)
-        # a zero of the base times its scale is the grid's own +0.0 unless
-        # a part of that product is -0.0, as for a negative q
-        signed = np.signbit((zero * scale).view(float)).any()
     with np.errstate(over="ignore", invalid="ignore"):
+        if not shift:
+            # the base's scale q * m1(t-n)/m1(t) of each level t >= n
+            scale = np.array([q * r for r in r1[n][n:]])[:, None]
+            zero = np.zeros(1, dtype=base.dtype)
+            # a zero of the base times its scale is the grid's own +0.0
+            # unless a part of that product is -0.0, as for a negative q,
+            # or NaN, for a scale beyond binary64: any bit set
+            fill = (zero * scale).view(np.uint64).any()
         for t, w in enumerate(widths):
             row = grid[t, : w + 1]
             if t >= n:
@@ -622,7 +623,7 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
                     mid = t + len(src)
                     np.multiply(src, scale[t - n: mid - n],
                                 out=grid[t: mid, : w + 1])
-                    if mid < end and signed:
+                    if mid < end and fill:
                         np.multiply(zero, scale[mid - n: end - n],
                                     out=grid[mid: end, : w + 1])
                 for src, a, b, c, sign, ra, rb in up:

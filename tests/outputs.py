@@ -2,7 +2,7 @@
 and report each run whose outputs differ.
 
     python tests/outputs.py PARENT_TREE CHANGE_TREE [--allow FILE]
-        [--quick] [--json PATH]
+        [--json PATH]
 
 A tree is the root of a checkout (a ``git archive`` of a commit will do):
 its ``src`` goes first on the path of one fresh interpreter, which calls
@@ -36,8 +36,8 @@ trees:
 Every problem runs ``analyze``, ``newton``, and ``solve``, ``verify`` (also
 with ``--tol 0``) and ``probe`` in both arithmetics; a repro that names a
 truncation runs ``solve``, ``verify`` and ``probe`` with it as
-``--n1``/``--n2``.  ``--quick`` drops the
-flipped roles and the seeds past 1.
+``--n1``/``--n2``.  The whole corpus, 970 runs, takes about 3 s a tree
+on one core.  ``--json PATH`` writes both sides' results.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ REPROS = [
 ]
 
 
-def corpus(quick: bool = False) -> list:
+def corpus() -> list:
     """``[(name, problem dict, argv extra)]`` of every problem the runner
     runs, named uniquely."""
     sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests"),
@@ -120,7 +120,7 @@ def corpus(quick: bool = False) -> list:
     for rung in (*workloads.EXACT_RUNGS, *workloads.FLOAT_RUNGS):
         base.append((f"rung-{workloads.rung_id(*rung)}",
                      workloads.fixed_problem(*rung)))
-    for seed in (1,) if quick else (1, 2, 3):
+    for seed in (1, 2, 3):
         rng = random.Random(seed)
         for k in range(workloads.SEEDED_OPS):
             base.append((f"seeded{k}@{seed}",
@@ -128,11 +128,10 @@ def corpus(quick: bool = False) -> list:
     # the same rung may sit on both ladders
     base = list({name: problem for name, problem in base}.items())
     problems = [(name, problem, None) for name, problem in base]
-    if not quick:
-        for name, problem in base:
-            role = "g" if problem.get("rhs_role", "g") == "f" else "f"
-            problems.append((f"{name}-{role}",
-                             {**problem, "rhs_role": role}, None))
+    for name, problem in base:
+        role = "g" if problem.get("rhs_role", "g") == "f" else "f"
+        problems.append((f"{name}-{role}", {**problem, "rhs_role": role},
+                         None))
     problems += [(f"variant-{name}", problem, None)
                  for name, problem in VARIANTS.items()]
     problems += REPROS
@@ -228,8 +227,6 @@ def main(argv=None) -> int:
     parser.add_argument("--allow", type=Path,
                         help="claimed differences, one run-name pattern "
                              "a line")
-    parser.add_argument("--quick", action="store_true",
-                        help="drop the flipped roles and the seeds past 1")
     parser.add_argument("--json", type=Path,
                         help="write both sides' results to this file")
     args = parser.parse_args(argv)
@@ -239,7 +236,7 @@ def main(argv=None) -> int:
             line = line.split("#", 1)[0].strip()
             if line:
                 allow.append(line)
-    problems = corpus(args.quick)
+    problems = corpus()
     sides = {}
     for side, tree in (("parent", args.parent), ("change", args.change)):
         start = time.perf_counter()

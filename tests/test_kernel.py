@@ -500,6 +500,23 @@ def test_recurrence_float_matches_the_level_by_level_form(is_complex):
     assert units > 50
 
 
+@pytest.mark.parametrize("q", [1.78e308, -1.78e308, 0.5])
+def test_recurrence_float_reads_past_the_base_rows_as_a_zero_row(q):
+    # a one-row base gives the levels, bit for bit, of the base zero-padded
+    # to every level it reads, also at level 2, whose scale q * m1(1)/m1(2),
+    # 1.02 q, is beyond binary64 for the largest q: a zero row gives NaN
+    m = larger_k(parse_moment("Gamma(1/2)"), 2)
+    levels, width = 6, 4
+    args = ([(1, 0, 0.5)], 1, [width] * levels, log_table(m, levels),
+            log_table(m, width + 3))
+    base = np.array([[1.5, -0.0, 2.0, 0.5, -1.0]])
+    padded = np.vstack([base, np.zeros((levels - 2, width + 1))])
+    got = kernel.recurrence_float(base, q, *args)
+    want = kernel.recurrence_float(padded, q, *args)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert np.isnan(want[2]).all() == (abs(q) > 1e308)
+
+
 @pytest.mark.parametrize("is_complex", [False, True])
 def test_recurrence_float_checks_its_window_as_the_level_by_level_form(
         is_complex):
