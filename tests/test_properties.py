@@ -299,11 +299,20 @@ NEGATIVE_TOP_F = Case({(1, 0): (Fraction(-1), Fraction(0)),
                        (0, 2): (Fraction(-1), Fraction(0))}, *MOMENTS[0],
                       {(0, 0): (Fraction(1), Fraction(0))}, (5, 17), (6, 5),
                       False)
+# (2+dz)*dt - dz^2 with an f rhs on row 0: f enters shifted down by B = 1,
+# so the levels past the rhs rows read the base downward
+POLYNOMIAL_TOP_F = Case({(1, 0): (Fraction(2), Fraction(0)),
+                         (1, 1): (Fraction(1), Fraction(0)),
+                         (0, 2): (Fraction(-1), Fraction(0))},
+                        *MOMENTS[1], {(0, 0): (Fraction(1), Fraction(0)),
+                                      (0, 3): (Fraction(1, 2), Fraction(0))},
+                        (5, 17), (6, 5), False)
 
 
 @SETTINGS
 @given(st.one_of(cases(), pseudo_cases()), st.booleans(), st.integers(0, 6))
 @example(NEGATIVE_TOP_F, False, 0)
+@example(POLYNOMIAL_TOP_F, False, 0)
 def test_a_rhs_zero_past_its_rows_solves_as_the_zero_padded_rhs(
         case, rhs_is_g, extra):
     """A rhs stored up to row ``cut``, at or past its last entry row, with
