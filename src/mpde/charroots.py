@@ -204,12 +204,15 @@ def _edge_roots(edge_coeffs, q):
     Every square-free part is monic, so a linear one ``w + c0`` has the root
     ``-c0``, rounded once; numpy's companion-matrix route gives the same
     value (it divides by the leading 1), differing at most in the sign of a
-    zero part.  Parts of degree >= 2 go through ``np.roots``.  A root or
-    coefficient so rounded that lies beyond binary64 raises EvaluationError
-    naming q.
+    zero part.  A linear edge ``c0 + c1 w`` is square-free, its one part
+    ``w + c0/c1``, so it skips the decomposition.  Parts of degree >= 2 go
+    through ``np.roots``.  A root or coefficient so rounded that lies beyond
+    binary64 raises EvaluationError naming q.
     """
+    edge = list(edge_coeffs)
     out = []
-    for mult, part in _squarefree_parts(list(edge_coeffs)):
+    for mult, part in ([(1, [edge[0] / edge[1], QC_ONE])]
+                       if len(edge) == 2 else _squarefree_parts(edge)):
         if _deg(part) == 1:
             out.append((complex(kernel.rounded(
                 -part[0], f"the branch leading term of pole order q = {q}",

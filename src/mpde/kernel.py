@@ -42,23 +42,27 @@ float functions take their coefficients as binary64 scalars, which the
 callers round once by :func:`rounded` (a real one to a Python float), where
 they can name a coefficient beyond binary64; numpy's dtype follows the
 data: float64 for a real problem, which never computes an imaginary plane,
-complex128 otherwise.  The moment values enter as ratios
-``m(x)/m(y) = exp(log m(x) - log m(y))`` of the logs of
-:func:`mpde.moments.log_table`: one scalar per row offset and level, and one
-vector per column offset (:func:`ratios`), each offset's exponentials one
-``np.exp`` of the array of log differences.  On hosts where numpy
-vectorizes ``exp`` its last bit may differ from ``math.exp``, far below the
-rounding error of the recursion; a ratio beyond binary64 raises
-EvaluationError naming the moment function.  The fixed cost of a numpy
-call outweighs the arithmetic on a level's columns, so
-:func:`recurrence_float` makes few calls per level, fills its levels'
-base and checks its output window a block of levels at a time, stopping
-at the block where the window overflows, and gives every cell the same
-IEEE operations in the same order as a loop over levels and terms would.
-Overflow and invalid operations give ``inf`` and ``nan`` without a
-warning: :func:`shift_float` ignores them around its sum,
-:func:`recurrence_float` from its first level to its last, and both
-restore the caller's numpy error state when they return or raise.
+complex128 otherwise.  The moment values enter through the logs of
+:func:`mpde.moments.log_table`.  :func:`shift_float` takes them as ratios
+``m(x)/m(y) = exp(log m(x) - log m(y))``: one scalar per row offset and
+level, and one vector per column offset (:func:`ratios`), each offset's
+exponentials one ``np.exp`` of the array of log differences.
+:func:`recurrence_float` takes the m1 ratios so, one scalar per row offset
+and level, and applies m2 once, at the boundary: its levels are
+z-normalized, ``W = u * M2`` with the column scale of :func:`_z_scale`, on
+which each term is one scalar per level times a shifted row.  On hosts
+where numpy vectorizes ``exp`` its last bit may differ from ``math.exp``,
+far below the rounding error of the recursion; a ratio beyond binary64,
+found on the log differences, raises EvaluationError naming the moment
+function.  The fixed cost of a numpy call outweighs the arithmetic on a
+level's columns, so :func:`recurrence_float` makes few calls per level,
+fills its levels' base and checks its output window a block of levels at
+a time, stopping at the block where the window overflows, and gives every
+cell the same IEEE operations in the same order as a loop over levels and
+terms would.  Overflow and invalid operations give ``inf`` and ``nan``
+without a warning: :func:`shift_float` ignores them around its sum,
+:func:`recurrence_float` from its moment ratios to its last level, and
+both restore the caller's numpy error state when they return or raise.
 
 Both recursions divide by a top coefficient of degree B in z through B
 taps: the terms that shift down are summed into a second accumulator per
@@ -69,6 +73,7 @@ a base read at a negative z-offset joins that accumulator.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from itertools import chain, islice, repeat
 from operator import add, neg, sub
@@ -451,35 +456,39 @@ def read_only(grid):
     return grid
 
 
-def _exp_differences(logs, b: int, lo: int, hi: int, name: str):
-    """``exp(logs[i + b] - logs[i])`` for ``lo <= i <= hi``, a numpy array:
-    one array subtraction, which rounds as Python's float subtraction does,
-    and one ``np.exp``.  A ratio beyond binary64 raises the
-    :func:`beyond_binary64` error naming the first such i and the moment
-    function ``name`` of the table ``logs``."""
+# np.exp and math.exp of x are beyond binary64 exactly when x exceeds this
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+def _log_differences(logs, b: int, lo: int, hi: int, name: str):
+    """``logs[i + b] - logs[i]`` for ``lo <= i <= hi``, a numpy array: one
+    array subtraction, which rounds as Python's float subtraction does.  A
+    difference above :data:`_LOG_MAX`, a ratio of moment values beyond
+    binary64, raises the :func:`beyond_binary64` error naming the first such
+    i and the moment function ``name`` of the table ``logs``."""
     import numpy as np
 
     if lo > hi:
         return np.empty(0)
-    with np.errstate(over="ignore", under="ignore"):
-        r = np.exp(logs[lo + b: hi + 1 + b] - logs[lo: hi + 1])
-    big = np.isinf(r)
-    if big.any():
-        i = lo + int(big.argmax())
-        raise beyond_binary64(f"the ratio of the {name} values at indices "
-                              f"{i + b} and {i} is")
-    return r
+    d = logs[lo + b: hi + 1 + b] - logs[lo: hi + 1]
+    if not d.max() <= _LOG_MAX:  # or a NaN, which np.exp keeps finite
+        big = d > _LOG_MAX
+        if big.any():
+            i = lo + int(big.argmax())
+            raise beyond_binary64(f"the ratio of the {name} values at "
+                                  f"indices {i + b} and {i} is")
+    return d
 
 
 def ratios(logs, offsets, width: int, name: str = "m") -> dict:
     """``{b: r}`` with ``r[i] = exp(logs[i + b] - logs[i])`` for i <= width.
 
     ``logs`` is a numpy float array of the logs of the moment function
-    ``name``; each offset costs one array subtraction and one ``np.exp``
-    (:func:`_exp_differences`), whose last bit may differ from ``math.exp``
-    on hosts where numpy vectorizes it.  Entries with ``i + b < 0`` are
-    never read and stay 0.  A ratio beyond binary64 raises EvaluationError
-    naming ``name``.
+    ``name``; each offset costs one array subtraction
+    (:func:`_log_differences`, which raises EvaluationError naming ``name``
+    for a ratio beyond binary64) and one ``np.exp``, whose last bit may
+    differ from ``math.exp`` on hosts where numpy vectorizes it.  Entries
+    with ``i + b < 0`` are never read and stay 0.
     """
     import numpy as np
 
@@ -487,9 +496,83 @@ def ratios(logs, offsets, width: int, name: str = "m") -> dict:
     for b in offsets:
         lo = max(0, -b)
         r = np.zeros(width + 1)
-        r[lo:] = _exp_differences(logs, b, lo, width, name)
+        with np.errstate(under="ignore"):
+            r[lo:] = np.exp(_log_differences(logs, b, lo, width, name))
         out[b] = r
     return out
+
+
+# recurrence_float z-normalizes its levels while D2, the bits by which that
+# raises the bottom of its float range, is at most this
+D2_MAX = 512
+# kappa is rounded up to a multiple of this, so that kappa*i is exact on
+# any table of fewer than 2**17 columns and slope below 2**4
+_KAPPA_STEP = 2.0 ** -32
+
+
+def _z_scale(logs, width: int):
+    """``(kappa, M2)``, the column scale of the z-normalized levels of
+    :func:`recurrence_float` on the columns i <= width, or None.
+
+    With ``l(i) = logs[i] - logs[0]``, the natural log of ``m2(i)/m2(0)``,
+    kappa is the largest slope ``l(i)/i`` over 1 <= i <= width (0 for width
+    0), rounded up to a multiple of :data:`_KAPPA_STEP`, and ``M2(i) =
+    exp(min(l(i) - kappa*i, 0))``, a numpy array: M2 <= 1, the min catching
+    only a last-bit excess of ``l(i)/i``.  As ``kappa*i`` is exact, the
+    exponent of M2 carries the rounding of one subtraction, so that
+    ``exp(kappa*b) * M2(i+b) / M2(i)`` matches the ratio ``m2(i+b)/m2(i)``
+    of the log table to a few units in the last place.  A cell of ``u *
+    M2`` falls below the binary64 range where u does not only when ``|u| <
+    2**-1074 / M2(i)``: the bottom of the range rises by at most ``D2 =
+    max(kappa*i - l(i)) / log(2)`` bits.  None when D2 exceeds
+    :data:`D2_MAX` or is not finite.  Unit moments, a table of zeros as
+    the rhs division passes, give kappa = 0 and M2 None: no column scale,
+    as M2 = 1 is.  Run it where numpy ignores overflow and invalid
+    operations, as a table that is not finite raises them.
+    """
+    import numpy as np
+
+    lm = logs[: width + 1] - logs[0]
+    if not (width and np.count_nonzero(lm)):  # unit moments, as _divide's
+        return 0.0, None
+    i = np.arange(width + 1.0)
+    kappa = float((lm[1:] / i[1:]).max()) / _KAPPA_STEP
+    if not math.isfinite(kappa):
+        return None
+    kappa = math.ceil(kappa) * _KAPPA_STEP
+    g = lm - kappa * i
+    np.minimum(g, 0.0, out=g)
+    if not g.min() >= -D2_MAX * math.log(2.0):
+        return None
+    return kappa, np.exp(g, out=g)
+
+
+def _by_column(op, x, v, out=None):
+    """``op(x, v)`` of a numpy grid x and a real vector v along its columns,
+    into ``out`` (a new array when None): a complex x plane by plane, as
+    numpy's ``op`` with ``v + 0j`` would turn an infinite part of a cell
+    into a NaN in the other."""
+    import numpy as np
+
+    if out is None:
+        out = np.empty(x.shape, x.dtype)
+    if x.dtype.kind == "c":
+        op(x.real, v, out=out.real)
+        op(x.imag, v, out=out.imag)
+    else:
+        op(x, v, out=out)
+    return out
+
+
+def _unfused(y, c, r, p, rb):
+    """``c * y * r``, times p when rb is None, one factor at a time: the
+    update of a term one of whose fused scalars ``c * r * p`` is zero or
+    beyond binary64, so that a zero cell of y stays zero."""
+    y = c * y
+    y *= r
+    if rb is None:
+        y *= p
+    return y
 
 
 # recurrence_float fills the base of this many levels at a time, and checks
@@ -524,154 +607,191 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
                      shift: int = 0, window: int | None = None):
     """Levels ``u[t] = q B[t-n][i+shift] + sum c u[t-a][i+b] + v[t]``.
 
-    The float counterpart of :func:`recurrence`, in raw coordinates: ``base``
-    is a 2-D numpy array of raw coefficients, q, the term coefficients and
-    the taps are binary64 scalars (what :func:`binary64` returns), and
-    every term carries the moment ratios ``m1(t-a)/m1(t)`` and
-    ``m2(i+b)/m2(i)`` (``m1(t-n)/m1(t)`` and ``m2(i+shift)/m2(i)`` for the
-    base) from the log arrays ``logs1``, ``logs2``.  Level t is zero for
-    t < n and covers ``i <= widths[t]``; reads below index 0, and of the
-    base's rows past its last, are zero, and
-    a term (a, b) with b >= 0 must read level t - a inside its width,
-    ``widths[t] + b <= widths[t-a]``, as :func:`mpde.solver.level_widths`
-    gives.  Terms are
-    added one row update at a time, in list order, those with b < 0 into
-    ``x[t]`` (after the base when ``shift < 0``); ``v[t]`` solves ``v_i +
-    sum m_k m2(i-k)/m2(i) v_{i-k} = x_i`` for the ``taps`` [(k, m_k)] cell
-    by cell in Python scalars.  Returns the 2-D array of all levels, level
-    t in ``grid[t, : widths[t] + 1]``: float64 when ``base`` is and q, the
-    term coefficients and the taps are real, and complex128 otherwise.  A
-    moment ratio beyond binary64 raises the EvaluationError of
-    :func:`ratios`, naming ``m1`` or ``m2``.
+    The float counterpart of :func:`recurrence`: ``base`` is a 2-D numpy
+    array of raw coefficients, q, the term coefficients and the taps are
+    binary64 scalars (what :func:`binary64` returns), and every term carries
+    the moment ratios ``m1(t-a)/m1(t)`` and ``m2(i+b)/m2(i)``
+    (``m1(t-n)/m1(t)`` and ``m2(i+shift)/m2(i)`` for the base) of the log
+    arrays ``logs1``, ``logs2``.  Level t is zero for t < n and covers
+    ``i <= widths[t]``; reads below index 0, and of the base's rows past its
+    last, are zero, and a term (a, b) with b >= 0 must read level t - a
+    inside its width, ``widths[t] + b <= widths[t-a]``, as
+    :func:`mpde.solver.level_widths` gives.  Terms are added one row update
+    at a time, in list order, those with b < 0 into ``x[t]`` (after the
+    base when ``shift < 0``); ``v[t]`` solves ``v_i + sum m_k m2(i-k)/m2(i)
+    v_{i-k} = x_i`` for the ``taps`` [(k, m_k)] cell by cell in Python
+    scalars.  A moment ratio beyond binary64 raises the EvaluationError of
+    :func:`ratios`, naming ``m1`` or ``m2``, from the log differences.
 
-    With ``window`` set, the last output column, at most every width, the
-    columns ``i <= window`` are checked for non-finite cells once per block
-    of :data:`_BLOCK` levels (t // _BLOCK alike) and at the last level,
-    N1 = ``len(widths) - 1``: a non-finite cell raises EvaluationError
-    naming the first level that holds one, after at most 7 levels past it,
-    and advising a t-truncation below it or, when that level is n, the
-    first the base sets, exact arithmetic.  Overflow confined to the
-    columns past ``window`` is not an error.
+    The levels run z-normalized, on ``W[t][i] = u[t][i] * M2(i)`` with the
+    column scale ``(kappa, M2)`` of :func:`_z_scale`, M2 <= 1.  There a term
+    is one scalar per level, ``s = c * m1(t-a)/m1(t) * exp(kappa*b)``, times
+    the shifted row of W, plus one add; the base is ``B * M2``, converted
+    once, and its scalar ``q * m1(t-n)/m1(t)`` (times ``exp(kappa*shift)``
+    for a shift); the taps are the constants ``m_k * exp(-kappa*k)``.  Where
+    a term's s is zero or beyond binary64 at some level, every level
+    multiplies its row by c, the m1 ratio and ``exp(kappa*b)`` in turn, as
+    the raw form does, so that a zero cell stays zero.  Unit moments need
+    no column scale: W is u.  A table too wide to z-normalize
+    (:func:`_z_scale` None) runs with M2 = 1 and kappa = 0, each term's row
+    then multiplied by its m2 ratio vector and the taps by theirs.  ``u =
+    W / M2`` is formed once, a block of :data:`_BLOCK` levels at a time, on
+    the columns ``i <= window`` (every column for None), each part of a
+    complex cell on its own.  Returns that 2-D array of all levels, level t
+    in ``grid[t, : min(widths[t], window) + 1]``: float64 when ``base`` is
+    and q, the term coefficients and the taps are real, and complex128
+    otherwise.
+
+    With ``window`` set, the last output column, at most every width, each
+    block of u is checked for non-finite cells as it is formed (t //
+    _BLOCK alike, and the last level, N1 = ``len(widths) - 1``): a
+    non-finite cell raises EvaluationError naming the first level that holds
+    one, after at most 7 levels past it, and advising a t-truncation below
+    it or, when that level is n, the first the base sets, exact arithmetic.
+    Overflow confined to the columns past ``window`` is not an error.
 
     The fixed cost per numpy call outweighs the arithmetic on a level's
     columns, so the calls are few, and each cell still gets the same IEEE
     operations in the same order as one level at a time: with ``shift ==
     0`` one multiply fills the base of each block as its first level
-    starts, on that level's columns, one scale ``q * m1(t-n)/m1(t)`` per
-    row, so nothing is filled past the block where the check stops; a
-    level past the base's rows is filled with the product of a zero and
-    its scale, what a zero row of the base would give, only when some such
-    product is not +0.0 (-0.0 for a negative q, NaN for a scale beyond
-    binary64), and the base's downward reads past its rows, which would
-    add a zero to the zeros they start from, are skipped; the
-    ``m1`` ratios are one ``np.exp`` per row offset; a single tap runs as
-    one loop from column k; and on a float64 grid a coefficient of 1.0 or
-    -1.0 adds or subtracts its term with no multiply.  A complex grid keeps
-    that multiply: ``(1+0j) * z`` may differ from z in the sign of a zero
-    or turn an infinite part into NaN.
+    starts, on that level's columns, one scale per row, so nothing is
+    filled past the block where the check stops; a level past the base's
+    rows is filled with the product of a zero and its scale, what a zero
+    row of the base would give, only when some such product is not +0.0
+    (-0.0 for a negative q, NaN for a scale beyond binary64), and the
+    base's downward reads past its rows, which would add a zero to the
+    zeros they start from, are skipped; the m1 ratios are one ``np.exp``
+    per row offset, and each term's scalars one array product; and a
+    single tap of k = 1 runs as one loop that carries the previous cell.
 
-    Overflow and invalid operations are ignored from the first level to
-    the last, and the caller's numpy error state returns when the function
-    returns or raises.
+    Overflow, underflow and invalid operations are ignored from the moment
+    ratios to the last level, and the caller's numpy error state returns
+    when the function returns or raises.
     """
     import numpy as np
 
     width, levels = max(widths), len(widths)
-    # m1(t-a)/m1(t) at index t >= n, one list of Python floats per row
-    # offset a, for the scalar ratio of each level
-    r1 = {a: [0.0] * n + _exp_differences(logs1, -a, n, levels - 1,
-                                          "m1").tolist()
-          for a in {n, *(a for a, _, _ in terms)}}
-    r2 = ratios(logs2, {b for _, b, _ in terms} | {-k for k, _ in taps}
-                | ({shift} - {0}), width, "m2")
+    last = width if window is None else window
     scalars = (q, *(c for _, _, c in terms), *(m for _, m in taps))
     grid = np.zeros((levels, width + 1), dtype=complex if any(
         isinstance(c, complex) for c in scalars) else base.dtype)
-    real = grid.dtype.kind != "c"
+    offsets = ({b for _, b, _ in terms} | {-k for k, _ in taps}
+               | ({shift} - {0}))
 
-    def signed(src, a, b, c):
-        """The update (src, a, b, c, sign, m1 ratios, m2 ratios) of a term;
-        on a float64 grid a c of 1.0 or -1.0 becomes None and the sign of
-        the add, as ``1.0 * y`` and ``-1.0 * y`` are y and -y exactly."""
-        if real and abs(c) == 1.0:
-            return src, a, b, None, c, r1[a], r2[b]
-        return src, a, b, c, 1.0, r1[a], r2[b]
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        # m1(t-a)/m1(t) at index t - n, t >= n, per row offset a
+        r1 = {a: np.exp(_log_differences(logs1, -a, n, levels - 1, "m1"))
+              for a in {n, *(a for a, _, _ in terms)}}
+        for b in offsets:
+            _log_differences(logs2, b, max(0, -b), width, "m2")
+        scaled = _z_scale(logs2, width)
+        kappa, m2 = scaled or (0.0, None)
+        r2 = None if scaled else ratios(logs2, offsets, width, "m2")
+        # with no column scale and no window the levels are the output
+        out = grid if m2 is None and window is None else np.empty(
+            (levels, last + 1), dtype=grid.dtype)
+        if m2 is not None:
+            base = _by_column(np.multiply, base[:, : width + 1],
+                              m2[: min(base.shape[1], width + 1)])
+            m2w = m2[: last + 1]
+        # tap k's factor of v_{i-k} at i >= k: m_k * exp(-kappa*k) on
+        # z-normalized levels, m_k * m2(i-k)/m2(i) on raw ones
+        kt = [(k, [m * math.exp(-kappa * k)] * (width + 1) if r2 is None
+               else (m * r2[-k]).tolist()) for k, m in taps]
 
-    up = [signed(grid, a, b, c) for a, b, c in terms if b >= 0]
-    down = [signed(base, n, shift, q)] if shift else []
-    down += [signed(grid, a, b, c) for a, b, c in terms if b < 0]
-    # m_k * m2(i-k)/m2(i), for i >= k
-    kt = [(k, (m * r2[-k]).tolist()) for k, m in taps]
-    with np.errstate(over="ignore", invalid="ignore"):
+        def term(src, a, b, c):
+            """The update (src, a, b, c, s, r1[a], p, r2[b]) of a term:
+            s[t] = c * m1(t-a)/m1(t) * p, p = exp(kappa*b), the scalar of
+            level t >= n, or None where one is zero or beyond binary64;
+            r2[b] is None on z-normalized levels."""
+            p = math.exp(kappa * b)
+            s = c * r1[a] * p
+            m = np.abs(s)
+            fused = not m.size or 0 < m.min() and m.max() < math.inf
+            s = [0.0] * n + s.tolist() if fused else None
+            return src, a, b, c, s, r1[a], p, None if r2 is None else r2[b]
+
+        up = [term(grid, a, b, c) for a, b, c in terms if b >= 0]
+        down = [term(base, n, shift, q)] if shift else []
+        down += [term(grid, a, b, c) for a, b, c in terms if b < 0]
         if not shift:
             # the base's scale q * m1(t-n)/m1(t) of each level t >= n
-            scale = np.array([q * r for r in r1[n][n:]])[:, None]
+            scale = (q * r1[n])[:, None]
             zero = np.zeros(1, dtype=base.dtype)
             # a zero of the base times its scale is the grid's own +0.0
             # unless a part of that product is -0.0, as for a negative q,
             # or NaN, for a scale beyond binary64: any bit set
             fill = (zero * scale).view(np.uint64).any()
-        for t, w in enumerate(widths):
-            row = grid[t, : w + 1]
-            if t >= n:
-                if not shift and (t == n or t % _BLOCK == 0):
-                    # the base of the levels up to the end of this block,
-                    # on the columns of the widest, its first; the levels
-                    # past the base's rows, from mid, take zero times scale
-                    end = min(t - t % _BLOCK + _BLOCK, levels)
-                    src = base[t - n: end - n, : w + 1]
-                    mid = t + len(src)
-                    np.multiply(src, scale[t - n: mid - n],
+        for lo in range(0, levels, _BLOCK):
+            end = min(lo + _BLOCK, levels)
+            if not shift and end > n:
+                # the base of the block's levels from n, on the columns of
+                # the widest, its first; the levels past the base's rows,
+                # from mid, take zero times scale
+                t, w = max(lo, n), widths[max(lo, n)]
+                mid = min(n + len(base), end)
+                if t < mid:
+                    np.multiply(base[t - n: mid - n, : w + 1],
+                                scale[t - n: mid - n],
                                 out=grid[t: mid, : w + 1])
-                    if mid < end and fill:
-                        np.multiply(zero, scale[mid - n: end - n],
-                                    out=grid[mid: end, : w + 1])
-                for src, a, b, c, sign, ra, rb in up:
+                mid = max(mid, t)
+                if mid < end and fill:
+                    np.multiply(zero, scale[mid - n: end - n],
+                                out=grid[mid: end, : w + 1])
+            for t in range(max(lo, n), end):
+                w = widths[t]
+                row = grid[t, : w + 1]
+                for src, a, b, c, s, ra, p, rb in up:
                     y = src[t - a, b: w + 1 + b]
-                    y = y * ra[t] if c is None else c * y * ra[t]
-                    y *= rb[: w + 1]
-                    if sign > 0:
-                        row += y
-                    else:
-                        row -= y
-                if down:
-                    x = np.zeros(w + 1, dtype=grid.dtype)
-                    for src, a, b, c, sign, ra, rb in down:
-                        if -b > w or t - a >= len(src):
-                            continue
-                        y = src[t - a, : w + 1 + b]
-                        y = y * ra[t] if c is None else c * y * ra[t]
+                    y = s[t] * y if s is not None \
+                        else _unfused(y, c, ra[t - n], p, rb)
+                    if rb is not None:
+                        y *= rb[: w + 1]
+                    row += y
+                if not down:
+                    continue
+                x = np.zeros(w + 1, dtype=grid.dtype)
+                for src, a, b, c, s, ra, p, rb in down:
+                    if -b > w or t - a >= len(src):
+                        continue
+                    y = src[t - a, : w + 1 + b]
+                    y = s[t] * y if s is not None \
+                        else _unfused(y, c, ra[t - n], p, rb)
+                    if rb is not None:
                         y *= rb[-b: w + 1]
-                        if sign > 0:
-                            x[-b:] += y
-                        else:
-                            x[-b:] -= y
-                    if kt:
-                        xs = x.tolist()
-                        if len(kt) == 1:  # one loop, no bounds check
-                            (k, r), = kt
-                            for i in range(k, w + 1):
-                                xs[i] -= r[i] * xs[i - k]
-                        else:
-                            for i in range(1, w + 1):
-                                s = xs[i]
-                                for k, r in kt:
-                                    if k > i:
-                                        break
-                                    s -= r[i] * xs[i - k]
-                                xs[i] = s
-                        x[:] = xs
-                    row += x
-            if window is not None and (t % _BLOCK == _BLOCK - 1
-                                       or t == levels - 1):
-                lo = t - t % _BLOCK
-                finite = np.isfinite(grid[lo: t + 1, : window + 1])
-                if not finite.all():
-                    bad = lo + int(finite.all(axis=1).argmin())
-                    advice = _USE_EXACT if bad == n else (
-                        f"; lower the t-truncation (--n1) below {bad}, or "
-                        f"check larger ones with verify --arithmetic exact")
-                    raise EvaluationError(
-                        f"float coefficients overflow at t-level {bad} (of "
-                        f"{levels - 1}) inside the requested window{advice}")
-    return grid
+                    x[-b:] += y
+                if kt:
+                    xs = x.tolist()
+                    if [k for k, _ in kt] == [1]:  # v_{i-1} carried in v
+                        (_, r), = kt
+                        v = xs[0]
+                        for i in range(1, w + 1):
+                            v = xs[i] - r[i] * v
+                            xs[i] = v
+                    else:
+                        for i in range(1, w + 1):
+                            v = xs[i]
+                            for k, r in kt:
+                                if k > i:
+                                    break
+                                v -= r[i] * xs[i - k]
+                            xs[i] = v
+                    x[:] = xs
+                row += x
+            block = out[lo: end]
+            if m2 is not None:
+                _by_column(np.divide, grid[lo: end, : last + 1], m2w, block)
+            elif out is not grid:
+                block[:] = grid[lo: end, : last + 1]
+            if window is None:
+                continue
+            finite = np.isfinite(block)
+            if not finite.all():
+                bad = lo + int(finite.all(axis=1).argmin())
+                advice = _USE_EXACT if bad == n else (
+                    f"; lower the t-truncation (--n1) below {bad}, or "
+                    f"check larger ones with verify --arithmetic exact")
+                raise EvaluationError(
+                    f"float coefficients overflow at t-level {bad} (of "
+                    f"{levels - 1}) inside the requested window{advice}")
+    return out

@@ -286,15 +286,17 @@ def _divide(num: dict, den: dict, n1: int, n2: int, exact: bool):
     columns up.  Only the live band of rows runs, from the first row with a
     numerator entry in the grid to the last row or, when den has no term in
     t (n = 0, so rows are independent), to the last numerator row; every
-    other cell is zero; the kernel gets the band and unit moment tables.
+    other cell is zero; the kernel gets the band and unit moment tables,
+    so that its float levels are z-normalized with kappa = 0 and M2 = 1,
+    the raw coefficients themselves.
     Float mode divides den's float table exactly, and
     :func:`mpde.solver.rounded_recursion` rounds the recursion's
     coefficients once, for the kernel, so that one beyond binary64 raises
     EvaluationError naming its den term.
     The float grid is float64 when num and den are real, complex128
-    otherwise, and is the kernel's grid of levels, unchecked: its
-    non-finite cells may lie where the solver, which checks its own output
-    window, never reads.
+    otherwise, and holds the kernel's levels on every column, unchecked:
+    its non-finite cells may lie where the solver, which checks its own
+    output window, never reads.
     """
     den = {k: RationalComplex.coerce(v) for k, v in den.items()
            if v and k[0] <= n1 and k[1] <= n2}

@@ -219,16 +219,18 @@ def formal_solve(prob: CauchyProblem) -> Series2:
     inside the valid window thanks to the level widths.  The recursion's
     terms and taps are the operator's Gaussian-rational coefficients as
     they are; exact mode recurses on :attr:`CauchyProblem.normalized_rhs`,
-    and float mode applies the moment ratios.  The rhs must be known on
+    and float mode on z-normalized levels (:func:`kernel.recurrence_float`,
+    m1 a ratio per level, m2 applied once).  The rhs must be known on
     rows ``N1 - n`` (:attr:`CauchyProblem.rhs_window`), else
     PreconditionError; both kernels read the rows past its grid, which
     ``rhs_zero_past`` declares zero, as zero.  Float
     mode rounds them once (:func:`rounded_recursion`), so that one beyond
     binary64 raises EvaluationError naming the operator terms it divides,
-    and the kernel takes the rounded values; it checks the window, columns
-    ``i <= N2``, and a t-level that overflows binary64 there raises
-    EvaluationError naming the first such level.  The window is copied out
-    of the recursion's grid of levels once.
+    and the kernel takes the rounded values; it forms the raw coefficients
+    of the window, columns ``i <= N2``, a block of levels at a time, checks
+    them, and a t-level that overflows binary64 there raises
+    EvaluationError naming the first such level.  The array of the window
+    it returns is the solution's grid.
     """
     P = prob.operator
     n = P.n
@@ -263,9 +265,8 @@ def formal_solve(prob: CauchyProblem) -> Series2:
                 f"{monomial(n, B)}")
     q, terms, taps = rounded_recursion(
         q, terms, taps, f"1 over operator term {monomial(n, B)}", name)
-    levels = kernel.recurrence_float(prob.rhs.grid, q, terms, n, prob.widths,
-                                     *prob.log_tables, taps, shift, N2)
-    out = levels[:, : N2 + 1].copy()
+    out = kernel.recurrence_float(prob.rhs.grid, q, terms, n, prob.widths,
+                                  *prob.log_tables, taps, shift, N2)
     return Series2(kernel.read_only(out), False)
 
 

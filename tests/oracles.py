@@ -12,7 +12,7 @@ their faster forms: a per-cell ``Fraction`` normalization
 for ``kernel.lanes_of_table`` and ``kernel.rescale``, and a term-by-term
 float recursion for ``kernel.recurrence_float``, with its taps expanded
 into inverse-power terms; a form of that recursion computed one level at a
-time must give its levels bit for bit.  Pseudo mode's division by the top
+time on z-normalized levels must give its levels bit for bit.  Pseudo mode's division by the top
 coefficient is checked against the Laurent-tail route: each
 ``A_{n-a}/A_n`` expanded at zeta = infinity into a polynomial part and an
 inverse-power tail as wide as the grid, summed cell by cell in Gaussian
@@ -58,6 +58,7 @@ from mpde.charroots import _deg, _divmod, _squarefree_parts
 from mpde.errors import (DomainError, EstimationError, EvaluationError,
                          WindowError)
 from mpde.exact import RationalComplex, as_fraction
+from mpde import kernel
 from mpde.kernel import Lanes, common_denominator, gaussian_int, ratios
 from mpde.moments import log_gamma, log_table, scaled_eval
 from mpde.series import FIT_RADIUS, GevreyFit, Series2
@@ -292,64 +293,121 @@ def recurrence_float_terms(base, q, terms, n: int, widths, logs1, logs2):
 
 def recurrence_float_levels(base, q, terms, n: int, widths, logs1, logs2,
                             taps=(), shift: int = 0):
-    """``kernel.recurrence_float`` computed one level at a time: per level,
-    the base times its scale, then one update per term, each with its own
-    log ratio and its coefficient multiply, then the downward terms and the
-    taps.  The log ratio of row offset a at level t is ``np.exp`` of the
-    array of the differences ``logs1[t - a] - logs1[t]``, t >= n, as the
-    kernel takes it.  q, the term coefficients and the taps are binary64
-    scalars, as the kernel takes them.  A base with fewer rows than the
-    levels read is zero-padded first, with +0.0 rows of its dtype.  Each
-    cell gets the same operations in the same order as in the kernel, so
-    the levels must agree bit for bit.
+    """``kernel.recurrence_float`` computed one level at a time, on the
+    z-normalized levels ``W[t][i] = u[t][i] * M2(i)``.
+
+    ``M2(i) = exp(min(l(i) - kappa*i, 0))``, l the logs2 differences
+    ``logs2[i] - logs2[0]`` and kappa the largest ``l(i)/i`` over the
+    columns, rounded up to a multiple of 2**-32, or M2 = 1 and kappa = 0
+    when ``max(kappa*i - l(i))`` exceeds ``kernel.D2_MAX`` bits.  Per level:
+    the base, times M2 once, times its scale; then one update per term, its
+    scalar ``c * m1(t-a)/m1(t) * exp(kappa*b)`` times the shifted row of W
+    (where one of the term's scalars is zero or beyond binary64, c, the m1
+    ratio and ``exp(kappa*b)`` in turn at every level), the row multiplied
+    by the m2 ratios when M2 = 1; then the downward terms and the taps,
+    whose constants are ``m_k * exp(-kappa*k)`` (the ratio vectors when
+    M2 = 1); and the level yields ``u = W / M2``.  A real vector multiplies
+    or divides each part of a complex cell on its own.  The log ratio of
+    row offset a at level t is ``np.exp`` of the array of the differences
+    ``logs1[t - a] - logs1[t]``, t >= n, and a term's scalars one product
+    of that array, as the kernel takes them.  q, the term coefficients and
+    the taps are binary64 scalars, as the kernel takes them.  A base with
+    fewer rows than the levels read is zero-padded first, with +0.0 rows of
+    its dtype.  Each cell gets the same operations in the same order as in
+    the kernel, so the levels must agree bit for bit.
     """
     width, levels = max(widths), len(widths)
     base = np.vstack([base, np.zeros((max(levels - n - len(base), 0),
                                       base.shape[1]), dtype=base.dtype)])
     logs1 = logs1.tolist()  # Python floats for the differences per level
-    exp1 = {a: dict(zip(range(n, levels), np.exp(np.array(
-                [logs1[t - a] - logs1[t] for t in range(n, levels)])).tolist()))
+    exp1 = {a: np.concatenate((np.zeros(n), np.exp(np.array(
+                [logs1[t - a] - logs1[t] for t in range(n, levels)]))))
             for a in {n, *(a for a, _, _ in terms)}}
-    r2 = ratios(logs2, {b for _, b, _ in terms} | {-k for k, _ in taps}
-                | ({shift} - {0}), width)
+    col = np.arange(width + 1)
+    with np.errstate(all="ignore"):
+        ls = logs2[: width + 1] - logs2[0]
+        kappa = math.ceil(float(np.max(ls[1:] / col[1:])) * 2.0 ** 32) \
+            / 2.0 ** 32 if width and ls.any() else 0.0
+        g = np.minimum(ls - kappa * col, 0.0)
+    r2 = None
+    if not g.min() >= -kernel.D2_MAX * math.log(2.0):
+        kappa, g = 0.0, np.zeros(width + 1)
+        r2 = ratios(logs2, {b for _, b, _ in terms} | {-k for k, _ in taps}
+                    | ({shift} - {0}), width)
+    m2 = np.exp(g)
+
+    def planes(op, x, v):
+        """``op(x, v)``, a complex x part by part."""
+        if x.dtype.kind != "c":
+            return op(x, v)
+        return _complex(op(x.real, v), op(x.imag, v))
+
     scalars = (q, *(c for _, _, c in terms), *(m for _, m in taps))
     grid = np.zeros((len(widths), width + 1), dtype=complex if any(
         isinstance(c, complex) for c in scalars) else base.dtype)
-    up = [(a, b, c) for a, b, c in terms if b >= 0]
-    down = [(base, n, shift, q)] if shift else []
-    down += [(grid, a, b, c) for a, b, c in terms if b < 0]
-    # m_k * m2(i-k)/m2(i), for i >= k
-    kt = [(k, (m * r2[-k]).tolist()) for k, m in taps]
+    base = planes(np.multiply, base[:, : width + 1],
+                  m2[: min(base.shape[1], width + 1)])
     with np.errstate(over="ignore", invalid="ignore"):
+        scale = q * exp1[n]
+
+        def update(src, a, b, c):
+            p = math.exp(kappa * b)
+            s = c * exp1[a][n:] * p
+            ok = ((0 < np.abs(s)) & (np.abs(s) < math.inf)).all()
+            return (src, a, b, c, [0.0] * n + s.tolist() if ok else None,
+                    p, None if r2 is None else r2[b])
+
+        up = [update(grid, a, b, c) for a, b, c in terms if b >= 0]
+        down = [update(base, n, shift, q)] if shift else []
+        down += [update(grid, a, b, c) for a, b, c in terms if b < 0]
+        kt = [(k, [m * math.exp(-kappa * k)] * (width + 1) if r2 is None
+               else (m * r2[-k]).tolist()) for k, m in taps]
+
+        def term(src, t, a, b, c, s, p, rb, lo, w):
+            y = src[t - a, lo + b: w + 1 + b]
+            if s is None:
+                y = c * y
+                y *= exp1[a][t]
+                if rb is None:
+                    y *= p
+            else:
+                y = s[t] * y
+            if rb is not None:
+                y *= rb[lo: w + 1]
+            return y
+
         for t, w in enumerate(widths):
             row = grid[t, : w + 1]
             if t >= n:
                 if not shift:
-                    row[:] = base[t - n, : w + 1] * (q * exp1[n][t])
-                for a, b, c in up:
-                    r1 = exp1[a][t]
-                    row += (c * grid[t - a, b: w + 1 + b] * r1
-                            * r2[b][: w + 1])
+                    row[:] = base[t - n, : w + 1] * scale[t]
+                for src, a, b, c, s, p, rb in up:
+                    row += term(src, t, a, b, c, s, p, rb, 0, w)
                 if down:
                     x = np.zeros(w + 1, dtype=grid.dtype)
-                    for src, a, b, c in down:
+                    for src, a, b, c, s, p, rb in down:
                         if -b > w:
                             continue
-                        r1 = exp1[a][t]
-                        x[-b:] += (c * src[t - a, : w + 1 + b] * r1
-                                   * r2[b][-b: w + 1])
+                        x[-b:] += term(src, t, a, b, c, s, p, rb, -b, w)
                     if kt:
                         xs = x.tolist()
                         for i in range(1, w + 1):
-                            s = xs[i]
+                            v = xs[i]
                             for k, r in kt:
                                 if k > i:
                                     break
-                                s -= r[i] * xs[i - k]
-                            xs[i] = s
+                                v -= r[i] * xs[i - k]
+                            xs[i] = v
                         x[:] = xs
                     row += x
-            yield row
+            yield planes(np.divide, row, m2[: w + 1])
+
+
+def _complex(re, im):
+    """The complex array of the parts re and im, set part by part."""
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
 
 def expand_taps(terms, taps, order: int) -> list:

@@ -214,3 +214,20 @@ def test_squarefree_parts_of_repeated_gaussian_factors(lead, factors):
         for _ in range(m):
             product = _poly_mul(product, part)
     assert product == [c / p[-1] for c in p]
+
+
+@pytest.mark.parametrize("text", [
+    "dt - dz^2", "dt - dz", "(dt - dz^2)*(dt - dz^3)", "(2+dz)*dt - dz^2",
+    "(1+dz)*dt - dz^3", "(1+1i)*dt - dz^2", "(2+3*dz)*dt - dz^2"])
+def test_linear_edges_skip_the_squarefree_decomposition(monkeypatch, text):
+    # every edge of these operators is linear, hence square-free: its root
+    # -c0/c1 is taken at once, rounded once, the branches those of the
+    # decomposition; an edge of degree 2 still decomposes
+    from mpde import charroots
+
+    P = parse_operator(text)
+    want = _branch_map(branches_at_infinity(P))
+    monkeypatch.setattr(charroots, "_squarefree_parts", None)
+    assert _branch_map(branches_at_infinity(P)) == want
+    with pytest.raises(TypeError):
+        branches_at_infinity(parse_operator("dt^2 - dz^2"))

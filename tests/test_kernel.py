@@ -518,13 +518,69 @@ def test_recurrence_float_reads_past_the_base_rows_as_a_zero_row(q):
 
 
 @pytest.mark.parametrize("is_complex", [False, True])
+def test_recurrence_float_runs_a_table_too_wide_to_z_normalize_raw(
+        is_complex):
+    # a log m2 that bends too far from a line for z-normalized levels, D2
+    # past D2_MAX: the levels run with M2 = 1 and the m2 ratio vectors, as
+    # the level-by-level form does bit for bit and the term-by-term sum
+    # does within its bound
+    rng = random.Random(64 + is_complex)
+    ran = 0
+    for _ in range(100):
+        args = list(_level_case(rng, is_complex))
+        width = max(args[4])
+        if width < 14:
+            continue
+        # log m2(i) = alpha i**2, whose ratios at offsets up to 2 stay
+        # below e**600 and whose D2 is alpha width**2 / 4 nats, past
+        # D2_MAX bits from width 14 on
+        args[6] = 150 / (width + 3) * np.arange(width + 4.0) ** 2
+        assert kernel._z_scale(args[6], width) is None
+        got = _levels(kernel.recurrence_float(*args), args[4])
+        want = [row.copy() for row in recurrence_float_levels(*args)]
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        ran += 1
+    assert ran > 20
+    args = list(_tail_case(random.Random(65), levels=4))
+    args[6] = 150 / len(args[6]) * np.arange(len(args[6]), dtype=float) ** 2
+    got = _levels(kernel.recurrence_float(*args), args[4])
+    for g, w in zip(got, _terms_oracle(*args)):
+        assert np.max(np.abs(g - w)) <= 1e-13 * max(np.max(np.abs(w)), 1.0)
+
+
+@pytest.mark.parametrize("c", [1e300, 1e300 + 1e300j, 1e-300])
+def test_recurrence_float_scalar_beyond_binary64_keeps_zero_cells_zero(c):
+    # m1(1)/m1(2) = e**700, so the term's scalar of level 2, c times it, is
+    # beyond binary64 but for the smallest c; such a term multiplies by c,
+    # the m1 ratio and exp(kappa*b) in turn, so the zero cells of the level
+    # it reads stay zero, where an infinite scalar would make them NaN, and
+    # its other cells are those of the term-by-term sum; the smallest c
+    # keeps its finite scalar, whose product the term-by-term order, c
+    # times 1e-300 first, would flush to zero
+    logs1 = np.array([0.0, 0.0, -700.0])
+    logs2 = log_table(parse_moment("Gamma(1/2)"), 8)
+    base = np.zeros((2, 7), dtype=complex)
+    base[0, 3] = 1e-300
+    widths = [6, 5, 4]
+    args = (base, 1.0, [(1, 1, c)], 1, widths, logs1, logs2)
+    got = _levels(kernel.recurrence_float(*args), widths)
+    want = [row.copy() for row in recurrence_float_levels(*args)]
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    assert np.isfinite(got[2]).all() and np.count_nonzero(got[2]) == 1
+    if abs(c) > 1:
+        for g, w in zip(got, recurrence_float_terms(*args)):
+            assert np.allclose(g, w, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
 def test_recurrence_float_checks_its_window_as_the_level_by_level_form(
         is_complex):
     # with a window, the kernel raises exactly when the level-by-level form
     # has a non-finite cell at a column <= window, naming the same first
     # level and advising exact arithmetic when that level is n, the first
     # that the base sets; non-finite cells past the window alone do not
-    # raise, and the levels returned are those of no window
+    # raise, and the levels returned are those of no window, cut to the
+    # window's columns
     rng = random.Random(62 + is_complex)
     raised, at_n, past = 0, 0, 0
     for _ in range(200):
@@ -535,8 +591,10 @@ def test_recurrence_float_checks_its_window_as_the_level_by_level_form(
         bad = next((t for t, row in enumerate(want)
                     if not np.isfinite(row[: window + 1]).all()), None)
         if bad is None:
-            got = _levels(kernel.recurrence_float(*args, window), widths)
-            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+            got = kernel.recurrence_float(*args, window)
+            assert got.shape == (len(widths), window + 1)
+            assert [g.tobytes() for g in got] == [
+                w[: window + 1].tobytes() for w in want]
             past += not all(np.isfinite(row).all() for row in want)
             continue
         with pytest.raises(EvaluationError) as exc:

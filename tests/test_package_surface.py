@@ -34,6 +34,8 @@ NEVER_RUN = {
     "errors.ParseError.__init__": "error path: a malformed problem file",
     "kernel.CellOverflow.__init__": "error path: an exact cell beyond binary64",
     "kernel.beyond_binary64": "error path: a float value beyond binary64",
+    "kernel._unfused": "edge path: a float term scalar zero or beyond "
+                       "binary64",
     "solver._max_weighted": "error path: an exact residual that is not zero",
     "solver._safe_float": "error path: an exact residual that is not zero",
     # the public readout and dunder methods of the result types

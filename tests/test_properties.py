@@ -454,6 +454,35 @@ def test_pseudo_mode_float_matches_exact_or_raises(case):
             assert err <= 1e-9 * bound[j][i]
 
 
+# the bound README "Arithmetic modes" states for float cells against exact
+# arithmetic, as a multiple of each cell's term magnitude
+FLOAT_BOUND = 1e-10
+
+
+@SETTINGS
+@given(st.one_of(cases(), pseudo_cases()), st.booleans())
+def test_float_cells_on_z_normalized_levels_agree_with_exact(case, real):
+    """The float recursion runs on z-normalized levels; with a constant or
+    polynomial top, both rhs roles and real or complex coefficients, each
+    float cell lies within FLOAT_BOUND times its term magnitude of the exact
+    cell, or the solve raises."""
+    if real:
+        case = _real(case)
+    prob = case.problem()
+    exact = formal_solve(prob)
+    try:
+        approx = formal_solve(case.problem(exact=False))
+    except EvaluationError:
+        return
+    assert (approx.grid.dtype == float) == (real or not any(
+        v[1] for v in [*case.table.values(), *case.rhs.values()]))
+    bound = pseudo_term_magnitude(prob)
+    for j, row in enumerate(approx.coeffs):
+        for i, c in enumerate(row):
+            err = abs(c - complex(exact.coeffs[j][i]))
+            assert err <= FLOAT_BOUND * bound[j][i]
+
+
 def _real(case: Case) -> Case:
     """The case with each Gaussian value made real: its real part, or its
     imaginary part where the real part is zero."""

@@ -191,6 +191,32 @@ def test_float_solution_grid_is_read_only_contiguous_and_owned(name,
     assert grid.flags.c_contiguous and grid.flags.owndata
 
 
+def test_decaying_float_cells_below_the_raised_range_bottom_lose_bits():
+    # heat with g = 1/(1 - z/8) at (2, 400): u decays like 8**-i, and the
+    # float levels hold u * M2, M2(i) = m2(i)/m2(0) * exp(-kappa*i) down to
+    # 2**-D2, D2 = 211.6 bits for the 405 columns of i! here (README): a
+    # cell whose |u| * M2(i) is a normal double keeps the float accuracy,
+    # and some cells that are normal doubles read zero, their scaled values
+    # below the subnormal range, where raw levels would hold them
+    den = [[0, 0, "1", "0"], [0, 1, "-1/8", "0"]]
+    pf = _shipped("heat", truncation=[2, 400],
+                  rhs={"kind": "rational", "payload": {
+                      "num": [[0, 0, "1", "0"]], "den": den}})
+    prob = assemble(pf, arithmetic="float")
+    exact = np.array([[complex(c).real for c in row] for row in formal_solve(
+        assemble(pf, arithmetic="exact")).coeffs])
+    got = formal_solve(prob).grid
+    kappa, m2 = kernel._z_scale(prob.log_tables[1], max(prob.widths))
+    d2 = -math.log2(m2.min())
+    assert 211 < d2 < 212 and max(prob.widths) == 404
+    scaled = np.abs(exact) * m2[: 401]
+    kept = scaled >= 2.0 ** -1022
+    assert kept.sum() == 600
+    assert np.all(np.abs(got - exact)[kept] <= 1e-12 * np.abs(exact)[kept])
+    lost = (np.abs(exact) >= 2.0 ** -1022) & (got == 0.0)
+    assert lost.sum() > 20 and not (lost & kept).any()
+
+
 @pytest.mark.parametrize("name,n1,n2,changes,where", [
     ("twofactor", 80, 60, {}, "first of a block"),
     ("heat", 100, 60, GAMMA, "inside a block"),
