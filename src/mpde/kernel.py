@@ -524,17 +524,18 @@ def _z_scale(logs, width: int):
     of the log table to a few units in the last place.  A cell of ``u *
     M2`` falls below the binary64 range where u does not only when ``|u| <
     2**-1074 / M2(i)``: the bottom of the range rises by at most ``D2 =
-    max(kappa*i - l(i)) / log(2)`` bits.  None when D2 exceeds
-    :data:`D2_MAX` or is not finite.  Unit moments, a table of zeros as
-    the rhs division passes, give kappa = 0 and M2 None: no column scale,
-    as M2 = 1 is.  Run it where numpy ignores overflow and invalid
-    operations, as a table that is not finite raises them.
+    max(kappa*i - l(i)) / log(2)`` bits.  None, a table too wide to
+    z-normalize, when D2 exceeds :data:`D2_MAX` or is not finite.  Unit
+    moments, a table of zeros as the rhs division passes, return at once
+    with kappa = 0 and M2 = 1 on every column.  Run it where numpy ignores
+    overflow and invalid operations, as a table that is not finite raises
+    them.
     """
     import numpy as np
 
     lm = logs[: width + 1] - logs[0]
     if not (width and np.count_nonzero(lm)):  # unit moments, as _divide's
-        return 0.0, None
+        return 0.0, np.ones(width + 1)
     i = np.arange(width + 1.0)
     kappa = float((lm[1:] / i[1:]).max()) / _KAPPA_STEP
     if not math.isfinite(kappa):
@@ -564,14 +565,13 @@ def _by_column(op, x, v, out=None):
     return out
 
 
-def _unfused(y, c, r, p, rb):
-    """``c * y * r``, times p when rb is None, one factor at a time: the
-    update of a term one of whose fused scalars ``c * r * p`` is zero or
-    beyond binary64, so that a zero cell of y stays zero."""
+def _unfused(y, c, r, p):
+    """``c * y * r * p`` one factor at a time: the update of a term one of
+    whose fused scalars ``c * r * p`` is zero or beyond binary64, so that a
+    zero cell of y stays zero (on raw levels p is ``exp(0.0) = 1.0``)."""
     y = c * y
     y *= r
-    if rb is None:
-        y *= p
+    y *= p
     return y
 
 
@@ -631,16 +631,18 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
     for a shift); the taps are the constants ``m_k * exp(-kappa*k)``.  Where
     a term's s is zero or beyond binary64 at some level, every level
     multiplies its row by c, the m1 ratio and ``exp(kappa*b)`` in turn, as
-    the raw form does, so that a zero cell stays zero.  Unit moments need
-    no column scale: W is u.  A table too wide to z-normalize
-    (:func:`_z_scale` None) runs with M2 = 1 and kappa = 0, each term's row
-    then multiplied by its m2 ratio vector and the taps by theirs.  ``u =
-    W / M2`` is formed once, a block of :data:`_BLOCK` levels at a time, on
-    the columns ``i <= window`` (every column for None), each part of a
-    complex cell on its own.  Returns that 2-D array of all levels, level t
-    in ``grid[t, : min(widths[t], window) + 1]``: float64 when ``base`` is
-    and q, the term coefficients and the taps are real, and complex128
-    otherwise.
+    the raw form does, so that a zero cell stays zero.  Unit moments
+    (kappa = 0, M2 = 1) run through the same steps.  So does a table too
+    wide to z-normalize (:func:`_z_scale` None), with M2 = 1 and kappa =
+    0, each term's row then multiplied by its m2 ratio vector and the taps
+    by theirs.  Multiplying or dividing by M2 = 1 returns each cell as it
+    is, signed zeros, infinities and NaNs included.  ``u = W / M2`` is
+    formed once, a block of :data:`_BLOCK` levels at a time, on the
+    columns ``i <= window`` (every column for None), each part of a
+    complex cell on its own.  Returns that new 2-D array of all levels,
+    level t in ``grid[t, : min(widths[t], window) + 1]``: float64 when
+    ``base`` is and q, the term coefficients and the taps are real, and
+    complex128 otherwise.
 
     With ``window`` set, the last output column, at most every width, each
     block of u is checked for non-finite cells as it is formed (t //
@@ -685,15 +687,12 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
         for b in offsets:
             _log_differences(logs2, b, max(0, -b), width, "m2")
         scaled = _z_scale(logs2, width)
-        kappa, m2 = scaled or (0.0, None)
+        # a table too wide to z-normalize runs raw: M2 = 1, ratio vectors
+        kappa, m2 = scaled or (0.0, np.ones(width + 1))
         r2 = None if scaled else ratios(logs2, offsets, width, "m2")
-        # with no column scale and no window the levels are the output
-        out = grid if m2 is None and window is None else np.empty(
-            (levels, last + 1), dtype=grid.dtype)
-        if m2 is not None:
-            base = _by_column(np.multiply, base[:, : width + 1],
-                              m2[: min(base.shape[1], width + 1)])
-            m2w = m2[: last + 1]
+        out = np.empty((levels, last + 1), dtype=grid.dtype)
+        base = _by_column(np.multiply, base[:, : width + 1],
+                          m2[: min(base.shape[1], width + 1)])
         # tap k's factor of v_{i-k} at i >= k: m_k * exp(-kappa*k) on
         # z-normalized levels, m_k * m2(i-k)/m2(i) on raw ones
         kt = [(k, [m * math.exp(-kappa * k)] * (width + 1) if r2 is None
@@ -744,7 +743,7 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
                 for src, a, b, c, s, ra, p, rb in up:
                     y = src[t - a, b: w + 1 + b]
                     y = s[t] * y if s is not None \
-                        else _unfused(y, c, ra[t - n], p, rb)
+                        else _unfused(y, c, ra[t - n], p)
                     if rb is not None:
                         y *= rb[: w + 1]
                     row += y
@@ -756,7 +755,7 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
                         continue
                     y = src[t - a, : w + 1 + b]
                     y = s[t] * y if s is not None \
-                        else _unfused(y, c, ra[t - n], p, rb)
+                        else _unfused(y, c, ra[t - n], p)
                     if rb is not None:
                         y *= rb[-b: w + 1]
                     x[-b:] += y
@@ -778,11 +777,8 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
                             xs[i] = v
                     x[:] = xs
                 row += x
-            block = out[lo: end]
-            if m2 is not None:
-                _by_column(np.divide, grid[lo: end, : last + 1], m2w, block)
-            elif out is not grid:
-                block[:] = grid[lo: end, : last + 1]
+            block = _by_column(np.divide, grid[lo: end, : last + 1],
+                               m2[: last + 1], out[lo: end])
             if window is None:
                 continue
             finite = np.isfinite(block)

@@ -331,9 +331,11 @@ def _residual_float(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
     of a part of an operator coefficient (0 near 1), scales each exactly
     before it is rounded, so the relative residual is that of ``P u - f``
     unless a value leaves the normal binary64 range; ``max_abs`` is scaled
-    back, infinite beyond binary64.  The rhs side covers the rhs grid's
-    rows only: past them it is +0.0, which leaves lhs's cells, and their
-    moduli, as they are."""
+    back, infinite beyond binary64.  The rhs side is one shift by its P0
+    table in every case, ``{(0, 0): 1}`` for an f, which turns a -0.0 cell
+    to +0.0 and changes no modulus.  It covers the rhs grid's rows only:
+    past them it is +0.0, which leaves lhs's cells, and their moduli, as
+    they are."""
     import numpy as np
 
     e = -max(x.numerator.bit_length() - x.denominator.bit_length()
@@ -345,25 +347,18 @@ def _residual_float(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
     r2 = kernel.ratios(logs2, {b for _, b in offsets}, I, "m2")
 
     def sides(s: Series2, table, rows: int):
-        """``2**e table`` on s and, made absolute, on |s|, for j <= rows;
-        None is 1."""
-        grid = s.grid
-        if table is None:
-            f = grid[: rows + 1, : I + 1]
-            return f, kernel.modulus(f)
+        """``2**e table`` on s and, made absolute, on |s|, for j <= rows:
+        two :func:`kernel.shift_float` calls."""
         items = [(k, kernel.binary64(p * Fraction(2) ** e))
                  for k, p in table.items()]
         abs_items = [(k, abs(p)) for k, p in items]
+        grid = s.grid
         return (kernel.shift_float(grid, items, r1, r2, rows, I),
                 kernel.shift_float(kernel.modulus(grid), abs_items, r1, r2,
                                    rows, I))
 
     lhs, abs_lhs = sides(u_hat, support, J)
-    # unscaled, an f, or a g whose P0 is 1, is the grid itself, whose -0.0
-    # cells the shift would turn to +0.0, which modulus reads alike
-    f, abs_f = sides(prob.rhs,
-                     None if p0_table == {(0, 0): 1} and not e else p0_table,
-                     min(J, prob.rhs.valid[0]))
+    f, abs_f = sides(prob.rhs, p0_table, min(J, prob.rhs.valid[0]))
     diff = lhs.astype(np.result_type(lhs, f), copy=False)
     with np.errstate(invalid="ignore", over="ignore"):
         diff[: len(f)] -= f

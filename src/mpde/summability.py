@@ -18,6 +18,7 @@ import cmath
 import math
 from fractions import Fraction
 
+from . import kernel
 from .errors import DomainError, PreconditionError
 from .exact import as_fraction, fmt_fraction
 from .record import record
@@ -369,7 +370,10 @@ def singular_direction_probe(u: Series2, K) -> ProbeResult:
     and reads the nearest singularity of ``sum b_j tau**j`` off the
     coefficient ratio sequence (direction = -arg of the ratio limit),
     falling back to a two-term linear recurrence fit when the plain ratios
-    oscillate (conjugate singularity pairs).  Heuristic: results depend on
+    oscillate (conjugate singularity pairs).  Only the tail ``j >= max(2,
+    J // 2)`` is read, column 0 of those rows alone: an exact series decodes
+    just those cells (:func:`kernel.binary64_rows`), so a cell the probe
+    does not read never stops it.  Heuristic: results depend on
     coefficients only.
     """
     import numpy as np
@@ -381,11 +385,14 @@ def singular_direction_probe(u: Series2, K) -> ProbeResult:
     if J + 1 < 20:
         raise PreconditionError(
             f"probe needs at least 20 valid t-levels, got {J + 1}")
-    # u_j(0) is column 0, as Python complex (a float64 grid gets +0j)
-    vals = u.grid[:, 0].astype(complex).tolist()
-    b = [v / math.exp(math.lgamma(1.0 + j / Kf)) for j, v in enumerate(vals)]
+    # u_j(0), column 0 of the rows the fit reads, as Python complex (a
+    # float64 grid gets +0j); an exact one decodes those cells only
     start = max(2, J // 2)
-    tail = b[start:]
+    vals = ([complex(*(part[0] for part in parts)) for parts in
+             kernel.binary64_rows(u.lanes, range(start, J + 1), 0)]
+            if u.exact else u.grid[start:, 0].astype(complex).tolist())
+    tail = [v / math.exp(math.lgamma(1.0 + j / Kf))
+            for j, v in enumerate(vals, start)]
     if all(abs(x) == 0.0 for x in tail):
         return ProbeResult("inconclusive", (), None, "tail is identically zero")
     ratios = [tail[k + 1] / tail[k] for k in range(len(tail) - 1)

@@ -36,7 +36,7 @@ trees:
 Every problem runs ``analyze``, ``newton``, and ``solve``, ``verify`` (also
 with ``--tol 0``) and ``probe`` in both arithmetics; a repro that names a
 truncation runs ``solve``, ``verify`` and ``probe`` with it as
-``--n1``/``--n2``.  The whole corpus, 970 runs, takes about 3 s a tree
+``--n1``/``--n2``.  The whole corpus, 980 runs, takes about 3 s a tree
 on one core.  ``--json PATH`` writes both sides' results.
 """
 
@@ -96,6 +96,12 @@ REPROS = [
                             mode="pseudo")}, (30, 30)),
     # PR 38's direct declaration of a polynomial top
     ("found-direct-polynomial-top", _heat(operator="(1+dz)*dt - dz^2"), None),
+    # the exact probe decodes column 0 of its tail rows alone, so cell
+    # (4, 4) of g = 1/(1-z) + 1e305 z^10, beyond binary64, must not stop it
+    ("found-probe-unread-cells", _heat(rhs={"kind": "rational", "payload": {
+        **_shipped("heat")["rhs"]["payload"],
+        "num": [[0, 0, "1", "0"], [0, 10, "1e305", "0"],
+                [0, 11, "-1e305", "0"]]}}), (20, 20)),
     ("t-dependent-den", _heat(rhs={"kind": "rational", "payload": {
         "num": [[0, 0, "1", "0"]],
         "den": [[0, 0, "1", "0"], [0, 1, "-1", "0"], [1, 0, "-1/2", "0"]]}}),

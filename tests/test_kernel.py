@@ -464,7 +464,9 @@ def _level_case(rng, is_complex):
     for _ in range(rng.randint(0, 3)):
         base[rng.randrange(base.shape[0]), rng.randrange(width + 1)] = \
             rng.choice([math.inf, -math.inf, math.nan, -0.0])
-    m = parse_moment(rng.choice(["Gamma(1)", "Gamma(1/2)", "Gamma(3/2)"]))
+    # Gamma(0) is the unit moments that every rational rhs division passes
+    m = parse_moment(rng.choice(["Gamma(0)", "Gamma(1)", "Gamma(1/2)",
+                                 "Gamma(3/2)"]))
     logs1 = log_table(larger_k(m, rng.randint(1, 2)), levels)
     logs2 = log_table(m, width + 3)
     return base, coefficient(), terms, n, widths, logs1, logs2, taps, shift
@@ -474,10 +476,11 @@ def _level_case(rng, is_complex):
 def test_recurrence_float_matches_the_level_by_level_form(is_complex):
     # the bases filled at once, the ratio tables and the unit coefficients
     # applied as signs give every level bit for bit, and its dtype, as the
-    # form that computes each level on its own; both float kernels keep a
-    # float64 grid float64 when every rounded coefficient is real
+    # form that computes each level on its own, unit moments (M2 = 1, as
+    # the rhs division runs) included; both float kernels keep a float64
+    # grid float64 when every rounded coefficient is real
     rng = random.Random(60 + is_complex)
-    units = 0
+    units = unit_moments = 0
     for _ in range(150):
         args = _level_case(rng, is_complex)
         base, scalars = args[0], [args[1], *(c for _, _, c in args[2]),
@@ -497,7 +500,8 @@ def test_recurrence_float_matches_the_level_by_level_form(is_complex):
             {0: np.ones(cols)}, rows - 1, cols - 1)
         assert shifted.dtype == dtype
         units += any(abs(complex(c)) == 1.0 for _, _, c in args[2])
-    assert units > 50
+        unit_moments += not (args[5].any() or args[6].any())
+    assert units > 50 and unit_moments > 20
 
 
 @pytest.mark.parametrize("q", [1.78e308, -1.78e308, 0.5])

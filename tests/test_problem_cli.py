@@ -415,6 +415,27 @@ def test_cli_exact_probe_beyond_binary64_names_the_level(tmp_path):
     assert json.loads(result.output)["gevrey_fit"]["j_range"] == [32, 63]
 
 
+def test_cli_exact_probe_decodes_only_the_cells_it_reads(tmp_path):
+    # g = 1/(1-z) + 1e305 z^10: the z^10 term leaves binary64 at cells the
+    # probe never reads (such as (4, 4), 2^1025.8); the Gevrey fit reads
+    # rows 10-20 and the singular-direction probe column 0 of them, and
+    # both report what they report for heat's own g
+    data = json.loads(Path(shipped("heat")).read_text())
+    data["rhs"]["payload"]["num"] = [[0, 0, "1", "0"], [0, 10, "1e305", "0"],
+                                     [0, 11, "-1e305", "0"]]
+    prob = tmp_path / "big.json"
+    prob.write_text(json.dumps(data))
+    args = ["--arithmetic", "exact", "--n1", "20", "--n2", "20"]
+    result = run_cli(["probe", str(prob), *args])
+    assert result.exit_code == 0, result.output
+    assert result.stderr == ""
+    assert result.stdout == run_cli(["probe", shipped("heat"), *args]).stdout
+    report = json.loads(result.stdout)
+    assert report["gevrey_fit"]["s_hat"] == 1.184171227523089
+    assert report["probes"][0]["status"] == "ok"
+    assert report["probes"][0]["radius"] == 0.3366126511100491
+
+
 @pytest.mark.parametrize("kind", ["rational", "coeffs"])
 def test_cli_float_rhs_entry_beyond_binary64_names_it(kind, tmp_path):
     # 1e400 is a valid rational but no binary64: float arithmetic exits 4
