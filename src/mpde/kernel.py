@@ -591,6 +591,16 @@ def shift_float(u, items, r1, r2, n_rows: int, n_cols: int):
     sums
     ``p_ab * u[j+a][i+b] * m1(j+a)/m1(j) * m2(i+b)/m2(i)`` in item order;
     the output is float64 when u is and every p_ab is real.
+
+    A block is multiplied only by the factors that are not exactly one: by
+    p_ab unless it is 1 or -1 (a -1 subtracts the block), by the m1 ratio
+    column only for a != 0 and by the m2 ratio row only for b != 0, so r1
+    and r2 need no entry for a zero offset (its ratio is ``exp(0.0) =
+    1.0``).  On float64 cells that is bit for bit the product, since ``x *
+    1.0`` is x and ``x * -1.0`` is -x, signed zeros, infinities and NaNs
+    included.  A complex128 cell keeps its modulus where it is finite: the
+    complex product by a real 1 that is left out could only turn the sign
+    of a zero part, or turn the partner of an infinite part into NaN.
     """
     import numpy as np
 
@@ -598,8 +608,17 @@ def shift_float(u, items, r1, r2, n_rows: int, n_cols: int):
                    dtype=np.result_type(u, *(p for _, p in items)))
     with np.errstate(over="ignore", invalid="ignore"):
         for (a, b), p in items:
-            out += (p * u[a: a + n_rows + 1, b: b + n_cols + 1]
-                    * r1[a][: n_rows + 1, None] * r2[b])
+            block = u[a: a + n_rows + 1, b: b + n_cols + 1]
+            if p != 1 and p != -1:
+                block = p * block
+            if a:
+                block = block * r1[a][: n_rows + 1, None]
+            if b:
+                block = block * r2[b]
+            if p == -1:
+                out -= block
+            else:
+                out += block
     return out
 
 

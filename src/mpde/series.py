@@ -240,9 +240,14 @@ def gevrey_fit(u: Series2, axis: str = "t",
     against the basis ``{1, j, log Gamma(1+j)}`` over the upper part of the
     valid j-range; the coefficient of ``log Gamma(1+j)`` estimates the
     Gevrey order.  The weighted l1 row sum stands in for the sup norm on a
-    z-disc of radius ``FIT_RADIUS``.  An exact cell whose real or imaginary
-    part lies outside the binary64 range raises EvaluationError naming its
-    level.
+    z-disc of radius ``FIT_RADIUS``.  Every row is summed by one
+    ``np.add.reduce`` over a C-contiguous array of the terms, a pairwise
+    sum of nonnegative terms, within a few units in the last place of the
+    exact sum (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., section 4.2); a level whose sum is zero, NaN or infinite, one
+    whose finite terms sum past binary64 included, is skipped.  An exact
+    cell whose real or imaginary part lies outside the binary64 range
+    raises EvaluationError naming its level.
     """
     import numpy as np
 
@@ -275,12 +280,9 @@ def gevrey_fit(u: Series2, axis: str = "t",
         moduli = kernel.modulus(cells)
     weights = np.array([FIT_RADIUS ** i for i in range(I + 1)], dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = (moduli * weights).tolist()
-    pts = []
-    for j, row in enumerate(terms, j_lo):
-        a = math.fsum(row)
-        if a > 0.0 and math.isfinite(a):
-            pts.append((j, math.log(a)))
+        sums = np.add.reduce(np.ascontiguousarray(moduli * weights), axis=1)
+    pts = [(j, math.log(a)) for j, a in enumerate(sums.tolist(), j_lo)
+           if a > 0.0 and math.isfinite(a)]
     if len(pts) < min_points:
         raise EstimationError(
             f"need at least {min_points} nonzero levels in [{j_lo}, {J}], "

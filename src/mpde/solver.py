@@ -335,7 +335,10 @@ def _residual_float(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
     table in every case, ``{(0, 0): 1}`` for an f, which turns a -0.0 cell
     to +0.0 and changes no modulus.  It covers the rhs grid's rows only:
     past them it is +0.0, which leaves lhs's cells, and their moduli, as
-    they are."""
+    they are.  The m1 and m2 ratio vectors are built for the nonzero
+    offsets only, as :func:`kernel.shift_float` multiplies by no factor of
+    one: a float64 cell keeps its bits, a complex128 one its finite
+    modulus."""
     import numpy as np
 
     e = -max(x.numerator.bit_length() - x.denominator.bit_length()
@@ -343,8 +346,8 @@ def _residual_float(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
     logs1, logs2 = prob.log_tables
     # the ratio vectors of all four shifts
     offsets = [*support, *p0_table]
-    r1 = kernel.ratios(logs1, {a for a, _ in offsets}, J, "m1")
-    r2 = kernel.ratios(logs2, {b for _, b in offsets}, I, "m2")
+    r1 = kernel.ratios(logs1, {a for a, _ in offsets if a}, J, "m1")
+    r2 = kernel.ratios(logs2, {b for _, b in offsets if b}, I, "m2")
 
     def sides(s: Series2, table, rows: int):
         """``2**e table`` on s and, made absolute, on |s|, for j <= rows:

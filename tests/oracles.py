@@ -774,7 +774,10 @@ def exact_gevrey_fit_cells(u: Series2, axis: str = "t", j_min_frac: float = 0.5,
                            min_points: int = 8) -> GevreyFit:
     """``series.gevrey_fit`` of an exact series with the modulus of each cell
     taken as ``abs()`` of its RationalComplex; a level with a part outside
-    binary64 raises EvaluationError naming it."""
+    binary64 raises EvaluationError naming it.  The rows are summed as the
+    fit sums them, by one ``np.add.reduce`` over the C-contiguous terms, so
+    that the two agree bit for bit and the per-cell moduli stay the
+    subject of the comparison."""
     if axis not in ("t", "z"):
         raise DomainError("axis must be 't' or 'z'")
     J, I = u.valid
@@ -796,12 +799,9 @@ def exact_gevrey_fit_cells(u: Series2, axis: str = "t", j_min_frac: float = 0.5,
     moduli = np.array(moduli, dtype=float).reshape(-1, I + 1)
     weights = np.array([FIT_RADIUS ** i for i in range(I + 1)], dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = (moduli * weights).tolist()
-    pts = []
-    for j, row in enumerate(terms, j_lo):
-        a = math.fsum(row)
-        if a > 0.0 and math.isfinite(a):
-            pts.append((j, math.log(a)))
+        sums = np.add.reduce(np.ascontiguousarray(moduli * weights), axis=1)
+    pts = [(j, math.log(a)) for j, a in enumerate(sums.tolist(), j_lo)
+           if a > 0.0 and math.isfinite(a)]
     if len(pts) < min_points:
         raise EstimationError(
             f"need at least {min_points} nonzero levels in [{j_lo}, {J}], "

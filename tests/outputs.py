@@ -36,7 +36,7 @@ trees:
 Every problem runs ``analyze``, ``newton``, and ``solve``, ``verify`` (also
 with ``--tol 0``) and ``probe`` in both arithmetics; a repro that names a
 truncation runs ``solve``, ``verify`` and ``probe`` with it as
-``--n1``/``--n2``.  The whole corpus, 980 runs, takes about 3 s a tree
+``--n1``/``--n2``.  The whole corpus, 990 runs, takes about 3 s a tree
 on one core.  ``--json PATH`` writes both sides' results.
 """
 
@@ -102,6 +102,13 @@ REPROS = [
         **_shipped("heat")["rhs"]["payload"],
         "num": [[0, 0, "1", "0"], [0, 10, "1e305", "0"],
                 [0, 11, "-1e305", "0"]]}}), (20, 20)),
+    # the float Gevrey fit skips t-level 20, whose finite terms, 1.7e308
+    # each, sum past binary64 (math.fsum raised there); its float residual
+    # overflows too, so float verify fails with a null residual
+    ("found-fit-sum-overflow", _heat(operator="dt - 30", rhs={
+        "kind": "rational", "payload": {
+            **_shipped("heat")["rhs"]["payload"],
+            "num": [[0, 0, "3.5585223560545805e+298", "0"]]}}), (20, 5)),
     ("t-dependent-den", _heat(rhs={"kind": "rational", "payload": {
         "num": [[0, 0, "1", "0"]],
         "den": [[0, 0, "1", "0"], [0, 1, "-1", "0"], [1, 0, "-1/2", "0"]]}}),

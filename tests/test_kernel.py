@@ -504,6 +504,57 @@ def test_recurrence_float_matches_the_level_by_level_form(is_complex):
     assert units > 50 and unit_moments > 20
 
 
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_shift_float_leaves_out_only_factors_of_one(is_complex):
+    # shift_float multiplies a block by p_ab unless it is the real 1 or -1,
+    # by the m1 ratio column only for a != 0 and by the m2 ratio row only
+    # for b != 0, and reads no ratio of a zero offset: its float64 output
+    # is the written-out sum of p * u * r1 * r2 bit for bit, signed zeros,
+    # overflows and NaNs included, and a complex128 one has its modulus on
+    # every finite cell; the items +-1j, of modulus one, are multiplied
+    rng = random.Random(45 + is_complex)
+    n_rows, n_cols = 7, 9
+    logs1 = log_table(parse_moment("Gamma(1/2)"), n_rows + 3)
+    logs2 = log_table(parse_moment("Gamma(3/2)"), n_cols + 3)
+    values = (1.5, -0.75, 0.0, -0.0, 3e307, -1.7e308, 1e-310)
+    coefficients = (1.0, -1.0, 2.5, -0.5, 1j, -1j)
+    float_cases = 0
+    for _ in range(200):
+        u = np.array([[rng.choice(values) for _ in range(n_cols + 4)]
+                      for _ in range(n_rows + 4)])
+        if is_complex:
+            u = u + 1j * np.array([[rng.choice(values)
+                                    for _ in range(n_cols + 4)]
+                                   for _ in range(n_rows + 4)])
+        offsets = [(0, 0), (rng.randint(1, 3), 0), (0, rng.randint(1, 3)),
+                   (rng.randint(0, 3), rng.randint(0, 3))]
+        real_only = rng.random() < 0.5
+        items = [(k, rng.choice(coefficients[:4] if real_only
+                                else coefficients))
+                 for k in rng.sample(offsets, rng.randint(1, 4))]
+        r1 = kernel.ratios(logs1, {a for (a, _), _ in items}, n_rows)
+        r2 = kernel.ratios(logs2, {b for (_, b), _ in items}, n_cols)
+        got = kernel.shift_float(
+            u, items, {a: r for a, r in r1.items() if a},
+            {b: r for b, r in r2.items() if b}, n_rows, n_cols)
+        want = np.zeros((n_rows + 1, n_cols + 1),
+                        dtype=np.result_type(u, *(p for _, p in items)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for (a, b), p in items:
+                want += (p * u[a: a + n_rows + 1, b: b + n_cols + 1]
+                         * r1[a][:, None] * r2[b])
+        assert got.dtype == want.dtype
+        if want.dtype == float:
+            float_cases += 1
+            assert got.tobytes() == want.tobytes()
+        else:
+            finite = np.isfinite(want)
+            with np.errstate(over="ignore"):
+                assert np.array_equal(kernel.modulus(got)[finite],
+                                      kernel.modulus(want)[finite])
+    assert float_cases > 50 or is_complex
+
+
 @pytest.mark.parametrize("q", [1.78e308, -1.78e308, 0.5])
 def test_recurrence_float_reads_past_the_base_rows_as_a_zero_row(q):
     # a one-row base gives the levels, bit for bit, of the base zero-padded

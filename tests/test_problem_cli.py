@@ -436,6 +436,31 @@ def test_cli_exact_probe_decodes_only_the_cells_it_reads(tmp_path):
     assert report["probes"][0]["radius"] == 0.3366126511100491
 
 
+def test_cli_float_probe_skips_a_level_whose_terms_sum_past_binary64(
+        tmp_path):
+    # the operator dt - 30 with g = 3.56e298 / (1 - z): every cell of
+    # t-level 20 is 1.7e308, and its weighted sum, 1.7e308 * 1.11111, is
+    # beyond binary64; the fit skips that level as any other whose sum is
+    # infinite, where a math.fsum of its finite terms raises
+    data = json.loads(Path(shipped("heat")).read_text())
+    data.update(operator="dt - 30", truncation=[20, 5])
+    data["rhs"]["payload"]["num"] = [[0, 0, "3.5585223560545805e+298", "0"]]
+    prob = tmp_path / "sum_overflow.json"
+    prob.write_text(json.dumps(data))
+    u = formal_solve(problem_mod.assemble(load_problem(str(prob)), 20, 5,
+                                          "float"))
+    terms = [abs(c) * 0.1 ** i for i, c in enumerate(u.coeffs[20])]
+    assert all(math.isfinite(x) for x in terms)
+    with pytest.raises(OverflowError, match="intermediate overflow"):
+        math.fsum(terms)
+    result = run_cli(["probe", str(prob), "--arithmetic", "float"])
+    assert result.exit_code == 0, result.output
+    assert result.stderr == ""
+    fit = json.loads(result.stdout)["gevrey_fit"]
+    assert fit["j_range"] == [10, 20]
+    assert abs(fit["s_hat"] + 1.0) <= 1e-9
+
+
 @pytest.mark.parametrize("kind", ["rational", "coeffs"])
 def test_cli_float_rhs_entry_beyond_binary64_names_it(kind, tmp_path):
     # 1e400 is a valid rational but no binary64: float arithmetic exits 4

@@ -551,9 +551,9 @@ def test_row_values_match_a_per_row_horner_loop(z):
 
 @pytest.mark.parametrize("axis", ["t", "z"])
 def test_gevrey_fit_float_matches_exact_of_the_same_values(axis):
-    # the float path (np.hypot, one fsum per row) against the exact path
-    # (abs() per cell) on cells with one zero part, whose modulus both take
-    # exactly
+    # the float path (np.hypot, one reduction of the rows) against the exact
+    # path (math.hypot per cell) on cells with one zero part, whose modulus
+    # both take exactly; on the z axis the float terms are transposed
     rows = [[RationalComplex(0, -math.factorial(j + i)) if (i + j) % 2
              else RationalComplex(Fraction(math.factorial(j + 2 * i), 3 + i))
              for i in range(12)] for j in range(30)]
@@ -589,3 +589,54 @@ def test_exact_gevrey_fit_takes_math_hypot_of_the_parts(axis):
     fit = gevrey_fit(exact, **kw)
     assert fit == exact_gevrey_fit_cells(exact, **kw)
     assert fit != gevrey_fit(Series2(rows), **kw)
+
+
+def _fsum_fit(moduli, axis, **kw):
+    """The fit of the levels of a 2-D array of cell moduli whose weighted
+    row sums are ``math.fsum`` of their terms: the fit of a one-column
+    series of those sums, whose one term of weight 1 sums to itself."""
+    levels = moduli if axis == "t" else moduli.T
+    sums = [math.fsum(x * 0.1 ** i for i, x in enumerate(row.tolist()))
+            for row in levels]
+    return gevrey_fit(from_t_coeffs(sums), **kw)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_gevrey_fit_row_sums_are_within_the_pairwise_bound(exact):
+    # the pairwise sum of np.add.reduce against the correctly rounded
+    # math.fsum of the same nonnegative terms, on grids of 8 to 300 columns
+    # whose cells grow at a random Gevrey order in t and geometrically in
+    # z, with a tenth of them zero: s_hat and stderr agree within 1e-10
+    # relative on both axes
+    rng = random.Random(45 + exact)
+    shapes = [(30, 8), (20, 300), (300, 9), (9, 300)]
+    shapes += [(rng.randint(15, 40), rng.randint(8, 300)) for _ in range(6)]
+    for rows, cols in shapes:
+        s, rho = rng.uniform(0.2, 2.0), rng.uniform(0.5, 8.0)
+        s = min(s, 250 / math.lgamma(rows + 1))
+        rho = math.exp(min(math.log(rho), 250 / cols))
+        is_complex = rng.random() < 0.5
+        cells = []
+        for j in range(rows):
+            row = []
+            for i in range(cols):
+                x = (math.exp(s * math.lgamma(1 + j)) * rho ** i
+                     * rng.uniform(0.5, 2.0) * rng.choice((1, -1)))
+                y = x * rng.uniform(-2.0, 2.0) if is_complex else 0.0
+                row.append(complex(x, y) if rng.random() < 0.9 else 0j)
+            cells.append(row)
+        if exact:
+            u = Series2([[RationalComplex(Fraction(c.real), Fraction(c.imag))
+                          for c in row] for row in cells], exact=True)
+            moduli = np.array([[abs(c) for c in row] for row in u.coeffs])
+        else:
+            u = Series2(np.array(cells) if is_complex
+                        else np.array(cells).real.copy())
+            moduli = kernel.modulus(u.grid)
+        for axis in ("t", "z"):
+            kw = {"j_min_frac": 0.5, "min_points": 4}
+            got = gevrey_fit(u, axis=axis, **kw)
+            want = _fsum_fit(moduli, axis, **kw)
+            assert got.j_range == want.j_range
+            assert abs(got.s_hat - want.s_hat) <= 1e-10 * abs(want.s_hat)
+            assert abs(got.stderr - want.stderr) <= 1e-10 * want.stderr
