@@ -5,13 +5,15 @@ and report each run whose outputs differ.
         [--json PATH]
 
 A tree is the root of a checkout (a ``git archive`` of a commit will do):
-its ``src`` goes first on the path of one fresh interpreter, which calls
-``mpde.cli.main`` in process for each run, from a folder of its own, on
-relative paths, so that no message quotes a folder.  Nothing of mpde but
-``mpde.cli`` is imported there, so a tree of any past commit runs.  Each
-run is wrapped in ``warnings.catch_warnings()``, which restarts the
-once-per-location warning registry, so a run prints the warnings that the
-same command would print as a process of its own.
+its ``src`` goes first on the path of one fresh interpreter, which runs
+:func:`run_corpus`: it calls ``mpde.cli.main`` in process for each run,
+from a folder of its own, on relative paths, so that no message quotes a
+folder.  Nothing of mpde but ``mpde.cli`` is imported there, so a tree of
+any past commit runs.  Each run is wrapped in ``warnings.catch_warnings()``,
+which restarts the once-per-location warning registry, so a run prints the
+warnings that the same command would print as a process of its own.
+``tests/test_package_surface.py`` runs the same loop on the same corpus
+under ``sys.setprofile``.
 
 A run records its exit code, its stdout, its stderr and the SHA-256 of
 each file it writes.  The runner prints each run that differs, field by
@@ -28,29 +30,37 @@ trees:
   theirs, and its seeded problems of seeds 1-3 (8 a seed);
 * each of these with its rhs role flipped (``g`` to ``f`` and back), the
   f-role variants;
-* the seven heat variants of ``tests/test_package_surface.py``;
+* seven variants of heat at (24, 8): pseudo mode in both rhs roles,
+  Gamma moments of order other than 1, a complex operator, a second-order
+  operator with a constant term, and a ``coeffs`` rhs;
 * the repros of the findings in CHANGES.md that are problem files, and a
   few more that reach code paths the rest does not (a t-dependent rhs
-  denominator, a negative top coefficient with an f rhs).
+  denominator, a negative top coefficient with an f rhs, a float term
+  scalar or an rhs entry beyond binary64).
 
 Every problem runs ``analyze``, ``newton``, and ``solve``, ``verify`` (also
 with ``--tol 0``) and ``probe`` in both arithmetics; a repro that names a
 truncation runs ``solve``, ``verify`` and ``probe`` with it as
-``--n1``/``--n2``.  The whole corpus, 990 runs, takes about 3 s a tree
-on one core.  ``--json PATH`` writes both sides' results.
+``--n1``/``--n2``.  The whole corpus, 1,010 runs, takes about 3 s a
+tree on one core.  ``--json PATH`` writes both sides' results.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import fnmatch
+import hashlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 import time
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,6 +89,19 @@ def _heat(**changes) -> dict:
     return {**_shipped("heat"), **changes}
 
 
+PSEUDO = {"operator": "(10+dz)*dt - dz^2", "mode": "pseudo"}
+# (name, changes to heat at (24, 8))
+VARIANTS = [
+    ("pseudo", PSEUDO),
+    ("pseudo_f", {**PSEUDO, "rhs_role": "f"}),
+    ("gamma_half", {"m1": "1*Gamma(1/2+u/1)"}),
+    ("gamma_third", {"m1": "Gamma(1/2)", "m2": "3/2*Gamma(1/3+u/2)"}),
+    ("complex", {"operator": "(1+1i)*dt - dz^2"}),
+    ("second_order", {"operator": "dt^2 - dt*dz - dz^3 + 1"}),
+    ("coeffs", {"rhs": {"kind": "coeffs",
+                        "payload": [[0, 0, "1", "0"], [1, 2, "-1/2", "1"],
+                                    [3, 1, "2", "0"]]}}),
+]
 # (name, problem, truncation override or None)
 REPROS = [
     # PR 40's Gamma parameters at the edge of binary64, refused at parse
@@ -118,16 +141,23 @@ REPROS = [
                                     rhs_role="f", mode="pseudo"), None),
     ("multi-tap-pseudo-f", _heat(operator="(2+dz+3*dz^2)*dt - dz^3",
                                  rhs_role="f", mode="pseudo"), None),
+    # an rhs entry beyond binary64: float commands exit 4 naming it
+    ("rhs-entry-1e400", _heat(rhs={"kind": "rational", "payload": {
+        **_shipped("heat")["rhs"]["payload"],
+        "num": [[0, 0, BIG, "0"]]}}), None),
+    # the fused scalar c*m1(t-1)/m1(t)*exp(2 kappa) of the term dz^2 is
+    # beyond binary64 at the first levels, so they update one factor at a
+    # time until float solves exit 4 at t-level 2
+    ("unfused-term-1e306", _heat(operator=f"dt - 1{'0' * 306}*dz^2"), None),
 ]
 
 
 def corpus() -> list:
     """``[(name, problem dict, argv extra)]`` of every problem the runner
     runs, named uniquely."""
-    sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests"),
-                    str(ROOT / "src")]
+    # last on the path, where it shadows nothing that mpde imports
+    sys.path.append(str(ROOT / "perfbench"))
     import workloads
-    from test_package_surface import VARIANTS
 
     base = [(name, _shipped(name)) for name in workloads.SHIPPED]
     for rung in (*workloads.EXACT_RUNGS, *workloads.FLOAT_RUNGS):
@@ -145,8 +175,8 @@ def corpus() -> list:
         role = "g" if problem.get("rhs_role", "g") == "f" else "f"
         problems.append((f"{name}-{role}", {**problem, "rhs_role": role},
                          None))
-    problems += [(f"variant-{name}", problem, None)
-                 for name, problem in VARIANTS.items()]
+    problems += [(f"variant-{name}", _heat(truncation=[24, 8], **changes),
+                  None) for name, changes in VARIANTS]
     problems += REPROS
     out = []
     for name, problem, truncation in problems:
@@ -158,62 +188,72 @@ def corpus() -> list:
     return out
 
 
+def _run(main, argv: list, writes: tuple, src: str) -> dict:
+    """The exit code, stdout and stderr of ``main(argv)``, and the SHA-256
+    of each file of ``writes`` that it wrote."""
+    for path in writes:
+        if os.path.exists(path):
+            os.remove(path)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        try:
+            main(argv)
+            code = "returned"
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # recorded, not raised
+            code = f"raised {type(exc).__name__}: {exc}"
+    files = {}
+    for path in writes:
+        if os.path.exists(path):
+            with open(path, "rb") as fh:
+                files[path] = hashlib.sha256(fh.read()).hexdigest()
+    # a warning quotes the source file, which lies in the tree
+    return {"exit": 0 if code is None else code, "stdout": out.getvalue(),
+            "stderr": err.getvalue().replace(src, "<src>"), "files": files}
+
+
+def run_corpus(problems: list) -> dict:
+    """Run every command of :data:`RUNS` on each of ``problems`` (as
+    :func:`corpus` gives them) in process, from a temporary folder, and
+    return each run's results by run name.  mpde is imported here, on the
+    first call, and nothing of it but ``mpde.cli``."""
+    import mpde.cli
+
+    src = str(Path(mpde.cli.__file__).parent.parent)
+    results = {}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, problem, extra in problems:
+                with open("problem.json", "w") as fh:
+                    json.dump(problem, fh)
+                for run, argv in RUNS:
+                    command = run.split("-")[0]
+                    if command in ("solve", "verify", "probe"):
+                        argv = [*argv, *extra]
+                    results[f"{name}:{run}"] = _run(
+                        mpde.cli.main, [command, "problem.json", *argv],
+                        WRITES.get(command, ()), src)
+        finally:
+            os.chdir(cwd)
+    return results
+
+
 # Runs in a fresh interpreter with one tree's src first on the path: the
 # corpus comes on stdin, one JSON object of results goes to stdout.
-CHILD = r'''
-import contextlib, hashlib, io, json, os, sys, tempfile, warnings
-from mpde.cli import main
-
-SRC = os.environ["PYTHONPATH"]
-
-results = {}
-corpus = json.load(sys.stdin)
-stdout = sys.stdout
-with tempfile.TemporaryDirectory() as tmp:
-    os.chdir(tmp)
-    for name, problem, extra in corpus:
-        with open("problem.json", "w") as fh:
-            json.dump(problem, fh)
-        for run, argv, writes in RUNS:
-            command = run.split("-")[0]
-            for path in writes:
-                if os.path.exists(path):
-                    os.remove(path)
-            out, err = io.StringIO(), io.StringIO()
-            with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
-                    contextlib.redirect_stderr(err):
-                try:
-                    main([command, "problem.json", *argv,
-                          *(extra if command in ("solve", "verify", "probe")
-                            else ())])
-                    code = "returned"
-                except SystemExit as exc:
-                    code = exc.code
-                except BaseException as exc:  # recorded, not raised
-                    code = f"raised {type(exc).__name__}: {exc}"
-            files = {}
-            for path in writes:
-                if os.path.exists(path):
-                    with open(path, "rb") as fh:
-                        files[path] = hashlib.sha256(fh.read()).hexdigest()
-            # a warning quotes the source file, which lies in the tree
-            results[f"{name}:{run}"] = {
-                "exit": 0 if code is None else code, "stdout": out.getvalue(),
-                "stderr": err.getvalue().replace(SRC, "<src>"),
-                "files": files}
-    os.chdir("/")
-json.dump(results, stdout)
-'''
+CHILD = ("import json, sys; sys.path.append(sys.argv[1]); import outputs; "
+         "json.dump(outputs.run_corpus(json.load(sys.stdin)), sys.stdout)")
 
 
 def run_tree(tree: Path, problems: list) -> dict:
     """The results of every run of ``problems`` on ``tree``."""
-    runs = [(run, argv, WRITES.get(run.split("-")[0], ()))
-            for run, argv in RUNS]
     env = {**os.environ, "PYTHONPATH": str(tree / "src"),
            "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run(
-        [sys.executable, "-c", f"RUNS = {runs!r}\n{CHILD}"],
+        [sys.executable, "-c", CHILD, str(Path(__file__).parent)],
         input=json.dumps(problems), capture_output=True, text=True, env=env,
         check=False)
     if proc.returncode != 0:

@@ -3,8 +3,9 @@
 The rule: a definition stays in ``src/mpde`` only when an mpde command
 runs it, when an open ROADMAP item needs it in the package, or when
 ``perfbench`` reads it.  ``tests/test_package_surface.py`` traces every
-command on a corpus and holds the package to the rule.  Everything else
-that the tests still use lives here:
+command on the corpus of the output-diff runner, ``tests/outputs.py``, and
+holds the package to the rule.  Everything else that the tests still use
+lives here:
 
 * ``Series1``, the moment Borel transforms and moment derivatives, and
   ``apply_operator``, which applies a constant-coefficient moment operator
@@ -19,8 +20,9 @@ that the tests still use lives here:
 * ``g_from_f``, the division ``P0(dz) g = f`` alone, on the taps that
   ``solver.formal_solve`` runs for an f rhs;
 * single values of a moment function (``eval_at``, ``eval_fraction``, both
-  read from ``moments.scaled_eval``), the single-factor kernel and the
-  Mittag-Leffler style kernel series;
+  read from ``moments.scaled_eval``), and ``kernel_e``, the single-factor
+  kernel, whose Mellin transform ``oracles.mellin_check`` integrates after
+  the substitution ``y = x**k``;
 * ``required_sectors`` and ``operator_to_text``.
 
 These routes call mpde; they are checked, not trusted.  The oracles of
@@ -38,10 +40,9 @@ from fractions import Fraction
 
 from mpde import kernel, moments
 from mpde.charroots import CharPoly, monomial
-from mpde.errors import (DomainError, EvaluationError, PreconditionError,
-                         WindowError)
+from mpde.errors import DomainError, PreconditionError, WindowError
 from mpde.exact import RationalComplex, as_fraction, fmt_fraction, quotient
-from mpde.moments import MomentFunction, log_gamma, scaled_eval
+from mpde.moments import MomentFunction, scaled_eval
 from mpde.record import record
 from mpde.series import Series2
 from mpde.solver import _taps
@@ -326,7 +327,7 @@ def g_from_f(p0_coeffs, m2: MomentFunction, f: Series2) -> Series2:
     return Series2(kernel.read_only(levels), False)
 
 
-# -- single moment values and the kernel series --------------------------------
+# -- single moment values and the single-factor kernel ------------------------
 
 
 def eval_at(m: MomentFunction, u) -> float:
@@ -349,150 +350,6 @@ def kernel_e(a, b, k, x: float) -> float:
         raise DomainError(f"kernel_e requires x > 0, got {x}")
     a, b, k = float(a), float(b), float(k)
     return a * k * x ** (b * k) * math.exp(-(x ** k))
-
-
-def _neumaier_add(acc, comp, term):
-    # compensated (Neumaier) accumulation on one float lane
-    s = acc + term
-    if abs(acc) >= abs(term):
-        comp += (acc - s) + term
-    else:
-        comp += (term - s) + acc
-    return s, comp
-
-
-class _CompensatedComplex:
-    """Neumaier-compensated complex accumulator."""
-
-    def __init__(self):
-        self.re = 0.0
-        self.im = 0.0
-        self.cre = 0.0
-        self.cim = 0.0
-
-    def add(self, z: complex):
-        self.re, self.cre = _neumaier_add(self.re, self.cre, z.real)
-        self.im, self.cim = _neumaier_add(self.im, self.cim, z.imag)
-
-    def value(self) -> complex:
-        return complex(self.re + self.cre, self.im + self.cim)
-
-
-def _sum_gamma_series(first_term, first_j, ratio_fn, tol, max_terms, what):
-    """Sum ``term_j`` from ``first_j`` with term_{j+1} = term_j * ratio_fn(j).
-
-    Compensated summation; stops when the geometric tail bound drops below
-    ``tol`` relative to max(1, |partial sum|).  Returns (value, terms_used,
-    max_abs_term, tail_bound).
-    """
-    acc = _CompensatedComplex()
-    term = first_term
-    max_abs = 0.0
-    j = first_j
-    for used in range(1, max_terms + 1):
-        acc.add(term)
-        max_abs = max(max_abs, abs(term))
-        ratio = ratio_fn(j)
-        nxt = term * ratio
-        scale = max(1.0, abs(acc.value()))
-        if abs(ratio) < 0.5 and abs(nxt) <= 0.5 * tol * scale:
-            tail = abs(nxt) / (1.0 - abs(ratio))
-            return acc.value(), used, max_abs, tail
-        term = nxt
-        j += 1
-    raise EvaluationError(f"{what} did not converge within {max_terms} terms")
-
-
-# the series sums refuse |x| above this bound
-_RADIUS = 20.0
-
-
-def mittag_leffler_info(s, x: complex, tol: float = 1e-12,
-                        max_terms: int = 10000):
-    """Mittag-Leffler sum ``sum_j x**j / Gamma(1 + s*j)`` with diagnostics.
-
-    Returns ``(value, terms_used, max_abs_term, tail_bound)``.  The rounding
-    error is bounded by roughly ``max_abs_term * terms_used * eps`` on top of
-    ``tail_bound`` (compensated summation keeps accumulation error at the
-    level of individual term rounding).
-    """
-    s = as_fraction(s)
-    if s <= 0:
-        raise DomainError("mittag_leffler requires s > 0")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    x = complex(x)
-    if abs(x) > _RADIUS:
-        raise DomainError(f"|x| = {abs(x)} exceeds the series radius bound {_RADIUS}")
-    sf = float(s)
-
-    def ratio(j):
-        return x * math.exp(log_gamma(1.0 + sf * j) - log_gamma(1.0 + sf * (j + 1)))
-
-    return _sum_gamma_series(1.0 + 0.0j, 0, ratio, tol, max_terms, "mittag_leffler")
-
-
-def mittag_leffler(s, x: complex, tol: float = 1e-12,
-                   max_terms: int = 10000) -> complex:
-    return mittag_leffler_info(s, x, tol, max_terms)[0]
-
-
-def _kernel_series_args(s, beta: int, x, tol: float) -> tuple:
-    """``(as_fraction(s), complex(x))`` once s > 0, beta >= 1, tol > 0 and
-    ``|x| <= _RADIUS`` are checked, as both kernel series sums need."""
-    s = as_fraction(s)
-    if s <= 0 or beta < 1:
-        raise DomainError("e_s_beta requires s > 0 and beta >= 1")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    x = complex(x)
-    if abs(x) > _RADIUS:
-        raise DomainError(f"|x| = {abs(x)} exceeds the series radius bound {_RADIUS}")
-    return s, x
-
-
-def e_s_beta(s, beta: int, x: complex, tol: float = 1e-12,
-             max_terms: int = 10000) -> complex:
-    """Kernel series ``sum_{j>=beta} C(j-1, beta-1) x**j / Gamma(1+s*j)``."""
-    s, x = _kernel_series_args(s, beta, x, tol)
-    if x == 0:
-        return 0.0 + 0.0j
-    sf = float(s)
-    first = x ** beta * math.exp(-log_gamma(1.0 + sf * beta))
-
-    def ratio(j):
-        # C(j, beta-1) / C(j-1, beta-1) = j / (j - beta + 1)
-        return x * (j / (j - beta + 1)) * math.exp(
-            log_gamma(1.0 + sf * j) - log_gamma(1.0 + sf * (j + 1))
-        )
-
-    value, _, _, _ = _sum_gamma_series(first, beta, ratio, tol, max_terms, "e_s_beta")
-    return value
-
-
-def e_s_beta_via_derivative(s, beta: int, x: complex, tol: float = 1e-12,
-                            max_terms: int = 10000) -> complex:
-    """Alternate evaluation through the termwise-derivative identity.
-
-    Differentiates the series of ``(E_s(x) - 1)/x`` termwise beta-1 times and
-    multiplies by ``x**beta / (beta-1)!``; agrees with :func:`e_s_beta` up to
-    the summation tolerance.
-    """
-    s, x = _kernel_series_args(s, beta, x, tol)
-    if x == 0:
-        return 0.0 + 0.0j
-    sf = float(s)
-    # term_n = (n)! / (n-beta+1)! * x**(n-beta+1) / Gamma(1+s*(n+1)), n >= beta-1
-    first = math.factorial(beta - 1) * math.exp(-log_gamma(1.0 + sf * beta))
-
-    def ratio(n):
-        return x * ((n + 1) / (n - beta + 2)) * math.exp(
-            log_gamma(1.0 + sf * (n + 1)) - log_gamma(1.0 + sf * (n + 2))
-        )
-
-    series, _, _, _ = _sum_gamma_series(first, beta - 1, ratio, tol, max_terms,
-                                        "e_s_beta (derivative form)")
-    return series * x ** beta / math.factorial(beta - 1)
 
 
 # -- sector requirements ------------------------------------------------------

@@ -13,8 +13,8 @@ import pytest
 from helpers import (from_t_coeffs, geometric_g, random_factor_product,
                      random_series1, table_mul)
 from oracles import frac_integral_quadrature, mellin_check, validate_numeric
-from routes import (Series1, borel, e_s_beta, e_s_beta_via_derivative, eval_at,
-                    eval_fraction, inv_borel, moment_antidiff, moment_diff)
+from routes import (Series1, borel, eval_at, eval_fraction, inv_borel,
+                    moment_antidiff, moment_diff)
 
 from mpde import newton
 from mpde.charroots import CharPoly, branches_at_infinity
@@ -150,14 +150,7 @@ def test_acceptance_06_moment_core_identities():
         for n in range(0, 101):
             prod = float(eval_fraction(pos, n) * eval_fraction(neg, n))
             assert abs(prod - 1.0) <= 1e-10
-    for s in (Fraction(1, 2), Fraction(1)):
-        for beta in (1, 2, 3):
-            for x in (2.0, -2.0, 1.0, -0.5, 1 + 1j, -1 + 0.5j):
-                va = e_s_beta(s, beta, x, tol=1e-14)
-                vb = e_s_beta_via_derivative(s, beta, x, tol=1e-14)
-                assert abs(va - vb) <= 1e-10 * max(1.0, abs(va))
-    _passed(6, "Mellin quadrature 1e-8, Gamma_s round trip 1e-10, "
-               "kernel dual formulas 1e-10")
+    _passed(6, "Mellin quadrature 1e-8, Gamma_s round trip 1e-10")
 
 
 def test_acceptance_07_series_algebra():

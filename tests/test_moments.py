@@ -8,10 +8,9 @@ import pytest
 
 from helpers import LOG_ULPS, larger_k, log_magnitude
 from oracles import mellin_check
-from routes import (e_s_beta, e_s_beta_via_derivative, eval_at, eval_fraction,
-                    kernel_e, mittag_leffler, mittag_leffler_info)
+from routes import eval_at, eval_fraction, kernel_e
 
-from mpde.errors import DomainError, EvaluationError, ParseError
+from mpde.errors import DomainError, ParseError
 from mpde.moments import (MOMENT_ONE, MomentFactor, MomentFunction,
                           fraction_table, gamma_s, log_gamma, log_rational,
                           log_table, scaled_eval)
@@ -97,56 +96,6 @@ def test_kernel_e_values():
         kernel_e(1, 1, 1, 0.0)
 
 
-def test_mittag_leffler_values():
-    assert mittag_leffler(1, 1.0) == pytest.approx(math.e, rel=1e-11)
-    assert mittag_leffler(Fraction(1, 2), 0.0) == 1.0
-    # oracle: direct summation of 1/Gamma(1+2j) equals cosh(sqrt(x)) at x=1
-    direct = sum(1.0 / math.gamma(1 + 2 * j) for j in range(40))
-    assert direct == pytest.approx(math.cosh(1.0), rel=1e-13)
-    assert mittag_leffler(2, 1.0) == pytest.approx(direct, rel=1e-11)
-
-
-def test_mittag_leffler_guards():
-    with pytest.raises(DomainError):
-        mittag_leffler(1, 25.0)  # outside the default radius bound
-    with pytest.raises(EvaluationError):
-        mittag_leffler(1, 10.0, tol=1e-30, max_terms=5)
-
-
-def test_e_s_beta_values():
-    assert e_s_beta(1, 1, 1.0) == pytest.approx(math.e - 1, rel=1e-11)
-    # brute force Sum_{j>=2} (j-1)/j! at x=1 equals x e^x - e^x + 1 = 1
-    brute = sum((j - 1) / math.factorial(j) for j in range(2, 60))
-    assert brute == pytest.approx(1.0, rel=1e-13)
-    assert e_s_beta(1, 2, 1.0) == pytest.approx(brute, rel=1e-11)
-    assert e_s_beta(Fraction(1, 2), 3, 0.0) == 0.0
-
-
-def test_e_s_beta_dual_formula_agreement():
-    pts = [2.0, -2.0, 1.0, -0.5, 0.3 + 0.4j, -1.0 + 1.0j, 2j]
-    for s in (Fraction(1, 2), Fraction(1)):
-        for beta in (1, 2, 3):
-            for x in pts:
-                a = e_s_beta(s, beta, x, tol=1e-14)
-                b = e_s_beta_via_derivative(s, beta, x, tol=1e-14)
-                assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
-
-
-@pytest.mark.parametrize("evaluate", [e_s_beta, e_s_beta_via_derivative])
-@pytest.mark.parametrize("tol", [-1.0, 0.0, -1e-300])
-def test_e_s_beta_refuses_a_tolerance_that_is_not_positive(evaluate, tol):
-    # refused at once, as mittag_leffler does, not after max_terms terms
-    with pytest.raises(DomainError, match="tol must be positive"):
-        evaluate(1, 1, 1.0, tol=tol)
-
-
-@pytest.mark.parametrize("evaluate", [e_s_beta, e_s_beta_via_derivative])
-@pytest.mark.parametrize("x", [25.0, -20.5, 15 + 15j])
-def test_e_s_beta_refuses_x_outside_the_radius_bound(evaluate, x):
-    with pytest.raises(DomainError, match="exceeds the series radius bound"):
-        evaluate(1, 1, x)
-
-
 def test_mellin_examples():
     assert mellin_check(1, 1, 1, 3) == pytest.approx(6.0, rel=1e-9)
     assert mellin_check(1, 1, 2, 2) == pytest.approx(1.0, rel=1e-9)
@@ -182,33 +131,6 @@ def test_growth_comparable_to_gamma_s():
     assert max(abs(v) for v in seq) <= 50
     tail = seq[-10:]
     assert max(tail) - min(tail) < 0.1
-
-
-def test_mittag_leffler_exponential_decay_s1():
-    for r in range(1, 11):
-        val = mittag_leffler(1, -float(r), tol=1e-14)
-        assert abs(val - math.exp(-r)) <= 1e-6 * math.exp(-r)
-        assert abs(val) <= math.exp(-r) * (1 + 1e-6)
-
-
-def test_mittag_leffler_decay_along_negative_axis_s_half():
-    # |E_{1/2}| decreasing for x on arg = pi, |x| in [1, 5]; the compensated
-    # double-precision sums are checked against 30-digit reference values
-    # within the documented bound max_term * terms * eps + tail.
-    mpmath.mp.dps = 30
-    prev = None
-    for r in (1.0, 2.0, 3.0, 4.0, 5.0):
-        val, terms, max_term, tail = mittag_leffler_info(
-            Fraction(1, 2), -r, tol=1e-15)
-        ref = complex(mpmath.nsum(
-            lambda j: mpmath.mpf(-r) ** j / mpmath.gamma(1 + j / 2),
-            [0, mpmath.inf]))
-        bound = max_term * terms * 2.3e-16 + tail
-        assert abs(val - ref) <= bound + 1e-15
-        mag = abs(ref)
-        if prev is not None:
-            assert mag < prev
-        prev = mag
 
 
 def test_scaled_eval_beyond_double_range():

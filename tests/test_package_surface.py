@@ -1,12 +1,12 @@
 """Every function defined in ``src/mpde`` runs under some command, or is
 on ``NEVER_RUN``, each entry with the reason it stays in the package.
 
-One fresh interpreter imports mpde and runs every command in process, under
-``sys.setprofile``, on a corpus: the three shipped problems and seven
-variants of heat.  The commands are ``analyze``, ``newton``, and ``solve``,
-``verify`` (once more with ``--tol 0``) and ``probe`` in both arithmetics.
-A fresh interpreter counts what an mpde command counts: the code run by
-the import, and no cache primed by another test.
+One fresh interpreter runs the corpus of ``tests/outputs.py`` with
+:func:`outputs.run_corpus`, the loop of the output-diff runner, under
+``sys.setprofile``: every command on every problem of the corpus, in
+process.  A fresh interpreter counts what an mpde command counts: the code
+run by the import, and no cache primed by another test.  A run that raises
+in place of exiting fails the test.
 
 A function is a ``def`` (methods and nested functions included), named
 ``module.Qual.name``.  It ran when the profiler saw a call of its code.
@@ -18,26 +18,16 @@ functions that never ran, one a line.
 """
 
 import ast
-import copy
 import json
 import os
 import subprocess
 import sys
-import tempfile
-from importlib import resources, util
+from importlib import util
 from pathlib import Path
 
 PACKAGE = Path(util.find_spec("mpde").origin).parent
 
 NEVER_RUN = {
-    # error paths: the corpus holds no failing problem
-    "errors.ParseError.__init__": "error path: a malformed problem file",
-    "kernel.CellOverflow.__init__": "error path: an exact cell beyond binary64",
-    "kernel.beyond_binary64": "error path: a float value beyond binary64",
-    "kernel._unfused": "edge path: a float term scalar zero or beyond "
-                       "binary64",
-    "solver._max_weighted": "error path: an exact residual that is not zero",
-    "solver._safe_float": "error path: an exact residual that is not zero",
     # the public readout and dunder methods of the result types
     "exact.RationalComplex.__abs__": "dunder method of a public type",
     "exact.RationalComplex.__hash__": "dunder method of a public type",
@@ -66,76 +56,32 @@ NEVER_RUN = {
     "moments.scaled_eval": "perfbench reads its cache (ROADMAP item 6)",
 }
 
-_HEAT = {
-    "operator": "dt - dz^2", "m1": "Gamma(1)", "m2": "Gamma(1)",
-    "rhs": {"kind": "rational",
-            "payload": {"num": [[0, 0, "1", "0"]],
-                        "den": [[0, 0, "1", "0"], [0, 1, "-1", "0"]]}},
-    "rhs_role": "g", "rhs_gevrey": ["0", "0"], "truncation": [24, 8],
-    "directions": [0.0], "mode": "direct", "arithmetic": "exact",
-}
+# Runs in a fresh interpreter with mpde and tests/ on the path: mpde is
+# imported under the profiler, by the first run.
+PROFILED = r'''
+import json, sys, outputs
+
+seen = set()
 
 
-def _heat(**changes) -> dict:
-    return dict(copy.deepcopy(_HEAT), **changes)
+def profile(frame, event, arg):
+    if event == "call":
+        seen.add(frame.f_code)
 
 
-PSEUDO = {"operator": "(10+dz)*dt - dz^2", "mode": "pseudo"}
-VARIANTS = {
-    "pseudo": _heat(**PSEUDO),
-    "pseudo_f": _heat(**PSEUDO, rhs_role="f"),
-    "gamma_half": _heat(m1="1*Gamma(1/2+u/1)"),
-    "gamma_third": _heat(m1="Gamma(1/2)", m2="3/2*Gamma(1/3+u/2)"),
-    "complex": _heat(operator="(1+1i)*dt - dz^2"),
-    "second_order": _heat(operator="dt^2 - dt*dz - dz^3 + 1"),
-    "coeffs": _heat(rhs={"kind": "coeffs",
-                         "payload": [[0, 0, "1", "0"], [1, 2, "-1/2", "1"],
-                                     [3, 1, "2", "0"]]}),
-}
-RUNS = [["analyze"], ["newton"],
-        *([command, "--arithmetic", arithmetic]
-          for command in ("solve", "verify", "probe")
-          for arithmetic in ("float", "exact")),
-        *(["verify", "--arithmetic", arithmetic, "--tol", "0"]
-          for arithmetic in ("float", "exact"))]
-
-
-def run_corpus(folder: str) -> None:
-    """Write the corpus to ``folder``, run every command on it under the
-    profiler, and print the (file, first line) of each mpde code object
-    that was called, as JSON.  Import mpde only after this starts."""
-    seen = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            seen.add(frame.f_code)
-
-    folder = Path(folder)
-    paths = []
-    for name, problem in VARIANTS.items():
-        paths.append(folder / f"{name}.json")
-        paths[-1].write_text(json.dumps(problem))
-    sys.setprofile(profile)
-    try:
-        import mpde.cli
-
-        shipped = resources.files("mpde") / "problems"
-        paths += [str(shipped / f"{n}.json")
-                  for n in ("heat", "transport", "twofactor")]
-        outputs = {"solve": ["--out", str(folder / "u.csv")],
-                   "newton": ["--out", str(folder / "n.csv"),
-                              "--svg", str(folder / "n.svg")]}
-        for path in paths:
-            for command, *options in RUNS:
-                try:
-                    mpde.cli.main([command, str(path), *options,
-                                   *outputs.get(command, ["--out", os.devnull])])
-                except SystemExit:
-                    pass
-    finally:
-        sys.setprofile(None)
-    print(json.dumps(sorted({(c.co_filename, c.co_firstlineno)
-                             for c in seen})))
+problems = outputs.corpus()
+sys.setprofile(profile)
+try:
+    results = outputs.run_corpus(problems)
+finally:
+    sys.setprofile(None)
+# run_corpus records a run that raised as a string in place of its exit code
+raised = {run: r["exit"] for run, r in results.items()
+          if not isinstance(r["exit"], int)}
+if raised:
+    sys.exit(json.dumps(raised, indent=1))
+print(json.dumps(sorted({(c.co_filename, c.co_firstlineno) for c in seen})))
+'''
 
 
 def defined_functions() -> dict:
@@ -162,15 +108,12 @@ def defined_functions() -> dict:
 
 
 def never_run() -> set:
-    """Names of the mpde functions that no command of the corpus called."""
+    """Names of the mpde functions that no run of the corpus called."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(PACKAGE.parent), str(Path(__file__).parent),
                     os.environ.get("PYTHONPATH")) if p))
-    with tempfile.TemporaryDirectory() as tmp:
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, test_package_surface as t; t.run_corpus(sys.argv[1])",
-             tmp], env=env, capture_output=True, text=True, timeout=600)
+    proc = subprocess.run([sys.executable, "-c", PROFILED], env=env,
+                          capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     ran = {(str(Path(f).resolve()), line)
            for f, line in json.loads(proc.stdout.splitlines()[-1])}
