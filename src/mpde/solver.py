@@ -377,34 +377,29 @@ def _residual_float(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
 
 
 def _residual_exact(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
-    """The exact residual, its rhs side the normalized rhs as it is for a
-    P0 table ``{(0, 0): 1}`` and shifted by P0 otherwise, on the rows of
-    the rhs grid.  Equal integer lanes over one row divisor (an absent
+    """The exact residual, its rhs side the normalized rhs shifted by its
+    P0 table, on the rows of the rhs grid.  The sides' row divisors differ
+    by one ratio sf/sl in lowest terms, so lhs's lanes times sl and the
+    rhs's times sf share one divisor: equal integer lanes (an absent
     imaginary lane, and the rows past the rhs grid's, read as zeros) are
-    zero."""
+    zero, and otherwise the L1 moduli of their differences are compared."""
     w1, w2 = prob.fraction_tables
     P, g = prob.operator, prob.normalized_rhs
     lhs = kernel.shift(kernel.rescale(u_hat.lanes, w1, w2, J + P.n,
                                       I + P.max_b), support, w1, w2, J, I)
-    J_f = min(J, len(g.re) - 1)
-    f = (kernel.window(kernel.RawLanes(g.re, g.im, [g.den * w for w in w1],
-                                       w2), J_f, I)
-         if p0_table == {(0, 0): 1}
-         else kernel.shift(g, p0_table, w1, w2, J_f, I))
-    # the row divisors of the sides differ by one ratio sf/sl in lowest
-    # terms: put both over lhs's divisors times sl, compare integer L1 moduli
+    f = kernel.shift(g, p0_table, w1, w2, min(J, len(g.re) - 1), I)
     sf, sl = quotient(lhs.row_div[0], f.row_div[0]).as_integer_ratio()
     zero = [0] * (I + 1)
     l_re, l_im, f_re, f_im = (
-        list(islice(chain(lane or (), repeat(zero)), J + 1))
-        for lane in (lhs.re, lhs.im, f.re, f.im))
-    if sl == sf and l_re == f_re and l_im == f_im:
+        [row if s == 1 else [x * s for x in row]
+         for row in islice(chain(lane or (), repeat(zero)), J + 1)]
+        for lane, s in ((lhs.re, sl), (lhs.im, sl), (f.re, sf), (f.im, sf)))
+    if l_re == f_re and l_im == f_im:
         return ResidualReport(0.0, (J, I), True, 0.0)
     rows = list(zip(l_re, l_im, f_re, f_im))
-    diff = [[abs(lr[i] * sl - fr[i] * sf) + abs(li[i] * sl - fi[i] * sf)
-             for i in range(I + 1)] for lr, li, fr, fi in rows]
-    size = [[max((abs(lr[i]) + abs(li[i])) * sl,
-                 (abs(fr[i]) + abs(fi[i])) * sf)
+    diff = [[abs(lr[i] - fr[i]) + abs(li[i] - fi[i]) for i in range(I + 1)]
+            for lr, li, fr, fi in rows]
+    size = [[max(abs(lr[i]) + abs(li[i]), abs(fr[i]) + abs(fi[i]))
              for i in range(I + 1)] for lr, li, fr, fi in rows]
     max_abs = _max_weighted(diff, lhs.row_div, w2) / sl
     scale = _max_weighted(size, lhs.row_div, w2) / sl

@@ -19,10 +19,8 @@ lives here:
   probe reads column 0, their values at z = 0);
 * ``g_from_f``, the division ``P0(dz) g = f`` alone, on the taps that
   ``solver.formal_solve`` runs for an f rhs;
-* single values of a moment function (``eval_at``, ``eval_fraction``, both
-  read from ``moments.scaled_eval``), and ``kernel_e``, the single-factor
-  kernel, whose Mellin transform ``oracles.mellin_check`` integrates after
-  the substitution ``y = x**k``;
+* single values of a moment function (``eval_at`` and ``eval_fraction``,
+  both read from ``moments.scaled_eval``);
 * ``required_sectors`` and ``operator_to_text``.
 
 These routes call mpde; they are checked, not trusted.  The oracles of
@@ -342,14 +340,6 @@ def eval_fraction(m: MomentFunction, u) -> Fraction:
     """m(u) as an exact Fraction (exact Gamma values where possible,
     otherwise the dyadic rational of the scaled double evaluation)."""
     return scaled_eval(m, as_fraction(u)).rational
-
-
-def kernel_e(a, b, k, x: float) -> float:
-    """Single-factor kernel ``a*k*x**(b*k)*exp(-x**k)`` for x > 0."""
-    if x <= 0:
-        raise DomainError(f"kernel_e requires x > 0, got {x}")
-    a, b, k = float(a), float(b), float(k)
-    return a * k * x ** (b * k) * math.exp(-(x ** k))
 
 
 # -- sector requirements ------------------------------------------------------

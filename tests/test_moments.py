@@ -8,7 +8,7 @@ import pytest
 
 from helpers import LOG_ULPS, larger_k, log_magnitude
 from oracles import mellin_check
-from routes import eval_at, eval_fraction, kernel_e
+from routes import eval_at, eval_fraction
 
 from mpde.errors import DomainError, ParseError
 from mpde.moments import (MOMENT_ONE, MomentFactor, MomentFunction,
@@ -86,14 +86,6 @@ def test_combine_pointwise():
     quot = g1 / g1
     for u in (0, 1, Fraction(7, 3), 10):
         assert eval_at(quot, u) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_kernel_e_values():
-    assert kernel_e(1, 1, 1, 1.0) == pytest.approx(math.exp(-1), rel=1e-14)
-    assert kernel_e(1, 1, 2, 1.0) == pytest.approx(2 * math.exp(-1), rel=1e-14)
-    assert kernel_e(2, 1, 1, 2.0) == pytest.approx(4 * math.exp(-2), rel=1e-14)
-    with pytest.raises(DomainError):
-        kernel_e(1, 1, 1, 0.0)
 
 
 def test_mellin_examples():

@@ -30,6 +30,7 @@ PACKAGE = Path(util.find_spec("mpde").origin).parent
 NEVER_RUN = {
     # the public readout and dunder methods of the result types
     "exact.RationalComplex.__abs__": "dunder method of a public type",
+    "exact.RationalComplex.__eq__": "dunder method of a public type",
     "exact.RationalComplex.__hash__": "dunder method of a public type",
     "exact.RationalComplex.__pos__": "dunder method of a public type",
     "exact.RationalComplex.__repr__": "dunder method of a public type",
@@ -52,6 +53,9 @@ NEVER_RUN = {
     "series._rows": "builds a Series2 from rows, as library callers do",
     "solver.CauchyProblem.widths": "a CauchyProblem built without assemble, "
                                    "which seeds the widths",
+    # the exact residual's sizes, which only a wrong exact solve reaches
+    "solver._max_weighted": "runs only for a wrong exact solve",
+    "solver._safe_float": "runs only for a wrong exact solve",
     # read by perfbench, or kept for an open ROADMAP item
     "moments.scaled_eval": "perfbench reads its cache (ROADMAP item 6)",
 }

@@ -17,6 +17,7 @@ import jsonschema
 import pytest
 
 from helpers import run_cli, strict_json
+from outputs import VARIANTS
 from routes import row_values
 
 from mpde import cli, moments
@@ -554,14 +555,19 @@ def _csv_cells(path) -> list:
             (line.split(",") for line in path.read_text().splitlines()[1:])]
 
 
-@pytest.mark.parametrize("scale", [f"1/{BIG}", BIG], ids=["tiny", "huge"])
-@pytest.mark.parametrize("arg", ["1/2+u/1", "1+u/1"])
+@pytest.mark.parametrize("scale,arg", [
+    (scale, arg) for arg in ("1/2+u/1", "1+u/1") for scale in (f"1/{BIG}", BIG)
+] + [("Gamma(1)*Gamma(1)/1", "1+u/1")], ids=[
+    "1/2+u/1-tiny", "1/2+u/1-huge", "1+u/1-tiny", "1+u/1-huge",
+    "1+u/1-inverse"])
 def test_cli_moment_scale_beyond_binary64_solves(scale, arg, tmp_path):
     # the scale a of a*Gamma(b + u/k) may be any positive rational: its log
     # is taken from its integer numerator and denominator.  The scale of m1
     # cancels from the solution, so the cells are those of the unscaled
     # moment: equal in exact arithmetic when the Gamma arguments are
-    # integers (both tables are exact factorials), within 1e-12 in float
+    # integers (both tables are exact factorials), within 1e-12 in float.
+    # Gamma(1)*Gamma(1)/1*Gamma(1+u/1), whose inverse factor cancels one
+    # Gamma(1), is the unscaled moment, heat's own
     data = json.loads(Path(shipped("heat")).read_text())
     cells = {}
     for label, m1 in (("scaled", f"{scale}*Gamma({arg})"),
@@ -700,15 +706,41 @@ def test_exact_fit_and_row_values_build_no_cell_objects(monkeypatch):
     assert built == []
 
 
-@pytest.mark.parametrize("command", ["solve", "probe"])
-def test_cli_float_overflow_advises_a_smaller_truncation(command, tmp_path):
+# (shipped problem, changes, N1, N2, the first t-level that overflows): 64
+# is the first of a block of 8 levels that the kernel checks at once, the
+# others lie inside one; the pseudo-mode recursion has downward terms and a
+# tap; the case named "" runs under the command's name alone
+OVERFLOWS = {
+    "": ("twofactor", {}, 80, 60, 64),
+    "twofactor@160x60": ("twofactor", {}, 160, 60, 64),
+    "heat@200x100": ("heat", {}, 200, 100, 105),
+    "gamma@100x60": ("heat", {"m1": "Gamma(1/2)", "m2": "Gamma(3/2)"}, 100,
+                     60, 52),
+    "complex@200x100": ("heat", dict(VARIANTS)["complex"], 200, 100, 111),
+    "pseudo-f@200x100": ("heat", {"operator": "(1+dz)*dt - dz^3",
+                                  "rhs_role": "f", "mode": "pseudo"}, 200,
+                         100, 106),
+}
+
+
+@pytest.mark.parametrize("command,case", [
+    (command, case) for case in OVERFLOWS for command in ("solve", "probe")],
+    ids=[f"{command}-{case}" if case else command for case in OVERFLOWS
+         for command in ("solve", "probe")])
+def test_cli_float_overflow_advises_a_smaller_truncation(command, case,
+                                                         tmp_path):
+    name, changes, n1, n2, level = OVERFLOWS[case]
+    prob = tmp_path / "problem.json"
+    prob.write_text(json.dumps(dict(
+        json.loads(Path(shipped(name)).read_text()), **changes)))
     result = run_cli([
-        command, shipped("twofactor"), "--n1", "80", "--arithmetic", "float",
-        "--out", str(tmp_path / "out")])
-    assert result.exit_code == 4, result.output
-    assert ("overflow at t-level 64 (of 80) inside the requested window; "
-            "lower the t-truncation (--n1) below 64, or check larger ones "
-            "with verify --arithmetic exact") in result.output
+        command, str(prob), "--n1", str(n1), "--n2", str(n2),
+        "--arithmetic", "float", "--out", str(tmp_path / "out")])
+    assert (result.exit_code, result.stderr) == (4, (
+        f"numeric failure: float coefficients overflow at t-level {level} "
+        f"(of {n1}) inside the requested window; lower the t-truncation "
+        f"(--n1) below {level}, or check larger ones with verify "
+        f"--arithmetic exact\n")), result.output
 
 
 def test_cli_float_overflow_at_the_first_rhs_level_advises_exact(tmp_path):
@@ -1668,12 +1700,18 @@ def _files(folder: Path) -> dict:
       "--tol", "-0.0"], 3, False),
     (["solve", "twofactor", "--n1", "80", "--arithmetic", "float",
       "--out", "T.csv"], 4, False),
-    (["newton", "twofactor", "--out", "N.csv", "--svg", "N.svg"], 1, True)])
+    (["newton", "twofactor", "--out", "N.csv", "--svg", "N.svg"], 1, True),
+    *((["probe", name, "--arithmetic", "exact"], 0, False)
+      for name in ("heat", "transport", "twofactor")),
+    *(([command, "transport", "--n1", "200", "--n2", "200", "--arithmetic",
+        "float"], 0, False) for command in ("verify", "probe"))])
 def test_cli_as_the_program_freezes_the_heap_at_exit_and_keeps_its_output(
         args, code, closed, tmp_path, monkeypatch):
     # stdout, stderr, exit code and written files are those of the in-process
     # run, except that a program whose reader closed stdout first (``closed``)
-    # writes no stdout and exits 1 quietly
+    # writes no stdout and exits 1 quietly; a run that exits 0 in process,
+    # where a RuntimeWarning is an error, writes no stderr, and so no numpy
+    # warning as the program either
     argv = [args[0], shipped(args[1]), *args[2:]]
     inside, program = tmp_path / "inside", tmp_path / "program"
     inside.mkdir()

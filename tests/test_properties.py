@@ -42,6 +42,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import brute_force
+import outputs
 from helpers import LOG_ULPS, larger_k, log_magnitude
 from oracles import (borel_cells, csv_cells, edge_roots_numpy,
                      exact_gevrey_fit_cells, exact_grid_cells, laurent_solve,
@@ -60,7 +61,8 @@ from mpde.moments import (MOMENT_ONE, MomentFactor, MomentFunction,
                           scaled_eval)
 from mpde.parsing import parse_moment
 from mpde.problem import (_table, assemble, expand_rhs, load_problem,
-                          parse_rhs, solve_problem)
+                          parse_rhs, probe_problem, solve_problem,
+                          verify_problem)
 from mpde.series import Series2, gevrey_fit
 from mpde.solver import CauchyProblem, formal_solve, level_widths, residual
 
@@ -531,9 +533,14 @@ def test_real_and_complex_float_routes_agree_in_pseudo_mode(case, scale):
     check_real_and_complex_routes_agree(_real(case), scale)
 
 
+REPROS = {name: problem for name, problem, _ in outputs.REPROS}
+
+
 def _shipped(name: str) -> dict:
-    """A shipped problem file, or pseudo and gamma, the two problems built
-    on heat.json."""
+    """A shipped problem file, pseudo and gamma, the two problems built on
+    heat.json, or a repro of the output-diff corpus."""
+    if name in REPROS:
+        return json.loads(json.dumps(REPROS[name]))
     data = json.loads((resources.files("mpde") / "problems"
                        / f"{'heat' if name in ('pseudo', 'gamma') else name}"
                          ".json").read_text())
@@ -544,12 +551,14 @@ def _shipped(name: str) -> dict:
     return data
 
 
-# the shipped problems at their truncation, and rungs that overflow
-# binary64 (heat at level 105, twofactor at 64, gamma at 52)
+# the shipped problems at their truncation, benchmark rungs, some of which
+# overflow binary64 (heat at level 105, twofactor at 64, gamma at 52), and
+# a rhs den with a term in t
 @pytest.mark.parametrize("name,n1,n2", [
     ("heat", None, None), ("transport", None, None),
     ("twofactor", None, None), ("heat", 200, 100), ("transport", 200, 200),
-    ("twofactor", 80, 60), ("gamma", 100, 60), ("pseudo", 40, 40)])
+    ("twofactor", 80, 60), ("gamma", 100, 60), ("pseudo", 40, 40),
+    ("pseudo", 20, 40), ("gamma", 20, 40), ("t-dependent-den", 30, 30)])
 def test_real_and_complex_float_routes_agree_on_shipped_problems(name, n1,
                                                                   n2):
     real = _shipped(name)
@@ -571,6 +580,11 @@ def test_real_and_complex_float_routes_agree_on_shipped_problems(name, n1,
     assert np.array_equal(v.grid.imag, u.grid, equal_nan=True)
     assert not v.grid.real.any()
     assert json.dumps(real_sidecar) == json.dumps(imag_sidecar)
+    # float verify passes, and the probes of both routes fit alike
+    assert verify_problem(load_problem(real), 1e-8, n1, n2, "float")["passed"]
+    fits = [probe_problem(load_problem(data), n1, n2, "float")["gevrey_fit"]
+            for data in (real, rotated)]
+    assert fits[0] == fits[1]
 
 
 @SETTINGS

@@ -9,6 +9,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+import outputs
 from helpers import geometric_g, larger_k, random_series2
 from oracles import laurent_tail, recurrence_float_levels, residual_cells
 from routes import (apply_operator, borel, g_from_f, inv_borel, moment_antidiff,
@@ -143,10 +144,15 @@ def test_float_solve_raises_on_overflow_in_window():
     assert residual(prob, formal_solve(prob)).relative < 1e-10
 
 
+REPROS = {name: problem for name, problem, _ in outputs.REPROS}
+
+
 def _shipped(name, **changes):
-    """A shipped problem file, with ``changes``, loaded."""
-    pf = json.loads((resources.files("mpde") / "problems" / f"{name}.json")
-                    .read_text())
+    """A shipped problem file, or a repro of the output-diff corpus, with
+    ``changes``, loaded."""
+    pf = (json.loads(json.dumps(REPROS[name])) if name in REPROS else
+          json.loads((resources.files("mpde") / "problems" / f"{name}.json")
+                     .read_text()))
     pf.update(changes)
     return load_problem(json.dumps(pf))
 
@@ -288,11 +294,15 @@ def test_exact_residual_matches_the_per_cell_report(operator, rhs_is_g, shape,
 @pytest.mark.parametrize("name,changes", [
     ("heat", {}), ("transport", {}), ("twofactor", {}),
     ("heat", {"operator": "(2+dz)*dt - dz^2", "rhs_role": "f",
-              "mode": "pseudo"})])
+              "mode": "pseudo"}),
+    ("multi-tap-pseudo-f", {}), ("t-dependent-den", {})])
 def test_exact_zero_residual_is_reported_before_any_size(monkeypatch, name,
                                                          changes):
     # equal sides return a zero residual at once: the weighted maxima of
-    # the differences and the sizes run only for a residual that is not zero
+    # the differences and the sizes run only for a residual that is not
+    # zero; the sides' lanes are compared over one divisor, also where
+    # their row divisors differ (multi-tap-pseudo-f's lhs divisor is a
+    # 47-digit integer, its rhs's 1)
     def sized(*args):
         raise AssertionError("an exactly zero residual was sized")
 
@@ -696,8 +706,8 @@ def test_moment_tables_are_built_once_per_problem(exact, monkeypatch):
     {"operator": "(2+dz)*dt - dz^2", "mode": "pseudo"}],
     ids=["heat", "pseudo-f", "pseudo-g"])
 def test_exact_solve_normalizes_its_rhs_once(changes, monkeypatch):
-    # the recursion and the residual read one normalized rhs: the grid
-    # itself (a g rhs with P0 = 1, or an f rhs) or one shift of it by P0
+    # the recursion and the residual read one normalized rhs, which the
+    # residual shifts by its P0 table (by 1 for an f rhs)
     heat = json.loads((resources.files("mpde") / "problems" / "heat.json")
                       .read_text())
     data = dict(heat, truncation=[12, 16], **changes)
