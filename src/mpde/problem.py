@@ -54,7 +54,7 @@ from .errors import ParseError, PreconditionError
 from .exact import RationalComplex, as_rational, fmt_fraction
 from .parsing import parse_moment, parse_operator
 from .record import record
-from .series import FIT_MIN_POINTS, Series2, gevrey_fit, least_fit_truncation
+from .series import FIT_MIN_POINTS, LEAST_FIT_TRUNCATION, Series2, gevrey_fit
 from .solver import (CauchyProblem, _recursion_terms, formal_solve,
                      level_widths, residual, rounded_recursion,
                      theoretical_orders)
@@ -615,10 +615,9 @@ def probe_problem(pf: ProblemFile, n1: int | None = None,
     built, are rejected before the solve."""
     P, m1, m2 = pf.parsed
     N1, N2 = _truncation(pf, n1, n2)
-    least = least_fit_truncation()
-    if N1 < least:
+    if N1 < LEAST_FIT_TRUNCATION:
         raise PreconditionError(
-            f"probe needs --n1 >= {least}, so that its Gevrey fit has "
+            f"probe needs --n1 >= {LEAST_FIT_TRUNCATION}, so that its Gevrey fit has "
             f"{FIT_MIN_POINTS} t-levels to read; got N1 = {N1}")
     branches, s1, s2 = branches_at_infinity(P), m1.order, m2.order
     st1, st2 = pf.rhs_gevrey

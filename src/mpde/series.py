@@ -221,71 +221,55 @@ class GevreyFit:
 FIT_RADIUS = 0.1
 FIT_J_MIN_FRAC = 0.5
 FIT_MIN_POINTS = 8
+# the least J whose floor((1 - FIT_J_MIN_FRAC) * J) + 1 levels
+# [ceil(FIT_J_MIN_FRAC * J), J], which gevrey_fit reads, number FIT_MIN_POINTS
+LEAST_FIT_TRUNCATION = math.ceil((FIT_MIN_POINTS - 1) / (1 - FIT_J_MIN_FRAC))
 
 
-def least_fit_truncation(j_min_frac: float = FIT_J_MIN_FRAC,
-                         min_points: int = FIT_MIN_POINTS) -> int:
-    """Least J whose ``floor((1 - j_min_frac) * J) + 1`` levels
-    ``[ceil(j_min_frac * J), J]``, which :func:`gevrey_fit` reads, number
-    ``min_points``."""
-    return math.ceil((min_points - 1) / (1 - j_min_frac))
-
-
-def gevrey_fit(u: Series2, axis: str = "t",
-               j_min_frac: float = FIT_J_MIN_FRAC,
-               min_points: int = FIT_MIN_POINTS) -> GevreyFit:
-    """Least-squares growth exponent of weighted row sums.
+def gevrey_fit(u: Series2) -> GevreyFit:
+    """Least-squares growth exponent of weighted t-row sums.
 
     Forms ``a_j = sum_i |c_{j,i}| * FIT_RADIUS**i`` and fits ``log a_j``
-    against the basis ``{1, j, log Gamma(1+j)}`` over the upper part of the
-    valid j-range; the coefficient of ``log Gamma(1+j)`` estimates the
-    Gevrey order.  The weighted l1 row sum stands in for the sup norm on a
-    z-disc of radius ``FIT_RADIUS``.  Every row is summed by one
-    ``np.add.reduce`` over a C-contiguous array of the terms, a pairwise
-    sum of nonnegative terms, within a few units in the last place of the
-    exact sum (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    2nd ed., section 4.2); a level whose sum is zero, NaN or infinite, one
-    whose finite terms sum past binary64 included, is skipped.  An exact
-    cell whose real or imaginary part lies outside the binary64 range
-    raises EvaluationError naming its level.
+    against the basis ``{1, j, log Gamma(1+j)}`` over the t-levels
+    ``[ceil(FIT_J_MIN_FRAC * J), J]``; the coefficient of
+    ``log Gamma(1+j)`` estimates the Gevrey order in t, and fewer than
+    ``FIT_MIN_POINTS`` fitted levels raise EstimationError.  (The z-order is
+    the fit of the transposed series.)  The weighted l1 row sum stands in
+    for the sup norm on a z-disc of radius ``FIT_RADIUS``.  Every row is
+    summed by one ``np.add.reduce`` over a C-contiguous array of the
+    terms, a pairwise sum of nonnegative terms, within a few units in the
+    last place of the exact sum (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., section 4.2); a level whose sum is
+    zero, NaN or infinite, one whose finite terms sum past binary64
+    included, is skipped.  An exact cell whose real or imaginary part lies
+    outside the binary64 range raises EvaluationError naming its level.
     """
     import numpy as np
 
-    if axis not in ("t", "z"):
-        raise DomainError("axis must be 't' or 'z'")
     J, I = u.valid
-    if axis == "z":
-        J, I = I, J
-    j_lo = max(0, math.ceil(j_min_frac * J))
+    j_lo = math.ceil(FIT_J_MIN_FRAC * J)
     if u.exact:
-        lanes = u.lanes
-        if axis == "z":  # the levels are the columns
-            re, im = (None if lane is None else list(zip(*lane))
-                      for lane in (lanes.re, lanes.im))
-            lanes = kernel.RawLanes(re, im, lanes.col_div, lanes.row_div)
         try:
             # hypot(x) of a real cell is hypot(x, 0.0), as abs() takes it
             moduli = [[math.hypot(*c) for c in zip(*parts)] for parts in
-                      kernel.binary64_rows(lanes, range(j_lo, J + 1), I)]
+                      kernel.binary64_rows(u.lanes, range(j_lo, J + 1), I)]
         except kernel.CellOverflow as exc:
-            flag = "--n1" if axis == "t" else "--n2"
             raise EvaluationError(
-                f"exact coefficients of {axis}-level {exc.j} are outside the "
-                f"binary64 range of the Gevrey fit; lower {flag} below "
+                f"exact coefficients of t-level {exc.j} are outside the "
+                f"binary64 range of the Gevrey fit; lower --n1 below "
                 f"{exc.j} (verify checks the exact solution without fitting "
                 f"it)") from None
         moduli = np.array(moduli, dtype=float).reshape(-1, I + 1)
     else:
-        cells = (u.grid if axis == "t" else u.grid.T)[j_lo:]
-        moduli = kernel.modulus(cells)
+        moduli = kernel.modulus(u.grid[j_lo:])
     weights = np.array([FIT_RADIUS ** i for i in range(I + 1)], dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         sums = np.add.reduce(np.ascontiguousarray(moduli * weights), axis=1)
     pts = [(j, math.log(a)) for j, a in enumerate(sums.tolist(), j_lo)
            if a > 0.0 and math.isfinite(a)]
-    if len(pts) < min_points:
+    if len(pts) < FIT_MIN_POINTS:
         raise EstimationError(
-            f"need at least {min_points} nonzero levels in [{j_lo}, {J}], "
+            f"need at least {FIT_MIN_POINTS} nonzero levels in [{j_lo}, {J}], "
             f"got {len(pts)}")
     js = np.array([p[0] for p in pts], dtype=float)
     ys = np.array([p[1] for p in pts], dtype=float)

@@ -338,7 +338,10 @@ def _residual_float(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
     they are.  The m1 and m2 ratio vectors are built for the nonzero
     offsets only, as :func:`kernel.shift_float` multiplies by no factor of
     one: a float64 cell keeps its bits, a complex128 one its finite
-    modulus."""
+    modulus.  When ``max_abs`` or the scale is not finite while every cell
+    of u and of the rhs has a finite modulus, the terms of finite cells
+    overflowed: the residual is computed once more with e lowered by the
+    binary exponent of the largest cell modulus."""
     import numpy as np
 
     e = -max(x.numerator.bit_length() - x.denominator.bit_length()
@@ -360,16 +363,27 @@ def _residual_float(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
                 kernel.shift_float(kernel.modulus(grid), abs_items, r1, r2,
                                    rows, I))
 
-    lhs, abs_lhs = sides(u_hat, support, J)
-    f, abs_f = sides(prob.rhs, p0_table, min(J, prob.rhs.valid[0]))
-    diff = lhs.astype(np.result_type(lhs, f), copy=False)
-    with np.errstate(invalid="ignore", over="ignore"):
-        diff[: len(f)] -= f
-        # numpy maxima propagate NaN
-        max_abs = float(np.max(kernel.modulus(diff)))
-        abs_own = float(np.ldexp(max_abs, -e))
-    scale = float(np.maximum(np.max(abs_lhs), np.max(abs_f)))
-    if not (math.isfinite(max_abs) and math.isfinite(scale)):
+    for retry in (False, True):
+        lhs, abs_lhs = sides(u_hat, support, J)
+        f, abs_f = sides(prob.rhs, p0_table, min(J, prob.rhs.valid[0]))
+        diff = lhs.astype(np.result_type(lhs, f), copy=False)
+        with np.errstate(invalid="ignore", over="ignore"):
+            diff[: len(f)] -= f
+            # numpy maxima propagate NaN
+            max_abs = float(np.max(kernel.modulus(diff)))
+            abs_own = float(np.ldexp(max_abs, -e))
+        scale = float(np.maximum(np.max(abs_lhs), np.max(abs_f)))
+        finite = math.isfinite(max_abs) and math.isfinite(scale)
+        if finite or retry:
+            break
+        with np.errstate(over="ignore"):
+            top = max(float(np.max(kernel.modulus(s.grid)))
+                      for s in (u_hat, prob.rhs))
+        if not 0.0 < top < math.inf:
+            break  # a cell, or its modulus, is not finite
+        # finite cells whose terms overflow: 2**e brings the largest near 1
+        e -= math.frexp(top)[1]
+    if not finite:
         rel = math.nan
     else:
         rel = max_abs / scale if scale > 0.0 else max_abs

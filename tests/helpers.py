@@ -75,6 +75,11 @@ def from_t_coeffs(seq, exact: bool = False) -> Series2:
     return Series2([[v] for v in seq], exact=exact)
 
 
+def transposed(u: Series2) -> Series2:
+    """u with t and z swapped: ``gevrey_fit`` of it fits the z-levels."""
+    return Series2(tuple(zip(*u.coeffs)), u.exact)
+
+
 def geometric_g(n1, n2, exact=False, t_coeffs=None):
     """g = (sum_j t_coeffs[j] t^j) / (1 - z); default is 1/(1-z)."""
     one = 1 if exact else 1.0

@@ -61,7 +61,8 @@ from mpde.exact import RationalComplex, as_fraction
 from mpde import kernel
 from mpde.kernel import Lanes, common_denominator, gaussian_int, ratios
 from mpde.moments import log_gamma, log_table, scaled_eval
-from mpde.series import FIT_RADIUS, GevreyFit, Series2
+from mpde.series import (FIT_J_MIN_FRAC, FIT_MIN_POINTS, FIT_RADIUS,
+                         GevreyFit, Series2)
 from routes import Series1, eval_fraction
 
 
@@ -770,41 +771,33 @@ def exact_grid_cells(s: Series2):
     return np.array(s.coeffs, dtype=complex)
 
 
-def exact_gevrey_fit_cells(u: Series2, axis: str = "t", j_min_frac: float = 0.5,
-                           min_points: int = 8) -> GevreyFit:
+def exact_gevrey_fit_cells(u: Series2) -> GevreyFit:
     """``series.gevrey_fit`` of an exact series with the modulus of each cell
     taken as ``abs()`` of its RationalComplex; a level with a part outside
     binary64 raises EvaluationError naming it.  The rows are summed as the
     fit sums them, by one ``np.add.reduce`` over the C-contiguous terms, so
     that the two agree bit for bit and the per-cell moduli stay the
     subject of the comparison."""
-    if axis not in ("t", "z"):
-        raise DomainError("axis must be 't' or 'z'")
     J, I = u.valid
-    if axis == "z":
-        J, I = I, J
-    j_lo = max(0, math.ceil(j_min_frac * J))
-    rows = u.coeffs if axis == "t" else tuple(zip(*u.coeffs))
+    j_lo = math.ceil(FIT_J_MIN_FRAC * J)
     moduli = []
-    for j, row in enumerate(rows[j_lo: J + 1], j_lo):
+    for j, row in enumerate(u.coeffs[j_lo:], j_lo):
         try:
-            moduli.append([abs(v) for v in row[: I + 1]])
+            moduli.append([abs(v) for v in row])
         except OverflowError:
-            flag = "--n1" if axis == "t" else "--n2"
             raise EvaluationError(
-                f"exact coefficients of {axis}-level {j} are outside the "
-                f"binary64 range of the Gevrey fit; lower {flag} below {j} "
-                f"(verify checks the exact solution without fitting it)"
-            ) from None
+                f"exact coefficients of t-level {j} are outside the binary64 "
+                f"range of the Gevrey fit; lower --n1 below {j} (verify "
+                f"checks the exact solution without fitting it)") from None
     moduli = np.array(moduli, dtype=float).reshape(-1, I + 1)
     weights = np.array([FIT_RADIUS ** i for i in range(I + 1)], dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         sums = np.add.reduce(np.ascontiguousarray(moduli * weights), axis=1)
     pts = [(j, math.log(a)) for j, a in enumerate(sums.tolist(), j_lo)
            if a > 0.0 and math.isfinite(a)]
-    if len(pts) < min_points:
+    if len(pts) < FIT_MIN_POINTS:
         raise EstimationError(
-            f"need at least {min_points} nonzero levels in [{j_lo}, {J}], "
+            f"need at least {FIT_MIN_POINTS} nonzero levels in [{j_lo}, {J}], "
             f"got {len(pts)}")
     js = np.array([p[0] for p in pts], dtype=float)
     ys = np.array([p[1] for p in pts], dtype=float)

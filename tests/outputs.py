@@ -41,7 +41,7 @@ trees:
 Every problem runs ``analyze``, ``newton``, and ``solve``, ``verify`` (also
 with ``--tol 0``) and ``probe`` in both arithmetics; a repro that names a
 truncation runs ``solve``, ``verify`` and ``probe`` with it as
-``--n1``/``--n2``.  The whole corpus, 1,010 runs, takes about 3 s a
+``--n1``/``--n2``.  The whole corpus, 1,020 runs, takes about 3 s a
 tree on one core.  ``--json PATH`` writes both sides' results.
 """
 
@@ -126,8 +126,9 @@ REPROS = [
         "num": [[0, 0, "1", "0"], [0, 10, "1e305", "0"],
                 [0, 11, "-1e305", "0"]]}}), (20, 20)),
     # the float Gevrey fit skips t-level 20, whose finite terms, 1.7e308
-    # each, sum past binary64 (math.fsum raised there); its float residual
-    # overflows too, so float verify fails with a null residual
+    # each, sum past binary64 (math.fsum raised there); the float residual's
+    # terms overflow too, and its second pass, scaled by the largest cell,
+    # passes float verify
     ("found-fit-sum-overflow", _heat(operator="dt - 30", rhs={
         "kind": "rational", "payload": {
             **_shipped("heat")["rhs"]["payload"],
@@ -141,6 +142,10 @@ REPROS = [
                                     rhs_role="f", mode="pseudo"), None),
     ("multi-tap-pseudo-f", _heat(operator="(2+dz+3*dz^2)*dt - dz^3",
                                  rhs_role="f", mode="pseudo"), None),
+    # an m2 table too wide to z-normalize at (2, 1200): the float kernel
+    # scales the raw downward terms of the f-role pseudo solve one by one
+    ("raw-pseudo-f", _heat(operator="(2+dz)*dt - dz^2", rhs_role="f",
+                           mode="pseudo"), (2, 1200)),
     # an rhs entry beyond binary64: float commands exit 4 naming it
     ("rhs-entry-1e400", _heat(rhs={"kind": "rational", "payload": {
         **_shipped("heat")["rhs"]["payload"],

@@ -12,9 +12,6 @@ lives here:
   with the shift kernel as the residual does, on the window that
   ``operator_window`` reads from the operator's support (the residual
   reads its own from the operator's orders);
-* ``residual_of_shifted_rhs``, the exact residual report with the rhs
-  normalized on the residual's own window and shifted by P0, where
-  ``solver.residual`` reads the rhs that the solve normalized once;
 * ``row_values``, the t-levels of a ``Series2`` evaluated at a point z (the
   probe reads column 0, their values at z = 0);
 * ``g_from_f``, the division ``P0(dz) g = f`` alone, on the taps that
@@ -234,38 +231,6 @@ def apply_operator(table, m1: MomentFunction, m2: MomentFunction,
                        {b for (_, b), _ in items}, I_out)
     out = kernel.shift_float(u.grid, items, r1, r2, J_out, I_out)
     return Series2(kernel.read_only(out), False)
-
-
-def residual_of_shifted_rhs(prob, u: Series2) -> tuple:
-    """``(max_abs, window, exact_zero, relative)``, the fields of the exact
-    ``solver.residual`` report of u, with each side normalized on the
-    residual's own window by :func:`kernel.rescale` and shifted by
-    :func:`kernel.shift`: u by P, the rhs by P0 for a g rhs and by 1 for an
-    f rhs.  Both sides are decoded to Gaussian rationals and compared cell
-    by cell on the L1 moduli ``|re| + |im|`` of raw coefficients."""
-    P = prob.operator
-    B = P.B if prob.rhs_is_g else 0
-    p0 = ({(0, b): c for b, c in enumerate(P.p0()) if c}
-          if prob.rhs_is_g else {(0, 0): 1})
-    (J_u, I_u), (J_g, I_g) = u.valid, prob.rhs.valid
-    J, I = min(J_u - P.n, J_g), min(I_u - P.max_b, I_g - B)
-    w1, w2 = prob.fraction_tables
-    lhs, f = (kernel.denormalize(kernel.shift(
-        kernel.rescale(s.lanes, w1, w2, J + a, I + b), table, w1, w2, J, I))
-        for s, table, a, b in ((u, P.support(), P.n, P.max_b),
-                               (prob.rhs, p0, 0, B)))
-    cells = [(x, y) for lr, fr in zip(lhs, f) for x, y in zip(lr, fr)]
-
-    def l1(c):
-        return abs(c.re) + abs(c.im)
-    max_abs = max(l1(x - y) for x, y in cells)
-    scale = max(max(l1(x), l1(y)) for x, y in cells)
-    rel = float(Fraction(max_abs) / scale) if scale else float(max_abs != 0)
-    try:
-        max_float = float(max_abs)
-    except OverflowError:
-        max_float = math.inf
-    return max_float, (J, I), max_abs == 0, rel
 
 
 def row_values(s: Series2, z) -> list:

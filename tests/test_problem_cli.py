@@ -17,18 +17,18 @@ import jsonschema
 import pytest
 
 from helpers import run_cli, strict_json
-from outputs import VARIANTS
+from outputs import REPROS, VARIANTS
 from routes import row_values
 
 from mpde import cli, moments
 from mpde import problem as problem_mod
 from mpde.errors import EvaluationError, ParseError, PreconditionError
 from mpde.exact import RationalComplex
-from mpde.problem import (analyze_problem, expand_rhs, load_problem,
-                          newton_problem, parse_rhs, probe_problem,
-                          solve_problem, verify_problem)
-from mpde.series import gevrey_fit
-from mpde.solver import formal_solve
+from mpde.problem import (analyze_problem, assemble, expand_rhs,
+                          load_problem, newton_problem, parse_rhs,
+                          probe_problem, solve_problem, verify_problem)
+from mpde.series import Series2, gevrey_fit
+from mpde.solver import formal_solve, residual
 
 PROBLEMS = resources.files("mpde") / "problems"
 SCHEMA = json.loads(
@@ -1150,6 +1150,30 @@ def test_cli_float_verify_passes_an_operator_with_huge_coefficients(
     huge, unit = reports
     assert huge["passed"] and huge["residual"] < 1e-15
     assert 1e290 < huge["residual_abs"] / unit["residual_abs"] < 1e310
+
+
+def test_cli_float_verify_passes_a_solution_whose_residual_terms_overflow(
+        tmp_path):
+    # dt - 30 with g = 3.6e298/(1-z) at (20, 5): every cell of u is finite,
+    # but the residual's terms, scaled by 2**-4 for the coefficient 30,
+    # overflow; scaled once more by the largest cell's binary exponent they
+    # do not, and the right solution passes, as it does in exact arithmetic
+    # (before, the residual was null and verify exited 3)
+    data = next(p for name, p, _ in REPROS if name == "found-fit-sum-overflow")
+    prob = tmp_path / "overflow.json"
+    prob.write_text(json.dumps(data))
+    result = run_cli(["verify", str(prob), "--n1", "20", "--n2", "5",
+                      "--arithmetic", "float"])
+    assert (result.exit_code, result.stderr) == (0, ""), result.output
+    report = strict_json(result.stdout)
+    assert report["passed"] and report["residual"] < 1e-15
+    assert 1e290 < report["residual_abs"] < math.inf
+    # the second pass still fails a wrong solution: one cell 0.1% off
+    cauchy = assemble(load_problem(prob), 20, 5, "float")
+    cells = formal_solve(cauchy).grid.copy()
+    cells[10, 2] *= 1.001
+    rep = residual(cauchy, Series2(cells))
+    assert 1e-8 < rep.relative < 1e-5 and math.isfinite(rep.max_abs)
 
 
 @pytest.mark.parametrize("tol", ["-1", "-1e-300"])

@@ -43,14 +43,15 @@ from hypothesis import strategies as st
 
 import brute_force
 import outputs
-from helpers import LOG_ULPS, larger_k, log_magnitude
+from helpers import LOG_ULPS, larger_k, log_magnitude, transposed
 from oracles import (borel_cells, csv_cells, edge_roots_numpy,
                      exact_gevrey_fit_cells, exact_grid_cells, laurent_solve,
                      laurent_terms, moment_shift_cells, rational_rhs_exact,
-                     rational_rhs_float, rational_rhs_sizes, wide_width)
+                     rational_rhs_float, rational_rhs_sizes, residual_cells,
+                     wide_width)
 from routes import (Series1, apply_operator, borel, eval_at, g_from_f,
                     inv_borel, moment_antidiff, moment_diff, operator_to_text,
-                    operator_window, residual_of_shifted_rhs, row_values)
+                    operator_window, row_values)
 
 from mpde import kernel
 from mpde.charroots import CharPoly, _edge_roots
@@ -250,14 +251,16 @@ def _at_truncation(case: Case, out) -> Case:
 @example(Case({(1, 0): (1, 0), (1, 1): (1, 0), (0, 0): (-1, 0)}, *MOMENTS[1],
               {(0, 0): (1, 0), (1, 2): (Fraction(1, 2), 1)}, (0, 0), (3, 2),
               True), False, False, 0, 2)
-def test_exact_residual_equals_the_shifted_rhs_route(case, rhs_is_g,
-                                                     at_orders, d1, d2):
+def test_exact_residual_equals_the_per_cell_oracle(case, rhs_is_g,
+                                                   at_orders, d1, d2):
     """The exact residual, whose rhs side is the normalized rhs the solve
-    shares, reports what ``routes.residual_of_shifted_rhs`` reports with
-    the rhs normalized on the residual's window, in both rhs roles, at the
-    drawn truncation or at the operator orders, for the solve's own u and
-    for a u solved at a truncation (d1, d2) away, which may read rhs cells
-    the recursion does not and whose residual need not be zero."""
+    shares, reports the ``max_abs``, ``exact_zero`` and ``relative`` of
+    ``oracles.residual_cells``, one Gaussian rational per cell, on the
+    window of u's and the rhs's valid windows less the operator orders: in
+    both rhs roles, at the drawn truncation or at the operator orders, for
+    the solve's own u, for a u solved at a truncation (d1, d2) away, which
+    may read rhs cells the recursion does not, and for twice the solve's
+    u, whose residual is the rhs side."""
     n = max(a for a, _ in case.table)
     max_b = max(b for _, b in case.table)
     N1, N2 = (n, max_b) if at_orders else (max(case.out[0], n),
@@ -266,10 +269,22 @@ def test_exact_residual_equals_the_shifted_rhs_route(case, rhs_is_g,
                           (N1, N2))
     other = _at_truncation(case, (max(N1 + d1, n), max(N2 + d2, max_b)))
     prob = case.problem()
-    for u in (formal_solve(prob), formal_solve(other.problem())):
+    P = prob.operator
+    B = P.B if rhs_is_g else 0
+    u = formal_solve(prob)
+    doubled = Series2([[c * 2 for c in row] for row in u.coeffs], exact=True)
+    for u in (u, formal_solve(other.problem()), doubled):
         rep = residual(prob, u)
-        assert (rep.max_abs, rep.window, rep.exact_zero,
-                rep.relative) == residual_of_shifted_rhs(prob, u)
+        (J_u, I_u), (J_g, I_g) = u.valid, prob.rhs.valid
+        assert rep.window == (min(J_u - P.n, J_g), min(I_u - P.max_b, I_g - B))
+        max_abs, scale = residual_cells(prob, u, rep.window)
+        try:
+            want = float(max_abs)
+        except OverflowError:
+            want = math.inf
+        assert (rep.max_abs, rep.exact_zero) == (want, max_abs == 0)
+        assert rep.relative == (float(max_abs / scale) if scale
+                                else float(max_abs != 0))
 
 
 def _rebuilt(prob: CauchyProblem, **changes) -> CauchyProblem:
@@ -1140,10 +1155,16 @@ def test_lanes_backed_series_equal_their_rows(case, scale):
 @st.composite
 def raw_lanes_series(draw):
     """An exact Series2 stored as RawLanes: real or complex lanes, zero rows,
-    negative and Fraction divisors, and cells past 2**1024 or subnormal."""
-    n1, n2 = draw(st.integers(0, 14)), draw(st.integers(0, 5))
+    negative and Fraction divisors, and cells past 2**1024 or subnormal; on
+    up to 21 t-levels and 17 z-levels, so that a series or its transpose
+    may have the 15 levels a Gevrey fit needs, and with numerators near
+    2**1000 in only some series, so that some of those fits read no cell
+    beyond binary64."""
+    n1 = draw(st.one_of(st.integers(0, 13), st.integers(14, 20)))
+    n2 = draw(st.one_of(st.integers(0, 5), st.integers(14, 16)))
+    shifts = draw(st.sampled_from([[0], [0, 0, 0, 0, 0, 1000, 1010]]))
     numerator = st.builds(lambda m, k: m << k, st.integers(-2 ** 20, 2 ** 20),
-                          st.sampled_from([0, 0, 0, 0, 0, 1000, 1010]))
+                          st.sampled_from(shifts))
     cells = st.lists(numerator, min_size=n2 + 1, max_size=n2 + 1)
     row = st.one_of(cells, cells, cells, st.just([0] * (n2 + 1)))
     lane = st.lists(row, min_size=n1 + 1, max_size=n1 + 1)
@@ -1171,21 +1192,20 @@ def _repr_or_error(fn, *args, **kw):
 
 
 @settings(SETTINGS, max_examples=150)
-@given(raw_lanes_series(), st.sampled_from([0.0, 0.5, -0.7 + 0.2j]),
-       st.sampled_from([0.0, 0.5, 0.8]), st.integers(1, 4))
-def test_exact_binary64_readers_match_per_cell_oracle(s, z, frac, min_points):
-    """``grid``, ``row_values``, ``gevrey_fit`` (both axes) and ``to_csv`` of
-    a lanes-backed series equal their per-cell forms, which round each
-    RationalComplex of ``coeffs``: bit for bit, or the same error.  A series
+@given(raw_lanes_series(), st.sampled_from([0.0, 0.5, -0.7 + 0.2j]))
+def test_exact_binary64_readers_match_per_cell_oracle(s, z):
+    """``grid``, ``row_values``, ``gevrey_fit`` (of the series and of its
+    transpose) and ``to_csv`` of a lanes-backed series equal their per-cell
+    forms, which round each RationalComplex of ``coeffs``: bit for bit, or
+    the same error.  A series
     built from rows equals the one built from its lanes or its array."""
     # a fresh series: hypothesis may have read ``s.coeffs`` for its report
     check_lanes_series(Series2(s.lanes, exact=True))
     rows = Series2(s.coeffs, exact=True)
     assert rows == s and hash(rows) == hash(s)
-    for axis in ("t", "z"):
-        kw = {"axis": axis, "j_min_frac": frac, "min_points": min_points}
-        assert _repr_or_error(gevrey_fit, s, **kw) == \
-            _repr_or_error(exact_gevrey_fit_cells, s, **kw)
+    for v in (s, transposed(s)):
+        assert _repr_or_error(gevrey_fit, v) == \
+            _repr_or_error(exact_gevrey_fit_cells, v)
     try:
         csv = csv_cells(s)
     except OverflowError:

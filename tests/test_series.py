@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import (from_t_coeffs, larger_k, random_series1, random_series2,
-                     series1_close)
+                     series1_close, transposed)
 from oracles import (csv_cells, exact_gevrey_fit_cells,
                      frac_integral_quadrature)
 from routes import (Series1, apply_operator, borel, eval_at, inv_borel,
@@ -16,7 +16,7 @@ from mpde import kernel
 from mpde.errors import DomainError, EstimationError, WindowError
 from mpde.exact import RationalComplex
 from mpde.moments import MomentFunction, gamma_s
-from mpde.series import Series2, gevrey_fit, least_fit_truncation
+from mpde.series import LEAST_FIT_TRUNCATION, Series2, gevrey_fit
 
 G1 = gamma_s(1)
 GHALF = gamma_s(Fraction(1, 2))
@@ -262,21 +262,18 @@ def test_gevrey_fit_needs_data():
         gevrey_fit(from_t_coeffs([1.0] * 8))
 
 
-@pytest.mark.parametrize("j_min_frac,min_points",
-                         [(0.5, 8), (0.5, 3), (0.25, 5), (0.0, 4), (0.75, 4)])
-def test_least_fit_truncation_is_the_least_that_fits(j_min_frac, min_points):
+def test_fit_truncation_bound_is_the_least_that_fits():
     # the fit of J + 1 nonzero levels raises exactly for J below the bound
-    least = least_fit_truncation(j_min_frac, min_points)
-    for J in range(least + 3):
+    # that probe checks
+    assert LEAST_FIT_TRUNCATION == 14
+    for J in range(LEAST_FIT_TRUNCATION + 3):
         u = from_t_coeffs([math.factorial(j) for j in range(J + 1)])
-        if J < least:
+        if J < LEAST_FIT_TRUNCATION:
             with pytest.raises(EstimationError,
-                               match=f"need at least {min_points} nonzero"):
-                gevrey_fit(u, j_min_frac=j_min_frac, min_points=min_points)
+                               match="need at least 8 nonzero"):
+                gevrey_fit(u)
         else:
-            gevrey_fit(u, j_min_frac=j_min_frac, min_points=min_points)
-    # the defaults, which probe uses
-    assert least_fit_truncation() == 14
+            gevrey_fit(u)
 
 
 def test_gevrey_shift_under_borel():
@@ -553,16 +550,17 @@ def test_row_values_match_a_per_row_horner_loop(z):
 def test_gevrey_fit_float_matches_exact_of_the_same_values(axis):
     # the float path (np.hypot, one reduction of the rows) against the exact
     # path (math.hypot per cell) on cells with one zero part, whose modulus
-    # both take exactly; on the z axis the float terms are transposed
+    # both take exactly; the z axis is the fit of the transposed series
     rows = [[RationalComplex(0, -math.factorial(j + i)) if (i + j) % 2
              else RationalComplex(Fraction(math.factorial(j + 2 * i), 3 + i))
-             for i in range(12)] for j in range(30)]
+             for i in range(20)] for j in range(30)]
     rows[20][3] = RationalComplex(0)
     rows[25][1] = RationalComplex(10 ** 307)
     exact = Series2(rows, exact=True)
     approx = Series2(np.array([[complex(c) for c in row] for row in rows]))
-    assert gevrey_fit(exact, axis=axis, min_points=4) == \
-        gevrey_fit(approx, axis=axis, min_points=4)
+    if axis == "z":
+        exact, approx = transposed(exact), transposed(approx)
+    assert gevrey_fit(exact) == gevrey_fit(approx)
 
 
 # pairs on which math.hypot, which abs() of a RationalComplex takes, differs
@@ -579,38 +577,37 @@ HYPOT_PAIRS = [("0x1.38343775cc7fap+0", "0x1.de8c38a17add4p+0"),
 def test_exact_gevrey_fit_takes_math_hypot_of_the_parts(axis):
     pairs = [(float.fromhex(x), float.fromhex(y)) for x, y in HYPOT_PAIRS]
     assert all(math.hypot(x, y) != abs(complex(x, y)) for x, y in pairs)
-    # each row and column leads with one pair; scaling by powers of two
-    # keeps each pair's rounding
-    rows = [[complex(x * 2.0 ** (j - k), y * 2.0 ** (j - k))
-             for k, (x, y) in enumerate(pairs[j % 6:] + pairs[: j % 6])]
-            for j in range(12)]
-    kw = {"axis": axis, "j_min_frac": 0.0, "min_points": 4}
-    exact = Series2(rows, exact=True)
-    fit = gevrey_fit(exact, **kw)
-    assert fit == exact_gevrey_fit_cells(exact, **kw)
-    assert fit != gevrey_fit(Series2(rows), **kw)
+    # each row and column of the 16 x 16 grid holds every pair; its row
+    # sums, near 2, keep a last-bit change of a modulus in their logarithms
+    rows = [[complex(*xy) for xy in (pairs * 4)[j % 6: j % 6 + 16]]
+            for j in range(16)]
+    exact, approx = Series2(rows, exact=True), Series2(rows)
+    if axis == "z":
+        exact, approx = transposed(exact), transposed(approx)
+    fit = gevrey_fit(exact)
+    assert fit == exact_gevrey_fit_cells(exact)
+    assert fit != gevrey_fit(approx)
 
 
-def _fsum_fit(moduli, axis, **kw):
-    """The fit of the levels of a 2-D array of cell moduli whose weighted
-    row sums are ``math.fsum`` of their terms: the fit of a one-column
-    series of those sums, whose one term of weight 1 sums to itself."""
-    levels = moduli if axis == "t" else moduli.T
+def _fsum_fit(moduli):
+    """The fit of the rows of a 2-D array of cell moduli whose weighted
+    sums are ``math.fsum`` of their terms: the fit of a one-column series
+    of those sums, whose one term of weight 1 sums to itself."""
     sums = [math.fsum(x * 0.1 ** i for i, x in enumerate(row.tolist()))
-            for row in levels]
-    return gevrey_fit(from_t_coeffs(sums), **kw)
+            for row in moduli]
+    return gevrey_fit(from_t_coeffs(sums))
 
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_gevrey_fit_row_sums_are_within_the_pairwise_bound(exact):
     # the pairwise sum of np.add.reduce against the correctly rounded
-    # math.fsum of the same nonnegative terms, on grids of 8 to 300 columns
-    # whose cells grow at a random Gevrey order in t and geometrically in
-    # z, with a tenth of them zero: s_hat and stderr agree within 1e-10
-    # relative on both axes
+    # math.fsum of the same nonnegative terms, on grids of 15 to 300 rows
+    # and columns whose cells grow at a random Gevrey order in t and
+    # geometrically in z, with a tenth of them zero: s_hat and stderr agree
+    # within 1e-10 relative on both axes, z that of the transposed series
     rng = random.Random(45 + exact)
-    shapes = [(30, 8), (20, 300), (300, 9), (9, 300)]
-    shapes += [(rng.randint(15, 40), rng.randint(8, 300)) for _ in range(6)]
+    shapes = [(30, 15), (20, 300), (300, 15), (15, 300)]
+    shapes += [(rng.randint(15, 40), rng.randint(15, 300)) for _ in range(6)]
     for rows, cols in shapes:
         s, rho = rng.uniform(0.2, 2.0), rng.uniform(0.5, 8.0)
         s = min(s, 250 / math.lgamma(rows + 1))
@@ -633,10 +630,8 @@ def test_gevrey_fit_row_sums_are_within_the_pairwise_bound(exact):
             u = Series2(np.array(cells) if is_complex
                         else np.array(cells).real.copy())
             moduli = kernel.modulus(u.grid)
-        for axis in ("t", "z"):
-            kw = {"j_min_frac": 0.5, "min_points": 4}
-            got = gevrey_fit(u, axis=axis, **kw)
-            want = _fsum_fit(moduli, axis, **kw)
+        for got, want in ((gevrey_fit(u), _fsum_fit(moduli)),
+                          (gevrey_fit(transposed(u)), _fsum_fit(moduli.T))):
             assert got.j_range == want.j_range
             assert abs(got.s_hat - want.s_hat) <= 1e-10 * abs(want.s_hat)
             assert abs(got.stderr - want.stderr) <= 1e-10 * want.stderr
