@@ -576,7 +576,8 @@ def _unfused(y, c, r, p):
 
 
 # recurrence_float fills the base of this many levels at a time, and checks
-# as many levels of its output window at a time
+# as many levels of its output window at a time; its ring of levels is a
+# multiple of this many rows
 _BLOCK = 8
 
 
@@ -658,7 +659,12 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
     is, signed zeros, infinities and NaNs included.  ``u = W / M2`` is
     formed once, a block of :data:`_BLOCK` levels at a time, on the
     columns ``i <= window`` (every column for None), each part of a
-    complex cell on its own.  Returns that new 2-D array of all levels,
+    complex cell on its own.  W is kept in a ring of ``min(levels, R)``
+    rows, R the least multiple of :data:`_BLOCK` that is at least ``n +
+    _BLOCK``, so that it holds a block and the n levels below it that the
+    block reads: level t in row ``t % R``, the rows of a block zeroed
+    before it is formed.  Only the output has a row per level.  Returns
+    that new 2-D array of all levels,
     level t in ``grid[t, : min(widths[t], window) + 1]``: float64 when
     ``base`` is and q, the term coefficients and the taps are real, and
     complex128 otherwise.
@@ -694,7 +700,9 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
     width, levels = max(widths), len(widths)
     last = width if window is None else window
     scalars = (q, *(c for _, _, c in terms), *(m for _, m in taps))
-    grid = np.zeros((levels, width + 1), dtype=complex if any(
+    # rows of the ring: the least multiple of _BLOCK that is >= n + _BLOCK
+    R = _BLOCK * (-(-n // _BLOCK) + 1)
+    ring = np.zeros((min(levels, R), width + 1), dtype=complex if any(
         isinstance(c, complex) for c in scalars) else base.dtype)
     offsets = ({b for _, b, _ in terms} | {-k for k, _ in taps}
                | ({shift} - {0}))
@@ -709,7 +717,7 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
         # a table too wide to z-normalize runs raw: M2 = 1, ratio vectors
         kappa, m2 = scaled or (0.0, np.ones(width + 1))
         r2 = None if scaled else ratios(logs2, offsets, width, "m2")
-        out = np.empty((levels, last + 1), dtype=grid.dtype)
+        out = np.empty((levels, last + 1), dtype=ring.dtype)
         base = _by_column(np.multiply, base[:, : width + 1],
                           m2[: min(base.shape[1], width + 1)])
         # tap k's factor of v_{i-k} at i >= k: m_k * exp(-kappa*k) on
@@ -729,9 +737,9 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
             s = [0.0] * n + s.tolist() if fused else None
             return src, a, b, c, s, r1[a], p, None if r2 is None else r2[b]
 
-        up = [term(grid, a, b, c) for a, b, c in terms if b >= 0]
+        up = [term(ring, a, b, c) for a, b, c in terms if b >= 0]
         down = [term(base, n, shift, q)] if shift else []
-        down += [term(grid, a, b, c) for a, b, c in terms if b < 0]
+        down += [term(ring, a, b, c) for a, b, c in terms if b < 0]
         if not shift:
             # the base's scale q * m1(t-n)/m1(t) of each level t >= n
             scale = (q * r1[n])[:, None]
@@ -742,6 +750,9 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
             fill = (zero * scale).view(np.uint64).any()
         for lo in range(0, levels, _BLOCK):
             end = min(lo + _BLOCK, levels)
+            # level t of the block is ring row t - d = t % R, zeroed first
+            d = lo - lo % R
+            ring[lo - d: end - d] = 0
             if not shift and end > n:
                 # the base of the block's levels from n, on the columns of
                 # the widest, its first; the levels past the base's rows,
@@ -751,16 +762,16 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
                 if t < mid:
                     np.multiply(base[t - n: mid - n, : w + 1],
                                 scale[t - n: mid - n],
-                                out=grid[t: mid, : w + 1])
+                                out=ring[t - d: mid - d, : w + 1])
                 mid = max(mid, t)
                 if mid < end and fill:
                     np.multiply(zero, scale[mid - n: end - n],
-                                out=grid[mid: end, : w + 1])
+                                out=ring[mid - d: end - d, : w + 1])
             for t in range(max(lo, n), end):
                 w = widths[t]
-                row = grid[t, : w + 1]
-                for src, a, b, c, s, ra, p, rb in up:
-                    y = src[t - a, b: w + 1 + b]
+                row = ring[t - d, : w + 1]
+                for _, a, b, c, s, ra, p, rb in up:
+                    y = ring[(t - a) % R, b: w + 1 + b]
                     y = s[t] * y if s is not None \
                         else _unfused(y, c, ra[t - n], p)
                     if rb is not None:
@@ -768,11 +779,12 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
                     row += y
                 if not down:
                     continue
-                x = np.zeros(w + 1, dtype=grid.dtype)
+                x = np.zeros(w + 1, dtype=ring.dtype)
                 for src, a, b, c, s, ra, p, rb in down:
-                    if -b > w or t - a >= len(src):
+                    j = (t - a) % R if src is ring else t - a
+                    if -b > w or j >= len(src):
                         continue
-                    y = src[t - a, : w + 1 + b]
+                    y = src[j, : w + 1 + b]
                     y = s[t] * y if s is not None \
                         else _unfused(y, c, ra[t - n], p)
                     if rb is not None:
@@ -796,7 +808,7 @@ def recurrence_float(base, q, terms, n: int, widths, logs1, logs2, taps=(),
                             xs[i] = v
                     x[:] = xs
                 row += x
-            block = _by_column(np.divide, grid[lo: end, : last + 1],
+            block = _by_column(np.divide, ring[lo - d: end - d, : last + 1],
                                m2[: last + 1], out[lo: end])
             if window is None:
                 continue

@@ -361,17 +361,22 @@ def _arithmetic(pf: ProblemFile, arithmetic) -> str:
 
 
 # Largest rhs grid ``(N1+1) * (w[0] + 1)`` that ``assemble`` expands, w the
-# solver's ``level_widths``, for either ``rhs_role``.  A float grid costs
-# about 56 bytes a cell (16 in numpy, 40 as a Python complex in its row),
-# exact cells several times more, and a solve holds a few grids at once; the
-# cap stops a mistyped truncation before it allocates, at about 10x the
-# largest grid of the benchmark ladders (heat (200, 100), 100,701 cells).
-# Exact moment values grow with the truncation, so they have their own cap.
+# solver's ``level_widths``, for either ``rhs_role``.  A float solve holds
+# the rhs grid (16 bytes a complex cell in numpy) and its copy scaled by M2,
+# the output window, a ring of about n + 8 levels and one residual block of
+# 64 KiB: by tracemalloc, transport's (400, 400) verify peaks at 1.77 MiB,
+# its window 1.23 MiB of it.  Reading the window's rows as Python complex
+# (``Series2.coeffs``) adds about 48 bytes a cell, and exact cells cost
+# several times more.  The cap stops a mistyped truncation before it
+# allocates, at about 10x the largest grid of the benchmark ladders (heat
+# (200, 100), 100,701 cells).  Exact moment values grow with the
+# truncation, so they have their own cap.
 MAX_GRID_CELLS = 1_000_000
 
 # Most bytes of moment values that ``assemble`` admits in an exact solve
-# (``_check_exact_bytes``): a float solve at the cap holds a few, say four,
-# grids of 56 MB, about 2**28 bytes, and an exact one may spend as much.
+# (``_check_exact_bytes``): a float solve at the cap holds about 100 MB by
+# the model above, three complex grids of 16 MB in numpy and its window's
+# Python rows, and an exact one may spend about twice as much.
 MAX_EXACT_BYTES = 2 ** 28
 
 

@@ -18,11 +18,12 @@ leave, with no Gaussian rational built.  Float mode recurses on raw
 coefficients with moment ratios taken from their logarithms, so that grids
 whose normalized coefficients would overflow stay finite; an output row that
 overflows anyway raises EvaluationError.  Float grids stay numpy arrays from
-the rhs to the output (``Series2.grid``): the recursion checks the output
-window for non-finite cells, a block of levels at a time, and returns its
-grid of levels, out of which the window is copied once.  A solve has one
-float dtype: float64 when the rhs grid and the operator's coefficients are
-real, and complex128 otherwise.
+the rhs to the output (``Series2.grid``): the recursion keeps its levels
+in a ring of a few blocks of levels, forms the output window a block of
+levels at a time, checks it for non-finite cells, and returns it; the
+residual walks the window in row blocks of a fixed byte budget.  A solve
+has one float dtype: float64 when the rhs grid and the operator's
+coefficients are real, and complex128 otherwise.
 
 One recursion serves both arithmetics, both rhs roles and the power-series
 division of a ``rational`` rhs in :mod:`mpde.problem`.  Each ``A_{n-a}`` is
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, islice, repeat
 
 from . import kernel, moments
@@ -324,24 +325,41 @@ def residual(prob: CauchyProblem, u_hat: Series2) -> ResidualReport:
     return _residual_float(prob, u_hat, support, p0_table, J, I)
 
 
+# the float residual walks its window in row blocks of at most this many
+# bytes of one side's cells, so that a small window is one block
+RESIDUAL_BLOCK_BYTES = 2 ** 16
+
+
+def _row_blocks(n_rows: int, row_bytes: int) -> list:
+    """``(lo, hi)`` of the consecutive row blocks of ``range(n_rows)``, each
+    of at least one row and of at most :data:`RESIDUAL_BLOCK_BYTES` of rows
+    of ``row_bytes``."""
+    step = max(1, RESIDUAL_BLOCK_BYTES // max(row_bytes, 1))
+    return [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+
+
 def _residual_float(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
-    """The float residual of ``2**e (P u - f)``: each side is one
-    :func:`kernel.shift_float` of its grid, and one more of its moduli with
-    absolute coefficients, for the scale.  e, minus the largest bit length
-    of a part of an operator coefficient (0 near 1), scales each exactly
-    before it is rounded, so the relative residual is that of ``P u - f``
-    unless a value leaves the normal binary64 range; ``max_abs`` is scaled
-    back, infinite beyond binary64.  The rhs side is one shift by its P0
-    table in every case, ``{(0, 0): 1}`` for an f, which turns a -0.0 cell
-    to +0.0 and changes no modulus.  It covers the rhs grid's rows only:
-    past them it is +0.0, which leaves lhs's cells, and their moduli, as
-    they are.  The m1 and m2 ratio vectors are built for the nonzero
-    offsets only, as :func:`kernel.shift_float` multiplies by no factor of
-    one: a float64 cell keeps its bits, a complex128 one its finite
-    modulus.  When ``max_abs`` or the scale is not finite while every cell
-    of u and of the rhs has a finite modulus, the terms of finite cells
-    overflowed: the residual is computed once more with e lowered by the
-    binary exponent of the largest cell modulus."""
+    """The float residual of ``2**e (P u - f)``, a block of rows of
+    :func:`_row_blocks` at a time: in each, a side is one
+    :func:`kernel.shift_float` of its grid's rows, and one more of their
+    moduli with absolute coefficients, for the scale, and the largest
+    difference and scale are carried from block to block by
+    ``np.maximum``, so that a NaN propagates.  No array of the whole window
+    is formed.  e, minus the largest bit length of a part of an operator
+    coefficient (0 near 1), scales each coefficient exactly before it is
+    rounded, so the relative residual is that of ``P u - f`` unless a value
+    leaves the normal binary64 range; ``max_abs`` is scaled back, infinite
+    beyond binary64.  The rhs side is one shift by its P0 table in every
+    case, ``{(0, 0): 1}`` for an f, which turns a -0.0 cell to +0.0 and
+    changes no modulus.  It covers the rhs grid's rows only: past them it
+    is +0.0, which leaves lhs's cells, and their moduli, as they are.  The
+    m1 and m2 ratio vectors are built for the nonzero offsets only, as
+    :func:`kernel.shift_float` multiplies by no factor of one: a float64
+    cell keeps its bits, a complex128 one its finite modulus.  When
+    ``max_abs`` or the scale is not finite while every cell of u and of the
+    rhs has a finite modulus, the terms of finite cells overflowed: the
+    residual is computed once more with e lowered by the binary exponent of
+    the largest cell modulus."""
     import numpy as np
 
     e = -max(x.numerator.bit_length() - x.denominator.bit_length()
@@ -351,34 +369,51 @@ def _residual_float(prob, u_hat, support, p0_table, J, I) -> ResidualReport:
     offsets = [*support, *p0_table]
     r1 = kernel.ratios(logs1, {a for a, _ in offsets if a}, J, "m1")
     r2 = kernel.ratios(logs2, {b for _, b in offsets if b}, I, "m2")
+    u, g = u_hat.grid, prob.rhs.grid
+    # the rhs side's last row; past it the side is +0.0
+    J_f = min(J, prob.rhs.valid[0])
 
-    def sides(s: Series2, table, rows: int):
-        """``2**e table`` on s and, made absolute, on |s|, for j <= rows:
-        two :func:`kernel.shift_float` calls."""
-        items = [(k, kernel.binary64(p * Fraction(2) ** e))
-                 for k, p in table.items()]
-        abs_items = [(k, abs(p)) for k, p in items]
-        grid = s.grid
-        return (kernel.shift_float(grid, items, r1, r2, rows, I),
-                kernel.shift_float(kernel.modulus(grid), abs_items, r1, r2,
-                                   rows, I))
+    def side(grid, items, lo, hi):
+        """The shift by ``items`` of the side's rows lo..hi-1 and, with
+        absolute coefficients, of their moduli: two
+        :func:`kernel.shift_float` calls on the slice of ``grid`` that the
+        items' offsets read."""
+        ra = {a: r[lo:] for a, r in r1.items()}
+        rows = grid[lo: hi + max(a for (a, _), _ in items),
+                    : I + 1 + max(b for (_, b), _ in items)]
+        return (kernel.shift_float(rows, items, ra, r2, hi - lo - 1, I),
+                kernel.shift_float(kernel.modulus(rows),
+                                   [(k, abs(p)) for k, p in items],
+                                   ra, r2, hi - lo - 1, I))
 
     for retry in (False, True):
-        lhs, abs_lhs = sides(u_hat, support, J)
-        f, abs_f = sides(prob.rhs, p0_table, min(J, prob.rhs.valid[0]))
-        diff = lhs.astype(np.result_type(lhs, f), copy=False)
+        lhs_items, f_items = (
+            [(k, kernel.binary64(p * Fraction(2) ** e))
+             for k, p in table.items()] for table in (support, p0_table))
+        dtype = np.result_type(u, g, *(p for _, p in lhs_items + f_items))
+        max_abs = scale = 0.0  # below every modulus, a +0.0 or more
         with np.errstate(invalid="ignore", over="ignore"):
-            diff[: len(f)] -= f
-            # numpy maxima propagate NaN
-            max_abs = float(np.max(kernel.modulus(diff)))
+            for lo, hi in _row_blocks(J + 1, (I + 1) * dtype.itemsize):
+                lhs, abs_lhs = side(u, lhs_items, lo, hi)
+                diff = lhs.astype(dtype, copy=False)
+                if lo <= J_f:
+                    f, abs_f = side(g, f_items, lo, min(hi, J_f + 1))
+                    diff[: len(f)] -= f
+                    scale = np.maximum(scale, np.max(abs_f))
+                # numpy maxima propagate NaN
+                max_abs = np.maximum(max_abs, np.max(kernel.modulus(diff)))
+                scale = np.maximum(scale, np.max(abs_lhs))
+            max_abs, scale = float(max_abs), float(scale)
             abs_own = float(np.ldexp(max_abs, -e))
-        scale = float(np.maximum(np.max(abs_lhs), np.max(abs_f)))
         finite = math.isfinite(max_abs) and math.isfinite(scale)
         if finite or retry:
             break
         with np.errstate(over="ignore"):
-            top = max(float(np.max(kernel.modulus(s.grid)))
-                      for s in (u_hat, prob.rhs))
+            # the largest cell modulus of u and of the rhs, block by block
+            top = max(float(reduce(np.maximum, (
+                np.max(kernel.modulus(grid[lo: hi]))
+                for lo, hi in _row_blocks(len(grid), grid[:1].nbytes)), 0.0))
+                for grid in (u, g))
         if not 0.0 < top < math.inf:
             break  # a cell, or its modulus, is not finite
         # finite cells whose terms overflow: 2**e brings the largest near 1

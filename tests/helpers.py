@@ -6,6 +6,7 @@ import io
 import json
 import math
 import random
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -78,6 +79,19 @@ def from_t_coeffs(seq, exact: bool = False) -> Series2:
 def transposed(u: Series2) -> Series2:
     """u with t and z swapped: ``gevrey_fit`` of it fits the z-levels."""
     return Series2(tuple(zip(*u.coeffs)), u.exact)
+
+
+def traced_peak(fn):
+    """``(fn(), peak)``: what fn returns, and the most bytes that
+    tracemalloc traced at once while it ran (numpy's arrays included),
+    counted from the start of the call."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def geometric_g(n1, n2, exact=False, t_coeffs=None):

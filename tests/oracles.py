@@ -21,7 +21,8 @@ moment Borel transforms and moment derivatives of ``routes`` are checked
 against their per-cell forms: exact cells times ``Fraction`` moment values,
 float cells scaled by ``math.ldexp`` or multiplied as Python ``complex``.
 The exact residual is checked against its per-cell form in Gaussian
-rationals.  The edge roots of ``charroots`` are checked against numpy's
+rationals, and the float residual, which walks row blocks, against its
+whole-window form.  The edge roots of ``charroots`` are checked against numpy's
 companion-matrix root finder run on every square-free part, linear ones
 included, and the branch data of ``branches_at_infinity`` against the
 roots of ``P(., zeta)`` at growing ``|zeta|`` (:func:`validate_numeric`),
@@ -63,6 +64,7 @@ from mpde.kernel import Lanes, common_denominator, gaussian_int, ratios
 from mpde.moments import log_gamma, log_table, scaled_eval
 from mpde.series import (FIT_J_MIN_FRAC, FIT_MIN_POINTS, FIT_RADIUS,
                          GevreyFit, Series2)
+from mpde.solver import ResidualReport
 from routes import Series1, eval_fraction
 
 
@@ -740,6 +742,60 @@ def residual_cells(prob, u: Series2, window) -> tuple:
     pairs = [(x, y) for lrow, frow in zip(lhs, f) for x, y in zip(lrow, frow)]
     return (max(l1(x - y) for x, y in pairs),
             max(max(l1(x), l1(y)) for x, y in pairs))
+
+
+def residual_float_whole(prob, u: Series2, window) -> ResidualReport:
+    """The ``ResidualReport`` of ``solver.residual`` in float arithmetic,
+    computed on the whole window at once, as the residual ran before it
+    walked row blocks: four ``kernel.shift_float`` calls of whole grids (u
+    and the rhs by their tables scaled by ``2**e``, and their moduli by the
+    absolute coefficients), one whole difference, and the second pass with
+    e lowered by the largest cell's binary exponent when the first is not
+    finite while every cell is.  Each cell gets the operations of the row
+    blocks, so the reports must agree by ``repr``."""
+    J, I = window
+    P = prob.operator
+    support = P.support()
+    p0_table = ({(0, b): c for b, c in enumerate(P.p0()) if c}
+                if prob.rhs_is_g else {(0, 0): 1})
+    e = -max(x.numerator.bit_length() - x.denominator.bit_length()
+             for c in support.values() for x in (c.re, c.im) if x)
+    logs1, logs2 = prob.log_tables
+    offsets = [*support, *p0_table]
+    r1 = ratios(logs1, {a for a, _ in offsets if a}, J, "m1")
+    r2 = ratios(logs2, {b for _, b in offsets if b}, I, "m2")
+
+    def sides(s: Series2, table, rows: int):
+        items = [(k, kernel.binary64(p * Fraction(2) ** e))
+                 for k, p in table.items()]
+        abs_items = [(k, abs(p)) for k, p in items]
+        return (kernel.shift_float(s.grid, items, r1, r2, rows, I),
+                kernel.shift_float(kernel.modulus(s.grid), abs_items, r1,
+                                   r2, rows, I))
+
+    for retry in (False, True):
+        lhs, abs_lhs = sides(u, support, J)
+        f, abs_f = sides(prob.rhs, p0_table, min(J, prob.rhs.valid[0]))
+        diff = lhs.astype(np.result_type(lhs, f), copy=False)
+        with np.errstate(invalid="ignore", over="ignore"):
+            diff[: len(f)] -= f
+            max_abs = float(np.max(kernel.modulus(diff)))
+            abs_own = float(np.ldexp(max_abs, -e))
+        scale = float(np.maximum(np.max(abs_lhs), np.max(abs_f)))
+        finite = math.isfinite(max_abs) and math.isfinite(scale)
+        if finite or retry:
+            break
+        with np.errstate(over="ignore"):
+            top = max(float(np.max(kernel.modulus(s.grid)))
+                      for s in (u, prob.rhs))
+        if not 0.0 < top < math.inf:
+            break
+        e -= math.frexp(top)[1]
+    if not finite:
+        rel = math.nan
+    else:
+        rel = max_abs / scale if scale > 0.0 else max_abs
+    return ResidualReport(abs_own, (J, I), max_abs == 0.0, rel)
 
 
 # -- binary64 readers of exact series, one RationalComplex per cell -----------

@@ -2,14 +2,13 @@ import cmath
 import json
 import math
 import random
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import larger_k, random_series2
+from helpers import larger_k, random_series2, traced_peak
 from oracles import (expand_taps, normalize_fractions,
                      recurrence_float_levels, recurrence_float_terms)
 
@@ -161,12 +160,8 @@ def test_recurrence_float_tail_memory_follows_the_width():
     m = parse_moment("Gamma(1/2)")
     args = (base, 0.5, terms, 1, [width] * levels, log_table(m, levels),
             log_table(m, width + 2))
-    tracemalloc.start()
-    try:
-        got = _levels(kernel.recurrence_float(*args, taps), args[4])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(lambda: _levels(
+        kernel.recurrence_float(*args, taps), args[4]))
     assert peak < 4 * 2**20
     want = recurrence_float_terms(args[0], args[1],
                                   expand_taps(terms, taps, 30), *args[3:])
@@ -420,6 +415,29 @@ def test_recurrence_of_uneven_raw_lanes_matches_per_cell_recursion(
             assert kernel.denormalize(got) == _raw(U, w1, w2)
 
 
+def test_recurrence_float_holds_its_output_and_a_ring_of_levels():
+    # 2,000 levels of 201 columns and a window of 5 columns: beside its
+    # output the kernel holds a ring of R = 16 levels (n = 2) and a few
+    # scalars per level (the m1 ratios, the terms' scalars, the base's
+    # scale), 256 bytes a level allowed, where a grid of every level would
+    # take 3.2 MB; the ring wraps 125 times, and the levels are those of
+    # the level-by-level form bit for bit
+    levels, width, window = 2000, 200, 4
+    rng = random.Random(67)
+    base = np.array([[rng.uniform(-2, 2) for _ in range(width + 1)]])
+    m = parse_moment("Gamma(1/2)")
+    args = (base, 0.5, [(1, 0, 0.5), (2, 0, -0.25), (2, -1, 0.125)], 2,
+            [width] * levels, log_table(m, levels), log_table(m, width + 2))
+    got, peak = traced_peak(lambda: kernel.recurrence_float(*args,
+                                                            window=window))
+    ring = 16 * (width + 1) * got.itemsize
+    assert got.shape == (levels, window + 1)
+    assert peak <= got.nbytes + ring + 256 * levels
+    want = recurrence_float_levels(*args)
+    assert [g.tobytes() for g in got] == [
+        w[: window + 1].tobytes() for w in want]
+
+
 def _level_case(rng, is_complex):
     """A random ``recurrence_float`` case: real or complex base and
     coefficients, some of them exactly 1 or -1 or Gaussian rationals
@@ -427,7 +445,9 @@ def _level_case(rng, is_complex):
     terms shifting up and down, taps, a shift of 0 or below, widths that
     keep every read inside the level it reads (as ``level_widths`` does),
     and a base with inf, nan and -0.0 cells, which may stop before the row
-    of the last level; the oracle reads it zero-padded."""
+    of the last level; the oracle reads it zero-padded.  A third of the
+    cases have 30 to 60 levels and n up to 9, so that the kernel's ring of
+    levels (16 rows for n <= 8, 24 for n = 9) wraps."""
     def coefficient():
         kind = rng.choice(["one", "minus_one", "real", "complex", "rational"])
         if kind == "one":
@@ -442,12 +462,14 @@ def _level_case(rng, is_complex):
             return complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         return rng.uniform(-2, 2)
 
-    n = rng.randint(1, 3)
+    deep = rng.random() < 1 / 3
+    n = rng.randint(1, 9 if deep else 3)
     shift = rng.choice([0, 0, -1, -2])
     terms = [(rng.randint(1, n), rng.randint(-2, 2), coefficient())
              for _ in range(rng.randint(1, 5))]
     taps = [(k, coefficient() * 0.25) for k in range(1, rng.randint(1, 3))]
-    levels, n2 = rng.randint(1, 14), rng.randint(0, 9)
+    levels = rng.randint(30, 60) if deep else rng.randint(1, 14)
+    n2 = rng.randint(0, 9)
     widths = [n2] * levels
     for t in range(levels - 2, -1, -1):
         for a, b, _ in terms:

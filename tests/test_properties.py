@@ -35,6 +35,7 @@ import re
 import sys
 from fractions import Fraction
 from importlib import resources
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -48,12 +49,12 @@ from oracles import (borel_cells, csv_cells, edge_roots_numpy,
                      exact_gevrey_fit_cells, exact_grid_cells, laurent_solve,
                      laurent_terms, moment_shift_cells, rational_rhs_exact,
                      rational_rhs_float, rational_rhs_sizes, residual_cells,
-                     wide_width)
+                     residual_float_whole, wide_width)
 from routes import (Series1, apply_operator, borel, eval_at, g_from_f,
                     inv_borel, moment_antidiff, moment_diff, operator_to_text,
                     operator_window, row_values)
 
-from mpde import kernel
+from mpde import kernel, solver
 from mpde.charroots import CharPoly, _edge_roots
 from mpde.errors import EvaluationError, WindowError
 from mpde.exact import RationalComplex
@@ -285,6 +286,64 @@ def test_exact_residual_equals_the_per_cell_oracle(case, rhs_is_g,
         assert (rep.max_abs, rep.exact_zero) == (want, max_abs == 0)
         assert rep.relative == (float(max_abs / scale) if scale
                                 else float(max_abs != 0))
+
+
+def _in_row_blocks(prob, u, rows: int):
+    """The repr of ``residual(prob, u)`` with the float residual's byte
+    budget patched down to ``rows`` float64 rows of its window (at least
+    one row a block), and the repr of the whole-window form's report."""
+    P = prob.operator
+    B = P.B if prob.rhs_is_g else 0
+    (J_u, I_u), (J_g, I_g) = u.valid, prob.rhs_window
+    window = (min(J_u - P.n, J_g), min(I_u - P.max_b, I_g - B))
+    with mock.patch.object(solver, "RESIDUAL_BLOCK_BYTES",
+                           rows * (window[1] + 1) * 8):
+        got = residual(prob, u)
+    return repr(got), repr(residual_float_whole(prob, u, window))
+
+
+@SETTINGS
+@given(st.one_of(cases(), pseudo_cases()), st.booleans(), st.integers(0, 3),
+       st.sampled_from([math.nan, -math.inf, 1.7e308]))
+def test_float_residual_in_row_blocks_equals_the_whole_window_form(
+        case, rhs_is_g, rows, bad):
+    """The float residual, walked a few rows at a time, reports what the
+    whole-window form (``oracles.residual_float_whole``) does, by repr
+    (NaN and signs of zero included): in both rhs roles, at the drawn
+    truncation raised to the operator orders, for the float solve's u, for
+    twice it, and for it with its last cell ``bad``, whose NaN or infinity
+    must reach the report from its block, and whose finite 1.7e308 may
+    overflow the terms, so that the second pass runs."""
+    n = max(a for a, _ in case.table)
+    max_b = max(b for _, b in case.table)
+    case = _at_truncation(dataclasses.replace(case, rhs_is_g=rhs_is_g),
+                          (max(case.out[0], n), max(case.out[1], max_b)))
+    prob = case.problem(exact=False)
+    try:
+        u = formal_solve(prob)
+    except EvaluationError:
+        assume(False)  # the float solve overflows
+    broken = u.grid.copy()
+    broken[-1, -1] = bad
+    for grid in (u.grid, 2 * u.grid, broken):
+        got, want = _in_row_blocks(prob, Series2(grid), rows)
+        assert got == want
+
+
+@pytest.mark.parametrize("rows", [0, 1, 3])
+def test_float_residual_in_row_blocks_retries_as_the_whole_window_form(rows):
+    # found-fit-sum-overflow: every cell of u is finite, but the terms of
+    # its residual overflow, in the blocks that hold its largest cells, and
+    # the second pass runs; its report, and that of u with one cell 0.1%
+    # off, are the whole-window form's
+    prob = assemble(load_problem(_shipped("found-fit-sum-overflow")), 20, 5,
+                    "float")
+    u = formal_solve(prob)
+    cells = u.grid.copy()
+    cells[10, 2] *= 1.001
+    for v in (u, Series2(cells)):
+        got, want = _in_row_blocks(prob, v, rows)
+        assert got == want and "nan" not in got and "inf" not in got
 
 
 def _rebuilt(prob: CauchyProblem, **changes) -> CauchyProblem:

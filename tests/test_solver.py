@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import outputs
-from helpers import geometric_g, larger_k, random_series2
+from helpers import geometric_g, larger_k, random_series2, traced_peak
 from oracles import laurent_tail, recurrence_float_levels, residual_cells
 from routes import (apply_operator, borel, g_from_f, inv_borel, moment_antidiff,
                     moment_diff)
@@ -130,6 +130,20 @@ def test_residual_float_propagates_nonfinite():
         rep = residual(prob, Series2(rows))
         assert math.isnan(rep.relative) and not rep.exact_zero
         assert not rep.relative <= 1e-8
+
+
+def test_float_residual_memory_is_a_few_row_blocks():
+    # transport at (400, 400): the residual walks its window in row blocks
+    # of RESIDUAL_BLOCK_BYTES, so it holds a few blocks' arrays at a time,
+    # below 16 blocks (1 MiB), a bound fixed before measuring; built on the
+    # whole window, its shifts, moduli and difference took 6.28 MiB
+    data = json.loads((resources.files("mpde") / "problems"
+                       / "transport.json").read_text())
+    prob = assemble(load_problem(data), 400, 400, "float")
+    u = formal_solve(prob)
+    rep, peak = traced_peak(lambda: residual(prob, u))
+    assert rep.relative < 1e-8
+    assert peak < 16 * solver.RESIDUAL_BLOCK_BYTES
 
 
 def test_float_solve_raises_on_overflow_in_window():
